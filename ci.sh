@@ -37,21 +37,26 @@
 #                         live, release mode)
 #  13. serve tests       (the concurrency suite, explicitly and in
 #                         release: shared-compile dedup, cross-thread
-#                         StaleCode faulting, eviction under budget,
-#                         in-flight-slot interleavings — so a
-#                         concurrency regression names itself)
-#  14. persist smoke     (the persistent on-disk code cache: a cold
+#                         StaleCode faulting, eviction under budget —
+#                         so a concurrency regression names itself)
+#  14. cache crate tests (all of tcc-cache in release, not a name
+#                         filter: in-flight-slot interleavings, store
+#                         round-trips, corruption / truncation /
+#                         version-salt rejection at open and at first
+#                         load, single-writer locking, the CRC32
+#                         slicing-by-8 vs bytewise equivalence and the
+#                         fingerprint-digest properties)
+#  15. persist smoke     (the persistent on-disk code cache: a cold
 #                         process compiles a cell sweep, exits, and a
 #                         warm process answers the identical sweep
 #                         from disk with zero recompiles and
 #                         bit-identical results, release mode)
-#  15. persist tests     (the durability suite, explicitly and in
-#                         release: store round-trips, corruption /
-#                         truncation / version-salt rejection,
-#                         single-writer locking, warm-start e2e and
-#                         post-load StaleCode faulting — so a
+#  16. persist tests     (the end-to-end durability suite, explicitly
+#                         and in release: warm-start, single-writer
+#                         sharing, post-load StaleCode faulting, and a
+#                         rotten frame recompiling and healing — so a
 #                         durability regression names itself)
-#  16. exec regression   (./run_benches.sh --check: full-rep exec bench
+#  17. exec regression   (./run_benches.sh --check: full-rep exec bench
 #                         compared against baselines/BENCH_exec.json;
 #                         fails on a >30% drop in any gated speedup
 #                         column — fused, threaded, adaptive, or the
@@ -116,14 +121,15 @@ cargo run -p tcc-suite --bin suite --release -- serve --smoke
 echo "== serve concurrency tests =="
 cargo test -q --release -p tcc-serve
 cargo test -q --release -p tcc --test shared_serve
-cargo test -q --release -p tcc-cache shared
+
+echo "== cache crate tests (shared, persist, CRC, digest) =="
+cargo test -q --release -p tcc-cache
 
 echo "== suite persist --smoke (warm restart answers from disk) =="
 cargo run -p tcc-suite --bin suite --release -- persist --smoke
 
 echo "== persist durability tests =="
-cargo test -q --release -p tcc-cache persist
-cargo test -q --release --test persist
+cargo test -q --release --test persist --test persist_corruption
 
 echo "== exec regression gate (speedups vs baselines/) =="
 ./run_benches.sh --check

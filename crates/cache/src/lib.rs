@@ -49,19 +49,91 @@ pub use shared::{Acquire, Artifact, CompileClaim, SharedArtifacts, SlotState};
 /// Built with [`FingerprintBuilder`]; equality of fingerprints implies
 /// byte-equality of the underlying length-delimited encodings, so
 /// distinct closure structures or `$`-constant values cannot collide.
-#[derive(Clone, Debug, PartialEq, Eq, Hash)]
-pub struct Fingerprint(Vec<u8>);
+///
+/// A fingerprint also carries a 64-bit digest of its encoding,
+/// computed once when it is built (or read back from a store file).
+/// `Hash` feeds only the digest, so the maps keyed by fingerprints hash
+/// eight bytes, not the ~1 KB encoding; `Eq` still compares the
+/// encodings, so a digest collision costs a byte comparison and never
+/// a wrong answer. The digest is unkeyed: encodings crafted to share a
+/// digest can slow a map down to a scan of the colliding keys, nothing
+/// more.
+#[derive(Clone, Debug)]
+pub struct Fingerprint {
+    bytes: Vec<u8>,
+    digest: u64,
+}
 
 impl Fingerprint {
+    /// Wraps an encoding (from the builder, or a stored key read back
+    /// from a store file) and digests it.
+    pub(crate) fn from_encoding(bytes: Vec<u8>) -> Fingerprint {
+        let digest = digest64(&bytes);
+        Fingerprint { bytes, digest }
+    }
+
+    /// The encoding itself: what `Eq` compares and the store writes.
+    pub(crate) fn encoding(&self) -> &[u8] {
+        &self.bytes
+    }
+
+    /// The digest `Hash` feeds: a pure function of the encoding.
+    pub(crate) fn digest(&self) -> u64 {
+        self.digest
+    }
+
     /// Length of the encoding in bytes (diagnostics).
     pub fn len(&self) -> usize {
-        self.0.len()
+        self.bytes.len()
     }
 
     /// True when the encoding is empty (never for built fingerprints).
     pub fn is_empty(&self) -> bool {
-        self.0.is_empty()
+        self.bytes.is_empty()
     }
+}
+
+impl PartialEq for Fingerprint {
+    fn eq(&self, other: &Fingerprint) -> bool {
+        self.digest == other.digest && self.bytes == other.bytes
+    }
+}
+
+impl Eq for Fingerprint {}
+
+impl std::hash::Hash for Fingerprint {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        state.write_u64(self.digest);
+    }
+}
+
+/// 64-bit digest of a fingerprint encoding: a folded 64×64→128-bit
+/// multiply over 16 bytes per step (the wyhash construction), the tail
+/// zero-padded and the length folded in last so padding is unambiguous.
+fn digest64(bytes: &[u8]) -> u64 {
+    const K0: u64 = 0x9E37_79B9_7F4A_7C15;
+    const K1: u64 = 0xD6E8_FEB8_6659_FD93;
+    fn fold(a: u64, b: u64) -> u64 {
+        let wide = u128::from(a) * u128::from(b);
+        (wide as u64) ^ ((wide >> 64) as u64)
+    }
+    fn step(h: u64, pair: &[u8]) -> u64 {
+        let lo = u64::from_le_bytes(pair[..8].try_into().expect("8 bytes"));
+        let hi = u64::from_le_bytes(pair[8..].try_into().expect("8 bytes"));
+        fold(lo ^ K1, hi ^ h)
+    }
+    let mut chunks = bytes.chunks_exact(16);
+    let mut h = K0;
+    for pair in &mut chunks {
+        h = step(h, pair);
+    }
+    let tail = chunks.remainder();
+    if !tail.is_empty() {
+        let mut pad = [0u8; 16];
+        pad[..tail.len()].copy_from_slice(tail);
+        h = step(h, &pad);
+    }
+    fold(h ^ K0, bytes.len() as u64 ^ K1)
 }
 
 /// Incrementally encodes a closure's identity into a [`Fingerprint`].
@@ -115,7 +187,7 @@ impl FingerprintBuilder {
 
     /// Finishes the encoding.
     pub fn build(self) -> Fingerprint {
-        Fingerprint(self.bytes)
+        Fingerprint::from_encoding(self.bytes)
     }
 }
 
@@ -473,6 +545,32 @@ mod tests {
         let mut b = FingerprintBuilder::new();
         b.push_tag(0x02);
         assert_ne!(a.build(), b.build());
+    }
+
+    #[test]
+    fn digest_is_a_pure_function_of_the_encoding() {
+        let mut b = FingerprintBuilder::new();
+        b.push_u64(7);
+        b.push_bytes(&[0xAB; 100]);
+        let built = b.build();
+        let reread = Fingerprint::from_encoding(built.encoding().to_vec());
+        assert_eq!(built, reread);
+        assert_eq!(built.digest(), reread.digest());
+        // Equal-length encodings differing in one byte are unequal
+        // whatever their digests do; on this fixed input the digests
+        // differ too (a quality check, not a guarantee).
+        for i in 0..built.len() {
+            let mut bytes = built.encoding().to_vec();
+            bytes[i] ^= 1;
+            let other = Fingerprint::from_encoding(bytes);
+            assert_ne!(other, built, "byte {i}");
+            assert_ne!(other.digest(), built.digest(), "byte {i}");
+        }
+        // Zero padding of the tail is not confused with real zeros.
+        let short = Fingerprint::from_encoding(vec![1]);
+        let long = Fingerprint::from_encoding(vec![1, 0]);
+        assert_ne!(short, long);
+        assert_ne!(short.digest(), long.digest());
     }
 
     #[test]

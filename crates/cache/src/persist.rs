@@ -34,6 +34,22 @@
 //!   and keeps the on-disk image canonical (entries sorted by
 //!   fingerprint encoding, so equal stores are byte-identical).
 //!
+//! A restarted process asks for a fraction of what the store holds, so
+//! open costs O(entries), not O(bytes): it indexes the frames and
+//! leaves every payload unread until somebody wants it. Which check
+//! runs when:
+//!
+//! | when | what is checked |
+//! |---|---|
+//! | `open` | header magic, format version, ABI salt; every frame's bounds; the bounds of the key each frame claims |
+//! | `load` of a key (the first, and any later one) | payload CRC, full bounds-checked decode, decoded key == requested key |
+//! | `flush` | the same three for every frame still in the file image, before it is carried into the new file |
+//!
+//! No stored word reaches a caller, or the next file, without its
+//! frame having passed all of them. Nothing remembers that a frame
+//! passed: a process loads a key once (its memo answers from then on),
+//! so a "verified" bit would buy a skipped CRC on a path nobody takes.
+//!
 //! `SharedTranslation`s are *not* serialized: they are rebuilt lazily
 //! from the loaded words by the engines that want them, which keeps
 //! the format independent of the decoded-buffer layout.
@@ -69,10 +85,13 @@ const MAX_NAME_LEN: usize = 4096;
 /// Sanity cap on a function body (16 Mi words = 64 MiB).
 const MAX_WORDS: usize = 1 << 24;
 
-/// CRC32 (IEEE, poly 0xEDB88320) lookup table, built at compile time —
-/// the store cannot take a checksum dependency (leaf workspace).
-const CRC_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
+/// CRC32 (IEEE, poly 0xEDB88320) slicing-by-8 tables, built at compile
+/// time — the store cannot take a checksum dependency (leaf
+/// workspace). `CRC_TABLES[0]` is the classic bytewise table;
+/// `CRC_TABLES[k][b]` is the CRC of byte `b` followed by `k` zero
+/// bytes, which is what lets eight input bytes fold in one step.
+const CRC_TABLES: [[u32; 256]; 8] = {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -85,17 +104,41 @@ const CRC_TABLE: [u32; 256] = {
             };
             k += 1;
         }
-        table[i] = c;
+        tables[0][i] = c;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = tables[0][(prev & 0xFF) as usize] ^ (prev >> 8);
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 };
 
-/// CRC32 (IEEE) of `data`.
+/// CRC32 (IEEE) of `data`, eight bytes per step.
 pub fn crc32(data: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
     let mut c = 0xFFFF_FFFFu32;
-    for &b in data {
-        c = CRC_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+    let mut chunks = data.chunks_exact(8);
+    for chunk in &mut chunks {
+        let lo = c ^ u32::from_le_bytes(chunk[..4].try_into().expect("4 bytes"));
+        let hi = u32::from_le_bytes(chunk[4..].try_into().expect("4 bytes"));
+        c = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in chunks.remainder() {
+        c = t[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
     }
     c ^ 0xFFFF_FFFF
 }
@@ -126,16 +169,60 @@ impl StoredArtifact {
     }
 }
 
+/// A frame of the file image, indexed at open under the key it claims.
+/// Its bounds are checked; its payload is not trusted until
+/// [`Frame::verify`] has passed.
+#[derive(Debug)]
+struct Frame {
+    /// Where the payload starts in the image.
+    off: usize,
+    /// Payload length in bytes.
+    len: usize,
+    /// The CRC the frame header declares for the payload.
+    crc: u32,
+}
+
+impl Frame {
+    fn payload<'a>(&self, image: &'a [u8]) -> &'a [u8] {
+        &image[self.off..self.off + self.len]
+    }
+
+    /// The one site where stored bytes become trusted: payload CRC,
+    /// full bounds-checked decode, and the decoded key equal to the
+    /// `key` this frame is indexed (and was asked for) under. `None`
+    /// on any failure — the caller drops the frame and counts it
+    /// `corrupt_rejected`.
+    fn verify(&self, image: &[u8], key: &Fingerprint) -> Option<StoredArtifact> {
+        let payload = self.payload(image);
+        if crc32(payload) != self.crc {
+            return None;
+        }
+        let (stored_key, art) = decode_payload(payload)?;
+        (stored_key == key.encoding()).then_some(art)
+    }
+}
+
+#[derive(Debug)]
+enum Slot {
+    /// Still in the file image.
+    Frame(Frame),
+    /// Recorded by this process since open.
+    Recorded(StoredArtifact),
+}
+
 /// The fingerprint-keyed persistent artifact store. One per store
 /// path; the first opener in the fleet is the writer, later openers
-/// are read-only. All loads happen eagerly at open (the store files
-/// the suite produces are small); `load` is then an in-memory clone,
+/// are read-only. Open reads the file and indexes its frames; a
+/// payload is CRC-checked and decoded when [`PersistentStore::load`]
+/// asks for it (see the module header for which check runs when),
 /// timed so hits can be charged their true warm-start cost.
 #[derive(Debug)]
 pub struct PersistentStore {
     path: PathBuf,
     abi_salt: u64,
-    entries: HashMap<Fingerprint, StoredArtifact>,
+    /// The file as read at open; `Slot::Frame`s point into it.
+    image: Vec<u8>,
+    index: HashMap<Fingerprint, Slot>,
     /// True when in-memory state has diverged from the file.
     dirty: bool,
     /// Whether this instance holds the single-writer lock.
@@ -152,6 +239,7 @@ impl PersistentStore {
     /// read-only view ([`PersistentStore::is_writer`] is false and
     /// [`PersistentStore::flush`] fails).
     pub fn open(path: impl Into<PathBuf>, abi_salt: u64) -> PersistentStore {
+        let t0 = Instant::now();
         let path = path.into();
         if let Some(dir) = path.parent() {
             if !dir.as_os_str().is_empty() {
@@ -161,19 +249,19 @@ impl PersistentStore {
         let writer = fs::OpenOptions::new()
             .write(true)
             .create_new(true)
-            .open(lock_path(&path))
+            .open(sibling(&path, ".lock"))
             .is_ok();
         let mut store = PersistentStore {
+            image: fs::read(&path).unwrap_or_default(),
             path,
             abi_salt,
-            entries: HashMap::new(),
+            index: HashMap::new(),
             dirty: false,
             writer,
             metrics: PersistMetrics::default(),
         };
-        if let Ok(bytes) = fs::read(&store.path) {
-            store.parse(&bytes);
-        }
+        store.index_image();
+        store.metrics.open_ns = t0.elapsed().as_nanos() as u64;
         store
     }
 
@@ -193,31 +281,47 @@ impl PersistentStore {
         self.abi_salt
     }
 
-    /// Resident (loaded + recorded − tombstoned) entries.
+    /// Resident (indexed at open + recorded − tombstoned − rejected)
+    /// entries.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.index.len()
     }
 
     /// True when nothing is resident.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.index.is_empty()
     }
 
-    /// Whether an artifact is resident for `fp` (no metrics side
-    /// effects — use [`PersistentStore::load`] on the miss path).
+    /// Whether an entry is resident for `fp` (no metrics side
+    /// effects and no verification — use [`PersistentStore::load`] on
+    /// the miss path).
     pub fn contains(&self, fp: &Fingerprint) -> bool {
-        self.entries.contains_key(fp)
+        self.index.contains_key(fp)
     }
 
-    /// Looks up `fp`, counting a disk hit or miss. On a hit returns
-    /// the artifact and the nanoseconds the load cost (also
-    /// accumulated into `load_ns`) so the caller can credit
-    /// `compile_ns − load_ns` rather than the full compile time.
+    /// Looks up `fp`, counting a disk hit or miss. A frame still in
+    /// the file image is verified here (CRC, full decode, key); one that
+    /// fails is dropped, counted `corrupt_rejected`, and answered as a
+    /// miss, so the caller compiles. On a hit returns the artifact and
+    /// the nanoseconds the load cost (also accumulated into `load_ns`)
+    /// so the caller can credit `compile_ns − load_ns` rather than the
+    /// full compile time.
     pub fn load(&mut self, fp: &Fingerprint) -> Option<(StoredArtifact, u64)> {
         let t0 = Instant::now();
-        match self.entries.get(fp) {
+        let art = match self.index.get(fp) {
+            None => None,
+            Some(Slot::Recorded(art)) => Some(art.clone()),
+            Some(Slot::Frame(frame)) => {
+                let art = frame.verify(&self.image, fp);
+                if art.is_none() {
+                    self.index.remove(fp);
+                    self.metrics.corrupt_rejected += 1;
+                }
+                art
+            }
+        };
+        match art {
             Some(art) => {
-                let art = art.clone();
                 let ns = t0.elapsed().as_nanos() as u64;
                 self.metrics.disk_hits += 1;
                 self.metrics.load_ns += ns;
@@ -234,7 +338,7 @@ impl PersistentStore {
     /// rewritten at the next flush; a tombstoned fingerprint recorded
     /// again is resurrected.
     pub fn record(&mut self, fp: Fingerprint, art: StoredArtifact) {
-        self.entries.insert(fp, art);
+        self.index.insert(fp, Slot::Recorded(art));
         self.dirty = true;
     }
 
@@ -243,7 +347,7 @@ impl PersistentStore {
     /// eviction policy) retires the fingerprint. Returns whether an
     /// entry was resident.
     pub fn tombstone(&mut self, fp: &Fingerprint) -> bool {
-        if self.entries.remove(fp).is_some() {
+        if self.index.remove(fp).is_some() {
             self.metrics.tombstones += 1;
             self.dirty = true;
             true
@@ -255,7 +359,10 @@ impl PersistentStore {
     /// Serializes the complete store to a sibling temp file, syncs,
     /// and renames it over the store path — a crash mid-flush leaves
     /// the old file intact. Entries are written sorted by fingerprint
-    /// encoding, so equal stores are byte-identical. Fails (without
+    /// encoding, so equal stores are byte-identical. A frame still in
+    /// the file image is verified first and dropped
+    /// (`corrupt_rejected`) if it fails: bit rot is never copied into
+    /// the new file, under its old CRC or a fresh one. Fails (without
     /// touching the file) on a read-only instance.
     pub fn flush(&mut self) -> io::Result<()> {
         if !self.writer {
@@ -265,7 +372,7 @@ impl PersistentStore {
             ));
         }
         let bytes = self.serialize();
-        let tmp = self.path.with_extension("tmp");
+        let tmp = sibling(&self.path, ".tmp");
         {
             let mut f = fs::File::create(&tmp)?;
             f.write_all(&bytes)?;
@@ -283,27 +390,42 @@ impl PersistentStore {
         self.metrics
     }
 
-    fn serialize(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(HEADER_LEN);
+    /// The bytes of the next file. Frames of the image that fail
+    /// verification are left out, dropped from the index and counted.
+    fn serialize(&mut self) -> Vec<u8> {
+        let mut out = Vec::with_capacity(self.image.len().max(HEADER_LEN));
         out.extend_from_slice(&MAGIC);
         out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
         out.extend_from_slice(&self.abi_salt.to_le_bytes());
-        let mut sorted: Vec<(&Fingerprint, &StoredArtifact)> = self.entries.iter().collect();
-        sorted.sort_by(|a, b| a.0 .0.cmp(&b.0 .0));
-        for (fp, art) in sorted {
-            let payload = encode_payload(fp, art);
-            out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-            out.extend_from_slice(&crc32(&payload).to_le_bytes());
-            out.extend_from_slice(&payload);
+        let image = &self.image;
+        let indexed = self.index.len();
+        self.index.retain(|fp, slot| match slot {
+            Slot::Frame(frame) => frame.verify(image, fp).is_some(),
+            Slot::Recorded(_) => true,
+        });
+        self.metrics.corrupt_rejected += (indexed - self.index.len()) as u64;
+        let mut sorted: Vec<(&Fingerprint, &Slot)> = self.index.iter().collect();
+        sorted.sort_by(|a, b| a.0.encoding().cmp(b.0.encoding()));
+        for (fp, slot) in sorted {
+            match slot {
+                Slot::Frame(frame) => push_frame(&mut out, frame.crc, frame.payload(image)),
+                Slot::Recorded(art) => {
+                    let payload = encode_payload(fp, art);
+                    push_frame(&mut out, crc32(&payload), &payload);
+                }
+            }
         }
         out
     }
 
-    /// Zero-trust parse of a store image into `entries`. Any header
-    /// problem rejects the whole file; a bad entry frame is skipped by
-    /// its declared length (later entries still load); a truncated
-    /// tail stops the parse keeping everything before it.
-    fn parse(&mut self, bytes: &[u8]) {
+    /// Zero-trust walk of the file image: any header problem rejects
+    /// the whole file; each frame whose bounds and claimed key are
+    /// plausible is indexed under that key, payload unread; a frame
+    /// whose key is not is skipped by its declared length (later
+    /// frames are still indexed); a truncated tail stops the walk
+    /// keeping everything before it.
+    fn index_image(&mut self) {
+        let bytes = &self.image;
         if bytes.is_empty() {
             return; // fresh store
         }
@@ -331,14 +453,16 @@ impl PersistentStore {
                 return;
             }
             let payload = &rest[FRAME_LEN..FRAME_LEN + len];
+            let frame = Frame {
+                off: off + FRAME_LEN,
+                len,
+                crc,
+            };
             off += FRAME_LEN + len;
-            if crc32(payload) != crc {
-                self.metrics.corrupt_rejected += 1; // bit rot: skip frame
-                continue;
-            }
-            match decode_payload(payload) {
-                Some((fp, art)) => {
-                    self.entries.insert(fp, art);
+            match claimed_key(payload) {
+                Some((key, _)) => {
+                    self.index
+                        .insert(Fingerprint::from_encoding(key.to_vec()), Slot::Frame(frame));
                     self.metrics.entries_loaded += 1;
                 }
                 None => self.metrics.corrupt_rejected += 1,
@@ -356,21 +480,32 @@ impl Drop for PersistentStore {
             let _ = self.flush();
         }
         if self.writer {
-            let _ = fs::remove_file(lock_path(&self.path));
+            let _ = fs::remove_file(sibling(&self.path, ".lock"));
         }
     }
 }
 
-fn lock_path(path: &Path) -> PathBuf {
+/// `path` with `suffix` appended to its full name (`cache.a` →
+/// `cache.a.lock`), so two stores in one directory never share a lock
+/// or temp file the way `with_extension` would make `cache.a` and
+/// `cache.b` do.
+fn sibling(path: &Path, suffix: &str) -> PathBuf {
     let mut os = path.as_os_str().to_os_string();
-    os.push(".lock");
+    os.push(suffix);
     PathBuf::from(os)
 }
 
+fn push_frame(out: &mut Vec<u8>, crc: u32, payload: &[u8]) {
+    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    out.extend_from_slice(&crc.to_le_bytes());
+    out.extend_from_slice(payload);
+}
+
 fn encode_payload(fp: &Fingerprint, art: &StoredArtifact) -> Vec<u8> {
-    let mut p = Vec::with_capacity(fp.0.len() + art.name.len() + art.words.len() * 4 + 32);
-    p.extend_from_slice(&(fp.0.len() as u32).to_le_bytes());
-    p.extend_from_slice(&fp.0);
+    let key = fp.encoding();
+    let mut p = Vec::with_capacity(key.len() + art.name.len() + art.words.len() * 4 + 32);
+    p.extend_from_slice(&(key.len() as u32).to_le_bytes());
+    p.extend_from_slice(key);
     p.push(0); // flags, reserved
     p.extend_from_slice(&(art.name.len() as u16).to_le_bytes());
     p.extend_from_slice(art.name.as_bytes());
@@ -383,42 +518,54 @@ fn encode_payload(fp: &Fingerprint, art: &StoredArtifact) -> Vec<u8> {
     p
 }
 
-/// Bounds-checked payload decode. `None` on any structural problem
-/// (implausible length, short field, trailing garbage, non-UTF-8
-/// name) — the caller counts it `corrupt_rejected`.
-fn decode_payload(p: &[u8]) -> Option<(Fingerprint, StoredArtifact)> {
-    let mut off = 0usize;
-    let take = |off: &mut usize, n: usize| -> Option<&[u8]> {
-        let s = p.get(*off..*off + n)?;
-        *off += n;
-        Some(s)
-    };
-    let fp_len = u32::from_le_bytes(take(&mut off, 4)?.try_into().ok()?) as usize;
-    if fp_len > MAX_FP_LEN {
+/// The key a payload claims — its leading length-prefixed fingerprint
+/// encoding, bounds-checked against the payload and [`MAX_FP_LEN`] —
+/// and what follows it. What open indexes a frame under, and the
+/// first field [`decode_payload`] reads.
+fn claimed_key(p: &[u8]) -> Option<(&[u8], &[u8])> {
+    let (len, rest) = p.split_first_chunk::<4>()?;
+    let len = u32::from_le_bytes(*len) as usize;
+    if len > MAX_FP_LEN {
         return None;
     }
-    let fp_bytes = take(&mut off, fp_len)?.to_vec();
-    let _flags = take(&mut off, 1)?[0];
-    let name_len = u16::from_le_bytes(take(&mut off, 2)?.try_into().ok()?) as usize;
+    rest.split_at_checked(len)
+}
+
+/// Bounds-checked payload decode into the stored key and the artifact.
+/// `None` on any structural problem (implausible length, short field,
+/// trailing garbage, non-UTF-8 name) — the caller counts it
+/// `corrupt_rejected`.
+fn decode_payload(p: &[u8]) -> Option<(&[u8], StoredArtifact)> {
+    let (key, mut rest) = claimed_key(p)?;
+    let mut take = |n: usize| -> Option<&[u8]> {
+        let (field, tail) = rest.split_at_checked(n)?;
+        rest = tail;
+        Some(field)
+    };
+    let _flags = take(1)?[0];
+    let name_len = u16::from_le_bytes(take(2)?.try_into().ok()?) as usize;
     if name_len > MAX_NAME_LEN {
         return None;
     }
-    let name = String::from_utf8(take(&mut off, name_len)?.to_vec()).ok()?;
-    let orig_start = u64::from_le_bytes(take(&mut off, 8)?.try_into().ok()?);
-    let compile_ns = u64::from_le_bytes(take(&mut off, 8)?.try_into().ok()?);
-    let words_len = u32::from_le_bytes(take(&mut off, 4)?.try_into().ok()?) as usize;
+    let name = std::str::from_utf8(take(name_len)?).ok()?.to_owned();
+    let orig_start = u64::from_le_bytes(take(8)?.try_into().ok()?);
+    let compile_ns = u64::from_le_bytes(take(8)?.try_into().ok()?);
+    let words_len = u32::from_le_bytes(take(4)?.try_into().ok()?) as usize;
     if words_len > MAX_WORDS {
         return None;
     }
-    let mut words = Vec::with_capacity(words_len);
-    for _ in 0..words_len {
-        words.push(u32::from_le_bytes(take(&mut off, 4)?.try_into().ok()?));
+    // Exactly the words and nothing after them: a short body, or
+    // trailing garbage under a (forged) valid CRC, is rejected before
+    // anything is allocated for it.
+    if rest.len() != words_len * 4 {
+        return None;
     }
-    if off != p.len() {
-        return None; // trailing garbage under a (forged) valid CRC
-    }
+    let words = rest
+        .chunks_exact(4)
+        .map(|w| u32::from_le_bytes(w.try_into().expect("4 bytes")))
+        .collect();
     Some((
-        Fingerprint(fp_bytes),
+        key,
         StoredArtifact {
             name,
             orig_start: orig_start as usize,
@@ -465,7 +612,7 @@ mod tests {
     /// Removes the store file and its lock (test hygiene).
     fn cleanup(path: &Path) {
         let _ = fs::remove_file(path);
-        let _ = fs::remove_file(lock_path(path));
+        let _ = fs::remove_file(sibling(path, ".lock"));
     }
 
     /// Byte offset of the `i`-th entry's first payload byte.
@@ -476,6 +623,24 @@ mod tests {
             off += FRAME_LEN + len;
         }
         off + FRAME_LEN
+    }
+
+    /// Three six-word entries, flushed; returns the file's bytes.
+    fn three_entry_store(path: &Path, salt: u64) -> Vec<u8> {
+        let mut s = PersistentStore::open(path, salt);
+        for n in 1..=3 {
+            s.record(fp(n), art(n, 6));
+        }
+        s.flush().unwrap();
+        fs::read(path).unwrap()
+    }
+
+    /// Flips one bit in the last word of the `i`-th entry's body.
+    fn flip_a_word_bit(path: &Path, bytes: &[u8], i: usize) {
+        let mut bytes = bytes.to_vec();
+        let last = payload_offset(&bytes, i + 1) - FRAME_LEN - 1;
+        bytes[last] ^= 0x10;
+        fs::write(path, &bytes).unwrap();
     }
 
     #[test]
@@ -495,6 +660,7 @@ mod tests {
         let mut s = PersistentStore::open(&path, 42);
         assert_eq!(s.len(), 2);
         assert_eq!(s.metrics().entries_loaded, 2);
+        assert!(s.metrics().open_ns > 0, "open is timed");
         let (a, ns) = s.load(&fp(1)).expect("hit");
         assert_eq!(a, art(1, 8));
         assert!(s.metrics().load_ns >= ns);
@@ -530,17 +696,10 @@ mod tests {
     #[test]
     fn bit_flip_rejects_one_entry_and_keeps_the_rest() {
         let path = tmp_path("bitflip");
-        {
-            let mut s = PersistentStore::open(&path, 9);
-            for n in 1..=3 {
-                s.record(fp(n), art(n, 6));
-            }
-            s.flush().unwrap();
-        }
-        // Flip one byte inside the second entry's payload: its CRC no
-        // longer matches, so it is skipped by frame length; entries 1
-        // and 3 still load.
-        let mut bytes = fs::read(&path).unwrap();
+        // Flip the top byte of the second entry's key length: the key
+        // it claims no longer fits its payload, so open skips the
+        // frame by its declared length; entries 1 and 3 are indexed.
+        let mut bytes = three_entry_store(&path, 9);
         let off = payload_offset(&bytes, 1);
         bytes[off + 3] ^= 0x40;
         fs::write(&path, &bytes).unwrap();
@@ -559,16 +718,9 @@ mod tests {
     #[test]
     fn truncation_keeps_the_prefix() {
         let path = tmp_path("trunc");
-        {
-            let mut s = PersistentStore::open(&path, 9);
-            for n in 1..=3 {
-                s.record(fp(n), art(n, 6));
-            }
-            s.flush().unwrap();
-        }
         // Cut the file mid-second-entry (a crash without the atomic
         // rename could not produce this, but a failing disk can).
-        let bytes = fs::read(&path).unwrap();
+        let bytes = three_entry_store(&path, 9);
         let cut = payload_offset(&bytes, 1) + 2;
         fs::write(&path, &bytes[..cut]).unwrap();
         let mut s = PersistentStore::open(&path, 9);
@@ -690,9 +842,189 @@ mod tests {
     }
 
     #[test]
+    fn bit_flip_in_the_words_is_caught_at_first_load() {
+        let path = tmp_path("lazyflip");
+        let bytes = three_entry_store(&path, 9);
+        flip_a_word_bit(&path, &bytes, 1);
+        let mut s = PersistentStore::open(&path, 9);
+        // The frame's bounds and key are fine, so open indexes it.
+        assert_eq!(s.len(), 3);
+        let m = s.metrics();
+        assert_eq!((m.entries_loaded, m.corrupt_rejected), (3, 0));
+        // Entries sort by key, so the second frame is fp(2)'s.
+        assert!(s.contains(&fp(2)));
+        assert!(s.load(&fp(2)).is_none(), "rotten words are never served");
+        let m = s.metrics();
+        assert_eq!((m.corrupt_rejected, m.disk_misses, m.disk_hits), (1, 1, 0));
+        assert_eq!(s.len(), 2, "the rejected frame left the index");
+        // Asking again is a plain miss: the rejection is not recounted.
+        assert!(s.load(&fp(2)).is_none());
+        let m = s.metrics();
+        assert_eq!((m.corrupt_rejected, m.disk_misses), (1, 2));
+        // The neighbours load bit-identically.
+        assert_eq!(s.load(&fp(1)).expect("hit").0, art(1, 6));
+        assert_eq!(s.load(&fp(3)).expect("hit").0, art(3, 6));
+        // A flush after the rejection omits the bad frame.
+        s.flush().unwrap();
+        drop(s);
+        let mut s = PersistentStore::open(&path, 9);
+        assert_eq!(s.len(), 2);
+        assert!(!s.contains(&fp(2)));
+        assert_eq!(s.load(&fp(3)).expect("hit").0, art(3, 6));
+        assert_eq!(s.metrics().corrupt_rejected, 0);
+        cleanup(&path);
+    }
+
+    #[test]
+    fn flush_never_carries_an_unloaded_bad_frame_forward() {
+        let path = tmp_path("flushflip");
+        let bytes = three_entry_store(&path, 9);
+        flip_a_word_bit(&path, &bytes, 1);
+        // Nothing is loaded: flush itself must find the rot, not copy
+        // it into the new file (under its old CRC or a fresh one).
+        let mut s = PersistentStore::open(&path, 9);
+        assert_eq!(s.len(), 3);
+        s.record(fp(4), art(4, 6));
+        s.flush().unwrap();
+        assert_eq!(s.metrics().corrupt_rejected, 1);
+        assert_eq!(s.len(), 3, "fp(2) dropped, fp(4) recorded");
+        drop(s);
+        let mut s = PersistentStore::open(&path, 9);
+        assert_eq!(s.len(), 3);
+        assert!(!s.contains(&fp(2)));
+        for n in [1, 3, 4] {
+            assert_eq!(s.load(&fp(n)).expect("hit").0, art(n, 6));
+        }
+        assert_eq!(s.metrics().corrupt_rejected, 0);
+        // And the survivors' file is the one a clean store would write.
+        let clean = tmp_path("flushflip_clean");
+        {
+            let mut c = PersistentStore::open(&clean, 9);
+            for n in [4, 3, 1] {
+                c.record(fp(n), art(n, 6));
+            }
+            c.flush().unwrap();
+        }
+        assert_eq!(fs::read(&path).unwrap(), fs::read(&clean).unwrap());
+        cleanup(&path);
+        cleanup(&clean);
+    }
+
+    #[test]
+    fn frame_that_decodes_to_another_key_is_rejected() {
+        let path = tmp_path("wrongkey");
+        three_entry_store(&path, 9);
+        let mut s = PersistentStore::open(&path, 9);
+        // Index fp(1) at fp(2)'s frame: the CRC holds and the payload
+        // decodes, but to a key nobody asked for.
+        let other = s.index.remove(&fp(2)).expect("indexed");
+        s.index.insert(fp(1), other);
+        assert!(s.load(&fp(1)).is_none(), "fp(2)'s words never answer fp(1)");
+        let m = s.metrics();
+        assert_eq!((m.corrupt_rejected, m.disk_misses, m.disk_hits), (1, 1, 0));
+        assert!(!s.contains(&fp(1)));
+        assert_eq!(s.load(&fp(3)).expect("hit").0, art(3, 6));
+        cleanup(&path);
+    }
+
+    #[test]
+    fn payload_decode_rejects_short_and_overlong_bodies() {
+        let payload = encode_payload(&fp(1), &art(1, 6));
+        let (key, decoded) = decode_payload(&payload).expect("well-formed");
+        assert_eq!(key, fp(1).encoding());
+        assert_eq!(decoded, art(1, 6));
+        for cut in 0..payload.len() {
+            assert!(decode_payload(&payload[..cut]).is_none(), "cut at {cut}");
+        }
+        let mut long = payload.clone();
+        long.push(0);
+        assert!(decode_payload(&long).is_none(), "trailing garbage");
+    }
+
+    #[test]
+    fn stores_in_one_directory_keep_their_temp_files_apart() {
+        let dir = tmp_path("siblings.d");
+        fs::create_dir_all(&dir).unwrap();
+        let (pa, pb) = (dir.join("cache.a"), dir.join("cache.b"));
+        // What `with_extension("tmp")` would make both stores write.
+        let shared = dir.join("cache.tmp");
+        fs::write(&shared, b"not a temp file").unwrap();
+        {
+            let mut a = PersistentStore::open(&pa, 3);
+            let mut b = PersistentStore::open(&pb, 3);
+            a.record(fp(1), art(1, 4));
+            b.record(fp(2), art(2, 8));
+            a.flush().unwrap();
+            b.flush().unwrap();
+        }
+        assert_ne!(sibling(&pa, ".tmp"), sibling(&pb, ".tmp"));
+        assert_eq!(fs::read(&shared).unwrap(), b"not a temp file");
+        let mut a = PersistentStore::open(&pa, 3);
+        let mut b = PersistentStore::open(&pb, 3);
+        assert_eq!((a.len(), b.len()), (1, 1));
+        assert_eq!(a.load(&fp(1)).expect("hit").0, art(1, 4));
+        assert_eq!(b.load(&fp(2)).expect("hit").0, art(2, 8));
+        drop((a, b));
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn stored_keys_equal_built_fingerprints() {
+        use std::hash::{BuildHasher, RandomState};
+        let path = tmp_path("keys");
+        three_entry_store(&path, 9);
+        let s = PersistentStore::open(&path, 9);
+        let hasher = RandomState::new();
+        for n in 1..=3 {
+            let built = fp(n);
+            // The same bytes, read back from the file: equal, hash
+            // equal, and found by a map keyed on the built one.
+            let (stored, _) = s.index.get_key_value(&built).expect("indexed");
+            assert_eq!(*stored, built);
+            assert_eq!(stored.encoding(), built.encoding());
+            assert_eq!(hasher.hash_one(stored), hasher.hash_one(&built));
+            let map: HashMap<Fingerprint, u64> = [(built, n)].into();
+            assert_eq!(map.get(stored), Some(&n));
+        }
+        cleanup(&path);
+    }
+
+    /// The bytewise CRC32 the slicing-by-8 one replaced: the reference.
+    fn crc32_bytewise(data: &[u8]) -> u32 {
+        let mut c = 0xFFFF_FFFFu32;
+        for &b in data {
+            c = CRC_TABLES[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+        }
+        c ^ 0xFFFF_FFFF
+    }
+
+    #[test]
     fn crc32_matches_known_vectors() {
         // IEEE CRC32 of "123456789" is the classic check value.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+        assert_eq!(crc32_bytewise(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    #[test]
+    fn crc32_agrees_with_the_bytewise_reference() {
+        // xorshift64: any fixed non-periodic byte stream will do.
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let buf: Vec<u8> = (0..1 << 20)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                (x >> 32) as u8
+            })
+            .collect();
+        // Every length around the 8-byte step, at every alignment.
+        for start in 0..8 {
+            for len in 0..=64 {
+                let data = &buf[start..start + len];
+                assert_eq!(crc32(data), crc32_bytewise(data), "{start}+{len}");
+            }
+        }
+        assert_eq!(crc32(&buf), crc32_bytewise(&buf));
     }
 }

@@ -34,9 +34,7 @@
 //! `suite serve` harness gates the resulting hit rate and
 //! compiles-per-unique-fingerprint.
 
-use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
@@ -279,9 +277,7 @@ impl SharedArtifacts {
     }
 
     fn shard_for(&self, fp: &Fingerprint) -> &Mutex<Shard> {
-        let mut h = DefaultHasher::new();
-        fp.hash(&mut h);
-        &self.shards[(h.finish() as usize) % self.shards.len()]
+        &self.shards[(fp.digest() % self.shards.len() as u64) as usize]
     }
 
     fn next_use(&self) -> u64 {
@@ -367,10 +363,12 @@ impl SharedArtifacts {
     }
 
     /// Consults the attached persistent store for `fp` and, on a disk
-    /// hit, publishes the loaded artifact into the (already locked)
-    /// shard as `Ready`. The caller still holds the shard lock — it
-    /// must drop it before calling `enforce_budget`. Translations are
-    /// not persisted; sessions rebuild them lazily from the words.
+    /// hit — `load` has by then CRC-checked and decoded the frame and
+    /// matched its key; a frame that fails is a miss here — publishes
+    /// the loaded artifact into the (already locked) shard as `Ready`.
+    /// The caller still holds the shard lock — it must drop it before
+    /// calling `enforce_budget`. Translations are not persisted;
+    /// sessions rebuild them lazily from the words.
     fn persist_fill(&self, fp: &Fingerprint, shard: &mut Shard) -> Option<Arc<Artifact>> {
         let loaded = lock(&self.persist).as_mut()?.load(fp);
         let (stored, _load_ns) = loaded?;
@@ -477,7 +475,7 @@ impl SharedArtifacts {
         if all.is_empty() {
             return None;
         }
-        all.sort_by(|a, b| a.0.cmp(&b.0));
+        all.sort_by(|a, b| a.encoding().cmp(b.encoding()));
         Some(all[(k as usize) % all.len()].clone())
     }
 
@@ -888,6 +886,59 @@ mod tests {
             let m = cache.metrics();
             assert_eq!((m.hits, m.misses), (1, 1));
         }
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn rotten_frame_is_a_miss_that_recompiles_not_a_disk_fill() {
+        let path = std::env::temp_dir().join(format!(
+            "tcc_shared_persist_rot_{}.store",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_file(&path);
+        let _ = std::fs::remove_file(format!("{}.lock", path.display()));
+        {
+            let cache = SharedArtifacts::unbounded();
+            assert!(cache.attach_persist(PersistentStore::open(&path, 77)));
+            for n in [1, 2] {
+                let Acquire::Miss(c) = cache.get_or_begin(&fp(n)) else {
+                    panic!("cold process must miss");
+                };
+                c.publish(art(n, 8));
+            }
+        }
+        // Flip a bit in the file's last byte: inside the last frame's
+        // words, so open still indexes both frames.
+        let mut bytes = std::fs::read(&path).expect("flushed on drop");
+        *bytes.last_mut().expect("non-empty") ^= 0x04;
+        std::fs::write(&path, &bytes).unwrap();
+        {
+            let cache = SharedArtifacts::unbounded();
+            assert!(cache.attach_persist(PersistentStore::open(&path, 77)));
+            assert_eq!(cache.persist_metrics().unwrap().entries_loaded, 2);
+            let mut claims = Vec::new();
+            for n in [1, 2] {
+                match cache.get_or_begin(&fp(n)) {
+                    Acquire::Hit { artifact, .. } => assert_eq!(artifact.words, art(n, 8).words),
+                    Acquire::Miss(claim) => claims.push((n, claim)),
+                }
+            }
+            assert_eq!(claims.len(), 1, "exactly the rotten frame recompiles");
+            let pm = cache.persist_metrics().unwrap();
+            assert_eq!((pm.disk_hits, pm.disk_misses), (1, 1));
+            assert_eq!(pm.corrupt_rejected, 1);
+            for (n, claim) in claims {
+                claim.publish(art(n, 8));
+            }
+        }
+        // The recompile was recorded: the next process fills both.
+        let cache = SharedArtifacts::unbounded();
+        assert!(cache.attach_persist(PersistentStore::open(&path, 77)));
+        for n in [1, 2] {
+            assert!(matches!(cache.get_or_begin(&fp(n)), Acquire::Hit { .. }));
+        }
+        assert_eq!(cache.persist_metrics().unwrap().corrupt_rejected, 0);
+        drop(cache);
         let _ = std::fs::remove_file(&path);
     }
 

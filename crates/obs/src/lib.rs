@@ -351,15 +351,19 @@ pub struct PersistMetrics {
     /// Compile requests that consulted the store and found nothing
     /// usable (absent, tombstoned, or rejected below).
     pub disk_misses: u64,
-    /// Store entries rejected by the zero-trust loader: short reads,
-    /// CRC mismatches, or implausible lengths. Each rejection degrades
-    /// to a cold miss; valid entries elsewhere in the file still load.
+    /// Store entries rejected by the zero-trust loader: short reads
+    /// and implausible lengths (found when the file is indexed at
+    /// open), CRC mismatches, undecodable payloads and key mismatches
+    /// (found when the entry is loaded, or at flush). Each
+    /// rejection degrades to a cold miss; valid entries elsewhere in
+    /// the file still load.
     pub corrupt_rejected: u64,
     /// Whole stores rejected because the header's format version or
     /// ABI salt did not match this build (different opcode table, cost
     /// model, fingerprint scheme, or static image layout).
     pub version_rejected: u64,
-    /// Entries successfully parsed from the store at open.
+    /// Frames indexed at open: their bounds and claimed key checked,
+    /// their payload not yet (that happens at load).
     pub entries_loaded: u64,
     /// Entries invalidated in memory and omitted from the next flush.
     pub tombstones: u64,
@@ -367,9 +371,13 @@ pub struct PersistMetrics {
     pub flushes: u64,
     /// Bytes written across all flushes.
     pub bytes_flushed: u64,
-    /// Nanoseconds spent loading artifacts from disk (charged against
+    /// Nanoseconds spent answering disk hits: payload CRC, full
+    /// bounds-checked decode and key comparison (charged against
     /// `ns_saved` so warm-start savings are not overstated).
     pub load_ns: u64,
+    /// Nanoseconds `PersistentStore::open` took (lock, file read,
+    /// header check, frame index): the store's share of `Session::new`.
+    pub open_ns: u64,
 }
 
 impl PersistMetrics {
@@ -396,6 +404,7 @@ impl PersistMetrics {
             ("flushes", Json::from(self.flushes)),
             ("bytes_flushed", Json::from(self.bytes_flushed)),
             ("load_ns", Json::from(self.load_ns)),
+            ("open_ns", Json::from(self.open_ns)),
             ("disk_hit_rate", Json::from(self.disk_hit_rate())),
         ])
     }
@@ -874,6 +883,7 @@ mod tests {
             "flushes",
             "bytes_flushed",
             "load_ns",
+            "open_ns",
             "disk_hit_rate",
         ] {
             assert!(text.contains(&format!("\"{key}\"")), "missing {key}");

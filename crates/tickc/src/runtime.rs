@@ -390,10 +390,12 @@ impl TccRuntime {
         };
         // Private persistent store: a cache miss consults disk before
         // compiling — warm-started processes re-install the previous
-        // process's sealed words instead of walking the CGF. The hit
-        // credits `compile_ns − load_ns` (insert_loaded), so savings
-        // are never overstated; a failed install (rebased jump out of
-        // range) falls through to a fresh compile.
+        // process's sealed words instead of walking the CGF. `load`
+        // verifies the frame (CRC, full decode, key) before returning a
+        // word of it, and its time is in `load_ns`. The hit credits
+        // `compile_ns − load_ns` (insert_loaded), so savings are never
+        // overstated; a rejected frame, like a failed install (rebased
+        // jump out of range), falls through to a fresh compile.
         if let (Some(fp_ref), Some(store)) = (&fp, self.persist.as_mut()) {
             if let Some((stored, load_ns)) = store.load(fp_ref) {
                 if let Ok((addr, handle)) =
