@@ -426,7 +426,8 @@ pub struct ExecMetrics {
     pub fast_insns: u64,
     /// Instructions retired by the decode-per-step path.
     pub slow_insns: u64,
-    /// Whole-cache invalidations (free / live patch / eviction).
+    /// Code-space epoch changes observed (free / live patch /
+    /// eviction); each drops the translations of the ranges that died.
     pub invalidations: u64,
     /// Scalar runs fuel-charged in one batch by the threaded engine.
     pub batched_blocks: u64,
@@ -531,7 +532,8 @@ pub struct AdaptiveMetrics {
     pub runs_tier2: u64,
     /// Tier levels gained, cumulative. Always `>= demotions`.
     pub promotions: u64,
-    /// Tier levels lost to epoch-bump demotions, cumulative.
+    /// Tier levels actually lost, cumulative: the tiers of functions
+    /// that were themselves freed or patched.
     pub demotions: u64,
     /// Nanoseconds spent translating promoted functions.
     pub translation_ns: u64,
@@ -542,8 +544,9 @@ pub struct AdaptiveMetrics {
     /// Translations built on the background worker and swapped in at a
     /// function entry (`adaptive_background` mode only).
     pub async_translations: u64,
-    /// Background translations discarded on receipt because the live
-    /// epoch moved between enqueue and completion.
+    /// Background translations discarded on receipt because their
+    /// function was freed, patched or replaced between enqueue and
+    /// completion.
     pub discarded_stale: u64,
     /// Total enqueue→swap-in nanoseconds across `async_translations`
     /// (latency the worker absorbed off the run loop's critical path).

@@ -87,8 +87,8 @@ pub struct Config {
     pub adaptive_thread_after: u32,
     /// Adaptive tiering: build promoted functions' translations on a
     /// background worker thread instead of inline, swapping them in at
-    /// a later function entry (and discarding them if an epoch bump
-    /// landed first). Takes translation off the promoting run's
+    /// a later function entry (and discarding one whose function was
+    /// freed or patched first). Takes translation off the promoting run's
     /// critical path; off by default.
     pub adaptive_background: bool,
     /// Run the ICODE fusion-aware scheduler (sinks pure defs next to

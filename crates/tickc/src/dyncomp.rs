@@ -66,6 +66,14 @@ const COMPOSE_DEPTH_LIMIT: u32 = 300;
 /// its children are the closures reachable through cspec captures
 /// (directly, or via argument lists — label objects are leaves).
 ///
+/// Runs on every `compile` intercept, memo hits included, so it
+/// allocates nothing: a depth-first walk whose path lives in a fixed
+/// array of `COMPOSE_DEPTH_LIMIT + 1` frames on the host stack, each
+/// frame resuming its closure's child scan where it left off. The path
+/// bound is also the cycle check — a cycle is a path that never ends.
+/// Like the fingerprint and compile walks it guards, it visits a
+/// closure once per path that reaches it.
+///
 /// # Errors
 ///
 /// `"closure composition too deep"` when the nesting exceeds
@@ -74,91 +82,88 @@ const COMPOSE_DEPTH_LIMIT: u32 = 300;
 /// `"bad cgf id ..."` on malformed closures, matching the errors the
 /// compile walk itself raises.
 pub fn probe_compose_depth(mem: &Memory, prog: &Program, entry: u64) -> Result<u32, VmError> {
-    fn too_deep() -> VmError {
-        VmError::Host("closure composition too deep".into())
-    }
-    // Closure children reachable from `addr`, per prebind_params.
-    fn kids(mem: &Memory, prog: &Program, addr: u64) -> Result<Vec<u64>, VmError> {
-        let c = ClosureRef { addr };
-        let id = c.cgf_id(mem)? as usize;
-        let tick = prog
-            .ticks
-            .get(id)
-            .ok_or_else(|| VmError::Host(format!("bad cgf id {id}")))?;
-        let mut out = Vec::new();
-        for (i, cap) in tick.captures.iter().enumerate() {
-            if let CaptureKind::Cspec(_) = &cap.kind {
-                let field = c.field(mem, i)?;
-                match mem.load_u64(field)? {
-                    LABEL_MARKER => {}
-                    ARGLIST_MARKER => {
-                        let n = mem.load_u64(field + 8)?;
-                        for j in 0..n {
-                            out.push(mem.load_u64(field + 16 + 8 * j)?);
-                        }
-                    }
-                    _ => out.push(field),
-                }
-            }
-        }
-        Ok(out)
+    /// Longest legal path, in closures: `prebind_params` errors at
+    /// depth > LIMIT with the entry at depth 0.
+    const MAX_PATH: usize = COMPOSE_DEPTH_LIMIT as usize + 1;
+
+    /// One closure on the current path and how far its child scan got.
+    #[derive(Clone, Copy)]
+    struct Frame<'p> {
+        addr: u64,
+        captures: &'p [Capture],
+        /// Next capture to look at.
+        cap: usize,
+        /// Next element of the argument list at `cap`, when it is one.
+        arg: u64,
     }
 
-    struct Node {
-        addr: u64,
-        kids: Vec<u64>,
-        next: usize,
-        /// Tallest subtree seen among visited children.
-        best: u32,
-    }
-    // addr → height of its subtree (≥ 1), for DAG-shaped sharing.
-    let mut memo: HashMap<u64, u32> = HashMap::new();
-    let mut on_path: std::collections::HashSet<u64> = std::collections::HashSet::new();
-    let mut stack = vec![Node {
-        addr: entry,
-        kids: kids(mem, prog, entry)?,
-        next: 0,
-        best: 0,
-    }];
-    on_path.insert(entry);
-    let mut height = 0u32;
-    while let Some(top) = stack.last_mut() {
-        if top.next < top.kids.len() {
-            let k = top.kids[top.next];
-            top.next += 1;
-            if let Some(&h) = memo.get(&k) {
-                top.best = top.best.max(h);
-            } else if on_path.contains(&k) {
-                return Err(too_deep());
-            } else {
-                let grandkids = kids(mem, prog, k)?;
-                on_path.insert(k);
-                stack.push(Node {
-                    addr: k,
-                    kids: grandkids,
-                    next: 0,
-                    best: 0,
-                });
-                // prebind_params errors at depth > LIMIT with the entry
-                // at depth 0; the path length here is depth + 1.
-                if stack.len() as u32 > COMPOSE_DEPTH_LIMIT + 1 {
-                    return Err(too_deep());
+    impl<'p> Frame<'p> {
+        fn open(mem: &Memory, prog: &'p Program, addr: u64) -> Result<Frame<'p>, VmError> {
+            let id = ClosureRef { addr }.cgf_id(mem)? as usize;
+            let tick = prog
+                .ticks
+                .get(id)
+                .ok_or_else(|| VmError::Host(format!("bad cgf id {id}")))?;
+            Ok(Frame {
+                addr,
+                captures: &tick.captures,
+                cap: 0,
+                arg: 0,
+            })
+        }
+
+        /// The next closure child, per `prebind_params`.
+        fn next_child(&mut self, mem: &Memory) -> Result<Option<u64>, VmError> {
+            while let Some(capture) = self.captures.get(self.cap) {
+                if let CaptureKind::Cspec(_) = capture.kind {
+                    let field = ClosureRef { addr: self.addr }.field(mem, self.cap)?;
+                    match mem.load_u64(field)? {
+                        LABEL_MARKER => {}
+                        ARGLIST_MARKER => {
+                            if self.arg < mem.load_u64(field + 8)? {
+                                let child = mem.load_u64(field + 16 + 8 * self.arg)?;
+                                self.arg += 1;
+                                return Ok(Some(child));
+                            }
+                            self.arg = 0;
+                        }
+                        _ => {
+                            self.cap += 1;
+                            return Ok(Some(field));
+                        }
+                    }
                 }
+                self.cap += 1;
             }
-        } else {
-            let h = top.best + 1;
-            memo.insert(top.addr, h);
-            on_path.remove(&top.addr);
-            height = h;
-            let done = top.addr;
-            stack.pop();
-            if let Some(parent) = stack.last_mut() {
-                debug_assert_ne!(parent.addr, done);
-                parent.best = parent.best.max(h);
-            }
+            Ok(None)
         }
     }
-    Ok(height.saturating_sub(1))
+
+    let mut path = [Frame {
+        addr: 0,
+        captures: &[],
+        cap: 0,
+        arg: 0,
+    }; MAX_PATH];
+    path[0] = Frame::open(mem, prog, entry)?;
+    let (mut len, mut longest) = (1, 1);
+    while len > 0 {
+        match path[len - 1].next_child(mem)? {
+            Some(child) => {
+                // Opened before the bound is checked: a malformed closure
+                // one past the limit reports its bad id, as it always has.
+                let frame = Frame::open(mem, prog, child)?;
+                if len == MAX_PATH {
+                    return Err(VmError::Host("closure composition too deep".into()));
+                }
+                path[len] = frame;
+                len += 1;
+                longest = longest.max(len);
+            }
+            None => len -= 1,
+        }
+    }
+    Ok(longest as u32 - 1)
 }
 
 /// Static-program facts the dynamic compiler needs.
@@ -2249,5 +2254,156 @@ fn has_loop_escape(s: &Stmt, depth: u32) -> bool {
             .any(|i| matches!(i, SwitchItem::Stmt(s) if has_loop_escape(s, depth + 1))),
         Stmt::Labeled(_, s2) => has_loop_escape(s2, depth),
         _ => false,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A program whose ticks supply the three closure shapes the probe
+    /// tests build by hand: no captures, one cspec capture, two.
+    const SHAPES: &str = r#"
+        int f(void) {
+            int cspec leaf = `1;
+            int cspec one = `(leaf + 1);
+            int cspec two = `(leaf + one);
+            return 0;
+        }
+    "#;
+
+    struct Heap {
+        mem: Memory,
+        prog: Program,
+    }
+
+    impl Heap {
+        fn new() -> Heap {
+            Heap {
+                mem: Memory::new(1 << 20),
+                prog: tcc_front::compile_unit(SHAPES).expect("front end"),
+            }
+        }
+
+        /// Id of the tick with exactly `n` captures (all cspecs here).
+        fn tick_with(&self, n: usize) -> u64 {
+            let id = self.prog.ticks.iter().position(|t| {
+                t.captures.len() == n
+                    && t.captures
+                        .iter()
+                        .all(|c| matches!(c.kind, CaptureKind::Cspec(_)))
+            });
+            id.expect("shape present") as u64
+        }
+
+        /// Allocates `[header, fields...]` and returns its address.
+        fn object(&mut self, header: u64, fields: &[u64]) -> u64 {
+            let addr = self.mem.alloc(8 * (1 + fields.len() as u64), 8).unwrap();
+            self.mem.store_u64(addr, header).unwrap();
+            for (i, &f) in fields.iter().enumerate() {
+                self.mem.store_u64(addr + 8 * (1 + i as u64), f).unwrap();
+            }
+            addr
+        }
+
+        fn closure(&mut self, children: &[u64]) -> u64 {
+            let id = self.tick_with(children.len());
+            self.object(id, children)
+        }
+
+        /// A linear composition nested `depth` levels below its entry.
+        fn chain(&mut self, depth: u32) -> u64 {
+            let mut c = self.closure(&[]);
+            for _ in 0..depth {
+                c = self.closure(&[c]);
+            }
+            c
+        }
+
+        fn probe(&self, entry: u64) -> Result<u32, String> {
+            probe_compose_depth(&self.mem, &self.prog, entry).map_err(|e| e.to_string())
+        }
+    }
+
+    #[test]
+    fn probe_reports_the_deepest_path() {
+        let mut h = Heap::new();
+        let leaf = h.closure(&[]);
+        assert_eq!(h.probe(leaf), Ok(0));
+        let shallow = h.chain(2);
+        let deep = h.chain(7);
+        // The deep child second, then first: scan order is not depth.
+        let a = h.closure(&[shallow, deep]);
+        let b = h.closure(&[deep, shallow]);
+        assert_eq!(h.probe(a), Ok(8));
+        assert_eq!(h.probe(b), Ok(8));
+        // A shared child (DAG) is a child of each parent.
+        let dag = h.closure(&[deep, deep]);
+        assert_eq!(h.probe(dag), Ok(8));
+    }
+
+    #[test]
+    fn probe_accepts_the_limit_and_rejects_one_past_it() {
+        let mut h = Heap::new();
+        let at_limit = h.chain(COMPOSE_DEPTH_LIMIT);
+        assert_eq!(h.probe(at_limit), Ok(COMPOSE_DEPTH_LIMIT));
+        let past = h.closure(&[at_limit]);
+        let err = h.probe(past).unwrap_err();
+        assert!(err.contains("closure composition too deep"), "{err}");
+        // Only the deepest path matters, wherever the scan meets it.
+        let wide = h.closure(&[at_limit, at_limit]);
+        assert!(h.probe(wide).unwrap_err().contains("too deep"));
+    }
+
+    #[test]
+    fn probe_rejects_cycles_as_too_deep() {
+        let mut h = Heap::new();
+        let selfish = h.closure(&[0]);
+        h.mem.store_u64(selfish + 8, selfish).unwrap();
+        let err = h.probe(selfish).unwrap_err();
+        assert!(err.contains("closure composition too deep"), "{err}");
+        // A two-closure cycle entered from outside, behind a leaf.
+        let leaf = h.closure(&[]);
+        let x = h.closure(&[0]);
+        let y = h.closure(&[leaf, x]);
+        h.mem.store_u64(x + 8, y).unwrap();
+        let entry = h.closure(&[y]);
+        assert!(h.probe(entry).unwrap_err().contains("too deep"));
+    }
+
+    #[test]
+    fn probe_reports_bad_cgf_ids_like_the_compile_walk() {
+        let mut h = Heap::new();
+        let junk = h.object(9999, &[]);
+        let err = h.probe(junk).unwrap_err();
+        assert!(err.contains("bad cgf id 9999"), "{err}");
+        let parent = h.closure(&[junk]);
+        assert!(h.probe(parent).unwrap_err().contains("bad cgf id 9999"));
+        // Neither marker is a closure: as an entry both are malformed.
+        let label = h.object(LABEL_MARKER, &[1]);
+        assert!(h.probe(label).unwrap_err().contains("bad cgf id"));
+    }
+
+    #[test]
+    fn probe_descends_argument_lists_and_stops_at_labels() {
+        let mut h = Heap::new();
+        let label = h.object(LABEL_MARKER, &[1]);
+        let jumps = h.closure(&[label]);
+        assert_eq!(h.probe(jumps), Ok(0), "a label object is a leaf");
+        let (short, long) = (h.chain(1), h.chain(4));
+        let args = h.object(ARGLIST_MARKER, &[3, short, long, short]);
+        let apply = h.closure(&[args, label]);
+        assert_eq!(h.probe(apply), Ok(5), "elements are children of the owner");
+        let none = h.object(ARGLIST_MARKER, &[0]);
+        let apply0 = h.closure(&[none, long]);
+        assert_eq!(
+            h.probe(apply0),
+            Ok(5),
+            "the scan resumes after an empty list"
+        );
+        // Elements are closures, nothing else.
+        let bad = h.object(ARGLIST_MARKER, &[1, label]);
+        let apply_bad = h.closure(&[bad]);
+        assert!(h.probe(apply_bad).unwrap_err().contains("bad cgf id"));
     }
 }

@@ -329,8 +329,10 @@ impl TccRuntime {
             func_addrs: &self.func_addrs,
             global_addrs: &self.global_addrs,
         };
+        // Every intercept takes a sequence number, but only a compile
+        // spends a `format!` on it: hits answer with the name the
+        // artifact was compiled (or stored) under.
         self.dyn_seq += 1;
-        let name = format!("dyn{}", self.dyn_seq);
         let MachineState { code, mem, .. } = st;
         // Probe the composition depth first (iteratively, so a runaway
         // nest cannot overflow the host stack before the limit check in
@@ -453,6 +455,7 @@ impl TccRuntime {
                 Acquire::Miss(c) => claim = Some(c),
             }
         }
+        let name = format!("dyn{}", self.dyn_seq);
         let backend = &self.backend;
         let table = self.table.as_ref();
         let (cspec_first, enable_unroll) = (self.cspec_first, self.enable_unroll);

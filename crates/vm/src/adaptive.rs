@@ -16,8 +16,10 @@
 //!   decode-per-step          predecoded+fused          threaded
 //!      ▲                        │                         │
 //!      └────────────────────────┴─────────────────────────┘
-//!                 live-epoch bump (free / patch / eviction):
-//!                 demote to tier 0, drop translations + counts
+//!          the function itself freed or patched (its range is in
+//!          the code space's invalidation log): its record is retired,
+//!          translations + counts dropped; if the words are still (or
+//!          again) live code, the next entry starts over at tier 0
 //! ```
 //!
 //! A "run" is one entry of control into the function's live range from
@@ -31,7 +33,7 @@
 //! its entry count catches up. Promotion is evaluated at entry (or at
 //! a backedge clock tick), against the number of *completed* prior
 //! entries, and is monotone per function — a function only moves up
-//! tiers until an epoch bump resets it.
+//! tiers until it is itself freed or patched.
 //!
 //! # Equivalence contract
 //!
@@ -46,13 +48,21 @@
 //! # Invalidation
 //!
 //! Tier state lives in the `TransCache` next to the translations it
-//! justified and is validated against [`CodeSpace::live_epoch`] on
-//! every outer-loop iteration (hence after every host call). On any
-//! epoch change — a function freed directly or by `tcc-cache` eviction,
-//! or a live word patched — every function demotes to tier 0, run
-//! counts reset, and stale translations are dropped; stale pcs then
-//! fault [`VmError::StaleCode`] / [`VmError::BadPc`] from the exact
-//! same reference path as every other engine.
+//! justified and is revalidated (`TransCache::sync_epoch`, shared with
+//! the fixed engines) against [`CodeSpace::live_epoch`] on every
+//! outer-loop iteration, hence after every host call. An invalidation
+//! costs what it invalidated: for each range the code space logged
+//! since the last look — a function freed directly or by `tcc-cache`
+//! eviction, or the function around a patched live word — that
+//! function's translations are dropped and its tier record retired
+//! (its tier counted into `demotions`); every other function keeps its
+//! translation, tier and run count. Only a cache more than
+//! [`INVALIDATION_RING`](crate::code::INVALIDATION_RING) bumps behind
+//! demotes everything. The run loop forgets its memoized functions on
+//! any epoch change and re-resolves the current pc — one `tier_idx`
+//! load for a survivor — so stale pcs fault [`VmError::StaleCode`] /
+//! [`VmError::BadPc`] from the exact same reference path as every
+//! other engine.
 //!
 //! # Off-thread translation
 //!
@@ -60,14 +70,19 @@
 //! longer builds its translation inline — the promoting run would stall
 //! for exactly the latency the tiering exists to hide. Instead the
 //! engine snapshots the function's sealed words and enqueues a
-//! translation request (start index, target tier, the live epoch and
-//! cache generation at enqueue) to a background worker thread spawned
-//! lazily and owned by the translation cache. The run loop keeps executing
-//! at the function's current tier; finished translations are drained at
-//! function-entry points and swapped in — or **discarded** when
-//! [`CodeSpace::live_epoch`] moved since enqueue (the snapshot no
-//! longer describes live code) or the cache generation changed (the
-//! tier state the request belonged to was rebuilt). Discarding rather
+//! translation request (start index, target tier, the serial of the
+//! tier record asking) to a background worker thread spawned lazily and
+//! owned by the translation cache. The run loop keeps executing at the
+//! function's current tier; finished translations are drained at
+//! function-entry points and swapped in — or **discarded** unless the
+//! record that requested the build is still the live record at its
+//! start word. That per-function check is sufficient: a record is
+//! retired by exactly the events that make its snapshot wrong (the
+//! function freed or patched, or the whole cache cleared), serials are
+//! never reused, and a *new* function sealed into the same words gets
+//! a new record with a new serial — so a translation of freed, patched
+//! or re-used words is never installed, while a free elsewhere in the
+//! session no longer discards every build in flight. Discarding rather
 //! than installing keeps free/patch/eviction semantics and `StaleCode`
 //! faulting bit-identical to the synchronous engines; the differential
 //! harness sweeps the worker-backed variants too.
@@ -129,15 +144,18 @@ pub(crate) const BACKEDGES_PER_RUN_BITS: u32 = 6;
 /// the function's live range.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct FnTier {
+    /// Identity of this record among every record the cache ever
+    /// created; `0` marks a retired slot awaiting reuse.
+    pub(crate) serial: u64,
     /// Start word of the function's live range.
     pub(crate) start: usize,
     /// Entries of control into this function's range — the promotion
-    /// clock. Monotone until an epoch bump drops the whole table.
+    /// clock. Monotone until the record is retired.
     pub(crate) runs: u64,
     /// Backward branches taken inside the range while at tier 0 — the
     /// hotspot clock, weighted down by [`BACKEDGES_PER_RUN_BITS`].
     pub(crate) backedges: u64,
-    /// Current tier; only ever moves up between epoch bumps.
+    /// Current tier; only ever moves up while the record lives.
     pub(crate) tier: Tier,
     /// Words in the function, for the translation-cost-saved estimate.
     pub(crate) words: u32,
@@ -155,6 +173,28 @@ impl FnTier {
     #[inline]
     fn effective_runs(&self) -> u64 {
         self.runs + (self.backedges >> BACKEDGES_PER_RUN_BITS)
+    }
+
+    /// A fresh tier-0 record for the live function `[start, end)`.
+    pub(crate) fn new(serial: u64, start: usize, end: usize) -> FnTier {
+        FnTier {
+            serial,
+            start,
+            runs: 0,
+            backedges: 0,
+            tier: Tier::Decode,
+            words: (end - start) as u32,
+            pending_fused: false,
+            pending_threaded: false,
+        }
+    }
+
+    /// Marks the slot retired: it holds no levels, has run nothing, and
+    /// matches no in-flight translation's serial.
+    pub(crate) fn retire(&mut self) {
+        self.serial = 0;
+        self.tier = Tier::Decode;
+        self.runs = 0;
     }
 }
 
@@ -174,7 +214,9 @@ pub struct AdaptiveStats {
     /// Tier levels gained, cumulative (a 0→2 jump counts 2). Always
     /// `>= demotions` — a level can only be lost after it was gained.
     pub promotions: u64,
-    /// Tier levels lost to epoch-bump demotions, cumulative.
+    /// Tier levels actually lost, cumulative: the tier of each record
+    /// retired because its function was freed or patched (or, after an
+    /// invalidation-ring wrap, of every record).
     pub demotions: u64,
     /// Wall-clock nanoseconds spent translating promoted functions
     /// (decoded and threaded buffers), under this engine only.
@@ -190,9 +232,10 @@ pub struct AdaptiveStats {
     /// Translations built on the background worker and swapped in
     /// (`background: true` only; inline builds are not counted here).
     pub async_translations: u64,
-    /// Background translations discarded on receipt because the live
-    /// epoch moved between enqueue and completion — the demotion-safe
-    /// path of the async pipeline.
+    /// Background translations discarded on receipt because the tier
+    /// record that requested them was retired between enqueue and
+    /// completion (function freed, patched, or its words re-used) — the
+    /// demotion-safe path of the async pipeline.
     pub discarded_stale: u64,
     /// Total enqueue→swap-in wall-clock nanoseconds across
     /// [`AdaptiveStats::async_translations`] (queue wait + build +
@@ -213,12 +256,9 @@ pub(crate) struct TransRequest {
     cost: CostModel,
     /// Target tier ([`Tier::Fused`] or [`Tier::Threaded`]).
     tier: Tier,
-    /// [`crate::code::CodeSpace::live_epoch`] at enqueue; the response
-    /// is discarded if the epoch moved before it was received.
-    epoch: u64,
-    /// Cache generation at enqueue; the response is dropped if the tier
-    /// state it belongs to was rebuilt (engine/cost-model change).
-    generation: u64,
+    /// [`FnTier::serial`] of the requesting record; the response is
+    /// discarded unless that record is still live at `start`.
+    serial: u64,
     /// Enqueue timestamp, for [`AdaptiveStats::swap_latency_ns`].
     enqueued: Instant,
 }
@@ -229,8 +269,7 @@ pub(crate) struct TransDone<H> {
     start: usize,
     end: usize,
     tier: Tier,
-    epoch: u64,
-    generation: u64,
+    serial: u64,
     /// Wall-clock build time on the worker (goes into
     /// [`AdaptiveStats::translation_ns`] when installed).
     build_ns: u64,
@@ -310,8 +349,7 @@ fn build_translation<H: HostCall>(req: TransRequest) -> Option<TransDone<H>> {
         start: req.start,
         end,
         tier: req.tier,
-        epoch: req.epoch,
-        generation: req.generation,
+        serial: req.serial,
         build_ns: t0.elapsed().as_nanos() as u64,
         fused_pairs,
         enqueued: req.enqueued,
@@ -336,7 +374,7 @@ fn worker_loop<H: HostCall>(rx: &mpsc::Receiver<TransRequest>, tx: &mpsc::Sender
 /// A shared background translation service: **one** `tcc-translate`
 /// thread serving any number of VMs. Each request carries its own reply
 /// channel, so completions route back to the requesting VM and go
-/// through that VM's usual epoch/generation install checks — sharing
+/// through that VM's usual per-function install check — sharing
 /// the thread changes where builds run, not what gets installed.
 ///
 /// Cloning shares the service (`Arc` inside); the thread shuts down
@@ -528,9 +566,9 @@ impl<H: HostCall> Vm<H> {
             if pc == RETURN_SENTINEL {
                 return Ok(ExitStatus::Returned);
             }
-            let epoch = self.state.code.live_epoch();
-            if epoch != self.trans.epoch {
-                self.demote_all(epoch);
+            if self.trans.sync_epoch(&self.state.code) {
+                // Either memoized function may be among the dead;
+                // re-resolving a survivor is one `tier_idx` load.
                 cur = None;
                 prev = None;
             }
@@ -634,28 +672,12 @@ impl<H: HostCall> Vm<H> {
         let fi = match self.trans.tier_idx.get(idx).copied() {
             Some(fi) if fi != NO_TIER => fi,
             _ => {
-                // First entry since the last epoch bump: resolve the
-                // live range once and mirror it into the dense index so
+                // First entry of this function (since it was sealed, or
+                // since its last record was retired): resolve the live
+                // range once and mirror it into the dense index so
                 // every later entry is a single array load.
                 let (start, end) = self.state.code.live_range_containing(idx)?;
-                let fi = u32::try_from(self.trans.tier_fns.len())
-                    .expect("fewer than 2^32 live functions per epoch");
-                self.trans.tier_fns.push(FnTier {
-                    start,
-                    runs: 0,
-                    backedges: 0,
-                    tier: Tier::Decode,
-                    words: (end - start) as u32,
-                    pending_fused: false,
-                    pending_threaded: false,
-                });
-                if self.trans.tier_idx.len() < end {
-                    self.trans.tier_idx.resize(end, NO_TIER);
-                }
-                for slot in &mut self.trans.tier_idx[start..end] {
-                    *slot = fi;
-                }
-                fi
+                self.trans.track(start, end)
             }
         };
         let tier = self.count_entry(fi, fuse_after, thread_after);
@@ -824,11 +846,12 @@ impl<H: HostCall> Vm<H> {
 
     /// Enqueues a translation request for tier record `fi` to the
     /// background worker (spawning it on first use), snapshotting the
-    /// function's sealed words plus the epoch/generation the result
-    /// must still match to be installed. A request already in flight
-    /// for the same function and tier is not duplicated.
+    /// function's sealed words plus the record's serial, which must
+    /// still be live at the start word for the result to be installed.
+    /// A request already in flight for the same function and tier is
+    /// not duplicated.
     fn enqueue_translation(&mut self, fi: u32, tier: Tier) {
-        let (start, end) = {
+        let (start, end, serial) = {
             let entry = &mut self.trans.tier_fns[fi as usize];
             let pending = match tier {
                 Tier::Fused => &mut entry.pending_fused,
@@ -839,15 +862,18 @@ impl<H: HostCall> Vm<H> {
                 return;
             }
             *pending = true;
-            (entry.start, entry.start + entry.words as usize)
+            (
+                entry.start,
+                entry.start + entry.words as usize,
+                entry.serial,
+            )
         };
         let req = TransRequest {
             start,
             words: self.state.code.word_slice(start, end).to_vec(),
             cost: self.cost.clone(),
             tier,
-            epoch: self.trans.epoch,
-            generation: self.trans.generation,
+            serial,
             enqueued: Instant::now(),
         };
         // A shared hub subscription routes builds to the multi-tenant
@@ -879,7 +905,7 @@ impl<H: HostCall> Vm<H> {
     /// Subscribes this VM to a shared [`TransHub`]: every later
     /// background promotion is built on the hub's thread instead of a
     /// per-VM worker, and completions come back on a private channel
-    /// created here. Install semantics (epoch/generation checks,
+    /// created here. Install semantics (the per-function serial check,
     /// discard-on-stale) are unchanged.
     pub fn set_translation_hub(&mut self, hub: TransHub<H>) {
         let (done_tx, done_rx) = mpsc::channel();
@@ -915,10 +941,13 @@ impl<H: HostCall> Vm<H> {
 
     /// Blocks until every in-flight background translation has been
     /// received (each is then installed or discarded by the usual
-    /// epoch/generation checks). Test and benchmark hook: makes the
+    /// per-function check). Test and benchmark hook: makes the
     /// asynchronous pipeline deterministic at a chosen point without
     /// changing its semantics.
     pub fn drain_background_translations(&mut self) {
+        // Called between runs, possibly after the caller freed or
+        // patched code: retire what died before judging completions.
+        self.trans.sync_epoch(&self.state.code);
         while self.trans.pending > 0 {
             let done = if let Some(client) = self.trans.hub.as_ref() {
                 // This VM holds its own `done_tx`, so the channel never
@@ -943,30 +972,26 @@ impl<H: HostCall> Vm<H> {
     }
 
     /// Swap-or-discard: the receive side of the async pipeline. A
-    /// result built against an older live epoch describes code that has
-    /// since been freed or patched and is discarded (the demotion-safe
-    /// path); one from an older cache generation belongs to tier state
-    /// that no longer exists and is dropped silently. Everything else
-    /// is installed exactly as an inline build would have been.
+    /// result is installed — exactly as an inline build would have been
+    /// — iff the tier record that requested it is still the live record
+    /// at its start word. Otherwise the function was freed or patched
+    /// since (or its words now hold a different function, or the cache
+    /// was cleared) and the snapshot no longer describes the code the
+    /// record stood for: discarded, the demotion-safe path.
     fn install_translation(&mut self, done: TransDone<H>) {
-        if done.epoch != self.state.code.live_epoch() {
+        debug_assert_eq!(self.trans.epoch, self.state.code.live_epoch());
+        let requester = match self.trans.tier_idx.get(done.start) {
+            Some(&fi) if fi != NO_TIER => Some(&mut self.trans.tier_fns[fi as usize]),
+            _ => None,
+        };
+        let Some(entry) = requester.filter(|entry| entry.serial == done.serial) else {
             self.trans.astats.discarded_stale += 1;
             return;
-        }
-        if done.generation != self.trans.generation {
-            return;
-        }
-        // Same generation ⇒ the tier record that requested this is
-        // still alive; clear its in-flight flag.
-        if let Some(&fi) = self.trans.tier_idx.get(done.start) {
-            if fi != NO_TIER {
-                let entry = &mut self.trans.tier_fns[fi as usize];
-                match done.tier {
-                    Tier::Fused => entry.pending_fused = false,
-                    Tier::Threaded => entry.pending_threaded = false,
-                    Tier::Decode => {}
-                }
-            }
+        };
+        match done.tier {
+            Tier::Fused => entry.pending_fused = false,
+            Tier::Threaded => entry.pending_threaded = false,
+            Tier::Decode => {}
         }
         let need = self.state.code.next_index();
         match done.payload {
@@ -1000,18 +1025,6 @@ impl<H: HostCall> Vm<H> {
         astats.translated_words += (done.end - done.start) as u64;
         astats.async_translations += 1;
         astats.swap_latency_ns += done.enqueued.elapsed().as_nanos() as u64;
-    }
-
-    /// Epoch bump observed: count the tier levels lost, drop every
-    /// translation and all tier state, and adopt the new epoch. The
-    /// next entry of any function starts over at tier 0 with a zero run
-    /// count.
-    fn demote_all(&mut self, epoch: u64) {
-        let lost: u64 = self.trans.tier_fns.iter().map(|t| t.tier as u64).sum();
-        self.trans.astats.demotions += lost;
-        self.trans.clear();
-        self.trans.epoch = epoch;
-        self.trans.stats.invalidations += 1;
     }
 
     /// `translation_at`, with the build (cache-miss) path timed into
@@ -1064,6 +1077,7 @@ impl<H: HostCall> Vm<H> {
             .trans
             .tier_fns
             .iter()
+            // Retired slots have `runs == 0` and drop out here too.
             .filter(|t| t.tier == Tier::Decode && t.runs > 0)
             .map(|t| u64::from(t.words))
             .sum();
@@ -1073,18 +1087,24 @@ impl<H: HostCall> Vm<H> {
 
     /// The adaptive tier and run count of the live function containing
     /// `addr`: `None` when `addr` is not inside live code or the
-    /// function has not been entered since the last epoch bump.
-    /// Diagnostic surface for tests and tooling.
+    /// function has not been entered since it was sealed (or since it
+    /// was last patched). Diagnostic surface for tests and tooling.
     pub fn adaptive_tier(&self, addr: u64) -> Option<(Tier, u64)> {
         if addr < CODE_BASE || !addr.is_multiple_of(4) {
             return None;
         }
-        // A pending (not-yet-observed) epoch bump means every record is
-        // due for demotion: report untracked rather than stale state.
-        if self.state.code.live_epoch() != self.trans.epoch {
+        let idx = ((addr - CODE_BASE) / 4) as usize;
+        // Bumps the cache has not observed yet: a record inside a range
+        // they invalidated is due for retirement — report untracked
+        // rather than stale state.
+        if self
+            .state
+            .code
+            .invalidated_since(self.trans.epoch)
+            .is_none_or(|mut dead| dead.any(|(start, end)| (start..end).contains(&idx)))
+        {
             return None;
         }
-        let idx = ((addr - CODE_BASE) / 4) as usize;
         let fi = self.trans.tier_idx.get(idx).copied()?;
         if fi == NO_TIER {
             return None;
@@ -1345,6 +1365,308 @@ mod tests {
         let s = vm.adaptive_stats();
         assert_eq!(s.async_translations, 1, "the re-built translation landed");
         assert_eq!(s.discarded_stale, 1);
+    }
+
+    /// A sealed function's address and handle.
+    type Sealed = (u64, crate::code::FuncHandle);
+
+    /// `loop_code`'s sum function ("a") plus a second function "b" of
+    /// the same shape that returns `sum + 1`, so the two are told apart
+    /// by result. Returns the space and `(addr, handle)` of each.
+    fn two_functions() -> (CodeSpace, Sealed, Sealed) {
+        let (mut cs, a, fa) = loop_code();
+        let fb = cs.begin_function("b");
+        push_sum_plus(&mut cs, 1);
+        let b = cs.finish_function(fb).unwrap();
+        (cs, (a, fa), (b, fb))
+    }
+
+    /// Emits `loop_code`'s body with `extra` added to the result (same
+    /// length whatever `extra` is, so variants fit each other's holes).
+    fn push_sum_plus(cs: &mut CodeSpace, extra: i32) {
+        cs.push(Insn::i(Op::Addiw, AT0, ZERO, extra));
+        cs.push(Insn::i(Op::Beq, A0, ZERO, 3));
+        cs.push(Insn::r(Op::Addw, AT0, AT0, A0));
+        cs.push(Insn::i(Op::Addiw, A0, A0, -1));
+        cs.push(Insn::j(Op::J, -4));
+        cs.push(Insn::r(Op::Addw, A0, AT0, ZERO));
+        cs.push(Insn::ret());
+    }
+
+    fn engine_vm(cs: CodeSpace, engine: ExecEngine) -> Vm<crate::host::NoHost> {
+        let mut vm = Vm::new(cs, 1 << 20);
+        vm.set_engine(engine);
+        vm
+    }
+
+    const SYNC: ExecEngine = ExecEngine::Adaptive {
+        fuse_after: 1,
+        thread_after: 2,
+        background: false,
+    };
+    const ASYNC: ExecEngine = ExecEngine::Adaptive {
+        fuse_after: 1,
+        thread_after: 100,
+        background: true,
+    };
+
+    #[test]
+    fn epoch_bump_elsewhere_keeps_tier_and_translations() {
+        // The freed function must fault whatever tier it had reached;
+        // the survivor must not notice.
+        for warm_runs in [0u64, 1, 3, 8] {
+            let (cs, (a, _), (b, fb)) = two_functions();
+            let mut vm = engine_vm(cs, SYNC);
+            for _ in 0..4 {
+                assert_eq!(vm.call(a, &[3]).unwrap(), 6);
+            }
+            for _ in 0..warm_runs {
+                assert_eq!(vm.call(b, &[3]).unwrap(), 7);
+            }
+            assert_eq!(vm.adaptive_tier(a), Some((Tier::Threaded, 4)));
+            let translations = vm.exec_stats().translations;
+            let demotions = vm.adaptive_stats().demotions;
+            let b_levels = vm.adaptive_tier(b).map_or(0, |(tier, _)| tier as u64);
+            vm.state_mut().code.free_function(fb).unwrap();
+            // Not yet observed by the cache, already reported right.
+            assert_eq!(vm.adaptive_tier(a), Some((Tier::Threaded, 4)));
+            assert_eq!(vm.adaptive_tier(b), None);
+            assert_eq!(vm.call(a, &[3]).unwrap(), 6);
+            assert_eq!(
+                vm.adaptive_tier(a),
+                Some((Tier::Threaded, 5)),
+                "tier kept, run count continued"
+            );
+            assert_eq!(
+                vm.exec_stats().translations,
+                translations,
+                "nothing was re-translated"
+            );
+            assert_eq!(vm.exec_stats().invalidations, 1, "one observed change");
+            assert_eq!(
+                vm.adaptive_stats().demotions - demotions,
+                b_levels,
+                "only the levels actually lost are counted"
+            );
+            assert_eq!(
+                vm.call(b, &[3]),
+                Err(VmError::StaleCode(b)),
+                "after {warm_runs} warm runs"
+            );
+            assert_eq!(vm.adaptive_tier(b), None);
+        }
+    }
+
+    #[test]
+    fn epoch_bump_by_live_patch_demotes_only_the_patched_function() {
+        let (cs, (a, _), (b, _)) = two_functions();
+        let mut vm = engine_vm(cs, SYNC);
+        for _ in 0..4 {
+            vm.call(a, &[3]).unwrap();
+            vm.call(b, &[3]).unwrap();
+        }
+        // Patch a's accumulator seed: sum + 10 from now on.
+        vm.state_mut().code.patch(
+            ((a - CODE_BASE) / 4) as usize,
+            Insn::i(Op::Addiw, AT0, ZERO, 10),
+        );
+        assert_eq!(vm.call(a, &[3]).unwrap(), 16, "the patched word executes");
+        assert_eq!(vm.call(b, &[3]).unwrap(), 7);
+        assert_eq!(
+            vm.adaptive_tier(a),
+            Some((Tier::Decode, 1)),
+            "patched: restarted"
+        );
+        assert_eq!(
+            vm.adaptive_tier(b),
+            Some((Tier::Threaded, 5)),
+            "untouched: kept"
+        );
+        assert_eq!(vm.adaptive_stats().demotions, 2);
+    }
+
+    #[test]
+    fn epoch_bump_cold_word_estimate_skips_retired_records() {
+        // b runs once and is freed; its retired record must not keep
+        // pricing "translation avoided" for code that no longer exists.
+        let (cs, (a, _), (b, fb)) = two_functions();
+        let mut vm = engine_vm(cs, SYNC);
+        vm.call(b, &[3]).unwrap();
+        for _ in 0..4 {
+            vm.call(a, &[3]).unwrap();
+        }
+        assert!(vm.adaptive_stats().translation_ns_saved > 0, "b is cold");
+        vm.state_mut().code.free_function(fb).unwrap();
+        vm.call(a, &[3]).unwrap();
+        assert_eq!(vm.adaptive_stats().translation_ns_saved, 0);
+    }
+
+    #[test]
+    fn epoch_bump_churn_reuses_retired_tier_records() {
+        // Free-and-replace b a thousand times: one record slot serves
+        // every incarnation, each under a fresh serial.
+        let (cs, (a, _), (b, mut fb)) = two_functions();
+        let mut vm = engine_vm(cs, SYNC);
+        vm.call(a, &[3]).unwrap();
+        for round in 0..1000 {
+            assert_eq!(vm.call(b, &[3]).unwrap(), 7 + (round & 1));
+            let code = &mut vm.state_mut().code;
+            code.free_function(fb).unwrap();
+            fb = code.begin_function("b");
+            push_sum_plus(code, 2 - (round & 1) as i32);
+            assert_eq!(code.finish_function(fb).unwrap(), b, "same words");
+        }
+        assert_eq!(vm.trans.tier_fns.len(), 2, "a's record and b's slot");
+        assert_eq!(vm.trans.next_serial, 1 + 1 + 1000);
+    }
+
+    #[test]
+    fn epoch_bump_storm_past_the_ring_falls_back_to_a_full_clear() {
+        use crate::code::INVALIDATION_RING;
+        let (mut cs, a, _) = loop_code();
+        let mut small = Vec::new();
+        for i in 0..=INVALIDATION_RING {
+            let f = cs.begin_function(&format!("s{i}"));
+            cs.push(Insn::ret());
+            small.push((cs.finish_function(f).unwrap(), f));
+        }
+        let mut vm = engine_vm(cs, SYNC);
+        for _ in 0..4 {
+            vm.call(a, &[3]).unwrap();
+        }
+        vm.call(small[0].0, &[]).unwrap();
+        // One more free than the ring holds, all between two syncs.
+        for &(_, f) in &small {
+            vm.state_mut().code.free_function(f).unwrap();
+        }
+        assert_eq!(vm.adaptive_tier(a), None, "too far behind to tell");
+        assert_eq!(vm.call(a, &[3]).unwrap(), 6, "still correct");
+        assert_eq!(
+            vm.adaptive_tier(a),
+            Some((Tier::Decode, 1)),
+            "the fallback demotes everything"
+        );
+        assert_eq!(vm.adaptive_stats().demotions, 2, "a's two levels");
+        assert_eq!(vm.exec_stats().invalidations, 1);
+        for &(addr, _) in &small {
+            assert_eq!(vm.call(addr, &[]), Err(VmError::StaleCode(addr)));
+        }
+        // Exactly a ring's worth is still scoped.
+        let (mut cs, a, _) = loop_code();
+        let fs: Vec<_> = (0..INVALIDATION_RING)
+            .map(|i| {
+                let f = cs.begin_function(&format!("s{i}"));
+                cs.push(Insn::ret());
+                cs.finish_function(f).unwrap();
+                f
+            })
+            .collect();
+        let mut vm = engine_vm(cs, SYNC);
+        for _ in 0..4 {
+            vm.call(a, &[3]).unwrap();
+        }
+        for f in fs {
+            vm.state_mut().code.free_function(f).unwrap();
+        }
+        assert_eq!(vm.call(a, &[3]).unwrap(), 6);
+        assert_eq!(vm.adaptive_tier(a), Some((Tier::Threaded, 5)));
+    }
+
+    #[test]
+    fn epoch_bump_is_scoped_under_the_fixed_engines_too() {
+        for engine in [
+            ExecEngine::Predecoded { fuse: false },
+            ExecEngine::Predecoded { fuse: true },
+            ExecEngine::Threaded,
+        ] {
+            let (cs, (a, _), (b, fb)) = two_functions();
+            let mut vm = engine_vm(cs, engine);
+            assert_eq!(vm.call(a, &[3]).unwrap(), 6);
+            assert_eq!(vm.call(b, &[3]).unwrap(), 7);
+            assert_eq!(vm.exec_stats().translations, 2, "{engine:?}");
+            vm.state_mut().code.free_function(fb).unwrap();
+            assert_eq!(vm.call(a, &[3]).unwrap(), 6);
+            let s = vm.exec_stats();
+            assert_eq!(s.translations, 2, "{engine:?}: a's buffer survived");
+            assert_eq!(s.invalidations, 1, "{engine:?}");
+            assert_eq!(vm.call(b, &[3]), Err(VmError::StaleCode(b)), "{engine:?}");
+            // New code in b's words is translated afresh, never served
+            // from b's old buffer.
+            let code = &mut vm.state_mut().code;
+            let fc = code.begin_function("c");
+            push_sum_plus(code, 2);
+            assert_eq!(code.finish_function(fc).unwrap(), b, "reuses b's words");
+            assert_eq!(vm.call(b, &[3]).unwrap(), 8, "{engine:?}");
+            assert_eq!(vm.exec_stats().translations, 3, "{engine:?}");
+        }
+    }
+
+    #[test]
+    fn background_build_survives_an_epoch_bump_elsewhere() {
+        let (cs, (a, _), (b, fb)) = two_functions();
+        let mut vm = engine_vm(cs, ASYNC);
+        assert_eq!(vm.call(b, &[3]).unwrap(), 7);
+        // Two entries: the second crosses `fuse_after` and enqueues a
+        // tier-1 build of a on the worker.
+        assert_eq!(vm.call(a, &[3]).unwrap(), 6);
+        assert_eq!(vm.call(a, &[3]).unwrap(), 6);
+        assert_eq!(vm.trans.pending, 1);
+        // The bump lands between enqueue and receipt — in b.
+        vm.state_mut().code.free_function(fb).unwrap();
+        vm.drain_background_translations();
+        let s = vm.adaptive_stats();
+        assert_eq!(s.async_translations, 1, "a's build was installed: {s:?}");
+        assert_eq!(s.discarded_stale, 0);
+        let slow = vm.exec_stats().slow_insns;
+        assert_eq!(vm.call(a, &[3]).unwrap(), 6);
+        assert_eq!(
+            vm.exec_stats().slow_insns,
+            slow,
+            "ran from the installed buffer"
+        );
+        assert_eq!(vm.adaptive_tier(a), Some((Tier::Fused, 3)));
+        assert_eq!(vm.call(b, &[3]), Err(VmError::StaleCode(b)));
+    }
+
+    #[test]
+    fn background_build_of_reused_words_is_discarded() {
+        let (cs, (a, _), (b, fb)) = two_functions();
+        let mut vm = engine_vm(cs, ASYNC);
+        assert_eq!(vm.call(a, &[3]).unwrap(), 6);
+        assert_eq!(vm.call(b, &[3]).unwrap(), 7);
+        assert_eq!(vm.call(b, &[3]).unwrap(), 7);
+        assert_eq!(vm.trans.pending, 1, "b's tier-1 build is in flight");
+        let start = ((b - CODE_BASE) / 4) as usize;
+        let stale = TransRequest {
+            start,
+            words: vm.state.code.word_slice(start, start + 7).to_vec(),
+            cost: vm.cost.clone(),
+            tier: Tier::Fused,
+            serial: vm.trans.tier_fns[vm.trans.tier_idx[start] as usize].serial,
+            enqueued: Instant::now(),
+        };
+        // Free b and seal a different function into the same words
+        // before the completion is received.
+        let code = &mut vm.state_mut().code;
+        code.free_function(fb).unwrap();
+        let fc = code.begin_function("c");
+        push_sum_plus(code, 2);
+        assert_eq!(code.finish_function(fc).unwrap(), b, "same words");
+        // c earns its own record (and its own build) at b's start word.
+        assert_eq!(vm.call(b, &[3]).unwrap(), 8);
+        assert_eq!(vm.call(b, &[3]).unwrap(), 8);
+        vm.drain_background_translations();
+        let s = vm.adaptive_stats();
+        assert_eq!(s.discarded_stale, 1, "b's build was discarded: {s:?}");
+        assert_eq!(s.async_translations, 1, "c's build was installed");
+        assert_eq!(vm.call(b, &[3]).unwrap(), 8, "c's code, not b's buffer");
+        // Whenever b's completion turns up, c's record does not vouch
+        // for it: same start word, same epoch even, different serial.
+        let late = build_translation::<crate::host::NoHost>(stale).unwrap();
+        vm.install_translation(late);
+        assert_eq!(vm.adaptive_stats().discarded_stale, 2);
+        assert_eq!(vm.call(b, &[3]).unwrap(), 8);
+        assert_eq!(vm.call(a, &[3]).unwrap(), 6);
     }
 
     #[test]

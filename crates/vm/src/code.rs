@@ -26,6 +26,25 @@
 //!   fragmentation ratio, which the cache layer mirrors into
 //!   `SessionMetrics`.
 //!
+//! # Invalidation log
+//!
+//! [`CodeSpace::live_epoch`] says *that* previously-live code stopped
+//! meaning what it did; the invalidation ring next to it says *what*.
+//! Every bump logs one `[start_word, end_word)` range — the freed
+//! function's, or the live function containing a patched word — into a
+//! ring of [`INVALIDATION_RING`] entries, and
+//! [`CodeSpace::invalidated_since`] replays the ranges logged after a
+//! given epoch, so a consumer caching decoded forms of live code (the
+//! translation cache) drops exactly the functions that died. A consumer
+//! more than `INVALIDATION_RING` bumps behind gets `None` and must
+//! drop everything, which is always safe.
+//!
+//! Address → live function queries ([`CodeSpace::live_range_containing`],
+//! [`CodeSpace::function_at`], [`CodeSpace::disassemble_at`]) go through
+//! a start-keyed ordered index of the *live* functions, maintained at
+//! seal and free: O(log live functions) per query, memory per function
+//! (not per word), and freed functions cost nothing.
+//!
 //! Following the paper (§4.4: "we attempt to minimize poor cache behavior
 //! by choosing the address of the beginning of the dynamic code randomly
 //! modulo the cache size"), the space can pad each new function by a
@@ -34,11 +53,20 @@
 //! to fresh tail placements: a function relocated into a reused range
 //! lands at the range's exact start (re-padding would defeat reuse).
 
+use std::collections::BTreeMap;
+
 use crate::error::VmError;
 use crate::isa::{Insn, Op};
 
 /// Base address of the code space; all code addresses have this bit set.
 pub const CODE_BASE: u64 = 0x8000_0000;
+
+/// Entries in the invalidation ring: how many live-epoch bumps a
+/// consumer may fall behind and still learn exactly which ranges died
+/// ([`CodeSpace::invalidated_since`]). A constant, not a knob: a busy
+/// serve session sees a handful of frees between two executions, and
+/// falling further behind only costs the old whole-cache drop.
+pub const INVALIDATION_RING: usize = 64;
 
 /// Signed 24-bit jump displacement range (word offsets), the reach of a
 /// relocated `j`/`jal`.
@@ -114,11 +142,19 @@ pub struct CodeSpace {
     live_words: usize,
     reclaimed_words: usize,
     jitter_state: Option<u64>,
+    /// Start word → index into `funcs`, for every live (sealed, not
+    /// freed) function. The ordered index behind every address → live
+    /// function query.
+    live_index: BTreeMap<u32, u32>,
     /// Bumped whenever previously-live code stops meaning what it did:
     /// a function is freed, or a live word is patched. Consumers that
     /// cache decoded forms of live code (the predecoded execution
     /// engine) revalidate against this before trusting their caches.
     live_epoch: u64,
+    /// The range each of the last [`INVALIDATION_RING`] bumps
+    /// invalidated: the bump that moved the epoch from `e` to `e + 1`
+    /// sits at `e % INVALIDATION_RING`.
+    invalidated: Vec<(u32, u32)>,
 }
 
 impl CodeSpace {
@@ -186,29 +222,33 @@ impl CodeSpace {
         }
         let (alloc_start, start) = (info.alloc_start, info.start_word);
         let len = self.words.len() - start;
-        if let Some(new_start) = self.try_relocate(start, len) {
-            // Tail rolls back past the function and its jitter padding:
-            // reused ranges are placed exactly, never re-padded.
-            self.words.truncate(alloc_start);
-            self.live.truncate(alloc_start);
-            for w in &mut self.live[new_start..new_start + len] {
-                *w = true;
+        let start = match self.try_relocate(start, len) {
+            Some(new_start) => {
+                // Tail rolls back past the function and its jitter
+                // padding: reused ranges are placed exactly, never
+                // re-padded.
+                self.words.truncate(alloc_start);
+                self.live.truncate(alloc_start);
+                new_start
             }
-            let info = &mut self.funcs[handle.0];
-            info.start_word = new_start;
-            info.end_word = new_start + len;
-            info.state = FuncState::Sealed;
-            self.live_words += len;
-            return Ok(CODE_BASE + (new_start as u64) * 4);
-        }
-        self.live.resize(self.words.len(), false);
+            None => {
+                self.live.resize(self.words.len(), false);
+                start
+            }
+        };
         for w in &mut self.live[start..start + len] {
             *w = true;
         }
         let info = &mut self.funcs[handle.0];
+        info.start_word = start;
         info.end_word = start + len;
         info.state = FuncState::Sealed;
         self.live_words += len;
+        if len > 0 {
+            // An empty function owns no word (and may share its start
+            // with its successor): nothing to find, nothing to index.
+            self.live_index.insert(word_u32(start), word_u32(handle.0));
+        }
         Ok(CODE_BASE + (start as u64) * 4)
     }
 
@@ -232,7 +272,10 @@ impl CodeSpace {
         let (start, end) = (info.start_word, info.end_word);
         let len = end - start;
         self.funcs[handle.0].state = FuncState::Freed;
-        self.live_epoch += 1;
+        if len > 0 {
+            self.live_index.remove(&word_u32(start));
+        }
+        self.log_invalidation(start, end);
         for w in &mut self.live[start..end] {
             *w = false;
         }
@@ -240,6 +283,18 @@ impl CodeSpace {
         self.reclaimed_words += len;
         self.insert_free(start, len);
         Ok((len as u64) * 4)
+    }
+
+    /// Bumps the live epoch and logs the `[start, end)` range the bump
+    /// invalidated, overwriting the ring's oldest entry once full.
+    fn log_invalidation(&mut self, start: usize, end: usize) {
+        let range = (word_u32(start), word_u32(end));
+        let slot = (self.live_epoch % INVALIDATION_RING as u64) as usize;
+        match self.invalidated.get_mut(slot) {
+            Some(entry) => *entry = range,
+            None => self.invalidated.push(range),
+        }
+        self.live_epoch += 1;
     }
 
     /// Inserts `(start, len)` into the sorted free list, merging with
@@ -402,7 +457,10 @@ impl CodeSpace {
         // cache; building-phase patches (forward branch resolution) hit
         // not-yet-live words and stay epoch-neutral.
         if self.live.get(index).copied().unwrap_or(false) {
-            self.live_epoch += 1;
+            let (start, end) = self
+                .live_range_containing(index)
+                .expect("a live word belongs to a live function");
+            self.log_invalidation(start, end);
         }
         self.words[index] = insn.encode();
     }
@@ -467,14 +525,47 @@ impl CodeSpace {
         self.live_epoch
     }
 
+    /// The ranges invalidated since the epoch was `epoch` (a value this
+    /// space's [`CodeSpace::live_epoch`] returned earlier), oldest
+    /// first: one `[start_word, end_word)` per bump — a freed function's
+    /// range, or the range of the live function a patched word sits in.
+    /// `None` when more than [`INVALIDATION_RING`] bumps happened since:
+    /// the ring has wrapped and the caller must assume everything died.
+    pub fn invalidated_since(
+        &self,
+        epoch: u64,
+    ) -> Option<impl Iterator<Item = (usize, usize)> + '_> {
+        let behind = self.live_epoch.checked_sub(epoch)?;
+        if behind > INVALIDATION_RING as u64 {
+            return None;
+        }
+        Some((epoch..self.live_epoch).map(|e| {
+            let (start, end) = self.invalidated[(e % INVALIDATION_RING as u64) as usize];
+            (start as usize, end as usize)
+        }))
+    }
+
+    /// Index into `funcs` of the live sealed function containing word
+    /// index `idx`: the last live function starting at or before it, if
+    /// it reaches that far.
+    fn live_func_containing(&self, idx: usize) -> Option<usize> {
+        let key = u32::try_from(idx).ok()?;
+        let (_, &fi) = self.live_index.range(..=key).next_back()?;
+        (idx < self.funcs[fi as usize].end_word).then_some(fi as usize)
+    }
+
+    /// [`CodeSpace::live_func_containing`] for a code address.
+    fn live_func_at(&self, addr: u64) -> Option<usize> {
+        let byte = addr.checked_sub(CODE_BASE)?;
+        self.live_func_containing(usize::try_from(byte / 4).ok()?)
+    }
+
     /// The `[start_word, end_word)` range of the live sealed function
     /// containing word index `idx`, if any. Jitter padding and freed or
     /// still-building ranges have no containing function.
     pub fn live_range_containing(&self, idx: usize) -> Option<(usize, usize)> {
-        self.funcs
-            .iter()
-            .find(|f| f.state == FuncState::Sealed && idx >= f.start_word && idx < f.end_word)
-            .map(|f| (f.start_word, f.end_word))
+        let f = &self.funcs[self.live_func_containing(idx)?];
+        Some((f.start_word, f.end_word))
     }
 
     /// Raw encoded words of `[start, end)` (translation input).
@@ -490,14 +581,7 @@ impl CodeSpace {
 
     /// Name of the live function containing `addr`, if any (diagnostics).
     pub fn function_at(&self, addr: u64) -> Option<&str> {
-        if addr < CODE_BASE {
-            return None;
-        }
-        let w = ((addr - CODE_BASE) / 4) as usize;
-        self.funcs
-            .iter()
-            .find(|f| f.state == FuncState::Sealed && w >= f.start_word && w < f.end_word)
-            .map(|f| f.name.as_str())
+        Some(self.funcs[self.live_func_at(addr)?].name.as_str())
     }
 
     /// Disassembles the function at `handle` into one line per
@@ -517,15 +601,7 @@ impl CodeSpace {
 
     /// Disassembles the live function containing `addr`, if any.
     pub fn disassemble_at(&self, addr: u64) -> Option<String> {
-        if addr < CODE_BASE {
-            return None;
-        }
-        let w = ((addr - CODE_BASE) / 4) as usize;
-        let idx = self
-            .funcs
-            .iter()
-            .position(|f| f.state == FuncState::Sealed && w >= f.start_word && w < f.end_word)?;
-        Some(self.disassemble(FuncHandle(idx)))
+        Some(self.disassemble(FuncHandle(self.live_func_at(addr)?)))
     }
 
     /// Decoded instructions of a finished function (testing/analysis).
@@ -638,6 +714,13 @@ impl CodeSpace {
         self.live.truncate(alloc_start);
         self.funcs.pop();
     }
+}
+
+/// A word (or function) index as stored in the live index and the
+/// invalidation ring. Code addresses are `CODE_BASE + 4 * word` with
+/// 24-bit jump reach, so a space never comes near 2^32 words.
+fn word_u32(i: usize) -> u32 {
+    u32::try_from(i).expect("code space indices fit u32")
 }
 
 #[cfg(test)]
@@ -947,6 +1030,81 @@ mod tests {
         assert_eq!(cs.live_range_containing(2), None, "past the end");
         cs.free_function(f).unwrap();
         assert_eq!(cs.live_range_containing(0), None, "freed");
+    }
+
+    #[test]
+    fn live_lookups_follow_seal_free_and_reuse() {
+        // Many functions, some freed, one hole reused: every word maps
+        // to the function that is live there *now*.
+        let mut cs = CodeSpace::new();
+        let mk = |cs: &mut CodeSpace, name: &str, n: usize| {
+            let f = cs.begin_function(name);
+            for _ in 0..n - 1 {
+                cs.push(Insn::nop());
+            }
+            cs.push(Insn::ret());
+            cs.finish_function(f).unwrap();
+            f
+        };
+        let fs: Vec<_> = (0..8).map(|i| mk(&mut cs, &format!("f{i}"), 4)).collect();
+        for i in 0..8 {
+            for w in 4 * i..4 * i + 4 {
+                assert_eq!(cs.live_range_containing(w), Some((4 * i, 4 * i + 4)));
+            }
+        }
+        cs.free_function(fs[2]).unwrap();
+        cs.free_function(fs[5]).unwrap();
+        assert_eq!(cs.live_range_containing(8), None);
+        assert_eq!(cs.live_range_containing(11), None, "not f1's, not f3's");
+        assert_eq!(cs.live_range_containing(7), Some((4, 8)));
+        assert_eq!(cs.live_range_containing(12), Some((12, 16)));
+        // A shorter function takes the front of f2's hole.
+        mk(&mut cs, "g", 2);
+        assert_eq!(cs.function_at(CODE_BASE + 8 * 4), Some("g"));
+        assert_eq!(cs.live_range_containing(9), Some((8, 10)));
+        assert_eq!(cs.live_range_containing(10), None, "rest of the hole");
+        assert!(cs
+            .disassemble_at(CODE_BASE + 9 * 4)
+            .unwrap()
+            .starts_with("g:"));
+        assert_eq!(cs.disassemble_at(CODE_BASE + 20 * 4), None, "f5 is gone");
+        assert_eq!(cs.live_range_containing(1 << 40), None);
+    }
+
+    #[test]
+    fn invalidation_ring_names_what_died_until_it_wraps() {
+        let mut cs = CodeSpace::new();
+        let mut fs = Vec::new();
+        for i in 0..INVALIDATION_RING + 3 {
+            let f = cs.begin_function(&format!("f{i}"));
+            cs.push(Insn::nop());
+            cs.push(Insn::ret());
+            cs.finish_function(f).unwrap();
+            fs.push(f);
+        }
+        let since = |cs: &CodeSpace, e| cs.invalidated_since(e).map(|r| r.collect::<Vec<_>>());
+        assert_eq!(since(&cs, 0), Some(vec![]), "nothing died yet");
+        // A live patch logs the whole containing function.
+        cs.patch(3, Insn::ret());
+        cs.free_function(fs[0]).unwrap();
+        assert_eq!(since(&cs, 0), Some(vec![(2, 4), (0, 2)]), "oldest first");
+        assert_eq!(since(&cs, 1), Some(vec![(0, 2)]));
+        assert_eq!(since(&cs, 2), Some(vec![]));
+        assert!(since(&cs, 3).is_none(), "an epoch from the future");
+        // Exactly a ring's worth of bumps behind is still answerable;
+        // one more is not.
+        for &f in &fs[1..INVALIDATION_RING - 1] {
+            cs.free_function(f).unwrap();
+        }
+        assert_eq!(cs.live_epoch(), INVALIDATION_RING as u64);
+        let all = since(&cs, 0).expect("ring exactly full");
+        assert_eq!(all.len(), INVALIDATION_RING);
+        assert_eq!(all[0], (2, 4));
+        cs.free_function(fs[INVALIDATION_RING - 1]).unwrap();
+        assert!(since(&cs, 0).is_none(), "wrapped: assume everything died");
+        let recent = since(&cs, 1).expect("still covered");
+        assert_eq!(recent.len(), INVALIDATION_RING);
+        assert_eq!(recent[0], (0, 2));
     }
 
     #[test]

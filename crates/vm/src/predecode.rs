@@ -25,21 +25,30 @@
 //!
 //! # Invalidation
 //!
-//! Decoded buffers are keyed by
+//! The translation cache is validated against
 //! [`CodeSpace::live_epoch`](crate::code::CodeSpace::live_epoch), which bumps
 //! whenever previously-live code stops meaning what it did: a function
 //! is freed (directly or by `tcc-cache` eviction) or a live word is
-//! patched. On any epoch change the whole cache is dropped and stale
-//! pcs fall back to the reference engine's single-step path, which
-//! raises [`VmError::StaleCode`] / [`VmError::BadPc`] exactly as today.
-//! Host calls can free or patch code mid-run (the compile runtime
-//! does), so the epoch is re-checked after every host call before
-//! execution re-enters a decoded buffer.
+//! patched. Every engine revalidates through the one
+//! `TransCache::sync_epoch`, which asks the code space *which* ranges
+//! died since the cache last looked
+//! ([`CodeSpace::invalidated_since`](crate::code::CodeSpace::invalidated_since))
+//! and drops exactly those functions' buffers and tier records — an
+//! invalidation costs the words it invalidated, and every other
+//! function keeps its translation, tier and run count. Only a cache
+//! more than
+//! [`INVALIDATION_RING`](crate::code::INVALIDATION_RING) bumps behind
+//! falls back to dropping everything. Stale pcs fall back to the
+//! reference engine's single-step path, which raises
+//! [`VmError::StaleCode`] / [`VmError::BadPc`] exactly as today. Host
+//! calls can free or patch code mid-run (the compile runtime does), so
+//! a dispatcher leaves its buffer after any host call that moved the
+//! epoch and the run loop revalidates before re-entering one.
 
 use std::sync::Arc;
 
-use crate::adaptive::{AdaptiveStats, FnTier, DEFAULT_FUSE_AFTER, DEFAULT_THREAD_AFTER};
-use crate::code::CODE_BASE;
+use crate::adaptive::{AdaptiveStats, FnTier, DEFAULT_FUSE_AFTER, DEFAULT_THREAD_AFTER, NO_TIER};
+use crate::code::{CodeSpace, CODE_BASE};
 use crate::cost::CostModel;
 use crate::error::VmError;
 use crate::host::HostCall;
@@ -112,7 +121,10 @@ pub struct ExecStats {
     /// Instructions retired by the decode-per-step path (the whole run
     /// for that engine; fallback steps for the predecoded engine).
     pub slow_insns: u64,
-    /// Whole-cache invalidations triggered by a live-epoch change.
+    /// Live-epoch changes this VM observed (one per revalidation that
+    /// found the epoch moved, however many bumps it had moved by). Each
+    /// drops the translations of the ranges that died in between — the
+    /// whole cache only when the invalidation ring had wrapped.
     pub invalidations: u64,
     /// Scalar runs whose whole cost was charged in one batch by the
     /// threaded engine ([`crate::threaded`]).
@@ -173,7 +185,8 @@ impl ExecStats {
 }
 
 /// Per-VM translation cache: decoded and threaded buffers indexed by
-/// code word, valid for a single `CodeSpace::live_epoch`.
+/// code word, synchronized to one `CodeSpace::live_epoch` at a time by
+/// [`TransCache::sync_epoch`].
 ///
 /// Generic over the host because the threaded buffers store handler
 /// function pointers typed over `Vm<H>`.
@@ -192,9 +205,17 @@ pub(crate) struct TransCache<H> {
     /// plus hash probe per call/return transition.
     pub(crate) tier_idx: Vec<u32>,
     /// Adaptive tier state (run count, current tier) per entered
-    /// function, appended on first entry. Dropped together with the
-    /// translations it justifies.
+    /// function, created on first entry and retired together with the
+    /// translations it justifies. Retired slots (`serial == 0`) are
+    /// listed in [`TransCache::tier_free`] and reused, so the table is
+    /// bounded by the functions live at once, not by churn.
     pub(crate) tier_fns: Vec<FnTier>,
+    /// Indices of retired [`TransCache::tier_fns`] slots.
+    pub(crate) tier_free: Vec<u32>,
+    /// Serial the next tier record is stamped with (never `0`, never
+    /// reused): what tells a background completion whether the record
+    /// that requested it is still the one at its start word.
+    pub(crate) next_serial: u64,
     pub(crate) stats: ExecStats,
     /// Counters specific to the adaptive engine.
     pub(crate) astats: AdaptiveStats,
@@ -204,10 +225,6 @@ pub(crate) struct TransCache<H> {
     /// Subscription to a shared multi-tenant translation hub; when set,
     /// background builds go there instead of a per-VM worker.
     pub(crate) hub: Option<crate::adaptive::HubClient<H>>,
-    /// Cache generation, bumped by [`TransCache::clear`]: worker
-    /// responses stamped with an older generation are dropped without
-    /// being installed (their tier state is gone).
-    pub(crate) generation: u64,
     /// Requests enqueued to the worker whose responses have not been
     /// received yet (received responses count down even when the result
     /// is discarded).
@@ -226,7 +243,6 @@ impl<H> std::fmt::Debug for TransCache<H> {
             .field("map", &self.map.len())
             .field("tmap", &self.tmap.len())
             .field("stats", &self.stats)
-            .field("generation", &self.generation)
             .field("pending", &self.pending)
             .finish()
     }
@@ -240,11 +256,12 @@ impl<H> Default for TransCache<H> {
             tmap: Vec::new(),
             tier_idx: Vec::new(),
             tier_fns: Vec::new(),
+            tier_free: Vec::new(),
+            next_serial: 1,
             stats: ExecStats::default(),
             astats: AdaptiveStats::default(),
             worker: None,
             hub: None,
-            generation: 0,
             pending: 0,
             shapes: std::collections::HashMap::new(),
         }
@@ -260,11 +277,10 @@ impl<H> TransCache<H> {
     }
 
     /// Drops every cached translation and the adaptive tier state that
-    /// justified it (counters are kept). Bumps the cache generation so
-    /// in-flight background translations enqueued against the old tier
-    /// state are dropped on receipt instead of installed.
+    /// justified it (counters are kept). In-flight background
+    /// translations find no record at their start word any more and are
+    /// discarded on receipt instead of installed.
     pub(crate) fn clear(&mut self) {
-        self.generation += 1;
         for slot in &mut self.map {
             *slot = None;
         }
@@ -272,9 +288,103 @@ impl<H> TransCache<H> {
             *slot = None;
         }
         for slot in &mut self.tier_idx {
-            *slot = crate::adaptive::NO_TIER;
+            *slot = NO_TIER;
         }
         self.tier_fns.clear();
+        self.tier_free.clear();
+    }
+
+    /// Revalidates the cache against `code`'s live epoch — the one
+    /// check every engine makes before trusting a cached translation.
+    /// Returns whether the epoch had moved (the adaptive run loop then
+    /// drops its memoized functions).
+    #[inline]
+    pub(crate) fn sync_epoch(&mut self, code: &CodeSpace) -> bool {
+        let epoch = code.live_epoch();
+        if epoch == self.epoch {
+            return false;
+        }
+        self.invalidate_since(code, epoch);
+        true
+    }
+
+    /// The epoch moved: drop what died. For each range logged since
+    /// this cache last looked, the function's buffers and tier record
+    /// go — O(words invalidated); everything else keeps translation,
+    /// tier and run count. A cache too far behind for the ring drops
+    /// everything. Either way the tier levels actually lost are counted
+    /// into `demotions`.
+    #[cold]
+    fn invalidate_since(&mut self, code: &CodeSpace, epoch: u64) {
+        match code.invalidated_since(self.epoch) {
+            Some(ranges) => {
+                for (start, end) in ranges {
+                    self.drop_range(start, end);
+                }
+            }
+            None => {
+                let lost: u64 = self.tier_fns.iter().map(|t| t.tier as u64).sum();
+                self.astats.demotions += lost;
+                self.clear();
+            }
+        }
+        self.epoch = epoch;
+        self.stats.invalidations += 1;
+    }
+
+    /// Drops the translations and the tier record of the function that
+    /// occupied words `[start, end)` when it was freed or patched.
+    fn drop_range(&mut self, start: usize, end: usize) {
+        fn window<T>(v: &mut [T], start: usize, end: usize) -> &mut [T] {
+            let end = end.min(v.len());
+            &mut v[start.min(end)..end]
+        }
+        for slot in window(&mut self.map, start, end) {
+            *slot = None;
+        }
+        for slot in window(&mut self.tmap, start, end) {
+            *slot = None;
+        }
+        // A tier record covers exactly the live range it was created
+        // for, and a logged range is exactly one function's, so every
+        // tracked word in the window names the same record.
+        let mut retired = NO_TIER;
+        for slot in window(&mut self.tier_idx, start, end) {
+            let fi = std::mem::replace(slot, NO_TIER);
+            if fi != NO_TIER && fi != retired {
+                let record = &mut self.tier_fns[fi as usize];
+                debug_assert_eq!((record.start, record.words as usize), (start, end - start));
+                self.astats.demotions += record.tier as u64;
+                record.retire();
+                self.tier_free.push(fi);
+                retired = fi;
+            }
+        }
+    }
+
+    /// Starts tracking the live function `[start, end)`: a fresh record
+    /// under a new serial, in a retired slot when there is one, mirrored
+    /// into `tier_idx` for every word of the range. Returns its index.
+    pub(crate) fn track(&mut self, start: usize, end: usize) -> u32 {
+        let record = FnTier::new(self.next_serial, start, end);
+        self.next_serial += 1;
+        let fi = match self.tier_free.pop() {
+            Some(fi) => {
+                self.tier_fns[fi as usize] = record;
+                fi
+            }
+            None => {
+                self.tier_fns.push(record);
+                u32::try_from(self.tier_fns.len() - 1).expect("fewer than 2^32 tracked functions")
+            }
+        };
+        if self.tier_idx.len() < end {
+            self.tier_idx.resize(end, NO_TIER);
+        }
+        for slot in &mut self.tier_idx[start..end] {
+            *slot = fi;
+        }
+        fi
     }
 
     /// Whether a decoded buffer already covers word index `idx`.
@@ -602,12 +712,7 @@ impl<H: HostCall> Vm<H> {
         if !fuse_compatible || *tr.cost_model() != self.cost {
             return false;
         }
-        let epoch = self.state.code.live_epoch();
-        if epoch != self.trans.epoch {
-            self.trans.clear();
-            self.trans.epoch = epoch;
-            self.trans.stats.invalidations += 1;
-        }
+        self.trans.sync_epoch(&self.state.code);
         if addr < CODE_BASE || !addr.is_multiple_of(4) {
             return false;
         }
@@ -667,12 +772,7 @@ impl<H: HostCall> Vm<H> {
     /// Validates the cache against the code space's live epoch first —
     /// this is where the per-instruction liveness check is hoisted to.
     pub(crate) fn translation_at(&mut self, pc: u64, fuse: bool) -> Option<Arc<DecodedFn>> {
-        let epoch = self.state.code.live_epoch();
-        if epoch != self.trans.epoch {
-            self.trans.clear();
-            self.trans.epoch = epoch;
-            self.trans.stats.invalidations += 1;
-        }
+        self.trans.sync_epoch(&self.state.code);
         if pc < CODE_BASE || !pc.is_multiple_of(4) {
             return None;
         }

@@ -903,12 +903,7 @@ impl<H: HostCall> Vm<H> {
     /// Looks up (or lazily builds) the threaded buffer covering `pc`,
     /// validating the cache against the code space's live epoch first.
     pub(crate) fn threaded_at(&mut self, pc: u64) -> Option<Arc<ThreadedFn<H>>> {
-        let epoch = self.state.code.live_epoch();
-        if epoch != self.trans.epoch {
-            self.trans.clear();
-            self.trans.epoch = epoch;
-            self.trans.stats.invalidations += 1;
-        }
+        self.trans.sync_epoch(&self.state.code);
         if pc < CODE_BASE || !pc.is_multiple_of(4) {
             return None;
         }

@@ -1,8 +1,9 @@
 //! Property tests for the adaptive tiering engine at the session level:
 //! per-function promotion sequences are monotone and keyed to the
 //! configured thresholds, epoch bumps (here: code-budget evictions)
-//! demote everything and reset run counts, freed-then-hot functions
-//! fault `StaleCode` no matter which tier they had reached, and the
+//! retire the evicted function's record and leave every survivor's
+//! tier and run count alone, freed-then-hot functions fault
+//! `StaleCode` no matter which tier they had reached, and the
 //! `AdaptiveMetrics` accounting invariants hold across arbitrary
 //! compile/run/evict interleavings.
 
@@ -79,9 +80,10 @@ fn force_eviction(s: &mut Session, start_seed: &mut u64) -> u64 {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// (a) Per-function tier sequences are monotone, track the
-    /// configured thresholds exactly, and reset to tier 0 with a fresh
-    /// run count after an epoch bump.
+    /// (a) Per-function tier sequences are monotone and track the
+    /// configured thresholds exactly; an epoch bump costs only what it
+    /// invalidated — the evicted function loses its record and faults,
+    /// the survivor's tier and run count carry on.
     #[test]
     fn promotion_sequences_are_monotone_and_reset_on_epoch_bump(
         ft in thresholds(),
@@ -108,19 +110,40 @@ proptest! {
             );
             last = tier;
         }
-        // Epoch bump: evicting any entry frees code, which must demote
-        // every function — even the pinned survivor — and restart its
-        // run count from scratch.
-        let mut seed = 2;
-        force_eviction(&mut s, &mut seed);
-        let demotions = s.metrics().adaptive.demotions;
-        if last > Tier::Decode {
-            prop_assert!(demotions >= last as u64, "the hot survivor was demoted");
+        // A second, unpinned function climbs the same schedule; `run`
+        // never touches the compile cache, so it stays LRU and is the
+        // entry the budget reclaims.
+        let victim = s.call("mk", &[2]).expect("compile");
+        for _ in 0..runs {
+            prop_assert_eq!(s.call("run", &[victim]).expect("runs"), 2 * PRIME_SUM);
         }
+        let (victim_tier, _) = s.vm.adaptive_tier(victim).expect("tracked");
+        prop_assert_eq!(victim_tier, last, "same thresholds, same climb");
+        let demotions_before = s.metrics().adaptive.demotions;
+        // Epoch bump: the eviction frees the victim's code. Only the
+        // victim pays for it.
+        let mut seed = 3;
+        force_eviction(&mut s, &mut seed);
+        prop_assert_eq!(s.vm.adaptive_tier(victim), None, "evicted: no record");
+        match s.call("run", &[victim]) {
+            Err(Error::Vm(VmError::StaleCode(addr))) => prop_assert_eq!(addr, victim),
+            other => {
+                return Err(TestCaseError::fail(format!(
+                    "expected StaleCode({victim:#x}), got {other:?}"
+                )))
+            }
+        }
+        let demotions = s.metrics().adaptive.demotions - demotions_before;
+        prop_assert!(demotions >= last as u64, "the victim's levels were lost");
+        prop_assert_eq!(
+            s.vm.adaptive_tier(fp),
+            Some((last, runs)),
+            "the pinned survivor kept tier and run count across the bump"
+        );
         prop_assert_eq!(s.call("run", &[fp]).expect("still pinned"), PRIME_SUM);
-        let (tier, count) = s.vm.adaptive_tier(fp).expect("re-tracked");
-        prop_assert_eq!(count, 1, "run count restarts after the bump");
-        prop_assert_eq!(tier, expected_tier(1, fuse_after, thread_after));
+        let (tier, count) = s.vm.adaptive_tier(fp).expect("still tracked");
+        prop_assert_eq!(count, runs + 1, "run count continues across the bump");
+        prop_assert_eq!(tier, expected_tier(runs + 1, fuse_after, thread_after));
     }
 
     /// (b) A freed-then-called function faults `StaleCode` at its own
