@@ -61,9 +61,11 @@
 #                         fails on a >30% drop in any gated speedup
 #                         column — fused, threaded, adaptive, or the
 #                         threaded engine's dispatch_reduction — and
-#                         gates the tiering pipeline's
-#                         tail_p99_improvement column the same way when
-#                         both BENCH_adaptive.json files are present,
+#                         reports the tiering pipeline's
+#                         tail_p99_improvement column (a wall-clock
+#                         wake-up ratio: a drop is a WARN line, only a
+#                         missing row fails) when both
+#                         BENCH_adaptive.json files are present,
 #                         serve throughput/p99 plus the largest
 #                         pool's hit-rate/compiles-per-unique bounds
 #                         when both BENCH_serve.json files are present,
@@ -71,6 +73,11 @@
 #                         to baseline and against the absolute 5x
 #                         floor — when both BENCH_persist.json files
 #                         are present)
+#  18. benchmark package (benchmark/check.sh: fmt, clippy and the unit
+#                         tests of the out-of-workspace repo benchmark,
+#                         which builds against crates/*'s public API —
+#                         so an API change that breaks it fails here,
+#                         not in the benchmark pipeline)
 #
 # Fails fast: the first failing step aborts with its exit code.
 set -eu
@@ -133,5 +140,8 @@ cargo test -q --release --test persist --test persist_corruption
 
 echo "== exec regression gate (speedups vs baselines/) =="
 ./run_benches.sh --check
+
+echo "== benchmark package (fmt, clippy, tests against this tree's API) =="
+bash benchmark/check.sh
 
 echo "CI_OK"

@@ -11,7 +11,13 @@
 //!   (CGF identity, `$`-bound runtime-constant values, backend and
 //!   options, and recursively the fingerprints of composed cspec/vspec
 //!   closures). A hit returns the previously generated function address
-//!   without walking the CGF at all.
+//!   without walking the CGF at all. The memo is the record of what
+//!   *this session* has in its code space, in every mode.
+//! * **One backing behind the memo** — a memo miss asks the session's
+//!   [`Backing`] (nothing, a private [`PersistentStore`], or the
+//!   pool's [`SharedArtifacts`]) before compiling, and a compile is
+//!   published to the same place. All three hand out the same
+//!   `Arc<`[`Artifact`]`>`.
 //! * **Reclamation** — evicted entries return their words to the
 //!   `CodeSpace` free list (`free_function`), so the arena is recycled,
 //!   not just abandoned; stale addresses fault with
@@ -34,14 +40,16 @@
 //! saved versus spent answering hits.
 
 use std::collections::HashMap;
+use std::sync::Arc;
+use std::time::Instant;
 
-use tcc_obs::CacheMetrics;
+use tcc_obs::{CacheMetrics, PersistMetrics};
 use tcc_vm::{CodeSpace, FuncHandle, VmError};
 
 pub mod persist;
 pub mod shared;
 
-pub use persist::{PersistentStore, StoredArtifact, FORMAT_VERSION};
+pub use persist::{PersistentStore, FORMAT_VERSION};
 pub use shared::{Acquire, Artifact, CompileClaim, SharedArtifacts, SlotState};
 
 /// A structural, injective key for a dynamic closure.
@@ -199,22 +207,20 @@ struct Entry {
     bytes: u64,
     /// LRU clock value of the most recent touch.
     last_use: u64,
-    /// Times this entry answered a `compile` call (insert + hits) — the
-    /// per-function reuse signal the adaptive engine's tier thresholds
-    /// are calibrated against.
-    uses: u64,
-    /// Pin count; pinned entries are never evicted.
+    /// Pin count; pinned entries are never evicted by the budget.
     pins: u32,
     /// Per-hit `ns_saved` credit. For a freshly compiled entry this is
     /// what the original compilation cost; for an entry installed from
-    /// the persistent store it is `compile_ns − load_ns` (saturating) —
-    /// a disk hit only saved the *difference*, so crediting the full
-    /// compile time would overstate warm-start savings.
-    compile_ns: u64,
+    /// the backing it is `compile_ns − load_ns` (saturating) — a disk
+    /// or pool hit only saved the *difference*, so crediting the full
+    /// compile time would overstate the savings.
+    credit_ns: u64,
 }
 
 /// Memoization table for compiled closures with LRU eviction under an
-/// optional code budget (bytes).
+/// optional code budget (bytes): one entry per function this session
+/// has installed, whether it compiled the function itself or fetched
+/// it from its [`Backing`].
 ///
 /// The cache does not own the `CodeSpace`; eviction borrows it to call
 /// `free_function`. All counters live in a [`CacheMetrics`] that the
@@ -229,6 +235,8 @@ pub struct CodeCache {
     /// Budget in bytes for live cached code; `None` = unbounded.
     budget: Option<u64>,
     bytes_live: u64,
+    /// The pool generation [`CodeCache::sync`] last reconciled against.
+    generation_seen: u64,
     metrics: CacheMetrics,
 }
 
@@ -258,16 +266,6 @@ impl CodeCache {
         }
     }
 
-    /// The configured budget in bytes, if any.
-    pub fn budget(&self) -> Option<u64> {
-        self.budget
-    }
-
-    /// Bytes of code currently held live by cache entries.
-    pub fn bytes_live(&self) -> u64 {
-        self.bytes_live
-    }
-
     /// Number of live entries.
     pub fn len(&self) -> usize {
         self.entries.len()
@@ -286,27 +284,18 @@ impl CodeCache {
         let clock = self.clock;
         if let Some(e) = self.entries.get_mut(fp) {
             e.last_use = clock;
-            e.uses += 1;
             self.metrics.hits += 1;
-            self.metrics.ns_saved += e.compile_ns;
+            self.metrics.ns_saved += e.credit_ns;
             Some(e.addr)
         } else {
             None
         }
     }
 
-    /// Times the cached function at `addr` has answered a `compile`
-    /// call (its insert plus every hit since) — per-function reuse, the
-    /// compile-side counterpart of the adaptive engine's run counts.
-    /// `None` when `addr` is not a cached function (never cached, or
-    /// evicted: eviction forgets the count along with the code).
-    pub fn use_count(&self, addr: u64) -> Option<u64> {
-        let fp = self.by_addr.get(&addr)?;
-        self.entries.get(fp).map(|e| e.uses)
-    }
-
-    /// Records nanoseconds spent on the *hit path* (fingerprinting +
-    /// lookup) so reports can compare saved vs. spent time.
+    /// Records nanoseconds spent answering a `compile` call without
+    /// compiling (the whole intercept: fingerprint, lookup and, for a
+    /// function fetched from the backing, load and install) so reports
+    /// can compare saved vs. spent time.
     pub fn note_hit_ns(&mut self, ns: u64) {
         self.metrics.hit_ns += ns;
     }
@@ -317,9 +306,17 @@ impl CodeCache {
         self.metrics.uncacheable += 1;
     }
 
-    /// Inserts a freshly compiled function, evicting LRU unpinned
-    /// entries (freeing their code in `code`) as needed to respect the
-    /// budget. Counts the compile as a miss.
+    /// Inserts a function this session just put in `code`, evicting
+    /// LRU unpinned entries (freeing their code) as needed to respect
+    /// the budget. `fetched_in` says how the function came to be:
+    ///
+    /// * `None` — compiled here. Counts a miss; every later hit is
+    ///   credited `compile_ns`.
+    /// * `Some(load_ns)` — fetched from the backing (disk or pool) at
+    ///   that cost and installed. The compile was *answered*, so it
+    ///   counts a hit, and every credit — this one and each later
+    ///   hit's — is `compile_ns − load_ns` (saturating): the fetch
+    ///   saved the compile minus what the fetch itself cost.
     ///
     /// If the function alone exceeds the budget it is not cached
     /// ([`InsertOutcome::TooLarge`], counted `uncacheable`); if
@@ -331,10 +328,14 @@ impl CodeCache {
         fp: Fingerprint,
         addr: u64,
         handle: FuncHandle,
-        bytes: u64,
         compile_ns: u64,
+        fetched_in: Option<u64>,
     ) -> Result<InsertOutcome, VmError> {
-        self.metrics.misses += 1;
+        let bytes = code.size_of(handle)?;
+        let credit_ns = compile_ns.saturating_sub(fetched_in.unwrap_or(0));
+        if fetched_in.is_none() {
+            self.metrics.misses += 1;
+        }
         if let Some(budget) = self.budget {
             if bytes > budget {
                 self.metrics.uncacheable += 1;
@@ -346,56 +347,11 @@ impl CodeCache {
                 }
             }
         }
-        self.clock += 1;
-        self.bytes_live += bytes;
-        self.by_addr.insert(addr, fp.clone());
-        self.entries.insert(
-            fp,
-            Entry {
-                addr,
-                handle,
-                bytes,
-                last_use: self.clock,
-                uses: 1,
-                pins: 0,
-                compile_ns,
-            },
-        );
-        Ok(InsertOutcome::Cached)
-    }
-
-    /// Inserts a function loaded from the persistent store: like
-    /// [`CodeCache::insert`] but the compile was *answered from disk*,
-    /// so it is not counted as a miss, and every credit — the
-    /// immediate one for this event and the per-hit credit for future
-    /// lookups — is `compile_ns − load_ns` (saturating): the disk hit
-    /// saved the compile minus what the load itself cost.
-    #[allow(clippy::too_many_arguments)]
-    pub fn insert_loaded(
-        &mut self,
-        code: &mut CodeSpace,
-        fp: Fingerprint,
-        addr: u64,
-        handle: FuncHandle,
-        bytes: u64,
-        compile_ns: u64,
-        load_ns: u64,
-    ) -> Result<InsertOutcome, VmError> {
-        let credit = compile_ns.saturating_sub(load_ns);
-        if let Some(budget) = self.budget {
-            if bytes > budget {
-                self.metrics.uncacheable += 1;
-                return Ok(InsertOutcome::TooLarge);
-            }
-            while self.bytes_live + bytes > budget {
-                if !self.evict_lru(code)? {
-                    break; // everything left is pinned: go over budget
-                }
-            }
+        if fetched_in.is_some() {
+            self.metrics.hits += 1;
+            self.metrics.ns_saved += credit_ns;
         }
         self.clock += 1;
-        self.metrics.hits += 1;
-        self.metrics.ns_saved += credit;
         self.bytes_live += bytes;
         self.by_addr.insert(addr, fp.clone());
         self.entries.insert(
@@ -405,9 +361,8 @@ impl CodeCache {
                 handle,
                 bytes,
                 last_use: self.clock,
-                uses: 1,
                 pins: 0,
-                compile_ns: credit,
+                credit_ns,
             },
         );
         Ok(InsertOutcome::Cached)
@@ -425,18 +380,53 @@ impl CodeCache {
         let Some(fp) = victim else {
             return Ok(false);
         };
-        let e = self.entries.remove(&fp).expect("victim exists");
+        self.drop_entry(code, &fp)?;
+        Ok(true)
+    }
+
+    /// Forgets the entry for `fp` and frees its code: the address it
+    /// handed out faults `VmError::StaleCode` from here on.
+    fn drop_entry(&mut self, code: &mut CodeSpace, fp: &Fingerprint) -> Result<(), VmError> {
+        let e = self.entries.remove(fp).expect("caller found the entry");
         self.by_addr.remove(&e.addr);
         let freed = code.free_function(e.handle)?;
         debug_assert_eq!(freed, e.bytes);
         self.bytes_live -= e.bytes;
         self.metrics.evictions += 1;
         self.metrics.bytes_reclaimed += freed;
-        Ok(true)
+        Ok(())
     }
 
-    /// Pins the entry owning `addr` so it cannot be evicted. Returns
-    /// false if no cache entry owns that address.
+    /// Reconciles the memo with the pool after an eviction or
+    /// invalidation elsewhere (a no-op for any other backing, and
+    /// while the pool's generation stamp has not moved): drops every
+    /// entry whose artifact is no longer resident and frees its code,
+    /// so its address faults `VmError::StaleCode` as after a budget
+    /// eviction. Pins do not hold here: a pin guards against this
+    /// session's *budget*, not against the pool retiring the artifact.
+    pub fn sync(&mut self, code: &mut CodeSpace, backing: &Backing) -> Result<(), VmError> {
+        let Backing::Shared(shared) = backing else {
+            return Ok(());
+        };
+        let generation = shared.generation();
+        if generation == self.generation_seen {
+            return Ok(());
+        }
+        self.generation_seen = generation;
+        let gone: Vec<Fingerprint> = self
+            .entries
+            .keys()
+            .filter(|fp| !shared.contains(fp))
+            .cloned()
+            .collect();
+        for fp in &gone {
+            self.drop_entry(code, fp)?;
+        }
+        Ok(())
+    }
+
+    /// Pins the entry owning `addr` so the budget cannot evict it.
+    /// Returns false if no cache entry owns that address.
     pub fn pin(&mut self, addr: u64) -> bool {
         let Some(fp) = self.by_addr.get(&addr) else {
             return false;
@@ -471,6 +461,116 @@ impl CodeCache {
     }
 }
 
+/// Where a memo miss looks before it compiles, and where a compile is
+/// published afterwards. A session has exactly one: a private store
+/// *or* the pool (whose own store is attached to the pool).
+#[derive(Debug, Default)]
+pub enum Backing {
+    /// Nothing behind the memo: a miss compiles.
+    #[default]
+    None,
+    /// This session's own on-disk store.
+    Disk(PersistentStore),
+    /// The pool's shared table (and, through it, the pool's store).
+    Shared(Arc<SharedArtifacts>),
+}
+
+/// What [`Backing::fetch`] found.
+pub enum Fetched {
+    /// Somebody already compiled it: the artifact, and the nanoseconds
+    /// fetching it cost (disk load, or the wait on the pool).
+    Hit(Arc<Artifact>, u64),
+    /// Nobody has: compile. In a pool the caller now holds the claim,
+    /// to hand to [`Backing::publish`] (or drop: waiters then retry).
+    Miss(Option<CompileClaim>),
+}
+
+impl Backing {
+    /// Asks for `fp`. A disk frame is verified (CRC, full decode, key)
+    /// before a word of it is returned; a pool request blocks while
+    /// another session's compile of `fp` is in flight.
+    pub fn fetch(&mut self, fp: &Fingerprint) -> Fetched {
+        match self {
+            Backing::None => Fetched::Miss(None),
+            Backing::Disk(store) => match store.load(fp) {
+                Some((artifact, load_ns)) => Fetched::Hit(artifact, load_ns),
+                None => Fetched::Miss(None),
+            },
+            Backing::Shared(shared) => {
+                let t0 = Instant::now();
+                match shared.get_or_begin(fp) {
+                    Acquire::Hit { artifact, .. } => {
+                        Fetched::Hit(artifact, t0.elapsed().as_nanos() as u64)
+                    }
+                    Acquire::Miss(claim) => Fetched::Miss(Some(claim)),
+                }
+            }
+        }
+    }
+
+    /// Counts a memo hit where the pool keeps its books: the shared
+    /// hit counter and the global LRU clock.
+    pub fn touch(&self, fp: &Fingerprint) {
+        if let Backing::Shared(shared) = self {
+            shared.touch(fp);
+        }
+    }
+
+    /// Drops a fetched artifact that could not be installed, so the
+    /// next [`Backing::fetch`] misses and the compile that follows
+    /// replaces it, on disk too.
+    pub fn discard(&mut self, fp: &Fingerprint) {
+        match self {
+            Backing::None => {}
+            Backing::Disk(store) => {
+                store.tombstone(fp);
+            }
+            Backing::Shared(shared) => {
+                shared.invalidate(fp);
+            }
+        }
+    }
+
+    /// Publishes a fresh compile: recorded for the next process, and
+    /// in a pool handed to every session waiting on `claim`. `seal`
+    /// copies the function out — told whether a pool wants it — and
+    /// is not called when nobody does; its error is passed through.
+    pub fn publish<E>(
+        &mut self,
+        fp: &Fingerprint,
+        claim: Option<CompileClaim>,
+        seal: impl FnOnce(bool) -> Result<Artifact, E>,
+    ) -> Result<(), E> {
+        match (self, claim) {
+            (Backing::Disk(store), _) => store.record(fp.clone(), Arc::new(seal(false)?)),
+            (Backing::Shared(_), Some(claim)) => {
+                claim.publish(seal(true)?);
+            }
+            _ => {}
+        }
+        Ok(())
+    }
+
+    /// Flushes the store behind this backing; `Ok` when there is
+    /// none, an error when it is read-only or the write fails.
+    pub fn flush(&mut self) -> std::io::Result<()> {
+        match self {
+            Backing::None => Ok(()),
+            Backing::Disk(store) => store.flush(),
+            Backing::Shared(shared) => shared.flush_persist(),
+        }
+    }
+
+    /// Counters of the store behind this backing (zeros without one).
+    pub fn persist_metrics(&self) -> PersistMetrics {
+        match self {
+            Backing::None => PersistMetrics::default(),
+            Backing::Disk(store) => store.metrics(),
+            Backing::Shared(shared) => shared.persist_metrics().unwrap_or_default(),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -495,21 +595,48 @@ mod tests {
     }
 
     #[test]
-    fn use_counts_track_reuse_and_die_with_eviction() {
+    fn sync_drops_what_the_pool_retired_pins_included() {
         let mut code = CodeSpace::new();
-        let mut cache = CodeCache::with_budget(Some(64));
+        let mut cache = CodeCache::new();
+        let shared = SharedArtifacts::unbounded();
+        for n in [1, 2] {
+            let Acquire::Miss(claim) = shared.get_or_begin(&fp(n)) else {
+                panic!("first request claims");
+            };
+            claim.publish(Artifact {
+                name: format!("f{n}"),
+                orig_start: 0,
+                words: vec![0; 4],
+                bytes: 16,
+                compile_ns: 100,
+                translation: None,
+            });
+        }
         let (a, ha) = emit(&mut code, 4);
-        cache.insert(&mut code, fp(1), a, ha, 16, 100).unwrap();
-        assert_eq!(cache.use_count(a), Some(1), "insert is the first use");
-        assert_eq!(cache.lookup(&fp(1)), Some(a));
-        assert_eq!(cache.lookup(&fp(1)), Some(a));
-        assert_eq!(cache.use_count(a), Some(3));
-        assert_eq!(cache.use_count(a + 4), None, "not a handed-out address");
-        // Evicting forgets the count along with the code.
-        let (b, hb) = emit(&mut code, 16);
-        cache.insert(&mut code, fp(2), b, hb, 64, 100).unwrap();
-        assert_eq!(cache.use_count(a), None, "evicted");
-        assert_eq!(cache.use_count(b), Some(1));
+        cache.insert(&mut code, fp(1), a, ha, 100, None).unwrap();
+        assert!(cache.pin(a));
+        let (b, hb) = emit(&mut code, 4);
+        cache.insert(&mut code, fp(2), b, hb, 100, None).unwrap();
+        let backing = Backing::Shared(Arc::clone(&shared));
+
+        assert!(shared.invalidate(&fp(1)));
+        // Only a pool has an elsewhere to reconcile with.
+        cache.sync(&mut code, &Backing::None).unwrap();
+        assert_eq!(cache.len(), 2);
+        cache.sync(&mut code, &backing).unwrap();
+        assert_eq!(
+            cache.lookup(&fp(1)),
+            None,
+            "a pin does not outlive the artifact"
+        );
+        assert!(matches!(code.fetch_exec(a), Err(VmError::StaleCode(_))));
+        assert_eq!(cache.lookup(&fp(2)), Some(b));
+        assert!(code.fetch_exec(b).is_ok());
+        let m = cache.metrics(&code);
+        assert_eq!((m.evictions, m.bytes_reclaimed, m.bytes_live), (1, 16, 16));
+        // The stamp has not moved since: nothing is rescanned or dropped.
+        cache.sync(&mut code, &backing).unwrap();
+        assert_eq!(cache.len(), 1);
     }
 
     #[test]
@@ -580,7 +707,7 @@ mod tests {
         assert_eq!(cache.lookup(&fp(1)), None);
         let (addr, h) = emit(&mut code, 4);
         cache
-            .insert(&mut code, fp(1), addr, h, 16, 1000)
+            .insert(&mut code, fp(1), addr, h, 1000, None)
             .expect("inserts");
         assert_eq!(cache.lookup(&fp(1)), Some(addr));
         assert_eq!(cache.lookup(&fp(2)), None);
@@ -597,13 +724,19 @@ mod tests {
         // Budget of 2 four-word functions.
         let mut cache = CodeCache::with_budget(Some(32));
         let (a_addr, a_h) = emit(&mut code, 4);
-        cache.insert(&mut code, fp(1), a_addr, a_h, 16, 0).unwrap();
+        cache
+            .insert(&mut code, fp(1), a_addr, a_h, 0, None)
+            .unwrap();
         let (b_addr, b_h) = emit(&mut code, 4);
-        cache.insert(&mut code, fp(2), b_addr, b_h, 16, 0).unwrap();
+        cache
+            .insert(&mut code, fp(2), b_addr, b_h, 0, None)
+            .unwrap();
         // Touch a so b becomes LRU.
         assert_eq!(cache.lookup(&fp(1)), Some(a_addr));
         let (c_addr, c_h) = emit(&mut code, 4);
-        cache.insert(&mut code, fp(3), c_addr, c_h, 16, 0).unwrap();
+        cache
+            .insert(&mut code, fp(3), c_addr, c_h, 0, None)
+            .unwrap();
         let m = cache.metrics(&code);
         assert_eq!(m.evictions, 1);
         assert_eq!(m.bytes_reclaimed, 16);
@@ -624,12 +757,16 @@ mod tests {
         let mut code = CodeSpace::new();
         let mut cache = CodeCache::with_budget(Some(16));
         let (a_addr, a_h) = emit(&mut code, 4);
-        cache.insert(&mut code, fp(1), a_addr, a_h, 16, 0).unwrap();
+        cache
+            .insert(&mut code, fp(1), a_addr, a_h, 0, None)
+            .unwrap();
         assert!(cache.pin(a_addr));
         // Inserting b would need to evict a, but a is pinned: the cache
         // goes over budget instead of invalidating handed-out code.
         let (b_addr, b_h) = emit(&mut code, 4);
-        cache.insert(&mut code, fp(2), b_addr, b_h, 16, 0).unwrap();
+        cache
+            .insert(&mut code, fp(2), b_addr, b_h, 0, None)
+            .unwrap();
         let m = cache.metrics(&code);
         assert_eq!(m.evictions, 0);
         assert_eq!(m.bytes_live, 32);
@@ -637,7 +774,9 @@ mod tests {
         // After unpinning, the next insert can evict a.
         assert!(cache.unpin(a_addr));
         let (c_addr, c_h) = emit(&mut code, 4);
-        cache.insert(&mut code, fp(3), c_addr, c_h, 16, 0).unwrap();
+        cache
+            .insert(&mut code, fp(3), c_addr, c_h, 0, None)
+            .unwrap();
         assert!(cache.metrics(&code).evictions >= 1);
         assert_eq!(cache.lookup(&fp(1)), None);
         let _ = c_addr;
@@ -648,7 +787,7 @@ mod tests {
         let mut code = CodeSpace::new();
         let mut cache = CodeCache::with_budget(Some(8));
         let (addr, h) = emit(&mut code, 4);
-        let out = cache.insert(&mut code, fp(1), addr, h, 16, 0).unwrap();
+        let out = cache.insert(&mut code, fp(1), addr, h, 0, None).unwrap();
         assert_eq!(out, InsertOutcome::TooLarge);
         assert_eq!(cache.lookup(&fp(1)), None);
         let m = cache.metrics(&code);
@@ -673,7 +812,7 @@ mod tests {
         // A disk hit that cost 300 ns against a 1000 ns compile saved
         // 700 ns — now, and on every future hit.
         cache
-            .insert_loaded(&mut code, fp(1), addr, h, 16, 1000, 300)
+            .insert(&mut code, fp(1), addr, h, 1000, Some(300))
             .expect("inserts");
         let m = cache.metrics(&code);
         assert_eq!(m.misses, 0, "a disk hit is not a compile miss");
@@ -685,7 +824,7 @@ mod tests {
         // never an underflow panic.
         let (b, hb) = emit(&mut code, 4);
         cache
-            .insert_loaded(&mut code, fp(2), b, hb, 16, 100, 500)
+            .insert(&mut code, fp(2), b, hb, 100, Some(500))
             .expect("inserts");
         assert_eq!(cache.metrics(&code).ns_saved, 1400);
     }

@@ -58,11 +58,12 @@ use std::collections::HashMap;
 use std::fs;
 use std::io::{self, Write as _};
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 use std::time::Instant;
 
 use tcc_obs::PersistMetrics;
 
-use crate::Fingerprint;
+use crate::{Artifact, Fingerprint};
 
 /// On-disk format version. Bump on any change to the framing or
 /// payload layout; stores written under a different version are
@@ -143,32 +144,6 @@ pub fn crc32(data: &[u8]) -> u32 {
     c ^ 0xFFFF_FFFF
 }
 
-/// One artifact as stored on disk: everything a session needs to
-/// re-install the function without recompiling (the persistent
-/// counterpart of `shared::Artifact`, minus the rebuildable
-/// translation).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct StoredArtifact {
-    /// Function name (diagnostics; install reuses it).
-    pub name: String,
-    /// Start word the function was sealed at in the compiling
-    /// session's code space; `install_function` rebases external
-    /// control transfers relative to this.
-    pub orig_start: usize,
-    /// The sealed function's encoded words.
-    pub words: Vec<u32>,
-    /// What the original compilation cost — disk hits credit
-    /// `compile_ns − load_ns` (saturating) to `ns_saved`.
-    pub compile_ns: u64,
-}
-
-impl StoredArtifact {
-    /// Code size in bytes (the cache budget unit).
-    pub fn bytes(&self) -> u64 {
-        (self.words.len() * 4) as u64
-    }
-}
-
 /// A frame of the file image, indexed at open under the key it claims.
 /// Its bounds are checked; its payload is not trusted until
 /// [`Frame::verify`] has passed.
@@ -192,7 +167,7 @@ impl Frame {
     /// `key` this frame is indexed (and was asked for) under. `None`
     /// on any failure — the caller drops the frame and counts it
     /// `corrupt_rejected`.
-    fn verify(&self, image: &[u8], key: &Fingerprint) -> Option<StoredArtifact> {
+    fn verify(&self, image: &[u8], key: &Fingerprint) -> Option<Artifact> {
         let payload = self.payload(image);
         if crc32(payload) != self.crc {
             return None;
@@ -206,8 +181,9 @@ impl Frame {
 enum Slot {
     /// Still in the file image.
     Frame(Frame),
-    /// Recorded by this process since open.
-    Recorded(StoredArtifact),
+    /// Recorded by this process since open: the same `Arc` the memo
+    /// or the shared shard holds, not a copy of its words.
+    Recorded(Arc<Artifact>),
 }
 
 /// The fingerprint-keyed persistent artifact store. One per store
@@ -306,18 +282,18 @@ impl PersistentStore {
     /// the nanoseconds the load cost (also accumulated into `load_ns`)
     /// so the caller can credit `compile_ns − load_ns` rather than the
     /// full compile time.
-    pub fn load(&mut self, fp: &Fingerprint) -> Option<(StoredArtifact, u64)> {
+    pub fn load(&mut self, fp: &Fingerprint) -> Option<(Arc<Artifact>, u64)> {
         let t0 = Instant::now();
         let art = match self.index.get(fp) {
             None => None,
-            Some(Slot::Recorded(art)) => Some(art.clone()),
+            Some(Slot::Recorded(art)) => Some(Arc::clone(art)),
             Some(Slot::Frame(frame)) => {
                 let art = frame.verify(&self.image, fp);
                 if art.is_none() {
                     self.index.remove(fp);
                     self.metrics.corrupt_rejected += 1;
                 }
-                art
+                art.map(Arc::new)
             }
         };
         match art {
@@ -337,14 +313,15 @@ impl PersistentStore {
     /// Records (or replaces) an artifact for `fp`. The store is
     /// rewritten at the next flush; a tombstoned fingerprint recorded
     /// again is resurrected.
-    pub fn record(&mut self, fp: Fingerprint, art: StoredArtifact) {
+    pub fn record(&mut self, fp: Fingerprint, art: Arc<Artifact>) {
         self.index.insert(fp, Slot::Recorded(art));
         self.dirty = true;
     }
 
     /// Drops the artifact for `fp` so the next flush omits it —
-    /// called when `SharedArtifacts::invalidate` (or private-cache
-    /// eviction policy) retires the fingerprint. Returns whether an
+    /// called when `SharedArtifacts::invalidate` retires the
+    /// fingerprint, or `Backing::discard` drops an artifact that
+    /// loaded clean but could not be installed. Returns whether an
     /// entry was resident.
     pub fn tombstone(&mut self, fp: &Fingerprint) -> bool {
         if self.index.remove(fp).is_some() {
@@ -501,7 +478,7 @@ fn push_frame(out: &mut Vec<u8>, crc: u32, payload: &[u8]) {
     out.extend_from_slice(payload);
 }
 
-fn encode_payload(fp: &Fingerprint, art: &StoredArtifact) -> Vec<u8> {
+fn encode_payload(fp: &Fingerprint, art: &Artifact) -> Vec<u8> {
     let key = fp.encoding();
     let mut p = Vec::with_capacity(key.len() + art.name.len() + art.words.len() * 4 + 32);
     p.extend_from_slice(&(key.len() as u32).to_le_bytes());
@@ -535,7 +512,7 @@ fn claimed_key(p: &[u8]) -> Option<(&[u8], &[u8])> {
 /// `None` on any structural problem (implausible length, short field,
 /// trailing garbage, non-UTF-8 name) — the caller counts it
 /// `corrupt_rejected`.
-fn decode_payload(p: &[u8]) -> Option<(&[u8], StoredArtifact)> {
+fn decode_payload(p: &[u8]) -> Option<(&[u8], Artifact)> {
     let (key, mut rest) = claimed_key(p)?;
     let mut take = |n: usize| -> Option<&[u8]> {
         let (field, tail) = rest.split_at_checked(n)?;
@@ -566,11 +543,13 @@ fn decode_payload(p: &[u8]) -> Option<(&[u8], StoredArtifact)> {
         .collect();
     Some((
         key,
-        StoredArtifact {
+        Artifact {
             name,
             orig_start: orig_start as usize,
             words,
+            bytes: rest.len() as u64,
             compile_ns,
+            translation: None,
         },
     ))
 }
@@ -588,15 +567,23 @@ mod tests {
         b.build()
     }
 
-    fn art(n: u64, words: usize) -> StoredArtifact {
-        StoredArtifact {
+    fn art(n: u64, words: usize) -> Arc<Artifact> {
+        Arc::new(Artifact {
             name: format!("f{n}"),
             orig_start: n as usize * 16,
             words: (0..words as u32)
                 .map(|w| w.wrapping_mul(n as u32))
                 .collect(),
+            bytes: words as u64 * 4,
             compile_ns: 1000 * n,
-        }
+            translation: None,
+        })
+    }
+
+    /// Everything the file stores of an artifact, for comparing one
+    /// read back against the one recorded.
+    fn stored(a: &Artifact) -> (&str, usize, &[u32], u64, u64) {
+        (&a.name, a.orig_start, &a.words, a.bytes, a.compile_ns)
     }
 
     /// A unique temp path per call (no tempfile dependency).
@@ -662,9 +649,9 @@ mod tests {
         assert_eq!(s.metrics().entries_loaded, 2);
         assert!(s.metrics().open_ns > 0, "open is timed");
         let (a, ns) = s.load(&fp(1)).expect("hit");
-        assert_eq!(a, art(1, 8));
+        assert_eq!(stored(&a), stored(&art(1, 8)));
         assert!(s.metrics().load_ns >= ns);
-        assert_eq!(s.load(&fp(2)).expect("hit").0, art(2, 4));
+        assert_eq!(stored(&s.load(&fp(2)).expect("hit").0), stored(&art(2, 4)));
         assert!(s.load(&fp(3)).is_none());
         let m = s.metrics();
         assert_eq!((m.disk_hits, m.disk_misses), (2, 1));
@@ -862,15 +849,15 @@ mod tests {
         let m = s.metrics();
         assert_eq!((m.corrupt_rejected, m.disk_misses), (1, 2));
         // The neighbours load bit-identically.
-        assert_eq!(s.load(&fp(1)).expect("hit").0, art(1, 6));
-        assert_eq!(s.load(&fp(3)).expect("hit").0, art(3, 6));
+        assert_eq!(stored(&s.load(&fp(1)).expect("hit").0), stored(&art(1, 6)));
+        assert_eq!(stored(&s.load(&fp(3)).expect("hit").0), stored(&art(3, 6)));
         // A flush after the rejection omits the bad frame.
         s.flush().unwrap();
         drop(s);
         let mut s = PersistentStore::open(&path, 9);
         assert_eq!(s.len(), 2);
         assert!(!s.contains(&fp(2)));
-        assert_eq!(s.load(&fp(3)).expect("hit").0, art(3, 6));
+        assert_eq!(stored(&s.load(&fp(3)).expect("hit").0), stored(&art(3, 6)));
         assert_eq!(s.metrics().corrupt_rejected, 0);
         cleanup(&path);
     }
@@ -893,7 +880,7 @@ mod tests {
         assert_eq!(s.len(), 3);
         assert!(!s.contains(&fp(2)));
         for n in [1, 3, 4] {
-            assert_eq!(s.load(&fp(n)).expect("hit").0, art(n, 6));
+            assert_eq!(stored(&s.load(&fp(n)).expect("hit").0), stored(&art(n, 6)));
         }
         assert_eq!(s.metrics().corrupt_rejected, 0);
         // And the survivors' file is the one a clean store would write.
@@ -923,7 +910,7 @@ mod tests {
         let m = s.metrics();
         assert_eq!((m.corrupt_rejected, m.disk_misses, m.disk_hits), (1, 1, 0));
         assert!(!s.contains(&fp(1)));
-        assert_eq!(s.load(&fp(3)).expect("hit").0, art(3, 6));
+        assert_eq!(stored(&s.load(&fp(3)).expect("hit").0), stored(&art(3, 6)));
         cleanup(&path);
     }
 
@@ -932,7 +919,7 @@ mod tests {
         let payload = encode_payload(&fp(1), &art(1, 6));
         let (key, decoded) = decode_payload(&payload).expect("well-formed");
         assert_eq!(key, fp(1).encoding());
-        assert_eq!(decoded, art(1, 6));
+        assert_eq!(stored(&decoded), stored(&art(1, 6)));
         for cut in 0..payload.len() {
             assert!(decode_payload(&payload[..cut]).is_none(), "cut at {cut}");
         }
@@ -962,8 +949,8 @@ mod tests {
         let mut a = PersistentStore::open(&pa, 3);
         let mut b = PersistentStore::open(&pb, 3);
         assert_eq!((a.len(), b.len()), (1, 1));
-        assert_eq!(a.load(&fp(1)).expect("hit").0, art(1, 4));
-        assert_eq!(b.load(&fp(2)).expect("hit").0, art(2, 8));
+        assert_eq!(stored(&a.load(&fp(1)).expect("hit").0), stored(&art(1, 4)));
+        assert_eq!(stored(&b.load(&fp(2)).expect("hit").0), stored(&art(2, 8)));
         drop((a, b));
         let _ = fs::remove_dir_all(&dir);
     }

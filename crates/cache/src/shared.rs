@@ -35,13 +35,14 @@
 //! compiles-per-unique-fingerprint.
 
 use std::collections::HashMap;
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
 use tcc_obs::{PersistMetrics, SharedCacheMetrics};
 use tcc_vm::SharedTranslation;
 
-use crate::persist::{PersistentStore, StoredArtifact};
+use crate::persist::PersistentStore;
 use crate::Fingerprint;
 
 /// Default shard count: enough to make cross-thread contention on
@@ -55,7 +56,10 @@ pub const DEFAULT_SHARDS: usize = 16;
 /// lose a race and evict nothing). Purely a runaway backstop.
 const MAX_EVICT_PASSES: usize = 4096;
 
-/// One compiled closure, immutable and shareable across threads.
+/// One compiled closure, immutable and shareable across threads: the
+/// one record a shard publishes, a [`PersistentStore`] records and
+/// reads back, and a session installs from — always behind the same
+/// `Arc`, never converted or copied between the three.
 ///
 /// Everything a session needs to *install* the function into its own
 /// `CodeSpace` and pre-seed its decoded translation — no addresses, no
@@ -75,7 +79,9 @@ pub struct Artifact {
     /// What the original compilation cost (hit-side savings signal).
     pub compile_ns: u64,
     /// Shared decoded translation, present when the function is
-    /// position-independent (see `SharedTranslation::build`).
+    /// position-independent (see `SharedTranslation::build`) and was
+    /// compiled in this process for a pool: the store does not
+    /// serialize it, sessions rebuild it lazily from the words.
     pub translation: Option<SharedTranslation>,
 }
 
@@ -217,22 +223,19 @@ impl SharedArtifacts {
         })
     }
 
-    /// Attaches a persistent store (first attach wins; later calls
-    /// return false and drop their store). From here on, misses
-    /// consult the store before claiming a compile slot, publishes
-    /// are recorded, and invalidations tombstone on the next flush.
-    pub fn attach_persist(&self, store: PersistentStore) -> bool {
+    /// Opens the store at `path` under `abi_salt` and attaches it.
+    /// First attach wins: a later call returns false without touching
+    /// the file, so every member of a pool can ask. From here on,
+    /// misses consult the store before claiming a compile slot,
+    /// publishes are recorded, and invalidations tombstone on the next
+    /// flush.
+    pub fn attach_persist(&self, path: impl Into<PathBuf>, abi_salt: u64) -> bool {
         let mut p = lock(&self.persist);
         if p.is_some() {
             return false;
         }
-        *p = Some(store);
+        *p = Some(PersistentStore::open(path, abi_salt));
         true
-    }
-
-    /// Whether a persistent store is attached.
-    pub fn has_persist(&self) -> bool {
-        lock(&self.persist).is_some()
     }
 
     /// Flushes the attached store (atomic temp-file + rename). A
@@ -259,11 +262,6 @@ impl SharedArtifacts {
     /// A budget-bounded cache with [`DEFAULT_SHARDS`] shards.
     pub fn with_budget(budget: u64) -> Arc<SharedArtifacts> {
         Self::new(DEFAULT_SHARDS, Some(budget))
-    }
-
-    /// The configured global byte budget, if any.
-    pub fn budget(&self) -> Option<u64> {
-        self.budget
     }
 
     /// Published artifacts currently resident.
@@ -367,30 +365,24 @@ impl SharedArtifacts {
     /// matched its key; a frame that fails is a miss here — publishes
     /// the loaded artifact into the (already locked) shard as `Ready`.
     /// The caller still holds the shard lock — it must drop it before
-    /// calling `enforce_budget`. Translations are not persisted;
-    /// sessions rebuild them lazily from the words.
+    /// calling `enforce_budget`.
     fn persist_fill(&self, fp: &Fingerprint, shard: &mut Shard) -> Option<Arc<Artifact>> {
         let loaded = lock(&self.persist).as_mut()?.load(fp);
-        let (stored, _load_ns) = loaded?;
-        let artifact = Arc::new(Artifact {
-            name: stored.name,
-            orig_start: stored.orig_start,
-            bytes: (stored.words.len() * 4) as u64,
-            words: stored.words,
-            compile_ns: stored.compile_ns,
-            translation: None,
-        });
-        let last_use = self.next_use();
-        shard.entries.insert(
-            fp.clone(),
-            Slot::Ready {
-                artifact: Arc::clone(&artifact),
-                last_use,
-            },
-        );
+        let (artifact, _load_ns) = loaded?;
+        self.make_ready(shard, fp, &artifact);
+        Some(artifact)
+    }
+
+    /// Makes `artifact` the resident answer for `fp` in its (locked)
+    /// shard, on the books.
+    fn make_ready(&self, shard: &mut Shard, fp: &Fingerprint, artifact: &Arc<Artifact>) {
+        let slot = Slot::Ready {
+            artifact: Arc::clone(artifact),
+            last_use: self.next_use(),
+        };
+        shard.entries.insert(fp.clone(), slot);
         self.bytes_live.fetch_add(artifact.bytes, Ordering::Relaxed);
         self.entries.fetch_add(1, Ordering::Relaxed);
-        Some(artifact)
     }
 
     /// Nonblocking slot inspection (deterministic interleaving tests).
@@ -545,11 +537,6 @@ impl SharedArtifacts {
 }
 
 impl CompileClaim {
-    /// The fingerprint this claim owns.
-    pub fn fingerprint(&self) -> &Fingerprint {
-        &self.fp
-    }
-
     /// Publishes the compiled artifact: stores it (evicting under the
     /// budget), wakes every waiter with the `Arc`, and returns it. An
     /// artifact larger than the whole budget is *not* retained
@@ -569,18 +556,7 @@ impl CompileClaim {
             );
             if ours {
                 if retain {
-                    let last_use = owner.next_use();
-                    shard.entries.insert(
-                        self.fp.clone(),
-                        Slot::Ready {
-                            artifact: Arc::clone(&artifact),
-                            last_use,
-                        },
-                    );
-                    owner
-                        .bytes_live
-                        .fetch_add(artifact.bytes, Ordering::Relaxed);
-                    owner.entries.fetch_add(1, Ordering::Relaxed);
+                    owner.make_ready(&mut shard, &self.fp, &artifact);
                 } else {
                     shard.entries.remove(&self.fp);
                     owner.uncacheable.fetch_add(1, Ordering::Relaxed);
@@ -589,18 +565,9 @@ impl CompileClaim {
         }
         // Record to the persistent store (memory-budget decisions do
         // not apply to disk: even an uncacheable-in-memory artifact is
-        // worth a warm start). The translation is intentionally not
-        // serialized — it is rebuilt lazily from the words.
+        // worth a warm start).
         if let Some(store) = lock(&owner.persist).as_mut() {
-            store.record(
-                self.fp.clone(),
-                StoredArtifact {
-                    name: artifact.name.clone(),
-                    orig_start: artifact.orig_start,
-                    words: artifact.words.clone(),
-                    compile_ns: artifact.compile_ns,
-                },
-            );
+            store.record(self.fp.clone(), Arc::clone(&artifact));
         }
         owner.published.fetch_add(1, Ordering::Relaxed);
         {
@@ -847,11 +814,8 @@ mod tests {
         // Process 1: compile, publish, invalidate one, flush on drop.
         {
             let cache = SharedArtifacts::unbounded();
-            assert!(cache.attach_persist(PersistentStore::open(&path, 77)));
-            assert!(
-                !cache.attach_persist(PersistentStore::open(&path, 77)),
-                "second attach loses"
-            );
+            assert!(cache.attach_persist(&path, 77));
+            assert!(!cache.attach_persist(&path, 77), "second attach loses");
             for n in [1, 2] {
                 let Acquire::Miss(c) = cache.get_or_begin(&fp(n)) else {
                     panic!("cold process must miss");
@@ -868,7 +832,7 @@ mod tests {
         // slot claimed); the invalidated one is cold.
         {
             let cache = SharedArtifacts::unbounded();
-            assert!(cache.attach_persist(PersistentStore::open(&path, 77)));
+            assert!(cache.attach_persist(&path, 77));
             match cache.get_or_begin(&fp(1)) {
                 Acquire::Hit { artifact, waited } => {
                     assert!(!waited);
@@ -899,7 +863,7 @@ mod tests {
         let _ = std::fs::remove_file(format!("{}.lock", path.display()));
         {
             let cache = SharedArtifacts::unbounded();
-            assert!(cache.attach_persist(PersistentStore::open(&path, 77)));
+            assert!(cache.attach_persist(&path, 77));
             for n in [1, 2] {
                 let Acquire::Miss(c) = cache.get_or_begin(&fp(n)) else {
                     panic!("cold process must miss");
@@ -914,7 +878,7 @@ mod tests {
         std::fs::write(&path, &bytes).unwrap();
         {
             let cache = SharedArtifacts::unbounded();
-            assert!(cache.attach_persist(PersistentStore::open(&path, 77)));
+            assert!(cache.attach_persist(&path, 77));
             assert_eq!(cache.persist_metrics().unwrap().entries_loaded, 2);
             let mut claims = Vec::new();
             for n in [1, 2] {
@@ -933,7 +897,7 @@ mod tests {
         }
         // The recompile was recorded: the next process fills both.
         let cache = SharedArtifacts::unbounded();
-        assert!(cache.attach_persist(PersistentStore::open(&path, 77)));
+        assert!(cache.attach_persist(&path, 77));
         for n in [1, 2] {
             assert!(matches!(cache.get_or_begin(&fp(n)), Acquire::Hit { .. }));
         }

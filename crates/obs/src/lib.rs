@@ -228,14 +228,16 @@ impl VmMetrics {
 /// healthy the underlying code space is.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct CacheMetrics {
-    /// `compile` calls answered with an existing function address.
+    /// `compile` calls answered without compiling: from the session
+    /// memo, or by installing an artifact fetched from disk or the pool.
     pub hits: u64,
     /// `compile` calls that ran the CGF and inserted the result.
     pub misses: u64,
     /// Closures that cannot be memoized (e.g. `$`-expressions that read
     /// memory at compile time) or that exceed the whole code budget.
     pub uncacheable: u64,
-    /// Entries evicted (LRU) to stay under the code budget.
+    /// Entries whose code was freed: evicted (LRU) to stay under the
+    /// code budget, or dropped because the pool retired the artifact.
     pub evictions: u64,
     /// Bytes of code currently live in cached functions.
     pub bytes_live: u64,
@@ -247,8 +249,11 @@ pub struct CacheMetrics {
     /// Compile nanoseconds avoided by hits (the sum of each hit
     /// entry's original compile time).
     pub ns_saved: u64,
-    /// Nanoseconds actually spent answering hits (fingerprint walk +
-    /// lookup) — compare against [`CacheMetrics::ns_saved`].
+    /// Nanoseconds actually spent answering hits — the whole `compile`
+    /// intercept of every call answered without compiling: depth
+    /// probe, fingerprint walk, lookup and, for a function fetched
+    /// from disk or the pool, its load and install. The same clock
+    /// `ns_saved`'s compile times run on, so the two compare.
     pub hit_ns: u64,
 }
 

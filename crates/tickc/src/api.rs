@@ -6,7 +6,7 @@ use std::fmt;
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Instant;
-use tcc_cache::{PersistentStore, SharedArtifacts};
+use tcc_cache::{Backing, CodeCache, PersistentStore, SharedArtifacts};
 use tcc_front::{FrontError, Program};
 use tcc_mir::{build_image_scheduled, Image, OptLevel};
 use tcc_obs::{
@@ -59,11 +59,18 @@ pub struct Config {
     pub cost: CostModel,
     /// Echo program output to stdout.
     pub echo: bool,
-    /// Memoize `compile` calls on closure fingerprints (`tcc-cache`).
+    /// Memoize `compile` calls on closure fingerprints: the session
+    /// memo (`tcc_cache::CodeCache`) records every function this
+    /// session has installed and answers a repeat `compile` with its
+    /// address. `false` = no memo and nothing behind it, every
+    /// `compile` compiles — in a private session; a pool session
+    /// (`shared` set) always has its memo.
     pub cache: bool,
-    /// Byte budget for live cached dynamic code; exceeding it evicts
-    /// least-recently-used unpinned entries and reclaims their code
-    /// space. `None` = unbounded. Only meaningful with `cache`.
+    /// Byte budget for the dynamic code the memo keeps live; exceeding
+    /// it evicts least-recently-used unpinned entries and reclaims
+    /// their code space. `None` = unbounded. In a pool it bounds this
+    /// session's *local* installs and never touches the shared table
+    /// (whose own budget is `SharedArtifacts::new`'s).
     pub code_budget: Option<u64>,
     /// Seed for random placement of dynamic code (the paper's §4.4
     /// cache-conscious jitter). `None` = deterministic layout.
@@ -96,13 +103,15 @@ pub struct Config {
     /// adjacencies). Ablation knob; on by default.
     pub icode_schedule: bool,
     /// Process-wide shared artifact cache (`tcc-serve` multi-tenant
-    /// mode). Sessions constructed with clones of one
-    /// [`SharedArtifacts`] compile each unique closure once between
-    /// them: the first compiler publishes, concurrent requesters block
-    /// on the in-flight slot, and later requesters install the
-    /// published words into their own code space. Setting this
-    /// disables the per-session `cache` memo (the installed-copy memo
-    /// plays its role, and keeps the shared hit rate measurable).
+    /// mode): what stands behind the memo in a pool. Sessions built
+    /// around clones of one [`SharedArtifacts`] compile each unique
+    /// closure once between them: a memo miss asks the shared table,
+    /// the first compiler publishes, concurrent requesters block on
+    /// the in-flight slot, and later requesters install the published
+    /// words into their own code space and memo. A memo hit still
+    /// counts as a shared hit (`SharedArtifacts::touch`). When the pool
+    /// evicts or invalidates an artifact, each session drops its local
+    /// copy at its next call, pinned or not.
     pub shared: Option<Arc<SharedArtifacts>>,
     /// Shared background translation worker: one `tcc-translate`
     /// thread serving every session's adaptive tier promotions instead
@@ -118,10 +127,12 @@ pub struct Config {
     /// ([`persist_abi_salt`]) — a store written by an incompatible
     /// build or a different source program is rejected whole as
     /// `version_rejected`, never served. With `shared` set, the store
-    /// attaches to the [`SharedArtifacts`] (first session in the pool
-    /// wins; disk fills answer misses before compile-slot claims);
-    /// otherwise it backs the private `cache`. `None` = in-memory
-    /// caching only.
+    /// attaches to the [`SharedArtifacts`] (the first session in the
+    /// pool to ask opens it; disk fills answer misses before
+    /// compile-slot claims); otherwise it stands directly behind this
+    /// session's memo (and is not opened when `cache` is off). Either
+    /// way a stored artifact that loads clean but cannot be installed
+    /// is dropped and recompiled. `None` = in-memory caching only.
     pub persist_path: Option<PathBuf>,
 }
 
@@ -241,26 +252,22 @@ impl Session {
         );
         rt.echo = config.echo;
         rt.icode_schedule = config.icode_schedule;
-        rt.cache = (config.cache && config.shared.is_none())
-            .then(|| tcc_cache::CodeCache::with_budget(config.code_budget));
-        if let Some(path) = &config.persist_path {
-            let salt = persist_abi_salt(&image, &config.cost);
-            match &config.shared {
-                // Pool mode: the store serves every session through the
-                // shared cache. First attach wins — later pool members
-                // open read-only stores that are dropped here.
-                Some(shared) if !shared.has_persist() => {
-                    shared.attach_persist(PersistentStore::open(path, salt));
+        // Without a memo there is nothing for a backing to stand behind.
+        let memo = config.cache || config.shared.is_some();
+        rt.cache = memo.then(|| CodeCache::with_budget(config.code_budget));
+        let salt = || persist_abi_salt(&image, &config.cost);
+        rt.backing = match (config.shared, &config.persist_path) {
+            // The store serves every session through the pool: the
+            // first member to ask opens it, the rest find it attached.
+            (Some(shared), path) => {
+                if let Some(path) = path {
+                    shared.attach_persist(path, salt());
                 }
-                Some(_) => {}
-                // Private mode: the store backs this session's cache.
-                None if rt.cache.is_some() => {
-                    rt.persist = Some(PersistentStore::open(path, salt));
-                }
-                None => {}
+                Backing::Shared(shared)
             }
-        }
-        rt.shared = config.shared;
+            (None, Some(path)) if memo => Backing::Disk(PersistentStore::open(path, salt())),
+            (None, _) => Backing::None,
+        };
         rt.shared_cost = config.cost.clone();
         let mut code = image.code.clone();
         if let Some(seed) = config.placement_jitter {
@@ -299,17 +306,16 @@ impl Session {
         Session::new(src, Config::default())
     }
 
-    /// Reconciles with the shared artifact cache (no-op outside shared
-    /// mode): frees local installs of artifacts another session's
-    /// churn evicted or invalidated, so their stale addresses fault
+    /// Reconciles the memo with the pool (no-op outside a pool): frees
+    /// local installs of artifacts another session's churn evicted or
+    /// invalidated, so their stale addresses fault
     /// `VmError::StaleCode` instead of running dropped code.
     fn sync_shared(&mut self) {
-        let stale = self.vm.host_mut().collect_stale_installs();
-        for handle in stale {
-            // free_function bumps the code space's live epoch; a
-            // failure (already freed) is impossible for handles the
-            // install memo owned, but harmless to ignore.
-            let _ = self.vm.state_mut().code.free_function(handle);
+        let (state, rt) = self.vm.parts_mut();
+        if let Some(memo) = &mut rt.cache {
+            // Freeing a function the memo owns cannot fail: nothing
+            // else holds its handle.
+            let _ = memo.sync(&mut state.code, &rt.backing);
         }
     }
 
@@ -455,25 +461,12 @@ impl Session {
                 .as_ref()
                 .map(|c| c.metrics(&self.vm.state().code))
                 .unwrap_or_default(),
-            persist: self
-                .vm
-                .host()
-                .persist
-                .as_ref()
-                .map(|s| s.metrics())
-                .or_else(|| {
-                    self.vm
-                        .host()
-                        .shared
-                        .as_ref()
-                        .and_then(|s| s.persist_metrics())
-                })
-                .unwrap_or_default(),
+            persist: self.vm.host().backing.persist_metrics(),
         }
     }
 
     /// Flushes the persistent artifact store (atomic temp-file +
-    /// rename), whether it backs this session's private cache or the
+    /// rename), whether it stands behind this session's memo or the
     /// pool's shared cache. A no-op `Ok` without a store; an error
     /// when this process is not the store's writer or the write
     /// fails. Unflushed writer state also flushes on session drop.
@@ -483,13 +476,7 @@ impl Session {
     /// Read-only store (another process holds the writer lock) or I/O
     /// failure writing the file.
     pub fn flush_persist(&mut self) -> std::io::Result<()> {
-        if let Some(store) = self.vm.host_mut().persist.as_mut() {
-            return store.flush();
-        }
-        if let Some(shared) = &self.vm.host().shared {
-            return shared.flush_persist();
-        }
-        Ok(())
+        self.vm.host_mut().backing.flush()
     }
 
     /// Pins the cached dynamic function at `addr` so the code budget can
@@ -497,6 +484,9 @@ impl Session {
     /// not a cached function. Addresses handed out by `compile` are
     /// otherwise evictable once the budget tightens; calling a
     /// subsequently evicted address faults with `VmError::StaleCode`.
+    /// A pin guards against this session's *budget* only: in a pool, a
+    /// shared invalidation or eviction of the artifact still drops the
+    /// local copy.
     pub fn pin_code(&mut self, addr: u64) -> bool {
         self.vm
             .host_mut()

@@ -13,10 +13,7 @@ use crate::fingerprint::{fingerprint_closure, tick_reads_memory};
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
-use tcc_cache::{
-    Acquire, Artifact, CodeCache, Fingerprint, FingerprintBuilder, PersistentStore,
-    SharedArtifacts, StoredArtifact,
-};
+use tcc_cache::{Artifact, Backing, CodeCache, Fetched, Fingerprint, FingerprintBuilder};
 use tcc_front::Program;
 use tcc_icode::prune::{key_of, OpKey};
 use tcc_icode::{IcodeBuf, IcodeCompiler, Strategy, TranslatorTable};
@@ -164,14 +161,6 @@ fn run_backend(
     }
 }
 
-/// This session's locally installed copy of a shared artifact: the
-/// address handed back to program code and the handle to free when the
-/// shared cache drops the artifact.
-struct InstalledShared {
-    addr: u64,
-    handle: tcc_vm::FuncHandle,
-}
-
 /// The runtime: implements [`HostCall`] for a loaded `C program.
 pub struct TccRuntime {
     /// The analyzed program (tick table for CGFs).
@@ -204,26 +193,16 @@ pub struct TccRuntime {
     /// [`TranslatorTable::from_keys`] to build the pruned back end
     /// (the §5.2 "link-time" analysis, observed at run time here).
     pub observed_keys: std::collections::BTreeSet<OpKey>,
-    /// Compile memoization + code lifecycle (`None` = caching disabled).
+    /// The session memo: every function this session has installed,
+    /// keyed by closure fingerprint, with the code budget, pins and
+    /// eviction — in every mode. `None` (`Config::cache` off in a
+    /// private session) = no fingerprint is taken, every `compile`
+    /// compiles.
     pub cache: Option<CodeCache>,
-    /// On-disk persistent artifact store for the *private* cache path
-    /// (`Config::persist_path` without `shared`): disk hits answer
-    /// cache misses before a fresh compile, fresh compiles are
-    /// recorded for the next process. In shared mode the store
-    /// attaches to the `SharedArtifacts` instead and this stays
-    /// `None`.
-    pub persist: Option<PersistentStore>,
-    /// Process-wide shared artifact cache (`tcc-serve` multi-tenant
-    /// mode): compile each unique fingerprint once across sessions.
-    /// `None` = this session compiles only for itself.
-    pub shared: Option<Arc<SharedArtifacts>>,
-    /// Fingerprint → this session's installed copy of a shared
-    /// artifact (the per-session memo in shared mode).
-    installed: HashMap<Fingerprint, InstalledShared>,
-    /// Shared-cache generation this session last synced against; a
-    /// change means installs may be stale (see
-    /// [`TccRuntime::collect_stale_installs`]).
-    shared_gen_seen: u64,
+    /// What stands behind the memo: nothing, this session's own store,
+    /// or the pool's shared table (which carries the pool's store).
+    /// Reached only through a memo miss.
+    pub backing: Backing,
     /// Translations carried by installed artifacts, to be pre-seeded
     /// into the VM's per-function translation cache once the current
     /// call unwinds (the host cannot reach the engine from inside a
@@ -262,10 +241,7 @@ impl TccRuntime {
             icode_schedule: true,
             observed_keys: std::collections::BTreeSet::new(),
             cache: Some(CodeCache::new()),
-            persist: None,
-            shared: None,
-            installed: HashMap::new(),
-            shared_gen_seen: 0,
+            backing: Backing::None,
             pending_preseeds: Vec::new(),
             shared_cost: CostModel::default(),
             tick_cacheable: HashMap::new(),
@@ -280,187 +256,74 @@ impl TccRuntime {
         String::from_utf8_lossy(&self.out).into_owned()
     }
 
-    /// Reconciles this session's installed copies of shared artifacts
-    /// with the shared cache after an eviction/invalidation elsewhere:
-    /// when the generation stamp moved, drops every install whose
-    /// artifact is no longer resident and returns its handle. The
-    /// caller must `free_function` each handle in its `CodeSpace` —
-    /// that bumps the live epoch, so executing a dropped address faults
-    /// `VmError::StaleCode` exactly as in the single-session lifecycle.
-    pub fn collect_stale_installs(&mut self) -> Vec<tcc_vm::FuncHandle> {
-        let Some(shared) = &self.shared else {
-            return Vec::new();
-        };
-        let generation = shared.generation();
-        if generation == self.shared_gen_seen {
-            return Vec::new();
-        }
-        self.shared_gen_seen = generation;
-        let mut dropped = Vec::new();
-        self.installed.retain(|fp, inst| {
-            if shared.contains(fp) {
-                true
-            } else {
-                dropped.push(inst.handle);
-                false
-            }
-        });
-        dropped
-    }
-
     /// Takes the translations queued by installed artifacts, to be fed
     /// to `Vm::preseed_translation` between calls.
     pub(crate) fn take_pending_preseeds(&mut self) -> Vec<(u64, SharedTranslation)> {
         std::mem::take(&mut self.pending_preseeds)
     }
 
-    fn compile(&mut self, st: &mut MachineState) -> Result<(), VmError> {
-        let closure = st.arg(0);
-        let ret_kind = match st.arg(1) as u8 {
-            255 => None,
-            c => Some(
-                ValKind::from_code(c)
-                    .ok_or_else(|| VmError::Host(format!("bad return kind code {c}")))?,
-            ),
+    /// The closure's memo key: back end and options, then the closure
+    /// tree — CGF identities, `$`-constant values, composed structure.
+    /// `None` when there is no memo to key, or the closure cannot have
+    /// one: a `$`-expression reads memory, or a pruned translator table
+    /// (ablation only) changes codegen behind the fingerprint's back.
+    fn fingerprint(
+        &mut self,
+        mem: &Memory,
+        closure: u64,
+        ret_kind: Option<ValKind>,
+    ) -> Result<Option<Fingerprint>, VmError> {
+        if self.cache.is_none() || self.table.is_some() {
+            return Ok(None);
+        }
+        let mut b = FingerprintBuilder::new();
+        match &self.backend {
+            Backend::Vcode { unchecked } => {
+                b.push_tag(0);
+                b.push_tag(*unchecked as u8);
+            }
+            Backend::Icode { strategy } => {
+                b.push_tag(1);
+                b.push_tag(matches!(strategy, Strategy::GraphColor) as u8);
+            }
+        }
+        b.push_tag(self.cspec_first as u8);
+        b.push_tag(self.enable_unroll as u8);
+        b.push_tag(ret_kind.map_or(255, ValKind::code));
+        let prog = &self.prog;
+        let memo = &mut self.tick_cacheable;
+        let mut cacheable = |id: usize| {
+            *memo
+                .entry(id)
+                .or_insert_with(|| !tick_reads_memory(prog, id))
         };
-        let t0 = Instant::now();
+        let keyed = fingerprint_closure(mem, prog, closure, &mut cacheable, &mut b)?;
+        Ok(keyed.then(|| b.build()))
+    }
+
+    /// Runs the CGF walk and the selected back end on `closure` —
+    /// inline for shallow compositions, on a depth-sized stack for
+    /// deep ones — and folds what it did into the session's
+    /// [`DynStats`]. Returns the new function's address and handle.
+    fn run_compile(
+        &mut self,
+        mem: &mut Memory,
+        code: &mut CodeSpace,
+        name: &str,
+        closure: u64,
+        ret_kind: Option<ValKind>,
+        depth: u32,
+    ) -> Result<(u64, tcc_vm::FuncHandle), VmError> {
         let input = DynInput {
             prog: &self.prog,
             func_addrs: &self.func_addrs,
             global_addrs: &self.global_addrs,
         };
-        // Every intercept takes a sequence number, but only a compile
-        // spends a `format!` on it: hits answer with the name the
-        // artifact was compiled (or stored) under.
-        self.dyn_seq += 1;
-        let MachineState { code, mem, .. } = st;
-        // Probe the composition depth first (iteratively, so a runaway
-        // nest cannot overflow the host stack before the limit check in
-        // the recursive walk fires), then pick where the walk runs.
-        let depth = probe_compose_depth(mem, &self.prog, closure)?;
-        // Consult the memoization cache: if this exact closure — CGF
-        // identities, `$`-constant values, composed structure, same
-        // backend options — was compiled before, reuse the generated
-        // function instead of walking the CGF again. A pruned translator
-        // table changes codegen behind the fingerprint's back, so its
-        // (ablation-only) presence bypasses the cache.
-        let want_fp = (self.cache.is_some() || self.shared.is_some()) && self.table.is_none();
-        let fp = if want_fp {
-            let t_fp = Instant::now();
-            let mut b = FingerprintBuilder::new();
-            match &self.backend {
-                Backend::Vcode { unchecked } => {
-                    b.push_tag(0);
-                    b.push_tag(*unchecked as u8);
-                }
-                Backend::Icode { strategy } => {
-                    b.push_tag(1);
-                    b.push_tag(matches!(strategy, Strategy::GraphColor) as u8);
-                }
-            }
-            b.push_tag(self.cspec_first as u8);
-            b.push_tag(self.enable_unroll as u8);
-            b.push_tag(ret_kind.map_or(255, ValKind::code));
-            let prog = &self.prog;
-            let memo = &mut self.tick_cacheable;
-            let mut cacheable = |id: usize| {
-                *memo
-                    .entry(id)
-                    .or_insert_with(|| !tick_reads_memory(prog, id))
-            };
-            if fingerprint_closure(mem, prog, closure, &mut cacheable, &mut b)? {
-                let fp = b.build();
-                if let Some(cache) = &mut self.cache {
-                    if let Some(addr) = cache.lookup(&fp) {
-                        cache.note_hit_ns(t_fp.elapsed().as_nanos() as u64);
-                        st.set_ret(addr);
-                        return Ok(());
-                    }
-                }
-                Some(fp)
-            } else {
-                if let Some(cache) = &mut self.cache {
-                    cache.note_uncacheable();
-                }
-                None
-            }
-        } else {
-            if let Some(cache) = &mut self.cache {
-                cache.note_uncacheable();
-            }
-            None
-        };
-        // Private persistent store: a cache miss consults disk before
-        // compiling — warm-started processes re-install the previous
-        // process's sealed words instead of walking the CGF. `load`
-        // verifies the frame (CRC, full decode, key) before returning a
-        // word of it, and its time is in `load_ns`. The hit credits
-        // `compile_ns − load_ns` (insert_loaded), so savings are never
-        // overstated; a rejected frame, like a failed install (rebased
-        // jump out of range), falls through to a fresh compile.
-        if let (Some(fp_ref), Some(store)) = (&fp, self.persist.as_mut()) {
-            if let Some((stored, load_ns)) = store.load(fp_ref) {
-                if let Ok((addr, handle)) =
-                    code.install_function(&stored.name, &stored.words, stored.orig_start)
-                {
-                    if let Some(cache) = self.cache.as_mut() {
-                        cache.insert_loaded(
-                            code,
-                            fp_ref.clone(),
-                            addr,
-                            handle,
-                            stored.bytes(),
-                            stored.compile_ns,
-                            load_ns,
-                        )?;
-                        // The whole intercept (fingerprint + disk load
-                        // + install) is this hit's answer cost — the
-                        // warm-start side of the persist benchmark.
-                        cache.note_hit_ns(t0.elapsed().as_nanos() as u64);
-                    }
-                    st.set_ret(addr);
-                    return Ok(());
-                }
-            }
-        }
-        // Shared multi-tenant path: serve from this session's installed
-        // copy, then from the shared cache (installing its words into
-        // our own code space), and only then compile — holding the
-        // in-flight claim so concurrent sessions block on this compile
-        // instead of duplicating it.
-        let mut claim = None;
-        if let (Some(fp_ref), Some(shared)) = (&fp, self.shared.clone()) {
-            if let Some(inst) = self.installed.get(fp_ref) {
-                shared.touch(fp_ref);
-                st.set_ret(inst.addr);
-                return Ok(());
-            }
-            match shared.get_or_begin(fp_ref) {
-                Acquire::Hit { artifact, .. } => {
-                    // A failed install (e.g. a rebased jump out of
-                    // range) falls through to a private compile,
-                    // without a claim.
-                    if let Ok((addr, handle)) =
-                        code.install_function(&artifact.name, &artifact.words, artifact.orig_start)
-                    {
-                        if let Some(tr) = &artifact.translation {
-                            self.pending_preseeds.push((addr, tr.clone()));
-                        }
-                        self.installed
-                            .insert(fp_ref.clone(), InstalledShared { addr, handle });
-                        st.set_ret(addr);
-                        return Ok(());
-                    }
-                }
-                Acquire::Miss(c) => claim = Some(c),
-            }
-        }
-        let name = format!("dyn{}", self.dyn_seq);
         let backend = &self.backend;
         let table = self.table.as_ref();
         let (cspec_first, enable_unroll) = (self.cspec_first, self.enable_unroll);
         let icode_schedule = self.icode_schedule;
-        let outcome = if depth <= INLINE_COMPOSE_DEPTH {
+        let mut run = || {
             run_backend(
                 backend,
                 table,
@@ -470,31 +333,20 @@ impl TccRuntime {
                 input,
                 mem,
                 code,
-                &name,
+                name,
                 closure,
                 ret_kind,
-            )?
+            )
+        };
+        let outcome = if depth <= INLINE_COMPOSE_DEPTH {
+            run()?
         } else {
             let stack_size = DEEP_STACK_BASE + depth as usize * DEEP_STACK_PER_LEVEL;
             std::thread::scope(|scope| {
                 std::thread::Builder::new()
                     .name("tcc-deep-compile".into())
                     .stack_size(stack_size)
-                    .spawn_scoped(scope, || {
-                        run_backend(
-                            backend,
-                            table,
-                            cspec_first,
-                            enable_unroll,
-                            icode_schedule,
-                            input,
-                            mem,
-                            code,
-                            &name,
-                            closure,
-                            ret_kind,
-                        )
-                    })
+                    .spawn_scoped(scope, run)
                     .map_err(|e| VmError::Host(format!("cannot spawn compile thread: {e}")))?
                     .join()
                     .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
@@ -508,52 +360,127 @@ impl TccRuntime {
         self.stats.spills += outcome.spills;
         self.observed_keys.extend(outcome.keys);
         self.stats.compiles += 1;
-        self.stats.total_ns += t0.elapsed().as_nanos() as u64;
         self.stats.generated_insns += outcome.insns;
-        if let Some(fp) = fp {
-            let compile_ns = t0.elapsed().as_nanos() as u64;
-            if let Some(claim) = claim {
-                // Publish for other sessions; every waiter wakes with
-                // the Arc'd artifact instead of recompiling.
-                let (orig_start, words) = code.function_words(outcome.handle)?;
-                let bytes = (words.len() * 4) as u64;
-                let translation = SharedTranslation::build(&words, &self.shared_cost);
-                claim.publish(Artifact {
-                    name: name.clone(),
-                    orig_start,
-                    words,
-                    bytes,
-                    compile_ns,
-                    translation,
-                });
-                self.installed.insert(
-                    fp.clone(),
-                    InstalledShared {
-                        addr: outcome.addr,
-                        handle: outcome.handle,
-                    },
-                );
+        Ok((outcome.addr, outcome.handle))
+    }
+
+    /// The `compile` intercept (§4.4): the one place a closure becomes
+    /// code, and one chain from the closure to the code space —
+    ///
+    /// ```text
+    /// fingerprint → memo ─miss→ backing ─hit→ install ──────────────→ memo insert
+    ///                 │            └─miss (or not installable)→ compile → publish ─┘
+    ///                 └─hit→ return the address
+    /// ```
+    ///
+    /// with one `install_function` call, one memo insert and one
+    /// publish, whatever the backing is.
+    fn compile(&mut self, st: &mut MachineState) -> Result<(), VmError> {
+        let closure = st.arg(0);
+        let ret_kind = match st.arg(1) as u8 {
+            255 => None,
+            c => Some(
+                ValKind::from_code(c)
+                    .ok_or_else(|| VmError::Host(format!("bad return kind code {c}")))?,
+            ),
+        };
+        let t0 = Instant::now();
+        let since_t0 = || t0.elapsed().as_nanos() as u64;
+        // Every intercept takes a sequence number, but only a compile
+        // spends a `format!` on it: hits answer with the name the
+        // artifact was compiled (or stored) under.
+        self.dyn_seq += 1;
+        let MachineState { code, mem, .. } = st;
+        // Probe the composition depth first (iteratively, so a runaway
+        // nest cannot overflow the host stack before the limit check in
+        // the recursive walks fires), then pick where the walk runs.
+        let depth = probe_compose_depth(mem, &self.prog, closure)?;
+
+        // Fingerprint, then the memo: if this exact closure is already
+        // in this session's code space, hand back its address. A pool
+        // keeps its hit counter and global LRU through `touch`.
+        let fp = self.fingerprint(mem, closure, ret_kind)?;
+        match (&mut self.cache, &fp) {
+            (Some(cache), Some(fp)) => {
+                if let Some(addr) = cache.lookup(fp) {
+                    self.backing.touch(fp);
+                    cache.note_hit_ns(since_t0());
+                    st.set_ret(addr);
+                    return Ok(());
+                }
             }
-            if let Some(store) = self.persist.as_mut() {
-                // Record for the next process before `fp` moves into
-                // the in-memory insert below.
-                let (orig_start, words) = code.function_words(outcome.handle)?;
-                store.record(
-                    fp.clone(),
-                    StoredArtifact {
-                        name: name.clone(),
-                        orig_start,
-                        words,
-                        compile_ns,
-                    },
-                );
+            (Some(cache), None) => cache.note_uncacheable(),
+            (None, _) => {}
+        }
+
+        // The backing, and the one install site: words from disk or
+        // from another session become executable here and nowhere
+        // else. An artifact this code space cannot take (undecodable
+        // word, cross-function branch, rebased jump out of range) is
+        // discarded, so the next fetch misses — in a pool, with the
+        // claim that makes other sessions wait for the compile below.
+        let mut fetched = None;
+        let mut claim = None;
+        if let Some(fp) = &fp {
+            claim = loop {
+                let (artifact, load_ns) = match self.backing.fetch(fp) {
+                    Fetched::Hit(artifact, load_ns) => (artifact, load_ns),
+                    Fetched::Miss(claim) => break claim,
+                };
+                match code.install_function(&artifact.name, &artifact.words, artifact.orig_start) {
+                    Ok((addr, handle)) => {
+                        if let Some(tr) = &artifact.translation {
+                            self.pending_preseeds.push((addr, tr.clone()));
+                        }
+                        fetched = Some((addr, handle, artifact.compile_ns, Some(load_ns)));
+                        break None;
+                    }
+                    Err(_) => self.backing.discard(fp),
+                }
+            };
+        }
+
+        // Nothing to install: compile, and publish for the next
+        // process and for every session waiting on the claim.
+        let (addr, handle, compile_ns, fetched_in) = match fetched {
+            Some(installed) => installed,
+            None => {
+                let name = format!("dyn{}", self.dyn_seq);
+                let (addr, handle) =
+                    self.run_compile(mem, code, &name, closure, ret_kind, depth)?;
+                let compile_ns = since_t0();
+                self.stats.total_ns += compile_ns;
+                if let Some(fp) = &fp {
+                    let cost = &self.shared_cost;
+                    self.backing.publish(fp, claim, |pooled| {
+                        let (orig_start, words) = code.function_words(handle)?;
+                        Ok(Artifact {
+                            name,
+                            orig_start,
+                            bytes: (words.len() * 4) as u64,
+                            // Only a pool has other sessions to pre-seed.
+                            translation: pooled
+                                .then(|| SharedTranslation::build(&words, cost))
+                                .flatten(),
+                            words,
+                            compile_ns,
+                        })
+                    })?;
+                }
+                (addr, handle, compile_ns, None)
             }
-            if let Some(cache) = self.cache.as_mut() {
-                let bytes = code.size_of(outcome.handle)?;
-                cache.insert(code, fp, outcome.addr, outcome.handle, bytes, compile_ns)?;
+        };
+
+        // The memo records what is now installed, however it got
+        // there. A fetched function answered without a compile: the
+        // whole intercept (fingerprint, load, install) is the hit's cost.
+        if let (Some(cache), Some(fp)) = (&mut self.cache, fp) {
+            cache.insert(code, fp, addr, handle, compile_ns, fetched_in)?;
+            if fetched_in.is_some() {
+                cache.note_hit_ns(since_t0());
             }
         }
-        st.set_ret(outcome.addr);
+        st.set_ret(addr);
         Ok(())
     }
 

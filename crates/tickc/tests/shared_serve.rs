@@ -5,6 +5,7 @@
 
 use std::sync::Arc;
 use tcc::{Config, Error, Session, SharedArtifacts, VmError};
+use tcc_cache::{Acquire, Artifact};
 
 const SRC: &str = r#"
     long mk(int m) {
@@ -122,4 +123,93 @@ fn eviction_under_budget_faults_like_invalidation() {
             other => panic!("expected StaleCode after eviction, got {other:?}"),
         }
     }
+}
+
+#[test]
+fn uninstallable_shared_artifact_is_compiled_once_and_replaced() {
+    let shared = SharedArtifacts::unbounded();
+    let mut a = shared_session(&shared);
+    a.call("mk", &[9]).expect("compiles");
+
+    // Republish an artifact no code space can take (an undecodable
+    // word) under the closure's real fingerprint.
+    let fp = shared.sample_fingerprint(0).expect("one resident");
+    assert!(shared.invalidate(&fp));
+    let Acquire::Miss(claim) = shared.get_or_begin(&fp) else {
+        panic!("invalidated fingerprint must be claimable");
+    };
+    claim.publish(Artifact {
+        name: "junk".into(),
+        orig_start: 0,
+        words: vec![0xFFFF_FFFF],
+        bytes: 4,
+        compile_ns: 1,
+        translation: None,
+    });
+
+    // A second session finds it, cannot install it, compiles — once:
+    // its memo remembers the result like any other compile.
+    let mut b = shared_session(&shared);
+    for _ in 0..2 {
+        let f = b.call("mk", &[9]).expect("answers");
+        assert_eq!(b.call_addr(f, &[5]).unwrap(), 5 * 9 + 9);
+    }
+    assert_eq!(b.dyn_stats().compiles, 1, "not once per request");
+
+    // And the compile replaced the bad artifact for everyone else.
+    let mut c = shared_session(&shared);
+    let f = c.call("mk", &[9]).expect("installs b's artifact");
+    assert_eq!(c.call_addr(f, &[5]).unwrap(), 5 * 9 + 9);
+    assert_eq!(c.dyn_stats().compiles, 0);
+}
+
+#[test]
+fn pool_session_pins_and_budgets_its_local_installs() {
+    let shared = SharedArtifacts::unbounded();
+    let mut s = Session::new(
+        SRC,
+        Config {
+            shared: Some(Arc::clone(&shared)),
+            code_budget: Some(256),
+            ..Config::default()
+        },
+    )
+    .expect("compiles");
+
+    let pinned = s.call("mk", &[1]).expect("compiles");
+    assert!(s.pin_code(pinned), "a pool session's install is pinnable");
+    // The oldest unpinned install: the budget's first victim.
+    let victim = s.call("mk", &[2]).expect("compiles");
+    let mut m = 3;
+    while s.metrics().cache.evictions == 0 {
+        s.call("mk", &[m]).expect("compiles");
+        m += 1;
+        assert!(m < 1000, "budget never forced an eviction");
+    }
+    match s.call_addr(victim, &[5]) {
+        Err(Error::Vm(VmError::StaleCode(at))) => assert_eq!(at, victim),
+        other => panic!("expected StaleCode for the evicted install, got {other:?}"),
+    }
+    assert_eq!(s.call_addr(pinned, &[5]).unwrap(), 5 + 1, "pin held");
+
+    // The budget is the session's own: the shared table lost nothing,
+    // so asking again re-installs without compiling.
+    let sm = shared.metrics();
+    assert_eq!((sm.evictions, sm.invalidations), (0, 0));
+    assert_eq!(sm.entries, m - 1);
+    let compiles = s.dyn_stats().compiles;
+    let again = s.call("mk", &[2]).expect("re-installs");
+    assert_eq!(s.call_addr(again, &[5]).unwrap(), 5 * 2 + 2);
+    assert_eq!(s.dyn_stats().compiles, compiles);
+
+    // A pin guards against the budget, not against the pool retiring
+    // the artifact: invalidate everything and the pinned copy goes too.
+    while let Some(fp) = shared.sample_fingerprint(0) {
+        assert!(shared.invalidate(&fp));
+    }
+    match s.call_addr(pinned, &[5]) {
+        Err(Error::Vm(VmError::StaleCode(at))) => assert_eq!(at, pinned),
+        other => panic!("expected StaleCode after shared invalidation, got {other:?}"),
+    }
+    assert!(!s.unpin_code(pinned), "the entry left with the code");
 }

@@ -655,16 +655,24 @@ impl CodeSpace {
     ///
     /// # Errors
     ///
-    /// [`VmError::CodeLifecycle`] if a word cannot be proven installable
-    /// (undecodable data word, cross-function branch, or a rebased
-    /// displacement out of `j`/`jal` range); the space is left exactly as
-    /// it was, so the caller can fall back to a fresh compile.
+    /// [`VmError::CodeLifecycle`] if there are no words, or a word
+    /// cannot be proven installable (undecodable data word,
+    /// cross-function branch, or a rebased displacement out of `j`/`jal`
+    /// range); the space is left exactly as it was, so the caller can
+    /// fall back to a fresh compile.
     pub fn install_function(
         &mut self,
         name: &str,
         words: &[u32],
         orig_start: usize,
     ) -> Result<(u64, FuncHandle), VmError> {
+        if words.is_empty() {
+            // An empty function owns no word: its address would be
+            // whatever is sealed next.
+            return Err(VmError::CodeLifecycle(format!(
+                "artifact {name} not installable: no words"
+            )));
+        }
         let handle = self.begin_function(name);
         let new_start = self.funcs[handle.0].start_word;
         let delta = orig_start as i64 - new_start as i64;
@@ -1182,6 +1190,10 @@ mod tests {
         let err = dst.install_function("junk", &[0xFFFF_FFFF], 0);
         assert!(matches!(err, Err(VmError::CodeLifecycle(_))));
         assert_eq!(dst.stats(), before, "failed install must roll back");
+        // No words is no function: its address would be the next one's.
+        let err = dst.install_function("empty", &[], 0);
+        assert!(matches!(err, Err(VmError::CodeLifecycle(_))));
+        assert_eq!(dst.stats(), before);
         // The space still works afterwards.
         let g = dst.begin_function("g");
         dst.push(Insn::ret());

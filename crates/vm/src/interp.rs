@@ -189,6 +189,12 @@ impl<H: HostCall> Vm<H> {
         &mut self.host
     }
 
+    /// Machine state and host together, for work between calls that
+    /// needs both (a host that owns handles into the code space).
+    pub fn parts_mut(&mut self) -> (&mut MachineState, &mut H) {
+        (&mut self.state, &mut self.host)
+    }
+
     /// Zeroes the cycle, instruction, and host-call counters.
     pub fn reset_counters(&mut self) {
         self.state.cycles = 0;
