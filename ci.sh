@@ -18,12 +18,20 @@
 #   8. adaptive smoke    (the reuse sweep's cold-start cells — including
 #                         the background-worker engine — with the
 #                         equivalence asserts live, release mode)
-#   9. adaptive tests    (the tier-promotion property suite, explicitly,
-#                         so a tiering regression names itself)
-#  10. worker tests      (the background-translation pipeline: async
-#                         promotion equivalence, stale-epoch discard,
-#                         worker shutdown — explicitly, so a pipeline
-#                         regression names itself)
+#   9. adaptive tests    (the tier-promotion property suite — entry
+#                         thresholds as "no later than", a long loop
+#                         reaching the top tier inside one run —
+#                         explicitly, so a tiering regression names
+#                         itself)
+#  10. worker + safepoint tests (the background-translation pipeline:
+#                         async promotion equivalence, stale-epoch
+#                         discard, worker shutdown, the mid-run swap at
+#                         the tier-1 safepoint (`midrun`); and the
+#                         safepoint itself: per-iteration promotion,
+#                         every-budget fuel sweeps across the yield, a
+#                         free between two ticks (`safepoint`) —
+#                         explicitly, so a pipeline regression names
+#                         itself)
 #  11. superinstruction/scheduler tests (release: the threaded
 #                         engine's combined-handler suite, the
 #                         mid-group fuel sweeps in the differential
@@ -113,9 +121,9 @@ cargo run -p tcc-suite --bin suite --release -- adaptive --smoke
 echo "== adaptive property tests =="
 cargo test -q --release --test adaptive
 
-echo "== background translation worker tests =="
-cargo test -q --release -p tcc-vm -- background epoch_bump
-cargo test -q --release --test exec_differential -- adaptive fault_during
+echo "== background translation worker + tier-1 safepoint tests =="
+cargo test -q --release -p tcc-vm -- background epoch_bump midrun safepoint
+cargo test -q --release --test exec_differential -- adaptive fault_during midrun safepoint
 
 echo "== superinstruction + DAG-scheduler tests =="
 cargo test -q --release -p tcc-vm -- superinstruction

@@ -526,15 +526,26 @@ impl ExecMetrics {
 /// what translation cost the tiering spent vs avoided.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct AdaptiveMetrics {
-    /// Function entries executed, across all tiers. Equals
+    /// Function entries counted, across all tiers. Equals
     /// `runs_tier0 + runs_tier1 + runs_tier2` (a tested invariant).
     pub total_runs: u64,
-    /// Entries executed on decode-per-step (tier 0).
+    /// Entries that *started* at tier 0 (decode-per-step). The
+    /// `runs_tier*` counters classify entries by the tier granted at
+    /// entry — a run that promotes mid-way counts wholly at its entry
+    /// tier; `insns_tier*` say where the work ran.
     pub runs_tier0: u64,
-    /// Entries executed on the predecoded+fused engine (tier 1).
+    /// Entries that started at tier 1 (predecoded+fused).
     pub runs_tier1: u64,
-    /// Entries executed on the direct-threaded engine (tier 2).
+    /// Entries that started at tier 2 (direct-threaded).
     pub runs_tier2: u64,
+    /// Instructions retired by the reference single-step path
+    /// (tier 0). Exact; the three `insns_tier*` counters sum to the
+    /// instructions the VM has retired.
+    pub insns_tier0: u64,
+    /// Instructions retired from predecoded buffers (tier 1).
+    pub insns_tier1: u64,
+    /// Instructions retired from direct-threaded buffers (tier 2).
+    pub insns_tier2: u64,
     /// Tier levels gained, cumulative. Always `>= demotions`.
     pub promotions: u64,
     /// Tier levels actually lost, cumulative: the tiers of functions
@@ -559,13 +570,29 @@ pub struct AdaptiveMetrics {
 }
 
 impl AdaptiveMetrics {
-    /// Fraction of function entries that ran on a translated tier.
-    /// `0.0` when nothing has run (same rule as the other hit rates).
+    /// Fraction of function entries that *started* on a translated
+    /// tier (a run promoted mid-way still counts at its entry tier, so
+    /// this under-reads loop-heavy code — see
+    /// [`AdaptiveMetrics::top_tier_insn_share`] for where the work
+    /// ran). `0.0` when nothing has run (same rule as the other hit
+    /// rates).
     pub fn promoted_run_rate(&self) -> f64 {
         if self.total_runs == 0 {
             0.0
         } else {
             (self.runs_tier1 + self.runs_tier2) as f64 / self.total_runs as f64
+        }
+    }
+
+    /// Fraction of retired instructions that ran at tier 2 — the
+    /// "stuck one tier short" detector `promoted_run_rate` cannot be.
+    /// `0.0` when nothing has retired.
+    pub fn top_tier_insn_share(&self) -> f64 {
+        let total = self.insns_tier0 + self.insns_tier1 + self.insns_tier2;
+        if total == 0 {
+            0.0
+        } else {
+            self.insns_tier2 as f64 / total as f64
         }
     }
 
@@ -576,6 +603,9 @@ impl AdaptiveMetrics {
             ("runs_tier0", Json::from(self.runs_tier0)),
             ("runs_tier1", Json::from(self.runs_tier1)),
             ("runs_tier2", Json::from(self.runs_tier2)),
+            ("insns_tier0", Json::from(self.insns_tier0)),
+            ("insns_tier1", Json::from(self.insns_tier1)),
+            ("insns_tier2", Json::from(self.insns_tier2)),
             ("promotions", Json::from(self.promotions)),
             ("demotions", Json::from(self.demotions)),
             ("translation_ns", Json::from(self.translation_ns)),
@@ -587,6 +617,10 @@ impl AdaptiveMetrics {
             ("discarded_stale", Json::from(self.discarded_stale)),
             ("swap_latency_ns", Json::from(self.swap_latency_ns)),
             ("promoted_run_rate", Json::from(self.promoted_run_rate())),
+            (
+                "top_tier_insn_share",
+                Json::from(self.top_tier_insn_share()),
+            ),
         ])
     }
 }
@@ -809,19 +843,28 @@ mod tests {
     fn adaptive_promoted_run_rate_guards_zero() {
         let m = AdaptiveMetrics::default();
         assert_eq!(m.promoted_run_rate(), 0.0);
+        assert_eq!(m.top_tier_insn_share(), 0.0);
         let m = AdaptiveMetrics {
             total_runs: 4,
             runs_tier0: 1,
             runs_tier1: 1,
             runs_tier2: 2,
+            insns_tier0: 10,
+            insns_tier1: 30,
+            insns_tier2: 120,
             ..Default::default()
         };
         assert_eq!(m.promoted_run_rate(), 0.75);
+        assert_eq!(m.top_tier_insn_share(), 0.75);
         let text = m.to_json().to_string();
         for key in [
             "total_runs",
             "runs_tier0",
             "runs_tier2",
+            "insns_tier0",
+            "insns_tier1",
+            "insns_tier2",
+            "top_tier_insn_share",
             "promotions",
             "demotions",
             "translation_ns",

@@ -35,6 +35,15 @@ pub const ADAPTIVE_REUSE_SWEEP: [u64; 5] = [1, 2, 4, 8, 32];
 /// Suite kernels included in the sweep (loop-heavy, dispatch-bound).
 const SUITE_KERNELS: [&str; 3] = ["hash", "binary", "dp"];
 
+/// Long-loop suite kernels: one run is tens of thousands of
+/// instructions, so which tier the *loop* reaches inside its first run
+/// decides the cell — the case the short kernels above cannot show and
+/// the `exec_cold` benchmark workload is made of.
+const LONG_KERNELS: [&str; 2] = ["ms", "heap"];
+
+/// Reuse counts swept for the long-loop kernels (the `exec_cold` points).
+pub const LONG_REUSE_SWEEP: [u64; 3] = [1, 2, 4];
+
 /// Statement count of the synthetic straight-line kernel — long enough
 /// that translating it is real work compared to executing it once,
 /// which is where an up-front translation loses at reuse 1.
@@ -92,6 +101,10 @@ pub struct AdaptiveBenchRow {
     pub adaptive_bg_ns: u64,
     /// Tier levels gained by the adaptive engine across all its reps.
     pub promotions: u64,
+    /// Instructions the synchronous adaptive engine retired at tiers
+    /// 0, 1 and 2 over its cold reps — where the cell's time went, as
+    /// opposed to where its entries landed.
+    pub insns_tier: [u64; 3],
     /// Warm marginal ns per run (translations long paid): decode.
     pub warm_decode_ns: u64,
     /// Warm marginal ns per run: predecoded + fused.
@@ -124,6 +137,19 @@ impl AdaptiveBenchRow {
     /// it; the calibration target is <= 1.05 at reuse >= 8).
     pub fn adaptive_vs_best(&self) -> f64 {
         self.adaptive_ns as f64 / self.best_fixed_ns().max(1) as f64
+    }
+
+    /// Share of the adaptive engine's cold-rep instructions that ran
+    /// at tier 2 (`0.0` when nothing retired).
+    pub fn top_tier_insn_share(&self) -> f64 {
+        let [insns_tier0, insns_tier1, insns_tier2] = self.insns_tier;
+        tcc_obs::AdaptiveMetrics {
+            insns_tier0,
+            insns_tier1,
+            insns_tier2,
+            ..Default::default()
+        }
+        .top_tier_insn_share()
     }
 
     /// Adaptive speedup over always-threaded (> 1.0 means the lazy
@@ -288,21 +314,32 @@ fn straight_def() -> BenchDef {
     }
 }
 
-/// The kernels measured: three loop-heavy suite benchmarks plus the
-/// straight-line synthetic.
-fn defs() -> Vec<BenchDef> {
+/// A kernel's reuse counts: the full run's, and the smoke run's.
+type Sweeps = (&'static [u64], &'static [u64]);
+
+/// Short kernels cover the whole sweep; the smoke run samples it.
+const SHORT_SWEEPS: Sweeps = (&ADAPTIVE_REUSE_SWEEP, &[1, 4]);
+
+/// Long kernels stay at the cold end; their smoke cell is reuse 1.
+const LONG_SWEEPS: Sweeps = (&LONG_REUSE_SWEEP, &[1]);
+
+/// The kernels measured, each with the reuse counts it is swept over:
+/// three short loop kernels and the straight-line synthetic across the
+/// full sweep, two long-loop kernels at the cold end of it.
+fn defs() -> Vec<(BenchDef, Sweeps)> {
     let all = benchmarks(BLUR_SMALL);
-    let mut out: Vec<BenchDef> = SUITE_KERNELS
-        .iter()
-        .map(|name| {
-            all.iter()
-                .find(|b| b.name == *name)
-                .unwrap_or_else(|| panic!("no bench named {name}"))
-                .clone()
-        })
-        .collect();
-    out.push(straight_def());
-    out
+    let pick = |name: &&str| {
+        all.iter()
+            .find(|b| b.name == *name)
+            .unwrap_or_else(|| panic!("no bench named {name}"))
+            .clone()
+    };
+    let short = SUITE_KERNELS.iter().map(pick).chain([straight_def()]);
+    let long = LONG_KERNELS.iter().map(pick);
+    short
+        .map(|b| (b, SHORT_SWEEPS))
+        .chain(long.map(|b| (b, LONG_SWEEPS)))
+        .collect()
 }
 
 struct Timed {
@@ -316,6 +353,8 @@ struct Timed {
     cycles: u64,
     insns: u64,
     promotions: u64,
+    /// Instructions retired per tier over the cold reps.
+    insns_tier: [u64; 3],
 }
 
 /// Max and p99 of a sample set (ns). p99 is the nearest-rank
@@ -339,7 +378,8 @@ const WARM_WARMUP_RUNS: u64 = 16;
 /// Runs averaged per warm timing batch.
 const WARM_TIMED_RUNS: u64 = 64;
 
-/// Warm batches measured; the cell keeps the fastest batch. The min is
+/// Warm batches measured in a full run (the smoke run takes one, the
+/// rep-count probe none); the cell keeps the fastest batch. The min is
 /// the standard estimator for a fixed-work microbenchmark — every
 /// source of noise (preemption, interrupts, frequency steps) only adds
 /// time, so the fastest batch is the closest observation of the true
@@ -350,7 +390,7 @@ const WARM_BATCHES: u64 = 32;
 /// every timed region drops the translation cache *and* the adaptive
 /// tier state, so each rep pays the engine's full translate+run cost
 /// from scratch — the quantity the tiering thresholds trade off.
-fn drive(b: &BenchDef, engine: ExecEngine, reuse: u64, reps: u64) -> Timed {
+fn drive(b: &BenchDef, engine: ExecEngine, reuse: u64, reps: u64, warm_batches: u64) -> Timed {
     let mut s = Session::new(b.src, Config::default()).expect("benchmark source compiles");
     s.vm.set_engine(engine);
     (b.setup)(&mut s);
@@ -370,12 +410,18 @@ fn drive(b: &BenchDef, engine: ExecEngine, reuse: u64, reps: u64) -> Timed {
         best = best.min(t.elapsed().as_nanos() as u64);
     }
     let (run_max_ns, run_p99_ns) = tail(&mut samples);
+    let cold = s.metrics().adaptive;
     // Warm marginal cost: no reset, translations and tiers long paid.
     // Min over batches; a scheduler stall long enough to span every
     // batch still poisons the cell, which is why the derived
     // acceptance number is the per-kernel min across the sweep
     // ([`warm_summary`]) rather than any single cell.
-    for _ in 0..WARM_WARMUP_RUNS {
+    let warmup = if warm_batches > 0 {
+        WARM_WARMUP_RUNS
+    } else {
+        0
+    };
+    for _ in 0..warmup {
         checksum = checksum.wrapping_add((b.run_dyn)(&mut s, fp));
     }
     // Settle any in-flight background translations so the warm batches
@@ -383,7 +429,7 @@ fn drive(b: &BenchDef, engine: ExecEngine, reuse: u64, reps: u64) -> Timed {
     // the synchronous engines: nothing is ever pending).
     s.vm.drain_background_translations();
     let mut warm_ns = u64::MAX;
-    for _ in 0..WARM_BATCHES {
+    for _ in 0..warm_batches {
         let t = Instant::now();
         for _ in 0..WARM_TIMED_RUNS {
             checksum = checksum.wrapping_add((b.run_dyn)(&mut s, fp));
@@ -399,23 +445,24 @@ fn drive(b: &BenchDef, engine: ExecEngine, reuse: u64, reps: u64) -> Timed {
         cycles: s.cycles(),
         insns: s.insns(),
         promotions: s.metrics().adaptive.promotions,
+        insns_tier: [cold.insns_tier0, cold.insns_tier1, cold.insns_tier2],
     }
 }
 
 /// Picks a rep count so one cell's timed region lands near `target_ns`
 /// (probed on the decode engine, shared by every engine in the cell).
 fn pick_reps(b: &BenchDef, reuse: u64, target_ns: u64) -> u64 {
-    let probe = drive(b, ExecEngine::DecodePerStep, reuse, 1);
+    let probe = drive(b, ExecEngine::DecodePerStep, reuse, 1, 0);
     (target_ns / probe.ns.max(1)).clamp(3, 1 << 14)
 }
 
 /// Runs one (kernel, reuse) cell through all engines, asserting the
 /// observational-equivalence contract (checksums and modeled counters
 /// identical across engines).
-fn compare(b: &BenchDef, reuse: u64, reps: u64) -> AdaptiveBenchRow {
+fn compare(b: &BenchDef, reuse: u64, reps: u64, warm_batches: u64) -> AdaptiveBenchRow {
     let cells: Vec<Timed> = ENGINES
         .iter()
-        .map(|&(_, e)| drive(b, e, reuse, reps))
+        .map(|&(_, e)| drive(b, e, reuse, reps, warm_batches))
         .collect();
     let reference = &cells[0];
     for ((label, _), t) in ENGINES.iter().zip(&cells).skip(1) {
@@ -436,6 +483,7 @@ fn compare(b: &BenchDef, reuse: u64, reps: u64) -> AdaptiveBenchRow {
         adaptive_ns: cells[3].ns,
         adaptive_bg_ns: cells[4].ns,
         promotions: cells[3].promotions,
+        insns_tier: cells[3].insns_tier,
         warm_decode_ns: cells[0].warm_ns,
         warm_fused_ns: cells[1].warm_ns,
         warm_threaded_ns: cells[2].warm_ns,
@@ -451,11 +499,11 @@ fn compare(b: &BenchDef, reuse: u64, reps: u64) -> AdaptiveBenchRow {
 /// Full run: the whole sweep at calibrated rep counts.
 pub fn adaptive_bench() -> Vec<AdaptiveBenchRow> {
     let mut rows = Vec::new();
-    for b in defs() {
+    for (b, (sweep, _)) in defs() {
         eprintln!("adaptive: measuring {}...", b.name);
-        for &reuse in &ADAPTIVE_REUSE_SWEEP {
+        for &reuse in sweep {
             let reps = pick_reps(&b, reuse, TARGET_NS);
-            rows.push(compare(&b, reuse, reps));
+            rows.push(compare(&b, reuse, reps, WARM_BATCHES));
         }
     }
     rows
@@ -465,9 +513,9 @@ pub fn adaptive_bench() -> Vec<AdaptiveBenchRow> {
 /// live — the CI gate. Timing numbers are not meaningful at this size.
 pub fn adaptive_bench_smoke() -> Vec<AdaptiveBenchRow> {
     let mut rows = Vec::new();
-    for b in defs() {
-        for &reuse in &[1u64, 4] {
-            rows.push(compare(&b, reuse, 2));
+    for (b, (_, smoke)) in defs() {
+        for &reuse in smoke {
+            rows.push(compare(&b, reuse, 2, 1));
         }
     }
     rows
@@ -504,6 +552,10 @@ pub fn adaptive_json(rows: &[AdaptiveBenchRow]) -> Json {
                 ("adaptive_ns", Json::from(r.adaptive_ns)),
                 ("adaptive_bg_ns", Json::from(r.adaptive_bg_ns)),
                 ("promotions", Json::from(r.promotions)),
+                ("insns_tier0", Json::from(r.insns_tier[0])),
+                ("insns_tier1", Json::from(r.insns_tier[1])),
+                ("insns_tier2", Json::from(r.insns_tier[2])),
+                ("top_tier_insn_share", Json::from(r.top_tier_insn_share())),
                 ("best_fixed_ns", Json::from(r.best_fixed_ns())),
                 ("adaptive_vs_best", Json::from(r.adaptive_vs_best())),
                 ("speedup_vs_threaded", Json::from(r.speedup_vs_threaded())),
@@ -537,7 +589,8 @@ pub fn adaptive_json(rows: &[AdaptiveBenchRow]) -> Json {
             Json::from(
                 "cold-start (translate + run) wall-clock vs reuse count per engine; \
                  adaptive_vs_best is the adaptive engine's cost over the cheapest \
-                 fixed engine for that cell; run_max/run_p99 are per-run cold tail \
+                 fixed engine for that cell; insns_tier0/1/2 are where the adaptive \
+                 engine's cold-rep instructions retired; run_max/run_p99 are per-run cold tail \
                  latencies, with adaptive_bg moving translation to the background \
                  worker",
             ),
@@ -554,11 +607,11 @@ pub fn adaptive_report(rows: &[AdaptiveBenchRow]) -> String {
     out.push_str("Adaptive tiering: cold-start translate+run cost vs reuse count\n");
     out.push_str("(every timed region starts with an empty translation cache)\n\n");
     out.push_str(
-        "  kernel    reuse   decode (ns)    fused (ns)   threaded (ns)   adaptive (ns)   adapt-bg (ns)   vs-best   vs-thread   warm-adapt   warm-vs-best   p99-run   p99-run-bg   promo\n",
+        "  kernel    reuse   decode (ns)    fused (ns)   threaded (ns)   adaptive (ns)   adapt-bg (ns)   vs-best   vs-thread   warm-adapt   warm-vs-best   p99-run   p99-run-bg   promo   tier2-insns\n",
     );
     for r in rows {
         out.push_str(&format!(
-            "  {:8} {:6}   {:11}   {:11}   {:13}   {:13}   {:13}   {:6.2}x   {:8.2}x   {:10}   {:11.2}x   {:7}   {:10}   {:5}\n",
+            "  {:8} {:6}   {:11}   {:11}   {:13}   {:13}   {:13}   {:6.2}x   {:8.2}x   {:10}   {:11.2}x   {:7}   {:10}   {:5}   {:10.3}\n",
             r.kernel,
             r.reuse,
             r.decode_ns,
@@ -573,6 +626,7 @@ pub fn adaptive_report(rows: &[AdaptiveBenchRow]) -> String {
             r.run_p99_adaptive_ns,
             r.run_p99_adaptive_bg_ns,
             r.promotions,
+            r.top_tier_insn_share(),
         ));
     }
     out.push_str(
@@ -603,7 +657,7 @@ mod tests {
         // counter divergence. Four runs with default thresholds cross
         // the fuse boundary, so the adaptive engine must promote.
         let b = straight_def();
-        let row = compare(&b, 4, 2);
+        let row = compare(&b, 4, 2, 1);
         assert_eq!((row.kernel, row.reuse, row.reps), ("straight", 4, 2));
         assert!(row.promotions > 0, "no promotions at reuse 4: {row:?}");
     }
@@ -612,8 +666,20 @@ mod tests {
     fn suite_kernels_resolve_and_agree_at_reuse_one() {
         let all = benchmarks(BLUR_SMALL);
         let b = all.iter().find(|b| b.name == "binary").unwrap();
-        let row = compare(b, 1, 2);
+        let row = compare(b, 1, 2, 1);
         assert_eq!(row.reuse, 1);
+    }
+
+    #[test]
+    fn a_long_loop_reaches_the_top_tier_inside_its_first_run() {
+        // The cell the short kernels never showed: one cold run of a
+        // long-loop kernel. The loop's own iterations carry it through
+        // both thresholds, so most of the run retires threaded.
+        let all = benchmarks(BLUR_SMALL);
+        let b = all.iter().find(|b| b.name == "heap").unwrap();
+        let row = compare(b, 1, 2, 1);
+        assert!(row.promotions >= 2, "{row:?}");
+        assert!(row.top_tier_insn_share() > 0.5, "{row:?}");
     }
 
     #[test]
@@ -628,6 +694,7 @@ mod tests {
             adaptive_ns: 1040,
             adaptive_bg_ns: 1020,
             promotions: 3,
+            insns_tier: [10, 30, 120],
             warm_decode_ns: 400,
             warm_fused_ns: 120,
             warm_threaded_ns: 100,
@@ -646,6 +713,10 @@ mod tests {
             "adaptive_ns",
             "adaptive_bg_ns",
             "promotions",
+            "insns_tier0",
+            "insns_tier1",
+            "insns_tier2",
+            "top_tier_insn_share",
             "best_fixed_ns",
             "adaptive_vs_best",
             "speedup_vs_threaded",
@@ -662,6 +733,7 @@ mod tests {
         }
         assert_eq!(rows[0].best_fixed_ns(), 1000);
         assert!((rows[0].adaptive_vs_best() - 1.04).abs() < 1e-12);
+        assert!((rows[0].top_tier_insn_share() - 0.75).abs() < 1e-12);
         assert_eq!(rows[0].warm_best_fixed_ns(), 100);
         assert!((rows[0].warm_adaptive_vs_best() - 1.03).abs() < 1e-12);
         assert!((rows[0].tail_p99_improvement() - 3.2).abs() < 1e-12);
@@ -705,6 +777,7 @@ mod tests {
             adaptive_ns: 1,
             adaptive_bg_ns: 1,
             promotions: 0,
+            insns_tier: [0; 3],
             warm_decode_ns: 400,
             warm_fused_ns: 120,
             warm_threaded_ns: 900, // this cell's threaded hit a stall

@@ -892,6 +892,7 @@ mod tests {
             adaptive_ns: 1040,
             adaptive_bg_ns: 1020,
             promotions: 3,
+            insns_tier: [0; 3],
             warm_decode_ns: 400,
             warm_fused_ns: 120,
             warm_threaded_ns: 100,

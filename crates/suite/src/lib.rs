@@ -31,7 +31,7 @@ pub mod serve_bench;
 
 pub use adaptive_bench::{
     adaptive_bench, adaptive_bench_smoke, adaptive_json, adaptive_report, warm_summary,
-    AdaptiveBenchRow, WarmSummary, ADAPTIVE_REUSE_SWEEP,
+    AdaptiveBenchRow, WarmSummary, ADAPTIVE_REUSE_SWEEP, LONG_REUSE_SWEEP,
 };
 pub use cache_bench::{cache_bench, cache_json, cache_report};
 pub use calibrate::ns_per_cycle;

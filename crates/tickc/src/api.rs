@@ -445,6 +445,9 @@ impl Session {
                     runs_tier0: a.runs_tier0,
                     runs_tier1: a.runs_tier1,
                     runs_tier2: a.runs_tier2,
+                    insns_tier0: a.insns_tier0,
+                    insns_tier1: a.insns_tier1,
+                    insns_tier2: a.insns_tier2,
                     promotions: a.promotions,
                     demotions: a.demotions,
                     translation_ns: a.translation_ns,

@@ -11,29 +11,38 @@
 //! function at run time:
 //!
 //! ```text
-//!            runs >= fuse_after        runs >= thread_after
+//!           clock >= fuse_after       clock >= thread_after
 //!   tier 0 ─────────────────▶ tier 1 ─────────────────▶ tier 2
 //!   decode-per-step          predecoded+fused          threaded
-//!      ▲                        │                         │
+//!   clock: entries +         clock: entries +          (top tier:
+//!   backedges, per step      backedges, at the         nothing left
+//!      ▲                     dispatcher's safepoint    to count for)
+//!      │                        │                         │
 //!      └────────────────────────┴─────────────────────────┘
 //!          the function itself freed or patched (its range is in
 //!          the code space's invalidation log): its record is retired,
-//!          translations + counts dropped; if the words are still (or
+//!          translation + clock dropped; if the words are still (or
 //!          again) live code, the next entry starts over at tier 0
 //! ```
 //!
-//! A "run" is one entry of control into the function's live range from
-//! outside it (the invocation counter of a classic tiered JIT): calls,
-//! returns into a caller, and cross-function jumps all count; internal
-//! loops do not. The promotion clock additionally earns one run per
-//! `BACKEDGES_PER_RUN_BITS`-weighted batch of backward transfers
-//! observed while single-stepping at tier 0 (the backedge counter of a
-//! classic tiered JIT), so a loop-heavy function promotes inside its
-//! first run instead of paying decode price for every iteration until
-//! its entry count catches up. Promotion is evaluated at entry (or at
-//! a backedge clock tick), against the number of *completed* prior
-//! entries, and is monotone per function — a function only moves up
-//! tiers until it is itself freed or patched.
+//! There is one promotion clock per function, in one unit, read at
+//! every tier below the top. A "run" is one entry of control into the
+//! function's live range from outside it (the invocation counter of a
+//! classic tiered JIT): calls, returns into a caller, and
+//! cross-function jumps all count; internal loops do not. The clock
+//! additionally earns one run per `2^BACKEDGES_PER_RUN_BITS` backward
+//! transfers taken inside the range (the backedge counter of a classic
+//! tiered JIT) — observed step by step at tier 0, and at tier 1 by the
+//! decoded dispatcher's backedge safepoint
+//! ([`Vm::dispatch`](crate::interp::Vm)), which is handed the
+//! backedges still missing to the next threshold and leaves the buffer
+//! at the transfer that spends the last one. Heat is therefore counted
+//! where the time goes: a function that loops for a million
+//! instructions reaches the threaded tier inside its first run instead
+//! of idling one tier short until its *entry* count catches up.
+//! Promotion is evaluated at entry against the clock *before* that
+//! entry, and at every clock tick; it is monotone per function — a
+//! function only moves up tiers until it is itself freed or patched.
 //!
 //! # Equivalence contract
 //!
@@ -42,20 +51,23 @@
 //! observational-equivalence contract: identical result values,
 //! `cycles`, `insns`, exit status, and error at the same instruction
 //! (including [`VmError::OutOfFuel`] under any fuel budget), before,
-//! during, and after a promotion. `tests/exec_differential.rs` sweeps
-//! fuel budgets across promotion boundaries to enforce this.
+//! during, and after a promotion. A mid-run promotion is an ordinary
+//! buffer exit followed by an ordinary mid-function entry — the same
+//! two moves a call and its return make — so it needs no argument of
+//! its own. `tests/exec_differential.rs` sweeps fuel budgets across
+//! promotion boundaries and across the safepoint to enforce this.
 //!
 //! # Invalidation
 //!
-//! Tier state lives in the `TransCache` next to the translations it
-//! justified and is revalidated (`TransCache::sync_epoch`, shared with
+//! Tier state lives in the `TransCache`, each record owning the
+//! translation it justified, and is revalidated (`TransCache::sync_epoch`, shared with
 //! the fixed engines) against [`CodeSpace::live_epoch`] on every
 //! outer-loop iteration, hence after every host call. An invalidation
 //! costs what it invalidated: for each range the code space logged
 //! since the last look — a function freed directly or by `tcc-cache`
 //! eviction, or the function around a patched live word — that
-//! function's translations are dropped and its tier record retired
-//! (its tier counted into `demotions`); every other function keeps its
+//! function's tier record is retired and its translation dropped with
+//! it (its tier counted into `demotions`); every other function keeps its
 //! translation, tier and run count. Only a cache more than
 //! [`INVALIDATION_RING`](crate::code::INVALIDATION_RING) bumps behind
 //! demotes everything. The run loop forgets its memoized functions on
@@ -74,7 +86,9 @@
 //! tier record asking) to a background worker thread spawned lazily and
 //! owned by the translation cache. The run loop keeps executing at the
 //! function's current tier; finished translations are drained at
-//! function-entry points and swapped in — or **discarded** unless the
+//! function-entry points and at the running function's clock ticks
+//! (tier 0 and tier 1 alike, so a loop granted a tier mid-run finishes
+//! the run on it) and swapped in — or **discarded** unless the
 //! record that requested the build is still the live record at its
 //! start word. That per-function check is sufficient: a record is
 //! retired by exactly the events that make its snapshot wrong (the
@@ -101,12 +115,12 @@ use crate::cost::CostModel;
 use crate::error::VmError;
 use crate::host::HostCall;
 use crate::interp::{ExitStatus, Step, Vm, RETURN_SENTINEL};
-use crate::predecode::{DecodedFn, ExecStats};
-use crate::threaded::{ThreadedFn, HANDLER_TABLE_SIZE};
+use crate::predecode::{ExecStats, Translation};
 
 /// Default promotion threshold to tier 1 (predecoded+fused): completed
 /// runs after which one decoding pass has paid for itself. Calibrated
-/// by the `suite adaptive` reuse sweep.
+/// by the `suite adaptive` reuse sweep (DESIGN.md §12 has the table of
+/// alternatives 2/8 was kept against).
 pub const DEFAULT_FUSE_AFTER: u32 = 2;
 
 /// Default promotion threshold to tier 2 (direct-threaded): completed
@@ -131,52 +145,77 @@ pub enum Tier {
 /// [`TransCache::tier_idx`]: crate::predecode::TransCache::tier_idx
 pub(crate) const NO_TIER: u32 = u32::MAX;
 
-/// Backward branches observed while single-stepping that count as one
-/// extra completed run (`64`): a loop-heavy function proves its heat
-/// in loop iterations long before its entry count does, and every
-/// iteration spent at tier 0 costs full decode price. The weight is a
-/// power of two so the hot path tests promotion with a mask, and large
-/// enough that short loops (the unit-test kernels) never promote off
-/// their entry schedule.
+/// Backward transfers taken inside a function below the top tier that
+/// count as one extra completed run (`64`): a loop-heavy function
+/// proves its heat in loop iterations long before its entry count does,
+/// and every iteration spent below the top tier is paid at that tier's
+/// price. The weight is a power of two so a clock tick is a shift
+/// compare, and large enough that a short loop stays near its entry
+/// schedule (its backedges still accrue, across runs, so the entry
+/// thresholds are "no later than", not "exactly at").
 pub(crate) const BACKEDGES_PER_RUN_BITS: u32 = 6;
 
-/// Per-function adaptive state, indexed from `tier_idx` by any word of
-/// the function's live range.
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct FnTier {
+/// Per-function state, indexed from `tier_idx` by any word of the
+/// function's live range: the translation the function currently
+/// dispatches through and, under the adaptive engine, the clock and
+/// tier that justified it. The fixed engines create records too (through
+/// the same `TransCache::track`) and use only `tr`.
+pub(crate) struct FnTier<H> {
     /// Identity of this record among every record the cache ever
     /// created; `0` marks a retired slot awaiting reuse.
     pub(crate) serial: u64,
     /// Start word of the function's live range.
     pub(crate) start: usize,
-    /// Entries of control into this function's range — the promotion
-    /// clock. Monotone until the record is retired.
+    /// Entries of control into this function's range. Monotone until
+    /// the record is retired.
     pub(crate) runs: u64,
-    /// Backward branches taken inside the range while at tier 0 — the
-    /// hotspot clock, weighted down by [`BACKEDGES_PER_RUN_BITS`].
+    /// Backward transfers taken inside the range below the top tier —
+    /// the hotspot half of the clock, weighted down by
+    /// [`BACKEDGES_PER_RUN_BITS`].
     pub(crate) backedges: u64,
     /// Current tier; only ever moves up while the record lives.
     pub(crate) tier: Tier,
-    /// Words in the function, for the translation-cost-saved estimate.
+    /// Words in the function.
     pub(crate) words: u32,
     /// A tier-1 (decoded) translation request is in flight on the
     /// background worker; suppresses duplicate enqueues.
     pub(crate) pending_fused: bool,
     /// A tier-2 (threaded) translation request is in flight.
     pub(crate) pending_threaded: bool,
+    /// The function's one translation. In background mode it can trail
+    /// `tier` while the granted tier's build is in flight.
+    pub(crate) tr: Translation<H>,
 }
 
-impl FnTier {
-    /// The promotion clock: completed entries plus loop iterations
-    /// observed at tier 0, weighted so `2^BACKEDGES_PER_RUN_BITS`
-    /// backedges count as one run.
+impl<H> FnTier<H> {
+    /// The promotion clock: completed entries plus backward transfers,
+    /// weighted so `2^BACKEDGES_PER_RUN_BITS` backedges count as one
+    /// run.
     #[inline]
     fn effective_runs(&self) -> u64 {
         self.runs + (self.backedges >> BACKEDGES_PER_RUN_BITS)
     }
 
+    /// Backward transfers a tier-1 dispatch may take before the clock
+    /// needs reading again: those still missing to the tick that
+    /// reaches `thread_after`, or — with that tier already granted and
+    /// its build in flight — to the next tick, where the run loop polls
+    /// for it. Always at least 1.
+    #[inline]
+    fn backedge_budget(&self, thread_after: u32) -> u64 {
+        let ticks = u64::from(thread_after)
+            .saturating_sub(self.effective_runs())
+            .max(1);
+        (ticks << BACKEDGES_PER_RUN_BITS) - (self.backedges & ((1 << BACKEDGES_PER_RUN_BITS) - 1))
+    }
+
+    /// The function's live range in words, `[start, end)`.
+    pub(crate) fn range(&self) -> (usize, usize) {
+        (self.start, self.start + self.words as usize)
+    }
+
     /// A fresh tier-0 record for the live function `[start, end)`.
-    pub(crate) fn new(serial: u64, start: usize, end: usize) -> FnTier {
+    pub(crate) fn new(serial: u64, start: usize, end: usize) -> FnTier<H> {
         FnTier {
             serial,
             start,
@@ -186,31 +225,62 @@ impl FnTier {
             words: (end - start) as u32,
             pending_fused: false,
             pending_threaded: false,
+            tr: Translation::None,
         }
     }
 
-    /// Marks the slot retired: it holds no levels, has run nothing, and
-    /// matches no in-flight translation's serial.
+    /// Marks the slot retired: it holds no levels and no translation,
+    /// its clock reads zero, and it matches no in-flight translation's
+    /// serial.
     pub(crate) fn retire(&mut self) {
         self.serial = 0;
         self.tier = Tier::Decode;
         self.runs = 0;
+        self.backedges = 0;
+        self.tr = Translation::None;
     }
 }
 
-/// Counters for the adaptive engine: where runs executed, how functions
-/// moved between tiers, and what translation cost was spent vs avoided.
+/// The tier a clock reading of `clock` completed runs has earned.
+#[inline]
+fn tier_for(clock: u64, fuse_after: u32, thread_after: u32) -> Tier {
+    if clock >= u64::from(thread_after) {
+        Tier::Threaded
+    } else if clock >= u64::from(fuse_after) {
+        Tier::Fused
+    } else {
+        Tier::Decode
+    }
+}
+
+/// Counters for the adaptive engine: where entries landed and where
+/// instructions ran, how functions moved between tiers, and what
+/// translation cost was spent vs avoided.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct AdaptiveStats {
-    /// Function entries executed, across all tiers. Always equals
+    /// Function entries counted, across all tiers. Always equals
     /// `runs_tier0 + runs_tier1 + runs_tier2` (tested invariant).
     pub total_runs: u64,
-    /// Function entries executed on decode-per-step (tier 0).
+    /// Function entries that *started* at tier 0 (decode-per-step).
+    /// The `runs_tier*` counters classify entries by the tier granted
+    /// at entry: a run that promotes mid-way counts wholly here, at its
+    /// entry tier — `insns_tier*` say where the work actually ran.
     pub runs_tier0: u64,
-    /// Function entries executed on the predecoded+fused engine (tier 1).
+    /// Function entries that started at tier 1 (predecoded+fused).
     pub runs_tier1: u64,
-    /// Function entries executed on the direct-threaded engine (tier 2).
+    /// Function entries that started at tier 2 (direct-threaded).
     pub runs_tier2: u64,
+    /// Instructions retired by the reference single-step path (tier 0;
+    /// [`ExecStats::slow_insns`]). Exact, and engine-independent: the
+    /// three `insns_tier*` counters always sum to the instructions
+    /// retired since the VM was created (tested invariant).
+    pub insns_tier0: u64,
+    /// Instructions retired from decoded buffers (tier 1).
+    pub insns_tier1: u64,
+    /// Instructions retired from threaded buffers (tier 2) — with
+    /// `insns_tier1`, the split of what [`ExecStats::fast_insns`] lumps
+    /// together.
+    pub insns_tier2: u64,
     /// Tier levels gained, cumulative (a 0→2 jump counts 2). Always
     /// `>= demotions` — a level can only be lost after it was gained.
     pub promotions: u64,
@@ -276,13 +346,8 @@ pub(crate) struct TransDone<H> {
     /// Pairs fused during a tier-1 build (folded into `ExecStats`).
     fused_pairs: u64,
     enqueued: Instant,
-    payload: TransPayload<H>,
-}
-
-/// The built buffer itself.
-enum TransPayload<H> {
-    Fused(Arc<DecodedFn>),
-    Threaded(Arc<ThreadedFn<H>>),
+    /// The built buffer itself.
+    payload: Translation<H>,
 }
 
 /// The background translation worker: request/response channels plus
@@ -337,11 +402,11 @@ fn build_translation<H: HostCall>(req: TransRequest) -> Option<TransDone<H>> {
             let mut scratch = ExecStats::default();
             let tr =
                 crate::predecode::translate(&req.words, req.start, &req.cost, true, &mut scratch);
-            (TransPayload::Fused(Arc::new(tr)), scratch.fused_pairs)
+            (Translation::Decoded(Arc::new(tr)), scratch.fused_pairs)
         }
         Tier::Threaded => {
             let tr = crate::threaded::translate::<H>(&req.words, req.start, &req.cost);
-            (TransPayload::Threaded(Arc::new(tr)), 0)
+            (Translation::Threaded(Arc::new(tr)), 0)
         }
         Tier::Decode => return None,
     };
@@ -428,6 +493,27 @@ impl<H: HostCall> TransHub<H> {
         }
     }
 
+    /// Blocks until the hub has replied to every build queued before
+    /// this call (one FIFO thread: a marker job's reply is sent after
+    /// all of theirs). Test and benchmark hook, like
+    /// [`Vm::drain_background_translations`]: it makes "the build has
+    /// finished" a fact at a chosen point — a host call inside a loop,
+    /// say — without receiving anything on any VM's behalf.
+    pub fn barrier(&self) {
+        let (tx, rx) = mpsc::channel();
+        let marker = TransRequest {
+            start: 0,
+            words: Vec::new(),
+            cost: CostModel::default(),
+            tier: Tier::Fused,
+            serial: 0,
+            enqueued: Instant::now(),
+        };
+        if self.submit(marker, tx) {
+            let _ = rx.recv();
+        }
+    }
+
     /// Queues a build; the completion lands on `reply`. `false` when
     /// the hub thread is gone (the caller falls back or retries later;
     /// execution is correct at the current tier either way).
@@ -490,22 +576,13 @@ pub(crate) fn saved_estimate(cold_words: u64, translation_ns: u64, translated_wo
     u64::try_from(scaled).unwrap_or(u64::MAX)
 }
 
-/// The translation handle an [`Active`] function dispatches through.
-/// `None` covers tier 0 and tiers whose translation was refused — both
-/// single-step on the reference path.
-enum ActiveTr<H> {
-    None,
-    Fused(Arc<DecodedFn>),
-    Threaded(Arc<ThreadedFn<H>>),
-}
-
 /// A function the adaptive run loop is attributed to (or just left):
-/// absolute bounds, its tier record, and the translation handle for its
-/// tier, all memoized in the loop so steady-state dispatch touches no
-/// cache at all. The fixed threaded engine pays one `tmap` probe and an
-/// `Arc` clone per call/return transition; keeping the two sides of the
-/// transition warm here is what lets adaptive match it (`suite
-/// adaptive` gates the gap).
+/// absolute bounds, its tier record, and a handle on the record's
+/// translation, all memoized in the loop so steady-state dispatch
+/// touches no cache at all. The fixed threaded engine pays one record
+/// probe and an `Arc` clone per call/return transition; keeping the two
+/// sides of the transition warm here is what lets adaptive match it
+/// (`suite adaptive` gates the gap).
 struct Active<H> {
     /// Absolute address bounds of the function's live range.
     lo: u64,
@@ -514,11 +591,10 @@ struct Active<H> {
     fi: u32,
     /// Tier [`Active::tr`] was fetched for; refreshed on promotion.
     tier: Tier,
-    tr: ActiveTr<H>,
-    /// Backward transfers observed while running below the granted
-    /// tier with a translation in flight (background mode only);
-    /// throttles the mid-run worker poll to the hotspot clock's tick.
-    poll_clock: u32,
+    /// What this function dispatches through. `None` covers tier 0 and
+    /// a granted tier whose build is still in flight — both single-step
+    /// on the reference path.
+    tr: Translation<H>,
 }
 
 impl<H> Active<H> {
@@ -532,14 +608,15 @@ impl<H> Active<H> {
 /// Whether a memoized translation handle is the one `tier` dispatches
 /// through. In background mode a function can run *below* its granted
 /// tier while its translation is in flight; a mismatch at function
-/// entry re-probes the cache so a finished swap is picked up.
+/// entry or at a clock tick re-reads the record so a finished swap is
+/// picked up.
 #[inline]
-fn tr_matches<H>(tr: &ActiveTr<H>, tier: Tier) -> bool {
+fn tr_matches<H>(tr: &Translation<H>, tier: Tier) -> bool {
     matches!(
         (tr, tier),
-        (ActiveTr::None, Tier::Decode)
-            | (ActiveTr::Fused(_), Tier::Fused)
-            | (ActiveTr::Threaded(_), Tier::Threaded)
+        (Translation::None, Tier::Decode)
+            | (Translation::Decoded(_), Tier::Fused)
+            | (Translation::Threaded(_), Tier::Threaded)
     )
 }
 
@@ -547,7 +624,8 @@ impl<H: HostCall> Vm<H> {
     /// The adaptive engine's run loop. Structure matches
     /// `run_predecoded` / `run_threaded` — translated dispatch where the
     /// function's tier has one, reference-engine single steps otherwise
-    /// — with tier selection at each function entry.
+    /// — with tier selection at each function entry and at each tick of
+    /// the running function's clock.
     pub(crate) fn run_adaptive(
         &mut self,
         mut pc: u64,
@@ -577,7 +655,7 @@ impl<H: HostCall> Vm<H> {
                 None => false,
             };
             if !in_cur {
-                // Function entry: the swap point of the async pipeline.
+                // Function entry: a swap point of the async pipeline.
                 // Finished background translations are installed here,
                 // before tier selection, so this entry can already
                 // dispatch through them.
@@ -594,7 +672,7 @@ impl<H: HostCall> Vm<H> {
                     let tier = self.count_entry(c.fi, fuse_after, thread_after);
                     if tier != c.tier || (background && !tr_matches(&c.tr, tier)) {
                         c.tier = tier;
-                        c.tr = self.fetch_translation(pc, c.fi, tier, background);
+                        c.tr = self.fetch_translation(c.fi, tier, background);
                     }
                 } else {
                     prev = std::mem::replace(
@@ -604,39 +682,41 @@ impl<H: HostCall> Vm<H> {
                 }
             }
             // `cur` is a loop local, so dispatching through its memoized
-            // translation borrows nothing from `self`.
+            // translation borrows nothing from `self`. Below the top
+            // tier the step also reports the backward transfers it took
+            // inside the function — the hotspot clock's input: a loop
+            // iteration paid at less than full speed.
+            let mut backedges = 0;
             let step = if let Some(Active {
-                tr: ActiveTr::Threaded(ref tr),
+                tr: Translation::Threaded(ref tr),
                 ..
             }) = cur
             {
                 self.dispatch_threaded(tr, pc)?
             } else if let Some(Active {
-                tr: ActiveTr::Fused(ref tr),
+                tr: Translation::Decoded(ref tr),
+                fi,
                 ..
             }) = cur
             {
-                self.dispatch(tr, pc)?
+                // Tier 1 counts at the dispatcher's safepoint: it runs
+                // until control leaves the buffer or the clock is due.
+                let budget = self.trans.tier_fns[fi as usize].backedge_budget(thread_after);
+                let mut left = budget;
+                let step = self.dispatch(tr, pc, &mut left)?;
+                backedges = budget - left;
+                step
             } else {
                 let step = self.step_adaptive_slow(pc)?;
-                // Hotspot clock: a backward transfer inside a tier-0
-                // function is a loop iteration paid at full decode
-                // price; enough of them promote the function mid-run,
-                // without waiting for its entry count to catch up.
-                if let (Some(a), &Step::At(next)) = (cur.as_mut(), &step) {
-                    if next <= pc && a.contains(next) {
-                        if a.tier == Tier::Decode {
-                            self.note_backedge(a, next, fuse_after, thread_after, background);
-                        } else if background && self.trans.pending > 0 {
-                            // Granted a tier whose translation is still
-                            // in flight: poll for it mid-loop so the
-                            // swap lands inside this run.
-                            self.poll_midrun(a, next);
-                        }
-                    }
+                if let (Some(a), &Step::At(next)) = (cur.as_ref(), &step) {
+                    backedges = u64::from(next <= pc && a.contains(next));
                 }
                 step
             };
+            if backedges > 0 {
+                let a = cur.as_mut().expect("backedges stay inside a function");
+                self.note_backedges(a, backedges, fuse_after, thread_after, background);
+            }
             match step {
                 Step::At(next) => pc = next,
                 Step::Done(status) => return Ok(status),
@@ -654,10 +734,10 @@ impl<H: HostCall> Vm<H> {
     }
 
     /// Records one entry of control into the live function containing
-    /// `pc`, promoting it first if its completed-run count has crossed a
-    /// threshold. Returns the memoized function state, or `None` when
-    /// `pc` is not inside live code (the slow path then raises the exact
-    /// reference fault).
+    /// `pc`, promoting it first if its clock has crossed a threshold.
+    /// Returns the memoized function state, or `None` when `pc` is not
+    /// inside live code (the slow path then raises the exact reference
+    /// fault).
     fn enter_function(
         &mut self,
         pc: u64,
@@ -665,71 +745,27 @@ impl<H: HostCall> Vm<H> {
         thread_after: u32,
         background: bool,
     ) -> Option<Active<H>> {
-        if pc < CODE_BASE || !pc.is_multiple_of(4) {
-            return None;
-        }
-        let idx = ((pc - CODE_BASE) / 4) as usize;
-        let fi = match self.trans.tier_idx.get(idx).copied() {
-            Some(fi) if fi != NO_TIER => fi,
-            _ => {
-                // First entry of this function (since it was sealed, or
-                // since its last record was retired): resolve the live
-                // range once and mirror it into the dense index so
-                // every later entry is a single array load.
-                let (start, end) = self.state.code.live_range_containing(idx)?;
-                self.trans.track(start, end)
-            }
-        };
+        let fi = self.record_at(pc)?;
         let tier = self.count_entry(fi, fuse_after, thread_after);
-        let f = &self.trans.tier_fns[fi as usize];
-        let lo = CODE_BASE + (f.start as u64) * 4;
-        let hi = lo + u64::from(f.words) * 4;
-        let tr = self.fetch_translation(pc, fi, tier, background);
+        let (start, end) = self.trans.tier_fns[fi as usize].range();
+        let tr = self.fetch_translation(fi, tier, background);
         Some(Active {
-            lo,
-            hi,
+            lo: CODE_BASE + (start as u64) * 4,
+            hi: CODE_BASE + (end as u64) * 4,
             fi,
             tier,
             tr,
-            poll_clock: 0,
         })
     }
 
-    /// Mid-run swap point of the async pipeline: the function was
-    /// granted a tier whose translation is still being built, so it is
-    /// single-stepping at reference speed. Backward transfers poll the
-    /// worker on the same 64-iteration clock as the hotspot check and
-    /// swap a finished build in mid-loop — the synchronous engine
-    /// promotes mid-run at exactly this point, and without a matching
-    /// swap point the pipeline would forfeit the whole remaining run
-    /// to the cold tier, *growing* the cold-run tail it exists to cut.
-    #[inline]
-    fn poll_midrun(&mut self, a: &mut Active<H>, pc: u64) {
-        a.poll_clock = a.poll_clock.wrapping_add(1);
-        if a.poll_clock & ((1 << BACKEDGES_PER_RUN_BITS) - 1) != 0 {
-            return;
-        }
-        self.poll_background();
-        if !tr_matches(&a.tr, a.tier) {
-            a.tr = self.fetch_translation(pc, a.fi, a.tier, true);
-        }
-    }
-
     /// Counts one entry of control into tier record `fi`, promoting the
-    /// function first if its completed-run count has crossed a
-    /// threshold. Returns the tier this entry executes at. This is the
-    /// whole per-transition cost once a function is memoized.
+    /// function first if its clock has crossed a threshold. Returns the
+    /// tier this entry starts at. This is the whole per-transition cost
+    /// once a function is memoized.
     #[inline]
     fn count_entry(&mut self, fi: u32, fuse_after: u32, thread_after: u32) -> Tier {
         let entry = &mut self.trans.tier_fns[fi as usize];
-        let clock = entry.effective_runs();
-        let target = if clock >= u64::from(thread_after) {
-            Tier::Threaded
-        } else if clock >= u64::from(fuse_after) {
-            Tier::Fused
-        } else {
-            Tier::Decode
-        };
+        let target = tier_for(entry.effective_runs(), fuse_after, thread_after);
         let promoted = if target > entry.tier {
             let levels = target as u64 - entry.tier as u64;
             entry.tier = target;
@@ -750,98 +786,85 @@ impl<H: HostCall> Vm<H> {
         tier
     }
 
-    /// Counts one backward transfer inside the tier-0 function `a` and
-    /// promotes it in place once enough loop iterations have accrued
-    /// (re-evaluated only when the weighted clock ticks, so the common
-    /// case is one increment and one mask test).
+    /// Credits `seen` backward transfers to the clock of the running
+    /// function `a`; the common case (no tick) is one add and one
+    /// shift compare.
     #[inline]
-    fn note_backedge(
+    fn note_backedges(
         &mut self,
         a: &mut Active<H>,
-        pc: u64,
+        seen: u64,
         fuse_after: u32,
         thread_after: u32,
         background: bool,
     ) {
         let entry = &mut self.trans.tier_fns[a.fi as usize];
-        entry.backedges += 1;
-        if entry.backedges & ((1 << BACKEDGES_PER_RUN_BITS) - 1) != 0 {
-            return;
+        let ticks = entry.backedges >> BACKEDGES_PER_RUN_BITS;
+        entry.backedges += seen;
+        if entry.backedges >> BACKEDGES_PER_RUN_BITS != ticks {
+            self.clock_tick(a, fuse_after, thread_after, background);
         }
-        let clock = entry.effective_runs();
-        let target = if clock >= u64::from(thread_after) {
-            Tier::Threaded
-        } else if clock >= u64::from(fuse_after) {
-            Tier::Fused
-        } else {
-            return;
-        };
+    }
+
+    /// The clock of the running function `a` ticked: promote it in
+    /// place if that reached a threshold — the next loop iteration then
+    /// resumes mid-function through the new tier's dispatcher, the way
+    /// a return lands there. In background mode a granted tier whose
+    /// build is still in flight is polled for here, the mid-run swap
+    /// point: without it the pipeline would forfeit the whole remaining
+    /// run to the lower tier, *growing* the cold-run tail it exists to
+    /// cut.
+    fn clock_tick(
+        &mut self,
+        a: &mut Active<H>,
+        fuse_after: u32,
+        thread_after: u32,
+        background: bool,
+    ) {
+        let entry = &mut self.trans.tier_fns[a.fi as usize];
+        let target = tier_for(entry.effective_runs(), fuse_after, thread_after);
         if target > entry.tier {
-            let levels = target as u64 - entry.tier as u64;
+            self.trans.astats.promotions += target as u64 - entry.tier as u64;
             entry.tier = target;
-            self.trans.astats.promotions += levels;
             a.tier = target;
-            a.tr = self.fetch_translation(pc, a.fi, target, background);
+        } else if tr_matches(&a.tr, a.tier) || self.trans.pending == 0 {
+            return;
+        } else {
+            self.poll_background();
         }
+        a.tr = self.fetch_translation(a.fi, a.tier, background);
     }
 
-    /// The translation handle for `tier` at `pc`. Synchronous mode
-    /// builds (and times) it inline on first use. Background mode never
-    /// builds on this thread: a cached buffer is returned directly, and
-    /// a miss enqueues a request to the worker and falls back to the
-    /// best already-cached lower tier, so the promoting run keeps
-    /// moving at its current speed.
-    fn fetch_translation(&mut self, pc: u64, fi: u32, tier: Tier, background: bool) -> ActiveTr<H> {
+    /// The translation record `fi` dispatches through at `tier`: the
+    /// record's own when it already holds that tier's form. Otherwise
+    /// synchronous mode builds (and times) it inline, installing it on
+    /// the record in place of a lower tier's buffer. Background mode
+    /// never builds on this thread: it enqueues a request to the worker
+    /// and the function keeps dispatching through what it holds, so the
+    /// promoting run keeps moving at its current speed.
+    fn fetch_translation(&mut self, fi: u32, tier: Tier, background: bool) -> Translation<H> {
+        if tier == Tier::Decode {
+            return Translation::None;
+        }
+        let held = &self.trans.tier_fns[fi as usize].tr;
+        if tr_matches(held, tier) {
+            return held.clone();
+        }
         if background {
-            return self.fetch_translation_bg(pc, fi, tier);
+            let held = held.clone();
+            self.enqueue_translation(fi, tier);
+            return held;
         }
-        match tier {
-            Tier::Threaded => match self.threaded_at_counted(pc) {
-                Some(tr) => ActiveTr::Threaded(tr),
-                None => ActiveTr::None,
-            },
-            Tier::Fused => match self.translation_at_counted(pc) {
-                Some(tr) => ActiveTr::Fused(tr),
-                None => ActiveTr::None,
-            },
-            Tier::Decode => ActiveTr::None,
-        }
-    }
-
-    /// Background-mode fetch: cache hits resolve immediately, misses
-    /// enqueue and degrade to the next tier down (a threaded miss can
-    /// still dispatch through an installed decoded buffer).
-    fn fetch_translation_bg(&mut self, pc: u64, fi: u32, tier: Tier) -> ActiveTr<H> {
-        let idx = ((pc - CODE_BASE) / 4) as usize;
-        match tier {
-            Tier::Threaded => {
-                if self.trans.threaded_cached(idx) {
-                    return match self.threaded_at(pc) {
-                        Some(tr) => ActiveTr::Threaded(tr),
-                        None => ActiveTr::None,
-                    };
-                }
-                self.enqueue_translation(fi, Tier::Threaded);
-                if self.trans.decoded_cached(idx) {
-                    return match self.translation_at(pc, true) {
-                        Some(tr) => ActiveTr::Fused(tr),
-                        None => ActiveTr::None,
-                    };
-                }
-                ActiveTr::None
-            }
-            Tier::Fused => {
-                if self.trans.decoded_cached(idx) {
-                    return match self.translation_at(pc, true) {
-                        Some(tr) => ActiveTr::Fused(tr),
-                        None => ActiveTr::None,
-                    };
-                }
-                self.enqueue_translation(fi, Tier::Fused);
-                ActiveTr::None
-            }
-            Tier::Decode => ActiveTr::None,
-        }
+        let t0 = Instant::now();
+        let tr = if tier == Tier::Threaded {
+            Translation::Threaded(self.build_threaded(fi))
+        } else {
+            Translation::Decoded(self.build_decoded(fi, true))
+        };
+        let astats = &mut self.trans.astats;
+        astats.translation_ns += t0.elapsed().as_nanos() as u64;
+        astats.translated_words += u64::from(self.trans.tier_fns[fi as usize].words);
+        tr
     }
 
     /// Enqueues a translation request for tier record `fi` to the
@@ -851,7 +874,7 @@ impl<H: HostCall> Vm<H> {
     /// A request already in flight for the same function and tier is
     /// not duplicated.
     fn enqueue_translation(&mut self, fi: u32, tier: Tier) {
-        let (start, end, serial) = {
+        let ((start, end), serial) = {
             let entry = &mut self.trans.tier_fns[fi as usize];
             let pending = match tier {
                 Tier::Fused => &mut entry.pending_fused,
@@ -862,11 +885,7 @@ impl<H: HostCall> Vm<H> {
                 return;
             }
             *pending = true;
-            (
-                entry.start,
-                entry.start + entry.words as usize,
-                entry.serial,
-            )
+            (entry.range(), entry.serial)
         };
         let req = TransRequest {
             start,
@@ -981,45 +1000,23 @@ impl<H: HostCall> Vm<H> {
     fn install_translation(&mut self, done: TransDone<H>) {
         debug_assert_eq!(self.trans.epoch, self.state.code.live_epoch());
         let requester = match self.trans.tier_idx.get(done.start) {
-            Some(&fi) if fi != NO_TIER => Some(&mut self.trans.tier_fns[fi as usize]),
+            Some(&fi) if fi != NO_TIER => Some(fi),
             _ => None,
         };
-        let Some(entry) = requester.filter(|entry| entry.serial == done.serial) else {
+        let Some(fi) =
+            requester.filter(|&fi| self.trans.tier_fns[fi as usize].serial == done.serial)
+        else {
             self.trans.astats.discarded_stale += 1;
             return;
         };
+        let entry = &mut self.trans.tier_fns[fi as usize];
         match done.tier {
             Tier::Fused => entry.pending_fused = false,
             Tier::Threaded => entry.pending_threaded = false,
             Tier::Decode => {}
         }
-        let need = self.state.code.next_index();
-        match done.payload {
-            TransPayload::Fused(tr) => {
-                if self.trans.map.len() < need {
-                    self.trans.map.resize(need, None);
-                }
-                for slot in self.trans.map[done.start..done.end].iter_mut() {
-                    *slot = Some(Arc::clone(&tr));
-                }
-                self.trans.stats.fused_pairs += done.fused_pairs;
-            }
-            TransPayload::Threaded(tr) => {
-                if self.trans.tmap.len() < need {
-                    self.trans.tmap.resize(need, None);
-                }
-                for slot in self.trans.tmap[done.start..done.end].iter_mut() {
-                    *slot = Some(Arc::clone(&tr));
-                }
-                self.trans.stats.handlers = HANDLER_TABLE_SIZE;
-                self.trans.stats.superinstructions += tr.superinstructions;
-                for (shape, count) in &tr.shapes {
-                    *self.trans.shapes.entry(shape.clone()).or_insert(0) += count;
-                }
-            }
-        }
-        self.trans.stats.translations += 1;
-        self.trans.stats.translated_words += (done.end - done.start) as u64;
+        self.trans.install(fi, done.payload);
+        self.trans.stats.fused_pairs += done.fused_pairs;
         let astats = &mut self.trans.astats;
         astats.translation_ns += done.build_ns;
         astats.translated_words += (done.end - done.start) as u64;
@@ -1027,52 +1024,14 @@ impl<H: HostCall> Vm<H> {
         astats.swap_latency_ns += done.enqueued.elapsed().as_nanos() as u64;
     }
 
-    /// `translation_at`, with the build (cache-miss) path timed into
-    /// [`AdaptiveStats::translation_ns`].
-    fn translation_at_counted(
-        &mut self,
-        pc: u64,
-    ) -> Option<std::sync::Arc<crate::predecode::DecodedFn>> {
-        let idx = ((pc - CODE_BASE) / 4) as usize;
-        if self.trans.decoded_cached(idx) {
-            return self.translation_at(pc, true);
-        }
-        let words_before = self.trans.stats.translated_words;
-        let t0 = Instant::now();
-        let tr = self.translation_at(pc, true);
-        let built = self.trans.stats.translated_words - words_before;
-        if built > 0 {
-            self.trans.astats.translation_ns += t0.elapsed().as_nanos() as u64;
-            self.trans.astats.translated_words += built;
-        }
-        tr
-    }
-
-    /// `threaded_at`, with the build (cache-miss) path timed into
-    /// [`AdaptiveStats::translation_ns`].
-    fn threaded_at_counted(
-        &mut self,
-        pc: u64,
-    ) -> Option<std::sync::Arc<crate::threaded::ThreadedFn<H>>> {
-        let idx = ((pc - CODE_BASE) / 4) as usize;
-        if self.trans.threaded_cached(idx) {
-            return self.threaded_at(pc);
-        }
-        let words_before = self.trans.stats.translated_words;
-        let t0 = Instant::now();
-        let tr = self.threaded_at(pc);
-        let built = self.trans.stats.translated_words - words_before;
-        if built > 0 {
-            self.trans.astats.translation_ns += t0.elapsed().as_nanos() as u64;
-            self.trans.astats.translated_words += built;
-        }
-        tr
-    }
-
     /// Adaptive-engine counters, with the translation-cost-saved
     /// estimate priced at this session's observed ns/word.
     pub fn adaptive_stats(&self) -> AdaptiveStats {
         let mut s = self.trans.astats;
+        // `insns_tier1` is counted where it retires; the other two are
+        // what the engine-wide counters already hold.
+        s.insns_tier0 = self.trans.stats.slow_insns;
+        s.insns_tier2 = self.trans.stats.fast_insns - s.insns_tier1;
         let cold_words: u64 = self
             .trans
             .tier_fns
@@ -1109,8 +1068,10 @@ impl<H: HostCall> Vm<H> {
         if fi == NO_TIER {
             return None;
         }
+        // A record the fixed engines or a preseed created has never
+        // been entered.
         let t = &self.trans.tier_fns[fi as usize];
-        Some((t.tier, t.runs))
+        (t.runs > 0).then_some((t.tier, t.runs))
     }
 }
 
@@ -1165,29 +1126,92 @@ mod tests {
         (vm, addr, f)
     }
 
+    /// The tier the entry schedule alone grants the `k`-th entry
+    /// (1-indexed): decided against the `k - 1` completed prior runs.
+    /// Backedges only ever add to the clock, so this is a floor.
+    fn entry_schedule(k: u64, fuse_after: u32, thread_after: u32) -> Tier {
+        tier_for(k - 1, fuse_after, thread_after)
+    }
+
     #[test]
     fn functions_climb_tiers_at_the_configured_thresholds() {
+        // Entry thresholds are "no later than": run k executes at the
+        // tier k - 1 completed runs earn, or higher if loop iterations
+        // got the clock there first.
         let (mut vm, addr, _) = adaptive_vm(2, 4);
-        let expect = [
-            Tier::Decode,   // run 1: 0 completed runs
-            Tier::Decode,   // run 2: 1 completed
-            Tier::Fused,    // run 3: 2 completed >= fuse_after
-            Tier::Fused,    // run 4
-            Tier::Threaded, // run 5: 4 completed >= thread_after
-            Tier::Threaded, // run 6
-        ];
-        for (i, want) in expect.iter().enumerate() {
-            assert_eq!(vm.call(addr, &[5]).unwrap(), 15, "run {}", i + 1);
+        let mut last = Tier::Decode;
+        for k in 1..=6u64 {
+            assert_eq!(vm.call(addr, &[5]).unwrap(), 15, "run {k}");
             let (tier, runs) = vm.adaptive_tier(addr).expect("tracked");
-            assert_eq!(tier, *want, "run {}", i + 1);
-            assert_eq!(runs, i as u64 + 1);
+            assert!(tier >= entry_schedule(k, 2, 4), "run {k}: {tier:?}");
+            assert!(tier >= last, "run {k}: monotone");
+            assert_eq!(runs, k);
+            last = tier;
         }
+        assert_eq!(last, Tier::Threaded);
         let s = vm.adaptive_stats();
         assert_eq!(s.promotions, 2);
         assert_eq!(s.demotions, 0);
-        assert_eq!((s.runs_tier0, s.runs_tier1, s.runs_tier2), (2, 2, 2));
         assert_eq!(s.total_runs, 6);
+        assert_eq!(s.runs_tier0 + s.runs_tier1 + s.runs_tier2, 6);
+        assert!(s.runs_tier0 <= 2 && s.runs_tier2 >= 2, "{s:?}");
         assert!(s.translation_ns > 0, "promoted tiers were translated");
+        // 40 iterations a run: the backedges of runs 1 and 2 add up to
+        // a tick inside run 2, one entry ahead of the entry schedule —
+        // and keep accruing at tier 1, so run 4 ends threaded, too.
+        let (mut vm, addr, _) = adaptive_vm(2, 4);
+        let mut tiers = Vec::new();
+        for _ in 0..4 {
+            vm.call(addr, &[40]).unwrap();
+            tiers.push(vm.adaptive_tier(addr).unwrap().0);
+        }
+        assert_eq!(
+            tiers,
+            [Tier::Decode, Tier::Fused, Tier::Fused, Tier::Threaded]
+        );
+    }
+
+    #[test]
+    fn safepoint_yields_only_when_the_clock_is_due() {
+        // thread_after out of reach: a tier-1 function loops inside one
+        // dispatch however long it runs (the budget is the distance to
+        // the threshold, not to the next tick).
+        let (mut vm, addr, _) = adaptive_vm(1, u32::MAX);
+        vm.call(addr, &[1]).unwrap();
+        vm.call(addr, &[100_000]).unwrap();
+        let fi = vm.trans.tier_idx[((addr - CODE_BASE) / 4) as usize];
+        let record = &vm.trans.tier_fns[fi as usize];
+        assert_eq!(record.backedges, 100_001, "every backedge was credited");
+        assert_eq!(record.tier, Tier::Fused);
+        // A retired record's clock restarts at zero: 60 + 60 backedges
+        // across a patch never add up to a tick.
+        let (mut vm, addr, _) = adaptive_vm(2, 100);
+        vm.call(addr, &[60]).unwrap();
+        vm.state_mut().code.patch(
+            ((addr - CODE_BASE) / 4) as usize,
+            Insn::i(Op::Addiw, AT0, ZERO, 0),
+        );
+        vm.call(addr, &[60]).unwrap();
+        assert_eq!(vm.adaptive_tier(addr), Some((Tier::Decode, 1)));
+        let fi = vm.trans.tier_idx[((addr - CODE_BASE) / 4) as usize];
+        assert_eq!(vm.trans.tier_fns[fi as usize].backedges, 60);
+    }
+
+    #[test]
+    fn a_function_holds_one_translation() {
+        // Promotion 1 -> 2 releases the decoded buffer: the record's
+        // threaded handle is the only reference to any translation.
+        let (mut vm, addr, _) = adaptive_vm(1, 2);
+        vm.call(addr, &[3]).unwrap();
+        vm.call(addr, &[3]).unwrap();
+        let fi = vm.trans.tier_idx[((addr - CODE_BASE) / 4) as usize] as usize;
+        let Translation::Decoded(decoded) = vm.trans.tier_fns[fi].tr.clone() else {
+            panic!("tier 1 holds the decoded buffer");
+        };
+        vm.call(addr, &[3]).unwrap();
+        assert!(matches!(vm.trans.tier_fns[fi].tr, Translation::Threaded(_)));
+        assert_eq!(Arc::strong_count(&decoded), 1, "released on install");
+        assert_eq!(vm.exec_stats().translations, 2);
     }
 
     #[test]

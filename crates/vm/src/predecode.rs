@@ -54,6 +54,7 @@ use crate::error::VmError;
 use crate::host::HostCall;
 use crate::interp::{branch_taken, exec_scalar, ExitStatus, Step, Vm, RETURN_SENTINEL};
 use crate::isa::{Insn, Op};
+use crate::threaded::{ThreadedFn, HANDLER_TABLE_SIZE};
 
 /// Which execution engine [`Vm::run`] dispatches through.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -184,32 +185,52 @@ impl ExecStats {
     }
 }
 
-/// Per-VM translation cache: decoded and threaded buffers indexed by
-/// code word, synchronized to one `CodeSpace::live_epoch` at a time by
-/// [`TransCache::sync_epoch`].
+/// The one translation a tier record owns. A function holds at most
+/// one buffer at a time: installing the threaded form releases the
+/// decoded one it replaces.
+pub(crate) enum Translation<H> {
+    /// Nothing built (tier 0, or a build still in flight).
+    None,
+    /// The predecoded buffer ([`ExecEngine::Predecoded`], tier 1).
+    Decoded(Arc<DecodedFn>),
+    /// The direct-threaded buffer ([`ExecEngine::Threaded`], tier 2).
+    Threaded(Arc<ThreadedFn<H>>),
+}
+
+// Manual impl: `derive` would demand `H: Clone` for two `Arc`s.
+impl<H> Clone for Translation<H> {
+    fn clone(&self) -> Self {
+        match self {
+            Translation::None => Translation::None,
+            Translation::Decoded(tr) => Translation::Decoded(Arc::clone(tr)),
+            Translation::Threaded(tr) => Translation::Threaded(Arc::clone(tr)),
+        }
+    }
+}
+
+/// Per-VM translation cache: one record per translated or entered
+/// function, each owning that function's translation, synchronized to
+/// one `CodeSpace::live_epoch` at a time by [`TransCache::sync_epoch`].
 ///
 /// Generic over the host because the threaded buffers store handler
 /// function pointers typed over `Vm<H>`.
 pub(crate) struct TransCache<H> {
     /// The `live_epoch` the cached translations were made under.
     pub(crate) epoch: u64,
-    /// Word index → decoded translation covering that word (shared
-    /// across the function's whole range).
-    pub(crate) map: Vec<Option<Arc<DecodedFn>>>,
-    /// Word index → direct-threaded translation covering that word.
-    pub(crate) tmap: Vec<Option<Arc<crate::threaded::ThreadedFn<H>>>>,
     /// Word index → index into [`TransCache::tier_fns`] for the live
     /// function covering that word, or [`NO_TIER`] when untracked. A
-    /// dense mirror of the live ranges so the adaptive engine resolves
-    /// a function entry with one array load instead of a binary search
-    /// plus hash probe per call/return transition.
+    /// dense mirror of the live ranges — the only per-word index — so
+    /// every engine resolves a pc to its function's record (and so to
+    /// its translation) with one array load instead of a range search
+    /// per call/return transition.
     pub(crate) tier_idx: Vec<u32>,
-    /// Adaptive tier state (run count, current tier) per entered
-    /// function, created on first entry and retired together with the
-    /// translations it justifies. Retired slots (`serial == 0`) are
-    /// listed in [`TransCache::tier_free`] and reused, so the table is
-    /// bounded by the functions live at once, not by churn.
-    pub(crate) tier_fns: Vec<FnTier>,
+    /// Per-function state: the translation, and under the adaptive
+    /// engine the clock and tier that justified it. Created on first
+    /// entry (or first translation) and retired when the function is
+    /// freed or patched. Retired slots (`serial == 0`) are listed in
+    /// [`TransCache::tier_free`] and reused, so the table is bounded
+    /// by the functions live at once, not by churn.
+    pub(crate) tier_fns: Vec<FnTier<H>>,
     /// Indices of retired [`TransCache::tier_fns`] slots.
     pub(crate) tier_free: Vec<u32>,
     /// Serial the next tier record is stamped with (never `0`, never
@@ -240,8 +261,7 @@ impl<H> std::fmt::Debug for TransCache<H> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("TransCache")
             .field("epoch", &self.epoch)
-            .field("map", &self.map.len())
-            .field("tmap", &self.tmap.len())
+            .field("tier_fns", &self.tier_fns.len())
             .field("stats", &self.stats)
             .field("pending", &self.pending)
             .finish()
@@ -252,8 +272,6 @@ impl<H> Default for TransCache<H> {
     fn default() -> Self {
         TransCache {
             epoch: 0,
-            map: Vec::new(),
-            tmap: Vec::new(),
             tier_idx: Vec::new(),
             tier_fns: Vec::new(),
             tier_free: Vec::new(),
@@ -281,15 +299,7 @@ impl<H> TransCache<H> {
     /// translations find no record at their start word any more and are
     /// discarded on receipt instead of installed.
     pub(crate) fn clear(&mut self) {
-        for slot in &mut self.map {
-            *slot = None;
-        }
-        for slot in &mut self.tmap {
-            *slot = None;
-        }
-        for slot in &mut self.tier_idx {
-            *slot = NO_TIER;
-        }
+        self.tier_idx.fill(NO_TIER);
         self.tier_fns.clear();
         self.tier_free.clear();
     }
@@ -309,11 +319,11 @@ impl<H> TransCache<H> {
     }
 
     /// The epoch moved: drop what died. For each range logged since
-    /// this cache last looked, the function's buffers and tier record
-    /// go — O(words invalidated); everything else keeps translation,
-    /// tier and run count. A cache too far behind for the ring drops
-    /// everything. Either way the tier levels actually lost are counted
-    /// into `demotions`.
+    /// this cache last looked, the function's tier record goes and its
+    /// translation with it — O(words invalidated); everything else
+    /// keeps translation, tier and run count. A cache too far behind
+    /// for the ring drops everything. Either way the tier levels
+    /// actually lost are counted into `demotions`.
     #[cold]
     fn invalidate_since(&mut self, code: &CodeSpace, epoch: u64) {
         match code.invalidated_since(self.epoch) {
@@ -332,24 +342,16 @@ impl<H> TransCache<H> {
         self.stats.invalidations += 1;
     }
 
-    /// Drops the translations and the tier record of the function that
-    /// occupied words `[start, end)` when it was freed or patched.
+    /// Retires the tier record — and with it the translation — of the
+    /// function that occupied words `[start, end)` when it was freed or
+    /// patched.
     fn drop_range(&mut self, start: usize, end: usize) {
-        fn window<T>(v: &mut [T], start: usize, end: usize) -> &mut [T] {
-            let end = end.min(v.len());
-            &mut v[start.min(end)..end]
-        }
-        for slot in window(&mut self.map, start, end) {
-            *slot = None;
-        }
-        for slot in window(&mut self.tmap, start, end) {
-            *slot = None;
-        }
+        let tracked = end.min(self.tier_idx.len());
         // A tier record covers exactly the live range it was created
         // for, and a logged range is exactly one function's, so every
         // tracked word in the window names the same record.
         let mut retired = NO_TIER;
-        for slot in window(&mut self.tier_idx, start, end) {
+        for slot in &mut self.tier_idx[start.min(tracked)..tracked] {
             let fi = std::mem::replace(slot, NO_TIER);
             if fi != NO_TIER && fi != retired {
                 let record = &mut self.tier_fns[fi as usize];
@@ -387,14 +389,21 @@ impl<H> TransCache<H> {
         fi
     }
 
-    /// Whether a decoded buffer already covers word index `idx`.
-    pub(crate) fn decoded_cached(&self, idx: usize) -> bool {
-        matches!(self.map.get(idx), Some(Some(_)))
-    }
-
-    /// Whether a threaded buffer already covers word index `idx`.
-    pub(crate) fn threaded_cached(&self, idx: usize) -> bool {
-        matches!(self.tmap.get(idx), Some(Some(_)))
+    /// Hands record `fi` its translation — releasing whatever buffer
+    /// it held — and counts it. The one install site shared by inline
+    /// builds, background completions and preseeding.
+    pub(crate) fn install(&mut self, fi: u32, tr: Translation<H>) {
+        let record = &mut self.tier_fns[fi as usize];
+        self.stats.translations += 1;
+        self.stats.translated_words += u64::from(record.words);
+        if let Translation::Threaded(t) = &tr {
+            self.stats.handlers = HANDLER_TABLE_SIZE;
+            self.stats.superinstructions += t.superinstructions;
+            for (shape, count) in &t.shapes {
+                *self.shapes.entry(shape.clone()).or_insert(0) += count;
+            }
+        }
+        record.tr = tr;
     }
 }
 
@@ -713,30 +722,19 @@ impl<H: HostCall> Vm<H> {
             return false;
         }
         self.trans.sync_epoch(&self.state.code);
-        if addr < CODE_BASE || !addr.is_multiple_of(4) {
-            return false;
-        }
-        let idx = ((addr - CODE_BASE) / 4) as usize;
-        let Some((start, end)) = self.state.code.live_range_containing(idx) else {
+        let Some(fi) = self.record_at(addr) else {
             return false;
         };
-        if start != idx || end - start != tr.len() {
+        let record = &self.trans.tier_fns[fi as usize];
+        let (start, end) = record.range();
+        if CODE_BASE + (start as u64) * 4 != addr || end - start != tr.len() {
             return false;
         }
-        if self.trans.decoded_cached(idx) {
-            return true;
+        if matches!(record.tr, Translation::None) {
+            let decoded = Arc::new(tr.instantiate(addr));
+            self.trans.install(fi, Translation::Decoded(decoded));
+            self.trans.stats.fused_pairs += tr.fused_pairs();
         }
-        let decoded = Arc::new(tr.instantiate(addr));
-        let need = self.state.code.next_index();
-        if self.trans.map.len() < need {
-            self.trans.map.resize(need, None);
-        }
-        for slot in self.trans.map[start..end].iter_mut() {
-            *slot = Some(Arc::clone(&decoded));
-        }
-        self.trans.stats.translations += 1;
-        self.trans.stats.translated_words += (end - start) as u64;
-        self.trans.stats.fused_pairs += tr.fused_pairs();
         true
     }
 
@@ -749,12 +747,15 @@ impl<H: HostCall> Vm<H> {
         mut pc: u64,
         fuse: bool,
     ) -> Result<ExitStatus, VmError> {
+        // A fixed engine has no promotion clock: the safepoint never
+        // comes due.
+        let mut backedges = u64::MAX;
         loop {
             if pc == RETURN_SENTINEL {
                 return Ok(ExitStatus::Returned);
             }
             let step = match self.translation_at(pc, fuse) {
-                Some(tr) => self.dispatch(&tr, pc)?,
+                Some(tr) => self.dispatch(&tr, pc, &mut backedges)?,
                 None => {
                     let step = self.step_slow(pc)?;
                     self.trans.stats.slow_insns += 1;
@@ -768,19 +769,40 @@ impl<H: HostCall> Vm<H> {
         }
     }
 
+    /// The tier record of the live function containing `pc`, tracking
+    /// the function on first sight: one `tier_idx` load ever after.
+    /// `None` when `pc` is not inside live code (the slow path then
+    /// raises the exact reference fault).
+    pub(crate) fn record_at(&mut self, pc: u64) -> Option<u32> {
+        if pc < CODE_BASE || !pc.is_multiple_of(4) {
+            return None;
+        }
+        let idx = ((pc - CODE_BASE) / 4) as usize;
+        match self.trans.tier_idx.get(idx) {
+            Some(&fi) if fi != NO_TIER => Some(fi),
+            _ => {
+                let (start, end) = self.state.code.live_range_containing(idx)?;
+                Some(self.trans.track(start, end))
+            }
+        }
+    }
+
     /// Looks up (or lazily builds) the decoded buffer covering `pc`.
     /// Validates the cache against the code space's live epoch first —
     /// this is where the per-instruction liveness check is hoisted to.
     pub(crate) fn translation_at(&mut self, pc: u64, fuse: bool) -> Option<Arc<DecodedFn>> {
         self.trans.sync_epoch(&self.state.code);
-        if pc < CODE_BASE || !pc.is_multiple_of(4) {
-            return None;
-        }
-        let idx = ((pc - CODE_BASE) / 4) as usize;
-        if let Some(Some(tr)) = self.trans.map.get(idx) {
+        let fi = self.record_at(pc)?;
+        if let Translation::Decoded(tr) = &self.trans.tier_fns[fi as usize].tr {
             return Some(Arc::clone(tr));
         }
-        let (start, end) = self.state.code.live_range_containing(idx)?;
+        Some(self.build_decoded(fi, fuse))
+    }
+
+    /// Translates record `fi`'s function into a decoded buffer and
+    /// installs it on the record.
+    pub(crate) fn build_decoded(&mut self, fi: u32, fuse: bool) -> Arc<DecodedFn> {
+        let (start, end) = self.trans.tier_fns[fi as usize].range();
         let tr = Arc::new(translate(
             self.state.code.word_slice(start, end),
             start,
@@ -788,16 +810,9 @@ impl<H: HostCall> Vm<H> {
             fuse,
             &mut self.trans.stats,
         ));
-        let need = self.state.code.next_index();
-        if self.trans.map.len() < need {
-            self.trans.map.resize(need, None);
-        }
-        for slot in self.trans.map[start..end].iter_mut() {
-            *slot = Some(Arc::clone(&tr));
-        }
-        self.trans.stats.translations += 1;
-        self.trans.stats.translated_words += (end - start) as u64;
-        Some(tr)
+        self.trans
+            .install(fi, Translation::Decoded(Arc::clone(&tr)));
+        tr
     }
 
     /// Executes from the decoded buffer until control leaves it, a run
@@ -805,7 +820,20 @@ impl<H: HostCall> Vm<H> {
     /// live in locals and are flushed to machine state on every exit
     /// and around host calls, so observable state always matches the
     /// reference engine exactly.
-    pub(crate) fn dispatch(&mut self, tr: &DecodedFn, pc: u64) -> Result<Step, VmError> {
+    ///
+    /// `backedges` is the promotion clock's safepoint: it is counted
+    /// down on every taken backward in-buffer transfer (and nowhere
+    /// else — straight-line and forward code never look at it), and
+    /// when it reaches zero the dispatcher leaves the buffer at the
+    /// transfer's target, exactly as if control had left the function.
+    /// The adaptive run loop grants the backedges still missing to the
+    /// next tier threshold and reads back what was left.
+    pub(crate) fn dispatch(
+        &mut self,
+        tr: &DecodedFn,
+        pc: u64,
+        backedges: &mut u64,
+    ) -> Result<Step, VmError> {
         let base = tr.base;
         let buf = &tr.insns[..];
         let len = buf.len();
@@ -823,6 +851,7 @@ impl<H: HostCall> Vm<H> {
                 self.state.cycles = cycles;
                 self.state.insns = insns;
                 self.trans.stats.fast_insns += insns - entry_insns;
+                self.trans.astats.insns_tier1 += insns - entry_insns;
                 #[allow(unused_assignments)]
                 {
                     entry_insns = insns;
@@ -857,15 +886,32 @@ impl<H: HostCall> Vm<H> {
                 }
             }};
         }
+        // Land on in-buffer index $t, transferred to by the instruction
+        // at index $from (the second slot of a fused pair): a backward
+        // transfer — target pc <= own pc, what the tier-0 clock counts
+        // — spends one backedge and yields at $t once none are left.
+        macro_rules! land {
+            ($t:expr, $from:expr) => {{
+                let t: usize = $t;
+                if t <= $from {
+                    *backedges -= 1;
+                    if *backedges == 0 {
+                        flush!();
+                        return Ok(Step::At(base + (t as u64) * 4));
+                    }
+                }
+                i = t;
+            }};
+        }
         // Transfer control to buffer index $t (an i64): stay in the
         // buffer when it lands inside, exit to the equivalent pc
         // otherwise (negative indices wrap exactly like the reference
         // engine's pc arithmetic).
         macro_rules! goto {
-            ($t:expr) => {{
+            ($t:expr, $from:expr) => {{
                 let t = $t;
                 if (t as u64) < len as u64 {
-                    i = t as usize;
+                    land!(t as usize, $from);
                 } else {
                     flush!();
                     return Ok(Step::At(base.wrapping_add((t as u64).wrapping_mul(4))));
@@ -902,7 +948,7 @@ impl<H: HostCall> Vm<H> {
                         return Err(VmError::OutOfFuel);
                     }
                     if taken {
-                        goto!(target);
+                        goto!(target, i);
                     } else {
                         advance!(1);
                     }
@@ -927,7 +973,7 @@ impl<H: HostCall> Vm<H> {
                         return Err(VmError::OutOfFuel);
                     }
                     if taken {
-                        goto!(target);
+                        goto!(target, i + 1);
                     } else {
                         advance!(2);
                     }
@@ -939,7 +985,7 @@ impl<H: HostCall> Vm<H> {
                         flush!();
                         return Err(VmError::OutOfFuel);
                     }
-                    goto!(target);
+                    goto!(target, i);
                 }
                 DInsn::Jal { cost, target } => {
                     self.state
@@ -950,7 +996,7 @@ impl<H: HostCall> Vm<H> {
                         flush!();
                         return Err(VmError::OutOfFuel);
                     }
-                    goto!(target);
+                    goto!(target, i);
                 }
                 DInsn::Jalr { rd, rs1, cost } => {
                     let target = self.state.reg(rs1);
@@ -968,7 +1014,7 @@ impl<H: HostCall> Vm<H> {
                         && target < base + (len as u64) * 4
                         && (target - base).is_multiple_of(4)
                     {
-                        i = ((target - base) / 4) as usize;
+                        land!(((target - base) / 4) as usize, i);
                     } else {
                         flush!();
                         return Ok(Step::At(target));

@@ -15,8 +15,8 @@
 //!
 //! * **Basic-block fuel batching.** Translation splits each function
 //!   into maximal straight-line scalar runs and stores, per slot, the
-//!   summed cycle cost of the run *suffix* starting there
-//!   (`TSlot::run_cost`) — so entering mid-run (branch targets,
+//!   summed cycle cost of the run *suffix* starting there (a scalar
+//!   slot's `TSlot::cost`) — so entering mid-run (branch targets,
 //!   return addresses) still sees a correct block summary. At run
 //!   entry, if the whole suffix fits in the remaining fuel it is
 //!   charged once and the constituent instructions execute with no
@@ -91,6 +91,7 @@ use crate::error::VmError;
 use crate::host::HostCall;
 use crate::interp::{exec_scalar, ExitStatus, MachineState, Step, Vm, RETURN_SENTINEL};
 use crate::isa::{Insn, Op};
+use crate::predecode::Translation;
 
 /// Specialized scalar handlers (one per straight-line opcode).
 pub const SCALAR_HANDLERS: u64 = 70;
@@ -154,11 +155,13 @@ struct Frame {
     dispatches: u64,
 }
 
-/// One translated slot: the handler pointer plus the operands it needs.
+/// One translated slot: the handler pointer plus the operands it needs,
+/// 32 bytes (two to a cache line; every translated word carries one).
 /// Field meaning depends on the handler:
 ///
 /// * scalar runs (`h_run`): `a`/`b` index the suffix `halves[a..a+b]`,
-///   `run_cost` is that suffix's summed cost;
+///   `cost` is that suffix's summed cost (what the batched entry
+///   charges up front);
 /// * branches: `rd`/`rs1` compared, `cost`/`taken_cost` charged,
 ///   `target` is a pre-resolved buffer index;
 /// * `hcall`: `a` is the host-call number; traps: `a` is the opcode.
@@ -168,10 +171,9 @@ pub(crate) struct TSlot<H> {
     b: u32,
     cost: u32,
     taken_cost: u32,
+    target: i32,
     rd: u8,
     rs1: u8,
-    target: i64,
-    run_cost: u64,
 }
 
 // Manual impls: `derive` would put an `H: Clone`/`H: Copy` bound on
@@ -392,7 +394,7 @@ fn branch_common<H: HostCall>(
         return Ctl::Exit(Err(VmError::OutOfFuel));
     }
     if taken {
-        goto(vm, tr, fr, slot.target)
+        goto(vm, tr, fr, i64::from(slot.target))
     } else {
         advance(vm, tr, fr, 1)
     }
@@ -508,7 +510,7 @@ fn h_run<H: HostCall>(vm: &mut Vm<H>, tr: &ThreadedFn<H>, fr: &mut Frame) -> Ctl
     let slot = &tr.slots[fr.i];
     let n = slot.b as usize;
     let halves = &tr.halves[slot.a as usize..slot.a as usize + n];
-    if let Some(exit) = exec_run(vm, fr, halves, slot.run_cost) {
+    if let Some(exit) = exec_run(vm, fr, halves, u64::from(slot.cost)) {
         return exit;
     }
     advance(vm, tr, fr, n)
@@ -522,7 +524,7 @@ fn h_run_j<H: HostCall>(vm: &mut Vm<H>, tr: &ThreadedFn<H>, fr: &mut Frame) -> C
     let slot = &tr.slots[fr.i];
     let n = slot.b as usize;
     let halves = &tr.halves[slot.a as usize..slot.a as usize + n];
-    if let Some(exit) = exec_run(vm, fr, halves, slot.run_cost) {
+    if let Some(exit) = exec_run(vm, fr, halves, u64::from(slot.cost)) {
         return exit;
     }
     fr.i += n;
@@ -536,7 +538,7 @@ fn h_pair<H: HostCall>(vm: &mut Vm<H>, tr: &ThreadedFn<H>, fr: &mut Frame) -> Ct
     let slot = &tr.slots[fr.i];
     let a = slot.a as usize;
     let halves: &[SHalf; 2] = tr.halves[a..a + 2].try_into().expect("pair slot covers 2");
-    if let Some(exit) = exec_run(vm, fr, halves, slot.run_cost) {
+    if let Some(exit) = exec_run(vm, fr, halves, u64::from(slot.cost)) {
         return exit;
     }
     advance(vm, tr, fr, 2)
@@ -551,7 +553,7 @@ fn h_triple<H: HostCall>(vm: &mut Vm<H>, tr: &ThreadedFn<H>, fr: &mut Frame) -> 
     let halves: &[SHalf; 3] = tr.halves[a..a + 3]
         .try_into()
         .expect("triple slot covers 3");
-    if let Some(exit) = exec_run(vm, fr, halves, slot.run_cost) {
+    if let Some(exit) = exec_run(vm, fr, halves, u64::from(slot.cost)) {
         return exit;
     }
     advance(vm, tr, fr, 3)
@@ -570,7 +572,7 @@ fn run_branch_fn<H: HostCall>(op: Op) -> Handler<H> {
                 let slot = &tr.slots[fr.i];
                 let n = slot.b as usize;
                 let halves = &tr.halves[slot.a as usize..slot.a as usize + n];
-                if let Some(exit) = exec_run(vm, fr, halves, slot.run_cost) {
+                if let Some(exit) = exec_run(vm, fr, halves, u64::from(slot.cost)) {
                     return exit;
                 }
                 fr.i += n;
@@ -606,7 +608,7 @@ fn h_jump<H: HostCall>(vm: &mut Vm<H>, tr: &ThreadedFn<H>, fr: &mut Frame) -> Ct
         flush(vm, fr);
         return Ctl::Exit(Err(VmError::OutOfFuel));
     }
-    goto(vm, tr, fr, slot.target)
+    goto(vm, tr, fr, i64::from(slot.target))
 }
 
 fn h_jal<H: HostCall>(vm: &mut Vm<H>, tr: &ThreadedFn<H>, fr: &mut Frame) -> Ctl {
@@ -619,7 +621,7 @@ fn h_jal<H: HostCall>(vm: &mut Vm<H>, tr: &ThreadedFn<H>, fr: &mut Frame) -> Ctl
         flush(vm, fr);
         return Ctl::Exit(Err(VmError::OutOfFuel));
     }
-    goto(vm, tr, fr, slot.target)
+    goto(vm, tr, fr, i64::from(slot.target))
 }
 
 fn h_jalr<H: HostCall>(vm: &mut Vm<H>, tr: &ThreadedFn<H>, fr: &mut Frame) -> Ctl {
@@ -692,8 +694,8 @@ fn h_trap<H: HostCall>(vm: &mut Vm<H>, tr: &ThreadedFn<H>, fr: &mut Frame) -> Ct
 
 /// Buffer index a control transfer at index `i` with word offset `imm`
 /// lands on.
-fn rel_target(i: usize, imm: i32) -> i64 {
-    i as i64 + 1 + imm as i64
+fn rel_target(i: usize, imm: i32) -> i32 {
+    i32::try_from(i as i64 + 1 + i64::from(imm)).expect("branch target fits i32")
 }
 
 fn icost(c: u64) -> u32 {
@@ -730,10 +732,9 @@ pub(crate) fn translate<H: HostCall>(
         b: 0,
         cost: 0,
         taken_cost: 0,
+        target: 0,
         rd: 0,
         rs1: 0,
-        target: 0,
-        run_cost: 0,
     };
     for (i, &word) in words.iter().enumerate() {
         let insn = match Insn::decode(word) {
@@ -791,7 +792,7 @@ pub(crate) fn translate<H: HostCall>(
                 let mut t = blank(h_run::<H>);
                 t.a = u32::try_from(halves.len()).expect("function fits u32 slots");
                 t.b = 1;
-                t.run_cost = u64::from(c);
+                t.cost = c;
                 halves.push(SHalf {
                     f: scalar_fn(op),
                     rd: insn.rd,
@@ -814,11 +815,14 @@ pub(crate) fn translate<H: HostCall>(
         });
     }
     // Backward pass: extend each scalar slot's run summary with its
-    // successor's, turning `b`/`run_cost` into suffix length and cost.
+    // successor's, turning `b`/`cost` into suffix length and cost.
     for i in (0..slots.len().saturating_sub(1)).rev() {
         if slots[i].b > 0 && slots[i + 1].b > 0 {
             slots[i].b += slots[i + 1].b;
-            slots[i].run_cost += slots[i + 1].run_cost;
+            slots[i].cost = slots[i]
+                .cost
+                .checked_add(slots[i + 1].cost)
+                .expect("run cost fits u32");
         }
     }
     // Superinstruction fusion pass (slot-preserving: only the group's
@@ -904,34 +908,26 @@ impl<H: HostCall> Vm<H> {
     /// validating the cache against the code space's live epoch first.
     pub(crate) fn threaded_at(&mut self, pc: u64) -> Option<Arc<ThreadedFn<H>>> {
         self.trans.sync_epoch(&self.state.code);
-        if pc < CODE_BASE || !pc.is_multiple_of(4) {
-            return None;
-        }
-        let idx = ((pc - CODE_BASE) / 4) as usize;
-        if let Some(Some(tr)) = self.trans.tmap.get(idx) {
+        let fi = self.record_at(pc)?;
+        if let Translation::Threaded(tr) = &self.trans.tier_fns[fi as usize].tr {
             return Some(Arc::clone(tr));
         }
-        let (start, end) = self.state.code.live_range_containing(idx)?;
+        Some(self.build_threaded(fi))
+    }
+
+    /// Translates record `fi`'s function into a threaded buffer and
+    /// installs it on the record (releasing a decoded buffer held
+    /// there).
+    pub(crate) fn build_threaded(&mut self, fi: u32) -> Arc<ThreadedFn<H>> {
+        let (start, end) = self.trans.tier_fns[fi as usize].range();
         let tr = Arc::new(translate::<H>(
             self.state.code.word_slice(start, end),
             start,
             &self.cost,
         ));
-        let need = self.state.code.next_index();
-        if self.trans.tmap.len() < need {
-            self.trans.tmap.resize(need, None);
-        }
-        for slot in self.trans.tmap[start..end].iter_mut() {
-            *slot = Some(Arc::clone(&tr));
-        }
-        self.trans.stats.translations += 1;
-        self.trans.stats.translated_words += (end - start) as u64;
-        self.trans.stats.handlers = HANDLER_TABLE_SIZE;
-        self.trans.stats.superinstructions += tr.superinstructions;
-        for (shape, count) in &tr.shapes {
-            *self.trans.shapes.entry(shape.clone()).or_insert(0) += count;
-        }
-        Some(tr)
+        self.trans
+            .install(fi, Translation::Threaded(Arc::clone(&tr)));
+        tr
     }
 
     /// The tight loop: call the current slot's handler until control
@@ -1006,6 +1002,14 @@ mod tests {
         let mut vm = Vm::new(cs.clone(), 1 << 20);
         vm.set_engine(ExecEngine::Threaded);
         vm
+    }
+
+    #[test]
+    fn slot_is_half_a_cache_line() {
+        // Every translated word carries one, and every fresh loop now
+        // earns a threaded buffer inside its first run: 48 -> 32 bytes
+        // is part of what holds peak RSS where it was.
+        assert!(std::mem::size_of::<TSlot<crate::host::NoHost>>() <= 32);
     }
 
     #[test]

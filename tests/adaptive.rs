@@ -1,6 +1,8 @@
 //! Property tests for the adaptive tiering engine at the session level:
-//! per-function promotion sequences are monotone and keyed to the
-//! configured thresholds, epoch bumps (here: code-budget evictions)
+//! per-function promotion sequences are monotone and reach each tier
+//! no later than the configured entry thresholds (exactly at them for
+//! loop-free code; sooner when loop iterations get the clock there
+//! first, within a single run if the loop is long enough), epoch bumps (here: code-budget evictions)
 //! retire the evicted function's record and leave every survivor's
 //! tier and run count alone, freed-then-hot functions fault
 //! `StaleCode` no matter which tier they had reached, and the
@@ -46,9 +48,10 @@ fn session(fuse_after: u32, thread_after: u32, budget: Option<u64>) -> Session {
     .expect("compiles")
 }
 
-/// The tier a function must occupy while executing its `k`-th run
+/// The tier the entry schedule grants a function's `k`-th run
 /// (1-indexed): the decision is made at entry against the `k - 1`
-/// completed prior runs.
+/// completed prior runs. A floor — backward transfers only add to the
+/// clock — and exact for `SRC`, whose functions take none.
 fn expected_tier(k: u64, fuse_after: u32, thread_after: u32) -> Tier {
     let prior = k - 1;
     if prior >= u64::from(thread_after) {
@@ -80,8 +83,8 @@ fn force_eviction(s: &mut Session, start_seed: &mut u64) -> u64 {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// (a) Per-function tier sequences are monotone and track the
-    /// configured thresholds exactly; an epoch bump costs only what it
+    /// (a) Per-function tier sequences are monotone and, for loop-free
+    /// code, track the configured thresholds exactly; an epoch bump costs only what it
     /// invalidated — the evicted function loses its record and faults,
     /// the survivor's tier and run count carry on.
     #[test]
@@ -221,6 +224,80 @@ proptest! {
             last_promotions = a.promotions;
             last_demotions = a.demotions;
         }
+    }
+}
+
+/// One dynamic function whose run time is a loop of `k` iterations.
+const LOOP_SRC: &str = r#"
+long mk_loop(int n) {
+    int vspec k = param(int, 0);
+    void cspec c = `{
+        int i;
+        int acc;
+        acc = 0;
+        for (i = 0; i < k; i++) {
+            acc = acc + i * $n;
+        }
+        return acc;
+    };
+    return (long)compile(c, int);
+}
+int run_loop(long fp, int k) {
+    int (*g)(void) = (int (*)(void))fp;
+    return (*g)(k);
+}
+"#;
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// (d) With a loop in the function the entry thresholds are "no
+    /// later than": every run executes at or above the tier its entry
+    /// count earns, the tier never moves down, and a single entry whose
+    /// loop is long enough ends at the top tier on iterations alone.
+    #[test]
+    fn loops_reach_each_tier_no_later_than_the_entry_schedule(
+        ft in thresholds(),
+        iters in 1u64..120,
+        runs in 1u64..10,
+    ) {
+        let (fuse_after, thread_after) = ft;
+        let config = Config {
+            adaptive_fuse_after: fuse_after,
+            adaptive_thread_after: thread_after,
+            ..Config::default()
+        };
+        let mut s = Session::new(LOOP_SRC, config.clone()).expect("compiles");
+        let fp = s.call("mk_loop", &[3]).expect("compile");
+        let want = 3 * (iters * (iters - 1) / 2);
+        let mut last = Tier::Decode;
+        for k in 1..=runs {
+            prop_assert_eq!(s.call("run_loop", &[fp, iters]).expect("runs"), want);
+            let (tier, count) = s.vm.adaptive_tier(fp).expect("tracked after a run");
+            prop_assert_eq!(count, k, "backedges are not entries");
+            prop_assert!(tier >= last, "tier never moves down between runs");
+            prop_assert!(
+                tier >= expected_tier(k, fuse_after, thread_after),
+                "run {} under {}/{} is behind its entry schedule at {:?}",
+                k, fuse_after, thread_after, tier
+            );
+            last = tier;
+        }
+        // The clock is one run per 64 backedges and the loop takes one
+        // a trip (two would still fit), so fewer than 32 trips in total
+        // never tick: such a function is exactly on the entry schedule.
+        if iters * runs < 32 {
+            prop_assert_eq!(last, expected_tier(runs, fuse_after, thread_after));
+        }
+        // One entry, `thread_after` runs' worth of iterations (and a
+        // tick to spare): tier 2 before the run is over.
+        let mut s = Session::new(LOOP_SRC, config).expect("compiles");
+        let fp = s.call("mk_loop", &[3]).expect("compile");
+        let long = (u64::from(thread_after) + 1) << 6;
+        s.call("run_loop", &[fp, long]).expect("runs");
+        prop_assert_eq!(s.vm.adaptive_tier(fp), Some((Tier::Threaded, 1)));
+        let a = s.metrics().adaptive;
+        prop_assert!(a.insns_tier2 > 0, "the tail of the run was threaded: {:?}", a);
     }
 }
 

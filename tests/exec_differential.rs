@@ -5,7 +5,8 @@
 //! bit-identical observable behavior — result value, modeled `cycles`, retired
 //! `insns`, exit status, and error, including `OutOfFuel` raised at the
 //! same instruction under swept fuel budgets (before, during, and after
-//! adaptive tier promotions). Also pins down the
+//! adaptive tier promotions — including the promotion a long loop earns
+//! mid-run, at the tier-1 dispatcher's backedge safepoint). Also pins down the
 //! stale-code interactions: freed and cache-evicted functions must
 //! fault with `StaleCode` even when the translation cache is warm.
 
@@ -688,6 +689,201 @@ fn fault_during_promotion_triggering_run_matches_reference() {
                 "{} diverges at fuel {fuel}",
                 engine_label(engine)
             );
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The tier-1 safepoint: a loop long enough to prove its own heat is
+// promoted 1 -> 2 *inside* a run — the decoded dispatcher yields at a
+// taken backward transfer and the run resumes, mid-function, through
+// the threaded dispatcher. Raw VM kernels, so the instruction shapes at
+// the yield and at the resume point are chosen, not hoped for.
+// ---------------------------------------------------------------------------
+
+use tickc::vm::interp::MachineState;
+use tickc::vm::isa::{Insn, Op};
+use tickc::vm::regs::{A0, AT0, AT1, ZERO};
+use tickc::vm::{CodeSpace, FuncHandle, HostCall, Tier, Vm};
+
+/// Thresholds 2/4 (tier 1 at backedge 64, tier 2 — through the
+/// safepoint — at backedge 192 of a single entry) and the hair trigger
+/// (straight to tier 2 at backedge 64), each inline and on the worker.
+const SAFEPOINT_ENGINES: [ExecEngine; 4] = [
+    ExecEngine::Adaptive {
+        fuse_after: 2,
+        thread_after: 4,
+        background: false,
+    },
+    ExecEngine::Adaptive {
+        fuse_after: 2,
+        thread_after: 4,
+        background: true,
+    },
+    ExecEngine::Adaptive {
+        fuse_after: 1,
+        thread_after: 2,
+        background: false,
+    },
+    ExecEngine::Adaptive {
+        fuse_after: 1,
+        thread_after: 2,
+        background: true,
+    },
+];
+
+/// Everything one raw call can show: result (or fault, with its
+/// address), cycles, instructions — an `OutOfFuel` at a different
+/// instruction is a different cycle/insn pair.
+type RawObs = (Result<u64, VmError>, u64, u64);
+
+fn raw_observe<H: HostCall>(vm: &mut Vm<H>, addr: u64, n: u64) -> RawObs {
+    (vm.call(addr, &[n]), vm.cycles(), vm.insns())
+}
+
+/// sum(1..=n): the back edge is a plain `j`, the resume pc a branch.
+fn jump_loop_kernel() -> (CodeSpace, u64) {
+    let mut cs = CodeSpace::new();
+    let f = cs.begin_function("sum_j");
+    cs.push(Insn::i(Op::Addiw, AT0, ZERO, 0));
+    cs.push(Insn::i(Op::Beq, A0, ZERO, 3)); // loop head
+    cs.push(Insn::r(Op::Addw, AT0, AT0, A0));
+    cs.push(Insn::i(Op::Addiw, A0, A0, -1));
+    cs.push(Insn::j(Op::J, -4));
+    cs.push(Insn::r(Op::Addw, A0, AT0, ZERO));
+    cs.push(Insn::ret());
+    let addr = cs.finish_function(f).unwrap();
+    (cs, addr)
+}
+
+/// A countdown whose decrement feeds its backward branch, laid out so
+/// that at tier 1 every trip runs `Fused2(2,3)` then `FusedBr(4,5)` —
+/// the yielding branch is the second half of a fused pair — and the
+/// loop head (word 2) sits in the *middle* of the threaded tier's
+/// run+branch group over words 0..=5, so the resume dispatches that
+/// group's own mid-group suffix entry.
+fn fused_branch_kernel() -> (CodeSpace, u64) {
+    let mut cs = CodeSpace::new();
+    let f = cs.begin_function("sum_fbr");
+    cs.push(Insn::i(Op::Addiw, AT0, ZERO, 0));
+    cs.push(Insn::i(Op::Addiw, AT1, ZERO, 1));
+    cs.push(Insn::r(Op::Addw, AT0, AT0, A0)); // loop head
+    cs.push(Insn::r(Op::Xor, AT1, AT1, AT0));
+    cs.push(Insn::i(Op::Addiw, A0, A0, -1));
+    cs.push(Insn::i(Op::Bne, A0, ZERO, -4));
+    cs.push(Insn::r(Op::Addw, A0, AT0, AT1));
+    cs.push(Insn::ret());
+    let addr = cs.finish_function(f).unwrap();
+    (cs, addr)
+}
+
+/// One entry of `n` iterations under every budget from 0 to the run's
+/// full cost — a superset of any window around the yield — on every
+/// safepoint engine, against decode-per-step.
+fn sweep_safepoint(cs: &CodeSpace, addr: u64, n: u64, shape: &str) {
+    let run = |engine: ExecEngine, fuel: u64| {
+        let mut vm = Vm::new(cs.clone(), 1 << 16);
+        vm.set_engine(engine);
+        vm.set_fuel(fuel);
+        let obs = raw_observe(&mut vm, addr, n);
+        (obs, vm)
+    };
+    let (reference, _) = run(ExecEngine::DecodePerStep, u64::MAX);
+    assert!(reference.0.is_ok());
+    // Not vacuous: the synchronous 2/4 engine really does spend part of
+    // the run at each tier and crosses 1 -> 2 at the safepoint, through
+    // the shapes the kernel was built for.
+    let (got, vm) = run(SAFEPOINT_ENGINES[0], u64::MAX);
+    assert_eq!(got, reference);
+    let a = vm.adaptive_stats();
+    assert_eq!(vm.adaptive_tier(addr), Some((Tier::Threaded, 1)));
+    assert_eq!(a.promotions, 2);
+    assert!(
+        a.insns_tier0 > 0 && a.insns_tier1 > 0 && a.insns_tier2 > 0,
+        "{a:?}"
+    );
+    assert!(vm.exec_stats().fused_pairs > 0);
+    let shapes = vm.fused_shape_histogram();
+    assert!(
+        shapes.iter().any(|(name, _)| name == shape),
+        "threaded group {shape} missing: {shapes:?}"
+    );
+    for fuel in 0..=reference.1 {
+        let (want, _) = run(ExecEngine::DecodePerStep, fuel);
+        for &e in &SAFEPOINT_ENGINES {
+            let (got, _) = run(e, fuel);
+            assert_eq!(got, want, "{e:?} diverges at fuel {fuel}");
+        }
+    }
+}
+
+#[test]
+fn safepoint_fuel_sweep_matches_reference_at_every_budget() {
+    let (cs, addr) = jump_loop_kernel();
+    sweep_safepoint(&cs, addr, 260, "addiw+j");
+}
+
+#[test]
+fn safepoint_yield_from_a_fused_branch_resumes_mid_group() {
+    let (cs, addr) = fused_branch_kernel();
+    sweep_safepoint(&cs, addr, 260, "addiw+bne");
+}
+
+/// sum(1..=n) with a host call at the loop head whose `free_at`-th call
+/// frees the function it is called from.
+fn midrun_free_vm(engine: ExecEngine, free_at: u64) -> (Vm<impl HostCall>, u64) {
+    let mut cs = CodeSpace::new();
+    let f: FuncHandle = cs.begin_function("sum_hcall");
+    cs.push(Insn::i(Op::Addiw, AT0, ZERO, 0));
+    cs.push(Insn::i(Op::Hcall, ZERO, ZERO, 1)); // loop head
+    cs.push(Insn::r(Op::Addw, AT0, AT0, A0));
+    cs.push(Insn::i(Op::Addiw, A0, A0, -1));
+    cs.push(Insn::i(Op::Bne, A0, ZERO, -4));
+    cs.push(Insn::r(Op::Addw, A0, AT0, ZERO));
+    cs.push(Insn::ret());
+    let addr = cs.finish_function(f).unwrap();
+    let mut calls = 0u64;
+    let host = move |_num: u32, st: &mut MachineState| {
+        calls += 1;
+        if calls == free_at {
+            st.code.free_function(f).unwrap();
+        }
+        Ok(())
+    };
+    let mut vm = Vm::with_host(cs, 1 << 16, host);
+    vm.set_engine(engine);
+    (vm, addr)
+}
+
+#[test]
+fn safepoint_midrun_free_between_ticks_faults_stale_like_the_reference() {
+    // The running function is freed by its own host call: at tier 0
+    // (call 30), between the tick that promoted it and the next one
+    // (call 100: tier 1 under 2/4, tier 2 under 1/2), just before the
+    // 1 -> 2 safepoint is due (call 191), and after it (call 250).
+    // Every engine leaves its buffer at the host-call boundary and
+    // faults from the reference path, at the word after the `hcall`.
+    for free_at in [30u64, 100, 191, 250] {
+        let (mut reference, addr) = midrun_free_vm(ExecEngine::DecodePerStep, free_at);
+        let want = raw_observe(&mut reference, addr, 300);
+        assert_eq!(want.0, Err(VmError::StaleCode(addr + 8)));
+        for &e in &SAFEPOINT_ENGINES {
+            let (mut vm, addr) = midrun_free_vm(e, free_at);
+            assert_eq!(
+                raw_observe(&mut vm, addr, 300),
+                want,
+                "{e:?}, freed at {free_at}"
+            );
+            // Dead words are never promoted: the record died with the
+            // function, whatever a worker still had in flight comes
+            // back stale, and nothing is translated for them again.
+            vm.drain_background_translations();
+            let translations = vm.exec_stats().translations;
+            assert_eq!(vm.adaptive_tier(addr), None);
+            assert_eq!(vm.call(addr, &[300]), Err(VmError::StaleCode(addr)));
+            assert_eq!(vm.exec_stats().translations, translations);
+            let a = vm.adaptive_stats();
+            assert_eq!(a.promotions, a.demotions, "every level granted was lost");
         }
     }
 }

@@ -203,3 +203,79 @@ fn session_metrics_serialize_to_json() {
         );
     }
 }
+
+/// One dynamic function whose run time is a loop: `sum(i * $n)` over
+/// `k` iterations.
+const LOOP_SRC: &str = r#"
+long mk_loop(int n) {
+    int vspec k = param(int, 0);
+    void cspec c = `{
+        int i;
+        int acc;
+        acc = 0;
+        for (i = 0; i < k; i++) {
+            acc = acc + i * $n;
+        }
+        return acc;
+    };
+    return (long)compile(c, int);
+}
+int run_loop(long fp, int k) {
+    int (*g)(void) = (int (*)(void))fp;
+    return (*g)(k);
+}
+"#;
+
+#[test]
+fn adaptive_insn_tiers_partition_retired_insns() {
+    use tcc::ExecEngine;
+    let mut s = Session::with_defaults(LOOP_SRC).expect("compiles");
+    assert!(matches!(s.vm.engine(), ExecEngine::Adaptive { .. }));
+    let fp = s.call("mk_loop", &[3]).unwrap();
+    let partition = |s: &Session| {
+        let m = s.metrics();
+        let a = m.adaptive;
+        assert_eq!(
+            a.insns_tier0 + a.insns_tier1 + a.insns_tier2,
+            m.vm.insns,
+            "where instructions ran partitions what retired: {a:?}"
+        );
+        assert_eq!(a.insns_tier0, m.exec.slow_insns);
+        assert_eq!(a.insns_tier1 + a.insns_tier2, m.exec.fast_insns);
+        a
+    };
+    partition(&s);
+    // One entry, 2000 iterations: the loop proves its own heat. The
+    // entry counts at tier 0, where it started; the instructions say
+    // where the time went.
+    assert_eq!(
+        s.call("run_loop", &[fp, 2000]).unwrap(),
+        3 * (1999 * 2000 / 2)
+    );
+    let a = partition(&s);
+    assert!(a.insns_tier0 > 0 && a.insns_tier1 > 0, "{a:?}");
+    assert!(
+        a.top_tier_insn_share() > 0.6,
+        "a 2000-iteration loop ends its first run threaded: {a:?}"
+    );
+    assert_eq!(a.runs_tier2, 0, "no entry has *started* at tier 2 yet");
+    assert!(a.promoted_run_rate() < a.top_tier_insn_share());
+    assert_eq!(s.call("run_loop", &[fp, 5]).unwrap(), 30);
+    let a = partition(&s);
+    assert_eq!(a.runs_tier2, 1, "the next entry starts there");
+    // The split is engine-independent: under a fixed engine everything
+    // lands in that engine's bucket.
+    let mut s = Session::with_defaults(LOOP_SRC).expect("compiles");
+    s.vm.set_engine(ExecEngine::DecodePerStep);
+    let fp = s.call("mk_loop", &[3]).unwrap();
+    s.call("run_loop", &[fp, 100]).unwrap();
+    let m = s.metrics();
+    assert_eq!(
+        (
+            m.adaptive.insns_tier0,
+            m.adaptive.insns_tier1,
+            m.adaptive.insns_tier2
+        ),
+        (m.vm.insns, 0, 0)
+    );
+}
