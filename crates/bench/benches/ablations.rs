@@ -81,8 +81,7 @@ fn bench_pruned_translator(c: &mut Criterion) {
     };
     let mut probe = Session::new(ICODE_WORK, config.clone()).expect("compiles");
     probe.call("go", &[3]).expect("runs");
-    let keys: Vec<_> = probe.vm.host().observed_keys.iter().copied().collect();
-    let pruned = TranslatorTable::from_keys(keys);
+    let pruned = probe.vm.host().observed_keys;
     eprintln!(
         "  translator size: full {} entries (~{} insns) -> pruned {} entries (~{} insns), {:.1}x smaller",
         full.entries(),
@@ -100,7 +99,7 @@ fn bench_pruned_translator(c: &mut Criterion) {
                 4096,
                 || {
                     let mut s = Session::new(ICODE_WORK, config.clone()).expect("compiles");
-                    s.vm.host_mut().table = table.clone();
+                    s.vm.host_mut().set_table(table);
                     s
                 },
                 |s| {

@@ -50,11 +50,11 @@ fn bench_allocators(c: &mut Criterion) {
                 let id = BenchmarkId::new(name, format!("n{n}_w{window}"));
                 g.bench_with_input(id, &(), |bch, ()| {
                     bch.iter_with_large_drop(|| {
-                        let buf = random_program(n, window, 42);
+                        let mut buf = random_program(n, window, 42);
                         let mut code = CodeSpace::new();
                         let mut comp = IcodeCompiler::new(strategy);
                         comp.run_peephole = false;
-                        comp.compile(&mut code, "p", buf)
+                        comp.compile(&mut code, "p", &mut buf)
                     });
                 });
             }
@@ -67,11 +67,11 @@ fn bench_allocators(c: &mut Criterion) {
         ("linear_scan", Strategy::LinearScan),
         ("graph_color", Strategy::GraphColor),
     ] {
-        let buf = random_program(800, 24, 42);
+        let mut buf = random_program(800, 24, 42);
         let mut code = CodeSpace::new();
         let mut comp = IcodeCompiler::new(strategy);
         comp.run_peephole = false;
-        let r = comp.compile(&mut code, "p", buf);
+        let r = comp.compile(&mut code, "p", &mut buf);
         eprintln!(
             "  {name}: alloc {} ns over {} intervals, {} spills, alloc fraction {:.0}%",
             r.phases.alloc_ns,

@@ -43,12 +43,14 @@ pub struct Assignment {
 }
 
 impl Assignment {
-    /// Creates an empty assignment for `nv` virtual registers.
-    pub fn new(nv: usize) -> Assignment {
-        Assignment {
-            locs: vec![None; nv],
-            ..Assignment::default()
-        }
+    /// Empties the assignment for a function of `nv` virtual registers,
+    /// keeping its storage.
+    pub fn reset(&mut self, nv: usize) {
+        self.locs.clear();
+        self.locs.resize(nv, None);
+        self.used_callee_saved.clear();
+        self.used_callee_saved_f.clear();
+        (self.num_slots, self.num_fslots, self.spilled) = (0, 0, 0);
     }
 
     /// Records `loc` for `v`.
@@ -149,7 +151,8 @@ mod tests {
 
     #[test]
     fn assignment_tracks_callee_saved_and_spills() {
-        let mut a = Assignment::new(4);
+        let mut a = Assignment::default();
+        a.reset(4);
         a.set(VReg(0), AllocLoc::R(TEMP_REGS[0]));
         a.set(VReg(1), AllocLoc::R(SAVED_REGS[0]));
         let s = a.new_slot();
@@ -163,7 +166,8 @@ mod tests {
     #[test]
     #[should_panic(expected = "unassigned")]
     fn unassigned_lookup_panics() {
-        let a = Assignment::new(1);
+        let mut a = Assignment::default();
+        a.reset(1);
         a.loc(VReg(0));
     }
 

@@ -14,163 +14,197 @@ use crate::alloc::{AllocLoc, Assignment, Pools};
 use crate::flow::FlowGraph;
 use crate::intervals::Interval;
 use crate::ir::{IcodeBuf, VReg};
-use crate::liveness::{BitSet, Liveness};
+use crate::liveness::{bits, BitMatrix, Liveness};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use tcc_rt::ValKind;
 
-/// Runs the graph-coloring allocator.
+/// One interference-graph node.
+#[derive(Clone, Copy, Debug, Default)]
+struct Node {
+    /// Neighbours not yet simplified away.
+    deg: u32,
+    /// Spill weight (the interval's, at least 1).
+    weight: u64,
+    /// Appears in the buffer at all.
+    present: bool,
+    /// Live across a call: callee-saved colours only.
+    crosses: bool,
+    /// Already pushed on the select stack.
+    removed: bool,
+}
+
+/// The colouring's working storage, kept for the next compile: the
+/// interference graph as one `nv × nv` bit matrix, and the worklists.
+#[derive(Clone, Debug, Default)]
+pub struct ColorScratch {
+    adj: BitMatrix,
+    /// One row: what is live at the instruction being visited.
+    live: BitMatrix,
+    nodes: Vec<Node>,
+    /// Unsimplified nodes of insignificant degree, lowest number first.
+    low: BinaryHeap<Reverse<u32>>,
+    stack: Vec<u32>,
+}
+
+/// Runs the graph-coloring allocator, writing the assignment into `asn`.
 pub fn graph_color(
     buf: &IcodeBuf,
     fg: &FlowGraph,
     lv: &Liveness,
     intervals: &[Interval],
     pools: &Pools,
-) -> Assignment {
+    scratch: &mut ColorScratch,
+    asn: &mut Assignment,
+) {
+    let ColorScratch {
+        adj,
+        live,
+        nodes,
+        low,
+        stack,
+    } = scratch;
     let nv = buf.num_vregs();
-    let mut adj: Vec<BitSet> = (0..nv).map(|_| BitSet::new(nv)).collect();
-    let mut degree = vec![0u32; nv];
-    let mut present = vec![false; nv];
+    let is_float = |v: usize| buf.vreg_kinds[v] == ValKind::F;
+    adj.reset(nv, nv);
+    live.reset(1, nv);
+    nodes.clear();
+    nodes.resize(nv, Node::default());
 
-    let add_edge = |adj: &mut Vec<BitSet>, degree: &mut Vec<u32>, a: usize, b: usize| {
-        if a != b && !adj[a].contains(b) {
-            adj[a].insert(b);
-            adj[b].insert(a);
-            degree[a] += 1;
-            degree[b] += 1;
-        }
-    };
-
-    // Build interference: walk blocks backward from live-out.
+    // Build interference: walk blocks backward from live-out. A definition
+    // interferes with what is live across it in its own register bank.
     for (bi, blk) in fg.blocks.iter().enumerate() {
-        let mut live = lv.live_out[bi].clone();
+        live.row_mut(0).copy_from_slice(lv.live_out.row(bi));
         for insn in buf.insns[blk.start..blk.end].iter().rev() {
             if let Some(d) = insn.def() {
-                present[d.0 as usize] = true;
                 let di = d.0 as usize;
-                let live_now: Vec<usize> = live.iter().collect();
-                let d_float = buf.vreg_kinds[di] == ValKind::F;
-                for l in live_now {
-                    // Interference only matters within a register bank.
-                    if (buf.vreg_kinds[l] == ValKind::F) == d_float {
-                        add_edge(&mut adj, &mut degree, di, l);
+                nodes[di].present = true;
+                for l in bits(live.row(0)) {
+                    if l != di && is_float(l) == is_float(di) && !adj.contains(di, l) {
+                        adj.insert(di, l);
+                        adj.insert(l, di);
+                        nodes[di].deg += 1;
+                        nodes[l].deg += 1;
                     }
                 }
-                live.remove(di);
+                live.remove(0, di);
             }
             for u in insn.uses().into_iter().flatten() {
-                present[u.0 as usize] = true;
-                live.insert(u.0 as usize);
+                nodes[u.0 as usize].present = true;
+                live.insert(0, u.0 as usize);
             }
         }
     }
+    for iv in intervals {
+        let n = &mut nodes[iv.vreg.0 as usize];
+        n.crosses = iv.crosses_call;
+        n.weight = iv.weight.max(1);
+    }
 
-    let crosses: Vec<bool> = {
-        let mut c = vec![false; nv];
-        for iv in intervals {
-            c[iv.vreg.0 as usize] = iv.crosses_call;
-        }
-        c
-    };
-    let weight: Vec<u64> = {
-        let mut w = vec![1u64; nv];
-        for iv in intervals {
-            w[iv.vreg.0 as usize] = iv.weight.max(1);
-        }
-        w
-    };
-
-    let k_of = |v: usize| -> usize {
-        let float = buf.vreg_kinds[v] == ValKind::F;
-        match (float, crosses[v]) {
+    // Colours available to a node.
+    let k_of = |v: usize, n: &Node| -> u32 {
+        (match (is_float(v), n.crosses) {
             (false, false) => pools.int_total(),
             (false, true) => pools.int_callee.len(),
             (true, false) => pools.float_total(),
             (true, true) => pools.f_callee.len(),
-        }
+        }) as u32
     };
 
-    // Simplify: push removable nodes; when stuck, pick a spill candidate
-    // optimistically.
-    let mut stack: Vec<usize> = Vec::new();
-    let mut removed = vec![false; nv];
-    let mut remaining: Vec<usize> = (0..nv).filter(|&v| present[v]).collect();
-    let mut deg = degree.clone();
-    while !remaining.is_empty() {
-        let pos = remaining.iter().position(|&v| (deg[v] as usize) < k_of(v));
-        let v = match pos {
-            Some(p) => remaining.remove(p),
-            None => {
-                // Spill heuristic: lowest weight / (degree + 1).
-                let (p, _) = remaining
-                    .iter()
-                    .enumerate()
-                    .min_by(|(_, &a), (_, &b)| {
-                        let fa = weight[a] as f64 / (deg[a] as f64 + 1.0);
-                        let fb = weight[b] as f64 / (deg[b] as f64 + 1.0);
-                        fa.partial_cmp(&fb).expect("weights are finite")
-                    })
-                    .expect("remaining nonempty");
-                remaining.remove(p)
-            }
-        };
-        removed[v] = true;
-        for n in adj[v].iter() {
-            if !removed[n] {
-                deg[n] = deg[n].saturating_sub(1);
+    // Simplify: remove the lowest-numbered node of insignificant degree;
+    // when none is left, pick a spill candidate optimistically. A node's
+    // degree only falls, so it enters `low` once — when it is first seen
+    // below its k — and the heap's minimum is the node a scan of the
+    // remaining nodes in number order would find first.
+    low.clear();
+    stack.clear();
+    let mut remaining = 0;
+    for (v, n) in nodes.iter().enumerate() {
+        if n.present {
+            remaining += 1;
+            if n.deg < k_of(v, n) {
+                low.push(Reverse(v as u32));
             }
         }
-        stack.push(v);
+    }
+    while remaining > 0 {
+        let v = match low.pop() {
+            Some(Reverse(v)) => v as usize,
+            // Spill heuristic: lowest weight / (degree + 1), first of
+            // equals.
+            None => (0..nv)
+                .filter(|&v| nodes[v].present && !nodes[v].removed)
+                .min_by(|&a, &b| {
+                    let f = |n: &Node| n.weight as f64 / (n.deg as f64 + 1.0);
+                    f(&nodes[a])
+                        .partial_cmp(&f(&nodes[b]))
+                        .expect("weights are finite")
+                })
+                .expect("remaining nonempty"),
+        };
+        nodes[v].removed = true;
+        remaining -= 1;
+        for n in bits(adj.row(v)) {
+            let node = &mut nodes[n];
+            if !node.removed {
+                let was = node.deg;
+                node.deg = was.saturating_sub(1);
+                if was == k_of(n, node) {
+                    low.push(Reverse(n as u32));
+                }
+            }
+        }
+        stack.push(v as u32);
     }
 
-    // Select: pop and color.
-    let mut asn = Assignment::new(nv);
+    // Select: pop and color. Candidate order: callee-saved only when the
+    // node crosses calls (mandatory), otherwise caller-saved first.
+    asn.reset(nv);
     while let Some(v) = stack.pop() {
-        let float = buf.vreg_kinds[v] == ValKind::F;
-        // Build the candidate register order: callee-saved first when the
-        // node crosses calls (mandatory), otherwise caller-saved first.
-        let candidates: Vec<AllocLoc> = if float {
-            let mut c: Vec<AllocLoc> = Vec::new();
-            if !crosses[v] {
-                c.extend(pools.f_caller.iter().map(|&f| AllocLoc::F(f)));
-            }
-            c.extend(pools.f_callee.iter().map(|&f| AllocLoc::F(f)));
-            c
-        } else {
-            let mut c: Vec<AllocLoc> = Vec::new();
-            if !crosses[v] {
-                c.extend(pools.int_caller.iter().map(|&r| AllocLoc::R(r)));
-            }
-            c.extend(pools.int_callee.iter().map(|&r| AllocLoc::R(r)));
-            c
-        };
-        let taken: Vec<AllocLoc> = adj[v].iter().filter_map(|n| asn.locs[n]).collect();
-        match candidates.into_iter().find(|c| !taken.contains(c)) {
-            Some(reg) => asn.set(VReg(v as u32), reg),
-            None => {
-                let slot = if float {
-                    asn.new_fslot()
-                } else {
-                    asn.new_slot()
-                };
-                asn.set(VReg(v as u32), slot);
+        let v = v as usize;
+        // Register numbers already taken by coloured neighbours (all in
+        // this node's bank; spilled neighbours take none).
+        let mut taken = 0u64;
+        for n in bits(adj.row(v)) {
+            match asn.locs[n] {
+                Some(AllocLoc::R(r)) => taken |= 1 << r.0,
+                Some(AllocLoc::F(f)) => taken |= 1 << f.0,
+                _ => {}
             }
         }
+        let caller_ok = !nodes[v].crosses;
+        let loc = if is_float(v) {
+            let callers = pools.f_caller.iter().filter(|_| caller_ok);
+            let free = callers
+                .chain(&pools.f_callee)
+                .find(|f| taken & (1 << f.0) == 0);
+            free.map_or_else(|| asn.new_fslot(), |&f| AllocLoc::F(f))
+        } else {
+            let callers = pools.int_caller.iter().filter(|_| caller_ok);
+            let free = callers
+                .chain(&pools.int_callee)
+                .find(|r| taken & (1 << r.0) == 0);
+            free.map_or_else(|| asn.new_slot(), |&r| AllocLoc::R(r))
+        };
+        asn.set(VReg(v as u32), loc);
     }
-    asn
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::intervals::build_intervals;
+    use crate::intervals::Intervals;
     use crate::linear_scan::check_no_overlap_conflicts;
     use tcc_vcode::ops::BinOp;
     use tcc_vcode::CodeSink;
 
     fn allocate(buf: &IcodeBuf, pools: &Pools) -> (Assignment, Vec<Interval>) {
-        let fg = FlowGraph::build(buf);
-        let lv = Liveness::solve(buf, &fg);
-        let ivs = build_intervals(buf, &fg, &lv);
-        (graph_color(buf, &fg, &lv, &ivs, pools), ivs)
+        let (mut fg, mut lv, mut ivs, mut scratch, mut asn) = Default::default();
+        FlowGraph::build(&mut fg, buf);
+        Liveness::solve(&mut lv, buf, &fg);
+        Intervals::build(&mut ivs, buf, &fg, &lv);
+        graph_color(buf, &fg, &lv, &ivs.list, pools, &mut scratch, &mut asn);
+        (asn, ivs.list)
     }
 
     #[test]

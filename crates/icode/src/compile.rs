@@ -12,14 +12,14 @@
 //! 70-80% of ICODE's code generation cost).
 
 use crate::alloc::{Assignment, Pools};
-use crate::color::graph_color;
-use crate::emit::emit;
+use crate::color::{graph_color, ColorScratch};
+use crate::emit::{emit, EmitScratch};
 use crate::flow::FlowGraph;
-use crate::intervals::build_intervals;
+use crate::intervals::Intervals;
 use crate::ir::IcodeBuf;
-use crate::linear_scan::linear_scan;
+use crate::linear_scan::{linear_scan, ScanScratch};
 use crate::liveness::Liveness;
-use crate::peephole::{dead_code, schedule_for_fusion, thread_jumps};
+use crate::peephole::Peephole;
 use crate::prune::TranslatorTable;
 use std::time::Instant;
 use tcc_vcode::FinishedFunc;
@@ -57,10 +57,19 @@ pub struct IcodeResult {
     pub blocks: usize,
     /// Live interval count.
     pub intervals: usize,
+    /// Translator entries this compile used (the pruning analysis's
+    /// observation; OR it into a running table).
+    pub keys: TranslatorTable,
 }
 
-/// The ICODE back-end compiler: configuration + the `compile`
-/// entry point.
+/// The ICODE back-end compiler: configuration, the `compile` entry
+/// point, and the working storage of every phase.
+///
+/// Build one and keep it: each phase re-zeroes the buffers it finds
+/// here instead of allocating its own, so from the second function on a
+/// compile's only heap traffic is the code it installs. Every phase
+/// initializes what it reads, so nothing one compile leaves behind —
+/// even one that panicked halfway — reaches the next.
 #[derive(Clone, Debug)]
 pub struct IcodeCompiler {
     /// Allocation strategy (linear scan vs graph coloring).
@@ -76,6 +85,20 @@ pub struct IcodeCompiler {
     pub pools: Pools,
     /// Translator table (full by default; prune for the ablation).
     pub table: TranslatorTable,
+    work: Work,
+}
+
+/// Every phase's working storage and results.
+#[derive(Clone, Debug, Default)]
+struct Work {
+    peephole: Peephole,
+    flow: FlowGraph,
+    liveness: Liveness,
+    intervals: Intervals,
+    scan: ScanScratch,
+    color: ColorScratch,
+    assignment: Assignment,
+    emit: EmitScratch,
 }
 
 impl Default for IcodeCompiler {
@@ -93,53 +116,62 @@ impl IcodeCompiler {
             schedule_fusion: true,
             pools: Pools::full(),
             table: TranslatorTable::full(),
+            work: Work::default(),
         }
     }
 
-    /// Compiles an ICODE buffer into executable code.
-    pub fn compile(&self, code: &mut CodeSpace, name: &str, mut buf: IcodeBuf) -> IcodeResult {
+    /// Compiles an ICODE buffer into executable code. The cleanup passes
+    /// rewrite `buf` in place; the caller may [`IcodeBuf::clear`] it and
+    /// record the next function into the same storage.
+    pub fn compile(&mut self, code: &mut CodeSpace, name: &str, buf: &mut IcodeBuf) -> IcodeResult {
         let mut phases = Phases::default();
+        let mut lap = Instant::now();
+        let mut split = |slot: &mut u64| {
+            let now = Instant::now();
+            *slot = (now - lap).as_nanos() as u64;
+            lap = now;
+        };
 
-        let t = Instant::now();
+        let w = &mut self.work;
         if self.run_peephole {
-            dead_code(&mut buf);
-            thread_jumps(&mut buf);
+            w.peephole.dead_code(buf);
+            w.peephole.thread_jumps(buf);
             if self.schedule_fusion {
-                schedule_for_fusion(&mut buf);
+                w.peephole.schedule_for_fusion(buf);
             }
         }
-        phases.peephole_ns = t.elapsed().as_nanos() as u64;
+        split(&mut phases.peephole_ns);
 
-        let t = Instant::now();
-        let fg = FlowGraph::build(&buf);
-        phases.flow_ns = t.elapsed().as_nanos() as u64;
+        w.flow.build(buf);
+        split(&mut phases.flow_ns);
 
-        let t = Instant::now();
-        let lv = Liveness::solve(&buf, &fg);
-        phases.liveness_ns = t.elapsed().as_nanos() as u64;
+        w.liveness.solve(buf, &w.flow);
+        split(&mut phases.liveness_ns);
 
-        let t = Instant::now();
-        let ivs = build_intervals(&buf, &fg, &lv);
-        phases.intervals_ns = t.elapsed().as_nanos() as u64;
+        w.intervals.build(buf, &w.flow, &w.liveness);
+        let ivs = &w.intervals.list;
+        split(&mut phases.intervals_ns);
 
-        let t = Instant::now();
-        let asn: Assignment = match self.strategy {
-            Strategy::LinearScan => linear_scan(&ivs, buf.num_vregs(), &self.pools),
-            Strategy::GraphColor => graph_color(&buf, &fg, &lv, &ivs, &self.pools),
-        };
-        phases.alloc_ns = t.elapsed().as_nanos() as u64;
+        let (nv, pools, asn) = (buf.num_vregs(), &self.pools, &mut w.assignment);
+        match self.strategy {
+            Strategy::LinearScan => linear_scan(ivs, nv, pools, &mut w.scan, asn),
+            Strategy::GraphColor => {
+                graph_color(buf, &w.flow, &w.liveness, ivs, pools, &mut w.color, asn);
+            }
+        }
+        split(&mut phases.alloc_ns);
 
-        let t = Instant::now();
-        let func = emit(code, name, &buf, &asn, &self.table);
-        phases.emit_ns = t.elapsed().as_nanos() as u64;
+        let (func, keys) = emit(code, name, buf, asn, &self.table, &mut w.emit);
+        split(&mut phases.emit_ns);
 
         IcodeResult {
             func,
             phases,
             spills: asn.spilled,
             ir_len: buf.insns.len(),
-            blocks: fg.len(),
+            blocks: w.flow.len(),
             intervals: ivs.len(),
+            keys,
         }
     }
 }
@@ -178,8 +210,8 @@ mod tests {
     fn both_strategies_compile_and_agree() {
         for strategy in [Strategy::LinearScan, Strategy::GraphColor] {
             let mut code = CodeSpace::new();
-            let c = IcodeCompiler::new(strategy);
-            let r = c.compile(&mut code, "sum", sum_to_n_buf());
+            let mut c = IcodeCompiler::new(strategy);
+            let r = c.compile(&mut code, "sum", &mut sum_to_n_buf());
             let mut vm = Vm::new(code, 1 << 20);
             assert_eq!(vm.call(r.func.addr, &[100]).unwrap(), 5050, "{strategy:?}");
             assert_eq!(r.spills, 0);
@@ -205,8 +237,8 @@ mod tests {
         let expect: u64 = (0..30).map(|i| (i * i) as u64).sum();
         for strategy in [Strategy::LinearScan, Strategy::GraphColor] {
             let mut code = CodeSpace::new();
-            let c = IcodeCompiler::new(strategy);
-            let r = c.compile(&mut code, "pressure", b.clone());
+            let mut c = IcodeCompiler::new(strategy);
+            let r = c.compile(&mut code, "pressure", &mut b.clone());
             assert!(r.spills > 0, "{strategy:?} should spill");
             let mut vm = Vm::new(code, 1 << 20);
             assert_eq!(vm.call(r.func.addr, &[]).unwrap(), expect, "{strategy:?}");
@@ -216,8 +248,8 @@ mod tests {
     #[test]
     fn phase_breakdown_is_populated() {
         let mut code = CodeSpace::new();
-        let c = IcodeCompiler::default();
-        let r = c.compile(&mut code, "sum", sum_to_n_buf());
+        let mut c = IcodeCompiler::default();
+        let r = c.compile(&mut code, "sum", &mut sum_to_n_buf());
         assert!(r.phases.total_ns() > 0);
         assert!(r.ir_len > 0);
         assert!(r.intervals >= 3);
@@ -229,20 +261,20 @@ mod tests {
         let dead = b.temp(ValKind::W);
         b.li(dead, 42); // appended after ret; dead
         let mut code = CodeSpace::new();
-        let c = IcodeCompiler::default();
-        let r = c.compile(&mut code, "sum", b);
+        let mut c = IcodeCompiler::default();
+        let r = c.compile(&mut code, "sum", &mut b);
         let mut code2 = CodeSpace::new();
-        let c2 = IcodeCompiler {
+        let mut c2 = IcodeCompiler {
             run_peephole: false,
             ..IcodeCompiler::default()
         };
-        let b2 = {
+        let mut b2 = {
             let mut b = sum_to_n_buf();
             let dead = b.temp(ValKind::W);
             b.li(dead, 42);
             b
         };
-        let r2 = c2.compile(&mut code2, "sum", b2);
+        let r2 = c2.compile(&mut code2, "sum", &mut b2);
         assert!(r.ir_len < r2.ir_len);
     }
 }

@@ -13,14 +13,28 @@
 
 use crate::alloc::{AllocLoc, Assignment};
 use crate::ir::{IInsn, IOp, IcodeBuf, VReg};
-use crate::prune::TranslatorTable;
+use crate::prune::{key_of, TranslatorTable};
 use tcc_rt::ValKind;
 use tcc_vcode::ops::UnOp;
-use tcc_vcode::{CodeSink, FinishedFunc, Loc, Vcode};
+use tcc_vcode::{CallTarget, CodeSink, FinishedFunc, Label, Loc, Vcode};
 use tcc_vm::regs::{ARG_REGS, FARG_REGS};
 use tcc_vm::CodeSpace;
 
-/// Translates a register-allocated ICODE buffer to binary.
+/// The emitter's lookup tables, kept for the next compile.
+#[derive(Clone, Debug, Default)]
+pub struct EmitScratch {
+    /// Frame offset of each frame block / integer slot / float slot.
+    block_off: Vec<i32>,
+    slot_off: Vec<i32>,
+    fslot_off: Vec<i32>,
+    /// The VCODE label of each ICODE label; arguments since the last call.
+    labels: Vec<Label>,
+    pending_args: Vec<(ValKind, Loc)>,
+}
+
+/// Translates a register-allocated ICODE buffer to binary. Returns the
+/// function and the translator keys it used (the pruning analysis's
+/// observation of this compile).
 ///
 /// # Panics
 ///
@@ -33,7 +47,15 @@ pub fn emit(
     buf: &IcodeBuf,
     asn: &Assignment,
     table: &TranslatorTable,
-) -> FinishedFunc {
+    scratch: &mut EmitScratch,
+) -> (FinishedFunc, TranslatorTable) {
+    let EmitScratch {
+        block_off,
+        slot_off,
+        fslot_off,
+        labels,
+        pending_args,
+    } = scratch;
     let mut vc = Vcode::new(code, name);
 
     // Save callee-saved registers the allocator handed out.
@@ -44,13 +66,12 @@ pub fn emit(
         vc.fb.use_callee_saved_f(f);
     }
     // Materialize frame blocks (addressable locals) and spill slots.
-    let block_off: Vec<i32> = buf
-        .frame_blocks
-        .iter()
-        .map(|&size| vc.fb.alloc_block(size))
-        .collect();
-    let slot_off: Vec<i32> = (0..asn.num_slots).map(|_| vc.fb.alloc_slot()).collect();
-    let fslot_off: Vec<i32> = (0..asn.num_fslots).map(|_| vc.fb.alloc_slot()).collect();
+    block_off.clear();
+    block_off.extend(buf.frame_blocks.iter().map(|&size| vc.fb.alloc_block(size)));
+    slot_off.clear();
+    slot_off.extend((0..asn.num_slots).map(|_| vc.fb.alloc_slot()));
+    fslot_off.clear();
+    fslot_off.extend((0..asn.num_fslots).map(|_| vc.fb.alloc_slot()));
     let loc_of = |v: VReg| -> Loc {
         match asn.loc(v) {
             AllocLoc::R(r) => Loc::R(r),
@@ -60,31 +81,28 @@ pub fn emit(
         }
     };
 
-    let labels: Vec<_> = (0..buf.nlabels).map(|_| vc.new_label()).collect();
-    let mut pending_args: Vec<(ValKind, Loc)> = Vec::new();
+    labels.clear();
+    labels.extend((0..buf.nlabels).map(|_| vc.new_label()));
+    pending_args.clear();
 
+    let mut seen = TranslatorTable::empty();
     for insn in &buf.insns {
+        let key = key_of(insn);
         assert!(
-            table.supports(insn),
+            table.contains(key),
             "pruned translator table lacks an entry for {insn:?}"
         );
-        translate_one(
-            &mut vc,
-            insn,
-            &loc_of,
-            &labels,
-            &block_off,
-            &mut pending_args,
-        );
+        seen.insert(key);
+        translate_one(&mut vc, insn, &loc_of, labels, block_off, pending_args);
     }
-    vc.finish()
+    (vc.finish(), seen)
 }
 
 fn translate_one(
     vc: &mut Vcode<'_>,
     insn: &IInsn,
     loc_of: &dyn Fn(VReg) -> Loc,
-    labels: &[tcc_vcode::Label],
+    labels: &[Label],
     block_off: &[i32],
     pending_args: &mut Vec<(ValKind, Loc)>,
 ) {
@@ -112,20 +130,16 @@ fn translate_one(
         IOp::BrTrue => vc.br_true(loc_of(insn.a), lbl(insn.imm)),
         IOp::BrFalse => vc.br_false(loc_of(insn.a), lbl(insn.imm)),
         IOp::Arg(_) => pending_args.push((insn.k, loc_of(insn.a))),
-        IOp::CallAddr => {
-            let args = std::mem::take(pending_args);
+        IOp::CallAddr | IOp::CallInd | IOp::Hcall => {
             let ret = insn.def().map(|d| (insn.k, loc_of(d)));
-            vc.call(tcc_vcode::CallTarget::Addr(insn.imm as u64), &args, ret);
-        }
-        IOp::CallInd => {
-            let args = std::mem::take(pending_args);
-            let ret = insn.def().map(|d| (insn.k, loc_of(d)));
-            vc.call(tcc_vcode::CallTarget::Ind(loc_of(insn.a)), &args, ret);
-        }
-        IOp::Hcall => {
-            let args = std::mem::take(pending_args);
-            let ret = insn.def().map(|d| (insn.k, loc_of(d)));
-            vc.hcall_with(insn.imm as u32, &args, ret);
+            match insn.op {
+                IOp::CallAddr => {
+                    vc.call(CallTarget::Addr(insn.imm as u64), pending_args, ret);
+                }
+                IOp::CallInd => vc.call(CallTarget::Ind(loc_of(insn.a)), pending_args, ret),
+                _ => vc.hcall_with(insn.imm as u32, pending_args, ret),
+            }
+            pending_args.clear();
         }
         IOp::Ret => {
             if insn.a.is_some() {

@@ -7,18 +7,31 @@
 //! one linear pass finds block boundaries, a second resolves label
 //! targets to successor edges.
 
-use crate::ir::{IInsn, IOp, IcodeBuf};
+use crate::ir::{IOp, IcodeBuf};
 
 /// A basic block: a half-open range of instruction indices plus
-/// successor block indices (at most two).
-#[derive(Clone, Debug, PartialEq, Eq)]
+/// successor block indices (at most two, stored inline — "the flow
+/// graph is a single array", §5.2).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Block {
     /// First instruction index.
     pub start: usize,
     /// One past the last instruction index.
     pub end: usize,
+    succ: [u32; 2],
+    nsucc: u8,
+}
+
+impl Block {
     /// Successor block indices.
-    pub succs: Vec<usize>,
+    pub fn succs(&self) -> &[u32] {
+        &self.succ[..self.nsucc as usize]
+    }
+
+    fn push_succ(&mut self, s: usize) {
+        self.succ[self.nsucc as usize] = s as u32;
+        self.nsucc += 1;
+    }
 }
 
 /// The flow graph: blocks in instruction order.
@@ -27,97 +40,87 @@ pub struct FlowGraph {
     /// Basic blocks in program order.
     pub blocks: Vec<Block>,
     /// Maps instruction index to its block.
-    pub block_of: Vec<usize>,
+    pub block_of: Vec<u32>,
+    // Build scratch, kept for the next build.
+    leader: Vec<bool>,
+    label_pos: Vec<usize>,
 }
 
 impl FlowGraph {
-    /// Builds the flow graph for `buf`.
+    /// Builds the flow graph for `buf`, reusing this graph's storage.
     ///
     /// # Panics
     ///
     /// Panics if a branch references an unbound label.
-    pub fn build(buf: &IcodeBuf) -> FlowGraph {
+    pub fn build(&mut self, buf: &IcodeBuf) {
+        let FlowGraph {
+            blocks,
+            block_of,
+            leader,
+            label_pos,
+        } = self;
         let insns = &buf.insns;
         let n = insns.len();
         // Pass 1: find leaders.
-        let mut leader = vec![false; n + 1];
+        leader.clear();
+        leader.resize(n + 1, false);
         leader[0] = true;
-        let mut label_pos = vec![usize::MAX; buf.nlabels as usize];
+        label_pos.clear();
+        label_pos.resize(buf.nlabels as usize, usize::MAX);
         for (i, insn) in insns.iter().enumerate() {
             match insn.op {
                 IOp::Label => {
                     leader[i] = true;
                     label_pos[insn.imm as usize] = i;
                 }
-                IOp::Jmp | IOp::BrCmp(_) | IOp::BrTrue | IOp::BrFalse | IOp::Ret => {
-                    leader[i + 1] = true;
-                }
+                _ if insn.is_terminator() => leader[i + 1] = true,
                 _ => {}
             }
         }
         // Pass 2: materialize blocks.
-        let mut blocks = Vec::new();
-        let mut block_of = vec![0usize; n];
+        blocks.clear();
+        block_of.clear();
+        block_of.resize(n, 0);
         let mut start = 0usize;
-        // The sentinel iteration (i == n) closes the final block, so this
-        // cannot simply iterate over `leader`.
-        #[allow(clippy::needless_range_loop)]
-        for i in 0..=n {
-            if i == n || (i > start && leader[i]) {
+        // The sentinel iteration (i == n) closes the final block (and
+        // makes the one empty block of an empty buffer).
+        for i in 1..=n.max(1) {
+            if i >= n || leader[i] {
+                block_of[start..i.min(n)].fill(blocks.len() as u32);
                 blocks.push(Block {
                     start,
-                    end: i,
-                    succs: Vec::new(),
+                    end: i.min(n),
+                    succ: [0; 2],
+                    nsucc: 0,
                 });
-                block_of[start..i].fill(blocks.len() - 1);
                 start = i;
-                if i == n {
-                    break;
-                }
             }
-        }
-        if n == 0 {
-            blocks.push(Block {
-                start: 0,
-                end: 0,
-                succs: Vec::new(),
-            });
         }
         // Pass 3: successor edges.
         let block_of_label = |l: i64| -> usize {
             let pos = label_pos[l as usize];
             assert!(pos != usize::MAX, "branch to unbound label {l}");
-            block_of[pos]
+            block_of[pos] as usize
         };
         let nblocks = blocks.len();
         for (bi, block) in blocks.iter_mut().enumerate() {
-            let (bstart, bend) = (block.start, block.end);
-            if bstart == bend {
-                if bi + 1 < nblocks {
-                    block.succs.push(bi + 1);
+            let last = insns[block.start..block.end].last();
+            let falls_through = match last.map(|i| (i.op, i.imm)) {
+                Some((IOp::Jmp, l)) => {
+                    block.push_succ(block_of_label(l));
+                    false
                 }
-                continue;
+                Some((IOp::BrCmp(_) | IOp::BrTrue | IOp::BrFalse, l)) => {
+                    block.push_succ(block_of_label(l));
+                    true
+                }
+                Some((IOp::Ret, _)) => false,
+                _ => true,
+            };
+            if falls_through && bi + 1 < nblocks {
+                block.push_succ(bi + 1);
             }
-            let last: &IInsn = &insns[bend - 1];
-            let mut succs = Vec::new();
-            match last.op {
-                IOp::Jmp => succs.push(block_of_label(last.imm)),
-                IOp::BrCmp(_) | IOp::BrTrue | IOp::BrFalse => {
-                    succs.push(block_of_label(last.imm));
-                    if bi + 1 < nblocks {
-                        succs.push(bi + 1);
-                    }
-                }
-                IOp::Ret => {}
-                _ => {
-                    if bi + 1 < nblocks {
-                        succs.push(bi + 1);
-                    }
-                }
-            }
-            block.succs = succs;
         }
-        FlowGraph { blocks, block_of }
     }
 
     /// Number of blocks.
@@ -138,6 +141,12 @@ mod tests {
     use tcc_vcode::ops::BinOp;
     use tcc_vcode::CodeSink;
 
+    fn build(b: &IcodeBuf) -> FlowGraph {
+        let mut fg = FlowGraph::default();
+        fg.build(b);
+        fg
+    }
+
     #[test]
     fn straight_line_is_one_block() {
         let mut b = IcodeBuf::new();
@@ -145,9 +154,9 @@ mod tests {
         b.li(x, 1);
         b.bin(BinOp::Add, ValKind::W, x, x, x);
         b.ret_val(ValKind::W, x);
-        let fg = FlowGraph::build(&b);
+        let fg = build(&b);
         assert_eq!(fg.len(), 1);
-        assert!(fg.blocks[0].succs.is_empty());
+        assert!(fg.blocks[0].succs().is_empty());
     }
 
     #[test]
@@ -164,12 +173,12 @@ mod tests {
         b.li(x, 3);
         b.bind(join); // B3
         b.ret_val(ValKind::W, x);
-        let fg = FlowGraph::build(&b);
+        let fg = build(&b);
         assert_eq!(fg.len(), 4);
-        assert_eq!(fg.blocks[0].succs, vec![2, 1]);
-        assert_eq!(fg.blocks[1].succs, vec![3]);
-        assert_eq!(fg.blocks[2].succs, vec![3]);
-        assert!(fg.blocks[3].succs.is_empty());
+        assert_eq!(fg.blocks[0].succs(), [2, 1]);
+        assert_eq!(fg.blocks[1].succs(), [3]);
+        assert_eq!(fg.blocks[2].succs(), [3]);
+        assert!(fg.blocks[3].succs().is_empty());
     }
 
     #[test]
@@ -182,9 +191,9 @@ mod tests {
         b.bin_imm(BinOp::Sub, ValKind::W, x, x, 1);
         b.br_true(x, top); // B1 -> B1, B2
         b.ret_val(ValKind::W, x);
-        let fg = FlowGraph::build(&b);
+        let fg = build(&b);
         assert_eq!(fg.len(), 3);
-        assert_eq!(fg.blocks[1].succs, vec![1, 2]);
+        assert_eq!(fg.blocks[1].succs(), [1, 2]);
     }
 
     #[test]
@@ -196,7 +205,7 @@ mod tests {
         b.bind(l);
         b.br_true(x, l);
         b.ret_val(ValKind::W, x);
-        let fg = FlowGraph::build(&b);
+        let fg = build(&b);
         assert_eq!(fg.block_of[0], 0);
         assert_eq!(fg.block_of[1], 1);
         assert_eq!(fg.block_of[2], 1);

@@ -16,7 +16,7 @@
 
 use crate::flow::FlowGraph;
 use crate::ir::{IOp, IcodeBuf, VReg};
-use crate::liveness::Liveness;
+use crate::liveness::{bits, Liveness};
 use tcc_rt::ValKind;
 
 /// A live interval for one virtual register.
@@ -37,86 +37,99 @@ pub struct Interval {
     pub weight: u64,
 }
 
-/// Builds the sorted-by-endpoint interval list.
-pub fn build_intervals(buf: &IcodeBuf, fg: &FlowGraph, lv: &Liveness) -> Vec<Interval> {
-    let nv = buf.num_vregs();
-    let mut start = vec![usize::MAX; nv];
-    let mut end = vec![0usize; nv];
-    let mut weight = vec![0u64; nv];
-    let mut touch = |v: VReg, pos: usize| {
-        let i = v.0 as usize;
-        if start[i] == usize::MAX {
-            start[i] = pos;
-        }
-        start[i] = start[i].min(pos);
-        end[i] = end[i].max(pos);
-    };
+/// The sorted-by-endpoint interval list and the arrays it is built from,
+/// kept for the next compile.
+#[derive(Clone, Debug, Default)]
+pub struct Intervals {
+    /// The intervals, by increasing end point.
+    pub list: Vec<Interval>,
+    /// Per vreg: (start, end, weight); `start` is `usize::MAX` until the
+    /// register is first touched.
+    extent: Vec<(usize, usize, u64)>,
+    /// `calls_before[p]` = call instructions at positions below `p`.
+    calls_before: Vec<u32>,
+}
 
-    let mut depth: u32 = 0;
-    for (pos, insn) in buf.insns.iter().enumerate() {
-        match insn.op {
-            IOp::LoopBegin => depth += 1,
-            IOp::LoopEnd => depth = depth.saturating_sub(1),
-            _ => {}
-        }
-        let w = 8u64.saturating_pow(depth.min(6));
-        if let Some(d) = insn.def() {
-            touch(d, pos);
-            weight[d.0 as usize] = weight[d.0 as usize].saturating_add(w);
-        }
-        for u in insn.uses().into_iter().flatten() {
-            touch(u, pos);
-            weight[u.0 as usize] = weight[u.0 as usize].saturating_add(w);
-        }
-    }
-    // Extend through block boundaries where the register is live (this is
-    // what makes the approximation safe around loops: a register live-out
-    // of a block covers that whole block span).
-    for (bi, blk) in fg.blocks.iter().enumerate() {
-        if blk.start == blk.end {
-            continue;
-        }
-        for v in lv.live_in[bi].iter() {
-            if start[v] != usize::MAX {
-                start[v] = start[v].min(blk.start);
-                end[v] = end[v].max(blk.start);
+impl Intervals {
+    /// Builds the sorted-by-endpoint interval list, reusing this value's
+    /// storage.
+    pub fn build(&mut self, buf: &IcodeBuf, fg: &FlowGraph, lv: &Liveness) {
+        let Intervals {
+            list,
+            extent,
+            calls_before,
+        } = self;
+        extent.clear();
+        extent.resize(buf.num_vregs(), (usize::MAX, 0, 0));
+        calls_before.clear();
+        let mut touch = |v: VReg, pos: usize, w: u64| {
+            let (start, end, weight) = &mut extent[v.0 as usize];
+            *start = (*start).min(pos);
+            *end = (*end).max(pos);
+            *weight = weight.saturating_add(w);
+        };
+
+        let (mut depth, mut calls) = (0u32, 0u32);
+        for (pos, insn) in buf.insns.iter().enumerate() {
+            calls_before.push(calls);
+            match insn.op {
+                IOp::LoopBegin => depth += 1,
+                IOp::LoopEnd => depth = depth.saturating_sub(1),
+                IOp::CallAddr | IOp::CallInd | IOp::Hcall => calls += 1,
+                _ => {}
+            }
+            let w = 8u64.saturating_pow(depth.min(6));
+            if let Some(d) = insn.def() {
+                touch(d, pos, w);
+            }
+            for u in insn.uses().into_iter().flatten() {
+                touch(u, pos, w);
             }
         }
-        for v in lv.live_out[bi].iter() {
-            if start[v] != usize::MAX {
-                end[v] = end[v].max(blk.end - 1);
+        // Extend through block boundaries where the register is live (this is
+        // what makes the approximation safe around loops: a register live-out
+        // of a block covers that whole block span).
+        for (bi, blk) in fg.blocks.iter().enumerate() {
+            if blk.start == blk.end {
+                continue;
+            }
+            for v in bits(lv.live_in.row(bi)) {
+                let (start, end, _) = &mut extent[v];
+                if *start != usize::MAX {
+                    *start = (*start).min(blk.start);
+                    *end = (*end).max(blk.start);
+                }
+            }
+            for v in bits(lv.live_out.row(bi)) {
+                let (start, end, _) = &mut extent[v];
+                if *start != usize::MAX {
+                    *end = (*end).max(blk.end - 1);
+                }
             }
         }
-    }
-    // Call positions for crosses_call.
-    let call_positions: Vec<usize> = buf
-        .insns
-        .iter()
-        .enumerate()
-        .filter(|(_, i)| matches!(i.op, IOp::CallAddr | IOp::CallInd | IOp::Hcall))
-        .map(|(p, _)| p)
-        .collect();
 
-    let mut out = Vec::new();
-    for v in 0..nv {
-        if start[v] == usize::MAX {
-            continue;
+        list.clear();
+        for (v, &(start, end, weight)) in extent.iter().enumerate() {
+            if start == usize::MAX {
+                continue;
+            }
+            list.push(Interval {
+                vreg: VReg(v as u32),
+                kind: buf.vreg_kinds[v],
+                start,
+                end,
+                // A call strictly inside: positions start+1 ..= end-1.
+                crosses_call: end > start && calls_before[end] > calls_before[start + 1],
+                weight,
+            });
         }
-        let crosses = call_positions.iter().any(|&p| start[v] < p && p < end[v]);
-        out.push(Interval {
-            vreg: VReg(v as u32),
-            kind: buf.vreg_kinds[v],
-            start: start[v],
-            end: end[v],
-            crosses_call: crosses,
-            weight: weight[v],
-        });
+        // "given live variable information, creating a list of live intervals
+        // sorted by start or end point is accomplished in one pass over the
+        // code" — here sorted by increasing end point for the reverse scan.
+        // The vreg breaks ties the way a stable sort of this (vreg-ordered)
+        // list would, without the stable sort's merge buffer.
+        list.sort_unstable_by_key(|iv| (iv.end, iv.start, iv.vreg));
     }
-    // "given live variable information, creating a list of live intervals
-    // sorted by start or end point is accomplished in one pass over the
-    // code" — here sorted by increasing end point for the reverse scan.
-    out.sort_by_key(|iv| (iv.end, iv.start));
-    out
 }
 
 #[cfg(test)]
@@ -126,9 +139,11 @@ mod tests {
     use tcc_vcode::CodeSink;
 
     fn intervals_of(buf: &IcodeBuf) -> Vec<Interval> {
-        let fg = FlowGraph::build(buf);
-        let lv = Liveness::solve(buf, &fg);
-        build_intervals(buf, &fg, &lv)
+        let (mut fg, mut lv, mut ivs) = Default::default();
+        FlowGraph::build(&mut fg, buf);
+        Liveness::solve(&mut lv, buf, &fg);
+        Intervals::build(&mut ivs, buf, &fg, &lv);
+        ivs.list
     }
 
     #[test]

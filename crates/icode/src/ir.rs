@@ -147,6 +147,15 @@ impl IcodeBuf {
         IcodeBuf::default()
     }
 
+    /// Empties the buffer for the next function, keeping its storage.
+    pub fn clear(&mut self) {
+        self.insns.clear();
+        self.vreg_kinds.clear();
+        self.frame_blocks.clear();
+        self.nlabels = 0;
+        self.max_param = 0;
+    }
+
     /// Allocates a fresh virtual register of kind `k`.
     pub fn vreg(&mut self, k: ValKind) -> VReg {
         self.vreg_kinds.push(k);

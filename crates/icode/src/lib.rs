@@ -24,7 +24,9 @@
 //!    translator table ([`prune`]).
 //!
 //! Each phase is individually timed ([`compile::Phases`]) to regenerate
-//! the paper's Figure 7 cost breakdown.
+//! the paper's Figure 7 cost breakdown, and each works in storage the
+//! [`IcodeCompiler`] owns: a compiler that is kept compiles its second
+//! and later functions without allocating (see [`compile`]).
 //!
 //! ## Example
 //!
@@ -43,7 +45,7 @@
 //! buf.ret_val(ValKind::W, t);
 //!
 //! let mut code = CodeSpace::new();
-//! let result = IcodeCompiler::new(Strategy::LinearScan).compile(&mut code, "triple", buf);
+//! let result = IcodeCompiler::new(Strategy::LinearScan).compile(&mut code, "triple", &mut buf);
 //! let mut vm = Vm::new(code, 1 << 20);
 //! assert_eq!(vm.call(result.func.addr, &[14])?, 42);
 //! # Ok(())

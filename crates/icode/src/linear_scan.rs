@@ -31,56 +31,70 @@ enum Phys {
     F(FReg),
 }
 
-struct Active {
+/// The allocator's working lists, kept for the next compile.
+#[derive(Clone, Debug, Default)]
+pub struct ScanScratch {
+    free_caller: Vec<Phys>,
+    free_callee: Vec<Phys>,
     /// (interval index, register), sorted by increasing start point.
-    list: Vec<(usize, Phys)>,
+    active: Vec<(usize, Phys)>,
 }
 
 /// Runs the Figure 3 allocator over `intervals` (which must be sorted by
-/// increasing end point, as produced by
-/// [`crate::intervals::build_intervals`]). Returns the assignment for
-/// `nv` virtual registers.
-pub fn linear_scan(intervals: &[Interval], nv: usize, pools: &Pools) -> Assignment {
-    let mut asn = Assignment::new(nv);
-    run_bank(intervals, &mut asn, pools, false);
-    run_bank(intervals, &mut asn, pools, true);
-    asn
+/// increasing end point, as [`crate::intervals::Intervals::build`] leaves
+/// them), writing the assignment for `nv` virtual registers into `asn`.
+pub fn linear_scan(
+    intervals: &[Interval],
+    nv: usize,
+    pools: &Pools,
+    scratch: &mut ScanScratch,
+    asn: &mut Assignment,
+) {
+    asn.reset(nv);
+    run_bank(intervals, asn, pools, scratch, false);
+    run_bank(intervals, asn, pools, scratch, true);
 }
 
-fn run_bank(intervals: &[Interval], asn: &mut Assignment, pools: &Pools, float: bool) {
-    // Indices of this bank's intervals, in increasing-end order.
-    let idxs: Vec<usize> = (0..intervals.len())
-        .filter(|&i| (intervals[i].kind == ValKind::F) == float)
-        .collect();
-
-    let mut free_caller: Vec<Phys> = if float {
-        pools.f_caller.iter().rev().map(|&f| Phys::F(f)).collect()
+fn run_bank(
+    intervals: &[Interval],
+    asn: &mut Assignment,
+    pools: &Pools,
+    scratch: &mut ScanScratch,
+    float: bool,
+) {
+    let ScanScratch {
+        free_caller,
+        free_callee,
+        active,
+    } = scratch;
+    free_caller.clear();
+    free_callee.clear();
+    active.clear();
+    if float {
+        free_caller.extend(pools.f_caller.iter().rev().map(|&f| Phys::F(f)));
+        free_callee.extend(pools.f_callee.iter().rev().map(|&f| Phys::F(f)));
     } else {
-        pools.int_caller.iter().rev().map(|&r| Phys::R(r)).collect()
-    };
-    let mut free_callee: Vec<Phys> = if float {
-        pools.f_callee.iter().rev().map(|&f| Phys::F(f)).collect()
-    } else {
-        pools.int_callee.iter().rev().map(|&r| Phys::R(r)).collect()
-    };
+        free_caller.extend(pools.int_caller.iter().rev().map(|&r| Phys::R(r)));
+        free_callee.extend(pools.int_callee.iter().rev().map(|&r| Phys::R(r)));
+    }
     let is_callee = |p: Phys| match p {
         Phys::R(r) => pools.int_callee.contains(&r),
         Phys::F(f) => pools.f_callee.contains(&f),
     };
 
-    let mut active = Active { list: Vec::new() };
-
-    // "foreach live interval i, from last to first"
-    for &ii in idxs.iter().rev() {
-        let iv = &intervals[ii];
+    // "foreach live interval i, from last to first" — of this bank.
+    for (ii, iv) in intervals.iter().enumerate().rev() {
+        if (iv.kind == ValKind::F) != float {
+            continue;
+        }
 
         // EXPIREOLDINTERVALS(i): walk active from the back (largest start
         // point); intervals starting after i ends no longer overlap.
-        while let Some(&(j, reg)) = active.list.last() {
+        while let Some(&(j, reg)) = active.last() {
             if intervals[j].start <= iv.end {
                 break;
             }
-            active.list.pop();
+            active.pop();
             if is_callee(reg) {
                 free_callee.push(reg);
             } else {
@@ -97,17 +111,15 @@ fn run_bank(intervals: &[Interval], asn: &mut Assignment, pools: &Pools, float: 
 
         let reg = match reg {
             Some(r) => Some(r),
-            None => spill_longest(intervals, &mut active.list, asn, iv, is_callee),
+            None => spill_longest(intervals, active, asn, iv, is_callee),
         };
 
         match reg {
             Some(r) => {
                 asn.set(iv.vreg, to_alloc(r));
                 // "add i to active, sorted by start point"
-                let pos = active
-                    .list
-                    .partition_point(|&(j, _)| intervals[j].start <= iv.start);
-                active.list.insert(pos, (ii, r));
+                let pos = active.partition_point(|&(j, _)| intervals[j].start <= iv.start);
+                active.insert(pos, (ii, r));
             }
             None => {
                 // "location[i] <- new stack location"
@@ -199,6 +211,12 @@ mod tests {
 
     fn pools(n: usize) -> Pools {
         Pools::with_int_limit(n)
+    }
+
+    fn linear_scan(intervals: &[Interval], nv: usize, pools: &Pools) -> Assignment {
+        let mut asn = Assignment::default();
+        super::linear_scan(intervals, nv, pools, &mut ScanScratch::default(), &mut asn);
+        asn
     }
 
     #[test]

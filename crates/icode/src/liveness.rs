@@ -10,144 +10,123 @@
 use crate::flow::FlowGraph;
 use crate::ir::IcodeBuf;
 
-/// A dense bitset over virtual register numbers.
-#[derive(Clone, Debug, PartialEq, Eq, Default)]
-pub struct BitSet {
+/// The members of a row of words, lowest first: one `trailing_zeros`
+/// per member, one load per word.
+pub fn bits(row: &[u64]) -> impl Iterator<Item = usize> + '_ {
+    row.iter().enumerate().flat_map(|(wi, &word)| {
+        let mut rest = word;
+        std::iter::from_fn(move || {
+            let bit = (rest != 0).then(|| wi * 64 + rest.trailing_zeros() as usize)?;
+            rest &= rest - 1;
+            Some(bit)
+        })
+    })
+}
+
+/// A rows × columns bit matrix in one allocation: row `r` is the
+/// `stride` words at `r * stride`. Every per-block and per-vreg set in
+/// the back end is a row of one, re-zeroed per compile, not allocated.
+#[derive(Clone, Debug, Default)]
+pub struct BitMatrix {
+    stride: usize,
     words: Vec<u64>,
 }
 
-impl BitSet {
-    /// An empty set able to hold `n` elements.
-    pub fn new(n: usize) -> BitSet {
-        BitSet {
-            words: vec![0; n.div_ceil(64)],
-        }
+impl BitMatrix {
+    /// Re-shapes to `rows` × `cols`, all clear, keeping the allocation.
+    pub fn reset(&mut self, rows: usize, cols: usize) {
+        self.stride = cols.div_ceil(64);
+        self.words.clear();
+        self.words.resize(rows * self.stride, 0);
     }
 
-    /// Inserts `i`; returns true if it was newly inserted.
-    pub fn insert(&mut self, i: usize) -> bool {
-        let (w, b) = (i / 64, i % 64);
-        let old = self.words[w];
-        self.words[w] |= 1 << b;
-        old & (1 << b) == 0
+    /// Row `r`.
+    pub fn row(&self, r: usize) -> &[u64] {
+        &self.words[r * self.stride..(r + 1) * self.stride]
     }
 
-    /// Removes `i`.
-    pub fn remove(&mut self, i: usize) {
-        self.words[i / 64] &= !(1 << (i % 64));
+    /// Row `r`, mutably.
+    pub fn row_mut(&mut self, r: usize) -> &mut [u64] {
+        &mut self.words[r * self.stride..(r + 1) * self.stride]
     }
 
     /// Membership test.
-    pub fn contains(&self, i: usize) -> bool {
-        self.words[i / 64] & (1 << (i % 64)) != 0
+    pub fn contains(&self, r: usize, c: usize) -> bool {
+        self.words[r * self.stride + c / 64] & (1 << (c % 64)) != 0
     }
 
-    /// `self |= other`; returns true if `self` changed.
-    pub fn union_with(&mut self, other: &BitSet) -> bool {
-        let mut changed = false;
-        for (a, b) in self.words.iter_mut().zip(&other.words) {
-            let old = *a;
-            *a |= b;
-            changed |= *a != old;
-        }
-        changed
+    /// Sets bit (`r`, `c`).
+    pub fn insert(&mut self, r: usize, c: usize) {
+        self.words[r * self.stride + c / 64] |= 1 << (c % 64);
     }
 
-    /// `self = (self - kill) | gen`; standard transfer step.
-    pub fn transfer(&mut self, gen: &BitSet, kill: &BitSet) {
-        for ((a, g), k) in self.words.iter_mut().zip(&gen.words).zip(&kill.words) {
-            *a = (*a & !k) | g;
-        }
-    }
-
-    /// Empties the set, keeping capacity.
-    pub fn clear(&mut self) {
-        self.words.fill(0);
-    }
-
-    /// `self = other`, allocation-free. Both sets must have the same
-    /// capacity.
-    pub fn copy_from(&mut self, other: &BitSet) {
-        debug_assert_eq!(self.words.len(), other.words.len());
-        self.words.copy_from_slice(&other.words);
-    }
-
-    /// Iterates over members.
-    pub fn iter(&self) -> impl Iterator<Item = usize> + '_ {
-        self.words.iter().enumerate().flat_map(|(wi, &w)| {
-            (0..64)
-                .filter(move |b| w & (1 << b) != 0)
-                .map(move |b| wi * 64 + b)
-        })
-    }
-
-    /// Number of members.
-    pub fn count(&self) -> usize {
-        self.words.iter().map(|w| w.count_ones() as usize).sum()
+    /// Clears bit (`r`, `c`).
+    pub fn remove(&mut self, r: usize, c: usize) {
+        self.words[r * self.stride + c / 64] &= !(1 << (c % 64));
     }
 }
 
-/// Result of live-variable analysis: live-in/live-out per block.
-#[derive(Clone, Debug)]
+/// Result of live-variable analysis: live-in/live-out per block, one
+/// row per block in each matrix.
+#[derive(Clone, Debug, Default)]
 pub struct Liveness {
     /// Live-in set per block.
-    pub live_in: Vec<BitSet>,
+    pub live_in: BitMatrix,
     /// Live-out set per block.
-    pub live_out: Vec<BitSet>,
+    pub live_out: BitMatrix,
     /// Upward-exposed uses per block.
-    pub use_set: Vec<BitSet>,
+    pub use_set: BitMatrix,
     /// Defined-before-used per block.
-    pub def_set: Vec<BitSet>,
+    pub def_set: BitMatrix,
 }
 
 impl Liveness {
-    /// Runs the analysis.
-    pub fn solve(buf: &IcodeBuf, fg: &FlowGraph) -> Liveness {
+    /// Runs the analysis, reusing this value's storage.
+    pub fn solve(&mut self, buf: &IcodeBuf, fg: &FlowGraph) {
         let nv = buf.num_vregs();
         let nb = fg.len();
-        let mut use_set = vec![BitSet::new(nv); nb];
-        let mut def_set = vec![BitSet::new(nv); nb];
-        for (bi, blk) in fg.blocks.iter().enumerate() {
-            for insn in &buf.insns[blk.start..blk.end] {
-                for u in insn.uses().into_iter().flatten() {
-                    if !def_set[bi].contains(u.0 as usize) {
-                        use_set[bi].insert(u.0 as usize);
-                    }
-                }
-                if let Some(d) = insn.def() {
-                    def_set[bi].insert(d.0 as usize);
-                }
-            }
-        }
-        let mut live_in = vec![BitSet::new(nv); nb];
-        let mut live_out = vec![BitSet::new(nv); nb];
-        // Backward iteration; reverse program order converges fast on
-        // reducible graphs. The scratch sets are reused across every
-        // iteration — the inner loop allocates nothing.
-        let mut out = BitSet::new(nv);
-        let mut inn = BitSet::new(nv);
-        let mut changed = true;
-        while changed {
-            changed = false;
-            for bi in (0..nb).rev() {
-                out.clear();
-                for &s in &fg.blocks[bi].succs {
-                    out.union_with(&live_in[s]);
-                }
-                inn.copy_from(&out);
-                inn.transfer(&use_set[bi], &def_set[bi]);
-                if inn != live_in[bi] {
-                    live_in[bi].copy_from(&inn);
-                    changed = true;
-                }
-                live_out[bi].copy_from(&out);
-            }
-        }
-        Liveness {
+        let Liveness {
             live_in,
             live_out,
             use_set,
             def_set,
+        } = self;
+        for m in [&mut *live_in, &mut *live_out, &mut *use_set, &mut *def_set] {
+            m.reset(nb, nv);
+        }
+        for (bi, blk) in fg.blocks.iter().enumerate() {
+            for insn in &buf.insns[blk.start..blk.end] {
+                for u in insn.uses().into_iter().flatten() {
+                    if !def_set.contains(bi, u.0 as usize) {
+                        use_set.insert(bi, u.0 as usize);
+                    }
+                }
+                if let Some(d) = insn.def() {
+                    def_set.insert(bi, d.0 as usize);
+                }
+            }
+        }
+        // Backward iteration; reverse program order converges fast on
+        // reducible graphs. Each step rewrites the block's two rows in
+        // place — the solve allocates nothing.
+        let mut changed = true;
+        while changed {
+            changed = false;
+            for (bi, blk) in fg.blocks.iter().enumerate().rev() {
+                let out = live_out.row_mut(bi);
+                out.fill(0);
+                for &s in blk.succs() {
+                    for (o, i) in out.iter_mut().zip(live_in.row(s as usize)) {
+                        *o |= i;
+                    }
+                }
+                let gen_kill = use_set.row(bi).iter().zip(def_set.row(bi));
+                for ((i, o), (g, k)) in live_in.row_mut(bi).iter_mut().zip(&*out).zip(gen_kill) {
+                    let new = (o & !k) | g;
+                    changed |= new != *i;
+                    *i = new;
+                }
+            }
         }
     }
 }
@@ -159,32 +138,31 @@ mod tests {
     use tcc_vcode::ops::BinOp;
     use tcc_vcode::CodeSink;
 
-    #[test]
-    fn bitset_basics() {
-        let mut s = BitSet::new(130);
-        assert!(s.insert(0));
-        assert!(s.insert(129));
-        assert!(!s.insert(0));
-        assert!(s.contains(129));
-        s.remove(0);
-        assert!(!s.contains(0));
-        assert_eq!(s.count(), 1);
-        assert_eq!(s.iter().collect::<Vec<_>>(), vec![129]);
+    fn solve(b: &IcodeBuf) -> (FlowGraph, Liveness) {
+        let mut fg = FlowGraph::default();
+        fg.build(b);
+        let mut lv = Liveness::default();
+        lv.solve(b, &fg);
+        (fg, lv)
     }
 
     #[test]
-    fn bitset_copy_from_and_clear() {
-        let mut a = BitSet::new(130);
-        a.insert(5);
-        a.insert(129);
-        let mut b = BitSet::new(130);
-        b.insert(70);
-        b.copy_from(&a);
-        assert_eq!(b, a);
-        assert!(!b.contains(70));
-        b.clear();
-        assert_eq!(b.count(), 0);
-        assert_eq!(a.count(), 2);
+    fn bits_walk_every_member_in_order() {
+        let mut m = BitMatrix::default();
+        m.reset(3, 200);
+        let members = [0, 1, 63, 64, 65, 127, 128, 199];
+        for &c in &members {
+            m.insert(1, c);
+        }
+        m.insert(2, 70);
+        assert_eq!(bits(m.row(1)).collect::<Vec<_>>(), members);
+        assert!(bits(m.row(0)).next().is_none());
+        m.remove(1, 64);
+        assert!(!m.contains(1, 64) && m.contains(1, 65));
+        // Re-shaping clears: no bit survives a reset.
+        m.reset(2, 64);
+        assert!(!m.contains(1, 1));
+        assert!(bits(m.row(1)).next().is_none());
     }
 
     #[test]
@@ -200,22 +178,21 @@ mod tests {
         b.bin_imm(BinOp::Sub, ValKind::W, x, x, 1);
         b.br_true(x, top);
         b.ret_val(ValKind::W, s);
-        let fg = FlowGraph::build(&b);
-        let lv = Liveness::solve(&b, &fg);
+        let (fg, lv) = solve(&b);
         // Find the loop block (the one with a self edge).
         let loop_bi = (0..fg.len())
-            .find(|&bi| fg.blocks[bi].succs.contains(&bi))
+            .find(|&bi| fg.blocks[bi].succs().contains(&(bi as u32)))
             .unwrap();
         assert!(
-            lv.live_in[loop_bi].contains(s.0 as usize),
+            lv.live_in.contains(loop_bi, s.0 as usize),
             "s live into loop"
         );
         assert!(
-            lv.live_in[loop_bi].contains(x.0 as usize),
+            lv.live_in.contains(loop_bi, x.0 as usize),
             "x live into loop"
         );
         assert!(
-            lv.live_out[loop_bi].contains(s.0 as usize),
+            lv.live_out.contains(loop_bi, s.0 as usize),
             "s live out of loop"
         );
     }
@@ -228,9 +205,8 @@ mod tests {
         b.li(x, 1);
         b.li(d, 9); // dead
         b.ret_val(ValKind::W, x);
-        let fg = FlowGraph::build(&b);
-        let lv = Liveness::solve(&b, &fg);
-        assert!(!lv.live_in[0].contains(d.0 as usize));
-        assert!(!lv.live_out[0].contains(x.0 as usize)); // no successor
+        let (_, lv) = solve(&b);
+        assert!(!lv.live_in.contains(0, d.0 as usize));
+        assert!(!lv.live_out.contains(0, x.0 as usize)); // no successor
     }
 }

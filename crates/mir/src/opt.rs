@@ -18,17 +18,18 @@ use tcc_vcode::ops::BinOp;
 
 /// Runs the full pipeline in place.
 pub fn optimize(buf: &mut IcodeBuf) {
+    let mut peephole = tcc_icode::peephole::Peephole::default();
     for _ in 0..3 {
         let mut changed = false;
         changed |= const_and_copy_prop(buf);
         changed |= fold(buf);
         changed |= cse_local(buf);
-        changed |= tcc_icode::peephole::dead_code(buf) > 0;
+        changed |= peephole.dead_code(buf) > 0;
         if !changed {
             break;
         }
     }
-    tcc_icode::peephole::thread_jumps(buf);
+    peephole.thread_jumps(buf);
 }
 
 fn def_counts(buf: &IcodeBuf) -> Vec<u32> {

@@ -24,11 +24,13 @@ use json::Json;
 /// Per-phase codegen time, in nanoseconds.
 ///
 /// For the ICODE back end every field is meaningful (the paper's
-/// Figure 7 breakdown); the one-pass VCODE back end only populates
-/// `emit_ns` (walk time is tracked separately in [`DynMetrics`]).
+/// Figure 7 breakdown). The one-pass VCODE back end populates none: its
+/// walk *is* its emission, so all of it — frame patch-up and seal
+/// included — is [`DynMetrics::walk_ns`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CodegenPhases {
-    /// IR cleanup (DCE, jump threading).
+    /// IR cleanup: dead code, jump threading, and the fusion-aware
+    /// scheduler.
     pub peephole_ns: u64,
     /// Flow graph construction.
     pub flow_ns: u64,
@@ -102,8 +104,9 @@ pub struct DynMetrics {
     pub compiles: u64,
     /// Total wall-clock nanoseconds in `compile`.
     pub total_ns: u64,
-    /// Nanoseconds spent walking CGFs (closure reads, partial
-    /// evaluation, and — for ICODE — building the IR).
+    /// Nanoseconds spent walking CGFs: closure reads, partial
+    /// evaluation, and what the walk drives — for ICODE recording the
+    /// IR, for VCODE emitting the function, through its `finish()`.
     pub walk_ns: u64,
     /// Per-phase breakdown, accumulated (ICODE back end).
     pub phases: CodegenPhases,

@@ -7,7 +7,7 @@
 //! it reproduces), `ns_per_cycle` where a calibration was used, and a
 //! `rows` array with one object per benchmark.
 
-use crate::measure::{DynBackend, Measurement, COMPILE_REPS};
+use crate::measure::{DynBackend, Measurement};
 use crate::micro::{measure_micro_backend, table1_cases, MicroResult};
 use tcc::{Backend, Strategy};
 use tcc_obs::json::Json;
@@ -198,24 +198,17 @@ pub fn figure7_json(ms: &[Measurement], ns_per_cycle: f64) -> Json {
             .map(|(b, key)| {
                 let d = &m.dynamic[b as usize];
                 let per = |ns: f64| ns / d.insns.max(1.0) / ns_per_cycle;
-                let compiles = COMPILE_REPS as f64;
-                let ph = &d.phases;
-                let flow = ph.flow_ns as f64 / compiles;
-                let live = (ph.liveness_ns + ph.intervals_ns) as f64 / compiles;
-                let alloc = ph.alloc_ns as f64 / compiles;
-                let emit = (ph.emit_ns + ph.peephole_ns) as f64 / compiles;
-                let total = d.codegen_ns;
+                let row = d.breakdown();
                 let breakdown = Json::obj(vec![
-                    ("walk_and_ir", Json::from(per(d.walk_ns))),
-                    ("flow", Json::from(per(flow))),
-                    ("liveness", Json::from(per(live))),
-                    ("alloc", Json::from(per(alloc))),
-                    ("emit", Json::from(per(emit))),
-                    ("total", Json::from(per(total))),
-                    (
-                        "alloc_fraction",
-                        Json::from((live + alloc) / total.max(1.0)),
-                    ),
+                    ("walk_and_ir", Json::from(per(row.walk))),
+                    ("flow", Json::from(per(row.flow))),
+                    ("liveness", Json::from(per(row.liveness))),
+                    ("alloc", Json::from(per(row.alloc))),
+                    ("emit", Json::from(per(row.emit))),
+                    ("other", Json::from(per(row.other))),
+                    ("total", Json::from(per(row.total))),
+                    ("alloc_fraction", Json::from(row.alloc_fraction())),
+                    ("other_fraction", Json::from(row.other / row.total.max(1.0))),
                 ]);
                 (key.to_string(), breakdown)
             })
@@ -279,6 +272,7 @@ mod tests {
             (figure5_json(&ms, 1.0), "\"crossover_runs\""),
             (figure6_json(&ms, 1.0), "\"ns_per_generated_insn\""),
             (figure7_json(&ms, 1.0), "\"alloc_fraction\""),
+            (figure7_json(&ms, 1.0), "\"other\""),
         ] {
             let text = j.to_string();
             assert!(text.contains("\"pow\""), "missing benchmark name in {text}");

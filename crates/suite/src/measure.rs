@@ -79,6 +79,57 @@ pub struct DynMeasure {
     pub check: u64,
 }
 
+/// One Figure 7 row: where an ICODE compile's time went, nanoseconds
+/// per compile. The six columns sum to `total`, so time outside every
+/// phase has a column of its own instead of hiding in the total.
+#[derive(Clone, Copy, Debug)]
+pub struct Breakdown {
+    /// The CGF walk, recording IR.
+    pub walk: f64,
+    /// Flow graph construction.
+    pub flow: f64,
+    /// Live variables and live intervals.
+    pub liveness: f64,
+    /// Register allocation proper.
+    pub alloc: f64,
+    /// IR cleanup (peephole, scheduler) and translation to binary.
+    pub emit: f64,
+    /// `total` minus all of the above: the `compile` intercept's own
+    /// work (depth probe, naming, bookkeeping) and anything a phase
+    /// timer does not cover.
+    pub other: f64,
+    /// The whole `compile` call.
+    pub total: f64,
+}
+
+impl Breakdown {
+    /// Share of `total` in liveness + intervals + allocation ("register
+    /// allocation and related operations", the paper's 70-80%).
+    pub fn alloc_fraction(&self) -> f64 {
+        (self.liveness + self.alloc) / self.total.max(1.0)
+    }
+}
+
+impl DynMeasure {
+    /// The Figure 7 row of this measurement (phases are accumulated over
+    /// [`COMPILE_REPS`] compiles; walk and total are already averages).
+    pub fn breakdown(&self) -> Breakdown {
+        let per_compile = |ns: u64| ns as f64 / COMPILE_REPS as f64;
+        let ph = &self.phases;
+        let mut b = Breakdown {
+            walk: self.walk_ns,
+            flow: per_compile(ph.flow_ns),
+            liveness: per_compile(ph.liveness_ns + ph.intervals_ns),
+            alloc: per_compile(ph.alloc_ns),
+            emit: per_compile(ph.emit_ns + ph.peephole_ns),
+            other: 0.0,
+            total: self.codegen_ns,
+        };
+        b.other = b.total - (b.walk + b.flow + b.liveness + b.alloc + b.emit);
+        b
+    }
+}
+
 /// Complete measurements for one benchmark.
 #[derive(Clone, Debug)]
 pub struct Measurement {
@@ -146,6 +197,10 @@ fn run_dynamic(bench: &BenchDef, b: DynBackend, cost: &CostModel) -> DynMeasure 
         static_opt: OptLevel::Optimizing,
         backend: b.backend(),
         cost: cost.clone(),
+        // Memo off: every rep must be a compile. With it on, reps 2..N
+        // of a cacheable closure are hits, and the "average" is one
+        // cold compile whose phases are then divided by N.
+        cache: false,
         ..Config::default()
     };
     let mut s = Session::new(bench.src, config)
@@ -156,7 +211,12 @@ fn run_dynamic(bench: &BenchDef, b: DynBackend, cost: &CostModel) -> DynMeasure 
         (bench.compile_dyn)(&mut s);
     }
     let st = s.dyn_stats().clone();
-    let n = st.compiles.max(1) as f64;
+    assert_eq!(
+        st.compiles, COMPILE_REPS,
+        "{}: a rep did not compile",
+        bench.name
+    );
+    let n = st.compiles as f64;
     s.reset_counters();
     let result = (bench.run_dyn)(&mut s, fp);
     let run_cycles = s.cycles();

@@ -134,6 +134,9 @@ pub fn measure_micro_backend(case: &MicroCase, backend: Backend, ns_per_cycle: f
     let config = Config {
         static_opt: OptLevel::Optimizing,
         backend,
+        // Memo off, so each rep compiles (Table 1 is compile cost; with
+        // the memo on, every rep after the first is a hit).
+        cache: false,
         ..Config::default()
     };
     let mut s = Session::new(&case.src, config)

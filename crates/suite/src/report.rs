@@ -101,10 +101,20 @@ pub fn figure7(ms: &[Measurement], ns_per_cycle: f64) -> String {
     out.push_str(
         "Figure 7: ICODE dynamic compilation cost breakdown (cycles per generated instruction)\n",
     );
-    out.push_str("two rows per benchmark: linear scan (ls) and graph coloring (gc)\n");
+    out.push_str("two rows per benchmark: linear scan (ls) and graph coloring (gc);\n");
+    out.push_str("other = total - walk - every phase (the columns sum to total)\n");
     out.push_str(&format!(
-        "{:<14} {:>9} {:>9} {:>9} {:>9} {:>9} {:>10} {:>8}\n",
-        "benchmark", "walk+IR", "flow", "liveness", "alloc", "emit", "total", "alloc%"
+        "{:<14} {:>9} {:>9} {:>9} {:>9} {:>9} {:>9} {:>10} {:>8} {:>8}\n",
+        "benchmark",
+        "walk+IR",
+        "flow",
+        "liveness",
+        "alloc",
+        "emit",
+        "other",
+        "total",
+        "alloc%",
+        "other%"
     ));
     for m in ms {
         for (b, tag) in [
@@ -113,24 +123,19 @@ pub fn figure7(ms: &[Measurement], ns_per_cycle: f64) -> String {
         ] {
             let d = &m.dynamic[b as usize];
             let per = |ns: f64| ns / d.insns.max(1.0) / ns_per_cycle;
-            let compiles = crate::measure::COMPILE_REPS as f64;
-            let ph = &d.phases;
-            let flow = ph.flow_ns as f64 / compiles;
-            let live = (ph.liveness_ns + ph.intervals_ns) as f64 / compiles;
-            let alloc = ph.alloc_ns as f64 / compiles;
-            let emit = (ph.emit_ns + ph.peephole_ns) as f64 / compiles;
-            let total = d.codegen_ns;
-            let allocfrac = (live + alloc) / total.max(1.0) * 100.0;
+            let row = d.breakdown();
             out.push_str(&format!(
-                "{:<14} {:>9.1} {:>9.1} {:>9.1} {:>9.1} {:>9.1} {:>10.1} {:>7.0}%\n",
+                "{:<14} {:>9.1} {:>9.1} {:>9.1} {:>9.1} {:>9.1} {:>9.1} {:>10.1} {:>7.0}% {:>7.0}%\n",
                 format!("{} ({tag})", m.name),
-                per(d.walk_ns),
-                per(flow),
-                per(live),
-                per(alloc),
-                per(emit),
-                per(total),
-                allocfrac,
+                per(row.walk),
+                per(row.flow),
+                per(row.liveness),
+                per(row.alloc),
+                per(row.emit),
+                per(row.other),
+                per(row.total),
+                row.alloc_fraction() * 100.0,
+                row.other / row.total.max(1.0) * 100.0,
             ));
         }
     }

@@ -251,7 +251,7 @@ impl Session {
             config.backend,
         );
         rt.echo = config.echo;
-        rt.icode_schedule = config.icode_schedule;
+        rt.set_icode_schedule(config.icode_schedule);
         // Without a memo there is nothing for a backing to stand behind.
         let memo = config.cache || config.shared.is_some();
         rt.cache = memo.then(|| CodeCache::with_budget(config.code_budget));

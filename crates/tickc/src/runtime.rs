@@ -15,7 +15,7 @@ use std::sync::Arc;
 use std::time::Instant;
 use tcc_cache::{Artifact, Backing, CodeCache, Fetched, Fingerprint, FingerprintBuilder};
 use tcc_front::Program;
-use tcc_icode::prune::{key_of, OpKey};
+use tcc_icode::prune::FULL_ENTRIES;
 use tcc_icode::{IcodeBuf, IcodeCompiler, Strategy, TranslatorTable};
 use tcc_rt::{
     hcalls, ValKind, VmArena, VspecObj, VspecTag, ARGLIST_MARKER, ARGLIST_MAX, LABEL_MARKER,
@@ -78,7 +78,8 @@ struct CompileOutcome {
     insns: u64,
     /// Walk statistics (closures, unrolled iterations).
     walk: WalkStats,
-    /// Nanoseconds in the CGF walk (for ICODE: walk + IR build).
+    /// Nanoseconds in the CGF walk. For ICODE that is the walk recording
+    /// IR; for VCODE it is the whole back end, through `finish()`.
     walk_ns: u64,
     /// ICODE per-phase breakdown (zero for VCODE).
     phases: tcc_obs::CodegenPhases,
@@ -86,8 +87,8 @@ struct CompileOutcome {
     ir_insns: u64,
     /// Spilled live intervals (zero for VCODE).
     spills: u64,
-    /// Translator keys observed (ICODE pruning input).
-    keys: Vec<OpKey>,
+    /// Translator entries used (ICODE pruning input; empty for VCODE).
+    keys: TranslatorTable,
 }
 
 /// Runs the selected dynamic back end on one closure. Free-standing so
@@ -96,10 +97,10 @@ struct CompileOutcome {
 #[allow(clippy::too_many_arguments)]
 fn run_backend(
     backend: &Backend,
-    table: Option<&TranslatorTable>,
+    icode: &mut IcodeCompiler,
+    buf: &mut IcodeBuf,
     cspec_first: bool,
     enable_unroll: bool,
-    icode_schedule: bool,
     input: DynInput<'_>,
     mem: &mut Memory,
     code: &mut CodeSpace,
@@ -123,29 +124,29 @@ fn run_backend(
                 handle: f.handle,
                 insns: f.insns,
                 walk,
+                // One pass: the walk is the emission, so this is the
+                // whole back end, frame patch-up and seal included.
                 walk_ns: t0.elapsed().as_nanos() as u64,
                 phases: tcc_obs::CodegenPhases::default(),
                 ir_insns: 0,
                 spills: 0,
-                keys: Vec::new(),
+                keys: TranslatorTable::empty(),
             })
         }
         Backend::Icode { strategy } => {
-            let mut buf = IcodeBuf::new();
-            let mut dc = DynCompiler::new(input, mem, &mut buf, ret_kind);
+            // The session's compiler and IR buffer, emptied and refilled:
+            // nothing is built per compile (the strategy is a copy, so
+            // it simply follows the public `backend` field).
+            icode.strategy = *strategy;
+            buf.clear();
+            let mut dc = DynCompiler::new(input, mem, buf, ret_kind);
             dc.cspec_first = cspec_first;
             dc.enable_unroll = enable_unroll;
             dc.compile_entry(closure)?;
             let walk = dc.stats;
             let walk_ns = t0.elapsed().as_nanos() as u64;
             let ir_insns = buf.emitted();
-            let keys: Vec<OpKey> = buf.insns.iter().map(key_of).collect();
-            let mut compiler = IcodeCompiler::new(*strategy);
-            compiler.schedule_fusion = icode_schedule;
-            if let Some(table) = table {
-                compiler.table = table.clone();
-            }
-            let r = compiler.compile(code, name, buf);
+            let r = icode.compile(code, name, buf);
             Ok(CompileOutcome {
                 addr: r.func.addr,
                 handle: r.func.handle,
@@ -155,7 +156,7 @@ fn run_backend(
                 phases: r.phases,
                 ir_insns,
                 spills: r.spills as u64,
-                keys,
+                keys: r.keys,
             })
         }
     }
@@ -174,8 +175,6 @@ pub struct TccRuntime {
     /// Use the closure arena (`false` = ablation baseline using the
     /// general allocator).
     pub use_arena: bool,
-    /// Optional pruned translator table for the ICODE back end.
-    pub table: Option<TranslatorTable>,
     /// Statistics.
     pub stats: DynStats,
     /// Captured program output.
@@ -186,13 +185,10 @@ pub struct TccRuntime {
     pub cspec_first: bool,
     /// Dynamic loop unrolling (§4.4; ablation knob).
     pub enable_unroll: bool,
-    /// Run the ICODE fusion-aware scheduler (ablation knob for
-    /// measuring the superinstruction fused-pair gain).
-    pub icode_schedule: bool,
-    /// Translator keys observed across ICODE compiles — feed to
-    /// [`TranslatorTable::from_keys`] to build the pruned back end
-    /// (the §5.2 "link-time" analysis, observed at run time here).
-    pub observed_keys: std::collections::BTreeSet<OpKey>,
+    /// Translator entries used across ICODE compiles — itself the
+    /// pruned table to hand [`TccRuntime::set_table`] (the §5.2
+    /// "link-time" analysis, observed at run time here).
+    pub observed_keys: TranslatorTable,
     /// The session memo: every function this session has installed,
     /// keyed by closure fingerprint, with the code budget, pins and
     /// eviction — in every mode. `None` (`Config::cache` off in a
@@ -213,6 +209,14 @@ pub struct TccRuntime {
     pub shared_cost: CostModel,
     /// Per-tick cacheability memo (tick id → body is memory-free).
     tick_cacheable: HashMap<usize, bool>,
+    /// The ICODE back end, built with the runtime and kept: its
+    /// translator table, register pools and every phase's working
+    /// storage outlive the compile, so a compile allocates only what it
+    /// installs. Configured through [`TccRuntime::set_icode_schedule`]
+    /// and [`TccRuntime::set_table`].
+    icode: IcodeCompiler,
+    /// The IR buffer the CGF walk records into, emptied per compile.
+    icode_buf: IcodeBuf,
     arena: Option<VmArena>,
     vspec_seq: u64,
     dyn_seq: u64,
@@ -226,29 +230,54 @@ impl TccRuntime {
         global_addrs: Vec<u64>,
         backend: Backend,
     ) -> TccRuntime {
+        let strategy = match backend {
+            Backend::Icode { strategy } => strategy,
+            Backend::Vcode { .. } => Strategy::default(),
+        };
         TccRuntime {
             prog,
             func_addrs,
             global_addrs,
             backend,
             use_arena: true,
-            table: None,
             stats: DynStats::default(),
             out: Vec::new(),
             echo: false,
             cspec_first: true,
             enable_unroll: true,
-            icode_schedule: true,
-            observed_keys: std::collections::BTreeSet::new(),
+            observed_keys: TranslatorTable::empty(),
             cache: Some(CodeCache::new()),
             backing: Backing::None,
             pending_preseeds: Vec::new(),
             shared_cost: CostModel::default(),
             tick_cacheable: HashMap::new(),
+            icode: IcodeCompiler::new(strategy),
+            icode_buf: IcodeBuf::new(),
             arena: None,
             vspec_seq: 0,
             dyn_seq: 0,
         }
+    }
+
+    /// Turns the ICODE fusion-aware scheduler on or off (ablation knob
+    /// for measuring the superinstruction fused-pair gain; on by
+    /// default).
+    pub fn set_icode_schedule(&mut self, on: bool) {
+        self.icode.schedule_fusion = on;
+    }
+
+    /// Installs a pruned translator table for the ICODE back end
+    /// (ablation; compiles are then never memoized), or restores the
+    /// full one.
+    pub fn set_table(&mut self, table: Option<TranslatorTable>) {
+        self.icode.table = table.unwrap_or_else(TranslatorTable::full);
+    }
+
+    /// The IR of the most recent ICODE compile, as the cleanup passes
+    /// left it (empty before the first). Tests replay it through other
+    /// compilers.
+    pub fn last_icode(&self) -> &IcodeBuf {
+        &self.icode_buf
     }
 
     /// The captured output as UTF-8 (lossy).
@@ -273,7 +302,7 @@ impl TccRuntime {
         closure: u64,
         ret_kind: Option<ValKind>,
     ) -> Result<Option<Fingerprint>, VmError> {
-        if self.cache.is_none() || self.table.is_some() {
+        if self.cache.is_none() || self.icode.table.entries() < FULL_ENTRIES {
             return Ok(None);
         }
         let mut b = FingerprintBuilder::new();
@@ -320,16 +349,15 @@ impl TccRuntime {
             global_addrs: &self.global_addrs,
         };
         let backend = &self.backend;
-        let table = self.table.as_ref();
+        let (icode, buf) = (&mut self.icode, &mut self.icode_buf);
         let (cspec_first, enable_unroll) = (self.cspec_first, self.enable_unroll);
-        let icode_schedule = self.icode_schedule;
         let mut run = || {
             run_backend(
                 backend,
-                table,
+                icode,
+                buf,
                 cspec_first,
                 enable_unroll,
-                icode_schedule,
                 input,
                 mem,
                 code,
@@ -358,7 +386,7 @@ impl TccRuntime {
         self.stats.phases.accumulate(&outcome.phases);
         self.stats.ir_insns += outcome.ir_insns;
         self.stats.spills += outcome.spills;
-        self.observed_keys.extend(outcome.keys);
+        self.observed_keys.union_with(&outcome.keys);
         self.stats.compiles += 1;
         self.stats.generated_insns += outcome.insns;
         Ok((outcome.addr, outcome.handle))

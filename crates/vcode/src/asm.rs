@@ -17,10 +17,15 @@ use tcc_vm::{CodeSpace, FReg, FuncHandle, Insn, Op, Reg, CODE_BASE};
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct Label(usize);
 
-#[derive(Clone, Debug, Default)]
+/// End of a label's forward-reference chain.
+const NO_REF: u32 = u32::MAX;
+
+#[derive(Clone, Copy, Debug)]
 struct LabelInfo {
     bound: Option<usize>,
-    refs: Vec<usize>,
+    /// Latest not-yet-patched reference to this label (an index into
+    /// [`Asm::refs`]), chained to the earlier ones.
+    last_ref: u32,
 }
 
 /// An assembler positioned inside one function of a [`CodeSpace`].
@@ -29,6 +34,10 @@ pub struct Asm<'a> {
     code: &'a mut CodeSpace,
     func: FuncHandle,
     labels: Vec<LabelInfo>,
+    /// Forward references awaiting their label: (word index to patch,
+    /// previous reference to the same label). One array for the whole
+    /// function, so a label costs no allocation of its own.
+    refs: Vec<(usize, u32)>,
     start_index: usize,
 }
 
@@ -41,6 +50,7 @@ impl<'a> Asm<'a> {
             code,
             func,
             labels: Vec::new(),
+            refs: Vec::new(),
             start_index,
         }
     }
@@ -80,7 +90,7 @@ impl<'a> Asm<'a> {
     pub fn finish(self) -> u64 {
         for (i, l) in self.labels.iter().enumerate() {
             assert!(
-                l.bound.is_some() || l.refs.is_empty(),
+                l.bound.is_some() || l.last_ref == NO_REF,
                 "label {i} referenced but never bound"
             );
         }
@@ -91,7 +101,10 @@ impl<'a> Asm<'a> {
 
     /// Creates a fresh unbound label.
     pub fn new_label(&mut self) -> Label {
-        self.labels.push(LabelInfo::default());
+        self.labels.push(LabelInfo {
+            bound: None,
+            last_ref: NO_REF,
+        });
         Label(self.labels.len() - 1)
     }
 
@@ -106,8 +119,10 @@ impl<'a> Asm<'a> {
         let info = &mut self.labels[label.0];
         assert!(info.bound.is_none(), "label bound twice");
         info.bound = Some(at);
-        let refs = std::mem::take(&mut info.refs);
-        for r in refs {
+        let mut pending = std::mem::replace(&mut info.last_ref, NO_REF);
+        while pending != NO_REF {
+            let (r, earlier) = self.refs[pending as usize];
+            pending = earlier;
             let word = self
                 .code
                 .fetch(CODE_BASE + (r as u64) * 4)
@@ -134,7 +149,9 @@ impl<'a> Asm<'a> {
                 i32::try_from(off).expect("offset overflow")
             }
             None => {
-                self.labels[label.0].refs.push(at);
+                let info = &mut self.labels[label.0];
+                let earlier = std::mem::replace(&mut info.last_ref, self.refs.len() as u32);
+                self.refs.push((at, earlier));
                 0
             }
         }

@@ -169,7 +169,7 @@ fn compile_and_run(
     let mut c = IcodeCompiler::new(Alloc::LinearScan);
     c.run_peephole = peephole;
     c.schedule_fusion = schedule;
-    let r = c.compile(&mut code, "prog", buf);
+    let r = c.compile(&mut code, "prog", &mut buf);
     let mut vm = Vm::new(code, 1 << 20);
     vm.set_engine(engine);
     let out = vm
@@ -339,7 +339,7 @@ proptest! {
         let mut buf = IcodeBuf::new();
         build_structural(&mut buf, &steps, p0);
         let orig = buf.insns.clone();
-        tcc_icode::peephole::schedule_for_fusion(&mut buf);
+        tcc_icode::peephole::Peephole::default().schedule_for_fusion(&mut buf);
         let new = &buf.insns;
         prop_assert_eq!(new.len(), orig.len(), "scheduler dropped or duplicated code");
 
