@@ -23,21 +23,25 @@
 #                         reaching the top tier inside one run —
 #                         explicitly, so a tiering regression names
 #                         itself)
-#  10. worker + safepoint tests (the background-translation pipeline:
-#                         async promotion equivalence, stale-epoch
-#                         discard, worker shutdown, the mid-run swap at
-#                         the tier-1 safepoint (`midrun`); and the
-#                         safepoint itself: per-iteration promotion,
-#                         every-budget fuel sweeps across the yield, a
-#                         free between two ticks (`safepoint`) —
+#  10. vm crate + safepoint tests (all of tcc-vm in release, not a
+#                         name filter — a filter that matches nothing
+#                         is green: the decoded form's layout,
+#                         position independence and sharing, the
+#                         cost-model refusal, the background
+#                         translation pipeline, the threaded engine's
+#                         combined handlers; and from the differential
+#                         harness the safepoint itself: per-iteration
+#                         promotion, every-budget fuel sweeps across
+#                         the yield, a free between two ticks —
 #                         explicitly, so a pipeline regression names
 #                         itself)
-#  11. superinstruction/scheduler tests (release: the threaded
-#                         engine's combined-handler suite, the
-#                         mid-group fuel sweeps in the differential
-#                         harness, and the DAG-scheduler preservation
-#                         proptests — so a fusion regression names
-#                         itself)
+#  11. superinstruction/scheduler tests (release: the mid-group fuel
+#                         sweeps in the differential harness, the
+#                         DAG-scheduler preservation proptests, and the
+#                         engine golden — every program x back end x
+#                         translated engine's counters and shape
+#                         histogram against the committed digests — so
+#                         a fusion regression names itself)
 #  12. serve smoke       (the multi-tenant pool: Zipfian replay over
 #                         1/2/4 worker sessions sharing one artifact
 #                         cache, with the cross-pool bit-identical
@@ -121,14 +125,13 @@ cargo run -p tcc-suite --bin suite --release -- adaptive --smoke
 echo "== adaptive property tests =="
 cargo test -q --release --test adaptive
 
-echo "== background translation worker + tier-1 safepoint tests =="
-cargo test -q --release -p tcc-vm -- background epoch_bump midrun safepoint
+echo "== vm crate + tier-1 safepoint tests =="
+cargo test -q --release -p tcc-vm
 cargo test -q --release --test exec_differential -- adaptive fault_during midrun safepoint
 
 echo "== superinstruction + DAG-scheduler tests =="
-cargo test -q --release -p tcc-vm -- superinstruction
 cargo test -q --release --test exec_differential -- mid_group
-cargo test -q --release --test peephole_preserve
+cargo test -q --release --test peephole_preserve --test engine_golden
 
 echo "== suite serve --smoke (pool replay bit-identical across sizes) =="
 cargo run -p tcc-suite --bin suite --release -- serve --smoke

@@ -428,14 +428,19 @@ pub struct ExecMetrics {
     pub translations: u64,
     /// Code words covered by those translations.
     pub translated_words: u64,
-    /// Instruction pairs fused into superinstructions.
+    /// Instruction pairs a fusing tier-1 walk runs as
+    /// superinstructions (cumulative over translations).
     pub fused_pairs: u64,
     /// Instructions retired from decoded buffers.
     pub fast_insns: u64,
-    /// Instructions retired by the decode-per-step path.
+    /// Instructions retired by the decode-per-step path (the whole run
+    /// for that engine; fallback steps for the translated ones).
     pub slow_insns: u64,
     /// Code-space epoch changes observed (free / live patch /
-    /// eviction); each drops the translations of the ranges that died.
+    /// eviction): one per revalidation that found the epoch moved,
+    /// however many bumps it had moved by. Each drops the translations
+    /// of the ranges that died in between — the whole cache only when
+    /// the invalidation ring had wrapped.
     pub invalidations: u64,
     /// Scalar runs fuel-charged in one batch by the threaded engine.
     pub batched_blocks: u64,
@@ -549,26 +554,35 @@ pub struct AdaptiveMetrics {
     pub insns_tier1: u64,
     /// Instructions retired from direct-threaded buffers (tier 2).
     pub insns_tier2: u64,
-    /// Tier levels gained, cumulative. Always `>= demotions`.
+    /// Tier levels gained, cumulative (a 0→2 jump counts 2). Always
+    /// `>= demotions` — a level can only be lost after it was gained.
     pub promotions: u64,
     /// Tier levels actually lost, cumulative: the tiers of functions
-    /// that were themselves freed or patched.
+    /// that were themselves freed or patched (or, after an
+    /// invalidation-ring wrap, of every function).
     pub demotions: u64,
-    /// Nanoseconds spent translating promoted functions.
+    /// Wall-clock nanoseconds spent translating promoted functions,
+    /// under the adaptive engine only.
     pub translation_ns: u64,
     /// Estimated nanoseconds of translation avoided for functions that
     /// ran but were never promoted (priced at the session's observed
     /// ns/word; 0 until something has been translated).
     pub translation_ns_saved: u64,
-    /// Translations built on the background worker and swapped in at a
-    /// function entry (`adaptive_background` mode only).
+    /// Code words translated under the adaptive engine — with
+    /// `translation_ns`, the price signal behind
+    /// `translation_ns_saved`.
+    pub translated_words: u64,
+    /// Translations built on the background service and swapped in at
+    /// a function entry or clock tick (background mode only; inline
+    /// builds are not counted here).
     pub async_translations: u64,
     /// Background translations discarded on receipt because their
     /// function was freed, patched or replaced between enqueue and
     /// completion.
     pub discarded_stale: u64,
     /// Total enqueue→swap-in nanoseconds across `async_translations`
-    /// (latency the worker absorbed off the run loop's critical path).
+    /// (queue wait + build + drain delay: latency the background thread
+    /// absorbed off the run loop's critical path).
     pub swap_latency_ns: u64,
 }
 
@@ -616,6 +630,7 @@ impl AdaptiveMetrics {
                 "translation_ns_saved",
                 Json::from(self.translation_ns_saved),
             ),
+            ("translated_words", Json::from(self.translated_words)),
             ("async_translations", Json::from(self.async_translations)),
             ("discarded_stale", Json::from(self.discarded_stale)),
             ("swap_latency_ns", Json::from(self.swap_latency_ns)),

@@ -9,9 +9,7 @@ use std::time::Instant;
 use tcc_cache::{Backing, CodeCache, PersistentStore, SharedArtifacts};
 use tcc_front::{FrontError, Program};
 use tcc_mir::{build_image_scheduled, Image, OptLevel};
-use tcc_obs::{
-    AdaptiveMetrics, ExecMetrics, FrontendMetrics, SessionMetrics, StaticMetrics, VmMetrics,
-};
+use tcc_obs::{FrontendMetrics, SessionMetrics, StaticMetrics, VmMetrics};
 use tcc_vm::{CostModel, ExecEngine, TransHub, Vm, VmError};
 
 /// Any error from source to execution.
@@ -75,28 +73,23 @@ pub struct Config {
     /// Seed for random placement of dynamic code (the paper's §4.4
     /// cache-conscious jitter). `None` = deterministic layout.
     pub placement_jitter: Option<u64>,
-    /// Execute through a translated engine (per-function translation
-    /// cache). Observationally identical to decode-per-step; off = the
-    /// reference interpreter. The engine picked is adaptive
-    /// per-function tiering ([`ExecEngine::Adaptive`] with the
-    /// `adaptive_*` thresholds below) unless `engine` overrides it.
-    pub predecode: bool,
-    /// Explicit execution-engine override; `None` defers to
-    /// `predecode`. Use this to pin a fixed engine (decode-per-step,
-    /// predecoded fused/unfused, threaded) for comparisons.
+    /// The execution engine. `None` = adaptive per-function tiering
+    /// ([`ExecEngine::Adaptive`] with the calibrated
+    /// [`DEFAULT_FUSE_AFTER`](tcc_vm::DEFAULT_FUSE_AFTER) /
+    /// [`DEFAULT_THREAD_AFTER`](tcc_vm::DEFAULT_THREAD_AFTER)
+    /// thresholds and `adaptive_background`). An explicit engine wins:
+    /// use it to pin the reference interpreter
+    /// ([`ExecEngine::DecodePerStep`]) or a fixed translated engine
+    /// (predecoded fused/unfused, threaded) for comparisons, or
+    /// adaptive tiering under other thresholds. Every engine is
+    /// observationally identical to decode-per-step.
     pub engine: Option<ExecEngine>,
-    /// Adaptive tiering: completed runs after which a function is
-    /// promoted to the predecoded+fused engine (tier 1). Calibrated by
-    /// the `suite adaptive` reuse sweep.
-    pub adaptive_fuse_after: u32,
-    /// Adaptive tiering: completed runs after which a function is
-    /// promoted to the direct-threaded engine (tier 2).
-    pub adaptive_thread_after: u32,
-    /// Adaptive tiering: build promoted functions' translations on a
-    /// background worker thread instead of inline, swapping them in at
-    /// a later function entry (and discarding one whose function was
-    /// freed or patched first). Takes translation off the promoting run's
-    /// critical path; off by default.
+    /// Default (`engine: None`) adaptive tiering only: build promoted
+    /// functions' translations on a background thread instead of
+    /// inline, swapping them in at a later function entry (and
+    /// discarding one whose function was freed or patched first). Takes
+    /// translation off the promoting run's critical path; off by
+    /// default.
     pub adaptive_background: bool,
     /// Run the ICODE fusion-aware scheduler (sinks pure defs next to
     /// branches/consumers so superinstruction pairing finds more
@@ -113,10 +106,10 @@ pub struct Config {
     /// evicts or invalidates an artifact, each session drops its local
     /// copy at its next call, pinned or not.
     pub shared: Option<Arc<SharedArtifacts>>,
-    /// Shared background translation worker: one `tcc-translate`
+    /// Shared background translation service: one `tcc-translate`
     /// thread serving every session's adaptive tier promotions instead
-    /// of a worker thread per VM. Only meaningful with an adaptive
-    /// engine and `adaptive_background`.
+    /// of a private hub thread per VM. Only meaningful with a
+    /// background adaptive engine.
     pub translation_hub: Option<TransHub<TccRuntime>>,
     /// On-disk persistent artifact store: compiled closures are
     /// serialized fingerprint-keyed to this path, so a *new process*
@@ -147,10 +140,7 @@ impl Default for Config {
             cache: true,
             code_budget: None,
             placement_jitter: None,
-            predecode: true,
             engine: None,
-            adaptive_fuse_after: tcc_vm::DEFAULT_FUSE_AFTER,
-            adaptive_thread_after: tcc_vm::DEFAULT_THREAD_AFTER,
             adaptive_background: false,
             icode_schedule: true,
             shared: None,
@@ -275,14 +265,10 @@ impl Session {
         }
         let mut vm = Vm::from_parts(code, image.mem.clone(), rt);
         vm.set_cost_model(config.cost);
-        vm.set_engine(config.engine.unwrap_or(if config.predecode {
-            ExecEngine::Adaptive {
-                fuse_after: config.adaptive_fuse_after,
-                thread_after: config.adaptive_thread_after,
-                background: config.adaptive_background,
-            }
-        } else {
-            ExecEngine::DecodePerStep
+        vm.set_engine(config.engine.unwrap_or(ExecEngine::Adaptive {
+            fuse_after: tcc_vm::DEFAULT_FUSE_AFTER,
+            thread_after: tcc_vm::DEFAULT_THREAD_AFTER,
+            background: config.adaptive_background,
         }));
         if let Some(hub) = config.translation_hub {
             vm.set_translation_hub(hub);
@@ -421,42 +407,8 @@ impl Session {
                 cycles: self.vm.cycles(),
                 hcalls: self.vm.hcalls(),
             },
-            exec: {
-                let s = self.vm.exec_stats();
-                ExecMetrics {
-                    translations: s.translations,
-                    translated_words: s.translated_words,
-                    fused_pairs: s.fused_pairs,
-                    fast_insns: s.fast_insns,
-                    slow_insns: s.slow_insns,
-                    invalidations: s.invalidations,
-                    batched_blocks: s.batched_blocks,
-                    fuel_reconciliations: s.fuel_reconciliations,
-                    handlers: s.handlers,
-                    superinstructions: s.superinstructions,
-                    dispatches: s.dispatches,
-                    fused_dispatches: s.fused_dispatches,
-                }
-            },
-            adaptive: {
-                let a = self.vm.adaptive_stats();
-                AdaptiveMetrics {
-                    total_runs: a.total_runs,
-                    runs_tier0: a.runs_tier0,
-                    runs_tier1: a.runs_tier1,
-                    runs_tier2: a.runs_tier2,
-                    insns_tier0: a.insns_tier0,
-                    insns_tier1: a.insns_tier1,
-                    insns_tier2: a.insns_tier2,
-                    promotions: a.promotions,
-                    demotions: a.demotions,
-                    translation_ns: a.translation_ns,
-                    translation_ns_saved: a.translation_ns_saved,
-                    async_translations: a.async_translations,
-                    discarded_stale: a.discarded_stale,
-                    swap_latency_ns: a.swap_latency_ns,
-                }
-            },
+            exec: self.vm.exec_stats(),
+            adaptive: self.vm.adaptive_stats(),
             cache: self
                 .vm
                 .host()

@@ -81,11 +81,16 @@
 //! With `ExecEngine::Adaptive { background: true, .. }` a promotion no
 //! longer builds its translation inline — the promoting run would stall
 //! for exactly the latency the tiering exists to hide. Instead the
-//! engine snapshots the function's sealed words and enqueues a
-//! translation request (start index, target tier, the serial of the
-//! tier record asking) to a background worker thread spawned lazily and
-//! owned by the translation cache. The run loop keeps executing at the
-//! function's current tier; finished translations are drained at
+//! engine submits a translation request (what to build from, target
+//! tier, the serial of the tier record asking) to the one background
+//! service there is, a [`TransHub`]: the hub the VM was subscribed to
+//! ([`Vm::set_translation_hub`](crate::interp::Vm), one thread for a
+//! whole pool), or failing that a private one, spawned lazily and owned
+//! by the translation cache. A request builds from the decoded array
+//! the record already holds when it holds one — a 1→2 promotion ships
+//! an `Arc`, not a copy of the words — and from a snapshot of the
+//! function's sealed words otherwise. The run loop keeps executing at
+//! the function's current tier; finished translations are drained at
 //! function-entry points and at the running function's clock ticks
 //! (tier 0 and tier 1 alike, so a loop granted a tier mid-run finishes
 //! the run on it) and swapped in — or **discarded** unless the
@@ -99,7 +104,7 @@
 //! session no longer discards every build in flight. Discarding rather
 //! than installing keeps free/patch/eviction semantics and `StaleCode`
 //! faulting bit-identical to the synchronous engines; the differential
-//! harness sweeps the worker-backed variants too.
+//! harness sweeps the background variants too.
 //!
 //! [`ExecEngine::DecodePerStep`]: crate::predecode::ExecEngine::DecodePerStep
 //! [`ExecEngine::Adaptive`]: crate::predecode::ExecEngine::Adaptive
@@ -115,7 +120,13 @@ use crate::cost::CostModel;
 use crate::error::VmError;
 use crate::host::HostCall;
 use crate::interp::{ExitStatus, Step, Vm, RETURN_SENTINEL};
-use crate::predecode::{ExecStats, Translation};
+use crate::predecode::{decode, form_over, Decoded, Translation};
+
+/// Counters for the adaptive engine: where entries landed and where
+/// instructions ran, how functions moved between tiers, and what
+/// translation cost was spent vs avoided. One type with the
+/// observability layer's.
+pub use tcc_obs::AdaptiveMetrics as AdaptiveStats;
 
 /// Default promotion threshold to tier 1 (predecoded+fused): completed
 /// runs after which one decoding pass has paid for itself. Calibrated
@@ -177,11 +188,9 @@ pub(crate) struct FnTier<H> {
     pub(crate) tier: Tier,
     /// Words in the function.
     pub(crate) words: u32,
-    /// A tier-1 (decoded) translation request is in flight on the
-    /// background worker; suppresses duplicate enqueues.
-    pub(crate) pending_fused: bool,
-    /// A tier-2 (threaded) translation request is in flight.
-    pub(crate) pending_threaded: bool,
+    /// Per target tier: a translation request for it is in flight on
+    /// the background service; suppresses duplicate enqueues.
+    pub(crate) pending: [bool; 3],
     /// The function's one translation. In background mode it can trail
     /// `tier` while the granted tier's build is in flight.
     pub(crate) tr: Translation<H>,
@@ -214,6 +223,13 @@ impl<H> FnTier<H> {
         (self.start, self.start + self.words as usize)
     }
 
+    /// Absolute address of the function's first word: the `base` its
+    /// (position-independent) translation is dispatched at.
+    #[inline]
+    pub(crate) fn base(&self) -> u64 {
+        CODE_BASE + (self.start as u64) * 4
+    }
+
     /// A fresh tier-0 record for the live function `[start, end)`.
     pub(crate) fn new(serial: u64, start: usize, end: usize) -> FnTier<H> {
         FnTier {
@@ -223,8 +239,7 @@ impl<H> FnTier<H> {
             backedges: 0,
             tier: Tier::Decode,
             words: (end - start) as u32,
-            pending_fused: false,
-            pending_threaded: false,
+            pending: [false; 3],
             tr: Translation::None,
         }
     }
@@ -253,77 +268,16 @@ fn tier_for(clock: u64, fuse_after: u32, thread_after: u32) -> Tier {
     }
 }
 
-/// Counters for the adaptive engine: where entries landed and where
-/// instructions ran, how functions moved between tiers, and what
-/// translation cost was spent vs avoided.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct AdaptiveStats {
-    /// Function entries counted, across all tiers. Always equals
-    /// `runs_tier0 + runs_tier1 + runs_tier2` (tested invariant).
-    pub total_runs: u64,
-    /// Function entries that *started* at tier 0 (decode-per-step).
-    /// The `runs_tier*` counters classify entries by the tier granted
-    /// at entry: a run that promotes mid-way counts wholly here, at its
-    /// entry tier — `insns_tier*` say where the work actually ran.
-    pub runs_tier0: u64,
-    /// Function entries that started at tier 1 (predecoded+fused).
-    pub runs_tier1: u64,
-    /// Function entries that started at tier 2 (direct-threaded).
-    pub runs_tier2: u64,
-    /// Instructions retired by the reference single-step path (tier 0;
-    /// [`ExecStats::slow_insns`]). Exact, and engine-independent: the
-    /// three `insns_tier*` counters always sum to the instructions
-    /// retired since the VM was created (tested invariant).
-    pub insns_tier0: u64,
-    /// Instructions retired from decoded buffers (tier 1).
-    pub insns_tier1: u64,
-    /// Instructions retired from threaded buffers (tier 2) — with
-    /// `insns_tier1`, the split of what [`ExecStats::fast_insns`] lumps
-    /// together.
-    pub insns_tier2: u64,
-    /// Tier levels gained, cumulative (a 0→2 jump counts 2). Always
-    /// `>= demotions` — a level can only be lost after it was gained.
-    pub promotions: u64,
-    /// Tier levels actually lost, cumulative: the tier of each record
-    /// retired because its function was freed or patched (or, after an
-    /// invalidation-ring wrap, of every record).
-    pub demotions: u64,
-    /// Wall-clock nanoseconds spent translating promoted functions
-    /// (decoded and threaded buffers), under this engine only.
-    pub translation_ns: u64,
-    /// Estimated nanoseconds of translation *avoided* so far: words of
-    /// run-but-never-promoted functions, priced at this session's
-    /// observed translation cost per word. `0` until something has been
-    /// translated (no price signal yet).
-    pub translation_ns_saved: u64,
-    /// Code words translated under this engine (the price signal for
-    /// [`AdaptiveStats::translation_ns_saved`]).
-    pub translated_words: u64,
-    /// Translations built on the background worker and swapped in
-    /// (`background: true` only; inline builds are not counted here).
-    pub async_translations: u64,
-    /// Background translations discarded on receipt because the tier
-    /// record that requested them was retired between enqueue and
-    /// completion (function freed, patched, or its words re-used) — the
-    /// demotion-safe path of the async pipeline.
-    pub discarded_stale: u64,
-    /// Total enqueue→swap-in wall-clock nanoseconds across
-    /// [`AdaptiveStats::async_translations`] (queue wait + build +
-    /// drain delay; the off-critical-path latency budget).
-    pub swap_latency_ns: u64,
-}
-
-/// A translation request handed to the background worker: everything a
-/// build needs, snapshotted at enqueue time so the worker never touches
-/// VM state. Host-independent — only the response is typed over `H`.
+/// A translation request handed to the background service: everything
+/// a build needs, captured at enqueue time so the hub thread never
+/// touches VM state. Host-independent — only the response is typed
+/// over `H`.
 pub(crate) struct TransRequest {
-    /// Start word index of the function's live range (positions the
-    /// buffer's base address).
+    /// Start word index of the function's live range: where the
+    /// completion looks for the record that asked.
     start: usize,
-    /// Owned snapshot of the range's sealed words.
-    words: Vec<u32>,
-    /// The cost model in force at enqueue.
-    cost: CostModel,
+    /// What the build starts from.
+    source: Source,
     /// Target tier ([`Tier::Fused`] or [`Tier::Threaded`]).
     tier: Tier,
     /// [`FnTier::serial`] of the requesting record; the response is
@@ -333,111 +287,54 @@ pub(crate) struct TransRequest {
     enqueued: Instant,
 }
 
+/// What a background build starts from.
+enum Source {
+    /// An owned snapshot of the range's sealed words, and the cost
+    /// model in force at enqueue: the record held no decoded array.
+    Words(Vec<u32>, CostModel),
+    /// The decoded array the record holds (a 1→2 promotion): the hub
+    /// adds the handler column over the shared allocation.
+    Decoded(Arc<Decoded>),
+}
+
 /// A finished background translation, stamped with the validity context
 /// it was built under.
 pub(crate) struct TransDone<H> {
     start: usize,
-    end: usize,
     tier: Tier,
     serial: u64,
-    /// Wall-clock build time on the worker (goes into
+    /// Wall-clock build time on the hub thread (goes into
     /// [`AdaptiveStats::translation_ns`] when installed).
     build_ns: u64,
-    /// Pairs fused during a tier-1 build (folded into `ExecStats`).
-    fused_pairs: u64,
     enqueued: Instant,
-    /// The built buffer itself.
+    /// The built form itself — a refusal when `decode` gave none.
     payload: Translation<H>,
+    /// Superinstruction groups a tier-2 build compiled, for the install
+    /// to count.
+    groups: Vec<u32>,
 }
 
-/// The background translation worker: request/response channels plus
-/// the thread handle. Owned by the translation cache; dropping it
-/// closes the request channel, which shuts the thread down (joined so a
-/// VM drop never leaks a worker).
-pub(crate) struct TransWorker<H> {
-    tx: Option<mpsc::Sender<TransRequest>>,
-    rx: mpsc::Receiver<TransDone<H>>,
-    handle: Option<thread::JoinHandle<()>>,
-}
-
-impl<H: HostCall> TransWorker<H> {
-    /// Spawns the worker thread. Called lazily on the first background
-    /// promotion, so synchronous sessions never start a thread.
-    pub(crate) fn spawn() -> TransWorker<H> {
-        let (req_tx, req_rx) = mpsc::channel::<TransRequest>();
-        let (done_tx, done_rx) = mpsc::channel::<TransDone<H>>();
-        let handle = thread::Builder::new()
-            .name("tcc-translate".into())
-            .spawn(move || worker_loop::<H>(&req_rx, &done_tx))
-            .expect("spawn background translation worker");
-        TransWorker {
-            tx: Some(req_tx),
-            rx: done_rx,
-            handle: Some(handle),
-        }
-    }
-}
-
-impl<H> Drop for TransWorker<H> {
-    fn drop(&mut self) {
-        // Closing the request channel ends `worker_loop`'s recv loop.
-        drop(self.tx.take());
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
-        }
-    }
-}
-
-/// Builds the translation a request asks for, over its word snapshot,
-/// timing the build. The single build path shared by the per-VM worker
-/// and the multi-tenant [`TransHub`]. Returns `None` for tier 0 (no
-/// translation exists; never legitimately enqueued).
-fn build_translation<H: HostCall>(req: TransRequest) -> Option<TransDone<H>> {
-    let end = req.start + req.words.len();
+/// Builds the translation a request asks for, timing the build.
+fn build_translation<H: HostCall>(req: TransRequest) -> TransDone<H> {
     let t0 = Instant::now();
-    let (payload, fused_pairs) = match req.tier {
-        Tier::Fused => {
-            // The scratch stats capture `fused_pairs` for the build;
-            // they are folded into the VM's counters at install time.
-            let mut scratch = ExecStats::default();
-            let tr =
-                crate::predecode::translate(&req.words, req.start, &req.cost, true, &mut scratch);
-            (Translation::Decoded(Arc::new(tr)), scratch.fused_pairs)
-        }
-        Tier::Threaded => {
-            let tr = crate::threaded::translate::<H>(&req.words, req.start, &req.cost);
-            (Translation::Threaded(Arc::new(tr)), 0)
-        }
-        Tier::Decode => return None,
+    let decoded = match req.source {
+        Source::Words(words, cost) => decode(&words, &cost).map(Arc::new),
+        Source::Decoded(decoded) => Some(decoded),
     };
-    Some(TransDone {
+    let (payload, groups) = form_over(decoded, req.tier);
+    TransDone {
         start: req.start,
-        end,
         tier: req.tier,
         serial: req.serial,
         build_ns: t0.elapsed().as_nanos() as u64,
-        fused_pairs,
         enqueued: req.enqueued,
         payload,
-    })
-}
-
-/// The worker thread body: translate each request over its word
-/// snapshot (timing the build) and send the result back. Exits when
-/// either channel closes.
-fn worker_loop<H: HostCall>(rx: &mpsc::Receiver<TransRequest>, tx: &mpsc::Sender<TransDone<H>>) {
-    while let Ok(req) = rx.recv() {
-        let Some(done) = build_translation::<H>(req) else {
-            continue;
-        };
-        if tx.send(done).is_err() {
-            return;
-        }
+        groups,
     }
 }
 
-/// A shared background translation service: **one** `tcc-translate`
-/// thread serving any number of VMs. Each request carries its own reply
+/// The background translation service: **one** `tcc-translate` thread
+/// serving any number of VMs. Each request carries its own reply
 /// channel, so completions route back to the requesting VM and go
 /// through that VM's usual per-function install check — sharing
 /// the thread changes where builds run, not what gets installed.
@@ -446,7 +343,9 @@ fn worker_loop<H: HostCall>(rx: &mpsc::Receiver<TransRequest>, tx: &mpsc::Sender
 /// when the last clone drops (request channel closes, thread joined).
 /// A pool of worker sessions clones one hub so a single spare hardware
 /// thread absorbs every session's translation load, instead of N
-/// per-VM workers time-sharing it.
+/// threads time-sharing it; a background VM that was handed no hub
+/// spawns one of its own on its first asynchronous promotion, so
+/// synchronous sessions never start a thread.
 pub struct TransHub<H> {
     inner: Arc<HubInner<H>>,
 }
@@ -478,13 +377,13 @@ struct HubJob<H> {
 }
 
 impl<H: HostCall> TransHub<H> {
-    /// Spawns the shared translation thread.
+    /// Spawns the translation thread.
     pub fn spawn() -> TransHub<H> {
         let (tx, rx) = mpsc::channel::<HubJob<H>>();
         let handle = thread::Builder::new()
             .name("tcc-translate".into())
             .spawn(move || hub_loop::<H>(&rx))
-            .expect("spawn shared translation hub");
+            .expect("spawn background translation hub");
         TransHub {
             inner: Arc::new(HubInner {
                 tx: Mutex::new(Some(tx)),
@@ -503,8 +402,7 @@ impl<H: HostCall> TransHub<H> {
         let (tx, rx) = mpsc::channel();
         let marker = TransRequest {
             start: 0,
-            words: Vec::new(),
-            cost: CostModel::default(),
+            source: Source::Words(Vec::new(), CostModel::default()),
             tier: Tier::Fused,
             serial: 0,
             enqueued: Instant::now(),
@@ -515,14 +413,21 @@ impl<H: HostCall> TransHub<H> {
     }
 
     /// Queues a build; the completion lands on `reply`. `false` when
-    /// the hub thread is gone (the caller falls back or retries later;
+    /// the hub thread is gone (the caller retries at a later promotion;
     /// execution is correct at the current tier either way).
-    pub(crate) fn submit(&self, req: TransRequest, reply: mpsc::Sender<TransDone<H>>) -> bool {
+    fn submit(&self, req: TransRequest, reply: mpsc::Sender<TransDone<H>>) -> bool {
         let guard = self.inner.tx.lock().unwrap_or_else(|e| e.into_inner());
         match guard.as_ref() {
             Some(tx) => tx.send(HubJob { req, reply }).is_ok(),
             None => false,
         }
+    }
+
+    /// Whether the hub thread is still serving (it ends only by
+    /// panicking while a handle is held).
+    fn is_alive(&self) -> bool {
+        let guard = self.inner.handle.lock().unwrap_or_else(|e| e.into_inner());
+        guard.as_ref().is_some_and(|h| !h.is_finished())
     }
 }
 
@@ -546,19 +451,28 @@ impl<H> Drop for HubInner<H> {
 /// hub keeps serving everyone else.
 fn hub_loop<H: HostCall>(rx: &mpsc::Receiver<HubJob<H>>) {
     while let Ok(job) = rx.recv() {
-        if let Some(done) = build_translation::<H>(job.req) {
-            let _ = job.reply.send(done);
-        }
+        let _ = job.reply.send(build_translation::<H>(job.req));
     }
 }
 
-/// A VM's subscription to a shared [`TransHub`]: the hub handle plus
-/// this VM's private completion channel (the `done_tx` clone travels
-/// with each request).
+/// A VM's subscription to a [`TransHub`]: the hub handle plus this VM's
+/// private completion channel (the `done_tx` clone travels with each
+/// request).
 pub(crate) struct HubClient<H> {
     hub: TransHub<H>,
     done_tx: mpsc::Sender<TransDone<H>>,
     done_rx: mpsc::Receiver<TransDone<H>>,
+}
+
+impl<H> HubClient<H> {
+    fn new(hub: TransHub<H>) -> HubClient<H> {
+        let (done_tx, done_rx) = mpsc::channel();
+        HubClient {
+            hub,
+            done_tx,
+            done_rx,
+        }
+    }
 }
 
 /// Prices `cold_words` of never-translated code at the session's
@@ -605,27 +519,12 @@ impl<H> Active<H> {
     }
 }
 
-/// Whether a memoized translation handle is the one `tier` dispatches
-/// through. In background mode a function can run *below* its granted
-/// tier while its translation is in flight; a mismatch at function
-/// entry or at a clock tick re-reads the record so a finished swap is
-/// picked up.
-#[inline]
-fn tr_matches<H>(tr: &Translation<H>, tier: Tier) -> bool {
-    matches!(
-        (tr, tier),
-        (Translation::None, Tier::Decode)
-            | (Translation::Decoded(_), Tier::Fused)
-            | (Translation::Threaded(_), Tier::Threaded)
-    )
-}
-
 impl<H: HostCall> Vm<H> {
-    /// The adaptive engine's run loop. Structure matches
-    /// `run_predecoded` / `run_threaded` — translated dispatch where the
-    /// function's tier has one, reference-engine single steps otherwise
-    /// — with tier selection at each function entry and at each tick of
-    /// the running function's clock.
+    /// The adaptive engine's run loop. Structure matches `run_fixed` —
+    /// translated dispatch where the function's tier has a form,
+    /// reference-engine single steps otherwise — with tier selection at
+    /// each function entry and at each tick of the running function's
+    /// clock.
     pub(crate) fn run_adaptive(
         &mut self,
         mut pc: u64,
@@ -670,7 +569,7 @@ impl<H: HostCall> Vm<H> {
                     std::mem::swap(&mut cur, &mut prev);
                     let c = cur.as_mut().expect("swapped from a hit");
                     let tier = self.count_entry(c.fi, fuse_after, thread_after);
-                    if tier != c.tier || (background && !tr_matches(&c.tr, tier)) {
+                    if tier != c.tier || (background && !c.tr.serves(tier)) {
                         c.tier = tier;
                         c.tr = self.fetch_translation(c.fi, tier, background);
                     }
@@ -687,31 +586,34 @@ impl<H: HostCall> Vm<H> {
             // inside the function — the hotspot clock's input: a loop
             // iteration paid at less than full speed.
             let mut backedges = 0;
-            let step = if let Some(Active {
-                tr: Translation::Threaded(ref tr),
-                ..
-            }) = cur
-            {
-                self.dispatch_threaded(tr, pc)?
-            } else if let Some(Active {
-                tr: Translation::Decoded(ref tr),
-                fi,
-                ..
-            }) = cur
-            {
-                // Tier 1 counts at the dispatcher's safepoint: it runs
-                // until control leaves the buffer or the clock is due.
-                let budget = self.trans.tier_fns[fi as usize].backedge_budget(thread_after);
-                let mut left = budget;
-                let step = self.dispatch(tr, pc, &mut left)?;
-                backedges = budget - left;
-                step
-            } else {
-                let step = self.step_adaptive_slow(pc)?;
-                if let (Some(a), &Step::At(next)) = (cur.as_ref(), &step) {
-                    backedges = u64::from(next <= pc && a.contains(next));
+            let step = match cur {
+                Some(Active {
+                    tr: Translation::Threaded(ref tr),
+                    lo,
+                    ..
+                }) => self.dispatch_threaded(tr, lo, pc)?,
+                Some(Active {
+                    tr: Translation::Decoded(ref tr),
+                    lo,
+                    fi,
+                    ..
+                }) => {
+                    // Tier 1 counts at the dispatcher's safepoint: it
+                    // runs until control leaves the buffer or the clock
+                    // is due.
+                    let budget = self.trans.tier_fns[fi as usize].backedge_budget(thread_after);
+                    let mut left = budget;
+                    let step = self.dispatch::<true>(tr, lo, pc, &mut left)?;
+                    backedges = budget - left;
+                    step
                 }
-                step
+                _ => {
+                    let step = self.step_reference(pc)?;
+                    if let (Some(a), &Step::At(next)) = (cur.as_ref(), &step) {
+                        backedges = u64::from(next <= pc && a.contains(next));
+                    }
+                    step
+                }
             };
             if backedges > 0 {
                 let a = cur.as_mut().expect("backedges stay inside a function");
@@ -722,15 +624,6 @@ impl<H: HostCall> Vm<H> {
                 Step::Done(status) => return Ok(status),
             }
         }
-    }
-
-    /// One reference-engine step with slow-path accounting (identical
-    /// to the decode-per-step engine's loop body).
-    #[inline]
-    fn step_adaptive_slow(&mut self, pc: u64) -> Result<Step, VmError> {
-        let step = self.step_slow(pc)?;
-        self.trans.stats.slow_insns += 1;
-        Ok(step)
     }
 
     /// Records one entry of control into the live function containing
@@ -747,11 +640,13 @@ impl<H: HostCall> Vm<H> {
     ) -> Option<Active<H>> {
         let fi = self.record_at(pc)?;
         let tier = self.count_entry(fi, fuse_after, thread_after);
-        let (start, end) = self.trans.tier_fns[fi as usize].range();
+        let record = &self.trans.tier_fns[fi as usize];
+        let lo = record.base();
+        let hi = lo + u64::from(record.words) * 4;
         let tr = self.fetch_translation(fi, tier, background);
         Some(Active {
-            lo: CODE_BASE + (start as u64) * 4,
-            hi: CODE_BASE + (end as u64) * 4,
+            lo,
+            hi,
             fi,
             tier,
             tr,
@@ -827,7 +722,7 @@ impl<H: HostCall> Vm<H> {
             self.trans.astats.promotions += target as u64 - entry.tier as u64;
             entry.tier = target;
             a.tier = target;
-        } else if tr_matches(&a.tr, a.tier) || self.trans.pending == 0 {
+        } else if a.tr.serves(a.tier) || self.trans.pending == 0 {
             return;
         } else {
             self.poll_background();
@@ -837,17 +732,20 @@ impl<H: HostCall> Vm<H> {
 
     /// The translation record `fi` dispatches through at `tier`: the
     /// record's own when it already holds that tier's form. Otherwise
-    /// synchronous mode builds (and times) it inline, installing it on
-    /// the record in place of a lower tier's buffer. Background mode
-    /// never builds on this thread: it enqueues a request to the worker
-    /// and the function keeps dispatching through what it holds, so the
-    /// promoting run keeps moving at its current speed.
+    /// synchronous mode builds (and times) it inline through the fixed
+    /// engines' `form_at`, installing it on the record in place of a
+    /// lower tier's. Background mode never builds on this thread: it
+    /// enqueues a request to the hub and the function keeps dispatching
+    /// through what it holds, so the promoting run keeps moving at its
+    /// current speed.
     fn fetch_translation(&mut self, fi: u32, tier: Tier, background: bool) -> Translation<H> {
+        // A preseeded record holds a decoded array before it has earned
+        // tier 1; tier 0 single-steps regardless.
         if tier == Tier::Decode {
             return Translation::None;
         }
         let held = &self.trans.tier_fns[fi as usize].tr;
-        if tr_matches(held, tier) {
+        if held.serves(tier) {
             return held.clone();
         }
         if background {
@@ -856,102 +754,68 @@ impl<H: HostCall> Vm<H> {
             return held;
         }
         let t0 = Instant::now();
-        let tr = if tier == Tier::Threaded {
-            Translation::Threaded(self.build_threaded(fi))
-        } else {
-            Translation::Decoded(self.build_decoded(fi, true))
-        };
+        let tr = self.form_at(fi, tier);
         let astats = &mut self.trans.astats;
         astats.translation_ns += t0.elapsed().as_nanos() as u64;
         astats.translated_words += u64::from(self.trans.tier_fns[fi as usize].words);
         tr
     }
 
-    /// Enqueues a translation request for tier record `fi` to the
-    /// background worker (spawning it on first use), snapshotting the
-    /// function's sealed words plus the record's serial, which must
-    /// still be live at the start word for the result to be installed.
-    /// A request already in flight for the same function and tier is
-    /// not duplicated.
+    /// Submits a translation request for tier record `fi` to the
+    /// background service (spawning a private hub on first use when the
+    /// VM was handed none), carrying the decoded array the record holds
+    /// or else a snapshot of the function's sealed words, plus the
+    /// record's serial, which must still be live at the start word for
+    /// the result to be installed. A request already in flight for the
+    /// same function and tier is not duplicated.
     fn enqueue_translation(&mut self, fi: u32, tier: Tier) {
-        let ((start, end), serial) = {
-            let entry = &mut self.trans.tier_fns[fi as usize];
-            let pending = match tier {
-                Tier::Fused => &mut entry.pending_fused,
-                Tier::Threaded => &mut entry.pending_threaded,
-                Tier::Decode => return,
-            };
-            if *pending {
-                return;
-            }
-            *pending = true;
-            (entry.range(), entry.serial)
-        };
+        let entry = &mut self.trans.tier_fns[fi as usize];
+        if tier == Tier::Decode || std::mem::replace(&mut entry.pending[tier as usize], true) {
+            return;
+        }
+        let (start, end) = entry.range();
         let req = TransRequest {
             start,
-            words: self.state.code.word_slice(start, end).to_vec(),
-            cost: self.cost.clone(),
+            source: match &entry.tr {
+                Translation::Decoded(decoded) => Source::Decoded(Arc::clone(decoded)),
+                _ => Source::Words(
+                    self.state.code.word_slice(start, end).to_vec(),
+                    self.cost.clone(),
+                ),
+            },
             tier,
-            serial,
+            serial: entry.serial,
             enqueued: Instant::now(),
         };
-        // A shared hub subscription routes builds to the multi-tenant
-        // thread; otherwise a per-VM worker is spawned lazily.
-        let sent = if let Some(client) = self.trans.hub.as_ref() {
-            client.hub.submit(req, client.done_tx.clone())
-        } else {
-            let worker = self.trans.worker.get_or_insert_with(TransWorker::spawn);
-            match worker.tx.as_ref() {
-                Some(tx) => tx.send(req).is_ok(),
-                None => false,
-            }
-        };
-        if sent {
+        let client = self
+            .trans
+            .hub
+            .get_or_insert_with(|| HubClient::new(TransHub::spawn()));
+        if client.hub.submit(req, client.done_tx.clone()) {
             self.trans.pending += 1;
         } else {
-            // Worker unavailable (died mid-session): clear the flag so
-            // a later promotion can retry; execution stays correct at
+            // Hub unavailable (died mid-session): clear the flag so a
+            // later promotion can retry; execution stays correct at
             // the current tier either way.
-            let entry = &mut self.trans.tier_fns[fi as usize];
-            match tier {
-                Tier::Fused => entry.pending_fused = false,
-                Tier::Threaded => entry.pending_threaded = false,
-                Tier::Decode => {}
-            }
+            self.trans.tier_fns[fi as usize].pending[tier as usize] = false;
         }
     }
 
     /// Subscribes this VM to a shared [`TransHub`]: every later
-    /// background promotion is built on the hub's thread instead of a
-    /// per-VM worker, and completions come back on a private channel
-    /// created here. Install semantics (the per-function serial check,
+    /// background promotion is built on that hub's thread instead of a
+    /// private one, and completions come back on a channel created
+    /// here. Install semantics (the per-function serial check,
     /// discard-on-stale) are unchanged.
     pub fn set_translation_hub(&mut self, hub: TransHub<H>) {
-        let (done_tx, done_rx) = mpsc::channel();
-        self.trans.hub = Some(HubClient {
-            hub,
-            done_tx,
-            done_rx,
-        });
+        self.trans.hub = Some(HubClient::new(hub));
     }
 
     /// Drains every already-finished background translation without
     /// blocking, installing or discarding each.
     fn poll_background(&mut self) {
         while self.trans.pending > 0 {
-            let done = if let Some(client) = self.trans.hub.as_ref() {
-                match client.done_rx.try_recv() {
-                    Ok(done) => done,
-                    Err(_) => break,
-                }
-            } else {
-                match self.trans.worker.as_ref() {
-                    Some(w) => match w.rx.try_recv() {
-                        Ok(done) => done,
-                        Err(_) => break,
-                    },
-                    None => break,
-                }
+            let Some(Ok(done)) = self.trans.hub.as_ref().map(|c| c.done_rx.try_recv()) else {
+                break;
             };
             self.trans.pending -= 1;
             self.install_translation(done);
@@ -968,25 +832,20 @@ impl<H: HostCall> Vm<H> {
         // patched code: retire what died before judging completions.
         self.trans.sync_epoch(&self.state.code);
         while self.trans.pending > 0 {
-            let done = if let Some(client) = self.trans.hub.as_ref() {
-                // This VM holds its own `done_tx`, so the channel never
-                // reports disconnected — a timeout bounds the wait if
-                // the hub thread is gone mid-build.
-                match client.done_rx.recv_timeout(Duration::from_secs(1)) {
-                    Ok(done) => done,
-                    Err(_) => break,
-                }
-            } else {
-                match self.trans.worker.as_ref() {
-                    Some(w) => match w.rx.recv() {
-                        Ok(done) => done,
-                        Err(_) => break,
-                    },
-                    None => break,
-                }
+            let Some(client) = self.trans.hub.as_ref() else {
+                break;
             };
-            self.trans.pending -= 1;
-            self.install_translation(done);
+            // This VM holds its own `done_tx`, so the channel never
+            // reports disconnected — the timeout is there to notice a
+            // hub thread that died mid-build.
+            match client.done_rx.recv_timeout(Duration::from_secs(1)) {
+                Ok(done) => {
+                    self.trans.pending -= 1;
+                    self.install_translation(done);
+                }
+                Err(_) if client.hub.is_alive() => {}
+                Err(_) => break,
+            }
         }
     }
 
@@ -1010,16 +869,14 @@ impl<H: HostCall> Vm<H> {
             return;
         };
         let entry = &mut self.trans.tier_fns[fi as usize];
-        match done.tier {
-            Tier::Fused => entry.pending_fused = false,
-            Tier::Threaded => entry.pending_threaded = false,
-            Tier::Decode => {}
+        entry.pending[done.tier as usize] = false;
+        let words = u64::from(entry.words);
+        if !self.install(fi, done.payload, &done.groups) {
+            return;
         }
-        self.trans.install(fi, done.payload);
-        self.trans.stats.fused_pairs += done.fused_pairs;
         let astats = &mut self.trans.astats;
         astats.translation_ns += done.build_ns;
-        astats.translated_words += (done.end - done.start) as u64;
+        astats.translated_words += words;
         astats.async_translations += 1;
         astats.swap_latency_ns += done.enqueued.elapsed().as_nanos() as u64;
     }
@@ -1199,19 +1056,42 @@ mod tests {
 
     #[test]
     fn a_function_holds_one_translation() {
-        // Promotion 1 -> 2 releases the decoded buffer: the record's
-        // threaded handle is the only reference to any translation.
+        // Tier 2 holds the decoded array it was built from plus one
+        // handler column, nothing else: promotion 1 -> 2 re-decodes and
+        // copies nothing, and the record's threaded form is the only
+        // thing keeping the array alive.
         let (mut vm, addr, _) = adaptive_vm(1, 2);
         vm.call(addr, &[3]).unwrap();
         vm.call(addr, &[3]).unwrap();
         let fi = vm.trans.tier_idx[((addr - CODE_BASE) / 4) as usize] as usize;
         let Translation::Decoded(decoded) = vm.trans.tier_fns[fi].tr.clone() else {
-            panic!("tier 1 holds the decoded buffer");
+            panic!("tier 1 holds the decoded array");
         };
         vm.call(addr, &[3]).unwrap();
-        assert!(matches!(vm.trans.tier_fns[fi].tr, Translation::Threaded(_)));
-        assert_eq!(Arc::strong_count(&decoded), 1, "released on install");
-        assert_eq!(vm.exec_stats().translations, 2);
+        let Translation::Threaded(threaded) = &vm.trans.tier_fns[fi].tr else {
+            panic!("tier 2 holds the threaded form");
+        };
+        assert!(Arc::ptr_eq(&threaded.decoded, &decoded), "same allocation");
+        assert_eq!(Arc::strong_count(&decoded), 2, "the form's and this one");
+        assert_eq!(Arc::strong_count(threaded), 1);
+        assert_eq!(vm.exec_stats().translations, 2, "one per installed form");
+        assert_eq!(vm.exec_stats().translated_words, 14);
+        // The background service builds the same thing from the same
+        // allocation: its request carries the array, not the words.
+        let (mut vm, addr, _) = adaptive_vm_bg(1, 2);
+        for _ in 0..2 {
+            vm.call(addr, &[3]).unwrap();
+            vm.drain_background_translations();
+        }
+        let Translation::Decoded(decoded) = vm.trans.tier_fns[fi].tr.clone() else {
+            panic!("tier 1 holds the decoded array");
+        };
+        vm.call(addr, &[3]).unwrap();
+        vm.drain_background_translations();
+        let Translation::Threaded(threaded) = &vm.trans.tier_fns[fi].tr else {
+            panic!("tier 2 holds the threaded form");
+        };
+        assert!(Arc::ptr_eq(&threaded.decoded, &decoded), "same allocation");
     }
 
     #[test]
@@ -1663,8 +1543,10 @@ mod tests {
         let start = ((b - CODE_BASE) / 4) as usize;
         let stale = TransRequest {
             start,
-            words: vm.state.code.word_slice(start, start + 7).to_vec(),
-            cost: vm.cost.clone(),
+            source: Source::Words(
+                vm.state.code.word_slice(start, start + 7).to_vec(),
+                vm.cost.clone(),
+            ),
             tier: Tier::Fused,
             serial: vm.trans.tier_fns[vm.trans.tier_idx[start] as usize].serial,
             enqueued: Instant::now(),
@@ -1686,7 +1568,7 @@ mod tests {
         assert_eq!(vm.call(b, &[3]).unwrap(), 8, "c's code, not b's buffer");
         // Whenever b's completion turns up, c's record does not vouch
         // for it: same start word, same epoch even, different serial.
-        let late = build_translation::<crate::host::NoHost>(stale).unwrap();
+        let late = build_translation::<crate::host::NoHost>(stale);
         vm.install_translation(late);
         assert_eq!(vm.adaptive_stats().discarded_stale, 2);
         assert_eq!(vm.call(b, &[3]).unwrap(), 8);
@@ -1713,7 +1595,11 @@ mod tests {
                 s.async_translations >= 1,
                 "hub-built translations landed: {s:?}"
             );
-            assert!(vm.trans.worker.is_none(), "no per-VM worker was spawned");
+            let client = vm.trans.hub.as_ref().expect("subscribed");
+            assert!(
+                Arc::ptr_eq(&client.hub.inner, &hub.inner),
+                "no private hub was spawned"
+            );
             let (tier, _) = vm.adaptive_tier(*addr).expect("tracked");
             assert_eq!(tier, Tier::Threaded, "climbed to the top tier");
         }
@@ -1746,13 +1632,20 @@ mod tests {
 
     #[test]
     fn background_worker_shuts_down_on_drop() {
+        // No hub handed over: the first asynchronous promotion spawns a
+        // private one, and only then.
         let (mut vm, addr, _) = adaptive_vm_bg(1, 2);
+        vm.call(addr, &[5]).unwrap();
+        assert!(vm.trans.hub.is_none(), "nothing promoted, no thread yet");
         for _ in 0..4 {
             vm.call(addr, &[5]).unwrap();
         }
-        // Dropping the VM drops the cache, closes the request channel,
-        // and joins the worker — this must not hang or panic even with
-        // requests possibly still in flight.
+        let hub = Arc::downgrade(&vm.trans.hub.as_ref().expect("spawned lazily").hub.inner);
+        // Dropping the VM drops the cache and with it the hub's last
+        // handle, which closes the request channel and joins the thread
+        // — this must not hang or panic even with requests possibly
+        // still in flight.
         drop(vm);
+        assert!(hub.upgrade().is_none(), "the private hub went with the VM");
     }
 }

@@ -17,7 +17,7 @@ use crate::interp::MachineState;
 /// `compile` does.
 ///
 /// Hosts are `'static` (they own their state rather than borrowing it)
-/// so the adaptive engine's background translation worker, whose
+/// so the adaptive engine's background translation service, whose
 /// channel types are parameterized over the host, can outlive any
 /// particular borrow of the VM.
 pub trait HostCall: 'static {

@@ -4,6 +4,7 @@
 //! cycles from the [`CostModel`]; taken branches pay an extra cycle. A
 //! fuel limit bounds runaway loops.
 
+use crate::adaptive::Tier;
 use crate::code::{CodeSpace, CODE_BASE};
 use crate::cost::CostModel;
 use crate::error::VmError;
@@ -277,8 +278,8 @@ impl<H: HostCall> Vm<H> {
     pub fn run(&mut self, pc: u64) -> Result<ExitStatus, VmError> {
         match self.engine {
             ExecEngine::DecodePerStep => self.run_decode_per_step(pc),
-            ExecEngine::Predecoded { fuse } => self.run_predecoded(pc, fuse),
-            ExecEngine::Threaded => self.run_threaded(pc),
+            ExecEngine::Predecoded { fuse } => self.run_fixed(pc, Tier::Fused, fuse),
+            ExecEngine::Threaded => self.run_fixed(pc, Tier::Threaded, true),
             ExecEngine::Adaptive {
                 fuse_after,
                 thread_after,
@@ -294,21 +295,29 @@ impl<H: HostCall> Vm<H> {
             if pc == RETURN_SENTINEL {
                 return Ok(ExitStatus::Returned);
             }
-            let step = self.step_slow(pc)?;
-            self.trans.stats.slow_insns += 1;
-            match step {
+            match self.step_reference(pc)? {
                 Step::At(next) => pc = next,
                 Step::Done(status) => return Ok(status),
             }
         }
     }
 
-    /// One instruction of the reference engine. The predecoded engine
-    /// falls back to this at region boundaries so every fault
+    /// One reference-engine step with slow-path accounting: the whole
+    /// loop body of decode-per-step, and what every translated engine
+    /// falls back to where it has no form to dispatch through.
+    #[inline]
+    pub(crate) fn step_reference(&mut self, pc: u64) -> Result<Step, VmError> {
+        let step = self.step_slow(pc)?;
+        self.trans.stats.slow_insns += 1;
+        Ok(step)
+    }
+
+    /// One instruction of the reference engine. The translated engines
+    /// fall back to this at region boundaries so every fault
     /// (`BadPc`, `StaleCode`, `BadOpcode`, ...) is raised by the exact
     /// same code on both paths.
     #[inline]
-    pub(crate) fn step_slow(&mut self, pc: u64) -> Result<Step, VmError> {
+    fn step_slow(&mut self, pc: u64) -> Result<Step, VmError> {
         let word = self.state.code.fetch_exec(pc)?;
         let insn = Insn::decode(word)?;
         let mut cost = self.cost.cost(insn.op);

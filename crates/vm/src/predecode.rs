@@ -1,26 +1,34 @@
-//! The predecoded execution engine: a per-function translation cache
-//! with superinstruction fusion.
+//! The decoded form, the per-function translation cache that holds it,
+//! and the tier-1 engine that walks it.
 //!
 //! The reference engine ([`ExecEngine::DecodePerStep`]) pays a bounds +
 //! liveness check, `Insn::decode` bit-twiddling, and two cost-model
 //! matches on **every executed instruction**. Following the paper's
 //! premise — pay translation cost once per code body, not per execution
-//! — this module translates a sealed function's word range once into a
-//! dense `DecodedFn` buffer: operands unpacked, [`Op`] resolved,
-//! branch targets pre-resolved to buffer indices, and per-instruction
-//! cycle costs pre-looked-up. [`Vm::run`] then dispatches over that
-//! buffer in a tight loop with the liveness check hoisted to
-//! cache-entry time.
+//! — `decode` translates a sealed function's word range once into one
+//! flat array of `Slot`s, one per code word: operands unpacked, [`Op`]
+//! resolved, branch targets pre-resolved to array indices, per-instruction
+//! cycle costs pre-looked-up, and the run/feed facts both translated
+//! tiers select superinstructions from. It is the only decoder the
+//! translated engines have: tier 1 (`Vm::dispatch`) walks the array
+//! directly, tier 2 ([`crate::threaded`]) adds a handler column beside
+//! it, and a pool shares it between sessions behind one `Arc`
+//! ([`SharedTranslation`]).
+//!
+//! The array holds no address. Targets are indices, return addresses
+//! and exit pcs are computed from the `base` the dispatcher is handed
+//! (the tier record's start word), so one array serves the same words
+//! wherever — and however many times — they are installed.
 //!
 //! # Equivalence contract
 //!
 //! The predecoded engine (with or without fusion) is *observationally
 //! identical* to decode-per-step: same result values, same `cycles`,
 //! same `insns`, same exit status, and same error at the same
-//! instruction (including [`VmError::OutOfFuel`]). Fused
-//! superinstructions charge the exact sum of their constituents and run
-//! each constituent as a separate micro-step (execute, charge, fuel
-//! check — in slow-path order), so even mid-pair faults are identical.
+//! instruction (including [`VmError::OutOfFuel`]). A fused pair is slots
+//! `i` and `i + 1` run back to back: each constituent charges its own
+//! cost and runs as a separate micro-step (execute, charge, fuel check —
+//! in slow-path order), so even mid-pair faults are identical.
 //! `tests/exec_differential.rs` enforces this on randomized programs.
 //!
 //! # Invalidation
@@ -45,16 +53,23 @@
 //! a dispatcher leaves its buffer after any host call that moved the
 //! epoch and the run loop revalidates before re-entering one.
 
+use std::collections::HashMap;
 use std::sync::Arc;
 
-use crate::adaptive::{AdaptiveStats, FnTier, DEFAULT_FUSE_AFTER, DEFAULT_THREAD_AFTER, NO_TIER};
+use crate::adaptive::{
+    AdaptiveStats, FnTier, HubClient, Tier, DEFAULT_FUSE_AFTER, DEFAULT_THREAD_AFTER, NO_TIER,
+};
 use crate::code::{CodeSpace, CODE_BASE};
 use crate::cost::CostModel;
 use crate::error::VmError;
 use crate::host::HostCall;
 use crate::interp::{branch_taken, exec_scalar, ExitStatus, Step, Vm, RETURN_SENTINEL};
 use crate::isa::{Insn, Op};
-use crate::threaded::{ThreadedFn, HANDLER_TABLE_SIZE};
+use crate::threaded::{thread, ThreadedFn, HANDLER_TABLE_SIZE};
+
+/// Counters for the execution engine: how much was translated and how
+/// instructions were dispatched. One type with the observability layer's.
+pub use tcc_obs::ExecMetrics as ExecStats;
 
 /// Which execution engine [`Vm::run`] dispatches through.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -63,10 +78,10 @@ pub enum ExecEngine {
     /// instruction. The reference semantics.
     DecodePerStep,
     /// Translate each sealed function once, execute from the decoded
-    /// buffer. `fuse` additionally merges adjacent instruction pairs
-    /// into superinstructions.
+    /// array. `fuse` additionally runs adjacent instruction pairs as
+    /// superinstructions.
     Predecoded {
-        /// Enable superinstruction fusion over the decoded buffer.
+        /// Enable superinstruction fusion over the decoded array.
         fuse: bool,
     },
     /// Direct-threaded dispatch (a handler function pointer per slot)
@@ -84,11 +99,11 @@ pub enum ExecEngine {
         /// Completed runs after which a function is promoted to the
         /// direct-threaded engine (tier 2).
         thread_after: u32,
-        /// Translate promoted functions on a background worker thread
-        /// instead of inline: the promoting run keeps executing at its
-        /// current tier and the finished translation is swapped in at a
-        /// later function entry (discarded if the live epoch moved
-        /// first). `false` keeps PR 5's synchronous promotion.
+        /// Translate promoted functions on a background thread instead
+        /// of inline: the promoting run keeps executing at its current
+        /// tier and the finished translation is swapped in at a later
+        /// function entry (discarded if the function died first).
+        /// `false` keeps PR 5's synchronous promotion.
         background: bool,
     },
 }
@@ -106,94 +121,21 @@ impl Default for ExecEngine {
     }
 }
 
-/// Counters for the execution engine: how much was translated and how
-/// instructions were dispatched.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ExecStats {
-    /// Functions translated into decoded buffers.
-    pub translations: u64,
-    /// Total code words covered by those translations.
-    pub translated_words: u64,
-    /// Instruction pairs fused into superinstructions (cumulative over
-    /// translations).
-    pub fused_pairs: u64,
-    /// Instructions retired from decoded buffers.
-    pub fast_insns: u64,
-    /// Instructions retired by the decode-per-step path (the whole run
-    /// for that engine; fallback steps for the predecoded engine).
-    pub slow_insns: u64,
-    /// Live-epoch changes this VM observed (one per revalidation that
-    /// found the epoch moved, however many bumps it had moved by). Each
-    /// drops the translations of the ranges that died in between — the
-    /// whole cache only when the invalidation ring had wrapped.
-    pub invalidations: u64,
-    /// Scalar runs whose whole cost was charged in one batch by the
-    /// threaded engine ([`crate::threaded`]).
-    pub batched_blocks: u64,
-    /// Batched runs that exited early (mid-run fault) and had their
-    /// unexecuted tail un-charged.
-    pub fuel_reconciliations: u64,
-    /// Size of the direct-threaded handler table; `0` until the
-    /// threaded engine has translated something.
-    pub handlers: u64,
-    /// Superinstruction groups compiled by the threaded engine's
-    /// translation (fused run+jump, run+branch, pair, and triple slots;
-    /// cumulative over translations).
-    pub superinstructions: u64,
-    /// Handler dispatches executed by the threaded engine (one per
-    /// dispatch-loop iteration inside translated buffers).
-    pub dispatches: u64,
-    /// Threaded-engine dispatches that went through a superinstruction
-    /// handler (a whole fused group per dispatch).
-    pub fused_dispatches: u64,
-}
-
-impl ExecStats {
-    /// Fraction of retired instructions dispatched from translated
-    /// buffers. `0.0` when nothing has executed yet (matching
-    /// `CacheMetrics::hit_rate`: no traffic is not a perfect score).
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.fast_insns + self.slow_insns;
-        if total == 0 {
-            0.0
-        } else {
-            self.fast_insns as f64 / total as f64
-        }
-    }
-
-    /// Fraction of threaded-engine dispatches that executed a whole
-    /// superinstruction group. `0.0` before anything has dispatched
-    /// (the PR 6 obs convention: zero denominators never produce NaN).
-    pub fn fused_dispatch_rate(&self) -> f64 {
-        if self.dispatches == 0 {
-            0.0
-        } else {
-            self.fused_dispatches as f64 / self.dispatches as f64
-        }
-    }
-
-    /// Threaded-engine dispatches per fast-path retired instruction —
-    /// the superinstruction win in one number (lower is better; `1.0`
-    /// would mean one indirect dispatch per instruction). `0.0` when
-    /// nothing has retired from translated buffers yet.
-    pub fn dispatches_per_insn(&self) -> f64 {
-        if self.fast_insns == 0 {
-            0.0
-        } else {
-            self.dispatches as f64 / self.fast_insns as f64
-        }
-    }
-}
-
-/// The one translation a tier record owns. A function holds at most
-/// one buffer at a time: installing the threaded form releases the
-/// decoded one it replaces.
+/// The one translation a tier record owns. Both built forms stand on
+/// the same decoded array: the threaded one keeps the `Arc` it was
+/// built over, so a 1→2 promotion adds a handler column and copies
+/// nothing.
 pub(crate) enum Translation<H> {
     /// Nothing built (tier 0, or a build still in flight).
     None,
-    /// The predecoded buffer ([`ExecEngine::Predecoded`], tier 1).
-    Decoded(Arc<DecodedFn>),
-    /// The direct-threaded buffer ([`ExecEngine::Threaded`], tier 2).
+    /// [`decode`] refused the function — a cost of the VM's model does
+    /// not fit a slot. Final for the record's life: the function stays
+    /// on the reference path at every tier and is never decoded again.
+    Refused,
+    /// The decoded array itself ([`ExecEngine::Predecoded`], tier 1).
+    Decoded(Arc<Decoded>),
+    /// The array plus a handler column ([`ExecEngine::Threaded`],
+    /// tier 2).
     Threaded(Arc<ThreadedFn<H>>),
 }
 
@@ -202,9 +144,29 @@ impl<H> Clone for Translation<H> {
     fn clone(&self) -> Self {
         match self {
             Translation::None => Translation::None,
+            Translation::Refused => Translation::Refused,
             Translation::Decoded(tr) => Translation::Decoded(Arc::clone(tr)),
             Translation::Threaded(tr) => Translation::Threaded(Arc::clone(tr)),
         }
+    }
+}
+
+impl<H> Translation<H> {
+    /// Whether this is what a function at `tier` dispatches through. A
+    /// refusal serves every tier (by single-stepping), so it is never
+    /// rebuilt. In background mode a function can run *below* its
+    /// granted tier while the build is in flight; a mismatch at function
+    /// entry or at a clock tick re-reads the record so a finished swap
+    /// is picked up.
+    #[inline]
+    pub(crate) fn serves(&self, tier: Tier) -> bool {
+        matches!(
+            (self, tier),
+            (Translation::None, Tier::Decode)
+                | (Translation::Refused, _)
+                | (Translation::Decoded(_), Tier::Fused)
+                | (Translation::Threaded(_), Tier::Threaded)
+        )
     }
 }
 
@@ -212,7 +174,7 @@ impl<H> Clone for Translation<H> {
 /// function, each owning that function's translation, synchronized to
 /// one `CodeSpace::live_epoch` at a time by [`TransCache::sync_epoch`].
 ///
-/// Generic over the host because the threaded buffers store handler
+/// Generic over the host because the threaded handler columns store
 /// function pointers typed over `Vm<H>`.
 pub(crate) struct TransCache<H> {
     /// The `live_epoch` the cached translations were made under.
@@ -240,21 +202,21 @@ pub(crate) struct TransCache<H> {
     pub(crate) stats: ExecStats,
     /// Counters specific to the adaptive engine.
     pub(crate) astats: AdaptiveStats,
-    /// The background translation worker, spawned lazily on the first
-    /// asynchronous promotion and kept for the VM's lifetime.
-    pub(crate) worker: Option<crate::adaptive::TransWorker<H>>,
-    /// Subscription to a shared multi-tenant translation hub; when set,
-    /// background builds go there instead of a per-VM worker.
-    pub(crate) hub: Option<crate::adaptive::HubClient<H>>,
-    /// Requests enqueued to the worker whose responses have not been
+    /// Subscription to the background translation service: the shared
+    /// hub handed to [`Vm::set_translation_hub`], or a private one
+    /// spawned lazily on the first asynchronous promotion and kept (and
+    /// joined) with the VM.
+    pub(crate) hub: Option<HubClient<H>>,
+    /// Requests submitted to the hub whose responses have not been
     /// received yet (received responses count down even when the result
     /// is discarded).
     pub(crate) pending: u32,
-    /// Superinstruction shape frequencies from threaded translations
-    /// ("addw+beq" → count), cumulative over translations like
+    /// Superinstruction shape frequencies from threaded translations,
+    /// keyed by packed opcodes ([`crate::threaded::pack_shape`]),
+    /// cumulative over translations like
     /// [`ExecStats::superinstructions`]. Feeds the suite's
     /// `pair_histogram` so future handler selection is data-driven.
-    pub(crate) shapes: std::collections::HashMap<String, u64>,
+    pub(crate) shapes: HashMap<u32, u64>,
 }
 
 impl<H> std::fmt::Debug for TransCache<H> {
@@ -278,10 +240,9 @@ impl<H> Default for TransCache<H> {
             next_serial: 1,
             stats: ExecStats::default(),
             astats: AdaptiveStats::default(),
-            worker: None,
             hub: None,
             pending: 0,
-            shapes: std::collections::HashMap::new(),
+            shapes: HashMap::new(),
         }
     }
 }
@@ -388,328 +349,265 @@ impl<H> TransCache<H> {
         }
         fi
     }
-
-    /// Hands record `fi` its translation — releasing whatever buffer
-    /// it held — and counts it. The one install site shared by inline
-    /// builds, background completions and preseeding.
-    pub(crate) fn install(&mut self, fi: u32, tr: Translation<H>) {
-        let record = &mut self.tier_fns[fi as usize];
-        self.stats.translations += 1;
-        self.stats.translated_words += u64::from(record.words);
-        if let Translation::Threaded(t) = &tr {
-            self.stats.handlers = HANDLER_TABLE_SIZE;
-            self.stats.superinstructions += t.superinstructions;
-            for (shape, count) in &t.shapes {
-                *self.shapes.entry(shape.clone()).or_insert(0) += count;
-            }
-        }
-        record.tr = tr;
-    }
 }
 
-/// One function's decoded form: a dense buffer with one entry per code
-/// word, addressed by `(pc - base) / 4`.
-#[derive(Debug)]
-pub(crate) struct DecodedFn {
-    /// Absolute address of buffer index 0.
-    base: u64,
-    insns: Vec<DInsn>,
-}
-
-/// An unpacked scalar (straight-line, non-control) instruction with its
-/// cycle cost baked in; also one constituent of a fused pair.
-#[derive(Clone, Copy, Debug)]
-struct ScalarHalf {
-    op: Op,
-    rd: u8,
-    rs1: u8,
-    rs2: u8,
-    imm: i32,
-    cost: u32,
-}
-
-/// A decoded-buffer entry. Branch/jump targets are pre-resolved to
-/// *buffer indices* (`i64`, may fall outside `0..len` for cross-function
-/// control transfers — those exit the buffer).
-///
-/// Fused entries occupy the slot of their first constituent and advance
-/// the buffer index by 2; the second constituent's slot keeps its own
-/// unfused entry, so control transfers *into* the middle of a pair
-/// (branch targets, return addresses) execute correctly.
-#[derive(Clone, Copy, Debug)]
-enum DInsn {
-    Scalar(ScalarHalf),
-    Branch {
-        op: Op,
-        rd: u8,
-        rs1: u8,
-        cost: u32,
-        taken_cost: u32,
-        target: i64,
-    },
-    Jump {
-        cost: u32,
-        target: i64,
-    },
-    Jal {
-        cost: u32,
-        target: i64,
-    },
-    Jalr {
-        rd: u8,
-        rs1: u8,
-        cost: u32,
-    },
-    Halt {
-        cost: u32,
-    },
-    Hcall {
-        num: u32,
-        cost: u32,
-    },
+/// What a decoded word is, as far as dispatch cares. Every opcode that
+/// is not control flow, a host call or `halt` is a [`Kind::Scalar`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Kind {
+    Scalar,
+    Branch,
+    Jump,
+    Jal,
+    Jalr,
+    Halt,
+    Hcall,
     /// A word that does not decode. Raises [`VmError::BadOpcode`] only
     /// if actually executed, like the reference engine.
-    Trap {
-        opcode: u8,
-    },
-    /// Two scalars executed as consecutive micro-steps.
-    Fused2 {
-        a: ScalarHalf,
-        b: ScalarHalf,
-    },
-    /// A scalar micro-step followed by a conditional branch
-    /// (compare+branch, `li`+branch, load+branch...).
-    FusedBr {
-        a: ScalarHalf,
-        op: Op,
-        rd: u8,
-        rs1: u8,
-        cost: u32,
-        taken_cost: u32,
-        target: i64,
-    },
+    Trap,
 }
 
-fn icost(c: u64) -> u32 {
-    u32::try_from(c).expect("per-insn cost fits u32")
-}
-
-/// Buffer index a control transfer at buffer index `i` with word
-/// offset `imm` lands on: `(pc + 4) + imm * 4` in index space.
-fn rel_target(i: usize, imm: i32) -> i64 {
-    i as i64 + 1 + imm as i64
-}
-
-/// Translates the sealed words of the range starting at word index
-/// `start` into a decoded buffer, baking in the cost model and
-/// (optionally) fusing pairs.
+/// What the word after a scalar is to it — the fact both tiers fuse
+/// from, decided once in [`decode`].
 ///
-/// Takes the raw words (not the `CodeSpace`) so the adaptive engine's
-/// background worker can run it over a snapshot without holding any
-/// borrow of the VM; `start` only positions [`DecodedFn::base`].
-pub(crate) fn translate(
-    words: &[u32],
-    start: usize,
-    cost: &CostModel,
-    fuse: bool,
-    stats: &mut ExecStats,
-) -> DecodedFn {
-    let mut raw: Vec<DInsn> = Vec::with_capacity(words.len());
+/// Scalar+scalar always pairs. Scalar+branch pairs only when the scalar
+/// **feeds** the branch (its destination is one of the branch's compared
+/// registers) — the compare-and-branch idiom. The feed requirement is
+/// what makes the ICODE back end's fusion-aware scheduler measurable:
+/// sinking a condition's definition onto its branch turns a non-fusable
+/// adjacency into a fusable one.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Pair {
+    /// Nothing to fuse with (or this is not a scalar).
+    None,
+    /// Another scalar: the run continues.
+    Scalar,
+    /// A conditional branch this scalar feeds.
+    Branch,
+}
+
+/// One decoded code word, 24 bytes. Which columns mean what depends on
+/// [`Slot::kind`]; DESIGN.md §11 has the table.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Slot {
+    pub(crate) kind: Kind,
+    pub(crate) pair: Pair,
+    pub(crate) op: Op,
+    pub(crate) rd: u8,
+    pub(crate) rs1: u8,
+    pub(crate) rs2: u8,
+    /// The immediate — except for `j`/`jal`/branches, where it is the
+    /// pre-resolved target as an *array index* (may fall outside
+    /// `0..len` for cross-function transfers — those exit the array);
+    /// for a trap it is the undecodable opcode byte.
+    pub(crate) imm: i32,
+    /// Cycle cost of this instruction alone (a branch's when not taken).
+    pub(crate) cost: u32,
+    /// A branch's cost when taken; a scalar's run-suffix length — how
+    /// many consecutive scalars start here, itself included.
+    aux: u32,
+    /// Summed cost of that run suffix: what a batched entry at this
+    /// slot charges up front. Entering mid-run (branch targets, return
+    /// addresses) therefore still sees a correct summary.
+    pub(crate) run_cost: u32,
+}
+
+impl Slot {
+    /// A `j`/`jal`/branch's target array index.
+    #[inline]
+    pub(crate) fn target(&self) -> i64 {
+        i64::from(self.imm)
+    }
+
+    /// A branch's cycle cost when taken.
+    #[inline]
+    pub(crate) fn taken_cost(&self) -> u32 {
+        self.aux
+    }
+
+    /// A scalar's run-suffix length.
+    #[inline]
+    pub(crate) fn run_len(&self) -> usize {
+        self.aux as usize
+    }
+}
+
+/// One function's decoded form: one [`Slot`] per code word, addressed by
+/// `(pc - base) / 4` for whatever `base` the words are installed at.
+#[derive(Debug)]
+pub(crate) struct Decoded {
+    pub(crate) slots: Box<[Slot]>,
+    /// Slots whose [`Slot::pair`] is set: the superinstruction pairs a
+    /// fusing tier-1 walk runs.
+    pub(crate) fused_pairs: u64,
+    /// Every static target (`j`, `jal`, branch) lands inside the array.
+    internal: bool,
+}
+
+/// Decodes a sealed function's words under `cost` — the one place the
+/// translated engines decode an instruction or look a cost up, and so
+/// the one place the cost model meets the slot's field widths: `None`
+/// when a per-instruction cost, a taken-branch cost, a run-suffix cost
+/// or a target index does not fit its column (the function then stays
+/// on the reference path, which carries costs as `u64`).
+///
+/// Takes the raw words (not the `CodeSpace`) so the background service
+/// can run it over a snapshot without holding any borrow of the VM.
+pub(crate) fn decode(words: &[u32], cost: &CostModel) -> Option<Decoded> {
+    let mut slots = Vec::with_capacity(words.len());
+    let mut internal = true;
     for (i, &word) in words.iter().enumerate() {
-        let insn = match Insn::decode(word) {
-            Ok(insn) => insn,
-            Err(_) => {
-                raw.push(DInsn::Trap {
-                    opcode: (word >> 24) as u8,
-                });
-                continue;
-            }
+        let mut slot = Slot {
+            kind: Kind::Trap,
+            pair: Pair::None,
+            op: Op::Nop,
+            rd: 0,
+            rs1: 0,
+            rs2: 0,
+            imm: (word >> 24) as i32,
+            cost: 0,
+            aux: 0,
+            run_cost: 0,
         };
-        let c = icost(cost.cost(insn.op));
-        raw.push(match insn.op {
-            Op::Halt => DInsn::Halt { cost: c },
-            Op::Hcall => DInsn::Hcall {
-                num: insn.imm as u32,
-                cost: c,
-            },
-            Op::J => DInsn::Jump {
-                cost: c,
-                target: rel_target(i, insn.imm),
-            },
-            Op::Jal => DInsn::Jal {
-                cost: c,
-                target: rel_target(i, insn.imm),
-            },
-            Op::Jalr => DInsn::Jalr {
-                rd: insn.rd,
-                rs1: insn.rs1,
-                cost: c,
-            },
-            op if op.is_branch() => DInsn::Branch {
-                op,
-                rd: insn.rd,
-                rs1: insn.rs1,
-                cost: c,
-                taken_cost: icost(cost.cost(op) + cost.branch_taken_extra),
-                target: rel_target(i, insn.imm),
-            },
-            op => DInsn::Scalar(ScalarHalf {
-                op,
-                rd: insn.rd,
-                rs1: insn.rs1,
-                rs2: insn.rs2,
-                imm: insn.imm,
-                cost: c,
-            }),
-        });
-    }
-    let insns = if fuse { fuse_pairs(&raw, stats) } else { raw };
-    DecodedFn {
-        base: CODE_BASE + (start as u64) * 4,
-        insns,
-    }
-}
-
-/// Overlays superinstructions on the raw buffer: each slot whose entry
-/// and successor are fusable gets the fused form. Slots are never
-/// consumed — entry `i+1` stays valid for control transfers into it —
-/// so fused pairs may overlap; execution simply skips the middle slot.
-///
-/// Scalar+scalar always fuses. Scalar+branch fuses only when the
-/// scalar **feeds** the branch (its destination is one of the branch's
-/// compared registers) — the compare-and-branch idiom `FusedBr` is
-/// named for. The feed requirement is what makes the ICODE back end's
-/// fusion-aware scheduler measurable: sinking a condition's definition
-/// onto its branch turns a non-fusable adjacency into a fusable one.
-fn fuse_pairs(raw: &[DInsn], stats: &mut ExecStats) -> Vec<DInsn> {
-    let mut out = Vec::with_capacity(raw.len());
-    for i in 0..raw.len() {
-        let fused = match (&raw[i], raw.get(i + 1)) {
-            (DInsn::Scalar(a), Some(DInsn::Scalar(b))) => Some(DInsn::Fused2 { a: *a, b: *b }),
-            (
-                DInsn::Scalar(a),
-                Some(&DInsn::Branch {
-                    op,
-                    rd,
-                    rs1,
-                    cost,
-                    taken_cost,
-                    target,
-                }),
-            ) if a.rd == rd || a.rd == rs1 => Some(DInsn::FusedBr {
-                a: *a,
-                op,
-                rd,
-                rs1,
-                cost,
-                taken_cost,
-                target,
-            }),
-            _ => None,
-        };
-        match fused {
-            Some(f) => {
-                stats.fused_pairs += 1;
-                out.push(f);
+        if let Ok(insn) = Insn::decode(word) {
+            let base_cost = cost.cost(insn.op);
+            slot.kind = match insn.op {
+                Op::Halt => Kind::Halt,
+                Op::Hcall => Kind::Hcall,
+                Op::J => Kind::Jump,
+                Op::Jal => Kind::Jal,
+                Op::Jalr => Kind::Jalr,
+                op if op.is_branch() => Kind::Branch,
+                _ => Kind::Scalar,
+            };
+            (slot.op, slot.rd, slot.rs1, slot.rs2) = (insn.op, insn.rd, insn.rs1, insn.rs2);
+            slot.imm = insn.imm;
+            slot.cost = u32::try_from(base_cost).ok()?;
+            match slot.kind {
+                Kind::Jump | Kind::Jal | Kind::Branch => {
+                    // `(pc + 4) + imm * 4` in index space.
+                    let target = i as i64 + 1 + i64::from(insn.imm);
+                    slot.imm = i32::try_from(target).ok()?;
+                    internal &= (0..words.len() as i64).contains(&target);
+                }
+                Kind::Scalar => (slot.aux, slot.run_cost) = (1, slot.cost),
+                _ => {}
             }
-            None => out.push(raw[i]),
+            if slot.kind == Kind::Branch {
+                let taken = base_cost.checked_add(cost.branch_taken_extra)?;
+                slot.aux = u32::try_from(taken).ok()?;
+            }
         }
+        slots.push(slot);
     }
-    out
+    // Backward pass: each scalar learns what follows it, and extends its
+    // run summary with its successor's.
+    let mut fused_pairs = 0;
+    for i in (0..slots.len().saturating_sub(1)).rev() {
+        let next = slots[i + 1];
+        let slot = &mut slots[i];
+        if slot.kind != Kind::Scalar {
+            continue;
+        }
+        slot.pair = match next.kind {
+            Kind::Scalar => {
+                slot.aux += next.aux;
+                slot.run_cost = slot.run_cost.checked_add(next.run_cost)?;
+                Pair::Scalar
+            }
+            Kind::Branch if slot.rd == next.rd || slot.rd == next.rs1 => Pair::Branch,
+            _ => continue,
+        };
+        fused_pairs += 1;
+    }
+    Some(Decoded {
+        slots: slots.into_boxed_slice(),
+        fused_pairs,
+        internal,
+    })
 }
 
-/// A decoded translation detached from any particular placement, safe
-/// to share across VMs and threads (the payload behind the shared
-/// artifact cache's `Arc`'d artifacts).
+/// The form a function at `tier` dispatches through, over its decoded
+/// array: the array itself at tier 1, a handler column beside it at
+/// tier 2, a refusal when [`decode`] gave none. Also returns the
+/// superinstruction groups a tier-2 build compiled (one packed shape
+/// each), for [`Vm::install`] to count. The one build path shared by
+/// inline builds and the background service.
+pub(crate) fn form_over<H: HostCall>(
+    decoded: Option<Arc<Decoded>>,
+    tier: Tier,
+) -> (Translation<H>, Vec<u32>) {
+    match (decoded, tier) {
+        (None, _) => (Translation::Refused, Vec::new()),
+        (Some(decoded), Tier::Threaded) => {
+            let (tr, groups) = thread(&decoded);
+            (Translation::Threaded(Arc::new(tr)), groups)
+        }
+        (Some(decoded), _) => (Translation::Decoded(decoded), Vec::new()),
+    }
+}
+
+/// A decoded array together with the cost model baked into it, safe to
+/// share across VMs and threads (the payload behind the shared artifact
+/// cache's `Arc`'d artifacts). Shared by reference:
+/// [`Vm::preseed_translation`] installs this very allocation in every
+/// session that takes it.
 ///
-/// Decoded buffers are position-relative: control-transfer targets are
-/// buffer indices, and only `DecodedFn::base` is positional. A buffer
-/// whose every *static* target lands inside the buffer is therefore
-/// position-independent — [`SharedTranslation::build`] refuses anything
-/// else (a cross-function jump would exit to a pc computed from the
-/// original placement). Consumers stamp a placement on at preseed time
-/// via [`Vm::preseed_translation`], which also revalidates the cost
+/// The array is position-independent, but a pool installs an artifact
+/// by *rewriting* the words of control transfers that leave the
+/// function, so they keep reaching the same absolute targets
+/// (`CodeSpace::install_function`) — and a decoding of the original
+/// words would then disagree with the installed ones.
+/// [`SharedTranslation::build`] therefore refuses any function with a
+/// static target outside itself. Preseeding also revalidates the cost
 /// model and engine mode: a shared translation never overrides either.
 #[derive(Clone, Debug)]
 pub struct SharedTranslation {
-    inner: Arc<SharedTransInner>,
-}
-
-#[derive(Debug)]
-struct SharedTransInner {
-    /// Fused decoded entries, targets all internal.
-    insns: Vec<DInsn>,
-    /// The cost model baked into the per-entry cycle costs.
+    decoded: Arc<Decoded>,
+    /// The cost model baked into the per-slot cycle costs.
     cost: CostModel,
-    /// Pairs fused while building (stat preseeding).
-    fused_pairs: u64,
 }
 
 impl SharedTranslation {
-    /// Translates `words` (a sealed function's encoded words, fusion on)
-    /// into a shareable buffer. Returns `None` if the function is not
-    /// position-independent: any decodable jump, call, or branch whose
-    /// pre-resolved target falls outside the buffer.
+    /// Decodes `words` (a sealed function's encoded words) into a
+    /// shareable array. Returns `None` if `cost` does not fit the slot
+    /// layout or the function is not self-contained: any decodable jump,
+    /// call, or branch whose pre-resolved target falls outside it.
     pub fn build(words: &[u32], cost: &CostModel) -> Option<SharedTranslation> {
-        let mut stats = ExecStats::default();
-        let tr = translate(words, 0, cost, true, &mut stats);
-        let len = tr.insns.len() as i64;
-        for d in &tr.insns {
-            let target = match *d {
-                DInsn::Jump { target, .. }
-                | DInsn::Jal { target, .. }
-                | DInsn::Branch { target, .. }
-                | DInsn::FusedBr { target, .. } => target,
-                _ => continue,
-            };
-            if !(0..len).contains(&target) {
-                return None;
-            }
-        }
+        let decoded = decode(words, cost).filter(|d| d.internal)?;
         Some(SharedTranslation {
-            inner: Arc::new(SharedTransInner {
-                insns: tr.insns,
-                cost: cost.clone(),
-                fused_pairs: stats.fused_pairs,
-            }),
+            decoded: Arc::new(decoded),
+            cost: cost.clone(),
         })
     }
 
-    /// The cost model the buffer's cycle charges were computed under.
+    /// The cost model the array's cycle charges were computed under.
     pub fn cost_model(&self) -> &CostModel {
-        &self.inner.cost
+        &self.cost
     }
 
-    /// Buffer length in code words.
+    /// Array length in code words.
     pub fn len(&self) -> usize {
-        self.inner.insns.len()
+        self.decoded.slots.len()
     }
 
-    /// True for a zero-length buffer.
+    /// True for a zero-length array.
     pub fn is_empty(&self) -> bool {
-        self.inner.insns.is_empty()
+        self.decoded.slots.is_empty()
     }
 
-    /// Superinstruction pairs fused into the buffer.
+    /// Superinstruction pairs a fusing walk of the array runs.
     pub fn fused_pairs(&self) -> u64 {
-        self.inner.fused_pairs
-    }
-
-    /// Stamps a placement onto the shared buffer.
-    fn instantiate(&self, addr: u64) -> DecodedFn {
-        DecodedFn {
-            base: addr,
-            insns: self.inner.insns.clone(),
-        }
+        self.decoded.fused_pairs
     }
 }
 
 impl<H: HostCall> Vm<H> {
     /// Installs a [`SharedTranslation`] for the live sealed function at
     /// `addr`, so the first promoted run starts from the shared decoded
-    /// buffer instead of re-translating. Returns whether the translation
+    /// array instead of decoding its own. Returns whether the translation
     /// was (or already is) installed; `false` means the VM's engine
-    /// does not dispatch fused decoded buffers, the cost model differs,
+    /// does not dispatch fused decoded arrays, the cost model differs,
     /// or `addr` is not the start of a live range of matching length —
     /// all cases where the VM silently keeps its own lazy translation
     /// path, never a correctness hazard.
@@ -726,25 +624,55 @@ impl<H: HostCall> Vm<H> {
             return false;
         };
         let record = &self.trans.tier_fns[fi as usize];
-        let (start, end) = record.range();
-        if CODE_BASE + (start as u64) * 4 != addr || end - start != tr.len() {
+        if record.base() != addr || record.words as usize != tr.len() {
             return false;
         }
         if matches!(record.tr, Translation::None) {
-            let decoded = Arc::new(tr.instantiate(addr));
-            self.trans.install(fi, Translation::Decoded(decoded));
-            self.trans.stats.fused_pairs += tr.fused_pairs();
+            self.install(fi, Translation::Decoded(Arc::clone(&tr.decoded)), &[]);
         }
         true
     }
 
-    /// The predecoded engine's run loop: execute from decoded buffers
-    /// where a translation exists, fall back to single reference-engine
-    /// steps where one doesn't (stale, unaligned, or out-of-range pcs),
-    /// so every fault is raised by the exact same code on both paths.
-    pub(crate) fn run_predecoded(
+    /// Hands record `fi` its translation — releasing whatever it held —
+    /// and counts it; `groups` are the superinstruction shapes a
+    /// threaded build compiled. The one install site shared by inline
+    /// builds, background completions and preseeding. A refusal is
+    /// recorded and counts as nothing: returns whether a form was
+    /// installed.
+    pub(crate) fn install(&mut self, fi: u32, tr: Translation<H>, groups: &[u32]) -> bool {
+        let cache = &mut self.trans;
+        let record = &mut cache.tier_fns[fi as usize];
+        match &tr {
+            Translation::None | Translation::Refused => {
+                record.tr = tr;
+                return false;
+            }
+            // Only a fusing walk runs the pairs.
+            Translation::Decoded(_) if self.engine == (ExecEngine::Predecoded { fuse: false }) => {}
+            Translation::Decoded(decoded) => cache.stats.fused_pairs += decoded.fused_pairs,
+            Translation::Threaded(_) => {
+                cache.stats.handlers = HANDLER_TABLE_SIZE;
+                cache.stats.superinstructions += groups.len() as u64;
+                for &shape in groups {
+                    *cache.shapes.entry(shape).or_insert(0) += 1;
+                }
+            }
+        }
+        cache.stats.translations += 1;
+        cache.stats.translated_words += u64::from(record.words);
+        record.tr = tr;
+        true
+    }
+
+    /// The fixed translated engines' run loop: dispatch through the
+    /// form `tier` names where the function has (or can be given) one,
+    /// fall back to single reference-engine steps where it can't (stale,
+    /// unaligned, or out-of-range pcs; refused functions), so every
+    /// fault is raised by the exact same code on both paths.
+    pub(crate) fn run_fixed(
         &mut self,
         mut pc: u64,
+        tier: Tier,
         fuse: bool,
     ) -> Result<ExitStatus, VmError> {
         // A fixed engine has no promotion clock: the safepoint never
@@ -754,13 +682,24 @@ impl<H: HostCall> Vm<H> {
             if pc == RETURN_SENTINEL {
                 return Ok(ExitStatus::Returned);
             }
-            let step = match self.translation_at(pc, fuse) {
-                Some(tr) => self.dispatch(&tr, pc, &mut backedges)?,
-                None => {
-                    let step = self.step_slow(pc)?;
-                    self.trans.stats.slow_insns += 1;
-                    step
+            // Where the per-instruction liveness check is hoisted to.
+            self.trans.sync_epoch(&self.state.code);
+            let (base, form) = match self.record_at(pc) {
+                Some(fi) => (
+                    self.trans.tier_fns[fi as usize].base(),
+                    self.form_at(fi, tier),
+                ),
+                None => (0, Translation::None),
+            };
+            let step = match form {
+                Translation::Threaded(tr) => self.dispatch_threaded(&tr, base, pc)?,
+                Translation::Decoded(tr) if fuse => {
+                    self.dispatch::<true>(&tr, base, pc, &mut backedges)?
                 }
+                Translation::Decoded(tr) => {
+                    self.dispatch::<false>(&tr, base, pc, &mut backedges)?
+                }
+                Translation::None | Translation::Refused => self.step_reference(pc)?,
             };
             match step {
                 Step::At(next) => pc = next,
@@ -787,39 +726,36 @@ impl<H: HostCall> Vm<H> {
         }
     }
 
-    /// Looks up (or lazily builds) the decoded buffer covering `pc`.
-    /// Validates the cache against the code space's live epoch first —
-    /// this is where the per-instruction liveness check is hoisted to.
-    pub(crate) fn translation_at(&mut self, pc: u64, fuse: bool) -> Option<Arc<DecodedFn>> {
-        self.trans.sync_epoch(&self.state.code);
-        let fi = self.record_at(pc)?;
-        if let Translation::Decoded(tr) = &self.trans.tier_fns[fi as usize].tr {
-            return Some(Arc::clone(tr));
+    /// The form record `fi` dispatches through at `tier`: the record's
+    /// own when it already holds it, otherwise built here and installed
+    /// on the record. A build starts from the decoded array the record
+    /// holds — a 1→2 promotion decodes nothing — and decodes the words
+    /// only when it holds none.
+    pub(crate) fn form_at(&mut self, fi: u32, tier: Tier) -> Translation<H> {
+        let record = &self.trans.tier_fns[fi as usize];
+        if record.tr.serves(tier) {
+            return record.tr.clone();
         }
-        Some(self.build_decoded(fi, fuse))
-    }
-
-    /// Translates record `fi`'s function into a decoded buffer and
-    /// installs it on the record.
-    pub(crate) fn build_decoded(&mut self, fi: u32, fuse: bool) -> Arc<DecodedFn> {
-        let (start, end) = self.trans.tier_fns[fi as usize].range();
-        let tr = Arc::new(translate(
-            self.state.code.word_slice(start, end),
-            start,
-            &self.cost,
-            fuse,
-            &mut self.trans.stats,
-        ));
-        self.trans
-            .install(fi, Translation::Decoded(Arc::clone(&tr)));
+        let decoded = match &record.tr {
+            Translation::Decoded(decoded) => Some(Arc::clone(decoded)),
+            _ => {
+                let (start, end) = record.range();
+                decode(self.state.code.word_slice(start, end), &self.cost).map(Arc::new)
+            }
+        };
+        let (tr, groups) = form_over(decoded, tier);
+        self.install(fi, tr.clone(), &groups);
         tr
     }
 
-    /// Executes from the decoded buffer until control leaves it, a run
-    /// terminates, or an error is raised. Cycle/instruction counters
-    /// live in locals and are flushed to machine state on every exit
-    /// and around host calls, so observable state always matches the
-    /// reference engine exactly.
+    /// Walks the decoded array of the function installed at `base`,
+    /// starting at `pc`, until control leaves it, a run terminates, or
+    /// an error is raised. With `FUSE`, a scalar and the slot it pairs
+    /// with ([`Slot::pair`]) run back to back before the dispatch loop
+    /// comes round again; without, every slot is its own iteration.
+    /// Cycle/instruction counters live in locals and are flushed to
+    /// machine state on every exit and around host calls, so observable
+    /// state always matches the reference engine exactly.
     ///
     /// `backedges` is the promotion clock's safepoint: it is counted
     /// down on every taken backward in-buffer transfer (and nowhere
@@ -828,14 +764,14 @@ impl<H: HostCall> Vm<H> {
     /// transfer's target, exactly as if control had left the function.
     /// The adaptive run loop grants the backedges still missing to the
     /// next tier threshold and reads back what was left.
-    pub(crate) fn dispatch(
+    pub(crate) fn dispatch<const FUSE: bool>(
         &mut self,
-        tr: &DecodedFn,
+        tr: &Decoded,
+        base: u64,
         pc: u64,
         backedges: &mut u64,
     ) -> Result<Step, VmError> {
-        let base = tr.base;
-        let buf = &tr.insns[..];
+        let buf = &tr.slots[..];
         let len = buf.len();
         let fuel = self.fuel;
         let mut i = ((pc - base) / 4) as usize;
@@ -858,21 +794,27 @@ impl<H: HostCall> Vm<H> {
                 }
             }};
         }
-        // One scalar micro-step: execute, charge, fuel-check — in
-        // exactly the reference engine's order.
-        macro_rules! scalar_step {
-            ($s:expr) => {{
-                let s = $s;
-                if let Err(e) = exec_scalar(&mut self.state, s.op, s.rd, s.rs1, s.rs2, s.imm) {
-                    flush!();
-                    return Err(e);
-                }
-                cycles += s.cost as u64;
+        // Charge `$cost` cycles, retire one instruction, fuel-check.
+        macro_rules! charge {
+            ($cost:expr) => {{
+                cycles += u64::from($cost);
                 insns += 1;
                 if cycles > fuel {
                     flush!();
                     return Err(VmError::OutOfFuel);
                 }
+            }};
+        }
+        // One scalar micro-step: execute, charge, fuel-check — in
+        // exactly the reference engine's order.
+        macro_rules! scalar_step {
+            ($s:expr) => {{
+                let s: &Slot = $s;
+                if let Err(e) = exec_scalar(&mut self.state, s.op, s.rd, s.rs1, s.rs2, s.imm) {
+                    flush!();
+                    return Err(e);
+                }
+                charge!(s.cost);
             }};
         }
         // Advance the buffer index by $n slots, exiting at the pc past
@@ -909,7 +851,7 @@ impl<H: HostCall> Vm<H> {
         // engine's pc arithmetic).
         macro_rules! goto {
             ($t:expr, $from:expr) => {{
-                let t = $t;
+                let t: i64 = $t;
                 if (t as u64) < len as u64 {
                     land!(t as usize, $from);
                 } else {
@@ -918,95 +860,55 @@ impl<H: HostCall> Vm<H> {
                 }
             }};
         }
+        // The conditional branch in slot $at, which ends a step that
+        // began $n slots back at `i`.
+        macro_rules! branch_step {
+            ($at:expr, $n:expr) => {{
+                let b = &buf[$at];
+                let taken = branch_taken(b.op, self.state.reg(b.rd), self.state.reg(b.rs1));
+                charge!(if taken { b.taken_cost() } else { b.cost });
+                if taken {
+                    goto!(b.target(), $at);
+                } else {
+                    advance!($n);
+                }
+            }};
+        }
 
         loop {
-            match buf[i] {
-                DInsn::Scalar(s) => {
+            let s = &buf[i];
+            match s.kind {
+                Kind::Scalar => {
                     scalar_step!(s);
-                    advance!(1);
-                }
-                DInsn::Fused2 { a, b } => {
-                    scalar_step!(a);
-                    scalar_step!(b);
-                    advance!(2);
-                }
-                DInsn::Branch {
-                    op,
-                    rd,
-                    rs1,
-                    cost,
-                    taken_cost,
-                    target,
-                } => {
-                    let x = self.state.reg(rd);
-                    let y = self.state.reg(rs1);
-                    let taken = branch_taken(op, x, y);
-                    cycles += u64::from(if taken { taken_cost } else { cost });
-                    insns += 1;
-                    if cycles > fuel {
-                        flush!();
-                        return Err(VmError::OutOfFuel);
-                    }
-                    if taken {
-                        goto!(target, i);
-                    } else {
-                        advance!(1);
+                    // A pair is this slot and the next, as two
+                    // micro-steps. The next slot is untouched, so
+                    // control transfers *into* the middle of a pair
+                    // (branch targets, return addresses) execute
+                    // correctly, and pairs may overlap.
+                    match s.pair {
+                        Pair::Scalar if FUSE => {
+                            scalar_step!(&buf[i + 1]);
+                            advance!(2);
+                        }
+                        Pair::Branch if FUSE => branch_step!(i + 1, 2),
+                        _ => advance!(1),
                     }
                 }
-                DInsn::FusedBr {
-                    a,
-                    op,
-                    rd,
-                    rs1,
-                    cost,
-                    taken_cost,
-                    target,
-                } => {
-                    scalar_step!(a);
-                    let x = self.state.reg(rd);
-                    let y = self.state.reg(rs1);
-                    let taken = branch_taken(op, x, y);
-                    cycles += u64::from(if taken { taken_cost } else { cost });
-                    insns += 1;
-                    if cycles > fuel {
-                        flush!();
-                        return Err(VmError::OutOfFuel);
-                    }
-                    if taken {
-                        goto!(target, i + 1);
-                    } else {
-                        advance!(2);
-                    }
+                Kind::Branch => branch_step!(i, 1),
+                Kind::Jump => {
+                    charge!(s.cost);
+                    goto!(s.target(), i);
                 }
-                DInsn::Jump { cost, target } => {
-                    cycles += cost as u64;
-                    insns += 1;
-                    if cycles > fuel {
-                        flush!();
-                        return Err(VmError::OutOfFuel);
-                    }
-                    goto!(target, i);
-                }
-                DInsn::Jal { cost, target } => {
+                Kind::Jal => {
                     self.state
                         .set_reg(crate::regs::RA.0, base + (i as u64 + 1) * 4);
-                    cycles += cost as u64;
-                    insns += 1;
-                    if cycles > fuel {
-                        flush!();
-                        return Err(VmError::OutOfFuel);
-                    }
-                    goto!(target, i);
+                    charge!(s.cost);
+                    goto!(s.target(), i);
                 }
-                DInsn::Jalr { rd, rs1, cost } => {
-                    let target = self.state.reg(rs1);
-                    self.state.set_reg(rd, base + (i as u64 + 1) * 4);
-                    cycles += cost as u64;
-                    insns += 1;
-                    if cycles > fuel {
-                        flush!();
-                        return Err(VmError::OutOfFuel);
-                    }
+                Kind::Jalr => {
+                    let target = self.state.reg(s.rs1);
+                    self.state.set_reg(s.rd, base + (i as u64 + 1) * 4);
+                    charge!(s.cost);
                     // Continue internally for in-buffer targets
                     // (indirect loops); liveness can only change via a
                     // host call, which revalidates below.
@@ -1020,30 +922,25 @@ impl<H: HostCall> Vm<H> {
                         return Ok(Step::At(target));
                     }
                 }
-                DInsn::Halt { cost } => {
+                Kind::Halt => {
                     // The reference engine charges halt but never
                     // fuel-checks it (the run is over).
-                    cycles += cost as u64;
+                    cycles += u64::from(s.cost);
                     insns += 1;
                     flush!();
                     return Ok(Step::Done(ExitStatus::Halted));
                 }
-                DInsn::Hcall { num, cost } => {
+                Kind::Hcall => {
                     // The host observes counters as of *before* this
                     // instruction retires, and may mutate them (or the
                     // code space) arbitrarily.
                     flush!();
                     self.state.hcalls += 1;
-                    self.host.call(num, &mut self.state)?;
+                    self.host.call(s.imm as u32, &mut self.state)?;
                     cycles = self.state.cycles;
                     insns = self.state.insns;
                     entry_insns = insns;
-                    cycles += cost as u64;
-                    insns += 1;
-                    if cycles > fuel {
-                        flush!();
-                        return Err(VmError::OutOfFuel);
-                    }
+                    charge!(s.cost);
                     // The host may have compiled, freed, or patched
                     // code (tcc-cache eviction frees live functions).
                     // Leave the buffer so the outer loop revalidates.
@@ -1054,15 +951,14 @@ impl<H: HostCall> Vm<H> {
                     }
                     advance!(1);
                 }
-                DInsn::Trap { opcode } => {
+                Kind::Trap => {
                     flush!();
-                    return Err(VmError::BadOpcode(opcode));
+                    return Err(VmError::BadOpcode(s.imm as u8));
                 }
             }
         }
     }
 }
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1233,10 +1129,11 @@ mod tests {
         let tr = SharedTranslation::build(&words, &CostModel::default()).expect("self-contained");
         assert_eq!(tr.len(), 7);
         assert!(tr.fused_pairs() > 0, "the loop body fuses");
-        let mut vm = Vm::new(cs, 1 << 20);
+        let mut vm = Vm::new(cs.clone(), 1 << 20);
         vm.set_engine(ExecEngine::Predecoded { fuse: true });
         assert!(vm.preseed_translation(addr, &tr));
         assert_eq!(vm.exec_stats().translations, 1, "preseed counted");
+        assert_eq!(vm.exec_stats().fused_pairs, tr.fused_pairs());
         assert_eq!(vm.call(addr, &[10]).unwrap(), want);
         assert_eq!((vm.cycles(), vm.insns()), (want_cycles, want_insns));
         let s = vm.exec_stats();
@@ -1245,6 +1142,157 @@ mod tests {
         // Preseeding again is an idempotent hit.
         assert!(vm.preseed_translation(addr, &tr));
         assert_eq!(vm.exec_stats().translations, 1);
+        // Shared by reference: a second session's record holds the very
+        // allocation the first one's does, and the artifact's.
+        let mut other = Vm::new(cs, 1 << 20);
+        other.set_engine(ExecEngine::Predecoded { fuse: true });
+        assert!(other.preseed_translation(addr, &tr));
+        assert_eq!(other.call(addr, &[10]).unwrap(), want);
+        for vm in [&vm, &other] {
+            let Translation::Decoded(held) = &vm.trans.tier_fns[0].tr else {
+                panic!("the record holds a decoded array");
+            };
+            assert!(Arc::ptr_eq(held, &tr.decoded), "installed, not copied");
+        }
+        assert_eq!(Arc::strong_count(&tr.decoded), 3, "artifact + two records");
+    }
+
+    /// Everything positional a function can do: a `jal` to a subroutine
+    /// of its own (which writes a return address — folded into the
+    /// result, so it shows), the subroutine's `jalr ra` back into the
+    /// buffer, and a counted loop whose backedges reach the tier-1
+    /// safepoint.
+    fn push_positional(cs: &mut CodeSpace) {
+        use crate::regs::{AT1, RA};
+        cs.push(Insn::i(Op::Addid, AT1, RA, 0)); // 0: keep the caller's ra
+        cs.push(Insn::j(Op::Jal, 7)); //            1: call the subroutine at 9
+        cs.push(Insn::i(Op::Beq, A0, ZERO, 3)); //  2: while n != 0
+        cs.push(Insn::r(Op::Addw, AT0, AT0, A0)); // 3:  acc += n
+        cs.push(Insn::i(Op::Addiw, A0, A0, -1)); // 4:   n -= 1
+        cs.push(Insn::j(Op::J, -4)); //             5: back to 2
+        cs.push(Insn::r(Op::Addw, A0, AT0, RA)); // 6: return acc + the jal's ra
+        cs.push(Insn::r(Op::Jalr, ZERO, AT1, ZERO)); // 7
+        cs.push(Insn::nop()); //                    8
+        cs.push(Insn::i(Op::Addiw, AT0, ZERO, 100)); // 9: subroutine: acc = 100
+        cs.push(Insn::r(Op::Jalr, ZERO, RA, ZERO)); // 10: back into the buffer at 2
+    }
+
+    #[test]
+    fn one_decoded_array_runs_at_two_addresses() {
+        let mut cs = CodeSpace::new();
+        let fa = cs.begin_function("a");
+        push_positional(&mut cs);
+        let a = cs.finish_function(fa).unwrap();
+        let fb = cs.begin_function("b");
+        push_positional(&mut cs);
+        let b = cs.finish_function(fb).unwrap();
+        let (_, words) = cs.function_words(fa).unwrap();
+        let tr = SharedTranslation::build(&words, &CostModel::default()).expect("self-contained");
+        // Tier 1 from the first entry, tier 2 at the safepoint 128
+        // backedges into it: both forms run at both addresses.
+        let engine = ExecEngine::Adaptive {
+            fuse_after: 0,
+            thread_after: 3,
+            background: false,
+        };
+        // `a` is freed before `b` runs: a return address, jalr bound or
+        // safepoint yield pc computed from a's base would fault stale.
+        let run = |vm: &mut Vm| {
+            let mut seen = Vec::new();
+            for (addr, f) in [(a, fa), (b, fb)] {
+                seen.push((vm.call(addr, &[200]), vm.cycles(), vm.insns()));
+                seen.push((Ok(vm.adaptive_tier(addr).unwrap().1), 0, 0));
+                vm.state_mut().code.free_function(f).unwrap();
+            }
+            seen
+        };
+        let mut reference = Vm::new(cs.clone(), 1 << 20);
+        reference.set_engine(ExecEngine::DecodePerStep);
+        let want: Vec<_> = [(a, fa), (b, fb)]
+            .map(|(addr, _)| reference.call(addr, &[200]).unwrap())
+            .into();
+        assert_eq!(want[1] - want[0], b - a, "the result carries the jal's ra");
+
+        let mut lazy = Vm::new(cs.clone(), 1 << 20);
+        lazy.set_engine(engine);
+        let lazy_seen = run(&mut lazy);
+        assert_eq!(lazy_seen[0].0, Ok(want[0]));
+        assert_eq!(lazy_seen[2].0, Ok(want[1]));
+        assert_eq!(
+            (lazy.cycles(), lazy.insns()),
+            (reference.cycles(), reference.insns())
+        );
+
+        let mut shared = Vm::new(cs, 1 << 20);
+        shared.set_engine(engine);
+        assert!(shared.preseed_translation(a, &tr) && shared.preseed_translation(b, &tr));
+        assert_eq!(
+            Arc::strong_count(&tr.decoded),
+            3,
+            "one array, two addresses"
+        );
+        assert_eq!(run(&mut shared), lazy_seen);
+        assert_eq!(shared.exec_stats(), lazy.exec_stats());
+        // Bar what each spent translating: the preseeds were free.
+        let (mut s, mut l) = (shared.adaptive_stats(), lazy.adaptive_stats());
+        (s.translation_ns, l.translation_ns) = (0, 0);
+        (s.translated_words, l.translated_words) = (22, 22);
+        assert_eq!(s, l, "same entries, tiers and promotions");
+        assert_eq!(s.promotions, 4, "both copies climbed to tier 2");
+    }
+
+    #[test]
+    fn a_cost_too_wide_for_a_slot_stays_on_the_reference_path() {
+        // `CostModel`'s fields are `u64`, a slot's cost columns `u32`:
+        // first a per-instruction cost that does not fit, then one that
+        // does while a two-scalar run's sum does not. No engine may
+        // panic (inline or on the hub thread), and all must agree.
+        let (cs, addr) = loop_code();
+        let background = ExecEngine::Adaptive {
+            fuse_after: 1,
+            thread_after: 2,
+            background: true,
+        };
+        for alu in [1 << 40, u64::from(u32::MAX)] {
+            let cost = CostModel {
+                alu,
+                ..CostModel::default()
+            };
+            assert!(SharedTranslation::build(cs.word_slice(0, 7), &cost).is_none());
+            let mut want = None;
+            for engine in ENGINES
+                .into_iter()
+                .chain([ExecEngine::default(), background])
+            {
+                let mut vm = Vm::new(cs.clone(), 1 << 20);
+                vm.set_engine(engine);
+                vm.set_cost_model(cost.clone());
+                let mut got = Vec::new();
+                for _ in 0..10 {
+                    got.push((vm.call(addr, &[10]), vm.cycles(), vm.insns()));
+                    vm.drain_background_translations();
+                }
+                assert_eq!(got[0].0, Ok(55));
+                assert_eq!(want.get_or_insert_with(|| got.clone()), &got, "{engine:?}");
+                let s = vm.exec_stats();
+                assert_eq!((s.translations, s.fast_insns), (0, 0), "{engine:?}");
+                // Decoded at most once: the refusal sticks to the record.
+                let asked = !matches!(
+                    engine,
+                    ExecEngine::DecodePerStep
+                        | ExecEngine::Adaptive {
+                            fuse_after: u32::MAX,
+                            ..
+                        }
+                );
+                let refused = matches!(
+                    vm.trans.tier_fns.first().map(|r| &r.tr),
+                    Some(Translation::Refused)
+                );
+                assert_eq!(refused, asked, "{engine:?}");
+                assert_eq!(vm.adaptive_stats().discarded_stale, 0);
+            }
+        }
     }
 
     #[test]

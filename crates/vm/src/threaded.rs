@@ -1,26 +1,28 @@
-//! The direct-threaded execution engine with basic-block fuel batching.
+//! The direct-threaded execution engine with basic-block fuel batching:
+//! a handler column beside the decoded array.
 //!
 //! The predecoded engine ([`crate::predecode`]) already hoists decode
 //! and cost lookup to translation time, but still pays a `match` over
-//! the decoded enum plus a fuel compare on every retired instruction.
-//! This engine removes both:
+//! the slot kind plus a fuel compare on every retired instruction.
+//! This engine removes both, without a second copy of anything:
+//! `thread` takes the function's decoded array — the very `Arc` tier 1
+//! walks — and adds one function pointer per word.
 //!
-//! * **Direct threading.** Translation stores a handler *function
-//!   pointer* in every slot (`TSlot::handler`), picked once per
-//!   instruction from a fixed handler table: one specialized executor
-//!   per scalar opcode (so `exec_scalar`'s 70-arm `match` constant-folds
-//!   away inside each), one handler per branch predicate, and one each
-//!   for jumps, calls, halt, host calls, and undecodable words. The run
-//!   loop is a tight `(slot.handler)(vm, tr, frame)` dispatch.
+//! * **Direct threading.** The handler for slot `i` is picked once from
+//!   a fixed table: the scalar-run handler, one handler per branch
+//!   predicate, and one each for jumps, calls, halt, host calls, and
+//!   undecodable words. The run loop is a tight
+//!   `(handlers[i])(vm, slots, frame)` dispatch. Inside a scalar run the
+//!   hottest opcodes are specialized inline (`exec_half`) and the rest
+//!   go through the shared `exec_scalar`.
 //!
-//! * **Basic-block fuel batching.** Translation splits each function
-//!   into maximal straight-line scalar runs and stores, per slot, the
-//!   summed cycle cost of the run *suffix* starting there (a scalar
-//!   slot's `TSlot::cost`) — so entering mid-run (branch targets,
-//!   return addresses) still sees a correct block summary. At run
-//!   entry, if the whole suffix fits in the remaining fuel it is
-//!   charged once and the constituent instructions execute with no
-//!   per-instruction fuel compare or counter update. Early exits
+//! * **Basic-block fuel batching.** Every scalar slot carries the
+//!   summed cycle cost of the run *suffix* starting there
+//!   (`Slot::run_cost`, computed by `decode`) — so entering mid-run
+//!   (branch targets, return addresses) still sees a correct block
+//!   summary. At run entry, if the whole suffix fits in the remaining
+//!   fuel it is charged once and the constituent instructions execute
+//!   with no per-instruction fuel compare or counter update. Early exits
 //!   reconcile: a faulting instruction (bad address, division trap)
 //!   un-charges the unexecuted tail so observable `cycles`/`insns`
 //!   match the reference engine exactly, and a run whose cost does
@@ -56,23 +58,23 @@
 //!
 //! # Superinstructions
 //!
-//! A fusion pass over the translated slots compiles the hottest fused
-//! shapes the predecoded engine's table identifies into combined
-//! handlers that execute the whole group with **one** dispatch:
+//! `thread` compiles the hottest fused shapes into combined handlers
+//! that execute the whole group with **one** dispatch, choosing them
+//! from the run and feed facts `decode` recorded:
 //!
 //! * **run+jump** — a scalar run whose suffix falls into an
 //!   unconditional `j` (the back edge of every counted loop);
 //! * **run+branch** — a scalar run whose *last* constituent feeds the
-//!   following branch (`last.rd` is one of the compared registers),
-//!   the same feed gate as the predecoded engine's `FusedBr`, so the
-//!   ICODE fusion-aware scheduler is measurable on this engine too;
+//!   following branch (`Pair::Branch`: `last.rd` is one of the compared
+//!   registers), the same fact tier 1 pairs on, so the ICODE
+//!   fusion-aware scheduler is measurable on this engine too;
 //! * **pair**/**triple** — straight-line runs of exactly two or three
 //!   scalars, executed by monomorphized handlers with a compile-time
 //!   trip count.
 //!
-//! Fusion is slot-preserving: a fused handler lives in the *first*
-//! constituent's slot and every other slot keeps its unfused entry, so
-//! control transfers landing mid-group dispatch normally and the
+//! Fusion is slot-preserving: a fused handler sits at the *first*
+//! constituent's index and every other index keeps its unfused handler,
+//! so control transfers landing mid-group dispatch normally and the
 //! trap/OutOfFuel reconciliation rules above apply bit-identically.
 //! The scalar part of a fused group charges by the run rules (1)/(2);
 //! the trailing jump/branch charges individually per rule (3) by
@@ -85,52 +87,32 @@
 use std::fmt;
 use std::sync::Arc;
 
-use crate::code::CODE_BASE;
-use crate::cost::CostModel;
 use crate::error::VmError;
 use crate::host::HostCall;
-use crate::interp::{exec_scalar, ExitStatus, MachineState, Step, Vm, RETURN_SENTINEL};
-use crate::isa::{Insn, Op};
-use crate::predecode::Translation;
+use crate::interp::{branch_taken, exec_scalar, ExitStatus, MachineState, Step, Vm};
+use crate::isa::Op;
+use crate::predecode::{Decoded, Kind, Pair, Slot};
 
-/// Specialized scalar handlers (one per straight-line opcode).
-pub const SCALAR_HANDLERS: u64 = 70;
+/// Scalar executors: the opcodes `exec_half` specializes inline, plus
+/// the shared `exec_scalar` every other straight-line opcode goes
+/// through.
+pub const SCALAR_HANDLERS: u64 = 31;
 /// Control handlers: the run-entry handler, ten branch predicates,
 /// jump/jal/jalr, halt, hcall, and the undecodable-word trap.
 pub const CONTROL_HANDLERS: u64 = 17;
 /// Superinstruction handlers: the fused run+jump handler, ten fused
-/// run+branch handlers (one per predicate, feed-gated like the
-/// predecoded engine's `FusedBr`), and the monomorphized straight-line
-/// pair and triple handlers.
+/// run+branch handlers (one per predicate, feed-gated like tier 1's
+/// scalar+branch pair), and the monomorphized straight-line pair and
+/// triple handlers.
 pub const SUPER_HANDLERS: u64 = 13;
 /// Total size of the direct-threaded handler table, reported in
 /// [`crate::predecode::ExecStats::handlers`] once the threaded engine
 /// has translated.
 pub const HANDLER_TABLE_SIZE: u64 = SCALAR_HANDLERS + CONTROL_HANDLERS + SUPER_HANDLERS;
 
-/// A scalar executor specialized to one opcode: `exec_scalar` with the
-/// `op` argument constant-folded away.
-type ScalarFn = fn(&mut MachineState, &SHalf) -> Result<(), VmError>;
-
-/// One instruction of a straight-line run: unpacked operands, the
-/// specialized executor, and the baked-in cycle cost. `op` rides along
-/// (in what was padding) so the batched run loop can inline the
-/// hottest non-faulting opcodes and skip the indirect call entirely
-/// (see [`exec_half`]).
-#[derive(Clone, Copy)]
-pub(crate) struct SHalf {
-    f: ScalarFn,
-    rd: u8,
-    rs1: u8,
-    rs2: u8,
-    op: Op,
-    imm: i32,
-    cost: u32,
-}
-
 /// Handler signature: executes the slot at `fr.i` (updating the frame
 /// in place) and says whether dispatch continues inside the buffer.
-type Handler<H> = fn(&mut Vm<H>, &ThreadedFn<H>, &mut Frame) -> Ctl;
+type Handler<H> = fn(&mut Vm<H>, &[Slot], &mut Frame) -> Ctl;
 
 /// Handler outcome: keep threading, or leave the buffer with a result.
 enum Ctl {
@@ -143,6 +125,9 @@ enum Ctl {
 struct Frame {
     /// Current buffer index.
     i: usize,
+    /// Absolute address of buffer index 0, for this installation of the
+    /// function.
+    base: u64,
     /// Shadow of `state.cycles`.
     cycles: u64,
     /// Shadow of `state.insns`.
@@ -155,155 +140,19 @@ struct Frame {
     dispatches: u64,
 }
 
-/// One translated slot: the handler pointer plus the operands it needs,
-/// 32 bytes (two to a cache line; every translated word carries one).
-/// Field meaning depends on the handler:
-///
-/// * scalar runs (`h_run`): `a`/`b` index the suffix `halves[a..a+b]`,
-///   `cost` is that suffix's summed cost (what the batched entry
-///   charges up front);
-/// * branches: `rd`/`rs1` compared, `cost`/`taken_cost` charged,
-///   `target` is a pre-resolved buffer index;
-/// * `hcall`: `a` is the host-call number; traps: `a` is the opcode.
-pub(crate) struct TSlot<H> {
-    handler: Handler<H>,
-    a: u32,
-    b: u32,
-    cost: u32,
-    taken_cost: u32,
-    target: i32,
-    rd: u8,
-    rs1: u8,
-}
-
-// Manual impls: `derive` would put an `H: Clone`/`H: Copy` bound on
-// them, but the slot only stores a *pointer* to a handler over `H`.
-impl<H> Clone for TSlot<H> {
-    fn clone(&self) -> Self {
-        *self
-    }
-}
-impl<H> Copy for TSlot<H> {}
-
-/// One function's direct-threaded form: one [`TSlot`] per code word
-/// (addressed by `(pc - base) / 4`) plus the dense scalar-run pool.
+/// One function's direct-threaded form: the decoded array it was built
+/// over and one handler per code word beside it — 8 bytes a word, and
+/// no copy of any operand.
 pub(crate) struct ThreadedFn<H> {
-    /// Absolute address of slot index 0.
-    base: u64,
-    slots: Vec<TSlot<H>>,
-    /// All scalar instructions, in order; each run is a contiguous
-    /// range so batched execution iterates a plain slice.
-    halves: Vec<SHalf>,
-    /// Superinstruction groups compiled into the buffer (stat
-    /// preseeding, merged on install like `SharedTranslation`'s
-    /// `fused_pairs`).
-    pub(crate) superinstructions: u64,
-    /// Shape → count for those groups ("addw+beq", "addiw+j", ...),
-    /// merged into the cache-wide histogram on install.
-    pub(crate) shapes: Vec<(String, u64)>,
+    pub(crate) decoded: Arc<Decoded>,
+    handlers: Box<[Handler<H>]>,
 }
 
 impl<H> fmt::Debug for ThreadedFn<H> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("ThreadedFn")
-            .field("base", &self.base)
-            .field("slots", &self.slots.len())
-            .field("halves", &self.halves.len())
-            .field("superinstructions", &self.superinstructions)
+            .field("slots", &self.handlers.len())
             .finish()
-    }
-}
-
-/// Returns the specialized executor for a scalar opcode. Each arm
-/// instantiates [`exec_scalar`] with a constant `Op`, so the inner
-/// dispatch `match` folds away and the handler body is just that
-/// opcode's semantics.
-fn scalar_fn(op: Op) -> ScalarFn {
-    macro_rules! h {
-        ($op:ident) => {{
-            fn go(st: &mut MachineState, s: &SHalf) -> Result<(), VmError> {
-                exec_scalar(st, Op::$op, s.rd, s.rs1, s.rs2, s.imm)
-            }
-            go
-        }};
-    }
-    match op {
-        Op::Nop => h!(Nop),
-        Op::Addw => h!(Addw),
-        Op::Subw => h!(Subw),
-        Op::Mulw => h!(Mulw),
-        Op::Divw => h!(Divw),
-        Op::Divuw => h!(Divuw),
-        Op::Remw => h!(Remw),
-        Op::Remuw => h!(Remuw),
-        Op::Addd => h!(Addd),
-        Op::Subd => h!(Subd),
-        Op::Muld => h!(Muld),
-        Op::Divd => h!(Divd),
-        Op::Divud => h!(Divud),
-        Op::Remd => h!(Remd),
-        Op::Remud => h!(Remud),
-        Op::And => h!(And),
-        Op::Or => h!(Or),
-        Op::Xor => h!(Xor),
-        Op::Sllw => h!(Sllw),
-        Op::Srlw => h!(Srlw),
-        Op::Sraw => h!(Sraw),
-        Op::Slld => h!(Slld),
-        Op::Srld => h!(Srld),
-        Op::Srad => h!(Srad),
-        Op::Seq => h!(Seq),
-        Op::Sne => h!(Sne),
-        Op::Sltw => h!(Sltw),
-        Op::Sltuw => h!(Sltuw),
-        Op::Sltd => h!(Sltd),
-        Op::Sltud => h!(Sltud),
-        Op::Addiw => h!(Addiw),
-        Op::Addid => h!(Addid),
-        Op::Andi => h!(Andi),
-        Op::Ori => h!(Ori),
-        Op::Xori => h!(Xori),
-        Op::Slliw => h!(Slliw),
-        Op::Srliw => h!(Srliw),
-        Op::Sraiw => h!(Sraiw),
-        Op::Sllid => h!(Sllid),
-        Op::Srlid => h!(Srlid),
-        Op::Sraid => h!(Sraid),
-        Op::Sethi => h!(Sethi),
-        Op::Lb => h!(Lb),
-        Op::Lbu => h!(Lbu),
-        Op::Lh => h!(Lh),
-        Op::Lhu => h!(Lhu),
-        Op::Lw => h!(Lw),
-        Op::Lwu => h!(Lwu),
-        Op::Ld => h!(Ld),
-        Op::Fld => h!(Fld),
-        Op::Sb => h!(Sb),
-        Op::Sh => h!(Sh),
-        Op::Sw => h!(Sw),
-        Op::Sd => h!(Sd),
-        Op::Fsd => h!(Fsd),
-        Op::Fadd => h!(Fadd),
-        Op::Fsub => h!(Fsub),
-        Op::Fmul => h!(Fmul),
-        Op::Fdiv => h!(Fdiv),
-        Op::Fneg => h!(Fneg),
-        Op::Fmov => h!(Fmov),
-        Op::Feq => h!(Feq),
-        Op::Flt => h!(Flt),
-        Op::Fle => h!(Fle),
-        Op::Cvtwd => h!(Cvtwd),
-        Op::Cvtdw => h!(Cvtdw),
-        Op::Cvtld => h!(Cvtld),
-        Op::Cvtdl => h!(Cvtdl),
-        Op::Fmvdx => h!(Fmvdx),
-        Op::Fmvxd => h!(Fmvxd),
-        // Control opcodes never reach here: translation routes them to
-        // their own handlers.
-        Op::Halt | Op::Hcall | Op::J | Op::Jal | Op::Jalr => unreachable!("control op {op:?}"),
-        op if op.is_branch() => unreachable!("branch op {op:?}"),
-        #[allow(unreachable_patterns)]
-        op => unreachable!("unrouted op {op:?}"),
     }
 }
 
@@ -312,12 +161,10 @@ fn scalar_fn(op: Op) -> ScalarFn {
 fn branch_fn<H: HostCall>(op: Op) -> Handler<H> {
     macro_rules! b {
         ($op:ident) => {{
-            fn go<H: HostCall>(vm: &mut Vm<H>, tr: &ThreadedFn<H>, fr: &mut Frame) -> Ctl {
-                let slot = &tr.slots[fr.i];
-                let x = vm.state.reg(slot.rd);
-                let y = vm.state.reg(slot.rs1);
-                let taken = crate::interp::branch_taken(Op::$op, x, y);
-                branch_common(vm, tr, fr, taken)
+            fn go<H: HostCall>(vm: &mut Vm<H>, slots: &[Slot], fr: &mut Frame) -> Ctl {
+                let slot = &slots[fr.i];
+                let taken = branch_taken(Op::$op, vm.state.reg(slot.rd), vm.state.reg(slot.rs1));
+                branch_common(vm, slots, fr, taken)
             }
             go::<H>
         }};
@@ -352,11 +199,11 @@ fn flush<H: HostCall>(vm: &mut Vm<H>, fr: &mut Frame) {
 /// Advances `n` slots, exiting at the pc past the end if the buffer is
 /// exhausted (mirrors the predecoded engine's `advance!`).
 #[inline(always)]
-fn advance<H: HostCall>(vm: &mut Vm<H>, tr: &ThreadedFn<H>, fr: &mut Frame, n: usize) -> Ctl {
+fn advance<H: HostCall>(vm: &mut Vm<H>, slots: &[Slot], fr: &mut Frame, n: usize) -> Ctl {
     fr.i += n;
-    if fr.i >= tr.slots.len() {
+    if fr.i >= slots.len() {
         flush(vm, fr);
-        return Ctl::Exit(Ok(Step::At(tr.base.wrapping_add((fr.i as u64) * 4))));
+        return Ctl::Exit(Ok(Step::At(fr.base.wrapping_add((fr.i as u64) * 4))));
     }
     Ctl::Cont
 }
@@ -365,38 +212,45 @@ fn advance<H: HostCall>(vm: &mut Vm<H>, tr: &ThreadedFn<H>, fr: &mut Frame, n: u
 /// in-buffer, exits to the equivalent pc otherwise (negative indices
 /// wrap exactly like the reference engine's pc arithmetic).
 #[inline(always)]
-fn goto<H: HostCall>(vm: &mut Vm<H>, tr: &ThreadedFn<H>, fr: &mut Frame, t: i64) -> Ctl {
-    if (t as u64) < tr.slots.len() as u64 {
+fn goto<H: HostCall>(vm: &mut Vm<H>, slots: &[Slot], fr: &mut Frame, t: i64) -> Ctl {
+    if (t as u64) < slots.len() as u64 {
         fr.i = t as usize;
         Ctl::Cont
     } else {
         flush(vm, fr);
         Ctl::Exit(Ok(Step::At(
-            tr.base.wrapping_add((t as u64).wrapping_mul(4)),
+            fr.base.wrapping_add((t as u64).wrapping_mul(4)),
         )))
     }
+}
+
+/// Charges the slot at `fr.i` its own cost (`cost` cycles, one
+/// instruction) and fuel-checks: rule 3's individual charge. Returns
+/// the exit when fuel ran out (counters already flushed).
+#[inline(always)]
+fn charge<H: HostCall>(vm: &mut Vm<H>, fr: &mut Frame, cost: u32) -> Option<Ctl> {
+    fr.cycles += u64::from(cost);
+    fr.insns += 1;
+    if fr.cycles > fr.fuel {
+        flush(vm, fr);
+        return Some(Ctl::Exit(Err(VmError::OutOfFuel)));
+    }
+    None
 }
 
 /// Shared charge/retire/fuel-check/transfer tail of every branch
 /// handler.
 #[inline(always)]
-fn branch_common<H: HostCall>(
-    vm: &mut Vm<H>,
-    tr: &ThreadedFn<H>,
-    fr: &mut Frame,
-    taken: bool,
-) -> Ctl {
-    let slot = &tr.slots[fr.i];
-    fr.cycles += u64::from(if taken { slot.taken_cost } else { slot.cost });
-    fr.insns += 1;
-    if fr.cycles > fr.fuel {
-        flush(vm, fr);
-        return Ctl::Exit(Err(VmError::OutOfFuel));
+fn branch_common<H: HostCall>(vm: &mut Vm<H>, slots: &[Slot], fr: &mut Frame, taken: bool) -> Ctl {
+    let slot = &slots[fr.i];
+    let cost = if taken { slot.taken_cost() } else { slot.cost };
+    if let Some(exit) = charge(vm, fr, cost) {
+        return exit;
     }
     if taken {
-        goto(vm, tr, fr, i64::from(slot.target))
+        goto(vm, slots, fr, slot.target())
     } else {
-        advance(vm, tr, fr, 1)
+        advance(vm, slots, fr, 1)
     }
 }
 
@@ -406,10 +260,14 @@ fn branch_common<H: HostCall>(
 /// interpreter's with its 70-arm `match` folded away, and the run
 /// loop pays a predictable jump instead of an indirect call (the
 /// call's register spills were the last per-instruction tax). Cold
-/// opcodes fall back to the slot's specialized function pointer,
-/// which executes identically.
+/// opcodes go through `exec_scalar` itself, out of line, which
+/// executes identically.
 #[inline(always)]
-fn exec_half(st: &mut MachineState, s: &SHalf) -> Result<(), VmError> {
+fn exec_half(st: &mut MachineState, s: &Slot) -> Result<(), VmError> {
+    #[inline(never)]
+    fn cold(st: &mut MachineState, s: &Slot) -> Result<(), VmError> {
+        exec_scalar(st, s.op, s.rd, s.rs1, s.rs2, s.imm)
+    }
     macro_rules! i {
         ($op:ident) => {
             exec_scalar(st, Op::$op, s.rd, s.rs1, s.rs2, s.imm)
@@ -446,11 +304,11 @@ fn exec_half(st: &mut MachineState, s: &SHalf) -> Result<(), VmError> {
         Op::Ld => i!(Ld),
         Op::Sw => i!(Sw),
         Op::Sd => i!(Sd),
-        _ => (s.f)(st, s),
+        _ => cold(st, s),
     }
 }
 
-/// Executes one scalar run (`halves`, summed suffix cost `run_cost`)
+/// Executes one scalar run (`run`, summed suffix cost `run_cost`)
 /// under the fuel-batching reconciliation rules, leaving `fr.i`
 /// untouched. Returns `Some(exit)` when the run faulted or exhausted
 /// fuel (counters already flushed), `None` when every constituent
@@ -462,20 +320,20 @@ fn exec_half(st: &mut MachineState, s: &SHalf) -> Result<(), VmError> {
 fn exec_run<H: HostCall>(
     vm: &mut Vm<H>,
     fr: &mut Frame,
-    halves: &[SHalf],
-    run_cost: u64,
+    run: &[Slot],
+    run_cost: u32,
 ) -> Option<Ctl> {
-    let n = halves.len();
-    if let Some(total) = fr.cycles.checked_add(run_cost) {
+    let n = run.len();
+    if let Some(total) = fr.cycles.checked_add(u64::from(run_cost)) {
         if total <= fr.fuel {
             vm.trans.stats.batched_blocks += 1;
             fr.cycles = total;
-            for (k, s) in halves.iter().enumerate() {
+            for (k, s) in run.iter().enumerate() {
                 if let Err(e) = exec_half(&mut vm.state, s) {
                     // Un-charge the unexecuted tail (the faulting
                     // instruction included): observable counters must
                     // match a reference engine that stopped here.
-                    let tail: u64 = halves[k..].iter().map(|h| u64::from(h.cost)).sum();
+                    let tail: u64 = run[k..].iter().map(|s| u64::from(s.cost)).sum();
                     fr.cycles -= tail;
                     fr.insns += k as u64;
                     vm.trans.stats.fuel_reconciliations += 1;
@@ -489,74 +347,64 @@ fn exec_run<H: HostCall>(
     }
     // The run does not fit (or the cycle counter would saturate):
     // per-instruction reference order, so exhaustion is exact.
-    for s in halves {
+    for s in run {
         if let Err(e) = exec_half(&mut vm.state, s) {
             flush(vm, fr);
             return Some(Ctl::Exit(Err(e)));
         }
-        fr.cycles += u64::from(s.cost);
-        fr.insns += 1;
-        if fr.cycles > fr.fuel {
-            flush(vm, fr);
-            return Some(Ctl::Exit(Err(VmError::OutOfFuel)));
+        if let Some(exit) = charge(vm, fr, s.cost) {
+            return Some(exit);
         }
     }
     None
 }
 
+/// The scalar run starting at `fr.i` — `slots[i..i + n]`, no copy —
+/// executed by [`exec_run`]. Returns its length, or the exit.
+#[inline(always)]
+fn run_at<H: HostCall>(vm: &mut Vm<H>, slots: &[Slot], fr: &mut Frame) -> Result<usize, Ctl> {
+    let slot = &slots[fr.i];
+    let n = slot.run_len();
+    match exec_run(vm, fr, &slots[fr.i..fr.i + n], slot.run_cost) {
+        Some(exit) => Err(exit),
+        None => Ok(n),
+    }
+}
+
 /// Scalar-run entry: the fuel-batching handler (reconciliation rules
 /// in the module docs).
-fn h_run<H: HostCall>(vm: &mut Vm<H>, tr: &ThreadedFn<H>, fr: &mut Frame) -> Ctl {
-    let slot = &tr.slots[fr.i];
-    let n = slot.b as usize;
-    let halves = &tr.halves[slot.a as usize..slot.a as usize + n];
-    if let Some(exit) = exec_run(vm, fr, halves, u64::from(slot.cost)) {
-        return exit;
+fn h_run<H: HostCall>(vm: &mut Vm<H>, slots: &[Slot], fr: &mut Frame) -> Ctl {
+    match run_at(vm, slots, fr) {
+        Ok(n) => advance(vm, slots, fr, n),
+        Err(exit) => exit,
     }
-    advance(vm, tr, fr, n)
 }
 
 /// Superinstruction: scalar run + unconditional jump, one dispatch.
 /// The run part follows the batching rules; the jump then charges
 /// individually off its *own* slot (rule 3), exactly as if dispatched.
-fn h_run_j<H: HostCall>(vm: &mut Vm<H>, tr: &ThreadedFn<H>, fr: &mut Frame) -> Ctl {
+fn h_run_j<H: HostCall>(vm: &mut Vm<H>, slots: &[Slot], fr: &mut Frame) -> Ctl {
     vm.trans.stats.fused_dispatches += 1;
-    let slot = &tr.slots[fr.i];
-    let n = slot.b as usize;
-    let halves = &tr.halves[slot.a as usize..slot.a as usize + n];
-    if let Some(exit) = exec_run(vm, fr, halves, u64::from(slot.cost)) {
-        return exit;
+    match run_at(vm, slots, fr) {
+        Ok(n) => {
+            fr.i += n;
+            h_jump(vm, slots, fr)
+        }
+        Err(exit) => exit,
     }
-    fr.i += n;
-    h_jump(vm, tr, fr)
 }
 
-/// Superinstruction: straight-line pair, one dispatch with a
-/// compile-time trip count of 2.
-fn h_pair<H: HostCall>(vm: &mut Vm<H>, tr: &ThreadedFn<H>, fr: &mut Frame) -> Ctl {
+/// Superinstruction: a straight-line run of exactly `N` scalars (the
+/// pair and the triple), one dispatch with a compile-time trip count.
+fn h_fixed<H: HostCall, const N: usize>(vm: &mut Vm<H>, slots: &[Slot], fr: &mut Frame) -> Ctl {
     vm.trans.stats.fused_dispatches += 1;
-    let slot = &tr.slots[fr.i];
-    let a = slot.a as usize;
-    let halves: &[SHalf; 2] = tr.halves[a..a + 2].try_into().expect("pair slot covers 2");
-    if let Some(exit) = exec_run(vm, fr, halves, u64::from(slot.cost)) {
-        return exit;
-    }
-    advance(vm, tr, fr, 2)
-}
-
-/// Superinstruction: straight-line triple, one dispatch with a
-/// compile-time trip count of 3.
-fn h_triple<H: HostCall>(vm: &mut Vm<H>, tr: &ThreadedFn<H>, fr: &mut Frame) -> Ctl {
-    vm.trans.stats.fused_dispatches += 1;
-    let slot = &tr.slots[fr.i];
-    let a = slot.a as usize;
-    let halves: &[SHalf; 3] = tr.halves[a..a + 3]
+    let run: &[Slot; N] = slots[fr.i..fr.i + N]
         .try_into()
-        .expect("triple slot covers 3");
-    if let Some(exit) = exec_run(vm, fr, halves, u64::from(slot.cost)) {
+        .expect("a fixed group covers N slots");
+    if let Some(exit) = exec_run(vm, fr, run, run[0].run_cost) {
         return exit;
     }
-    advance(vm, tr, fr, 3)
+    advance(vm, slots, fr, N)
 }
 
 /// Returns the superinstruction handler fusing a scalar run with the
@@ -567,20 +415,15 @@ fn h_triple<H: HostCall>(vm: &mut Vm<H>, tr: &ThreadedFn<H>, fr: &mut Frame) -> 
 fn run_branch_fn<H: HostCall>(op: Op) -> Handler<H> {
     macro_rules! rb {
         ($op:ident) => {{
-            fn go<H: HostCall>(vm: &mut Vm<H>, tr: &ThreadedFn<H>, fr: &mut Frame) -> Ctl {
+            fn go<H: HostCall>(vm: &mut Vm<H>, slots: &[Slot], fr: &mut Frame) -> Ctl {
                 vm.trans.stats.fused_dispatches += 1;
-                let slot = &tr.slots[fr.i];
-                let n = slot.b as usize;
-                let halves = &tr.halves[slot.a as usize..slot.a as usize + n];
-                if let Some(exit) = exec_run(vm, fr, halves, u64::from(slot.cost)) {
-                    return exit;
+                match run_at(vm, slots, fr) {
+                    Ok(n) => fr.i += n,
+                    Err(exit) => return exit,
                 }
-                fr.i += n;
-                let bslot = &tr.slots[fr.i];
-                let x = vm.state.reg(bslot.rd);
-                let y = vm.state.reg(bslot.rs1);
-                let taken = crate::interp::branch_taken(Op::$op, x, y);
-                branch_common(vm, tr, fr, taken)
+                let b = &slots[fr.i];
+                let taken = branch_taken(Op::$op, vm.state.reg(b.rd), vm.state.reg(b.rs1));
+                branch_common(vm, slots, fr, taken)
             }
             go::<H>
         }};
@@ -600,45 +443,32 @@ fn run_branch_fn<H: HostCall>(op: Op) -> Handler<H> {
     }
 }
 
-fn h_jump<H: HostCall>(vm: &mut Vm<H>, tr: &ThreadedFn<H>, fr: &mut Frame) -> Ctl {
-    let slot = &tr.slots[fr.i];
-    fr.cycles += u64::from(slot.cost);
-    fr.insns += 1;
-    if fr.cycles > fr.fuel {
-        flush(vm, fr);
-        return Ctl::Exit(Err(VmError::OutOfFuel));
+fn h_jump<H: HostCall>(vm: &mut Vm<H>, slots: &[Slot], fr: &mut Frame) -> Ctl {
+    let slot = &slots[fr.i];
+    if let Some(exit) = charge(vm, fr, slot.cost) {
+        return exit;
     }
-    goto(vm, tr, fr, i64::from(slot.target))
+    goto(vm, slots, fr, slot.target())
 }
 
-fn h_jal<H: HostCall>(vm: &mut Vm<H>, tr: &ThreadedFn<H>, fr: &mut Frame) -> Ctl {
-    let slot = &tr.slots[fr.i];
+fn h_jal<H: HostCall>(vm: &mut Vm<H>, slots: &[Slot], fr: &mut Frame) -> Ctl {
     vm.state
-        .set_reg(crate::regs::RA.0, tr.base + (fr.i as u64 + 1) * 4);
-    fr.cycles += u64::from(slot.cost);
-    fr.insns += 1;
-    if fr.cycles > fr.fuel {
-        flush(vm, fr);
-        return Ctl::Exit(Err(VmError::OutOfFuel));
-    }
-    goto(vm, tr, fr, i64::from(slot.target))
+        .set_reg(crate::regs::RA.0, fr.base + (fr.i as u64 + 1) * 4);
+    h_jump(vm, slots, fr)
 }
 
-fn h_jalr<H: HostCall>(vm: &mut Vm<H>, tr: &ThreadedFn<H>, fr: &mut Frame) -> Ctl {
-    let slot = &tr.slots[fr.i];
+fn h_jalr<H: HostCall>(vm: &mut Vm<H>, slots: &[Slot], fr: &mut Frame) -> Ctl {
+    let slot = &slots[fr.i];
     let target = vm.state.reg(slot.rs1);
-    vm.state.set_reg(slot.rd, tr.base + (fr.i as u64 + 1) * 4);
-    fr.cycles += u64::from(slot.cost);
-    fr.insns += 1;
-    if fr.cycles > fr.fuel {
-        flush(vm, fr);
-        return Ctl::Exit(Err(VmError::OutOfFuel));
+    vm.state.set_reg(slot.rd, fr.base + (fr.i as u64 + 1) * 4);
+    if let Some(exit) = charge(vm, fr, slot.cost) {
+        return exit;
     }
     // Stay in-buffer for indirect loops; liveness can only change via
     // a host call, which revalidates.
-    let len = tr.slots.len() as u64;
-    if target >= tr.base && target < tr.base + len * 4 && (target - tr.base).is_multiple_of(4) {
-        fr.i = ((target - tr.base) / 4) as usize;
+    let len = slots.len() as u64;
+    if target >= fr.base && target < fr.base + len * 4 && (target - fr.base).is_multiple_of(4) {
+        fr.i = ((target - fr.base) / 4) as usize;
         Ctl::Cont
     } else {
         flush(vm, fr);
@@ -646,299 +476,130 @@ fn h_jalr<H: HostCall>(vm: &mut Vm<H>, tr: &ThreadedFn<H>, fr: &mut Frame) -> Ct
     }
 }
 
-fn h_halt<H: HostCall>(vm: &mut Vm<H>, tr: &ThreadedFn<H>, fr: &mut Frame) -> Ctl {
+fn h_halt<H: HostCall>(vm: &mut Vm<H>, slots: &[Slot], fr: &mut Frame) -> Ctl {
     // Charged but never fuel-checked (the run is over) — reference
     // engine behavior.
-    let slot = &tr.slots[fr.i];
-    fr.cycles += u64::from(slot.cost);
+    fr.cycles += u64::from(slots[fr.i].cost);
     fr.insns += 1;
     flush(vm, fr);
     Ctl::Exit(Ok(Step::Done(ExitStatus::Halted)))
 }
 
-fn h_hcall<H: HostCall>(vm: &mut Vm<H>, tr: &ThreadedFn<H>, fr: &mut Frame) -> Ctl {
-    let slot = &tr.slots[fr.i];
-    let num = slot.a;
-    let cost = u64::from(slot.cost);
+fn h_hcall<H: HostCall>(vm: &mut Vm<H>, slots: &[Slot], fr: &mut Frame) -> Ctl {
+    let slot = &slots[fr.i];
     // The host observes counters as of before this instruction retires,
     // and may mutate them (or the code space) arbitrarily.
     flush(vm, fr);
     vm.state.hcalls += 1;
-    if let Err(e) = vm.host.call(num, &mut vm.state) {
+    if let Err(e) = vm.host.call(slot.imm as u32, &mut vm.state) {
         return Ctl::Exit(Err(e));
     }
     fr.cycles = vm.state.cycles;
     fr.insns = vm.state.insns;
     fr.entry_insns = fr.insns;
-    fr.cycles += cost;
-    fr.insns += 1;
-    if fr.cycles > fr.fuel {
-        flush(vm, fr);
-        return Ctl::Exit(Err(VmError::OutOfFuel));
+    if let Some(exit) = charge(vm, fr, slot.cost) {
+        return exit;
     }
     if vm.state.code.live_epoch() != vm.trans.epoch {
         // The host freed or patched code; leave the buffer so the
         // outer loop revalidates.
         fr.i += 1;
         flush(vm, fr);
-        return Ctl::Exit(Ok(Step::At(tr.base.wrapping_add((fr.i as u64) * 4))));
+        return Ctl::Exit(Ok(Step::At(fr.base.wrapping_add((fr.i as u64) * 4))));
     }
-    advance(vm, tr, fr, 1)
+    advance(vm, slots, fr, 1)
 }
 
-fn h_trap<H: HostCall>(vm: &mut Vm<H>, tr: &ThreadedFn<H>, fr: &mut Frame) -> Ctl {
-    let slot = &tr.slots[fr.i];
+fn h_trap<H: HostCall>(vm: &mut Vm<H>, slots: &[Slot], fr: &mut Frame) -> Ctl {
     flush(vm, fr);
-    Ctl::Exit(Err(VmError::BadOpcode(slot.a as u8)))
+    Ctl::Exit(Err(VmError::BadOpcode(slots[fr.i].imm as u8)))
 }
 
-/// Buffer index a control transfer at index `i` with word offset `imm`
-/// lands on.
-fn rel_target(i: usize, imm: i32) -> i32 {
-    i32::try_from(i as i64 + 1 + i64::from(imm)).expect("branch target fits i32")
+/// Packs a superinstruction group's opcodes (two or three) into its
+/// histogram key: the count in the top byte, then one byte an opcode.
+/// [`Vm::fused_shape_histogram`] turns keys back into mnemonics, so no
+/// string is built while translating.
+pub(crate) fn pack_shape(ops: &[Op]) -> u32 {
+    ops.iter()
+        .fold(ops.len() as u32, |key, &op| key << 8 | op as u32)
+        << (8 * (3 - ops.len()))
 }
 
-fn icost(c: u64) -> u32 {
-    u32::try_from(c).expect("per-insn cost fits u32")
+/// The superinstruction group that starts at scalar slot `i`, if one
+/// does: its combined handler and packed shape. Control fusion wins over
+/// the straight-line pair/triple forms — it saves a dispatch per loop
+/// iteration rather than per straight-line entry.
+fn group_at<H: HostCall>(slots: &[Slot], i: usize) -> Option<(Handler<H>, u32)> {
+    let n = slots[i].run_len();
+    let (first, last) = (&slots[i], &slots[i + n - 1]);
+    Some(match slots.get(i + n) {
+        Some(next) if next.kind == Kind::Jump => (h_run_j::<H>, pack_shape(&[last.op, next.op])),
+        Some(next) if last.pair == Pair::Branch => {
+            (run_branch_fn::<H>(next.op), pack_shape(&[last.op, next.op]))
+        }
+        _ if n == 2 => (h_fixed::<H, 2>, pack_shape(&[first.op, last.op])),
+        _ if n == 3 => (
+            h_fixed::<H, 3>,
+            pack_shape(&[first.op, slots[i + 1].op, last.op]),
+        ),
+        _ => return None,
+    })
 }
 
-/// Translates the sealed words of the range starting at word index
-/// `start` into a direct-threaded buffer with per-slot run-suffix cost
-/// summaries.
+/// Builds a function's direct-threaded form over its decoded array:
+/// one pass that picks a handler per slot. Superinstruction selection
+/// is slot-preserving — only a group's first index gets the combined
+/// handler, so mid-group control transfers still dispatch the unfused
+/// ones. Also returns the packed shape of every group compiled.
 ///
-/// Takes the raw words (not the `CodeSpace`) so the adaptive engine's
-/// background worker can run it over a snapshot without holding any
-/// borrow of the VM; `start` only positions the buffer's base address.
-pub(crate) fn translate<H: HostCall>(
-    words: &[u32],
-    start: usize,
-    cost: &CostModel,
-) -> ThreadedFn<H> {
-    /// What kind of slot translation produced — consumed by the
-    /// superinstruction fusion pass below.
-    enum CtlKind {
-        Scalar,
-        Jump,
-        Branch(Op),
-        Other,
-    }
-    let mut slots: Vec<TSlot<H>> = Vec::with_capacity(words.len());
-    let mut halves: Vec<SHalf> = Vec::with_capacity(words.len());
-    let mut half_ops: Vec<Op> = Vec::with_capacity(words.len());
-    let mut kinds: Vec<CtlKind> = Vec::with_capacity(words.len());
-    let blank = |handler: Handler<H>| TSlot {
-        handler,
-        a: 0,
-        b: 0,
-        cost: 0,
-        taken_cost: 0,
-        target: 0,
-        rd: 0,
-        rs1: 0,
+/// Takes slots, not words: promoting a function that holds its decoded
+/// array decodes nothing, by type.
+pub(crate) fn thread<H: HostCall>(decoded: &Arc<Decoded>) -> (ThreadedFn<H>, Vec<u32>) {
+    let slots = &decoded.slots[..];
+    let mut groups = Vec::new();
+    let handlers = slots
+        .iter()
+        .enumerate()
+        .map(|(i, slot)| -> Handler<H> {
+            match slot.kind {
+                Kind::Trap => h_trap::<H>,
+                Kind::Halt => h_halt::<H>,
+                Kind::Hcall => h_hcall::<H>,
+                Kind::Jump => h_jump::<H>,
+                Kind::Jal => h_jal::<H>,
+                Kind::Jalr => h_jalr::<H>,
+                Kind::Branch => branch_fn::<H>(slot.op),
+                Kind::Scalar => match group_at::<H>(slots, i) {
+                    Some((handler, shape)) => {
+                        groups.push(shape);
+                        handler
+                    }
+                    None => h_run::<H>,
+                },
+            }
+        })
+        .collect();
+    let tr = ThreadedFn {
+        decoded: Arc::clone(decoded),
+        handlers,
     };
-    for (i, &word) in words.iter().enumerate() {
-        let insn = match Insn::decode(word) {
-            Ok(insn) => insn,
-            Err(_) => {
-                let mut t = blank(h_trap::<H>);
-                t.a = u32::from((word >> 24) as u8);
-                slots.push(t);
-                kinds.push(CtlKind::Other);
-                continue;
-            }
-        };
-        let c = icost(cost.cost(insn.op));
-        let slot = match insn.op {
-            Op::Halt => {
-                let mut t = blank(h_halt::<H>);
-                t.cost = c;
-                t
-            }
-            Op::Hcall => {
-                let mut t = blank(h_hcall::<H>);
-                t.a = insn.imm as u32;
-                t.cost = c;
-                t
-            }
-            Op::J => {
-                let mut t = blank(h_jump::<H>);
-                t.cost = c;
-                t.target = rel_target(i, insn.imm);
-                t
-            }
-            Op::Jal => {
-                let mut t = blank(h_jal::<H>);
-                t.cost = c;
-                t.target = rel_target(i, insn.imm);
-                t
-            }
-            Op::Jalr => {
-                let mut t = blank(h_jalr::<H>);
-                t.rd = insn.rd;
-                t.rs1 = insn.rs1;
-                t.cost = c;
-                t
-            }
-            op if op.is_branch() => {
-                let mut t = blank(branch_fn::<H>(op));
-                t.rd = insn.rd;
-                t.rs1 = insn.rs1;
-                t.cost = c;
-                t.taken_cost = icost(cost.cost(op) + cost.branch_taken_extra);
-                t.target = rel_target(i, insn.imm);
-                t
-            }
-            op => {
-                let mut t = blank(h_run::<H>);
-                t.a = u32::try_from(halves.len()).expect("function fits u32 slots");
-                t.b = 1;
-                t.cost = c;
-                halves.push(SHalf {
-                    f: scalar_fn(op),
-                    rd: insn.rd,
-                    rs1: insn.rs1,
-                    rs2: insn.rs2,
-                    op,
-                    imm: insn.imm,
-                    cost: c,
-                });
-                half_ops.push(op);
-                t
-            }
-        };
-        slots.push(slot);
-        kinds.push(match insn.op {
-            Op::J => CtlKind::Jump,
-            Op::Halt | Op::Hcall | Op::Jal | Op::Jalr => CtlKind::Other,
-            op if op.is_branch() => CtlKind::Branch(op),
-            _ => CtlKind::Scalar,
-        });
-    }
-    // Backward pass: extend each scalar slot's run summary with its
-    // successor's, turning `b`/`cost` into suffix length and cost.
-    for i in (0..slots.len().saturating_sub(1)).rev() {
-        if slots[i].b > 0 && slots[i + 1].b > 0 {
-            slots[i].b += slots[i + 1].b;
-            slots[i].cost = slots[i]
-                .cost
-                .checked_add(slots[i + 1].cost)
-                .expect("run cost fits u32");
-        }
-    }
-    // Superinstruction fusion pass (slot-preserving: only the group's
-    // first slot changes handler, so mid-group control transfers still
-    // dispatch the unfused entries). Control fusion wins over the
-    // straight-line pair/triple forms — it saves a dispatch per loop
-    // iteration rather than per straight-line entry.
-    let mut superinstructions = 0u64;
-    let mut shape_counts: std::collections::HashMap<String, u64> = std::collections::HashMap::new();
-    for i in 0..slots.len() {
-        let n = slots[i].b as usize;
-        if n == 0 {
-            continue; // not a scalar slot
-        }
-        let last = slots[i].a as usize + n - 1;
-        let j = i + n;
-        let shape = match kinds.get(j) {
-            Some(CtlKind::Jump) => {
-                slots[i].handler = h_run_j::<H>;
-                format!("{}+j", half_ops[last].mnemonic())
-            }
-            Some(&CtlKind::Branch(bop))
-                if halves[last].rd == slots[j].rd || halves[last].rd == slots[j].rs1 =>
-            {
-                slots[i].handler = run_branch_fn::<H>(bop);
-                format!("{}+{}", half_ops[last].mnemonic(), bop.mnemonic())
-            }
-            _ if n == 2 => {
-                slots[i].handler = h_pair::<H>;
-                let a = slots[i].a as usize;
-                format!("{}+{}", half_ops[a].mnemonic(), half_ops[a + 1].mnemonic())
-            }
-            _ if n == 3 => {
-                slots[i].handler = h_triple::<H>;
-                let a = slots[i].a as usize;
-                format!(
-                    "{}+{}+{}",
-                    half_ops[a].mnemonic(),
-                    half_ops[a + 1].mnemonic(),
-                    half_ops[a + 2].mnemonic()
-                )
-            }
-            _ => continue,
-        };
-        superinstructions += 1;
-        *shape_counts.entry(shape).or_insert(0) += 1;
-    }
-    ThreadedFn {
-        base: CODE_BASE + (start as u64) * 4,
-        slots,
-        halves,
-        superinstructions,
-        shapes: shape_counts.into_iter().collect(),
-    }
+    (tr, groups)
 }
 
 impl<H: HostCall> Vm<H> {
-    /// The direct-threaded engine's run loop. Structure matches
-    /// `run_predecoded`: threaded dispatch where a translation exists,
-    /// reference-engine single steps where one doesn't, so every fault
-    /// is raised by the exact same code on both paths.
-    pub(crate) fn run_threaded(&mut self, mut pc: u64) -> Result<ExitStatus, VmError> {
-        loop {
-            if pc == RETURN_SENTINEL {
-                return Ok(ExitStatus::Returned);
-            }
-            let step = match self.threaded_at(pc) {
-                Some(tr) => self.dispatch_threaded(&tr, pc)?,
-                None => {
-                    let step = self.step_slow(pc)?;
-                    self.trans.stats.slow_insns += 1;
-                    step
-                }
-            };
-            match step {
-                Step::At(next) => pc = next,
-                Step::Done(status) => return Ok(status),
-            }
-        }
-    }
-
-    /// Looks up (or lazily builds) the threaded buffer covering `pc`,
-    /// validating the cache against the code space's live epoch first.
-    pub(crate) fn threaded_at(&mut self, pc: u64) -> Option<Arc<ThreadedFn<H>>> {
-        self.trans.sync_epoch(&self.state.code);
-        let fi = self.record_at(pc)?;
-        if let Translation::Threaded(tr) = &self.trans.tier_fns[fi as usize].tr {
-            return Some(Arc::clone(tr));
-        }
-        Some(self.build_threaded(fi))
-    }
-
-    /// Translates record `fi`'s function into a threaded buffer and
-    /// installs it on the record (releasing a decoded buffer held
-    /// there).
-    pub(crate) fn build_threaded(&mut self, fi: u32) -> Arc<ThreadedFn<H>> {
-        let (start, end) = self.trans.tier_fns[fi as usize].range();
-        let tr = Arc::new(translate::<H>(
-            self.state.code.word_slice(start, end),
-            start,
-            &self.cost,
-        ));
-        self.trans
-            .install(fi, Translation::Threaded(Arc::clone(&tr)));
-        tr
-    }
-
-    /// The tight loop: call the current slot's handler until control
-    /// leaves the buffer, a run terminates, or an error is raised.
+    /// The tight loop over the function installed at `base`: call the
+    /// current slot's handler until control leaves the buffer, a run
+    /// terminates, or an error is raised.
     pub(crate) fn dispatch_threaded(
         &mut self,
         tr: &ThreadedFn<H>,
+        base: u64,
         pc: u64,
     ) -> Result<Step, VmError> {
+        let slots = &tr.decoded.slots[..];
         let mut fr = Frame {
-            i: ((pc - tr.base) / 4) as usize,
+            i: ((pc - base) / 4) as usize,
+            base,
             cycles: self.state.cycles,
             insns: self.state.insns,
             entry_insns: self.state.insns,
@@ -947,8 +608,7 @@ impl<H: HostCall> Vm<H> {
         };
         loop {
             fr.dispatches += 1;
-            let handler = tr.slots[fr.i].handler;
-            match handler(self, tr, &mut fr) {
+            match (tr.handlers[fr.i])(self, slots, &mut fr) {
                 Ctl::Cont => {}
                 Ctl::Exit(r) => return r,
             }
@@ -963,7 +623,14 @@ impl<H: HostCall> Vm<H> {
             .trans
             .shapes
             .iter()
-            .map(|(s, &c)| (s.clone(), c))
+            .map(|(&key, &count)| {
+                let ops = key.to_be_bytes();
+                let names: Vec<&str> = ops[1..=ops[0] as usize]
+                    .iter()
+                    .map(|&b| Op::from_u8(b).map_or("?", Op::mnemonic))
+                    .collect();
+                (names.join("+"), count)
+            })
             .collect();
         v.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
         v
@@ -975,11 +642,11 @@ impl<H: HostCall> Vm<H> {
 pub fn handler_table_sizes() -> (u64, u64, u64) {
     (SCALAR_HANDLERS, CONTROL_HANDLERS, SUPER_HANDLERS)
 }
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::code::CodeSpace;
+    use crate::isa::Insn;
     use crate::predecode::ExecEngine;
     use crate::regs::{A0, AT0, ZERO};
 
@@ -1006,10 +673,14 @@ mod tests {
 
     #[test]
     fn slot_is_half_a_cache_line() {
-        // Every translated word carries one, and every fresh loop now
-        // earns a threaded buffer inside its first run: 48 -> 32 bytes
-        // is part of what holds peak RSS where it was.
-        assert!(std::mem::size_of::<TSlot<crate::host::NoHost>>() <= 32);
+        // Every translated word carries one decoded slot — shared by
+        // both tiers and by every session of a pool — and at tier 2 one
+        // handler beside it, and every fresh loop earns a threaded form
+        // inside its first run: 24 + 8 bytes a word (was 32 + 24 per
+        // scalar on top of tier 1's 32) is part of what holds peak RSS
+        // where it was.
+        assert!(std::mem::size_of::<Slot>() <= 24);
+        assert_eq!(std::mem::size_of::<Handler<crate::host::NoHost>>(), 8);
     }
 
     #[test]

@@ -36,7 +36,7 @@
 #                               absolute 5x floor; one retry absorbs
 #                               machine noise)
 set -u
-cd /root/repo
+cd "$(dirname "$0")"
 
 quick=0
 check=0

@@ -40,8 +40,11 @@ fn session(fuse_after: u32, thread_after: u32, budget: Option<u64>) -> Session {
         SRC,
         Config {
             code_budget: budget,
-            adaptive_fuse_after: fuse_after,
-            adaptive_thread_after: thread_after,
+            engine: Some(ExecEngine::Adaptive {
+                fuse_after,
+                thread_after,
+                background: false,
+            }),
             ..Config::default()
         },
     )
@@ -263,8 +266,11 @@ proptest! {
     ) {
         let (fuse_after, thread_after) = ft;
         let config = Config {
-            adaptive_fuse_after: fuse_after,
-            adaptive_thread_after: thread_after,
+            engine: Some(ExecEngine::Adaptive {
+                fuse_after,
+                thread_after,
+                background: false,
+            }),
             ..Config::default()
         };
         let mut s = Session::new(LOOP_SRC, config.clone()).expect("compiles");
