@@ -18,7 +18,7 @@
 //! argument. Requests are bit-deterministic: the same cell must
 //! produce the same result, instruction count, and cycle count on
 //! every thread of every pool size — the differential harness inside
-//! [`run_serve`] asserts this on every single request.
+//! [`run_serve`] asserts this of every single request, after the replay.
 //!
 //! Churn: every `churn_every`-th request invalidates a resident
 //! artifact chosen deterministically from the shared cache, forcing
@@ -27,7 +27,7 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Instant;
 
 use rand::distributions::{Distribution, Zipf};
@@ -103,7 +103,8 @@ pub struct ServeOptions {
 }
 
 impl ServeOptions {
-    /// The benchmark configuration `suite serve` reports on.
+    /// The full-size configuration (the repo benchmark's
+    /// `serve.run_serve_*` layer replays it, at 40,000 requests).
     pub fn full() -> ServeOptions {
         ServeOptions {
             requests: 2000,
@@ -117,7 +118,7 @@ impl ServeOptions {
         }
     }
 
-    /// A seconds-scale variant for CI (`suite serve --smoke`).
+    /// A seconds-scale variant for tests (`tests/concurrency.rs`).
     pub fn smoke() -> ServeOptions {
         ServeOptions {
             requests: 150,
@@ -224,7 +225,10 @@ fn percentile(sorted: &[u64], q: f64) -> u64 {
 #[derive(Default)]
 struct WorkerOut {
     latencies_ns: Vec<u64>,
-    checksum: u64,
+    /// Every request's signature, in the order this worker served them:
+    /// what the differential and the replay digest are computed from,
+    /// once the clock has stopped.
+    signatures: Vec<(Cell, Signature)>,
     stale_faults: u64,
 }
 
@@ -296,10 +300,6 @@ pub fn run_serve(threads: usize, opts: &ServeOptions) -> ServeReport {
     };
     let shared = SharedArtifacts::new(16, opts.budget);
     let hub = TransHub::spawn();
-    // The differential record: every execution of a cell must match
-    // the first recorded signature, no matter which thread ran it or
-    // which session compiled it.
-    let differential: Arc<Mutex<HashMap<Cell, Signature>>> = Arc::new(Mutex::new(HashMap::new()));
     let next = Arc::new(AtomicUsize::new(0));
     // Sessions are built (front end + static codegen) outside the
     // timed window: a service constructs its pool once, then serves.
@@ -314,7 +314,6 @@ pub fn run_serve(threads: usize, opts: &ServeOptions) -> ServeReport {
             let stream = Arc::clone(&stream);
             let next = Arc::clone(&next);
             let shared = Arc::clone(&shared);
-            let differential = Arc::clone(&differential);
             let churn_every = opts.churn_every;
             joins.push(scope.spawn(move || {
                 let mut out = WorkerOut::default();
@@ -335,17 +334,7 @@ pub fn run_serve(threads: usize, opts: &ServeOptions) -> ServeReport {
                     }
                     let sig = serve_one(&mut session, cell, &mut out);
                     out.latencies_ns.push(t.elapsed().as_nanos() as u64);
-                    let mut diff = differential.lock().unwrap_or_else(|e| e.into_inner());
-                    let first = *diff.entry(cell).or_insert(sig);
-                    assert_eq!(
-                        first, sig,
-                        "cell {cell:?} diverged across threads: {first:?} vs {sig:?}"
-                    );
-                    drop(diff);
-                    out.checksum = out.checksum.wrapping_add(mix(
-                        cell.0 as u64,
-                        sig.0 ^ sig.1.rotate_left(16) ^ sig.2.rotate_left(32),
-                    ));
+                    out.signatures.push((cell, sig));
                 }
                 out
             }));
@@ -357,12 +346,28 @@ pub fn run_serve(threads: usize, opts: &ServeOptions) -> ServeReport {
     });
     let elapsed_ns = t0.elapsed().as_nanos() as u64;
 
-    let mut latencies: Vec<u64> = Vec::with_capacity(stream.len());
+    // The differential: every execution of a cell must match the first
+    // recorded signature, no matter which thread ran it or which session
+    // compiled it. Checked here, over what the workers wrote down, so
+    // that no request waits on another's check inside the timed window.
+    let mut differential: HashMap<Cell, Signature> = HashMap::new();
     let mut checksum = 0u64;
+    for &(cell, sig) in outs.iter().flat_map(|out| &out.signatures) {
+        let first = *differential.entry(cell).or_insert(sig);
+        assert_eq!(
+            first, sig,
+            "cell {cell:?} diverged across threads: {first:?} vs {sig:?}"
+        );
+        checksum = checksum.wrapping_add(mix(
+            cell.0 as u64,
+            sig.0 ^ sig.1.rotate_left(16) ^ sig.2.rotate_left(32),
+        ));
+    }
+
+    let mut latencies: Vec<u64> = Vec::with_capacity(stream.len());
     let mut stale_faults = 0u64;
     for out in outs {
         latencies.extend(out.latencies_ns);
-        checksum = checksum.wrapping_add(out.checksum);
         stale_faults += out.stale_faults;
     }
     latencies.sort_unstable();

@@ -12,15 +12,14 @@
 //! `cache_bench` does: each timed region starts from a cold
 //! translation cache (`set_engine` drops translations and tier state)
 //! and executes the kernel `reuse` times, so the row captures the full
-//! cold-to-hot trajectory rather than steady state. Each cell also
-//! records the **warm** marginal ns/run per engine (translations and
-//! tier climbs long paid); the per-kernel [`warm_summary`] — the
-//! fastest warm observation per engine across the sweep — is the
-//! steady-state number the adaptive engine is accepted against
-//! (`warm_adaptive_vs_best`), while the cold columns price the climb
-//! itself. Emitted as `BENCH_adaptive.json` by the suite binary; the
-//! committed baseline under `baselines/` pins the calibration used to
-//! pick the default thresholds.
+//! cold-to-hot trajectory — the price of the climb itself. Steady state
+//! is not measured here: that is `vm.adaptive_ns_per_insn` against
+//! `vm.threaded_ns_per_insn` on the repo benchmark's `exec_steady`
+//! workload. This is a report, gated by nothing; the cross-engine
+//! equivalence assert inside `compare` is the only thing in it that
+//! can fail. Emitted as `BENCH_adaptive.json` by the suite binary; the
+//! committed copy under `baselines/` is the record of the calibration
+//! used to pick the default thresholds (DESIGN.md §12).
 
 use std::sync::OnceLock;
 use std::time::Instant;
@@ -54,9 +53,7 @@ const TARGET_NS: u64 = 40_000_000;
 
 /// The engines compared per cell. The adaptive engine runs with its
 /// shipping defaults (`ExecEngine::default()`); `adaptive-bg` is the
-/// same thresholds with translation handed to the background worker,
-/// so its per-run tail (`run_p99_*`) prices what moving translation
-/// off the critical path buys at the promotion points.
+/// same thresholds with translation handed to the background worker.
 const ENGINES: [(&str, ExecEngine); 5] = [
     ("decode", ExecEngine::DecodePerStep),
     ("fused", ExecEngine::Predecoded { fuse: true }),
@@ -105,26 +102,6 @@ pub struct AdaptiveBenchRow {
     /// 0, 1 and 2 over its cold reps — where the cell's time went, as
     /// opposed to where its entries landed.
     pub insns_tier: [u64; 3],
-    /// Warm marginal ns per run (translations long paid): decode.
-    pub warm_decode_ns: u64,
-    /// Warm marginal ns per run: predecoded + fused.
-    pub warm_fused_ns: u64,
-    /// Warm marginal ns per run: direct-threaded.
-    pub warm_threaded_ns: u64,
-    /// Warm marginal ns per run: adaptive at its steady-state tier.
-    pub warm_adaptive_ns: u64,
-    /// Warm marginal ns per run: adaptive with the background worker.
-    pub warm_adaptive_bg_ns: u64,
-    /// Slowest single cold run across all reps: synchronous adaptive.
-    /// The worst run eats a full translation at a promotion boundary.
-    pub run_max_adaptive_ns: u64,
-    /// 99th-percentile single cold run: synchronous adaptive.
-    pub run_p99_adaptive_ns: u64,
-    /// Slowest single cold run: adaptive with the background worker.
-    pub run_max_adaptive_bg_ns: u64,
-    /// 99th-percentile single cold run: background-worker adaptive —
-    /// the tail-latency number the tiering pipeline is accepted on.
-    pub run_p99_adaptive_bg_ns: u64,
 }
 
 impl AdaptiveBenchRow {
@@ -157,104 +134,6 @@ impl AdaptiveBenchRow {
     pub fn speedup_vs_threaded(&self) -> f64 {
         self.threaded_ns as f64 / self.adaptive_ns.max(1) as f64
     }
-
-    /// The cheapest fixed engine once everything is warm.
-    pub fn warm_best_fixed_ns(&self) -> u64 {
-        self.warm_decode_ns
-            .min(self.warm_fused_ns)
-            .min(self.warm_threaded_ns)
-    }
-
-    /// Warm marginal cost of the adaptive engine relative to the best
-    /// warm fixed engine for this cell. Per-cell this is noisy (two
-    /// independent measurements divided); the acceptance number is the
-    /// per-kernel [`warm_summary`] version.
-    pub fn warm_adaptive_vs_best(&self) -> f64 {
-        self.warm_adaptive_ns as f64 / self.warm_best_fixed_ns().max(1) as f64
-    }
-
-    /// Cold per-run p99 of the synchronous adaptive engine over the
-    /// background worker's (> 1.0 means the worker shortened the tail).
-    /// A ratio of back-to-back runs on the same machine, so it is
-    /// stable across machines the way the speedup columns are — this is
-    /// the number `exec-check` gates. 0.0 when either side has no
-    /// samples (a row predating the tail columns), which the gate
-    /// treats as warn-and-skip.
-    ///
-    /// Which side of 1.0 the ratio lands on is host-dependent: moving
-    /// translation off-thread only buys tail latency when translation
-    /// cost is a large fraction of a run (the `straight` kernel at low
-    /// reuse) or when a spare hardware thread can absorb the build. On
-    /// a single-CPU host the worker time-shares the core with the VM
-    /// and short loop kernels pay wakeup latency instead, pushing the
-    /// ratio below 1. The gate therefore checks the ratio against the
-    /// same-machine baseline rather than against 1.0.
-    pub fn tail_p99_improvement(&self) -> f64 {
-        if self.run_p99_adaptive_ns == 0 || self.run_p99_adaptive_bg_ns == 0 {
-            return 0.0;
-        }
-        self.run_p99_adaptive_ns as f64 / self.run_p99_adaptive_bg_ns as f64
-    }
-}
-
-/// Per-kernel steady-state summary: the fastest warm observation of
-/// each engine across the whole sweep. Warm marginal cost does not
-/// depend on the reuse count, so a kernel's five rows are five
-/// independent measurements of the same quantity — the min across
-/// them survives a scheduler stall poisoning any single cell, which
-/// no per-cell estimator can. `warm_adaptive_vs_best` here is the
-/// steady-state acceptance number (target <= 1.05).
-#[derive(Clone, Copy, Debug)]
-pub struct WarmSummary {
-    /// Kernel name.
-    pub kernel: &'static str,
-    /// Fastest warm ns/run observed: decode-per-step.
-    pub warm_decode_ns: u64,
-    /// Fastest warm ns/run observed: predecoded + fused.
-    pub warm_fused_ns: u64,
-    /// Fastest warm ns/run observed: direct-threaded.
-    pub warm_threaded_ns: u64,
-    /// Fastest warm ns/run observed: adaptive at its steady-state tier.
-    pub warm_adaptive_ns: u64,
-}
-
-impl WarmSummary {
-    /// The cheapest warm fixed engine for this kernel.
-    pub fn warm_best_fixed_ns(&self) -> u64 {
-        self.warm_decode_ns
-            .min(self.warm_fused_ns)
-            .min(self.warm_threaded_ns)
-    }
-
-    /// Steady-state cost of the adaptive engine over the best fixed
-    /// engine — the acceptance number (<= 1.05).
-    pub fn warm_adaptive_vs_best(&self) -> f64 {
-        self.warm_adaptive_ns as f64 / self.warm_best_fixed_ns().max(1) as f64
-    }
-}
-
-/// Folds the sweep into one [`WarmSummary`] per kernel, in order of
-/// first appearance.
-pub fn warm_summary(rows: &[AdaptiveBenchRow]) -> Vec<WarmSummary> {
-    let mut out: Vec<WarmSummary> = Vec::new();
-    for r in rows {
-        match out.iter_mut().find(|s| s.kernel == r.kernel) {
-            Some(s) => {
-                s.warm_decode_ns = s.warm_decode_ns.min(r.warm_decode_ns);
-                s.warm_fused_ns = s.warm_fused_ns.min(r.warm_fused_ns);
-                s.warm_threaded_ns = s.warm_threaded_ns.min(r.warm_threaded_ns);
-                s.warm_adaptive_ns = s.warm_adaptive_ns.min(r.warm_adaptive_ns);
-            }
-            None => out.push(WarmSummary {
-                kernel: r.kernel,
-                warm_decode_ns: r.warm_decode_ns,
-                warm_fused_ns: r.warm_fused_ns,
-                warm_threaded_ns: r.warm_threaded_ns,
-                warm_adaptive_ns: r.warm_adaptive_ns,
-            }),
-        }
-    }
-    out
 }
 
 fn straight_src() -> String {
@@ -344,53 +223,22 @@ fn defs() -> Vec<(BenchDef, Sweeps)> {
 
 struct Timed {
     ns: u64,
-    warm_ns: u64,
-    /// Slowest single run across every cold rep.
-    run_max_ns: u64,
-    /// 99th-percentile single run across every cold rep.
-    run_p99_ns: u64,
     checksum: u64,
     cycles: u64,
     insns: u64,
     promotions: u64,
-    /// Instructions retired per tier over the cold reps.
+    /// Instructions retired per tier.
     insns_tier: [u64; 3],
 }
 
-/// Max and p99 of a sample set (ns). p99 is the nearest-rank
-/// estimator: the sample at index `ceil(0.99 * n) - 1` after sorting,
-/// so small sample sets degrade toward the max rather than
-/// interpolating values that were never observed.
-fn tail(samples: &mut [u64]) -> (u64, u64) {
-    if samples.is_empty() {
-        return (0, 0);
-    }
-    samples.sort_unstable();
-    let n = samples.len();
-    let p99 = samples[(n * 99).div_ceil(100).max(1) - 1];
-    (samples[n - 1], p99)
-}
-
-/// Untimed runs after the cold reps that carry every function to its
-/// steady-state tier before the warm measurement.
-const WARM_WARMUP_RUNS: u64 = 16;
-
-/// Runs averaged per warm timing batch.
-const WARM_TIMED_RUNS: u64 = 64;
-
-/// Warm batches measured in a full run (the smoke run takes one, the
-/// rep-count probe none); the cell keeps the fastest batch. The min is
-/// the standard estimator for a fixed-work microbenchmark — every
-/// source of noise (preemption, interrupts, frequency steps) only adds
-/// time, so the fastest batch is the closest observation of the true
-/// marginal cost. Cold starts use the same estimator (fastest rep).
-const WARM_BATCHES: u64 = 32;
-
-/// Times `reps` cold starts of `reuse` runs each. `set_engine` before
-/// every timed region drops the translation cache *and* the adaptive
-/// tier state, so each rep pays the engine's full translate+run cost
-/// from scratch — the quantity the tiering thresholds trade off.
-fn drive(b: &BenchDef, engine: ExecEngine, reuse: u64, reps: u64, warm_batches: u64) -> Timed {
+/// Times `reps` cold starts of `reuse` runs each and keeps the fastest
+/// (the standard estimator for fixed work: noise only ever adds time).
+/// `set_engine` before every timed region drops the translation cache
+/// *and* the adaptive tier state, so each rep pays the engine's full
+/// translate+run cost from scratch — the quantity the tiering
+/// thresholds trade off. The clock is read at the two ends of a rep and
+/// nowhere inside it.
+fn drive(b: &BenchDef, engine: ExecEngine, reuse: u64, reps: u64) -> Timed {
     let mut s = Session::new(b.src, Config::default()).expect("benchmark source compiles");
     s.vm.set_engine(engine);
     (b.setup)(&mut s);
@@ -398,71 +246,43 @@ fn drive(b: &BenchDef, engine: ExecEngine, reuse: u64, reps: u64, warm_batches: 
     s.reset_counters();
     let mut checksum = 0u64;
     let mut best = u64::MAX;
-    let mut samples: Vec<u64> = Vec::with_capacity((reps * reuse) as usize);
     for _ in 0..reps {
         s.vm.set_engine(engine);
         let t = Instant::now();
         for _ in 0..reuse {
-            let r = Instant::now();
             checksum = checksum.wrapping_add((b.run_dyn)(&mut s, fp));
-            samples.push(r.elapsed().as_nanos() as u64);
         }
         best = best.min(t.elapsed().as_nanos() as u64);
     }
-    let (run_max_ns, run_p99_ns) = tail(&mut samples);
-    let cold = s.metrics().adaptive;
-    // Warm marginal cost: no reset, translations and tiers long paid.
-    // Min over batches; a scheduler stall long enough to span every
-    // batch still poisons the cell, which is why the derived
-    // acceptance number is the per-kernel min across the sweep
-    // ([`warm_summary`]) rather than any single cell.
-    let warmup = if warm_batches > 0 {
-        WARM_WARMUP_RUNS
-    } else {
-        0
-    };
-    for _ in 0..warmup {
-        checksum = checksum.wrapping_add((b.run_dyn)(&mut s, fp));
-    }
-    // Settle any in-flight background translations so the warm batches
-    // measure the steady-state tier, not a straggling swap (no-op for
-    // the synchronous engines: nothing is ever pending).
-    s.vm.drain_background_translations();
-    let mut warm_ns = u64::MAX;
-    for _ in 0..warm_batches {
-        let t = Instant::now();
-        for _ in 0..WARM_TIMED_RUNS {
-            checksum = checksum.wrapping_add((b.run_dyn)(&mut s, fp));
-        }
-        warm_ns = warm_ns.min(t.elapsed().as_nanos() as u64 / WARM_TIMED_RUNS);
-    }
+    let adaptive = s.metrics().adaptive;
     Timed {
         ns: best,
-        warm_ns,
-        run_max_ns,
-        run_p99_ns,
         checksum,
         cycles: s.cycles(),
         insns: s.insns(),
-        promotions: s.metrics().adaptive.promotions,
-        insns_tier: [cold.insns_tier0, cold.insns_tier1, cold.insns_tier2],
+        promotions: adaptive.promotions,
+        insns_tier: [
+            adaptive.insns_tier0,
+            adaptive.insns_tier1,
+            adaptive.insns_tier2,
+        ],
     }
 }
 
 /// Picks a rep count so one cell's timed region lands near `target_ns`
 /// (probed on the decode engine, shared by every engine in the cell).
 fn pick_reps(b: &BenchDef, reuse: u64, target_ns: u64) -> u64 {
-    let probe = drive(b, ExecEngine::DecodePerStep, reuse, 1, 0);
+    let probe = drive(b, ExecEngine::DecodePerStep, reuse, 1);
     (target_ns / probe.ns.max(1)).clamp(3, 1 << 14)
 }
 
 /// Runs one (kernel, reuse) cell through all engines, asserting the
 /// observational-equivalence contract (checksums and modeled counters
 /// identical across engines).
-fn compare(b: &BenchDef, reuse: u64, reps: u64, warm_batches: u64) -> AdaptiveBenchRow {
+fn compare(b: &BenchDef, reuse: u64, reps: u64) -> AdaptiveBenchRow {
     let cells: Vec<Timed> = ENGINES
         .iter()
-        .map(|&(_, e)| drive(b, e, reuse, reps, warm_batches))
+        .map(|&(_, e)| drive(b, e, reuse, reps))
         .collect();
     let reference = &cells[0];
     for ((label, _), t) in ENGINES.iter().zip(&cells).skip(1) {
@@ -484,15 +304,6 @@ fn compare(b: &BenchDef, reuse: u64, reps: u64, warm_batches: u64) -> AdaptiveBe
         adaptive_bg_ns: cells[4].ns,
         promotions: cells[3].promotions,
         insns_tier: cells[3].insns_tier,
-        warm_decode_ns: cells[0].warm_ns,
-        warm_fused_ns: cells[1].warm_ns,
-        warm_threaded_ns: cells[2].warm_ns,
-        warm_adaptive_ns: cells[3].warm_ns,
-        warm_adaptive_bg_ns: cells[4].warm_ns,
-        run_max_adaptive_ns: cells[3].run_max_ns,
-        run_p99_adaptive_ns: cells[3].run_p99_ns,
-        run_max_adaptive_bg_ns: cells[4].run_max_ns,
-        run_p99_adaptive_bg_ns: cells[4].run_p99_ns,
     }
 }
 
@@ -503,19 +314,19 @@ pub fn adaptive_bench() -> Vec<AdaptiveBenchRow> {
         eprintln!("adaptive: measuring {}...", b.name);
         for &reuse in sweep {
             let reps = pick_reps(&b, reuse, TARGET_NS);
-            rows.push(compare(&b, reuse, reps, WARM_BATCHES));
+            rows.push(compare(&b, reuse, reps));
         }
     }
     rows
 }
 
 /// Smoke run: every cell at a few reps with the equivalence asserts
-/// live — the CI gate. Timing numbers are not meaningful at this size.
+/// live. Timing numbers are not meaningful at this size.
 pub fn adaptive_bench_smoke() -> Vec<AdaptiveBenchRow> {
     let mut rows = Vec::new();
     for (b, (_, smoke)) in defs() {
         for &reuse in smoke {
-            rows.push(compare(&b, reuse, 2, 1));
+            rows.push(compare(&b, reuse, 2));
         }
     }
     rows
@@ -523,22 +334,6 @@ pub fn adaptive_bench_smoke() -> Vec<AdaptiveBenchRow> {
 
 /// The sweep as JSON (`BENCH_adaptive.json`).
 pub fn adaptive_json(rows: &[AdaptiveBenchRow]) -> Json {
-    let summary: Vec<Json> = warm_summary(rows)
-        .iter()
-        .map(|s| {
-            Json::obj(vec![
-                ("kernel", Json::from(s.kernel)),
-                ("warm_decode_ns", Json::from(s.warm_decode_ns)),
-                ("warm_fused_ns", Json::from(s.warm_fused_ns)),
-                ("warm_threaded_ns", Json::from(s.warm_threaded_ns)),
-                ("warm_adaptive_ns", Json::from(s.warm_adaptive_ns)),
-                (
-                    "warm_adaptive_vs_best",
-                    Json::from(s.warm_adaptive_vs_best()),
-                ),
-            ])
-        })
-        .collect();
     let rows: Vec<Json> = rows
         .iter()
         .map(|r| {
@@ -559,26 +354,6 @@ pub fn adaptive_json(rows: &[AdaptiveBenchRow]) -> Json {
                 ("best_fixed_ns", Json::from(r.best_fixed_ns())),
                 ("adaptive_vs_best", Json::from(r.adaptive_vs_best())),
                 ("speedup_vs_threaded", Json::from(r.speedup_vs_threaded())),
-                ("warm_decode_ns", Json::from(r.warm_decode_ns)),
-                ("warm_fused_ns", Json::from(r.warm_fused_ns)),
-                ("warm_threaded_ns", Json::from(r.warm_threaded_ns)),
-                ("warm_adaptive_ns", Json::from(r.warm_adaptive_ns)),
-                ("warm_adaptive_bg_ns", Json::from(r.warm_adaptive_bg_ns)),
-                ("run_max_adaptive_ns", Json::from(r.run_max_adaptive_ns)),
-                ("run_p99_adaptive_ns", Json::from(r.run_p99_adaptive_ns)),
-                (
-                    "run_max_adaptive_bg_ns",
-                    Json::from(r.run_max_adaptive_bg_ns),
-                ),
-                (
-                    "run_p99_adaptive_bg_ns",
-                    Json::from(r.run_p99_adaptive_bg_ns),
-                ),
-                ("tail_p99_improvement", Json::from(r.tail_p99_improvement())),
-                (
-                    "warm_adaptive_vs_best",
-                    Json::from(r.warm_adaptive_vs_best()),
-                ),
             ])
         })
         .collect();
@@ -587,17 +362,15 @@ pub fn adaptive_json(rows: &[AdaptiveBenchRow]) -> Json {
         (
             "description",
             Json::from(
-                "cold-start (translate + run) wall-clock vs reuse count per engine; \
-                 adaptive_vs_best is the adaptive engine's cost over the cheapest \
-                 fixed engine for that cell; insns_tier0/1/2 are where the adaptive \
-                 engine's cold-rep instructions retired; run_max/run_p99 are per-run cold tail \
-                 latencies, with adaptive_bg moving translation to the background \
-                 worker",
+                "cold-start (translate + run) wall-clock vs reuse count per engine, \
+                 fastest of `reps` cold starts; adaptive_vs_best is the adaptive \
+                 engine's cost over the cheapest fixed engine for that cell; \
+                 insns_tier0/1/2 are where the adaptive engine's instructions \
+                 retired; adaptive_bg moves translation to the background worker",
             ),
         ),
         ("straight_stmts", Json::from(STRAIGHT_STMTS as u64)),
         ("rows", Json::Arr(rows)),
-        ("warm_summary", Json::Arr(summary)),
     ])
 }
 
@@ -607,11 +380,11 @@ pub fn adaptive_report(rows: &[AdaptiveBenchRow]) -> String {
     out.push_str("Adaptive tiering: cold-start translate+run cost vs reuse count\n");
     out.push_str("(every timed region starts with an empty translation cache)\n\n");
     out.push_str(
-        "  kernel    reuse   decode (ns)    fused (ns)   threaded (ns)   adaptive (ns)   adapt-bg (ns)   vs-best   vs-thread   warm-adapt   warm-vs-best   p99-run   p99-run-bg   promo   tier2-insns\n",
+        "  kernel    reuse   decode (ns)    fused (ns)   threaded (ns)   adaptive (ns)   adapt-bg (ns)   vs-best   vs-thread   promo   tier2-insns\n",
     );
     for r in rows {
         out.push_str(&format!(
-            "  {:8} {:6}   {:11}   {:11}   {:13}   {:13}   {:13}   {:6.2}x   {:8.2}x   {:10}   {:11.2}x   {:7}   {:10}   {:5}   {:10.3}\n",
+            "  {:8} {:6}   {:11}   {:11}   {:13}   {:13}   {:13}   {:6.2}x   {:8.2}x   {:5}   {:10.3}\n",
             r.kernel,
             r.reuse,
             r.decode_ns,
@@ -621,27 +394,8 @@ pub fn adaptive_report(rows: &[AdaptiveBenchRow]) -> String {
             r.adaptive_bg_ns,
             r.adaptive_vs_best(),
             r.speedup_vs_threaded(),
-            r.warm_adaptive_ns,
-            r.warm_adaptive_vs_best(),
-            r.run_p99_adaptive_ns,
-            r.run_p99_adaptive_bg_ns,
             r.promotions,
             r.top_tier_insn_share(),
-        ));
-    }
-    out.push_str(
-        "\nSteady state per kernel (fastest warm ns/run across the sweep):\n\n\
-         \x20 kernel      decode    fused   threaded   adaptive   adaptive-vs-best\n",
-    );
-    for s in warm_summary(rows) {
-        out.push_str(&format!(
-            "  {:8}  {:8} {:8}   {:8}   {:8}   {:15.2}x\n",
-            s.kernel,
-            s.warm_decode_ns,
-            s.warm_fused_ns,
-            s.warm_threaded_ns,
-            s.warm_adaptive_ns,
-            s.warm_adaptive_vs_best(),
         ));
     }
     out
@@ -657,7 +411,7 @@ mod tests {
         // counter divergence. Four runs with default thresholds cross
         // the fuse boundary, so the adaptive engine must promote.
         let b = straight_def();
-        let row = compare(&b, 4, 2, 1);
+        let row = compare(&b, 4, 2);
         assert_eq!((row.kernel, row.reuse, row.reps), ("straight", 4, 2));
         assert!(row.promotions > 0, "no promotions at reuse 4: {row:?}");
     }
@@ -666,7 +420,7 @@ mod tests {
     fn suite_kernels_resolve_and_agree_at_reuse_one() {
         let all = benchmarks(BLUR_SMALL);
         let b = all.iter().find(|b| b.name == "binary").unwrap();
-        let row = compare(b, 1, 2, 1);
+        let row = compare(b, 1, 2);
         assert_eq!(row.reuse, 1);
     }
 
@@ -677,7 +431,7 @@ mod tests {
         // both thresholds, so most of the run retires threaded.
         let all = benchmarks(BLUR_SMALL);
         let b = all.iter().find(|b| b.name == "heap").unwrap();
-        let row = compare(b, 1, 2, 1);
+        let row = compare(b, 1, 2);
         assert!(row.promotions >= 2, "{row:?}");
         assert!(row.top_tier_insn_share() > 0.5, "{row:?}");
     }
@@ -695,15 +449,6 @@ mod tests {
             adaptive_bg_ns: 1020,
             promotions: 3,
             insns_tier: [10, 30, 120],
-            warm_decode_ns: 400,
-            warm_fused_ns: 120,
-            warm_threaded_ns: 100,
-            warm_adaptive_ns: 103,
-            warm_adaptive_bg_ns: 104,
-            run_max_adaptive_ns: 900,
-            run_p99_adaptive_ns: 800,
-            run_max_adaptive_bg_ns: 300,
-            run_p99_adaptive_bg_ns: 250,
         }];
         let text = adaptive_json(&rows).to_string();
         for key in [
@@ -720,86 +465,11 @@ mod tests {
             "best_fixed_ns",
             "adaptive_vs_best",
             "speedup_vs_threaded",
-            "warm_adaptive_ns",
-            "warm_adaptive_bg_ns",
-            "run_max_adaptive_ns",
-            "run_p99_adaptive_ns",
-            "run_max_adaptive_bg_ns",
-            "run_p99_adaptive_bg_ns",
-            "tail_p99_improvement",
-            "warm_adaptive_vs_best",
         ] {
             assert!(text.contains(&format!("\"{key}\"")), "missing {key}");
         }
         assert_eq!(rows[0].best_fixed_ns(), 1000);
         assert!((rows[0].adaptive_vs_best() - 1.04).abs() < 1e-12);
         assert!((rows[0].top_tier_insn_share() - 0.75).abs() < 1e-12);
-        assert_eq!(rows[0].warm_best_fixed_ns(), 100);
-        assert!((rows[0].warm_adaptive_vs_best() - 1.03).abs() < 1e-12);
-        assert!((rows[0].tail_p99_improvement() - 3.2).abs() < 1e-12);
-        // Either tail side at 0 (a row predating the columns) yields
-        // 0.0, the gate's warn-and-skip sentinel — never NaN or inf.
-        let mut old = rows[0];
-        old.run_p99_adaptive_bg_ns = 0;
-        assert_eq!(old.tail_p99_improvement(), 0.0);
-        old.run_p99_adaptive_bg_ns = 250;
-        old.run_p99_adaptive_ns = 0;
-        assert_eq!(old.tail_p99_improvement(), 0.0);
-        assert!(text.contains("\"warm_summary\""));
-    }
-
-    #[test]
-    fn tail_uses_nearest_rank_p99_and_true_max() {
-        let (max, p99) = tail(&mut []);
-        assert_eq!((max, p99), (0, 0));
-        // One sample: p99 degrades to the max, never to zero.
-        let (max, p99) = tail(&mut [7]);
-        assert_eq!((max, p99), (7, 7));
-        // 100 samples 1..=100: nearest-rank p99 is the 99th value.
-        let mut v: Vec<u64> = (1..=100).rev().collect();
-        let (max, p99) = tail(&mut v);
-        assert_eq!((max, p99), (100, 99));
-        // 200 samples: rank ceil(0.99 * 200) = 198.
-        let mut v: Vec<u64> = (1..=200).collect();
-        let (max, p99) = tail(&mut v);
-        assert_eq!((max, p99), (200, 198));
-    }
-
-    #[test]
-    fn warm_summary_takes_per_kernel_mins_across_the_sweep() {
-        let a = AdaptiveBenchRow {
-            kernel: "k",
-            reuse: 1,
-            reps: 1,
-            decode_ns: 1,
-            fused_ns: 1,
-            threaded_ns: 1,
-            adaptive_ns: 1,
-            adaptive_bg_ns: 1,
-            promotions: 0,
-            insns_tier: [0; 3],
-            warm_decode_ns: 400,
-            warm_fused_ns: 120,
-            warm_threaded_ns: 900, // this cell's threaded hit a stall
-            warm_adaptive_ns: 103,
-            warm_adaptive_bg_ns: 105,
-            run_max_adaptive_ns: 0,
-            run_p99_adaptive_ns: 0,
-            run_max_adaptive_bg_ns: 0,
-            run_p99_adaptive_bg_ns: 0,
-        };
-        let mut b = a;
-        b.reuse = 8;
-        b.warm_threaded_ns = 100;
-        b.warm_adaptive_ns = 950; // and this cell's adaptive did
-        let mut other = a;
-        other.kernel = "other";
-        let s = warm_summary(&[a, b, other]);
-        assert_eq!(s.len(), 2);
-        assert_eq!(s[0].kernel, "k");
-        assert_eq!(s[0].warm_threaded_ns, 100);
-        assert_eq!(s[0].warm_adaptive_ns, 103);
-        assert!((s[0].warm_adaptive_vs_best() - 1.03).abs() < 1e-12);
-        assert_eq!(s[1].kernel, "other");
     }
 }

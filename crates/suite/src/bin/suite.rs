@@ -3,65 +3,67 @@
 //! Usage:
 //!
 //! ```text
-//! suite [all|table1|figure4|figure5|figure6|figure7|blur|sensitivity|smoke|cache|exec|adaptive|serve|persist|exec-check] [--small] [--smoke] [--json]
+//! suite [all|table1|figure4|figure5|figure6|figure7|blur|sensitivity|smoke|cache|adaptive] [--small] [--json] [--smoke]
 //! ```
 //!
 //! With `--json`, each measured experiment also writes a machine-readable
 //! `BENCH_<experiment>.json` file into the current directory (see
-//! DESIGN.md for the schema). `smoke` runs one small benchmark through
+//! DESIGN.md §10 for the schema). `smoke` runs one small benchmark through
 //! all five compilation paths (two static, three dynamic) and exits
-//! non-zero if any path disagrees — the CI gate. `exec` compares the
-//! four execution engines (decode-per-step, predecoded, predecoded +
-//! fused, direct-threaded) on the loop-heavy kernels; `exec --smoke`
-//! runs the same comparison at a few reps with the equivalence asserts
-//! live. `adaptive` sweeps reuse counts through the fixed engines and
-//! the adaptive tiering engine — both synchronous and with the
-//! background translation worker — each timed region starting from a
-//! cold translation cache (`BENCH_adaptive.json`, including per-run
-//! cold max/p99 tail columns); `adaptive --smoke` runs a tiny sweep
-//! with the equivalence asserts live. `serve` replays a seeded Zipfian
-//! compile/execute stream over pools of 1, 2, and 4 worker sessions
-//! sharing one artifact cache, reporting throughput, p50/p99/p999
-//! latency, hit rate, and compiles-per-unique (`BENCH_serve.json`);
-//! the cross-pool replay digest is asserted bit-identical, and `serve
-//! --smoke` runs a short replay with the same asserts — the CI
-//! concurrency gate. `persist` measures the warm-start economics of
-//! the persistent on-disk code cache: per kernel, a cold process
-//! compiles a cell sweep against a fresh store and exits, then a warm
-//! process on the same store path answers the identical sweep from
-//! disk (`BENCH_persist.json`); the bench asserts the warm process
-//! recompiled nothing and produced bit-identical results, and
-//! `persist --smoke` runs a two-cell sweep with the same asserts — the
-//! CI durability gate. `exec-check [fresh [baseline]]`
-//! compares a freshly written `BENCH_exec.json` (default
-//! `./BENCH_exec.json`) against a committed baseline (default
-//! `baselines/BENCH_exec.json`) and exits non-zero when any gated
-//! speedup column (fused, threaded, adaptive) regresses more than 30%
-//! on any kernel; when the sibling `BENCH_adaptive.json` files exist
-//! on both sides it also gates the tiering pipeline's
-//! `tail_p99_improvement` column, at the looser 50% tail tolerance
-//! (p99 ratios carry tail noise on both sides; missing files or a
-//! pre-tail baseline warn and skip), and when the sibling
-//! `BENCH_serve.json` files exist it gates serve throughput the same
-//! way, serve p99 at its own wider 75% tolerance (the replay tail is
-//! bimodal — see `SERVE_TAIL_TOLERANCE`), plus the service's absolute
-//! bounds (largest-pool hit rate and compiles-per-unique); and when
-//! the sibling `BENCH_persist.json` files exist it gates each
-//! kernel's warm-start speedup, relatively at the 50% tail tolerance
-//! and absolutely against the 5x floor (`PERSIST_MIN_SPEEDUP`). If any
-//! `--json` output file
-//! cannot be written the remaining files are still written and the
-//! run exits non-zero naming every failure.
+//! non-zero if any path disagrees. `cache` sweeps repeat compiles with
+//! the memo off and on. `adaptive` is the tiering calibration report: it
+//! sweeps reuse counts through the fixed engines and the adaptive
+//! tiering engine — both synchronous and with the background translation
+//! worker — each timed region starting from a cold translation cache
+//! (`BENCH_adaptive.json`); `adaptive --smoke` runs a tiny sweep with the
+//! same cross-engine equivalence asserts live.
+//!
+//! The suite reproduces the paper and reports; it gates nothing. What
+//! gates is the test suite (`cargo test --workspace`), and wall-clock is
+//! measured by the repo benchmark (`benchmark/run.sh`).
+//!
+//! An experiment takes only the flags [`EXPERIMENTS`] lists for it;
+//! anything else — an unknown experiment or flag, a flag the experiment
+//! does not read, a second positional argument — exits 2 with the usage
+//! line instead of being ignored. If any `--json` output file cannot be
+//! written the remaining files are still written and the run exits
+//! non-zero naming every failure.
 
 use tcc_obs::json::Json;
 use tcc_suite::{
     adaptive_bench, adaptive_bench_smoke, adaptive_json, adaptive_report, benchmarks, cache_bench,
-    cache_json, cache_report, check_adaptive, check_exec, check_persist, check_serve, exec_bench,
-    exec_bench_smoke, exec_json, exec_report, json_report, measure, ns_per_cycle, persist_bench,
-    persist_json, persist_report, report, serve_bench, serve_bench_smoke, serve_json, serve_report,
-    DynBackend, Measurement, PersistBenchOptions, BLUR_FULL, BLUR_SMALL, DEFAULT_TOLERANCE,
-    TAIL_TOLERANCE,
+    cache_json, cache_report, json_report, measure, ns_per_cycle, report, DynBackend, Measurement,
+    BLUR_FULL, BLUR_SMALL,
 };
+
+/// Every experiment and the flags it reads.
+const EXPERIMENTS: [(&str, &[&str]); 11] = [
+    ("all", &["--small", "--json"]),
+    ("table1", &["--json"]),
+    ("figure4", &["--small", "--json"]),
+    ("figure5", &["--small", "--json"]),
+    ("figure6", &["--small", "--json"]),
+    ("figure7", &["--small", "--json"]),
+    ("blur", &["--small"]),
+    ("sensitivity", &["--small"]),
+    ("smoke", &[]),
+    ("cache", &["--json"]),
+    ("adaptive", &["--smoke", "--json"]),
+];
+
+/// Names what was not understood, prints the usage line, exits 2.
+fn usage_error(problem: &str) -> ! {
+    let forms: Vec<String> = EXPERIMENTS
+        .iter()
+        .map(|(name, flags)| {
+            let flags: String = flags.iter().map(|f| format!(" [{f}]")).collect();
+            format!("{name}{flags}")
+        })
+        .collect();
+    eprintln!("suite: {problem}");
+    eprintln!("usage: suite [{}]", forms.join(" | "));
+    std::process::exit(2);
+}
 
 /// Writes one `BENCH_<name>.json`. An unwritable path (read-only cwd,
 /// ENOSPC, …) is not a panic: the failure is recorded so the caller
@@ -89,36 +91,26 @@ fn exit_on_write_failures(failed: &[String]) {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let what = args
-        .iter()
-        .find(|a| !a.starts_with("--"))
-        .map(String::as_str)
-        .unwrap_or("all");
-    let small = args.iter().any(|a| a == "--small");
-    let json = args.iter().any(|a| a == "--json");
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let known = [
-        "all",
-        "table1",
-        "figure4",
-        "figure5",
-        "figure6",
-        "figure7",
-        "blur",
-        "sensitivity",
-        "smoke",
-        "cache",
-        "exec",
-        "adaptive",
-        "serve",
-        "persist",
-        "exec-check",
-    ];
-    if !known.contains(&what) {
-        eprintln!("unknown experiment {what}; try {}", known.join("|"));
-        std::process::exit(2);
+    let mut what: Option<String> = None;
+    let mut flags: Vec<String> = Vec::new();
+    for arg in std::env::args().skip(1) {
+        if arg.starts_with("--") {
+            flags.push(arg);
+        } else if let Some(first) = &what {
+            usage_error(&format!("unexpected argument {arg} after {first}"));
+        } else {
+            what = Some(arg);
+        }
     }
+    let what = what.as_deref().unwrap_or("all");
+    let Some((_, accepted)) = EXPERIMENTS.iter().find(|(name, _)| *name == what) else {
+        usage_error(&format!("unknown experiment {what}"));
+    };
+    if let Some(flag) = flags.iter().find(|f| !accepted.contains(&f.as_str())) {
+        usage_error(&format!("{what} does not take {flag}"));
+    }
+    let flag = |name: &str| flags.iter().any(|f| f == name);
+    let (small, json, smoke) = (flag("--small"), flag("--json"), flag("--smoke"));
     let blur_dims = if small { BLUR_SMALL } else { BLUR_FULL };
     let mut failed_writes: Vec<String> = Vec::new();
 
@@ -142,159 +134,6 @@ fn main() {
         return;
     }
 
-    if what == "exec-check" {
-        // Regression gate over the speedup ratios (wall-clock ns are
-        // machine-dependent; the ratios are not).
-        let positional: Vec<&String> = args
-            .iter()
-            .filter(|a| !a.starts_with("--") && a.as_str() != "exec-check")
-            .collect();
-        let fresh_path = positional
-            .first()
-            .map(|s| s.as_str())
-            .unwrap_or("BENCH_exec.json");
-        let base_path = positional
-            .get(1)
-            .map(|s| s.as_str())
-            .unwrap_or("baselines/BENCH_exec.json");
-        let read = |p: &str| {
-            std::fs::read_to_string(p).unwrap_or_else(|e| {
-                eprintln!("exec-check: cannot read {p}: {e}");
-                std::process::exit(2);
-            })
-        };
-        let (fresh, base) = (read(fresh_path), read(base_path));
-        let mut failed = false;
-        match check_exec(&base, &fresh, DEFAULT_TOLERANCE) {
-            Ok(report) => print!("{report}"),
-            Err(report) => {
-                eprint!("{report}");
-                failed = true;
-            }
-        }
-        // Tail-latency gate over the tiering pipeline's sweep. The
-        // adaptive files live next to the exec ones under the same
-        // naming scheme; when either side is missing (a checkout
-        // predating the background worker, or a run that only
-        // regenerated BENCH_exec.json) the gate warns and skips
-        // rather than failing.
-        let fresh_adaptive = fresh_path.replace("exec", "adaptive");
-        let base_adaptive = base_path.replace("exec", "adaptive");
-        match (
-            std::fs::read_to_string(&fresh_adaptive),
-            std::fs::read_to_string(&base_adaptive),
-        ) {
-            (Ok(fresh), Ok(base)) => match check_adaptive(&base, &fresh, TAIL_TOLERANCE) {
-                Ok(report) => print!("\n{report}"),
-                Err(report) => {
-                    eprint!("\n{report}");
-                    failed = true;
-                }
-            },
-            (fresh, base) => {
-                for (path, r) in [(&fresh_adaptive, &fresh), (&base_adaptive, &base)] {
-                    if let Err(e) = r {
-                        eprintln!(
-                            "warning: exec-check: cannot read {path}: {e} — tail gate skipped"
-                        );
-                    }
-                }
-            }
-        }
-        // Serve-pool gate: same sibling naming scheme as the adaptive
-        // files; missing on either side (a checkout predating the
-        // serve subsystem) warns and skips.
-        let fresh_serve = fresh_path.replace("exec", "serve");
-        let base_serve = base_path.replace("exec", "serve");
-        match (
-            std::fs::read_to_string(&fresh_serve),
-            std::fs::read_to_string(&base_serve),
-        ) {
-            (Ok(fresh), Ok(base)) => match check_serve(&base, &fresh, TAIL_TOLERANCE) {
-                Ok(report) => print!("\n{report}"),
-                Err(report) => {
-                    eprint!("\n{report}");
-                    failed = true;
-                }
-            },
-            (fresh, base) => {
-                for (path, r) in [(&fresh_serve, &fresh), (&base_serve, &base)] {
-                    if let Err(e) = r {
-                        eprintln!(
-                            "warning: exec-check: cannot read {path}: {e} — serve gate skipped"
-                        );
-                    }
-                }
-            }
-        }
-        // Persist gate: same sibling naming scheme; missing on either
-        // side (a checkout predating the persistent store) warns and
-        // skips.
-        let fresh_persist = fresh_path.replace("exec", "persist");
-        let base_persist = base_path.replace("exec", "persist");
-        match (
-            std::fs::read_to_string(&fresh_persist),
-            std::fs::read_to_string(&base_persist),
-        ) {
-            (Ok(fresh), Ok(base)) => match check_persist(&base, &fresh, TAIL_TOLERANCE) {
-                Ok(report) => print!("\n{report}"),
-                Err(report) => {
-                    eprint!("\n{report}");
-                    failed = true;
-                }
-            },
-            (fresh, base) => {
-                for (path, r) in [(&fresh_persist, &fresh), (&base_persist, &base)] {
-                    if let Err(e) = r {
-                        eprintln!(
-                            "warning: exec-check: cannot read {path}: {e} — persist gate skipped"
-                        );
-                    }
-                }
-            }
-        }
-        if failed {
-            std::process::exit(1);
-        }
-        return;
-    }
-
-    if what == "persist" {
-        // Cold-vs-warm restart economics of the on-disk store. The
-        // warm process's structural asserts (all disk hits, zero
-        // recompiles, bit-identical results) are live at both sizes;
-        // --smoke keeps the sweep to two cells per kernel for CI.
-        let opts = if smoke {
-            PersistBenchOptions::smoke()
-        } else {
-            PersistBenchOptions::full()
-        };
-        let rows = persist_bench(&opts);
-        if json {
-            write_json("persist", &persist_json(&rows), &mut failed_writes);
-        }
-        print!("{}", persist_report(&rows));
-        exit_on_write_failures(&failed_writes);
-        return;
-    }
-
-    if what == "serve" {
-        // Multi-tenant pool replay. The cross-pool differential (same
-        // replay digest at every pool size) asserts inside the bench;
-        // --smoke keeps the stream short for CI.
-        let rows = if smoke {
-            serve_bench_smoke()
-        } else {
-            serve_bench()
-        };
-        if json {
-            write_json("serve", &serve_json(&rows), &mut failed_writes);
-        }
-        print!("{}", serve_report(&rows));
-        exit_on_write_failures(&failed_writes);
-        return;
-    }
-
     if what == "adaptive" {
         // Reuse-count sweep: cold-start translate+run cost per engine,
         // with the cross-engine equivalence asserts always live.
@@ -307,23 +146,6 @@ fn main() {
             write_json("adaptive", &adaptive_json(&rows), &mut failed_writes);
         }
         print!("{}", adaptive_report(&rows));
-        exit_on_write_failures(&failed_writes);
-        return;
-    }
-
-    if what == "exec" {
-        // Engine differential + wall-clock comparison. The equivalence
-        // asserts (checksum/cycles/insns across engines) are always
-        // live; --smoke keeps rep counts tiny for CI.
-        let rows = if smoke {
-            exec_bench_smoke()
-        } else {
-            exec_bench()
-        };
-        if json {
-            write_json("exec", &exec_json(&rows), &mut failed_writes);
-        }
-        print!("{}", exec_report(&rows));
         exit_on_write_failures(&failed_writes);
         return;
     }

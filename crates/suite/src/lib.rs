@@ -19,38 +19,20 @@
 pub mod adaptive_bench;
 pub mod cache_bench;
 pub mod calibrate;
-pub mod check;
-pub mod exec_bench;
 pub mod json_report;
 pub mod measure;
 pub mod micro;
-pub mod persist_bench;
 pub mod programs;
 pub mod report;
-pub mod serve_bench;
 
 pub use adaptive_bench::{
-    adaptive_bench, adaptive_bench_smoke, adaptive_json, adaptive_report, warm_summary,
-    AdaptiveBenchRow, WarmSummary, ADAPTIVE_REUSE_SWEEP, LONG_REUSE_SWEEP,
+    adaptive_bench, adaptive_bench_smoke, adaptive_json, adaptive_report, AdaptiveBenchRow,
+    ADAPTIVE_REUSE_SWEEP, LONG_REUSE_SWEEP,
 };
 pub use cache_bench::{cache_bench, cache_json, cache_report};
 pub use calibrate::ns_per_cycle;
-pub use check::{
-    check_adaptive, check_exec, check_persist, check_serve, gate_failure_line, missing_row_line,
-    parse_adaptive_rows, parse_exec_rows, parse_persist_rows, parse_serve_rows, AdaptiveCheckRow,
-    CheckRow, PersistCheckRow, ServeCheckRow, DEFAULT_TOLERANCE, GATED_COLUMNS,
-    PERSIST_MIN_SPEEDUP, SERVE_MIN_HIT_RATE, SERVE_TAIL_TOLERANCE, TAIL_TOLERANCE,
-};
-pub use exec_bench::{exec_bench, exec_bench_smoke, exec_json, exec_report, ExecBenchRow};
 pub use measure::{measure, measure_with, DynBackend, Measurement};
-pub use persist_bench::{
-    persist_bench, persist_json, persist_report, PersistBenchOptions, PersistBenchRow,
-    PERSIST_KERNELS,
-};
 pub use programs::{benchmarks, BenchDef, BLUR_FULL, BLUR_SMALL};
-pub use serve_bench::{
-    serve_bench, serve_bench_smoke, serve_json, serve_report, ServeBenchRow, SERVE_THREADS,
-};
 
 #[cfg(test)]
 mod tests {

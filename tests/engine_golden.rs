@@ -14,9 +14,17 @@
 //!
 //! A deliberate change to the engines' decisions re-blesses the table:
 //! the failure message prints every cell in source form.
+//!
+//! The table says the engines do what they did; two asserts beside it
+//! say that was right. Every program × back end also runs under
+//! `DecodePerStep`, and each of the group's four cells must equal it in
+//! (result, check, cycles, insns) — the reference is run here, not
+//! trusted from the day the table was cut. And the ICODE scheduler's
+//! effect on what the fused translator can pair is pinned per loop
+//! kernel ([`SCHEDULER_PAIR_GAIN`]).
 
-use tcc::{Backend, Config, ExecEngine, Session, Strategy};
-use tcc_suite::{benchmarks, BLUR_SMALL};
+use tcc::{Backend, Config, ExecEngine, Session, SessionMetrics, Strategy};
+use tcc_suite::{benchmarks, BenchDef, BLUR_SMALL};
 
 /// Runs of the dynamic function per cell: past both default adaptive
 /// thresholds, so the adaptive cells cover tier 0, both promotions and
@@ -158,17 +166,30 @@ impl Fnv {
     }
 }
 
+const ICODE_LS: Backend = Backend::Icode {
+    strategy: Strategy::LinearScan,
+};
+
+/// One compile and `runs` runs of the dynamic function under `config`:
+/// the session, its metrics as the last run left them, and the
+/// engine-independent observables (result, check, cycles, insns).
+fn observe(bench: &BenchDef, config: Config, runs: usize) -> (Session, SessionMetrics, [u64; 4]) {
+    let mut s = Session::new(bench.src, config).expect("suite program compiles");
+    (bench.setup)(&mut s);
+    let fp = (bench.compile_dyn)(&mut s);
+    let mut result = 0;
+    for _ in 0..runs {
+        result = (bench.run_dyn)(&mut s, fp);
+    }
+    let m = s.metrics();
+    let check = (bench.check)(&mut s);
+    let observed = [result, check, m.vm.cycles, m.vm.insns];
+    (s, m, observed)
+}
+
 #[test]
 fn engine_counters_match_the_committed_digests() {
-    let backends = [
-        ("vcode", Backend::default()),
-        (
-            "icode-ls",
-            Backend::Icode {
-                strategy: Strategy::LinearScan,
-            },
-        ),
-    ];
+    let backends = [("vcode", Backend::default()), ("icode-ls", ICODE_LS)];
     let engines = [
         ("predecoded", ExecEngine::Predecoded { fuse: false }),
         ("fused", ExecEngine::Predecoded { fuse: true }),
@@ -178,27 +199,22 @@ fn engine_counters_match_the_committed_digests() {
     let mut got: Vec<Cell> = Vec::new();
     for bench in benchmarks(BLUR_SMALL) {
         for (btag, backend) in &backends {
+            let config = |engine| Config {
+                backend: backend.clone(),
+                engine: Some(engine),
+                ..Config::default()
+            };
+            let (_, _, reference) = observe(&bench, config(ExecEngine::DecodePerStep), RUNS);
             for (etag, engine) in engines {
-                let config = Config {
-                    backend: backend.clone(),
-                    engine: Some(engine),
-                    ..Config::default()
-                };
-                let mut s = Session::new(bench.src, config).expect("suite program compiles");
-                (bench.setup)(&mut s);
-                let fp = (bench.compile_dyn)(&mut s);
-                let mut result = 0;
-                for _ in 0..RUNS {
-                    result = (bench.run_dyn)(&mut s, fp);
-                }
-                let m = s.metrics();
+                let (s, m, observed) = observe(&bench, config(engine), RUNS);
+                assert_eq!(
+                    observed, reference,
+                    "{} {btag} {etag}: (result, check, cycles, insns) diverge from decode-per-step",
+                    bench.name
+                );
                 let mut h = Fnv(0xcbf2_9ce4_8422_2325);
                 let (e, a) = (&m.exec, &m.adaptive);
-                for v in [
-                    result,
-                    (bench.check)(&mut s),
-                    m.vm.cycles,
-                    m.vm.insns,
+                for v in observed.into_iter().chain([
                     e.translations,
                     e.translated_words,
                     e.fused_pairs,
@@ -219,7 +235,7 @@ fn engine_counters_match_the_committed_digests() {
                     a.insns_tier2,
                     a.promotions,
                     a.demotions,
-                ] {
+                ]) {
                     h.u64(v);
                 }
                 for (shape, count) in s.fused_shape_histogram() {
@@ -242,4 +258,46 @@ fn engine_counters_match_the_committed_digests() {
         }
         panic!("engine decisions moved; computed table:\n{table}");
     }
+}
+
+/// Superinstruction pairs the fused translator finds in ICODE
+/// (linear-scan) code with `icode_schedule` on, minus off, per
+/// loop-heavy kernel — the evidence that `schedule_for_fusion` moves
+/// anything (DESIGN.md §11). Exact: pairing is decided at translation
+/// time. With the scheduler's fallback order forced (never prefer a
+/// producer) every row reads 0.
+const SCHEDULER_PAIR_GAIN: [(&str, i64); 10] = [
+    ("hash", 0),
+    ("ms", 0),
+    ("cmp", 0),
+    ("query", 0),
+    ("binary", 0),
+    ("dp", 0),
+    ("blur", 0),
+    ("heap", 2),
+    ("filter", 1),
+    ("demux", 1),
+];
+
+#[test]
+fn icode_scheduler_exposes_the_committed_pair_gain() {
+    let all = benchmarks(BLUR_SMALL);
+    // Pair counts are a translation-time property: one run is enough.
+    let fused_pairs = |bench: &BenchDef, icode_schedule: bool| {
+        let config = Config {
+            backend: ICODE_LS,
+            icode_schedule,
+            engine: Some(ExecEngine::Predecoded { fuse: true }),
+            ..Config::default()
+        };
+        observe(bench, config, 1).1.exec.fused_pairs as i64
+    };
+    let got: Vec<(&str, i64)> = SCHEDULER_PAIR_GAIN
+        .iter()
+        .map(|&(name, _)| {
+            let bench = all.iter().find(|b| b.name == name).expect("suite kernel");
+            (name, fused_pairs(bench, true) - fused_pairs(bench, false))
+        })
+        .collect();
+    assert_eq!(got, SCHEDULER_PAIR_GAIN);
 }
