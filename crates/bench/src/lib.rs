@@ -1,4 +1,4 @@
-//! tcc-bench: criterion benches and figure regeneration (see `benches/`).
+//! tcc-bench: the benches with no `suite` twin (see `benches/`).
 
 /// Criterion driver for benchmarks whose routine *allocates VM memory
 /// every call* (dynamic compilation allocates closures, vspecs and code):

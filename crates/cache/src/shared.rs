@@ -30,8 +30,8 @@
 //!   and stale addresses fault `VmError::StaleCode` exactly as in the
 //!   single-threaded lifecycle.
 //!
-//! Counters surface through [`tcc_obs::SharedCacheMetrics`]; the
-//! `suite serve` harness gates the resulting hit rate and
+//! Counters surface through [`tcc_obs::SharedCacheMetrics`];
+//! `crates/serve/tests/concurrency.rs` gates the resulting hit rate and
 //! compiles-per-unique-fingerprint.
 
 use std::collections::HashMap;
@@ -46,9 +46,9 @@ use crate::persist::PersistentStore;
 use crate::Fingerprint;
 
 /// Default shard count: enough to make cross-thread contention on
-/// distinct fingerprints unlikely at the pool sizes `suite serve`
-/// drives (N ≤ 4 threads), small enough that the global LRU scan stays
-/// cheap.
+/// distinct fingerprints unlikely at the pool sizes
+/// `crates/serve/tests/concurrency.rs` drives (N ≤ 4 threads), small
+/// enough that the global LRU scan stays cheap.
 pub const DEFAULT_SHARDS: usize = 16;
 
 /// Passes [`SharedArtifacts::enforce_budget`] will attempt before

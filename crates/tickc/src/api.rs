@@ -10,7 +10,7 @@ use tcc_cache::{Backing, CodeCache, PersistentStore, SharedArtifacts};
 use tcc_front::{FrontError, Program};
 use tcc_mir::{build_image_scheduled, Image, OptLevel};
 use tcc_obs::{FrontendMetrics, SessionMetrics, StaticMetrics, VmMetrics};
-use tcc_vm::{CostModel, ExecEngine, TransHub, Vm, VmError};
+use tcc_vm::{CodeSpace, CostModel, ExecEngine, TransHub, Vm, VmError};
 
 /// Any error from source to execution.
 #[derive(Debug)]
@@ -51,7 +51,9 @@ pub struct Config {
     pub static_opt: OptLevel,
     /// Dynamic back end (VCODE vs ICODE×allocator).
     pub backend: Backend,
-    /// Data memory size in bytes.
+    /// Data memory size in bytes. This is the VM's address space, not
+    /// resident memory: the session allocates it zeroed and owns the one
+    /// copy, so the host pays only for the pages the program touches.
     pub mem_size: usize,
     /// Cycle cost model.
     pub cost: CostModel,
@@ -70,9 +72,6 @@ pub struct Config {
     /// session's *local* installs and never touches the shared table
     /// (whose own budget is `SharedArtifacts::new`'s).
     pub code_budget: Option<u64>,
-    /// Seed for random placement of dynamic code (the paper's §4.4
-    /// cache-conscious jitter). `None` = deterministic layout.
-    pub placement_jitter: Option<u64>,
     /// The execution engine. `None` = adaptive per-function tiering
     /// ([`ExecEngine::Adaptive`] with the calibrated
     /// [`DEFAULT_FUSE_AFTER`](tcc_vm::DEFAULT_FUSE_AFTER) /
@@ -139,7 +138,6 @@ impl Default for Config {
             echo: false,
             cache: true,
             code_budget: None,
-            placement_jitter: None,
             engine: None,
             adaptive_background: false,
             icode_schedule: true,
@@ -159,7 +157,7 @@ impl Default for Config {
 /// program, or by a build with a different ISA, cost model, or
 /// fingerprint encoding, must not be served to another. Exposed so
 /// tests can open stores the way [`Session::new`] does.
-pub fn persist_abi_salt(image: &Image, cost: &CostModel) -> u64 {
+pub fn persist_abi_salt(image: &SessionImage, cost: &CostModel) -> u64 {
     // splitmix64-style mixer: cheap, and every input bit diffuses.
     fn mix(a: u64, b: u64) -> u64 {
         let mut x = a ^ b.wrapping_add(0x9e37_79b9_7f4a_7c15);
@@ -183,6 +181,32 @@ pub fn persist_abi_salt(image: &Image, cost: &CostModel) -> u64 {
     h
 }
 
+/// What a [`Session`] keeps of the linked [`tcc_mir::Image`]: the symbol
+/// tables. The image's data memory and code are moved into the VM at
+/// construction and live only there (`vm.state().mem`,
+/// `vm.state().code`), so there is no second copy to keep in step.
+#[derive(Debug)]
+pub struct SessionImage {
+    /// The static code as linked, before any dynamic function was
+    /// installed. A snapshot for callers that replay installs into a
+    /// fresh code space; the VM runs its own.
+    pub code: CodeSpace,
+    /// Function addresses by function index.
+    pub func_addrs: Vec<u64>,
+    /// Function names (same order).
+    pub func_names: Vec<String>,
+    /// Global addresses by global index.
+    pub global_addrs: Vec<u64>,
+}
+
+impl SessionImage {
+    /// Address of the function named `name`.
+    pub fn addr_of(&self, name: &str) -> Option<u64> {
+        let i = self.func_names.iter().position(|n| n == name)?;
+        Some(self.func_addrs[i])
+    }
+}
+
 /// A compiled, loaded, runnable `C program.
 ///
 /// ```rust
@@ -200,8 +224,9 @@ pub fn persist_abi_salt(image: &Image, cost: &CostModel) -> u64 {
 pub struct Session {
     /// The virtual machine (host = the `C runtime).
     pub vm: Vm<TccRuntime>,
-    /// The loaded image (symbols, addresses).
-    pub image: Image,
+    /// Symbols and addresses of the loaded image (its memory and code
+    /// are in `vm`).
+    pub image: SessionImage,
     /// The analyzed program.
     pub prog: Arc<Program>,
     /// Front-end timing, captured at construction.
@@ -224,7 +249,14 @@ impl Session {
             source_bytes: src.len() as u64,
         };
         let t1 = Instant::now();
-        let image = build_image_scheduled(
+        let Image {
+            code,
+            mem,
+            func_addrs,
+            func_names,
+            global_addrs,
+            ..
+        } = build_image_scheduled(
             &prog,
             config.static_opt,
             config.mem_size,
@@ -232,7 +264,13 @@ impl Session {
         )?;
         let static_compile = StaticMetrics {
             lower_ns: t1.elapsed().as_nanos() as u64,
-            static_insns: image.code.next_index() as u64,
+            static_insns: code.next_index() as u64,
+        };
+        let image = SessionImage {
+            code: code.clone(),
+            func_addrs,
+            func_names,
+            global_addrs,
         };
         let mut rt = TccRuntime::new(
             prog.clone(),
@@ -259,11 +297,7 @@ impl Session {
             (None, _) => Backing::None,
         };
         rt.shared_cost = config.cost.clone();
-        let mut code = image.code.clone();
-        if let Some(seed) = config.placement_jitter {
-            code.set_placement_jitter(seed);
-        }
-        let mut vm = Vm::from_parts(code, image.mem.clone(), rt);
+        let mut vm = Vm::from_parts(code, mem, rt);
         vm.set_cost_model(config.cost);
         vm.set_engine(config.engine.unwrap_or(ExecEngine::Adaptive {
             fuse_after: tcc_vm::DEFAULT_FUSE_AFTER,
@@ -472,7 +506,8 @@ impl Session {
 
     /// VM address of global `name`.
     pub fn global_addr(&self, name: &str) -> Option<u64> {
-        self.image.global_addr_of(&self.prog, name)
+        let i = self.prog.globals.iter().position(|g| g.name == name)?;
+        Some(self.image.global_addrs[i])
     }
 
     /// Disassembles the function at `addr` — static or dynamically

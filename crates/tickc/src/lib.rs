@@ -42,7 +42,7 @@ pub mod fingerprint;
 pub mod lower_shim;
 pub mod runtime;
 
-pub use api::{persist_abi_salt, Config, Error, Session};
+pub use api::{persist_abi_salt, Config, Error, Session, SessionImage};
 pub use dyncomp::{DynCompiler, DynInput, WalkStats};
 pub use runtime::{Backend, DynStats, TccRuntime};
 pub use tcc_cache::SharedArtifacts;

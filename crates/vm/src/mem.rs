@@ -14,8 +14,6 @@ use crate::error::VmError;
 pub struct Memory {
     bytes: Vec<u8>,
     brk: u64,
-    /// Lowest stack address observed; the allocator refuses to cross it.
-    stack_floor: u64,
 }
 
 impl Memory {
@@ -37,7 +35,6 @@ impl Memory {
         Memory {
             bytes: vec![0; size],
             brk: Memory::FIRST_VALID,
-            stack_floor: size as u64,
         }
     }
 
@@ -64,17 +61,17 @@ impl Memory {
     /// # Errors
     ///
     /// Returns [`VmError::BadAddress`] when the heap would run into the
-    /// stack red zone (top 1 MiB is reserved for the stack).
+    /// stack red zone: the top 1 MiB, or a quarter of a smaller memory.
+    /// The reserve is fixed by the memory's size; nothing tracks how deep
+    /// the stack has actually gone.
     pub fn alloc(&mut self, size: u64, align: u64) -> Result<u64, VmError> {
         debug_assert!(align.is_power_of_two());
         let base = (self.brk + align - 1) & !(align - 1);
         let end = base
             .checked_add(size)
             .ok_or(VmError::BadAddress(u64::MAX))?;
-        // Reserve the top of memory for the stack: 1 MiB, or a quarter of
-        // a smaller memory.
-        let reserve = (self.stack_floor / 4).min(1 << 20);
-        let red_zone = self.stack_floor - reserve;
+        let top = self.stack_top();
+        let red_zone = top - (top / 4).min(1 << 20);
         if end > red_zone {
             return Err(VmError::BadAddress(end));
         }

@@ -28,7 +28,7 @@ done
 failed=""
 
 if [ "$quick" -eq 0 ]; then
-  for b in table1 figure4 figure5 figure6 figure7 blur codegen regalloc ablations; do
+  for b in codegen regalloc ablations; do
     echo "=== bench: $b ===" >> bench_output.txt
     if ! cargo bench -p tcc-bench --bench "$b" >> bench_output.txt 2>&1; then
       echo "BENCH FAILED: $b (see bench_output.txt)" >&2

@@ -169,10 +169,10 @@ fn evicted_code_faults_stale_when_called() {
 #[test]
 fn placement_jitter_is_deterministic_per_seed() {
     let drive = |seed: Option<u64>| -> Vec<u64> {
-        let mut s = session(Config {
-            placement_jitter: seed,
-            ..Config::default()
-        });
+        let mut s = session(Config::default());
+        if let Some(seed) = seed {
+            s.vm.state_mut().code.set_placement_jitter(seed);
+        }
         (0..4u64).map(|n| s.call("make", &[n]).unwrap()).collect()
     };
     // Same seed, same session history: identical layout.

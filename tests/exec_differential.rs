@@ -961,14 +961,10 @@ fn placement_jitter_composes_with_predecoding() {
     let src = program_for(&sts);
     let mut base = None;
     for jitter in [None, Some(7), Some(1234)] {
-        let mut s = Session::new(
-            &src,
-            Config {
-                placement_jitter: jitter,
-                ..Config::default()
-            },
-        )
-        .expect("compiles");
+        let mut s = Session::new(&src, Config::default()).expect("compiles");
+        if let Some(seed) = jitter {
+            s.vm.state_mut().code.set_placement_jitter(seed);
+        }
         let fp = s.call("dyn_compile", &[13]).expect("compiles dyn");
         // Repeat runs climb the adaptive tiers, so the predecoded fast
         // path is exercised regardless of where the code landed.

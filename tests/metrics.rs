@@ -279,3 +279,78 @@ fn adaptive_insn_tiers_partition_retired_insns() {
         (m.vm.insns, 0, 0)
     );
 }
+
+/// Globals, a string literal and a dynamic site: everything the linker
+/// places in data memory before the session takes the image over.
+const IMAGE_SRC: &str = r#"
+int bias = 11;
+int table[3] = {5, 6, 7};
+long greet(void) { return (long)"hello"; }
+int sum(void) { return bias + table[2]; }
+long make(int n) {
+    int cspec c = `($n + $bias);
+    return (long)compile(c, int);
+}
+"#;
+
+#[test]
+fn session_keeps_the_linked_image_reachable() {
+    use tcc::persist_abi_salt;
+    use tcc_vm::CostModel;
+
+    let config = Config::default();
+    let prog = tcc_front::compile_unit(IMAGE_SRC).expect("parses");
+    let fresh = tcc_mir::build_image(&prog, config.static_opt, config.mem_size).expect("links");
+    let mut s = Session::new(IMAGE_SRC, config).expect("compiles");
+
+    // The symbol tables are the linker's.
+    assert_eq!(s.image.func_names, fresh.func_names);
+    assert_eq!(s.image.func_addrs, fresh.func_addrs);
+    assert_eq!(s.image.global_addrs, fresh.global_addrs);
+    for name in ["greet", "sum", "make"] {
+        assert_eq!(s.image.addr_of(name), fresh.addr_of(name), "{name}");
+        assert_eq!(s.disassemble(name), {
+            let a = fresh.addr_of(name).unwrap();
+            fresh.code.disassemble_at(a)
+        });
+    }
+    assert_eq!(s.image.addr_of("nope"), None);
+    assert_eq!(s.global_addr("nope"), None);
+
+    // What the linker wrote is read back through the VM's memory, the
+    // only one there is.
+    let bias = s.global_addr("bias").expect("bias placed");
+    let table = s.global_addr("table").expect("table placed");
+    assert_eq!(Some(bias), fresh.global_addr_of(&prog, "bias"));
+    let mem = &s.vm.state().mem;
+    assert_eq!(mem.load_u32(bias).unwrap(), 11);
+    assert_eq!(mem.load_u32(table + 8).unwrap(), 7);
+    assert_eq!(mem.brk(), fresh.mem.brk(), "nothing allocated twice");
+    let hello = s.call("greet", &[]).unwrap();
+    assert_eq!(s.vm.state().mem.read_cstr(hello).unwrap(), "hello");
+    assert_eq!(s.call("sum", &[]).unwrap(), 18);
+    let f = s.call("make", &[31]).unwrap();
+    assert_eq!(s.call_addr(f, &[]).unwrap(), 42);
+
+    // The ABI salt folds the scheme version, the opcode table, the cost
+    // model and exactly the linker's two address tables, in this order.
+    // Stores on disk were opened under this value; changing the fold
+    // rejects every one of them.
+    fn mix(a: u64, b: u64) -> u64 {
+        let mut x = a ^ b.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        x ^ (x >> 31)
+    }
+    let cost = CostModel::default();
+    let mut h = mix(
+        tcc::fingerprint::SCHEME_VERSION as u64,
+        tcc_vm::isa::op_table_signature(),
+    );
+    h = mix(h, cost.digest());
+    for addrs in [&fresh.func_addrs, &fresh.global_addrs] {
+        h = mix(h, addrs.len() as u64);
+        h = addrs.iter().fold(h, |h, &a| mix(h, a));
+    }
+    assert_eq!(persist_abi_salt(&s.image, &cost), h);
+}
