@@ -132,7 +132,7 @@ pub enum ExprKind {
     IntLit(i64),
     /// Floating literal.
     FloatLit(f64),
-    /// String literal (sema interns it as an anonymous global).
+    /// String literal (the linker lays it out in the image's data).
     StrLit(Vec<u8>),
     /// Unresolved name (parser output only).
     Ident(String),
@@ -323,6 +323,10 @@ pub struct TickDef {
     pub captures: Vec<Capture>,
     /// Locals declared inside the tick body (dynamic locals).
     pub dyn_locals: Vec<LocalDef>,
+    /// The distinct string literals of the body, in source order. The
+    /// linker lays them out in the static image's data, so dynamic code
+    /// that mentions one holds the same address in every session.
+    pub str_lits: Vec<Vec<u8>>,
     /// The function the tick appears in.
     pub owner: usize,
 }

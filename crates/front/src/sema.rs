@@ -88,6 +88,7 @@ enum DollarKey {
 struct TickCtx {
     captures: Vec<Capture>,
     dyn_locals: Vec<LocalDef>,
+    str_lits: Vec<Vec<u8>>,
     // Dedup maps: enclosing local id -> capture index.
     fv_map: HashMap<usize, usize>,
     spec_map: HashMap<usize, usize>,
@@ -586,7 +587,14 @@ impl Sema {
                 };
             }
             ExprKind::FloatLit(_) => e.ty = Type::Double,
-            ExprKind::StrLit(_) => e.ty = Type::Ptr(Box::new(Type::Char)),
+            ExprKind::StrLit(bytes) => {
+                if let Some(t) = self.ctx.as_mut().and_then(|c| c.tick.as_mut()) {
+                    if !t.str_lits.contains(bytes) {
+                        t.str_lits.push(bytes.clone());
+                    }
+                }
+                e.ty = Type::Ptr(Box::new(Type::Char));
+            }
             ExprKind::Ident(name) => {
                 let name = name.clone();
                 let (vr, ty) = self.resolve(&name, line)?;
@@ -885,6 +893,7 @@ impl Sema {
         self.ctx().tick = Some(TickCtx {
             captures: Vec::new(),
             dyn_locals: Vec::new(),
+            str_lits: Vec::new(),
             fv_map: HashMap::new(),
             spec_map: HashMap::new(),
             spec_global_map: HashMap::new(),
@@ -926,6 +935,7 @@ impl Sema {
             body,
             captures: t.captures,
             dyn_locals: t.dyn_locals,
+            str_lits: t.str_lits,
             owner,
         });
         Ok((self.prog.ticks.len() - 1, eval_ty))

@@ -16,7 +16,7 @@ use crate::ir::{IInsn, IOp, IcodeBuf, VReg};
 use crate::prune::{key_of, TranslatorTable};
 use tcc_rt::ValKind;
 use tcc_vcode::ops::UnOp;
-use tcc_vcode::{CallTarget, CodeSink, FinishedFunc, Label, Loc, Vcode};
+use tcc_vcode::{CallTarget, CodeSink, FinishedFunc, Label, Loc, Vcode, VcodeBufs};
 use tcc_vm::regs::{ARG_REGS, FARG_REGS};
 use tcc_vm::CodeSpace;
 
@@ -30,6 +30,9 @@ pub struct EmitScratch {
     /// The VCODE label of each ICODE label; arguments since the last call.
     labels: Vec<Label>,
     pending_args: Vec<(ValKind, Loc)>,
+    /// The VCODE layer's own per-function storage (out while a function
+    /// is being emitted).
+    vcode: Option<VcodeBufs>,
 }
 
 /// Translates a register-allocated ICODE buffer to binary. Returns the
@@ -55,8 +58,9 @@ pub fn emit(
         fslot_off,
         labels,
         pending_args,
+        vcode,
     } = scratch;
-    let mut vc = Vcode::new(code, name);
+    let mut vc = Vcode::with_bufs(code, name, vcode.take().unwrap_or_default());
 
     // Save callee-saved registers the allocator handed out.
     for &r in &asn.used_callee_saved {
@@ -95,7 +99,9 @@ pub fn emit(
         seen.insert(key);
         translate_one(&mut vc, insn, &loc_of, labels, block_off, pending_args);
     }
-    (vc.finish(), seen)
+    let (func, bufs) = vc.finish_with_bufs();
+    *vcode = Some(bufs);
+    (func, seen)
 }
 
 fn translate_one(

@@ -29,6 +29,12 @@ pub struct Image {
     pub global_addrs: Vec<u64>,
     /// VM address of the function table.
     pub fn_table: u64,
+    /// Address of every string literal a tick body mentions:
+    /// `tick_strs[t][j]` is where `prog.ticks[t].str_lits[j]` lives.
+    /// Laid out here, after everything static code refers to, so dynamic
+    /// code bakes in an address that is the same in every session of
+    /// the program.
+    pub tick_strs: Vec<Vec<u64>>,
     /// Total instructions emitted for static code.
     pub static_insns: u64,
 }
@@ -162,6 +168,11 @@ pub fn build_image_scheduled(
     for (i, &a) in func_addrs.iter().enumerate() {
         env.mem.store_u64(fn_table + 8 * i as u64, a)?;
     }
+    let tick_strs = prog
+        .ticks
+        .iter()
+        .map(|t| t.str_lits.iter().map(|s| env.intern_str(s)).collect())
+        .collect();
     Ok(Image {
         code,
         mem: env.mem,
@@ -169,6 +180,7 @@ pub fn build_image_scheduled(
         func_names,
         global_addrs: env.global_addrs,
         fn_table,
+        tick_strs,
         static_insns,
     })
 }

@@ -120,6 +120,10 @@ pub struct DynMetrics {
     pub closures: u64,
     /// Loop iterations unrolled at dynamic compile time.
     pub unrolled_iters: u64,
+    /// Nodes visited by static (run-time constant) evaluation during
+    /// the CGF walks: what asking "is this subtree a run-time constant,
+    /// and what is it" cost, in visits.
+    pub rtc_evals: u64,
 }
 
 impl DynMetrics {
@@ -150,6 +154,7 @@ impl DynMetrics {
             ("spills", Json::from(self.spills)),
             ("closures", Json::from(self.closures)),
             ("unrolled_iters", Json::from(self.unrolled_iters)),
+            ("rtc_evals", Json::from(self.rtc_evals)),
             (
                 "ns_per_generated_insn",
                 Json::from(self.ns_per_generated_insn()),

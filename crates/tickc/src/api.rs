@@ -151,7 +151,7 @@ impl Default for Config {
 /// The ABI salt persistent stores are opened under: an
 /// order-sensitive fold of the fingerprint scheme version, the opcode
 /// table signature, the cost model digest, and the static image's
-/// function/global layout. Fingerprints deliberately do not cover the
+/// function/global/tick-literal layout. Fingerprints deliberately do not cover the
 /// static program (it is fixed for a session), but generated code
 /// bakes static call addresses in — so a store written for one source
 /// program, or by a build with a different ISA, cost model, or
@@ -178,6 +178,10 @@ pub fn persist_abi_salt(image: &SessionImage, cost: &CostModel) -> u64 {
     for &a in &image.global_addrs {
         h = mix(h, a);
     }
+    // Dynamic code bakes in where a tick body's string literals live.
+    for &a in image.tick_strs.iter().flatten() {
+        h = mix(h, a);
+    }
     h
 }
 
@@ -197,6 +201,10 @@ pub struct SessionImage {
     pub func_names: Vec<String>,
     /// Global addresses by global index.
     pub global_addrs: Vec<u64>,
+    /// Address of every string literal a tick body mentions, by tick
+    /// and then by [`tcc_front::ast::TickDef::str_lits`] index — what
+    /// dynamic code bakes in for one.
+    pub tick_strs: Vec<Vec<u64>>,
 }
 
 impl SessionImage {
@@ -255,6 +263,7 @@ impl Session {
             func_addrs,
             func_names,
             global_addrs,
+            tick_strs,
             ..
         } = build_image_scheduled(
             &prog,
@@ -271,13 +280,9 @@ impl Session {
             func_addrs,
             func_names,
             global_addrs,
+            tick_strs,
         };
-        let mut rt = TccRuntime::new(
-            prog.clone(),
-            image.func_addrs.clone(),
-            image.global_addrs.clone(),
-            config.backend,
-        );
+        let mut rt = TccRuntime::new(prog.clone(), &image, config.backend);
         rt.echo = config.echo;
         rt.set_icode_schedule(config.icode_schedule);
         // Without a memo there is nothing for a backing to stand behind.

@@ -2,10 +2,15 @@
 //!
 //! At dynamic compile time, tcc "invokes the code-generating function for
 //! the cspec on the cspec's closure, and the CGF performs most of the
-//! actual code generation" (§4.4). Here the CGF machinery is one generic
-//! walker over the tick expression's typed AST, parameterized by a
-//! [`CodeSink`] — VCODE (immediate one-pass emission) or ICODE (IR
-//! recording).
+//! actual code generation" (§4.4). Here a tick expression's CGF is its
+//! *plan* (module `plan`): the typed AST lowered once per session, on
+//! the tick's first instantiation, into a node arena that holds every
+//! fact the tick alone determines. The machinery below is one generic
+//! walker over plans, parameterized by a [`CodeSink`] — VCODE (immediate
+//! one-pass emission) or ICODE (IR recording). Per node it decides the
+//! one thing only an instantiation knows — is this value a run-time
+//! constant *now* — and makes the emit call; it sees no `Type`, no
+//! `Expr` and no name.
 //!
 //! The walker implements the paper's **automatic dynamic partial
 //! evaluation**:
@@ -28,33 +33,31 @@
 //! inline; its result value is a temporary whose register the nested walk
 //! allocated (the §5.1 convention).
 
-use std::collections::HashMap;
-use tcc_front::ast::*;
-use tcc_front::types::Type;
+use crate::addr_map::AddrMap;
+use crate::plan::{
+    self, Access, AssignHow, BinEmit, Callee, Co, Fold, ForPlan, NodeId, Op, PStmt, Span, Step,
+    StmtId, SwItem, TickPlan, UnrollPlan, ZeroSide, HAS_CSPEC, NS_IN, NS_OUT,
+};
+use std::sync::OnceLock;
+use tcc_front::ast::{BinaryOp, Capture, CaptureKind, UnaryOp};
 use tcc_front::Program;
 use tcc_rt::{ClosureRef, ValKind, VspecObj, VspecTag, ARGLIST_MARKER, LABEL_MARKER};
-use tcc_vcode::ops::{BinOp, LoadKind, StoreKind, UnOp};
+use tcc_vcode::ops::{BinOp, LoadKind, UnOp};
 use tcc_vcode::CodeSink;
 use tcc_vm::{Memory, VmError};
 
 /// Trip count above which a statically-bounded loop is kept as a loop
 /// instead of unrolled (code-bloat guard).
-const UNROLL_TRIP_LIMIT: u64 = 1024;
+pub(crate) const UNROLL_TRIP_LIMIT: u64 = 1024;
 /// Hard limit on unrolled iterations (backstop; pre-simulation should
 /// keep unrolling far below this).
-const UNROLL_LIMIT: u64 = 1 << 20;
+pub(crate) const UNROLL_LIMIT: u64 = 1 << 20;
 
-/// How a static `for` loop's step updates the induction variable.
-enum StepKind {
-    IncDec(bool),
-    AssignOp(BinaryOp, Expr),
-    Reassign(Expr),
-}
 /// Limit on closure-composition nesting depth. Composition is compiled
 /// by recursive walk (one CGF invoking another, as in tcc), so the limit
 /// also bounds host stack use; 300 is far beyond any published use of
 /// composition while staying comfortably within a 2 MiB test stack.
-const COMPOSE_DEPTH_LIMIT: u32 = 300;
+pub(crate) const COMPOSE_DEPTH_LIMIT: u32 = 300;
 
 /// Computes the closure-composition nesting depth reachable from
 /// `entry` — iteratively, so arbitrarily deep (or cyclic) compositions
@@ -168,7 +171,7 @@ pub fn probe_compose_depth(mem: &Memory, prog: &Program, entry: u64) -> Result<u
 
 /// Static-program facts the dynamic compiler needs.
 #[derive(Clone, Copy)]
-pub struct DynInput<'p> {
+pub(crate) struct DynInput<'p> {
     /// The analyzed program (tick table).
     pub prog: &'p Program,
     /// Compiled static function addresses (direct calls from dynamic
@@ -176,6 +179,16 @@ pub struct DynInput<'p> {
     pub func_addrs: &'p [u64],
     /// Global addresses (by index).
     pub global_addrs: &'p [u64],
+    /// Where the linker put each tick's string literals.
+    pub tick_strs: &'p [Vec<u64>],
+    /// The session's plans, by tick id; a slot is filled by the tick's
+    /// first instantiation.
+    pub plans: &'p [OnceLock<TickPlan>],
+    /// Evaluate cspec operands before non-cspec operands (§5.1 register
+    /// pressure heuristic; the runtime's ablation knob).
+    pub cspec_first: bool,
+    /// Dynamic loop unrolling (§4.4; the runtime's ablation knob).
+    pub enable_unroll: bool,
 }
 
 /// A codegen-time constant (run-time constant in paper terms).
@@ -188,21 +201,21 @@ pub enum Cv {
 }
 
 impl Cv {
-    fn as_i(self) -> i64 {
+    pub(crate) fn as_i(self) -> i64 {
         match self {
             Cv::I(v) => v,
             Cv::F(v) => v as i64,
         }
     }
 
-    fn as_f(self) -> f64 {
+    pub(crate) fn as_f(self) -> f64 {
         match self {
             Cv::I(v) => v as f64,
             Cv::F(v) => v,
         }
     }
 
-    fn truthy(self) -> bool {
+    pub(crate) fn truthy(self) -> bool {
         match self {
             Cv::I(v) => v != 0,
             Cv::F(v) => v != 0.0,
@@ -213,9 +226,19 @@ impl Cv {
 /// A value produced by expression emission, with temp ownership (owned
 /// values are released back to the register pool after consumption —
 /// the `putreg` half of the VCODE discipline).
-struct V<S: CodeSink> {
-    val: S::Val,
-    owned: bool,
+pub(crate) struct V<S: CodeSink> {
+    pub(crate) val: S::Val,
+    pub(crate) owned: bool,
+}
+
+impl<S: CodeSink> V<S> {
+    pub(crate) fn owned(val: S::Val) -> Self {
+        V { val, owned: true }
+    }
+
+    pub(crate) fn borrowed(val: S::Val) -> Self {
+        V { val, owned: false }
+    }
 }
 
 impl<S: CodeSink> Clone for V<S> {
@@ -226,84 +249,143 @@ impl<S: CodeSink> Clone for V<S> {
 
 impl<S: CodeSink> Copy for V<S> {}
 
-impl<S: CodeSink> std::fmt::Debug for V<S> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "V({:?}, owned={})", self.val, self.owned)
-    }
-}
-
 /// Statistics from one dynamic compilation walk.
-#[derive(Clone, Copy, Debug, Default)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct WalkStats {
     /// Closures read (composition events).
     pub closures: u64,
-    /// Run-time constant evaluations performed.
+    /// Nodes visited by static (run-time constant) evaluation.
     pub rtc_evals: u64,
     /// Loop iterations unrolled at compile time.
     pub unrolled_iters: u64,
 }
 
-struct Frame<'p, S: CodeSink> {
-    tick: &'p TickDef,
+/// The walker's working storage, owned by the runtime and emptied per
+/// compile (one per back end: the value and label types are the
+/// sink's). Closure frames are slices of four stacks — a frame is
+/// pushed when a closure's plan starts and popped when it ends, so
+/// composition depth costs capacity once, not an allocation per
+/// closure.
+#[derive(Debug)]
+pub struct WalkScratch<V, L> {
+    /// Closure fields of the open frames.
     fields: Vec<u64>,
-    /// Derived run-time constants (static dyn locals).
-    rtc: HashMap<usize, Cv>,
-    /// Materialized (dynamic) locals.
-    vals: HashMap<usize, S::Val>,
-    labels: HashMap<String, S::Lbl>,
+    /// Derived run-time constants (static dyn locals), per local slot.
+    rtc: Vec<Option<Cv>>,
+    /// Materialized (dynamic) locals, per local slot.
+    vals: Vec<Option<V>>,
+    /// `goto` labels, per label slot.
+    labels: Vec<Option<L>>,
+    /// vspec object address → bound location.
+    vspecs: AddrMap<V>,
+    /// Dynamic label object address → sink label (+ whether bound).
+    dyn_labels: AddrMap<(L, bool)>,
+    break_stack: Vec<L>,
+    continue_stack: Vec<L>,
+    /// Arguments of the calls being assembled (innermost last), and
+    /// whether each is an owned temporary.
+    args: Vec<(ValKind, V)>,
+    arg_owned: Vec<bool>,
+    /// Case labels of the dynamic switches being emitted.
+    case_labels: Vec<L>,
 }
 
-/// The CGF walker. Create one per `compile` invocation.
-pub struct DynCompiler<'a, 'p, S: CodeSink> {
+impl<V, L> Default for WalkScratch<V, L> {
+    fn default() -> Self {
+        WalkScratch {
+            fields: Vec::new(),
+            rtc: Vec::new(),
+            vals: Vec::new(),
+            labels: Vec::new(),
+            vspecs: AddrMap::default(),
+            dyn_labels: AddrMap::default(),
+            break_stack: Vec::new(),
+            continue_stack: Vec::new(),
+            args: Vec::new(),
+            arg_owned: Vec::new(),
+            case_labels: Vec::new(),
+        }
+    }
+}
+
+impl<V, L> WalkScratch<V, L> {
+    fn clear(&mut self) {
+        self.fields.clear();
+        self.rtc.clear();
+        self.vals.clear();
+        self.labels.clear();
+        self.vspecs.clear();
+        self.dyn_labels.clear();
+        self.break_stack.clear();
+        self.continue_stack.clear();
+        self.args.clear();
+        self.arg_owned.clear();
+        self.case_labels.clear();
+    }
+}
+
+/// One closure being walked: its plan and where its slots start in the
+/// scratch stacks.
+#[derive(Clone, Copy)]
+struct Frame<'p> {
+    plan: &'p TickPlan,
+    fields: usize,
+    locals: usize,
+    labels: usize,
+}
+
+/// A place in dynamic code: a register-like value or memory.
+enum DynPlace<S: CodeSink> {
+    Val(S::Val, Access),
+    Mem { addr: V<S>, off: i64, acc: Access },
+}
+
+/// The CGF walker: interprets tick plans against a [`CodeSink`]. Create
+/// one per `compile` invocation.
+pub(crate) struct DynCompiler<'a, 'p, S: CodeSink> {
     input: DynInput<'p>,
-    mem: &'a mut Memory,
+    mem: &'a Memory,
     sink: &'a mut S,
-    /// vspec object address → bound location.
-    vspecs: HashMap<u64, S::Val>,
-    /// Dynamic label object address → sink label (+ whether bound).
-    dyn_labels: HashMap<u64, (S::Lbl, bool)>,
-    break_stack: Vec<S::Lbl>,
-    continue_stack: Vec<S::Lbl>,
+    sc: &'a mut WalkScratch<S::Val, S::Lbl>,
     /// Return kind expected by `compile(c, T)` (None = void).
     ret_kind: Option<ValKind>,
     depth: u32,
     /// Walk statistics.
-    pub stats: WalkStats,
-    /// Evaluate cspec operands before non-cspec operands (§5.1 register
-    /// pressure heuristic); on by default.
-    pub cspec_first: bool,
-    /// Dynamic loop unrolling (§4.4); on by default. The ablation knob
-    /// quantifies the optimization's contribution.
-    pub enable_unroll: bool,
+    pub(crate) stats: WalkStats,
+}
+
+fn host_err(msg: impl Into<String>) -> VmError {
+    VmError::Host(msg.into())
 }
 
 impl<'a, 'p, S: CodeSink> DynCompiler<'a, 'p, S> {
-    /// Creates a walker. `ret_kind` is the declared return kind of the
-    /// function being compiled (`None` for void).
-    pub fn new(
+    /// Creates a walker over emptied scratch. `ret_kind` is the declared
+    /// return kind of the function being compiled (`None` for void).
+    pub(crate) fn new(
         input: DynInput<'p>,
-        mem: &'a mut Memory,
+        mem: &'a Memory,
         sink: &'a mut S,
+        sc: &'a mut WalkScratch<S::Val, S::Lbl>,
         ret_kind: Option<ValKind>,
     ) -> Self {
+        sc.clear();
         DynCompiler {
             input,
             mem,
             sink,
-            vspecs: HashMap::new(),
-            dyn_labels: HashMap::new(),
-            break_stack: Vec::new(),
-            continue_stack: Vec::new(),
+            sc,
             ret_kind,
             depth: 0,
             stats: WalkStats::default(),
-            cspec_first: true,
-            enable_unroll: true,
         }
     }
 
-    fn err(&self, msg: impl Into<String>) -> VmError {
-        VmError::Host(msg.into())
+    /// The plan of tick `id`, lowered on first use; `None` for an id
+    /// outside the tick table.
+    fn plan(&self, id: usize) -> Option<&'p TickPlan> {
+        let input = self.input;
+        let slot = input.plans.get(id)?;
+        Some(slot.get_or_init(|| plan::lower(input.prog, id, &input.tick_strs[id])))
     }
 
     /// Compiles the closure at `closure_addr` as a complete function
@@ -312,25 +394,21 @@ impl<'a, 'p, S: CodeSink> DynCompiler<'a, 'p, S> {
     /// # Errors
     ///
     /// Fails on malformed closures or unrepresentable dynamic code.
-    pub fn compile_entry(&mut self, closure_addr: u64) -> Result<(), VmError> {
+    pub(crate) fn compile_entry(&mut self, closure_addr: u64) -> Result<(), VmError> {
         self.prebind_params(closure_addr, 0)?;
         let ret = self.compile_closure(closure_addr)?;
-        if let Some((&addr, _)) = self.dyn_labels.iter().find(|(_, (_, bound))| !bound) {
-            return Err(self.err(format!(
+        let unbound = (self.sc.dyn_labels.iter()).filter(|(_, (_, bound))| !bound);
+        if let Some(addr) = unbound.map(|(addr, _)| *addr).min() {
+            return Err(host_err(format!(
                 "dynamic label object at {addr:#x} is jumped to but never spliced"
             )));
         }
         match (ret, self.ret_kind) {
-            (Some(v), Some(k)) => {
-                self.sink.ret_val(k, v.val);
-            }
-            (Some(_), None) | (None, None) => self.sink.ret_void(),
-            (None, Some(_)) => {
-                // A statement cspec whose returns (if any) were emitted
-                // inline; fall-through returns void-ish garbage, matching
-                // C's behaviour for missing returns.
-                self.sink.ret_void();
-            }
+            (Some(v), Some(k)) => self.sink.ret_val(k, v.val),
+            // A statement cspec whose returns (if any) were emitted
+            // inline falls through returning void-ish garbage, matching
+            // C's behaviour for missing returns.
+            _ => self.sink.ret_void(),
         }
         Ok(())
     }
@@ -340,24 +418,20 @@ impl<'a, 'p, S: CodeSink> DynCompiler<'a, 'p, S> {
     /// at entry, before calls clobber them).
     fn prebind_params(&mut self, closure_addr: u64, depth: u32) -> Result<(), VmError> {
         if depth > COMPOSE_DEPTH_LIMIT {
-            return Err(self.err("closure composition too deep"));
+            return Err(host_err("closure composition too deep"));
         }
         let c = ClosureRef { addr: closure_addr };
         let id = c.cgf_id(self.mem)? as usize;
-        let tick = self
-            .input
-            .prog
-            .ticks
-            .get(id)
-            .ok_or_else(|| self.err(format!("bad cgf id {id}")))?;
+        let tick =
+            (self.input.prog.ticks.get(id)).ok_or_else(|| host_err(format!("bad cgf id {id}")))?;
         for (i, cap) in tick.captures.iter().enumerate() {
             let field = c.field(self.mem, i)?;
             match &cap.kind {
                 CaptureKind::Vspec(_) => {
                     let obj = VspecObj::read(self.mem, field)?;
-                    if obj.tag == VspecTag::Param && !self.vspecs.contains_key(&field) {
+                    if obj.tag == VspecTag::Param && !self.sc.vspecs.contains_key(&field) {
                         let v = self.sink.param(obj.index as usize, obj.kind);
-                        self.vspecs.insert(field, v);
+                        self.sc.vspecs.insert(field, v);
                     }
                 }
                 CaptureKind::Cspec(_) => {
@@ -386,159 +460,149 @@ impl<'a, 'p, S: CodeSink> DynCompiler<'a, 'p, S> {
     fn compile_closure(&mut self, closure_addr: u64) -> Result<Option<V<S>>, VmError> {
         self.depth += 1;
         if self.depth > COMPOSE_DEPTH_LIMIT {
-            return Err(self.err("closure composition too deep"));
+            return Err(host_err("closure composition too deep"));
         }
         self.stats.closures += 1;
         let c = ClosureRef { addr: closure_addr };
-        if c.cgf_id(self.mem)? == ARGLIST_MARKER {
-            self.depth -= 1;
-            return Err(self.err("argument lists can only be used with apply()"));
+        let id = c.cgf_id(self.mem)?;
+        if id == ARGLIST_MARKER {
+            return Err(host_err("argument lists can only be used with apply()"));
         }
         // A dynamic label object spliced as a statement binds a position.
-        if c.cgf_id(self.mem)? == LABEL_MARKER {
+        if id == LABEL_MARKER {
             let (l, bound) = self.dyn_label(closure_addr);
             if bound {
-                self.depth -= 1;
-                return Err(self.err("dynamic label spliced twice"));
+                return Err(host_err("dynamic label spliced twice"));
             }
             self.sink.bind(l);
-            self.dyn_labels.insert(closure_addr, (l, true));
+            self.sc.dyn_labels.insert(closure_addr, (l, true));
             self.depth -= 1;
             return Ok(None);
         }
-        let id = c.cgf_id(self.mem)? as usize;
-        let tick = self
-            .input
-            .prog
-            .ticks
-            .get(id)
-            .ok_or_else(|| self.err(format!("bad cgf id {id}")))?;
-        let mut fields = Vec::with_capacity(tick.captures.len());
-        for i in 0..tick.captures.len() {
-            fields.push(c.field(self.mem, i)?);
-        }
-        let mut frame = Frame {
-            tick,
-            fields,
-            rtc: HashMap::new(),
-            vals: HashMap::new(),
-            labels: HashMap::new(),
+        let plan = (self.plan(id as usize)).ok_or_else(|| host_err(format!("bad cgf id {id}")))?;
+        let f = Frame {
+            plan,
+            fields: self.sc.fields.len(),
+            locals: self.sc.rtc.len(),
+            labels: self.sc.labels.len(),
         };
-        let out = match &tick.body {
-            TickBody::Expr(e) => Some(self.expr(e, &mut frame)?),
-            TickBody::Block(stmts) => {
-                for s in stmts {
-                    self.stmt(s, &mut frame)?;
-                }
+        for i in 0..plan.caps as usize {
+            self.sc.fields.push(c.field(self.mem, i)?);
+        }
+        self.sc.rtc.resize(f.locals + plan.locals.len(), None);
+        self.sc.vals.resize(f.locals + plan.locals.len(), None);
+        self.sc.labels.resize(f.labels + plan.labels as usize, None);
+        let out = match plan.value {
+            Some(e) => Some(self.expr(e, f)?),
+            None => {
+                self.block(plan.body, f)?;
                 None
             }
         };
+        self.sc.fields.truncate(f.fields);
+        self.sc.rtc.truncate(f.locals);
+        self.sc.vals.truncate(f.locals);
+        self.sc.labels.truncate(f.labels);
         self.depth -= 1;
         Ok(out)
     }
 
+    fn field(&self, f: Frame<'p>, cap: u32) -> u64 {
+        self.sc.fields[f.fields + cap as usize]
+    }
+
     // ---- run-time constant evaluation -------------------------------------
 
-    /// Evaluates `e` at dynamic compile time if it is a run-time
-    /// constant. `in_dollar` permits memory loads (the `$row[k]` case).
+    /// Evaluates node `id` at dynamic compile time if it is a run-time
+    /// constant: one flag test, then — only where the answer depends on
+    /// this instantiation — one walk. `in_dollar` permits memory loads
+    /// (the `$row[k]` case).
     fn eval_static(
         &mut self,
-        e: &Expr,
-        frame: &Frame<'p, S>,
+        id: NodeId,
+        f: Frame<'p>,
         in_dollar: bool,
     ) -> Result<Option<Cv>, VmError> {
+        let n = &f.plan.nodes[id as usize];
+        if n.flags & (if in_dollar { NS_IN } else { NS_OUT }) != 0 {
+            return Ok(None);
+        }
         self.stats.rtc_evals += 1;
-        let r = match &e.kind {
-            ExprKind::IntLit(v) => Some(Cv::I(*v)),
-            ExprKind::FloatLit(v) => Some(Cv::F(*v)),
-            ExprKind::Dollar(inner) => self.eval_static(inner, frame, true)?,
-            ExprKind::Var(VarRef::TickRtc(i)) => {
-                let raw = frame.fields[*i];
-                let ty = &frame.tick.captures[*i].ty;
-                Some(if ty.kind() == ValKind::F {
+        Ok(match n.op {
+            Op::Int(v) => Some(Cv::I(v)),
+            Op::Float(v) => Some(Cv::F(v)),
+            Op::Dollar(inner) => self.eval_static(inner, f, true)?,
+            Op::Rtc(cap, float) => {
+                let raw = self.field(f, cap);
+                Some(if float {
                     Cv::F(f64::from_bits(raw))
                 } else {
                     Cv::I(raw as i64)
                 })
             }
-            ExprKind::Var(VarRef::TickLocal(i)) => frame.rtc.get(i).copied(),
-            ExprKind::Var(VarRef::Global(g)) if in_dollar => {
-                let ty = &e.ty;
-                match ty {
-                    Type::Array(..) | Type::Struct(_) => {
-                        Some(Cv::I(self.input.global_addrs[*g] as i64))
+            Op::Local(i, _) => self.sc.rtc[f.locals + i as usize],
+            // (`$` only: the flags keep a global out of here otherwise.)
+            Op::Global(g, acc) => {
+                let addr = self.input.global_addrs[g as usize];
+                Some(if acc.agg {
+                    Cv::I(addr as i64)
+                } else {
+                    self.load_const(addr, acc.ld)?
+                })
+            }
+            Op::Func(fi) => Some(Cv::I(self.input.func_addrs[fi as usize] as i64)),
+            Op::Bin { a, b, fold, .. } => {
+                let ca = self.eval_static(a, f, in_dollar)?;
+                let cb = self.eval_static(b, f, in_dollar)?;
+                let (Some(ca), Some(cb)) = (ca, cb) else {
+                    return Ok(None);
+                };
+                eval_bin(fold, ca, cb)
+            }
+            Op::Un { op, a, .. } => {
+                let Some(cv) = self.eval_static(a, f, in_dollar)? else {
+                    return Ok(None);
+                };
+                Some(match (op, cv) {
+                    (UnaryOp::Neg, Cv::I(v)) if n.k == ValKind::W => {
+                        Cv::I((v as i32).wrapping_neg() as i64)
                     }
-                    _ => {
-                        let addr = self.input.global_addrs[*g];
-                        Some(self.load_const(addr, ty)?)
-                    }
-                }
+                    (UnaryOp::Neg, Cv::I(v)) => Cv::I(v.wrapping_neg()),
+                    (UnaryOp::Neg, Cv::F(v)) => Cv::F(-v),
+                    (UnaryOp::BitNot, cv) => Cv::I(!cv.as_i()),
+                    (_, cv) => Cv::I(i64::from(!cv.truthy())),
+                })
             }
-            ExprKind::Var(VarRef::Func(f)) => Some(Cv::I(self.input.func_addrs[*f] as i64)),
-            ExprKind::Bin(op, a, b) => {
-                let (Some(ca), Some(cb)) = (
-                    self.eval_static(a, frame, in_dollar)?,
-                    self.eval_static(b, frame, in_dollar)?,
-                ) else {
+            Op::Cast { a, to, .. } => {
+                let Some(cv) = self.eval_static(a, f, in_dollar)? else {
                     return Ok(None);
                 };
-                self.eval_bin(*op, ca, cb, &a.ty, &b.ty)
+                Some(cast_const(cv, to))
             }
-            ExprKind::Un(op, a) => {
-                let Some(cv) = self.eval_static(a, frame, in_dollar)? else {
+            Op::Cond { c, t, f: e, .. } => {
+                let Some(cc) = self.eval_static(c, f, in_dollar)? else {
                     return Ok(None);
                 };
-                match op {
-                    UnaryOp::Neg => Some(match cv {
-                        Cv::I(v) => {
-                            if e.ty.kind() == ValKind::W {
-                                Cv::I((v as i32).wrapping_neg() as i64)
-                            } else {
-                                Cv::I(v.wrapping_neg())
-                            }
-                        }
-                        Cv::F(v) => Cv::F(-v),
-                    }),
-                    UnaryOp::BitNot => Some(Cv::I(!cv.as_i())),
-                    UnaryOp::LogNot => Some(Cv::I(i64::from(!cv.truthy()))),
-                    _ => None,
-                }
+                self.eval_static(if cc.truthy() { t } else { e }, f, in_dollar)?
             }
-            ExprKind::Cast(ty, a) => {
-                let Some(cv) = self.eval_static(a, frame, in_dollar)? else {
+            // (`$` only, as for globals.)
+            Op::Index {
+                base, idx, elem, ..
+            } => {
+                let ba = self.eval_static(base, f, true)?;
+                let iv = self.eval_static(idx, f, true)?;
+                let (Some(ba), Some(iv), Some((size, ld))) = (ba, iv, elem) else {
                     return Ok(None);
                 };
-                Some(cast_const(cv, &a.ty, ty))
-            }
-            ExprKind::Cond(c, t, f) => {
-                let Some(cc) = self.eval_static(c, frame, in_dollar)? else {
-                    return Ok(None);
-                };
-                let arm = if cc.truthy() { t } else { f };
-                self.eval_static(arm, frame, in_dollar)?
-            }
-            ExprKind::Index(base, idx) if in_dollar => {
-                let (Some(ba), Some(iv)) = (
-                    self.eval_static(base, frame, true)?,
-                    self.eval_static(idx, frame, true)?,
-                ) else {
-                    return Ok(None);
-                };
-                let elem = match base.ty.decay() {
-                    Type::Ptr(t) => *t,
-                    _ => return Ok(None),
-                };
-                let size = elem.size(&self.input.prog.structs) as i64;
                 let addr = (ba.as_i() + iv.as_i() * size) as u64;
-                Some(self.load_const(addr, &elem)?)
+                Some(self.load_const(addr, ld)?)
             }
             _ => None,
-        };
-        Ok(r)
+        })
     }
 
-    fn load_const(&self, addr: u64, ty: &Type) -> Result<Cv, VmError> {
-        Ok(match load_kind(ty) {
+    fn load_const(&self, addr: u64, ld: LoadKind) -> Result<Cv, VmError> {
+        Ok(match ld {
             LoadKind::I8 => Cv::I(self.mem.load_u8(addr)? as i8 as i64),
             LoadKind::U8 => Cv::I(self.mem.load_u8(addr)? as i64),
             LoadKind::I16 => Cv::I(self.mem.load_u16(addr)? as i16 as i64),
@@ -550,63 +614,14 @@ impl<'a, 'p, S: CodeSink> DynCompiler<'a, 'p, S> {
         })
     }
 
-    fn eval_bin(&self, op: BinaryOp, a: Cv, b: Cv, ta: &Type, tb: &Type) -> Option<Cv> {
-        use BinaryOp::*;
-        if matches!(op, LogAnd) {
-            return Some(Cv::I(i64::from(a.truthy() && b.truthy())));
-        }
-        if matches!(op, LogOr) {
-            return Some(Cv::I(i64::from(a.truthy() || b.truthy())));
-        }
-        let common = if ta.decay().is_arith() && tb.decay().is_arith() {
-            ta.usual_arith(tb)
-        } else {
-            ta.decay()
-        };
-        if common == Type::Double {
-            let (x, y) = (a.as_f(), b.as_f());
-            return Some(match op {
-                Add => Cv::F(x + y),
-                Sub => Cv::F(x - y),
-                Mul => Cv::F(x * y),
-                Div => Cv::F(x / y),
-                Lt => Cv::I(i64::from(x < y)),
-                Gt => Cv::I(i64::from(x > y)),
-                Le => Cv::I(i64::from(x <= y)),
-                Ge => Cv::I(i64::from(x >= y)),
-                Eq => Cv::I(i64::from(x == y)),
-                Ne => Cv::I(i64::from(x != y)),
-                _ => return None,
-            });
-        }
-        // Pointer arithmetic at compile time (e.g. `$p + k` inside $).
-        if common.is_ptr() && matches!(op, Add | Sub) {
-            let elem = match &common {
-                Type::Ptr(t) => t.size(&self.input.prog.structs) as i64,
-                _ => unreachable!(),
-            };
-            let base = a.as_i();
-            let off = b.as_i() * elem;
-            return Some(Cv::I(if op == Add { base + off } else { base - off }));
-        }
-        let mop = crate::lower_shim::machine_binop(op, &common);
-        let k = common.kind();
-        mop.eval_int(k, a.as_i(), b.as_i()).map(Cv::I)
-    }
-
-    /// Materializes a constant into a fresh temp.
-    fn materialize(&mut self, cv: Cv, ty: &Type) -> V<S> {
-        let k = ty.decay().kind();
+    /// Materializes a constant into a fresh temp of kind `k`.
+    fn materialize(&mut self, cv: Cv, k: ValKind) -> V<S> {
         let t = self.sink.temp(k);
         match (k, cv) {
             (ValKind::F, cv) => self.sink.lif(t, cv.as_f()),
-            (_, Cv::I(v)) => self.sink.li(t, v),
-            (_, Cv::F(v)) => self.sink.li(t, v as i64),
+            (_, cv) => self.sink.li(t, cv.as_i()),
         }
-        V {
-            val: t,
-            owned: true,
-        }
+        V::owned(t)
     }
 
     fn release(&mut self, v: V<S>) {
@@ -618,7 +633,7 @@ impl<'a, 'p, S: CodeSink> DynCompiler<'a, 'p, S> {
     // ---- places ------------------------------------------------------------
 
     fn vspec_val(&mut self, addr: u64) -> Result<S::Val, VmError> {
-        if let Some(v) = self.vspecs.get(&addr) {
+        if let Some(v) = self.sc.vspecs.get(&addr) {
             return Ok(*v);
         }
         let obj = VspecObj::read(self.mem, addr)?;
@@ -626,177 +641,130 @@ impl<'a, 'p, S: CodeSink> DynCompiler<'a, 'p, S> {
             VspecTag::Local => self.sink.temp_saved(obj.kind),
             VspecTag::Param => self.sink.param(obj.index as usize, obj.kind),
         };
-        self.vspecs.insert(addr, v);
+        self.sc.vspecs.insert(addr, v);
         Ok(v)
     }
 
     /// Gets (or creates) the sink label for a dynamic label object.
     fn dyn_label(&mut self, addr: u64) -> (S::Lbl, bool) {
-        if let Some(&(l, bound)) = self.dyn_labels.get(&addr) {
+        if let Some(&(l, bound)) = self.sc.dyn_labels.get(&addr) {
             return (l, bound);
         }
         let l = self.sink.label();
-        self.dyn_labels.insert(addr, (l, false));
+        self.sc.dyn_labels.insert(addr, (l, false));
         (l, false)
     }
 
-    fn local_val(&mut self, frame: &mut Frame<'p, S>, i: usize) -> S::Val {
-        if let Some(v) = frame.vals.get(&i) {
-            return *v;
+    fn local_val(&mut self, f: Frame<'p>, i: u32) -> S::Val {
+        let slot = f.locals + i as usize;
+        if let Some(v) = self.sc.vals[slot] {
+            return v;
         }
-        let k = frame.tick.dyn_locals[i].ty.kind();
-        let v = self.sink.temp_saved(k);
-        frame.vals.insert(i, v);
+        let v = self.sink.temp_saved(f.plan.locals[i as usize]);
+        self.sc.vals[slot] = Some(v);
         v
     }
 
-    /// A place in dynamic code: a register-like value or memory.
-    fn place(&mut self, e: &Expr, frame: &mut Frame<'p, S>) -> Result<DynPlace<S>, VmError> {
-        match &e.kind {
-            ExprKind::Var(VarRef::TickLocal(i)) => {
+    /// `addr` as an owned pointer temporary.
+    fn address(&mut self, addr: u64) -> V<S> {
+        let t = self.sink.temp(ValKind::P);
+        self.sink.li(t, addr as i64);
+        V::owned(t)
+    }
+
+    /// `base + idx * elem` as an owned pointer, releasing both operands.
+    fn scaled_add(&mut self, mop: BinOp, base: V<S>, idx: V<S>, elem: i64) -> V<S> {
+        let scaled = self.sink.temp(ValKind::D);
+        self.sink
+            .bin_imm(BinOp::Mul, ValKind::D, scaled, idx.val, elem);
+        self.release(idx);
+        let d = self.sink.temp(ValKind::P);
+        self.sink.bin(mop, ValKind::P, d, base.val, scaled);
+        self.sink.release(scaled);
+        self.release(base);
+        V::owned(d)
+    }
+
+    fn place(&mut self, id: NodeId, f: Frame<'p>) -> Result<DynPlace<S>, VmError> {
+        let mem = |addr, off, acc| Ok(DynPlace::Mem { addr, off, acc });
+        match f.plan.nodes[id as usize].op {
+            Op::Local(i, acc) => {
                 // Writing to a derived run-time constant demotes it to a
                 // dynamic local (materialize its current value first).
-                if let Some(cv) = frame.rtc.remove(i) {
-                    let ty = frame.tick.dyn_locals[*i].ty.clone();
-                    let m = self.materialize(cv, &ty);
+                if let Some(cv) = self.sc.rtc[f.locals + i as usize].take() {
+                    let k = f.plan.locals[i as usize];
+                    let m = self.materialize(cv, k);
                     // Transfer into a persistent local home.
-                    let k = ty.kind();
                     let home = self.sink.temp_saved(k);
                     self.sink.un(UnOp::Mov, k, home, m.val);
                     self.release(m);
-                    frame.vals.insert(*i, home);
+                    self.sc.vals[f.locals + i as usize] = Some(home);
                 }
-                Ok(DynPlace::Val(self.local_val(frame, *i), e.ty.clone()))
+                Ok(DynPlace::Val(self.local_val(f, i), acc))
             }
-            ExprKind::Var(VarRef::TickVspec(i)) => {
-                let addr = frame.fields[*i];
-                Ok(DynPlace::Val(self.vspec_val(addr)?, e.ty.clone()))
-            }
-            ExprKind::Var(VarRef::TickFv(i)) => {
-                let addr = frame.fields[*i];
-                let t = self.sink.temp(ValKind::P);
-                self.sink.li(t, addr as i64);
-                Ok(DynPlace::Mem {
-                    addr: V {
-                        val: t,
-                        owned: true,
-                    },
-                    off: 0,
-                    ty: e.ty.clone(),
-                })
-            }
-            ExprKind::Var(VarRef::Global(g)) => {
-                let t = self.sink.temp(ValKind::P);
-                self.sink.li(t, self.input.global_addrs[*g] as i64);
-                Ok(DynPlace::Mem {
-                    addr: V {
-                        val: t,
-                        owned: true,
-                    },
-                    off: 0,
-                    ty: e.ty.clone(),
-                })
-            }
-            ExprKind::Un(UnaryOp::Deref, inner) => {
-                let a = self.expr(inner, frame)?;
-                Ok(DynPlace::Mem {
-                    addr: a,
-                    off: 0,
-                    ty: e.ty.clone(),
-                })
-            }
-            ExprKind::Index(base, idx) => {
-                let elem_size = e.ty.size(&self.input.prog.structs) as i64;
-                let bv = self.expr(base, frame)?;
-                if let Some(civ) = self.eval_static(idx, frame, false)? {
-                    return Ok(DynPlace::Mem {
-                        addr: bv,
-                        off: civ.as_i() * elem_size,
-                        ty: e.ty.clone(),
-                    });
+            Op::Vspec(cap, acc) => Ok(DynPlace::Val(self.vspec_val(self.field(f, cap))?, acc)),
+            Op::FreeVar(cap, acc) => mem(self.address(self.field(f, cap)), 0, acc),
+            Op::Global(g, acc) => mem(self.address(self.input.global_addrs[g as usize]), 0, acc),
+            Op::Deref(a, acc) => mem(self.expr(a, f)?, 0, acc),
+            Op::Index {
+                base,
+                idx,
+                size,
+                acc,
+                co_idx,
+                ..
+            } => {
+                let bv = self.expr(base, f)?;
+                if let Some(civ) = self.eval_static(idx, f, false)? {
+                    return mem(bv, civ.as_i() * size, acc);
                 }
-                let iv = self.expr(idx, frame)?;
-                let ivc = self.coerce(iv, &idx.ty, &Type::Long);
-                let scaled = self.sink.temp(ValKind::D);
-                self.sink
-                    .bin_imm(BinOp::Mul, ValKind::D, scaled, ivc.val, elem_size);
-                self.release(ivc);
-                let addr = self.sink.temp(ValKind::P);
-                self.sink.bin(BinOp::Add, ValKind::P, addr, bv.val, scaled);
-                self.sink.release(scaled);
-                self.release(bv);
-                Ok(DynPlace::Mem {
-                    addr: V {
-                        val: addr,
-                        owned: true,
-                    },
-                    off: 0,
-                    ty: e.ty.clone(),
-                })
+                let iv = self.expr(idx, f)?;
+                let iv = self.coerce(iv, co_idx);
+                mem(self.scaled_add(BinOp::Add, bv, iv, size), 0, acc)
             }
-            ExprKind::Member(base, _, arrow, offset) => {
-                if *arrow {
-                    let bv = self.expr(base, frame)?;
-                    Ok(DynPlace::Mem {
-                        addr: bv,
-                        off: *offset as i64,
-                        ty: e.ty.clone(),
-                    })
-                } else {
-                    match self.place(base, frame)? {
-                        DynPlace::Mem { addr, off, .. } => Ok(DynPlace::Mem {
-                            addr,
-                            off: off + *offset as i64,
-                            ty: e.ty.clone(),
-                        }),
-                        DynPlace::Val(..) => Err(self.err("struct member of register value")),
-                    }
-                }
-            }
-            other => Err(self.err(format!("not an lvalue in dynamic code: {other:?}"))),
+            Op::Member {
+                base,
+                arrow: true,
+                off,
+                acc,
+            } => mem(self.expr(base, f)?, off, acc),
+            Op::Member {
+                base, off: o, acc, ..
+            } => match self.place(base, f)? {
+                DynPlace::Mem { addr, off, .. } => mem(addr, off + o, acc),
+                DynPlace::Val(..) => Err(host_err("struct member of register value")),
+            },
+            Op::Fail(m) => Err(host_err(f.plan.msgs[m as usize].as_str())),
+            _ => unreachable!("lowering puts only lvalues in place position"),
         }
     }
 
     fn load_dyn_place(&mut self, p: &DynPlace<S>) -> V<S> {
-        match p {
-            DynPlace::Val(v, _) => V {
-                val: *v,
-                owned: false,
-            },
-            DynPlace::Mem { addr, off, ty } => {
-                if matches!(ty, Type::Array(..) | Type::Struct(_)) {
-                    if *off == 0 {
-                        return V {
-                            val: addr.val,
-                            owned: false,
-                        };
+        match *p {
+            DynPlace::Val(v, _) => V::borrowed(v),
+            DynPlace::Mem { addr, off, acc } => {
+                if acc.agg {
+                    if off == 0 {
+                        return V::borrowed(addr.val);
                     }
                     let t = self.sink.temp(ValKind::P);
-                    self.sink.bin_imm(BinOp::Add, ValKind::P, t, addr.val, *off);
-                    return V {
-                        val: t,
-                        owned: true,
-                    };
+                    self.sink.bin_imm(BinOp::Add, ValKind::P, t, addr.val, off);
+                    return V::owned(t);
                 }
-                let t = self.sink.temp(ty.kind());
-                self.sink.load(load_kind(ty), t, addr.val, *off);
-                V {
-                    val: t,
-                    owned: true,
-                }
+                let t = self.sink.temp(acc.k);
+                self.sink.load(acc.ld, t, addr.val, off);
+                V::owned(t)
             }
         }
     }
 
     fn store_dyn_place(&mut self, p: &DynPlace<S>, v: S::Val) {
-        match p {
-            DynPlace::Val(dst, ty) => {
-                self.sink.un(UnOp::Mov, ty.kind(), *dst, v);
-                self.narrow(*dst, ty);
+        match *p {
+            DynPlace::Val(dst, acc) => {
+                self.sink.un(UnOp::Mov, acc.k, dst, v);
+                self.narrow(dst, acc.ld);
             }
-            DynPlace::Mem { addr, off, ty } => {
-                self.sink.store(store_kind(ty), v, addr.val, *off);
-            }
+            DynPlace::Mem { addr, off, acc } => self.sink.store(acc.st, v, addr.val, off),
         }
     }
 
@@ -806,732 +774,471 @@ impl<'a, 'p, S: CodeSink> DynCompiler<'a, 'p, S> {
         }
     }
 
-    fn narrow(&mut self, v: S::Val, ty: &Type) {
-        match ty {
-            Type::Char => {
-                self.sink.bin_imm(BinOp::Shl, ValKind::W, v, v, 24);
-                self.sink.bin_imm(BinOp::Shr, ValKind::W, v, v, 24);
+    /// The value of a place expression: its place, loaded, with the
+    /// address temporary released (unless it *is* the value).
+    fn load_place(&mut self, id: NodeId, f: Frame<'p>) -> Result<V<S>, VmError> {
+        let p = self.place(id, f)?;
+        let out = self.load_dyn_place(&p);
+        if let DynPlace::Mem { addr, .. } = p {
+            if addr.val != out.val {
+                self.release(addr);
             }
-            Type::UChar => self.sink.bin_imm(BinOp::And, ValKind::W, v, v, 0xff),
-            Type::Short => {
-                self.sink.bin_imm(BinOp::Shl, ValKind::W, v, v, 16);
-                self.sink.bin_imm(BinOp::Shr, ValKind::W, v, v, 16);
-            }
-            Type::UShort => self.sink.bin_imm(BinOp::And, ValKind::W, v, v, 0xffff),
-            _ => {}
         }
+        Ok(out)
     }
 
-    fn coerce(&mut self, v: V<S>, from: &Type, to: &Type) -> V<S> {
-        let from = from.decay();
-        let to = to.decay();
-        if from == to {
-            return v;
-        }
-        let (fk, tk) = (from.kind(), to.kind());
-        let structs = &self.input.prog.structs;
-        match (fk, tk) {
-            (ValKind::F, ValKind::F) => v,
-            (ValKind::F, ValKind::W) => {
-                let d = self.sink.temp(ValKind::W);
-                self.sink.un(UnOp::CvtFtoW, ValKind::W, d, v.val);
+    /// Re-canonicalizes the W in `v` as the sub-`int` type that loads as
+    /// `ld`.
+    fn narrow(&mut self, v: S::Val, ld: LoadKind) {
+        let bits = match ld {
+            LoadKind::U8 => return self.sink.bin_imm(BinOp::And, ValKind::W, v, v, 0xff),
+            LoadKind::U16 => return self.sink.bin_imm(BinOp::And, ValKind::W, v, v, 0xffff),
+            LoadKind::I8 => 24,
+            LoadKind::I16 => 16,
+            _ => return,
+        };
+        self.sink.bin_imm(BinOp::Shl, ValKind::W, v, v, bits);
+        self.sink.bin_imm(BinOp::Shr, ValKind::W, v, v, bits);
+    }
+
+    fn coerce(&mut self, v: V<S>, co: Co) -> V<S> {
+        let (dk, uop) = match co {
+            Co::None => return v,
+            Co::NotReg => panic!("conversion of a value that is not a register value"),
+            Co::FtoW => (ValKind::W, UnOp::CvtFtoW),
+            Co::FtoL(tk) => (tk, UnOp::CvtFtoL),
+            Co::WtoF(false) => (ValKind::F, UnOp::CvtWtoF),
+            Co::LtoF => (ValKind::F, UnOp::CvtLtoF),
+            Co::WtoF(true) => {
+                let d = self.sink.temp(ValKind::F);
+                let z = self.sink.temp(ValKind::D);
+                self.sink
+                    .bin_imm(BinOp::And, ValKind::D, z, v.val, 0xffff_ffff);
+                self.sink.un(UnOp::CvtLtoF, ValKind::F, d, z);
+                self.sink.release(z);
                 self.release(v);
-                V {
-                    val: d,
-                    owned: true,
-                }
+                return V::owned(d);
             }
-            (ValKind::F, _) => {
+            Co::Zext(tk) => {
                 let d = self.sink.temp(tk);
-                self.sink.un(UnOp::CvtFtoL, tk, d, v.val);
+                self.sink
+                    .bin_imm(BinOp::And, ValKind::D, d, v.val, 0xffff_ffff);
                 self.release(v);
-                V {
-                    val: d,
-                    owned: true,
-                }
+                return V::owned(d);
             }
-            (ValKind::W, ValKind::F) => {
-                let d = self.sink.temp(ValKind::F);
-                if from.is_unsigned() {
-                    let z = self.sink.temp(ValKind::D);
-                    self.sink
-                        .bin_imm(BinOp::And, ValKind::D, z, v.val, 0xffff_ffff);
-                    self.sink.un(UnOp::CvtLtoF, ValKind::F, d, z);
-                    self.sink.release(z);
-                } else {
-                    self.sink.un(UnOp::CvtWtoF, ValKind::F, d, v.val);
-                }
-                self.release(v);
-                V {
-                    val: d,
-                    owned: true,
-                }
-            }
-            (_, ValKind::F) => {
-                let d = self.sink.temp(ValKind::F);
-                self.sink.un(UnOp::CvtLtoF, ValKind::F, d, v.val);
-                self.release(v);
-                V {
-                    val: d,
-                    owned: true,
-                }
-            }
-            (ValKind::W, ValKind::D | ValKind::P) => {
-                if from.is_unsigned() {
-                    let d = self.sink.temp(tk);
-                    self.sink
-                        .bin_imm(BinOp::And, ValKind::D, d, v.val, 0xffff_ffff);
-                    self.release(v);
-                    V {
-                        val: d,
-                        owned: true,
-                    }
-                } else {
-                    v
-                }
-            }
-            (ValKind::D | ValKind::P, ValKind::W) => {
+            Co::MovNarrow(n) => {
                 let d = self.sink.temp(ValKind::W);
                 self.sink.un(UnOp::Mov, ValKind::W, d, v.val);
-                self.narrow(d, &to);
+                self.narrow(d, n);
                 self.release(v);
-                V {
-                    val: d,
-                    owned: true,
-                }
+                return V::owned(d);
             }
-            (ValKind::W, ValKind::W) => {
-                let shrink = to.size(structs) < from.size(structs)
-                    || (to.size(structs) == from.size(structs)
-                        && to.is_unsigned() != from.is_unsigned()
-                        && to.size(structs) < 4);
-                if shrink {
-                    let d = self.sink.temp(ValKind::W);
-                    self.sink.un(UnOp::Mov, ValKind::W, d, v.val);
-                    self.narrow(d, &to);
-                    self.release(v);
-                    V {
-                        val: d,
-                        owned: true,
-                    }
-                } else {
-                    v
-                }
-            }
-            (ValKind::D | ValKind::P, ValKind::D | ValKind::P) => v,
-        }
+        };
+        let d = self.sink.temp(dk);
+        self.sink.un(uop, dk, d, v.val);
+        self.release(v);
+        V::owned(d)
     }
 
     // ---- expressions -------------------------------------------------------
 
-    fn expr(&mut self, e: &Expr, frame: &mut Frame<'p, S>) -> Result<V<S>, VmError> {
+    fn expr(&mut self, id: NodeId, f: Frame<'p>) -> Result<V<S>, VmError> {
         // Run-time constant folding: a fully static expression becomes an
         // immediate.
-        if let Some(cv) = self.eval_static(e, frame, false)? {
-            return Ok(self.materialize(cv, &e.ty));
+        let n = &f.plan.nodes[id as usize];
+        if let Some(cv) = self.eval_static(id, f, false)? {
+            return Ok(self.materialize(cv, n.k));
         }
-        match &e.kind {
-            ExprKind::StrLit(bytes) => {
-                let addr = self.intern(bytes)?;
-                let t = self.sink.temp(ValKind::P);
-                self.sink.li(t, addr as i64);
-                Ok(V {
-                    val: t,
-                    owned: true,
-                })
-            }
-            ExprKind::Var(VarRef::TickCspec(i)) => {
-                let closure = frame.fields[*i];
-                match self.compile_closure(closure)? {
-                    Some(v) => Ok(v),
-                    None => Err(self.err("void cspec used as a value")),
+        match n.op {
+            Op::Str(addr) => Ok(self.address(addr)),
+            Op::Cspec(cap) => match self.compile_closure(self.field(f, cap))? {
+                Some(v) => Ok(v),
+                None => Err(host_err("void cspec used as a value")),
+            },
+            Op::Local(..)
+            | Op::Vspec(..)
+            | Op::FreeVar(..)
+            | Op::Global(..)
+            | Op::Index { .. }
+            | Op::Member { .. }
+            | Op::Deref(..) => self.load_place(id, f),
+            Op::DerefFn(inner) => self.expr(inner, f),
+            Op::AddrOf(inner) => match self.place(inner, f)? {
+                DynPlace::Mem { addr, off: 0, .. } => Ok(addr),
+                DynPlace::Mem { addr, off, .. } => {
+                    let t = self.sink.temp(ValKind::P);
+                    self.sink.bin_imm(BinOp::Add, ValKind::P, t, addr.val, off);
+                    self.release(addr);
+                    Ok(V::owned(t))
                 }
-            }
-            ExprKind::Var(VarRef::TickVspec(_))
-            | ExprKind::Var(VarRef::TickLocal(_))
-            | ExprKind::Var(VarRef::TickFv(_))
-            | ExprKind::Var(VarRef::Global(_))
-            | ExprKind::Index(..)
-            | ExprKind::Member(..) => {
-                let p = self.place(e, frame)?;
-                let v = self.load_dyn_place(&p);
-                // keep ownership of the loaded temp, release the address
-                let out = V {
-                    val: v.val,
-                    owned: v.owned,
-                };
-                if let DynPlace::Mem { addr, .. } = p {
-                    if addr.val != out.val {
-                        self.release(addr);
-                    }
+                DynPlace::Val(..) => Err(host_err("cannot take the address of a register")),
+            },
+            Op::Un { op, a, co, ak } => {
+                let v = self.expr(a, f)?;
+                let v = self.coerce(v, co);
+                let d = self.sink.temp(n.k);
+                match op {
+                    // !x == (x == 0)
+                    UnaryOp::LogNot => self.sink.bin_imm(BinOp::Eq, ak, d, v.val, 0),
+                    UnaryOp::Neg => self.sink.un(UnOp::Neg, n.k, d, v.val),
+                    _ => self.sink.un(UnOp::Not, n.k, d, v.val),
                 }
-                Ok(out)
-            }
-            ExprKind::Un(UnaryOp::Deref, _) => {
-                if matches!(e.ty, Type::Func(_)) {
-                    let ExprKind::Un(_, inner) = &e.kind else {
-                        unreachable!()
-                    };
-                    return self.expr(inner, frame);
-                }
-                let p = self.place(e, frame)?;
-                let v = self.load_dyn_place(&p);
-                let out = V {
-                    val: v.val,
-                    owned: v.owned,
-                };
-                if let DynPlace::Mem { addr, .. } = p {
-                    if addr.val != out.val {
-                        self.release(addr);
-                    }
-                }
-                Ok(out)
-            }
-            ExprKind::Un(UnaryOp::Addr, inner) => {
-                let p = self.place(inner, frame)?;
-                match p {
-                    DynPlace::Mem { addr, off: 0, .. } => Ok(addr),
-                    DynPlace::Mem { addr, off, .. } => {
-                        let t = self.sink.temp(ValKind::P);
-                        self.sink.bin_imm(BinOp::Add, ValKind::P, t, addr.val, off);
-                        self.release(addr);
-                        Ok(V {
-                            val: t,
-                            owned: true,
-                        })
-                    }
-                    DynPlace::Val(..) => Err(self.err("cannot take the address of a register")),
-                }
-            }
-            ExprKind::Un(op, inner) => {
-                let v = self.expr(inner, frame)?;
-                let v = self.coerce(v, &inner.ty, &e.ty);
-                let d = self.sink.temp(e.ty.kind());
-                let uop = match op {
-                    UnaryOp::Neg => UnOp::Neg,
-                    UnaryOp::BitNot => UnOp::Not,
-                    UnaryOp::LogNot => {
-                        // !x == (x == 0)
-                        let k = inner.ty.decay().kind();
-                        self.sink.bin_imm(BinOp::Eq, k, d, v.val, 0);
-                        self.release(v);
-                        return Ok(V {
-                            val: d,
-                            owned: true,
-                        });
-                    }
-                    _ => unreachable!("deref/addr handled above"),
-                };
-                self.sink.un(uop, e.ty.kind(), d, v.val);
                 self.release(v);
-                Ok(V {
-                    val: d,
-                    owned: true,
-                })
+                Ok(V::owned(d))
             }
-            ExprKind::PreIncDec(inner, inc) => self.incdec(inner, *inc, false, frame),
-            ExprKind::PostIncDec(inner, inc) => self.incdec(inner, *inc, true, frame),
-            ExprKind::Bin(op, a, b) => self.binary(*op, a, b, e, frame),
-            ExprKind::Assign(op, lhs, rhs) => self.assign(op, lhs, rhs, frame),
-            ExprKind::Call(callee, args) => self.call(callee, args, e, frame),
-            ExprKind::Cast(ty, inner) => {
-                let v = self.expr(inner, frame)?;
-                Ok(self.coerce(v, &inner.ty, ty))
+            Op::IncDec {
+                a,
+                post,
+                k,
+                delta,
+                double,
+            } => {
+                let p = self.place(a, f)?;
+                let old = self.load_dyn_place(&p);
+                let keep = post.then(|| {
+                    let c = self.sink.temp(k);
+                    self.sink.un(UnOp::Mov, k, c, old.val);
+                    c
+                });
+                let newv = self.sink.temp(k);
+                if double {
+                    let dv = self.sink.temp(ValKind::F);
+                    self.sink.lif(dv, delta as f64);
+                    self.sink.bin(BinOp::Add, ValKind::F, newv, old.val, dv);
+                    self.sink.release(dv);
+                } else {
+                    self.sink.bin_imm(BinOp::Add, k, newv, old.val, delta);
+                }
+                self.release(old);
+                self.store_dyn_place(&p, newv);
+                let result = match keep {
+                    Some(kept) => {
+                        self.sink.release(newv);
+                        kept
+                    }
+                    None => newv,
+                };
+                self.release_place(p);
+                Ok(V::owned(result))
             }
-            ExprKind::Cond(c, t, f) => {
+            Op::Bin { a, b, emit, .. } => self.binary(id, a, b, emit, f),
+            Op::Assign { lhs, rhs, how } => self.assign(lhs, rhs, how, f),
+            Op::Call { callee, args, ret } => self.call(callee, args, ret, f),
+            Op::Cast { a, co, .. } => {
+                let v = self.expr(a, f)?;
+                Ok(self.coerce(v, co))
+            }
+            Op::Cond {
+                c,
+                t,
+                f: e,
+                co_t,
+                co_f,
+            } => {
                 // (static conditions were folded by eval_static above)
-                let k = e.ty.kind();
-                let d = self.sink.temp_saved(k);
+                let d = self.sink.temp_saved(n.k);
                 let lf = self.sink.label();
                 let lend = self.sink.label();
-                self.cond_branch(c, None, Some(lf), frame)?;
-                let tv = self.expr(t, frame)?;
-                let tv = self.coerce(tv, &t.ty, &e.ty);
-                self.sink.un(UnOp::Mov, k, d, tv.val);
+                self.cond_branch(c, None, Some(lf), f)?;
+                let tv = self.expr(t, f)?;
+                let tv = self.coerce(tv, co_t);
+                self.sink.un(UnOp::Mov, n.k, d, tv.val);
                 self.release(tv);
                 self.sink.jmp(lend);
                 self.sink.bind(lf);
-                let fv = self.expr(f, frame)?;
-                let fv = self.coerce(fv, &f.ty, &e.ty);
-                self.sink.un(UnOp::Mov, k, d, fv.val);
+                let fv = self.expr(e, f)?;
+                let fv = self.coerce(fv, co_f);
+                self.sink.un(UnOp::Mov, n.k, d, fv.val);
                 self.release(fv);
                 self.sink.bind(lend);
-                Ok(V {
-                    val: d,
-                    owned: true,
-                })
+                Ok(V::owned(d))
             }
-            ExprKind::Comma(a, b) => {
-                let v = self.expr(a, frame)?;
+            Op::Comma(a, b) => {
+                let v = self.expr(a, f)?;
                 self.release(v);
-                self.expr(b, frame)
+                self.expr(b, f)
             }
-            ExprKind::Apply(f, l) => self.apply(f, l, frame),
-            ExprKind::JumpForm(_) => Err(self.err("jump() cannot be used as a value")),
-            ExprKind::Dollar(_) => Err(self.err("$ operand was not a run-time constant")),
-            ExprKind::Var(VarRef::TickRtc(_)) => {
-                unreachable!("run-time constants fold in eval_static")
+            Op::Apply { list, callee } => self.apply(list, callee, f),
+            Op::Dollar(_) => Err(host_err("$ operand was not a run-time constant")),
+            Op::Fail(m) => Err(host_err(f.plan.msgs[m as usize].as_str())),
+            Op::Int(_) | Op::Float(_) | Op::Rtc(..) | Op::Func(_) => {
+                unreachable!("always a run-time constant")
             }
-            other => Err(self.err(format!("unsupported in dynamic code: {other:?}"))),
         }
-    }
-
-    fn intern(&mut self, bytes: &[u8]) -> Result<u64, VmError> {
-        let a = self.mem.alloc(bytes.len() as u64 + 1, 1)?;
-        self.mem.write_bytes(a, bytes)?;
-        self.mem.store_u8(a + bytes.len() as u64, 0)?;
-        Ok(a)
-    }
-
-    fn incdec(
-        &mut self,
-        inner: &Expr,
-        inc: bool,
-        post: bool,
-        frame: &mut Frame<'p, S>,
-    ) -> Result<V<S>, VmError> {
-        let ty = inner.ty.decay();
-        let k = ty.kind();
-        let delta: i64 = match &ty {
-            Type::Ptr(t) => t.size(&self.input.prog.structs) as i64,
-            _ => 1,
-        };
-        let delta = if inc { delta } else { -delta };
-        let p = self.place(inner, frame)?;
-        let old = self.load_dyn_place(&p);
-        let keep = if post {
-            let c = self.sink.temp(k);
-            self.sink.un(UnOp::Mov, k, c, old.val);
-            Some(c)
-        } else {
-            None
-        };
-        let newv = self.sink.temp(k);
-        if ty == Type::Double {
-            let dv = self.sink.temp(ValKind::F);
-            self.sink.lif(dv, delta as f64);
-            self.sink.bin(BinOp::Add, ValKind::F, newv, old.val, dv);
-            self.sink.release(dv);
-        } else {
-            self.sink.bin_imm(BinOp::Add, k, newv, old.val, delta);
-        }
-        self.release(old);
-        self.store_dyn_place(&p, newv);
-        let result = if post {
-            self.sink.release(newv);
-            V {
-                val: keep.expect("post"),
-                owned: true,
-            }
-        } else {
-            V {
-                val: newv,
-                owned: true,
-            }
-        };
-        self.release_place(p);
-        Ok(result)
     }
 
     fn binary(
         &mut self,
-        op: BinaryOp,
-        a: &Expr,
-        b: &Expr,
-        e: &Expr,
-        frame: &mut Frame<'p, S>,
+        id: NodeId,
+        a: NodeId,
+        b: NodeId,
+        emit: BinEmit,
+        f: Frame<'p>,
     ) -> Result<V<S>, VmError> {
-        use BinaryOp::*;
-        if matches!(op, LogAnd | LogOr) {
-            let d = self.sink.temp_saved(ValKind::W);
-            let ltrue = self.sink.label();
-            let lfalse = self.sink.label();
-            let lend = self.sink.label();
-            self.cond_branch(e, Some(ltrue), Some(lfalse), frame)?;
-            self.sink.bind(ltrue);
-            self.sink.li(d, 1);
-            self.sink.jmp(lend);
-            self.sink.bind(lfalse);
-            self.sink.li(d, 0);
-            self.sink.bind(lend);
-            return Ok(V {
-                val: d,
-                owned: true,
-            });
-        }
-        let ta = a.ty.decay();
-        let tb = b.ty.decay();
-        // Pointer arithmetic.
-        if (op == Add || op == Sub) && ta.is_ptr() && tb.is_integer() {
-            let elem = match &ta {
-                Type::Ptr(t) => t.size(&self.input.prog.structs) as i64,
-                _ => unreachable!(),
-            };
-            let pv = self.expr(a, frame)?;
-            if let Some(ci) = self.eval_static(b, frame, false)? {
-                let d = self.sink.temp(ValKind::P);
-                let off = ci.as_i() * elem * if op == Add { 1 } else { -1 };
-                self.sink.bin_imm(BinOp::Add, ValKind::P, d, pv.val, off);
-                self.release(pv);
-                return Ok(V {
-                    val: d,
-                    owned: true,
-                });
+        let (mop, sw, k, cmp, co_a, co_b) = match emit {
+            BinEmit::Logic(_) => {
+                let d = self.sink.temp_saved(ValKind::W);
+                let ltrue = self.sink.label();
+                let lfalse = self.sink.label();
+                let lend = self.sink.label();
+                self.cond_branch(id, Some(ltrue), Some(lfalse), f)?;
+                self.sink.bind(ltrue);
+                self.sink.li(d, 1);
+                self.sink.jmp(lend);
+                self.sink.bind(lfalse);
+                self.sink.li(d, 0);
+                self.sink.bind(lend);
+                return Ok(V::owned(d));
             }
-            let iv = self.expr(b, frame)?;
-            let iv = self.coerce(iv, &tb, &Type::Long);
-            let scaled = self.sink.temp(ValKind::D);
-            self.sink
-                .bin_imm(BinOp::Mul, ValKind::D, scaled, iv.val, elem);
-            self.release(iv);
-            let d = self.sink.temp(ValKind::P);
-            let mop = if op == Add { BinOp::Add } else { BinOp::Sub };
-            self.sink.bin(mop, ValKind::P, d, pv.val, scaled);
-            self.sink.release(scaled);
-            self.release(pv);
-            return Ok(V {
-                val: d,
-                owned: true,
-            });
-        }
-        if op == Add && ta.is_integer() && tb.is_ptr() {
-            return self.binary(Add, b, a, e, frame);
-        }
-        if op == Sub && ta.is_ptr() && tb.is_ptr() {
-            let elem = match &ta {
-                Type::Ptr(t) => t.size(&self.input.prog.structs) as i64,
-                _ => unreachable!(),
-            };
-            let av = self.expr(a, frame)?;
-            let bv = self.expr(b, frame)?;
-            let diff = self.sink.temp(ValKind::D);
-            self.sink.bin(BinOp::Sub, ValKind::D, diff, av.val, bv.val);
-            self.release(av);
-            self.release(bv);
-            let d = self.sink.temp(ValKind::D);
-            self.sink.bin_imm(BinOp::Div, ValKind::D, d, diff, elem);
-            self.sink.release(diff);
-            return Ok(V {
-                val: d,
-                owned: true,
-            });
-        }
-        let cmp = matches!(op, Lt | Gt | Le | Ge | Eq | Ne);
-        let common = if cmp {
-            if ta.is_arith() && tb.is_arith() {
-                ta.usual_arith(&tb)
-            } else {
-                ta.clone()
+            BinEmit::PtrArith {
+                swapped,
+                elem,
+                sub,
+                co_i,
+            } => {
+                let (p, i) = if swapped { (b, a) } else { (a, b) };
+                let pv = self.expr(p, f)?;
+                if let Some(ci) = self.eval_static(i, f, false)? {
+                    let d = self.sink.temp(ValKind::P);
+                    let off = ci.as_i() * elem * if sub { -1 } else { 1 };
+                    self.sink.bin_imm(BinOp::Add, ValKind::P, d, pv.val, off);
+                    self.release(pv);
+                    return Ok(V::owned(d));
+                }
+                let iv = self.expr(i, f)?;
+                let iv = self.coerce(iv, co_i);
+                let mop = if sub { BinOp::Sub } else { BinOp::Add };
+                return Ok(self.scaled_add(mop, pv, iv, elem));
             }
-        } else {
-            e.ty.clone()
+            BinEmit::PtrDiff(elem) => {
+                let av = self.expr(a, f)?;
+                let bv = self.expr(b, f)?;
+                let diff = self.sink.temp(ValKind::D);
+                self.sink.bin(BinOp::Sub, ValKind::D, diff, av.val, bv.val);
+                self.release(av);
+                self.release(bv);
+                let d = self.sink.temp(ValKind::D);
+                self.sink.bin_imm(BinOp::Div, ValKind::D, d, diff, elem);
+                self.sink.release(diff);
+                return Ok(V::owned(d));
+            }
+            BinEmit::Arith {
+                mop,
+                sw,
+                k,
+                cmp,
+                co_a,
+                co_b,
+                ..
+            } => (mop, sw, k, cmp, co_a, co_b),
         };
-        let k = common.kind();
-        let mop = crate::lower_shim::machine_binop(op, &common);
-
+        // Run-time-constant operands select strength-reduced immediates.
+        let foldable = k != ValKind::F;
+        let static_b = match foldable {
+            true => self.eval_static(b, f, false)?,
+            false => None,
+        };
+        if let (Some(cb), false) = (static_b, cmp) {
+            let va = self.expr(a, f)?;
+            let va = self.coerce(va, co_a);
+            let d = self.sink.temp(k);
+            self.sink.bin_imm(mop, k, d, va.val, cb.as_i());
+            self.release(va);
+            return Ok(V::owned(d));
+        }
+        let static_a = match foldable {
+            true => self.eval_static(a, f, false)?,
+            false => None,
+        };
+        if let (Some(ca), Some(sw), false) = (static_a, sw, cmp) {
+            let vb = self.expr(b, f)?;
+            let vb = self.coerce(vb, co_b);
+            let d = self.sink.temp(k);
+            self.sink.bin_imm(sw, k, d, vb.val, ca.as_i());
+            self.release(vb);
+            return Ok(V::owned(d));
+        }
         // §5.1 heuristic: evaluate cspec operands before non-cspec
         // operands to shorten temp live ranges across composition.
-        let a_has = contains_cspec(a);
-        let b_has = contains_cspec(b);
-        // Run-time-constant operands select strength-reduced immediates.
-        let static_b = if k == ValKind::F {
-            None
+        let has = |n: NodeId| f.plan.nodes[n as usize].flags & HAS_CSPEC != 0;
+        let (va, vb) = if self.input.cspec_first && has(b) && !has(a) {
+            let vb = self.expr(b, f)?;
+            (self.expr(a, f)?, vb)
         } else {
-            self.eval_static(b, frame, false)?
+            let va = self.expr(a, f)?;
+            (va, self.expr(b, f)?)
         };
-        if let Some(cb) = static_b {
-            if !cmp {
-                let va = self.expr(a, frame)?;
-                let va = self.coerce(va, &ta, &common);
-                let d = self.sink.temp(k);
-                self.sink.bin_imm(mop, k, d, va.val, cb.as_i());
-                self.release(va);
-                return Ok(V {
-                    val: d,
-                    owned: true,
-                });
-            }
-        }
-        let static_a = if k == ValKind::F {
-            None
-        } else {
-            self.eval_static(a, frame, false)?
-        };
-        if let (Some(ca), Some(sw)) = (static_a, mop.swapped()) {
-            if !cmp {
-                let vb = self.expr(b, frame)?;
-                let vb = self.coerce(vb, &tb, &common);
-                let d = self.sink.temp(k);
-                self.sink.bin_imm(sw, k, d, vb.val, ca.as_i());
-                self.release(vb);
-                return Ok(V {
-                    val: d,
-                    owned: true,
-                });
-            }
-        }
-        let (va, vb) = if self.cspec_first && b_has && !a_has {
-            let vb = self.expr(b, frame)?;
-            let va = self.expr(a, frame)?;
-            (va, vb)
-        } else {
-            let va = self.expr(a, frame)?;
-            let vb = self.expr(b, frame)?;
-            (va, vb)
-        };
-        let va = self.coerce(va, &ta, &common);
-        let vb = self.coerce(vb, &tb, &common);
+        let va = self.coerce(va, co_a);
+        let vb = self.coerce(vb, co_b);
         let d = self.sink.temp(if cmp { ValKind::W } else { k });
-        self.sink.bin(
-            mop,
-            if cmp && k == ValKind::F {
-                ValKind::F
-            } else {
-                k
-            },
-            d,
-            va.val,
-            vb.val,
-        );
+        self.sink.bin(mop, k, d, va.val, vb.val);
         self.release(va);
         self.release(vb);
-        Ok(V {
-            val: d,
-            owned: true,
-        })
+        Ok(V::owned(d))
     }
 
     fn assign(
         &mut self,
-        op: &Option<BinaryOp>,
-        lhs: &Expr,
-        rhs: &Expr,
-        frame: &mut Frame<'p, S>,
+        lhs: NodeId,
+        rhs: NodeId,
+        how: AssignHow,
+        f: Frame<'p>,
     ) -> Result<V<S>, VmError> {
-        let p = self.place(lhs, frame)?;
-        let stored = match op {
-            None => {
-                let v = self.expr(rhs, frame)?;
-                self.coerce(v, &rhs.ty, &lhs.ty)
+        let p = self.place(lhs, f)?;
+        let stored = match how {
+            AssignHow::Plain(co) => {
+                let v = self.expr(rhs, f)?;
+                self.coerce(v, co)
             }
-            Some(op) => {
+            AssignHow::Ptr { elem, sub, co_i } => {
                 let cur = self.load_dyn_place(&p);
-                let ta = lhs.ty.decay();
-                let tb = rhs.ty.decay();
-                if ta.is_ptr() {
-                    let elem = match &ta {
-                        Type::Ptr(t) => t.size(&self.input.prog.structs) as i64,
-                        _ => unreachable!(),
-                    };
-                    let iv = self.expr(rhs, frame)?;
-                    let iv = self.coerce(iv, &tb, &Type::Long);
-                    let scaled = self.sink.temp(ValKind::D);
-                    self.sink
-                        .bin_imm(BinOp::Mul, ValKind::D, scaled, iv.val, elem);
-                    self.release(iv);
-                    let d = self.sink.temp(ValKind::P);
-                    let mop = if *op == BinaryOp::Add {
-                        BinOp::Add
-                    } else {
-                        BinOp::Sub
-                    };
-                    self.sink.bin(mop, ValKind::P, d, cur.val, scaled);
-                    self.sink.release(scaled);
-                    self.release(cur);
-                    V {
-                        val: d,
-                        owned: true,
-                    }
+                let iv = self.expr(rhs, f)?;
+                let iv = self.coerce(iv, co_i);
+                let mop = if sub { BinOp::Sub } else { BinOp::Add };
+                self.scaled_add(mop, cur, iv, elem)
+            }
+            AssignHow::Op {
+                mop,
+                k,
+                co_cur,
+                co_rhs,
+                co_back,
+            } => {
+                let cur = self.load_dyn_place(&p);
+                let cv = self.coerce(cur, co_cur);
+                let d = self.sink.temp(k);
+                let static_rhs = match k {
+                    ValKind::F => None,
+                    _ => self.eval_static(rhs, f, false)?,
+                };
+                if let Some(cb) = static_rhs {
+                    self.sink.bin_imm(mop, k, d, cv.val, cb.as_i());
                 } else {
-                    let common = if ta.is_arith() && tb.is_arith() {
-                        ta.usual_arith(&tb)
-                    } else {
-                        ta.clone()
-                    };
-                    let k = common.kind();
-                    let mop = crate::lower_shim::machine_binop(*op, &common);
-                    let cv = self.coerce(cur, &ta, &common);
-                    let d = self.sink.temp(k);
-                    let static_rhs = if k == ValKind::F {
-                        None
-                    } else {
-                        self.eval_static(rhs, frame, false)?
-                    };
-                    if let Some(cb) = static_rhs {
-                        self.sink.bin_imm(mop, k, d, cv.val, cb.as_i());
-                    } else {
-                        let rv = self.expr(rhs, frame)?;
-                        let rv = self.coerce(rv, &tb, &common);
-                        self.sink.bin(mop, k, d, cv.val, rv.val);
-                        self.release(rv);
-                    }
-                    self.release(cv);
-
-                    self.coerce(
-                        V {
-                            val: d,
-                            owned: true,
-                        },
-                        &common,
-                        &lhs.ty,
-                    )
+                    let rv = self.expr(rhs, f)?;
+                    let rv = self.coerce(rv, co_rhs);
+                    self.sink.bin(mop, k, d, cv.val, rv.val);
+                    self.release(rv);
                 }
+                self.release(cv);
+                self.coerce(V::owned(d), co_back)
             }
         };
         self.store_dyn_place(&p, stored.val);
         // Result of the assignment: re-read from the place (narrowed).
         let result = self.load_dyn_place(&p);
-        let result = if result.owned {
-            result
-        } else {
-            // register-resident place: hand back a borrowed value
-            result
-        };
         self.release(stored);
         self.release_place(p);
         Ok(result)
     }
 
-    fn call(
+    /// Emits a call on the arguments pushed since `base`, then releases
+    /// them; returns the result temporary (a dummy for `void`).
+    fn finish_call(
         &mut self,
-        callee: &Expr,
-        args: &[Expr],
-        e: &Expr,
-        frame: &mut Frame<'p, S>,
+        callee: Callee,
+        base: usize,
+        ret: Option<ValKind>,
+        f: Frame<'p>,
     ) -> Result<V<S>, VmError> {
-        // Evaluate arguments.
-        let param_tys: Vec<Option<Type>> = match callee.ty.decay() {
-            Type::Ptr(inner) => match *inner {
-                Type::Func(sig) if sig.params.len() == args.len() => {
-                    sig.params.iter().cloned().map(Some).collect()
-                }
-                _ => vec![None; args.len()],
-            },
-            _ => vec![None; args.len()],
-        };
-        let mut vs = Vec::new();
-        for (a, pt) in args.iter().zip(&param_tys) {
-            let v = self.expr(a, frame)?;
-            let ty = pt.clone().unwrap_or_else(|| a.ty.decay());
-            let v = self.coerce(v, &a.ty, &ty);
-            vs.push((ty.kind(), v));
-        }
-        let arg_list: Vec<(ValKind, S::Val)> = vs.iter().map(|(k, v)| (*k, v.val)).collect();
-        let ret = if e.ty == Type::Void {
-            None
-        } else {
-            let d = self.sink.temp_saved(e.ty.kind());
-            Some((e.ty.kind(), d))
-        };
-        if let ExprKind::Var(VarRef::Builtin(b)) = &callee.kind {
-            let num = match b {
-                Builtin::Puts => tcc_rt::hcalls::HC_PUTS,
-                Builtin::Puti => tcc_rt::hcalls::HC_PUTINT,
-                Builtin::Putd => tcc_rt::hcalls::HC_PUTF,
-                Builtin::Putchar => tcc_rt::hcalls::HC_PUTCHAR,
-                Builtin::Printf => tcc_rt::hcalls::HC_PRINTF,
-                Builtin::Malloc => tcc_rt::hcalls::HC_MALLOC,
-                Builtin::Abort => tcc_rt::hcalls::HC_ABORT,
-            };
-            self.sink.hcall(num, &arg_list, ret);
-        } else if let ExprKind::Var(VarRef::Func(fi)) = &callee.kind {
+        let ret = ret.map(|k| (k, self.sink.temp_saved(k)));
+        match callee {
+            Callee::Builtin(num) => self.sink.hcall(num, &self.sc.args[base..], ret),
             // Dynamic code calls static functions *directly* — the
             // address is a run-time constant at instantiation time.
-            self.sink
-                .call_addr(self.input.func_addrs[*fi], &arg_list, ret);
-        } else {
-            let target = self.expr(callee, frame)?;
-            // An argument-register-resident target would be clobbered by
-            // the moves; targets are temps here, which is safe.
-            self.sink.call_ind(target.val, &arg_list, ret);
-            self.release(target);
-        }
-        for (_, v) in vs {
-            self.release(v);
-        }
-        Ok(match ret {
-            Some((_, d)) => V {
-                val: d,
-                owned: true,
-            },
-            None => {
-                // A void value; give callers a dummy.
-                let d = self.sink.temp(ValKind::W);
-                V {
-                    val: d,
-                    owned: true,
-                }
+            Callee::Func(fi) => {
+                let addr = self.input.func_addrs[fi as usize];
+                self.sink.call_addr(addr, &self.sc.args[base..], ret);
             }
-        })
+            Callee::Ind(c) => {
+                let target = self.expr(c, f)?;
+                // An argument-register-resident target would be clobbered by
+                // the moves; targets are temps here, which is safe.
+                self.sink.call_ind(target.val, &self.sc.args[base..], ret);
+                self.release(target);
+            }
+        }
+        for i in base..self.sc.args.len() {
+            if self.sc.arg_owned[i] {
+                self.sink.release(self.sc.args[i].1);
+            }
+        }
+        self.sc.args.truncate(base);
+        self.sc.arg_owned.truncate(base);
+        Ok(V::owned(match ret {
+            Some((_, d)) => d,
+            // A void value; give callers a dummy.
+            None => self.sink.temp(ValKind::W),
+        }))
+    }
+
+    fn push_arg(&mut self, k: ValKind, v: V<S>) {
+        self.sc.args.push((k, v.val));
+        self.sc.arg_owned.push(v.owned);
+    }
+
+    fn call(
+        &mut self,
+        callee: Callee,
+        args: Span,
+        ret: Option<ValKind>,
+        f: Frame<'p>,
+    ) -> Result<V<S>, VmError> {
+        let base = self.sc.args.len();
+        for arg in &f.plan.args[args.range()] {
+            let v = self.expr(arg.node, f)?;
+            let v = self.coerce(v, arg.co);
+            self.push_arg(arg.k, v);
+        }
+        self.finish_call(callee, base, ret, f)
     }
 
     /// `apply(f, args)` — dynamic call construction (§6.2 mshl/umshl):
     /// the argument count and the code computing each argument are
     /// determined at specification time.
-    fn apply(&mut self, f: &Expr, l: &Expr, frame: &mut Frame<'p, S>) -> Result<V<S>, VmError> {
-        let ExprKind::Var(VarRef::TickCspec(i)) = &l.kind else {
-            return Err(self.err("apply() argument list must be captured"));
-        };
-        let list = frame.fields[*i];
+    fn apply(&mut self, list: u32, callee: Callee, f: Frame<'p>) -> Result<V<S>, VmError> {
+        let list = self.field(f, list);
         if self.mem.load_u64(list)? != ARGLIST_MARKER {
-            return Err(self.err("apply() target is not an argument list"));
+            return Err(host_err("apply() target is not an argument list"));
         }
         let n = self.mem.load_u64(list + 8)?;
-        let mut vals = Vec::new();
-        let mut kinds = Vec::new();
+        let base = self.sc.args.len();
         for j in 0..n {
             let closure = self.mem.load_u64(list + 16 + 8 * j)?;
             // The argument's kind comes from its cspec's evaluation type.
             let id = self.mem.load_u64(closure)? as usize;
-            let tick = self
-                .input
-                .prog
-                .ticks
-                .get(id)
-                .ok_or_else(|| self.err(format!("bad cgf id {id} in argument list")))?;
-            if tick.eval_ty == Type::Void {
-                return Err(self.err("void cspec in an argument list"));
+            let plan = (self.plan(id))
+                .ok_or_else(|| host_err(format!("bad cgf id {id} in argument list")))?;
+            let k = (plan.eval_kind).ok_or_else(|| host_err("void cspec in an argument list"))?;
+            let v = (self.compile_closure(closure)?)
+                .ok_or_else(|| host_err("argument cspec produced no value"))?;
+            self.push_arg(k, v);
+        }
+        self.finish_call(callee, base, Some(ValKind::W), f)
+    }
+
+    /// Branches on a value: to `lt` when non-zero, `lf` when zero.
+    fn branch_on(&mut self, v: S::Val, lt: Option<S::Lbl>, lf: Option<S::Lbl>) {
+        match (lt, lf) {
+            (Some(lt), None) => self.sink.br_true(v, lt),
+            (None, Some(lf)) => self.sink.br_false(v, lf),
+            (Some(lt), Some(lf)) => {
+                self.sink.br_true(v, lt);
+                self.sink.jmp(lf);
             }
-            kinds.push(tick.eval_ty.kind());
-            let v = self
-                .compile_closure(closure)?
-                .ok_or_else(|| self.err("argument cspec produced no value"))?;
-            vals.push(v);
+            (None, None) => {}
         }
-        let arg_list: Vec<(ValKind, S::Val)> =
-            kinds.iter().zip(&vals).map(|(k, v)| (*k, v.val)).collect();
-        let ret = self.sink.temp_saved(ValKind::W);
-        if let ExprKind::Var(VarRef::Func(fi)) = &f.kind {
-            self.sink.call_addr(
-                self.input.func_addrs[*fi],
-                &arg_list,
-                Some((ValKind::W, ret)),
-            );
-        } else {
-            let target = self.expr(f, frame)?;
-            self.sink
-                .call_ind(target.val, &arg_list, Some((ValKind::W, ret)));
-            self.release(target);
-        }
-        for v in vals {
-            self.release(v);
-        }
-        Ok(V {
-            val: ret,
-            owned: true,
-        })
     }
 
     fn cond_branch(
         &mut self,
-        e: &Expr,
+        id: NodeId,
         ltrue: Option<S::Lbl>,
         lfalse: Option<S::Lbl>,
-        frame: &mut Frame<'p, S>,
+        f: Frame<'p>,
     ) -> Result<(), VmError> {
         // Run-time constant condition: emit an unconditional edge (or
         // nothing) — dynamic dead code elimination.
-        if let Some(cv) = self.eval_static(e, frame, false)? {
+        if let Some(cv) = self.eval_static(id, f, false)? {
             match (cv.truthy(), ltrue, lfalse) {
                 (true, Some(lt), _) => self.sink.jmp(lt),
                 (false, _, Some(lf)) => self.sink.jmp(lf),
@@ -1539,74 +1246,59 @@ impl<'a, 'p, S: CodeSink> DynCompiler<'a, 'p, S> {
             }
             return Ok(());
         }
-        match &e.kind {
-            ExprKind::Bin(op, a, b)
-                if matches!(
-                    op,
-                    BinaryOp::Lt
-                        | BinaryOp::Gt
-                        | BinaryOp::Le
-                        | BinaryOp::Ge
-                        | BinaryOp::Eq
-                        | BinaryOp::Ne
-                ) =>
-            {
-                let ta = a.ty.decay();
-                let tb = b.ty.decay();
-                let common = if ta.is_arith() && tb.is_arith() {
-                    ta.usual_arith(&tb)
-                } else {
-                    ta.clone()
-                };
+        match f.plan.nodes[id as usize].op {
+            Op::Bin {
+                a,
+                b,
+                emit:
+                    BinEmit::Arith {
+                        mop,
+                        k,
+                        cmp: true,
+                        co_a,
+                        co_b,
+                        zero,
+                        ..
+                    },
+                ..
+            } => {
                 // `x == 0` / `x != 0` folds to a truthiness branch on
                 // `x` alone (BrTrue/BrFalse compare against the
                 // hardwired zero register): the static back end never
                 // materializes a zero operand and the dynamic path
                 // shouldn't either. Floats keep the generic compare
                 // (0.0 is not a bit-pattern test: -0.0 == 0.0).
-                let zero_lit = |e: &Expr| matches!(e.kind, ExprKind::IntLit(0));
-                if matches!(op, BinaryOp::Eq | BinaryOp::Ne)
-                    && common.kind() != ValKind::F
-                    && (zero_lit(a) || zero_lit(b))
-                {
-                    let (nz, tnz) = if zero_lit(b) { (a, &ta) } else { (b, &tb) };
-                    let v = self.expr(nz, frame)?;
-                    let v = self.coerce(v, tnz, &common);
-                    let on_eq = matches!(op, BinaryOp::Eq);
+                if zero != ZeroSide::None {
+                    let (nz, co) = if zero == ZeroSide::B {
+                        (a, co_a)
+                    } else {
+                        (b, co_b)
+                    };
+                    let v = self.expr(nz, f)?;
+                    let v = self.coerce(v, co);
+                    let on_eq = mop == BinOp::Eq;
                     match (ltrue, lfalse) {
-                        (Some(lt), None) => {
+                        (Some(lt), lf) => {
                             if on_eq {
                                 self.sink.br_false(v.val, lt);
                             } else {
                                 self.sink.br_true(v.val, lt);
                             }
-                        }
-                        (None, Some(lf)) => {
-                            if on_eq {
-                                self.sink.br_true(v.val, lf);
-                            } else {
-                                self.sink.br_false(v.val, lf);
+                            if let Some(lf) = lf {
+                                self.sink.jmp(lf);
                             }
                         }
-                        (Some(lt), Some(lf)) => {
-                            if on_eq {
-                                self.sink.br_false(v.val, lt);
-                            } else {
-                                self.sink.br_true(v.val, lt);
-                            }
-                            self.sink.jmp(lf);
-                        }
+                        (None, Some(lf)) if on_eq => self.sink.br_true(v.val, lf),
+                        (None, Some(lf)) => self.sink.br_false(v.val, lf),
                         (None, None) => {}
                     }
                     self.release(v);
                     return Ok(());
                 }
-                let va = self.expr(a, frame)?;
-                let va = self.coerce(va, &ta, &common);
-                let vb = self.expr(b, frame)?;
-                let vb = self.coerce(vb, &tb, &common);
-                let mop = crate::lower_shim::machine_binop(*op, &common);
-                let k = common.kind();
+                let va = self.expr(a, f)?;
+                let va = self.coerce(va, co_a);
+                let vb = self.expr(b, f)?;
+                let vb = self.coerce(vb, co_b);
                 match (ltrue, lfalse) {
                     (Some(lt), None) => self.sink.br_cmp(mop, k, va.val, vb.val, lt),
                     (None, Some(lf)) => {
@@ -1623,32 +1315,30 @@ impl<'a, 'p, S: CodeSink> DynCompiler<'a, 'p, S> {
                 self.release(vb);
                 Ok(())
             }
-            ExprKind::Un(UnaryOp::LogNot, inner) => self.cond_branch(inner, lfalse, ltrue, frame),
-            ExprKind::Bin(BinaryOp::LogAnd, a, b) => {
+            Op::Un {
+                op: UnaryOp::LogNot,
+                a,
+                ..
+            } => self.cond_branch(a, lfalse, ltrue, f),
+            Op::Bin {
+                a,
+                b,
+                emit: BinEmit::Logic(and),
+                ..
+            } => {
                 let lskip = self.sink.label();
-                self.cond_branch(a, None, Some(lfalse.unwrap_or(lskip)), frame)?;
-                self.cond_branch(b, ltrue, lfalse, frame)?;
-                self.sink.bind(lskip);
-                Ok(())
-            }
-            ExprKind::Bin(BinaryOp::LogOr, a, b) => {
-                let lskip = self.sink.label();
-                self.cond_branch(a, Some(ltrue.unwrap_or(lskip)), None, frame)?;
-                self.cond_branch(b, ltrue, lfalse, frame)?;
+                if and {
+                    self.cond_branch(a, None, Some(lfalse.unwrap_or(lskip)), f)?;
+                } else {
+                    self.cond_branch(a, Some(ltrue.unwrap_or(lskip)), None, f)?;
+                }
+                self.cond_branch(b, ltrue, lfalse, f)?;
                 self.sink.bind(lskip);
                 Ok(())
             }
             _ => {
-                let v = self.expr(e, frame)?;
-                match (ltrue, lfalse) {
-                    (Some(lt), None) => self.sink.br_true(v.val, lt),
-                    (None, Some(lf)) => self.sink.br_false(v.val, lf),
-                    (Some(lt), Some(lf)) => {
-                        self.sink.br_true(v.val, lt);
-                        self.sink.jmp(lf);
-                    }
-                    (None, None) => {}
-                }
+                let v = self.expr(id, f)?;
+                self.branch_on(v.val, ltrue, lfalse);
                 self.release(v);
                 Ok(())
             }
@@ -1657,265 +1347,245 @@ impl<'a, 'p, S: CodeSink> DynCompiler<'a, 'p, S> {
 
     // ---- statements --------------------------------------------------------
 
-    fn stmt(&mut self, s: &Stmt, frame: &mut Frame<'p, S>) -> Result<(), VmError> {
-        match s {
-            Stmt::Expr(e) => {
-                // jump(l): emit a jump to a dynamic label.
-                if let ExprKind::JumpForm(l) = &e.kind {
-                    let ExprKind::Var(VarRef::TickCspec(i)) = &l.kind else {
-                        return Err(self.err("jump() target must be a captured label"));
-                    };
-                    let addr = frame.fields[*i];
-                    if self.mem.load_u64(addr)? != LABEL_MARKER {
-                        return Err(self.err("jump() target is not a dynamic label object"));
-                    }
-                    let (lbl, _) = self.dyn_label(addr);
-                    self.sink.jmp(lbl);
-                    return Ok(());
-                }
-                // A void cspec mentioned as a statement splices its code.
-                if let ExprKind::Var(VarRef::TickCspec(i)) = &e.kind {
-                    if frame.tick.captures[*i].ty == Type::Void {
-                        let closure = frame.fields[*i];
-                        self.compile_closure(closure)?;
-                        return Ok(());
-                    }
-                }
-                let v = self.expr(e, frame)?;
+    fn block(&mut self, stmts: Span, f: Frame<'p>) -> Result<(), VmError> {
+        for &s in &f.plan.stmt_lists[stmts.range()] {
+            self.stmt(s, f)?;
+        }
+        Ok(())
+    }
+
+    /// A loop body, with `break`/`continue` bound to `lend`/`lnext`.
+    fn loop_body(
+        &mut self,
+        body: StmtId,
+        lend: S::Lbl,
+        lnext: S::Lbl,
+        f: Frame<'p>,
+    ) -> Result<(), VmError> {
+        self.sc.break_stack.push(lend);
+        self.sc.continue_stack.push(lnext);
+        self.stmt(body, f)?;
+        self.sc.break_stack.pop();
+        self.sc.continue_stack.pop();
+        Ok(())
+    }
+
+    fn goto_label(&mut self, l: u32, f: Frame<'p>) -> S::Lbl {
+        let slot = f.labels + l as usize;
+        if let Some(lbl) = self.sc.labels[slot] {
+            return lbl;
+        }
+        let lbl = self.sink.label();
+        self.sc.labels[slot] = Some(lbl);
+        lbl
+    }
+
+    fn stmt(&mut self, s: StmtId, f: Frame<'p>) -> Result<(), VmError> {
+        match f.plan.stmts[s as usize] {
+            PStmt::Expr(e) => {
+                let v = self.expr(e, f)?;
                 self.release(v);
-                Ok(())
             }
-            Stmt::Decl(items) => {
-                for item in items {
-                    if let Some(Init::Expr(init)) = &item.init {
-                        // A static initializer keeps the local a derived
-                        // run-time constant until a dynamic write demotes
-                        // it.
-                        if let Some(cv) = self.eval_static(init, frame, false)? {
-                            frame.rtc.insert(item.local_id, cv);
-                            continue;
-                        }
-                        let v = self.expr(init, frame)?;
-                        let v = self.coerce(v, &init.ty, &item.ty);
-                        let home = self.local_val(frame, item.local_id);
-                        self.sink.un(UnOp::Mov, item.ty.kind(), home, v.val);
-                        self.narrow(home, &item.ty);
-                        self.release(v);
-                    }
+            // jump(l): emit a jump to a dynamic label.
+            PStmt::Jump(cap) => {
+                let addr = self.field(f, cap);
+                if self.mem.load_u64(addr)? != LABEL_MARKER {
+                    return Err(host_err("jump() target is not a dynamic label object"));
                 }
-                Ok(())
+                let (lbl, _) = self.dyn_label(addr);
+                self.sink.jmp(lbl);
             }
-            Stmt::If(c, t, els) => {
+            // A void cspec mentioned as a statement splices its code.
+            PStmt::Splice(cap) => {
+                self.compile_closure(self.field(f, cap))?;
+            }
+            PStmt::Decl(items) => {
+                for d in &f.plan.decls[items.range()] {
+                    // A static initializer keeps the local a derived
+                    // run-time constant until a dynamic write demotes
+                    // it.
+                    if let Some(cv) = self.eval_static(d.init, f, false)? {
+                        self.sc.rtc[f.locals + d.local as usize] = Some(cv);
+                        continue;
+                    }
+                    let v = self.expr(d.init, f)?;
+                    let v = self.coerce(v, d.co);
+                    let home = self.local_val(f, d.local);
+                    self.sink.un(UnOp::Mov, d.k, home, v.val);
+                    self.narrow(home, d.ld);
+                    self.release(v);
+                }
+            }
+            PStmt::If { c, t, e } => {
                 // Dynamic dead code elimination on run-time constants.
-                if let Some(cv) = self.eval_static(c, frame, false)? {
-                    return if cv.truthy() {
-                        self.stmt(t, frame)
-                    } else if let Some(els) = els {
-                        self.stmt(els, frame)
-                    } else {
-                        Ok(())
+                if let Some(cv) = self.eval_static(c, f, false)? {
+                    return match (cv.truthy(), e) {
+                        (true, _) => self.stmt(t, f),
+                        (false, Some(e)) => self.stmt(e, f),
+                        (false, None) => Ok(()),
                     };
                 }
                 let lelse = self.sink.label();
                 let lend = self.sink.label();
-                self.cond_branch(c, None, Some(lelse), frame)?;
-                self.stmt(t, frame)?;
-                if els.is_some() {
+                self.cond_branch(c, None, Some(lelse), f)?;
+                self.stmt(t, f)?;
+                if e.is_some() {
                     self.sink.jmp(lend);
                 }
                 self.sink.bind(lelse);
-                if let Some(els) = els {
-                    self.stmt(els, frame)?;
+                if let Some(e) = e {
+                    self.stmt(e, f)?;
                 }
                 self.sink.bind(lend);
-                Ok(())
             }
-            Stmt::For(init, cond, step, body) => self.lower_for(init, cond, step, body, frame),
-            Stmt::While(c, body) => {
+            PStmt::For(fp) => return self.lower_for(fp, f),
+            PStmt::Loop { c, body, pre } => {
                 let ltop = self.sink.label();
                 let lcond = self.sink.label();
                 let lend = self.sink.label();
-                self.sink.jmp(lcond);
+                if pre {
+                    self.sink.jmp(lcond);
+                }
                 self.sink.loop_begin();
                 self.sink.bind(ltop);
-                self.break_stack.push(lend);
-                self.continue_stack.push(lcond);
-                self.stmt(body, frame)?;
-                self.break_stack.pop();
-                self.continue_stack.pop();
+                self.loop_body(body, lend, lcond, f)?;
                 self.sink.bind(lcond);
-                self.cond_branch(c, Some(ltop), None, frame)?;
+                self.cond_branch(c, Some(ltop), None, f)?;
                 self.sink.loop_end();
                 self.sink.bind(lend);
-                Ok(())
             }
-            Stmt::DoWhile(body, c) => {
-                let ltop = self.sink.label();
-                let lcond = self.sink.label();
-                let lend = self.sink.label();
-                self.sink.loop_begin();
-                self.sink.bind(ltop);
-                self.break_stack.push(lend);
-                self.continue_stack.push(lcond);
-                self.stmt(body, frame)?;
-                self.break_stack.pop();
-                self.continue_stack.pop();
-                self.sink.bind(lcond);
-                self.cond_branch(c, Some(ltop), None, frame)?;
-                self.sink.loop_end();
-                self.sink.bind(lend);
-                Ok(())
-            }
-            Stmt::Return(e) => {
-                match (e, self.ret_kind) {
-                    (Some(e), Some(k)) => {
-                        let v = self.expr(e, frame)?;
-                        // Coerce to the kind compile() declared.
-                        let target = kind_type(k);
-                        let v = self.coerce(v, &e.ty, &target);
-                        self.sink.ret_val(k, v.val);
-                        self.release(v);
-                    }
-                    (Some(e), None) => {
-                        let v = self.expr(e, frame)?;
-                        self.release(v);
-                        self.sink.ret_void();
-                    }
-                    (None, _) => self.sink.ret_void(),
+            PStmt::Return { e, co } => match (e, self.ret_kind) {
+                (Some(e), Some(k)) => {
+                    let v = self.expr(e, f)?;
+                    // Coerce to the kind compile() declared.
+                    let v = self.coerce(v, co[k.code() as usize]);
+                    self.sink.ret_val(k, v.val);
+                    self.release(v);
                 }
-                Ok(())
-            }
-            Stmt::Break => {
-                let l = *self
-                    .break_stack
-                    .last()
-                    .ok_or_else(|| self.err("break outside loop in dynamic code"))?;
-                self.sink.jmp(l);
-                Ok(())
-            }
-            Stmt::Continue => {
-                let l = *self
-                    .continue_stack
-                    .last()
-                    .ok_or_else(|| self.err("continue outside loop in dynamic code"))?;
-                self.sink.jmp(l);
-                Ok(())
-            }
-            Stmt::Block(stmts) => {
-                for s in stmts {
-                    self.stmt(s, frame)?;
+                (Some(e), None) => {
+                    let v = self.expr(e, f)?;
+                    self.release(v);
+                    self.sink.ret_void();
                 }
-                Ok(())
+                (None, _) => self.sink.ret_void(),
+            },
+            PStmt::Break => {
+                let l = (self.sc.break_stack.last())
+                    .ok_or_else(|| host_err("break outside loop in dynamic code"))?;
+                self.sink.jmp(*l);
             }
-            Stmt::Switch(scrut, items) => {
+            PStmt::Continue => {
+                let l = (self.sc.continue_stack.last())
+                    .ok_or_else(|| host_err("continue outside loop in dynamic code"))?;
+                self.sink.jmp(*l);
+            }
+            PStmt::Block(stmts) => return self.block(stmts, f),
+            PStmt::Switch { scrut, k, items } => {
+                let items = &f.plan.switch_items[items.range()];
                 // Run-time constant scrutinee: emit only the chosen arm.
-                if let Some(cv) = self.eval_static(scrut, frame, false)? {
-                    return self.static_switch(cv.as_i(), items, frame);
+                if let Some(cv) = self.eval_static(scrut, f, false)? {
+                    return self.static_switch(cv.as_i(), items, f);
                 }
-                let sv = self.expr(scrut, frame)?;
-                let lend = self.sink.label();
-                let mut case_labels = Vec::new();
-                let mut default_label = None;
-                for item in items {
-                    match item {
-                        SwitchItem::Case(v) => {
-                            let l = self.sink.label();
-                            case_labels.push((*v, l));
-                        }
-                        SwitchItem::Default => default_label = Some(self.sink.label()),
-                        SwitchItem::Stmt(_) => {}
-                    }
-                }
-                let k = scrut.ty.kind();
-                for (v, l) in &case_labels {
-                    let c = self.sink.temp(k);
-                    self.sink.li(c, *v);
-                    self.sink.br_cmp(BinOp::Eq, k, sv.val, c, *l);
-                    self.sink.release(c);
-                }
-                self.release(sv);
-                self.sink.jmp(default_label.unwrap_or(lend));
-                self.break_stack.push(lend);
-                let mut ci = 0;
-                for item in items {
-                    match item {
-                        SwitchItem::Case(_) => {
-                            self.sink.bind(case_labels[ci].1);
-                            ci += 1;
-                        }
-                        SwitchItem::Default => self.sink.bind(default_label.expect("seen")),
-                        SwitchItem::Stmt(s) => self.stmt(s, frame)?,
-                    }
-                }
-                self.break_stack.pop();
-                self.sink.bind(lend);
-                Ok(())
+                self.dynamic_switch(scrut, k, items, f)?;
             }
-            Stmt::Goto(name) => {
-                let l = *frame
-                    .labels
-                    .entry(name.clone())
-                    .or_insert_with(|| self.sink.label());
+            PStmt::Goto(l) => {
+                let l = self.goto_label(l, f);
                 self.sink.jmp(l);
-                Ok(())
             }
-            Stmt::Labeled(name, inner) => {
-                let l = *frame
-                    .labels
-                    .entry(name.clone())
-                    .or_insert_with(|| self.sink.label());
+            PStmt::Labeled(l, inner) => {
+                let l = self.goto_label(l, f);
                 self.sink.bind(l);
-                self.stmt(inner, frame)
+                return self.stmt(inner, f);
             }
-            Stmt::Empty => Ok(()),
+            PStmt::Empty => {}
+            PStmt::Fail(m) => return Err(host_err(f.plan.msgs[m as usize].as_str())),
         }
+        Ok(())
+    }
+
+    fn dynamic_switch(
+        &mut self,
+        scrut: NodeId,
+        k: ValKind,
+        items: &'p [SwItem],
+        f: Frame<'p>,
+    ) -> Result<(), VmError> {
+        let sv = self.expr(scrut, f)?;
+        let lend = self.sink.label();
+        // This switch's case labels, in item order, above any enclosing
+        // switch's.
+        let base = self.sc.case_labels.len();
+        let mut default_label = None;
+        for item in items {
+            match item {
+                SwItem::Case(_) => {
+                    let l = self.sink.label();
+                    self.sc.case_labels.push(l);
+                }
+                SwItem::Default => default_label = Some(self.sink.label()),
+                SwItem::Stmt(_) => {}
+            }
+        }
+        let cases = items.iter().filter_map(|i| match i {
+            SwItem::Case(v) => Some(*v),
+            _ => None,
+        });
+        for (ci, v) in cases.enumerate() {
+            let c = self.sink.temp(k);
+            self.sink.li(c, v);
+            let l = self.sc.case_labels[base + ci];
+            self.sink.br_cmp(BinOp::Eq, k, sv.val, c, l);
+            self.sink.release(c);
+        }
+        self.release(sv);
+        self.sink.jmp(default_label.unwrap_or(lend));
+        self.sc.break_stack.push(lend);
+        let mut ci = base;
+        for item in items {
+            match *item {
+                SwItem::Case(_) => {
+                    self.sink.bind(self.sc.case_labels[ci]);
+                    ci += 1;
+                }
+                SwItem::Default => self.sink.bind(default_label.expect("seen")),
+                SwItem::Stmt(s) => self.stmt(s, f)?,
+            }
+        }
+        self.sc.case_labels.truncate(base);
+        self.sc.break_stack.pop();
+        self.sink.bind(lend);
+        Ok(())
     }
 
     /// Emits only the statically selected arm of a switch over a run-time
     /// constant, honoring fallthrough and `break`.
-    fn static_switch(
-        &mut self,
-        v: i64,
-        items: &[SwitchItem],
-        frame: &mut Frame<'p, S>,
-    ) -> Result<(), VmError> {
+    fn static_switch(&mut self, v: i64, items: &'p [SwItem], f: Frame<'p>) -> Result<(), VmError> {
         let lend = self.sink.label();
         // Find the entry point: matching case, else default.
-        let mut start = items
-            .iter()
-            .position(|i| matches!(i, SwitchItem::Case(c) if *c == v));
-        if start.is_none() {
-            start = items.iter().position(|i| matches!(i, SwitchItem::Default));
-        }
-        if let Some(mut idx) = start {
-            self.break_stack.push(lend);
-            while idx < items.len() {
-                if let SwitchItem::Stmt(s) = &items[idx] {
-                    self.stmt(s, frame)?;
+        let start = (items.iter())
+            .position(|i| matches!(i, SwItem::Case(c) if *c == v))
+            .or_else(|| items.iter().position(|i| matches!(i, SwItem::Default)));
+        if let Some(start) = start {
+            self.sc.break_stack.push(lend);
+            for item in &items[start..] {
+                if let SwItem::Stmt(s) = *item {
+                    self.stmt(s, f)?;
                 }
-                idx += 1;
             }
-            self.break_stack.pop();
+            self.sc.break_stack.pop();
         }
         self.sink.bind(lend);
         Ok(())
     }
 
     /// `for` lowering with the paper's dynamic loop unrolling.
-    fn lower_for(
-        &mut self,
-        init: &Option<Box<Stmt>>,
-        cond: &Option<Expr>,
-        step: &Option<Expr>,
-        body: &Stmt,
-        frame: &mut Frame<'p, S>,
-    ) -> Result<(), VmError> {
+    fn lower_for(&mut self, fp: ForPlan, f: Frame<'p>) -> Result<(), VmError> {
         // Try the static (unrollable) pattern first.
-        if let Some(()) = self.try_unroll(init, cond, step, body, frame)? {
+        if self.try_unroll(fp, f)? {
             return Ok(());
         }
-        if let Some(i) = init {
-            self.stmt(i, frame)?;
+        if let Some(i) = fp.init {
+            self.stmt(i, f)?;
         }
         let ltop = self.sink.label();
         let lcond = self.sink.label();
@@ -1924,19 +1594,15 @@ impl<'a, 'p, S: CodeSink> DynCompiler<'a, 'p, S> {
         self.sink.jmp(lcond);
         self.sink.loop_begin();
         self.sink.bind(ltop);
-        self.break_stack.push(lend);
-        self.continue_stack.push(lstep);
-        self.stmt(body, frame)?;
-        self.break_stack.pop();
-        self.continue_stack.pop();
+        self.loop_body(fp.body, lend, lstep, f)?;
         self.sink.bind(lstep);
-        if let Some(st) = step {
-            let v = self.expr(st, frame)?;
+        if let Some(st) = fp.step {
+            let v = self.expr(st, f)?;
             self.release(v);
         }
         self.sink.bind(lcond);
-        match cond {
-            Some(c) => self.cond_branch(c, Some(ltop), None, frame)?,
+        match fp.cond {
+            Some(c) => self.cond_branch(c, Some(ltop), None, f)?,
             None => self.sink.jmp(ltop),
         }
         self.sink.loop_end();
@@ -1944,107 +1610,60 @@ impl<'a, 'p, S: CodeSink> DynCompiler<'a, 'p, S> {
         Ok(())
     }
 
-    /// Attempts dynamic loop unrolling; returns `Some(())` if the loop
-    /// was fully executed at compile time.
-    fn try_unroll(
-        &mut self,
-        init: &Option<Box<Stmt>>,
-        cond: &Option<Expr>,
-        step: &Option<Expr>,
-        body: &Stmt,
-        frame: &mut Frame<'p, S>,
-    ) -> Result<Option<()>, VmError> {
-        if !self.enable_unroll {
-            return Ok(None);
-        }
-        let (Some(init), Some(cond), Some(step)) = (init, cond, step) else {
-            return Ok(None);
+    /// Attempts dynamic loop unrolling; returns `true` if the loop was
+    /// fully executed at compile time. The loop's shape was checked at
+    /// lowering; what is left is whether, in this instantiation, its
+    /// bounds are run-time constants.
+    fn try_unroll(&mut self, fp: ForPlan, f: Frame<'p>) -> Result<bool, VmError> {
+        let (Some(u), Some(cond), true) = (fp.unroll, fp.cond, self.input.enable_unroll) else {
+            return Ok(false);
         };
-        // init must bind a tick local to a static value.
-        let (k, init_expr) = match &**init {
-            Stmt::Expr(Expr {
-                kind: ExprKind::Assign(None, lhs, rhs),
-                ..
-            }) => match &lhs.kind {
-                ExprKind::Var(VarRef::TickLocal(i)) => (*i, (**rhs).clone()),
-                _ => return Ok(None),
-            },
-            Stmt::Decl(items) if items.len() == 1 => match &items[0].init {
-                Some(Init::Expr(e)) => (items[0].local_id, e.clone()),
-                _ => return Ok(None),
-            },
-            _ => return Ok(None),
-        };
+        let slot = f.locals + u.k as usize;
         // The induction variable must not already be dynamic.
-        if frame.vals.contains_key(&k) {
-            return Ok(None);
+        if self.sc.vals[slot].is_some() {
+            return Ok(false);
         }
-        let Some(init_cv) = self.eval_static(&init_expr, frame, false)? else {
-            return Ok(None);
+        let Some(init_cv) = self.eval_static(u.init, f, false)? else {
+            return Ok(false);
         };
-        // step must be an update of k by a static amount.
-        let step_kind = match &step.kind {
-            ExprKind::PreIncDec(t, inc) | ExprKind::PostIncDec(t, inc) if matches!(t.kind, ExprKind::Var(VarRef::TickLocal(i)) if i == k) => {
-                StepKind::IncDec(*inc)
-            }
-            ExprKind::Assign(Some(op), lhs, rhs) if matches!(lhs.kind, ExprKind::Var(VarRef::TickLocal(i)) if i == k) => {
-                StepKind::AssignOp(*op, (**rhs).clone())
-            }
-            ExprKind::Assign(None, lhs, rhs) if matches!(lhs.kind, ExprKind::Var(VarRef::TickLocal(i)) if i == k) => {
-                StepKind::Reassign((**rhs).clone())
-            }
-            _ => return Ok(None),
-        };
-        // The body must not assign the induction variable, use labels, or
-        // break/continue this loop.
-        if assigns_local(body, k) || has_labels(body) || has_loop_escape(body, 0) {
-            return Ok(None);
-        }
-        // Check the condition is statically evaluable at the start.
-        frame.rtc.insert(k, init_cv);
-        if self.eval_static(cond, frame, false)?.is_none() {
-            frame.rtc.remove(&k);
-            return Ok(None);
-        }
-
-        let ty = frame.tick.dyn_locals[k].ty.clone();
-
         // Pre-simulate the trip count (header only — the body cannot
-        // touch the header per the checks above). Over-large loops stay
-        // loops: "unless it is made too large, and hence acquires poor
-        // memory locality and incurs a high code generation cost" (§4.4).
+        // touch the header per the lowering-time checks). Over-large
+        // loops stay loops: "unless it is made too large, and hence
+        // acquires poor memory locality and incurs a high code generation
+        // cost" (§4.4). The first evaluation doubles as the check that
+        // the condition is statically evaluable at all.
+        self.sc.rtc[slot] = Some(init_cv);
         let mut trips: u64 = 0;
-        loop {
-            let Some(c) = self.eval_static(cond, frame, false)? else {
-                frame.rtc.remove(&k);
-                return Ok(None);
+        let fits = loop {
+            let Some(c) = self.eval_static(cond, f, false)? else {
+                break false;
             };
             if !c.truthy() {
-                break;
+                break true;
             }
             trips += 1;
             if trips > UNROLL_TRIP_LIMIT {
-                frame.rtc.remove(&k);
-                return Ok(None);
+                break false;
             }
-            let cur = *frame.rtc.get(&k).expect("induction var is static");
-            match self.apply_step(&step_kind, cur, &ty, frame)? {
-                Some(next) => frame.rtc.insert(k, next),
-                None => {
-                    frame.rtc.remove(&k);
-                    return Ok(None);
-                }
-            };
+            let cur = self.sc.rtc[slot].expect("induction var is static");
+            match self.apply_step(u, cur, f)? {
+                Some(next) => self.sc.rtc[slot] = Some(next),
+                None => break false,
+            }
+        };
+        if !fits {
+            self.sc.rtc[slot] = None;
+            return Ok(false);
         }
-        frame.rtc.insert(k, init_cv);
+        self.sc.rtc[slot] = Some(init_cv);
 
         // Unroll.
         let mut iters: u64 = 0;
         loop {
-            let Some(c) = self.eval_static(cond, frame, false)? else {
+            let Some(c) = self.eval_static(cond, f, false)? else {
                 // The body demoted something the condition needs; this is
                 // not recoverable mid-unroll.
-                return Err(self.err(
+                return Err(host_err(
                     "loop condition became dynamic during unrolling; \
                      restructure the dynamic code",
                 ));
@@ -2052,208 +1671,86 @@ impl<'a, 'p, S: CodeSink> DynCompiler<'a, 'p, S> {
             if !c.truthy() {
                 break;
             }
-            self.stmt(body, frame)?;
-            let cur = *frame.rtc.get(&k).expect("induction var is static");
-            let next = self
-                .apply_step(&step_kind, cur, &ty, frame)?
-                .ok_or_else(|| self.err("loop step became dynamic during unrolling"))?;
-            frame.rtc.insert(k, next);
+            self.stmt(fp.body, f)?;
+            let cur = self.sc.rtc[slot].expect("induction var is static");
+            let next = (self.apply_step(u, cur, f)?)
+                .ok_or_else(|| host_err("loop step became dynamic during unrolling"))?;
+            self.sc.rtc[slot] = Some(next);
             iters += 1;
             self.stats.unrolled_iters += 1;
             if iters > UNROLL_LIMIT {
-                return Err(self.err("dynamic loop unrolling exceeded the iteration limit"));
+                return Err(host_err(
+                    "dynamic loop unrolling exceeded the iteration limit",
+                ));
             }
         }
-        Ok(Some(()))
+        Ok(true)
     }
 
     /// Applies a static loop step to the induction variable's current
     /// value; `None` when the step is not statically evaluable.
-    fn apply_step(
-        &mut self,
-        step: &StepKind,
-        cur: Cv,
-        ty: &Type,
-        frame: &Frame<'p, S>,
-    ) -> Result<Option<Cv>, VmError> {
-        Ok(match step {
-            StepKind::IncDec(inc) => {
-                let d: i64 = if *inc { 1 } else { -1 };
+    fn apply_step(&mut self, u: UnrollPlan, cur: Cv, f: Frame<'p>) -> Result<Option<Cv>, VmError> {
+        Ok(match u.step {
+            Step::IncDec(inc) => {
+                let d: i64 = if inc { 1 } else { -1 };
                 Some(match cur {
-                    Cv::I(v) => {
-                        if ty.kind() == ValKind::W {
-                            Cv::I((v as i32).wrapping_add(d as i32) as i64)
-                        } else {
-                            Cv::I(v.wrapping_add(d))
-                        }
-                    }
+                    Cv::I(v) if u.w => Cv::I((v as i32).wrapping_add(d as i32) as i64),
+                    Cv::I(v) => Cv::I(v.wrapping_add(d)),
                     Cv::F(v) => Cv::F(v + d as f64),
                 })
             }
-            StepKind::AssignOp(op, rhs) => {
-                let Some(rv) = self.eval_static(rhs, frame, false)? else {
-                    return Ok(None);
-                };
-                self.eval_bin(*op, cur, rv, ty, &rhs.ty)
-            }
-            StepKind::Reassign(rhs) => self.eval_static(rhs, frame, false)?,
+            Step::AssignOp(fold, rhs) => match self.eval_static(rhs, f, false)? {
+                Some(rv) => eval_bin(fold, cur, rv),
+                None => None,
+            },
+            Step::Reassign(rhs) => self.eval_static(rhs, f, false)?,
         })
     }
 }
 
-enum DynPlace<S: CodeSink> {
-    Val(S::Val, Type),
-    Mem { addr: V<S>, off: i64, ty: Type },
+/// Combines two run-time constants; `None` where the operation has no
+/// compile-time value (division by zero, `%` on doubles).
+fn eval_bin(fold: Fold, a: Cv, b: Cv) -> Option<Cv> {
+    use BinaryOp::*;
+    Some(match fold {
+        Fold::LogAnd => Cv::I(i64::from(a.truthy() && b.truthy())),
+        Fold::LogOr => Cv::I(i64::from(a.truthy() || b.truthy())),
+        Fold::Float(op) => {
+            let (x, y) = (a.as_f(), b.as_f());
+            match op {
+                Add => Cv::F(x + y),
+                Sub => Cv::F(x - y),
+                Mul => Cv::F(x * y),
+                Div => Cv::F(x / y),
+                Lt => Cv::I(i64::from(x < y)),
+                Gt => Cv::I(i64::from(x > y)),
+                Le => Cv::I(i64::from(x <= y)),
+                Ge => Cv::I(i64::from(x >= y)),
+                Eq => Cv::I(i64::from(x == y)),
+                Ne => Cv::I(i64::from(x != y)),
+                _ => return None,
+            }
+        }
+        // Pointer arithmetic at compile time (e.g. `$p + k` inside $).
+        Fold::Ptr(elem, sub) => {
+            let off = b.as_i() * elem;
+            Cv::I(if sub { a.as_i() - off } else { a.as_i() + off })
+        }
+        Fold::Int(mop, k) => Cv::I(mop.eval_int(k, a.as_i(), b.as_i())?),
+    })
 }
 
-/// Compile-time constant cast between scalar types.
-fn cast_const(cv: Cv, _from: &Type, to: &Type) -> Cv {
+/// Compile-time constant cast to the scalar type that loads as `to`.
+fn cast_const(cv: Cv, to: LoadKind) -> Cv {
     match to {
-        Type::Double => Cv::F(cv.as_f()),
-        Type::Char => Cv::I(cv.as_i() as i8 as i64),
-        Type::UChar => Cv::I(cv.as_i() as u8 as i64),
-        Type::Short => Cv::I(cv.as_i() as i16 as i64),
-        Type::UShort => Cv::I(cv.as_i() as u16 as i64),
-        Type::Int => Cv::I(cv.as_i() as i32 as i64),
-        Type::UInt => Cv::I(cv.as_i() as u32 as i32 as i64), // canonical W
-        _ => Cv::I(cv.as_i()),
-    }
-}
-
-fn kind_type(k: ValKind) -> Type {
-    match k {
-        ValKind::W => Type::Int,
-        ValKind::D => Type::Long,
-        ValKind::P => Type::Ptr(Box::new(Type::Void)),
-        ValKind::F => Type::Double,
-    }
-}
-
-fn load_kind(ty: &Type) -> LoadKind {
-    match ty {
-        Type::Char => LoadKind::I8,
-        Type::UChar => LoadKind::U8,
-        Type::Short => LoadKind::I16,
-        Type::UShort => LoadKind::U16,
-        Type::Int | Type::UInt => LoadKind::I32,
-        Type::Long | Type::ULong => LoadKind::I64,
-        Type::Double => LoadKind::F64,
-        _ => LoadKind::I64,
-    }
-}
-
-fn store_kind(ty: &Type) -> StoreKind {
-    match ty {
-        Type::Char | Type::UChar => StoreKind::I8,
-        Type::Short | Type::UShort => StoreKind::I16,
-        Type::Int | Type::UInt => StoreKind::I32,
-        Type::Double => StoreKind::F64,
-        _ => StoreKind::I64,
-    }
-}
-
-fn contains_cspec(e: &Expr) -> bool {
-    match &e.kind {
-        ExprKind::Var(VarRef::TickCspec(_)) => true,
-        ExprKind::Un(_, a) | ExprKind::Cast(_, a) | ExprKind::Dollar(a) => contains_cspec(a),
-        ExprKind::Bin(_, a, b)
-        | ExprKind::Assign(_, a, b)
-        | ExprKind::Index(a, b)
-        | ExprKind::Comma(a, b) => contains_cspec(a) || contains_cspec(b),
-        ExprKind::Cond(a, b, c) => contains_cspec(a) || contains_cspec(b) || contains_cspec(c),
-        ExprKind::Member(a, ..) => contains_cspec(a),
-        ExprKind::Call(f, args) => contains_cspec(f) || args.iter().any(contains_cspec),
-        _ => false,
-    }
-}
-
-fn assigns_local(s: &Stmt, k: usize) -> bool {
-    fn expr_assigns(e: &Expr, k: usize) -> bool {
-        let target = |t: &Expr| matches!(t.kind, ExprKind::Var(VarRef::TickLocal(i)) if i == k);
-        match &e.kind {
-            ExprKind::Assign(_, lhs, rhs) => {
-                target(lhs) || expr_assigns(lhs, k) || expr_assigns(rhs, k)
-            }
-            ExprKind::PreIncDec(t, _) | ExprKind::PostIncDec(t, _) => {
-                target(t) || expr_assigns(t, k)
-            }
-            ExprKind::Un(UnaryOp::Addr, t) => target(t) || expr_assigns(t, k),
-            ExprKind::Un(_, a) | ExprKind::Cast(_, a) | ExprKind::Dollar(a) => expr_assigns(a, k),
-            ExprKind::Bin(_, a, b) | ExprKind::Index(a, b) | ExprKind::Comma(a, b) => {
-                expr_assigns(a, k) || expr_assigns(b, k)
-            }
-            ExprKind::Cond(a, b, c) => {
-                expr_assigns(a, k) || expr_assigns(b, k) || expr_assigns(c, k)
-            }
-            ExprKind::Member(a, ..) => expr_assigns(a, k),
-            ExprKind::Call(f, args) => {
-                expr_assigns(f, k) || args.iter().any(|a| expr_assigns(a, k))
-            }
-            _ => false,
-        }
-    }
-    match s {
-        Stmt::Expr(e) => expr_assigns(e, k),
-        Stmt::Decl(items) => items
-            .iter()
-            .any(|i| matches!(&i.init, Some(Init::Expr(e)) if expr_assigns(e, k))),
-        Stmt::If(c, t, e) => {
-            expr_assigns(c, k)
-                || assigns_local(t, k)
-                || e.as_ref().is_some_and(|e| assigns_local(e, k))
-        }
-        Stmt::While(c, b) | Stmt::DoWhile(b, c) => expr_assigns(c, k) || assigns_local(b, k),
-        Stmt::For(i, c, st, b) => {
-            i.as_ref().is_some_and(|i| assigns_local(i, k))
-                || c.as_ref().is_some_and(|c| expr_assigns(c, k))
-                || st.as_ref().is_some_and(|s| expr_assigns(s, k))
-                || assigns_local(b, k)
-        }
-        Stmt::Return(Some(e)) => expr_assigns(e, k),
-        Stmt::Block(ss) => ss.iter().any(|s| assigns_local(s, k)),
-        Stmt::Switch(c, items) => {
-            expr_assigns(c, k)
-                || items
-                    .iter()
-                    .any(|i| matches!(i, SwitchItem::Stmt(s) if assigns_local(s, k)))
-        }
-        Stmt::Labeled(_, s) => assigns_local(s, k),
-        _ => false,
-    }
-}
-
-fn has_labels(s: &Stmt) -> bool {
-    match s {
-        Stmt::Labeled(..) | Stmt::Goto(_) => true,
-        Stmt::If(_, t, e) => has_labels(t) || e.as_ref().is_some_and(|e| has_labels(e)),
-        Stmt::While(_, b) | Stmt::DoWhile(b, _) => has_labels(b),
-        Stmt::For(i, _, _, b) => i.as_ref().is_some_and(|i| has_labels(i)) || has_labels(b),
-        Stmt::Block(ss) => ss.iter().any(has_labels),
-        Stmt::Switch(_, items) => items
-            .iter()
-            .any(|i| matches!(i, SwitchItem::Stmt(s) if has_labels(s))),
-        _ => false,
-    }
-}
-
-/// True if the statement contains `break`/`continue` that would escape
-/// the loop at nesting `depth`.
-fn has_loop_escape(s: &Stmt, depth: u32) -> bool {
-    match s {
-        Stmt::Break | Stmt::Continue => depth == 0,
-        Stmt::If(_, t, e) => {
-            has_loop_escape(t, depth) || e.as_ref().is_some_and(|e| has_loop_escape(e, depth))
-        }
-        Stmt::While(_, b) | Stmt::DoWhile(b, _) => has_loop_escape(b, depth + 1),
-        Stmt::For(i, _, _, b) => {
-            i.as_ref().is_some_and(|i| has_loop_escape(i, depth)) || has_loop_escape(b, depth + 1)
-        }
-        Stmt::Block(ss) => ss.iter().any(|s| has_loop_escape(s, depth)),
-        Stmt::Switch(_, items) => items
-            .iter()
-            .any(|i| matches!(i, SwitchItem::Stmt(s) if has_loop_escape(s, depth + 1))),
-        Stmt::Labeled(_, s2) => has_loop_escape(s2, depth),
-        _ => false,
+        LoadKind::F64 => Cv::F(cv.as_f()),
+        LoadKind::I8 => Cv::I(cv.as_i() as i8 as i64),
+        LoadKind::U8 => Cv::I(cv.as_i() as u8 as i64),
+        LoadKind::I16 => Cv::I(cv.as_i() as i16 as i64),
+        LoadKind::U16 => Cv::I(cv.as_i() as u16 as i64),
+        // `int` and `unsigned` alike: the canonical W is sign-extended.
+        LoadKind::I32 | LoadKind::U32 => Cv::I(cv.as_i() as i32 as i64),
+        LoadKind::I64 => Cv::I(cv.as_i()),
     }
 }
 

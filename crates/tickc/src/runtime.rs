@@ -8,19 +8,21 @@
 //! returns the function pointer. Output and `malloc` host calls round
 //! out the tiny libc.
 
-use crate::dyncomp::{probe_compose_depth, DynCompiler, DynInput, WalkStats};
+use crate::api::SessionImage;
+use crate::dyncomp::{probe_compose_depth, DynCompiler, DynInput, WalkScratch, WalkStats};
 use crate::fingerprint::{fingerprint_closure, tick_reads_memory};
+use crate::plan::TickPlan;
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 use tcc_cache::{Artifact, Backing, CodeCache, Fetched, Fingerprint, FingerprintBuilder};
 use tcc_front::Program;
 use tcc_icode::prune::FULL_ENTRIES;
-use tcc_icode::{IcodeBuf, IcodeCompiler, Strategy, TranslatorTable};
+use tcc_icode::{IcodeBuf, IcodeCompiler, LblId, Strategy, TranslatorTable, VReg};
 use tcc_rt::{
     hcalls, ValKind, VmArena, VspecObj, VspecTag, ARGLIST_MARKER, ARGLIST_MAX, LABEL_MARKER,
 };
-use tcc_vcode::{CodeSink, Vcode};
+use tcc_vcode::{CodeSink, Label, Loc, Vcode, VcodeBufs};
 use tcc_vm::interp::MachineState;
 use tcc_vm::{CodeSpace, CostModel, HostCall, Memory, SharedTranslation, VmError};
 
@@ -76,7 +78,7 @@ struct CompileOutcome {
     handle: tcc_vm::FuncHandle,
     /// Machine instructions generated.
     insns: u64,
-    /// Walk statistics (closures, unrolled iterations).
+    /// Walk statistics (closures, unrolled iterations, static visits).
     walk: WalkStats,
     /// Nanoseconds in the CGF walk. For ICODE that is the walk recording
     /// IR; for VCODE it is the whole back end, through `finish()`.
@@ -91,18 +93,50 @@ struct CompileOutcome {
     keys: TranslatorTable,
 }
 
+/// What a compile reuses from the last one, per back end: the CGF
+/// walker's frames and maps, VCODE's register and label tables, the
+/// ICODE compiler with its IR buffer. Owned by the runtime so a
+/// steady-state compile allocates only what it installs.
+struct Backends {
+    /// VCODE's per-function storage; out while a function is emitted
+    /// (and rebuilt after a compile that failed mid-function).
+    vcode: Option<VcodeBufs>,
+    vcode_walk: WalkScratch<Loc, Label>,
+    /// The ICODE back end, built with the runtime and kept: its
+    /// translator table, register pools and every phase's working
+    /// storage outlive the compile. Configured through
+    /// [`TccRuntime::set_icode_schedule`] and [`TccRuntime::set_table`].
+    icode: IcodeCompiler,
+    /// The IR buffer the CGF walk records into, emptied per compile.
+    icode_buf: IcodeBuf,
+    icode_walk: WalkScratch<VReg, LblId>,
+}
+
+/// Walks `closure`'s plan into `sink`.
+fn walk<S: CodeSink>(
+    input: DynInput<'_>,
+    mem: &Memory,
+    sink: &mut S,
+    scratch: &mut WalkScratch<S::Val, S::Lbl>,
+    ret_kind: Option<ValKind>,
+    closure: u64,
+) -> Result<WalkStats, VmError> {
+    #[cfg(test)]
+    crate::oracle::check(input, mem, ret_kind, closure);
+    let mut dc = DynCompiler::new(input, mem, sink, scratch, ret_kind);
+    dc.compile_entry(closure)?;
+    Ok(dc.stats)
+}
+
 /// Runs the selected dynamic back end on one closure. Free-standing so
 /// the caller can choose where it runs: inline for shallow compositions,
 /// on a depth-sized stack for deep ones.
 #[allow(clippy::too_many_arguments)]
 fn run_backend(
     backend: &Backend,
-    icode: &mut IcodeCompiler,
-    buf: &mut IcodeBuf,
-    cspec_first: bool,
-    enable_unroll: bool,
+    b: &mut Backends,
     input: DynInput<'_>,
-    mem: &mut Memory,
+    mem: &Memory,
     code: &mut CodeSpace,
     name: &str,
     closure: u64,
@@ -111,14 +145,12 @@ fn run_backend(
     let t0 = Instant::now();
     match backend {
         Backend::Vcode { unchecked } => {
-            let mut vc = Vcode::new(code, name);
+            let bufs = b.vcode.take().unwrap_or_default();
+            let mut vc = Vcode::with_bufs(code, name, bufs);
             vc.set_unchecked(*unchecked);
-            let mut dc = DynCompiler::new(input, mem, &mut vc, ret_kind);
-            dc.cspec_first = cspec_first;
-            dc.enable_unroll = enable_unroll;
-            dc.compile_entry(closure)?;
-            let walk = dc.stats;
-            let f = vc.finish();
+            let walk = walk(input, mem, &mut vc, &mut b.vcode_walk, ret_kind, closure)?;
+            let (f, bufs) = vc.finish_with_bufs();
+            b.vcode = Some(bufs);
             Ok(CompileOutcome {
                 addr: f.addr,
                 handle: f.handle,
@@ -137,16 +169,13 @@ fn run_backend(
             // The session's compiler and IR buffer, emptied and refilled:
             // nothing is built per compile (the strategy is a copy, so
             // it simply follows the public `backend` field).
-            icode.strategy = *strategy;
-            buf.clear();
-            let mut dc = DynCompiler::new(input, mem, buf, ret_kind);
-            dc.cspec_first = cspec_first;
-            dc.enable_unroll = enable_unroll;
-            dc.compile_entry(closure)?;
-            let walk = dc.stats;
+            b.icode.strategy = *strategy;
+            b.icode_buf.clear();
+            let buf = &mut b.icode_buf;
+            let walk = walk(input, mem, buf, &mut b.icode_walk, ret_kind, closure)?;
             let walk_ns = t0.elapsed().as_nanos() as u64;
             let ir_insns = buf.emitted();
-            let r = icode.compile(code, name, buf);
+            let r = b.icode.compile(code, name, buf);
             Ok(CompileOutcome {
                 addr: r.func.addr,
                 handle: r.func.handle,
@@ -209,35 +238,31 @@ pub struct TccRuntime {
     pub shared_cost: CostModel,
     /// Per-tick cacheability memo (tick id → body is memory-free).
     tick_cacheable: HashMap<usize, bool>,
-    /// The ICODE back end, built with the runtime and kept: its
-    /// translator table, register pools and every phase's working
-    /// storage outlive the compile, so a compile allocates only what it
-    /// installs. Configured through [`TccRuntime::set_icode_schedule`]
-    /// and [`TccRuntime::set_table`].
-    icode: IcodeCompiler,
-    /// The IR buffer the CGF walk records into, emptied per compile.
-    icode_buf: IcodeBuf,
+    /// Per-tick CGF plans (tick id → the body, lowered), each built by
+    /// the tick's first instantiation in this session.
+    plans: Box<[OnceLock<TickPlan>]>,
+    /// Where the linker put each tick's string literals (what a plan
+    /// bakes in for one).
+    tick_strs: Vec<Vec<u64>>,
+    backends: Backends,
     arena: Option<VmArena>,
     vspec_seq: u64,
     dyn_seq: u64,
 }
 
 impl TccRuntime {
-    /// Creates a runtime for a compiled program.
-    pub fn new(
-        prog: Arc<Program>,
-        func_addrs: Vec<u64>,
-        global_addrs: Vec<u64>,
-        backend: Backend,
-    ) -> TccRuntime {
+    /// Creates a runtime for a program and its linked image.
+    pub fn new(prog: Arc<Program>, image: &SessionImage, backend: Backend) -> TccRuntime {
         let strategy = match backend {
             Backend::Icode { strategy } => strategy,
             Backend::Vcode { .. } => Strategy::default(),
         };
         TccRuntime {
+            plans: prog.ticks.iter().map(|_| OnceLock::new()).collect(),
+            tick_strs: image.tick_strs.clone(),
             prog,
-            func_addrs,
-            global_addrs,
+            func_addrs: image.func_addrs.clone(),
+            global_addrs: image.global_addrs.clone(),
             backend,
             use_arena: true,
             stats: DynStats::default(),
@@ -251,8 +276,13 @@ impl TccRuntime {
             pending_preseeds: Vec::new(),
             shared_cost: CostModel::default(),
             tick_cacheable: HashMap::new(),
-            icode: IcodeCompiler::new(strategy),
-            icode_buf: IcodeBuf::new(),
+            backends: Backends {
+                vcode: None,
+                vcode_walk: WalkScratch::default(),
+                icode: IcodeCompiler::new(strategy),
+                icode_buf: IcodeBuf::new(),
+                icode_walk: WalkScratch::default(),
+            },
             arena: None,
             vspec_seq: 0,
             dyn_seq: 0,
@@ -263,21 +293,36 @@ impl TccRuntime {
     /// for measuring the superinstruction fused-pair gain; on by
     /// default).
     pub fn set_icode_schedule(&mut self, on: bool) {
-        self.icode.schedule_fusion = on;
+        self.backends.icode.schedule_fusion = on;
     }
 
     /// Installs a pruned translator table for the ICODE back end
     /// (ablation; compiles are then never memoized), or restores the
     /// full one.
     pub fn set_table(&mut self, table: Option<TranslatorTable>) {
-        self.icode.table = table.unwrap_or_else(TranslatorTable::full);
+        self.backends.icode.table = table.unwrap_or_else(TranslatorTable::full);
     }
 
     /// The IR of the most recent ICODE compile, as the cleanup passes
     /// left it (empty before the first). Tests replay it through other
     /// compilers.
     pub fn last_icode(&self) -> &IcodeBuf {
-        &self.icode_buf
+        &self.backends.icode_buf
+    }
+
+    /// The walkers' view of this runtime, for tests that call one
+    /// directly.
+    #[cfg(test)]
+    pub(crate) fn dyn_input(&self) -> DynInput<'_> {
+        DynInput {
+            prog: &self.prog,
+            func_addrs: &self.func_addrs,
+            global_addrs: &self.global_addrs,
+            tick_strs: &self.tick_strs,
+            plans: &self.plans,
+            cspec_first: self.cspec_first,
+            enable_unroll: self.enable_unroll,
+        }
     }
 
     /// The captured output as UTF-8 (lossy).
@@ -302,7 +347,7 @@ impl TccRuntime {
         closure: u64,
         ret_kind: Option<ValKind>,
     ) -> Result<Option<Fingerprint>, VmError> {
-        if self.cache.is_none() || self.icode.table.entries() < FULL_ENTRIES {
+        if self.cache.is_none() || self.backends.icode.table.entries() < FULL_ENTRIES {
             return Ok(None);
         }
         let mut b = FingerprintBuilder::new();
@@ -336,7 +381,7 @@ impl TccRuntime {
     /// [`DynStats`]. Returns the new function's address and handle.
     fn run_compile(
         &mut self,
-        mem: &mut Memory,
+        mem: &Memory,
         code: &mut CodeSpace,
         name: &str,
         closure: u64,
@@ -347,25 +392,13 @@ impl TccRuntime {
             prog: &self.prog,
             func_addrs: &self.func_addrs,
             global_addrs: &self.global_addrs,
+            tick_strs: &self.tick_strs,
+            plans: &self.plans,
+            cspec_first: self.cspec_first,
+            enable_unroll: self.enable_unroll,
         };
-        let backend = &self.backend;
-        let (icode, buf) = (&mut self.icode, &mut self.icode_buf);
-        let (cspec_first, enable_unroll) = (self.cspec_first, self.enable_unroll);
-        let mut run = || {
-            run_backend(
-                backend,
-                icode,
-                buf,
-                cspec_first,
-                enable_unroll,
-                input,
-                mem,
-                code,
-                name,
-                closure,
-                ret_kind,
-            )
-        };
+        let (backend, backends) = (&self.backend, &mut self.backends);
+        let mut run = || run_backend(backend, backends, input, mem, code, name, closure, ret_kind);
         let outcome = if depth <= INLINE_COMPOSE_DEPTH {
             run()?
         } else {
@@ -382,6 +415,7 @@ impl TccRuntime {
         };
         self.stats.closures += outcome.walk.closures;
         self.stats.unrolled_iters += outcome.walk.unrolled_iters;
+        self.stats.rtc_evals += outcome.walk.rtc_evals;
         self.stats.walk_ns += outcome.walk_ns;
         self.stats.phases.accumulate(&outcome.phases);
         self.stats.ir_insns += outcome.ir_insns;
@@ -415,8 +449,8 @@ impl TccRuntime {
         let t0 = Instant::now();
         let since_t0 = || t0.elapsed().as_nanos() as u64;
         // Every intercept takes a sequence number, but only a compile
-        // spends a `format!` on it: hits answer with the name the
-        // artifact was compiled (or stored) under.
+        // that publishes spends a `format!` on it: hits answer with the
+        // name the artifact was compiled (or stored) under.
         self.dyn_seq += 1;
         let MachineState { code, mem, .. } = st;
         // Probe the composition depth first (iteratively, so a runaway
@@ -473,7 +507,13 @@ impl TccRuntime {
         let (addr, handle, compile_ns, fetched_in) = match fetched {
             Some(installed) => installed,
             None => {
-                let name = format!("dyn{}", self.dyn_seq);
+                // The name is what an artifact is stored and shared
+                // under; with nothing behind the memo to read it, the
+                // function goes unnamed (a listing shows its address).
+                let name = match (&fp, &self.backing) {
+                    (None, _) | (_, Backing::None) => String::new(),
+                    _ => format!("dyn{}", self.dyn_seq),
+                };
                 let (addr, handle) =
                     self.run_compile(mem, code, &name, closure, ret_kind, depth)?;
                 let compile_ns = since_t0();

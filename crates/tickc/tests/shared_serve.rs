@@ -16,8 +16,12 @@ const SRC: &str = r#"
 "#;
 
 fn shared_session(shared: &Arc<SharedArtifacts>) -> Session {
+    shared_session_of(SRC, shared)
+}
+
+fn shared_session_of(src: &str, shared: &Arc<SharedArtifacts>) -> Session {
     Session::new(
-        SRC,
+        src,
         Config {
             shared: Some(Arc::clone(shared)),
             ..Config::default()
@@ -212,4 +216,30 @@ fn pool_session_pins_and_budgets_its_local_installs() {
         other => panic!("expected StaleCode after shared invalidation, got {other:?}"),
     }
     assert!(!s.unpin_code(pinned), "the entry left with the code");
+}
+
+#[test]
+fn string_literals_in_tick_bodies_survive_the_pool() {
+    // The published words hold the literal's address; the session that
+    // installs them has a different heap (it `malloc`s first) and must
+    // still print the literal: the address is the static image's.
+    const GREET: &str = r#"
+        long fill(long n) { return (long)malloc(n); }
+        long greet(int n) {
+            void cspec c = `{ puts("hello from dynamic code"); puti($n); };
+            return (long)compile(c, void);
+        }
+    "#;
+    let shared = SharedArtifacts::unbounded();
+    let mut a = shared_session_of(GREET, &shared);
+    let mut b = shared_session_of(GREET, &shared);
+    let fa = a.call("greet", &[7]).expect("compiles");
+    a.call_addr(fa, &[]).expect("runs");
+    assert_eq!(a.output(), "hello from dynamic code\n7\n");
+
+    b.call("fill", &[4096]).expect("mallocs first");
+    let fb = b.call("greet", &[7]).expect("installs");
+    assert_eq!((b.dyn_stats().compiles, shared.metrics().hits), (0, 1));
+    b.call_addr(fb, &[]).expect("runs");
+    assert_eq!(b.output(), "hello from dynamic code\n7\n");
 }

@@ -28,6 +28,15 @@ struct LabelInfo {
     last_ref: u32,
 }
 
+/// An assembler's per-function tables, kept for the next function: a
+/// caller that emits many functions hands them back in through
+/// [`Asm::with_bufs`] and a steady-state emission allocates neither.
+#[derive(Clone, Debug, Default)]
+pub struct AsmBufs {
+    labels: Vec<LabelInfo>,
+    refs: Vec<(usize, u32)>,
+}
+
 /// An assembler positioned inside one function of a [`CodeSpace`].
 #[derive(Debug)]
 pub struct Asm<'a> {
@@ -44,13 +53,25 @@ pub struct Asm<'a> {
 impl<'a> Asm<'a> {
     /// Begins a new function named `name` in `code`.
     pub fn new(code: &'a mut CodeSpace, name: &str) -> Asm<'a> {
+        Asm::with_bufs(code, name, AsmBufs::default())
+    }
+
+    /// [`Asm::new`] on the tables an earlier function left (emptied
+    /// here; [`Asm::finish_with_bufs`] hands them back).
+    pub fn with_bufs(code: &'a mut CodeSpace, name: &str, bufs: AsmBufs) -> Asm<'a> {
         let func = code.begin_function(name);
         let start_index = code.next_index();
+        let AsmBufs {
+            mut labels,
+            mut refs,
+        } = bufs;
+        labels.clear();
+        refs.clear();
         Asm {
             code,
             func,
-            labels: Vec::new(),
-            refs: Vec::new(),
+            labels,
+            refs,
             start_index,
         }
     }
@@ -88,15 +109,31 @@ impl<'a> Asm<'a> {
     ///
     /// Panics if a referenced label was never bound.
     pub fn finish(self) -> u64 {
+        self.finish_with_bufs().0
+    }
+
+    /// [`Asm::finish`], also returning the label tables for the next
+    /// function's [`Asm::with_bufs`].
+    ///
+    /// # Panics
+    ///
+    /// As [`Asm::finish`].
+    pub fn finish_with_bufs(self) -> (u64, AsmBufs) {
         for (i, l) in self.labels.iter().enumerate() {
             assert!(
                 l.bound.is_some() || l.last_ref == NO_REF,
                 "label {i} referenced but never bound"
             );
         }
-        self.code
+        let addr = self
+            .code
             .finish_function(self.func)
-            .expect("asm seals its function exactly once")
+            .expect("asm seals its function exactly once");
+        let bufs = AsmBufs {
+            labels: self.labels,
+            refs: self.refs,
+        };
+        (addr, bufs)
     }
 
     /// Creates a fresh unbound label.

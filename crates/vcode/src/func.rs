@@ -17,7 +17,7 @@
 //! claims one — at that point the caller's value is still intact, so a
 //! single store suffices and the epilogue restores it.
 
-use crate::asm::{Asm, Label};
+use crate::asm::{Asm, AsmBufs, Label};
 use tcc_vm::regs::{FP, RA, SP};
 use tcc_vm::{CodeSpace, FReg, FuncHandle, Insn, Op, Reg};
 
@@ -31,6 +31,15 @@ pub struct FinishedFunc {
     /// Number of instructions emitted (the denominator of the paper's
     /// "cycles per generated instruction" metric).
     pub insns: u64,
+}
+
+/// A builder's per-function vectors (the assembler's tables and the
+/// callee-saved save lists), kept for the next function.
+#[derive(Clone, Debug, Default)]
+pub struct FuncBufs {
+    asm: AsmBufs,
+    saved: Vec<(Reg, i32)>,
+    fsaved: Vec<(FReg, i32)>,
 }
 
 /// Builder for one function: an [`Asm`] plus frame management.
@@ -48,7 +57,20 @@ pub struct FuncBuilder<'a> {
 impl<'a> FuncBuilder<'a> {
     /// Begins a function and emits its prologue.
     pub fn new(code: &'a mut CodeSpace, name: &str) -> FuncBuilder<'a> {
-        let mut asm = Asm::new(code, name);
+        FuncBuilder::with_bufs(code, name, FuncBufs::default())
+    }
+
+    /// [`FuncBuilder::new`] on the vectors an earlier function left
+    /// (emptied here; [`FuncBuilder::finish_with_bufs`] hands them back).
+    pub fn with_bufs(code: &'a mut CodeSpace, name: &str, bufs: FuncBufs) -> FuncBuilder<'a> {
+        let FuncBufs {
+            asm,
+            mut saved,
+            mut fsaved,
+        } = bufs;
+        saved.clear();
+        fsaved.clear();
+        let mut asm = Asm::with_bufs(code, name, asm);
         asm.emit(Insn::i(Op::Addid, SP, SP, -16));
         asm.emit(Insn::i(Op::Sd, RA, SP, 8));
         asm.emit(Insn::i(Op::Sd, FP, SP, 0));
@@ -60,8 +82,8 @@ impl<'a> FuncBuilder<'a> {
             nslots: 0,
             sp_patch,
             epilogue,
-            saved: Vec::new(),
-            fsaved: Vec::new(),
+            saved,
+            fsaved,
         }
     }
 
@@ -155,13 +177,19 @@ impl<'a> FuncBuilder<'a> {
 
     /// Binds the epilogue, patches the frame size, and seals the
     /// function.
-    pub fn finish(mut self) -> FinishedFunc {
+    pub fn finish(self) -> FinishedFunc {
+        self.finish_with_bufs().0
+    }
+
+    /// [`FuncBuilder::finish`], also returning the builder's vectors for
+    /// the next function's [`FuncBuilder::with_bufs`].
+    pub fn finish_with_bufs(mut self) -> (FinishedFunc, FuncBufs) {
         let epilogue = self.epilogue;
         self.asm.bind(epilogue);
-        for &(r, off) in &self.saved.clone() {
+        for &(r, off) in &self.saved {
             self.asm.emit(Insn::i(Op::Ld, r, FP, off));
         }
-        for &(f, off) in &self.fsaved.clone() {
+        for &(f, off) in &self.fsaved {
             self.asm.emit(Insn::fmem(Op::Fld, f, FP, off));
         }
         self.asm.emit(Insn::i(Op::Ld, RA, FP, -8));
@@ -175,12 +203,18 @@ impl<'a> FuncBuilder<'a> {
             .patch(self.sp_patch, Insn::i(Op::Addid, SP, SP, -area));
         let insns = self.asm.emitted();
         let handle = self.asm.func();
-        let addr = self.asm.finish();
-        FinishedFunc {
+        let (addr, asm) = self.asm.finish_with_bufs();
+        let func = FinishedFunc {
             addr,
             handle,
             insns,
-        }
+        };
+        let bufs = FuncBufs {
+            asm,
+            saved: self.saved,
+            fsaved: self.fsaved,
+        };
+        (func, bufs)
     }
 
     /// Moves a floating point return value into `fa0` and returns.

@@ -58,9 +58,9 @@ pub mod regmgr;
 pub mod sink;
 pub mod vcode;
 
-pub use asm::{Asm, Label};
-pub use func::{FinishedFunc, FuncBuilder};
+pub use asm::{Asm, AsmBufs, Label};
+pub use func::{FinishedFunc, FuncBufs, FuncBuilder};
 pub use ops::{BinOp, LoadKind, StoreKind, UnOp};
 pub use regmgr::RegMgr;
 pub use sink::CodeSink;
-pub use vcode::{CallTarget, Loc, Vcode};
+pub use vcode::{CallTarget, Loc, Vcode, VcodeBufs};

@@ -31,14 +31,31 @@ impl Default for RegMgr {
 impl RegMgr {
     /// A full pool: all temporaries and callee-saved registers.
     pub fn new() -> RegMgr {
-        RegMgr {
-            // Pop from the end: hand out t0 first, then t1, …
-            free_temp: TEMP_REGS.iter().rev().copied().collect(),
-            free_saved: SAVED_REGS.iter().rev().copied().collect(),
-            free_ftemp: FTEMP_REGS.iter().rev().copied().collect(),
-            free_fsaved: FSAVED_REGS.iter().rev().copied().collect(),
+        let mut m = RegMgr {
+            free_temp: Vec::new(),
+            free_saved: Vec::new(),
+            free_ftemp: Vec::new(),
+            free_fsaved: Vec::new(),
             reserved: Vec::new(),
+        };
+        m.reset();
+        m
+    }
+
+    /// Refills the pool, whatever was handed out or reserved — in the
+    /// free lists it already has, so a manager kept across functions
+    /// allocates once.
+    pub fn reset(&mut self) {
+        fn refill<R: Copy>(free: &mut Vec<R>, all: &[R]) {
+            free.clear();
+            // Pop from the end: hand out t0 first, then t1, …
+            free.extend(all.iter().rev());
         }
+        refill(&mut self.free_temp, &TEMP_REGS);
+        refill(&mut self.free_saved, &SAVED_REGS);
+        refill(&mut self.free_ftemp, &FTEMP_REGS);
+        refill(&mut self.free_fsaved, &FSAVED_REGS);
+        self.reserved.clear();
     }
 
     /// Removes `n` caller-saved temporaries from the pool for static
@@ -197,6 +214,18 @@ mod tests {
     fn putting_argument_register_panics() {
         let mut m = RegMgr::new();
         m.put_int(tcc_vm::regs::A0);
+    }
+
+    #[test]
+    fn reset_restores_the_full_pool_in_first_use_order() {
+        let mut m = RegMgr::new();
+        let first = m.get_int(false).unwrap();
+        m.reserve_temps(3);
+        while m.get_float(true).is_some() {}
+        m.reset();
+        assert_eq!(m.free_int_count(), 20);
+        assert_eq!(m.free_float_count(), 11);
+        assert_eq!(m.get_int(false).unwrap(), first);
     }
 
     #[test]

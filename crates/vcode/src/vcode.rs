@@ -9,7 +9,7 @@
 //! trade-off.
 
 use crate::asm::Label;
-use crate::func::{FinishedFunc, FuncBuilder};
+use crate::func::{FinishedFunc, FuncBufs, FuncBuilder};
 use crate::ops::{int_binop_op, int_branch_op, BinOp, LoadKind, StoreKind, UnOp};
 use crate::regmgr::RegMgr;
 use tcc_rt::ValKind;
@@ -54,6 +54,19 @@ pub enum CallTarget {
     Ind(Loc),
 }
 
+/// Everything a [`Vcode`] allocates for one function — the register
+/// manager's free lists, the spill-slot free lists, the builder's and
+/// the assembler's tables — kept for the next: whoever emits many
+/// functions passes it back through [`Vcode::with_bufs`], and a
+/// steady-state function allocates none of it again.
+#[derive(Clone, Debug, Default)]
+pub struct VcodeBufs {
+    func: FuncBufs,
+    regs: RegMgr,
+    free_slots: Vec<i32>,
+    free_fslots: Vec<i32>,
+}
+
 /// The one-pass code generator. See the [crate docs](crate) for an
 /// example.
 #[derive(Debug)]
@@ -71,12 +84,27 @@ pub struct Vcode<'a> {
 impl<'a> Vcode<'a> {
     /// Begins a new function (prologue included).
     pub fn new(code: &'a mut CodeSpace, name: &str) -> Vcode<'a> {
+        Vcode::with_bufs(code, name, VcodeBufs::default())
+    }
+
+    /// [`Vcode::new`] on the storage an earlier function left (reset
+    /// here; [`Vcode::finish_with_bufs`] hands it back).
+    pub fn with_bufs(code: &'a mut CodeSpace, name: &str, bufs: VcodeBufs) -> Vcode<'a> {
+        let VcodeBufs {
+            func,
+            mut regs,
+            mut free_slots,
+            mut free_fslots,
+        } = bufs;
+        regs.reset();
+        free_slots.clear();
+        free_fslots.clear();
         Vcode {
-            fb: FuncBuilder::new(code, name),
-            regs: RegMgr::new(),
+            fb: FuncBuilder::with_bufs(code, name, func),
+            regs,
             unchecked: false,
-            free_slots: Vec::new(),
-            free_fslots: Vec::new(),
+            free_slots,
+            free_fslots,
             spill_getregs: 0,
         }
     }
@@ -548,23 +576,25 @@ impl<'a> Vcode<'a> {
         args: &[(ValKind, Loc)],
         ret: Option<(ValKind, Loc)>,
     ) {
-        // Assign argument registers.
-        let mut int_moves: Vec<(Loc, Reg)> = Vec::new();
-        let mut float_moves: Vec<(Loc, FReg)> = Vec::new();
+        // Assign argument registers (the ABI bounds both lists, so they
+        // live on the stack: emitting a call allocates nothing).
+        let mut int_moves = [(Loc::R(ZERO), ZERO); ARG_REGS.len()];
+        let mut float_moves = [(Loc::R(ZERO), FARG_REGS[0]); FARG_REGS.len()];
         let (mut ni, mut nf) = (0, 0);
         for &(k, loc) in args {
             if k == ValKind::F {
-                float_moves.push((loc, FARG_REGS[nf]));
+                float_moves[nf] = (loc, FARG_REGS[nf]);
                 nf += 1;
             } else {
-                int_moves.push((loc, ARG_REGS[ni]));
+                int_moves[ni] = (loc, ARG_REGS[ni]);
                 ni += 1;
             }
         }
-        self.parallel_int_moves(&int_moves);
+        let float_moves = &float_moves[..nf];
+        self.parallel_int_moves(&mut int_moves[..ni]);
         // Float moves: sources are never float arg registers in our
         // lowerings except the identity case; do a simple hazard check.
-        for &(src, dst) in &float_moves {
+        for &(src, dst) in float_moves {
             let hazard = float_moves
                 .iter()
                 .any(|&(s, _)| matches!(s, Loc::F(f) if f == dst) && s != src);
@@ -606,12 +636,21 @@ impl<'a> Vcode<'a> {
 
     /// Executes a set of moves into distinct destination registers,
     /// honoring read-before-write hazards (breaking cycles via `at1`).
-    fn parallel_int_moves(&mut self, moves: &[(Loc, Reg)]) {
-        let mut pending: Vec<(Loc, Reg)> = moves
-            .iter()
-            .copied()
-            .filter(|&(src, dst)| src != Loc::R(dst))
-            .collect();
+    /// Works in place: `moves` is consumed.
+    fn parallel_int_moves(&mut self, moves: &mut [(Loc, Reg)]) {
+        /// Removes `pending[i]`, keeping the order of the rest.
+        fn take(pending: &mut &mut [(Loc, Reg)], i: usize) -> (Loc, Reg) {
+            let taken = pending[i];
+            pending.copy_within(i + 1.., i);
+            let all = std::mem::take(pending);
+            let n = all.len() - 1;
+            *pending = &mut all[..n];
+            taken
+        }
+        let mut pending = moves;
+        while let Some(i) = (pending.iter()).position(|&(src, dst)| src == Loc::R(dst)) {
+            take(&mut pending, i);
+        }
         while !pending.is_empty() {
             let ready = pending.iter().position(|&(_, dst)| {
                 !pending
@@ -620,7 +659,7 @@ impl<'a> Vcode<'a> {
             });
             match ready {
                 Some(i) => {
-                    let (src, dst) = pending.remove(i);
+                    let (src, dst) = take(&mut pending, i);
                     match src {
                         Loc::R(r) => self.fb.asm.mov(dst, r),
                         Loc::Spill(off) => self.fb.load_slot(dst, off),
@@ -631,13 +670,13 @@ impl<'a> Vcode<'a> {
                     // Cycle: `dst` is a source of some other pending move,
                     // so park dst's current value in at1, repoint the moves
                     // that read it, then perform this move.
-                    let (src, dst) = pending.remove(0);
+                    let (src, dst) = take(&mut pending, 0);
                     debug_assert!(
                         !pending.iter().any(|&(s, _)| s == Loc::R(AT1)),
                         "overlapping move cycles"
                     );
                     self.fb.asm.mov(AT1, dst);
-                    for p in &mut pending {
+                    for p in pending.iter_mut() {
                         if p.0 == Loc::R(dst) {
                             p.0 = Loc::R(AT1);
                         }
@@ -654,7 +693,7 @@ impl<'a> Vcode<'a> {
 
     /// Host call with call-style argument passing.
     pub fn hcall_with(&mut self, num: u32, args: &[(ValKind, Loc)], ret: Option<(ValKind, Loc)>) {
-        let mut int_moves: Vec<(Loc, Reg)> = Vec::new();
+        let mut int_moves = [(Loc::R(ZERO), ZERO); ARG_REGS.len()];
         let (mut ni, mut nf) = (0, 0);
         for &(k, loc) in args {
             if k == ValKind::F {
@@ -662,11 +701,11 @@ impl<'a> Vcode<'a> {
                 self.fb.asm.fmov(FARG_REGS[nf], f);
                 nf += 1;
             } else {
-                int_moves.push((loc, ARG_REGS[ni]));
+                int_moves[ni] = (loc, ARG_REGS[ni]);
                 ni += 1;
             }
         }
-        self.parallel_int_moves(&int_moves);
+        self.parallel_int_moves(&mut int_moves[..ni]);
         self.fb.asm.hcall(num);
         if let Some((k, loc)) = ret {
             if k == ValKind::F {
@@ -705,7 +744,20 @@ impl<'a> Vcode<'a> {
 
     /// Seals the function.
     pub fn finish(self) -> FinishedFunc {
-        self.fb.finish()
+        self.finish_with_bufs().0
+    }
+
+    /// [`Vcode::finish`], also returning the generator's storage for the
+    /// next function's [`Vcode::with_bufs`].
+    pub fn finish_with_bufs(self) -> (FinishedFunc, VcodeBufs) {
+        let (f, func) = self.fb.finish_with_bufs();
+        let bufs = VcodeBufs {
+            func,
+            regs: self.regs,
+            free_slots: self.free_slots,
+            free_fslots: self.free_fslots,
+        };
+        (f, bufs)
     }
 }
 

@@ -589,7 +589,10 @@ impl CodeSpace {
     pub fn disassemble(&self, handle: FuncHandle) -> String {
         let info = &self.funcs[handle.0];
         let end = info.end_word.min(self.words.len());
-        let mut out = format!("{}:\n", info.name);
+        let mut out = match info.name.as_str() {
+            "" => format!("<{:#x}>:\n", CODE_BASE + 4 * info.start_word as u64),
+            name => format!("{name}:\n"),
+        };
         for (i, w) in self.words[info.start_word..end].iter().enumerate() {
             match Insn::decode(*w) {
                 Ok(insn) => out.push_str(&format!("  {i:4}: {insn}\n")),

@@ -4,6 +4,7 @@
 //! per-instruction codegen cost must land in a sane band.
 
 use tcc::{Backend, Config, Session, Strategy};
+use tcc_suite::{benchmarks, BLUR_SMALL};
 
 /// A program with one dynamic compilation site.
 const SRC: &str = r#"
@@ -81,6 +82,7 @@ fn dynamic_counters_accumulate_monotonically() {
             assert!(d.generated_insns > prev_insns, "{backend:?} round {round}");
             assert!(d.total_ns > prev_total, "{backend:?} round {round}");
             assert!(d.closures >= round, "{backend:?}: walked no closures");
+            assert!(d.rtc_evals >= round, "{backend:?}: `$n` was never folded");
             prev_compiles = d.compiles;
             prev_total = d.total_ns;
             prev_insns = d.generated_insns;
@@ -196,6 +198,7 @@ fn session_metrics_serialize_to_json() {
         "alloc_ns",
         "hcalls",
         "generated_insns",
+        "rtc_evals",
     ] {
         assert!(
             text.contains(&format!("\"{key}\"")),
@@ -353,4 +356,53 @@ fn session_keeps_the_linked_image_reachable() {
         h = addrs.iter().fold(h, |h, &a| mix(h, a));
     }
     assert_eq!(persist_abi_salt(&s.image, &cost), h);
+}
+
+/// What one `compile_dyn` of each suite program costs the CGF walk under
+/// VCODE, exactly: (program, generated instructions, closures walked,
+/// loop iterations unrolled, nodes visited by static evaluation). The
+/// first three columns are what the walk *does* and move only with the
+/// code it emits; the last is what deciding cost, in visits — 1,322 for
+/// the 1,872 instructions (0.71 each). At `417bf2b`, when every
+/// `expr`/`binary`/`place`/`if`/branch/unroll site re-asked from the top
+/// of an AST, the same three columns came with 81 24 670 174 237 267 27
+/// 21 53 483 1216 1884 209 390 visits (5,736; 3.1 each).
+const WALK_COUNTERS: &[(&str, u64, u64, u64, u64)] = &[
+    ("hash", 58, 1, 0, 44),
+    ("ms", 33, 1, 0, 5),
+    ("heap", 325, 6, 0, 58),
+    ("ntn", 116, 4, 0, 16),
+    ("cmp", 73, 3, 0, 15),
+    ("query", 94, 12, 0, 36),
+    ("mshl", 44, 7, 0, 12),
+    ("umshl", 32, 6, 0, 10),
+    ("pow", 35, 8, 0, 1),
+    ("binary", 227, 34, 0, 130),
+    ("dp", 222, 1, 40, 659),
+    ("blur", 272, 1, 12, 249),
+    ("filter", 104, 4, 0, 32),
+    ("demux", 237, 5, 0, 55),
+];
+
+#[test]
+fn walk_counters_match_the_committed_values() {
+    let mut got = Vec::new();
+    for bench in benchmarks(BLUR_SMALL) {
+        let config = Config {
+            cache: false,
+            ..Config::default()
+        };
+        let mut s = Session::new(bench.src, config).expect("suite program compiles");
+        (bench.setup)(&mut s);
+        (bench.compile_dyn)(&mut s);
+        let d = s.metrics().dynamic;
+        got.push((
+            bench.name,
+            d.generated_insns,
+            d.closures,
+            d.unrolled_iters,
+            d.rtc_evals,
+        ));
+    }
+    assert_eq!(got, WALK_COUNTERS, "walk counters moved");
 }

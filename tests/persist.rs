@@ -228,3 +228,59 @@ fn two_processes_share_one_store_under_a_single_writer() {
     drop(shared_c);
     cleanup(&path);
 }
+
+/// A tick body that mentions a string literal, and a way to move the
+/// session's heap before compiling it.
+const GREET: &str = r#"
+long fill(long n) { return (long)malloc(n); }
+long greet(int n) {
+    void cspec c = `{ puts("hello from dynamic code"); puti($n); };
+    return (long)compile(c, void);
+}
+"#;
+
+#[test]
+fn string_literals_in_tick_bodies_survive_the_store() {
+    // The generated code holds the literal's address. It is an address
+    // in the static image's data — the same in every session of the
+    // program — so an artifact on disk prints the same bytes in a
+    // process whose heap looks nothing like the compiling one's.
+    let path = store_path("strlit");
+    {
+        let mut s = persist_session(GREET, &path);
+        let fp = s.call("greet", &[7]).expect("compiles");
+        s.call_addr(fp, &[]).expect("runs");
+        assert_eq!(s.output(), "hello from dynamic code\n7\n");
+        assert_eq!(s.metrics().dynamic.compiles, 1);
+    }
+    {
+        let mut s = persist_session(GREET, &path);
+        s.call("fill", &[4096]).expect("mallocs first");
+        let fp = s.call("greet", &[7]).expect("answered from disk");
+        let m = s.metrics();
+        assert_eq!((m.persist.disk_hits, m.dynamic.compiles), (1, 0));
+        s.call_addr(fp, &[]).expect("runs");
+        assert_eq!(s.output(), "hello from dynamic code\n7\n");
+    }
+    cleanup(&path);
+}
+
+#[test]
+fn compiling_a_string_literal_does_not_grow_the_heap() {
+    let config = Config {
+        cache: false,
+        ..Config::default()
+    };
+    let mut s = Session::new(GREET, config).expect("compiles");
+    let brk_after = |s: &mut Session, compiles: u64| {
+        for _ in 0..compiles {
+            s.call("greet", &[7]).expect("compiles");
+        }
+        s.vm.state().mem.brk()
+    };
+    // One compile's closure goes to the arena (allocated by the first);
+    // a hundred more take nothing from the general heap.
+    let first = brk_after(&mut s, 1);
+    assert_eq!(brk_after(&mut s, 100), first);
+    assert_eq!(s.metrics().dynamic.compiles, 101);
+}
