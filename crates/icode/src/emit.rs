@@ -30,9 +30,8 @@ pub struct EmitScratch {
     /// The VCODE label of each ICODE label; arguments since the last call.
     labels: Vec<Label>,
     pending_args: Vec<(ValKind, Loc)>,
-    /// The VCODE layer's own per-function storage (out while a function
-    /// is being emitted).
-    vcode: Option<VcodeBufs>,
+    /// The VCODE layer's own per-function storage.
+    vcode: VcodeBufs,
 }
 
 /// Translates a register-allocated ICODE buffer to binary. Returns the
@@ -60,7 +59,7 @@ pub fn emit(
         pending_args,
         vcode,
     } = scratch;
-    let mut vc = Vcode::with_bufs(code, name, vcode.take().unwrap_or_default());
+    let mut vc = Vcode::with_bufs(code, name, std::mem::take(vcode));
 
     // Save callee-saved registers the allocator handed out.
     for &r in &asn.used_callee_saved {
@@ -100,7 +99,7 @@ pub fn emit(
         translate_one(&mut vc, insn, &loc_of, labels, block_off, pending_args);
     }
     let (func, bufs) = vc.finish_with_bufs();
-    *vcode = Some(bufs);
+    *vcode = bufs;
     (func, seen)
 }
 

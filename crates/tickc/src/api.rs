@@ -151,9 +151,9 @@ impl Default for Config {
 /// The ABI salt persistent stores are opened under: an
 /// order-sensitive fold of the fingerprint scheme version, the opcode
 /// table signature, the cost model digest, and the static image's
-/// function/global/tick-literal layout. Fingerprints deliberately do not cover the
-/// static program (it is fixed for a session), but generated code
-/// bakes static call addresses in — so a store written for one source
+/// function/global/tick-literal layout. Fingerprints deliberately do not
+/// cover the static program (it is fixed for a session), but generated
+/// code bakes static call addresses in — so a store written for one source
 /// program, or by a build with a different ISA, cost model, or
 /// fingerprint encoding, must not be served to another. Exposed so
 /// tests can open stores the way [`Session::new`] does.

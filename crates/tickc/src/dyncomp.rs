@@ -1034,9 +1034,10 @@ impl<'a, 'p, S: CodeSink> DynCompiler<'a, 'p, S> {
         };
         // Run-time-constant operands select strength-reduced immediates.
         let foldable = k != ValKind::F;
-        let static_b = match foldable {
-            true => self.eval_static(b, f, false)?,
-            false => None,
+        let static_b = if foldable {
+            self.eval_static(b, f, false)?
+        } else {
+            None
         };
         if let (Some(cb), false) = (static_b, cmp) {
             let va = self.expr(a, f)?;
@@ -1046,9 +1047,10 @@ impl<'a, 'p, S: CodeSink> DynCompiler<'a, 'p, S> {
             self.release(va);
             return Ok(V::owned(d));
         }
-        let static_a = match foldable {
-            true => self.eval_static(a, f, false)?,
-            false => None,
+        let static_a = if foldable {
+            self.eval_static(a, f, false)?
+        } else {
+            None
         };
         if let (Some(ca), Some(sw), false) = (static_a, sw, cmp) {
             let vb = self.expr(b, f)?;

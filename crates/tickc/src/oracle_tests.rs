@@ -167,13 +167,12 @@ fn walk_errors_are_the_same_error() {
 /// any walk: handed to the walkers directly.
 #[test]
 fn malformed_closures_fail_identically() {
-    let s = session(
+    let mut s = session(
         "int x = 77; int f(void) { int cspec c = `1; return 0; }",
         Backend::default(),
     );
-    let rt = s.vm.host();
-    let input = rt.dyn_input();
-    let mut mem = s.vm.state().mem.clone();
+    let (global, mut mem) = (s.global_addr("x").unwrap(), s.vm.state().mem.clone());
+    let (input, ..) = s.vm.host_mut().walk_parts();
     let (walks, errors) = checks();
     // A bad cgf id.
     let junk = mem.alloc(8, 8).unwrap();
@@ -181,7 +180,7 @@ fn malformed_closures_fail_identically() {
     check(input, &mem, None, junk);
     // tests/faults.rs::compile_of_garbage_closure_pointer_is_detected:
     // a global's bytes read as a closure.
-    check(input, &mem, None, s.global_addr("x").unwrap());
+    check(input, &mem, None, global);
     // An unmapped closure address.
     check(input, &mem, None, 1 << 40);
     // An argument list compiled as a closure.

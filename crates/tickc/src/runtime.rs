@@ -97,10 +97,10 @@ struct CompileOutcome {
 /// walker's frames and maps, VCODE's register and label tables, the
 /// ICODE compiler with its IR buffer. Owned by the runtime so a
 /// steady-state compile allocates only what it installs.
-struct Backends {
-    /// VCODE's per-function storage; out while a function is emitted
-    /// (and rebuilt after a compile that failed mid-function).
-    vcode: Option<VcodeBufs>,
+pub(crate) struct Backends {
+    /// VCODE's per-function storage (empty again after a compile that
+    /// failed mid-function).
+    vcode: VcodeBufs,
     vcode_walk: WalkScratch<Loc, Label>,
     /// The ICODE back end, built with the runtime and kept: its
     /// translator table, register pools and every phase's working
@@ -145,12 +145,11 @@ fn run_backend(
     let t0 = Instant::now();
     match backend {
         Backend::Vcode { unchecked } => {
-            let bufs = b.vcode.take().unwrap_or_default();
-            let mut vc = Vcode::with_bufs(code, name, bufs);
+            let mut vc = Vcode::with_bufs(code, name, std::mem::take(&mut b.vcode));
             vc.set_unchecked(*unchecked);
             let walk = walk(input, mem, &mut vc, &mut b.vcode_walk, ret_kind, closure)?;
             let (f, bufs) = vc.finish_with_bufs();
-            b.vcode = Some(bufs);
+            b.vcode = bufs;
             Ok(CompileOutcome {
                 addr: f.addr,
                 handle: f.handle,
@@ -277,7 +276,7 @@ impl TccRuntime {
             shared_cost: CostModel::default(),
             tick_cacheable: HashMap::new(),
             backends: Backends {
-                vcode: None,
+                vcode: VcodeBufs::default(),
                 vcode_walk: WalkScratch::default(),
                 icode: IcodeCompiler::new(strategy),
                 icode_buf: IcodeBuf::new(),
@@ -310,11 +309,10 @@ impl TccRuntime {
         &self.backends.icode_buf
     }
 
-    /// The walkers' view of this runtime, for tests that call one
-    /// directly.
-    #[cfg(test)]
-    pub(crate) fn dyn_input(&self) -> DynInput<'_> {
-        DynInput {
+    /// The walker's view of this runtime, beside the parts a compile
+    /// mutates.
+    pub(crate) fn walk_parts(&mut self) -> (DynInput<'_>, &Backend, &mut Backends) {
+        let input = DynInput {
             prog: &self.prog,
             func_addrs: &self.func_addrs,
             global_addrs: &self.global_addrs,
@@ -322,7 +320,8 @@ impl TccRuntime {
             plans: &self.plans,
             cspec_first: self.cspec_first,
             enable_unroll: self.enable_unroll,
-        }
+        };
+        (input, &self.backend, &mut self.backends)
     }
 
     /// The captured output as UTF-8 (lossy).
@@ -388,16 +387,7 @@ impl TccRuntime {
         ret_kind: Option<ValKind>,
         depth: u32,
     ) -> Result<(u64, tcc_vm::FuncHandle), VmError> {
-        let input = DynInput {
-            prog: &self.prog,
-            func_addrs: &self.func_addrs,
-            global_addrs: &self.global_addrs,
-            tick_strs: &self.tick_strs,
-            plans: &self.plans,
-            cspec_first: self.cspec_first,
-            enable_unroll: self.enable_unroll,
-        };
-        let (backend, backends) = (&self.backend, &mut self.backends);
+        let (input, backend, backends) = self.walk_parts();
         let mut run = || run_backend(backend, backends, input, mem, code, name, closure, ret_kind);
         let outcome = if depth <= INLINE_COMPOSE_DEPTH {
             run()?

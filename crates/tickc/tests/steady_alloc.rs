@@ -81,8 +81,8 @@ const COMPILE_ALLOCATIONS: u64 = 0;
 /// Each happens once per doubling, so the typical compile sees none.
 const CODE_SPACE_GROWTH: u64 = 5;
 
-/// A tick whose unrolled trip count (`n`) and whose body size are the
-/// caller's: `n` iterations of `terms` multiply-accumulates plus a call.
+/// A tick whose unrolled trip count (`n`) and whose body size (`big`)
+/// are the caller's; every iteration emits loads, stores and a call.
 const SIZED_SRC: &str = r#"
 int acc[64];
 int twice(int x) { return 2 * x; }

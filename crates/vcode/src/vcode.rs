@@ -58,11 +58,14 @@ pub enum CallTarget {
 /// manager's free lists, the spill-slot free lists, the builder's and
 /// the assembler's tables — kept for the next: whoever emits many
 /// functions passes it back through [`Vcode::with_bufs`], and a
-/// steady-state function allocates none of it again.
+/// steady-state function allocates none of it again. The default is
+/// empty and allocates nothing (so it can stand in while a function
+/// has the real one).
 #[derive(Clone, Debug, Default)]
 pub struct VcodeBufs {
     func: FuncBufs,
-    regs: RegMgr,
+    /// `None` until a first function builds the pool.
+    regs: Option<RegMgr>,
     free_slots: Vec<i32>,
     free_fslots: Vec<i32>,
 }
@@ -92,10 +95,11 @@ impl<'a> Vcode<'a> {
     pub fn with_bufs(code: &'a mut CodeSpace, name: &str, bufs: VcodeBufs) -> Vcode<'a> {
         let VcodeBufs {
             func,
-            mut regs,
+            regs,
             mut free_slots,
             mut free_fslots,
         } = bufs;
+        let mut regs = regs.unwrap_or_default();
         regs.reset();
         free_slots.clear();
         free_fslots.clear();
@@ -753,7 +757,7 @@ impl<'a> Vcode<'a> {
         let (f, func) = self.fb.finish_with_bufs();
         let bufs = VcodeBufs {
             func,
-            regs: self.regs,
+            regs: Some(self.regs),
             free_slots: self.free_slots,
             free_fslots: self.free_fslots,
         };
