@@ -368,3 +368,55 @@ fn float_zero_compares_keep_the_real_comparison() {
     assert_eq!(s.call_f("drive", &[fp], &[0.0]).unwrap(), 1.0);
     assert_eq!(s.call_f("drive", &[fp], &[1.5]).unwrap(), 0.0);
 }
+
+#[test]
+fn comma_operands_compose_and_order_like_any_other() {
+    // The right operand is a comma expression that ends in a composed
+    // cspec: the cspec-first rule (§5.1) has to see through the comma,
+    // and the discarded left half still emits (a `li` into a dead temp).
+    let src = r#"
+        long mk(int n) {
+            int vspec x = param(int, 0);
+            int cspec inner = `(x * $n);
+            int cspec c = `(x * 3 + (1, inner) + (x, 2));
+            return (long)compile(c, int);
+        }
+    "#;
+    for b in [
+        vcode(),
+        Backend::Icode {
+            strategy: Strategy::LinearScan,
+        },
+    ] {
+        let mut s = session(src, b);
+        let fp = s.call("mk", &[5]).unwrap();
+        assert_eq!(s.call_addr(fp, &[7]).unwrap(), 7 * 3 + 7 * 5 + 2);
+        assert_eq!(s.dyn_stats().closures, 2);
+    }
+}
+
+#[test]
+fn conditional_with_one_static_arm_folds_only_when_that_arm_is_chosen() {
+    // `$sel ? $a * 2 : x + 1` is a run-time constant exactly when the
+    // condition picks the static arm; `x ? $a : x + 3` never is, but its
+    // static arm is still an immediate.
+    let src = r#"
+        long mk(int sel, int a) {
+            int vspec x = param(int, 0);
+            int cspec c = `(($sel ? $a * 2 : x + 1) + (x ? $a : x + 3));
+            return (long)compile(c, int);
+        }
+    "#;
+    let (folded, mut s) = gen_insns(src, "mk", &[1, 10]);
+    let fp = s.call("mk", &[1, 10]).unwrap();
+    assert_eq!(s.call_addr(fp, &[7]).unwrap(), 20 + 10);
+    assert_eq!(s.call_addr(fp, &[0]).unwrap(), 20 + 3);
+    let (emitted, mut s) = gen_insns(src, "mk", &[0, 10]);
+    let fp = s.call("mk", &[0, 10]).unwrap();
+    assert_eq!(s.call_addr(fp, &[7]).unwrap(), 8 + 10);
+    assert_eq!(s.call_addr(fp, &[0]).unwrap(), 1 + 3);
+    assert!(
+        folded < emitted,
+        "the static arm should cost less than the dynamic one: {folded} vs {emitted}"
+    );
+}
