@@ -12,7 +12,7 @@
 //!
 //! The `vc`/`vu` rows are the same digest under `Backend::Vcode`
 //! (`unchecked` false/true; the scheduler knob only reaches the static
-//! image there), computed at commit `417bf2b`, before the CGF walk was
+//! image there), computed at commit `7078e9b`, before the CGF walk was
 //! lowered to a per-tick plan: the walk's output is VCODE's words and
 //! ICODE's input, so a walker that emits differently moves a cell here.
 //!

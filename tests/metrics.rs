@@ -363,7 +363,7 @@ fn session_keeps_the_linked_image_reachable() {
 /// loop iterations unrolled, nodes visited by static evaluation). The
 /// first three columns are what the walk *does* and move only with the
 /// code it emits; the last is what deciding cost, in visits — 1,322 for
-/// the 1,872 instructions (0.71 each). At `417bf2b`, when every
+/// the 1,872 instructions (0.71 each). At `7078e9b`, when every
 /// `expr`/`binary`/`place`/`if`/branch/unroll site re-asked from the top
 /// of an AST, the same three columns came with 81 24 670 174 237 267 27
 /// 21 53 483 1216 1884 209 390 visits (5,736; 3.1 each).
