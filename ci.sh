@@ -3,8 +3,10 @@
 # a clock (wall-clock is measured by benchmark/run.sh and reported, not
 # gated). Every test binary runs once, in the debug profile: product code
 # has no `unsafe`, so the build with overflow checks and debug_asserts
-# live is the stricter one. With the binaries built the step takes 20 s
-# on this box (release: 6 s).
+# live is the stricter one. With the binaries built the step takes 19 s
+# on this box (18.4 s before PR 23: the CGF walker oracle — `cargo test
+# -p tcc --lib` shadows every compile of that crate's test build with
+# the AST walker — is 65 tests in 0.4 s, the two allocation gates less).
 #
 #   1. cargo fmt --check
 #   2. cargo clippy, warnings are errors
