@@ -368,6 +368,14 @@ pub struct Program {
     pub funcs: Vec<FuncDef>,
     /// Tick expressions (dynamic code sites).
     pub ticks: Vec<TickDef>,
+    /// Whether a cspec or vspec may outlive the top-level call that
+    /// built it: the program has a global that holds one, a pointer type
+    /// whose pointee holds one, or a cast into or out of a spec type.
+    /// When set, no call releases its spec-time objects.
+    pub spec_escapes: bool,
+    /// Functions whose return type holds a cspec or vspec, ascending: a
+    /// call entering at one keeps its spec-time objects.
+    pub spec_returns: Vec<usize>,
 }
 
 impl Program {

@@ -287,4 +287,44 @@ mod tests {
             .to_string();
         assert!(err.contains("cspec"), "{err}");
     }
+
+    #[test]
+    fn spec_escape_rule() {
+        let escapes = |src: &str| compile_unit(src).unwrap().spec_escapes;
+        // Spec values in locals, parameters, local arrays and local
+        // structs die with their frame, within the call.
+        for src in [
+            "int f(int n) { int cspec c = `($n + 1); int (*g)(void) = compile(c, int); return (*g)(); }",
+            "long f(void) { int vspec x = param(int, 0); return (long)compile(`(x + 1), int); }",
+            "int f(int cspec c) { int cspec a[2]; a[0] = c; a[1] = a[0]; return 0; }",
+            "struct s { int cspec c; int n; }; int f(void) { struct s v; v.c = `1; return v.n; }",
+            "struct s { int a; struct s *next; }; int f(struct s *p) { return p->a; }",
+        ] {
+            assert!(!escapes(src), "{src}");
+        }
+        // A global holding one, a pointer to something holding one, and a
+        // cast into or out of a spec type each let a spec outlive it.
+        for src in [
+            "int cspec g; void f(void) { g = `1; }",
+            "int vspec keys[4]; void f(void) { }",
+            "struct s { int cspec c; }; struct s g; void f(void) { }",
+            "void f(int cspec a[4]) { }",
+            "struct s { int cspec c; }; void f(struct s *p) { }",
+            "struct s { int cspec c; }; struct t { struct s *p; }; int f(void) { return 0; }",
+            "long f(void) { int cspec c = `1; return (long)&c; }",
+            "long f(void) { int cspec c = `1; return (long)c; }",
+            "struct s { int vspec v; }; int f(void) { return sizeof(struct s *); }",
+            "struct s { struct s inner; int cspec c; }; struct s g; void f(void) { }",
+        ] {
+            assert!(escapes(src), "{src}");
+        }
+        // Returning one escapes only the call that entered there.
+        let p = compile_unit(
+            "int g(void) { return 1; } int cspec mk(int n) { return `($n + g()); } \
+             struct s { int vspec v; }; struct s mv(void) { struct s r; r.v = local(int); return r; }",
+        )
+        .unwrap();
+        assert!(!p.spec_escapes);
+        assert_eq!(p.spec_returns, [1, 2]);
+    }
 }

@@ -29,15 +29,27 @@ pub fn analyze(unit: ParsedUnit) -> Result<Program, FrontError> {
             globals: Vec::new(),
             funcs: Vec::new(),
             ticks: Vec::new(),
+            spec_escapes: false,
+            spec_returns: Vec::new(),
         },
         sigs: Vec::new(),
         ctx: None,
     };
+    // The escape rule (DESIGN, "Spec-time memory") is decided by the
+    // types the program uses: here its struct fields, then its globals
+    // and signatures, then every declaration, cast and expression below.
+    let structs = &sema.prog.structs;
+    sema.prog.spec_escapes = structs
+        .iter()
+        .flat_map(|s| &s.fields)
+        .any(|f| f.ty.points_to_spec(structs));
     // Collect global names and function signatures first (forward refs).
     for g in &unit.globals {
         if g.ty == Type::Void {
             return Err(serr(0, format!("global {} has type void", g.name)));
         }
+        sema.prog.spec_escapes |= g.ty.holds_spec(&sema.prog.structs);
+        sema.note_type(&g.ty);
         sema.prog.globals.push(GlobalDef {
             name: g.name.clone(),
             ty: g.ty.clone(),
@@ -49,6 +61,12 @@ pub fn analyze(unit: ParsedUnit) -> Result<Program, FrontError> {
             ret: f.ret.clone(),
             params: f.params.iter().map(|(_, t)| t.clone()).collect(),
         };
+        for t in sig.params.iter().chain([&sig.ret]) {
+            sema.note_type(t);
+        }
+        if sig.ret.holds_spec(&sema.prog.structs) {
+            sema.prog.spec_returns.push(sema.sigs.len());
+        }
         sema.sigs.push((f.name.clone(), sig));
     }
     for f in unit.funcs {
@@ -122,6 +140,12 @@ impl Sema {
         self.ctx.as_mut().expect("inside a function")
     }
 
+    /// The escape rule's type half: a pointer to something holding a
+    /// cspec or vspec can carry it past the call that built it.
+    fn note_type(&mut self, ty: &Type) {
+        self.prog.spec_escapes |= ty.points_to_spec(&self.prog.structs);
+    }
+
     fn check_func(&mut self, f: RawFunc) -> Result<FuncDef, FrontError> {
         let mut ctx = FuncCtx {
             locals: Vec::new(),
@@ -191,6 +215,7 @@ impl Sema {
     }
 
     fn declare(&mut self, name: &str, ty: Type, line: u32) -> Result<Binding, FrontError> {
+        self.note_type(&ty);
         let addressy = matches!(ty, Type::Array(..) | Type::Struct(_));
         let c = self.ctx();
         match &mut c.tick {
@@ -725,6 +750,9 @@ impl Sema {
                         format!("invalid cast from {} to {ty}", inner.ty),
                     ));
                 }
+                // A spec value cast to or from another type leaves the
+                // type system's sight (the escape rule's cast half).
+                self.prog.spec_escapes |= ty.is_spec() || inner.ty.is_spec();
                 e.ty = ty.clone();
             }
             ExprKind::Cond(c, t, f) => {
@@ -750,6 +778,7 @@ impl Sema {
                 e.ty = b.ty.clone();
             }
             ExprKind::SizeofT(ty) => {
+                self.note_type(ty);
                 let size = ty.size(&self.prog.structs) as i64;
                 e.kind = ExprKind::IntLit(size);
                 e.ty = Type::Int;
@@ -886,6 +915,7 @@ impl Sema {
                 e.ty = Type::Vspec(Box::new(ty.clone()));
             }
         }
+        self.note_type(&e.ty);
         Ok(())
     }
 

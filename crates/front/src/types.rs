@@ -193,6 +193,43 @@ impl Type {
         matches!(self, Type::Cspec(_) | Type::Vspec(_))
     }
 
+    /// True if a value of this type holds a cspec or vspec: the type is
+    /// one, or an array or struct with one inside. A pointer does not
+    /// hold its pointee.
+    pub fn holds_spec(&self, structs: &[StructDef]) -> bool {
+        self.holds_spec_below(structs, structs.len())
+    }
+
+    /// [`Type::holds_spec`], looking only into structs indexed below
+    /// `below`. A struct's by-value fields name only structs defined
+    /// before it, so narrowing `below` at each struct ends the walk even
+    /// on a struct that names itself by value.
+    fn holds_spec_below(&self, structs: &[StructDef], below: usize) -> bool {
+        match self {
+            Type::Cspec(_) | Type::Vspec(_) => true,
+            Type::Array(t, _) => t.holds_spec_below(structs, below),
+            Type::Struct(i) if *i < below => structs[*i]
+                .fields
+                .iter()
+                .any(|f| f.ty.holds_spec_below(structs, *i)),
+            _ => false,
+        }
+    }
+
+    /// True if this type is, or is built from, a pointer whose pointee
+    /// holds a cspec or vspec.
+    pub fn points_to_spec(&self, structs: &[StructDef]) -> bool {
+        match self {
+            Type::Ptr(t) => t.holds_spec(structs) || t.points_to_spec(structs),
+            Type::Array(t, _) | Type::Cspec(t) | Type::Vspec(t) => t.points_to_spec(structs),
+            Type::Func(sig) => {
+                sig.ret.points_to_spec(structs)
+                    || sig.params.iter().any(|p| p.points_to_spec(structs))
+            }
+            _ => false,
+        }
+    }
+
     /// The evaluation type of a cspec/vspec, or `self` otherwise.
     pub fn eval_ty(&self) -> &Type {
         match self {

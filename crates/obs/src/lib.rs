@@ -124,6 +124,17 @@ pub struct DynMetrics {
     /// the CGF walks: what asking "is this subtree a run-time constant,
     /// and what is it" cost, in visits.
     pub rtc_evals: u64,
+    /// The spec-time arena's largest footprint, in bytes: the most its
+    /// closures, vspecs, labels and argument lists (and the unused tails
+    /// of chunks they moved past) ever spanned at once. With no single
+    /// object over 64 KiB, the VM heap the arena holds is this rounded up
+    /// to whole 64 KiB chunks, each reserved once and then reused.
+    pub spec_high_water: u64,
+    /// Top-level calls that released their spec-time objects on return.
+    pub spec_releases: u64,
+    /// Top-level calls whose spec-time objects the escape rule kept.
+    /// With `spec_releases`, one per call that entered the VM.
+    pub spec_pinned_calls: u64,
 }
 
 impl DynMetrics {
@@ -155,6 +166,9 @@ impl DynMetrics {
             ("closures", Json::from(self.closures)),
             ("unrolled_iters", Json::from(self.unrolled_iters)),
             ("rtc_evals", Json::from(self.rtc_evals)),
+            ("spec_high_water", Json::from(self.spec_high_water)),
+            ("spec_releases", Json::from(self.spec_releases)),
+            ("spec_pinned_calls", Json::from(self.spec_pinned_calls)),
             (
                 "ns_per_generated_insn",
                 Json::from(self.ns_per_generated_insn()),

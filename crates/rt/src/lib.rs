@@ -5,10 +5,10 @@
 //!
 //! * [`ValKind`] — the four machine-level value kinds every layer agrees
 //!   on (32-bit int, 64-bit int, pointer, double).
-//! * [`VmArena`] — arena allocation inside VM data memory. The paper
+//! * [`VmArena`] — spec-time memory inside VM data memory. The paper
 //!   reduces closure allocation "down to a pointer increment, in the
-//!   normal case, by using arenas"; `VmArena` is that allocator, with a
-//!   non-arena fallback path kept around for the ablation benchmark.
+//!   normal case, by using arenas"; `VmArena` is that allocator: a list
+//!   of chunks, a bump cursor, and mark/release to free in bulk.
 //! * [`closure`] — the layout of closures and vspec objects in VM memory,
 //!   mirroring the paper's §4.2 lowering (`cgf` pointer first, then
 //!   run-time constants, free-variable addresses and nested cspecs).
@@ -20,6 +20,6 @@ pub mod closure;
 pub mod hcalls;
 pub mod kind;
 
-pub use arena::VmArena;
+pub use arena::{ArenaMark, VmArena};
 pub use closure::{ClosureRef, VspecObj, VspecTag, ARGLIST_MARKER, ARGLIST_MAX, LABEL_MARKER};
 pub use kind::ValKind;

@@ -57,8 +57,6 @@ pub struct Config {
     pub mem_size: usize,
     /// Cycle cost model.
     pub cost: CostModel,
-    /// Echo program output to stdout.
-    pub echo: bool,
     /// Memoize `compile` calls on closure fingerprints: the session
     /// memo (`tcc_cache::CodeCache`) records every function this
     /// session has installed and answers a repeat `compile` with its
@@ -135,7 +133,6 @@ impl Default for Config {
             backend: Backend::default(),
             mem_size: 64 << 20,
             cost: CostModel::default(),
-            echo: false,
             cache: true,
             code_budget: None,
             engine: None,
@@ -241,6 +238,11 @@ pub struct Session {
     frontend: FrontendMetrics,
     /// Static lowering/linking timing, captured at construction.
     static_compile: StaticMetrics,
+    /// Entry addresses of the functions whose return type holds a cspec
+    /// or vspec, ascending: a call entering at one keeps its spec-time
+    /// objects. Empty, and unallocated, for a program with no such
+    /// function or whose spec values escape anyway.
+    spec_entries: Vec<u64>,
 }
 
 impl Session {
@@ -283,7 +285,6 @@ impl Session {
             tick_strs,
         };
         let mut rt = TccRuntime::new(prog.clone(), &image, config.backend);
-        rt.echo = config.echo;
         rt.set_icode_schedule(config.icode_schedule);
         // Without a memo there is nothing for a backing to stand behind.
         let memo = config.cache || config.shared.is_some();
@@ -312,12 +313,20 @@ impl Session {
         if let Some(hub) = config.translation_hub {
             vm.set_translation_hub(hub);
         }
+        // A program whose spec values escape keeps every call's objects,
+        // so only one that does not needs the per-entry list.
+        let mut spec_entries = Vec::new();
+        if !prog.spec_escapes {
+            spec_entries.extend(prog.spec_returns.iter().map(|&f| image.func_addrs[f]));
+            spec_entries.sort_unstable();
+        }
         Ok(Session {
             vm,
             image,
             prog,
             frontend,
             static_compile,
+            spec_entries,
         })
     }
 
@@ -356,16 +365,46 @@ impl Session {
         }
     }
 
+    /// One top-level call into the VM at `addr`. Spec-time objects the
+    /// call allocates live until it returns, `Ok` or `Err`, and are then
+    /// released — unless the escape rule keeps them: the program lets a
+    /// spec value outlive its call, or this entry returns one (DESIGN,
+    /// "Spec-time memory").
+    fn enter<R>(
+        &mut self,
+        addr: u64,
+        run: impl FnOnce(&mut Vm<TccRuntime>) -> Result<R, VmError>,
+    ) -> Result<R, Error> {
+        self.sync_shared();
+        let mark = self.vm.host().arena.mark();
+        let r = run(&mut self.vm);
+        let pinned = self.prog.spec_escapes || self.spec_entries.binary_search(&addr).is_ok();
+        let (state, rt) = self.vm.parts_mut();
+        if pinned {
+            rt.stats.spec_pinned_calls += 1;
+        } else {
+            rt.arena.release(&mut state.mem, mark);
+            rt.stats.spec_releases += 1;
+        }
+        rt.stats.spec_high_water = rt.arena.high_water();
+        self.drain_preseeds();
+        Ok(r?)
+    }
+
+    /// Address of the static function `name`.
+    fn entry(&self, name: &str) -> Result<u64, Error> {
+        self.image
+            .addr_of(name)
+            .ok_or_else(|| Error::Vm(VmError::Host(format!("no function {name}"))))
+    }
+
     /// Calls function `name` with integer arguments.
     ///
     /// # Errors
     ///
     /// Unknown function or machine fault.
     pub fn call(&mut self, name: &str, args: &[u64]) -> Result<u64, Error> {
-        let addr = self
-            .image
-            .addr_of(name)
-            .ok_or_else(|| Error::Vm(VmError::Host(format!("no function {name}"))))?;
+        let addr = self.entry(name)?;
         self.call_addr(addr, args)
     }
 
@@ -375,14 +414,8 @@ impl Session {
     ///
     /// Unknown function or machine fault.
     pub fn call_f(&mut self, name: &str, args: &[u64], fargs: &[f64]) -> Result<f64, Error> {
-        let addr = self
-            .image
-            .addr_of(name)
-            .ok_or_else(|| Error::Vm(VmError::Host(format!("no function {name}"))))?;
-        self.sync_shared();
-        let r = self.vm.call_f(addr, args, fargs);
-        self.drain_preseeds();
-        Ok(r?)
+        let addr = self.entry(name)?;
+        self.enter(addr, |vm| vm.call_f(addr, args, fargs))
     }
 
     /// Calls a function by address (e.g. a pointer returned from `C
@@ -392,10 +425,7 @@ impl Session {
     ///
     /// Machine fault.
     pub fn call_addr(&mut self, addr: u64, args: &[u64]) -> Result<u64, Error> {
-        self.sync_shared();
-        let r = self.vm.call(addr, args);
-        self.drain_preseeds();
-        Ok(r?)
+        self.enter(addr, |vm| vm.call(addr, args))
     }
 
     /// Cycles consumed since the last [`Session::reset_counters`].

@@ -1,12 +1,12 @@
 //! The `C run-time system: the host-call handler behind generated code.
 //!
-//! Everything the paper's run-time library does surfaces here: closure
-//! arena allocation (§4.2), vspec creation (`local`/`param` special
-//! forms), and — centrally — `compile` (§4.4), which runs the CGF
-//! machinery against the selected dynamic back end, links the resulting
-//! code into the code space, resets per-compilation vspec state, and
-//! returns the function pointer. Output and `malloc` host calls round
-//! out the tiny libc.
+//! Everything the paper's run-time library does surfaces here: arena
+//! allocation (§4.2) of closures, vspecs (`local`/`param` special
+//! forms), labels and argument lists, and — centrally — `compile`
+//! (§4.4), which runs the CGF machinery against the selected dynamic
+//! back end, links the resulting code into the code space, resets
+//! per-compilation vspec state, and returns the function pointer. Output
+//! and `malloc` host calls round out the tiny libc.
 
 use crate::api::SessionImage;
 use crate::dyncomp::{probe_compose_depth, DynCompiler, DynInput, WalkScratch, WalkStats};
@@ -200,15 +200,13 @@ pub struct TccRuntime {
     pub global_addrs: Vec<u64>,
     /// Selected dynamic back end.
     pub backend: Backend,
-    /// Use the closure arena (`false` = ablation baseline using the
-    /// general allocator).
+    /// Allocate spec-time objects from the arena (`false` = the §4.2
+    /// ablation: the general heap, which nothing ever frees).
     pub use_arena: bool,
     /// Statistics.
     pub stats: DynStats,
     /// Captured program output.
     pub out: Vec<u8>,
-    /// Also echo output to stdout.
-    pub echo: bool,
     /// Evaluate cspec operands first (§5.1 heuristic; ablation knob).
     pub cspec_first: bool,
     /// Dynamic loop unrolling (§4.4; ablation knob).
@@ -244,7 +242,10 @@ pub struct TccRuntime {
     /// bakes in for one).
     tick_strs: Vec<Vec<u64>>,
     backends: Backends,
-    arena: Option<VmArena>,
+    /// Spec-time memory: closures, vspecs, labels and argument lists.
+    /// The session releases it to a mark after each top-level call the
+    /// escape rule does not pin.
+    pub(crate) arena: VmArena,
     vspec_seq: u64,
     dyn_seq: u64,
 }
@@ -266,7 +267,6 @@ impl TccRuntime {
             use_arena: true,
             stats: DynStats::default(),
             out: Vec::new(),
-            echo: false,
             cspec_first: true,
             enable_unroll: true,
             observed_keys: TranslatorTable::empty(),
@@ -282,7 +282,7 @@ impl TccRuntime {
                 icode_buf: IcodeBuf::new(),
                 icode_walk: WalkScratch::default(),
             },
-            arena: None,
+            arena: VmArena::default(),
             vspec_seq: 0,
             dyn_seq: 0,
         }
@@ -544,9 +544,15 @@ impl TccRuntime {
 
     fn emit_out(&mut self, bytes: &[u8]) {
         self.out.extend_from_slice(bytes);
-        if self.echo {
-            use std::io::Write;
-            let _ = std::io::stdout().write_all(bytes);
+    }
+
+    /// Allocates a spec-time object: from the arena, or from the general
+    /// heap under the `use_arena = false` ablation.
+    fn spec_alloc(&mut self, mem: &mut Memory, size: u64) -> Result<u64, VmError> {
+        if self.use_arena {
+            self.arena.alloc(mem, size)
+        } else {
+            mem.alloc(size, 8)
         }
     }
 
@@ -646,17 +652,7 @@ impl HostCall for TccRuntime {
             }
             hcalls::HC_ALLOC_CLOSURE => {
                 let size = st.arg(0);
-                let a = if self.use_arena {
-                    if self.arena.is_none() {
-                        self.arena = Some(VmArena::new(&mut st.mem, 1 << 16)?);
-                    }
-                    self.arena
-                        .as_mut()
-                        .expect("just initialized")
-                        .alloc(&mut st.mem, size)?
-                } else {
-                    st.mem.alloc(size, 8)?
-                };
+                let a = self.spec_alloc(&mut st.mem, size)?;
                 st.set_ret(a);
                 Ok(())
             }
@@ -664,7 +660,7 @@ impl HostCall for TccRuntime {
             hcalls::HC_LOCAL => {
                 let kind = ValKind::from_code(st.arg(0) as u8)
                     .ok_or_else(|| VmError::Host("bad vspec kind".into()))?;
-                let addr = st.mem.alloc(VspecObj::SIZE, 8)?;
+                let addr = self.spec_alloc(&mut st.mem, VspecObj::SIZE)?;
                 self.vspec_seq += 1;
                 VspecObj {
                     tag: VspecTag::Local,
@@ -679,7 +675,7 @@ impl HostCall for TccRuntime {
                 let kind = ValKind::from_code(st.arg(0) as u8)
                     .ok_or_else(|| VmError::Host("bad vspec kind".into()))?;
                 let index = st.arg(1);
-                let addr = st.mem.alloc(VspecObj::SIZE, 8)?;
+                let addr = self.spec_alloc(&mut st.mem, VspecObj::SIZE)?;
                 VspecObj {
                     tag: VspecTag::Param,
                     kind,
@@ -690,7 +686,7 @@ impl HostCall for TccRuntime {
                 Ok(())
             }
             hcalls::HC_LABEL_OBJ => {
-                let addr = st.mem.alloc(16, 8)?;
+                let addr = self.spec_alloc(&mut st.mem, 16)?;
                 st.mem.store_u64(addr, LABEL_MARKER)?;
                 self.vspec_seq += 1;
                 st.mem.store_u64(addr + 8, self.vspec_seq)?;
@@ -698,7 +694,7 @@ impl HostCall for TccRuntime {
                 Ok(())
             }
             hcalls::HC_ARGLIST_NEW => {
-                let addr = st.mem.alloc(16 + 8 * ARGLIST_MAX, 8)?;
+                let addr = self.spec_alloc(&mut st.mem, 16 + 8 * ARGLIST_MAX)?;
                 st.mem.store_u64(addr, ARGLIST_MARKER)?;
                 st.mem.store_u64(addr + 8, 0)?;
                 st.set_ret(addr);

@@ -48,17 +48,21 @@ pub struct MachineState {
 }
 
 impl MachineState {
-    /// Reads integer register `i` (0 reads zero).
+    /// Reads integer register `i` (0 reads zero). Register fields are 5
+    /// bits wide ([`Insn::decode`]), so the index is masked rather than
+    /// bounds-checked.
     #[inline]
     pub fn reg(&self, i: u8) -> u64 {
-        self.regs[i as usize]
+        debug_assert!(i < 32, "register {i}");
+        self.regs[(i & 31) as usize]
     }
 
     /// Writes integer register `i`; writes to register 0 are discarded.
     #[inline]
     pub fn set_reg(&mut self, i: u8, v: u64) {
+        debug_assert!(i < 32, "register {i}");
         if i != 0 {
-            self.regs[i as usize] = v;
+            self.regs[(i & 31) as usize] = v;
         }
     }
 

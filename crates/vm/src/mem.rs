@@ -221,6 +221,24 @@ impl Memory {
         Ok(())
     }
 
+    /// Sets `len` bytes starting at `addr` to `byte` (host-side helper;
+    /// allocates nothing on the host).
+    ///
+    /// # Errors
+    ///
+    /// Faults if the destination range is not mapped.
+    pub fn fill(&mut self, addr: u64, len: u64, byte: u8) -> Result<(), VmError> {
+        if addr < Memory::FIRST_VALID
+            || addr
+                .checked_add(len)
+                .is_none_or(|e| e > self.bytes.len() as u64)
+        {
+            return Err(VmError::BadAddress(addr));
+        }
+        self.bytes[addr as usize..(addr + len) as usize].fill(byte);
+        Ok(())
+    }
+
     /// Reads `len` bytes starting at `addr` (host-side helper).
     ///
     /// # Errors

@@ -406,3 +406,48 @@ fn walk_counters_match_the_committed_values() {
     }
     assert_eq!(got, WALK_COUNTERS, "walk counters moved");
 }
+
+#[test]
+fn spec_memory_counters_account_for_every_call_and_the_heap() {
+    const CHUNK: u64 = 1 << 16;
+    let mut s = session(Backend::default());
+    let d = s.metrics().dynamic;
+    assert_eq!(
+        (d.spec_high_water, d.spec_releases, d.spec_pinned_calls),
+        (0, 0, 0),
+        "a new session has no arena"
+    );
+    let brk0 = s.vm.state().mem.brk();
+    for n in 0..5 {
+        s.call("make", &[n]).unwrap();
+    }
+    // A call that faults releases too; one that never enters the VM
+    // counts nowhere.
+    assert!(s.call_addr(0, &[]).is_err());
+    assert!(s.call("nope", &[]).is_err());
+    let d = s.metrics().dynamic;
+    assert_eq!((d.spec_releases, d.spec_pinned_calls), (6, 0));
+    // One closure per call: the header and `$n`.
+    assert_eq!(d.spec_high_water, 16);
+    // The heap grew by the whole chunks covering the high-water mark,
+    // after aligning the first to 16 bytes.
+    let grown = s.vm.state().mem.brk() - brk0;
+    assert_eq!(grown / CHUNK, d.spec_high_water.div_ceil(CHUNK));
+    assert!(grown % CHUNK < 16, "{grown}");
+    let text = d.to_json().to_string();
+    for key in ["spec_high_water", "spec_releases", "spec_pinned_calls"] {
+        assert!(text.contains(&format!("\"{key}\"")), "missing {key}");
+    }
+
+    // A program whose spec values escape pins every call instead, and
+    // its high-water mark climbs with them.
+    let mut s =
+        Session::with_defaults("int cspec last; int make(int n) { last = `($n + 1); return 0; }")
+            .expect("compiles");
+    for n in 0..3 {
+        s.call("make", &[n]).unwrap();
+    }
+    let d = s.metrics().dynamic;
+    assert_eq!((d.spec_releases, d.spec_pinned_calls), (0, 3));
+    assert_eq!(d.spec_high_water, 3 * 16);
+}
