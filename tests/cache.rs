@@ -182,3 +182,66 @@ fn placement_jitter_is_deterministic_per_seed() {
     // And jitter shifts code away from the unjittered layout.
     assert_ne!(drive(Some(42)), drive(None));
 }
+
+/// A `$` operand that indexes memory is evaluated against VM memory at
+/// dynamic compile time, so the generated code depends on state the
+/// closure does not carry.
+const ROW: &str = r#"
+int row[4] = {10, 20, 30, 40};
+void set(int k, int v) { row[k] = v; }
+long pick(int k) {
+    void cspec c = `{
+        int j;
+        int s;
+        s = 0;
+        for (j = 0; j < 4; j++)
+            if (j == $k) s = $row[j];
+        return s;
+    };
+    return (long)compile(c, int);
+}
+long pure(int n) {
+    int cspec c = `($n * 2);
+    return (long)compile(c, int);
+}
+"#;
+
+#[test]
+fn a_memory_reading_dollar_bypasses_the_memo() {
+    let mut s = Session::new(ROW, Config::default()).expect("compiles");
+    let f = s.call("pick", &[2]).unwrap();
+    assert_eq!(s.call_addr(f, &[]).unwrap(), 30);
+    s.call("set", &[2, 33]).unwrap();
+    let g = s.call("pick", &[2]).unwrap();
+    assert_eq!(s.call_addr(g, &[]).unwrap(), 33, "a hit served a stale row");
+    let m = s.metrics();
+    assert_eq!((m.cache.uncacheable, m.cache.hits), (2, 0));
+    assert_eq!(m.dynamic.compiles, 2);
+
+    // A pure `$` is keyed: the second compile is a hit.
+    let a = s.call("pure", &[21]).unwrap();
+    assert_eq!(s.call("pure", &[21]).unwrap(), a);
+    assert_eq!(s.call_addr(a, &[]).unwrap(), 42);
+    let m = s.metrics();
+    assert_eq!((m.cache.uncacheable, m.cache.hits), (2, 1));
+}
+
+#[test]
+fn of_the_suite_only_dp_reads_memory_under_dollar() {
+    // `blur`'s `$blur_w` names a scalar global, which sema captures by
+    // value at specification time; only `dp`'s `$dp_row[k]` loads.
+    use tickc::suite::{benchmarks, BLUR_SMALL};
+    let mut got = Vec::new();
+    for bench in benchmarks(BLUR_SMALL) {
+        let mut s = Session::new(bench.src, Config::default()).expect("suite program compiles");
+        (bench.setup)(&mut s);
+        (bench.compile_dyn)(&mut s);
+        got.push((bench.name, s.metrics().cache.uncacheable));
+    }
+    let want: Vec<_> = got
+        .iter()
+        .map(|&(name, _)| (name, u64::from(name == "dp")))
+        .collect();
+    assert_eq!(got.len(), 14);
+    assert_eq!(got, want);
+}
