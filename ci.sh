@@ -8,23 +8,26 @@
 # -p tcc --lib` shadows every compile of that crate's test build with
 # the AST walker — is 65 tests in 0.4 s, the two allocation gates less).
 # Debug builds poison released spec-time memory, so that run also checks
-# that no program reads a closure after its call released it. Step 5,
+# that no program reads a closure after its call released it. Step 6,
 # the release soak, adds about 8 s once its test binary is built.
 #
 #   1. cargo fmt --check
-#   2. cargo clippy, warnings are errors
-#   3. cargo build --release (tier-1)
-#   4. cargo test --workspace
-#   5. the spec-memory soak in release: 2 MiB sessions answer 10^6
+#   2. only plan.rs reads a tick's AST: no other file in
+#      crates/tickc/src but the test-only oracle imports anything from
+#      tcc_front::ast beyond the operator enums
+#   3. cargo clippy, warnings are errors
+#   4. cargo build --release (tier-1)
+#   5. cargo test --workspace
+#   6. the spec-memory soak in release: 2 MiB sessions answer 10^6
 #      requests over 40 and over 320 cells with their heap flat, and
 #      the serve pool runs past where its sessions used to fault
-#   6. cargo doc, warnings are errors
-#   7. suite smoke: one benchmark through two static and three dynamic
+#   7. cargo doc, warnings are errors
+#   8. suite smoke: one benchmark through two static and three dynamic
 #      back ends, which must agree
-#   8. suite cache: the repeat-compile sweep, memo off and on
-#   9. suite adaptive --smoke: the tiering report's cells at two reps,
+#   9. suite cache: the repeat-compile sweep, memo off and on
+#  10. suite adaptive --smoke: the tiering report's cells at two reps,
 #      every engine equal to decode-per-step in checksum, cycles, insns
-#  10. benchmark/check.sh: fmt, clippy and unit tests of the
+#  11. benchmark/check.sh: fmt, clippy and unit tests of the
 #      out-of-workspace repo benchmark, which builds against crates/*'s
 #      public API, so an API change that breaks it fails here
 #
@@ -34,6 +37,18 @@ cd "$(dirname "$0")"
 
 echo "== cargo fmt --check =="
 cargo fmt --all -- --check
+
+echo "== only plan.rs reads a tick's AST =="
+ast_readers=$(grep -n 'use tcc_front::ast::' crates/tickc/src/*.rs |
+    grep -v -e '^crates/tickc/src/plan\.rs:' -e '^crates/tickc/src/oracle\.rs:' \
+        -e '^crates/tickc/src/oracle_tests\.rs:' |
+    grep -vE 'use tcc_front::ast::(BinaryOp|UnaryOp|\{(BinaryOp|UnaryOp)(, (BinaryOp|UnaryOp))?\});' ||
+    true)
+if [ -n "$ast_readers" ]; then
+    echo "$ast_readers"
+    echo "only plan.rs may read a tick's AST (the operator enums excepted)"
+    exit 1
+fi
 
 echo "== cargo clippy (deny warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings

@@ -272,8 +272,8 @@ pub struct CacheMetrics {
     /// entry's original compile time).
     pub ns_saved: u64,
     /// Nanoseconds actually spent answering hits — the whole `compile`
-    /// intercept of every call answered without compiling: depth
-    /// probe, fingerprint walk, lookup and, for a function fetched
+    /// intercept of every call answered without compiling: the closure
+    /// scan (depth and fingerprint), lookup and, for a function fetched
     /// from disk or the pool, its load and install. The same clock
     /// `ns_saved`'s compile times run on, so the two compare.
     pub hit_ns: u64,

@@ -95,7 +95,7 @@ pub struct Breakdown {
     /// IR cleanup (peephole, scheduler) and translation to binary.
     pub emit: f64,
     /// `total` minus all of the above: the `compile` intercept's own
-    /// work (depth probe, naming, bookkeeping) and anything a phase
+    /// work (closure scan, naming, bookkeeping) and anything a phase
     /// timer does not cover.
     pub other: f64,
     /// The whole `compile` call.

@@ -3,8 +3,8 @@
 //! At dynamic compile time, tcc "invokes the code-generating function for
 //! the cspec on the cspec's closure, and the CGF performs most of the
 //! actual code generation" (§4.4). Here a tick expression's CGF is its
-//! *plan* (module `plan`): the typed AST lowered once per session, on
-//! the tick's first instantiation, into a node arena that holds every
+//! *plan* (module `plan`): the typed AST lowered once per session, the
+//! first time a compile meets the tick, into a node arena that holds every
 //! fact the tick alone determines. The machinery below is one generic
 //! walker over plans, parameterized by a [`CodeSink`] — VCODE (immediate
 //! one-pass emission) or ICODE (IR recording). Per node it decides the
@@ -35,11 +35,11 @@
 
 use crate::addr_map::AddrMap;
 use crate::plan::{
-    self, Access, AssignHow, BinEmit, Callee, Co, Fold, ForPlan, NodeId, Op, PStmt, Span, Step,
-    StmtId, SwItem, TickPlan, UnrollPlan, ZeroSide, HAS_CSPEC, NS_IN, NS_OUT,
+    self, Access, AssignHow, BinEmit, Callee, Cap, Co, Fold, ForPlan, NodeId, Op, PStmt, Span,
+    Step, StmtId, SwItem, TickPlan, UnrollPlan, ZeroSide, HAS_CSPEC, NS_IN, NS_OUT,
 };
 use std::sync::OnceLock;
-use tcc_front::ast::{BinaryOp, Capture, CaptureKind, UnaryOp};
+use tcc_front::ast::{BinaryOp, UnaryOp};
 use tcc_front::Program;
 use tcc_rt::{ClosureRef, ValKind, VspecObj, VspecTag, ARGLIST_MARKER, LABEL_MARKER};
 use tcc_vcode::ops::{BinOp, LoadKind, UnOp};
@@ -57,117 +57,9 @@ pub(crate) const UNROLL_LIMIT: u64 = 1 << 20;
 /// by recursive walk (one CGF invoking another, as in tcc), so the limit
 /// also bounds host stack use; 300 is far beyond any published use of
 /// composition while staying comfortably within a 2 MiB test stack.
+/// The runtime checks it iteratively before any recursive walk starts
+/// (`fingerprint::scan_closure`).
 pub(crate) const COMPOSE_DEPTH_LIMIT: u32 = 300;
-
-/// Computes the closure-composition nesting depth reachable from
-/// `entry` — iteratively, so arbitrarily deep (or cyclic) compositions
-/// cannot overflow the host stack before `COMPOSE_DEPTH_LIMIT` is
-/// enforced. The runtime probes before compiling and moves deep (but
-/// legal) compilations onto a thread with a proportionally sized stack.
-///
-/// Mirrors the traversal of `prebind_params`: a node is a closure;
-/// its children are the closures reachable through cspec captures
-/// (directly, or via argument lists — label objects are leaves).
-///
-/// Runs on every `compile` intercept, memo hits included, so it
-/// allocates nothing: a depth-first walk whose path lives in a fixed
-/// array of `COMPOSE_DEPTH_LIMIT + 1` frames on the host stack, each
-/// frame resuming its closure's child scan where it left off. The path
-/// bound is also the cycle check — a cycle is a path that never ends.
-/// Like the fingerprint and compile walks it guards, it visits a
-/// closure once per path that reaches it.
-///
-/// # Errors
-///
-/// `"closure composition too deep"` when the nesting exceeds
-/// `COMPOSE_DEPTH_LIMIT` or the graph is cyclic (which the recursive
-/// walk would also reject, by running into the same limit), and
-/// `"bad cgf id ..."` on malformed closures, matching the errors the
-/// compile walk itself raises.
-pub fn probe_compose_depth(mem: &Memory, prog: &Program, entry: u64) -> Result<u32, VmError> {
-    /// Longest legal path, in closures: `prebind_params` errors at
-    /// depth > LIMIT with the entry at depth 0.
-    const MAX_PATH: usize = COMPOSE_DEPTH_LIMIT as usize + 1;
-
-    /// One closure on the current path and how far its child scan got.
-    #[derive(Clone, Copy)]
-    struct Frame<'p> {
-        addr: u64,
-        captures: &'p [Capture],
-        /// Next capture to look at.
-        cap: usize,
-        /// Next element of the argument list at `cap`, when it is one.
-        arg: u64,
-    }
-
-    impl<'p> Frame<'p> {
-        fn open(mem: &Memory, prog: &'p Program, addr: u64) -> Result<Frame<'p>, VmError> {
-            let id = ClosureRef { addr }.cgf_id(mem)? as usize;
-            let tick = prog
-                .ticks
-                .get(id)
-                .ok_or_else(|| VmError::Host(format!("bad cgf id {id}")))?;
-            Ok(Frame {
-                addr,
-                captures: &tick.captures,
-                cap: 0,
-                arg: 0,
-            })
-        }
-
-        /// The next closure child, per `prebind_params`.
-        fn next_child(&mut self, mem: &Memory) -> Result<Option<u64>, VmError> {
-            while let Some(capture) = self.captures.get(self.cap) {
-                if let CaptureKind::Cspec(_) = capture.kind {
-                    let field = ClosureRef { addr: self.addr }.field(mem, self.cap)?;
-                    match mem.load_u64(field)? {
-                        LABEL_MARKER => {}
-                        ARGLIST_MARKER => {
-                            if self.arg < mem.load_u64(field + 8)? {
-                                let child = mem.load_u64(field + 16 + 8 * self.arg)?;
-                                self.arg += 1;
-                                return Ok(Some(child));
-                            }
-                            self.arg = 0;
-                        }
-                        _ => {
-                            self.cap += 1;
-                            return Ok(Some(field));
-                        }
-                    }
-                }
-                self.cap += 1;
-            }
-            Ok(None)
-        }
-    }
-
-    let mut path = [Frame {
-        addr: 0,
-        captures: &[],
-        cap: 0,
-        arg: 0,
-    }; MAX_PATH];
-    path[0] = Frame::open(mem, prog, entry)?;
-    let (mut len, mut longest) = (1, 1);
-    while len > 0 {
-        match path[len - 1].next_child(mem)? {
-            Some(child) => {
-                // Opened before the bound is checked: a malformed closure
-                // one past the limit reports its bad id, as it always has.
-                let frame = Frame::open(mem, prog, child)?;
-                if len == MAX_PATH {
-                    return Err(VmError::Host("closure composition too deep".into()));
-                }
-                path[len] = frame;
-                len += 1;
-                longest = longest.max(len);
-            }
-            None => len -= 1,
-        }
-    }
-    Ok(longest as u32 - 1)
-}
 
 /// Static-program facts the dynamic compiler needs.
 #[derive(Clone, Copy)]
@@ -181,14 +73,28 @@ pub(crate) struct DynInput<'p> {
     pub global_addrs: &'p [u64],
     /// Where the linker put each tick's string literals.
     pub tick_strs: &'p [Vec<u64>],
-    /// The session's plans, by tick id; a slot is filled by the tick's
-    /// first instantiation.
+    /// The session's plans, by tick id; a slot is filled the first time
+    /// a closure of the tick is scanned or walked.
     pub plans: &'p [OnceLock<TickPlan>],
     /// Evaluate cspec operands before non-cspec operands (§5.1 register
     /// pressure heuristic; the runtime's ablation knob).
     pub cspec_first: bool,
     /// Dynamic loop unrolling (§4.4; the runtime's ablation knob).
     pub enable_unroll: bool,
+}
+
+impl<'p> DynInput<'p> {
+    /// The plan of tick `id`, lowered on first use.
+    ///
+    /// # Errors
+    ///
+    /// `"bad cgf id ..."` for an id outside the tick table.
+    pub(crate) fn plan(&self, id: u64) -> Result<&'p TickPlan, VmError> {
+        let slot =
+            (self.plans.get(id as usize)).ok_or_else(|| host_err(format!("bad cgf id {id}")))?;
+        let (prog, strs) = (self.prog, &self.tick_strs[id as usize]);
+        Ok(slot.get_or_init(|| plan::lower(prog, id as usize, strs)))
+    }
 }
 
 /// A codegen-time constant (run-time constant in paper terms).
@@ -380,14 +286,6 @@ impl<'a, 'p, S: CodeSink> DynCompiler<'a, 'p, S> {
         }
     }
 
-    /// The plan of tick `id`, lowered on first use; `None` for an id
-    /// outside the tick table.
-    fn plan(&self, id: usize) -> Option<&'p TickPlan> {
-        let input = self.input;
-        let slot = input.plans.get(id)?;
-        Some(slot.get_or_init(|| plan::lower(input.prog, id, &input.tick_strs[id])))
-    }
-
     /// Compiles the closure at `closure_addr` as a complete function
     /// body (prologue/epilogue are the sink's business).
     ///
@@ -421,20 +319,18 @@ impl<'a, 'p, S: CodeSink> DynCompiler<'a, 'p, S> {
             return Err(host_err("closure composition too deep"));
         }
         let c = ClosureRef { addr: closure_addr };
-        let id = c.cgf_id(self.mem)? as usize;
-        let tick =
-            (self.input.prog.ticks.get(id)).ok_or_else(|| host_err(format!("bad cgf id {id}")))?;
-        for (i, cap) in tick.captures.iter().enumerate() {
+        let plan = self.input.plan(c.cgf_id(self.mem)?)?;
+        for (i, cap) in plan.caps.iter().enumerate() {
             let field = c.field(self.mem, i)?;
-            match &cap.kind {
-                CaptureKind::Vspec(_) => {
+            match cap {
+                Cap::Vspec => {
                     let obj = VspecObj::read(self.mem, field)?;
                     if obj.tag == VspecTag::Param && !self.sc.vspecs.contains_key(&field) {
                         let v = self.sink.param(obj.index as usize, obj.kind);
                         self.sc.vspecs.insert(field, v);
                     }
                 }
-                CaptureKind::Cspec(_) => {
+                Cap::Cspec => {
                     // Label objects are not closures; argument lists hold
                     // closures to recurse into.
                     match self.mem.load_u64(field)? {
@@ -479,14 +375,14 @@ impl<'a, 'p, S: CodeSink> DynCompiler<'a, 'p, S> {
             self.depth -= 1;
             return Ok(None);
         }
-        let plan = (self.plan(id as usize)).ok_or_else(|| host_err(format!("bad cgf id {id}")))?;
+        let plan = self.input.plan(id)?;
         let f = Frame {
             plan,
             fields: self.sc.fields.len(),
             locals: self.sc.rtc.len(),
             labels: self.sc.labels.len(),
         };
-        for i in 0..plan.caps as usize {
+        for i in 0..plan.caps.len() {
             self.sc.fields.push(c.field(self.mem, i)?);
         }
         self.sc.rtc.resize(f.locals + plan.locals.len(), None);
@@ -1207,9 +1103,9 @@ impl<'a, 'p, S: CodeSink> DynCompiler<'a, 'p, S> {
         for j in 0..n {
             let closure = self.mem.load_u64(list + 16 + 8 * j)?;
             // The argument's kind comes from its cspec's evaluation type.
-            let id = self.mem.load_u64(closure)? as usize;
-            let plan = (self.plan(id))
-                .ok_or_else(|| host_err(format!("bad cgf id {id} in argument list")))?;
+            let id = self.mem.load_u64(closure)?;
+            let plan = (self.input.plan(id))
+                .map_err(|_| host_err(format!("bad cgf id {id} in argument list")))?;
             let k = (plan.eval_kind).ok_or_else(|| host_err("void cspec in an argument list"))?;
             let v = (self.compile_closure(closure)?)
                 .ok_or_else(|| host_err("argument cspec produced no value"))?;
@@ -1753,156 +1649,5 @@ fn cast_const(cv: Cv, to: LoadKind) -> Cv {
         // `int` and `unsigned` alike: the canonical W is sign-extended.
         LoadKind::I32 | LoadKind::U32 => Cv::I(cv.as_i() as i32 as i64),
         LoadKind::I64 => Cv::I(cv.as_i()),
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    /// A program whose ticks supply the three closure shapes the probe
-    /// tests build by hand: no captures, one cspec capture, two.
-    const SHAPES: &str = r#"
-        int f(void) {
-            int cspec leaf = `1;
-            int cspec one = `(leaf + 1);
-            int cspec two = `(leaf + one);
-            return 0;
-        }
-    "#;
-
-    struct Heap {
-        mem: Memory,
-        prog: Program,
-    }
-
-    impl Heap {
-        fn new() -> Heap {
-            Heap {
-                mem: Memory::new(1 << 20),
-                prog: tcc_front::compile_unit(SHAPES).expect("front end"),
-            }
-        }
-
-        /// Id of the tick with exactly `n` captures (all cspecs here).
-        fn tick_with(&self, n: usize) -> u64 {
-            let id = self.prog.ticks.iter().position(|t| {
-                t.captures.len() == n
-                    && t.captures
-                        .iter()
-                        .all(|c| matches!(c.kind, CaptureKind::Cspec(_)))
-            });
-            id.expect("shape present") as u64
-        }
-
-        /// Allocates `[header, fields...]` and returns its address.
-        fn object(&mut self, header: u64, fields: &[u64]) -> u64 {
-            let addr = self.mem.alloc(8 * (1 + fields.len() as u64), 8).unwrap();
-            self.mem.store_u64(addr, header).unwrap();
-            for (i, &f) in fields.iter().enumerate() {
-                self.mem.store_u64(addr + 8 * (1 + i as u64), f).unwrap();
-            }
-            addr
-        }
-
-        fn closure(&mut self, children: &[u64]) -> u64 {
-            let id = self.tick_with(children.len());
-            self.object(id, children)
-        }
-
-        /// A linear composition nested `depth` levels below its entry.
-        fn chain(&mut self, depth: u32) -> u64 {
-            let mut c = self.closure(&[]);
-            for _ in 0..depth {
-                c = self.closure(&[c]);
-            }
-            c
-        }
-
-        fn probe(&self, entry: u64) -> Result<u32, String> {
-            probe_compose_depth(&self.mem, &self.prog, entry).map_err(|e| e.to_string())
-        }
-    }
-
-    #[test]
-    fn probe_reports_the_deepest_path() {
-        let mut h = Heap::new();
-        let leaf = h.closure(&[]);
-        assert_eq!(h.probe(leaf), Ok(0));
-        let shallow = h.chain(2);
-        let deep = h.chain(7);
-        // The deep child second, then first: scan order is not depth.
-        let a = h.closure(&[shallow, deep]);
-        let b = h.closure(&[deep, shallow]);
-        assert_eq!(h.probe(a), Ok(8));
-        assert_eq!(h.probe(b), Ok(8));
-        // A shared child (DAG) is a child of each parent.
-        let dag = h.closure(&[deep, deep]);
-        assert_eq!(h.probe(dag), Ok(8));
-    }
-
-    #[test]
-    fn probe_accepts_the_limit_and_rejects_one_past_it() {
-        let mut h = Heap::new();
-        let at_limit = h.chain(COMPOSE_DEPTH_LIMIT);
-        assert_eq!(h.probe(at_limit), Ok(COMPOSE_DEPTH_LIMIT));
-        let past = h.closure(&[at_limit]);
-        let err = h.probe(past).unwrap_err();
-        assert!(err.contains("closure composition too deep"), "{err}");
-        // Only the deepest path matters, wherever the scan meets it.
-        let wide = h.closure(&[at_limit, at_limit]);
-        assert!(h.probe(wide).unwrap_err().contains("too deep"));
-    }
-
-    #[test]
-    fn probe_rejects_cycles_as_too_deep() {
-        let mut h = Heap::new();
-        let selfish = h.closure(&[0]);
-        h.mem.store_u64(selfish + 8, selfish).unwrap();
-        let err = h.probe(selfish).unwrap_err();
-        assert!(err.contains("closure composition too deep"), "{err}");
-        // A two-closure cycle entered from outside, behind a leaf.
-        let leaf = h.closure(&[]);
-        let x = h.closure(&[0]);
-        let y = h.closure(&[leaf, x]);
-        h.mem.store_u64(x + 8, y).unwrap();
-        let entry = h.closure(&[y]);
-        assert!(h.probe(entry).unwrap_err().contains("too deep"));
-    }
-
-    #[test]
-    fn probe_reports_bad_cgf_ids_like_the_compile_walk() {
-        let mut h = Heap::new();
-        let junk = h.object(9999, &[]);
-        let err = h.probe(junk).unwrap_err();
-        assert!(err.contains("bad cgf id 9999"), "{err}");
-        let parent = h.closure(&[junk]);
-        assert!(h.probe(parent).unwrap_err().contains("bad cgf id 9999"));
-        // Neither marker is a closure: as an entry both are malformed.
-        let label = h.object(LABEL_MARKER, &[1]);
-        assert!(h.probe(label).unwrap_err().contains("bad cgf id"));
-    }
-
-    #[test]
-    fn probe_descends_argument_lists_and_stops_at_labels() {
-        let mut h = Heap::new();
-        let label = h.object(LABEL_MARKER, &[1]);
-        let jumps = h.closure(&[label]);
-        assert_eq!(h.probe(jumps), Ok(0), "a label object is a leaf");
-        let (short, long) = (h.chain(1), h.chain(4));
-        let args = h.object(ARGLIST_MARKER, &[3, short, long, short]);
-        let apply = h.closure(&[args, label]);
-        assert_eq!(h.probe(apply), Ok(5), "elements are children of the owner");
-        let none = h.object(ARGLIST_MARKER, &[0]);
-        let apply0 = h.closure(&[none, long]);
-        assert_eq!(
-            h.probe(apply0),
-            Ok(5),
-            "the scan resumes after an empty list"
-        );
-        // Elements are closures, nothing else.
-        let bad = h.object(ARGLIST_MARKER, &[1, label]);
-        let apply_bad = h.closure(&[bad]);
-        assert!(h.probe(apply_bad).unwrap_err().contains("bad cgf id"));
     }
 }

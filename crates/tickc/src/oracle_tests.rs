@@ -163,7 +163,7 @@ fn walk_errors_are_the_same_error() {
     assert!(err.contains("out of bounds"), "{err}");
 }
 
-/// Malformed closures that `compile`'s depth probe would reject before
+/// Malformed closures that `compile`'s closure scan would reject before
 /// any walk: handed to the walkers directly.
 #[test]
 fn malformed_closures_fail_identically() {

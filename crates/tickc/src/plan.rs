@@ -13,7 +13,10 @@
 //! [`CodeSink`](tcc_vcode::CodeSink) and never sees a `Type`, an `Expr`
 //! or a name.
 //!
-//! This module is the only place the dynamic compiler reads the AST.
+//! The plan also carries what the closure scan before a compile needs
+//! (`fingerprint`): each capture's kind, and whether a `$` operand reads
+//! memory. This module is the only one in the crate's product code that
+//! reads a tick's AST.
 
 use tcc_front::ast::*;
 use tcc_front::types::{StructDef, Type};
@@ -372,6 +375,19 @@ pub(crate) enum PStmt {
     Fail(u32),
 }
 
+/// What a closure field holds.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub(crate) enum Cap {
+    /// A `$`-bound value (int or double bits).
+    Dollar,
+    /// The address of a free variable of the enclosing function.
+    FreeVar,
+    /// A vspec object.
+    Vspec,
+    /// A composed closure, a label object or an argument list.
+    Cspec,
+}
+
 /// One tick expression, lowered.
 #[derive(Debug, Default)]
 pub(crate) struct TickPlan {
@@ -386,8 +402,12 @@ pub(crate) struct TickPlan {
     pub value: Option<NodeId>,
     /// …or the statements of a block tick.
     pub body: Span,
-    /// Closure fields.
-    pub caps: u32,
+    /// The closure's fields, in order.
+    pub caps: Vec<Cap>,
+    /// Some `$` operand loads VM memory at instantiation (`$row[k]`) or
+    /// can never be a run-time constant: the generated code depends on
+    /// more than the closure, so a compile of this tick is never keyed.
+    pub reads_memory: bool,
     /// Register kind of each dynamic local.
     pub locals: Vec<ValKind>,
     /// Distinct `goto` labels in the body.
@@ -406,7 +426,14 @@ pub(crate) fn lower(prog: &Program, id: usize, strs: &[u64]) -> TickPlan {
         strs,
         labels: Vec::new(),
         plan: TickPlan {
-            caps: tick.captures.len() as u32,
+            caps: (tick.captures.iter())
+                .map(|c| match c.kind {
+                    CaptureKind::Dollar(_) => Cap::Dollar,
+                    CaptureKind::FreeVar(_) => Cap::FreeVar,
+                    CaptureKind::Vspec(_) => Cap::Vspec,
+                    CaptureKind::Cspec(_) => Cap::Cspec,
+                })
+                .collect(),
             locals: tick.dyn_locals.iter().map(|d| reg_kind(&d.ty)).collect(),
             eval_kind: (tick.eval_ty != Type::Void).then(|| reg_kind(&tick.eval_ty)),
             ..TickPlan::default()
@@ -587,6 +614,20 @@ impl<'a> Lower<'a> {
         self.plan.nodes[n as usize].flags
     }
 
+    /// True if static evaluation of `n` inside a `$` operand may load
+    /// from VM memory: what the walker's `eval_static` does there for a
+    /// scalar global or an index.
+    fn loads(&self, n: NodeId) -> bool {
+        match self.plan.nodes[n as usize].op {
+            Op::Global(_, acc) => !acc.agg,
+            Op::Index { .. } => true,
+            Op::Dollar(a) | Op::Un { a, .. } | Op::Cast { a, .. } => self.loads(a),
+            Op::Bin { a, b, .. } => self.loads(a) || self.loads(b),
+            Op::Cond { c, t, f, .. } => self.loads(c) || self.loads(t) || self.loads(f),
+            _ => false,
+        }
+    }
+
     fn msg(&mut self, m: String) -> u32 {
         self.plan.msgs.push(m);
         self.plan.msgs.len() as u32 - 1
@@ -620,6 +661,9 @@ impl<'a> Lower<'a> {
             ExprKind::Dollar(inner) => {
                 let a = self.expr(inner);
                 let f = self.flags(a);
+                if f & NS_IN != 0 || self.loads(a) {
+                    self.plan.reads_memory = true;
+                }
                 let ns = if f & NS_IN != 0 { NS } else { 0 };
                 (Op::Dollar(a), ns | f & HAS_CSPEC, false)
             }

@@ -9,13 +9,12 @@
 //! and `malloc` host calls round out the tiny libc.
 
 use crate::api::SessionImage;
-use crate::dyncomp::{probe_compose_depth, DynCompiler, DynInput, WalkScratch, WalkStats};
-use crate::fingerprint::{fingerprint_closure, tick_reads_memory};
+use crate::dyncomp::{DynCompiler, DynInput, WalkScratch, WalkStats};
+use crate::fingerprint::{scan_closure, Frame, MAX_PATH};
 use crate::plan::TickPlan;
-use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
-use tcc_cache::{Artifact, Backing, CodeCache, Fetched, Fingerprint, FingerprintBuilder};
+use tcc_cache::{Artifact, Backing, CodeCache, Fetched, FingerprintBuilder};
 use tcc_front::Program;
 use tcc_icode::prune::FULL_ENTRIES;
 use tcc_icode::{IcodeBuf, IcodeCompiler, LblId, Strategy, TranslatorTable, VReg};
@@ -58,13 +57,13 @@ pub use tcc_obs::DynMetrics as DynStats;
 
 /// Compositions at or below this depth compile on the caller's stack.
 /// Deeper (but still legal — see `COMPOSE_DEPTH_LIMIT` in `dyncomp`)
-/// nests move to a dedicated thread whose stack is sized to the probed
+/// nests move to a dedicated thread whose stack is sized to the scanned
 /// depth: the recursive CGF walk burns several KiB per level in debug
 /// builds, which overflows a 2 MiB test-thread stack near depth 200.
 const INLINE_COMPOSE_DEPTH: u32 = 64;
 /// Base stack size for deep-compile threads.
 const DEEP_STACK_BASE: usize = 4 << 20;
-/// Additional stack per probed composition level (generous for debug
+/// Additional stack per scanned composition level (generous for debug
 /// builds, where walker frames are fattest).
 const DEEP_STACK_PER_LEVEL: usize = 32 << 10;
 
@@ -93,11 +92,14 @@ struct CompileOutcome {
     keys: TranslatorTable,
 }
 
-/// What a compile reuses from the last one, per back end: the CGF
-/// walker's frames and maps, VCODE's register and label tables, the
-/// ICODE compiler with its IR buffer. Owned by the runtime so a
-/// steady-state compile allocates only what it installs.
+/// What a compile reuses from the last one: the closure scan's path and,
+/// per back end, the CGF walker's frames and maps, VCODE's register and
+/// label tables, the ICODE compiler with its IR buffer. Owned by the
+/// runtime so a steady-state compile allocates only what it installs.
 pub(crate) struct Backends {
+    /// Filling this 12 KiB path afresh per scan cost a memo hit more
+    /// than the rest of its scan.
+    scan_path: Box<[Frame; MAX_PATH]>,
     /// VCODE's per-function storage (empty again after a compile that
     /// failed mid-function).
     vcode: VcodeBufs,
@@ -233,10 +235,8 @@ pub struct TccRuntime {
     /// Cost model shared translations are built against — must match
     /// the executing VM's for `preseed_translation` to accept them.
     pub shared_cost: CostModel,
-    /// Per-tick cacheability memo (tick id → body is memory-free).
-    tick_cacheable: HashMap<usize, bool>,
-    /// Per-tick CGF plans (tick id → the body, lowered), each built by
-    /// the tick's first instantiation in this session.
+    /// Per-tick CGF plans (tick id → the body, lowered), each built the
+    /// first time this session scans a closure of the tick.
     plans: Box<[OnceLock<TickPlan>]>,
     /// Where the linker put each tick's string literals (what a plan
     /// bakes in for one).
@@ -274,8 +274,8 @@ impl TccRuntime {
             backing: Backing::None,
             pending_preseeds: Vec::new(),
             shared_cost: CostModel::default(),
-            tick_cacheable: HashMap::new(),
             backends: Backends {
+                scan_path: Box::new([Frame::default(); MAX_PATH]),
                 vcode: VcodeBufs::default(),
                 vcode_walk: WalkScratch::default(),
                 icode: IcodeCompiler::new(strategy),
@@ -335,19 +335,13 @@ impl TccRuntime {
         std::mem::take(&mut self.pending_preseeds)
     }
 
-    /// The closure's memo key: back end and options, then the closure
-    /// tree — CGF identities, `$`-constant values, composed structure.
-    /// `None` when there is no memo to key, or the closure cannot have
-    /// one: a `$`-expression reads memory, or a pruned translator table
-    /// (ablation only) changes codegen behind the fingerprint's back.
-    fn fingerprint(
-        &mut self,
-        mem: &Memory,
-        closure: u64,
-        ret_kind: Option<ValKind>,
-    ) -> Result<Option<Fingerprint>, VmError> {
+    /// The start of a memo key: back end and options, to which the
+    /// closure scan appends the tree. `None` when there is no memo to
+    /// key, or a pruned translator table (ablation only) changes codegen
+    /// behind the fingerprint's back.
+    fn key_prefix(&self, ret_kind: Option<ValKind>) -> Option<FingerprintBuilder> {
         if self.cache.is_none() || self.backends.icode.table.entries() < FULL_ENTRIES {
-            return Ok(None);
+            return None;
         }
         let mut b = FingerprintBuilder::new();
         match &self.backend {
@@ -363,15 +357,7 @@ impl TccRuntime {
         b.push_tag(self.cspec_first as u8);
         b.push_tag(self.enable_unroll as u8);
         b.push_tag(ret_kind.map_or(255, ValKind::code));
-        let prog = &self.prog;
-        let memo = &mut self.tick_cacheable;
-        let mut cacheable = |id: usize| {
-            *memo
-                .entry(id)
-                .or_insert_with(|| !tick_reads_memory(prog, id))
-        };
-        let keyed = fingerprint_closure(mem, prog, closure, &mut cacheable, &mut b)?;
-        Ok(keyed.then(|| b.build()))
+        Some(b)
     }
 
     /// Runs the CGF walk and the selected back end on `closure` —
@@ -420,13 +406,14 @@ impl TccRuntime {
     /// code, and one chain from the closure to the code space —
     ///
     /// ```text
-    /// fingerprint → memo ─miss→ backing ─hit→ install ──────────────→ memo insert
-    ///                 │            └─miss (or not installable)→ compile → publish ─┘
-    ///                 └─hit→ return the address
+    /// scan → memo ─miss→ backing ─hit→ install ──────────────→ memo insert
+    ///          │            └─miss (or not installable)→ compile → publish ─┘
+    ///          └─hit→ return the address
     /// ```
     ///
-    /// with one `install_function` call, one memo insert and one
-    /// publish, whatever the backing is.
+    /// with one pass over the closure tree (its depth and its
+    /// fingerprint), one `install_function` call, one memo insert and
+    /// one publish, whatever the backing is.
     fn compile(&mut self, st: &mut MachineState) -> Result<(), VmError> {
         let closure = st.arg(0);
         let ret_kind = match st.arg(1) as u8 {
@@ -443,15 +430,16 @@ impl TccRuntime {
         // name the artifact was compiled (or stored) under.
         self.dyn_seq += 1;
         let MachineState { code, mem, .. } = st;
-        // Probe the composition depth first (iteratively, so a runaway
-        // nest cannot overflow the host stack before the limit check in
-        // the recursive walks fires), then pick where the walk runs.
-        let depth = probe_compose_depth(mem, &self.prog, closure)?;
-
-        // Fingerprint, then the memo: if this exact closure is already
-        // in this session's code space, hand back its address. A pool
-        // keeps its hit counter and global LRU through `touch`.
-        let fp = self.fingerprint(mem, closure, ret_kind)?;
+        // One scan of the closure tree: its composition depth (checked
+        // iteratively, so a runaway nest cannot overflow the host stack
+        // before the limit check in the recursive walk fires; it picks
+        // where the walk runs) and its fingerprint. Then the memo: if
+        // this exact closure is already in this session's code space,
+        // hand back its address. A pool keeps its hit counter and global
+        // LRU through `touch`.
+        let key = self.key_prefix(ret_kind);
+        let (input, _, b) = self.walk_parts();
+        let (depth, fp) = scan_closure(mem, input, &mut b.scan_path, closure, key)?;
         match (&mut self.cache, &fp) {
             (Some(cache), Some(fp)) => {
                 if let Some(addr) = cache.lookup(fp) {
