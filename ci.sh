@@ -9,7 +9,8 @@
 # the AST walker — is 65 tests in 0.4 s, the two allocation gates less).
 # Debug builds poison released spec-time memory, so that run also checks
 # that no program reads a closure after its call released it. Step 6,
-# the release soak, adds about 8 s once its test binary is built.
+# the release-only tests, adds about 8 s for the soak and 2 s for the
+# paper-size Blur once their test binaries are built.
 #
 #   1. cargo fmt --check
 #   2. only plan.rs reads a tick's AST: no other file in
@@ -18,9 +19,10 @@
 #   3. cargo clippy, warnings are errors
 #   4. cargo build --release (tier-1)
 #   5. cargo test --workspace
-#   6. the spec-memory soak in release: 2 MiB sessions answer 10^6
-#      requests over 40 and over 320 cells with their heap flat, and
-#      the serve pool runs past where its sessions used to fault
+#   6. release-only tests: the spec-memory soak (2 MiB sessions answer
+#      10^6 requests over 40 and over 320 cells with their heap flat,
+#      and the serve pool runs past where its sessions used to fault)
+#      and the §6.2 Blur at 640x480, every count pinned
 #   7. cargo doc, warnings are errors
 #   8. suite smoke: one benchmark through two static and three dynamic
 #      back ends, which must agree
@@ -59,8 +61,9 @@ cargo build --release
 echo "== tier-1: cargo test =="
 cargo test -q --workspace
 
-echo "== spec-memory soak (release) =="
+echo "== release-only tests: spec-memory soak, paper-size Blur =="
 cargo test --release -q -p tickc --test spec_memory -- --ignored
+cargo test --release -q -p tickc --test paper_golden -- --ignored
 
 echo "== cargo doc (deny warnings) =="
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet

@@ -3,7 +3,7 @@
 //! Usage:
 //!
 //! ```text
-//! suite [all|table1|figure4|figure5|figure6|figure7|blur|sensitivity|smoke|cache|adaptive] [--small] [--json] [--smoke]
+//! suite [all|table1|figure4|figure5|figure6|figure7|blur|sensitivity|ablations|smoke|cache|adaptive] [--small] [--json] [--smoke]
 //! ```
 //!
 //! With `--json`, each measured experiment also writes a machine-readable
@@ -11,12 +11,14 @@
 //! DESIGN.md §10 for the schema). `smoke` runs one small benchmark through
 //! all five compilation paths (two static, three dynamic) and exits
 //! non-zero if any path disagrees. `cache` sweeps repeat compiles with
-//! the memo off and on. `adaptive` is the tiering calibration report: it
-//! sweeps reuse counts through the fixed engines and the adaptive
-//! tiering engine — both synchronous and with the background translation
-//! worker — each timed region starting from a cold translation cache
-//! (`BENCH_adaptive.json`); `adaptive --smoke` runs a tiny sweep with the
-//! same cross-engine equivalence asserts live.
+//! the memo off and on. `ablations` prints the design ablations' exact
+//! counts and their two wall-clock rows. `adaptive` is the tiering
+//! calibration report: it sweeps reuse counts through the fixed engines
+//! and the adaptive tiering engine — both synchronous and with the
+//! background translation worker — each timed region starting from a
+//! cold translation cache (`BENCH_adaptive.json`); `adaptive --smoke`
+//! runs a tiny sweep with the same cross-engine equivalence asserts
+//! live.
 //!
 //! The suite reproduces the paper and reports; it gates nothing. What
 //! gates is the test suite (`cargo test --workspace`), and wall-clock is
@@ -31,13 +33,13 @@
 
 use tcc_obs::json::Json;
 use tcc_suite::{
-    adaptive_bench, adaptive_bench_smoke, adaptive_json, adaptive_report, benchmarks, cache_bench,
-    cache_json, cache_report, json_report, measure, ns_per_cycle, report, DynBackend, Measurement,
-    BLUR_FULL, BLUR_SMALL,
+    ablations, adaptive_bench, adaptive_bench_smoke, adaptive_json, adaptive_report, benchmarks,
+    cache_bench, cache_json, cache_report, json_report, measure, micro::alloc_sweep, ns_per_cycle,
+    report, DynBackend, Measurement, BLUR_FULL, BLUR_SMALL,
 };
 
 /// Every experiment and the flags it reads.
-const EXPERIMENTS: [(&str, &[&str]); 11] = [
+const EXPERIMENTS: [(&str, &[&str]); 12] = [
     ("all", &["--small", "--json"]),
     ("table1", &["--json"]),
     ("figure4", &["--small", "--json"]),
@@ -46,6 +48,7 @@ const EXPERIMENTS: [(&str, &[&str]); 11] = [
     ("figure7", &["--small", "--json"]),
     ("blur", &["--small"]),
     ("sensitivity", &["--small"]),
+    ("ablations", &[]),
     ("smoke", &[]),
     ("cache", &["--json"]),
     ("adaptive", &["--smoke", "--json"]),
@@ -134,6 +137,11 @@ fn main() {
         return;
     }
 
+    if what == "ablations" {
+        print!("{}", ablations::report());
+        return;
+    }
+
     if what == "adaptive" {
         // Reuse-count sweep: cold-start translate+run cost per engine,
         // with the cross-engine equivalence asserts always live.
@@ -217,6 +225,7 @@ fn main() {
                 );
             }
             print!("{}", report::figure7(&ms, nspc));
+            print!("\n{}", report::figure7_sizes(&alloc_sweep()));
         }
         "sensitivity" => {
             print!("{}", report::sensitivity(&benchmarks(blur_dims)));
@@ -270,6 +279,7 @@ fn main() {
             println!("{}", report::figure5(&ms, nspc));
             println!("{}", report::figure6(&ms, nspc));
             println!("{}", report::figure7(&ms, nspc));
+            println!("{}", report::figure7_sizes(&alloc_sweep()));
             if let Some(m) = ms.iter().find(|m| m.name == "blur") {
                 println!("{}", report::blur_report(m, nspc));
             }

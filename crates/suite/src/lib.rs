@@ -14,8 +14,9 @@
 //! ```
 //!
 //! or per experiment: `table1`, `figure4`, `figure5`, `figure6`,
-//! `figure7`, `blur`.
+//! `figure7`, `blur`, `ablations`.
 
+pub mod ablations;
 pub mod adaptive_bench;
 pub mod cache_bench;
 pub mod calibrate;

@@ -1,9 +1,17 @@
 //! Table 1 micro-benchmarks: code generation overhead per generated
 //! instruction in the paper's four extreme cases — {one large cspec,
-//! many small cspecs} × {dynamic locals, free variables}.
+//! many small cspecs} × {dynamic locals, free variables}; and Figure 7's
+//! size sweep of the two register allocators in isolation.
 
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use tcc::{Backend, Config, Session};
+use tcc_icode::{IcodeBuf, IcodeCompiler, Strategy};
 use tcc_mir::OptLevel;
+use tcc_rt::ValKind;
+use tcc_vcode::ops::BinOp;
+use tcc_vcode::CodeSink;
+use tcc_vm::CodeSpace;
 
 use crate::measure::DynBackend;
 
@@ -153,6 +161,82 @@ pub fn measure_micro_backend(case: &MicroCase, backend: Backend, ns_per_cycle: f
         cycles_per_insn: ns / insns.max(1.0) / ns_per_cycle,
         insns,
     }
+}
+
+/// Builds a deterministic random program with `n` operations over a
+/// sliding window of live values (register pressure ~window).
+fn random_program(n: usize, window: usize, seed: u64) -> IcodeBuf {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut b = IcodeBuf::new();
+    let p0 = b.param(0, ValKind::W);
+    let p1 = b.param(1, ValKind::W);
+    let mut vals = vec![p0, p1];
+    for _ in 0..n {
+        let d = b.temp(ValKind::W);
+        let i = vals.len() - rng.gen_range(1..=window.min(vals.len()));
+        let j = vals.len() - rng.gen_range(1..=window.min(vals.len()));
+        let op = [BinOp::Add, BinOp::Sub, BinOp::Xor, BinOp::Mul][rng.gen_range(0..4usize)];
+        b.bin(op, ValKind::W, d, vals[i], vals[j]);
+        vals.push(d);
+    }
+    // Keep the last `window` values live to the end.
+    let acc = b.temp(ValKind::W);
+    b.li(acc, 0);
+    for &v in vals.iter().rev().take(window) {
+        b.bin(BinOp::Add, ValKind::W, acc, acc, v);
+    }
+    b.ret_val(ValKind::W, acc);
+    b
+}
+
+/// One cell of the allocator size sweep.
+#[derive(Clone, Copy, Debug)]
+pub struct AllocCell {
+    /// Random operations in the program.
+    pub n: usize,
+    /// Live-value window (register pressure).
+    pub window: usize,
+    /// The allocator.
+    pub strategy: Strategy,
+    /// IR instructions compiled.
+    pub ir_insns: usize,
+    /// Allocation-phase ns per IR instruction, best of five compiles.
+    pub alloc_ns_per_ir: f64,
+    /// Live intervals.
+    pub intervals: usize,
+    /// Spilled intervals.
+    pub spills: u32,
+}
+
+/// `random_program(n, window, 42)` for n ∈ {50, 200, 800} × window
+/// ∈ {6, 24}, compiled with the peephole stage off by each allocator.
+pub fn alloc_sweep() -> Vec<AllocCell> {
+    let mut cells = Vec::new();
+    for n in [50, 200, 800] {
+        for window in [6, 24] {
+            for strategy in [Strategy::LinearScan, Strategy::GraphColor] {
+                let mut comp = IcodeCompiler::new(strategy);
+                comp.run_peephole = false;
+                let r = (0..5)
+                    .map(|_| {
+                        let mut buf = random_program(n, window, 42);
+                        comp.compile(&mut CodeSpace::new(), "p", &mut buf)
+                    })
+                    .min_by_key(|r| r.phases.alloc_ns)
+                    .expect("five compiles");
+                cells.push(AllocCell {
+                    n,
+                    window,
+                    strategy,
+                    ir_insns: r.ir_len,
+                    alloc_ns_per_ir: r.phases.alloc_ns as f64 / r.ir_len as f64,
+                    intervals: r.intervals,
+                    spills: r.spills,
+                });
+            }
+        }
+    }
+    cells
 }
 
 #[cfg(test)]

@@ -2,7 +2,7 @@
 //! or figure from the paper's evaluation section.
 
 use crate::measure::{measure_with, DynBackend, Measurement};
-use crate::micro::{measure_micro, table1_cases, MicroResult};
+use crate::micro::{measure_micro, table1_cases, AllocCell, MicroResult};
 use tcc_vm::CostModel;
 
 /// Prints Table 1: code generation overhead, cycles per generated
@@ -142,6 +142,32 @@ pub fn figure7(ms: &[Measurement], ns_per_cycle: f64) -> String {
     out
 }
 
+/// Prints Figure 7's second table: the two allocators in isolation,
+/// across program size and register pressure.
+pub fn figure7_sizes(cells: &[AllocCell]) -> String {
+    let mut out = String::new();
+    out.push_str(
+        "Figure 7, by size: allocation alone on random straight-line code (seed 42, no peephole)\n",
+    );
+    out.push_str(&format!(
+        "{:>5} {:>7} {:<12} {:>9} {:>12} {:>10} {:>7}\n",
+        "n", "window", "allocator", "IR insns", "alloc ns/IR", "intervals", "spills"
+    ));
+    for c in cells {
+        out.push_str(&format!(
+            "{:>5} {:>7} {:<12} {:>9} {:>12.1} {:>10} {:>7}\n",
+            c.n,
+            c.window,
+            format!("{:?}", c.strategy),
+            c.ir_insns,
+            c.alloc_ns_per_ir,
+            c.intervals,
+            c.spills
+        ));
+    }
+    out
+}
+
 /// Prints the xv Blur experiment (§6.2) summary.
 pub fn blur_report(m: &Measurement, ns_per_cycle: f64) -> String {
     let d = &m.dynamic[DynBackend::IcodeLinear as usize];
@@ -164,19 +190,24 @@ pub fn blur_report(m: &Measurement, ns_per_cycle: f64) -> String {
     )
 }
 
+/// The benchmarks [`sensitivity`] re-measures.
+pub const SENSITIVITY_SUBSET: [&str; 6] = ["hash", "ms", "query", "dp", "binary", "umshl"];
+
 /// Cost-model sensitivity: do the paper's conclusions survive a uniform
 /// (1 cycle/instruction) machine model? Re-measures a representative
 /// subset of benchmarks under both models and prints the Figure 4 ratios
 /// side by side.
 pub fn sensitivity(benches: &[crate::programs::BenchDef]) -> String {
-    let subset = ["hash", "ms", "query", "dp", "binary", "umshl"];
     let mut out = String::new();
     out.push_str("Cost-model sensitivity: icode-lcc speedup under two machine models\n");
     out.push_str(&format!(
         "{:<10} {:>16} {:>16}\n",
         "benchmark", "sparcstation5", "uniform(1cyc)"
     ));
-    for b in benches.iter().filter(|b| subset.contains(&b.name)) {
+    for b in benches
+        .iter()
+        .filter(|b| SENSITIVITY_SUBSET.contains(&b.name))
+    {
         let m1 = measure_with(b, &CostModel::sparcstation5());
         let m2 = measure_with(b, &CostModel::uniform());
         out.push_str(&format!(
