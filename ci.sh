@@ -9,8 +9,9 @@
 # the AST walker — is 65 tests in 0.4 s, the two allocation gates less).
 # Debug builds poison released spec-time memory, so that run also checks
 # that no program reads a closure after its call released it. Step 6,
-# the release-only tests, adds about 8 s for the soak and 2 s for the
-# paper-size Blur once their test binaries are built.
+# the release-only tests, adds about 8 s for the soak, 2 s for the
+# paper-size Blur and 1 s for the pool's retire-vs-hit stress once
+# their test binaries are built.
 #
 #   1. cargo fmt --check
 #   2. only plan.rs reads a tick's AST: no other file in
@@ -21,8 +22,11 @@
 #   5. cargo test --workspace
 #   6. release-only tests: the spec-memory soak (2 MiB sessions answer
 #      10^6 requests over 40 and over 320 cells with their heap flat,
-#      and the serve pool runs past where its sessions used to fault)
-#      and the §6.2 Blur at 640x480, every count pinned
+#      and the serve pool runs past where its sessions used to fault),
+#      the §6.2 Blur at 640x480, every count pinned, and ten times the
+#      debug run of the pool's retire-vs-hit stress (one thread calls
+#      cells while another evicts, invalidates and re-publishes them:
+#      every answer right, or StaleCode and then right)
 #   7. cargo doc, warnings are errors
 #   8. suite smoke: one benchmark through two static and three dynamic
 #      back ends, which must agree
@@ -61,9 +65,10 @@ cargo build --release
 echo "== tier-1: cargo test =="
 cargo test -q --workspace
 
-echo "== release-only tests: spec-memory soak, paper-size Blur =="
+echo "== release-only tests: spec-memory soak, paper-size Blur, retire-vs-hit =="
 cargo test --release -q -p tickc --test spec_memory -- --ignored
 cargo test --release -q -p tickc --test paper_golden -- --ignored
+cargo test --release -q -p tcc --test shared_serve -- --ignored
 
 echo "== cargo doc (deny warnings) =="
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet

@@ -58,6 +58,10 @@ pub use shared::{Acquire, Artifact, CompileClaim, SharedArtifacts, SlotState};
 /// byte-equality of the underlying length-delimited encodings, so
 /// distinct closure structures or `$`-constant values cannot collide.
 ///
+/// The encoding sits behind an `Arc`: the memo, the pool's shard map,
+/// its eviction ring and retirement log, and an in-flight claim each
+/// hold the one allocation, so copying a key is a reference-count bump.
+///
 /// A fingerprint also carries a 64-bit digest of its encoding,
 /// computed once when it is built (or read back from a store file).
 /// `Hash` feeds only the digest, so the maps keyed by fingerprints hash
@@ -68,16 +72,18 @@ pub use shared::{Acquire, Artifact, CompileClaim, SharedArtifacts, SlotState};
 /// more.
 #[derive(Clone, Debug)]
 pub struct Fingerprint {
-    bytes: Vec<u8>,
+    bytes: Arc<[u8]>,
     digest: u64,
 }
 
 impl Fingerprint {
     /// Wraps an encoding (from the builder, or a stored key read back
     /// from a store file) and digests it.
-    pub(crate) fn from_encoding(bytes: Vec<u8>) -> Fingerprint {
-        let digest = digest64(&bytes);
-        Fingerprint { bytes, digest }
+    pub(crate) fn from_encoding(bytes: &[u8]) -> Fingerprint {
+        Fingerprint {
+            bytes: bytes.into(),
+            digest: digest64(bytes),
+        }
     }
 
     /// The encoding itself: what `Eq` compares and the store writes.
@@ -195,7 +201,7 @@ impl FingerprintBuilder {
 
     /// Finishes the encoding.
     pub fn build(self) -> Fingerprint {
-        Fingerprint::from_encoding(self.bytes)
+        Fingerprint::from_encoding(&self.bytes)
     }
 }
 
@@ -237,6 +243,11 @@ pub struct CodeCache {
     bytes_live: u64,
     /// The pool generation [`CodeCache::sync`] last reconciled against.
     generation_seen: u64,
+    /// How far into the pool's retirement log [`CodeCache::sync`] has
+    /// processed.
+    retire_cursor: u64,
+    /// Scratch for the keys a sync reads from the log.
+    retired: Vec<Fingerprint>,
     metrics: CacheMetrics,
 }
 
@@ -404,6 +415,12 @@ impl CodeCache {
     /// so its address faults `VmError::StaleCode` as after a budget
     /// eviction. Pins do not hold here: a pin guards against this
     /// session's *budget*, not against the pool retiring the artifact.
+    ///
+    /// Only the keys the pool's retirement log names since the last
+    /// sync are candidates, one shard probe per candidate this memo
+    /// holds; a memo the log has lapped probes every entry instead. The
+    /// cursor moves past a key only once it is dealt with, so an error
+    /// leaves the rest for the next sync.
     pub fn sync(&mut self, code: &mut CodeSpace, backing: &Backing) -> Result<(), VmError> {
         let Backing::Shared(shared) = backing else {
             return Ok(());
@@ -412,16 +429,33 @@ impl CodeCache {
         if generation == self.generation_seen {
             return Ok(());
         }
+        let mut keys = std::mem::take(&mut self.retired);
+        let done = match shared.retired_since(self.retire_cursor, &mut keys) {
+            Ok(()) => keys.iter().try_for_each(|fp| {
+                if self.entries.contains_key(fp) && !shared.probe_for_sync(fp) {
+                    self.drop_entry(code, fp)?;
+                }
+                self.retire_cursor += 1;
+                Ok(())
+            }),
+            Err(head) => {
+                keys.extend(
+                    self.entries
+                        .keys()
+                        .filter(|fp| !shared.probe_for_sync(fp))
+                        .cloned(),
+                );
+                let done = keys.iter().try_for_each(|fp| self.drop_entry(code, fp));
+                if done.is_ok() {
+                    self.retire_cursor = head;
+                }
+                done
+            }
+        };
+        keys.clear();
+        self.retired = keys;
+        done?;
         self.generation_seen = generation;
-        let gone: Vec<Fingerprint> = self
-            .entries
-            .keys()
-            .filter(|fp| !shared.contains(fp))
-            .cloned()
-            .collect();
-        for fp in &gone {
-            self.drop_entry(code, fp)?;
-        }
         Ok(())
     }
 
@@ -509,7 +543,7 @@ impl Backing {
     }
 
     /// Counts a memo hit where the pool keeps its books: the shared
-    /// hit counter and the global LRU clock.
+    /// hit counter and the resident's CLOCK referenced bit.
     pub fn touch(&self, fp: &Fingerprint) {
         if let Backing::Shared(shared) = self {
             shared.touch(fp);
@@ -639,6 +673,168 @@ mod tests {
         assert_eq!(cache.len(), 1);
     }
 
+    fn shared_art(words: usize) -> Artifact {
+        Artifact {
+            name: String::new(),
+            orig_start: 0,
+            words: vec![0; words],
+            bytes: (words * 4) as u64,
+            compile_ns: 100,
+            translation: None,
+        }
+    }
+
+    /// One session of a scripted pool: its code space, its memo, and
+    /// the key set the memo must hold under the full-scan rule (on a
+    /// generation move, keep exactly the keys the pool holds).
+    struct Member {
+        code: CodeSpace,
+        memo: CodeCache,
+        model: std::collections::BTreeSet<u64>,
+        model_generation: u64,
+    }
+
+    impl Member {
+        fn new() -> Member {
+            Member {
+                code: CodeSpace::new(),
+                memo: CodeCache::new(),
+                model: Default::default(),
+                model_generation: 0,
+            }
+        }
+
+        /// Asks for key `n`: a memo hit touches the pool; otherwise the
+        /// pool's artifact is installed, or compiled (`words` long) and
+        /// published.
+        fn request(&mut self, backing: &mut Backing, n: u64, words: usize) {
+            let key = fp(n);
+            if self.memo.lookup(&key).is_some() {
+                backing.touch(&key);
+                return;
+            }
+            let fetched = match backing.fetch(&key) {
+                Fetched::Hit(artifact, _) => Some(artifact.words.len()),
+                Fetched::Miss(claim) => {
+                    backing
+                        .publish(&key, claim, |_| Ok::<_, ()>(shared_art(words)))
+                        .unwrap();
+                    None
+                }
+            };
+            let (addr, h) = emit(&mut self.code, fetched.unwrap_or(words));
+            let out = self
+                .memo
+                .insert(&mut self.code, key, addr, h, 100, fetched.map(|_| 1))
+                .unwrap();
+            assert_eq!(out, InsertOutcome::Cached);
+            self.model.insert(n);
+        }
+
+        /// Syncs, and checks the memo kept what a full scan keeps.
+        /// Returns whether the log had lapped this member.
+        fn sync(&mut self, backing: &Backing, keys: u64) -> bool {
+            let Backing::Shared(shared) = backing else {
+                unreachable!("a pool member");
+            };
+            let lapped = shared
+                .retired_since(self.memo.retire_cursor, &mut Vec::new())
+                .is_err();
+            if shared.generation() != self.model_generation {
+                self.model_generation = shared.generation();
+                self.model.retain(|&n| shared.contains(&fp(n)));
+            }
+            self.memo.sync(&mut self.code, backing).unwrap();
+            let held: std::collections::BTreeSet<u64> = (0..keys)
+                .filter(|&n| self.memo.entries.contains_key(&fp(n)))
+                .collect();
+            assert_eq!(held, self.model);
+            assert_eq!(self.memo.len(), held.len(), "no key outside the script");
+            lapped
+        }
+    }
+
+    /// A seeded script of publishes, hits, budget evictions,
+    /// invalidations, re-publishes, oversized publishes and syncs over
+    /// one pool and two memos; returns how many syncs found the log
+    /// lapped.
+    fn log_sync_script(seed: u64, log_capacity: usize) -> usize {
+        const KEYS: u64 = 24;
+        let shared = SharedArtifacts::with_log_capacity(4, Some(160), log_capacity);
+        let mut backing = Backing::Shared(Arc::clone(&shared));
+        let mut members = [Member::new(), Member::new()];
+        let mut state = seed | 1;
+        let mut next = move |m: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % m
+        };
+        let mut lapped = 0;
+        for _ in 0..4000 {
+            let who = next(2) as usize;
+            let member = &mut members[who];
+            match next(16) {
+                // Sync: rarely enough that retirements pile up.
+                0 | 1 => lapped += usize::from(member.sync(&backing, KEYS)),
+                2 => {
+                    shared.invalidate(&fp(next(KEYS)));
+                }
+                // An artifact over the whole 160-byte budget.
+                3 => member.request(&mut backing, next(KEYS), 50),
+                _ => {
+                    let n = next(KEYS);
+                    member.request(&mut backing, n, 2 + (n % 5) as usize);
+                }
+            }
+        }
+        for member in &mut members {
+            member.sync(&backing, KEYS);
+        }
+        let m = shared.metrics();
+        assert!(m.evictions > 500 && m.invalidations > 50 && m.uncacheable > 50);
+        lapped
+    }
+
+    #[test]
+    fn log_driven_sync_keeps_what_the_full_scan_keeps() {
+        for seed in [1, 7, 42] {
+            assert_eq!(log_sync_script(seed, shared::RETIRE_LOG), 0, "never lapped");
+            assert!(log_sync_script(seed, 3) > 50, "the fallback ran");
+        }
+    }
+
+    #[test]
+    fn one_retirement_costs_a_full_memo_one_probe() {
+        let shared = SharedArtifacts::unbounded();
+        let backing = Backing::Shared(Arc::clone(&shared));
+        let (mut code, mut memo) = (CodeSpace::new(), CodeCache::new());
+        for n in 0..40 {
+            let Acquire::Miss(claim) = shared.get_or_begin(&fp(n)) else {
+                panic!("first request claims");
+            };
+            claim.publish(shared_art(4));
+            let (a, h) = emit(&mut code, 4);
+            memo.insert(&mut code, fp(n), a, h, 100, None).unwrap();
+        }
+        memo.sync(&mut code, &backing).unwrap();
+        assert_eq!(shared.metrics().sync_probes, 0, "nothing retired yet");
+        assert!(shared.invalidate(&fp(17)));
+        memo.sync(&mut code, &backing).unwrap();
+        assert_eq!(shared.metrics().sync_probes, 1);
+        assert_eq!(memo.len(), 39);
+        assert_eq!(memo.lookup(&fp(17)), None);
+        // A key this memo never held costs no probe.
+        let Acquire::Miss(claim) = shared.get_or_begin(&fp(99)) else {
+            panic!("first request claims");
+        };
+        claim.publish(shared_art(4));
+        assert!(shared.invalidate(&fp(99)));
+        memo.sync(&mut code, &backing).unwrap();
+        assert_eq!(shared.metrics().sync_probes, 1);
+        assert_eq!(memo.len(), 39);
+    }
+
     #[test]
     fn fingerprints_are_injective_over_structure() {
         // ["ab","c"] vs ["a","bc"] vs ["abc"]: length delimiting keeps
@@ -680,7 +876,7 @@ mod tests {
         b.push_u64(7);
         b.push_bytes(&[0xAB; 100]);
         let built = b.build();
-        let reread = Fingerprint::from_encoding(built.encoding().to_vec());
+        let reread = Fingerprint::from_encoding(built.encoding());
         assert_eq!(built, reread);
         assert_eq!(built.digest(), reread.digest());
         // Equal-length encodings differing in one byte are unequal
@@ -689,13 +885,13 @@ mod tests {
         for i in 0..built.len() {
             let mut bytes = built.encoding().to_vec();
             bytes[i] ^= 1;
-            let other = Fingerprint::from_encoding(bytes);
+            let other = Fingerprint::from_encoding(&bytes);
             assert_ne!(other, built, "byte {i}");
             assert_ne!(other.digest(), built.digest(), "byte {i}");
         }
         // Zero padding of the tail is not confused with real zeros.
-        let short = Fingerprint::from_encoding(vec![1]);
-        let long = Fingerprint::from_encoding(vec![1, 0]);
+        let short = Fingerprint::from_encoding(&[1]);
+        let long = Fingerprint::from_encoding(&[1, 0]);
         assert_ne!(short, long);
         assert_ne!(short.digest(), long.digest());
     }

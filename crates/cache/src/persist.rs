@@ -439,7 +439,7 @@ impl PersistentStore {
             match claimed_key(payload) {
                 Some((key, _)) => {
                     self.index
-                        .insert(Fingerprint::from_encoding(key.to_vec()), Slot::Frame(frame));
+                        .insert(Fingerprint::from_encoding(key), Slot::Frame(frame));
                     self.metrics.entries_loaded += 1;
                 }
                 None => self.metrics.corrupt_rejected += 1,

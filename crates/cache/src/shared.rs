@@ -22,22 +22,29 @@
 //!   instead of duplicating the compile. A claim dropped without
 //!   publishing (compile failed) aborts the slot and wakes waiters to
 //!   retry, so a crash cannot wedge a fingerprint forever.
-//! * **LRU under a global byte budget** — publishing past the budget
-//!   evicts globally least-recently-used artifacts. Every eviction or
-//!   explicit invalidation bumps a [`SharedArtifacts::generation`]
-//!   stamp; sessions that installed copies of dropped artifacts observe
-//!   the bump, free their local copies (`free_function` → epoch bump),
-//!   and stale addresses fault `VmError::StaleCode` exactly as in the
-//!   single-threaded lifecycle.
+//! * **CLOCK under a global byte budget** — publishing past the budget
+//!   evicts by CLOCK, the second-chance approximation of LRU: one ring
+//!   of residents in publish order, a referenced bit that a hit sets,
+//!   and a hand that clears set bits and evicts the first resident it
+//!   finds clear. A hit writes one bit; an eviction costs the slots the
+//!   hand passes, not a scan of the map.
+//! * **A retirement log** — every eviction or explicit invalidation
+//!   moves the retired key into a bounded log and bumps a
+//!   [`SharedArtifacts::generation`] stamp. Sessions that installed
+//!   copies of dropped artifacts observe the bump, read the keys
+//!   retired since they last looked, free those local copies
+//!   (`free_function` → epoch bump), and stale addresses fault
+//!   `VmError::StaleCode` exactly as in the single-threaded lifecycle.
+//!   A sync costs what was retired, not what the session holds.
 //!
 //! Counters surface through [`tcc_obs::SharedCacheMetrics`];
 //! `crates/serve/tests/concurrency.rs` gates the resulting hit rate and
 //! compiles-per-unique-fingerprint.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, Weak};
 
 use tcc_obs::{PersistMetrics, SharedCacheMetrics};
 use tcc_vm::SharedTranslation;
@@ -47,9 +54,16 @@ use crate::Fingerprint;
 
 /// Default shard count: enough to make cross-thread contention on
 /// distinct fingerprints unlikely at the pool sizes
-/// `crates/serve/tests/concurrency.rs` drives (N ≤ 4 threads), small
-/// enough that the global LRU scan stays cheap.
+/// `crates/serve/tests/concurrency.rs` drives (N ≤ 4 threads). Nothing
+/// walks every shard on the publish or hit path, so more shards cost
+/// only memory.
 pub const DEFAULT_SHARDS: usize = 16;
+
+/// Keys the retirement log keeps: how many retirements a session may
+/// fall behind and still sync by probing only what was retired. A
+/// constant, not a knob: a session syncs before every call, and one
+/// further behind only pays the old probe of every memo entry.
+pub(crate) const RETIRE_LOG: usize = 128;
 
 /// Passes [`SharedArtifacts::enforce_budget`] will attempt before
 /// giving up (each pass evicts at most one artifact; a pass can also
@@ -78,10 +92,11 @@ pub struct Artifact {
     pub bytes: u64,
     /// What the original compilation cost (hit-side savings signal).
     pub compile_ns: u64,
-    /// Shared decoded translation, present when the function is
-    /// position-independent (see `SharedTranslation::build`) and was
-    /// compiled in this process for a pool: the store does not
-    /// serialize it, sessions rebuild it lazily from the words.
+    /// Shared translation, present when the function was compiled in
+    /// this process for a pool: the first other session to install it
+    /// decodes it (and finds out then whether the function is
+    /// position-independent enough to share). The store does not
+    /// serialize it; sessions rebuild it lazily from the words.
     pub translation: Option<SharedTranslation>,
 }
 
@@ -135,12 +150,40 @@ enum FlightState {
     Aborted,
 }
 
+/// A published artifact as the pool holds it. The shard map owns it;
+/// the CLOCK ring only points at it, so a resident that leaves the map
+/// frees its artifact at once, and its ring slot is dropped when the
+/// hand (or a sweep) next reaches it.
+struct Resident {
+    fp: Fingerprint,
+    artifact: Arc<Artifact>,
+    /// Set by a hit, cleared by the hand passing: a resident the hand
+    /// finds set gets a second chance.
+    referenced: AtomicBool,
+}
+
+impl Resident {
+    /// Sets the referenced bit, writing the shared line only when the
+    /// bit was clear.
+    fn reference(&self) {
+        if !self.referenced.load(Ordering::Relaxed) {
+            self.referenced.store(true, Ordering::Relaxed);
+        }
+    }
+}
+
 enum Slot {
-    Ready {
-        artifact: Arc<Artifact>,
-        last_use: u64,
-    },
+    Ready(Arc<Resident>),
     InFlight(Arc<InFlight>),
+}
+
+/// Keys retired (evicted, invalidated, or declined at publish), oldest
+/// first: what [`SharedArtifacts::retired_since`] replays to sessions.
+#[derive(Default)]
+struct RetireLog {
+    /// Sequence number of `keys[0]`; `base + keys.len()` is the head.
+    base: u64,
+    keys: VecDeque<Fingerprint>,
 }
 
 #[derive(Default)]
@@ -167,12 +210,18 @@ pub struct SharedArtifacts {
     bytes_live: AtomicU64,
     /// Published artifacts resident.
     entries: AtomicU64,
-    /// Monotonic LRU clock (global: eviction compares across shards).
-    clock: AtomicU64,
-    /// Bumped on every eviction or invalidation. Sessions compare
-    /// against the value they last synced at and free local installs
-    /// of artifacts that are no longer resident.
+    /// The CLOCK ring: one slot per resident in publish order, the
+    /// hand at the front (kept only under a budget). A leaf lock: never
+    /// held while a shard lock is taken.
+    ring: Mutex<VecDeque<Weak<Resident>>>,
+    /// Bumped on every eviction or invalidation, after the retired key
+    /// is logged. Sessions compare against the value they last synced
+    /// at and then read the log.
     generation: AtomicU64,
+    /// The retirement log (a leaf lock, like `ring`).
+    retired: Mutex<RetireLog>,
+    /// Keys `retired` keeps.
+    log_capacity: usize,
     hits: AtomicU64,
     misses: AtomicU64,
     waits: AtomicU64,
@@ -180,12 +229,18 @@ pub struct SharedArtifacts {
     evictions: AtomicU64,
     invalidations: AtomicU64,
     uncacheable: AtomicU64,
+    clock_steps: AtomicU64,
+    sync_probes: AtomicU64,
+    /// Shared decodes of published artifacts' translations: handed to
+    /// each translation at publish, bumped by whichever install
+    /// decodes it.
+    translations_built: Arc<AtomicU64>,
     /// Optional on-disk persistence: attached once per process
     /// ([`SharedArtifacts::attach_persist`]); disk fills answer misses
     /// before an in-flight compile slot is claimed, publishes are
     /// recorded, and invalidations tombstone. Lock order: shard lock →
     /// persist lock (the persist mutex is a leaf — it never takes a
-    /// shard lock while held).
+    /// shard lock while held; the same goes for `ring` and `retired`).
     persist: Mutex<Option<PersistentStore>>,
 }
 
@@ -204,14 +259,26 @@ impl SharedArtifacts {
     /// A cache with `shards` mutex shards (min 1) and an optional
     /// global byte budget.
     pub fn new(shards: usize, budget: Option<u64>) -> Arc<SharedArtifacts> {
+        Self::with_log_capacity(shards, budget, RETIRE_LOG)
+    }
+
+    /// [`SharedArtifacts::new`] with a retirement log of `log_capacity`
+    /// keys (min 1), so tests can lap a session cheaply.
+    pub(crate) fn with_log_capacity(
+        shards: usize,
+        budget: Option<u64>,
+        log_capacity: usize,
+    ) -> Arc<SharedArtifacts> {
         let n = shards.max(1);
         Arc::new(SharedArtifacts {
             shards: (0..n).map(|_| Mutex::new(Shard::default())).collect(),
             budget,
             bytes_live: AtomicU64::new(0),
             entries: AtomicU64::new(0),
-            clock: AtomicU64::new(0),
+            ring: Mutex::new(VecDeque::new()),
             generation: AtomicU64::new(0),
+            retired: Mutex::new(RetireLog::default()),
+            log_capacity: log_capacity.max(1),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             waits: AtomicU64::new(0),
@@ -219,6 +286,9 @@ impl SharedArtifacts {
             evictions: AtomicU64::new(0),
             invalidations: AtomicU64::new(0),
             uncacheable: AtomicU64::new(0),
+            clock_steps: AtomicU64::new(0),
+            sync_probes: AtomicU64::new(0),
+            translations_built: Arc::new(AtomicU64::new(0)),
             persist: Mutex::new(None),
         })
     }
@@ -278,10 +348,6 @@ impl SharedArtifacts {
         &self.shards[(fp.digest() % self.shards.len() as u64) as usize]
     }
 
-    fn next_use(&self) -> u64 {
-        self.clock.fetch_add(1, Ordering::Relaxed) + 1
-    }
-
     /// Resolves `fp`: a published artifact is a [`Acquire::Hit`]; an
     /// in-flight compile blocks until it publishes or aborts (abort
     /// retries from the top, so exactly one requester ends up
@@ -295,12 +361,12 @@ impl SharedArtifacts {
         loop {
             let inflight = {
                 let mut shard = lock(self.shard_for(fp));
-                match shard.entries.get_mut(fp) {
-                    Some(Slot::Ready { artifact, last_use }) => {
-                        *last_use = self.next_use();
+                match shard.entries.get(fp) {
+                    Some(Slot::Ready(resident)) => {
+                        resident.reference();
                         self.hits.fetch_add(1, Ordering::Relaxed);
                         return Acquire::Hit {
-                            artifact: Arc::clone(artifact),
+                            artifact: Arc::clone(&resident.artifact),
                             waited: false,
                         };
                     }
@@ -374,15 +440,81 @@ impl SharedArtifacts {
     }
 
     /// Makes `artifact` the resident answer for `fp` in its (locked)
-    /// shard, on the books.
+    /// shard, on the books and, under a budget, unreferenced at the
+    /// back of the CLOCK ring.
     fn make_ready(&self, shard: &mut Shard, fp: &Fingerprint, artifact: &Arc<Artifact>) {
-        let slot = Slot::Ready {
+        let resident = Arc::new(Resident {
+            fp: fp.clone(),
             artifact: Arc::clone(artifact),
-            last_use: self.next_use(),
-        };
-        shard.entries.insert(fp.clone(), slot);
+            referenced: AtomicBool::new(false),
+        });
+        if self.budget.is_some() {
+            let mut ring = lock(&self.ring);
+            // Slots of invalidated residents wait for the hand, which
+            // moves only over budget: sweep them out once they
+            // outnumber the live ones, so the ring stays O(resident).
+            if ring.len() > 2 * self.len() + 32 {
+                ring.retain(|slot| slot.strong_count() > 0);
+            }
+            ring.push_back(Arc::downgrade(&resident));
+        }
+        shard.entries.insert(fp.clone(), Slot::Ready(resident));
         self.bytes_live.fetch_add(artifact.bytes, Ordering::Relaxed);
         self.entries.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Takes the resident answer for `fp` out of its (locked) shard and
+    /// off the books, returning the map's own key for the log.
+    fn take_ready(&self, shard: &mut Shard, fp: &Fingerprint) -> Option<Fingerprint> {
+        if !matches!(shard.entries.get(fp), Some(Slot::Ready(_))) {
+            return None;
+        }
+        let (key, Slot::Ready(resident)) = shard.entries.remove_entry(fp)? else {
+            unreachable!("checked Ready above");
+        };
+        self.bytes_live
+            .fetch_sub(resident.artifact.bytes, Ordering::Relaxed);
+        self.entries.fetch_sub(1, Ordering::Relaxed);
+        Some(key)
+    }
+
+    /// Logs a retired key, dropping the oldest past the log's capacity,
+    /// then bumps the generation if a resident left — in that order, so
+    /// a session that sees the bump finds the key in the log.
+    fn retire(&self, key: Fingerprint, resident_left: bool) {
+        {
+            let mut log = lock(&self.retired);
+            log.keys.push_back(key);
+            if log.keys.len() > self.log_capacity {
+                log.keys.pop_front();
+                log.base += 1;
+            }
+        }
+        if resident_left {
+            self.generation.fetch_add(1, Ordering::AcqRel);
+        }
+    }
+
+    /// Appends the keys retired since `cursor` (a log sequence number:
+    /// 0, or where a previous call left the caller) to `out`, each
+    /// once. `Err(head)` when the log has dropped some of them: the
+    /// caller must check everything it holds, and may then resume from
+    /// `head`.
+    pub(crate) fn retired_since(&self, cursor: u64, out: &mut Vec<Fingerprint>) -> Result<(), u64> {
+        let log = lock(&self.retired);
+        match cursor.checked_sub(log.base) {
+            Some(skip) => {
+                out.extend(log.keys.range(skip as usize..).cloned());
+                Ok(())
+            }
+            None => Err(log.base + log.keys.len() as u64),
+        }
+    }
+
+    /// [`SharedArtifacts::contains`], counted as a sync probe.
+    pub(crate) fn probe_for_sync(&self, fp: &Fingerprint) -> bool {
+        self.sync_probes.fetch_add(1, Ordering::Relaxed);
+        self.contains(fp)
     }
 
     /// Nonblocking slot inspection (deterministic interleaving tests).
@@ -390,7 +522,7 @@ impl SharedArtifacts {
         match lock(self.shard_for(fp)).entries.get(fp) {
             None => SlotState::Absent,
             Some(Slot::InFlight(_)) => SlotState::InFlight,
-            Some(Slot::Ready { .. }) => SlotState::Ready,
+            Some(Slot::Ready(_)) => SlotState::Ready,
         }
     }
 
@@ -398,20 +530,20 @@ impl SharedArtifacts {
     pub fn contains(&self, fp: &Fingerprint) -> bool {
         matches!(
             lock(self.shard_for(fp)).entries.get(fp),
-            Some(Slot::Ready { .. })
+            Some(Slot::Ready(_))
         )
     }
 
     /// Counts a request served from a session's locally *installed*
     /// copy of a shared artifact (a shared-cache hit that needed no
-    /// shard probe beyond refreshing the LRU clock). Returns whether
-    /// the artifact is still resident; a `false` tells the session its
-    /// install is due to be dropped at the next generation sync.
+    /// shard probe beyond setting the resident's referenced bit).
+    /// Returns whether the artifact is still resident; a `false` tells
+    /// the session its install is due to be dropped at the next
+    /// generation sync.
     pub fn touch(&self, fp: &Fingerprint) -> bool {
         self.hits.fetch_add(1, Ordering::Relaxed);
-        let mut shard = lock(self.shard_for(fp));
-        if let Some(Slot::Ready { last_use, .. }) = shard.entries.get_mut(fp) {
-            *last_use = self.next_use();
+        if let Some(Slot::Ready(resident)) = lock(self.shard_for(fp)).entries.get(fp) {
+            resident.reference();
             true
         } else {
             false
@@ -425,19 +557,11 @@ impl SharedArtifacts {
     /// next warm start. An in-flight compile is left alone — it will
     /// publish normally.
     pub fn invalidate(&self, fp: &Fingerprint) -> bool {
-        {
-            let mut shard = lock(self.shard_for(fp));
-            if !matches!(shard.entries.get(fp), Some(Slot::Ready { .. })) {
-                return false;
-            }
-            let Some(Slot::Ready { artifact, .. }) = shard.entries.remove(fp) else {
-                unreachable!("checked Ready above");
-            };
-            self.bytes_live.fetch_sub(artifact.bytes, Ordering::Relaxed);
-            self.entries.fetch_sub(1, Ordering::Relaxed);
-            self.invalidations.fetch_add(1, Ordering::Relaxed);
-            self.generation.fetch_add(1, Ordering::AcqRel);
-        }
+        let Some(key) = self.take_ready(&mut lock(self.shard_for(fp)), fp) else {
+            return false;
+        };
+        self.invalidations.fetch_add(1, Ordering::Relaxed);
+        self.retire(key, true);
         if let Some(store) = lock(&self.persist).as_mut() {
             store.tombstone(fp);
         }
@@ -459,7 +583,7 @@ impl SharedArtifacts {
         for shard in &self.shards {
             let shard = lock(shard);
             for (fp, slot) in &shard.entries {
-                if matches!(slot, Slot::Ready { .. }) {
+                if matches!(slot, Slot::Ready(_)) {
                     all.push(fp.clone());
                 }
             }
@@ -467,8 +591,10 @@ impl SharedArtifacts {
         if all.is_empty() {
             return None;
         }
-        all.sort_by(|a, b| a.encoding().cmp(b.encoding()));
-        Some(all[(k as usize) % all.len()].clone())
+        let k = (k as usize) % all.len();
+        // Keys are distinct, so the k-th in order is one element.
+        let (_, pick, _) = all.select_nth_unstable_by(k, |a, b| a.encoding().cmp(b.encoding()));
+        Some(pick.clone())
     }
 
     /// Snapshot of the counters.
@@ -483,13 +609,17 @@ impl SharedArtifacts {
             uncacheable: self.uncacheable.load(Ordering::Relaxed),
             bytes_live: self.bytes_live.load(Ordering::Relaxed),
             entries: self.entries.load(Ordering::Relaxed),
+            clock_steps: self.clock_steps.load(Ordering::Relaxed),
+            sync_probes: self.sync_probes.load(Ordering::Relaxed),
+            translations_built: self.translations_built.load(Ordering::Relaxed),
         }
     }
 
-    /// Evicts globally least-recently-used artifacts until live bytes
-    /// fit the budget. The scan takes each shard lock briefly (never
-    /// two at once) and re-checks the victim's recency before removing
-    /// it, so a concurrent touch can save an entry the scan chose.
+    /// Evicts by CLOCK until live bytes fit the budget. The hand moves
+    /// under the ring lock alone; the victim's shard lock is taken
+    /// after it is released, and a victim hit since the hand passed it
+    /// gets its slot back instead of being evicted. The evicted key
+    /// moves into the retirement log.
     /// Eviction does *not* tombstone the persistent store: it is a
     /// memory-budget decision, and the disk copy stays valuable for
     /// the next warm start (only explicit invalidation tombstones).
@@ -501,38 +631,59 @@ impl SharedArtifacts {
             if self.bytes_live.load(Ordering::Relaxed) <= budget {
                 return;
             }
-            let mut victim: Option<(usize, Fingerprint, u64)> = None;
-            for (si, shard) in self.shards.iter().enumerate() {
-                let shard = lock(shard);
-                for (fp, slot) in &shard.entries {
-                    if let Slot::Ready { last_use, .. } = slot {
-                        if victim.as_ref().is_none_or(|(_, _, lu)| last_use < lu) {
-                            victim = Some((si, fp.clone(), *last_use));
-                        }
-                    }
-                }
-            }
-            let Some((si, fp, lu)) = victim else {
+            let Some(victim) = self.advance_hand() else {
                 // Everything evictable is gone (all in-flight): live
                 // with being over budget rather than spinning.
                 return;
             };
-            let mut shard = lock(&self.shards[si]);
-            let still_lru = matches!(
-                shard.entries.get(&fp),
-                Some(Slot::Ready { last_use, .. }) if *last_use == lu
-            );
-            if still_lru {
-                if let Some(Slot::Ready { artifact, .. }) = shard.entries.remove(&fp) {
-                    self.bytes_live.fetch_sub(artifact.bytes, Ordering::Relaxed);
-                    self.entries.fetch_sub(1, Ordering::Relaxed);
-                    self.evictions.fetch_add(1, Ordering::Relaxed);
-                    self.generation.fetch_add(1, Ordering::AcqRel);
-                }
+            let mut shard = lock(self.shard_for(&victim.fp));
+            match shard.entries.get(&victim.fp) {
+                Some(Slot::Ready(r)) if Arc::ptr_eq(r, &victim) => {}
+                // Invalidated (and maybe republished) since: its slot
+                // is gone, and so is the victim.
+                _ => continue,
             }
-            // A lost race (entry touched or removed since the scan)
-            // just rescans on the next pass.
+            if victim.referenced.load(Ordering::Relaxed) {
+                lock(&self.ring).push_back(Arc::downgrade(&victim));
+                continue;
+            }
+            let key = self.take_ready(&mut shard, &victim.fp);
+            drop(shard);
+            if let Some(key) = key {
+                self.evictions.fetch_add(1, Ordering::Relaxed);
+                self.retire(key, true);
+            }
         }
+    }
+
+    /// Moves the hand to the first unreferenced resident and takes its
+    /// slot off the ring: slots whose resident is gone are dropped, a
+    /// set bit is cleared and its slot goes to the back. `None` when
+    /// two laps find nothing (the ring is empty, or hits kept setting
+    /// bits behind the hand). Takes only the ring lock.
+    fn advance_hand(&self) -> Option<Arc<Resident>> {
+        let mut ring = lock(&self.ring);
+        let mut steps = 0;
+        let mut victim = None;
+        for _ in 0..2 * ring.len() {
+            let Some(slot) = ring.pop_front() else {
+                break;
+            };
+            steps += 1;
+            let Some(resident) = slot.upgrade() else {
+                continue;
+            };
+            if resident.referenced.load(Ordering::Relaxed) {
+                resident.referenced.store(false, Ordering::Relaxed);
+                ring.push_back(slot);
+                continue;
+            }
+            victim = Some(resident);
+            break;
+        }
+        drop(ring);
+        self.clock_steps.fetch_add(steps, Ordering::Relaxed);
+        victim
     }
 }
 
@@ -543,10 +694,13 @@ impl CompileClaim {
     /// (counted `uncacheable`) — but waiters still receive it, so
     /// nobody recompiles what this claim already built.
     pub fn publish(mut self, artifact: Artifact) -> Arc<Artifact> {
-        let artifact = Arc::new(artifact);
         let owner = Arc::clone(&self.owner);
+        if let Some(tr) = &artifact.translation {
+            tr.count_builds_in(Arc::clone(&owner.translations_built));
+        }
+        let artifact = Arc::new(artifact);
         let retain = owner.budget.is_none_or(|b| artifact.bytes <= b);
-        {
+        let retained = {
             let mut shard = lock(owner.shard_for(&self.fp));
             // Only replace the slot if it is still ours (an invalidate
             // cannot remove an in-flight slot today, but stay robust).
@@ -562,6 +716,13 @@ impl CompileClaim {
                     owner.uncacheable.fetch_add(1, Ordering::Relaxed);
                 }
             }
+            ours && retain
+        };
+        if !retained {
+            // Nothing resident left, so no generation bump: the
+            // publisher's memo drops its install at the next sync that
+            // a bump triggers, as with any key the pool does not hold.
+            owner.retire(self.fp.clone(), false);
         }
         // Record to the persistent store (memory-budget decisions do
         // not apply to disk: even an uncacheable-in-memory artifact is
@@ -764,6 +925,60 @@ mod tests {
         assert_eq!(cache.generation(), 2);
         assert_eq!(cache.metrics().invalidations, 1);
         assert_eq!(cache.metrics().bytes_live, 40);
+    }
+
+    #[test]
+    fn clock_hand_steps_are_bounded_by_publishes_and_hits() {
+        // Budget holds K 40-byte artifacts. Publish N, touching the
+        // previous one after each publish: every eviction is one step,
+        // and every other step clears a bit a touch set — never a scan.
+        const K: u64 = 8;
+        const N: u64 = 200;
+        let cache = SharedArtifacts::new(4, Some(K * 40));
+        for n in 0..N {
+            let Acquire::Miss(c) = cache.get_or_begin(&fp(n)) else {
+                panic!("miss");
+            };
+            c.publish(art(n, 10));
+            cache.touch(&fp(n.saturating_sub(1)));
+        }
+        let m = cache.metrics();
+        assert_eq!(m.evictions, N - K);
+        assert_eq!(m.entries, K);
+        assert!(
+            m.clock_steps <= 2 * N + K,
+            "{} hand steps for {N} publishes under a {K}-artifact budget",
+            m.clock_steps
+        );
+        assert!(m.clock_steps >= m.evictions, "each eviction is a step");
+        // Invalidated residents leave dead slots; a publish that has to
+        // evict steps over them, one step each.
+        for n in N - K..N - K / 2 {
+            assert!(cache.invalidate(&fp(n)));
+        }
+        let before = cache.metrics().clock_steps;
+        for n in N..N + K {
+            let Acquire::Miss(c) = cache.get_or_begin(&fp(n)) else {
+                panic!("miss");
+            };
+            c.publish(art(n, 10));
+        }
+        let m = cache.metrics();
+        assert_eq!(m.entries, K);
+        assert!(m.clock_steps - before <= 2 * K + K / 2);
+        // Churn that never reaches the budget never moves the hand:
+        // publishes sweep the dead slots instead.
+        assert!(cache.invalidate(&cache.sample_fingerprint(0).unwrap()));
+        let steps = cache.metrics().clock_steps;
+        for n in 1000..2000 {
+            let Acquire::Miss(c) = cache.get_or_begin(&fp(n)) else {
+                panic!("miss");
+            };
+            c.publish(art(n, 1));
+            assert!(cache.invalidate(&fp(n)));
+            assert!(lock(&cache.ring).len() <= 2 * K as usize + 33);
+        }
+        assert_eq!(cache.metrics().clock_steps, steps);
     }
 
     #[test]

@@ -325,7 +325,8 @@ pub struct SharedCacheMetrics {
     /// Artifacts published (completed first compiles). With no churn
     /// this equals the number of unique fingerprints requested.
     pub published: u64,
-    /// Artifacts evicted (global LRU) to stay under the byte budget.
+    /// Artifacts evicted (CLOCK, the second-chance approximation of
+    /// LRU) to stay under the byte budget.
     pub evictions: u64,
     /// Artifacts dropped by explicit invalidation (rule-set churn).
     pub invalidations: u64,
@@ -336,6 +337,17 @@ pub struct SharedCacheMetrics {
     pub bytes_live: u64,
     /// Published artifacts currently resident.
     pub entries: u64,
+    /// Ring slots the CLOCK hand examined while evicting: each one
+    /// either evicted, cleared a referenced bit, or dropped the slot of
+    /// an artifact already gone.
+    pub clock_steps: u64,
+    /// Shard probes made by session memo syncs: one per retired key a
+    /// memo held, or one per memo entry when a session fell further
+    /// behind than the retirement log reaches.
+    pub sync_probes: u64,
+    /// Shared translations decoded: at most one per published
+    /// artifact, by the first other session that installs it.
+    pub translations_built: u64,
 }
 
 impl SharedCacheMetrics {
@@ -362,6 +374,9 @@ impl SharedCacheMetrics {
             ("uncacheable", Json::from(self.uncacheable)),
             ("bytes_live", Json::from(self.bytes_live)),
             ("entries", Json::from(self.entries)),
+            ("clock_steps", Json::from(self.clock_steps)),
+            ("sync_probes", Json::from(self.sync_probes)),
+            ("translations_built", Json::from(self.translations_built)),
             ("hit_rate", Json::from(self.hit_rate())),
         ])
     }

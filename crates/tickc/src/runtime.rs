@@ -435,8 +435,8 @@ impl TccRuntime {
         // before the limit check in the recursive walk fires; it picks
         // where the walk runs) and its fingerprint. Then the memo: if
         // this exact closure is already in this session's code space,
-        // hand back its address. A pool keeps its hit counter and global
-        // LRU through `touch`.
+        // hand back its address. A pool keeps its hit counter and CLOCK
+        // referenced bit through `touch`.
         let key = self.key_prefix(ret_kind);
         let (input, _, b) = self.walk_parts();
         let (depth, fp) = scan_closure(mem, input, &mut b.scan_path, closure, key)?;
@@ -504,10 +504,9 @@ impl TccRuntime {
                             name,
                             orig_start,
                             bytes: (words.len() * 4) as u64,
-                            // Only a pool has other sessions to pre-seed.
-                            translation: pooled
-                                .then(|| SharedTranslation::build(&words, cost))
-                                .flatten(),
+                            // Only a pool has other sessions to pre-seed;
+                            // the first of them to install it decodes it.
+                            translation: pooled.then(|| SharedTranslation::new(&words, cost)),
                             words,
                             compile_ns,
                         })

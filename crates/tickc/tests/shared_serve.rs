@@ -243,3 +243,153 @@ fn string_literals_in_tick_bodies_survive_the_pool() {
     b.call_addr(fb, &[]).expect("runs");
     assert_eq!(b.output(), "hello from dynamic code\n7\n");
 }
+
+#[test]
+fn shared_translations_decode_on_the_first_install_elsewhere() {
+    let shared = SharedArtifacts::unbounded();
+    let mut a = shared_session(&shared);
+    let fa = a.call("mk", &[9]).expect("compiles");
+    assert_eq!(a.call_addr(fa, &[5]).unwrap(), 5 * 9 + 9);
+    assert_eq!(
+        shared.metrics().translations_built,
+        0,
+        "a publish nobody else installs decodes nothing"
+    );
+    // The first other session to install it decodes it; the next one
+    // takes the same array.
+    for expected_builds in [1, 1] {
+        let mut b = shared_session(&shared);
+        let fb = b.call("mk", &[9]).expect("installs");
+        assert_eq!(b.dyn_stats().compiles, 0);
+        assert_eq!(b.metrics().exec.translations, 1, "preseeded");
+        assert_eq!(b.call_addr(fb, &[5]).unwrap(), 5 * 9 + 9);
+        assert_eq!(shared.metrics().translations_built, expected_builds);
+    }
+
+    // A tick body that calls a static function jumps out of itself:
+    // installing it rebases that call, so no session may take a decode
+    // of the published words.
+    const CALLS_OUT: &str = r#"
+        int sq(int v) { return v * v; }
+        long mk(int m) {
+            int vspec x = param(int, 0);
+            int cspec c = `(sq(x) + $m);
+            return (long)compile(c, int);
+        }
+    "#;
+    let shared = SharedArtifacts::unbounded();
+    let mut a = shared_session_of(CALLS_OUT, &shared);
+    a.call("mk", &[4]).expect("compiles");
+    let mut b = shared_session_of(CALLS_OUT, &shared);
+    let fb = b.call("mk", &[4]).expect("installs");
+    assert_eq!(b.dyn_stats().compiles, 0);
+    assert_eq!(b.metrics().exec.translations, 0, "refused at preseed");
+    assert_eq!(b.call_addr(fb, &[3]).unwrap(), 3 * 3 + 4);
+    assert_eq!(shared.metrics().translations_built, 0);
+}
+
+/// One thread calls cells through a `Session` — installed from the
+/// pool, or compiled and published — and checks every answer, while
+/// another retires them: it publishes other cells past a tight budget
+/// (evicting), invalidates residents, and re-publishes what it
+/// invalidated. A call must answer right, or fault `StaleCode` and
+/// answer right once recompiled; it must never answer wrong.
+///
+/// The caller asks for the cell before each round of calls, as a
+/// server would per request: a freed address may be reused by the next
+/// install, so an address is only good until the session compiles
+/// again.
+fn retire_vs_hit(rounds: u64) {
+    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+    const CELLS: u64 = 6;
+    /// Stops the churner however the caller leaves, panics included.
+    struct Done<'a>(&'a AtomicBool);
+    impl Drop for Done<'_> {
+        fn drop(&mut self) {
+            self.0.store(true, Ordering::Relaxed);
+        }
+    }
+    // Room for a handful of artifacts, against 6 + 16 cells in play.
+    let shared = SharedArtifacts::with_budget(256);
+    let done = AtomicBool::new(false);
+    let churns = AtomicU64::new(0);
+    let stale = std::thread::scope(|scope| {
+        scope.spawn(|| {
+            let mut churner = shared_session(&shared);
+            let mut i = 0u64;
+            while !done.load(Ordering::Relaxed) {
+                i += 1;
+                // Alternately one of the caller's cells (so the caller
+                // installs it) and one of its own (a publish that
+                // evicts).
+                let m = if i.is_multiple_of(2) {
+                    1 + i % CELLS
+                } else {
+                    100 + i % 16
+                };
+                churner.call("mk", &[m]).expect("compiles or installs");
+                if let Some(fp) = shared.sample_fingerprint(i) {
+                    if let Acquire::Hit { artifact, .. } = shared.get_or_begin(&fp) {
+                        if shared.invalidate(&fp) {
+                            if let Acquire::Miss(claim) = shared.get_or_begin(&fp) {
+                                claim.publish((*artifact).clone());
+                            }
+                        }
+                    }
+                }
+                if let Some(fp) = shared.sample_fingerprint(i * 7) {
+                    shared.invalidate(&fp);
+                }
+                churns.fetch_add(1, Ordering::Relaxed);
+            }
+        });
+        let _done = Done(&done);
+        let mut s = shared_session(&shared);
+        let mut stale = 0u64;
+        for r in 0..rounds {
+            let m = 1 + r % CELLS;
+            let mut calls = 0;
+            for attempt in 0.. {
+                assert!(attempt < 1000, "cell {m} never answered");
+                let f = s.call("mk", &[m]).expect("compiles or installs");
+                while calls < 4 {
+                    let x = r + calls;
+                    match s.call_addr(f, &[x]) {
+                        Ok(v) => assert_eq!(v, x * m + m, "round {r}, cell {m}"),
+                        Err(Error::Vm(VmError::StaleCode(at))) => {
+                            assert_eq!(at, f);
+                            stale += 1;
+                            break;
+                        }
+                        Err(e) => panic!("round {r}, cell {m}: {e}"),
+                    }
+                    calls += 1;
+                }
+                if calls == 4 {
+                    break;
+                }
+            }
+        }
+        // Let the churner get some work in even if the caller was fast.
+        while churns.load(Ordering::Relaxed) < 20 {
+            std::thread::yield_now();
+        }
+        stale
+    });
+    let m = shared.metrics();
+    assert!(m.evictions > 0 && m.invalidations > 0, "{m:?}");
+    assert!(m.bytes_live <= 256);
+    eprintln!("{rounds} rounds: {stale} stale faults recovered; {m:?}");
+}
+
+#[test]
+fn retiring_under_a_caller_never_yields_a_wrong_answer() {
+    retire_vs_hit(10_000);
+}
+
+/// Ten times the debug run's rounds; `ci.sh` runs it in release.
+#[test]
+#[ignore = "release-only: ten times the rounds"]
+fn retiring_under_a_caller_never_yields_a_wrong_answer_release() {
+    retire_vs_hit(100_000);
+}

@@ -54,7 +54,8 @@
 //! epoch and the run loop revalidates before re-entering one.
 
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, OnceLock};
 
 use crate::adaptive::{
     AdaptiveStats, FnTier, HubClient, Tier, DEFAULT_FUSE_AFTER, DEFAULT_THREAD_AFTER, NO_TIER,
@@ -547,70 +548,110 @@ pub(crate) fn form_over<H: HostCall>(
     }
 }
 
-/// A decoded array together with the cost model baked into it, safe to
-/// share across VMs and threads (the payload behind the shared artifact
-/// cache's `Arc`'d artifacts). Shared by reference:
-/// [`Vm::preseed_translation`] installs this very allocation in every
-/// session that takes it.
+/// A sealed function's words and the cost model to decode them under,
+/// decoded at most once and then safe to share across VMs and threads
+/// (the payload behind the shared artifact cache's `Arc`'d artifacts).
+/// Cheap to make: the decode waits for the first
+/// [`Vm::preseed_translation`] that wants it — in a pool, the first
+/// *other* session that installs the artifact — so an artifact evicted
+/// before anyone installs it never decodes at all. Clones share the one
+/// decode, and it is shared by reference: every VM that takes the
+/// translation installs this very allocation.
 ///
 /// The array is position-independent, but a pool installs an artifact
 /// by *rewriting* the words of control transfers that leave the
 /// function, so they keep reaching the same absolute targets
 /// (`CodeSpace::install_function`) — and a decoding of the original
-/// words would then disagree with the installed ones.
-/// [`SharedTranslation::build`] therefore refuses any function with a
-/// static target outside itself. Preseeding also revalidates the cost
-/// model and engine mode: a shared translation never overrides either.
+/// words would then disagree with the installed ones. The decode
+/// therefore refuses any function with a static target outside itself,
+/// and preseeding such a translation is refused. Preseeding also
+/// revalidates the cost model and engine mode: a shared translation
+/// never overrides either.
 #[derive(Clone, Debug)]
-pub struct SharedTranslation {
-    decoded: Arc<Decoded>,
+pub struct SharedTranslation(Arc<LazyDecode>);
+
+#[derive(Debug)]
+struct LazyDecode {
+    words: Box<[u32]>,
     /// The cost model baked into the per-slot cycle costs.
     cost: CostModel,
+    /// `None` inside once decoded: the function is not self-contained,
+    /// or `cost` does not fit the slot layout.
+    decoded: OnceLock<Option<Arc<Decoded>>>,
+    /// Bumped by the one decode, when someone asked to count it.
+    builds: OnceLock<Arc<AtomicU64>>,
 }
 
 impl SharedTranslation {
-    /// Decodes `words` (a sealed function's encoded words) into a
-    /// shareable array. Returns `None` if `cost` does not fit the slot
-    /// layout or the function is not self-contained: any decodable jump,
-    /// call, or branch whose pre-resolved target falls outside it.
-    pub fn build(words: &[u32], cost: &CostModel) -> Option<SharedTranslation> {
-        let decoded = decode(words, cost).filter(|d| d.internal)?;
-        Some(SharedTranslation {
-            decoded: Arc::new(decoded),
+    /// Wraps a copy of `words` (a sealed function's encoded words) and
+    /// `cost`, decoding nothing yet.
+    pub fn new(words: &[u32], cost: &CostModel) -> SharedTranslation {
+        SharedTranslation(Arc::new(LazyDecode {
+            words: words.into(),
             cost: cost.clone(),
-        })
+            decoded: OnceLock::new(),
+            builds: OnceLock::new(),
+        }))
     }
 
-    /// The cost model the array's cycle charges were computed under.
+    /// Has `builds` count the decode — once, whichever clone triggers
+    /// it, and only if it yields a shareable array. The first counter
+    /// set wins.
+    pub fn count_builds_in(&self, builds: Arc<AtomicU64>) {
+        let _ = self.0.builds.set(builds);
+    }
+
+    /// The shareable array, decoding it on the first call. `None` if
+    /// the cost model does not fit the slot layout or the function is
+    /// not self-contained: any decodable jump, call, or branch whose
+    /// pre-resolved target falls outside it.
+    fn decoded(&self) -> Option<&Arc<Decoded>> {
+        let lazy = &*self.0;
+        lazy.decoded
+            .get_or_init(|| {
+                let decoded = decode(&lazy.words, &lazy.cost).filter(|d| d.internal)?;
+                if let Some(builds) = lazy.builds.get() {
+                    builds.fetch_add(1, Ordering::Relaxed);
+                }
+                Some(Arc::new(decoded))
+            })
+            .as_ref()
+    }
+
+    /// The cost model the array's cycle charges are computed under.
     pub fn cost_model(&self) -> &CostModel {
-        &self.cost
+        &self.0.cost
     }
 
-    /// Array length in code words.
+    /// Length in code words.
     pub fn len(&self) -> usize {
-        self.decoded.slots.len()
+        self.0.words.len()
     }
 
-    /// True for a zero-length array.
+    /// True for a zero-length function.
     pub fn is_empty(&self) -> bool {
-        self.decoded.slots.is_empty()
+        self.0.words.is_empty()
     }
 
-    /// Superinstruction pairs a fusing walk of the array runs.
+    /// Superinstruction pairs a fusing walk of the array runs (0 when it
+    /// is not shareable); decodes the words if nothing has yet.
     pub fn fused_pairs(&self) -> u64 {
-        self.decoded.fused_pairs
+        self.decoded().map_or(0, |d| d.fused_pairs)
     }
 }
 
 impl<H: HostCall> Vm<H> {
     /// Installs a [`SharedTranslation`] for the live sealed function at
     /// `addr`, so the first promoted run starts from the shared decoded
-    /// array instead of decoding its own. Returns whether the translation
-    /// was (or already is) installed; `false` means the VM's engine
-    /// does not dispatch fused decoded arrays, the cost model differs,
-    /// or `addr` is not the start of a live range of matching length —
-    /// all cases where the VM silently keeps its own lazy translation
-    /// path, never a correctness hazard.
+    /// array instead of decoding its own. The first preseed that passes
+    /// the checks below decodes the shared words, for every VM that
+    /// takes them after it. Returns whether the translation was (or
+    /// already is) installed; `false` means the VM's engine does not
+    /// dispatch fused decoded arrays, the cost model differs, `addr` is
+    /// not the start of a live range of matching length, or the words
+    /// do not decode to a shareable array — all cases where the VM
+    /// silently keeps its own lazy translation path, never a
+    /// correctness hazard.
     pub fn preseed_translation(&mut self, addr: u64, tr: &SharedTranslation) -> bool {
         let fuse_compatible = matches!(
             self.engine,
@@ -627,8 +668,11 @@ impl<H: HostCall> Vm<H> {
         if record.base() != addr || record.words as usize != tr.len() {
             return false;
         }
+        let Some(decoded) = tr.decoded() else {
+            return false;
+        };
         if matches!(record.tr, Translation::None) {
-            self.install(fi, Translation::Decoded(Arc::clone(&tr.decoded)), &[]);
+            self.install(fi, Translation::Decoded(Arc::clone(decoded)), &[]);
         }
         true
     }
@@ -1126,7 +1170,7 @@ mod tests {
         let want = reference.call(addr, &[10]).unwrap();
         let (want_cycles, want_insns) = (reference.cycles(), reference.insns());
 
-        let tr = SharedTranslation::build(&words, &CostModel::default()).expect("self-contained");
+        let tr = SharedTranslation::new(&words, &CostModel::default());
         assert_eq!(tr.len(), 7);
         assert!(tr.fused_pairs() > 0, "the loop body fuses");
         let mut vm = Vm::new(cs.clone(), 1 << 20);
@@ -1152,9 +1196,16 @@ mod tests {
             let Translation::Decoded(held) = &vm.trans.tier_fns[0].tr else {
                 panic!("the record holds a decoded array");
             };
-            assert!(Arc::ptr_eq(held, &tr.decoded), "installed, not copied");
+            assert!(
+                Arc::ptr_eq(held, tr.decoded().unwrap()),
+                "installed, not copied"
+            );
         }
-        assert_eq!(Arc::strong_count(&tr.decoded), 3, "artifact + two records");
+        assert_eq!(
+            Arc::strong_count(tr.decoded().unwrap()),
+            3,
+            "artifact + two records"
+        );
     }
 
     /// Everything positional a function can do: a `jal` to a subroutine
@@ -1187,7 +1238,8 @@ mod tests {
         push_positional(&mut cs);
         let b = cs.finish_function(fb).unwrap();
         let (_, words) = cs.function_words(fa).unwrap();
-        let tr = SharedTranslation::build(&words, &CostModel::default()).expect("self-contained");
+        let tr = SharedTranslation::new(&words, &CostModel::default());
+        assert!(tr.decoded().is_some(), "self-contained");
         // Tier 1 from the first entry, tier 2 at the safepoint 128
         // backedges into it: both forms run at both addresses.
         let engine = ExecEngine::Adaptive {
@@ -1227,7 +1279,7 @@ mod tests {
         shared.set_engine(engine);
         assert!(shared.preseed_translation(a, &tr) && shared.preseed_translation(b, &tr));
         assert_eq!(
-            Arc::strong_count(&tr.decoded),
+            Arc::strong_count(tr.decoded().unwrap()),
             3,
             "one array, two addresses"
         );
@@ -1258,7 +1310,9 @@ mod tests {
                 alu,
                 ..CostModel::default()
             };
-            assert!(SharedTranslation::build(cs.word_slice(0, 7), &cost).is_none());
+            assert!(SharedTranslation::new(cs.word_slice(0, 7), &cost)
+                .decoded()
+                .is_none());
             let mut want = None;
             for engine in ENGINES
                 .into_iter()
@@ -1296,6 +1350,58 @@ mod tests {
     }
 
     #[test]
+    fn shared_translation_decodes_once_on_the_first_preseed() {
+        let (cs, addr) = loop_code();
+        let start = ((addr - CODE_BASE) / 4) as usize;
+        let words = cs.word_slice(start, start + 7).to_vec();
+        let builds = Arc::new(AtomicU64::new(0));
+        let tr = SharedTranslation::new(&words, &CostModel::default());
+        tr.count_builds_in(Arc::clone(&builds));
+        // Made and cloned (what a publish does), never preseeded: no
+        // decode.
+        let held_by_artifact = tr.clone();
+        assert!(held_by_artifact.0.decoded.get().is_none());
+        assert_eq!(builds.load(Ordering::Relaxed), 0);
+        // Two VMs take it: one decode, one array in both records.
+        let vms: Vec<Vm> = (0..2)
+            .map(|_| {
+                let mut vm = Vm::new(cs.clone(), 1 << 20);
+                vm.set_engine(ExecEngine::Predecoded { fuse: true });
+                assert!(vm.preseed_translation(addr, &held_by_artifact));
+                vm
+            })
+            .collect();
+        assert!(tr.0.decoded.get().is_some());
+        assert_eq!(builds.load(Ordering::Relaxed), 1, "decoded once");
+        for vm in &vms {
+            let Translation::Decoded(held) = &vm.trans.tier_fns[0].tr else {
+                panic!("the record holds a decoded array");
+            };
+            assert!(Arc::ptr_eq(held, tr.decoded().unwrap()));
+        }
+        // A function that jumps out of itself decodes (once, at the
+        // first preseed that gets that far) to a refusal.
+        let mut cs = CodeSpace::new();
+        let f = cs.begin_function("escape");
+        cs.push(Insn::j(Op::J, -100));
+        cs.push(Insn::ret());
+        let escape = cs.finish_function(f).unwrap();
+        let (_, words) = cs.function_words(f).unwrap();
+        let tr = SharedTranslation::new(&words, &CostModel::default());
+        tr.count_builds_in(Arc::clone(&builds));
+        let mut vm = Vm::new(cs, 1 << 20);
+        vm.set_engine(ExecEngine::Predecoded { fuse: true });
+        assert!(!vm.preseed_translation(escape, &tr));
+        assert!(tr.0.decoded.get().is_some() && tr.decoded().is_none());
+        assert_eq!(
+            builds.load(Ordering::Relaxed),
+            1,
+            "a refusal builds nothing"
+        );
+        assert_eq!(vm.exec_stats().translations, 0);
+    }
+
+    #[test]
     fn shared_translation_refuses_external_targets_and_mismatches() {
         // A backward jump out of the function's own range is not
         // position-independent: build refuses it.
@@ -1305,13 +1411,15 @@ mod tests {
         cs.push(Insn::ret());
         cs.finish_function(f).unwrap();
         let (_, words) = cs.function_words(f).unwrap();
-        assert!(SharedTranslation::build(&words, &CostModel::default()).is_none());
+        assert!(SharedTranslation::new(&words, &CostModel::default())
+            .decoded()
+            .is_none());
 
         // Preseed revalidates everything about the receiving VM.
         let (cs, addr) = loop_code();
         let start = ((addr - CODE_BASE) / 4) as usize;
         let words = cs.word_slice(start, start + 7).to_vec();
-        let tr = SharedTranslation::build(&words, &CostModel::default()).unwrap();
+        let tr = SharedTranslation::new(&words, &CostModel::default());
         let mut vm = Vm::new(cs.clone(), 1 << 20);
         vm.set_engine(ExecEngine::DecodePerStep);
         assert!(
@@ -1324,7 +1432,7 @@ mod tests {
         assert!(!vm.preseed_translation(addr + 1, &tr), "unaligned");
         let mut costly = CostModel::default();
         costly.branch_taken_extra += 1;
-        let tr2 = SharedTranslation::build(&words, &costly).unwrap();
+        let tr2 = SharedTranslation::new(&words, &costly);
         assert!(
             !vm.preseed_translation(addr, &tr2),
             "cost model must match the VM's"

@@ -451,3 +451,58 @@ fn spec_memory_counters_account_for_every_call_and_the_heap() {
     assert_eq!((d.spec_releases, d.spec_pinned_calls), (0, 3));
     assert_eq!(d.spec_high_water, 3 * 16);
 }
+
+#[test]
+fn pool_bookkeeping_counters_are_bounded_by_what_changed() {
+    // Two sessions of one pool ask in turn for each of 24 cells (the
+    // second installs what the first compiled) under a budget
+    // that holds a few, with an invalidation every tenth request.
+    let shared = tcc::SharedArtifacts::with_budget(200);
+    let mut sessions: Vec<Session> = (0..2)
+        .map(|_| {
+            Session::new(
+                SRC,
+                Config {
+                    shared: Some(std::sync::Arc::clone(&shared)),
+                    ..Config::default()
+                },
+            )
+            .expect("compiles")
+        })
+        .collect();
+    for round in 0..400u64 {
+        let n = (round / 2 * 7) % 24;
+        let s = &mut sessions[(round % 2) as usize];
+        assert_eq!(s.call("make", &[n]).unwrap(), n * 3 + 4);
+        if round % 10 == 9 {
+            if let Some(fp) = shared.sample_fingerprint(round) {
+                assert!(shared.invalidate(&fp));
+            }
+        }
+    }
+    let m = shared.metrics();
+    assert!(m.evictions > 0 && m.invalidations > 0, "{m:?}");
+    // The hand: each step evicts, clears a bit a hit set, or drops the
+    // slot of an invalidated artifact (one thread at a time, so no
+    // step is lost to a race).
+    assert!(m.clock_steps >= m.evictions, "{m:?}");
+    assert!(
+        m.clock_steps <= m.evictions + m.invalidations + m.hits,
+        "{m:?}"
+    );
+    // Syncs: each retired key is probed at most once per memo holding
+    // it (the sessions sync every call, far inside the log).
+    let retired = m.evictions + m.invalidations + m.uncacheable;
+    assert!(m.sync_probes <= 2 * retired, "{m:?}");
+    // Translations: at most one decode per published artifact, and
+    // only by an install.
+    assert!(m.translations_built <= m.published.min(m.hits), "{m:?}");
+    assert!(
+        m.translations_built > 0,
+        "the sessions installed each other's cells"
+    );
+    let text = m.to_json().to_string();
+    for key in ["clock_steps", "sync_probes", "translations_built"] {
+        assert!(text.contains(&format!("\"{key}\"")), "missing {key}");
+    }
+}
