@@ -8,7 +8,7 @@
 # -p tcc --lib` shadows every compile of that crate's test build with
 # the AST walker — is 65 tests in 0.4 s, the two allocation gates less).
 # Debug builds poison released spec-time memory, so that run also checks
-# that no program reads a closure after its call released it. Step 6,
+# that no program reads a closure after its call released it. Step 7,
 # the release-only tests, adds about 8 s for the soak, 2 s for the
 # paper-size Blur and 1 s for the pool's retire-vs-hit stress once
 # their test binaries are built.
@@ -17,23 +17,26 @@
 #   2. only plan.rs reads a tick's AST: no other file in
 #      crates/tickc/src but the test-only oracle imports anything from
 #      tcc_front::ast beyond the operator enums
-#   3. cargo clippy, warnings are errors
-#   4. cargo build --release (tier-1)
-#   5. cargo test --workspace
-#   6. release-only tests: the spec-memory soak (2 MiB sessions answer
+#   3. every `pub` field of `pub struct Config` (crates/tickc/src/api.rs)
+#      has a row in DESIGN.md's knob census, naming `Config::<field>` in
+#      its first column
+#   4. cargo clippy, warnings are errors
+#   5. cargo build --release (tier-1)
+#   6. cargo test --workspace
+#   7. release-only tests: the spec-memory soak (2 MiB sessions answer
 #      10^6 requests over 40 and over 320 cells with their heap flat,
 #      and the serve pool runs past where its sessions used to fault),
 #      the §6.2 Blur at 640x480, every count pinned, and ten times the
 #      debug run of the pool's retire-vs-hit stress (one thread calls
 #      cells while another evicts, invalidates and re-publishes them:
 #      every answer right, or StaleCode and then right)
-#   7. cargo doc, warnings are errors
-#   8. suite smoke: one benchmark through two static and three dynamic
+#   8. cargo doc, warnings are errors
+#   9. suite smoke: one benchmark through two static and three dynamic
 #      back ends, which must agree
-#   9. suite cache: the repeat-compile sweep, memo off and on
-#  10. suite adaptive --smoke: the tiering report's cells at two reps,
+#  10. suite cache: the repeat-compile sweep, memo off and on
+#  11. suite adaptive --smoke: the tiering report's cells at two reps,
 #      every engine equal to decode-per-step in checksum, cycles, insns
-#  11. benchmark/check.sh: fmt, clippy and unit tests of the
+#  12. benchmark/check.sh: fmt, clippy and unit tests of the
 #      out-of-workspace repo benchmark, which builds against crates/*'s
 #      public API, so an API change that breaks it fails here
 #
@@ -53,6 +56,23 @@ ast_readers=$(grep -n 'use tcc_front::ast::' crates/tickc/src/*.rs |
 if [ -n "$ast_readers" ]; then
     echo "$ast_readers"
     echo "only plan.rs may read a tick's AST (the operator enums excepted)"
+    exit 1
+fi
+
+echo "== every Config field has a knob-census row =="
+config_fields=$(sed -n '/^pub struct Config {/,/^}/p' crates/tickc/src/api.rs |
+    sed -n 's/^    pub \([a-z_][a-z0-9_]*\):.*/\1/p')
+if [ -z "$config_fields" ]; then
+    echo "found no pub field of pub struct Config in crates/tickc/src/api.rs"
+    exit 1
+fi
+uncounted=""
+for field in $config_fields; do
+    grep -qE '^\| [^|]*`Config::'"$field"'[^a-z0-9_]' DESIGN.md ||
+        uncounted="$uncounted $field"
+done
+if [ -n "$uncounted" ]; then
+    echo "Config fields with no \`Config::<field>\` row in DESIGN.md's knob census:$uncounted"
     exit 1
 fi
 

@@ -18,16 +18,15 @@
 //!   pool's [`SharedArtifacts`]) before compiling, and a compile is
 //!   published to the same place. All three hand out the same
 //!   `Arc<`[`Artifact`]`>`.
-//! * **Reclamation** — evicted entries return their words to the
+//! * **Reclamation** — when the pool retires an artifact (its CLOCK
+//!   budget evicts it, or it is invalidated), [`CodeCache::sync`] drops
+//!   every session's local copy and returns its words to the
 //!   `CodeSpace` free list (`free_function`), so the arena is recycled,
 //!   not just abandoned; stale addresses fault with
 //!   `VmError::StaleCode` instead of silently running reused bytes.
-//! * **LRU eviction under a budget** — an optional byte budget bounds
-//!   total live cached code. Inserting past the budget evicts
-//!   least-recently-used unpinned entries. Pinned entries (addresses
-//!   handed out and not released) are never evicted; if nothing can be
-//!   evicted the insert proceeds over-budget rather than invalidating
-//!   live code.
+//!   The pool's budget is the only one: a memo with no pool behind it
+//!   never frees what it handed out, and a session that needs a bound
+//!   is a one-session pool.
 //!
 //! Fingerprints are *injective encodings*, not hashes: two closures
 //! receive equal fingerprints only if their encodings are equal
@@ -36,8 +35,8 @@
 //!
 //! Everything observable is reported through
 //! [`tcc_obs::CacheMetrics`] — hits, misses, uncacheable compiles,
-//! evictions, live/reclaimed bytes, fragmentation, and nanoseconds
-//! saved versus spent answering hits.
+//! entries dropped by sync, live/reclaimed bytes, fragmentation, and
+//! nanoseconds saved versus spent answering hits.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -211,10 +210,6 @@ struct Entry {
     addr: u64,
     handle: FuncHandle,
     bytes: u64,
-    /// LRU clock value of the most recent touch.
-    last_use: u64,
-    /// Pin count; pinned entries are never evicted by the budget.
-    pins: u32,
     /// Per-hit `ns_saved` credit. For a freshly compiled entry this is
     /// what the original compilation cost; for an entry installed from
     /// the backing it is `compile_ns − load_ns` (saturating) — a disk
@@ -223,23 +218,17 @@ struct Entry {
     credit_ns: u64,
 }
 
-/// Memoization table for compiled closures with LRU eviction under an
-/// optional code budget (bytes): one entry per function this session
-/// has installed, whether it compiled the function itself or fetched
-/// it from its [`Backing`].
+/// Memoization table for compiled closures: one entry per function
+/// this session has installed, whether it compiled the function itself
+/// or fetched it from its [`Backing`]. An entry leaves only when the
+/// pool retires its artifact ([`CodeCache::sync`]).
 ///
-/// The cache does not own the `CodeSpace`; eviction borrows it to call
+/// The cache does not own the `CodeSpace`; a sync borrows it to call
 /// `free_function`. All counters live in a [`CacheMetrics`] that the
 /// session merges into its `SessionMetrics`.
 #[derive(Clone, Debug, Default)]
 pub struct CodeCache {
     entries: HashMap<Fingerprint, Entry>,
-    /// Reverse index for pinning by handed-out address.
-    by_addr: HashMap<u64, Fingerprint>,
-    /// Monotonic LRU clock, bumped on every touch.
-    clock: u64,
-    /// Budget in bytes for live cached code; `None` = unbounded.
-    budget: Option<u64>,
     bytes_live: u64,
     /// The pool generation [`CodeCache::sync`] last reconciled against.
     generation_seen: u64,
@@ -251,30 +240,10 @@ pub struct CodeCache {
     metrics: CacheMetrics,
 }
 
-/// Outcome of [`CodeCache::insert`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum InsertOutcome {
-    /// Entry stored (possibly after evictions).
-    Cached,
-    /// Entry larger than the whole budget: stored nowhere, compile
-    /// counted as uncacheable. The caller keeps the address it already
-    /// has; the function simply will not be reused or evicted.
-    TooLarge,
-}
-
 impl CodeCache {
-    /// An unbounded cache.
+    /// An empty memo.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// A cache that evicts LRU entries to keep live cached code within
-    /// `budget` bytes.
-    pub fn with_budget(budget: Option<u64>) -> Self {
-        CodeCache {
-            budget,
-            ..Self::default()
-        }
     }
 
     /// Number of live entries.
@@ -287,20 +256,13 @@ impl CodeCache {
         self.entries.is_empty()
     }
 
-    /// Looks up a fingerprint; on a hit, touches the entry's LRU clock,
-    /// credits `ns_saved` with the entry's original compile time, and
-    /// returns the cached function address.
+    /// Looks up a fingerprint; on a hit, credits `ns_saved` with the
+    /// entry's credit and returns the cached function address.
     pub fn lookup(&mut self, fp: &Fingerprint) -> Option<u64> {
-        self.clock += 1;
-        let clock = self.clock;
-        if let Some(e) = self.entries.get_mut(fp) {
-            e.last_use = clock;
-            self.metrics.hits += 1;
-            self.metrics.ns_saved += e.credit_ns;
-            Some(e.addr)
-        } else {
-            None
-        }
+        let e = self.entries.get(fp)?;
+        self.metrics.hits += 1;
+        self.metrics.ns_saved += e.credit_ns;
+        Some(e.addr)
     }
 
     /// Records nanoseconds spent answering a `compile` call without
@@ -317,9 +279,8 @@ impl CodeCache {
         self.metrics.uncacheable += 1;
     }
 
-    /// Inserts a function this session just put in `code`, evicting
-    /// LRU unpinned entries (freeing their code) as needed to respect
-    /// the budget. `fetched_in` says how the function came to be:
+    /// Records a function this session just put in `code`. `fetched_in`
+    /// says how the function came to be:
     ///
     /// * `None` — compiled here. Counts a miss; every later hit is
     ///   credited `compile_ns`.
@@ -329,10 +290,9 @@ impl CodeCache {
     ///   hit's — is `compile_ns − load_ns` (saturating): the fetch
     ///   saved the compile minus what the fetch itself cost.
     ///
-    /// If the function alone exceeds the budget it is not cached
-    /// ([`InsertOutcome::TooLarge`], counted `uncacheable`); if
-    /// everything evictable is pinned, the insert proceeds over-budget —
-    /// handed-out code is never invalidated to make room.
+    /// # Errors
+    ///
+    /// `handle` is not a sealed function of `code`.
     pub fn insert(
         &mut self,
         code: &mut CodeSpace,
@@ -341,65 +301,32 @@ impl CodeCache {
         handle: FuncHandle,
         compile_ns: u64,
         fetched_in: Option<u64>,
-    ) -> Result<InsertOutcome, VmError> {
+    ) -> Result<(), VmError> {
         let bytes = code.size_of(handle)?;
         let credit_ns = compile_ns.saturating_sub(fetched_in.unwrap_or(0));
-        if fetched_in.is_none() {
-            self.metrics.misses += 1;
-        }
-        if let Some(budget) = self.budget {
-            if bytes > budget {
-                self.metrics.uncacheable += 1;
-                return Ok(InsertOutcome::TooLarge);
-            }
-            while self.bytes_live + bytes > budget {
-                if !self.evict_lru(code)? {
-                    break; // everything left is pinned: go over budget
-                }
-            }
-        }
         if fetched_in.is_some() {
             self.metrics.hits += 1;
             self.metrics.ns_saved += credit_ns;
+        } else {
+            self.metrics.misses += 1;
         }
-        self.clock += 1;
         self.bytes_live += bytes;
-        self.by_addr.insert(addr, fp.clone());
         self.entries.insert(
             fp,
             Entry {
                 addr,
                 handle,
                 bytes,
-                last_use: self.clock,
-                pins: 0,
                 credit_ns,
             },
         );
-        Ok(InsertOutcome::Cached)
-    }
-
-    /// Evicts the least-recently-used unpinned entry, freeing its code.
-    /// Returns false when no entry is evictable.
-    fn evict_lru(&mut self, code: &mut CodeSpace) -> Result<bool, VmError> {
-        let victim = self
-            .entries
-            .iter()
-            .filter(|(_, e)| e.pins == 0)
-            .min_by_key(|(_, e)| e.last_use)
-            .map(|(fp, _)| fp.clone());
-        let Some(fp) = victim else {
-            return Ok(false);
-        };
-        self.drop_entry(code, &fp)?;
-        Ok(true)
+        Ok(())
     }
 
     /// Forgets the entry for `fp` and frees its code: the address it
     /// handed out faults `VmError::StaleCode` from here on.
     fn drop_entry(&mut self, code: &mut CodeSpace, fp: &Fingerprint) -> Result<(), VmError> {
         let e = self.entries.remove(fp).expect("caller found the entry");
-        self.by_addr.remove(&e.addr);
         let freed = code.free_function(e.handle)?;
         debug_assert_eq!(freed, e.bytes);
         self.bytes_live -= e.bytes;
@@ -409,12 +336,11 @@ impl CodeCache {
     }
 
     /// Reconciles the memo with the pool after an eviction or
-    /// invalidation elsewhere (a no-op for any other backing, and
-    /// while the pool's generation stamp has not moved): drops every
-    /// entry whose artifact is no longer resident and frees its code,
-    /// so its address faults `VmError::StaleCode` as after a budget
-    /// eviction. Pins do not hold here: a pin guards against this
-    /// session's *budget*, not against the pool retiring the artifact.
+    /// invalidation (a no-op for any other backing, and while the
+    /// pool's generation stamp has not moved): drops every entry whose
+    /// artifact is no longer resident and frees its code, so its
+    /// address faults `VmError::StaleCode`. The only way an entry
+    /// leaves the memo.
     ///
     /// Only the keys the pool's retirement log names since the last
     /// sync are candidates, one shard probe per candidate this memo
@@ -457,30 +383,6 @@ impl CodeCache {
         done?;
         self.generation_seen = generation;
         Ok(())
-    }
-
-    /// Pins the entry owning `addr` so the budget cannot evict it.
-    /// Returns false if no cache entry owns that address.
-    pub fn pin(&mut self, addr: u64) -> bool {
-        let Some(fp) = self.by_addr.get(&addr) else {
-            return false;
-        };
-        self.entries.get_mut(fp).expect("index consistent").pins += 1;
-        true
-    }
-
-    /// Releases one pin on the entry owning `addr`. Returns false if no
-    /// entry owns the address or it was not pinned.
-    pub fn unpin(&mut self, addr: u64) -> bool {
-        let Some(fp) = self.by_addr.get(&addr) else {
-            return false;
-        };
-        let e = self.entries.get_mut(fp).expect("index consistent");
-        if e.pins == 0 {
-            return false;
-        }
-        e.pins -= 1;
-        true
     }
 
     /// Current counters, with live bytes and code-space occupancy
@@ -629,7 +531,7 @@ mod tests {
     }
 
     #[test]
-    fn sync_drops_what_the_pool_retired_pins_included() {
+    fn sync_drops_what_the_pool_retired() {
         let mut code = CodeSpace::new();
         let mut cache = CodeCache::new();
         let shared = SharedArtifacts::unbounded();
@@ -648,7 +550,6 @@ mod tests {
         }
         let (a, ha) = emit(&mut code, 4);
         cache.insert(&mut code, fp(1), a, ha, 100, None).unwrap();
-        assert!(cache.pin(a));
         let (b, hb) = emit(&mut code, 4);
         cache.insert(&mut code, fp(2), b, hb, 100, None).unwrap();
         let backing = Backing::Shared(Arc::clone(&shared));
@@ -661,13 +562,15 @@ mod tests {
         assert_eq!(
             cache.lookup(&fp(1)),
             None,
-            "a pin does not outlive the artifact"
+            "the entry left with the artifact"
         );
         assert!(matches!(code.fetch_exec(a), Err(VmError::StaleCode(_))));
         assert_eq!(cache.lookup(&fp(2)), Some(b));
         assert!(code.fetch_exec(b).is_ok());
         let m = cache.metrics(&code);
         assert_eq!((m.evictions, m.bytes_reclaimed, m.bytes_live), (1, 16, 16));
+        // The memo's books agree with the code space's own.
+        assert_eq!(code.stats().reclaimed_words as u64 * 4, m.bytes_reclaimed);
         // The stamp has not moved since: nothing is rescanned or dropped.
         cache.sync(&mut code, &backing).unwrap();
         assert_eq!(cache.len(), 1);
@@ -723,11 +626,9 @@ mod tests {
                 }
             };
             let (addr, h) = emit(&mut self.code, fetched.unwrap_or(words));
-            let out = self
-                .memo
+            self.memo
                 .insert(&mut self.code, key, addr, h, 100, fetched.map(|_| 1))
                 .unwrap();
-            assert_eq!(out, InsertOutcome::Cached);
             self.model.insert(n);
         }
 
@@ -912,92 +813,6 @@ mod tests {
         assert_eq!(m.misses, 1);
         assert_eq!(m.ns_saved, 1000);
         assert_eq!(m.bytes_live, 16);
-    }
-
-    #[test]
-    fn budget_evicts_lru_and_frees_code() {
-        let mut code = CodeSpace::new();
-        // Budget of 2 four-word functions.
-        let mut cache = CodeCache::with_budget(Some(32));
-        let (a_addr, a_h) = emit(&mut code, 4);
-        cache
-            .insert(&mut code, fp(1), a_addr, a_h, 0, None)
-            .unwrap();
-        let (b_addr, b_h) = emit(&mut code, 4);
-        cache
-            .insert(&mut code, fp(2), b_addr, b_h, 0, None)
-            .unwrap();
-        // Touch a so b becomes LRU.
-        assert_eq!(cache.lookup(&fp(1)), Some(a_addr));
-        let (c_addr, c_h) = emit(&mut code, 4);
-        cache
-            .insert(&mut code, fp(3), c_addr, c_h, 0, None)
-            .unwrap();
-        let m = cache.metrics(&code);
-        assert_eq!(m.evictions, 1);
-        assert_eq!(m.bytes_reclaimed, 16);
-        assert_eq!(m.bytes_live, 32);
-        // b was evicted; its code now faults, a and c survive.
-        assert_eq!(cache.lookup(&fp(2)), None);
-        assert!(matches!(
-            code.fetch_exec(b_addr),
-            Err(VmError::StaleCode(_))
-        ));
-        assert!(code.fetch_exec(a_addr).is_ok());
-        // Cache accounting agrees with the code space's own books.
-        assert_eq!(code.stats().reclaimed_words as u64 * 4, m.bytes_reclaimed);
-    }
-
-    #[test]
-    fn pinned_entries_survive_eviction_pressure() {
-        let mut code = CodeSpace::new();
-        let mut cache = CodeCache::with_budget(Some(16));
-        let (a_addr, a_h) = emit(&mut code, 4);
-        cache
-            .insert(&mut code, fp(1), a_addr, a_h, 0, None)
-            .unwrap();
-        assert!(cache.pin(a_addr));
-        // Inserting b would need to evict a, but a is pinned: the cache
-        // goes over budget instead of invalidating handed-out code.
-        let (b_addr, b_h) = emit(&mut code, 4);
-        cache
-            .insert(&mut code, fp(2), b_addr, b_h, 0, None)
-            .unwrap();
-        let m = cache.metrics(&code);
-        assert_eq!(m.evictions, 0);
-        assert_eq!(m.bytes_live, 32);
-        assert!(code.fetch_exec(a_addr).is_ok());
-        // After unpinning, the next insert can evict a.
-        assert!(cache.unpin(a_addr));
-        let (c_addr, c_h) = emit(&mut code, 4);
-        cache
-            .insert(&mut code, fp(3), c_addr, c_h, 0, None)
-            .unwrap();
-        assert!(cache.metrics(&code).evictions >= 1);
-        assert_eq!(cache.lookup(&fp(1)), None);
-        let _ = c_addr;
-    }
-
-    #[test]
-    fn oversized_function_bypasses_cache() {
-        let mut code = CodeSpace::new();
-        let mut cache = CodeCache::with_budget(Some(8));
-        let (addr, h) = emit(&mut code, 4);
-        let out = cache.insert(&mut code, fp(1), addr, h, 0, None).unwrap();
-        assert_eq!(out, InsertOutcome::TooLarge);
-        assert_eq!(cache.lookup(&fp(1)), None);
-        let m = cache.metrics(&code);
-        assert_eq!(m.uncacheable, 1);
-        assert_eq!(m.bytes_live, 0);
-        // The function itself is untouched — still callable.
-        assert!(code.fetch_exec(addr).is_ok());
-    }
-
-    #[test]
-    fn pin_unknown_address_is_refused() {
-        let mut cache = CodeCache::new();
-        assert!(!cache.pin(0x8000_0000));
-        assert!(!cache.unpin(0x8000_0000));
     }
 
     #[test]

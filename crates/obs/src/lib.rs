@@ -246,8 +246,8 @@ impl VmMetrics {
 
 /// Compile-memoization and code-lifecycle counters reported by the
 /// `tcc-cache` subsystem: how often a `compile` host call was answered
-/// from cache, what eviction under the code budget cost, and how
-/// healthy the underlying code space is.
+/// from cache, what the pool's retirements freed in this session's
+/// code space, and how healthy that code space is.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct CacheMetrics {
     /// `compile` calls answered without compiling: from the session
@@ -255,15 +255,17 @@ pub struct CacheMetrics {
     pub hits: u64,
     /// `compile` calls that ran the CGF and inserted the result.
     pub misses: u64,
-    /// Closures that cannot be memoized (e.g. `$`-expressions that read
-    /// memory at compile time) or that exceed the whole code budget.
+    /// Closures that cannot be memoized: `$`-expressions that read
+    /// memory at compile time. (An artifact larger than a pool's whole
+    /// budget is counted by the pool, `SharedCacheMetrics::uncacheable`.)
     pub uncacheable: u64,
-    /// Entries whose code was freed: evicted (LRU) to stay under the
-    /// code budget, or dropped because the pool retired the artifact.
+    /// Entries whose code was freed because the pool retired the
+    /// artifact (its CLOCK budget evicted it, or it was invalidated):
+    /// the only way an entry leaves the memo.
     pub evictions: u64,
     /// Bytes of code currently live in cached functions.
     pub bytes_live: u64,
-    /// Cumulative bytes of code freed by eviction.
+    /// Cumulative bytes of code freed by those drops.
     pub bytes_reclaimed: u64,
     /// Free-space fragmentation of the code space, `0.0..=1.0`
     /// (`1 - largest_free_range / total_free`).

@@ -94,12 +94,6 @@ pub struct ServeOptions {
     pub churn_every: Option<usize>,
     /// Shared-cache byte budget (`None` = unbounded).
     pub budget: Option<u64>,
-    /// Build promoted translations on the shared background hub.
-    pub background: bool,
-    /// On-disk persistent artifact store shared by the pool (`None` =
-    /// in-memory only). The first session attaches the store to the
-    /// pool's [`SharedArtifacts`]; later sessions reuse it.
-    pub persist_path: Option<std::path::PathBuf>,
 }
 
 impl ServeOptions {
@@ -113,8 +107,6 @@ impl ServeOptions {
             zipf_s: 1.1,
             churn_every: Some(64),
             budget: None,
-            background: true,
-            persist_path: None,
         }
     }
 
@@ -127,8 +119,6 @@ impl ServeOptions {
             zipf_s: 1.1,
             churn_every: Some(32),
             budget: None,
-            background: true,
-            persist_path: None,
         }
     }
 
@@ -235,18 +225,15 @@ struct WorkerOut {
 /// Per-cell execution signature for the differential harness.
 type Signature = (u64, u64, u64); // (result, insns, cycles)
 
-fn serve_session(
-    shared: &Arc<SharedArtifacts>,
-    hub: &TransHub<tcc::TccRuntime>,
-    opts: &ServeOptions,
-) -> Session {
+/// One pool worker's session: promoted translations are built on the
+/// shared background hub.
+fn serve_session(shared: &Arc<SharedArtifacts>, hub: &TransHub<tcc::TccRuntime>) -> Session {
     Session::new(
         SERVE_SRC,
         Config {
             shared: Some(Arc::clone(shared)),
             translation_hub: Some(hub.clone()),
-            adaptive_background: opts.background,
-            persist_path: opts.persist_path.clone(),
+            adaptive_background: true,
             mem_size: 8 << 20,
             ..Config::default()
         },
@@ -303,9 +290,7 @@ pub fn run_serve(threads: usize, opts: &ServeOptions) -> ServeReport {
     let next = Arc::new(AtomicUsize::new(0));
     // Sessions are built (front end + static codegen) outside the
     // timed window: a service constructs its pool once, then serves.
-    let sessions: Vec<Session> = (0..threads)
-        .map(|_| serve_session(&shared, &hub, opts))
-        .collect();
+    let sessions: Vec<Session> = (0..threads).map(|_| serve_session(&shared, &hub)).collect();
 
     let t0 = Instant::now();
     let outs: Vec<WorkerOut> = std::thread::scope(|scope| {

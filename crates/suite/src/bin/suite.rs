@@ -34,8 +34,9 @@
 use tcc_obs::json::Json;
 use tcc_suite::{
     ablations, adaptive_bench, adaptive_bench_smoke, adaptive_json, adaptive_report, benchmarks,
-    cache_bench, cache_json, cache_report, json_report, measure, micro::alloc_sweep, ns_per_cycle,
-    report, DynBackend, Measurement, BLUR_FULL, BLUR_SMALL,
+    cache_bench, cache_json, cache_report, json_report, measure,
+    micro::{alloc_sweep, measure_table1},
+    ns_per_cycle, report, DynBackend, Measurement, BLUR_FULL, BLUR_SMALL,
 };
 
 /// Every experiment and the flags it reads.
@@ -177,14 +178,15 @@ fn main() {
 
     match what {
         "table1" => {
+            let rows = measure_table1(nspc, 250, 100);
             if json {
                 write_json(
                     "table1",
-                    &json_report::table1_json(nspc, 250, 100),
+                    &json_report::table1_json(&rows, nspc),
                     &mut failed_writes,
                 );
             }
-            print!("{}", report::table1(nspc, 250, 100));
+            print!("{}", report::table1(&rows, nspc));
         }
         "figure4" => {
             if json {
@@ -247,10 +249,11 @@ fn main() {
             print!("{}", report::blur_report(&m, nspc));
         }
         "all" => {
+            let rows = measure_table1(nspc, 250, 100);
             if json {
                 write_json(
                     "table1",
-                    &json_report::table1_json(nspc, 250, 100),
+                    &json_report::table1_json(&rows, nspc),
                     &mut failed_writes,
                 );
                 write_json(
@@ -274,7 +277,7 @@ fn main() {
                     &mut failed_writes,
                 );
             }
-            println!("{}", report::table1(nspc, 250, 100));
+            println!("{}", report::table1(&rows, nspc));
             println!("{}", report::figure4(&ms));
             println!("{}", report::figure5(&ms, nspc));
             println!("{}", report::figure6(&ms, nspc));

@@ -8,29 +8,8 @@
 //! `rows` array with one object per benchmark.
 
 use crate::measure::{DynBackend, Measurement};
-use crate::micro::{measure_micro_backend, table1_cases, MicroResult};
-use tcc::{Backend, Strategy};
+use crate::micro::{MicroResult, Table1Row, TABLE1_BACKENDS};
 use tcc_obs::json::Json;
-
-/// The four Table 1 back-end configurations, with stable JSON keys.
-fn table1_backends() -> [(&'static str, Backend); 4] {
-    [
-        ("vcode", Backend::Vcode { unchecked: false }),
-        ("vcode_unchecked", Backend::Vcode { unchecked: true }),
-        (
-            "icode_linear_scan",
-            Backend::Icode {
-                strategy: Strategy::LinearScan,
-            },
-        ),
-        (
-            "icode_graph_color",
-            Backend::Icode {
-                strategy: Strategy::GraphColor,
-            },
-        ),
-    ]
-}
 
 fn micro_json(r: &MicroResult) -> Json {
     Json::obj(vec![
@@ -42,20 +21,19 @@ fn micro_json(r: &MicroResult) -> Json {
 
 /// Table 1 as JSON: codegen overhead in cycles per generated
 /// instruction, four extreme cases × four back-end configurations
-/// (VCODE, VCODE-unchecked, ICODE linear scan, ICODE graph coloring).
-pub fn table1_json(ns_per_cycle: f64, large_stmts: usize, compositions: usize) -> Json {
-    let rows: Vec<Json> = table1_cases(large_stmts, compositions)
+/// (VCODE, VCODE-unchecked, ICODE linear scan, ICODE graph coloring),
+/// from [`crate::micro::measure_table1`]'s rows.
+pub fn table1_json(rows: &[Table1Row], ns_per_cycle: f64) -> Json {
+    let rows: Vec<Json> = rows
         .iter()
-        .map(|case| {
-            let backends: Vec<(String, Json)> = table1_backends()
-                .into_iter()
-                .map(|(key, backend)| {
-                    let r = measure_micro_backend(case, backend, ns_per_cycle);
-                    (key.to_string(), micro_json(&r))
-                })
+        .map(|row| {
+            let backends: Vec<(String, Json)> = TABLE1_BACKENDS
+                .iter()
+                .zip(&row.results)
+                .map(|((key, _), r)| (key.to_string(), micro_json(r)))
                 .collect();
             Json::obj(vec![
-                ("benchmark", Json::from(case.label)),
+                ("benchmark", Json::from(row.label)),
                 ("backends", Json::Obj(backends)),
             ])
         })
@@ -246,7 +224,7 @@ mod tests {
 
     #[test]
     fn table1_json_has_all_four_backends() {
-        let j = table1_json(1.0, 20, 8);
+        let j = table1_json(&crate::micro::measure_table1(1.0, 20, 8), 1.0);
         let text = j.to_string();
         for key in [
             "vcode",

@@ -14,7 +14,8 @@
 //! ```
 //!
 //! or per experiment: `table1`, `figure4`, `figure5`, `figure6`,
-//! `figure7`, `blur`, `ablations`.
+//! `figure7`, `blur`, `sensitivity`, `ablations`, `smoke`, `cache`,
+//! `adaptive` — the binary's usage line says which flags each takes.
 
 pub mod ablations;
 pub mod adaptive_bench;

@@ -13,8 +13,6 @@ use tcc_vcode::ops::BinOp;
 use tcc_vcode::CodeSink;
 use tcc_vm::CodeSpace;
 
-use crate::measure::DynBackend;
-
 /// One Table 1 row.
 #[derive(Clone, Debug)]
 pub struct MicroCase {
@@ -129,15 +127,57 @@ pub struct MicroResult {
     pub insns: f64,
 }
 
-/// Measures codegen cost per generated instruction for a case.
-pub fn measure_micro(case: &MicroCase, b: DynBackend, ns_per_cycle: f64) -> MicroResult {
-    measure_micro_backend(case, b.backend(), ns_per_cycle)
+/// Table 1's back-end configurations, under the keys
+/// `BENCH_table1.json` uses: VCODE checked and unchecked, ICODE with
+/// linear scan and with graph coloring. The text table prints the first
+/// and the third.
+pub const TABLE1_BACKENDS: [(&str, Backend); 4] = [
+    ("vcode", Backend::Vcode { unchecked: false }),
+    ("vcode_unchecked", Backend::Vcode { unchecked: true }),
+    (
+        "icode_linear_scan",
+        Backend::Icode {
+            strategy: Strategy::LinearScan,
+        },
+    ),
+    (
+        "icode_graph_color",
+        Backend::Icode {
+            strategy: Strategy::GraphColor,
+        },
+    ),
+];
+
+/// One measured Table 1 row: a case on each of [`TABLE1_BACKENDS`], in
+/// that order.
+#[derive(Clone, Debug)]
+pub struct Table1Row {
+    /// Row label (paper's wording).
+    pub label: &'static str,
+    /// One result per entry of [`TABLE1_BACKENDS`].
+    pub results: [MicroResult; 4],
 }
 
-/// Like [`measure_micro`], for an arbitrary runtime [`Backend`]
-/// configuration — the JSON Table 1 also reports VCODE's unchecked
-/// mode, which [`DynBackend`] (the three standard measurement paths)
-/// does not cover.
+/// Measures Table 1 once — every case of
+/// [`table1_cases`]`(large_stmts, compositions)` on every back end — for
+/// the text table and the JSON document to render alike.
+pub fn measure_table1(
+    ns_per_cycle: f64,
+    large_stmts: usize,
+    compositions: usize,
+) -> Vec<Table1Row> {
+    table1_cases(large_stmts, compositions)
+        .iter()
+        .map(|case| Table1Row {
+            label: case.label,
+            results: TABLE1_BACKENDS
+                .map(|(_, backend)| measure_micro_backend(case, backend, ns_per_cycle)),
+        })
+        .collect()
+}
+
+/// Measures codegen cost per generated instruction for a case on one
+/// runtime [`Backend`] configuration.
 pub fn measure_micro_backend(case: &MicroCase, backend: Backend, ns_per_cycle: f64) -> MicroResult {
     let config = Config {
         static_opt: OptLevel::Optimizing,
@@ -242,6 +282,7 @@ pub fn alloc_sweep() -> Vec<AllocCell> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::measure::DynBackend;
 
     #[test]
     fn micro_sources_compile_and_run() {

@@ -2,12 +2,13 @@
 //! or figure from the paper's evaluation section.
 
 use crate::measure::{measure_with, DynBackend, Measurement};
-use crate::micro::{measure_micro, table1_cases, AllocCell, MicroResult};
+use crate::micro::{AllocCell, Table1Row};
 use tcc_vm::CostModel;
 
 /// Prints Table 1: code generation overhead, cycles per generated
-/// instruction, for the four extreme cases × {VCODE, ICODE}.
-pub fn table1(ns_per_cycle: f64, large_stmts: usize, compositions: usize) -> String {
+/// instruction, for the four extreme cases × {VCODE, ICODE linear
+/// scan}, from [`crate::micro::measure_table1`]'s rows.
+pub fn table1(rows: &[Table1Row], ns_per_cycle: f64) -> String {
     let mut out = String::new();
     out.push_str("Table 1: code generation overhead (per generated instruction)\n");
     out.push_str(&format!("calibration: {ns_per_cycle:.2} ns/cycle\n"));
@@ -15,12 +16,11 @@ pub fn table1(ns_per_cycle: f64, large_stmts: usize, compositions: usize) -> Str
         "{:<42} {:>14} {:>14} {:>12} {:>12}\n",
         "Benchmark", "VCODE cyc/in", "ICODE cyc/in", "VCODE ns/in", "ICODE ns/in"
     ));
-    for case in table1_cases(large_stmts, compositions) {
-        let v: MicroResult = measure_micro(&case, DynBackend::Vcode, ns_per_cycle);
-        let i: MicroResult = measure_micro(&case, DynBackend::IcodeLinear, ns_per_cycle);
+    for row in rows {
+        let [v, _, i, _] = &row.results;
         out.push_str(&format!(
             "{:<42} {:>14.1} {:>14.1} {:>12.1} {:>12.1}\n",
-            case.label, v.cycles_per_insn, i.cycles_per_insn, v.ns_per_insn, i.ns_per_insn
+            row.label, v.cycles_per_insn, i.cycles_per_insn, v.ns_per_insn, i.ns_per_insn
         ));
     }
     out

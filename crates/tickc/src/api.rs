@@ -62,14 +62,11 @@ pub struct Config {
     /// session has installed and answers a repeat `compile` with its
     /// address. `false` = no memo and nothing behind it, every
     /// `compile` compiles — in a private session; a pool session
-    /// (`shared` set) always has its memo.
+    /// (`shared` set) always has its memo. A private memo never frees
+    /// what it handed out; to bound live dynamic code, make the session
+    /// a one-session pool (`shared: Some(SharedArtifacts::with_budget(b))`),
+    /// whose budget is the only eviction policy.
     pub cache: bool,
-    /// Byte budget for the dynamic code the memo keeps live; exceeding
-    /// it evicts least-recently-used unpinned entries and reclaims
-    /// their code space. `None` = unbounded. In a pool it bounds this
-    /// session's *local* installs and never touches the shared table
-    /// (whose own budget is `SharedArtifacts::new`'s).
-    pub code_budget: Option<u64>,
     /// The execution engine. `None` = adaptive per-function tiering
     /// ([`ExecEngine::Adaptive`] with the calibrated
     /// [`DEFAULT_FUSE_AFTER`](tcc_vm::DEFAULT_FUSE_AFTER) /
@@ -101,7 +98,7 @@ pub struct Config {
     /// words into their own code space and memo. A memo hit still
     /// counts as a shared hit (`SharedArtifacts::touch`). When the pool
     /// evicts or invalidates an artifact, each session drops its local
-    /// copy at its next call, pinned or not.
+    /// copy at its next call.
     pub shared: Option<Arc<SharedArtifacts>>,
     /// Shared background translation service: one `tcc-translate`
     /// thread serving every session's adaptive tier promotions instead
@@ -134,7 +131,6 @@ impl Default for Config {
             mem_size: 64 << 20,
             cost: CostModel::default(),
             cache: true,
-            code_budget: None,
             engine: None,
             adaptive_background: false,
             icode_schedule: true,
@@ -288,7 +284,7 @@ impl Session {
         rt.set_icode_schedule(config.icode_schedule);
         // Without a memo there is nothing for a backing to stand behind.
         let memo = config.cache || config.shared.is_some();
-        rt.cache = memo.then(|| CodeCache::with_budget(config.code_budget));
+        rt.cache = memo.then(CodeCache::new);
         let salt = || persist_abi_salt(&image, &config.cost);
         rt.backing = match (config.shared, &config.persist_path) {
             // The store serves every session through the pool: the
@@ -501,32 +497,6 @@ impl Session {
     /// failure writing the file.
     pub fn flush_persist(&mut self) -> std::io::Result<()> {
         self.vm.host_mut().backing.flush()
-    }
-
-    /// Pins the cached dynamic function at `addr` so the code budget can
-    /// never evict (and so invalidate) it. Returns false when `addr` is
-    /// not a cached function. Addresses handed out by `compile` are
-    /// otherwise evictable once the budget tightens; calling a
-    /// subsequently evicted address faults with `VmError::StaleCode`.
-    /// A pin guards against this session's *budget* only: in a pool, a
-    /// shared invalidation or eviction of the artifact still drops the
-    /// local copy.
-    pub fn pin_code(&mut self, addr: u64) -> bool {
-        self.vm
-            .host_mut()
-            .cache
-            .as_mut()
-            .is_some_and(|c| c.pin(addr))
-    }
-
-    /// Releases one pin taken by [`Session::pin_code`]. Returns false
-    /// when `addr` is not a cached function or was not pinned.
-    pub fn unpin_code(&mut self, addr: u64) -> bool {
-        self.vm
-            .host_mut()
-            .cache
-            .as_mut()
-            .is_some_and(|c| c.unpin(addr))
     }
 
     /// Program output captured so far.

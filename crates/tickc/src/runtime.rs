@@ -218,8 +218,7 @@ pub struct TccRuntime {
     /// "link-time" analysis, observed at run time here).
     pub observed_keys: TranslatorTable,
     /// The session memo: every function this session has installed,
-    /// keyed by closure fingerprint, with the code budget, pins and
-    /// eviction — in every mode. `None` (`Config::cache` off in a
+    /// keyed by closure fingerprint — in every mode. `None` (`Config::cache` off in a
     /// private session) = no fingerprint is taken, every `compile`
     /// compiles.
     pub cache: Option<CodeCache>,

@@ -168,57 +168,6 @@ fn uninstallable_shared_artifact_is_compiled_once_and_replaced() {
 }
 
 #[test]
-fn pool_session_pins_and_budgets_its_local_installs() {
-    let shared = SharedArtifacts::unbounded();
-    let mut s = Session::new(
-        SRC,
-        Config {
-            shared: Some(Arc::clone(&shared)),
-            code_budget: Some(256),
-            ..Config::default()
-        },
-    )
-    .expect("compiles");
-
-    let pinned = s.call("mk", &[1]).expect("compiles");
-    assert!(s.pin_code(pinned), "a pool session's install is pinnable");
-    // The oldest unpinned install: the budget's first victim.
-    let victim = s.call("mk", &[2]).expect("compiles");
-    let mut m = 3;
-    while s.metrics().cache.evictions == 0 {
-        s.call("mk", &[m]).expect("compiles");
-        m += 1;
-        assert!(m < 1000, "budget never forced an eviction");
-    }
-    match s.call_addr(victim, &[5]) {
-        Err(Error::Vm(VmError::StaleCode(at))) => assert_eq!(at, victim),
-        other => panic!("expected StaleCode for the evicted install, got {other:?}"),
-    }
-    assert_eq!(s.call_addr(pinned, &[5]).unwrap(), 5 + 1, "pin held");
-
-    // The budget is the session's own: the shared table lost nothing,
-    // so asking again re-installs without compiling.
-    let sm = shared.metrics();
-    assert_eq!((sm.evictions, sm.invalidations), (0, 0));
-    assert_eq!(sm.entries, m - 1);
-    let compiles = s.dyn_stats().compiles;
-    let again = s.call("mk", &[2]).expect("re-installs");
-    assert_eq!(s.call_addr(again, &[5]).unwrap(), 5 * 2 + 2);
-    assert_eq!(s.dyn_stats().compiles, compiles);
-
-    // A pin guards against the budget, not against the pool retiring
-    // the artifact: invalidate everything and the pinned copy goes too.
-    while let Some(fp) = shared.sample_fingerprint(0) {
-        assert!(shared.invalidate(&fp));
-    }
-    match s.call_addr(pinned, &[5]) {
-        Err(Error::Vm(VmError::StaleCode(at))) => assert_eq!(at, pinned),
-        other => panic!("expected StaleCode after shared invalidation, got {other:?}"),
-    }
-    assert!(!s.unpin_code(pinned), "the entry left with the code");
-}
-
-#[test]
 fn string_literals_in_tick_bodies_survive_the_pool() {
     // The published words hold the literal's address; the session that
     // installs them has a different heap (it `malloc`s first) and must

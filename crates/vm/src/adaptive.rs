@@ -496,7 +496,7 @@ pub(crate) fn saved_estimate(cold_words: u64, translation_ns: u64, translated_wo
 /// touches no cache at all. The fixed threaded engine pays one record
 /// probe and an `Arc` clone per call/return transition; keeping the two
 /// sides of the transition warm here is what lets adaptive match it
-/// (`suite adaptive` gates the gap).
+/// (`suite adaptive` reports the gap).
 struct Active<H> {
     /// Absolute address bounds of the function's live range.
     lo: u64,

@@ -220,20 +220,45 @@ impl CodeSpace {
                 info.name
             )));
         }
-        let (alloc_start, start) = (info.alloc_start, info.start_word);
+        let start = info.start_word;
         let len = self.words.len() - start;
-        let start = match self.try_relocate(start, len) {
-            Some(new_start) => {
-                // Tail rolls back past the function and its jitter
-                // padding: reused ranges are placed exactly, never
-                // re-padded.
+        // Into the first fitting hole, if every word can move there.
+        let hole = self.fit(start, len).and_then(|fit| {
+            let to = self.free[fit].0;
+            let mut moved = Vec::with_capacity(len);
+            for (i, &word) in self.words[start..].iter().enumerate() {
+                moved.push(relocate_word(word, i, start, len, to).ok()?);
+            }
+            self.words[to..to + len].copy_from_slice(&moved);
+            Some(fit)
+        });
+        Ok(self.seal(handle, hole))
+    }
+
+    /// Seals the building function `handle`, whose words sit at the
+    /// emission tail — or, with `hole` naming a free range, already sit
+    /// relocated at that range's start: the range's prefix is taken and
+    /// the tail rolls back past the function and its jitter padding, so
+    /// reused ranges are placed exactly, never re-padded.
+    fn seal(&mut self, handle: FuncHandle, hole: Option<usize>) -> u64 {
+        let info = &self.funcs[handle.0];
+        let (alloc_start, tail) = (info.alloc_start, info.start_word);
+        let len = self.words.len() - tail;
+        let start = match hole {
+            Some(fit) => {
+                let (s, l) = self.free[fit];
+                if l == len {
+                    self.free.remove(fit);
+                } else {
+                    self.free[fit] = (s + len, l - len);
+                }
                 self.words.truncate(alloc_start);
                 self.live.truncate(alloc_start);
-                new_start
+                s
             }
             None => {
                 self.live.resize(self.words.len(), false);
-                start
+                tail
             }
         };
         for w in &mut self.live[start..start + len] {
@@ -249,7 +274,7 @@ impl CodeSpace {
             // with its successor): nothing to find, nothing to index.
             self.live_index.insert(word_u32(start), word_u32(handle.0));
         }
-        Ok(CODE_BASE + (start as u64) * 4)
+        CODE_BASE + (start as u64) * 4
     }
 
     /// Returns a sealed function's words to the free list (coalescing
@@ -320,61 +345,12 @@ impl CodeSpace {
         }
     }
 
-    /// Attempts to move the just-emitted (still unsealed) function at
-    /// `[start, start+len)` — always the emission tail — into the first
-    /// fitting free range. Returns the new start word on success.
-    ///
-    /// Branches and in-function jumps are PC-relative word offsets, so
-    /// the words move verbatim; `j`/`jal` words whose target lies outside
-    /// the function (direct calls to other functions) get their
-    /// displacement adjusted by the move distance. Bails out (`None`) on
-    /// any word it cannot prove safe to move.
-    fn try_relocate(&mut self, start: usize, len: usize) -> Option<usize> {
-        let fit = self
-            .free
+    /// The first free range that takes `len` words and lies below
+    /// `tail`, the emission tail's start: what relocation recycles.
+    fn fit(&self, tail: usize, len: usize) -> Option<usize> {
+        self.free
             .iter()
-            .position(|&(s, l)| l >= len && s + len <= start)?;
-        let new_start = self.free[fit].0;
-        let delta = (start - new_start) as i64;
-        let mut moved = Vec::with_capacity(len);
-        for i in 0..len {
-            let word = self.words[start + i];
-            let Ok(mut insn) = Insn::decode(word) else {
-                return None; // raw data word: cannot prove relocatable
-            };
-            let target = (start + i) as i64 + 1 + insn.imm as i64;
-            let internal = target >= start as i64 && target < (start + len) as i64;
-            match insn.op {
-                Op::J | Op::Jal => {
-                    if !internal {
-                        let imm = insn.imm as i64 + delta;
-                        if !(IMM24_MIN..=IMM24_MAX).contains(&imm) {
-                            return None;
-                        }
-                        insn.imm = imm as i32;
-                        moved.push(insn.encode());
-                        continue;
-                    }
-                    moved.push(word);
-                }
-                op if op.is_branch() => {
-                    if !internal {
-                        return None; // cross-function branch: never emitted
-                    }
-                    moved.push(word);
-                }
-                _ => moved.push(word),
-            }
-        }
-        self.words[new_start..new_start + len].copy_from_slice(&moved);
-        // Consume the fitted prefix of the free range.
-        let (s, l) = self.free[fit];
-        if l == len {
-            self.free.remove(fit);
-        } else {
-            self.free[fit] = (s + len, l - len);
-        }
-        Some(new_start)
+            .position(|&(s, l)| l >= len && s + len <= tail)
     }
 
     /// The callable address of a sealed function.
@@ -648,13 +624,13 @@ impl CodeSpace {
     /// [`CodeSpace::function_words`]) and seals it, returning its address
     /// and handle here. `orig_start` is the start word index the words
     /// were sealed at in the *source* space: external `j`/`jal`
-    /// displacements are rebased by the placement delta, exactly as
-    /// relocation does (and composing with it if the function then lands
-    /// in a free-list hole). Both spaces must lay out their statically
-    /// compiled functions identically, or the rebased calls target the
-    /// wrong code — the caller (the shared artifact cache) guarantees
-    /// this by keying artifacts on a fingerprint that covers the source
-    /// program and its configuration.
+    /// displacements are rebased by the one rule relocation uses, from
+    /// `orig_start` straight to where the function lands — the first
+    /// fitting free-list hole, else the tail. Both spaces must lay out
+    /// their statically compiled functions identically, or the rebased
+    /// calls target the wrong code — the caller (the shared artifact
+    /// cache) guarantees this by keying artifacts on a fingerprint that
+    /// covers the source program and its configuration.
     ///
     /// # Errors
     ///
@@ -677,40 +653,29 @@ impl CodeSpace {
             )));
         }
         let handle = self.begin_function(name);
-        let new_start = self.funcs[handle.0].start_word;
-        let delta = orig_start as i64 - new_start as i64;
+        let tail = self.funcs[handle.0].start_word;
         let len = words.len();
+        // Placement first, so each word is relocated once, straight
+        // from the source placement to its final one.
+        let hole = self.fit(tail, len);
+        let to = hole.map_or(tail, |fit| self.free[fit].0);
         for (i, &word) in words.iter().enumerate() {
-            let fail = |cs: &mut CodeSpace, why: &str| {
-                cs.abort_install(handle);
-                Err(VmError::CodeLifecycle(format!(
-                    "artifact {name} not installable: {why} at word {i}"
-                )))
-            };
-            let Ok(mut insn) = Insn::decode(word) else {
-                return fail(self, "undecodable word");
-            };
-            let target = (orig_start + i) as i64 + 1 + insn.imm as i64;
-            let internal = target >= orig_start as i64 && target < (orig_start + len) as i64;
-            match insn.op {
-                Op::J | Op::Jal if !internal => {
-                    let imm = insn.imm as i64 + delta;
-                    if !(IMM24_MIN..=IMM24_MAX).contains(&imm) {
-                        return fail(self, "rebased jump out of range");
-                    }
-                    insn.imm = imm as i32;
-                    self.push(insn);
-                }
-                op if op.is_branch() && !internal => {
-                    return fail(self, "cross-function branch");
-                }
-                _ => {
+            match relocate_word(word, i, orig_start, len, to) {
+                Ok(word) => {
                     self.push_word(word);
+                }
+                Err(why) => {
+                    self.abort_install(handle);
+                    return Err(VmError::CodeLifecycle(format!(
+                        "artifact {name} not installable: {why} at word {i}"
+                    )));
                 }
             }
         }
-        let addr = self.finish_function(handle)?;
-        Ok((addr, handle))
+        if hole.is_some() {
+            self.words.copy_within(tail..tail + len, to);
+        }
+        Ok((self.seal(handle, hole), handle))
     }
 
     /// Rolls back a function begun by [`CodeSpace::install_function`]:
@@ -724,6 +689,42 @@ impl CodeSpace {
         self.words.truncate(alloc_start);
         self.live.truncate(alloc_start);
         self.funcs.pop();
+    }
+}
+
+/// The one relocation rule: word `i` of a function sealed at word
+/// `from`, `len` words long, rewritten for placement at word `to`.
+/// Branches and in-function jumps are PC-relative word offsets and move
+/// verbatim; a `j`/`jal` whose target lies outside the function (a
+/// direct call to another function) is rebased by the distance moved
+/// and must stay within its 24-bit reach. A word that cannot be proven
+/// safe to move — an undecodable data word, a cross-function branch
+/// (never emitted), a rebased jump out of reach — is refused, with why.
+fn relocate_word(
+    word: u32,
+    i: usize,
+    from: usize,
+    len: usize,
+    to: usize,
+) -> Result<u32, &'static str> {
+    let Ok(mut insn) = Insn::decode(word) else {
+        return Err("undecodable word");
+    };
+    let target = (from + i) as i64 + 1 + insn.imm as i64;
+    if (from as i64..(from + len) as i64).contains(&target) {
+        return Ok(word);
+    }
+    match insn.op {
+        Op::J | Op::Jal => {
+            let imm = insn.imm as i64 + from as i64 - to as i64;
+            if !(IMM24_MIN..=IMM24_MAX).contains(&imm) {
+                return Err("rebased jump out of range");
+            }
+            insn.imm = imm as i32;
+            Ok(insn.encode())
+        }
+        op if op.is_branch() => Err("cross-function branch"),
+        _ => Ok(word),
     }
 }
 
@@ -1156,6 +1157,60 @@ mod tests {
         assert_eq!(target, callee_word, "external jal rebased to callee");
         assert_eq!(dst.function_at(addr), Some("caller"));
         assert!(dst.size_of(h).is_ok());
+    }
+
+    #[test]
+    fn install_into_a_hole_composes_both_rebases() {
+        // The source seals the caller past a spacer, the target has a
+        // hole below a longer tail: the external jal is rebased from the
+        // source placement to the hole, and still reaches the callee.
+        let build_callee = |cs: &mut CodeSpace| {
+            let f = cs.begin_function("callee");
+            cs.push(Insn::i(Op::Addiw, A0, A0, 5));
+            cs.push(Insn::ret());
+            cs.finish_function(f).unwrap()
+        };
+        let filler = |cs: &mut CodeSpace, name: &str, words: usize| {
+            let f = cs.begin_function(name);
+            for _ in 1..words {
+                cs.push(Insn::nop());
+            }
+            cs.push(Insn::ret());
+            cs.finish_function(f).unwrap();
+            f
+        };
+        let mut src = CodeSpace::new();
+        let callee_addr = build_callee(&mut src);
+        filler(&mut src, "spacer", 8);
+        let caller = src.begin_function("caller");
+        let at = src.next_index() as i64;
+        let callee_word = ((callee_addr - CODE_BASE) / 4) as i64;
+        src.push(Insn::j(Op::Jal, (callee_word - (at + 1)) as i32));
+        src.push(Insn::ret());
+        src.finish_function(caller).unwrap();
+        let (orig_start, words) = src.function_words(caller).unwrap();
+
+        let mut dst = CodeSpace::new();
+        build_callee(&mut dst);
+        filler(&mut dst, "live", 2);
+        let hole = filler(&mut dst, "hole", 3);
+        let hole_addr = dst.addr_of(hole).unwrap();
+        filler(&mut dst, "pad", 6);
+        dst.free_function(hole).unwrap();
+        let tail = dst.next_index();
+        let (addr, _) = dst.install_function("caller", &words, orig_start).unwrap();
+        assert_eq!(addr, hole_addr, "installed into the hole");
+        let at = ((addr - CODE_BASE) / 4) as usize;
+        assert!(at != orig_start && at != tail, "neither rebase is zero");
+        let jal = Insn::decode(dst.fetch_exec(addr).unwrap()).unwrap();
+        assert_eq!(jal.op, Op::Jal);
+        let target = at as i64 + 1 + jal.imm as i64;
+        assert_eq!(target, callee_word, "external jal still reaches the callee");
+        assert_eq!(
+            dst.function_at(CODE_BASE + target as u64 * 4),
+            Some("callee")
+        );
+        assert_eq!(dst.next_index(), tail, "the tail rolled back");
     }
 
     #[test]

@@ -2,20 +2,22 @@
 //! per-function promotion sequences are monotone and reach each tier
 //! no later than the configured entry thresholds (exactly at them for
 //! loop-free code; sooner when loop iterations get the clock there
-//! first, within a single run if the loop is long enough), epoch bumps (here: code-budget evictions)
-//! retire the evicted function's record and leave every survivor's
-//! tier and run count alone, freed-then-hot functions fault
+//! first, within a single run if the loop is long enough), epoch bumps
+//! (here: a one-session pool's budget evictions, freed at the next
+//! call) retire the evicted function's record and leave every
+//! survivor's tier and run count alone, freed-then-hot functions fault
 //! `StaleCode` no matter which tier they had reached, and the
 //! `AdaptiveMetrics` accounting invariants hold across arbitrary
 //! compile/run/evict interleavings.
 
 use proptest::prelude::*;
-use tickc::tickc_core::{Config, Error, Session};
+use std::sync::Arc;
+use tickc::tickc_core::{Config, Error, Session, SharedArtifacts};
 use tickc::vm::{ExecEngine, Tier, VmError, DEFAULT_FUSE_AFTER, DEFAULT_THREAD_AFTER};
 
 /// `mk(n)` compiles a distinct closure per `n` (the `$`-bound seed
-/// changes the fingerprint) so budget pressure eventually evicts the
-/// least-recently-used result; `run` executes one.
+/// changes the fingerprint) so budget pressure eventually evicts a
+/// result the pool's CLOCK hand finds unreferenced; `run` executes one.
 const SRC: &str = r#"
 int seed = 0;
 long mk(int n) {
@@ -35,11 +37,14 @@ int run(long fp) {
 /// n × (3+5+7+9+11+13+17+19+23+29+31+37).
 const PRIME_SUM: u64 = 204;
 
-fn session(fuse_after: u32, thread_after: u32, budget: Option<u64>) -> Session {
-    Session::new(
+/// A session under adaptive tiering, bounded by a one-session pool of
+/// `budget` bytes.
+fn session(fuse_after: u32, thread_after: u32, budget: u64) -> (Session, Arc<SharedArtifacts>) {
+    let shared = SharedArtifacts::with_budget(budget);
+    let s = Session::new(
         SRC,
         Config {
-            code_budget: budget,
+            shared: Some(Arc::clone(&shared)),
             engine: Some(ExecEngine::Adaptive {
                 fuse_after,
                 thread_after,
@@ -48,7 +53,8 @@ fn session(fuse_after: u32, thread_after: u32, budget: Option<u64>) -> Session {
             ..Config::default()
         },
     )
-    .expect("compiles")
+    .expect("compiles");
+    (s, shared)
 }
 
 /// The tier the entry schedule grants a function's `k`-th run
@@ -71,34 +77,33 @@ fn thresholds() -> impl Strategy<Value = (u32, u32)> {
     (1u32..5, 0u32..5).prop_map(|(f, extra)| (f, (f + extra).min(8)))
 }
 
-/// Compiles fresh closures until the code budget evicts at least one
-/// entry (an epoch bump), returning how many eviction rounds happened.
-fn force_eviction(s: &mut Session, start_seed: &mut u64) -> u64 {
-    let before = s.metrics().cache.evictions;
-    while s.metrics().cache.evictions == before {
+/// Compiles fresh closures until the pool's budget evicts at least one
+/// artifact. The session frees its copy (an epoch bump) at its next
+/// call.
+fn force_eviction(s: &mut Session, shared: &SharedArtifacts, start_seed: &mut u64) {
+    let before = shared.metrics().evictions;
+    while shared.metrics().evictions == before {
         s.call("mk", &[*start_seed]).expect("later compile");
         *start_seed += 1;
         assert!(*start_seed < 1000, "budget never forced an eviction");
     }
-    s.metrics().cache.evictions - before
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// (a) Per-function tier sequences are monotone and, for loop-free
-    /// code, track the configured thresholds exactly; an epoch bump costs only what it
-    /// invalidated — the evicted function loses its record and faults,
-    /// the survivor's tier and run count carry on.
+    /// code, track the configured thresholds exactly; an epoch bump
+    /// costs only what it invalidated — the evicted function loses its
+    /// record and faults, the survivor's tier and run count carry on.
     #[test]
     fn promotion_sequences_are_monotone_and_reset_on_epoch_bump(
         ft in thresholds(),
         runs in 1u64..14,
     ) {
         let (fuse_after, thread_after) = ft;
-        let mut s = session(fuse_after, thread_after, Some(512));
+        let (mut s, shared) = session(fuse_after, thread_after, 512);
         let fp = s.call("mk", &[1]).expect("compile");
-        prop_assert!(s.pin_code(fp), "compiled closure is pinnable");
         prop_assert_eq!(s.vm.adaptive_tier(fp), None, "never entered yet");
         let mut last = Tier::Decode;
         for k in 1..=runs {
@@ -116,9 +121,12 @@ proptest! {
             );
             last = tier;
         }
-        // A second, unpinned function climbs the same schedule; `run`
-        // never touches the compile cache, so it stays LRU and is the
-        // entry the budget reclaims.
+        // Asking for it again is a memo hit, which sets its referenced
+        // bit in the pool: the CLOCK hand passes it over once.
+        prop_assert_eq!(s.call("mk", &[1]).expect("memo hit"), fp);
+        // A second function climbs the same schedule; `run` never
+        // touches the compile cache, so its bit stays clear and it is
+        // the artifact the budget reclaims.
         let victim = s.call("mk", &[2]).expect("compile");
         for _ in 0..runs {
             prop_assert_eq!(s.call("run", &[victim]).expect("runs"), 2 * PRIME_SUM);
@@ -126,11 +134,10 @@ proptest! {
         let (victim_tier, _) = s.vm.adaptive_tier(victim).expect("tracked");
         prop_assert_eq!(victim_tier, last, "same thresholds, same climb");
         let demotions_before = s.metrics().adaptive.demotions;
-        // Epoch bump: the eviction frees the victim's code. Only the
-        // victim pays for it.
+        // Epoch bump: the pool evicts the victim, and the next call's
+        // sync frees its code. Only the victim pays for it.
         let mut seed = 3;
-        force_eviction(&mut s, &mut seed);
-        prop_assert_eq!(s.vm.adaptive_tier(victim), None, "evicted: no record");
+        force_eviction(&mut s, &shared, &mut seed);
         match s.call("run", &[victim]) {
             Err(Error::Vm(VmError::StaleCode(addr))) => prop_assert_eq!(addr, victim),
             other => {
@@ -139,14 +146,15 @@ proptest! {
                 )))
             }
         }
+        prop_assert_eq!(s.vm.adaptive_tier(victim), None, "evicted: no record");
         let demotions = s.metrics().adaptive.demotions - demotions_before;
         prop_assert!(demotions >= last as u64, "the victim's levels were lost");
         prop_assert_eq!(
             s.vm.adaptive_tier(fp),
             Some((last, runs)),
-            "the pinned survivor kept tier and run count across the bump"
+            "the survivor kept tier and run count across the bump"
         );
-        prop_assert_eq!(s.call("run", &[fp]).expect("still pinned"), PRIME_SUM);
+        prop_assert_eq!(s.call("run", &[fp]).expect("still resident"), PRIME_SUM);
         let (tier, count) = s.vm.adaptive_tier(fp).expect("still tracked");
         prop_assert_eq!(count, runs + 1, "run count continues across the bump");
         prop_assert_eq!(tier, expected_tier(runs + 1, fuse_after, thread_after));
@@ -160,7 +168,7 @@ proptest! {
         warm_runs in 0u64..10,
     ) {
         let (fuse_after, thread_after) = ft;
-        let mut s = session(fuse_after, thread_after, Some(256));
+        let (mut s, shared) = session(fuse_after, thread_after, 256);
         let fp = s.call("mk", &[1]).expect("compile");
         for _ in 0..warm_runs {
             prop_assert_eq!(s.call("run", &[fp]).expect("warm run"), PRIME_SUM);
@@ -169,10 +177,11 @@ proptest! {
             let (tier, _) = s.vm.adaptive_tier(fp).expect("tracked");
             prop_assert_eq!(tier, expected_tier(warm_runs, fuse_after, thread_after));
         }
-        // `run` never touches the compile cache, so `fp` stays LRU and
-        // is the first entry the budget reclaims.
+        // `run` never touches the compile cache, so `fp`'s referenced
+        // bit stays clear: published first, it is the first artifact
+        // the budget reclaims, and the probe's call frees it.
         let mut seed = 2;
-        force_eviction(&mut s, &mut seed);
+        force_eviction(&mut s, &shared, &mut seed);
         match s.call("run", &[fp]) {
             Err(Error::Vm(VmError::StaleCode(addr))) => prop_assert_eq!(addr, fp),
             other => {
@@ -192,7 +201,7 @@ proptest! {
         script in prop::collection::vec((0u8..3, 1u64..6), 1..12),
     ) {
         let (fuse_after, thread_after) = ft;
-        let mut s = session(fuse_after, thread_after, Some(512));
+        let (mut s, shared) = session(fuse_after, thread_after, 512);
         let mut fps: Vec<u64> = Vec::new();
         let mut seed = 1u64;
         let (mut last_promotions, mut last_demotions) = (0u64, 0u64);
@@ -211,7 +220,7 @@ proptest! {
                     }
                 }
                 _ => {
-                    force_eviction(&mut s, &mut seed);
+                    force_eviction(&mut s, &shared, &mut seed);
                     fps.clear();
                 }
             }

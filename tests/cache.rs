@@ -1,23 +1,39 @@
 //! End-to-end semantics of the dynamic-code lifecycle manager
-//! (`tcc-cache`): compile memoization, code-space reclamation under a
-//! byte budget, stale-code faulting, pinning, and placement jitter —
-//! all driven through the public `Session` API.
+//! (`tcc-cache`): compile memoization, code-space reclamation when a
+//! one-session pool's byte budget retires artifacts, stale-code
+//! faulting, and placement jitter — all driven through the public
+//! `Session` API.
 
-use tickc::tickc_core::{Config, Error, Session};
+use std::sync::Arc;
+use tickc::tickc_core::{Config, Error, Session, SharedArtifacts};
 use tickc::vm::VmError;
 
 /// One dynamic-compilation site specializing on `$n`: every distinct
 /// argument is a distinct closure, every repeat an identical one.
+/// `idle` enters the VM without compiling, so the call's sync is all
+/// that happens.
 const MAKE: &str = r#"
 long make(int n) {
     int cspec c = `($n * 3 + 4);
     int (*f)(void) = compile(c, int);
     return (long)f;
 }
+int idle(void) { return 0; }
 "#;
 
 fn session(config: Config) -> Session {
     Session::new(MAKE, config).expect("compiles")
+}
+
+/// A session bounded the one way there is: a pool of one whose CLOCK
+/// budget retires artifacts, each freed locally at the next call.
+fn bounded(budget: u64) -> (Session, Arc<SharedArtifacts>) {
+    let shared = SharedArtifacts::with_budget(budget);
+    let s = session(Config {
+        shared: Some(Arc::clone(&shared)),
+        ..Config::default()
+    });
+    (s, shared)
 }
 
 /// A `mk()` whose closure body is long enough that a real compile
@@ -102,16 +118,27 @@ fn cache_hits_are_an_order_of_magnitude_cheaper_than_recompiles() {
 #[test]
 fn budget_bounds_live_code_and_books_balance() {
     let budget = 2048u64;
-    let mut s = session(Config {
-        code_budget: Some(budget),
-        ..Config::default()
-    });
+    let (mut s, shared) = bounded(budget);
     // Drive well past the budget with distinct closures.
     for n in 0..200u64 {
         s.call("make", &[n]).unwrap();
     }
+    assert!(
+        shared.metrics().evictions > 0,
+        "budget never forced an eviction"
+    );
+    // The next call syncs: the memo drops what the pool retired.
+    s.call("idle", &[]).unwrap();
     let m = s.metrics().cache;
-    assert!(m.evictions > 0, "budget never forced an eviction");
+    let pool = shared.metrics();
+    assert_eq!(
+        m.evictions, pool.evictions,
+        "every retirement freed locally"
+    );
+    assert_eq!(
+        m.bytes_live, pool.bytes_live,
+        "the memo holds what the pool holds"
+    );
     assert!(
         m.bytes_live <= budget,
         "live cached code {} exceeds budget {budget}",
@@ -142,19 +169,16 @@ fn budget_bounds_live_code_and_books_balance() {
 
 #[test]
 fn evicted_code_faults_stale_when_called() {
-    let mut s = session(Config {
-        code_budget: Some(256),
-        ..Config::default()
-    });
+    let (mut s, shared) = bounded(256);
     let first = s.call("make", &[0]).unwrap();
     assert_eq!(s.call_addr(first, &[]).unwrap(), 4);
-    // Distinct closures until budget pressure evicts the LRU entry —
-    // which is `first`: it was inserted earliest and never looked up
-    // again. Probe immediately, while its range is still on the free
-    // list (a later compile may legitimately recycle the range, after
-    // which the address aliases fresh code — pin to prevent that).
+    // Distinct closures until the pool's CLOCK hand evicts `first`:
+    // published earliest and never asked for again, its referenced bit
+    // is clear. The call that probes it syncs first, freeing the local
+    // copy, and compiles nothing that could recycle the range (after
+    // which the address would alias fresh code).
     let mut n = 1u64;
-    while s.metrics().cache.evictions == 0 {
+    while shared.metrics().evictions == 0 {
         s.call("make", &[n]).unwrap();
         n += 1;
         assert!(n < 1000, "budget never forced an eviction");
@@ -164,6 +188,7 @@ fn evicted_code_faults_stale_when_called() {
         matches!(err, Error::Vm(VmError::StaleCode(_))),
         "stale pointer should fault cleanly, got: {err}"
     );
+    assert_eq!(s.metrics().cache.evictions, shared.metrics().evictions);
 }
 
 #[test]

@@ -894,8 +894,8 @@ fn safepoint_midrun_free_between_ticks_faults_stale_like_the_reference() {
 // ---------------------------------------------------------------------------
 
 /// Source whose `mk(n)` compiles a distinct closure per `n` (the
-/// `$`-bound seed changes the fingerprint), so a small code budget
-/// eventually forces LRU eviction of the earliest result.
+/// `$`-bound seed changes the fingerprint), so a small pool budget
+/// eventually forces the CLOCK hand to evict the earliest result.
 const EVICT_SRC: &str = r#"
 int seed = 0;
 long mk(int n) {
@@ -914,10 +914,13 @@ int run(long fp) {
 
 #[test]
 fn evicted_code_faults_stale_with_warm_translation_cache() {
+    // A one-session pool: its budget retires artifacts, and the
+    // session frees its copy at its next call.
+    let shared = tickc::tickc_core::SharedArtifacts::with_budget(256);
     let mut s = Session::new(
         EVICT_SRC,
         Config {
-            code_budget: Some(256),
+            shared: Some(std::sync::Arc::clone(&shared)),
             ..Config::default()
         },
     )
@@ -936,13 +939,14 @@ fn evicted_code_faults_stale_with_warm_translation_cache() {
         s.metrics().adaptive.promotions >= 1,
         "repeat runs promoted a function"
     );
-    // Distinct closures until budget pressure evicts the LRU entry —
-    // which is fp1: inserted earliest, never looked up again (`run`
-    // executes it but does not touch the compile cache). Probe
-    // immediately, while its range is still on the free list; the
-    // warm translation must not mask the fault.
+    // Distinct closures until the pool evicts fp1: published earliest,
+    // never asked for again (`run` executes it but does not touch the
+    // compile cache), so its referenced bit is clear when the hand
+    // reaches it. The probe's own call frees it at its sync and runs
+    // it with the range still on the free list; the warm translation
+    // must not mask the fault.
     let mut n = 2u64;
-    while s.metrics().cache.evictions == 0 {
+    while shared.metrics().evictions == 0 {
         s.call("mk", &[n]).expect("later compile");
         n += 1;
         assert!(n < 1000, "budget never forced an eviction");

@@ -158,61 +158,26 @@ long make(int n) {
 "#;
 
 #[test]
-fn pinned_code_is_never_evicted() {
-    // Budget fits roughly one generated function, so every further
-    // distinct compile wants to evict the LRU entry — which is pinned.
-    let mut s = Session::new(
-        MAKE,
-        Config {
-            code_budget: Some(256),
-            ..Config::default()
-        },
-    )
-    .expect("compiles");
-    let keep = s.call("make", &[1]).unwrap();
-    assert!(s.pin_code(keep), "freshly cached entry must be pinnable");
-    for n in 2..40u64 {
-        s.call("make", &[n]).unwrap();
-    }
-    // Pressure evicted others, never the pinned entry.
-    assert!(s.metrics().cache.evictions > 0, "no eviction pressure");
-    assert_eq!(s.call_addr(keep, &[]).unwrap(), 7, "pinned code died");
-    // Releasing the pin puts it back on the menu: it is the
-    // least-recently-used entry, so the very next insert reclaims it.
-    // (Probe before a further compile reuses the freed range — after
-    // that, the address may alias fresh code; that is exactly why
-    // handed-out pointers are pinned.)
-    assert!(s.unpin_code(keep));
-    let evictions = s.metrics().cache.evictions;
-    s.call("make", &[1000]).unwrap();
-    assert_eq!(s.metrics().cache.evictions, evictions + 1);
-    let err = s.call_addr(keep, &[]).unwrap_err();
-    assert!(
-        matches!(err, tickc::tickc_core::Error::Vm(VmError::StaleCode(_))),
-        "{err}"
-    );
-}
-
-#[test]
 fn budget_smaller_than_one_function_still_compiles() {
-    // A budget no function fits into cannot cache anything — but it
-    // must never refuse the compile itself.
+    // A pool budget no function fits into cannot keep anything — but
+    // it must never refuse the compile itself.
+    let shared = tickc::tickc_core::SharedArtifacts::with_budget(8);
     let mut s = Session::new(
         MAKE,
         Config {
-            code_budget: Some(8),
+            shared: Some(std::sync::Arc::clone(&shared)),
             ..Config::default()
         },
     )
     .expect("compiles");
     let a = s.call("make", &[5]).unwrap();
-    let b = s.call("make", &[5]).unwrap();
+    let b = s.call("make", &[6]).unwrap();
     assert_eq!(s.call_addr(a, &[]).unwrap(), 19);
-    assert_eq!(s.call_addr(b, &[]).unwrap(), 19);
-    let m = s.metrics().cache;
-    assert_eq!(m.hits, 0, "nothing fits, nothing can hit");
-    assert!(m.uncacheable >= 2, "oversized compiles must be counted");
-    assert_eq!(m.bytes_live, 0);
+    assert_eq!(s.call_addr(b, &[]).unwrap(), 22);
+    let m = shared.metrics();
+    assert_eq!(m.uncacheable, 2, "oversized artifacts must be counted");
+    assert_eq!((m.entries, m.bytes_live), (0, 0), "nothing fits");
+    assert_eq!(s.dyn_stats().compiles, 2);
 }
 
 proptest::proptest! {
