@@ -18,8 +18,11 @@
 #      crates/tickc/src but the test-only oracle imports anything from
 #      tcc_front::ast beyond the operator enums
 #   3. every `pub` field of `pub struct Config` (crates/tickc/src/api.rs)
-#      has a row in DESIGN.md's knob census, naming `Config::<field>` in
-#      its first column
+#      and every variant of `pub enum ExecEngine`
+#      (crates/vm/src/predecode.rs) and `pub enum Backend`
+#      (crates/tickc/src/runtime.rs) has a row in DESIGN.md's knob
+#      census, naming `Config::<field>`, `ExecEngine::<Variant>` or
+#      `Backend::<Variant>` in its first column
 #   4. cargo clippy, warnings are errors
 #   5. cargo build --release (tier-1)
 #   6. cargo test --workspace
@@ -59,7 +62,7 @@ if [ -n "$ast_readers" ]; then
     exit 1
 fi
 
-echo "== every Config field has a knob-census row =="
+echo "== every Config field and engine/back-end variant has a knob-census row =="
 config_fields=$(sed -n '/^pub struct Config {/,/^}/p' crates/tickc/src/api.rs |
     sed -n 's/^    pub \([a-z_][a-z0-9_]*\):.*/\1/p')
 if [ -z "$config_fields" ]; then
@@ -73,6 +76,24 @@ for field in $config_fields; do
 done
 if [ -n "$uncounted" ]; then
     echo "Config fields with no \`Config::<field>\` row in DESIGN.md's knob census:$uncounted"
+    exit 1
+fi
+for spec in ExecEngine:crates/vm/src/predecode.rs Backend:crates/tickc/src/runtime.rs; do
+    enum=${spec%%:*}
+    file=${spec#*:}
+    variants=$(sed -n "/^pub enum $enum {/,/^}/p" "$file" |
+        sed -n 's/^    \([A-Z][A-Za-z0-9_]*\).*/\1/p')
+    if [ -z "$variants" ]; then
+        echo "found no variant of pub enum $enum in $file"
+        exit 1
+    fi
+    for variant in $variants; do
+        grep -qE '^\| [^|]*`'"$enum::$variant"'[^A-Za-z0-9_]' DESIGN.md ||
+            uncounted="$uncounted $enum::$variant"
+    done
+done
+if [ -n "$uncounted" ]; then
+    echo "variants with no row naming them in DESIGN.md's knob census:$uncounted"
     exit 1
 fi
 

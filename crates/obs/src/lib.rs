@@ -567,49 +567,50 @@ impl ExecMetrics {
 
 /// Adaptive-engine tiering counters reported by the VM: where function
 /// runs executed (per tier), how functions moved between tiers, and
-/// what translation cost the tiering spent vs avoided.
+/// what translation cost the tiering spent.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct AdaptiveMetrics {
     /// Function entries counted, across all tiers. Equals
     /// `runs_tier0 + runs_tier1 + runs_tier2` (a tested invariant).
     pub total_runs: u64,
-    /// Entries that *started* at tier 0 (decode-per-step). The
-    /// `runs_tier*` counters classify entries by the tier granted at
-    /// entry — a run that promotes mid-way counts wholly at its entry
-    /// tier; `insns_tier*` say where the work ran.
+    /// Entries that ran on the reference single-step path: into a
+    /// function whose decode was refused (a cost of the VM's model does
+    /// not fit a slot). There is no interpreter tier, so this reads 0
+    /// on every suite and benchmark workload. The `runs_tier*`
+    /// counters classify entries by the tier granted at entry — a run
+    /// that promotes mid-way counts wholly at its entry tier;
+    /// `insns_tier*` say where the work ran.
     pub runs_tier0: u64,
-    /// Entries that started at tier 1 (predecoded+fused).
+    /// Entries that started at tier 1 (predecoded+fused), where every
+    /// function's first entry starts.
     pub runs_tier1: u64,
     /// Entries that started at tier 2 (direct-threaded).
     pub runs_tier2: u64,
-    /// Instructions retired by the reference single-step path
-    /// (tier 0). Exact; the three `insns_tier*` counters sum to the
-    /// instructions the VM has retired.
+    /// Instructions retired by the reference single-step path: refused
+    /// functions, and every instruction under
+    /// `ExecEngine::DecodePerStep`. Exact; the three `insns_tier*`
+    /// counters sum to the instructions the VM has retired.
     pub insns_tier0: u64,
     /// Instructions retired from predecoded buffers (tier 1).
     pub insns_tier1: u64,
     /// Instructions retired from direct-threaded buffers (tier 2).
     pub insns_tier2: u64,
-    /// Tier levels gained, cumulative (a 0→2 jump counts 2). Always
+    /// Promotions from tier 1 to tier 2, cumulative. Always
     /// `>= demotions` — a level can only be lost after it was gained.
     pub promotions: u64,
-    /// Tier levels actually lost, cumulative: the tiers of functions
-    /// that were themselves freed or patched (or, after an
-    /// invalidation-ring wrap, of every function).
+    /// Tier levels actually lost, cumulative: one per tier-2 function
+    /// that was itself freed or patched (or, after an
+    /// invalidation-ring wrap, per tier-2 function).
     pub demotions: u64,
-    /// Wall-clock nanoseconds spent translating promoted functions,
-    /// under the adaptive engine only.
+    /// Wall-clock nanoseconds spent building translations, under the
+    /// adaptive engine only: first-entry decodes and threaded forms.
     pub translation_ns: u64,
-    /// Estimated nanoseconds of translation avoided for functions that
-    /// ran but were never promoted (priced at the session's observed
-    /// ns/word; 0 until something has been translated).
-    pub translation_ns_saved: u64,
-    /// Code words translated under the adaptive engine — with
-    /// `translation_ns`, the price signal behind
-    /// `translation_ns_saved`.
+    /// Code words translated under the adaptive engine (a function
+    /// counts once per form built for it; a preseeded array counts
+    /// none).
     pub translated_words: u64,
-    /// Translations built on the background service and swapped in at
-    /// a function entry or clock tick (background mode only; inline
+    /// Threaded forms built on the background service and swapped in
+    /// at a function entry or clock tick (background mode only; inline
     /// builds are not counted here).
     pub async_translations: u64,
     /// Background translations discarded on receipt because their
@@ -623,22 +624,8 @@ pub struct AdaptiveMetrics {
 }
 
 impl AdaptiveMetrics {
-    /// Fraction of function entries that *started* on a translated
-    /// tier (a run promoted mid-way still counts at its entry tier, so
-    /// this under-reads loop-heavy code — see
-    /// [`AdaptiveMetrics::top_tier_insn_share`] for where the work
-    /// ran). `0.0` when nothing has run (same rule as the other hit
-    /// rates).
-    pub fn promoted_run_rate(&self) -> f64 {
-        if self.total_runs == 0 {
-            0.0
-        } else {
-            (self.runs_tier1 + self.runs_tier2) as f64 / self.total_runs as f64
-        }
-    }
-
     /// Fraction of retired instructions that ran at tier 2 — the
-    /// "stuck one tier short" detector `promoted_run_rate` cannot be.
+    /// "stuck one tier short" detector, which an entry count cannot be.
     /// `0.0` when nothing has retired.
     pub fn top_tier_insn_share(&self) -> f64 {
         let total = self.insns_tier0 + self.insns_tier1 + self.insns_tier2;
@@ -662,15 +649,10 @@ impl AdaptiveMetrics {
             ("promotions", Json::from(self.promotions)),
             ("demotions", Json::from(self.demotions)),
             ("translation_ns", Json::from(self.translation_ns)),
-            (
-                "translation_ns_saved",
-                Json::from(self.translation_ns_saved),
-            ),
             ("translated_words", Json::from(self.translated_words)),
             ("async_translations", Json::from(self.async_translations)),
             ("discarded_stale", Json::from(self.discarded_stale)),
             ("swap_latency_ns", Json::from(self.swap_latency_ns)),
-            ("promoted_run_rate", Json::from(self.promoted_run_rate())),
             (
                 "top_tier_insn_share",
                 Json::from(self.top_tier_insn_share()),
@@ -768,7 +750,7 @@ mod tests {
         assert_eq!(ExecMetrics::default().hit_rate(), 0.0);
         assert_eq!(SharedCacheMetrics::default().hit_rate(), 0.0);
         assert_eq!(PersistMetrics::default().disk_hit_rate(), 0.0);
-        assert_eq!(AdaptiveMetrics::default().promoted_run_rate(), 0.0);
+        assert_eq!(AdaptiveMetrics::default().top_tier_insn_share(), 0.0);
         // The whole default-session JSON tree must be NaN-free (NaN
         // would serialize as a bare `NaN`, which is not valid JSON).
         let text = SessionMetrics::default().to_json().to_string();
@@ -894,9 +876,8 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_promoted_run_rate_guards_zero() {
+    fn adaptive_top_tier_insn_share_guards_zero() {
         let m = AdaptiveMetrics::default();
-        assert_eq!(m.promoted_run_rate(), 0.0);
         assert_eq!(m.top_tier_insn_share(), 0.0);
         let m = AdaptiveMetrics {
             total_runs: 4,
@@ -908,7 +889,6 @@ mod tests {
             insns_tier2: 120,
             ..Default::default()
         };
-        assert_eq!(m.promoted_run_rate(), 0.75);
         assert_eq!(m.top_tier_insn_share(), 0.75);
         let text = m.to_json().to_string();
         for key in [
@@ -922,7 +902,6 @@ mod tests {
             "promotions",
             "demotions",
             "translation_ns",
-            "translation_ns_saved",
             "async_translations",
             "discarded_stale",
             "swap_latency_ns",
@@ -954,7 +933,7 @@ mod tests {
             "dispatch_hit_rate",
             "adaptive",
             "promotions",
-            "promoted_run_rate",
+            "top_tier_insn_share",
             "cache",
             "hit_rate",
             "persist",

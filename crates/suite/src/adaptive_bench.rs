@@ -2,13 +2,15 @@
 //! a function of reuse count.
 //!
 //! The fixed engines bake in a bet: decode-per-step pays nothing up
-//! front and the most per instruction; the threaded engine pays a full
-//! translation before the first instruction retires. Which bet wins
-//! depends on how often the function runs — exactly the paper's
-//! break-even economics, applied to the VM's own translation layer.
-//! The adaptive engine is supposed to get (close to) the best of both
-//! by starting cold and climbing tiers per function as run counts
-//! cross its thresholds. This experiment sweeps the reuse count like
+//! front and the most per instruction; the fused engine pays one
+//! decoding pass; the threaded engine pays a handler pass on top
+//! before the first instruction retires. Which bet wins depends on how
+//! often the function runs — exactly the paper's break-even economics,
+//! applied to the VM's own translation layer. The adaptive engine is
+//! supposed to get (close to) the best of the translated two by
+//! running every function fused from its first entry and promoting it
+//! to threaded once its run count crosses the threshold. This
+//! experiment sweeps the reuse count like
 //! `cache_bench` does: each timed region starts from a cold
 //! translation cache (`set_engine` drops translations and tier state)
 //! and executes the kernel `reuse` times, so the row captures the full
@@ -19,7 +21,7 @@
 //! equivalence assert inside `compare` is the only thing in it that
 //! can fail. Emitted as `BENCH_adaptive.json` by the suite binary; the
 //! committed copy under `baselines/` is the record of the calibration
-//! used to pick the default thresholds (DESIGN.md §12).
+//! used to pick the default threshold (DESIGN.md §12).
 
 use std::sync::OnceLock;
 use std::time::Instant;
@@ -52,8 +54,9 @@ const STRAIGHT_STMTS: usize = 400;
 const TARGET_NS: u64 = 40_000_000;
 
 /// The engines compared per cell. The adaptive engine runs with its
-/// shipping defaults (`ExecEngine::default()`); `adaptive-bg` is the
-/// same thresholds with translation handed to the background worker.
+/// shipping default (`ExecEngine::default()`); `adaptive-bg` is the
+/// same threshold with the threaded build handed to the background
+/// worker.
 const ENGINES: [(&str, ExecEngine); 5] = [
     ("decode", ExecEngine::DecodePerStep),
     ("fused", ExecEngine::Predecoded { fuse: true }),
@@ -61,7 +64,6 @@ const ENGINES: [(&str, ExecEngine); 5] = [
     (
         "adaptive",
         ExecEngine::Adaptive {
-            fuse_after: tcc::DEFAULT_FUSE_AFTER,
             thread_after: tcc::DEFAULT_THREAD_AFTER,
             background: false,
         },
@@ -69,7 +71,6 @@ const ENGINES: [(&str, ExecEngine); 5] = [
     (
         "adaptive-bg",
         ExecEngine::Adaptive {
-            fuse_after: tcc::DEFAULT_FUSE_AFTER,
             thread_after: tcc::DEFAULT_THREAD_AFTER,
             background: true,
         },
@@ -92,7 +93,7 @@ pub struct AdaptiveBenchRow {
     pub fused_ns: u64,
     /// Fastest cold start, ns: direct-threaded.
     pub threaded_ns: u64,
-    /// Fastest cold start, ns: adaptive tiering, default thresholds.
+    /// Fastest cold start, ns: adaptive tiering, default threshold.
     pub adaptive_ns: u64,
     /// Fastest cold start, ns: adaptive with the background worker.
     pub adaptive_bg_ns: u64,
@@ -129,8 +130,8 @@ impl AdaptiveBenchRow {
         .top_tier_insn_share()
     }
 
-    /// Adaptive speedup over always-threaded (> 1.0 means the lazy
-    /// start won; expected at reuse 1 on straight-line code).
+    /// Adaptive speedup over always-threaded (> 1.0 means deferring the
+    /// handler pass won; expected below `thread_after` runs).
     pub fn speedup_vs_threaded(&self) -> f64 {
         self.threaded_ns as f64 / self.adaptive_ns.max(1) as f64
     }
@@ -236,7 +237,7 @@ struct Timed {
 /// `set_engine` before every timed region drops the translation cache
 /// *and* the adaptive tier state, so each rep pays the engine's full
 /// translate+run cost from scratch — the quantity the tiering
-/// thresholds trade off. The clock is read at the two ends of a rep and
+/// threshold trades off. The clock is read at the two ends of a rep and
 /// nowhere inside it.
 fn drive(b: &BenchDef, engine: ExecEngine, reuse: u64, reps: u64) -> Timed {
     let mut s = Session::new(b.src, Config::default()).expect("benchmark source compiles");
@@ -408,12 +409,13 @@ mod tests {
     #[test]
     fn engines_agree_and_adaptive_promotes_within_a_cell() {
         // One cell end-to-end: compare() panics on any checksum or
-        // counter divergence. Four runs with default thresholds cross
-        // the fuse boundary, so the adaptive engine must promote.
+        // counter divergence. Nine runs cross the default threshold, so
+        // the adaptive engine must promote; it single-steps nothing.
         let b = straight_def();
-        let row = compare(&b, 4, 2);
-        assert_eq!((row.kernel, row.reuse, row.reps), ("straight", 4, 2));
-        assert!(row.promotions > 0, "no promotions at reuse 4: {row:?}");
+        let row = compare(&b, 9, 2);
+        assert_eq!((row.kernel, row.reuse, row.reps), ("straight", 9, 2));
+        assert!(row.promotions > 0, "no promotions at reuse 9: {row:?}");
+        assert_eq!(row.insns_tier[0], 0, "{row:?}");
     }
 
     #[test]
@@ -427,8 +429,8 @@ mod tests {
     #[test]
     fn a_long_loop_reaches_the_top_tier_inside_its_first_run() {
         // The cell the short kernels never showed: one cold run of a
-        // long-loop kernel. The loop's own iterations carry it through
-        // both thresholds, so most of the run retires threaded.
+        // long-loop kernel. The loop's own iterations carry it past the
+        // threshold, so most of the run retires threaded.
         let all = benchmarks(BLUR_SMALL);
         let b = all.iter().find(|b| b.name == "heap").unwrap();
         let row = compare(b, 1, 2);

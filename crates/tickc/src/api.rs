@@ -69,21 +69,21 @@ pub struct Config {
     pub cache: bool,
     /// The execution engine. `None` = adaptive per-function tiering
     /// ([`ExecEngine::Adaptive`] with the calibrated
-    /// [`DEFAULT_FUSE_AFTER`](tcc_vm::DEFAULT_FUSE_AFTER) /
     /// [`DEFAULT_THREAD_AFTER`](tcc_vm::DEFAULT_THREAD_AFTER)
-    /// thresholds and `adaptive_background`). An explicit engine wins:
+    /// threshold and `adaptive_background`). An explicit engine wins:
     /// use it to pin the reference interpreter
     /// ([`ExecEngine::DecodePerStep`]) or a fixed translated engine
     /// (predecoded fused/unfused, threaded) for comparisons, or
-    /// adaptive tiering under other thresholds. Every engine is
+    /// adaptive tiering under another threshold. Every engine is
     /// observationally identical to decode-per-step.
     pub engine: Option<ExecEngine>,
-    /// Default (`engine: None`) adaptive tiering only: build promoted
-    /// functions' translations on a background thread instead of
-    /// inline, swapping them in at a later function entry (and
-    /// discarding one whose function was freed or patched first). Takes
-    /// translation off the promoting run's critical path; off by
-    /// default.
+    /// Default (`engine: None`) adaptive tiering only: build the
+    /// threaded form of a promoted function on a background thread
+    /// instead of inline, swapping it in at a later function entry or
+    /// clock tick (and discarding one whose function was freed or
+    /// patched first). Only that build moves off-thread: a function's
+    /// first entry still decodes it inline, and it runs fused until the
+    /// swap. Off by default.
     pub adaptive_background: bool,
     /// Run the ICODE fusion-aware scheduler (sinks pure defs next to
     /// branches/consumers so superinstruction pairing finds more
@@ -302,7 +302,6 @@ impl Session {
         let mut vm = Vm::from_parts(code, mem, rt);
         vm.set_cost_model(config.cost);
         vm.set_engine(config.engine.unwrap_or(ExecEngine::Adaptive {
-            fuse_after: tcc_vm::DEFAULT_FUSE_AFTER,
             thread_after: tcc_vm::DEFAULT_THREAD_AFTER,
             background: config.adaptive_background,
         }));
@@ -351,7 +350,7 @@ impl Session {
 
     /// Seeds translations carried by shared artifacts installed during
     /// the last call into the VM's per-function translation cache, so
-    /// promoted functions skip the local decode pass.
+    /// their first entry runs fused without a local decode pass.
     fn drain_preseeds(&mut self) {
         let pending = self.vm.host_mut().take_pending_preseeds();
         for (addr, tr) in pending {

@@ -68,8 +68,7 @@ pub use tcc_obs::{
     StaticMetrics, VmMetrics,
 };
 pub use tcc_vm::{
-    AdaptiveStats, ExecEngine, ExecStats, Tier, TransHub, VmError, DEFAULT_FUSE_AFTER,
-    DEFAULT_THREAD_AFTER,
+    AdaptiveStats, ExecEngine, ExecStats, Tier, TransHub, VmError, DEFAULT_THREAD_AFTER,
 };
 
 #[cfg(test)]

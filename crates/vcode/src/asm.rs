@@ -9,7 +9,7 @@
 //! large immediates, long memory offsets, strength-reduced multiplies.
 
 use tcc_rt::ValKind;
-use tcc_vm::isa::{fits_imm14, IMM14_MAX, IMM14_MIN};
+use tcc_vm::isa::{fits_imm14, IMM14_MAX, IMM14_MIN, IMM24_MAX, IMM24_MIN};
 use tcc_vm::regs::{AT0, AT1, RA, ZERO};
 use tcc_vm::{CodeSpace, FReg, FuncHandle, Insn, Op, Reg, CODE_BASE};
 
@@ -19,6 +19,11 @@ pub struct Label(usize);
 
 /// End of a label's forward-reference chain.
 const NO_REF: u32 = u32::MAX;
+
+/// Whether a word displacement fits the 24-bit field of `j`/`jal`.
+fn fits_imm24(off: i64) -> bool {
+    (i64::from(IMM24_MIN)..=i64::from(IMM24_MAX)).contains(&off)
+}
 
 #[derive(Clone, Copy, Debug)]
 struct LabelInfo {
@@ -167,7 +172,8 @@ impl<'a> Asm<'a> {
             let mut insn = Insn::decode(word).expect("own code decodes");
             let off = at as i64 - (r as i64 + 1);
             if insn.op == Op::J || insn.op == Op::Jal {
-                insn.imm = i32::try_from(off).expect("jump offset overflows imm24");
+                assert!(fits_imm24(off), "jump offset {off} overflows imm24");
+                insn.imm = off as i32;
             } else {
                 assert!(
                     (IMM14_MIN as i64..=IMM14_MAX as i64).contains(&off),
@@ -183,7 +189,8 @@ impl<'a> Asm<'a> {
         match self.labels[label.0].bound {
             Some(b) => {
                 let off = b as i64 - (at as i64 + 1);
-                i32::try_from(off).expect("offset overflow")
+                assert!(fits_imm24(off), "label offset {off} overflows imm24");
+                off as i32
             }
             None => {
                 let info = &mut self.labels[label.0];
@@ -200,6 +207,10 @@ impl<'a> Asm<'a> {
         debug_assert!(op.is_branch());
         let at = self.here();
         let imm = self.label_ref(label, at);
+        assert!(
+            fits_imm14(imm.into()),
+            "branch offset {imm} overflows imm14"
+        );
         self.emit(Insn {
             op,
             rd: a.0,
@@ -222,19 +233,21 @@ impl<'a> Asm<'a> {
         });
     }
 
-    /// Direct call to an absolute code address (`jal` with a relative
-    /// offset).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the displacement overflows the 24-bit jump field.
+    /// Direct call to an absolute code address: `jal` with a relative
+    /// offset when the 24-bit jump field reaches the target, otherwise
+    /// the address loaded into the emitter scratch `at0` and called
+    /// through `jalr`.
     pub fn call_addr(&mut self, target: u64) {
         debug_assert!(target >= CODE_BASE && target.is_multiple_of(4));
         let at = self.here() as i64;
         let target_word = ((target - CODE_BASE) / 4) as i64;
         let off = target_word - (at + 1);
-        let imm = i32::try_from(off).expect("call displacement overflow");
-        self.emit(Insn::j(Op::Jal, imm));
+        if fits_imm24(off) {
+            self.emit(Insn::j(Op::Jal, off as i32));
+        } else {
+            self.li(AT0, target as i64);
+            self.call_reg(AT0);
+        }
     }
 
     /// Indirect call through a register.

@@ -1,53 +1,59 @@
 //! The adaptive execution engine: count-triggered per-function tiering.
 //!
-//! The fixed engines trade translation cost against dispatch speed: the
-//! reference interpreter ([`ExecEngine::DecodePerStep`]) pays nothing
-//! up front and the most per instruction, the predecoded+fused engine
-//! pays one decoding pass per function, and the direct-threaded engine
-//! pays the most translation (handler selection, block summaries) for
-//! the fastest dispatch. Which trade wins depends on how often a
-//! function runs — the paper's Figure 5 crossover, recreated at the
-//! execution layer. [`ExecEngine::Adaptive`] makes the choice per
-//! function at run time:
+//! The translated engines trade translation cost against dispatch
+//! speed: the predecoded+fused engine pays one decoding pass per
+//! function, and the direct-threaded engine adds a handler column (and
+//! block summaries) over that array for the fastest dispatch. Which
+//! trade wins depends on how often a function runs — the paper's
+//! Figure 5 crossover, recreated at the execution layer.
+//! [`ExecEngine::Adaptive`] makes the choice per function at run time.
+//! Like tcc's generated code, a function runs translated from its
+//! first call: its first entry gives it a decoded array, built inline
+//! or taken from the pool's preseed, and one threshold promotes it to
+//! the threaded form:
 //!
 //! ```text
-//!           clock >= fuse_after       clock >= thread_after
-//!   tier 0 ─────────────────▶ tier 1 ─────────────────▶ tier 2
-//!   decode-per-step          predecoded+fused          threaded
-//!   clock: entries +         clock: entries +          (top tier:
-//!   backedges, per step      backedges, at the         nothing left
-//!      ▲                     dispatcher's safepoint    to count for)
-//!      │                        │                         │
-//!      └────────────────────────┴─────────────────────────┘
-//!          the function itself freed or patched (its range is in
-//!          the code space's invalidation log): its record is retired,
-//!          translation + clock dropped; if the words are still (or
-//!          again) live code, the next entry starts over at tier 0
+//!   first entry          clock >= thread_after
+//!   ──────────▶ tier 1 ───────────────────────▶ tier 2
+//!               predecoded+fused                threaded
+//!               clock: entries + backedges,     (top tier: nothing
+//!               at the dispatcher's safepoint   left to count for)
+//!                  ▲                               │
+//!                  └───────────────────────────────┘
+//!      the function itself freed or patched (its range is in the code
+//!      space's invalidation log): its record is retired, translation +
+//!      clock dropped; if the words are still (or again) live code, the
+//!      next entry decodes them afresh and starts over at tier 1
 //! ```
 //!
-//! There is one promotion clock per function, in one unit, read at
-//! every tier below the top. A "run" is one entry of control into the
-//! function's live range from outside it (the invocation counter of a
-//! classic tiered JIT): calls, returns into a caller, and
-//! cross-function jumps all count; internal loops do not. The clock
-//! additionally earns one run per `2^BACKEDGES_PER_RUN_BITS` backward
-//! transfers taken inside the range (the backedge counter of a classic
-//! tiered JIT) — observed step by step at tier 0, and at tier 1 by the
+//! There is no interpreter tier. The run loop single-steps the
+//! reference path ([`ExecEngine::DecodePerStep`]'s) only where there is
+//! nothing to dispatch through: a pc outside live code, which then
+//! faults exactly as the reference engine does, and a function whose
+//! decode was refused (a cost of the VM's model does not fit a slot).
+//!
+//! There is one promotion clock per function, in one unit. A "run" is
+//! one entry of control into the function's live range from outside it
+//! (the invocation counter of a classic tiered JIT): calls, returns
+//! into a caller, and cross-function jumps all count; internal loops do
+//! not. The clock additionally earns one run per
+//! `2^BACKEDGES_PER_RUN_BITS` backward transfers taken inside the range
+//! (the backedge counter of a classic tiered JIT), observed by the
 //! decoded dispatcher's backedge safepoint
-//! ([`Vm::dispatch`](crate::interp::Vm)), which is handed the
-//! backedges still missing to the next threshold and leaves the buffer
-//! at the transfer that spends the last one. Heat is therefore counted
-//! where the time goes: a function that loops for a million
-//! instructions reaches the threaded tier inside its first run instead
-//! of idling one tier short until its *entry* count catches up.
-//! Promotion is evaluated at entry against the clock *before* that
-//! entry, and at every clock tick; it is monotone per function — a
-//! function only moves up tiers until it is itself freed or patched.
+//! ([`Vm::dispatch`](crate::interp::Vm)), which is handed the backedges
+//! still missing to the threshold and leaves the buffer at the transfer
+//! that spends the last one. Heat is therefore counted where the time
+//! goes: a function that loops for a million instructions reaches the
+//! threaded tier inside its first run instead of idling one tier short
+//! until its *entry* count catches up. Promotion is evaluated at entry
+//! against the clock *before* that entry, and at every clock tick; it
+//! is monotone per function — a function only moves up until it is
+//! itself freed or patched.
 //!
 //! # Equivalence contract
 //!
-//! The adaptive engine composes the existing dispatchers and falls back
-//! to the same reference single-step path, so it inherits the
+//! The adaptive engine composes the fixed engines' dispatchers and the
+//! reference single-step path, so it inherits the
 //! observational-equivalence contract: identical result values,
 //! `cycles`, `insns`, exit status, and error at the same instruction
 //! (including [`VmError::OutOfFuel`] under any fuel budget), before,
@@ -67,10 +73,10 @@
 //! since the last look — a function freed directly or by `tcc-cache`
 //! eviction, or the function around a patched live word — that
 //! function's tier record is retired and its translation dropped with
-//! it (its tier counted into `demotions`); every other function keeps its
-//! translation, tier and run count. Only a cache more than
+//! it (a lost tier 2 counted into `demotions`); every other function
+//! keeps its translation, tier and run count. Only a cache more than
 //! [`INVALIDATION_RING`](crate::code::INVALIDATION_RING) bumps behind
-//! demotes everything. The run loop forgets its memoized functions on
+//! drops everything. The run loop forgets its memoized functions on
 //! any epoch change and re-resolves the current pc — one `tier_idx`
 //! load for a survivor — so stale pcs fault [`VmError::StaleCode`] /
 //! [`VmError::BadPc`] from the exact same reference path as every
@@ -78,25 +84,24 @@
 //!
 //! # Off-thread translation
 //!
-//! With `ExecEngine::Adaptive { background: true, .. }` a promotion no
-//! longer builds its translation inline — the promoting run would stall
-//! for exactly the latency the tiering exists to hide. Instead the
-//! engine submits a translation request (what to build from, target
-//! tier, the serial of the tier record asking) to the one background
-//! service there is, a [`TransHub`]: the hub the VM was subscribed to
-//! ([`Vm::set_translation_hub`](crate::interp::Vm), one thread for a
-//! whole pool), or failing that a private one, spawned lazily and owned
-//! by the translation cache. A request builds from the decoded array
-//! the record already holds when it holds one — a 1→2 promotion ships
-//! an `Arc`, not a copy of the words — and from a snapshot of the
-//! function's sealed words otherwise. The run loop keeps executing at
-//! the function's current tier; finished translations are drained at
-//! function-entry points and at the running function's clock ticks
-//! (tier 0 and tier 1 alike, so a loop granted a tier mid-run finishes
-//! the run on it) and swapped in — or **discarded** unless the
+//! With `ExecEngine::Adaptive { background: true, .. }` the threaded
+//! build leaves the run loop — the promoting run would otherwise stall
+//! for the latency the tiering exists to hide. The decoded array a
+//! first entry needs is still built inline: it is what the function
+//! runs from, and it is the cheaper build. A 1→2 promotion submits a
+//! translation request (the record's decoded array — an `Arc`, not a
+//! copy — and the serial of the tier record asking) to the one
+//! background service there is, a [`TransHub`]: the hub the VM was
+//! subscribed to ([`Vm::set_translation_hub`](crate::interp::Vm), one
+//! thread for a whole pool), or failing that a private one, spawned
+//! lazily and owned by the translation cache. The hub adds the handler
+//! column over the shared array. The run loop keeps executing fused;
+//! finished translations are drained at function-entry points and at
+//! the running function's clock ticks (so a loop granted tier 2 mid-run
+//! finishes the run on it) and swapped in — or **discarded** unless the
 //! record that requested the build is still the live record at its
 //! start word. That per-function check is sufficient: a record is
-//! retired by exactly the events that make its snapshot wrong (the
+//! retired by exactly the events that make its array wrong (the
 //! function freed or patched, or the whole cache cleared), serials are
 //! never reused, and a *new* function sealed into the same words gets
 //! a new record with a new serial — so a translation of freed, patched
@@ -116,35 +121,26 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use crate::code::CODE_BASE;
-use crate::cost::CostModel;
 use crate::error::VmError;
 use crate::host::HostCall;
 use crate::interp::{ExitStatus, Step, Vm, RETURN_SENTINEL};
-use crate::predecode::{decode, form_over, Decoded, Translation};
+use crate::predecode::{form_over, Decoded, Translation};
 
 /// Counters for the adaptive engine: where entries landed and where
 /// instructions ran, how functions moved between tiers, and what
-/// translation cost was spent vs avoided. One type with the
-/// observability layer's.
+/// translation cost was spent. One type with the observability layer's.
 pub use tcc_obs::AdaptiveMetrics as AdaptiveStats;
 
-/// Default promotion threshold to tier 1 (predecoded+fused): completed
-/// runs after which one decoding pass has paid for itself. Calibrated
-/// by the `suite adaptive` reuse sweep (DESIGN.md §12 has the table of
-/// alternatives 2/8 was kept against).
-pub const DEFAULT_FUSE_AFTER: u32 = 2;
-
 /// Default promotion threshold to tier 2 (direct-threaded): completed
-/// runs after which the heavier handler-table translation has paid for
-/// itself. Calibrated by the `suite adaptive` reuse sweep.
+/// runs after which the handler-column translation has paid for itself.
+/// Calibrated by the `suite adaptive` reuse sweep (DESIGN.md §12).
 pub const DEFAULT_THREAD_AFTER: u32 = 8;
 
 /// Execution tier of one function under the adaptive engine.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Tier {
-    /// Decode-per-step: no translation cost.
-    Decode = 0,
-    /// Predecoded buffer with superinstruction fusion.
+    /// Predecoded buffer with superinstruction fusion: where every
+    /// function starts.
     Fused = 1,
     /// Direct-threaded dispatch with basic-block fuel batching.
     Threaded = 2,
@@ -163,7 +159,7 @@ pub(crate) const NO_TIER: u32 = u32::MAX;
 /// price. The weight is a power of two so a clock tick is a shift
 /// compare, and large enough that a short loop stays near its entry
 /// schedule (its backedges still accrue, across runs, so the entry
-/// thresholds are "no later than", not "exactly at").
+/// threshold is "no later than", not "exactly at").
 pub(crate) const BACKEDGES_PER_RUN_BITS: u32 = 6;
 
 /// Per-function state, indexed from `tier_idx` by any word of the
@@ -188,11 +184,12 @@ pub(crate) struct FnTier<H> {
     pub(crate) tier: Tier,
     /// Words in the function.
     pub(crate) words: u32,
-    /// Per target tier: a translation request for it is in flight on
-    /// the background service; suppresses duplicate enqueues.
-    pub(crate) pending: [bool; 3],
-    /// The function's one translation. In background mode it can trail
-    /// `tier` while the granted tier's build is in flight.
+    /// A threaded build for this record is in flight on the background
+    /// service; suppresses duplicate enqueues.
+    pub(crate) pending: bool,
+    /// The function's one translation: `None` until its first entry
+    /// (or a preseed) gives it one. In background mode it can trail
+    /// `tier` while the threaded build is in flight.
     pub(crate) tr: Translation<H>,
 }
 
@@ -205,11 +202,28 @@ impl<H> FnTier<H> {
         self.runs + (self.backedges >> BACKEDGES_PER_RUN_BITS)
     }
 
+    /// Grants tier 2 if the clock has reached `thread_after`. Returns
+    /// whether this call promoted the record.
+    #[inline]
+    fn promote(&mut self, thread_after: u32) -> bool {
+        let due = self.tier == Tier::Fused && self.effective_runs() >= u64::from(thread_after);
+        if due {
+            self.tier = Tier::Threaded;
+        }
+        due
+    }
+
+    /// Promotion levels the record holds — what retiring it loses.
+    #[inline]
+    pub(crate) fn levels(&self) -> u64 {
+        u64::from(self.tier == Tier::Threaded)
+    }
+
     /// Backward transfers a tier-1 dispatch may take before the clock
     /// needs reading again: those still missing to the tick that
-    /// reaches `thread_after`, or — with that tier already granted and
-    /// its build in flight — to the next tick, where the run loop polls
-    /// for it. Always at least 1.
+    /// reaches `thread_after`, or — with tier 2 already granted and its
+    /// build in flight — to the next tick, where the run loop polls for
+    /// it. Always at least 1.
     #[inline]
     fn backedge_budget(&self, thread_after: u32) -> u64 {
         let ticks = u64::from(thread_after)
@@ -230,16 +244,17 @@ impl<H> FnTier<H> {
         CODE_BASE + (self.start as u64) * 4
     }
 
-    /// A fresh tier-0 record for the live function `[start, end)`.
+    /// A fresh record for the live function `[start, end)`: tier 1,
+    /// nothing translated yet.
     pub(crate) fn new(serial: u64, start: usize, end: usize) -> FnTier<H> {
         FnTier {
             serial,
             start,
             runs: 0,
             backedges: 0,
-            tier: Tier::Decode,
+            tier: Tier::Fused,
             words: (end - start) as u32,
-            pending: [false; 3],
+            pending: false,
             tr: Translation::None,
         }
     }
@@ -249,37 +264,23 @@ impl<H> FnTier<H> {
     /// serial.
     pub(crate) fn retire(&mut self) {
         self.serial = 0;
-        self.tier = Tier::Decode;
+        self.tier = Tier::Fused;
         self.runs = 0;
         self.backedges = 0;
         self.tr = Translation::None;
     }
 }
 
-/// The tier a clock reading of `clock` completed runs has earned.
-#[inline]
-fn tier_for(clock: u64, fuse_after: u32, thread_after: u32) -> Tier {
-    if clock >= u64::from(thread_after) {
-        Tier::Threaded
-    } else if clock >= u64::from(fuse_after) {
-        Tier::Fused
-    } else {
-        Tier::Decode
-    }
-}
-
-/// A translation request handed to the background service: everything
-/// a build needs, captured at enqueue time so the hub thread never
-/// touches VM state. Host-independent — only the response is typed
-/// over `H`.
+/// A threaded build handed to the background service: everything it
+/// needs, captured at enqueue time so the hub thread never touches VM
+/// state. Host-independent — only the response is typed over `H`.
 pub(crate) struct TransRequest {
     /// Start word index of the function's live range: where the
     /// completion looks for the record that asked.
     start: usize,
-    /// What the build starts from.
-    source: Source,
-    /// Target tier ([`Tier::Fused`] or [`Tier::Threaded`]).
-    tier: Tier,
+    /// The decoded array the record holds: the hub adds the handler
+    /// column over the shared allocation.
+    decoded: Arc<Decoded>,
     /// [`FnTier::serial`] of the requesting record; the response is
     /// discarded unless that record is still live at `start`.
     serial: u64,
@@ -287,44 +288,28 @@ pub(crate) struct TransRequest {
     enqueued: Instant,
 }
 
-/// What a background build starts from.
-enum Source {
-    /// An owned snapshot of the range's sealed words, and the cost
-    /// model in force at enqueue: the record held no decoded array.
-    Words(Vec<u32>, CostModel),
-    /// The decoded array the record holds (a 1→2 promotion): the hub
-    /// adds the handler column over the shared allocation.
-    Decoded(Arc<Decoded>),
-}
-
 /// A finished background translation, stamped with the validity context
 /// it was built under.
 pub(crate) struct TransDone<H> {
     start: usize,
-    tier: Tier,
     serial: u64,
     /// Wall-clock build time on the hub thread (goes into
     /// [`AdaptiveStats::translation_ns`] when installed).
     build_ns: u64,
     enqueued: Instant,
-    /// The built form itself — a refusal when `decode` gave none.
+    /// The threaded form itself.
     payload: Translation<H>,
-    /// Superinstruction groups a tier-2 build compiled, for the install
-    /// to count.
+    /// Superinstruction groups the build compiled, for the install to
+    /// count.
     groups: Vec<u32>,
 }
 
-/// Builds the translation a request asks for, timing the build.
+/// Builds the threaded form a request asks for, timing the build.
 fn build_translation<H: HostCall>(req: TransRequest) -> TransDone<H> {
     let t0 = Instant::now();
-    let decoded = match req.source {
-        Source::Words(words, cost) => decode(&words, &cost).map(Arc::new),
-        Source::Decoded(decoded) => Some(decoded),
-    };
-    let (payload, groups) = form_over(decoded, req.tier);
+    let (payload, groups) = form_over(Some(req.decoded), Tier::Threaded);
     TransDone {
         start: req.start,
-        tier: req.tier,
         serial: req.serial,
         build_ns: t0.elapsed().as_nanos() as u64,
         enqueued: req.enqueued,
@@ -369,11 +354,12 @@ struct HubInner<H> {
     handle: Mutex<Option<thread::JoinHandle<()>>>,
 }
 
-/// One queued hub build: the request plus the requester's completion
-/// channel.
-struct HubJob<H> {
-    req: TransRequest,
-    reply: mpsc::Sender<TransDone<H>>,
+/// One queued hub job.
+enum HubJob<H> {
+    /// A build, and the requester's completion channel.
+    Build(TransRequest, mpsc::Sender<TransDone<H>>),
+    /// A marker: answered once every job queued before it has been.
+    Barrier(mpsc::Sender<()>),
 }
 
 impl<H: HostCall> TransHub<H> {
@@ -393,32 +379,25 @@ impl<H: HostCall> TransHub<H> {
     }
 
     /// Blocks until the hub has replied to every build queued before
-    /// this call (one FIFO thread: a marker job's reply is sent after
-    /// all of theirs). Test and benchmark hook, like
+    /// this call (one FIFO thread: a marker job is answered after all
+    /// of them). Test and benchmark hook, like
     /// [`Vm::drain_background_translations`]: it makes "the build has
     /// finished" a fact at a chosen point — a host call inside a loop,
     /// say — without receiving anything on any VM's behalf.
     pub fn barrier(&self) {
         let (tx, rx) = mpsc::channel();
-        let marker = TransRequest {
-            start: 0,
-            source: Source::Words(Vec::new(), CostModel::default()),
-            tier: Tier::Fused,
-            serial: 0,
-            enqueued: Instant::now(),
-        };
-        if self.submit(marker, tx) {
+        if self.submit(HubJob::Barrier(tx)) {
             let _ = rx.recv();
         }
     }
 
-    /// Queues a build; the completion lands on `reply`. `false` when
-    /// the hub thread is gone (the caller retries at a later promotion;
-    /// execution is correct at the current tier either way).
-    fn submit(&self, req: TransRequest, reply: mpsc::Sender<TransDone<H>>) -> bool {
+    /// Queues a job. `false` when the hub thread is gone (the caller
+    /// retries at a later promotion; execution is correct at the
+    /// current tier either way).
+    fn submit(&self, job: HubJob<H>) -> bool {
         let guard = self.inner.tx.lock().unwrap_or_else(|e| e.into_inner());
         match guard.as_ref() {
-            Some(tx) => tx.send(HubJob { req, reply }).is_ok(),
+            Some(tx) => tx.send(job).is_ok(),
             None => false,
         }
     }
@@ -451,7 +430,14 @@ impl<H> Drop for HubInner<H> {
 /// hub keeps serving everyone else.
 fn hub_loop<H: HostCall>(rx: &mpsc::Receiver<HubJob<H>>) {
     while let Ok(job) = rx.recv() {
-        let _ = job.reply.send(build_translation::<H>(job.req));
+        match job {
+            HubJob::Build(req, reply) => {
+                let _ = reply.send(build_translation::<H>(req));
+            }
+            HubJob::Barrier(reply) => {
+                let _ = reply.send(());
+            }
+        }
     }
 }
 
@@ -475,21 +461,6 @@ impl<H> HubClient<H> {
     }
 }
 
-/// Prices `cold_words` of never-translated code at the session's
-/// observed translation rate, entirely in integer arithmetic:
-/// `cold_words * translation_ns / translated_words`, computed in
-/// `u128` so the product cannot overflow and no f64 round-trip can
-/// corrupt large counters. With no price signal yet — nothing
-/// translated, or a cold sample whose measured duration was zero
-/// (`per_word == 0` on a coarse clock) — the estimate is `0`.
-pub(crate) fn saved_estimate(cold_words: u64, translation_ns: u64, translated_words: u64) -> u64 {
-    if translated_words == 0 || translation_ns == 0 {
-        return 0;
-    }
-    let scaled = u128::from(cold_words) * u128::from(translation_ns) / u128::from(translated_words);
-    u64::try_from(scaled).unwrap_or(u64::MAX)
-}
-
 /// A function the adaptive run loop is attributed to (or just left):
 /// absolute bounds, its tier record, and a handle on the record's
 /// translation, all memoized in the loop so steady-state dispatch
@@ -505,9 +476,9 @@ struct Active<H> {
     fi: u32,
     /// Tier [`Active::tr`] was fetched for; refreshed on promotion.
     tier: Tier,
-    /// What this function dispatches through. `None` covers tier 0 and
-    /// a granted tier whose build is still in flight — both single-step
-    /// on the reference path.
+    /// What this function dispatches through: the decoded array while
+    /// a granted tier 2 is still being built on the background service,
+    /// and a refusal single-steps on the reference path.
     tr: Translation<H>,
 }
 
@@ -517,18 +488,27 @@ impl<H> Active<H> {
     fn contains(&self, pc: u64) -> bool {
         pc >= self.lo && pc < self.hi && pc.is_multiple_of(4)
     }
+
+    /// The `runs_tier*` counter an entry into this function lands in:
+    /// the reference path's when its decode was refused, its tier's
+    /// otherwise.
+    fn runs_counter<'a>(&self, astats: &'a mut AdaptiveStats) -> &'a mut u64 {
+        match (&self.tr, self.tier) {
+            (Translation::None | Translation::Refused, _) => &mut astats.runs_tier0,
+            (_, Tier::Fused) => &mut astats.runs_tier1,
+            (_, Tier::Threaded) => &mut astats.runs_tier2,
+        }
+    }
 }
 
 impl<H: HostCall> Vm<H> {
     /// The adaptive engine's run loop. Structure matches `run_fixed` —
-    /// translated dispatch where the function's tier has a form,
-    /// reference-engine single steps otherwise — with tier selection at
-    /// each function entry and at each tick of the running function's
-    /// clock.
+    /// translated dispatch where the function has a form, reference
+    /// single steps otherwise — with tier selection at each function
+    /// entry and at each tick of the running function's clock.
     pub(crate) fn run_adaptive(
         &mut self,
         mut pc: u64,
-        fuse_after: u32,
         thread_after: u32,
         background: bool,
     ) -> Result<ExitStatus, VmError> {
@@ -568,7 +548,7 @@ impl<H: HostCall> Vm<H> {
                 if back {
                     std::mem::swap(&mut cur, &mut prev);
                     let c = cur.as_mut().expect("swapped from a hit");
-                    let tier = self.count_entry(c.fi, fuse_after, thread_after);
+                    let tier = self.count_entry(c.fi, thread_after);
                     if tier != c.tier || (background && !c.tr.serves(tier)) {
                         c.tier = tier;
                         c.tr = self.fetch_translation(c.fi, tier, background);
@@ -576,15 +556,18 @@ impl<H: HostCall> Vm<H> {
                 } else {
                     prev = std::mem::replace(
                         &mut cur,
-                        self.enter_function(pc, fuse_after, thread_after, background),
+                        self.enter_function(pc, thread_after, background),
                     );
+                }
+                if let Some(c) = &cur {
+                    *c.runs_counter(&mut self.trans.astats) += 1;
                 }
             }
             // `cur` is a loop local, so dispatching through its memoized
-            // translation borrows nothing from `self`. Below the top
-            // tier the step also reports the backward transfers it took
-            // inside the function — the hotspot clock's input: a loop
-            // iteration paid at less than full speed.
+            // translation borrows nothing from `self`. Tier 1 also
+            // reports the backward transfers it took inside the
+            // function — the hotspot clock's input: a loop iteration
+            // paid at less than full speed.
             let mut backedges = 0;
             let step = match cur {
                 Some(Active {
@@ -607,17 +590,12 @@ impl<H: HostCall> Vm<H> {
                     backedges = budget - left;
                     step
                 }
-                _ => {
-                    let step = self.step_reference(pc)?;
-                    if let (Some(a), &Step::At(next)) = (cur.as_ref(), &step) {
-                        backedges = u64::from(next <= pc && a.contains(next));
-                    }
-                    step
-                }
+                // Outside live code, or a refused function.
+                _ => self.step_reference(pc)?,
             };
             if backedges > 0 {
                 let a = cur.as_mut().expect("backedges stay inside a function");
-                self.note_backedges(a, backedges, fuse_after, thread_after, background);
+                self.note_backedges(a, backedges, thread_after, background);
             }
             match step {
                 Step::At(next) => pc = next,
@@ -627,19 +605,18 @@ impl<H: HostCall> Vm<H> {
     }
 
     /// Records one entry of control into the live function containing
-    /// `pc`, promoting it first if its clock has crossed a threshold.
+    /// `pc`, promoting it first if its clock has crossed the threshold.
     /// Returns the memoized function state, or `None` when `pc` is not
     /// inside live code (the slow path then raises the exact reference
     /// fault).
     fn enter_function(
         &mut self,
         pc: u64,
-        fuse_after: u32,
         thread_after: u32,
         background: bool,
     ) -> Option<Active<H>> {
         let fi = self.record_at(pc)?;
-        let tier = self.count_entry(fi, fuse_after, thread_after);
+        let tier = self.count_entry(fi, thread_after);
         let record = &self.trans.tier_fns[fi as usize];
         let lo = record.base();
         let hi = lo + u64::from(record.words) * 4;
@@ -654,30 +631,19 @@ impl<H: HostCall> Vm<H> {
     }
 
     /// Counts one entry of control into tier record `fi`, promoting the
-    /// function first if its clock has crossed a threshold. Returns the
-    /// tier this entry starts at. This is the whole per-transition cost
-    /// once a function is memoized.
+    /// function first if its clock has crossed the threshold. Returns
+    /// the tier this entry starts at. With the tier-run count that
+    /// follows, this is the whole per-transition cost once a function is
+    /// memoized.
     #[inline]
-    fn count_entry(&mut self, fi: u32, fuse_after: u32, thread_after: u32) -> Tier {
+    fn count_entry(&mut self, fi: u32, thread_after: u32) -> Tier {
         let entry = &mut self.trans.tier_fns[fi as usize];
-        let target = tier_for(entry.effective_runs(), fuse_after, thread_after);
-        let promoted = if target > entry.tier {
-            let levels = target as u64 - entry.tier as u64;
-            entry.tier = target;
-            levels
-        } else {
-            0
-        };
+        let promoted = entry.promote(thread_after);
         entry.runs += 1;
         let tier = entry.tier;
         let astats = &mut self.trans.astats;
-        astats.promotions += promoted;
+        astats.promotions += u64::from(promoted);
         astats.total_runs += 1;
-        match tier {
-            Tier::Decode => astats.runs_tier0 += 1,
-            Tier::Fused => astats.runs_tier1 += 1,
-            Tier::Threaded => astats.runs_tier2 += 1,
-        }
         tier
     }
 
@@ -689,7 +655,6 @@ impl<H: HostCall> Vm<H> {
         &mut self,
         a: &mut Active<H>,
         seen: u64,
-        fuse_after: u32,
         thread_after: u32,
         background: bool,
     ) {
@@ -697,31 +662,21 @@ impl<H: HostCall> Vm<H> {
         let ticks = entry.backedges >> BACKEDGES_PER_RUN_BITS;
         entry.backedges += seen;
         if entry.backedges >> BACKEDGES_PER_RUN_BITS != ticks {
-            self.clock_tick(a, fuse_after, thread_after, background);
+            self.clock_tick(a, thread_after, background);
         }
     }
 
     /// The clock of the running function `a` ticked: promote it in
-    /// place if that reached a threshold — the next loop iteration then
-    /// resumes mid-function through the new tier's dispatcher, the way
-    /// a return lands there. In background mode a granted tier whose
-    /// build is still in flight is polled for here, the mid-run swap
-    /// point: without it the pipeline would forfeit the whole remaining
-    /// run to the lower tier, *growing* the cold-run tail it exists to
-    /// cut.
-    fn clock_tick(
-        &mut self,
-        a: &mut Active<H>,
-        fuse_after: u32,
-        thread_after: u32,
-        background: bool,
-    ) {
-        let entry = &mut self.trans.tier_fns[a.fi as usize];
-        let target = tier_for(entry.effective_runs(), fuse_after, thread_after);
-        if target > entry.tier {
-            self.trans.astats.promotions += target as u64 - entry.tier as u64;
-            entry.tier = target;
-            a.tier = target;
+    /// place if that reached the threshold — the next loop iteration
+    /// then resumes mid-function through the threaded dispatcher, the
+    /// way a return lands there. In background mode a granted tier 2
+    /// whose build is still in flight is polled for here, the mid-run
+    /// swap point: without it the pipeline would forfeit the whole
+    /// remaining run to tier 1.
+    fn clock_tick(&mut self, a: &mut Active<H>, thread_after: u32, background: bool) {
+        if self.trans.tier_fns[a.fi as usize].promote(thread_after) {
+            self.trans.astats.promotions += 1;
+            a.tier = Tier::Threaded;
         } else if a.tr.serves(a.tier) || self.trans.pending == 0 {
             return;
         } else {
@@ -732,72 +687,67 @@ impl<H: HostCall> Vm<H> {
 
     /// The translation record `fi` dispatches through at `tier`: the
     /// record's own when it already holds that tier's form. Otherwise
-    /// synchronous mode builds (and times) it inline through the fixed
-    /// engines' `form_at`, installing it on the record in place of a
-    /// lower tier's. Background mode never builds on this thread: it
-    /// enqueues a request to the hub and the function keeps dispatching
-    /// through what it holds, so the promoting run keeps moving at its
-    /// current speed.
+    /// it is built here and timed, through the fixed engines'
+    /// `form_at` — the whole form when synchronous; in background mode
+    /// only the decoded array a first entry needs, the threaded handler
+    /// column going to the hub while the function keeps running fused.
     fn fetch_translation(&mut self, fi: u32, tier: Tier, background: bool) -> Translation<H> {
-        // A preseeded record holds a decoded array before it has earned
-        // tier 1; tier 0 single-steps regardless.
-        if tier == Tier::Decode {
-            return Translation::None;
-        }
         let held = &self.trans.tier_fns[fi as usize].tr;
         if held.serves(tier) {
             return held.clone();
         }
-        if background {
-            let held = held.clone();
-            self.enqueue_translation(fi, tier);
-            return held;
+        let inline = if background { Tier::Fused } else { tier };
+        let tr = if held.serves(inline) {
+            held.clone()
+        } else {
+            let t0 = Instant::now();
+            let tr = self.form_at(fi, inline);
+            let astats = &mut self.trans.astats;
+            astats.translation_ns += t0.elapsed().as_nanos() as u64;
+            astats.translated_words += u64::from(self.trans.tier_fns[fi as usize].words);
+            tr
+        };
+        if !tr.serves(tier) {
+            self.enqueue_translation(fi);
         }
-        let t0 = Instant::now();
-        let tr = self.form_at(fi, tier);
-        let astats = &mut self.trans.astats;
-        astats.translation_ns += t0.elapsed().as_nanos() as u64;
-        astats.translated_words += u64::from(self.trans.tier_fns[fi as usize].words);
         tr
     }
 
-    /// Submits a translation request for tier record `fi` to the
-    /// background service (spawning a private hub on first use when the
-    /// VM was handed none), carrying the decoded array the record holds
-    /// or else a snapshot of the function's sealed words, plus the
-    /// record's serial, which must still be live at the start word for
-    /// the result to be installed. A request already in flight for the
-    /// same function and tier is not duplicated.
-    fn enqueue_translation(&mut self, fi: u32, tier: Tier) {
+    /// Submits the threaded build of tier record `fi` to the background
+    /// service (spawning a private hub on first use when the VM was
+    /// handed none), carrying the decoded array the record holds and
+    /// the record's serial, which must still be live at the start word
+    /// for the result to be installed. A build already in flight for
+    /// the record is not duplicated.
+    fn enqueue_translation(&mut self, fi: u32) {
         let entry = &mut self.trans.tier_fns[fi as usize];
-        if tier == Tier::Decode || std::mem::replace(&mut entry.pending[tier as usize], true) {
+        let Translation::Decoded(decoded) = &entry.tr else {
+            return;
+        };
+        if entry.pending {
             return;
         }
-        let (start, end) = entry.range();
         let req = TransRequest {
-            start,
-            source: match &entry.tr {
-                Translation::Decoded(decoded) => Source::Decoded(Arc::clone(decoded)),
-                _ => Source::Words(
-                    self.state.code.word_slice(start, end).to_vec(),
-                    self.cost.clone(),
-                ),
-            },
-            tier,
+            start: entry.start,
+            decoded: Arc::clone(decoded),
             serial: entry.serial,
             enqueued: Instant::now(),
         };
+        entry.pending = true;
         let client = self
             .trans
             .hub
             .get_or_insert_with(|| HubClient::new(TransHub::spawn()));
-        if client.hub.submit(req, client.done_tx.clone()) {
+        if client
+            .hub
+            .submit(HubJob::Build(req, client.done_tx.clone()))
+        {
             self.trans.pending += 1;
         } else {
             // Hub unavailable (died mid-session): clear the flag so a
             // later promotion can retry; execution stays correct at
-            // the current tier either way.
-            self.trans.tier_fns[fi as usize].pending[tier as usize] = false;
+            // tier 1 either way.
+            self.trans.tier_fns[fi as usize].pending = false;
         }
     }
 
@@ -854,7 +804,7 @@ impl<H: HostCall> Vm<H> {
     /// — iff the tier record that requested it is still the live record
     /// at its start word. Otherwise the function was freed or patched
     /// since (or its words now hold a different function, or the cache
-    /// was cleared) and the snapshot no longer describes the code the
+    /// was cleared) and the array no longer describes the code the
     /// record stood for: discarded, the demotion-safe path.
     fn install_translation(&mut self, done: TransDone<H>) {
         debug_assert_eq!(self.trans.epoch, self.state.code.live_epoch());
@@ -869,7 +819,7 @@ impl<H: HostCall> Vm<H> {
             return;
         };
         let entry = &mut self.trans.tier_fns[fi as usize];
-        entry.pending[done.tier as usize] = false;
+        entry.pending = false;
         let words = u64::from(entry.words);
         if !self.install(fi, done.payload, &done.groups) {
             return;
@@ -881,23 +831,13 @@ impl<H: HostCall> Vm<H> {
         astats.swap_latency_ns += done.enqueued.elapsed().as_nanos() as u64;
     }
 
-    /// Adaptive-engine counters, with the translation-cost-saved
-    /// estimate priced at this session's observed ns/word.
+    /// Adaptive-engine counters.
     pub fn adaptive_stats(&self) -> AdaptiveStats {
         let mut s = self.trans.astats;
         // `insns_tier1` is counted where it retires; the other two are
         // what the engine-wide counters already hold.
         s.insns_tier0 = self.trans.stats.slow_insns;
         s.insns_tier2 = self.trans.stats.fast_insns - s.insns_tier1;
-        let cold_words: u64 = self
-            .trans
-            .tier_fns
-            .iter()
-            // Retired slots have `runs == 0` and drop out here too.
-            .filter(|t| t.tier == Tier::Decode && t.runs > 0)
-            .map(|t| u64::from(t.words))
-            .sum();
-        s.translation_ns_saved = saved_estimate(cold_words, s.translation_ns, s.translated_words);
         s
     }
 
@@ -937,7 +877,7 @@ mod tests {
     use super::*;
     use crate::code::CodeSpace;
     use crate::isa::{Insn, Op};
-    use crate::predecode::ExecEngine;
+    use crate::predecode::{decode, ExecEngine};
     use crate::regs::{A0, AT0, ZERO};
 
     /// sum(1..=n) by counted loop (same shape as predecode's tests).
@@ -956,29 +896,14 @@ mod tests {
     }
 
     fn adaptive_vm(
-        fuse_after: u32,
         thread_after: u32,
+        background: bool,
     ) -> (Vm<crate::host::NoHost>, u64, crate::code::FuncHandle) {
         let (cs, addr, f) = loop_code();
         let mut vm = Vm::new(cs, 1 << 20);
         vm.set_engine(ExecEngine::Adaptive {
-            fuse_after,
             thread_after,
-            background: false,
-        });
-        (vm, addr, f)
-    }
-
-    fn adaptive_vm_bg(
-        fuse_after: u32,
-        thread_after: u32,
-    ) -> (Vm<crate::host::NoHost>, u64, crate::code::FuncHandle) {
-        let (cs, addr, f) = loop_code();
-        let mut vm = Vm::new(cs, 1 << 20);
-        vm.set_engine(ExecEngine::Adaptive {
-            fuse_after,
-            thread_after,
-            background: true,
+            background,
         });
         (vm, addr, f)
     }
@@ -986,37 +911,41 @@ mod tests {
     /// The tier the entry schedule alone grants the `k`-th entry
     /// (1-indexed): decided against the `k - 1` completed prior runs.
     /// Backedges only ever add to the clock, so this is a floor.
-    fn entry_schedule(k: u64, fuse_after: u32, thread_after: u32) -> Tier {
-        tier_for(k - 1, fuse_after, thread_after)
+    fn entry_schedule(k: u64, thread_after: u32) -> Tier {
+        if k > u64::from(thread_after) {
+            Tier::Threaded
+        } else {
+            Tier::Fused
+        }
     }
 
     #[test]
     fn functions_climb_tiers_at_the_configured_thresholds() {
-        // Entry thresholds are "no later than": run k executes at the
+        // The entry threshold is "no later than": run k executes at the
         // tier k - 1 completed runs earn, or higher if loop iterations
         // got the clock there first.
-        let (mut vm, addr, _) = adaptive_vm(2, 4);
-        let mut last = Tier::Decode;
+        let (mut vm, addr, _) = adaptive_vm(4, false);
+        let mut last = Tier::Fused;
         for k in 1..=6u64 {
             assert_eq!(vm.call(addr, &[5]).unwrap(), 15, "run {k}");
             let (tier, runs) = vm.adaptive_tier(addr).expect("tracked");
-            assert!(tier >= entry_schedule(k, 2, 4), "run {k}: {tier:?}");
+            assert!(tier >= entry_schedule(k, 4), "run {k}: {tier:?}");
             assert!(tier >= last, "run {k}: monotone");
             assert_eq!(runs, k);
             last = tier;
         }
         assert_eq!(last, Tier::Threaded);
         let s = vm.adaptive_stats();
-        assert_eq!(s.promotions, 2);
+        assert_eq!(s.promotions, 1);
         assert_eq!(s.demotions, 0);
         assert_eq!(s.total_runs, 6);
-        assert_eq!(s.runs_tier0 + s.runs_tier1 + s.runs_tier2, 6);
-        assert!(s.runs_tier0 <= 2 && s.runs_tier2 >= 2, "{s:?}");
-        assert!(s.translation_ns > 0, "promoted tiers were translated");
-        // 40 iterations a run: the backedges of runs 1 and 2 add up to
-        // a tick inside run 2, one entry ahead of the entry schedule —
-        // and keep accruing at tier 1, so run 4 ends threaded, too.
-        let (mut vm, addr, _) = adaptive_vm(2, 4);
+        assert_eq!((s.runs_tier0, s.runs_tier1 + s.runs_tier2), (0, 6));
+        assert!(s.runs_tier2 >= 2, "{s:?}");
+        assert_eq!(s.insns_tier0, 0, "nothing single-stepped");
+        assert!(s.translation_ns > 0, "both forms were translated");
+        // 40 iterations a run: the backedges of runs 1 and 2 tick once,
+        // so run 4 enters threaded, one entry ahead of the schedule.
+        let (mut vm, addr, _) = adaptive_vm(4, false);
         let mut tiers = Vec::new();
         for _ in 0..4 {
             vm.call(addr, &[40]).unwrap();
@@ -1024,7 +953,7 @@ mod tests {
         }
         assert_eq!(
             tiers,
-            [Tier::Decode, Tier::Fused, Tier::Fused, Tier::Threaded]
+            [Tier::Fused, Tier::Fused, Tier::Fused, Tier::Threaded]
         );
     }
 
@@ -1033,7 +962,7 @@ mod tests {
         // thread_after out of reach: a tier-1 function loops inside one
         // dispatch however long it runs (the budget is the distance to
         // the threshold, not to the next tick).
-        let (mut vm, addr, _) = adaptive_vm(1, u32::MAX);
+        let (mut vm, addr, _) = adaptive_vm(u32::MAX, false);
         vm.call(addr, &[1]).unwrap();
         vm.call(addr, &[100_000]).unwrap();
         let fi = vm.trans.tier_idx[((addr - CODE_BASE) / 4) as usize];
@@ -1042,14 +971,14 @@ mod tests {
         assert_eq!(record.tier, Tier::Fused);
         // A retired record's clock restarts at zero: 60 + 60 backedges
         // across a patch never add up to a tick.
-        let (mut vm, addr, _) = adaptive_vm(2, 100);
+        let (mut vm, addr, _) = adaptive_vm(100, false);
         vm.call(addr, &[60]).unwrap();
         vm.state_mut().code.patch(
             ((addr - CODE_BASE) / 4) as usize,
             Insn::i(Op::Addiw, AT0, ZERO, 0),
         );
         vm.call(addr, &[60]).unwrap();
-        assert_eq!(vm.adaptive_tier(addr), Some((Tier::Decode, 1)));
+        assert_eq!(vm.adaptive_tier(addr), Some((Tier::Fused, 1)));
         let fi = vm.trans.tier_idx[((addr - CODE_BASE) / 4) as usize];
         assert_eq!(vm.trans.tier_fns[fi as usize].backedges, 60);
     }
@@ -1060,12 +989,11 @@ mod tests {
         // handler column, nothing else: promotion 1 -> 2 re-decodes and
         // copies nothing, and the record's threaded form is the only
         // thing keeping the array alive.
-        let (mut vm, addr, _) = adaptive_vm(1, 2);
-        vm.call(addr, &[3]).unwrap();
+        let (mut vm, addr, _) = adaptive_vm(1, false);
         vm.call(addr, &[3]).unwrap();
         let fi = vm.trans.tier_idx[((addr - CODE_BASE) / 4) as usize] as usize;
         let Translation::Decoded(decoded) = vm.trans.tier_fns[fi].tr.clone() else {
-            panic!("tier 1 holds the decoded array");
+            panic!("the first entry decoded the function");
         };
         vm.call(addr, &[3]).unwrap();
         let Translation::Threaded(threaded) = &vm.trans.tier_fns[fi].tr else {
@@ -1078,13 +1006,11 @@ mod tests {
         assert_eq!(vm.exec_stats().translated_words, 14);
         // The background service builds the same thing from the same
         // allocation: its request carries the array, not the words.
-        let (mut vm, addr, _) = adaptive_vm_bg(1, 2);
-        for _ in 0..2 {
-            vm.call(addr, &[3]).unwrap();
-            vm.drain_background_translations();
-        }
+        let (mut vm, addr, _) = adaptive_vm(1, true);
+        vm.call(addr, &[3]).unwrap();
+        assert!(vm.trans.hub.is_none(), "the decode was built inline");
         let Translation::Decoded(decoded) = vm.trans.tier_fns[fi].tr.clone() else {
-            panic!("tier 1 holds the decoded array");
+            panic!("the first entry decoded the function");
         };
         vm.call(addr, &[3]).unwrap();
         vm.drain_background_translations();
@@ -1097,7 +1023,7 @@ mod tests {
     #[test]
     fn all_tiers_agree_with_reference_results() {
         for n in [0u64, 1, 10, 100] {
-            let (mut vm, addr, _) = adaptive_vm(1, 2);
+            let (mut vm, addr, _) = adaptive_vm(2, false);
             let want: u64 = (1..=n).sum();
             for run in 0..5 {
                 assert_eq!(vm.call(addr, &[n]).unwrap(), want, "n={n} run={run}");
@@ -1108,26 +1034,27 @@ mod tests {
     #[test]
     fn hot_loop_promotes_mid_run_off_the_backedge_clock() {
         // One entry, but hundreds of loop iterations: the backedge
-        // clock (64 iterations ≈ one run) must lift the function out of
-        // tier 0 during its first run, while the entry count is still 1.
-        let (mut vm, addr, _) = adaptive_vm(2, 100);
+        // clock (64 iterations ≈ one run) must lift the function to
+        // tier 2 during its first run, while the entry count is still 1.
+        let (mut vm, addr, _) = adaptive_vm(3, false);
         assert_eq!(vm.call(addr, &[300]).unwrap(), (1..=300).sum::<u64>());
         let (tier, runs) = vm.adaptive_tier(addr).expect("tracked");
         assert_eq!(runs, 1, "backedges are not entries");
-        assert_eq!(tier, Tier::Fused, "promoted inside the first run");
+        assert_eq!(tier, Tier::Threaded, "promoted inside the first run");
         let s = vm.adaptive_stats();
         assert_eq!(s.total_runs, 1);
         assert_eq!(s.promotions, 1, "one level gained, mid-run");
-        assert_eq!(s.runs_tier0, 1, "the entry itself was counted at tier 0");
+        assert_eq!(s.runs_tier1, 1, "the entry itself was counted at tier 1");
+        assert!(s.insns_tier1 > 0 && s.insns_tier2 > 0, "{s:?}");
         // A short-loop function stays on its entry schedule.
-        let (mut vm, addr, _) = adaptive_vm(2, 100);
+        let (mut vm, addr, _) = adaptive_vm(3, false);
         assert_eq!(vm.call(addr, &[10]).unwrap(), 55);
-        assert_eq!(vm.adaptive_tier(addr).unwrap().0, Tier::Decode);
+        assert_eq!(vm.adaptive_tier(addr).unwrap().0, Tier::Fused);
     }
 
     #[test]
     fn epoch_bump_demotes_and_resets_run_counts() {
-        let (mut vm, addr, _) = adaptive_vm(1, 2);
+        let (mut vm, addr, _) = adaptive_vm(2, false);
         for _ in 0..4 {
             vm.call(addr, &[3]).unwrap();
         }
@@ -1139,17 +1066,17 @@ mod tests {
         );
         assert_eq!(vm.call(addr, &[3]).unwrap(), 6);
         let (tier, runs) = vm.adaptive_tier(addr).unwrap();
-        assert_eq!(tier, Tier::Decode, "demoted to tier 0");
+        assert_eq!(tier, Tier::Fused, "demoted to tier 1");
         assert_eq!(runs, 1, "run count restarted");
         let s = vm.adaptive_stats();
-        assert_eq!(s.demotions, 2, "threaded function lost two levels");
+        assert_eq!(s.demotions, 1, "the threaded function lost its level");
         assert!(s.promotions >= s.demotions);
     }
 
     #[test]
     fn freed_hot_function_faults_stale_at_every_tier() {
         for warm_runs in [0u64, 1, 3, 8] {
-            let (mut vm, addr, f) = adaptive_vm(1, 2);
+            let (mut vm, addr, f) = adaptive_vm(2, false);
             for _ in 0..warm_runs {
                 vm.call(addr, &[2]).unwrap();
             }
@@ -1164,62 +1091,17 @@ mod tests {
     }
 
     #[test]
-    fn cold_functions_report_translation_saved_once_priced() {
-        let (mut cs, hot, _) = loop_code();
-        let g = cs.begin_function("once");
-        cs.push(Insn::i(Op::Addiw, A0, A0, 7));
-        cs.push(Insn::ret());
-        let cold = cs.finish_function(g).unwrap();
-        let mut vm = Vm::new(cs, 1 << 20);
-        vm.set_engine(ExecEngine::Adaptive {
-            fuse_after: 2,
-            thread_after: 100,
-            background: false,
-        });
-        vm.call(cold, &[1]).unwrap();
-        assert_eq!(vm.adaptive_stats().translation_ns_saved, 0, "no price yet");
-        for _ in 0..4 {
-            vm.call(hot, &[4]).unwrap();
-        }
-        let s = vm.adaptive_stats();
-        assert!(s.translation_ns > 0);
-        assert!(
-            s.translation_ns_saved > 0,
-            "run-once function's avoided translation is priced: {s:?}"
-        );
-    }
-
-    #[test]
-    fn saved_estimate_is_exact_integer_arithmetic() {
-        // 1000 ns over 4 words prices 10 cold words at 2500 ns.
-        assert_eq!(saved_estimate(10, 1000, 4), 2500);
-        // Sub-ns-per-word rates keep precision the f64 round-trip lost:
-        // 3 ns over 4 words prices 10 cold words at 30/4 = 7 ns.
-        assert_eq!(saved_estimate(10, 3, 4), 7);
-        // No price signal: nothing translated, or a zero-duration cold
-        // sample on a coarse clock.
-        assert_eq!(saved_estimate(10, 0, 4), 0);
-        assert_eq!(saved_estimate(10, 1000, 0), 0);
-        assert_eq!(saved_estimate(0, 1000, 4), 0);
-        // Counters too large for f64's 53-bit mantissa stay exact.
-        let big = (1u64 << 60) + 1;
-        assert_eq!(saved_estimate(big, 7, 7), big);
-        // The u128 product cannot overflow; a result past u64 saturates.
-        assert_eq!(saved_estimate(u64::MAX, u64::MAX, 1), u64::MAX);
-    }
-
-    #[test]
     fn background_promotion_matches_reference_results() {
-        let (mut vm, addr, _) = adaptive_vm_bg(1, 2);
+        let (mut vm, addr, _) = adaptive_vm(2, true);
         for run in 0..8 {
             assert_eq!(vm.call(addr, &[10]).unwrap(), 55, "run {run}");
         }
         vm.drain_background_translations();
         assert_eq!(vm.call(addr, &[10]).unwrap(), 55, "post-drain run");
         let s = vm.adaptive_stats();
-        assert!(
-            s.async_translations >= 1,
-            "worker-built translations were swapped in: {s:?}"
+        assert_eq!(
+            s.async_translations, 1,
+            "the threaded build was swapped in: {s:?}"
         );
         assert_eq!(s.discarded_stale, 0);
         assert!(s.swap_latency_ns > 0, "swap latency was accounted");
@@ -1233,14 +1115,13 @@ mod tests {
 
     #[test]
     fn epoch_bump_between_enqueue_and_completion_discards_translation() {
-        use crate::isa::{Insn, Op};
-        let (mut vm, addr, _) = adaptive_vm_bg(1, 100);
-        // Two entries: the second crosses `fuse_after` and enqueues a
-        // tier-1 build on the worker.
+        let (mut vm, addr, _) = adaptive_vm(1, true);
+        // Two entries: the first decodes inline, the second crosses
+        // `thread_after` and enqueues the tier-2 build on the worker.
         assert_eq!(vm.call(addr, &[3]).unwrap(), 6);
         assert_eq!(vm.call(addr, &[3]).unwrap(), 6);
         let (tier, _) = vm.adaptive_tier(addr).expect("tracked");
-        assert_eq!(tier, Tier::Fused, "promotion granted at entry 2");
+        assert_eq!(tier, Tier::Threaded, "promotion granted at entry 2");
         // The epoch bump lands between enqueue and receipt: patch a
         // live word (same instruction, so results are unchanged) before
         // draining the worker.
@@ -1255,17 +1136,17 @@ mod tests {
             "the stale translation was discarded, not installed: {s:?}"
         );
         assert_eq!(s.async_translations, 0, "nothing was swapped in");
-        assert_eq!(vm.exec_stats().translations, 0, "no buffer was installed");
-        // The function re-promotes cleanly from tier 0: the next run
-        // observes the bump and demotes, then the climb restarts.
+        assert_eq!(vm.exec_stats().translations, 1, "only the inline decode");
+        // The function re-promotes cleanly: the next run observes the
+        // bump and demotes, then the climb restarts.
         assert_eq!(vm.call(addr, &[3]).unwrap(), 6);
         let (tier, runs) = vm.adaptive_tier(addr).expect("re-tracked");
-        assert_eq!((tier, runs), (Tier::Decode, 1), "restarted at tier 0");
+        assert_eq!((tier, runs), (Tier::Fused, 1), "restarted at tier 1");
         assert_eq!(vm.call(addr, &[3]).unwrap(), 6);
         vm.drain_background_translations();
         assert_eq!(vm.call(addr, &[3]).unwrap(), 6);
         let (tier, _) = vm.adaptive_tier(addr).expect("tracked");
-        assert_eq!(tier, Tier::Fused, "re-promoted after the bump");
+        assert_eq!(tier, Tier::Threaded, "re-promoted after the bump");
         let s = vm.adaptive_stats();
         assert_eq!(s.async_translations, 1, "the re-built translation landed");
         assert_eq!(s.discarded_stale, 1);
@@ -1304,13 +1185,11 @@ mod tests {
     }
 
     const SYNC: ExecEngine = ExecEngine::Adaptive {
-        fuse_after: 1,
         thread_after: 2,
         background: false,
     };
     const ASYNC: ExecEngine = ExecEngine::Adaptive {
-        fuse_after: 1,
-        thread_after: 100,
+        thread_after: 1,
         background: true,
     };
 
@@ -1330,7 +1209,9 @@ mod tests {
             assert_eq!(vm.adaptive_tier(a), Some((Tier::Threaded, 4)));
             let translations = vm.exec_stats().translations;
             let demotions = vm.adaptive_stats().demotions;
-            let b_levels = vm.adaptive_tier(b).map_or(0, |(tier, _)| tier as u64);
+            let b_levels = vm
+                .adaptive_tier(b)
+                .map_or(0, |(tier, _)| u64::from(tier == Tier::Threaded));
             vm.state_mut().code.free_function(fb).unwrap();
             // Not yet observed by the cache, already reported right.
             assert_eq!(vm.adaptive_tier(a), Some((Tier::Threaded, 4)));
@@ -1378,7 +1259,7 @@ mod tests {
         assert_eq!(vm.call(b, &[3]).unwrap(), 7);
         assert_eq!(
             vm.adaptive_tier(a),
-            Some((Tier::Decode, 1)),
+            Some((Tier::Fused, 1)),
             "patched: restarted"
         );
         assert_eq!(
@@ -1386,23 +1267,7 @@ mod tests {
             Some((Tier::Threaded, 5)),
             "untouched: kept"
         );
-        assert_eq!(vm.adaptive_stats().demotions, 2);
-    }
-
-    #[test]
-    fn epoch_bump_cold_word_estimate_skips_retired_records() {
-        // b runs once and is freed; its retired record must not keep
-        // pricing "translation avoided" for code that no longer exists.
-        let (cs, (a, _), (b, fb)) = two_functions();
-        let mut vm = engine_vm(cs, SYNC);
-        vm.call(b, &[3]).unwrap();
-        for _ in 0..4 {
-            vm.call(a, &[3]).unwrap();
-        }
-        assert!(vm.adaptive_stats().translation_ns_saved > 0, "b is cold");
-        vm.state_mut().code.free_function(fb).unwrap();
-        vm.call(a, &[3]).unwrap();
-        assert_eq!(vm.adaptive_stats().translation_ns_saved, 0);
+        assert_eq!(vm.adaptive_stats().demotions, 1);
     }
 
     #[test]
@@ -1447,10 +1312,10 @@ mod tests {
         assert_eq!(vm.call(a, &[3]).unwrap(), 6, "still correct");
         assert_eq!(
             vm.adaptive_tier(a),
-            Some((Tier::Decode, 1)),
+            Some((Tier::Fused, 1)),
             "the fallback demotes everything"
         );
-        assert_eq!(vm.adaptive_stats().demotions, 2, "a's two levels");
+        assert_eq!(vm.adaptive_stats().demotions, 1, "a's level");
         assert_eq!(vm.exec_stats().invalidations, 1);
         for &(addr, _) in &small {
             assert_eq!(vm.call(addr, &[]), Err(VmError::StaleCode(addr)));
@@ -1510,8 +1375,8 @@ mod tests {
         let (cs, (a, _), (b, fb)) = two_functions();
         let mut vm = engine_vm(cs, ASYNC);
         assert_eq!(vm.call(b, &[3]).unwrap(), 7);
-        // Two entries: the second crosses `fuse_after` and enqueues a
-        // tier-1 build of a on the worker.
+        // Two entries: the second crosses `thread_after` and enqueues
+        // a's tier-2 build on the worker.
         assert_eq!(vm.call(a, &[3]).unwrap(), 6);
         assert_eq!(vm.call(a, &[3]).unwrap(), 6);
         assert_eq!(vm.trans.pending, 1);
@@ -1521,14 +1386,13 @@ mod tests {
         let s = vm.adaptive_stats();
         assert_eq!(s.async_translations, 1, "a's build was installed: {s:?}");
         assert_eq!(s.discarded_stale, 0);
-        let slow = vm.exec_stats().slow_insns;
+        let threaded = s.insns_tier2;
         assert_eq!(vm.call(a, &[3]).unwrap(), 6);
-        assert_eq!(
-            vm.exec_stats().slow_insns,
-            slow,
-            "ran from the installed buffer"
+        assert!(
+            vm.adaptive_stats().insns_tier2 > threaded,
+            "ran from the installed form"
         );
-        assert_eq!(vm.adaptive_tier(a), Some((Tier::Fused, 3)));
+        assert_eq!(vm.adaptive_tier(a), Some((Tier::Threaded, 3)));
         assert_eq!(vm.call(b, &[3]), Err(VmError::StaleCode(b)));
     }
 
@@ -1539,15 +1403,13 @@ mod tests {
         assert_eq!(vm.call(a, &[3]).unwrap(), 6);
         assert_eq!(vm.call(b, &[3]).unwrap(), 7);
         assert_eq!(vm.call(b, &[3]).unwrap(), 7);
-        assert_eq!(vm.trans.pending, 1, "b's tier-1 build is in flight");
+        assert_eq!(vm.trans.pending, 1, "b's tier-2 build is in flight");
         let start = ((b - CODE_BASE) / 4) as usize;
         let stale = TransRequest {
             start,
-            source: Source::Words(
-                vm.state.code.word_slice(start, start + 7).to_vec(),
-                vm.cost.clone(),
+            decoded: Arc::new(
+                decode(vm.state.code.word_slice(start, start + 7), &vm.cost).unwrap(),
             ),
-            tier: Tier::Fused,
             serial: vm.trans.tier_fns[vm.trans.tier_idx[start] as usize].serial,
             enqueued: Instant::now(),
         };
@@ -1580,7 +1442,7 @@ mod tests {
         let hub = TransHub::spawn();
         let mut vms = Vec::new();
         for _ in 0..2 {
-            let (mut vm, addr, _) = adaptive_vm_bg(1, 2);
+            let (mut vm, addr, _) = adaptive_vm(2, true);
             vm.set_translation_hub(hub.clone());
             vms.push((vm, addr));
         }
@@ -1591,10 +1453,7 @@ mod tests {
             vm.drain_background_translations();
             assert_eq!(vm.call(*addr, &[10]).unwrap(), 55, "post-drain run");
             let s = vm.adaptive_stats();
-            assert!(
-                s.async_translations >= 1,
-                "hub-built translations landed: {s:?}"
-            );
+            assert_eq!(s.async_translations, 1, "the hub-built form landed: {s:?}");
             let client = vm.trans.hub.as_ref().expect("subscribed");
             assert!(
                 Arc::ptr_eq(&client.hub.inner, &hub.inner),
@@ -1616,7 +1475,7 @@ mod tests {
         for t in 0..2 {
             let hub = hub.clone();
             handles.push(thread::spawn(move || {
-                let (mut vm, addr, _) = adaptive_vm_bg(1, 2);
+                let (mut vm, addr, _) = adaptive_vm(2, true);
                 vm.set_translation_hub(hub);
                 for run in 0..6 {
                     assert_eq!(vm.call(addr, &[10]).unwrap(), 55, "t{t} run {run}");
@@ -1627,14 +1486,14 @@ mod tests {
             }));
         }
         let total: u64 = handles.into_iter().map(|h| h.join().unwrap()).sum();
-        assert!(total >= 2, "each thread's builds came back: {total}");
+        assert_eq!(total, 2, "each thread's build came back");
     }
 
     #[test]
     fn background_worker_shuts_down_on_drop() {
         // No hub handed over: the first asynchronous promotion spawns a
         // private one, and only then.
-        let (mut vm, addr, _) = adaptive_vm_bg(1, 2);
+        let (mut vm, addr, _) = adaptive_vm(2, true);
         vm.call(addr, &[5]).unwrap();
         assert!(vm.trans.hub.is_none(), "nothing promoted, no thread yet");
         for _ in 0..4 {

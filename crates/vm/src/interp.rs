@@ -285,10 +285,9 @@ impl<H: HostCall> Vm<H> {
             ExecEngine::Predecoded { fuse } => self.run_fixed(pc, Tier::Fused, fuse),
             ExecEngine::Threaded => self.run_fixed(pc, Tier::Threaded, true),
             ExecEngine::Adaptive {
-                fuse_after,
                 thread_after,
                 background,
-            } => self.run_adaptive(pc, fuse_after, thread_after, background),
+            } => self.run_adaptive(pc, thread_after, background),
         }
     }
 

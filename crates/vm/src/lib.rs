@@ -62,7 +62,7 @@ pub mod predecode;
 pub mod regs;
 pub mod threaded;
 
-pub use adaptive::{AdaptiveStats, Tier, TransHub, DEFAULT_FUSE_AFTER, DEFAULT_THREAD_AFTER};
+pub use adaptive::{AdaptiveStats, Tier, TransHub, DEFAULT_THREAD_AFTER};
 pub use code::{CodeSpace, CodeStats, FuncHandle, CODE_BASE};
 pub use cost::CostModel;
 pub use error::VmError;

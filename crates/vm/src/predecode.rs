@@ -57,9 +57,7 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
-use crate::adaptive::{
-    AdaptiveStats, FnTier, HubClient, Tier, DEFAULT_FUSE_AFTER, DEFAULT_THREAD_AFTER, NO_TIER,
-};
+use crate::adaptive::{AdaptiveStats, FnTier, HubClient, Tier, DEFAULT_THREAD_AFTER, NO_TIER};
 use crate::code::{CodeSpace, CODE_BASE};
 use crate::cost::CostModel;
 use crate::error::VmError;
@@ -88,34 +86,30 @@ pub enum ExecEngine {
     /// Direct-threaded dispatch (a handler function pointer per slot)
     /// with basic-block fuel batching. See [`crate::threaded`].
     Threaded,
-    /// Count-triggered per-function tiering: decode-per-step until a
-    /// function has been entered `fuse_after` times, predecoded+fused
-    /// until `thread_after`, direct-threaded after that. Run-once code
-    /// never pays translation; hot code ends up on the fastest engine.
-    /// See [`crate::adaptive`].
+    /// Count-triggered per-function tiering: predecoded+fused from a
+    /// function's first entry, direct-threaded once it has been entered
+    /// `thread_after` times (loop iterations count too). Run-once code
+    /// pays one decode; hot code ends up on the fastest engine. See
+    /// [`crate::adaptive`].
     Adaptive {
-        /// Completed runs after which a function is promoted to the
-        /// predecoded+fused engine (tier 1).
-        fuse_after: u32,
         /// Completed runs after which a function is promoted to the
         /// direct-threaded engine (tier 2).
         thread_after: u32,
-        /// Translate promoted functions on a background thread instead
-        /// of inline: the promoting run keeps executing at its current
-        /// tier and the finished translation is swapped in at a later
-        /// function entry (discarded if the function died first).
-        /// `false` keeps PR 5's synchronous promotion.
+        /// Build the threaded form on a background thread instead of
+        /// inline: the promoting run keeps executing fused and the
+        /// finished translation is swapped in at a later function entry
+        /// or clock tick (discarded if the function died first). A first
+        /// entry's decode is built inline either way.
         background: bool,
     },
 }
 
 impl Default for ExecEngine {
-    /// Adaptive tiering with the calibrated thresholds
-    /// ([`DEFAULT_FUSE_AFTER`] / [`DEFAULT_THREAD_AFTER`], from the
-    /// `suite adaptive` reuse sweep).
+    /// Adaptive tiering with the calibrated threshold
+    /// ([`DEFAULT_THREAD_AFTER`], from the `suite adaptive` reuse
+    /// sweep).
     fn default() -> Self {
         ExecEngine::Adaptive {
-            fuse_after: DEFAULT_FUSE_AFTER,
             thread_after: DEFAULT_THREAD_AFTER,
             background: false,
         }
@@ -127,7 +121,8 @@ impl Default for ExecEngine {
 /// built over, so a 1→2 promotion adds a handler column and copies
 /// nothing.
 pub(crate) enum Translation<H> {
-    /// Nothing built (tier 0, or a build still in flight).
+    /// Nothing built yet: the record was tracked before anything
+    /// dispatched through it.
     None,
     /// [`decode`] refused the function — a cost of the VM's model does
     /// not fit a slot. Final for the record's life: the function stays
@@ -155,16 +150,15 @@ impl<H> Clone for Translation<H> {
 impl<H> Translation<H> {
     /// Whether this is what a function at `tier` dispatches through. A
     /// refusal serves every tier (by single-stepping), so it is never
-    /// rebuilt. In background mode a function can run *below* its
-    /// granted tier while the build is in flight; a mismatch at function
-    /// entry or at a clock tick re-reads the record so a finished swap
-    /// is picked up.
+    /// rebuilt. In background mode a function runs fused while its
+    /// granted tier 2 is being built; a mismatch at function entry or
+    /// at a clock tick re-reads the record so a finished swap is picked
+    /// up.
     #[inline]
     pub(crate) fn serves(&self, tier: Tier) -> bool {
         matches!(
             (self, tier),
-            (Translation::None, Tier::Decode)
-                | (Translation::Refused, _)
+            (Translation::Refused, _)
                 | (Translation::Decoded(_), Tier::Fused)
                 | (Translation::Threaded(_), Tier::Threaded)
         )
@@ -295,7 +289,7 @@ impl<H> TransCache<H> {
                 }
             }
             None => {
-                let lost: u64 = self.tier_fns.iter().map(|t| t.tier as u64).sum();
+                let lost: u64 = self.tier_fns.iter().map(FnTier::levels).sum();
                 self.astats.demotions += lost;
                 self.clear();
             }
@@ -318,7 +312,7 @@ impl<H> TransCache<H> {
             if fi != NO_TIER && fi != retired {
                 let record = &mut self.tier_fns[fi as usize];
                 debug_assert_eq!((record.start, record.words as usize), (start, end - start));
-                self.astats.demotions += record.tier as u64;
+                self.astats.demotions += record.levels();
                 record.retire();
                 self.tier_free.push(fi);
                 retired = fi;
@@ -642,7 +636,7 @@ impl SharedTranslation {
 
 impl<H: HostCall> Vm<H> {
     /// Installs a [`SharedTranslation`] for the live sealed function at
-    /// `addr`, so the first promoted run starts from the shared decoded
+    /// `addr`, so its first entry runs fused from the shared decoded
     /// array instead of decoding its own. The first preseed that passes
     /// the checks below decodes the shared words, for every VM that
     /// takes them after it. Returns whether the translation was (or
@@ -874,8 +868,8 @@ impl<H: HostCall> Vm<H> {
         }
         // Land on in-buffer index $t, transferred to by the instruction
         // at index $from (the second slot of a fused pair): a backward
-        // transfer — target pc <= own pc, what the tier-0 clock counts
-        // — spends one backedge and yields at $t once none are left.
+        // transfer — target pc <= own pc — spends one backedge and
+        // yields at $t once none are left.
         macro_rules! land {
             ($t:expr, $from:expr) => {{
                 let t: usize = $t;
@@ -1015,15 +1009,13 @@ mod tests {
         ExecEngine::Predecoded { fuse: false },
         ExecEngine::Predecoded { fuse: true },
         ExecEngine::Threaded,
-        // Adaptive at both extremes: promoted straight to threaded on
-        // the first entry, and never leaving tier 0 within these tests.
+        // Adaptive at both extremes: threaded from the first entry, and
+        // never leaving tier 1 within these tests.
         ExecEngine::Adaptive {
-            fuse_after: 0,
             thread_after: 0,
             background: false,
         },
         ExecEngine::Adaptive {
-            fuse_after: u32::MAX,
             thread_after: u32::MAX,
             background: false,
         },
@@ -1243,7 +1235,6 @@ mod tests {
         // Tier 1 from the first entry, tier 2 at the safepoint 128
         // backedges into it: both forms run at both addresses.
         let engine = ExecEngine::Adaptive {
-            fuse_after: 0,
             thread_after: 3,
             background: false,
         };
@@ -1290,7 +1281,7 @@ mod tests {
         (s.translation_ns, l.translation_ns) = (0, 0);
         (s.translated_words, l.translated_words) = (22, 22);
         assert_eq!(s, l, "same entries, tiers and promotions");
-        assert_eq!(s.promotions, 4, "both copies climbed to tier 2");
+        assert_eq!(s.promotions, 2, "both copies climbed to tier 2");
     }
 
     #[test]
@@ -1301,7 +1292,6 @@ mod tests {
         // panic (inline or on the hub thread), and all must agree.
         let (cs, addr) = loop_code();
         let background = ExecEngine::Adaptive {
-            fuse_after: 1,
             thread_after: 2,
             background: true,
         };
@@ -1331,14 +1321,7 @@ mod tests {
                 let s = vm.exec_stats();
                 assert_eq!((s.translations, s.fast_insns), (0, 0), "{engine:?}");
                 // Decoded at most once: the refusal sticks to the record.
-                let asked = !matches!(
-                    engine,
-                    ExecEngine::DecodePerStep
-                        | ExecEngine::Adaptive {
-                            fuse_after: u32::MAX,
-                            ..
-                        }
-                );
+                let asked = engine != ExecEngine::DecodePerStep;
                 let refused = matches!(
                     vm.trans.tier_fns.first().map(|r| &r.tr),
                     Some(Translation::Refused)

@@ -14,19 +14,17 @@ use tcc_vm::{CodeSpace, ExecEngine, FuncHandle, HostCall, Tier, TransHub, Vm, Vm
 const TICK: u64 = 64;
 
 /// The tier a clock reading earns.
-fn tier_for(clock: u64, fuse_after: u32, thread_after: u32) -> Tier {
+fn tier_for(clock: u64, thread_after: u32) -> Tier {
     if clock >= u64::from(thread_after) {
         Tier::Threaded
-    } else if clock >= u64::from(fuse_after) {
-        Tier::Fused
     } else {
-        Tier::Decode
+        Tier::Fused
     }
 }
 
 /// sum(1..=n) by counted loop: one backward transfer (the `j`) and four
 /// instructions per iteration.
-fn loop_vm(fuse_after: u32, thread_after: u32) -> (Vm, u64) {
+fn loop_vm(thread_after: u32) -> (Vm, u64) {
     let mut cs = CodeSpace::new();
     let f = cs.begin_function("sum");
     cs.push(Insn::i(Op::Addiw, AT0, ZERO, 0));
@@ -39,7 +37,6 @@ fn loop_vm(fuse_after: u32, thread_after: u32) -> (Vm, u64) {
     let addr = cs.finish_function(f).unwrap();
     let mut vm = Vm::new(cs, 1 << 16);
     vm.set_engine(ExecEngine::Adaptive {
-        fuse_after,
         thread_after,
         background: false,
     });
@@ -50,38 +47,37 @@ fn loop_vm(fuse_after: u32, thread_after: u32) -> (Vm, u64) {
 fn safepoint_promotes_a_single_entry_by_its_iteration_count() {
     // One entry, N loop iterations. The entry itself is one run on the
     // clock, so the run ends at the tier `1 + N / 64` runs earn: tier 2
-    // iff N >= (thread_after - 1) * 64, else tier 1 iff
-    // N >= (fuse_after - 1) * 64 and the clock ticked at all — wherever
-    // the iterations ran.
-    for (fuse_after, thread_after) in [(1u32, 2u32), (2, 4), (2, 8), (3, 3)] {
-        let fuse_at = u64::from(fuse_after - 1) * TICK;
+    // iff N >= (thread_after - 1) * 64, tier 1 (where it entered)
+    // otherwise.
+    for thread_after in [2u32, 3, 4, 8] {
         let thread_at = u64::from(thread_after - 1) * TICK;
         for n in [
             1,
-            fuse_at.saturating_sub(1).max(1),
-            fuse_at.max(1),
+            TICK - 1,
+            TICK,
             thread_at - 1,
             thread_at,
             thread_at + 1,
             thread_at + 500,
         ] {
-            let (mut vm, addr) = loop_vm(fuse_after, thread_after);
+            let (mut vm, addr) = loop_vm(thread_after);
             assert_eq!(vm.call(addr, &[n]).unwrap(), (1..=n).sum::<u64>());
             // Read at entry (clock 0) and at ticks, nowhere between.
             let clock = if n < TICK { 0 } else { 1 + n / TICK };
-            let want = tier_for(clock, fuse_after, thread_after);
+            let want = tier_for(clock, thread_after);
             assert_eq!(
                 vm.adaptive_tier(addr),
                 Some((want, 1)),
-                "{fuse_after}/{thread_after}, n = {n}: backedges are not entries"
+                "{thread_after}, n = {n}: backedges are not entries"
             );
             let s = vm.adaptive_stats();
-            assert_eq!(s.promotions, want as u64);
+            assert_eq!(s.promotions, u64::from(want == Tier::Threaded));
             assert_eq!(
-                (s.total_runs, s.runs_tier0),
+                (s.total_runs, s.runs_tier1),
                 (1, 1),
                 "counted at entry tier"
             );
+            assert_eq!(s.insns_tier0, 0, "nothing single-stepped");
             assert_eq!(s.insns_tier0 + s.insns_tier1 + s.insns_tier2, vm.insns());
             // Everything past the promoting backedge ran threaded.
             assert!(s.insns_tier2 >= 4 * n.saturating_sub(thread_at), "{s:?}");
@@ -114,8 +110,8 @@ impl HostCall for MidrunHost {
 }
 
 /// sum(1..=n) with a host call at the loop head (four instructions an
-/// iteration), on a hub-backed background engine with thresholds 1/3 —
-/// or on the reference engine.
+/// iteration), on a hub-backed background engine with threshold 3 — or
+/// on the reference engine.
 fn midrun_vm(background: bool) -> (Vm<MidrunHost>, u64, FuncHandle) {
     let mut cs = CodeSpace::new();
     let f = cs.begin_function("sum_hcall");
@@ -135,7 +131,6 @@ fn midrun_vm(background: bool) -> (Vm<MidrunHost>, u64, FuncHandle) {
     let mut vm = Vm::with_host(cs, 1 << 16, host);
     if background {
         vm.set_engine(ExecEngine::Adaptive {
-            fuse_after: 1,
             thread_after: 3,
             background: true,
         });
@@ -148,13 +143,13 @@ fn midrun_vm(background: bool) -> (Vm<MidrunHost>, u64, FuncHandle) {
     (vm, addr, f)
 }
 
-/// Two short runs, then a drain: the function is at tier 1 with its
-/// decoded buffer installed and nothing in flight.
+/// Two short runs: the function is at tier 1 with its decoded buffer,
+/// built inline at the first entry, and nothing in flight.
 fn warm_to_tier1(vm: &mut Vm<MidrunHost>, addr: u64) {
     assert_eq!(vm.call(addr, &[1]).unwrap(), 1);
     assert_eq!(vm.call(addr, &[1]).unwrap(), 1);
-    vm.drain_background_translations();
-    assert_eq!(vm.adaptive_stats().async_translations, 1);
+    assert_eq!(vm.adaptive_stats().async_translations, 0);
+    assert_eq!(vm.exec_stats().translations, 1);
     assert_eq!(vm.adaptive_tier(addr), Some((Tier::Fused, 2)));
     vm.host_mut().calls = 0;
 }
@@ -179,18 +174,18 @@ fn background_midrun_swap_at_the_tier1_safepoint_ends_the_run_threaded() {
     );
     assert_eq!(vm.adaptive_tier(addr), Some((Tier::Threaded, 3)));
     let s = vm.adaptive_stats();
-    assert_eq!((s.async_translations, s.discarded_stale), (2, 0), "{s:?}");
+    assert_eq!((s.async_translations, s.discarded_stale), (1, 0), "{s:?}");
     assert_eq!(
         (s.runs_tier0, s.runs_tier1, s.runs_tier2),
-        (1, 2, 0),
+        (0, 3, 0),
         "entries count at the tier granted when they started"
     );
-    // The two 7-instruction warm-up runs at tier 0, the prologue and
-    // iterations 1..=128 at tier 1, iterations 129..=300 and the
-    // epilogue at tier 2.
+    // The two 7-instruction warm-up runs, the prologue and iterations
+    // 1..=128 at tier 1, iterations 129..=300 and the epilogue at
+    // tier 2.
     assert_eq!(
         (s.insns_tier0, s.insns_tier1, s.insns_tier2),
-        (14, 1 + 4 * 128, 4 * 172 + 2)
+        (0, 14 + 1 + 4 * 128, 4 * 172 + 2)
     );
     assert_eq!(s.insns_tier0 + s.insns_tier1 + s.insns_tier2, vm.insns());
 }
@@ -220,8 +215,8 @@ fn background_midrun_build_for_a_freed_function_is_discarded_stale() {
     assert_eq!(vm.adaptive_tier(addr), None, "no live range remains");
     vm.drain_background_translations();
     let s = vm.adaptive_stats();
-    assert_eq!((s.async_translations, s.discarded_stale), (1, 1), "{s:?}");
+    assert_eq!((s.async_translations, s.discarded_stale), (0, 1), "{s:?}");
     assert_eq!(vm.exec_stats().translations, 1, "only tier 1's ever was");
     assert_eq!(s.insns_tier2, 0, "no dead word ran promoted");
-    assert_eq!(s.demotions, 2, "the record died holding tier 2's grant");
+    assert_eq!(s.demotions, 1, "the record died holding tier 2's grant");
 }

@@ -1,8 +1,8 @@
 //! Property tests for the adaptive tiering engine at the session level:
-//! per-function promotion sequences are monotone and reach each tier
-//! no later than the configured entry thresholds (exactly at them for
-//! loop-free code; sooner when loop iterations get the clock there
-//! first, within a single run if the loop is long enough), epoch bumps
+//! per-function promotion sequences are monotone, start at tier 1 and
+//! reach tier 2 no later than the configured entry threshold (exactly
+//! at it for loop-free code; sooner when loop iterations get the clock
+//! there first, within a single run if the loop is long enough), epoch bumps
 //! (here: a one-session pool's budget evictions, freed at the next
 //! call) retire the evicted function's record and leave every
 //! survivor's tier and run count alone, freed-then-hot functions fault
@@ -13,7 +13,7 @@
 use proptest::prelude::*;
 use std::sync::Arc;
 use tickc::tickc_core::{Config, Error, Session, SharedArtifacts};
-use tickc::vm::{ExecEngine, Tier, VmError, DEFAULT_FUSE_AFTER, DEFAULT_THREAD_AFTER};
+use tickc::vm::{ExecEngine, Tier, VmError, DEFAULT_THREAD_AFTER};
 
 /// `mk(n)` compiles a distinct closure per `n` (the `$`-bound seed
 /// changes the fingerprint) so budget pressure eventually evicts a
@@ -39,14 +39,13 @@ const PRIME_SUM: u64 = 204;
 
 /// A session under adaptive tiering, bounded by a one-session pool of
 /// `budget` bytes.
-fn session(fuse_after: u32, thread_after: u32, budget: u64) -> (Session, Arc<SharedArtifacts>) {
+fn session(thread_after: u32, budget: u64) -> (Session, Arc<SharedArtifacts>) {
     let shared = SharedArtifacts::with_budget(budget);
     let s = Session::new(
         SRC,
         Config {
             shared: Some(Arc::clone(&shared)),
             engine: Some(ExecEngine::Adaptive {
-                fuse_after,
                 thread_after,
                 background: false,
             }),
@@ -61,20 +60,17 @@ fn session(fuse_after: u32, thread_after: u32, budget: u64) -> (Session, Arc<Sha
 /// (1-indexed): the decision is made at entry against the `k - 1`
 /// completed prior runs. A floor — backward transfers only add to the
 /// clock — and exact for `SRC`, whose functions take none.
-fn expected_tier(k: u64, fuse_after: u32, thread_after: u32) -> Tier {
-    let prior = k - 1;
-    if prior >= u64::from(thread_after) {
+fn expected_tier(k: u64, thread_after: u32) -> Tier {
+    if k > u64::from(thread_after) {
         Tier::Threaded
-    } else if prior >= u64::from(fuse_after) {
-        Tier::Fused
     } else {
-        Tier::Decode
+        Tier::Fused
     }
 }
 
-/// Ordered thresholds: 1 <= fuse_after <= thread_after <= 8.
-fn thresholds() -> impl Strategy<Value = (u32, u32)> {
-    (1u32..5, 0u32..5).prop_map(|(f, extra)| (f, (f + extra).min(8)))
+/// Promotion thresholds: 1 <= thread_after <= 8.
+fn thresholds() -> impl Strategy<Value = u32> {
+    1u32..=8
 }
 
 /// Compiles fresh closures until the pool's budget evicts at least one
@@ -98,14 +94,13 @@ proptest! {
     /// record and faults, the survivor's tier and run count carry on.
     #[test]
     fn promotion_sequences_are_monotone_and_reset_on_epoch_bump(
-        ft in thresholds(),
+        thread_after in thresholds(),
         runs in 1u64..14,
     ) {
-        let (fuse_after, thread_after) = ft;
-        let (mut s, shared) = session(fuse_after, thread_after, 512);
+        let (mut s, shared) = session(thread_after, 512);
         let fp = s.call("mk", &[1]).expect("compile");
         prop_assert_eq!(s.vm.adaptive_tier(fp), None, "never entered yet");
-        let mut last = Tier::Decode;
+        let mut last = Tier::Fused;
         for k in 1..=runs {
             prop_assert_eq!(s.call("run", &[fp]).expect("runs"), PRIME_SUM);
             let (tier, count) = s.vm.adaptive_tier(fp).expect("tracked after a run");
@@ -113,10 +108,9 @@ proptest! {
             prop_assert!(tier >= last, "tier never moves down between runs");
             prop_assert_eq!(
                 tier,
-                expected_tier(k, fuse_after, thread_after),
-                "tier at run {} under thresholds {}/{}",
+                expected_tier(k, thread_after),
+                "tier at run {} under threshold {}",
                 k,
-                fuse_after,
                 thread_after
             );
             last = tier;
@@ -148,7 +142,10 @@ proptest! {
         }
         prop_assert_eq!(s.vm.adaptive_tier(victim), None, "evicted: no record");
         let demotions = s.metrics().adaptive.demotions - demotions_before;
-        prop_assert!(demotions >= last as u64, "the victim's levels were lost");
+        prop_assert!(
+            demotions >= u64::from(last == Tier::Threaded),
+            "the victim's level was lost"
+        );
         prop_assert_eq!(
             s.vm.adaptive_tier(fp),
             Some((last, runs)),
@@ -157,25 +154,24 @@ proptest! {
         prop_assert_eq!(s.call("run", &[fp]).expect("still resident"), PRIME_SUM);
         let (tier, count) = s.vm.adaptive_tier(fp).expect("still tracked");
         prop_assert_eq!(count, runs + 1, "run count continues across the bump");
-        prop_assert_eq!(tier, expected_tier(runs + 1, fuse_after, thread_after));
+        prop_assert_eq!(tier, expected_tier(runs + 1, thread_after));
     }
 
     /// (b) A freed-then-called function faults `StaleCode` at its own
     /// address regardless of the tier it had climbed to.
     #[test]
     fn freed_hot_function_faults_stale_at_every_tier(
-        ft in thresholds(),
+        thread_after in thresholds(),
         warm_runs in 0u64..10,
     ) {
-        let (fuse_after, thread_after) = ft;
-        let (mut s, shared) = session(fuse_after, thread_after, 256);
+        let (mut s, shared) = session(thread_after, 256);
         let fp = s.call("mk", &[1]).expect("compile");
         for _ in 0..warm_runs {
             prop_assert_eq!(s.call("run", &[fp]).expect("warm run"), PRIME_SUM);
         }
         if warm_runs > 0 {
             let (tier, _) = s.vm.adaptive_tier(fp).expect("tracked");
-            prop_assert_eq!(tier, expected_tier(warm_runs, fuse_after, thread_after));
+            prop_assert_eq!(tier, expected_tier(warm_runs, thread_after));
         }
         // `run` never touches the compile cache, so `fp`'s referenced
         // bit stays clear: published first, it is the first artifact
@@ -197,11 +193,10 @@ proptest! {
     /// total, promotions never trail demotions, and both only grow.
     #[test]
     fn metrics_invariants_hold_across_interleavings(
-        ft in thresholds(),
+        thread_after in thresholds(),
         script in prop::collection::vec((0u8..3, 1u64..6), 1..12),
     ) {
-        let (fuse_after, thread_after) = ft;
-        let (mut s, shared) = session(fuse_after, thread_after, 512);
+        let (mut s, shared) = session(thread_after, 512);
         let mut fps: Vec<u64> = Vec::new();
         let mut seed = 1u64;
         let (mut last_promotions, mut last_demotions) = (0u64, 0u64);
@@ -269,14 +264,12 @@ proptest! {
     /// loop is long enough ends at the top tier on iterations alone.
     #[test]
     fn loops_reach_each_tier_no_later_than_the_entry_schedule(
-        ft in thresholds(),
+        thread_after in thresholds(),
         iters in 1u64..120,
         runs in 1u64..10,
     ) {
-        let (fuse_after, thread_after) = ft;
         let config = Config {
             engine: Some(ExecEngine::Adaptive {
-                fuse_after,
                 thread_after,
                 background: false,
             }),
@@ -285,16 +278,16 @@ proptest! {
         let mut s = Session::new(LOOP_SRC, config.clone()).expect("compiles");
         let fp = s.call("mk_loop", &[3]).expect("compile");
         let want = 3 * (iters * (iters - 1) / 2);
-        let mut last = Tier::Decode;
+        let mut last = Tier::Fused;
         for k in 1..=runs {
             prop_assert_eq!(s.call("run_loop", &[fp, iters]).expect("runs"), want);
             let (tier, count) = s.vm.adaptive_tier(fp).expect("tracked after a run");
             prop_assert_eq!(count, k, "backedges are not entries");
             prop_assert!(tier >= last, "tier never moves down between runs");
             prop_assert!(
-                tier >= expected_tier(k, fuse_after, thread_after),
-                "run {} under {}/{} is behind its entry schedule at {:?}",
-                k, fuse_after, thread_after, tier
+                tier >= expected_tier(k, thread_after),
+                "run {} under {} is behind its entry schedule at {:?}",
+                k, thread_after, tier
             );
             last = tier;
         }
@@ -302,7 +295,7 @@ proptest! {
         // a trip (two would still fit), so fewer than 32 trips in total
         // never tick: such a function is exactly on the entry schedule.
         if iters * runs < 32 {
-            prop_assert_eq!(last, expected_tier(runs, fuse_after, thread_after));
+            prop_assert_eq!(last, expected_tier(runs, thread_after));
         }
         // One entry, `thread_after` runs' worth of iterations (and a
         // tick to spare): tier 2 before the run is over.
@@ -322,10 +315,8 @@ fn adaptive_is_the_default_engine_and_reports_metrics() {
     assert!(
         matches!(
             s.vm.engine(),
-            ExecEngine::Adaptive { fuse_after, thread_after, background }
-                if fuse_after == DEFAULT_FUSE_AFTER
-                    && thread_after == DEFAULT_THREAD_AFTER
-                    && !background
+            ExecEngine::Adaptive { thread_after, background }
+                if thread_after == DEFAULT_THREAD_AFTER && !background
         ),
         "Config::default must select adaptive tiering, got {:?}",
         s.vm.engine()
@@ -338,7 +329,12 @@ fn adaptive_is_the_default_engine_and_reports_metrics() {
     assert!(m.adaptive.total_runs > 0, "runs were counted");
     assert!(
         m.adaptive.promotions >= 2,
-        "ten repeat runs cross both default thresholds"
+        "ten repeat runs take `run` and the closure past the default threshold"
+    );
+    assert_eq!(
+        (m.adaptive.runs_tier0, m.adaptive.insns_tier0),
+        (0, 0),
+        "nothing single-stepped"
     );
     assert!(
         m.adaptive.runs_tier2 > 0,
@@ -349,8 +345,45 @@ fn adaptive_is_the_default_engine_and_reports_metrics() {
         "\"adaptive\"",
         "\"promotions\"",
         "\"demotions\"",
-        "\"promoted_run_rate\"",
+        "\"top_tier_insn_share\"",
     ] {
         assert!(json.contains(key), "session JSON missing {key}");
     }
+}
+
+#[test]
+fn a_pool_install_runs_fused_from_its_first_entry() {
+    // A compiles the closure and publishes it; B installs A's words
+    // together with the decoded array the pool shares, and B's first
+    // run of them dispatches that array: nothing single-stepped,
+    // nothing decoded.
+    let shared = SharedArtifacts::unbounded();
+    let config = Config {
+        shared: Some(Arc::clone(&shared)),
+        ..Config::default()
+    };
+    let mut a = Session::new(SRC, config.clone()).expect("compiles");
+    let fa = a.call("mk", &[1]).expect("compile");
+    assert_eq!(a.call("run", &[fa]).expect("runs"), PRIME_SUM);
+    let mut b = Session::new(SRC, config).expect("compiles");
+    // B's static caller runs once first, on a closure of B's own, so
+    // its own first-entry decode is not part of what is measured.
+    let own = b.call("mk", &[2]).expect("compile");
+    assert_eq!(b.call("run", &[own]).expect("runs"), 2 * PRIME_SUM);
+    let fb = b.call("mk", &[1]).expect("installs");
+    assert_eq!(b.dyn_stats().compiles, 1, "A's artifact was installed");
+    let before = b.metrics().adaptive;
+    assert_eq!(b.call("run", &[fb]).expect("runs"), PRIME_SUM);
+    let after = b.metrics().adaptive;
+    assert_eq!(
+        after.insns_tier0 - before.insns_tier0,
+        0,
+        "nothing single-stepped: {after:?}"
+    );
+    assert_eq!(
+        after.translated_words - before.translated_words,
+        0,
+        "nothing decoded: {after:?}"
+    );
+    assert_eq!(b.vm.adaptive_tier(fb), Some((Tier::Fused, 1)));
 }

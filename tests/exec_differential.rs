@@ -19,32 +19,28 @@ const ENGINES: [ExecEngine; 8] = [
     ExecEngine::Predecoded { fuse: false },
     ExecEngine::Predecoded { fuse: true },
     ExecEngine::Threaded,
-    // Hair-trigger thresholds: functions climb to the threaded tier
+    // Hair-trigger threshold: functions climb to the threaded tier
     // within a single observation, so promotions land inside the sweep.
     ExecEngine::Adaptive {
-        fuse_after: 1,
         thread_after: 2,
         background: false,
     },
-    // Shipping defaults: most functions stay on the lower tiers.
+    // Shipping default: most functions stay on tier 1.
     ExecEngine::Adaptive {
-        fuse_after: 2,
         thread_after: 8,
         background: false,
     },
-    // The same two threshold configs with translation on the background
+    // The same two thresholds with the threaded build on the background
     // worker: whether a given run dispatches through the swapped-in
-    // buffer or is still single-stepping depends on worker timing, but
-    // the observables (results, modeled cycles/insns, faults) must be
-    // bit-identical either way — that timing-independence IS the async
-    // pipeline's contract.
+    // form or is still on the decoded array depends on worker timing,
+    // but the observables (results, modeled cycles/insns, faults) must
+    // be bit-identical either way — that timing-independence IS the
+    // async pipeline's contract.
     ExecEngine::Adaptive {
-        fuse_after: 1,
         thread_after: 2,
         background: true,
     },
     ExecEngine::Adaptive {
-        fuse_after: 2,
         thread_after: 8,
         background: true,
     },
@@ -57,14 +53,12 @@ fn engine_label(e: ExecEngine) -> &'static str {
         ExecEngine::Predecoded { fuse: true } => "predecoded+fused",
         ExecEngine::Threaded => "threaded",
         ExecEngine::Adaptive {
-            fuse_after: 1,
+            thread_after: 2,
             background: false,
-            ..
         } => "adaptive(hair-trigger)",
         ExecEngine::Adaptive {
-            fuse_after: 1,
+            thread_after: 2,
             background: true,
-            ..
         } => "adaptive(hair-trigger,bg)",
         ExecEngine::Adaptive {
             background: true, ..
@@ -594,15 +588,14 @@ fn adaptive_promotion_boundaries_match_reference_under_fuel_sweep() {
         St::Assign(1, 2, Val::Var(0), Val::Rtc),
     ];
     let src = program_for(&sts);
-    // Thresholds 2/4 inside a six-run sequence: runs 1-2 execute on
-    // tier 0, run 3 is the fuse-promotion run, run 5 the
-    // thread-promotion run, run 6 steady-state threaded. Swept both
-    // synchronously and with the background worker, where the fuel
-    // budgets additionally straddle in-flight translation swaps.
+    // Threshold 4 inside a six-run sequence: runs 1-4 execute on
+    // tier 1, run 5 is the thread-promotion run, run 6 steady-state
+    // threaded. Swept both synchronously and with the background
+    // worker, where the fuel budgets additionally straddle in-flight
+    // translation swaps.
     let ps: Vec<i64> = vec![7, -3, 11, 2, 9, -5];
     for background in [false, true] {
         let adaptive = ExecEngine::Adaptive {
-            fuse_after: 2,
             thread_after: 4,
             background,
         };
@@ -613,8 +606,8 @@ fn adaptive_promotion_boundaries_match_reference_under_fuel_sweep() {
             "unlimited-fuel trace diverges (background: {background})"
         );
         assert!(
-            promotions >= 2,
-            "six runs must cross both tier boundaries, saw {promotions} promotions"
+            promotions >= 1,
+            "six runs must cross the tier boundary, saw {promotions} promotions"
         );
         for fuel in boundary_budgets(&reference) {
             let (reference, _) = observe_run_sequence(&src, ENGINES[0], Some(fuel), &ps);
@@ -630,8 +623,8 @@ fn adaptive_promotion_boundaries_match_reference_under_fuel_sweep() {
 #[test]
 fn fault_during_promotion_triggering_run_matches_reference() {
     // `v0 = r / p` traps with DivideByZero exactly when p == 0. With
-    // fuse_after == 2 the third run executes under the just-promoted
-    // fused tier; passing p == 0 there faults mid-way through that
+    // thread_after == 2 the third run executes under the just-promoted
+    // threaded tier; passing p == 0 there faults mid-way through that
     // promotion-triggering run. Later runs re-enter the promoted
     // function after the fault.
     let sts = vec![
@@ -642,27 +635,24 @@ fn fault_during_promotion_triggering_run_matches_reference() {
     let ps: Vec<i64> = vec![7, 5, 0, 3, 0, 8, 6];
     for engine in [
         ExecEngine::Adaptive {
-            fuse_after: 2,
-            thread_after: 4,
+            thread_after: 2,
             background: false,
         },
-        // Same sequence with the fault on the thread-promotion run.
+        // Same sequence with the fault on the fifth run, the
+        // promotion run under threshold 4.
         ExecEngine::Adaptive {
-            fuse_after: 1,
-            thread_after: 2,
+            thread_after: 4,
             background: false,
         },
         // Both again with the background worker: a fault mid-way
         // through the promotion-triggering run can land while that
         // run's translation is still in flight.
         ExecEngine::Adaptive {
-            fuse_after: 2,
-            thread_after: 4,
+            thread_after: 2,
             background: true,
         },
         ExecEngine::Adaptive {
-            fuse_after: 1,
-            thread_after: 2,
+            thread_after: 4,
             background: true,
         },
     ] {
@@ -706,27 +696,23 @@ use tickc::vm::isa::{Insn, Op};
 use tickc::vm::regs::{A0, AT0, AT1, ZERO};
 use tickc::vm::{CodeSpace, FuncHandle, HostCall, Tier, Vm};
 
-/// Thresholds 2/4 (tier 1 at backedge 64, tier 2 — through the
-/// safepoint — at backedge 192 of a single entry) and the hair trigger
-/// (straight to tier 2 at backedge 64), each inline and on the worker.
+/// Threshold 4 (tier 2 — through the safepoint — at backedge 192 of a
+/// single entry) and the hair trigger (tier 2 at backedge 64), each
+/// inline and on the worker.
 const SAFEPOINT_ENGINES: [ExecEngine; 4] = [
     ExecEngine::Adaptive {
-        fuse_after: 2,
         thread_after: 4,
         background: false,
     },
     ExecEngine::Adaptive {
-        fuse_after: 2,
         thread_after: 4,
         background: true,
     },
     ExecEngine::Adaptive {
-        fuse_after: 1,
         thread_after: 2,
         background: false,
     },
     ExecEngine::Adaptive {
-        fuse_after: 1,
         thread_after: 2,
         background: true,
     },
@@ -790,16 +776,16 @@ fn sweep_safepoint(cs: &CodeSpace, addr: u64, n: u64, shape: &str) {
     };
     let (reference, _) = run(ExecEngine::DecodePerStep, u64::MAX);
     assert!(reference.0.is_ok());
-    // Not vacuous: the synchronous 2/4 engine really does spend part of
-    // the run at each tier and crosses 1 -> 2 at the safepoint, through
-    // the shapes the kernel was built for.
+    // Not vacuous: the synchronous threshold-4 engine really does spend
+    // part of the run at each tier and crosses 1 -> 2 at the safepoint,
+    // through the shapes the kernel was built for.
     let (got, vm) = run(SAFEPOINT_ENGINES[0], u64::MAX);
     assert_eq!(got, reference);
     let a = vm.adaptive_stats();
     assert_eq!(vm.adaptive_tier(addr), Some((Tier::Threaded, 1)));
-    assert_eq!(a.promotions, 2);
+    assert_eq!(a.promotions, 1);
     assert!(
-        a.insns_tier0 > 0 && a.insns_tier1 > 0 && a.insns_tier2 > 0,
+        a.insns_tier0 == 0 && a.insns_tier1 > 0 && a.insns_tier2 > 0,
         "{a:?}"
     );
     assert!(vm.exec_stats().fused_pairs > 0);
@@ -857,10 +843,11 @@ fn midrun_free_vm(engine: ExecEngine, free_at: u64) -> (Vm<impl HostCall>, u64) 
 
 #[test]
 fn safepoint_midrun_free_between_ticks_faults_stale_like_the_reference() {
-    // The running function is freed by its own host call: at tier 0
-    // (call 30), between the tick that promoted it and the next one
-    // (call 100: tier 1 under 2/4, tier 2 under 1/2), just before the
-    // 1 -> 2 safepoint is due (call 191), and after it (call 250).
+    // The running function is freed by its own host call: before its
+    // clock has ticked (call 30), between the first tick and the next
+    // (call 100: tier 1 under threshold 4, tier 2 under 2), just before
+    // the 1 -> 2 safepoint is due under 4 (call 191), and after it
+    // (call 250).
     // Every engine leaves its buffer at the host-call boundary and
     // faults from the reference path, at the word after the `hcall`.
     for free_at in [30u64, 100, 191, 250] {
@@ -927,11 +914,11 @@ fn evicted_code_faults_stale_with_warm_translation_cache() {
     .expect("compiles");
     assert!(matches!(s.vm.engine(), ExecEngine::Adaptive { .. }));
     let fp1 = s.call("mk", &[1]).expect("first compile");
-    // Warm the translation cache on fp1 before evicting it: under the
-    // default adaptive thresholds a few repeat runs promote the helper
-    // past tier 0, which forces a translation.
+    // Warm the translation cache on fp1 before evicting it: its first
+    // run decodes it, and nine runs take it past the default threshold
+    // to tier 2.
     let expect1: u64 = (3 + 5 + 7 + 9 + 11 + 13 + 17 + 19 + 23 + 29 + 31 + 37) as u64;
-    for _ in 0..4 {
+    for _ in 0..9 {
         assert_eq!(s.call("run", &[fp1]).expect("warm run"), expect1);
     }
     assert!(s.metrics().exec.translations >= 1, "fp1 was translated");
@@ -970,7 +957,7 @@ fn placement_jitter_composes_with_predecoding() {
             s.vm.state_mut().code.set_placement_jitter(seed);
         }
         let fp = s.call("dyn_compile", &[13]).expect("compiles dyn");
-        // Repeat runs climb the adaptive tiers, so the predecoded fast
+        // Every run dispatches the decoded array, so the predecoded fast
         // path is exercised regardless of where the code landed.
         let mut got = 0;
         for _ in 0..3 {
