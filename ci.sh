@@ -41,11 +41,31 @@
 #      every engine equal to decode-per-step in checksum, cycles, insns
 #  12. benchmark/check.sh: fmt, clippy and unit tests of the
 #      out-of-workspace repo benchmark, which builds against crates/*'s
-#      public API, so an API change that breaks it fails here
+#      public API, so an API change that breaks it fails here. Building
+#      it rewrites benchmark/Cargo.lock, so the lock is copied first and
+#      put back afterwards
+#  13. the work tree is as CI found it: `git status --porcelain` and
+#      `git diff` equal their values at the start, or the files a step
+#      changed are named and CI fails (skipped outside a git work tree)
 #
 # Fails fast: the first failing step aborts with its exit code.
 set -eu
 cd "$(dirname "$0")"
+
+# Step 13's record of the work tree: per file that differs from HEAD,
+# its status line and a checksum of its diff.
+tree_state() {
+    git status --porcelain | while IFS= read -r line; do
+        printf '%s\t%s %s\n' "${line#???}" "$line" "$(git diff -- "${line#???}" | cksum)"
+    done
+}
+tree=""
+if git rev-parse --is-inside-work-tree >/dev/null 2>&1; then
+    tree=$(mktemp -d)
+    git status --porcelain >"$tree/status.0"
+    git diff >"$tree/diff.0"
+    tree_state >"$tree/files.0"
+fi
 
 echo "== cargo fmt --check =="
 cargo fmt --all -- --check
@@ -124,6 +144,30 @@ echo "== suite adaptive --smoke (tiering observationally identical) =="
 cargo run -p tcc-suite --bin suite --release -- adaptive --smoke
 
 echo "== benchmark package (fmt, clippy, tests against this tree's API) =="
-bash benchmark/check.sh
+lock=$(mktemp)
+cp benchmark/Cargo.lock "$lock"
+status=0
+bash benchmark/check.sh || status=$?
+cp "$lock" benchmark/Cargo.lock
+rm -f "$lock"
+[ "$status" -eq 0 ] || exit "$status"
+
+echo "== the work tree is as CI found it =="
+if [ -n "$tree" ]; then
+    git status --porcelain >"$tree/status.1"
+    git diff >"$tree/diff.1"
+    tree_state >"$tree/files.1"
+    if ! cmp -s "$tree/status.0" "$tree/status.1" || ! cmp -s "$tree/diff.0" "$tree/diff.1"; then
+        echo "a step changed the work tree; these files differ from when CI started:"
+        sort "$tree/files.0" >"$tree/a"
+        sort "$tree/files.1" >"$tree/b"
+        comm -3 "$tree/a" "$tree/b" | sed 's/^\t//' | cut -f1 | sort -u
+        rm -rf "$tree"
+        exit 1
+    fi
+    rm -rf "$tree"
+else
+    echo "(not a git work tree: skipped)"
+fi
 
 echo "CI_OK"

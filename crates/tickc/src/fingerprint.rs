@@ -1,5 +1,5 @@
-//! The closure scan before every `compile`: composition depth and the
-//! memo key, in one pass over the closure tree.
+//! The closure scan before every `compile`: the memo key and the
+//! `param` vspecs, in one pass over the closure tree.
 //!
 //! A dynamic compilation is a pure function of (a) the selected back end
 //! and its options, (b) the closure tree — CGF identities, `$`-bound
@@ -7,8 +7,9 @@
 //! composed cspec structure — and (c) the static program, which is fixed
 //! for a session. `scan_closure` encodes (b) into an injective
 //! [`Fingerprint`] so the runtime can answer a repeated `compile` with
-//! the previously generated function address. The same pass measures how
-//! deep the composition nests, which decides where the compile walk runs.
+//! the previously generated function address. The same pass checks how
+//! deep the composition nests and lists the `param` vspecs a compile
+//! binds at entry.
 //!
 //! The scan reads each closure's plan (`plan`), never a tick's AST: the
 //! plan knows what each closure field holds and whether the tick can be
@@ -26,8 +27,8 @@
 //!   codegen only distinguishes *which* object is *where* in the tree.
 //!   Numbering objects by first occurrence in the scan makes two
 //!   structurally identical trees (built from different `local()` calls)
-//!   fingerprint equal — sound because the compile walk allocates
-//!   temporaries in exactly this traversal order.
+//!   fingerprint equal — sound because the compile binds parameters in
+//!   exactly this traversal order and then walks the closures in it.
 
 use std::collections::HashMap;
 
@@ -71,8 +72,9 @@ fn ordinal(map: &mut HashMap<u64, u64>, addr: u64) -> u64 {
 
 impl Encoder {
     /// Encodes a field that holds no closure: a `$` value, a free
-    /// variable's address, a vspec, or (a cspec field) a label object.
-    fn leaf(&mut self, mem: &Memory, cap: Cap, field: u64) -> Result<(), VmError> {
+    /// variable's address, a vspec (`obj`, read), or (a cspec field) a
+    /// label object.
+    fn leaf(&mut self, cap: Cap, field: u64, obj: Option<VspecObj>) {
         let b = &mut self.b;
         match cap {
             // Captured by value at specification time: the raw bits (int
@@ -88,7 +90,7 @@ impl Encoder {
                 b.push_u64(field);
             }
             Cap::Vspec => {
-                let obj = VspecObj::read(mem, field)?;
+                let obj = obj.expect("a vspec field is read before it is encoded");
                 let (t, id) = match obj.tag {
                     VspecTag::Param => (tag::VSPEC_PARAM, obj.index),
                     VspecTag::Local => (tag::VSPEC_LOCAL, ordinal(&mut self.vspecs, field)),
@@ -102,12 +104,13 @@ impl Encoder {
                 b.push_u64(ordinal(&mut self.labels, field));
             }
         }
-        Ok(())
     }
 }
 
-/// Longest legal path, in closures: `prebind_params` errors at depth >
-/// `COMPOSE_DEPTH_LIMIT` with the entry at depth 0.
+/// Longest path the scan follows, in closures: the entry at depth 0 and
+/// `COMPOSE_DEPTH_LIMIT` levels below it. (The walk itself opens at most
+/// `COMPOSE_DEPTH_LIMIT` frames, so the deepest path it accepts is one
+/// closure shorter.)
 pub(crate) const MAX_PATH: usize = COMPOSE_DEPTH_LIMIT as usize + 1;
 
 /// One closure on the scan's current path and how far its field scan
@@ -150,12 +153,13 @@ impl Frame {
 
     /// Encodes fields up to the next closure child and returns it: the
     /// closure in a cspec field, or the next element of an argument
-    /// list. Label objects are leaves.
+    /// list. Label objects are leaves; `param` vspecs go on `params`.
     fn next_child(
         &mut self,
         mem: &Memory,
         input: DynInput<'_>,
         enc: &mut Option<Encoder>,
+        params: &mut Vec<(u64, VspecObj)>,
     ) -> Result<Option<u64>, VmError> {
         let caps = &input.plan(self.id)?.caps;
         while let Some(&cap) = caps.get(self.cap) {
@@ -166,8 +170,13 @@ impl Frame {
             };
             match marker {
                 None | Some(LABEL_MARKER) => {
+                    let obj = (cap == Cap::Vspec).then(|| VspecObj::read(mem, field));
+                    let obj = obj.transpose()?;
+                    if let Some(o) = obj.filter(|o| o.tag == VspecTag::Param) {
+                        params.push((field, o));
+                    }
                     if let Some(e) = enc {
-                        e.leaf(mem, cap, field)?;
+                        e.leaf(cap, field, obj);
                     }
                 }
                 Some(ARGLIST_MARKER) => {
@@ -197,51 +206,51 @@ impl Frame {
     }
 }
 
-/// Walks the closure tree at `entry` once, before a compile. Returns
-/// the composition nesting depth and, when `key` brings the encoding's
-/// prefix (back end and options), the closure's memo key — `None` when
-/// some tick in the tree reads memory under `$`. The plans of the ticks
-/// the tree names are lowered on the way, if no compile has yet.
+/// Walks the closure tree at `entry` once, before a compile. Returns,
+/// when `key` brings the encoding's prefix (back end and options), the
+/// closure's memo key — `None` when some tick in the tree reads memory
+/// under `$` — and leaves in `params` every `param` vspec field of the
+/// tree with its object, in the order met (repeats included). The plans
+/// of the ticks the tree names are lowered on the way, if no compile has
+/// yet.
 ///
-/// Iterative, so arbitrarily deep (or cyclic) compositions cannot
-/// overflow the host stack before `COMPOSE_DEPTH_LIMIT` is enforced; the
-/// runtime then moves deep (but legal) compilations onto a thread with
-/// a proportionally sized stack. A closure's children are what the
-/// compile walk's `prebind_params` recurses into: the closures in its
-/// cspec fields, directly or through argument lists. The path is a
-/// fixed array of `COMPOSE_DEPTH_LIMIT + 1` frames the caller keeps
-/// (`path`; its contents on entry do not matter), each resuming its
-/// closure's field scan where it left off, so without a key the scan
-/// allocates nothing. The path bound is also the cycle check — a cycle
-/// is a path that never ends. Like the compile walk, it visits a closure
-/// once per path that reaches it. A closure is encoded when it is
-/// pushed, field by field as the scan passes, and closed when it is
-/// popped; after a tick that reads memory the encoding stops, but the
-/// depth check runs to the end.
+/// Iterative, so arbitrarily deep (or cyclic) compositions are refused
+/// before any code is emitted. A closure's children are the closures in
+/// its cspec fields, directly or through argument lists: what the
+/// compile walk splices. The path is a fixed array of
+/// `COMPOSE_DEPTH_LIMIT + 1` frames the caller keeps (`path`; its
+/// contents on entry do not matter), each resuming its closure's field
+/// scan where it left off, so without a key the scan allocates nothing.
+/// The path bound is also the cycle check — a cycle is a path that never
+/// ends. Like the compile walk, it visits a closure once per path that
+/// reaches it. A closure is encoded when it is pushed, field by field as
+/// the scan passes, and closed when it is popped; after a tick that
+/// reads memory the encoding stops, but the scan runs to the end.
 ///
 /// # Errors
 ///
 /// `"closure composition too deep"` when the nesting exceeds
-/// `COMPOSE_DEPTH_LIMIT` or the graph is cyclic (which the recursive
-/// walk would also reject, by running into the same limit), `"bad cgf
-/// id ..."` on malformed closures, matching the errors the compile walk
-/// itself raises, and [`VmError`]s from closure reads.
+/// `COMPOSE_DEPTH_LIMIT` or the graph is cyclic, `"bad cgf id ..."` on
+/// malformed closures, matching the errors the compile walk itself
+/// raises, and [`VmError`]s from closure and vspec reads.
 pub(crate) fn scan_closure(
     mem: &Memory,
     input: DynInput<'_>,
     path: &mut [Frame; MAX_PATH],
     entry: u64,
     key: Option<FingerprintBuilder>,
-) -> Result<(u32, Option<Fingerprint>), VmError> {
+    params: &mut Vec<(u64, VspecObj)>,
+) -> Result<Option<Fingerprint>, VmError> {
     let mut enc = key.map(|b| Encoder {
         b,
         vspecs: HashMap::new(),
         labels: HashMap::new(),
     });
+    params.clear();
     path[0] = Frame::open(mem, input, entry, &mut enc)?;
-    let (mut len, mut longest) = (1, 1);
+    let mut len = 1;
     while len > 0 {
-        match path[len - 1].next_child(mem, input, &mut enc)? {
+        match path[len - 1].next_child(mem, input, &mut enc, params)? {
             Some(child) => {
                 // Opened before the bound is checked: a malformed closure
                 // one past the limit reports its bad id, as it always has.
@@ -251,7 +260,6 @@ pub(crate) fn scan_closure(
                 }
                 path[len] = frame;
                 len += 1;
-                longest = longest.max(len);
             }
             None => {
                 if let Some(e) = &mut enc {
@@ -261,14 +269,14 @@ pub(crate) fn scan_closure(
             }
         }
     }
-    Ok((longest as u32 - 1, enc.map(|e| e.b.build())))
+    Ok(enc.map(|e| e.b.build()))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::plan::TickPlan;
-    use std::sync::OnceLock;
+    use std::cell::OnceCell;
     use tcc_front::Program;
 
     /// A program whose ticks supply the three closure shapes the probe
@@ -285,7 +293,7 @@ mod tests {
     struct Heap {
         mem: Memory,
         prog: Program,
-        plans: Box<[OnceLock<TickPlan>]>,
+        plans: Box<[OnceCell<TickPlan>]>,
         tick_strs: Vec<Vec<u64>>,
     }
 
@@ -294,7 +302,7 @@ mod tests {
             let prog = tcc_front::compile_unit(SHAPES).expect("front end");
             Heap {
                 mem: Memory::new(1 << 20),
-                plans: prog.ticks.iter().map(|_| OnceLock::new()).collect(),
+                plans: prog.ticks.iter().map(|_| OnceCell::new()).collect(),
                 tick_strs: vec![Vec::new(); prog.ticks.len()],
                 prog,
             }
@@ -346,41 +354,51 @@ mod tests {
             c
         }
 
-        fn probe(&self, entry: u64) -> Result<u32, String> {
+        fn probe(&self, entry: u64) -> Result<(), String> {
             let path = &mut [Frame::default(); MAX_PATH];
-            let scan = scan_closure(&self.mem, self.input(), path, entry, None);
-            scan.map(|(depth, _)| depth).map_err(|e| e.to_string())
+            let scan = scan_closure(&self.mem, self.input(), path, entry, None, &mut Vec::new());
+            scan.map(|_| ()).map_err(|e| e.to_string())
         }
     }
 
+    fn too_deep(r: Result<(), String>) -> bool {
+        r.is_err_and(|e| e.contains("closure composition too deep"))
+    }
+
     #[test]
-    fn probe_reports_the_deepest_path() {
+    fn probe_bounds_the_deepest_path() {
         let mut h = Heap::new();
         let leaf = h.closure(&[]);
-        assert_eq!(h.probe(leaf), Ok(0));
+        assert_eq!(h.probe(leaf), Ok(()));
         let shallow = h.chain(2);
-        let deep = h.chain(7);
+        let (fits, deep) = (
+            h.chain(COMPOSE_DEPTH_LIMIT - 1),
+            h.chain(COMPOSE_DEPTH_LIMIT),
+        );
         // The deep child second, then first: scan order is not depth.
-        let a = h.closure(&[shallow, deep]);
-        let b = h.closure(&[deep, shallow]);
-        assert_eq!(h.probe(a), Ok(8));
-        assert_eq!(h.probe(b), Ok(8));
+        for (a, b) in [(shallow, fits), (fits, shallow)] {
+            let parent = h.closure(&[a, b]);
+            assert_eq!(h.probe(parent), Ok(()));
+        }
+        for (a, b) in [(shallow, deep), (deep, shallow)] {
+            let parent = h.closure(&[a, b]);
+            assert!(too_deep(h.probe(parent)));
+        }
         // A shared child (DAG) is a child of each parent.
-        let dag = h.closure(&[deep, deep]);
-        assert_eq!(h.probe(dag), Ok(8));
+        let dag = h.closure(&[fits, fits]);
+        assert_eq!(h.probe(dag), Ok(()));
     }
 
     #[test]
     fn probe_accepts_the_limit_and_rejects_one_past_it() {
         let mut h = Heap::new();
         let at_limit = h.chain(COMPOSE_DEPTH_LIMIT);
-        assert_eq!(h.probe(at_limit), Ok(COMPOSE_DEPTH_LIMIT));
+        assert_eq!(h.probe(at_limit), Ok(()));
         let past = h.closure(&[at_limit]);
-        let err = h.probe(past).unwrap_err();
-        assert!(err.contains("closure composition too deep"), "{err}");
+        assert!(too_deep(h.probe(past)));
         // Only the deepest path matters, wherever the scan meets it.
         let wide = h.closure(&[at_limit, at_limit]);
-        assert!(h.probe(wide).unwrap_err().contains("too deep"));
+        assert!(too_deep(h.probe(wide)));
     }
 
     #[test]
@@ -388,15 +406,14 @@ mod tests {
         let mut h = Heap::new();
         let selfish = h.closure(&[0]);
         h.mem.store_u64(selfish + 8, selfish).unwrap();
-        let err = h.probe(selfish).unwrap_err();
-        assert!(err.contains("closure composition too deep"), "{err}");
+        assert!(too_deep(h.probe(selfish)));
         // A two-closure cycle entered from outside, behind a leaf.
         let leaf = h.closure(&[]);
         let x = h.closure(&[0]);
         let y = h.closure(&[leaf, x]);
         h.mem.store_u64(x + 8, y).unwrap();
         let entry = h.closure(&[y]);
-        assert!(h.probe(entry).unwrap_err().contains("too deep"));
+        assert!(too_deep(h.probe(entry)));
     }
 
     #[test]
@@ -417,16 +434,21 @@ mod tests {
         let mut h = Heap::new();
         let label = h.object(LABEL_MARKER, &[1]);
         let jumps = h.closure(&[label]);
-        assert_eq!(h.probe(jumps), Ok(0), "a label object is a leaf");
-        let (short, long) = (h.chain(1), h.chain(4));
+        assert_eq!(h.probe(jumps), Ok(()), "a label object is a leaf");
+        let (short, long) = (h.chain(1), h.chain(COMPOSE_DEPTH_LIMIT - 1));
         let args = h.object(ARGLIST_MARKER, &[3, short, long, short]);
         let apply = h.closure(&[args, label]);
-        assert_eq!(h.probe(apply), Ok(5), "elements are children of the owner");
+        assert_eq!(h.probe(apply), Ok(()));
+        let outer = h.closure(&[apply]);
+        assert!(
+            too_deep(h.probe(outer)),
+            "elements are children of the owner"
+        );
         let none = h.object(ARGLIST_MARKER, &[0]);
         let apply0 = h.closure(&[none, long]);
-        assert_eq!(
-            h.probe(apply0),
-            Ok(5),
+        let outer0 = h.closure(&[apply0]);
+        assert!(
+            too_deep(h.probe(outer0)),
             "the scan resumes after an empty list"
         );
         // Elements are closures, nothing else.

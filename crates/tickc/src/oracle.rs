@@ -20,6 +20,7 @@ use crate::dyncomp::{
     Cv, DynCompiler, DynInput, WalkScratch, WalkStats, COMPOSE_DEPTH_LIMIT, UNROLL_LIMIT,
     UNROLL_TRIP_LIMIT, V,
 };
+use crate::fingerprint;
 use std::cell::Cell;
 use std::collections::HashMap;
 use tcc_front::ast::*;
@@ -117,7 +118,7 @@ impl<'a, 'p, S: CodeSink> AstCompiler<'a, 'p, S> {
     ///
     /// Fails on malformed closures or unrepresentable dynamic code.
     pub(crate) fn compile_entry(&mut self, closure_addr: u64) -> Result<(), VmError> {
-        self.prebind_params(closure_addr, 0)?;
+        self.bind_params(closure_addr, 0)?;
         let ret = self.compile_closure(closure_addr)?;
         let unbound = (self.dyn_labels.iter()).filter(|(_, (_, bound))| !bound);
         if let Some(addr) = unbound.map(|(addr, _)| *addr).min() {
@@ -143,7 +144,7 @@ impl<'a, 'p, S: CodeSink> AstCompiler<'a, 'p, S> {
     /// Binds every `param` vspec reachable through the closure tree
     /// before any code is emitted (argument registers must be captured
     /// at entry, before calls clobber them).
-    fn prebind_params(&mut self, closure_addr: u64, depth: u32) -> Result<(), VmError> {
+    fn bind_params(&mut self, closure_addr: u64, depth: u32) -> Result<(), VmError> {
         if depth > COMPOSE_DEPTH_LIMIT {
             return Err(self.err("closure composition too deep"));
         }
@@ -174,10 +175,10 @@ impl<'a, 'p, S: CodeSink> AstCompiler<'a, 'p, S> {
                             let n = self.mem.load_u64(field + 8)?;
                             for j in 0..n {
                                 let c = self.mem.load_u64(field + 16 + 8 * j)?;
-                                self.prebind_params(c, depth + 1)?;
+                                self.bind_params(c, depth + 1)?;
                             }
                         }
-                        _ => self.prebind_params(field, depth + 1)?,
+                        _ => self.bind_params(field, depth + 1)?,
                     }
                 }
                 _ => {}
@@ -2219,14 +2220,22 @@ pub(crate) fn checks() -> (u64, u64) {
     (CHECKS.get(), ERRORS.get())
 }
 
-/// Walks `closure` with the plan walker and with the AST walker, each
-/// into a recording sink, and panics unless they agree: same operation
-/// stream and [`WalkStats`], or the same error.
+/// Walks `closure` with the plan walker, after the closure scan that
+/// lists its `param` vspecs, and with the AST walker, which binds them by
+/// its own recursion, each into a recording sink, and panics unless they
+/// agree: same operation stream and [`WalkStats`], or the same error.
 pub(crate) fn check(input: DynInput<'_>, mem: &Memory, ret_kind: Option<ValKind>, closure: u64) {
     let mut plan_sink = RecSink::default();
     let mut scratch = WalkScratch::default();
-    let mut plan = DynCompiler::new(input, mem, &mut plan_sink, &mut scratch, ret_kind);
-    let plan_result = plan.compile_entry(closure).map(|()| plan.stats);
+    let (mut params, path) = (
+        Vec::new(),
+        &mut [fingerprint::Frame::default(); fingerprint::MAX_PATH],
+    );
+    let plan_result = fingerprint::scan_closure(mem, input, path, closure, None, &mut params)
+        .and_then(|_| {
+            let mut plan = DynCompiler::new(input, mem, &mut plan_sink, &mut scratch, ret_kind);
+            plan.compile_entry(closure, &params).map(|()| plan.stats)
+        });
 
     let mut ast_sink = RecSink::default();
     let mut ast = AstCompiler::new(input, mem, &mut ast_sink, ret_kind);

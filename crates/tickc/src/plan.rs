@@ -4,14 +4,18 @@
 //! static compile time, so that at instantiation "almost all the time is
 //! spent actually emitting binary code". The plan is this reproduction's
 //! CGF: [`lower`] walks a [`TickDef`]'s typed AST once per session and
-//! leaves a node arena in which everything that depends only on the
+//! leaves a linear [`Step`] sequence over numbered temporaries. Each
+//! temporary is a [`Node`] in which everything that depends only on the
 //! tick is a field — value kinds, load/store kinds, element sizes, the
 //! coercion between a child and its parent, the machine operation and
 //! its swapped form, whether a subtree can ever be a run-time constant,
-//! capture slots, label indices, a `for`'s unroll candidacy. The walker
-//! in [`crate::dyncomp`] interprets that arena against a
-//! [`CodeSink`](tcc_vcode::CodeSink) and never sees a `Type`, an `Expr`
-//! or a name.
+//! capture slots, a `for`'s unroll candidacy. The steps fix the order of
+//! evaluation once: operands come before the step that consumes them, a
+//! fold check sits at each subtree that may be a run-time constant, a
+//! static `if`/`for`/`switch` is jumps within the sequence, and a splice
+//! is one step. The walker in [`crate::dyncomp`] runs the sequence
+//! against a [`CodeSink`](tcc_vcode::CodeSink) in one loop and never
+//! sees a `Type`, an `Expr` or a name.
 //!
 //! The plan also carries what the closure scan before a compile needs
 //! (`fingerprint`): each capture's kind, and whether a `$` operand reads
@@ -25,10 +29,11 @@ use tcc_mir::lower::machine_binop;
 use tcc_rt::{hcalls, ValKind};
 use tcc_vcode::ops::{BinOp, LoadKind, StoreKind};
 
-/// Index of an expression node in [`TickPlan::nodes`].
+/// Index of a node in [`TickPlan::nodes`]: the number of the temporary
+/// its step fills.
 pub(crate) type NodeId = u32;
-/// Index of a statement in [`TickPlan::stmts`].
-pub(crate) type StmtId = u32;
+/// Index of a step in [`TickPlan::code`].
+pub(crate) type At = u32;
 
 /// A run of consecutive entries in one of the plan's side tables.
 #[derive(Clone, Copy, Debug, Default)]
@@ -296,7 +301,7 @@ pub(crate) struct DeclPlan {
 
 /// How an unrollable loop's step updates the induction variable.
 #[derive(Clone, Copy, Debug)]
-pub(crate) enum Step {
+pub(crate) enum Advance {
     IncDec(bool),
     AssignOp(Fold, NodeId),
     Reassign(NodeId),
@@ -310,68 +315,114 @@ pub(crate) enum Step {
 pub(crate) struct UnrollPlan {
     pub k: u32,
     pub init: NodeId,
-    pub step: Step,
+    pub cond: NodeId,
+    pub step: Advance,
     /// The induction variable is a W (wrapping 32-bit step).
     pub w: bool,
 }
 
+/// One step of a tick's code. An expression step names a node `n`: it
+/// reads the slots its operands' steps filled and fills `n`'s. Control
+/// and statement steps name an extra slot `x` (see [`TickPlan::extra`])
+/// that holds their labels and mode. An `At` is a jump target.
 #[derive(Clone, Copy, Debug)]
-pub(crate) struct ForPlan {
-    pub init: Option<StmtId>,
-    pub cond: Option<NodeId>,
-    pub step: Option<NodeId>,
-    pub body: StmtId,
-    pub unroll: Option<UnrollPlan>,
-}
-
-#[derive(Clone, Copy, Debug)]
-pub(crate) enum SwItem {
-    Case(i64),
-    Default,
-    Stmt(StmtId),
-}
-
-/// A lowered statement.
-#[derive(Clone, Copy, Debug)]
-pub(crate) enum PStmt {
-    Expr(NodeId),
-    /// `jump(l)` to the label object in capture `_`.
-    Jump(u32),
+pub(crate) enum Step {
+    /// Run-time constant folding: if `n` is static now, its value is an
+    /// immediate and the walk jumps past `n`'s code.
+    Fold(NodeId, At),
+    /// The same for a branch on `n`: a static condition is a jump to one
+    /// of its targets, or nothing.
+    FoldBranch(NodeId, At),
+    /// `n`'s value, from its operands' (a cspec's is a splice).
+    Value(NodeId),
+    Place(NodeId),
+    /// `n`'s place, loaded. A variable's place is made here too, after
+    /// its fold check: a derived run-time constant is an immediate.
+    Load(NodeId),
+    /// A branch on `n`'s value to the targets in its slot.
+    Branch(NodeId),
+    /// The same for compare `n`, on its operands.
+    Compare(NodeId),
+    /// Converts a compare's first operand before the second is emitted.
+    Coerce(NodeId, Co),
+    /// Releases `n`'s value.
+    Drop(NodeId),
+    /// Arithmetic `n`: its fold check, unless lowering proved it dynamic
+    /// (the jump past `n`'s code is the last field), then strength
+    /// reduction's choice of which operand is an immediate, or which is
+    /// emitted first; the second's code is at the middle field.
+    Arith(NodeId, At, Option<At>),
+    /// After `n`'s first (`true`) or second operand: go on, or jump (to
+    /// `n`'s `Value`, or back to the first operand's code).
+    Then(NodeId, bool, At),
+    /// After a place or pointer: a static other operand finishes `n`,
+    /// and the walk jumps past that operand's code. `op=` loads here.
+    Imm(NodeId, At),
+    /// A result temporary for `n` (a `?:`, `&&` or `||` value).
+    Temp(NodeId),
+    /// Operand `_`'s value, converted, moved into `n`'s temporary.
+    Mov(NodeId, NodeId, Co),
+    /// 1 (`true`) or 0 into `n`'s temporary.
+    Li(NodeId, bool),
+    /// `&&`/`||` `n` as a branch: its first operand's targets, with the
+    /// label of slot `x` where `n` has none.
+    AndOr(NodeId, u32),
+    /// Passes `n`'s targets to operand `_` (swapped, for `!`).
+    Pass(NodeId, NodeId, bool),
+    Arg(ArgPlan),
+    /// A call's result temporary, taken before an indirect callee.
+    CallRet(NodeId),
+    /// `apply`: checks the list (`false`), or splices its next element,
+    /// which returns to this step.
+    Apply(NodeId, bool),
+    /// Makes `_` fresh labels in slot `x`.
+    Labels(u32, u8),
+    /// Binds, or jumps to, label `_` of slot `x`: one a `Labels` step
+    /// made, or a `goto` label's (label 0 of its slot, made where the
+    /// walk first meets it).
+    Bind(u32, u8),
+    Jmp(u32, u8),
+    /// Node `_`'s branch targets: labels of slot `x`, when true and when
+    /// false.
+    Target(NodeId, u32, [Option<u8>; 2]),
+    /// A static `if` jumps over its dynamic code.
+    Skip(u32, At),
     /// A `void cspec` capture mentioned as a statement.
     Splice(u32),
-    /// Entries of [`TickPlan::decls`].
-    Decl(Span),
-    If {
-        c: NodeId,
-        t: StmtId,
-        e: Option<StmtId>,
-    },
-    For(ForPlan),
-    /// `while` (`pre`: the condition is tested before the first trip) or
-    /// `do … while`.
-    Loop {
-        c: NodeId,
-        body: StmtId,
-        pre: bool,
-    },
+    /// `jump(l)` to the label object in capture `_`.
+    Jump(u32),
+    /// A static initializer keeps the local a derived run-time constant
+    /// and jumps past the dynamic one's code and `Store`.
+    Decl(DeclPlan, At),
+    Store(DeclPlan),
+    /// `if` on node `c`: a static condition jumps to the `then` or the
+    /// `else` arm (`If(x, c, then, els)`).
+    If(u32, NodeId, At, At),
+    /// A `for` that unrolls now (its candidacy is an entry of
+    /// [`TickPlan::unrolls`]) jumps to its `Test`.
+    For(u32, Option<u32>, At),
+    /// A dynamic loop's top: label 0, with labels `_` and `_` as the
+    /// `break` and `continue` targets.
+    Loop(u32, u8, u8),
+    /// After the body: an unrolling `for` steps its variable and jumps
+    /// to its `Test`; a dynamic loop pops its targets.
+    Next(u32, Option<u32>, At),
+    LoopEnd,
+    /// An unrolling `for`'s test: on to its body, or out.
+    Test(u32, Option<u32>, At),
     /// `co[k.code()]` converts the value to a `compile(c, T)` of kind `k`.
-    Return {
-        e: Option<NodeId>,
-        co: [Co; 4],
-    },
+    Return(Option<NodeId>, [Co; 4]),
     Break,
     Continue,
-    /// Entries of [`TickPlan::stmt_lists`].
-    Block(Span),
-    /// Entries of [`TickPlan::switch_items`].
-    Switch {
-        scrut: NodeId,
-        k: ValKind,
-        items: Span,
-    },
-    Goto(u32),
-    Labeled(u32, StmtId),
-    Empty,
+    /// `switch` on a node: a static scrutinee jumps to its case (the
+    /// cases are entries of [`TickPlan::cases`]) or to the end (`At`).
+    Switch(u32, NodeId, Span, At),
+    /// A dynamic scrutinee's compare chain.
+    Dispatch(u32, NodeId, Span),
+    /// The `_`-th `case` or `default`.
+    Case(u32, u32),
+    SwitchEnd(u32),
+    /// Always an error; the message is `msgs[_]`.
     Fail(u32),
 }
 
@@ -392,16 +443,15 @@ pub(crate) enum Cap {
 #[derive(Debug, Default)]
 pub(crate) struct TickPlan {
     pub nodes: Vec<Node>,
-    pub stmts: Vec<PStmt>,
-    pub stmt_lists: Vec<StmtId>,
-    pub decls: Vec<DeclPlan>,
-    pub switch_items: Vec<SwItem>,
-    pub args: Vec<ArgPlan>,
+    pub code: Vec<Step>,
+    /// Each switch's `case` values (`None` for `default`), with where
+    /// the case's code starts.
+    pub cases: Vec<(Option<i64>, At)>,
+    /// The unroll candidacy of each `for` that has one.
+    pub unrolls: Vec<UnrollPlan>,
     pub msgs: Vec<String>,
-    /// The body of an expression tick…
+    /// The node an expression tick's value is in.
     pub value: Option<NodeId>,
-    /// …or the statements of a block tick.
-    pub body: Span,
     /// The closure's fields, in order.
     pub caps: Vec<Cap>,
     /// Some `$` operand loads VM memory at instantiation (`$row[k]`) or
@@ -410,8 +460,10 @@ pub(crate) struct TickPlan {
     pub reads_memory: bool,
     /// Register kind of each dynamic local.
     pub locals: Vec<ValKind>,
-    /// Distinct `goto` labels in the body.
-    pub labels: u32,
+    /// Slots past the nodes': the dynamic locals', then one per `goto`
+    /// label and per `if`, loop and `switch`, in the order lowering met
+    /// them.
+    pub extra: u32,
     /// Kind of the evaluation type; `None` for a `void` cspec.
     pub eval_kind: Option<ValKind>,
 }
@@ -425,6 +477,7 @@ pub(crate) fn lower(prog: &Program, id: usize, strs: &[u64]) -> TickPlan {
         tick,
         strs,
         labels: Vec::new(),
+        args: Vec::new(),
         plan: TickPlan {
             caps: (tick.captures.iter())
                 .map(|c| match c.kind {
@@ -435,15 +488,23 @@ pub(crate) fn lower(prog: &Program, id: usize, strs: &[u64]) -> TickPlan {
                 })
                 .collect(),
             locals: tick.dyn_locals.iter().map(|d| reg_kind(&d.ty)).collect(),
+            extra: tick.dyn_locals.len() as u32,
             eval_kind: (tick.eval_ty != Type::Void).then(|| reg_kind(&tick.eval_ty)),
             ..TickPlan::default()
         },
     };
     match &tick.body {
-        TickBody::Expr(e) => l.plan.value = Some(l.expr(e)),
-        TickBody::Block(stmts) => l.plan.body = l.block(stmts),
+        TickBody::Expr(e) => {
+            let n = l.expr(e);
+            l.value(n);
+            l.plan.value = Some(n);
+        }
+        TickBody::Block(stmts) => {
+            for s in stmts {
+                l.stmt(s);
+            }
+        }
     }
-    l.plan.labels = l.labels.len() as u32;
     l.plan
 }
 
@@ -600,7 +661,10 @@ struct Lower<'a> {
     structs: &'a [StructDef],
     tick: &'a TickDef,
     strs: &'a [u64],
-    labels: Vec<&'a str>,
+    /// `goto` labels met so far, with their slots.
+    labels: Vec<(&'a str, u32)>,
+    /// Call arguments, by `Op::Call::args`.
+    args: Vec<ArgPlan>,
     plan: TickPlan,
 }
 
@@ -641,7 +705,7 @@ impl<'a> Lower<'a> {
         self.lower(e, false)
     }
 
-    fn place(&mut self, e: &'a Expr) -> NodeId {
+    fn lvalue(&mut self, e: &'a Expr) -> NodeId {
         self.lower(e, true)
     }
 
@@ -687,7 +751,7 @@ impl<'a> Lower<'a> {
                 }
             }
             ExprKind::Un(UnaryOp::Addr, inner) => {
-                let a = self.place(inner);
+                let a = self.lvalue(inner);
                 (Op::AddrOf(a), NS | self.flags(a) & HAS_CSPEC, false)
             }
             ExprKind::Un(op, inner) => {
@@ -703,7 +767,7 @@ impl<'a> Lower<'a> {
                     1
                 };
                 let op = Op::IncDec {
-                    a: self.place(inner),
+                    a: self.lvalue(inner),
                     post: matches!(e.kind, ExprKind::PostIncDec(..)),
                     k: reg_kind(&ty),
                     delta: if *inc { delta } else { -delta },
@@ -713,7 +777,7 @@ impl<'a> Lower<'a> {
             }
             ExprKind::Bin(op, a, b) => self.binary(*op, a, b, e),
             ExprKind::Assign(op, lhs, rhs) => {
-                let (l, r) = (self.place(lhs), self.expr(rhs));
+                let (l, r) = (self.lvalue(lhs), self.expr(rhs));
                 let how = self.assign_how(*op, &lhs.ty, &rhs.ty);
                 let flags = NS | (self.flags(l) | self.flags(r)) & HAS_CSPEC;
                 (
@@ -748,7 +812,7 @@ impl<'a> Lower<'a> {
                 let b = if *arrow {
                     self.expr(base)
                 } else {
-                    self.place(base)
+                    self.lvalue(base)
                 };
                 let op = Op::Member {
                     base: b,
@@ -920,7 +984,7 @@ impl<'a> Lower<'a> {
         }
         // Appended only now: a nested call's entries are complete, so
         // these stay contiguous.
-        let span = Span::of(&mut self.plan.args, plans);
+        let span = Span::of(&mut self.args, plans);
         let callee = match &callee.kind {
             ExprKind::Var(VarRef::Builtin(b)) => Callee::Builtin(builtin_hcall(*b)),
             ExprKind::Var(VarRef::Func(fi)) => Callee::Func(*fi as u32),
@@ -938,147 +1002,510 @@ impl<'a> Lower<'a> {
         (op, NS | has & HAS_CSPEC, false)
     }
 
-    // ---- statements --------------------------------------------------------
+    // ---- steps -------------------------------------------------------------
 
-    fn push_stmt(&mut self, s: PStmt) -> StmtId {
-        self.plan.stmts.push(s);
-        self.plan.stmts.len() as StmtId - 1
+    fn step(&mut self, s: Step) -> At {
+        self.plan.code.push(s);
+        self.plan.code.len() as At - 1
     }
 
-    fn block(&mut self, stmts: &'a [Stmt]) -> Span {
-        let ids = stmts.iter().map(|s| self.stmt(s)).collect();
-        Span::of(&mut self.plan.stmt_lists, ids)
+    fn steps(&mut self, steps: &[Step]) {
+        self.plan.code.extend_from_slice(steps);
+    }
+
+    fn here(&self) -> At {
+        self.plan.code.len() as At
+    }
+
+    /// Points the jump of the step at `at` at the next step to come.
+    fn patch(&mut self, at: At) {
+        let here = self.here();
+        match &mut self.plan.code[at as usize] {
+            Step::Fold(_, to)
+            | Step::FoldBranch(_, to)
+            | Step::Arith(_, _, Some(to))
+            | Step::Then(_, _, to)
+            | Step::Imm(_, to)
+            | Step::Decl(_, to)
+            | Step::Skip(_, to) => *to = here,
+            _ => unreachable!("step {at} has no jump to patch"),
+        }
+    }
+
+    /// Emits the steps that leave `n`'s value in its slot (`branch`: a
+    /// branch on it to the targets its parent's step puts there): a fold
+    /// check unless `n` can never be static outside `$`, the operands'
+    /// steps, then `n`'s.
+    fn emit(&mut self, n: NodeId, branch: bool) {
+        let op = self.plan.nodes[n as usize].op;
+        // (A variable's `Load` is its fold check too.)
+        let var = matches!(
+            op,
+            Op::Local(..) | Op::Vspec(..) | Op::FreeVar(..) | Op::Global(..)
+        );
+        let check = if branch {
+            Step::FoldBranch(n, 0)
+        } else {
+            Step::Fold(n, 0)
+        };
+        // (An arithmetic value's fold check is its `Arith` step's.)
+        let arith = matches!(
+            op,
+            Op::Bin {
+                emit: BinEmit::Arith { .. },
+                ..
+            }
+        );
+        let own = self.flags(n) & NS_OUT == 0 && (branch || !(var || arith));
+        let mut fold = own.then(|| self.step(check));
+        let last = match (op, branch) {
+            (Op::Bin { a, b, emit, .. }, true) => match emit {
+                BinEmit::Arith {
+                    cmp: true,
+                    zero,
+                    co_a,
+                    ..
+                } => {
+                    match zero {
+                        ZeroSide::B => self.value(a),
+                        ZeroSide::A => self.value(b),
+                        ZeroSide::None => {
+                            self.value(a);
+                            if co_a != Co::None {
+                                self.step(Step::Coerce(a, co_a));
+                            }
+                            self.value(b);
+                        }
+                    }
+                    Some(Step::Compare(n))
+                }
+                BinEmit::Logic(_) => {
+                    let x = self.labels(1);
+                    self.step(Step::AndOr(n, x));
+                    self.branch(a);
+                    self.step(Step::Pass(n, b, false));
+                    self.branch(b);
+                    Some(Step::Bind(x, 0))
+                }
+                _ => self.generic_branch(n),
+            },
+            (
+                Op::Un {
+                    op: UnaryOp::LogNot,
+                    a,
+                    ..
+                },
+                true,
+            ) => {
+                self.step(Step::Pass(n, a, true));
+                self.branch(a);
+                None
+            }
+            (_, true) => self.generic_branch(n),
+            // Always run-time constants: the fold check is all.
+            (Op::Int(_) | Op::Float(_) | Op::Rtc(..) | Op::Func(_), _) => None,
+            (Op::Local(..) | Op::Vspec(..) | Op::FreeVar(..) | Op::Global(..), _) => {
+                Some(Step::Load(n))
+            }
+            (Op::Index { .. } | Op::Member { .. } | Op::Deref(..), _) => {
+                self.place(n);
+                Some(Step::Load(n))
+            }
+            (Op::DerefFn(a) | Op::Un { a, .. } | Op::Cast { a, .. }, _) => {
+                self.value(a);
+                Some(Step::Value(n))
+            }
+            (Op::AddrOf(a) | Op::IncDec { a, .. }, _) => {
+                self.place(a);
+                Some(Step::Value(n))
+            }
+            (Op::Bin { a, b, emit, .. }, _) => match emit {
+                BinEmit::Logic(_) => {
+                    // The value is a branch on it, to 1 or 0.
+                    self.step(Step::Temp(n));
+                    let x = self.labels(3);
+                    self.step(Step::Target(n, x, [Some(0), Some(1)]));
+                    self.branch(n);
+                    self.steps(&[Step::Bind(x, 0), Step::Li(n, true), Step::Jmp(x, 2)]);
+                    self.steps(&[Step::Bind(x, 1), Step::Li(n, false)]);
+                    Some(Step::Bind(x, 2))
+                }
+                BinEmit::PtrArith { swapped, .. } => {
+                    let (p, i) = if swapped { (b, a) } else { (a, b) };
+                    self.value(p);
+                    let imm = self.step(Step::Imm(n, 0));
+                    self.value(i);
+                    self.step(Step::Value(n));
+                    self.patch(imm);
+                    None
+                }
+                BinEmit::PtrDiff(_) => {
+                    self.value(a);
+                    self.value(b);
+                    Some(Step::Value(n))
+                }
+                BinEmit::Arith { k, cmp, .. } => {
+                    // A `Then` only where `b` may be an immediate, or go
+                    // first (cspec first).
+                    let (fa, fb) = (self.flags(a), self.flags(b));
+                    let first = fb & HAS_CSPEC != 0 && fa & HAS_CSPEC == 0;
+                    let imm_b = k != ValKind::F && !cmp && fb & NS_OUT == 0;
+                    let end = (self.flags(n) & NS_OUT == 0).then_some(0);
+                    let pre = self.step(Step::Arith(n, 0, end));
+                    fold = end.map(|_| pre);
+                    self.value(a);
+                    let then = (imm_b || first).then(|| self.step(Step::Then(n, true, 0)));
+                    self.plan.code[pre as usize] = Step::Arith(n, self.here(), end);
+                    self.value(b);
+                    if first {
+                        self.step(Step::Then(n, false, pre + 1));
+                    }
+                    if let Some(at) = then {
+                        self.patch(at);
+                    }
+                    Some(Step::Value(n))
+                }
+            },
+            (Op::Assign { lhs, rhs, how }, _) => {
+                self.place(lhs);
+                let imm = !matches!(how, AssignHow::Plain(_));
+                let imm = imm.then(|| self.step(Step::Imm(n, 0)));
+                self.value(rhs);
+                if let Some(at) = imm {
+                    self.patch(at);
+                }
+                Some(Step::Value(n))
+            }
+            (Op::Call { callee, args, .. }, _) => {
+                for i in args.range() {
+                    let arg = self.args[i];
+                    self.value(arg.node);
+                    self.step(Step::Arg(arg));
+                }
+                self.call_tail(n, callee)
+            }
+            (Op::Apply { callee, .. }, _) => {
+                self.step(Step::Apply(n, false));
+                self.step(Step::Apply(n, true));
+                self.call_tail(n, callee)
+            }
+            (
+                Op::Cond {
+                    c,
+                    t,
+                    f,
+                    co_t,
+                    co_f,
+                },
+                _,
+            ) => {
+                self.step(Step::Temp(n));
+                let x = self.labels(2);
+                self.step(Step::Target(c, x, [None, Some(0)]));
+                self.branch(c);
+                self.value(t);
+                self.steps(&[Step::Mov(n, t, co_t), Step::Jmp(x, 1), Step::Bind(x, 0)]);
+                self.value(f);
+                self.step(Step::Mov(n, f, co_f));
+                Some(Step::Bind(x, 1))
+            }
+            (Op::Comma(a, b), _) => {
+                self.value(a);
+                self.step(Step::Drop(a));
+                self.value(b);
+                Some(Step::Value(n))
+            }
+            (Op::Str(_) | Op::Cspec(_) | Op::Dollar(_) | Op::Fail(_), _) => Some(Step::Value(n)),
+        };
+        if let Some(s) = last {
+            self.step(s);
+        }
+        if let Some(at) = fold {
+            self.patch(at);
+        }
+    }
+
+    fn value(&mut self, n: NodeId) {
+        self.emit(n, false);
+    }
+
+    fn branch(&mut self, n: NodeId) {
+        self.emit(n, true);
+    }
+
+    /// A branch on `n`'s value.
+    fn generic_branch(&mut self, n: NodeId) -> Option<Step> {
+        self.value(n);
+        Some(Step::Branch(n))
+    }
+
+    /// A call's result temporary, then an indirect callee's value.
+    fn call_tail(&mut self, n: NodeId, callee: Callee) -> Option<Step> {
+        self.step(Step::CallRet(n));
+        if let Callee::Ind(c) = callee {
+            self.value(c);
+        }
+        Some(Step::Value(n))
+    }
+
+    /// Emits the steps that leave `n`'s place in its slot.
+    fn place(&mut self, n: NodeId) {
+        match self.plan.nodes[n as usize].op {
+            Op::Deref(a, _)
+            | Op::Member {
+                base: a,
+                arrow: true,
+                ..
+            } => self.value(a),
+            Op::Member { base, .. } => self.place(base),
+            Op::Index { base, idx, .. } => {
+                self.value(base);
+                let imm = self.step(Step::Imm(n, 0));
+                self.value(idx);
+                self.step(Step::Place(n));
+                return self.patch(imm);
+            }
+            _ => {}
+        }
+        self.step(Step::Place(n));
+    }
+
+    // ---- statements --------------------------------------------------------
+
+    /// A statement's or a `goto` label's slot (see [`TickPlan::extra`]).
+    fn slot(&mut self) -> u32 {
+        self.plan.extra += 1;
+        self.plan.extra - 1
+    }
+
+    /// A slot with `n` fresh labels.
+    fn labels(&mut self, n: u8) -> u32 {
+        let x = self.slot();
+        self.step(Step::Labels(x, n));
+        x
     }
 
     fn label(&mut self, name: &'a str) -> u32 {
-        let at = self.labels.iter().position(|l| *l == name);
-        at.unwrap_or_else(|| {
-            self.labels.push(name);
-            self.labels.len() - 1
-        }) as u32
+        if let Some(&(_, slot)) = self.labels.iter().find(|(l, _)| *l == name) {
+            return slot;
+        }
+        let slot = self.slot();
+        self.labels.push((name, slot));
+        slot
     }
 
-    fn stmt(&mut self, s: &'a Stmt) -> StmtId {
-        let lowered = match s {
+    /// Emits `st`'s steps. Returns the node of an expression statement,
+    /// or of a declaration's last initializer: what a `for` header's
+    /// unroll candidacy reads.
+    fn stmt(&mut self, st: &'a Stmt) -> Option<NodeId> {
+        let step = match st {
             Stmt::Expr(e) => match &e.kind {
                 ExprKind::JumpForm(l) => match &l.kind {
-                    ExprKind::Var(VarRef::TickCspec(i)) => PStmt::Jump(*i as u32),
-                    _ => PStmt::Fail(self.msg("jump() target must be a captured label".into())),
+                    ExprKind::Var(VarRef::TickCspec(i)) => Step::Jump(*i as u32),
+                    _ => Step::Fail(self.msg("jump() target must be a captured label".into())),
                 },
                 ExprKind::Var(VarRef::TickCspec(i)) if self.tick.captures[*i].ty == Type::Void => {
-                    PStmt::Splice(*i as u32)
+                    Step::Splice(*i as u32)
                 }
-                _ => PStmt::Expr(self.expr(e)),
+                _ => {
+                    let n = self.expr(e);
+                    self.value(n);
+                    self.step(Step::Drop(n));
+                    return Some(n);
+                }
             },
             Stmt::Decl(items) => {
-                let mut plans = Vec::new();
+                let mut last = None;
                 for item in items {
                     if let Some(Init::Expr(init)) = &item.init {
-                        plans.push(DeclPlan {
+                        let d = DeclPlan {
                             local: item.local_id as u32,
                             init: self.expr(init),
                             co: self.co(&init.ty, &item.ty),
                             k: reg_kind(&item.ty),
                             ld: load_kind(&item.ty),
-                        });
+                        };
+                        let check = self.step(Step::Decl(d, 0));
+                        self.value(d.init);
+                        self.step(Step::Store(d));
+                        self.patch(check);
+                        last = Some(d.init);
                     }
                 }
-                PStmt::Decl(Span::of(&mut self.plan.decls, plans))
+                return last;
             }
-            Stmt::If(c, t, e) => PStmt::If {
-                c: self.expr(c),
-                t: self.stmt(t),
-                e: e.as_ref().map(|e| self.stmt(e)),
-            },
+            Stmt::If(c, t, e) => {
+                let (x, c) = (self.slot(), self.expr(c));
+                let head = self.step(Step::If(x, c, 0, 0));
+                self.steps(&[Step::Labels(x, 2), Step::Target(c, x, [None, Some(0)])]);
+                self.branch(c);
+                let then = self.here();
+                self.stmt(t);
+                let skip = self.step(Step::Skip(x, 0));
+                if e.is_some() {
+                    self.step(Step::Jmp(x, 1));
+                }
+                self.step(Step::Bind(x, 0));
+                let els = self.here();
+                if let Some(e) = e {
+                    self.stmt(e);
+                }
+                let end = self.step(Step::Skip(x, 0));
+                self.step(Step::Bind(x, 1));
+                self.patch(skip);
+                self.patch(end);
+                self.plan.code[head as usize] = Step::If(x, c, then, els);
+                return None;
+            }
+            // Labels: top, condition, (a `for`'s step,) end.
             Stmt::For(init, cond, step, body) => {
-                let plan = ForPlan {
-                    init: init.as_ref().map(|i| self.stmt(i)),
-                    cond: cond.as_ref().map(|c| self.expr(c)),
-                    step: step.as_ref().map(|s| self.expr(s)),
-                    body: self.stmt(body),
-                    unroll: None,
-                };
-                let unroll = self.unroll(&plan, init.as_deref(), step.as_ref(), body);
-                PStmt::For(ForPlan { unroll, ..plan })
+                let x = self.slot();
+                let head = self.step(Step::For(x, None, 0));
+                let init_node = init.as_deref().and_then(|i| self.stmt(i));
+                self.steps(&[Step::Labels(x, 4), Step::Jmp(x, 1), Step::Loop(x, 3, 2)]);
+                let body_at = self.here();
+                self.stmt(body);
+                let cond = cond.as_ref().map(|c| self.expr(c));
+                let step_node = step.as_ref().map(|e| self.expr(e));
+                let u = self.unroll(st, init_node, cond, step_node).map(|u| {
+                    self.plan.unrolls.push(u);
+                    self.plan.unrolls.len() as u32 - 1
+                });
+                let next = self.step(Step::Next(x, u, 0));
+                self.step(Step::Bind(x, 2));
+                if let Some(n) = step_node {
+                    self.value(n);
+                    self.step(Step::Drop(n));
+                }
+                self.step(Step::Bind(x, 1));
+                match cond {
+                    Some(c) => self.loop_cond(x, c),
+                    None => self.steps(&[Step::Jmp(x, 0)]),
+                }
+                self.steps(&[Step::LoopEnd, Step::Bind(x, 3)]);
+                let test = self.here();
+                self.plan.code[head as usize] = Step::For(x, u, test);
+                self.plan.code[next as usize] = Step::Next(x, u, test);
+                Step::Test(x, u, body_at)
             }
-            Stmt::While(c, body) | Stmt::DoWhile(body, c) => PStmt::Loop {
-                c: self.expr(c),
-                body: self.stmt(body),
-                pre: matches!(s, Stmt::While(..)),
-            },
-            Stmt::Return(e) => PStmt::Return {
-                e: e.as_ref().map(|e| self.expr(e)),
+            Stmt::While(c, body) | Stmt::DoWhile(body, c) => {
+                let x = self.slot();
+                self.step(Step::Labels(x, 3));
+                if matches!(st, Stmt::While(..)) {
+                    self.step(Step::Jmp(x, 1));
+                }
+                self.step(Step::Loop(x, 2, 1));
+                self.stmt(body);
+                self.steps(&[Step::Next(x, None, 0), Step::Bind(x, 1)]);
+                let c = self.expr(c);
+                self.loop_cond(x, c);
+                self.step(Step::LoopEnd);
+                Step::Bind(x, 2)
+            }
+            Stmt::Return(e) => {
+                let n = e.as_ref().map(|e| self.expr(e));
+                if let Some(n) = n {
+                    self.value(n);
+                }
                 // In `ValKind::code()` order.
-                co: [ValKind::W, ValKind::D, ValKind::P, ValKind::F].map(|k| {
+                let co = [ValKind::W, ValKind::D, ValKind::P, ValKind::F].map(|k| {
                     e.as_ref()
                         .map_or(Co::None, |e| self.co(&e.ty, &kind_type(k)))
-                }),
-            },
-            Stmt::Break => PStmt::Break,
-            Stmt::Continue => PStmt::Continue,
-            Stmt::Block(stmts) => PStmt::Block(self.block(stmts)),
-            Stmt::Switch(scrut, items) => {
-                let scrut_node = self.expr(scrut);
-                let lower_item = |i: &'a SwitchItem| match i {
-                    SwitchItem::Case(v) => SwItem::Case(*v),
-                    SwitchItem::Default => SwItem::Default,
-                    SwitchItem::Stmt(s) => SwItem::Stmt(self.stmt(s)),
-                };
-                let lowered = items.iter().map(lower_item).collect();
-                PStmt::Switch {
-                    scrut: scrut_node,
-                    k: reg_kind(&scrut.ty),
-                    items: Span::of(&mut self.plan.switch_items, lowered),
-                }
+                });
+                Step::Return(n, co)
             }
-            Stmt::Goto(name) => PStmt::Goto(self.label(name)),
-            Stmt::Labeled(name, inner) => PStmt::Labeled(self.label(name), self.stmt(inner)),
-            Stmt::Empty => PStmt::Empty,
+            Stmt::Break => Step::Break,
+            Stmt::Continue => Step::Continue,
+            Stmt::Block(stmts) => {
+                for s in stmts {
+                    self.stmt(s);
+                }
+                return None;
+            }
+            Stmt::Switch(scrut, items) => {
+                let (s, n) = (self.slot(), self.expr(scrut));
+                let head = self.step(Step::Switch(s, n, Span::default(), 0));
+                self.value(n);
+                let dispatch = self.step(Step::Dispatch(s, n, Span::default()));
+                let mut cases = Vec::new();
+                for item in items {
+                    match item {
+                        SwitchItem::Case(v) => cases.push((Some(*v), self.here())),
+                        SwitchItem::Default => cases.push((None, self.here())),
+                        SwitchItem::Stmt(st) => {
+                            self.stmt(st);
+                            continue;
+                        }
+                    }
+                    self.step(Step::Case(s, cases.len() as u32 - 1));
+                }
+                let cases = Span::of(&mut self.plan.cases, cases);
+                self.plan.code[head as usize] = Step::Switch(s, n, cases, self.here());
+                self.plan.code[dispatch as usize] = Step::Dispatch(s, n, cases);
+                Step::SwitchEnd(s)
+            }
+            Stmt::Goto(name) => Step::Jmp(self.label(name), 0),
+            Stmt::Labeled(name, inner) => {
+                let l = self.label(name);
+                self.step(Step::Bind(l, 0));
+                self.stmt(inner);
+                return None;
+            }
+            Stmt::Empty => return None,
         };
-        self.push_stmt(lowered)
+        self.step(step);
+        None
     }
 
-    /// Whether the loop fits §4.4's unrollable shape, and with which
-    /// induction variable, initial value and step. `lowered` supplies
-    /// the node ids of the already-lowered header.
+    /// A loop's condition `c`, branching back to its top.
+    fn loop_cond(&mut self, x: u32, c: NodeId) {
+        self.step(Step::Target(c, x, [Some(0), None]));
+        self.branch(c);
+    }
+
+    /// Whether the `for` statement `st` fits §4.4's unrollable shape, and
+    /// with which induction variable, initial value and step. The other
+    /// arguments are the nodes of its already-lowered header.
     fn unroll(
         &self,
-        lowered: &ForPlan,
-        init: Option<&Stmt>,
-        step: Option<&Expr>,
-        body: &Stmt,
+        st: &Stmt,
+        init_node: Option<NodeId>,
+        cond: Option<NodeId>,
+        step_node: Option<NodeId>,
     ) -> Option<UnrollPlan> {
-        let (init, step, _) = (init?, step?, lowered.cond?);
+        let Stmt::For(Some(init), _, Some(step), body) = st else {
+            return None;
+        };
+        let (init_node, cond, step_node) = (init_node?, cond?, step_node?);
         let rhs_of = |assign: NodeId| match self.plan.nodes[assign as usize].op {
             Op::Assign { rhs, .. } => rhs,
             _ => unreachable!("an assignment lowers to Op::Assign"),
         };
         // init must bind a tick local to a value.
-        let (k, init_node) = match (init, self.plan.stmts[lowered.init? as usize]) {
-            (Stmt::Expr(e), PStmt::Expr(n)) => match &e.kind {
+        let (k, init) = match &**init {
+            Stmt::Expr(e) => match &e.kind {
                 ExprKind::Assign(None, lhs, _) => match lhs.kind {
-                    ExprKind::Var(VarRef::TickLocal(i)) => (i, rhs_of(n)),
+                    ExprKind::Var(VarRef::TickLocal(i)) => (i, rhs_of(init_node)),
                     _ => return None,
                 },
                 _ => return None,
             },
-            (Stmt::Decl(items), PStmt::Decl(span)) if items.len() == 1 && span.len == 1 => {
-                (items[0].local_id, self.plan.decls[span.start as usize].init)
-            }
+            Stmt::Decl(items) if items.len() == 1 => (items[0].local_id, init_node),
             _ => return None,
         };
         // step must update it.
-        let step_node = lowered.step?;
         let local_ty = &self.tick.dyn_locals[k].ty;
         let step = match &step.kind {
             ExprKind::PreIncDec(t, inc) | ExprKind::PostIncDec(t, inc) if is_local(t, k) => {
-                Step::IncDec(*inc)
+                Advance::IncDec(*inc)
             }
-            ExprKind::Assign(Some(op), lhs, rhs) if is_local(lhs, k) => Step::AssignOp(
+            ExprKind::Assign(Some(op), lhs, rhs) if is_local(lhs, k) => Advance::AssignOp(
                 fold_of(*op, local_ty, &rhs.ty, self.structs),
                 rhs_of(step_node),
             ),
-            ExprKind::Assign(None, lhs, _) if is_local(lhs, k) => Step::Reassign(rhs_of(step_node)),
+            ExprKind::Assign(None, lhs, _) if is_local(lhs, k) => {
+                Advance::Reassign(rhs_of(step_node))
+            }
             _ => return None,
         };
         // The body must not assign the induction variable, use labels, or
@@ -1088,13 +1515,13 @@ impl<'a> Lower<'a> {
         }
         Some(UnrollPlan {
             k: k as u32,
-            init: init_node,
+            init,
+            cond,
             step,
             w: reg_kind(local_ty) == ValKind::W,
         })
     }
 }
-
 /// True if unrolling a loop over local `k` with body `s` would be
 /// wrong: the body assigns `k` (or takes its address), uses labels, or
 /// holds a `break`/`continue` that leaves the loop `depth` levels up.

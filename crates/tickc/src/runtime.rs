@@ -12,7 +12,8 @@ use crate::api::SessionImage;
 use crate::dyncomp::{DynCompiler, DynInput, WalkScratch, WalkStats};
 use crate::fingerprint::{scan_closure, Frame, MAX_PATH};
 use crate::plan::TickPlan;
-use std::sync::{Arc, OnceLock};
+use std::cell::OnceCell;
+use std::sync::Arc;
 use std::time::Instant;
 use tcc_cache::{Artifact, Backing, CodeCache, Fetched, FingerprintBuilder};
 use tcc_front::Program;
@@ -55,51 +56,16 @@ impl Default for Backend {
 /// the historical name.
 pub use tcc_obs::DynMetrics as DynStats;
 
-/// Compositions at or below this depth compile on the caller's stack.
-/// Deeper (but still legal — see `COMPOSE_DEPTH_LIMIT` in `dyncomp`)
-/// nests move to a dedicated thread whose stack is sized to the scanned
-/// depth: the recursive CGF walk burns several KiB per level in debug
-/// builds, which overflows a 2 MiB test-thread stack near depth 200.
-const INLINE_COMPOSE_DEPTH: u32 = 64;
-/// Base stack size for deep-compile threads.
-const DEEP_STACK_BASE: usize = 4 << 20;
-/// Additional stack per scanned composition level (generous for debug
-/// builds, where walker frames are fattest).
-const DEEP_STACK_PER_LEVEL: usize = 32 << 10;
-
-/// What one dynamic compilation produced, before it is folded into the
-/// runtime's accumulated [`DynStats`]. Returned by [`run_backend`] so
-/// the backend walk can run on another thread and report back whole.
-struct CompileOutcome {
-    /// Entry address of the generated function.
-    addr: u64,
-    /// Code-space handle of the generated function (cache lifecycle).
-    handle: tcc_vm::FuncHandle,
-    /// Machine instructions generated.
-    insns: u64,
-    /// Walk statistics (closures, unrolled iterations, static visits).
-    walk: WalkStats,
-    /// Nanoseconds in the CGF walk. For ICODE that is the walk recording
-    /// IR; for VCODE it is the whole back end, through `finish()`.
-    walk_ns: u64,
-    /// ICODE per-phase breakdown (zero for VCODE).
-    phases: tcc_obs::CodegenPhases,
-    /// ICODE IR instructions recorded (zero for VCODE).
-    ir_insns: u64,
-    /// Spilled live intervals (zero for VCODE).
-    spills: u64,
-    /// Translator entries used (ICODE pruning input; empty for VCODE).
-    keys: TranslatorTable,
-}
-
-/// What a compile reuses from the last one: the closure scan's path and,
-/// per back end, the CGF walker's frames and maps, VCODE's register and
-/// label tables, the ICODE compiler with its IR buffer. Owned by the
-/// runtime so a steady-state compile allocates only what it installs.
+/// What a compile reuses from the last one: the closure scan's path and
+/// the `param` vspecs it found, and per back end the CGF walker's frames
+/// and maps, VCODE's register and label tables, the ICODE compiler with
+/// its IR buffer. Owned by the runtime so a steady-state compile
+/// allocates only what it installs.
 pub(crate) struct Backends {
     /// Filling this 12 KiB path afresh per scan cost a memo hit more
     /// than the rest of its scan.
     scan_path: Box<[Frame; MAX_PATH]>,
+    params: Vec<(u64, VspecObj)>,
     /// VCODE's per-function storage (empty again after a compile that
     /// failed mid-function).
     vcode: VcodeBufs,
@@ -114,82 +80,21 @@ pub(crate) struct Backends {
     icode_walk: WalkScratch<VReg, LblId>,
 }
 
-/// Walks `closure`'s plan into `sink`.
+/// Walks `closure`'s plan into `sink`, its `params` bound first.
 fn walk<S: CodeSink>(
     input: DynInput<'_>,
     mem: &Memory,
     sink: &mut S,
     scratch: &mut WalkScratch<S::Val, S::Lbl>,
+    params: &[(u64, VspecObj)],
     ret_kind: Option<ValKind>,
     closure: u64,
 ) -> Result<WalkStats, VmError> {
     #[cfg(test)]
     crate::oracle::check(input, mem, ret_kind, closure);
     let mut dc = DynCompiler::new(input, mem, sink, scratch, ret_kind);
-    dc.compile_entry(closure)?;
+    dc.compile_entry(closure, params)?;
     Ok(dc.stats)
-}
-
-/// Runs the selected dynamic back end on one closure. Free-standing so
-/// the caller can choose where it runs: inline for shallow compositions,
-/// on a depth-sized stack for deep ones.
-#[allow(clippy::too_many_arguments)]
-fn run_backend(
-    backend: &Backend,
-    b: &mut Backends,
-    input: DynInput<'_>,
-    mem: &Memory,
-    code: &mut CodeSpace,
-    name: &str,
-    closure: u64,
-    ret_kind: Option<ValKind>,
-) -> Result<CompileOutcome, VmError> {
-    let t0 = Instant::now();
-    match backend {
-        Backend::Vcode { unchecked } => {
-            let mut vc = Vcode::with_bufs(code, name, std::mem::take(&mut b.vcode));
-            vc.set_unchecked(*unchecked);
-            let walk = walk(input, mem, &mut vc, &mut b.vcode_walk, ret_kind, closure)?;
-            let (f, bufs) = vc.finish_with_bufs();
-            b.vcode = bufs;
-            Ok(CompileOutcome {
-                addr: f.addr,
-                handle: f.handle,
-                insns: f.insns,
-                walk,
-                // One pass: the walk is the emission, so this is the
-                // whole back end, frame patch-up and seal included.
-                walk_ns: t0.elapsed().as_nanos() as u64,
-                phases: tcc_obs::CodegenPhases::default(),
-                ir_insns: 0,
-                spills: 0,
-                keys: TranslatorTable::empty(),
-            })
-        }
-        Backend::Icode { strategy } => {
-            // The session's compiler and IR buffer, emptied and refilled:
-            // nothing is built per compile (the strategy is a copy, so
-            // it simply follows the public `backend` field).
-            b.icode.strategy = *strategy;
-            b.icode_buf.clear();
-            let buf = &mut b.icode_buf;
-            let walk = walk(input, mem, buf, &mut b.icode_walk, ret_kind, closure)?;
-            let walk_ns = t0.elapsed().as_nanos() as u64;
-            let ir_insns = buf.emitted();
-            let r = b.icode.compile(code, name, buf);
-            Ok(CompileOutcome {
-                addr: r.func.addr,
-                handle: r.func.handle,
-                insns: r.func.insns,
-                walk,
-                walk_ns,
-                phases: r.phases,
-                ir_insns,
-                spills: r.spills as u64,
-                keys: r.keys,
-            })
-        }
-    }
 }
 
 /// The runtime: implements [`HostCall`] for a loaded `C program.
@@ -236,7 +141,7 @@ pub struct TccRuntime {
     pub shared_cost: CostModel,
     /// Per-tick CGF plans (tick id → the body, lowered), each built the
     /// first time this session scans a closure of the tick.
-    plans: Box<[OnceLock<TickPlan>]>,
+    plans: Box<[OnceCell<TickPlan>]>,
     /// Where the linker put each tick's string literals (what a plan
     /// bakes in for one).
     tick_strs: Vec<Vec<u64>>,
@@ -257,7 +162,7 @@ impl TccRuntime {
             Backend::Vcode { .. } => Strategy::default(),
         };
         TccRuntime {
-            plans: prog.ticks.iter().map(|_| OnceLock::new()).collect(),
+            plans: prog.ticks.iter().map(|_| OnceCell::new()).collect(),
             tick_strs: image.tick_strs.clone(),
             prog,
             func_addrs: image.func_addrs.clone(),
@@ -275,6 +180,7 @@ impl TccRuntime {
             shared_cost: CostModel::default(),
             backends: Backends {
                 scan_path: Box::new([Frame::default(); MAX_PATH]),
+                params: Vec::new(),
                 vcode: VcodeBufs::default(),
                 vcode_walk: WalkScratch::default(),
                 icode: IcodeCompiler::new(strategy),
@@ -359,10 +265,10 @@ impl TccRuntime {
         Some(b)
     }
 
-    /// Runs the CGF walk and the selected back end on `closure` —
-    /// inline for shallow compositions, on a depth-sized stack for
-    /// deep ones — and folds what it did into the session's
-    /// [`DynStats`]. Returns the new function's address and handle.
+    /// Runs the CGF walk and the selected back end on `closure`, with
+    /// the `param` vspecs the closure scan found, and folds what it did
+    /// into the session's [`DynStats`]. Returns the new function's
+    /// address and handle.
     fn run_compile(
         &mut self,
         mem: &Memory,
@@ -370,35 +276,55 @@ impl TccRuntime {
         name: &str,
         closure: u64,
         ret_kind: Option<ValKind>,
-        depth: u32,
     ) -> Result<(u64, tcc_vm::FuncHandle), VmError> {
-        let (input, backend, backends) = self.walk_parts();
-        let mut run = || run_backend(backend, backends, input, mem, code, name, closure, ret_kind);
-        let outcome = if depth <= INLINE_COMPOSE_DEPTH {
-            run()?
-        } else {
-            let stack_size = DEEP_STACK_BASE + depth as usize * DEEP_STACK_PER_LEVEL;
-            std::thread::scope(|scope| {
-                std::thread::Builder::new()
-                    .name("tcc-deep-compile".into())
-                    .stack_size(stack_size)
-                    .spawn_scoped(scope, run)
-                    .map_err(|e| VmError::Host(format!("cannot spawn compile thread: {e}")))?
-                    .join()
-                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
-            })?
+        let t0 = Instant::now();
+        let (input, backend, b) = self.walk_parts();
+        let (walk, walk_ns, func, icode) = match backend {
+            Backend::Vcode { unchecked } => {
+                let mut vc = Vcode::with_bufs(code, name, std::mem::take(&mut b.vcode));
+                vc.set_unchecked(*unchecked);
+                let (sc, params) = (&mut b.vcode_walk, &b.params);
+                let walk = walk(input, mem, &mut vc, sc, params, ret_kind, closure)?;
+                if vc.exhausted() {
+                    // Left unfinished, like a walk that failed.
+                    let err = "register pool exhausted in unchecked mode";
+                    return Err(VmError::Host(err.into()));
+                }
+                let (f, bufs) = vc.finish_with_bufs();
+                b.vcode = bufs;
+                // One pass: the walk is the emission, so this is the
+                // whole back end, frame patch-up and seal included.
+                (walk, t0.elapsed().as_nanos() as u64, f, None)
+            }
+            Backend::Icode { strategy } => {
+                // The session's compiler and IR buffer, emptied and
+                // refilled: nothing is built per compile (the strategy is
+                // a copy, so it simply follows the public `backend`
+                // field).
+                b.icode.strategy = *strategy;
+                b.icode_buf.clear();
+                let buf = &mut b.icode_buf;
+                let (sc, params) = (&mut b.icode_walk, &b.params);
+                let walk = walk(input, mem, buf, sc, params, ret_kind, closure)?;
+                let walk_ns = t0.elapsed().as_nanos() as u64;
+                let ir_insns = buf.emitted();
+                let r = b.icode.compile(code, name, buf);
+                (walk, walk_ns, r.func, Some((ir_insns, r)))
+            }
         };
-        self.stats.closures += outcome.walk.closures;
-        self.stats.unrolled_iters += outcome.walk.unrolled_iters;
-        self.stats.rtc_evals += outcome.walk.rtc_evals;
-        self.stats.walk_ns += outcome.walk_ns;
-        self.stats.phases.accumulate(&outcome.phases);
-        self.stats.ir_insns += outcome.ir_insns;
-        self.stats.spills += outcome.spills;
-        self.observed_keys.union_with(&outcome.keys);
+        if let Some((ir_insns, r)) = icode {
+            self.stats.ir_insns += ir_insns;
+            self.stats.phases.accumulate(&r.phases);
+            self.stats.spills += r.spills as u64;
+            self.observed_keys.union_with(&r.keys);
+        }
+        self.stats.closures += walk.closures;
+        self.stats.unrolled_iters += walk.unrolled_iters;
+        self.stats.rtc_evals += walk.rtc_evals;
+        self.stats.walk_ns += walk_ns;
         self.stats.compiles += 1;
-        self.stats.generated_insns += outcome.insns;
-        Ok((outcome.addr, outcome.handle))
+        self.stats.generated_insns += func.insns;
+        Ok((func.addr, func.handle))
     }
 
     /// The `compile` intercept (§4.4): the one place a closure becomes
@@ -410,8 +336,8 @@ impl TccRuntime {
     ///          └─hit→ return the address
     /// ```
     ///
-    /// with one pass over the closure tree (its depth and its
-    /// fingerprint), one `install_function` call, one memo insert and
+    /// with one pass over the closure tree (its depth, its parameters and
+    /// its fingerprint), one `install_function` call, one memo insert and
     /// one publish, whatever the backing is.
     fn compile(&mut self, st: &mut MachineState) -> Result<(), VmError> {
         let closure = st.arg(0);
@@ -430,15 +356,14 @@ impl TccRuntime {
         self.dyn_seq += 1;
         let MachineState { code, mem, .. } = st;
         // One scan of the closure tree: its composition depth (checked
-        // iteratively, so a runaway nest cannot overflow the host stack
-        // before the limit check in the recursive walk fires; it picks
-        // where the walk runs) and its fingerprint. Then the memo: if
+        // before any code is emitted), its `param` vspecs and its
+        // fingerprint. Then the memo: if
         // this exact closure is already in this session's code space,
         // hand back its address. A pool keeps its hit counter and CLOCK
         // referenced bit through `touch`.
         let key = self.key_prefix(ret_kind);
         let (input, _, b) = self.walk_parts();
-        let (depth, fp) = scan_closure(mem, input, &mut b.scan_path, closure, key)?;
+        let fp = scan_closure(mem, input, &mut b.scan_path, closure, key, &mut b.params)?;
         match (&mut self.cache, &fp) {
             (Some(cache), Some(fp)) => {
                 if let Some(addr) = cache.lookup(fp) {
@@ -491,8 +416,7 @@ impl TccRuntime {
                     (None, _) | (_, Backing::None) => String::new(),
                     _ => format!("dyn{}", self.dyn_seq),
                 };
-                let (addr, handle) =
-                    self.run_compile(mem, code, &name, closure, ret_kind, depth)?;
+                let (addr, handle) = self.run_compile(mem, code, &name, closure, ret_kind)?;
                 let compile_ns = since_t0();
                 self.stats.total_ns += compile_ns;
                 if let Some(fp) = &fp {

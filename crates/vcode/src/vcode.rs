@@ -78,6 +78,8 @@ pub struct Vcode<'a> {
     pub fb: FuncBuilder<'a>,
     regs: RegMgr,
     unchecked: bool,
+    /// An unchecked `getreg` found the pool empty (sticky).
+    exhausted: bool,
     free_slots: Vec<i32>,
     free_fslots: Vec<i32>,
     /// How many getreg requests had to be satisfied with spill slots.
@@ -107,18 +109,29 @@ impl<'a> Vcode<'a> {
             fb: FuncBuilder::with_bufs(code, name, func),
             regs,
             unchecked: false,
+            exhausted: false,
             free_slots,
             free_fslots,
             spill_getregs: 0,
         }
     }
 
-    /// Disables the per-operand spill checks: `getreg` will panic instead
-    /// of returning a spilled location. The paper offers this mode for
+    /// Disables the per-operand spill checks: a `getreg` that finds the
+    /// pool empty marks the function [`Vcode::exhausted`] instead of
+    /// counting on a spilled location. The paper offers this mode for
     /// "situations where register pressure is not data dependent", buying
     /// roughly a factor of two in code generation speed.
     pub fn set_unchecked(&mut self, unchecked: bool) {
         self.unchecked = unchecked;
+    }
+
+    /// True once an unchecked `getreg` has found the pool empty: the
+    /// function broke the unchecked contract, and the caller should
+    /// report that as the paper's "run-time error" rather than finish
+    /// it. (The location handed out was a spill slot, as in checked
+    /// mode, so emission itself carried on.)
+    pub fn exhausted(&self) -> bool {
+        self.exhausted
     }
 
     /// Number of instructions emitted so far.
@@ -127,12 +140,9 @@ impl<'a> Vcode<'a> {
     }
 
     /// Allocates a location of kind `k` (`getreg`). Falls back to a spill
-    /// slot when the pool is empty (checked mode).
-    ///
-    /// # Panics
-    ///
-    /// In unchecked mode, panics when the pool is exhausted (the paper:
-    /// "it terminates the program with a run-time error").
+    /// slot when the pool is empty; in unchecked mode that also marks the
+    /// function [`Vcode::exhausted`] (the paper: "it terminates the
+    /// program with a run-time error").
     pub fn getreg(&mut self, k: ValKind) -> Loc {
         self.getreg_pref(k, false)
     }
@@ -151,10 +161,7 @@ impl<'a> Vcode<'a> {
                 }
                 return Loc::F(f);
             }
-            assert!(
-                !self.unchecked,
-                "fp register pool exhausted in unchecked mode"
-            );
+            self.exhausted |= self.unchecked;
             self.spill_getregs += 1;
             let off = self
                 .free_fslots
@@ -168,7 +175,7 @@ impl<'a> Vcode<'a> {
             }
             return Loc::R(r);
         }
-        assert!(!self.unchecked, "register pool exhausted in unchecked mode");
+        self.exhausted |= self.unchecked;
         self.spill_getregs += 1;
         let off = self
             .free_slots
@@ -847,13 +854,17 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "exhausted in unchecked mode")]
-    fn unchecked_mode_panics_on_exhaustion() {
-        let mut code = CodeSpace::new();
-        let mut vc = Vcode::new(&mut code, "t");
-        vc.set_unchecked(true);
-        for _ in 0..21 {
-            vc.getreg(ValKind::W);
+    fn unchecked_mode_flags_exhaustion() {
+        for unchecked in [false, true] {
+            let mut code = CodeSpace::new();
+            let mut vc = Vcode::new(&mut code, "t");
+            vc.set_unchecked(unchecked);
+            for _ in 0..21 {
+                assert!(!vc.exhausted());
+                vc.getreg(ValKind::W);
+            }
+            assert_eq!(vc.exhausted(), unchecked);
+            assert_eq!(vc.spill_getregs, 1);
         }
     }
 

@@ -2,7 +2,7 @@
 //! surface as typed errors with useful diagnostics — never panics, never
 //! silent corruption.
 
-use tickc::tickc_core::{Config, Session};
+use tickc::tickc_core::{Backend, Config, Session};
 use tickc::vm::VmError;
 
 #[test]
@@ -146,6 +146,43 @@ fn stack_smashing_dynamic_recursion_is_bounded() {
     // Past the limit: clean error, not a host stack overflow.
     let err = s.call("mk", &[600]).unwrap_err().to_string();
     assert!(err.contains("too deep"), "{err}");
+}
+
+#[test]
+fn unchecked_vcode_out_of_registers_is_an_error() {
+    // 32 loads, each held while the rest of the sum is emitted: more live
+    // temporaries than the register pool has. Unchecked VCODE does not
+    // spill (§5.1); the compile must fail as a walk error, and the
+    // session must go on compiling.
+    let sum = (0..32).fold(String::from("a"), |e, _| format!("(a + {e})"));
+    let src = format!(
+        r#"
+        int deep(int n) {{
+            int a = n;
+            int cspec c = `{sum};
+            int (*g)(void) = compile(c, int);
+            return (*g)();
+        }}
+        int shallow(int n) {{
+            int cspec c = `($n + 1);
+            int (*g)(void) = compile(c, int);
+            return (*g)();
+        }}
+        "#
+    );
+    let config = Config {
+        backend: Backend::Vcode { unchecked: true },
+        ..Config::default()
+    };
+    let mut s = Session::new(&src, config).expect("compiles");
+    let err = s.call("deep", &[1]).unwrap_err().to_string();
+    assert!(err.contains("register pool exhausted"), "{err}");
+    assert_eq!(s.dyn_stats().compiles, 0, "{err}");
+    assert_eq!(s.call("shallow", &[41]).unwrap(), 42);
+    assert_eq!(s.dyn_stats().compiles, 1);
+    // Checked VCODE spills the same sum and runs it.
+    let mut s = Session::with_defaults(&src).expect("compiles");
+    assert_eq!(s.call("deep", &[1]).unwrap(), 33);
 }
 
 /// A compile site parameterized on `$n` for the lifecycle fault tests.

@@ -168,9 +168,11 @@ fn emitted_words_match_the_committed_digests() {
                 };
                 let mut s = Session::new(bench.src, config).expect("suite program compiles");
                 (bench.setup)(&mut s);
-                // Unchecked VCODE ends the compile with a panic when the
+                // Unchecked VCODE fails the compile with an error when the
                 // walk asks for more registers than the pool holds (§5.1's
                 // "run-time error"); which programs do is pinned as (0, 0).
+                // `compile_dyn`, whose signature the benchmark spells,
+                // panics on that error, hence the `catch_unwind`.
                 let compiled = catch_unwind(AssertUnwindSafe(|| (bench.compile_dyn)(&mut s)));
                 let (words, digest) = match compiled {
                     Ok(_) => digest_code_space(&s),
