@@ -41,9 +41,12 @@
 #      every engine equal to decode-per-step in checksum, cycles, insns
 #  12. benchmark/check.sh: fmt, clippy and unit tests of the
 #      out-of-workspace repo benchmark, which builds against crates/*'s
-#      public API, so an API change that breaks it fails here. Building
-#      it rewrites benchmark/Cargo.lock, so the lock is copied first and
-#      put back afterwards
+#      public API, so an API change that breaks it fails here; then
+#      benchmark/run.sh --selfcheck, which runs one slice of every
+#      workload and fails on a wrong answer, a failed op or a counter
+#      that differs between two runs (about 17 s). Building the
+#      benchmark rewrites benchmark/Cargo.lock, so the lock is copied
+#      first and put back afterwards
 #  13. the work tree is as CI found it: `git status --porcelain` and
 #      `git diff` equal their values at the start, or the files a step
 #      changed are named and CI fails (skipped outside a git work tree)
@@ -143,11 +146,12 @@ cargo run -p tcc-suite --bin suite --release -- cache
 echo "== suite adaptive --smoke (tiering observationally identical) =="
 cargo run -p tcc-suite --bin suite --release -- adaptive --smoke
 
-echo "== benchmark package (fmt, clippy, tests against this tree's API) =="
+echo "== benchmark package (fmt, clippy, tests against this tree's API; selfcheck run) =="
 lock=$(mktemp)
 cp benchmark/Cargo.lock "$lock"
 status=0
 bash benchmark/check.sh || status=$?
+[ "$status" -ne 0 ] || bash benchmark/run.sh --selfcheck || status=$?
 cp "$lock" benchmark/Cargo.lock
 rm -f "$lock"
 [ "$status" -eq 0 ] || exit "$status"

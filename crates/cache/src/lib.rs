@@ -13,20 +13,22 @@
 //!   closures). A hit returns the previously generated function address
 //!   without walking the CGF at all. The memo is the record of what
 //!   *this session* has in its code space, in every mode.
-//! * **One backing behind the memo** — a memo miss asks the session's
-//!   [`Backing`] (nothing, a private [`PersistentStore`], or the
-//!   pool's [`SharedArtifacts`]) before compiling, and a compile is
-//!   published to the same place. All three hand out the same
-//!   `Arc<`[`Artifact`]`>`.
+//! * **Every memo is a pool member** — a memo miss asks the session's
+//!   pool of [`SharedArtifacts`] before compiling, and a compile is
+//!   published there. A private session's pool is a pool of one: one
+//!   shard, no budget. A [`PersistentStore`] is reached only through a
+//!   pool ([`SharedArtifacts::attach_persist`]). Pool and store hand out
+//!   the same `Arc<`[`Artifact`]`>`. A memo hit takes no lock: the
+//!   entry holds its resident's CLOCK referenced bit.
 //! * **Reclamation** — when the pool retires an artifact (its CLOCK
 //!   budget evicts it, or it is invalidated), [`CodeCache::sync`] drops
 //!   every session's local copy and returns its words to the
 //!   `CodeSpace` free list (`free_function`), so the arena is recycled,
 //!   not just abandoned; stale addresses fault with
 //!   `VmError::StaleCode` instead of silently running reused bytes.
-//!   The pool's budget is the only one: a memo with no pool behind it
-//!   never frees what it handed out, and a session that needs a bound
-//!   is a one-session pool.
+//!   The pool's budget is the only one: an unbounded pool never
+//!   retires what it holds, and a session that needs a bound is a
+//!   one-session pool with a budget.
 //!
 //! Fingerprints are *injective encodings*, not hashes: two closures
 //! receive equal fingerprints only if their encodings are equal
@@ -39,10 +41,10 @@
 //! nanoseconds saved versus spent answering hits.
 
 use std::collections::HashMap;
+use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
-use std::time::Instant;
 
-use tcc_obs::{CacheMetrics, PersistMetrics};
+use tcc_obs::CacheMetrics;
 use tcc_vm::{CodeSpace, FuncHandle, VmError};
 
 pub mod persist;
@@ -212,22 +214,29 @@ struct Entry {
     bytes: u64,
     /// Per-hit `ns_saved` credit. For a freshly compiled entry this is
     /// what the original compilation cost; for an entry installed from
-    /// the backing it is `compile_ns − load_ns` (saturating) — a disk
+    /// the pool it is `compile_ns − load_ns` (saturating) — a disk
     /// or pool hit only saved the *difference*, so crediting the full
     /// compile time would overstate the savings.
     credit_ns: u64,
+    /// The CLOCK referenced bit of the pool's resident for this key (a
+    /// bit of its own when none was resident at insert). A hit sets it;
+    /// [`CodeCache::sync`] swaps in a republished resident's bit.
+    referenced: Arc<AtomicBool>,
 }
 
 /// Memoization table for compiled closures: one entry per function
 /// this session has installed, whether it compiled the function itself
-/// or fetched it from its [`Backing`]. An entry leaves only when the
-/// pool retires its artifact ([`CodeCache::sync`]).
+/// or installed it from its pool. An entry leaves only when the pool
+/// retires its artifact ([`CodeCache::sync`]).
 ///
 /// The cache does not own the `CodeSpace`; a sync borrows it to call
 /// `free_function`. All counters live in a [`CacheMetrics`] that the
 /// session merges into its `SessionMetrics`.
-#[derive(Clone, Debug, Default)]
+#[derive(Debug)]
 pub struct CodeCache {
+    /// The pool this memo is a member of: shared between sessions, or
+    /// this session's own pool of one.
+    pool: Arc<SharedArtifacts>,
     entries: HashMap<Fingerprint, Entry>,
     bytes_live: u64,
     /// The pool generation [`CodeCache::sync`] last reconciled against.
@@ -240,10 +249,34 @@ pub struct CodeCache {
     metrics: CacheMetrics,
 }
 
+impl Default for CodeCache {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 impl CodeCache {
-    /// An empty memo.
+    /// An empty memo in a pool of its own: one shard, no budget.
     pub fn new() -> Self {
-        Self::default()
+        Self::in_pool(SharedArtifacts::new(1, None))
+    }
+
+    /// An empty memo that is a member of `pool`.
+    pub fn in_pool(pool: Arc<SharedArtifacts>) -> Self {
+        CodeCache {
+            pool,
+            entries: HashMap::new(),
+            bytes_live: 0,
+            generation_seen: 0,
+            retire_cursor: 0,
+            retired: Vec::new(),
+            metrics: CacheMetrics::default(),
+        }
+    }
+
+    /// The pool a miss asks and a compile is published to.
+    pub fn pool(&self) -> &Arc<SharedArtifacts> {
+        &self.pool
     }
 
     /// Number of live entries.
@@ -257,9 +290,13 @@ impl CodeCache {
     }
 
     /// Looks up a fingerprint; on a hit, credits `ns_saved` with the
-    /// entry's credit and returns the cached function address.
+    /// entry's credit and returns the cached function address. A hit
+    /// counts in the pool and sets the resident's referenced bit, with
+    /// no lock taken and no map probed but this one.
     pub fn lookup(&mut self, fp: &Fingerprint) -> Option<u64> {
         let e = self.entries.get(fp)?;
+        shared::reference(&e.referenced);
+        self.pool.count_hit();
         self.metrics.hits += 1;
         self.metrics.ns_saved += e.credit_ns;
         Some(e.addr)
@@ -267,7 +304,7 @@ impl CodeCache {
 
     /// Records nanoseconds spent answering a `compile` call without
     /// compiling (the whole intercept: fingerprint, lookup and, for a
-    /// function fetched from the backing, load and install) so reports
+    /// function installed from the pool, load and install) so reports
     /// can compare saved vs. spent time.
     pub fn note_hit_ns(&mut self, ns: u64) {
         self.metrics.hit_ns += ns;
@@ -284,7 +321,7 @@ impl CodeCache {
     ///
     /// * `None` — compiled here. Counts a miss; every later hit is
     ///   credited `compile_ns`.
-    /// * `Some(load_ns)` — fetched from the backing (disk or pool) at
+    /// * `Some(load_ns)` — installed from the pool (or its store) at
     ///   that cost and installed. The compile was *answered*, so it
     ///   counts a hit, and every credit — this one and each later
     ///   hit's — is `compile_ns − load_ns` (saturating): the fetch
@@ -311,6 +348,7 @@ impl CodeCache {
             self.metrics.misses += 1;
         }
         self.bytes_live += bytes;
+        let referenced = self.pool.resident_bit(&fp).unwrap_or_default();
         self.entries.insert(
             fp,
             Entry {
@@ -318,6 +356,7 @@ impl CodeCache {
                 handle,
                 bytes,
                 credit_ns,
+                referenced,
             },
         );
         Ok(())
@@ -336,42 +375,32 @@ impl CodeCache {
     }
 
     /// Reconciles the memo with the pool after an eviction or
-    /// invalidation (a no-op for any other backing, and while the
-    /// pool's generation stamp has not moved): drops every entry whose
-    /// artifact is no longer resident and frees its code, so its
-    /// address faults `VmError::StaleCode`. The only way an entry
-    /// leaves the memo.
+    /// invalidation (a no-op while the pool's generation stamp has not
+    /// moved): drops every entry whose key is no longer resident and
+    /// frees its code, so its address faults `VmError::StaleCode`. The
+    /// only way an entry leaves the memo. A kept entry whose key the
+    /// pool republished takes the new resident's referenced bit.
     ///
     /// Only the keys the pool's retirement log names since the last
     /// sync are candidates, one shard probe per candidate this memo
     /// holds; a memo the log has lapped probes every entry instead. The
     /// cursor moves past a key only once it is dealt with, so an error
     /// leaves the rest for the next sync.
-    pub fn sync(&mut self, code: &mut CodeSpace, backing: &Backing) -> Result<(), VmError> {
-        let Backing::Shared(shared) = backing else {
-            return Ok(());
-        };
-        let generation = shared.generation();
+    pub fn sync(&mut self, code: &mut CodeSpace) -> Result<(), VmError> {
+        let generation = self.pool.generation();
         if generation == self.generation_seen {
             return Ok(());
         }
         let mut keys = std::mem::take(&mut self.retired);
-        let done = match shared.retired_since(self.retire_cursor, &mut keys) {
+        let done = match self.pool.retired_since(self.retire_cursor, &mut keys) {
             Ok(()) => keys.iter().try_for_each(|fp| {
-                if self.entries.contains_key(fp) && !shared.probe_for_sync(fp) {
-                    self.drop_entry(code, fp)?;
-                }
+                self.reconcile(code, fp)?;
                 self.retire_cursor += 1;
                 Ok(())
             }),
             Err(head) => {
-                keys.extend(
-                    self.entries
-                        .keys()
-                        .filter(|fp| !shared.probe_for_sync(fp))
-                        .cloned(),
-                );
-                let done = keys.iter().try_for_each(|fp| self.drop_entry(code, fp));
+                keys.extend(self.entries.keys().cloned());
+                let done = keys.iter().try_for_each(|fp| self.reconcile(code, fp));
                 if done.is_ok() {
                     self.retire_cursor = head;
                 }
@@ -385,6 +414,19 @@ impl CodeCache {
         Ok(())
     }
 
+    /// Keeps the entry for `fp`, if any, with its resident's current
+    /// bit while the pool holds the key; drops it otherwise.
+    fn reconcile(&mut self, code: &mut CodeSpace, fp: &Fingerprint) -> Result<(), VmError> {
+        let Some(e) = self.entries.get_mut(fp) else {
+            return Ok(());
+        };
+        match self.pool.probe_for_sync(fp) {
+            Some(bit) => e.referenced = bit,
+            None => self.drop_entry(code, fp)?,
+        }
+        Ok(())
+    }
+
     /// Current counters, with live bytes and code-space occupancy
     /// (fragmentation, reclaimed bytes) folded in from `code`.
     pub fn metrics(&self, code: &CodeSpace) -> CacheMetrics {
@@ -393,116 +435,6 @@ impl CodeCache {
             bytes_live: self.bytes_live,
             fragmentation: stats.fragmentation(),
             ..self.metrics
-        }
-    }
-}
-
-/// Where a memo miss looks before it compiles, and where a compile is
-/// published afterwards. A session has exactly one: a private store
-/// *or* the pool (whose own store is attached to the pool).
-#[derive(Debug, Default)]
-pub enum Backing {
-    /// Nothing behind the memo: a miss compiles.
-    #[default]
-    None,
-    /// This session's own on-disk store.
-    Disk(PersistentStore),
-    /// The pool's shared table (and, through it, the pool's store).
-    Shared(Arc<SharedArtifacts>),
-}
-
-/// What [`Backing::fetch`] found.
-pub enum Fetched {
-    /// Somebody already compiled it: the artifact, and the nanoseconds
-    /// fetching it cost (disk load, or the wait on the pool).
-    Hit(Arc<Artifact>, u64),
-    /// Nobody has: compile. In a pool the caller now holds the claim,
-    /// to hand to [`Backing::publish`] (or drop: waiters then retry).
-    Miss(Option<CompileClaim>),
-}
-
-impl Backing {
-    /// Asks for `fp`. A disk frame is verified (CRC, full decode, key)
-    /// before a word of it is returned; a pool request blocks while
-    /// another session's compile of `fp` is in flight.
-    pub fn fetch(&mut self, fp: &Fingerprint) -> Fetched {
-        match self {
-            Backing::None => Fetched::Miss(None),
-            Backing::Disk(store) => match store.load(fp) {
-                Some((artifact, load_ns)) => Fetched::Hit(artifact, load_ns),
-                None => Fetched::Miss(None),
-            },
-            Backing::Shared(shared) => {
-                let t0 = Instant::now();
-                match shared.get_or_begin(fp) {
-                    Acquire::Hit { artifact, .. } => {
-                        Fetched::Hit(artifact, t0.elapsed().as_nanos() as u64)
-                    }
-                    Acquire::Miss(claim) => Fetched::Miss(Some(claim)),
-                }
-            }
-        }
-    }
-
-    /// Counts a memo hit where the pool keeps its books: the shared
-    /// hit counter and the resident's CLOCK referenced bit.
-    pub fn touch(&self, fp: &Fingerprint) {
-        if let Backing::Shared(shared) = self {
-            shared.touch(fp);
-        }
-    }
-
-    /// Drops a fetched artifact that could not be installed, so the
-    /// next [`Backing::fetch`] misses and the compile that follows
-    /// replaces it, on disk too.
-    pub fn discard(&mut self, fp: &Fingerprint) {
-        match self {
-            Backing::None => {}
-            Backing::Disk(store) => {
-                store.tombstone(fp);
-            }
-            Backing::Shared(shared) => {
-                shared.invalidate(fp);
-            }
-        }
-    }
-
-    /// Publishes a fresh compile: recorded for the next process, and
-    /// in a pool handed to every session waiting on `claim`. `seal`
-    /// copies the function out — told whether a pool wants it — and
-    /// is not called when nobody does; its error is passed through.
-    pub fn publish<E>(
-        &mut self,
-        fp: &Fingerprint,
-        claim: Option<CompileClaim>,
-        seal: impl FnOnce(bool) -> Result<Artifact, E>,
-    ) -> Result<(), E> {
-        match (self, claim) {
-            (Backing::Disk(store), _) => store.record(fp.clone(), Arc::new(seal(false)?)),
-            (Backing::Shared(_), Some(claim)) => {
-                claim.publish(seal(true)?);
-            }
-            _ => {}
-        }
-        Ok(())
-    }
-
-    /// Flushes the store behind this backing; `Ok` when there is
-    /// none, an error when it is read-only or the write fails.
-    pub fn flush(&mut self) -> std::io::Result<()> {
-        match self {
-            Backing::None => Ok(()),
-            Backing::Disk(store) => store.flush(),
-            Backing::Shared(shared) => shared.flush_persist(),
-        }
-    }
-
-    /// Counters of the store behind this backing (zeros without one).
-    pub fn persist_metrics(&self) -> PersistMetrics {
-        match self {
-            Backing::None => PersistMetrics::default(),
-            Backing::Disk(store) => store.metrics(),
-            Backing::Shared(shared) => shared.persist_metrics().unwrap_or_default(),
         }
     }
 }
@@ -533,8 +465,8 @@ mod tests {
     #[test]
     fn sync_drops_what_the_pool_retired() {
         let mut code = CodeSpace::new();
-        let mut cache = CodeCache::new();
         let shared = SharedArtifacts::unbounded();
+        let mut cache = CodeCache::in_pool(Arc::clone(&shared));
         for n in [1, 2] {
             let Acquire::Miss(claim) = shared.get_or_begin(&fp(n)) else {
                 panic!("first request claims");
@@ -552,13 +484,10 @@ mod tests {
         cache.insert(&mut code, fp(1), a, ha, 100, None).unwrap();
         let (b, hb) = emit(&mut code, 4);
         cache.insert(&mut code, fp(2), b, hb, 100, None).unwrap();
-        let backing = Backing::Shared(Arc::clone(&shared));
 
         assert!(shared.invalidate(&fp(1)));
-        // Only a pool has an elsewhere to reconcile with.
-        cache.sync(&mut code, &Backing::None).unwrap();
-        assert_eq!(cache.len(), 2);
-        cache.sync(&mut code, &backing).unwrap();
+        assert_eq!(cache.len(), 2, "nothing leaves before a sync");
+        cache.sync(&mut code).unwrap();
         assert_eq!(
             cache.lookup(&fp(1)),
             None,
@@ -572,7 +501,7 @@ mod tests {
         // The memo's books agree with the code space's own.
         assert_eq!(code.stats().reclaimed_words as u64 * 4, m.bytes_reclaimed);
         // The stamp has not moved since: nothing is rescanned or dropped.
-        cache.sync(&mut code, &backing).unwrap();
+        cache.sync(&mut code).unwrap();
         assert_eq!(cache.len(), 1);
     }
 
@@ -598,30 +527,27 @@ mod tests {
     }
 
     impl Member {
-        fn new() -> Member {
+        fn new(pool: &Arc<SharedArtifacts>) -> Member {
             Member {
                 code: CodeSpace::new(),
-                memo: CodeCache::new(),
+                memo: CodeCache::in_pool(Arc::clone(pool)),
                 model: Default::default(),
                 model_generation: 0,
             }
         }
 
-        /// Asks for key `n`: a memo hit touches the pool; otherwise the
-        /// pool's artifact is installed, or compiled (`words` long) and
-        /// published.
-        fn request(&mut self, backing: &mut Backing, n: u64, words: usize) {
+        /// Asks for key `n`: a memo hit is counted by the memo itself;
+        /// otherwise the pool's artifact is installed, or compiled
+        /// (`words` long) and published.
+        fn request(&mut self, n: u64, words: usize) {
             let key = fp(n);
             if self.memo.lookup(&key).is_some() {
-                backing.touch(&key);
                 return;
             }
-            let fetched = match backing.fetch(&key) {
-                Fetched::Hit(artifact, _) => Some(artifact.words.len()),
-                Fetched::Miss(claim) => {
-                    backing
-                        .publish(&key, claim, |_| Ok::<_, ()>(shared_art(words)))
-                        .unwrap();
+            let fetched = match self.memo.pool().get_or_begin(&key) {
+                Acquire::Hit { artifact, .. } => Some(artifact.words.len()),
+                Acquire::Miss(claim) => {
+                    claim.publish(shared_art(words));
                     None
                 }
             };
@@ -634,10 +560,8 @@ mod tests {
 
         /// Syncs, and checks the memo kept what a full scan keeps.
         /// Returns whether the log had lapped this member.
-        fn sync(&mut self, backing: &Backing, keys: u64) -> bool {
-            let Backing::Shared(shared) = backing else {
-                unreachable!("a pool member");
-            };
+        fn sync(&mut self, keys: u64) -> bool {
+            let shared = Arc::clone(self.memo.pool());
             let lapped = shared
                 .retired_since(self.memo.retire_cursor, &mut Vec::new())
                 .is_err();
@@ -645,7 +569,7 @@ mod tests {
                 self.model_generation = shared.generation();
                 self.model.retain(|&n| shared.contains(&fp(n)));
             }
-            self.memo.sync(&mut self.code, backing).unwrap();
+            self.memo.sync(&mut self.code).unwrap();
             let held: std::collections::BTreeSet<u64> = (0..keys)
                 .filter(|&n| self.memo.entries.contains_key(&fp(n)))
                 .collect();
@@ -662,8 +586,7 @@ mod tests {
     fn log_sync_script(seed: u64, log_capacity: usize) -> usize {
         const KEYS: u64 = 24;
         let shared = SharedArtifacts::with_log_capacity(4, Some(160), log_capacity);
-        let mut backing = Backing::Shared(Arc::clone(&shared));
-        let mut members = [Member::new(), Member::new()];
+        let mut members = [Member::new(&shared), Member::new(&shared)];
         let mut state = seed | 1;
         let mut next = move |m: u64| {
             state ^= state << 13;
@@ -677,20 +600,20 @@ mod tests {
             let member = &mut members[who];
             match next(16) {
                 // Sync: rarely enough that retirements pile up.
-                0 | 1 => lapped += usize::from(member.sync(&backing, KEYS)),
+                0 | 1 => lapped += usize::from(member.sync(KEYS)),
                 2 => {
                     shared.invalidate(&fp(next(KEYS)));
                 }
                 // An artifact over the whole 160-byte budget.
-                3 => member.request(&mut backing, next(KEYS), 50),
+                3 => member.request(next(KEYS), 50),
                 _ => {
                     let n = next(KEYS);
-                    member.request(&mut backing, n, 2 + (n % 5) as usize);
+                    member.request(n, 2 + (n % 5) as usize);
                 }
             }
         }
         for member in &mut members {
-            member.sync(&backing, KEYS);
+            member.sync(KEYS);
         }
         let m = shared.metrics();
         assert!(m.evictions > 500 && m.invalidations > 50 && m.uncacheable > 50);
@@ -708,8 +631,7 @@ mod tests {
     #[test]
     fn one_retirement_costs_a_full_memo_one_probe() {
         let shared = SharedArtifacts::unbounded();
-        let backing = Backing::Shared(Arc::clone(&shared));
-        let (mut code, mut memo) = (CodeSpace::new(), CodeCache::new());
+        let (mut code, mut memo) = (CodeSpace::new(), CodeCache::in_pool(Arc::clone(&shared)));
         for n in 0..40 {
             let Acquire::Miss(claim) = shared.get_or_begin(&fp(n)) else {
                 panic!("first request claims");
@@ -718,10 +640,10 @@ mod tests {
             let (a, h) = emit(&mut code, 4);
             memo.insert(&mut code, fp(n), a, h, 100, None).unwrap();
         }
-        memo.sync(&mut code, &backing).unwrap();
+        memo.sync(&mut code).unwrap();
         assert_eq!(shared.metrics().sync_probes, 0, "nothing retired yet");
         assert!(shared.invalidate(&fp(17)));
-        memo.sync(&mut code, &backing).unwrap();
+        memo.sync(&mut code).unwrap();
         assert_eq!(shared.metrics().sync_probes, 1);
         assert_eq!(memo.len(), 39);
         assert_eq!(memo.lookup(&fp(17)), None);
@@ -731,7 +653,7 @@ mod tests {
         };
         claim.publish(shared_art(4));
         assert!(shared.invalidate(&fp(99)));
-        memo.sync(&mut code, &backing).unwrap();
+        memo.sync(&mut code).unwrap();
         assert_eq!(shared.metrics().sync_probes, 1);
         assert_eq!(memo.len(), 39);
     }

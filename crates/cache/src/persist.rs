@@ -320,9 +320,8 @@ impl PersistentStore {
 
     /// Drops the artifact for `fp` so the next flush omits it —
     /// called when `SharedArtifacts::invalidate` retires the
-    /// fingerprint, or `Backing::discard` drops an artifact that
-    /// loaded clean but could not be installed. Returns whether an
-    /// entry was resident.
+    /// fingerprint: churn, or an artifact that loaded clean but could
+    /// not be installed. Returns whether an entry was resident.
     pub fn tombstone(&mut self, fp: &Fingerprint) -> bool {
         if self.index.remove(fp).is_some() {
             self.metrics.tombstones += 1;

@@ -158,17 +158,16 @@ struct Resident {
     fp: Fingerprint,
     artifact: Arc<Artifact>,
     /// Set by a hit, cleared by the hand passing: a resident the hand
-    /// finds set gets a second chance.
-    referenced: AtomicBool,
+    /// finds set gets a second chance. Every memo entry for the key
+    /// holds the same bit, so a memo hit sets it without a probe.
+    referenced: Arc<AtomicBool>,
 }
 
-impl Resident {
-    /// Sets the referenced bit, writing the shared line only when the
-    /// bit was clear.
-    fn reference(&self) {
-        if !self.referenced.load(Ordering::Relaxed) {
-            self.referenced.store(true, Ordering::Relaxed);
-        }
+/// Sets a referenced bit, writing the shared line only when the bit
+/// was clear.
+pub(crate) fn reference(bit: &AtomicBool) {
+    if !bit.load(Ordering::Relaxed) {
+        bit.store(true, Ordering::Relaxed);
     }
 }
 
@@ -363,7 +362,7 @@ impl SharedArtifacts {
                 let mut shard = lock(self.shard_for(fp));
                 match shard.entries.get(fp) {
                     Some(Slot::Ready(resident)) => {
-                        resident.reference();
+                        reference(&resident.referenced);
                         self.hits.fetch_add(1, Ordering::Relaxed);
                         return Acquire::Hit {
                             artifact: Arc::clone(&resident.artifact),
@@ -446,7 +445,7 @@ impl SharedArtifacts {
         let resident = Arc::new(Resident {
             fp: fp.clone(),
             artifact: Arc::clone(artifact),
-            referenced: AtomicBool::new(false),
+            referenced: Arc::default(),
         });
         if self.budget.is_some() {
             let mut ring = lock(&self.ring);
@@ -511,10 +510,25 @@ impl SharedArtifacts {
         }
     }
 
-    /// [`SharedArtifacts::contains`], counted as a sync probe.
-    pub(crate) fn probe_for_sync(&self, fp: &Fingerprint) -> bool {
+    /// [`SharedArtifacts::resident_bit`], counted as a sync probe.
+    pub(crate) fn probe_for_sync(&self, fp: &Fingerprint) -> Option<Arc<AtomicBool>> {
         self.sync_probes.fetch_add(1, Ordering::Relaxed);
-        self.contains(fp)
+        self.resident_bit(fp)
+    }
+
+    /// The referenced bit of `fp`'s resident, if one is published: what
+    /// a memo entry keeps so that its hits reach the CLOCK.
+    pub(crate) fn resident_bit(&self, fp: &Fingerprint) -> Option<Arc<AtomicBool>> {
+        match lock(self.shard_for(fp)).entries.get(fp) {
+            Some(Slot::Ready(resident)) => Some(Arc::clone(&resident.referenced)),
+            _ => None,
+        }
+    }
+
+    /// Counts a hit that a memo answered from its own entry (which set
+    /// the resident's referenced bit itself).
+    pub(crate) fn count_hit(&self) {
+        self.hits.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Nonblocking slot inspection (deterministic interleaving tests).
@@ -534,16 +548,15 @@ impl SharedArtifacts {
         )
     }
 
-    /// Counts a request served from a session's locally *installed*
-    /// copy of a shared artifact (a shared-cache hit that needed no
-    /// shard probe beyond setting the resident's referenced bit).
-    /// Returns whether the artifact is still resident; a `false` tells
-    /// the session its install is due to be dropped at the next
-    /// generation sync.
+    /// Counts a hit on `fp` answered outside the pool and sets its
+    /// resident's referenced bit, found by key under the shard lock.
+    /// Returns whether the artifact is still resident. A session's memo
+    /// does not come this way: its entry holds the bit
+    /// ([`crate::CodeCache::lookup`]).
     pub fn touch(&self, fp: &Fingerprint) -> bool {
-        self.hits.fetch_add(1, Ordering::Relaxed);
+        self.count_hit();
         if let Some(Slot::Ready(resident)) = lock(self.shard_for(fp)).entries.get(fp) {
-            resident.reference();
+            reference(&resident.referenced);
             true
         } else {
             false

@@ -13,7 +13,7 @@
 
 use crate::alloc::{Assignment, Pools};
 use crate::color::{graph_color, ColorScratch};
-use crate::emit::{emit, EmitScratch};
+use crate::emit::{emit, EmitScratch, MissingTranslator};
 use crate::flow::FlowGraph;
 use crate::intervals::Intervals;
 use crate::ir::IcodeBuf;
@@ -123,7 +123,18 @@ impl IcodeCompiler {
     /// Compiles an ICODE buffer into executable code. The cleanup passes
     /// rewrite `buf` in place; the caller may [`IcodeBuf::clear`] it and
     /// record the next function into the same storage.
-    pub fn compile(&mut self, code: &mut CodeSpace, name: &str, buf: &mut IcodeBuf) -> IcodeResult {
+    ///
+    /// # Errors
+    ///
+    /// [`MissingTranslator`] when [`IcodeCompiler::table`] lacks an
+    /// instruction `buf` needs: no word is emitted, and the compiler
+    /// stays usable.
+    pub fn compile(
+        &mut self,
+        code: &mut CodeSpace,
+        name: &str,
+        buf: &mut IcodeBuf,
+    ) -> Result<IcodeResult, MissingTranslator> {
         let mut phases = Phases::default();
         let mut lap = Instant::now();
         let mut split = |slot: &mut u64| {
@@ -161,10 +172,10 @@ impl IcodeCompiler {
         }
         split(&mut phases.alloc_ns);
 
-        let (func, keys) = emit(code, name, buf, asn, &self.table, &mut w.emit);
+        let (func, keys) = emit(code, name, buf, asn, &self.table, &mut w.emit)?;
         split(&mut phases.emit_ns);
 
-        IcodeResult {
+        Ok(IcodeResult {
             func,
             phases,
             spills: asn.spilled,
@@ -172,7 +183,7 @@ impl IcodeCompiler {
             blocks: w.flow.len(),
             intervals: ivs.len(),
             keys,
-        }
+        })
     }
 }
 
@@ -211,7 +222,9 @@ mod tests {
         for strategy in [Strategy::LinearScan, Strategy::GraphColor] {
             let mut code = CodeSpace::new();
             let mut c = IcodeCompiler::new(strategy);
-            let r = c.compile(&mut code, "sum", &mut sum_to_n_buf());
+            let r = c
+                .compile(&mut code, "sum", &mut sum_to_n_buf())
+                .expect("full table");
             let mut vm = Vm::new(code, 1 << 20);
             assert_eq!(vm.call(r.func.addr, &[100]).unwrap(), 5050, "{strategy:?}");
             assert_eq!(r.spills, 0);
@@ -238,7 +251,9 @@ mod tests {
         for strategy in [Strategy::LinearScan, Strategy::GraphColor] {
             let mut code = CodeSpace::new();
             let mut c = IcodeCompiler::new(strategy);
-            let r = c.compile(&mut code, "pressure", &mut b.clone());
+            let r = c
+                .compile(&mut code, "pressure", &mut b.clone())
+                .expect("full table");
             assert!(r.spills > 0, "{strategy:?} should spill");
             let mut vm = Vm::new(code, 1 << 20);
             assert_eq!(vm.call(r.func.addr, &[]).unwrap(), expect, "{strategy:?}");
@@ -249,7 +264,9 @@ mod tests {
     fn phase_breakdown_is_populated() {
         let mut code = CodeSpace::new();
         let mut c = IcodeCompiler::default();
-        let r = c.compile(&mut code, "sum", &mut sum_to_n_buf());
+        let r = c
+            .compile(&mut code, "sum", &mut sum_to_n_buf())
+            .expect("full table");
         assert!(r.phases.total_ns() > 0);
         assert!(r.ir_len > 0);
         assert!(r.intervals >= 3);
@@ -262,7 +279,7 @@ mod tests {
         b.li(dead, 42); // appended after ret; dead
         let mut code = CodeSpace::new();
         let mut c = IcodeCompiler::default();
-        let r = c.compile(&mut code, "sum", &mut b);
+        let r = c.compile(&mut code, "sum", &mut b).expect("full table");
         let mut code2 = CodeSpace::new();
         let mut c2 = IcodeCompiler {
             run_peephole: false,
@@ -274,7 +291,7 @@ mod tests {
             b.li(dead, 42);
             b
         };
-        let r2 = c2.compile(&mut code2, "sum", &mut b2);
+        let r2 = c2.compile(&mut code2, "sum", &mut b2).expect("full table");
         assert!(r.ir_len < r2.ir_len);
     }
 }

@@ -34,15 +34,32 @@ pub struct EmitScratch {
     vcode: VcodeBufs,
 }
 
+/// A compile refused because the translator table lacks the entry one
+/// of its instructions needs (a pruned table meeting a program it was
+/// not pruned for). Found before a word is emitted.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct MissingTranslator(pub IInsn);
+
+impl std::fmt::Display for MissingTranslator {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "pruned translator table lacks an entry for {:?}", self.0)
+    }
+}
+
+impl std::error::Error for MissingTranslator {}
+
 /// Translates a register-allocated ICODE buffer to binary. Returns the
 /// function and the translator keys it used (the pruning analysis's
 /// observation of this compile).
 ///
+/// # Errors
+///
+/// `table` does not support an instruction in `buf` (the
+/// pruned-translator contract); the code space is left untouched.
+///
 /// # Panics
 ///
-/// Panics if `table` does not support an instruction in `buf` (the
-/// pruned-translator contract) or if the buffer references unassigned
-/// virtual registers.
+/// Panics if the buffer references unassigned virtual registers.
 pub fn emit(
     code: &mut CodeSpace,
     name: &str,
@@ -50,7 +67,15 @@ pub fn emit(
     asn: &Assignment,
     table: &TranslatorTable,
     scratch: &mut EmitScratch,
-) -> (FinishedFunc, TranslatorTable) {
+) -> Result<(FinishedFunc, TranslatorTable), MissingTranslator> {
+    let mut seen = TranslatorTable::empty();
+    for insn in &buf.insns {
+        let key = key_of(insn);
+        if !table.contains(key) {
+            return Err(MissingTranslator(*insn));
+        }
+        seen.insert(key);
+    }
     let EmitScratch {
         block_off,
         slot_off,
@@ -88,19 +113,12 @@ pub fn emit(
     labels.extend((0..buf.nlabels).map(|_| vc.new_label()));
     pending_args.clear();
 
-    let mut seen = TranslatorTable::empty();
     for insn in &buf.insns {
-        let key = key_of(insn);
-        assert!(
-            table.contains(key),
-            "pruned translator table lacks an entry for {insn:?}"
-        );
-        seen.insert(key);
         translate_one(&mut vc, insn, &loc_of, labels, block_off, pending_args);
     }
     let (func, bufs) = vc.finish_with_bufs();
     *vcode = bufs;
-    (func, seen)
+    Ok((func, seen))
 }
 
 fn translate_one(

@@ -45,7 +45,9 @@
 //! buf.ret_val(ValKind::W, t);
 //!
 //! let mut code = CodeSpace::new();
-//! let result = IcodeCompiler::new(Strategy::LinearScan).compile(&mut code, "triple", &mut buf);
+//! let result = IcodeCompiler::new(Strategy::LinearScan)
+//!     .compile(&mut code, "triple", &mut buf)
+//!     .expect("the full translator table covers every instruction");
 //! let mut vm = Vm::new(code, 1 << 20);
 //! assert_eq!(vm.call(result.func.addr, &[14])?, 42);
 //! # Ok(())
@@ -66,6 +68,7 @@ pub mod prune;
 
 pub use alloc::{AllocLoc, Assignment, Pools};
 pub use compile::{IcodeCompiler, IcodeResult, Phases, Strategy};
+pub use emit::MissingTranslator;
 pub use intervals::Interval;
 pub use ir::{IInsn, IOp, IcodeBuf, LblId, VReg};
 pub use prune::TranslatorTable;

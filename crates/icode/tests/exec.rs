@@ -114,7 +114,7 @@ fn run_icode(steps: &[Step], strategy: Alloc, pools: Pools, p0: i32, p1: i32) ->
     c.pools = pools;
     // DCE would be correct, but keep every value to maximize pressure.
     c.run_peephole = false;
-    let r = c.compile(&mut code, "prog", &mut buf);
+    let r = c.compile(&mut code, "prog", &mut buf).expect("full table");
     let mut vm = Vm::new(code, 1 << 20);
     vm.call(r.func.addr, &[p0 as i64 as u64, p1 as i64 as u64])
         .expect("runs") as i32
@@ -220,7 +220,9 @@ fn loop_program_agrees_across_backends() {
         let mut buf = IcodeBuf::new();
         build_loop(&mut buf);
         let mut code = CodeSpace::new();
-        let r = IcodeCompiler::new(strategy).compile(&mut code, "loop", &mut buf);
+        let r = IcodeCompiler::new(strategy)
+            .compile(&mut code, "loop", &mut buf)
+            .expect("full table");
         let mut vm = Vm::new(code, 1 << 20);
         assert_eq!(
             vm.call(r.func.addr, &[250, 3]).unwrap() as i64,
@@ -254,7 +256,7 @@ fn icode_code_quality_beats_vcode_under_pressure() {
         let mut code = CodeSpace::new();
         let mut c = IcodeCompiler::new(Alloc::LinearScan);
         c.run_peephole = false;
-        let r = c.compile(&mut code, "p", &mut buf);
+        let r = c.compile(&mut code, "p", &mut buf).expect("full table");
         (code, r.func.addr)
     });
     assert!(

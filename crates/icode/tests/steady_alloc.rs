@@ -143,6 +143,7 @@ fn second_and_later_compiles_allocate_only_the_installed_function() {
             for round in 0..8 {
                 buf.clone_from(&template);
                 let (r, n) = allocations(|| compiler.compile(&mut code, "f", &mut buf));
+                let r = r.expect("full table");
                 counts.push(n);
                 if round == 0 {
                     // The code is real: run it once.

@@ -159,7 +159,9 @@ pub fn build_image_scheduled(
         if opt == OptLevel::Optimizing {
             optimize(&mut buf);
         }
-        let r = compiler.compile(&mut code, &prog.funcs[fi].name, &mut buf);
+        let r = compiler
+            .compile(&mut code, &prog.funcs[fi].name, &mut buf)
+            .expect("the full translator table covers every instruction");
         func_addrs.push(r.func.addr);
         func_names.push(prog.funcs[fi].name.clone());
         static_insns += r.func.insns;

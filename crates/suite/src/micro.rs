@@ -261,6 +261,7 @@ pub fn alloc_sweep() -> Vec<AllocCell> {
                     .map(|_| {
                         let mut buf = random_program(n, window, 42);
                         comp.compile(&mut CodeSpace::new(), "p", &mut buf)
+                            .expect("the full translator table covers every instruction")
                     })
                     .min_by_key(|r| r.phases.alloc_ns)
                     .expect("five compiles");

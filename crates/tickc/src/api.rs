@@ -6,7 +6,7 @@ use std::fmt;
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Instant;
-use tcc_cache::{Backing, CodeCache, PersistentStore, SharedArtifacts};
+use tcc_cache::{CodeCache, SharedArtifacts};
 use tcc_front::{FrontError, Program};
 use tcc_mir::{build_image_scheduled, Image, OptLevel};
 use tcc_obs::{FrontendMetrics, SessionMetrics, StaticMetrics, VmMetrics};
@@ -60,12 +60,15 @@ pub struct Config {
     /// Memoize `compile` calls on closure fingerprints: the session
     /// memo (`tcc_cache::CodeCache`) records every function this
     /// session has installed and answers a repeat `compile` with its
-    /// address. `false` = no memo and nothing behind it, every
-    /// `compile` compiles — in a private session; a pool session
-    /// (`shared` set) always has its memo. A private memo never frees
-    /// what it handed out; to bound live dynamic code, make the session
-    /// a one-session pool (`shared: Some(SharedArtifacts::with_budget(b))`),
-    /// whose budget is the only eviction policy.
+    /// address. Every memo is a member of a pool: `shared`, or else a
+    /// pool of one that the session builds (one shard, no budget), to
+    /// which its compiles are published. `false` = no memo, no pool and
+    /// no store, every `compile` compiles — in a private session; a
+    /// pool session (`shared` set) always has its memo. An unbounded
+    /// pool never retires what it holds; to bound live dynamic code,
+    /// make the session a one-session pool with a budget
+    /// (`shared: Some(SharedArtifacts::with_budget(b))`), whose budget
+    /// is the only eviction policy.
     pub cache: bool,
     /// The execution engine. `None` = adaptive per-function tiering
     /// ([`ExecEngine::Adaptive`] with the calibrated
@@ -90,15 +93,16 @@ pub struct Config {
     /// adjacencies). Ablation knob; on by default.
     pub icode_schedule: bool,
     /// Process-wide shared artifact cache (`tcc-serve` multi-tenant
-    /// mode): what stands behind the memo in a pool. Sessions built
-    /// around clones of one [`SharedArtifacts`] compile each unique
-    /// closure once between them: a memo miss asks the shared table,
-    /// the first compiler publishes, concurrent requesters block on
-    /// the in-flight slot, and later requesters install the published
-    /// words into their own code space and memo. A memo hit still
-    /// counts as a shared hit (`SharedArtifacts::touch`). When the pool
-    /// evicts or invalidates an artifact, each session drops its local
-    /// copy at its next call.
+    /// mode): the pool this session's memo joins, in place of a pool
+    /// of its own. Sessions built around clones of one
+    /// [`SharedArtifacts`] compile each unique closure once between
+    /// them: a memo miss asks the shared table, the first compiler
+    /// publishes, concurrent requesters block on the in-flight slot,
+    /// and later requesters install the published words into their own
+    /// code space and memo. A memo hit still counts as a shared hit and
+    /// sets the resident's CLOCK referenced bit, through the bit the
+    /// memo entry holds. When the pool evicts or invalidates an
+    /// artifact, each session drops its local copy at its next call.
     pub shared: Option<Arc<SharedArtifacts>>,
     /// Shared background translation service: one `tcc-translate`
     /// thread serving every session's adaptive tier promotions instead
@@ -113,13 +117,13 @@ pub struct Config {
     /// opcode table, cost model, and static image layout
     /// ([`persist_abi_salt`]) — a store written by an incompatible
     /// build or a different source program is rejected whole as
-    /// `version_rejected`, never served. With `shared` set, the store
-    /// attaches to the [`SharedArtifacts`] (the first session in the
+    /// `version_rejected`, never served. The store attaches to the
+    /// session's pool, shared or its own (the first session in the
     /// pool to ask opens it; disk fills answer misses before
-    /// compile-slot claims); otherwise it stands directly behind this
-    /// session's memo (and is not opened when `cache` is off). Either
-    /// way a stored artifact that loads clean but cannot be installed
-    /// is dropped and recompiled. `None` = in-memory caching only.
+    /// compile-slot claims). A session with no memo has no pool, so
+    /// with `cache` off and `shared` unset no store is opened. A stored
+    /// artifact that loads clean but cannot be installed is dropped and
+    /// recompiled. `None` = in-memory caching only.
     pub persist_path: Option<PathBuf>,
 }
 
@@ -282,22 +286,18 @@ impl Session {
         };
         let mut rt = TccRuntime::new(prog.clone(), &image, config.backend);
         rt.set_icode_schedule(config.icode_schedule);
-        // Without a memo there is nothing for a backing to stand behind.
-        let memo = config.cache || config.shared.is_some();
-        rt.cache = memo.then(CodeCache::new);
-        let salt = || persist_abi_salt(&image, &config.cost);
-        rt.backing = match (config.shared, &config.persist_path) {
-            // The store serves every session through the pool: the
-            // first member to ask opens it, the rest find it attached.
-            (Some(shared), path) => {
-                if let Some(path) = path {
-                    shared.attach_persist(path, salt());
-                }
-                Backing::Shared(shared)
-            }
-            (None, Some(path)) if memo => Backing::Disk(PersistentStore::open(path, salt())),
-            (None, _) => Backing::None,
+        // Every memo is a pool member; a private one is a pool of one.
+        // Without a memo there is no pool, and so no store.
+        rt.cache = match config.shared {
+            Some(shared) => Some(CodeCache::in_pool(shared)),
+            None => config.cache.then(CodeCache::new),
         };
+        if let (Some(memo), Some(path)) = (&rt.cache, &config.persist_path) {
+            // The first member to ask opens the store; the rest find it
+            // attached.
+            memo.pool()
+                .attach_persist(path, persist_abi_salt(&image, &config.cost));
+        }
         rt.shared_cost = config.cost.clone();
         let mut vm = Vm::from_parts(code, mem, rt);
         vm.set_cost_model(config.cost);
@@ -335,16 +335,16 @@ impl Session {
         Session::new(src, Config::default())
     }
 
-    /// Reconciles the memo with the pool (no-op outside a pool): frees
-    /// local installs of artifacts another session's churn evicted or
-    /// invalidated, so their stale addresses fault
-    /// `VmError::StaleCode` instead of running dropped code.
+    /// Reconciles the memo with its pool: frees local installs of
+    /// artifacts the pool evicted or invalidated, so their stale
+    /// addresses fault `VmError::StaleCode` instead of running dropped
+    /// code.
     fn sync_shared(&mut self) {
         let (state, rt) = self.vm.parts_mut();
         if let Some(memo) = &mut rt.cache {
             // Freeing a function the memo owns cannot fail: nothing
             // else holds its handle.
-            let _ = memo.sync(&mut state.code, &rt.backing);
+            let _ = memo.sync(&mut state.code);
         }
     }
 
@@ -480,13 +480,21 @@ impl Session {
                 .as_ref()
                 .map(|c| c.metrics(&self.vm.state().code))
                 .unwrap_or_default(),
-            persist: self.vm.host().backing.persist_metrics(),
+            persist: self
+                .pool()
+                .and_then(|p| p.persist_metrics())
+                .unwrap_or_default(),
         }
     }
 
-    /// Flushes the persistent artifact store (atomic temp-file +
-    /// rename), whether it stands behind this session's memo or the
-    /// pool's shared cache. A no-op `Ok` without a store; an error
+    /// The pool behind this session's memo, if it has one.
+    fn pool(&self) -> Option<&Arc<SharedArtifacts>> {
+        self.vm.host().cache.as_ref().map(CodeCache::pool)
+    }
+
+    /// Flushes the persistent artifact store attached to this session's
+    /// pool (atomic temp-file + rename). A no-op `Ok` without a store,
+    /// as when `Config::cache` is off in a private session; an error
     /// when this process is not the store's writer or the write
     /// fails. Unflushed writer state also flushes on session drop.
     ///
@@ -495,7 +503,7 @@ impl Session {
     /// Read-only store (another process holds the writer lock) or I/O
     /// failure writing the file.
     pub fn flush_persist(&mut self) -> std::io::Result<()> {
-        self.vm.host_mut().backing.flush()
+        self.pool().map_or(Ok(()), |p| p.flush_persist())
     }
 
     /// Program output captured so far.

@@ -15,7 +15,7 @@ use crate::plan::TickPlan;
 use std::cell::OnceCell;
 use std::sync::Arc;
 use std::time::Instant;
-use tcc_cache::{Artifact, Backing, CodeCache, Fetched, FingerprintBuilder};
+use tcc_cache::{Acquire, Artifact, CodeCache, FingerprintBuilder};
 use tcc_front::Program;
 use tcc_icode::prune::FULL_ENTRIES;
 use tcc_icode::{IcodeBuf, IcodeCompiler, LblId, Strategy, TranslatorTable, VReg};
@@ -123,14 +123,12 @@ pub struct TccRuntime {
     /// "link-time" analysis, observed at run time here).
     pub observed_keys: TranslatorTable,
     /// The session memo: every function this session has installed,
-    /// keyed by closure fingerprint — in every mode. `None` (`Config::cache` off in a
-    /// private session) = no fingerprint is taken, every `compile`
-    /// compiles.
+    /// keyed by closure fingerprint, and through it the pool (shared,
+    /// or this session's own pool of one) a miss asks. `None`
+    /// (`Config::cache` off in a private session) = no fingerprint is
+    /// taken, every `compile` compiles; that is also what
+    /// [`TccRuntime::new`] starts with.
     pub cache: Option<CodeCache>,
-    /// What stands behind the memo: nothing, this session's own store,
-    /// or the pool's shared table (which carries the pool's store).
-    /// Reached only through a memo miss.
-    pub backing: Backing,
     /// Translations carried by installed artifacts, to be pre-seeded
     /// into the VM's per-function translation cache once the current
     /// call unwinds (the host cannot reach the engine from inside a
@@ -174,8 +172,7 @@ impl TccRuntime {
             cspec_first: true,
             enable_unroll: true,
             observed_keys: TranslatorTable::empty(),
-            cache: Some(CodeCache::new()),
-            backing: Backing::None,
+            cache: None,
             pending_preseeds: Vec::new(),
             shared_cost: CostModel::default(),
             backends: Backends {
@@ -202,7 +199,8 @@ impl TccRuntime {
 
     /// Installs a pruned translator table for the ICODE back end
     /// (ablation; compiles are then never memoized), or restores the
-    /// full one.
+    /// full one. A compile that needs an entry the table lacks fails
+    /// with `VmError::Host` before a word is emitted.
     pub fn set_table(&mut self, table: Option<TranslatorTable>) {
         self.backends.icode.table = table.unwrap_or_else(TranslatorTable::full);
     }
@@ -308,7 +306,10 @@ impl TccRuntime {
                 let walk = walk(input, mem, buf, sc, params, ret_kind, closure)?;
                 let walk_ns = t0.elapsed().as_nanos() as u64;
                 let ir_insns = buf.emitted();
-                let r = b.icode.compile(code, name, buf);
+                let r = b
+                    .icode
+                    .compile(code, name, buf)
+                    .map_err(|e| VmError::Host(e.to_string()))?;
                 (walk, walk_ns, r.func, Some((ir_insns, r)))
             }
         };
@@ -331,14 +332,14 @@ impl TccRuntime {
     /// code, and one chain from the closure to the code space —
     ///
     /// ```text
-    /// scan → memo ─miss→ backing ─hit→ install ──────────────→ memo insert
-    ///          │            └─miss (or not installable)→ compile → publish ─┘
+    /// scan → memo ─miss→ pool ─hit→ install ──────────────────→ memo insert
+    ///          │          └─miss (or not installable)→ compile → publish ─┘
     ///          └─hit→ return the address
     /// ```
     ///
     /// with one pass over the closure tree (its depth, its parameters and
     /// its fingerprint), one `install_function` call, one memo insert and
-    /// one publish, whatever the backing is.
+    /// one publish. A private session's pool is a pool of one.
     fn compile(&mut self, st: &mut MachineState) -> Result<(), VmError> {
         let closure = st.arg(0);
         let ret_kind = match st.arg(1) as u8 {
@@ -357,17 +358,15 @@ impl TccRuntime {
         let MachineState { code, mem, .. } = st;
         // One scan of the closure tree: its composition depth (checked
         // before any code is emitted), its `param` vspecs and its
-        // fingerprint. Then the memo: if
-        // this exact closure is already in this session's code space,
-        // hand back its address. A pool keeps its hit counter and CLOCK
-        // referenced bit through `touch`.
+        // fingerprint. Then the memo: if this exact closure is already
+        // in this session's code space, hand back its address (the memo
+        // counts the hit in the pool and sets the resident's CLOCK bit).
         let key = self.key_prefix(ret_kind);
         let (input, _, b) = self.walk_parts();
         let fp = scan_closure(mem, input, &mut b.scan_path, closure, key, &mut b.params)?;
         match (&mut self.cache, &fp) {
             (Some(cache), Some(fp)) => {
                 if let Some(addr) = cache.lookup(fp) {
-                    self.backing.touch(fp);
                     cache.note_hit_ns(since_t0());
                     st.set_ret(addr);
                     return Ok(());
@@ -377,20 +376,22 @@ impl TccRuntime {
             (None, _) => {}
         }
 
-        // The backing, and the one install site: words from disk or
-        // from another session become executable here and nowhere
-        // else. An artifact this code space cannot take (undecodable
-        // word, cross-function branch, rebased jump out of range) is
-        // discarded, so the next fetch misses — in a pool, with the
-        // claim that makes other sessions wait for the compile below.
+        // The pool, and the one install site: words from disk or from
+        // another session become executable here and nowhere else. An
+        // artifact this code space cannot take (undecodable word,
+        // cross-function branch, rebased jump out of range) is
+        // invalidated, so the next request misses — with the claim that
+        // makes other sessions wait for the compile below.
         let mut fetched = None;
         let mut claim = None;
-        if let Some(fp) = &fp {
+        if let (Some(cache), Some(fp)) = (&self.cache, &fp) {
             claim = loop {
-                let (artifact, load_ns) = match self.backing.fetch(fp) {
-                    Fetched::Hit(artifact, load_ns) => (artifact, load_ns),
-                    Fetched::Miss(claim) => break claim,
+                let t = Instant::now();
+                let artifact = match cache.pool().get_or_begin(fp) {
+                    Acquire::Hit { artifact, .. } => artifact,
+                    Acquire::Miss(claim) => break Some(claim),
                 };
+                let load_ns = t.elapsed().as_nanos() as u64;
                 match code.install_function(&artifact.name, &artifact.words, artifact.orig_start) {
                     Ok((addr, handle)) => {
                         if let Some(tr) = &artifact.translation {
@@ -399,7 +400,9 @@ impl TccRuntime {
                         fetched = Some((addr, handle, artifact.compile_ns, Some(load_ns)));
                         break None;
                     }
-                    Err(_) => self.backing.discard(fp),
+                    Err(_) => {
+                        cache.pool().invalidate(fp);
+                    }
                 }
             };
         }
@@ -409,31 +412,27 @@ impl TccRuntime {
         let (addr, handle, compile_ns, fetched_in) = match fetched {
             Some(installed) => installed,
             None => {
-                // The name is what an artifact is stored and shared
-                // under; with nothing behind the memo to read it, the
-                // function goes unnamed (a listing shows its address).
-                let name = match (&fp, &self.backing) {
-                    (None, _) | (_, Backing::None) => String::new(),
-                    _ => format!("dyn{}", self.dyn_seq),
+                // The name is what an artifact is published under; an
+                // uncacheable compile goes unnamed (a listing shows its
+                // address).
+                let name = match &fp {
+                    Some(_) => format!("dyn{}", self.dyn_seq),
+                    None => String::new(),
                 };
                 let (addr, handle) = self.run_compile(mem, code, &name, closure, ret_kind)?;
                 let compile_ns = since_t0();
                 self.stats.total_ns += compile_ns;
-                if let Some(fp) = &fp {
-                    let cost = &self.shared_cost;
-                    self.backing.publish(fp, claim, |pooled| {
-                        let (orig_start, words) = code.function_words(handle)?;
-                        Ok(Artifact {
-                            name,
-                            orig_start,
-                            bytes: (words.len() * 4) as u64,
-                            // Only a pool has other sessions to pre-seed;
-                            // the first of them to install it decodes it.
-                            translation: pooled.then(|| SharedTranslation::new(&words, cost)),
-                            words,
-                            compile_ns,
-                        })
-                    })?;
+                if let Some(claim) = claim {
+                    let (orig_start, words) = code.function_words(handle)?;
+                    claim.publish(Artifact {
+                        name,
+                        orig_start,
+                        bytes: (words.len() * 4) as u64,
+                        // The first other session to install it decodes it.
+                        translation: Some(SharedTranslation::new(&words, &self.shared_cost)),
+                        words,
+                        compile_ns,
+                    });
                 }
                 (addr, handle, compile_ns, None)
             }

@@ -270,3 +270,81 @@ fn of_the_suite_only_dp_reads_memory_under_dollar() {
     assert_eq!(got.len(), 14);
     assert_eq!(got, want);
 }
+
+#[test]
+fn memo_hits_give_a_closure_its_second_chance() {
+    let (mut s, shared) = bounded(256);
+    let hot = s.call("make", &[0]).unwrap();
+    let cold = s.call("make", &[1]).unwrap();
+    // Distinct closures push the CLOCK hand round the ring; after each,
+    // the hot closure is asked for again and answered by the memo.
+    let mut n = 2u64;
+    while shared.metrics().evictions < 40 {
+        s.call("make", &[n]).unwrap();
+        n += 1;
+        assert!(n < 1000, "budget never forced enough evictions");
+        assert_eq!(
+            s.call("make", &[0]).unwrap(),
+            hot,
+            "the hot closure recompiled"
+        );
+        if shared.metrics().evictions == 1 {
+            // The hand's first victim is the closure never asked for
+            // again, published before everything else still resident.
+            // No install since its sync freed it: the address is stale.
+            let err = s.call_addr(cold, &[]).unwrap_err();
+            assert!(matches!(err, Error::Vm(VmError::StaleCode(_))), "{err}");
+        }
+    }
+    assert_eq!(s.call_addr(hot, &[]).unwrap(), 4);
+    let m = s.metrics().cache;
+    assert_eq!(
+        m.misses, n,
+        "one compile per closure: the hot one never again"
+    );
+    assert_eq!(m.evictions, shared.metrics().evictions);
+}
+
+#[test]
+fn a_kept_entry_follows_its_key_to_the_republished_resident() {
+    let shared = SharedArtifacts::with_budget(256);
+    let member = || {
+        session(Config {
+            shared: Some(Arc::clone(&shared)),
+            ..Config::default()
+        })
+    };
+    let (mut a, mut b) = (member(), member());
+    a.call("make", &[0]).unwrap();
+    let key = shared.sample_fingerprint(0).expect("one resident");
+    let kept = b.call("make", &[0]).unwrap();
+    assert_eq!(b.metrics().cache.misses, 0, "b installed a's artifact");
+    // `a` churns until the hand evicts the key, then asks for it again:
+    // its own sync dropped its copy, so it compiles and republishes.
+    // `b` has not entered the VM meanwhile, so its memo still holds the
+    // key and the address installed from the first resident.
+    let mut n = 1u64;
+    while shared.contains(&key) {
+        a.call("make", &[n]).unwrap();
+        n += 1;
+        assert!(n < 1000, "budget never evicted the key");
+    }
+    a.call("make", &[0]).unwrap();
+    assert!(shared.contains(&key), "republished");
+    // From here only `b` asks for the key. Its sync finds the key
+    // resident again and keeps the entry; its hits must reach the new
+    // resident, or the hand evicts that and `b` recompiles.
+    let evictions = shared.metrics().evictions;
+    while shared.metrics().evictions < evictions + 40 {
+        a.call("make", &[n]).unwrap();
+        n += 1;
+        assert!(n < 2000, "budget never forced enough evictions");
+        assert_eq!(b.call("make", &[0]).unwrap(), kept, "b recompiled the key");
+        assert!(
+            shared.contains(&key),
+            "the republished resident was evicted"
+        );
+    }
+    assert_eq!(b.metrics().cache.misses, 0);
+    assert_eq!(b.call_addr(kept, &[]).unwrap(), 4);
+}

@@ -4,12 +4,12 @@
 //! The back end keeps every phase's working storage in the
 //! `IcodeCompiler` and re-zeroes it instead of allocating. This test
 //! holds that to its consequence: whatever a compiler compiled before —
-//! bigger functions, smaller ones, one that spilled, one that panicked
-//! halfway through emission — the next function comes out exactly as a
+//! bigger functions, smaller ones, one that spilled, one that a pruned
+//! translator table refused after every analysis phase — the next
+//! function comes out exactly as a
 //! brand-new compiler would produce it: same words, same spill count,
 //! same IR length, blocks and intervals.
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use tcc::{Backend, Config, Session, Strategy};
 use tcc_icode::{IcodeBuf, IcodeCompiler, TranslatorTable};
 use tcc_rt::ValKind;
@@ -32,7 +32,9 @@ struct Outcome {
 /// of two compiles are comparable address for address).
 fn compile(compiler: &mut IcodeCompiler, buf: &IcodeBuf) -> Outcome {
     let mut code = CodeSpace::new();
-    let r = compiler.compile(&mut code, "f", &mut buf.clone());
+    let r = compiler
+        .compile(&mut code, "f", &mut buf.clone())
+        .expect("full table");
     let (_, words) = code.function_words(r.func.handle).expect("sealed");
     Outcome {
         words,
@@ -123,21 +125,24 @@ fn a_reused_compiler_compiles_like_a_fresh_one() {
             let mut reused = make();
             for (step, &i) in order.iter().enumerate() {
                 if step == order.len() / 2 {
-                    // A compile that dies in the emitter, past every
+                    // A compile refused at the emitter, past every
                     // analysis phase: a table pruned for the smallest
-                    // program meets the largest. The compiler stays
-                    // usable — the steps after this one are the proof.
+                    // program meets the largest. No word is emitted, and
+                    // the compiler stays usable — the steps after this
+                    // one are the proof.
                     let largest = buffers
                         .iter()
                         .max_by_key(|(_, b)| b.insns.len())
                         .map(|(_, b)| b)
                         .expect("buffers");
                     reused.table = TranslatorTable::pruned_for([&smallest]);
-                    let died = catch_unwind(AssertUnwindSafe(|| compile(&mut reused, largest)));
+                    let mut code = CodeSpace::new();
+                    let refused = reused.compile(&mut code, "f", &mut largest.clone());
                     assert!(
-                        died.is_err(),
+                        refused.is_err(),
                         "the pruned table must refuse the larger program"
                     );
+                    assert_eq!(code.next_index(), 0, "a refused compile emits nothing");
                     reused.table = TranslatorTable::full();
                 }
                 let (name, buf) = &buffers[i];
@@ -149,4 +154,33 @@ fn a_reused_compiler_compiles_like_a_fresh_one() {
             }
         }
     }
+}
+
+#[test]
+fn a_refused_compile_is_an_error_from_session_call() {
+    let src = r#"
+        int make(int n) {
+            int cspec c = `($n + 4);
+            int (*f)(void) = compile(c, int);
+            return (*f)();
+        }
+    "#;
+    let config = Config {
+        backend: Backend::Icode {
+            strategy: Strategy::LinearScan,
+        },
+        cache: false,
+        ..Config::default()
+    };
+    let mut s = Session::new(src, config).expect("compiles");
+    s.vm.host_mut().set_table(Some(TranslatorTable::empty()));
+    let words = s.vm.state().code.next_index();
+    let refused = s.call("make", &[38]);
+    assert!(
+        matches!(refused, Err(tcc::Error::Vm(tcc_vm::VmError::Host(_)))),
+        "{refused:?}"
+    );
+    assert_eq!(s.vm.state().code.next_index(), words, "no word emitted");
+    s.vm.host_mut().set_table(None);
+    assert_eq!(s.call("make", &[38]).expect("full table compiles"), 42);
 }

@@ -169,7 +169,7 @@ fn compile_and_run(
     let mut c = IcodeCompiler::new(Alloc::LinearScan);
     c.run_peephole = peephole;
     c.schedule_fusion = schedule;
-    let r = c.compile(&mut code, "prog", &mut buf);
+    let r = c.compile(&mut code, "prog", &mut buf).expect("full table");
     let mut vm = Vm::new(code, 1 << 20);
     vm.set_engine(engine);
     let out = vm

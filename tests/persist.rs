@@ -284,3 +284,32 @@ fn compiling_a_string_literal_does_not_grow_the_heap() {
     assert_eq!(brk_after(&mut s, 100), first);
     assert_eq!(s.metrics().dynamic.compiles, 101);
 }
+
+#[test]
+fn a_session_without_a_memo_opens_no_store() {
+    let path = store_path("nomemo");
+    cleanup(&path);
+    {
+        let mut s = Session::new(
+            MAKE,
+            Config {
+                cache: false,
+                persist_path: Some(path.clone()),
+                ..Config::default()
+            },
+        )
+        .expect("compiles");
+        for n in [3, 3, 4] {
+            let f = s.call("make", &[n]).unwrap();
+            assert_eq!(s.call_addr(f, &[2]).unwrap(), 3 * n);
+        }
+        s.flush_persist().expect("no store: flushing is a no-op");
+        let m = s.metrics();
+        assert_eq!(m.dynamic.compiles, 3, "no memo: every compile compiles");
+        assert_eq!(m.persist, Default::default(), "no store: every count zero");
+    }
+    let mut lock = path.clone().into_os_string();
+    lock.push(".lock");
+    assert!(!path.exists(), "a store file was written");
+    assert!(!Path::new(&lock).exists(), "a store lock was taken");
+}
