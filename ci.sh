@@ -8,7 +8,7 @@
 # -p tcc --lib` shadows every compile of that crate's test build with
 # the AST walker — is 65 tests in 0.4 s, the two allocation gates less).
 # Debug builds poison released spec-time memory, so that run also checks
-# that no program reads a closure after its call released it. Step 7,
+# that no program reads a closure after its call released it. Step 8,
 # the release-only tests, adds about 8 s for the soak, 2 s for the
 # paper-size Blur and 1 s for the pool's retire-vs-hit stress once
 # their test binaries are built.
@@ -23,23 +23,28 @@
 #      (crates/tickc/src/runtime.rs) has a row in DESIGN.md's knob
 #      census, naming `Config::<field>`, `ExecEngine::<Variant>` or
 #      `Backend::<Variant>` in its first column
-#   4. cargo clippy, warnings are errors
-#   5. cargo build --release (tier-1)
-#   6. cargo test --workspace
-#   7. release-only tests: the spec-memory soak (2 MiB sessions answer
+#   4. panic sites do not grow: `.unwrap(`, `.expect(` and `panic!(` on
+#      non-comment lines of crates/{vcode,icode,tickc}/src/*.rs, each
+#      file counted up to the `#[cfg(test)]` that opens `mod tests` and
+#      the test-only oracle left out, are at most PANIC_SITES; when the
+#      count falls the step says to lower that number
+#   5. cargo clippy, warnings are errors
+#   6. cargo build --release (tier-1)
+#   7. cargo test --workspace
+#   8. release-only tests: the spec-memory soak (2 MiB sessions answer
 #      10^6 requests over 40 and over 320 cells with their heap flat,
 #      and the serve pool runs past where its sessions used to fault),
 #      the §6.2 Blur at 640x480, every count pinned, and ten times the
 #      debug run of the pool's retire-vs-hit stress (one thread calls
 #      cells while another evicts, invalidates and re-publishes them:
 #      every answer right, or StaleCode and then right)
-#   8. cargo doc, warnings are errors
-#   9. suite smoke: one benchmark through two static and three dynamic
+#   9. cargo doc, warnings are errors
+#  10. suite smoke: one benchmark through two static and three dynamic
 #      back ends, which must agree
-#  10. suite cache: the repeat-compile sweep, memo off and on
-#  11. suite adaptive --smoke: the tiering report's cells at two reps,
+#  11. suite cache: the repeat-compile sweep, memo off and on
+#  12. suite adaptive --smoke: the tiering report's cells at two reps,
 #      every engine equal to decode-per-step in checksum, cycles, insns
-#  12. benchmark/check.sh: fmt, clippy and unit tests of the
+#  13. benchmark/check.sh: fmt, clippy and unit tests of the
 #      out-of-workspace repo benchmark, which builds against crates/*'s
 #      public API, so an API change that breaks it fails here; then
 #      benchmark/run.sh --selfcheck, which runs one slice of every
@@ -47,7 +52,7 @@
 #      that differs between two runs (about 17 s). Building the
 #      benchmark rewrites benchmark/Cargo.lock, so the lock is copied
 #      first and put back afterwards
-#  13. the work tree is as CI found it: `git status --porcelain` and
+#  14. the work tree is as CI found it: `git status --porcelain` and
 #      `git diff` equal their values at the start, or the files a step
 #      changed are named and CI fails (skipped outside a git work tree)
 #
@@ -55,7 +60,7 @@
 set -eu
 cd "$(dirname "$0")"
 
-# Step 13's record of the work tree: per file that differs from HEAD,
+# Step 14's record of the work tree: per file that differs from HEAD,
 # its status line and a checksum of its diff.
 tree_state() {
     git status --porcelain | while IFS= read -r line; do
@@ -118,6 +123,28 @@ done
 if [ -n "$uncounted" ]; then
     echo "variants with no row naming them in DESIGN.md's knob census:$uncounted"
     exit 1
+fi
+
+echo "== panic sites in vcode, icode and tickc do not grow =="
+PANIC_SITES=37
+panic_sites=0
+panic_files=""
+for f in crates/vcode/src/*.rs crates/icode/src/*.rs crates/tickc/src/*.rs; do
+    case "$f" in */oracle.rs | */oracle_tests.rs) continue ;; esac
+    n=$(awk '/^mod tests/ && prev ~ /^#\[cfg\(test\)\]$/ { exit }
+        { prev = $0 }
+        !/^[[:space:]]*\/\// { print }' "$f" |
+        grep -oE '\.unwrap\(|\.expect\(|panic!\(' | wc -l)
+    panic_sites=$((panic_sites + n))
+    [ "$n" -eq 0 ] || panic_files="$panic_files $f:$n"
+done
+if [ "$panic_sites" -gt "$PANIC_SITES" ]; then
+    echo "$panic_sites panic sites, ci.sh allows $PANIC_SITES (per file:$panic_files)"
+    echo "return an error where a site was added instead of panicking"
+    exit 1
+fi
+if [ "$panic_sites" -lt "$PANIC_SITES" ]; then
+    echo "panic sites fell to $panic_sites: lower PANIC_SITES in ci.sh to $panic_sites"
 fi
 
 echo "== cargo clippy (deny warnings) =="

@@ -50,9 +50,9 @@
 //! passed: a process loads a key once (its memo answers from then on),
 //! so a "verified" bit would buy a skipped CRC on a path nobody takes.
 //!
-//! `SharedTranslation`s are *not* serialized: they are rebuilt lazily
-//! from the loaded words by the engines that want them, which keeps
-//! the format independent of the decoded-buffer layout.
+//! Only words are stored, never a decoded form: each session decodes
+//! what it installs, so the format is independent of the decoded-buffer
+//! layout.
 
 use std::collections::HashMap;
 use std::fs;

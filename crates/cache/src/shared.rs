@@ -4,11 +4,11 @@
 //! A single process running N worker sessions should pay for one
 //! compile per unique closure, not N. [`SharedArtifacts`] is a
 //! process-wide, thread-safe map from [`Fingerprint`] to an immutable
-//! `Arc`'d [`Artifact`] — the sealed function's words plus (when the
-//! function is position-independent) its shared decoded translation.
-//! Sessions install an artifact's words into their own `CodeSpace`
-//! (`install_function` rebases external calls), so the artifact itself
-//! never aliases mutable VM state and is safe to hand to any thread.
+//! `Arc`'d [`Artifact`] — the sealed function's words. Sessions install
+//! an artifact's words into their own `CodeSpace` (`install_function`
+//! rebases external calls) and each decodes its own copy at its first
+//! entry, so the artifact never aliases mutable VM state and is safe to
+//! hand to any thread.
 //!
 //! Three design points, in the order they matter:
 //!
@@ -47,7 +47,6 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, Weak};
 
 use tcc_obs::{PersistMetrics, SharedCacheMetrics};
-use tcc_vm::SharedTranslation;
 
 use crate::persist::PersistentStore;
 use crate::Fingerprint;
@@ -76,8 +75,7 @@ const MAX_EVICT_PASSES: usize = 4096;
 /// `Arc`, never converted or copied between the three.
 ///
 /// Everything a session needs to *install* the function into its own
-/// `CodeSpace` and pre-seed its decoded translation — no addresses, no
-/// handles, no references into any VM.
+/// `CodeSpace` — no addresses, no handles, no references into any VM.
 #[derive(Clone, Debug)]
 pub struct Artifact {
     /// Function name (diagnostics; install reuses it).
@@ -92,12 +90,13 @@ pub struct Artifact {
     pub bytes: u64,
     /// What the original compilation cost (hit-side savings signal).
     pub compile_ns: u64,
-    /// Shared translation, present when the function was compiled in
-    /// this process for a pool: the first other session to install it
-    /// decodes it (and finds out then whether the function is
-    /// position-independent enough to share). The store does not
-    /// serialize it; sessions rebuild it lazily from the words.
-    pub translation: Option<SharedTranslation>,
+    /// Always `None`: an artifact carries no decoded form, since every
+    /// session decodes its own install at the function's first entry.
+    /// Kept only so the repo benchmark's `Artifact { .., translation:
+    /// None }` literal still compiles, as [`SharedArtifacts::touch`] is
+    /// kept for its caller there; the field goes once that literal
+    /// drops it.
+    pub translation: Option<std::convert::Infallible>,
 }
 
 /// What a fingerprint request resolved to.
@@ -230,10 +229,6 @@ pub struct SharedArtifacts {
     uncacheable: AtomicU64,
     clock_steps: AtomicU64,
     sync_probes: AtomicU64,
-    /// Shared decodes of published artifacts' translations: handed to
-    /// each translation at publish, bumped by whichever install
-    /// decodes it.
-    translations_built: Arc<AtomicU64>,
     /// Optional on-disk persistence: attached once per process
     /// ([`SharedArtifacts::attach_persist`]); disk fills answer misses
     /// before an in-flight compile slot is claimed, publishes are
@@ -287,7 +282,6 @@ impl SharedArtifacts {
             uncacheable: AtomicU64::new(0),
             clock_steps: AtomicU64::new(0),
             sync_probes: AtomicU64::new(0),
-            translations_built: Arc::new(AtomicU64::new(0)),
             persist: Mutex::new(None),
         })
     }
@@ -624,7 +618,6 @@ impl SharedArtifacts {
             entries: self.entries.load(Ordering::Relaxed),
             clock_steps: self.clock_steps.load(Ordering::Relaxed),
             sync_probes: self.sync_probes.load(Ordering::Relaxed),
-            translations_built: self.translations_built.load(Ordering::Relaxed),
         }
     }
 
@@ -708,9 +701,6 @@ impl CompileClaim {
     /// nobody recompiles what this claim already built.
     pub fn publish(mut self, artifact: Artifact) -> Arc<Artifact> {
         let owner = Arc::clone(&self.owner);
-        if let Some(tr) = &artifact.translation {
-            tr.count_builds_in(Arc::clone(&owner.translations_built));
-        }
         let artifact = Arc::new(artifact);
         let retain = owner.budget.is_none_or(|b| artifact.bytes <= b);
         let retained = {

@@ -124,6 +124,10 @@ pub struct DynMetrics {
     /// the CGF walks: what asking "is this subtree a run-time constant,
     /// and what is it" cost, in visits.
     pub rtc_evals: u64,
+    /// Plan steps the CGF walks dispatched: one per lowered operation
+    /// a walk ran, so steps per generated instruction is what the walk
+    /// pays above the code it emits.
+    pub steps: u64,
     /// The spec-time arena's largest footprint, in bytes: the most its
     /// closures, vspecs, labels and argument lists (and the unused tails
     /// of chunks they moved past) ever spanned at once. With no single
@@ -166,6 +170,7 @@ impl DynMetrics {
             ("closures", Json::from(self.closures)),
             ("unrolled_iters", Json::from(self.unrolled_iters)),
             ("rtc_evals", Json::from(self.rtc_evals)),
+            ("steps", Json::from(self.steps)),
             ("spec_high_water", Json::from(self.spec_high_water)),
             ("spec_releases", Json::from(self.spec_releases)),
             ("spec_pinned_calls", Json::from(self.spec_pinned_calls)),
@@ -347,9 +352,6 @@ pub struct SharedCacheMetrics {
     /// memo held, or one per memo entry when a session fell further
     /// behind than the retirement log reaches.
     pub sync_probes: u64,
-    /// Shared translations decoded: at most one per published
-    /// artifact, by the first other session that installs it.
-    pub translations_built: u64,
 }
 
 impl SharedCacheMetrics {
@@ -378,7 +380,6 @@ impl SharedCacheMetrics {
             ("entries", Json::from(self.entries)),
             ("clock_steps", Json::from(self.clock_steps)),
             ("sync_probes", Json::from(self.sync_probes)),
-            ("translations_built", Json::from(self.translations_built)),
             ("hit_rate", Json::from(self.hit_rate())),
         ])
     }
@@ -605,9 +606,9 @@ pub struct AdaptiveMetrics {
     /// Wall-clock nanoseconds spent building translations, under the
     /// adaptive engine only: first-entry decodes and threaded forms.
     pub translation_ns: u64,
-    /// Code words translated under the adaptive engine (a function
-    /// counts once per form built for it; a preseeded array counts
-    /// none).
+    /// Code words translated under the adaptive engine: a function
+    /// counts once per form built for it, whether this session compiled
+    /// it or installed it from a pool.
     pub translated_words: u64,
     /// Threaded forms built on the background service and swapped in
     /// at a function entry or clock tick (background mode only; inline

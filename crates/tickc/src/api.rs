@@ -298,7 +298,6 @@ impl Session {
             memo.pool()
                 .attach_persist(path, persist_abi_salt(&image, &config.cost));
         }
-        rt.shared_cost = config.cost.clone();
         let mut vm = Vm::from_parts(code, mem, rt);
         vm.set_cost_model(config.cost);
         vm.set_engine(config.engine.unwrap_or(ExecEngine::Adaptive {
@@ -348,18 +347,6 @@ impl Session {
         }
     }
 
-    /// Seeds translations carried by shared artifacts installed during
-    /// the last call into the VM's per-function translation cache, so
-    /// their first entry runs fused without a local decode pass.
-    fn drain_preseeds(&mut self) {
-        let pending = self.vm.host_mut().take_pending_preseeds();
-        for (addr, tr) in pending {
-            // A refusal (engine/cost mismatch, already translated)
-            // just leaves the lazy path in charge.
-            self.vm.preseed_translation(addr, &tr);
-        }
-    }
-
     /// One top-level call into the VM at `addr`. Spec-time objects the
     /// call allocates live until it returns, `Ok` or `Err`, and are then
     /// released — unless the escape rule keeps them: the program lets a
@@ -382,7 +369,6 @@ impl Session {
             rt.stats.spec_releases += 1;
         }
         rt.stats.spec_high_water = rt.arena.high_water();
-        self.drain_preseeds();
         Ok(r?)
     }
 

@@ -164,6 +164,8 @@ pub struct WalkStats {
     pub rtc_evals: u64,
     /// Loop iterations unrolled at compile time.
     pub unrolled_iters: u64,
+    /// Plan steps the walk's loop dispatched.
+    pub steps: u64,
 }
 
 /// A place in dynamic code: a register-like value, or memory at an
@@ -411,6 +413,7 @@ impl<'a, 'p, S: CodeSink> DynCompiler<'a, 'p, S> {
         loop {
             if let Some(&step) = f.plan.code.get(pc) {
                 pc += 1;
+                self.stats.steps += 1;
                 match self.step(f, pc - 1, step)? {
                     Flow::Next => {}
                     Flow::Jump(to) => pc = to as usize,

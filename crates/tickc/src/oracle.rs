@@ -2254,6 +2254,11 @@ pub(crate) fn check(input: DynInput<'_>, mem: &Memory, ret_kind: Option<ValKind>
                     &ast_sink.ops[from..ast_sink.ops.len().min(at + 2)],
                 );
             }
+            // The AST walker has no plan steps to count.
+            let plan_stats = WalkStats {
+                steps: 0,
+                ..plan_stats
+            };
             assert_eq!(plan_stats, ast_stats, "walk statistics differ");
         }
         (Err(p), Err(a)) => {

@@ -24,7 +24,7 @@ use tcc_rt::{
 };
 use tcc_vcode::{CodeSink, Label, Loc, Vcode, VcodeBufs};
 use tcc_vm::interp::MachineState;
-use tcc_vm::{CodeSpace, CostModel, HostCall, Memory, SharedTranslation, VmError};
+use tcc_vm::{CodeSpace, HostCall, Memory, VmError};
 
 /// Dynamic back-end selection — the paper's central knob: "tcc allows
 /// the user to select the dynamic back end".
@@ -129,14 +129,6 @@ pub struct TccRuntime {
     /// taken, every `compile` compiles; that is also what
     /// [`TccRuntime::new`] starts with.
     pub cache: Option<CodeCache>,
-    /// Translations carried by installed artifacts, to be pre-seeded
-    /// into the VM's per-function translation cache once the current
-    /// call unwinds (the host cannot reach the engine from inside a
-    /// host call; `Session` drains this after each `call`).
-    pub(crate) pending_preseeds: Vec<(u64, SharedTranslation)>,
-    /// Cost model shared translations are built against — must match
-    /// the executing VM's for `preseed_translation` to accept them.
-    pub shared_cost: CostModel,
     /// Per-tick CGF plans (tick id → the body, lowered), each built the
     /// first time this session scans a closure of the tick.
     plans: Box<[OnceCell<TickPlan>]>,
@@ -173,8 +165,6 @@ impl TccRuntime {
             enable_unroll: true,
             observed_keys: TranslatorTable::empty(),
             cache: None,
-            pending_preseeds: Vec::new(),
-            shared_cost: CostModel::default(),
             backends: Backends {
                 scan_path: Box::new([Frame::default(); MAX_PATH]),
                 params: Vec::new(),
@@ -230,12 +220,6 @@ impl TccRuntime {
     /// The captured output as UTF-8 (lossy).
     pub fn output(&self) -> String {
         String::from_utf8_lossy(&self.out).into_owned()
-    }
-
-    /// Takes the translations queued by installed artifacts, to be fed
-    /// to `Vm::preseed_translation` between calls.
-    pub(crate) fn take_pending_preseeds(&mut self) -> Vec<(u64, SharedTranslation)> {
-        std::mem::take(&mut self.pending_preseeds)
     }
 
     /// The start of a memo key: back end and options, to which the
@@ -322,6 +306,7 @@ impl TccRuntime {
         self.stats.closures += walk.closures;
         self.stats.unrolled_iters += walk.unrolled_iters;
         self.stats.rtc_evals += walk.rtc_evals;
+        self.stats.steps += walk.steps;
         self.stats.walk_ns += walk_ns;
         self.stats.compiles += 1;
         self.stats.generated_insns += func.insns;
@@ -394,9 +379,6 @@ impl TccRuntime {
                 let load_ns = t.elapsed().as_nanos() as u64;
                 match code.install_function(&artifact.name, &artifact.words, artifact.orig_start) {
                     Ok((addr, handle)) => {
-                        if let Some(tr) = &artifact.translation {
-                            self.pending_preseeds.push((addr, tr.clone()));
-                        }
                         fetched = Some((addr, handle, artifact.compile_ns, Some(load_ns)));
                         break None;
                     }
@@ -428,8 +410,7 @@ impl TccRuntime {
                         name,
                         orig_start,
                         bytes: (words.len() * 4) as u64,
-                        // The first other session to install it decodes it.
-                        translation: Some(SharedTranslation::new(&words, &self.shared_cost)),
+                        translation: None,
                         words,
                         compile_ns,
                     });

@@ -194,53 +194,70 @@ fn string_literals_in_tick_bodies_survive_the_pool() {
 }
 
 #[test]
-fn shared_translations_decode_on_the_first_install_elsewhere() {
-    let shared = SharedArtifacts::unbounded();
-    let mut a = shared_session(&shared);
-    let fa = a.call("mk", &[9]).expect("compiles");
-    assert_eq!(a.call_addr(fa, &[5]).unwrap(), 5 * 9 + 9);
-    assert_eq!(
-        shared.metrics().translations_built,
-        0,
-        "a publish nobody else installs decodes nothing"
-    );
-    // The first other session to install it decodes it; the next one
-    // takes the same array.
-    for expected_builds in [1, 1] {
-        let mut b = shared_session(&shared);
-        let fb = b.call("mk", &[9]).expect("installs");
-        assert_eq!(b.dyn_stats().compiles, 0);
-        // `mk` decoded at its own first entry; `fb` came preseeded.
-        assert_eq!(b.metrics().exec.translations, 2, "mk's decode + preseed");
-        assert_eq!(b.call_addr(fb, &[5]).unwrap(), 5 * 9 + 9);
-        assert_eq!(b.metrics().exec.translations, 2, "fb ran preseeded");
-        assert_eq!(shared.metrics().translations_built, expected_builds);
-    }
-
-    // A tick body that calls a static function jumps out of itself:
-    // installing it rebases that call, so no session may take a decode
-    // of the published words.
-    const CALLS_OUT: &str = r#"
+fn three_sessions_each_decode_their_own_installs() {
+    // `out`'s tick calls a static function: installing it rebases that
+    // call, so the words a session runs are not the words published.
+    const TWO_TICKS: &str = r#"
         int sq(int v) { return v * v; }
         long mk(int m) {
+            int vspec x = param(int, 0);
+            int cspec c = `(x * $m + $m);
+            return (long)compile(c, int);
+        }
+        long out(int m) {
             int vspec x = param(int, 0);
             int cspec c = `(sq(x) + $m);
             return (long)compile(c, int);
         }
     "#;
+    let want = |f: &str, m: u64, x: u64| if f == "mk" { x * m + m } else { x * x + m };
+    let cells = |i: usize| [("mk", 10 + i as u64), ("out", 20 + i as u64)];
     let shared = SharedArtifacts::unbounded();
-    let mut a = shared_session_of(CALLS_OUT, &shared);
-    a.call("mk", &[4]).expect("compiles");
-    let mut b = shared_session_of(CALLS_OUT, &shared);
-    let fb = b.call("mk", &[4]).expect("installs");
-    assert_eq!(b.dyn_stats().compiles, 0);
-    assert_eq!(
-        b.metrics().exec.translations,
-        1,
-        "refused at preseed: mk's only"
-    );
-    assert_eq!(b.call_addr(fb, &[3]).unwrap(), 3 * 3 + 4);
-    assert_eq!(shared.metrics().translations_built, 0);
+    let mut sessions: Vec<Session> = (0..3)
+        .map(|_| shared_session_of(TWO_TICKS, &shared))
+        .collect();
+    // Each session compiles and runs its own two cells first, so every
+    // static function it enters below (`mk`, `out`, and `sq` under
+    // `out`'s tick) is already decoded.
+    for (i, s) in sessions.iter_mut().enumerate() {
+        for (f, m) in cells(i) {
+            let addr = s.call(f, &[m]).expect("compiles");
+            assert_eq!(s.call_addr(addr, &[3]).unwrap(), want(f, m, 3));
+        }
+    }
+    for (i, s) in sessions.iter_mut().enumerate() {
+        for (f, m) in (0..3).filter(|&j| j != i).flat_map(cells) {
+            let before = s.metrics();
+            let addr = s.call(f, &[m]).expect("installs");
+            let installed = s.metrics();
+            assert_eq!(installed.dynamic.compiles, 2, "{i}: {f}({m}) installed");
+            assert_eq!(
+                (
+                    installed.exec.translations,
+                    installed.adaptive.translated_words
+                ),
+                (before.exec.translations, before.adaptive.translated_words),
+                "{i}: installing {f}({m}) decodes nothing"
+            );
+            assert_eq!(s.call_addr(addr, &[3]).unwrap(), want(f, m, 3));
+            let ran = s.metrics();
+            let start = ((addr - tcc_vm::CODE_BASE) / 4) as usize;
+            let (lo, hi) = s.vm.state().code.live_range_containing(start).unwrap();
+            assert_eq!(
+                (
+                    ran.exec.translations - installed.exec.translations,
+                    ran.adaptive.translated_words - installed.adaptive.translated_words,
+                ),
+                (1, (hi - lo) as u64),
+                "{i}: {f}({m}) decoded once, at its first entry"
+            );
+            assert_eq!(s.call_addr(addr, &[7]).unwrap(), want(f, m, 7));
+            assert_eq!(s.metrics().exec.translations, ran.exec.translations);
+        }
+        assert_eq!(s.metrics().adaptive.insns_tier0, 0, "{i}: nothing stepped");
+    }
+    let m = shared.metrics();
+    assert_eq!((m.published, m.hits), (6, 12), "each cell compiled once");
 }
 
 /// One thread calls cells through a `Session` — installed from the

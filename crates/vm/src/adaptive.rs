@@ -8,9 +8,9 @@
 //! Figure 5 crossover, recreated at the execution layer.
 //! [`ExecEngine::Adaptive`] makes the choice per function at run time.
 //! Like tcc's generated code, a function runs translated from its
-//! first call: its first entry gives it a decoded array, built inline
-//! or taken from the pool's preseed, and one threshold promotes it to
-//! the threaded form:
+//! first call: its first entry decodes it inline — whether this VM
+//! compiled the words or installed them from a pool — and one
+//! threshold promotes it to the threaded form:
 //!
 //! ```text
 //!   first entry          clock >= thread_after
@@ -188,7 +188,7 @@ pub(crate) struct FnTier<H> {
     /// service; suppresses duplicate enqueues.
     pub(crate) pending: bool,
     /// The function's one translation: `None` until its first entry
-    /// (or a preseed) gives it one. In background mode it can trail
+    /// decodes it. In background mode it can trail
     /// `tier` while the threaded build is in flight.
     pub(crate) tr: Translation<H>,
 }
@@ -865,8 +865,7 @@ impl<H: HostCall> Vm<H> {
         if fi == NO_TIER {
             return None;
         }
-        // A record the fixed engines or a preseed created has never
-        // been entered.
+        // A record the fixed engines created has never been entered.
         let t = &self.trans.tier_fns[fi as usize];
         (t.runs > 0).then_some((t.tier, t.runs))
     }

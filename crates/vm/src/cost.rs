@@ -92,9 +92,8 @@ impl CostModel {
 
     /// Order-sensitive fold of every field — part of the persistent
     /// store's ABI salt. Two models that would cost any instruction
-    /// differently digest differently, so artifacts (and their shared
-    /// translations) compiled under one model are never
-    /// served to a session running another.
+    /// differently digest differently, so artifacts compiled under one
+    /// model are never served to a session running another.
     pub fn digest(&self) -> u64 {
         let fields = [
             self.alu,

@@ -70,5 +70,5 @@ pub use host::{HostCall, NoHost};
 pub use interp::{ExitStatus, Vm};
 pub use isa::{FReg, Insn, Op, Reg};
 pub use mem::Memory;
-pub use predecode::{ExecEngine, ExecStats, SharedTranslation};
+pub use predecode::{ExecEngine, ExecStats};
 pub use threaded::{handler_table_sizes, HANDLER_TABLE_SIZE, SUPER_HANDLERS};

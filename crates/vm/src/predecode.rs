@@ -11,14 +11,13 @@
 //! cycle costs pre-looked-up, and the run/feed facts both translated
 //! tiers select superinstructions from. It is the only decoder the
 //! translated engines have: tier 1 (`Vm::dispatch`) walks the array
-//! directly, tier 2 ([`crate::threaded`]) adds a handler column beside
-//! it, and a pool shares it between sessions behind one `Arc`
-//! ([`SharedTranslation`]).
+//! directly, and tier 2 ([`crate::threaded`]) adds a handler column
+//! beside it. Each VM decodes the functions it runs: a pool shares
+//! words between sessions, never a decoded array.
 //!
-//! The array holds no address. Targets are indices, return addresses
-//! and exit pcs are computed from the `base` the dispatcher is handed
-//! (the tier record's start word), so one array serves the same words
-//! wherever — and however many times — they are installed.
+//! The array holds no address. Targets are indices, and return
+//! addresses and exit pcs are computed from the `base` the dispatcher
+//! is handed (the tier record's start word).
 //!
 //! # Equivalence contract
 //!
@@ -54,8 +53,7 @@
 //! epoch and the run loop revalidates before re-entering one.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use crate::adaptive::{AdaptiveStats, FnTier, HubClient, Tier, DEFAULT_THREAD_AFTER, NO_TIER};
 use crate::code::{CodeSpace, CODE_BASE};
@@ -435,8 +433,6 @@ pub(crate) struct Decoded {
     /// Slots whose [`Slot::pair`] is set: the superinstruction pairs a
     /// fusing tier-1 walk runs.
     pub(crate) fused_pairs: u64,
-    /// Every static target (`j`, `jal`, branch) lands inside the array.
-    internal: bool,
 }
 
 /// Decodes a sealed function's words under `cost` — the one place the
@@ -450,7 +446,6 @@ pub(crate) struct Decoded {
 /// can run it over a snapshot without holding any borrow of the VM.
 pub(crate) fn decode(words: &[u32], cost: &CostModel) -> Option<Decoded> {
     let mut slots = Vec::with_capacity(words.len());
-    let mut internal = true;
     for (i, &word) in words.iter().enumerate() {
         let mut slot = Slot {
             kind: Kind::Trap,
@@ -483,7 +478,6 @@ pub(crate) fn decode(words: &[u32], cost: &CostModel) -> Option<Decoded> {
                     // `(pc + 4) + imm * 4` in index space.
                     let target = i as i64 + 1 + i64::from(insn.imm);
                     slot.imm = i32::try_from(target).ok()?;
-                    internal &= (0..words.len() as i64).contains(&target);
                 }
                 Kind::Scalar => (slot.aux, slot.run_cost) = (1, slot.cost),
                 _ => {}
@@ -518,7 +512,6 @@ pub(crate) fn decode(words: &[u32], cost: &CostModel) -> Option<Decoded> {
     Some(Decoded {
         slots: slots.into_boxed_slice(),
         fused_pairs,
-        internal,
     })
 }
 
@@ -542,141 +535,12 @@ pub(crate) fn form_over<H: HostCall>(
     }
 }
 
-/// A sealed function's words and the cost model to decode them under,
-/// decoded at most once and then safe to share across VMs and threads
-/// (the payload behind the shared artifact cache's `Arc`'d artifacts).
-/// Cheap to make: the decode waits for the first
-/// [`Vm::preseed_translation`] that wants it — in a pool, the first
-/// *other* session that installs the artifact — so an artifact evicted
-/// before anyone installs it never decodes at all. Clones share the one
-/// decode, and it is shared by reference: every VM that takes the
-/// translation installs this very allocation.
-///
-/// The array is position-independent, but a pool installs an artifact
-/// by *rewriting* the words of control transfers that leave the
-/// function, so they keep reaching the same absolute targets
-/// (`CodeSpace::install_function`) — and a decoding of the original
-/// words would then disagree with the installed ones. The decode
-/// therefore refuses any function with a static target outside itself,
-/// and preseeding such a translation is refused. Preseeding also
-/// revalidates the cost model and engine mode: a shared translation
-/// never overrides either.
-#[derive(Clone, Debug)]
-pub struct SharedTranslation(Arc<LazyDecode>);
-
-#[derive(Debug)]
-struct LazyDecode {
-    words: Box<[u32]>,
-    /// The cost model baked into the per-slot cycle costs.
-    cost: CostModel,
-    /// `None` inside once decoded: the function is not self-contained,
-    /// or `cost` does not fit the slot layout.
-    decoded: OnceLock<Option<Arc<Decoded>>>,
-    /// Bumped by the one decode, when someone asked to count it.
-    builds: OnceLock<Arc<AtomicU64>>,
-}
-
-impl SharedTranslation {
-    /// Wraps a copy of `words` (a sealed function's encoded words) and
-    /// `cost`, decoding nothing yet.
-    pub fn new(words: &[u32], cost: &CostModel) -> SharedTranslation {
-        SharedTranslation(Arc::new(LazyDecode {
-            words: words.into(),
-            cost: cost.clone(),
-            decoded: OnceLock::new(),
-            builds: OnceLock::new(),
-        }))
-    }
-
-    /// Has `builds` count the decode — once, whichever clone triggers
-    /// it, and only if it yields a shareable array. The first counter
-    /// set wins.
-    pub fn count_builds_in(&self, builds: Arc<AtomicU64>) {
-        let _ = self.0.builds.set(builds);
-    }
-
-    /// The shareable array, decoding it on the first call. `None` if
-    /// the cost model does not fit the slot layout or the function is
-    /// not self-contained: any decodable jump, call, or branch whose
-    /// pre-resolved target falls outside it.
-    fn decoded(&self) -> Option<&Arc<Decoded>> {
-        let lazy = &*self.0;
-        lazy.decoded
-            .get_or_init(|| {
-                let decoded = decode(&lazy.words, &lazy.cost).filter(|d| d.internal)?;
-                if let Some(builds) = lazy.builds.get() {
-                    builds.fetch_add(1, Ordering::Relaxed);
-                }
-                Some(Arc::new(decoded))
-            })
-            .as_ref()
-    }
-
-    /// The cost model the array's cycle charges are computed under.
-    pub fn cost_model(&self) -> &CostModel {
-        &self.0.cost
-    }
-
-    /// Length in code words.
-    pub fn len(&self) -> usize {
-        self.0.words.len()
-    }
-
-    /// True for a zero-length function.
-    pub fn is_empty(&self) -> bool {
-        self.0.words.is_empty()
-    }
-
-    /// Superinstruction pairs a fusing walk of the array runs (0 when it
-    /// is not shareable); decodes the words if nothing has yet.
-    pub fn fused_pairs(&self) -> u64 {
-        self.decoded().map_or(0, |d| d.fused_pairs)
-    }
-}
-
 impl<H: HostCall> Vm<H> {
-    /// Installs a [`SharedTranslation`] for the live sealed function at
-    /// `addr`, so its first entry runs fused from the shared decoded
-    /// array instead of decoding its own. The first preseed that passes
-    /// the checks below decodes the shared words, for every VM that
-    /// takes them after it. Returns whether the translation was (or
-    /// already is) installed; `false` means the VM's engine does not
-    /// dispatch fused decoded arrays, the cost model differs, `addr` is
-    /// not the start of a live range of matching length, or the words
-    /// do not decode to a shareable array — all cases where the VM
-    /// silently keeps its own lazy translation path, never a
-    /// correctness hazard.
-    pub fn preseed_translation(&mut self, addr: u64, tr: &SharedTranslation) -> bool {
-        let fuse_compatible = matches!(
-            self.engine,
-            ExecEngine::Adaptive { .. } | ExecEngine::Predecoded { fuse: true }
-        );
-        if !fuse_compatible || *tr.cost_model() != self.cost {
-            return false;
-        }
-        self.trans.sync_epoch(&self.state.code);
-        let Some(fi) = self.record_at(addr) else {
-            return false;
-        };
-        let record = &self.trans.tier_fns[fi as usize];
-        if record.base() != addr || record.words as usize != tr.len() {
-            return false;
-        }
-        let Some(decoded) = tr.decoded() else {
-            return false;
-        };
-        if matches!(record.tr, Translation::None) {
-            self.install(fi, Translation::Decoded(Arc::clone(decoded)), &[]);
-        }
-        true
-    }
-
     /// Hands record `fi` its translation — releasing whatever it held —
     /// and counts it; `groups` are the superinstruction shapes a
     /// threaded build compiled. The one install site shared by inline
-    /// builds, background completions and preseeding. A refusal is
-    /// recorded and counts as nothing: returns whether a form was
-    /// installed.
+    /// builds and background completions. A refusal is recorded and
+    /// counts as nothing: returns whether a form was installed.
     pub(crate) fn install(&mut self, fi: u32, tr: Translation<H>, groups: &[u32]) -> bool {
         let cache = &mut self.trans;
         let record = &mut cache.tier_fns[fi as usize];
@@ -1153,138 +1017,6 @@ mod tests {
     }
 
     #[test]
-    fn shared_translation_preseeds_identically_to_lazy_translation() {
-        let (cs, addr) = loop_code();
-        let start = ((addr - CODE_BASE) / 4) as usize;
-        let words = cs.word_slice(start, start + 7).to_vec();
-        let mut reference = Vm::new(cs.clone(), 1 << 20);
-        reference.set_engine(ExecEngine::Predecoded { fuse: true });
-        let want = reference.call(addr, &[10]).unwrap();
-        let (want_cycles, want_insns) = (reference.cycles(), reference.insns());
-
-        let tr = SharedTranslation::new(&words, &CostModel::default());
-        assert_eq!(tr.len(), 7);
-        assert!(tr.fused_pairs() > 0, "the loop body fuses");
-        let mut vm = Vm::new(cs.clone(), 1 << 20);
-        vm.set_engine(ExecEngine::Predecoded { fuse: true });
-        assert!(vm.preseed_translation(addr, &tr));
-        assert_eq!(vm.exec_stats().translations, 1, "preseed counted");
-        assert_eq!(vm.exec_stats().fused_pairs, tr.fused_pairs());
-        assert_eq!(vm.call(addr, &[10]).unwrap(), want);
-        assert_eq!((vm.cycles(), vm.insns()), (want_cycles, want_insns));
-        let s = vm.exec_stats();
-        assert_eq!(s.translations, 1, "no re-translation happened");
-        assert_eq!(s.slow_insns, 0, "whole run came from the shared buffer");
-        // Preseeding again is an idempotent hit.
-        assert!(vm.preseed_translation(addr, &tr));
-        assert_eq!(vm.exec_stats().translations, 1);
-        // Shared by reference: a second session's record holds the very
-        // allocation the first one's does, and the artifact's.
-        let mut other = Vm::new(cs, 1 << 20);
-        other.set_engine(ExecEngine::Predecoded { fuse: true });
-        assert!(other.preseed_translation(addr, &tr));
-        assert_eq!(other.call(addr, &[10]).unwrap(), want);
-        for vm in [&vm, &other] {
-            let Translation::Decoded(held) = &vm.trans.tier_fns[0].tr else {
-                panic!("the record holds a decoded array");
-            };
-            assert!(
-                Arc::ptr_eq(held, tr.decoded().unwrap()),
-                "installed, not copied"
-            );
-        }
-        assert_eq!(
-            Arc::strong_count(tr.decoded().unwrap()),
-            3,
-            "artifact + two records"
-        );
-    }
-
-    /// Everything positional a function can do: a `jal` to a subroutine
-    /// of its own (which writes a return address — folded into the
-    /// result, so it shows), the subroutine's `jalr ra` back into the
-    /// buffer, and a counted loop whose backedges reach the tier-1
-    /// safepoint.
-    fn push_positional(cs: &mut CodeSpace) {
-        use crate::regs::{AT1, RA};
-        cs.push(Insn::i(Op::Addid, AT1, RA, 0)); // 0: keep the caller's ra
-        cs.push(Insn::j(Op::Jal, 7)); //            1: call the subroutine at 9
-        cs.push(Insn::i(Op::Beq, A0, ZERO, 3)); //  2: while n != 0
-        cs.push(Insn::r(Op::Addw, AT0, AT0, A0)); // 3:  acc += n
-        cs.push(Insn::i(Op::Addiw, A0, A0, -1)); // 4:   n -= 1
-        cs.push(Insn::j(Op::J, -4)); //             5: back to 2
-        cs.push(Insn::r(Op::Addw, A0, AT0, RA)); // 6: return acc + the jal's ra
-        cs.push(Insn::r(Op::Jalr, ZERO, AT1, ZERO)); // 7
-        cs.push(Insn::nop()); //                    8
-        cs.push(Insn::i(Op::Addiw, AT0, ZERO, 100)); // 9: subroutine: acc = 100
-        cs.push(Insn::r(Op::Jalr, ZERO, RA, ZERO)); // 10: back into the buffer at 2
-    }
-
-    #[test]
-    fn one_decoded_array_runs_at_two_addresses() {
-        let mut cs = CodeSpace::new();
-        let fa = cs.begin_function("a");
-        push_positional(&mut cs);
-        let a = cs.finish_function(fa).unwrap();
-        let fb = cs.begin_function("b");
-        push_positional(&mut cs);
-        let b = cs.finish_function(fb).unwrap();
-        let (_, words) = cs.function_words(fa).unwrap();
-        let tr = SharedTranslation::new(&words, &CostModel::default());
-        assert!(tr.decoded().is_some(), "self-contained");
-        // Tier 1 from the first entry, tier 2 at the safepoint 128
-        // backedges into it: both forms run at both addresses.
-        let engine = ExecEngine::Adaptive {
-            thread_after: 3,
-            background: false,
-        };
-        // `a` is freed before `b` runs: a return address, jalr bound or
-        // safepoint yield pc computed from a's base would fault stale.
-        let run = |vm: &mut Vm| {
-            let mut seen = Vec::new();
-            for (addr, f) in [(a, fa), (b, fb)] {
-                seen.push((vm.call(addr, &[200]), vm.cycles(), vm.insns()));
-                seen.push((Ok(vm.adaptive_tier(addr).unwrap().1), 0, 0));
-                vm.state_mut().code.free_function(f).unwrap();
-            }
-            seen
-        };
-        let mut reference = Vm::new(cs.clone(), 1 << 20);
-        reference.set_engine(ExecEngine::DecodePerStep);
-        let want: Vec<_> = [(a, fa), (b, fb)]
-            .map(|(addr, _)| reference.call(addr, &[200]).unwrap())
-            .into();
-        assert_eq!(want[1] - want[0], b - a, "the result carries the jal's ra");
-
-        let mut lazy = Vm::new(cs.clone(), 1 << 20);
-        lazy.set_engine(engine);
-        let lazy_seen = run(&mut lazy);
-        assert_eq!(lazy_seen[0].0, Ok(want[0]));
-        assert_eq!(lazy_seen[2].0, Ok(want[1]));
-        assert_eq!(
-            (lazy.cycles(), lazy.insns()),
-            (reference.cycles(), reference.insns())
-        );
-
-        let mut shared = Vm::new(cs, 1 << 20);
-        shared.set_engine(engine);
-        assert!(shared.preseed_translation(a, &tr) && shared.preseed_translation(b, &tr));
-        assert_eq!(
-            Arc::strong_count(tr.decoded().unwrap()),
-            3,
-            "one array, two addresses"
-        );
-        assert_eq!(run(&mut shared), lazy_seen);
-        assert_eq!(shared.exec_stats(), lazy.exec_stats());
-        // Bar what each spent translating: the preseeds were free.
-        let (mut s, mut l) = (shared.adaptive_stats(), lazy.adaptive_stats());
-        (s.translation_ns, l.translation_ns) = (0, 0);
-        (s.translated_words, l.translated_words) = (22, 22);
-        assert_eq!(s, l, "same entries, tiers and promotions");
-        assert_eq!(s.promotions, 2, "both copies climbed to tier 2");
-    }
-
-    #[test]
     fn a_cost_too_wide_for_a_slot_stays_on_the_reference_path() {
         // `CostModel`'s fields are `u64`, a slot's cost columns `u32`:
         // first a per-instruction cost that does not fit, then one that
@@ -1300,9 +1032,6 @@ mod tests {
                 alu,
                 ..CostModel::default()
             };
-            assert!(SharedTranslation::new(cs.word_slice(0, 7), &cost)
-                .decoded()
-                .is_none());
             let mut want = None;
             for engine in ENGINES
                 .into_iter()
@@ -1330,98 +1059,6 @@ mod tests {
                 assert_eq!(vm.adaptive_stats().discarded_stale, 0);
             }
         }
-    }
-
-    #[test]
-    fn shared_translation_decodes_once_on_the_first_preseed() {
-        let (cs, addr) = loop_code();
-        let start = ((addr - CODE_BASE) / 4) as usize;
-        let words = cs.word_slice(start, start + 7).to_vec();
-        let builds = Arc::new(AtomicU64::new(0));
-        let tr = SharedTranslation::new(&words, &CostModel::default());
-        tr.count_builds_in(Arc::clone(&builds));
-        // Made and cloned (what a publish does), never preseeded: no
-        // decode.
-        let held_by_artifact = tr.clone();
-        assert!(held_by_artifact.0.decoded.get().is_none());
-        assert_eq!(builds.load(Ordering::Relaxed), 0);
-        // Two VMs take it: one decode, one array in both records.
-        let vms: Vec<Vm> = (0..2)
-            .map(|_| {
-                let mut vm = Vm::new(cs.clone(), 1 << 20);
-                vm.set_engine(ExecEngine::Predecoded { fuse: true });
-                assert!(vm.preseed_translation(addr, &held_by_artifact));
-                vm
-            })
-            .collect();
-        assert!(tr.0.decoded.get().is_some());
-        assert_eq!(builds.load(Ordering::Relaxed), 1, "decoded once");
-        for vm in &vms {
-            let Translation::Decoded(held) = &vm.trans.tier_fns[0].tr else {
-                panic!("the record holds a decoded array");
-            };
-            assert!(Arc::ptr_eq(held, tr.decoded().unwrap()));
-        }
-        // A function that jumps out of itself decodes (once, at the
-        // first preseed that gets that far) to a refusal.
-        let mut cs = CodeSpace::new();
-        let f = cs.begin_function("escape");
-        cs.push(Insn::j(Op::J, -100));
-        cs.push(Insn::ret());
-        let escape = cs.finish_function(f).unwrap();
-        let (_, words) = cs.function_words(f).unwrap();
-        let tr = SharedTranslation::new(&words, &CostModel::default());
-        tr.count_builds_in(Arc::clone(&builds));
-        let mut vm = Vm::new(cs, 1 << 20);
-        vm.set_engine(ExecEngine::Predecoded { fuse: true });
-        assert!(!vm.preseed_translation(escape, &tr));
-        assert!(tr.0.decoded.get().is_some() && tr.decoded().is_none());
-        assert_eq!(
-            builds.load(Ordering::Relaxed),
-            1,
-            "a refusal builds nothing"
-        );
-        assert_eq!(vm.exec_stats().translations, 0);
-    }
-
-    #[test]
-    fn shared_translation_refuses_external_targets_and_mismatches() {
-        // A backward jump out of the function's own range is not
-        // position-independent: build refuses it.
-        let mut cs = CodeSpace::new();
-        let f = cs.begin_function("escape");
-        cs.push(Insn::j(Op::J, -100));
-        cs.push(Insn::ret());
-        cs.finish_function(f).unwrap();
-        let (_, words) = cs.function_words(f).unwrap();
-        assert!(SharedTranslation::new(&words, &CostModel::default())
-            .decoded()
-            .is_none());
-
-        // Preseed revalidates everything about the receiving VM.
-        let (cs, addr) = loop_code();
-        let start = ((addr - CODE_BASE) / 4) as usize;
-        let words = cs.word_slice(start, start + 7).to_vec();
-        let tr = SharedTranslation::new(&words, &CostModel::default());
-        let mut vm = Vm::new(cs.clone(), 1 << 20);
-        vm.set_engine(ExecEngine::DecodePerStep);
-        assert!(
-            !vm.preseed_translation(addr, &tr),
-            "engine without fused decoded dispatch"
-        );
-        let mut vm = Vm::new(cs, 1 << 20);
-        vm.set_engine(ExecEngine::Predecoded { fuse: true });
-        assert!(!vm.preseed_translation(addr + 4, &tr), "not a range start");
-        assert!(!vm.preseed_translation(addr + 1, &tr), "unaligned");
-        let mut costly = CostModel::default();
-        costly.branch_taken_extra += 1;
-        let tr2 = SharedTranslation::new(&words, &costly);
-        assert!(
-            !vm.preseed_translation(addr, &tr2),
-            "cost model must match the VM's"
-        );
-        assert_eq!(vm.exec_stats().translations, 0, "nothing was installed");
-        assert_eq!(vm.call(addr, &[3]).unwrap(), 6, "VM unaffected");
     }
 
     #[test]

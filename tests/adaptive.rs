@@ -353,10 +353,9 @@ fn adaptive_is_the_default_engine_and_reports_metrics() {
 
 #[test]
 fn a_pool_install_runs_fused_from_its_first_entry() {
-    // A compiles the closure and publishes it; B installs A's words
-    // together with the decoded array the pool shares, and B's first
-    // run of them dispatches that array: nothing single-stepped,
-    // nothing decoded.
+    // A compiles the closure and publishes it; B installs A's words,
+    // and B's first run of them decodes them once, at the function's
+    // first entry, and dispatches that array: nothing single-stepped.
     let shared = SharedArtifacts::unbounded();
     let config = Config {
         shared: Some(Arc::clone(&shared)),
@@ -380,10 +379,12 @@ fn a_pool_install_runs_fused_from_its_first_entry() {
         0,
         "nothing single-stepped: {after:?}"
     );
+    let start = ((fb - tickc::vm::CODE_BASE) / 4) as usize;
+    let (lo, hi) = b.vm.state().code.live_range_containing(start).unwrap();
     assert_eq!(
         after.translated_words - before.translated_words,
-        0,
-        "nothing decoded: {after:?}"
+        (hi - lo) as u64,
+        "decoded once, at its first entry: {after:?}"
     );
     assert_eq!(b.vm.adaptive_tier(fb), Some((Tier::Fused, 1)));
 }
