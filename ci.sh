@@ -49,9 +49,15 @@
 #      public API, so an API change that breaks it fails here; then
 #      benchmark/run.sh --selfcheck, which runs one slice of every
 #      workload and fails on a wrong answer, a failed op or a counter
-#      that differs between two runs (about 17 s). Building the
-#      benchmark rewrites benchmark/Cargo.lock, so the lock is copied
-#      first and put back afterwards
+#      that differs between two runs (about 17 s); then one traced
+#      pass, benchmark/run.sh --workload codegen_cold --trace 1
+#      --seconds 1 (about 5 s): the selfcheck runs untraced slices only,
+#      and a traced run is the one that also drives the per-layer
+#      measurements (layers::direct_pass: run_serve, the persist layer,
+#      install_function/free_function, each fixed engine) and fails on
+#      a wrong answer there. Building the benchmark rewrites
+#      benchmark/Cargo.lock, so the lock is copied first and put back
+#      afterwards
 #  14. the work tree is as CI found it: `git status --porcelain` and
 #      `git diff` equal their values at the start, or the files a step
 #      changed are named and CI fails (skipped outside a git work tree)
@@ -173,12 +179,14 @@ cargo run -p tcc-suite --bin suite --release -- cache
 echo "== suite adaptive --smoke (tiering observationally identical) =="
 cargo run -p tcc-suite --bin suite --release -- adaptive --smoke
 
-echo "== benchmark package (fmt, clippy, tests against this tree's API; selfcheck run) =="
+echo "== benchmark package (fmt, clippy, tests against this tree's API; selfcheck run; one traced pass) =="
 lock=$(mktemp)
 cp benchmark/Cargo.lock "$lock"
 status=0
 bash benchmark/check.sh || status=$?
 [ "$status" -ne 0 ] || bash benchmark/run.sh --selfcheck || status=$?
+[ "$status" -ne 0 ] ||
+    bash benchmark/run.sh --workload codegen_cold --trace 1 --seconds 1 || status=$?
 cp "$lock" benchmark/Cargo.lock
 rm -f "$lock"
 [ "$status" -eq 0 ] || exit "$status"

@@ -110,18 +110,19 @@ fn binary_like() -> IcodeBuf {
 /// allocator calls of a steady-state compile, all of them:
 ///
 /// * 1: the function's name (`CodeSpace::begin_function` keeps a `String`
-///   for disassembly);
-/// * 1: the code-space index node (`live_index`, a `BTreeMap`, allocates
-///   a leaf when an insert starts one).
+///   for disassembly).
+///
+/// Sealing allocates nothing: the owner index is written in place, and a
+/// function relocated into a freed range is rewritten there directly.
 ///
 /// The one-pass emitter underneath — its register manager's free lists,
 /// the assembler's label table and forward-reference list — is part of
 /// the compiler's kept storage like every phase's, so neither its
 /// start-up nor its growth with the function's labels shows from the
 /// second compile of a shape on. The installed words themselves extend
-/// the code space's one word array in place; the test frees each
-/// function, so the next reuses its range and the array stops growing.
-const INSTALL_ALLOCATIONS: u64 = 2;
+/// the code space's word array and its owner index in place; the test
+/// frees each function, so the next reuses its range and neither grows.
+const INSTALL_ALLOCATIONS: u64 = 1;
 
 /// On top of that, a compile may be the one that doubles a vector the
 /// *code space* keeps for its whole life: the function registry (one

@@ -260,6 +260,48 @@ fn three_sessions_each_decode_their_own_installs() {
     assert_eq!((m.published, m.hits), (6, 12), "each cell compiled once");
 }
 
+#[test]
+fn a_kept_address_runs_its_own_code_or_faults_unless_reused_at_an_entry() {
+    // One thread, one session, a budget small enough to evict: compile
+    // m = 1..7 in turn, keep every address, and after each compile call
+    // every kept address with x = 2. An address whose function was
+    // evicted either faults `StaleCode` or — when another function was
+    // sealed into the range starting exactly there — runs that one.
+    // Never does it run from the middle of another live function.
+    let shared = SharedArtifacts::with_budget(256);
+    let mut s = shared_session(&shared);
+    let mut kept = Vec::new();
+    let (mut right, mut stale, mut reused) = (0, 0, 0);
+    for m in 1..=7u64 {
+        kept.push((m, s.call("mk", &[m]).expect("compiles")));
+        for &(k, addr) in &kept {
+            match s.call_addr(addr, &[2]) {
+                Ok(v) if v == 3 * k => right += 1,
+                Ok(v) => {
+                    let word = ((addr - tcc_vm::CODE_BASE) / 4) as usize;
+                    let range = s.vm.state().code.live_range_containing(word);
+                    assert_eq!(
+                        range.map(|(start, _)| start),
+                        Some(word),
+                        "m = {k}'s address answered {v} from inside another function"
+                    );
+                    reused += 1;
+                }
+                Err(Error::Vm(VmError::StaleCode(at))) => {
+                    assert_eq!(at, addr);
+                    stale += 1;
+                }
+                Err(e) => panic!("m = {k}'s address: {e}"),
+            }
+        }
+    }
+    // 28 calls over 4 evictions. The 2 answers from a reused entry are
+    // m = 1's address running a later `mk`: what a per-range reuse tag
+    // on addresses would turn into `StaleCode` too.
+    assert_eq!(shared.metrics().evictions, 4);
+    assert_eq!((right, stale, reused), (18, 8, 2));
+}
+
 /// One thread calls cells through a `Session` — installed from the
 /// pool, or compiled and published — and checks every answer, while
 /// another retires them: it publishes other cells past a tight budget

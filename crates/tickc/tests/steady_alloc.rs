@@ -72,14 +72,12 @@ const COMPILE_ALLOCATIONS: u64 = 0;
 /// the session's whole life (`Config { cache: false }` never frees, so
 /// every compile adds a function):
 ///
-/// * 2: the word array and its parallel liveness flags doubling
-///   together (`CodeSpace::push`);
-/// * 1: the function registry doubling (`CodeSpace::begin_function`);
-/// * 2: the live-function index, a `BTreeMap`, starting a leaf or
-///   splitting up to its root (`CodeSpace::finish_function`).
+/// * 2: the word array and its parallel owner index doubling together
+///   (`CodeSpace::push`);
+/// * 1: the function registry doubling (`CodeSpace::begin_function`).
 ///
 /// Each happens once per doubling, so the typical compile sees none.
-const CODE_SPACE_GROWTH: u64 = 5;
+const CODE_SPACE_GROWTH: u64 = 3;
 
 /// A tick whose unrolled trip count (`n`) and whose body size (`big`)
 /// are the caller's; every iteration emits loads, stores and a call.

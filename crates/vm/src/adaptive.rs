@@ -20,7 +20,7 @@
 //!               at the dispatcher's safepoint   left to count for)
 //!                  ▲                               │
 //!                  └───────────────────────────────┘
-//!      the function itself freed or patched (its range is in the code
+//!      the function itself freed or patched (its handle is in the code
 //!      space's invalidation log): its record is retired, translation +
 //!      clock dropped; if the words are still (or again) live code, the
 //!      next entry decodes them afresh and starts over at tier 1
@@ -69,16 +69,17 @@
 //! translation it justified, and is revalidated (`TransCache::sync_epoch`, shared with
 //! the fixed engines) against [`CodeSpace::live_epoch`] on every
 //! outer-loop iteration, hence after every host call. An invalidation
-//! costs what it invalidated: for each range the code space logged
-//! since the last look — a function freed directly or by `tcc-cache`
-//! eviction, or the function around a patched live word — that
-//! function's tier record is retired and its translation dropped with
-//! it (a lost tier 2 counted into `demotions`); every other function
-//! keeps its translation, tier and run count. Only a cache more than
-//! [`INVALIDATION_RING`](crate::code::INVALIDATION_RING) bumps behind
-//! drops everything. The run loop forgets its memoized functions on
-//! any epoch change and re-resolves the current pc — one `tier_idx`
-//! load for a survivor — so stale pcs fault [`VmError::StaleCode`] /
+//! costs what it invalidated: for each function the code space logged
+//! since the last look — one freed directly or by `tcc-cache`
+//! eviction, or the one around a patched live word — its tier record,
+//! found through its handle, is retired and its translation dropped
+//! with it (a lost tier 2 counted into `demotions`); every other
+//! function keeps its translation, tier and run count. Only a cache
+//! more than [`INVALIDATION_RING`](crate::code::INVALIDATION_RING)
+//! bumps behind drops everything. The run loop forgets its memoized
+//! functions on any epoch change and re-resolves the current pc — the
+//! owner index, then the handle's record slot, for a survivor — so
+//! stale pcs fault [`VmError::StaleCode`] /
 //! [`VmError::BadPc`] from the exact same reference path as every
 //! other engine.
 //!
@@ -90,7 +91,8 @@
 //! first entry needs is still built inline: it is what the function
 //! runs from, and it is the cheaper build. A 1→2 promotion submits a
 //! translation request (the record's decoded array — an `Arc`, not a
-//! copy — and the serial of the tier record asking) to the one
+//! copy — the function's handle and the serial of the tier record
+//! asking) to the one
 //! background service there is, a [`TransHub`]: the hub the VM was
 //! subscribed to ([`Vm::set_translation_hub`](crate::interp::Vm), one
 //! thread for a whole pool), or failing that a private one, spawned
@@ -99,12 +101,12 @@
 //! finished translations are drained at function-entry points and at
 //! the running function's clock ticks (so a loop granted tier 2 mid-run
 //! finishes the run on it) and swapped in — or **discarded** unless the
-//! record that requested the build is still the live record at its
-//! start word. That per-function check is sufficient: a record is
+//! record that requested the build is still its function's live
+//! record. That per-function check is sufficient: a record is
 //! retired by exactly the events that make its array wrong (the
 //! function freed or patched, or the whole cache cleared), serials are
-//! never reused, and a *new* function sealed into the same words gets
-//! a new record with a new serial — so a translation of freed, patched
+//! never reused, and a *new* function sealed into the same words has a
+//! new handle and gets a new record — so a translation of freed, patched
 //! or re-used words is never installed, while a free elsewhere in the
 //! session no longer discards every build in flight. Discarding rather
 //! than installing keeps free/patch/eviction semantics and `StaleCode`
@@ -120,7 +122,7 @@ use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
-use crate::code::CODE_BASE;
+use crate::code::{FuncHandle, CODE_BASE};
 use crate::error::VmError;
 use crate::host::HostCall;
 use crate::interp::{ExitStatus, Step, Vm, RETURN_SENTINEL};
@@ -146,10 +148,10 @@ pub enum Tier {
     Threaded = 2,
 }
 
-/// Sentinel in [`TransCache::tier_idx`]: no tier record covers this
-/// word yet.
+/// Sentinel in [`TransCache::tier_of`]: the function has no tier
+/// record yet.
 ///
-/// [`TransCache::tier_idx`]: crate::predecode::TransCache::tier_idx
+/// [`TransCache::tier_of`]: crate::predecode::TransCache::tier_of
 pub(crate) const NO_TIER: u32 = u32::MAX;
 
 /// Backward transfers taken inside a function below the top tier that
@@ -162,8 +164,8 @@ pub(crate) const NO_TIER: u32 = u32::MAX;
 /// threshold is "no later than", not "exactly at").
 pub(crate) const BACKEDGES_PER_RUN_BITS: u32 = 6;
 
-/// Per-function state, indexed from `tier_idx` by any word of the
-/// function's live range: the translation the function currently
+/// Per-function state, found from any word of the function's live
+/// range through its handle: the translation the function currently
 /// dispatches through and, under the adaptive engine, the clock and
 /// tier that justified it. The fixed engines create records too (through
 /// the same `TransCache::track`) and use only `tr`.
@@ -171,6 +173,8 @@ pub(crate) struct FnTier<H> {
     /// Identity of this record among every record the cache ever
     /// created; `0` marks a retired slot awaiting reuse.
     pub(crate) serial: u64,
+    /// The function this record stands for.
+    pub(crate) handle: FuncHandle,
     /// Start word of the function's live range.
     pub(crate) start: usize,
     /// Entries of control into this function's range. Monotone until
@@ -232,11 +236,6 @@ impl<H> FnTier<H> {
         (ticks << BACKEDGES_PER_RUN_BITS) - (self.backedges & ((1 << BACKEDGES_PER_RUN_BITS) - 1))
     }
 
-    /// The function's live range in words, `[start, end)`.
-    pub(crate) fn range(&self) -> (usize, usize) {
-        (self.start, self.start + self.words as usize)
-    }
-
     /// Absolute address of the function's first word: the `base` its
     /// (position-independent) translation is dispatched at.
     #[inline]
@@ -244,11 +243,12 @@ impl<H> FnTier<H> {
         CODE_BASE + (self.start as u64) * 4
     }
 
-    /// A fresh record for the live function `[start, end)`: tier 1,
-    /// nothing translated yet.
-    pub(crate) fn new(serial: u64, start: usize, end: usize) -> FnTier<H> {
+    /// A fresh record for the live function `handle` at `[start, end)`:
+    /// tier 1, nothing translated yet.
+    pub(crate) fn new(serial: u64, handle: FuncHandle, start: usize, end: usize) -> FnTier<H> {
         FnTier {
             serial,
+            handle,
             start,
             runs: 0,
             backedges: 0,
@@ -275,14 +275,14 @@ impl<H> FnTier<H> {
 /// needs, captured at enqueue time so the hub thread never touches VM
 /// state. Host-independent — only the response is typed over `H`.
 pub(crate) struct TransRequest {
-    /// Start word index of the function's live range: where the
-    /// completion looks for the record that asked.
-    start: usize,
+    /// The function: where the completion looks for the record that
+    /// asked.
+    handle: FuncHandle,
     /// The decoded array the record holds: the hub adds the handler
     /// column over the shared allocation.
     decoded: Arc<Decoded>,
     /// [`FnTier::serial`] of the requesting record; the response is
-    /// discarded unless that record is still live at `start`.
+    /// discarded unless that record is still `handle`'s.
     serial: u64,
     /// Enqueue timestamp, for [`AdaptiveStats::swap_latency_ns`].
     enqueued: Instant,
@@ -291,7 +291,7 @@ pub(crate) struct TransRequest {
 /// A finished background translation, stamped with the validity context
 /// it was built under.
 pub(crate) struct TransDone<H> {
-    start: usize,
+    handle: FuncHandle,
     serial: u64,
     /// Wall-clock build time on the hub thread (goes into
     /// [`AdaptiveStats::translation_ns`] when installed).
@@ -309,7 +309,7 @@ fn build_translation<H: HostCall>(req: TransRequest) -> TransDone<H> {
     let t0 = Instant::now();
     let (payload, groups) = form_over(Some(req.decoded), Tier::Threaded);
     TransDone {
-        start: req.start,
+        handle: req.handle,
         serial: req.serial,
         build_ns: t0.elapsed().as_nanos() as u64,
         enqueued: req.enqueued,
@@ -525,7 +525,7 @@ impl<H: HostCall> Vm<H> {
             }
             if self.trans.sync_epoch(&self.state.code) {
                 // Either memoized function may be among the dead;
-                // re-resolving a survivor is one `tier_idx` load.
+                // re-resolving a survivor is two loads (`record_at`).
                 cur = None;
                 prev = None;
             }
@@ -716,8 +716,8 @@ impl<H: HostCall> Vm<H> {
     /// Submits the threaded build of tier record `fi` to the background
     /// service (spawning a private hub on first use when the VM was
     /// handed none), carrying the decoded array the record holds and
-    /// the record's serial, which must still be live at the start word
-    /// for the result to be installed. A build already in flight for
+    /// the record's serial, which must still be its function's for the
+    /// result to be installed. A build already in flight for
     /// the record is not duplicated.
     fn enqueue_translation(&mut self, fi: u32) {
         let entry = &mut self.trans.tier_fns[fi as usize];
@@ -728,7 +728,7 @@ impl<H: HostCall> Vm<H> {
             return;
         }
         let req = TransRequest {
-            start: entry.start,
+            handle: entry.handle,
             decoded: Arc::clone(decoded),
             serial: entry.serial,
             enqueued: Instant::now(),
@@ -801,19 +801,16 @@ impl<H: HostCall> Vm<H> {
 
     /// Swap-or-discard: the receive side of the async pipeline. A
     /// result is installed — exactly as an inline build would have been
-    /// — iff the tier record that requested it is still the live record
-    /// at its start word. Otherwise the function was freed or patched
-    /// since (or its words now hold a different function, or the cache
-    /// was cleared) and the array no longer describes the code the
-    /// record stood for: discarded, the demotion-safe path.
+    /// — iff the tier record that requested it is still its function's
+    /// live record. Otherwise the function was freed or patched since
+    /// (or the cache was cleared) and the array no longer describes the
+    /// code the record stood for: discarded, the demotion-safe path.
     fn install_translation(&mut self, done: TransDone<H>) {
         debug_assert_eq!(self.trans.epoch, self.state.code.live_epoch());
-        let requester = match self.trans.tier_idx.get(done.start) {
-            Some(&fi) if fi != NO_TIER => Some(fi),
-            _ => None,
-        };
-        let Some(fi) =
-            requester.filter(|&fi| self.trans.tier_fns[fi as usize].serial == done.serial)
+        let Some(fi) = self
+            .trans
+            .record_of(done.handle)
+            .filter(|&fi| self.trans.tier_fns[fi as usize].serial == done.serial)
         else {
             self.trans.astats.discarded_stale += 1;
             return;
@@ -849,22 +846,18 @@ impl<H: HostCall> Vm<H> {
         if addr < CODE_BASE || !addr.is_multiple_of(4) {
             return None;
         }
-        let idx = ((addr - CODE_BASE) / 4) as usize;
-        // Bumps the cache has not observed yet: a record inside a range
+        let code = &self.state.code;
+        let handle = code.owner(((addr - CODE_BASE) / 4) as usize)?;
+        // Bumps the cache has not observed yet: a record of a function
         // they invalidated is due for retirement — report untracked
         // rather than stale state.
-        if self
-            .state
-            .code
+        if code
             .invalidated_since(self.trans.epoch)
-            .is_none_or(|mut dead| dead.any(|(start, end)| (start..end).contains(&idx)))
+            .is_none_or(|mut dead| dead.any(|d| d == handle))
         {
             return None;
         }
-        let fi = self.trans.tier_idx.get(idx).copied()?;
-        if fi == NO_TIER {
-            return None;
-        }
+        let fi = self.trans.record_of(handle)?;
         // A record the fixed engines created has never been entered.
         let t = &self.trans.tier_fns[fi as usize];
         (t.runs > 0).then_some((t.tier, t.runs))
@@ -964,8 +957,7 @@ mod tests {
         let (mut vm, addr, _) = adaptive_vm(u32::MAX, false);
         vm.call(addr, &[1]).unwrap();
         vm.call(addr, &[100_000]).unwrap();
-        let fi = vm.trans.tier_idx[((addr - CODE_BASE) / 4) as usize];
-        let record = &vm.trans.tier_fns[fi as usize];
+        let record = &vm.trans.tier_fns[record_at(&vm, addr)];
         assert_eq!(record.backedges, 100_001, "every backedge was credited");
         assert_eq!(record.tier, Tier::Fused);
         // A retired record's clock restarts at zero: 60 + 60 backedges
@@ -978,8 +970,7 @@ mod tests {
         );
         vm.call(addr, &[60]).unwrap();
         assert_eq!(vm.adaptive_tier(addr), Some((Tier::Fused, 1)));
-        let fi = vm.trans.tier_idx[((addr - CODE_BASE) / 4) as usize];
-        assert_eq!(vm.trans.tier_fns[fi as usize].backedges, 60);
+        assert_eq!(vm.trans.tier_fns[record_at(&vm, addr)].backedges, 60);
     }
 
     #[test]
@@ -990,7 +981,7 @@ mod tests {
         // thing keeping the array alive.
         let (mut vm, addr, _) = adaptive_vm(1, false);
         vm.call(addr, &[3]).unwrap();
-        let fi = vm.trans.tier_idx[((addr - CODE_BASE) / 4) as usize] as usize;
+        let fi = record_at(&vm, addr);
         let Translation::Decoded(decoded) = vm.trans.tier_fns[fi].tr.clone() else {
             panic!("the first entry decoded the function");
         };
@@ -1175,6 +1166,12 @@ mod tests {
         cs.push(Insn::j(Op::J, -4));
         cs.push(Insn::r(Op::Addw, A0, AT0, ZERO));
         cs.push(Insn::ret());
+    }
+
+    /// Index of the tier record of the live function at `addr`.
+    fn record_at(vm: &Vm<crate::host::NoHost>, addr: u64) -> usize {
+        let handle = vm.state.code.owner(((addr - CODE_BASE) / 4) as usize);
+        vm.trans.record_of(handle.expect("live")).expect("tracked") as usize
     }
 
     fn engine_vm(cs: CodeSpace, engine: ExecEngine) -> Vm<crate::host::NoHost> {
@@ -1405,11 +1402,11 @@ mod tests {
         assert_eq!(vm.trans.pending, 1, "b's tier-2 build is in flight");
         let start = ((b - CODE_BASE) / 4) as usize;
         let stale = TransRequest {
-            start,
+            handle: fb,
             decoded: Arc::new(
                 decode(vm.state.code.word_slice(start, start + 7), &vm.cost).unwrap(),
             ),
-            serial: vm.trans.tier_fns[vm.trans.tier_idx[start] as usize].serial,
+            serial: vm.trans.tier_fns[record_at(&vm, b)].serial,
             enqueued: Instant::now(),
         };
         // Free b and seal a different function into the same words
@@ -1428,7 +1425,7 @@ mod tests {
         assert_eq!(s.async_translations, 1, "c's build was installed");
         assert_eq!(vm.call(b, &[3]).unwrap(), 8, "c's code, not b's buffer");
         // Whenever b's completion turns up, c's record does not vouch
-        // for it: same start word, same epoch even, different serial.
+        // for it: same start word, same epoch even, different function.
         let late = build_translation::<crate::host::NoHost>(stale);
         vm.install_translation(late);
         assert_eq!(vm.adaptive_stats().discarded_stale, 2);

@@ -19,9 +19,9 @@
 //!   (branches are PC-relative, so only `j`/`jal` words that target
 //!   other functions need their displacement adjusted);
 //! * executing a word that is not part of a live sealed function — a
-//!   freed range, jitter padding, or a function still being emitted —
-//!   faults with [`VmError::StaleCode`] rather than running whatever
-//!   bytes occupy the range;
+//!   freed range or a function still being emitted — faults with
+//!   [`VmError::StaleCode`] rather than running whatever bytes occupy
+//!   the range;
 //! * [`CodeSpace::stats`] reports live/free/reclaimed words and a
 //!   fragmentation ratio, which the cache layer mirrors into
 //!   `SessionMetrics`.
@@ -30,30 +30,25 @@
 //!
 //! [`CodeSpace::live_epoch`] says *that* previously-live code stopped
 //! meaning what it did; the invalidation ring next to it says *what*.
-//! Every bump logs one `[start_word, end_word)` range — the freed
-//! function's, or the live function containing a patched word — into a
-//! ring of [`INVALIDATION_RING`] entries, and
-//! [`CodeSpace::invalidated_since`] replays the ranges logged after a
-//! given epoch, so a consumer caching decoded forms of live code (the
-//! translation cache) drops exactly the functions that died. A consumer
+//! Every bump logs one [`FuncHandle`] — the freed function's, or the
+//! live function containing a patched word — into a ring of
+//! [`INVALIDATION_RING`] entries, and [`CodeSpace::invalidated_since`]
+//! replays the handles logged after a given epoch, so a consumer caching
+//! decoded forms of live code (the translation cache, which keys its
+//! records by handle) drops exactly the functions that died. A consumer
 //! more than `INVALIDATION_RING` bumps behind gets `None` and must
 //! drop everything, which is always safe.
 //!
-//! Address → live function queries ([`CodeSpace::live_range_containing`],
-//! [`CodeSpace::function_at`], [`CodeSpace::disassemble_at`]) go through
-//! a start-keyed ordered index of the *live* functions, maintained at
-//! seal and free: O(log live functions) per query, memory per function
-//! (not per word), and freed functions cost nothing.
+//! # The owner index
 //!
-//! Following the paper (§4.4: "we attempt to minimize poor cache behavior
-//! by choosing the address of the beginning of the dynamic code randomly
-//! modulo the cache size"), the space can pad each new function by a
-//! deterministic pseudo-random number of words when
-//! [`CodeSpace::set_placement_jitter`] is enabled. Padding applies only
-//! to fresh tail placements: a function relocated into a reused range
-//! lands at the range's exact start (re-padding would defeat reuse).
-
-use std::collections::BTreeMap;
+//! One array parallel to the words answers "which live function covers
+//! word `w`": the handle index of the live sealed function there, or
+//! none — written at seal, cleared at free, none while a function is
+//! still being emitted. Every address → live function query
+//! ([`CodeSpace::fetch_exec`]'s liveness check, [`CodeSpace::patch`],
+//! [`CodeSpace::live_range_containing`], [`CodeSpace::function_at`],
+//! [`CodeSpace::disassemble_at`], and the VM's translation cache, which
+//! goes word → handle → tier record) is one load of it.
 
 use crate::error::VmError;
 use crate::isa::{Insn, Op};
@@ -78,6 +73,19 @@ const IMM24_MAX: i64 = (1 << 23) - 1;
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct FuncHandle(usize);
 
+impl FuncHandle {
+    /// The function's index in its space's registry: dense from 0, never
+    /// reused for another sealed function (what per-function side
+    /// tables are indexed by).
+    #[inline]
+    pub(crate) fn index(self) -> usize {
+        self.0
+    }
+}
+
+/// [`CodeSpace::owner`]'s entry for a word no live function covers.
+const NO_OWNER: u32 = u32::MAX;
+
 /// Where a function is in its lifecycle.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum FuncState {
@@ -92,9 +100,6 @@ enum FuncState {
 #[derive(Clone, Debug)]
 struct FuncInfo {
     name: String,
-    /// Tail length before any jitter padding was emitted (what the tail
-    /// rolls back to when the function relocates into a reused range).
-    alloc_start: usize,
     start_word: usize,
     end_word: usize,
     state: FuncState,
@@ -133,28 +138,25 @@ impl CodeStats {
 #[derive(Clone, Debug, Default)]
 pub struct CodeSpace {
     words: Vec<u32>,
-    /// Parallel to `words`: true iff the word belongs to a live sealed
-    /// function. Checked on every executed fetch ([`CodeSpace::fetch_exec`]).
-    live: Vec<bool>,
+    /// Parallel to `words`: the index into `funcs` of the live sealed
+    /// function covering the word, or [`NO_OWNER`]. The one index behind
+    /// every address → live function query, checked on every executed
+    /// fetch ([`CodeSpace::fetch_exec`]).
+    owner: Vec<u32>,
     funcs: Vec<FuncInfo>,
     /// Sorted, coalesced `(start_word, len)` ranges available for reuse.
     free: Vec<(usize, usize)>,
     live_words: usize,
     reclaimed_words: usize,
-    jitter_state: Option<u64>,
-    /// Start word → index into `funcs`, for every live (sealed, not
-    /// freed) function. The ordered index behind every address → live
-    /// function query.
-    live_index: BTreeMap<u32, u32>,
     /// Bumped whenever previously-live code stops meaning what it did:
     /// a function is freed, or a live word is patched. Consumers that
     /// cache decoded forms of live code (the predecoded execution
     /// engine) revalidate against this before trusting their caches.
     live_epoch: u64,
-    /// The range each of the last [`INVALIDATION_RING`] bumps
-    /// invalidated: the bump that moved the epoch from `e` to `e + 1`
-    /// sits at `e % INVALIDATION_RING`.
-    invalidated: Vec<(u32, u32)>,
+    /// The function each of the last [`INVALIDATION_RING`] bumps
+    /// invalidated, by handle index: the bump that moved the epoch from
+    /// `e` to `e + 1` sits at `e % INVALIDATION_RING`.
+    invalidated: Vec<u32>,
 }
 
 impl CodeSpace {
@@ -163,39 +165,13 @@ impl CodeSpace {
         CodeSpace::default()
     }
 
-    /// Enables deterministic pseudo-random placement padding (0..64 words)
-    /// before each subsequently begun function, seeded with `seed`.
-    /// Reproduces the paper's cache-conscious random placement of dynamic
-    /// code; off by default so tests are layout-stable. Functions that
-    /// relocate into a reused free range are not padded.
-    pub fn set_placement_jitter(&mut self, seed: u64) {
-        // splitmix64 finalizer: adjacent seeds must yield unrelated
-        // streams, and the xorshift state must be nonzero.
-        let mut z = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        self.jitter_state = Some((z ^ (z >> 31)) | 1);
-    }
-
     /// Starts a new function named `name` (for disassembly and
     /// diagnostics) and returns its handle. Instructions pushed until the
     /// matching [`CodeSpace::finish_function`] belong to it.
     pub fn begin_function(&mut self, name: &str) -> FuncHandle {
-        let alloc_start = self.words.len();
-        if let Some(state) = self.jitter_state.as_mut() {
-            // xorshift64; pad by 0..64 words.
-            *state ^= *state << 13;
-            *state ^= *state >> 7;
-            *state ^= *state << 17;
-            let pad = (*state % 64) as usize;
-            self.words
-                .extend(std::iter::repeat_n(Insn::nop().encode(), pad));
-            self.live.extend(std::iter::repeat_n(false, pad));
-        }
         let h = FuncHandle(self.funcs.len());
         self.funcs.push(FuncInfo {
             name: name.to_string(),
-            alloc_start,
             start_word: self.words.len(),
             end_word: usize::MAX,
             state: FuncState::Building,
@@ -222,15 +198,15 @@ impl CodeSpace {
         }
         let start = info.start_word;
         let len = self.words.len() - start;
-        // Into the first fitting hole, if every word can move there.
-        let hole = self.fit(start, len).and_then(|fit| {
+        // Into the first fitting hole, if every word can move there. The
+        // hole's words are dead, so a refusal part-way leaves nothing
+        // that can run: the function then stays at the tail.
+        let hole = self.fit(start, len).filter(|&fit| {
             let to = self.free[fit].0;
-            let mut moved = Vec::with_capacity(len);
-            for (i, &word) in self.words[start..].iter().enumerate() {
-                moved.push(relocate_word(word, i, start, len, to).ok()?);
-            }
-            self.words[to..to + len].copy_from_slice(&moved);
-            Some(fit)
+            (0..len).all(|i| {
+                let moved = relocate_word(self.words[start + i], i, start, len, to);
+                moved.map(|word| self.words[to + i] = word).is_ok()
+            })
         });
         Ok(self.seal(handle, hole))
     }
@@ -238,11 +214,9 @@ impl CodeSpace {
     /// Seals the building function `handle`, whose words sit at the
     /// emission tail — or, with `hole` naming a free range, already sit
     /// relocated at that range's start: the range's prefix is taken and
-    /// the tail rolls back past the function and its jitter padding, so
-    /// reused ranges are placed exactly, never re-padded.
+    /// the tail rolls back past the function.
     fn seal(&mut self, handle: FuncHandle, hole: Option<usize>) -> u64 {
-        let info = &self.funcs[handle.0];
-        let (alloc_start, tail) = (info.alloc_start, info.start_word);
+        let tail = self.funcs[handle.0].start_word;
         let len = self.words.len() - tail;
         let start = match hole {
             Some(fit) => {
@@ -252,29 +226,25 @@ impl CodeSpace {
                 } else {
                     self.free[fit] = (s + len, l - len);
                 }
-                self.words.truncate(alloc_start);
-                self.live.truncate(alloc_start);
+                self.truncate(tail);
                 s
             }
-            None => {
-                self.live.resize(self.words.len(), false);
-                tail
-            }
+            None => tail,
         };
-        for w in &mut self.live[start..start + len] {
-            *w = true;
-        }
+        // An empty function owns no word: nothing to find.
+        self.owner[start..start + len].fill(index_u32(handle.0));
         let info = &mut self.funcs[handle.0];
         info.start_word = start;
         info.end_word = start + len;
         info.state = FuncState::Sealed;
         self.live_words += len;
-        if len > 0 {
-            // An empty function owns no word (and may share its start
-            // with its successor): nothing to find, nothing to index.
-            self.live_index.insert(word_u32(start), word_u32(handle.0));
-        }
         CODE_BASE + (start as u64) * 4
+    }
+
+    /// Rolls the emission tail back to `len` words.
+    fn truncate(&mut self, len: usize) {
+        self.words.truncate(len);
+        self.owner.truncate(len);
     }
 
     /// Returns a sealed function's words to the free list (coalescing
@@ -297,27 +267,22 @@ impl CodeSpace {
         let (start, end) = (info.start_word, info.end_word);
         let len = end - start;
         self.funcs[handle.0].state = FuncState::Freed;
-        if len > 0 {
-            self.live_index.remove(&word_u32(start));
-        }
-        self.log_invalidation(start, end);
-        for w in &mut self.live[start..end] {
-            *w = false;
-        }
+        self.log_invalidation(handle);
+        self.owner[start..end].fill(NO_OWNER);
         self.live_words -= len;
         self.reclaimed_words += len;
         self.insert_free(start, len);
         Ok((len as u64) * 4)
     }
 
-    /// Bumps the live epoch and logs the `[start, end)` range the bump
-    /// invalidated, overwriting the ring's oldest entry once full.
-    fn log_invalidation(&mut self, start: usize, end: usize) {
-        let range = (word_u32(start), word_u32(end));
+    /// Bumps the live epoch and logs the function the bump invalidated,
+    /// overwriting the ring's oldest entry once full.
+    fn log_invalidation(&mut self, handle: FuncHandle) {
+        let dead = index_u32(handle.0);
         let slot = (self.live_epoch % INVALIDATION_RING as u64) as usize;
         match self.invalidated.get_mut(slot) {
-            Some(entry) => *entry = range,
-            None => self.invalidated.push(range),
+            Some(entry) => *entry = dead,
+            None => self.invalidated.push(dead),
         }
         self.live_epoch += 1;
     }
@@ -406,10 +371,7 @@ impl CodeSpace {
     /// Appends one instruction; returns its word index (for patching).
     #[inline]
     pub fn push(&mut self, insn: Insn) -> usize {
-        let idx = self.words.len();
-        self.words.push(insn.encode());
-        self.live.push(false);
-        idx
+        self.push_word(insn.encode())
     }
 
     /// Appends a raw already-encoded word; returns its word index.
@@ -417,7 +379,7 @@ impl CodeSpace {
     pub fn push_word(&mut self, word: u32) -> usize {
         let idx = self.words.len();
         self.words.push(word);
-        self.live.push(false);
+        self.owner.push(NO_OWNER);
         idx
     }
 
@@ -432,11 +394,8 @@ impl CodeSpace {
         // Patching a *live* word rewrites sealed code under any decoded
         // cache; building-phase patches (forward branch resolution) hit
         // not-yet-live words and stay epoch-neutral.
-        if self.live.get(index).copied().unwrap_or(false) {
-            let (start, end) = self
-                .live_range_containing(index)
-                .expect("a live word belongs to a live function");
-            self.log_invalidation(start, end);
+        if let Some(handle) = self.owner(index) {
+            self.log_invalidation(handle);
         }
         self.words[index] = insn.encode();
     }
@@ -446,12 +405,6 @@ impl CodeSpace {
     #[inline]
     pub fn next_index(&self) -> usize {
         self.words.len()
-    }
-
-    /// The address the next pushed instruction will have.
-    #[inline]
-    pub fn next_addr(&self) -> u64 {
-        CODE_BASE + (self.words.len() as u64) * 4
     }
 
     /// Fetches the instruction word at a code address, without a
@@ -477,18 +430,18 @@ impl CodeSpace {
     /// # Errors
     ///
     /// [`VmError::BadPc`] outside the emitted range or misaligned;
-    /// [`VmError::StaleCode`] inside a freed range, jitter padding, or a
-    /// function that was never sealed.
+    /// [`VmError::StaleCode`] inside a freed range or a function that
+    /// was never sealed.
     #[inline]
     pub fn fetch_exec(&self, pc: u64) -> Result<u32, VmError> {
         if pc < CODE_BASE || !pc.is_multiple_of(4) {
             return Err(VmError::BadPc(pc));
         }
         let idx = ((pc - CODE_BASE) / 4) as usize;
-        match self.words.get(idx) {
+        match self.owner.get(idx) {
             None => Err(VmError::BadPc(pc)),
-            Some(_) if !self.live[idx] => Err(VmError::StaleCode(pc)),
-            Some(&w) => Ok(w),
+            Some(&NO_OWNER) => Err(VmError::StaleCode(pc)),
+            Some(_) => Ok(self.words[idx]),
         }
     }
 
@@ -501,47 +454,51 @@ impl CodeSpace {
         self.live_epoch
     }
 
-    /// The ranges invalidated since the epoch was `epoch` (a value this
-    /// space's [`CodeSpace::live_epoch`] returned earlier), oldest
-    /// first: one `[start_word, end_word)` per bump — a freed function's
-    /// range, or the range of the live function a patched word sits in.
-    /// `None` when more than [`INVALIDATION_RING`] bumps happened since:
-    /// the ring has wrapped and the caller must assume everything died.
-    pub fn invalidated_since(
-        &self,
-        epoch: u64,
-    ) -> Option<impl Iterator<Item = (usize, usize)> + '_> {
+    /// The functions invalidated since the epoch was `epoch` (a value
+    /// this space's [`CodeSpace::live_epoch`] returned earlier), oldest
+    /// first: one handle per bump — a freed function, or the live
+    /// function a patched word sits in. `None` when more than
+    /// [`INVALIDATION_RING`] bumps happened since: the ring has wrapped
+    /// and the caller must assume everything died.
+    pub fn invalidated_since(&self, epoch: u64) -> Option<impl Iterator<Item = FuncHandle> + '_> {
         let behind = self.live_epoch.checked_sub(epoch)?;
         if behind > INVALIDATION_RING as u64 {
             return None;
         }
         Some((epoch..self.live_epoch).map(|e| {
-            let (start, end) = self.invalidated[(e % INVALIDATION_RING as u64) as usize];
-            (start as usize, end as usize)
+            FuncHandle(self.invalidated[(e % INVALIDATION_RING as u64) as usize] as usize)
         }))
     }
 
-    /// Index into `funcs` of the live sealed function containing word
-    /// index `idx`: the last live function starting at or before it, if
-    /// it reaches that far.
-    fn live_func_containing(&self, idx: usize) -> Option<usize> {
-        let key = u32::try_from(idx).ok()?;
-        let (_, &fi) = self.live_index.range(..=key).next_back()?;
-        (idx < self.funcs[fi as usize].end_word).then_some(fi as usize)
+    /// The live sealed function covering word index `idx`, if any: one
+    /// load of the owner index.
+    #[inline]
+    pub(crate) fn owner(&self, idx: usize) -> Option<FuncHandle> {
+        match self.owner.get(idx) {
+            Some(&fi) if fi != NO_OWNER => Some(FuncHandle(fi as usize)),
+            _ => None,
+        }
     }
 
-    /// [`CodeSpace::live_func_containing`] for a code address.
-    fn live_func_at(&self, addr: u64) -> Option<usize> {
+    /// [`CodeSpace::owner`] for a code address.
+    fn owner_at(&self, addr: u64) -> Option<FuncHandle> {
         let byte = addr.checked_sub(CODE_BASE)?;
-        self.live_func_containing(usize::try_from(byte / 4).ok()?)
+        self.owner(usize::try_from(byte / 4).ok()?)
+    }
+
+    /// The `[start_word, end_word)` range of a function (its final one
+    /// once sealed).
+    #[inline]
+    pub(crate) fn span(&self, handle: FuncHandle) -> (usize, usize) {
+        let f = &self.funcs[handle.0];
+        (f.start_word, f.end_word)
     }
 
     /// The `[start_word, end_word)` range of the live sealed function
-    /// containing word index `idx`, if any. Jitter padding and freed or
-    /// still-building ranges have no containing function.
+    /// containing word index `idx`, if any. Freed or still-building
+    /// ranges have no containing function.
     pub fn live_range_containing(&self, idx: usize) -> Option<(usize, usize)> {
-        let f = &self.funcs[self.live_func_containing(idx)?];
-        Some((f.start_word, f.end_word))
+        Some(self.span(self.owner(idx)?))
     }
 
     /// Raw encoded words of `[start, end)` (translation input).
@@ -550,14 +507,9 @@ impl CodeSpace {
         &self.words[start..end]
     }
 
-    /// True if `addr` points into the code space's emitted range.
-    pub fn contains(&self, addr: u64) -> bool {
-        addr >= CODE_BASE && ((addr - CODE_BASE) / 4) < self.words.len() as u64
-    }
-
     /// Name of the live function containing `addr`, if any (diagnostics).
     pub fn function_at(&self, addr: u64) -> Option<&str> {
-        Some(self.funcs[self.live_func_at(addr)?].name.as_str())
+        Some(self.funcs[self.owner_at(addr)?.0].name.as_str())
     }
 
     /// Disassembles the function at `handle` into one line per
@@ -580,7 +532,7 @@ impl CodeSpace {
 
     /// Disassembles the live function containing `addr`, if any.
     pub fn disassemble_at(&self, addr: u64) -> Option<String> {
-        Some(self.disassemble(FuncHandle(self.live_func_at(addr)?)))
+        Some(self.disassemble(self.owner_at(addr)?))
     }
 
     /// Decoded instructions of a finished function (testing/analysis).
@@ -679,15 +631,12 @@ impl CodeSpace {
     }
 
     /// Rolls back a function begun by [`CodeSpace::install_function`]:
-    /// the emission tail (including jitter padding) is truncated and the
-    /// registry entry removed. Only valid while the function is the
-    /// still-building last entry.
+    /// the emission tail is truncated and the registry entry removed.
+    /// Only valid while the function is the still-building last entry.
     fn abort_install(&mut self, handle: FuncHandle) {
         debug_assert_eq!(handle.0 + 1, self.funcs.len());
         debug_assert_eq!(self.funcs[handle.0].state, FuncState::Building);
-        let alloc_start = self.funcs[handle.0].alloc_start;
-        self.words.truncate(alloc_start);
-        self.live.truncate(alloc_start);
+        self.truncate(self.funcs[handle.0].start_word);
         self.funcs.pop();
     }
 }
@@ -728,11 +677,11 @@ fn relocate_word(
     }
 }
 
-/// A word (or function) index as stored in the live index and the
-/// invalidation ring. Code addresses are `CODE_BASE + 4 * word` with
-/// 24-bit jump reach, so a space never comes near 2^32 words.
-fn word_u32(i: usize) -> u32 {
-    u32::try_from(i).expect("code space indices fit u32")
+/// A function index as stored in the owner index and the invalidation
+/// ring. Every function is begun by emitting into a space whose code
+/// addresses are `CODE_BASE + 4 * word`, so it never nears 2^32.
+fn index_u32(i: usize) -> u32 {
+    u32::try_from(i).expect("function indices fit u32")
 }
 
 #[cfg(test)]
@@ -954,49 +903,6 @@ mod tests {
     }
 
     #[test]
-    fn placement_jitter_pads_functions_deterministically() {
-        let layout = |seed| {
-            let mut cs = CodeSpace::new();
-            cs.set_placement_jitter(seed);
-            let mut addrs = Vec::new();
-            for i in 0..8 {
-                let f = cs.begin_function(&format!("f{i}"));
-                cs.push(Insn::ret());
-                addrs.push(cs.finish_function(f).unwrap());
-            }
-            addrs
-        };
-        let a = layout(42);
-        let b = layout(42);
-        let c = layout(43);
-        assert_eq!(a, b, "same seed, same placement");
-        assert_ne!(a, c, "different seeds pick different padding");
-    }
-
-    #[test]
-    fn jitter_does_not_repad_reused_ranges() {
-        let mut cs = CodeSpace::new();
-        cs.set_placement_jitter(7);
-        let mk = |cs: &mut CodeSpace, name: &str, n: usize| {
-            let f = cs.begin_function(name);
-            for _ in 0..n - 1 {
-                cs.push(Insn::nop());
-            }
-            cs.push(Insn::ret());
-            (f, cs.finish_function(f).unwrap())
-        };
-        let (a, addr_a) = mk(&mut cs, "a", 8);
-        let (_b, _) = mk(&mut cs, "b", 8);
-        cs.free_function(a).unwrap();
-        let before = cs.stats().total_words;
-        // The replacement relocates into a's hole at the exact freed
-        // address — no fresh padding — and the tail rolls back.
-        let (_c, addr_c) = mk(&mut cs, "c", 8);
-        assert_eq!(addr_c, addr_a, "reused range is not re-padded");
-        assert_eq!(cs.stats().total_words, before, "tail must not grow");
-    }
-
-    #[test]
     fn function_at_finds_names() {
         let mut cs = CodeSpace::new();
         let f = cs.begin_function("alpha");
@@ -1096,11 +1002,11 @@ mod tests {
         }
         let since = |cs: &CodeSpace, e| cs.invalidated_since(e).map(|r| r.collect::<Vec<_>>());
         assert_eq!(since(&cs, 0), Some(vec![]), "nothing died yet");
-        // A live patch logs the whole containing function.
+        // A live patch logs the containing function.
         cs.patch(3, Insn::ret());
         cs.free_function(fs[0]).unwrap();
-        assert_eq!(since(&cs, 0), Some(vec![(2, 4), (0, 2)]), "oldest first");
-        assert_eq!(since(&cs, 1), Some(vec![(0, 2)]));
+        assert_eq!(since(&cs, 0), Some(vec![fs[1], fs[0]]), "oldest first");
+        assert_eq!(since(&cs, 1), Some(vec![fs[0]]));
         assert_eq!(since(&cs, 2), Some(vec![]));
         assert!(since(&cs, 3).is_none(), "an epoch from the future");
         // Exactly a ring's worth of bumps behind is still answerable;
@@ -1111,12 +1017,103 @@ mod tests {
         assert_eq!(cs.live_epoch(), INVALIDATION_RING as u64);
         let all = since(&cs, 0).expect("ring exactly full");
         assert_eq!(all.len(), INVALIDATION_RING);
-        assert_eq!(all[0], (2, 4));
+        assert_eq!(all[0], fs[1]);
         cs.free_function(fs[INVALIDATION_RING - 1]).unwrap();
         assert!(since(&cs, 0).is_none(), "wrapped: assume everything died");
         let recent = since(&cs, 1).expect("still covered");
         assert_eq!(recent.len(), INVALIDATION_RING);
-        assert_eq!(recent[0], (0, 2));
+        assert_eq!(recent[0], fs[0]);
+    }
+
+    #[test]
+    fn owner_index_matches_a_scan_of_the_sealed_functions() {
+        // A seeded walk of emits, frees, installs (into a hole or at the
+        // tail) and live patches. After every step each word's function,
+        // as the queries report it, is the one a scan of the sealed
+        // functions finds there, and the invalidation log names exactly
+        // the functions freed or patched.
+        let mut seed = 0x9E37_79B9_7F4A_7C15u64;
+        let mut rand = |n: usize| {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            (seed % n as u64) as usize
+        };
+        let body = |n: usize| {
+            let mut words = vec![Insn::nop().encode(); n - 1];
+            words.push(Insn::ret().encode());
+            words
+        };
+        let mut cs = CodeSpace::new();
+        let mut live: Vec<(FuncHandle, String)> = Vec::new();
+        let mut died = Vec::new();
+        for step in 0..3000 {
+            let name = format!("f{step}");
+            // Frees once 32 functions are live: holes of every size
+            // open between live functions and the tail.
+            match rand(5) {
+                op if op == 0 || live.len() < 32 => {
+                    let f = cs.begin_function(&name);
+                    for word in body(1 + rand(12)) {
+                        cs.push_word(word);
+                    }
+                    let building = cs.span(f).0..cs.next_index();
+                    assert!(building.clone().all(|w| cs.owner(w).is_none()));
+                    cs.finish_function(f).unwrap();
+                    live.push((f, name));
+                }
+                1 => {
+                    let (_, f) = cs
+                        .install_function(&name, &body(1 + rand(12)), rand(64))
+                        .unwrap();
+                    live.push((f, name));
+                }
+                2 => {
+                    let f = live[rand(live.len())].0;
+                    let (start, end) = cs.span(f);
+                    cs.patch(start + rand(end - start), Insn::nop());
+                    died.push(f);
+                }
+                _ => {
+                    let (f, _) = live.swap_remove(rand(live.len()));
+                    cs.free_function(f).unwrap();
+                    died.push(f);
+                }
+            }
+            let mut scan = vec![None; cs.next_index() + 1];
+            for (f, name) in &live {
+                let start = ((cs.addr_of(*f).unwrap() - CODE_BASE) / 4) as usize;
+                let end = start + (cs.size_of(*f).unwrap() / 4) as usize;
+                for slot in &mut scan[start..end] {
+                    assert!(slot.is_none(), "step {step}: live functions overlap");
+                    *slot = Some(((start, end), name.as_str()));
+                }
+            }
+            for (w, found) in scan.iter().enumerate() {
+                let addr = CODE_BASE + 4 * w as u64;
+                assert_eq!(
+                    cs.live_range_containing(w),
+                    found.map(|(range, _)| range),
+                    "step {step}, word {w}"
+                );
+                assert_eq!(cs.function_at(addr), found.map(|(_, name)| name));
+                if w < cs.next_index() {
+                    assert_eq!(cs.fetch_exec(addr).is_ok(), found.is_some());
+                }
+            }
+            let epoch = cs.live_epoch();
+            assert_eq!(epoch, died.len() as u64);
+            for back in [0, 1, 7, INVALIDATION_RING as u64] {
+                let since = epoch.saturating_sub(back);
+                let logged: Vec<_> = cs.invalidated_since(since).unwrap().collect();
+                assert_eq!(logged, died[since as usize..], "step {step}");
+            }
+            if let Some(since) = epoch.checked_sub(INVALIDATION_RING as u64 + 1) {
+                assert!(cs.invalidated_since(since).is_none());
+            }
+        }
+        let stats = cs.stats();
+        assert!(stats.reclaimed_words > stats.total_words && stats.free_words > 0);
     }
 
     #[test]

@@ -117,7 +117,10 @@ impl<H: HostCall> Vm<H> {
     /// Creates a machine over an existing memory image (used by loaders
     /// that have already placed globals).
     pub fn from_parts(code: CodeSpace, mem: Memory, host: H) -> Vm<H> {
-        let trans = TransCache::with_epoch(code.live_epoch());
+        let trans = TransCache {
+            epoch: code.live_epoch(),
+            ..TransCache::default()
+        };
         Vm {
             state: MachineState {
                 regs: [0; 32],
@@ -246,7 +249,10 @@ impl<H: HostCall> Vm<H> {
     ///
     /// # Errors
     ///
-    /// Any [`VmError`] raised during execution.
+    /// [`VmError::StaleCode`] if `addr` is inside a live function but
+    /// not its first word: a host call enters a function only at its
+    /// entry, whichever engine runs it. Otherwise any [`VmError`] raised
+    /// during execution.
     ///
     /// # Panics
     ///
@@ -260,6 +266,13 @@ impl<H: HostCall> Vm<H> {
     ) -> Result<(u64, f64), VmError> {
         assert!(args.len() <= ARG_REGS.len(), "too many integer args");
         assert!(fargs.len() <= FARG_REGS.len(), "too many fp args");
+        let word = addr.checked_sub(CODE_BASE).filter(|b| b.is_multiple_of(4));
+        if let Some(idx) = word.map(|b| (b / 4) as usize) {
+            let code = &self.state.code;
+            if code.owner(idx).is_some_and(|f| code.span(f).0 != idx) {
+                return Err(VmError::StaleCode(addr));
+            }
+        }
         let st = &mut self.state;
         st.set_reg(SP.0, st.mem.stack_top());
         st.set_reg(RA.0, RETURN_SENTINEL);
@@ -824,6 +837,34 @@ mod tests {
         cs.free_function(f).unwrap();
         let mut vm = Vm::new(cs, 1 << 20);
         assert_eq!(vm.call(addr, &[1]), Err(VmError::StaleCode(addr)));
+    }
+
+    #[test]
+    fn calling_into_the_middle_of_a_live_function_faults_stale() {
+        let mut cs = CodeSpace::new();
+        let f = cs.begin_function("f");
+        cs.push(Insn::i(Op::Addiw, A0, A0, 1));
+        cs.push(Insn::ret());
+        let addr = cs.finish_function(f).unwrap();
+        for engine in [
+            ExecEngine::DecodePerStep,
+            ExecEngine::Predecoded { fuse: false },
+            ExecEngine::Predecoded { fuse: true },
+            ExecEngine::Threaded,
+            ExecEngine::default(),
+        ] {
+            let mut vm = Vm::new(cs.clone(), 1 << 20);
+            vm.set_engine(engine);
+            assert_eq!(
+                vm.call(addr + 4, &[1]),
+                Err(VmError::StaleCode(addr + 4)),
+                "{engine:?}"
+            );
+            assert_eq!((vm.cycles(), vm.insns()), (0, 0), "{engine:?}");
+            // A misaligned address is the engines' to refuse.
+            assert_eq!(vm.call(addr + 6, &[1]), Err(VmError::BadPc(addr + 6)));
+            assert_eq!(vm.call(addr, &[1]), Ok(2), "{engine:?}");
+        }
     }
 
     #[test]

@@ -37,12 +37,12 @@
 //! whenever previously-live code stops meaning what it did: a function
 //! is freed (directly or by `tcc-cache` eviction) or a live word is
 //! patched. Every engine revalidates through the one
-//! `TransCache::sync_epoch`, which asks the code space *which* ranges
-//! died since the cache last looked
+//! `TransCache::sync_epoch`, which asks the code space *which*
+//! functions died since the cache last looked
 //! ([`CodeSpace::invalidated_since`](crate::code::CodeSpace::invalidated_since))
-//! and drops exactly those functions' buffers and tier records — an
-//! invalidation costs the words it invalidated, and every other
-//! function keeps its translation, tier and run count. Only a cache
+//! and drops exactly those functions' buffers and tier records — O(1)
+//! per function invalidated, and every other function keeps its
+//! translation, tier and run count. Only a cache
 //! more than
 //! [`INVALIDATION_RING`](crate::code::INVALIDATION_RING) bumps behind
 //! falls back to dropping everything. Stale pcs fall back to the
@@ -56,7 +56,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use crate::adaptive::{AdaptiveStats, FnTier, HubClient, Tier, DEFAULT_THREAD_AFTER, NO_TIER};
-use crate::code::{CodeSpace, CODE_BASE};
+use crate::code::{CodeSpace, FuncHandle, CODE_BASE};
 use crate::cost::CostModel;
 use crate::error::VmError;
 use crate::host::HostCall;
@@ -172,13 +172,11 @@ impl<H> Translation<H> {
 pub(crate) struct TransCache<H> {
     /// The `live_epoch` the cached translations were made under.
     pub(crate) epoch: u64,
-    /// Word index → index into [`TransCache::tier_fns`] for the live
-    /// function covering that word, or [`NO_TIER`] when untracked. A
-    /// dense mirror of the live ranges — the only per-word index — so
-    /// every engine resolves a pc to its function's record (and so to
-    /// its translation) with one array load instead of a range search
-    /// per call/return transition.
-    pub(crate) tier_idx: Vec<u32>,
+    /// Function handle index → index into [`TransCache::tier_fns`], or
+    /// [`NO_TIER`] when untracked: one slot per function, so a pc
+    /// resolves to its record (and so to its translation) through the
+    /// code space's owner index and one load here.
+    pub(crate) tier_of: Vec<u32>,
     /// Per-function state: the translation, and under the adaptive
     /// engine the clock and tier that justified it. Created on first
     /// entry (or first translation) and retired when the function is
@@ -190,7 +188,7 @@ pub(crate) struct TransCache<H> {
     pub(crate) tier_free: Vec<u32>,
     /// Serial the next tier record is stamped with (never `0`, never
     /// reused): what tells a background completion whether the record
-    /// that requested it is still the one at its start word.
+    /// that requested it is still its function's.
     pub(crate) next_serial: u64,
     pub(crate) stats: ExecStats,
     /// Counters specific to the adaptive engine.
@@ -227,7 +225,7 @@ impl<H> Default for TransCache<H> {
     fn default() -> Self {
         TransCache {
             epoch: 0,
-            tier_idx: Vec::new(),
+            tier_of: Vec::new(),
             tier_fns: Vec::new(),
             tier_free: Vec::new(),
             next_serial: 1,
@@ -241,19 +239,12 @@ impl<H> Default for TransCache<H> {
 }
 
 impl<H> TransCache<H> {
-    pub(crate) fn with_epoch(epoch: u64) -> TransCache<H> {
-        TransCache {
-            epoch,
-            ..TransCache::default()
-        }
-    }
-
     /// Drops every cached translation and the adaptive tier state that
     /// justified it (counters are kept). In-flight background
-    /// translations find no record at their start word any more and are
+    /// translations find no record for their function any more and are
     /// discarded on receipt instead of installed.
     pub(crate) fn clear(&mut self) {
-        self.tier_idx.fill(NO_TIER);
+        self.tier_of.clear();
         self.tier_fns.clear();
         self.tier_free.clear();
     }
@@ -272,18 +263,18 @@ impl<H> TransCache<H> {
         true
     }
 
-    /// The epoch moved: drop what died. For each range logged since
-    /// this cache last looked, the function's tier record goes and its
-    /// translation with it — O(words invalidated); everything else
-    /// keeps translation, tier and run count. A cache too far behind
+    /// The epoch moved: drop what died. For each function logged since
+    /// this cache last looked, its tier record goes and its translation
+    /// with it — O(1) each; everything else keeps translation, tier and
+    /// run count. A cache too far behind
     /// for the ring drops everything. Either way the tier levels
     /// actually lost are counted into `demotions`.
     #[cold]
     fn invalidate_since(&mut self, code: &CodeSpace, epoch: u64) {
         match code.invalidated_since(self.epoch) {
-            Some(ranges) => {
-                for (start, end) in ranges {
-                    self.drop_range(start, end);
+            Some(dead) => {
+                for handle in dead {
+                    self.retire(handle);
                 }
             }
             None => {
@@ -297,32 +288,34 @@ impl<H> TransCache<H> {
     }
 
     /// Retires the tier record — and with it the translation — of the
-    /// function that occupied words `[start, end)` when it was freed or
-    /// patched.
-    fn drop_range(&mut self, start: usize, end: usize) {
-        let tracked = end.min(self.tier_idx.len());
-        // A tier record covers exactly the live range it was created
-        // for, and a logged range is exactly one function's, so every
-        // tracked word in the window names the same record.
-        let mut retired = NO_TIER;
-        for slot in &mut self.tier_idx[start.min(tracked)..tracked] {
-            let fi = std::mem::replace(slot, NO_TIER);
-            if fi != NO_TIER && fi != retired {
-                let record = &mut self.tier_fns[fi as usize];
-                debug_assert_eq!((record.start, record.words as usize), (start, end - start));
-                self.astats.demotions += record.levels();
-                record.retire();
-                self.tier_free.push(fi);
-                retired = fi;
-            }
+    /// function `handle`, freed or patched, if it has one.
+    fn retire(&mut self, handle: FuncHandle) {
+        let Some(slot) = self.tier_of.get_mut(handle.index()) else {
+            return;
+        };
+        let fi = std::mem::replace(slot, NO_TIER);
+        if fi != NO_TIER {
+            let record = &mut self.tier_fns[fi as usize];
+            self.astats.demotions += record.levels();
+            record.retire();
+            self.tier_free.push(fi);
         }
     }
 
-    /// Starts tracking the live function `[start, end)`: a fresh record
-    /// under a new serial, in a retired slot when there is one, mirrored
-    /// into `tier_idx` for every word of the range. Returns its index.
-    pub(crate) fn track(&mut self, start: usize, end: usize) -> u32 {
-        let record = FnTier::new(self.next_serial, start, end);
+    /// The tier record of function `handle`, if it is tracked.
+    #[inline]
+    pub(crate) fn record_of(&self, handle: FuncHandle) -> Option<u32> {
+        match self.tier_of.get(handle.index()) {
+            Some(&fi) if fi != NO_TIER => Some(fi),
+            _ => None,
+        }
+    }
+
+    /// Starts tracking the live function `handle` at `[start, end)`: a
+    /// fresh record under a new serial, in a retired slot when there is
+    /// one. Returns its index.
+    pub(crate) fn track(&mut self, handle: FuncHandle, start: usize, end: usize) -> u32 {
+        let record = FnTier::new(self.next_serial, handle, start, end);
         self.next_serial += 1;
         let fi = match self.tier_free.pop() {
             Some(fi) => {
@@ -334,12 +327,11 @@ impl<H> TransCache<H> {
                 u32::try_from(self.tier_fns.len() - 1).expect("fewer than 2^32 tracked functions")
             }
         };
-        if self.tier_idx.len() < end {
-            self.tier_idx.resize(end, NO_TIER);
+        let h = handle.index();
+        if self.tier_of.len() <= h {
+            self.tier_of.resize(h + 1, NO_TIER);
         }
-        for slot in &mut self.tier_idx[start..end] {
-            *slot = fi;
-        }
+        self.tier_of[h] = fi;
         fi
     }
 }
@@ -611,21 +603,23 @@ impl<H: HostCall> Vm<H> {
     }
 
     /// The tier record of the live function containing `pc`, tracking
-    /// the function on first sight: one `tier_idx` load ever after.
+    /// the function on first sight: two loads ever after, the code
+    /// space's owner index and the record slot of the handle it names.
     /// `None` when `pc` is not inside live code (the slow path then
     /// raises the exact reference fault).
     pub(crate) fn record_at(&mut self, pc: u64) -> Option<u32> {
         if pc < CODE_BASE || !pc.is_multiple_of(4) {
             return None;
         }
-        let idx = ((pc - CODE_BASE) / 4) as usize;
-        match self.trans.tier_idx.get(idx) {
-            Some(&fi) if fi != NO_TIER => Some(fi),
-            _ => {
-                let (start, end) = self.state.code.live_range_containing(idx)?;
-                Some(self.trans.track(start, end))
+        let code = &self.state.code;
+        let handle = code.owner(((pc - CODE_BASE) / 4) as usize)?;
+        Some(match self.trans.record_of(handle) {
+            Some(fi) => fi,
+            None => {
+                let (start, end) = code.span(handle);
+                self.trans.track(handle, start, end)
             }
-        }
+        })
     }
 
     /// The form record `fi` dispatches through at `tier`: the record's
@@ -641,7 +635,7 @@ impl<H: HostCall> Vm<H> {
         let decoded = match &record.tr {
             Translation::Decoded(decoded) => Some(Arc::clone(decoded)),
             _ => {
-                let (start, end) = record.range();
+                let (start, end) = self.state.code.span(record.handle);
                 decode(self.state.code.word_slice(start, end), &self.cost).map(Arc::new)
             }
         };

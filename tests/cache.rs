@@ -1,8 +1,7 @@
 //! End-to-end semantics of the dynamic-code lifecycle manager
 //! (`tcc-cache`): compile memoization, code-space reclamation when a
-//! one-session pool's byte budget retires artifacts, stale-code
-//! faulting, and placement jitter — all driven through the public
-//! `Session` API.
+//! one-session pool's byte budget retires artifacts, and stale-code
+//! faulting — all driven through the public `Session` API.
 
 use std::sync::Arc;
 use tickc::tickc_core::{Config, Error, Session, SharedArtifacts};
@@ -189,23 +188,6 @@ fn evicted_code_faults_stale_when_called() {
         "stale pointer should fault cleanly, got: {err}"
     );
     assert_eq!(s.metrics().cache.evictions, shared.metrics().evictions);
-}
-
-#[test]
-fn placement_jitter_is_deterministic_per_seed() {
-    let drive = |seed: Option<u64>| -> Vec<u64> {
-        let mut s = session(Config::default());
-        if let Some(seed) = seed {
-            s.vm.state_mut().code.set_placement_jitter(seed);
-        }
-        (0..4u64).map(|n| s.call("make", &[n]).unwrap()).collect()
-    };
-    // Same seed, same session history: identical layout.
-    assert_eq!(drive(Some(42)), drive(Some(42)));
-    // Different seeds: different padding, so the layouts diverge.
-    assert_ne!(drive(Some(42)), drive(Some(43)));
-    // And jitter shifts code away from the unjittered layout.
-    assert_ne!(drive(Some(42)), drive(None));
 }
 
 /// A `$` operand that indexes memory is evaluated against VM memory at

@@ -943,33 +943,3 @@ fn evicted_code_faults_stale_with_warm_translation_cache() {
         other => panic!("expected StaleCode({fp1:#x}), got {other:?}"),
     }
 }
-
-#[test]
-fn placement_jitter_composes_with_predecoding() {
-    // Same program, jittered code layout: results and modeled cycles
-    // must not depend on where functions land.
-    let sts = vec![St::Loop(4, vec![St::Assign(0, 0, Val::Var(0), Val::Rtc)])];
-    let src = program_for(&sts);
-    let mut base = None;
-    for jitter in [None, Some(7), Some(1234)] {
-        let mut s = Session::new(&src, Config::default()).expect("compiles");
-        if let Some(seed) = jitter {
-            s.vm.state_mut().code.set_placement_jitter(seed);
-        }
-        let fp = s.call("dyn_compile", &[13]).expect("compiles dyn");
-        // Every run dispatches the decoded array, so the predecoded fast
-        // path is exercised regardless of where the code landed.
-        let mut got = 0;
-        for _ in 0..3 {
-            got = s.call("dyn_run", &[fp, 5]).expect("runs");
-        }
-        let cycles = s.cycles();
-        match base {
-            None => base = Some((got, cycles)),
-            Some((g, _c)) => {
-                assert_eq!(got, g, "jitter {jitter:?} changed the result");
-            }
-        }
-        assert!(s.metrics().exec.fast_insns > 0, "predecoded path used");
-    }
-}
