@@ -40,6 +40,8 @@
 //! entries dropped by sync, live/reclaimed bytes, fragmentation, and
 //! nanoseconds saved versus spent answering hits.
 
+#![forbid(unsafe_code)]
+
 use std::collections::HashMap;
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;

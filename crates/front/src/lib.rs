@@ -33,6 +33,8 @@
 //! assert_eq!(prog.ticks[0].captures.len(), 1); // the $x run-time constant
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod ast;
 pub mod error;
 pub mod lexer;

@@ -54,6 +54,8 @@
 //! # }
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod alloc;
 pub mod color;
 pub mod compile;

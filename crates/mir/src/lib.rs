@@ -35,6 +35,8 @@
 //! assert_eq!(vm.call(img.addr_of("add").unwrap(), &[2, 40]).unwrap(), 42);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod linker;
 pub mod lower;
 pub mod opt;

@@ -17,6 +17,8 @@
 //! This crate is a leaf: no dependencies, so every other crate in the
 //! workspace can report into it.
 
+#![forbid(unsafe_code)]
+
 pub mod json;
 
 use json::Json;

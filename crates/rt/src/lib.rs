@@ -15,6 +15,8 @@
 //! * [`hcalls`] — the host-call numbering shared by the static back ends
 //!   (which emit `hcall`) and the `tcc` runtime (which handles them).
 
+#![forbid(unsafe_code)]
+
 pub mod arena;
 pub mod closure;
 pub mod hcalls;

@@ -25,6 +25,8 @@
 //! recompiles and exercising the cross-thread stale-code path
 //! (`VmError::StaleCode`, retried by the worker — never stale bytes).
 
+#![forbid(unsafe_code)]
+
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;

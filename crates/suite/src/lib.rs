@@ -17,6 +17,8 @@
 //! `figure7`, `blur`, `sensitivity`, `ablations`, `smoke`, `cache`,
 //! `adaptive` — the binary's usage line says which flags each takes.
 
+#![forbid(unsafe_code)]
+
 pub mod ablations;
 pub mod adaptive_bench;
 pub mod cache_bench;

@@ -52,8 +52,9 @@ pub struct Config {
     /// Dynamic back end (VCODE vs ICODE×allocator).
     pub backend: Backend,
     /// Data memory size in bytes. This is the VM's address space, not
-    /// resident memory: the session allocates it zeroed and owns the one
-    /// copy, so the host pays only for the pages the program touches.
+    /// resident memory: the session owns one zeroed memory, on Linux an
+    /// anonymous mapping the kernel backs on first write, so the host
+    /// pays only for the pages the program touches.
     pub mem_size: usize,
     /// Cycle cost model.
     pub cost: CostModel,

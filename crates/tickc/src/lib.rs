@@ -36,6 +36,8 @@
 //! assert_eq!(s.call("nine", &[]).unwrap(), 9);
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod addr_map;
 pub mod api;
 pub mod dyncomp;

@@ -51,6 +51,8 @@
 //! # }
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod asm;
 pub mod func;
 pub mod ops;

@@ -29,7 +29,15 @@ pub enum ExitStatus {
 
 /// Registers, memory, code and counters — everything a [`HostCall`]
 /// handler may touch.
+///
+/// The layout is pinned: every engine touches the register files and the
+/// memory's base and length on nearly every instruction, so they open the
+/// struct on a cache-line boundary — the integer registers in lines 0–3,
+/// the floating point ones in 4–5, the memory and the counters in 6 — and
+/// no change to the size of a colder member moves them
+/// (`interp.rs::the_hot_state_layout_is_pinned`).
 #[derive(Clone, Debug)]
+#[repr(C, align(64))]
 pub struct MachineState {
     /// Integer register file. Index 0 reads as zero (enforced on write).
     pub regs: [u64; 32],
@@ -37,14 +45,14 @@ pub struct MachineState {
     pub fregs: [f64; 16],
     /// Data memory.
     pub mem: Memory,
-    /// Code space (host calls may append functions — `compile` does).
-    pub code: CodeSpace,
     /// Cycles consumed since the last counter reset.
     pub cycles: u64,
     /// Instructions executed since the last counter reset.
     pub insns: u64,
     /// Host-call traps taken since the last counter reset.
     pub hcalls: u64,
+    /// Code space (host calls may append functions — `compile` does).
+    pub code: CodeSpace,
 }
 
 impl MachineState {
@@ -642,6 +650,21 @@ pub(crate) enum Step {
 mod tests {
     use super::*;
     use crate::regs::{A0, A1, AT0, ZERO};
+    use std::mem::{align_of, offset_of, size_of};
+
+    #[test]
+    fn the_hot_state_layout_is_pinned() {
+        assert_eq!(align_of::<MachineState>(), 64);
+        assert_eq!(size_of::<MachineState>() % 64, 0);
+        assert_eq!(offset_of!(MachineState, regs), 0);
+        assert_eq!(offset_of!(MachineState, fregs), 256);
+        assert_eq!(offset_of!(MachineState, mem), 384);
+        // The memory's base, length and break and the three counters
+        // share cache line 6; the code space starts in it.
+        assert_eq!(offset_of!(MachineState, cycles), 384 + size_of::<Memory>());
+        assert!(offset_of!(MachineState, hcalls) + 8 <= 448);
+        assert_eq!(align_of::<Vm>() % 64, 0);
+    }
 
     fn run1(insns: &[Insn], args: &[u64]) -> Result<u64, VmError> {
         let mut cs = CodeSpace::new();

@@ -50,6 +50,9 @@
 //! # }
 //! ```
 
+#![deny(unsafe_code)]
+#![warn(clippy::undocumented_unsafe_blocks)]
+
 pub mod adaptive;
 pub mod code;
 pub mod cost;

@@ -3,6 +3,8 @@
 //! See `DESIGN.md` for the system inventory and `EXPERIMENTS.md` for the
 //! paper-vs-measured record.
 
+#![forbid(unsafe_code)]
+
 pub use tcc as tickc_core;
 pub use tcc_cache as cache;
 pub use tcc_front as front;
