@@ -478,8 +478,7 @@ pub struct ExecMetrics {
     /// Code-space epoch changes observed (free / live patch /
     /// eviction): one per revalidation that found the epoch moved,
     /// however many bumps it had moved by. Each drops the translations
-    /// of the ranges that died in between — the whole cache only when
-    /// the invalidation ring had wrapped.
+    /// of the functions freed or patched in between.
     pub invalidations: u64,
     /// Scalar runs fuel-charged in one batch by the threaded engine.
     pub batched_blocks: u64,
@@ -602,8 +601,7 @@ pub struct AdaptiveMetrics {
     /// `>= demotions` — a level can only be lost after it was gained.
     pub promotions: u64,
     /// Tier levels actually lost, cumulative: one per tier-2 function
-    /// that was itself freed or patched (or, after an
-    /// invalidation-ring wrap, per tier-2 function).
+    /// that was itself freed or patched.
     pub demotions: u64,
     /// Wall-clock nanoseconds spent building translations, under the
     /// adaptive engine only: first-entry decodes and threaded forms.

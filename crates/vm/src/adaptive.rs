@@ -20,10 +20,10 @@
 //!               at the dispatcher's safepoint   left to count for)
 //!                  ▲                               │
 //!                  └───────────────────────────────┘
-//!      the function itself freed or patched (its handle is in the code
-//!      space's invalidation log): its record is retired, translation +
-//!      clock dropped; if the words are still (or again) live code, the
-//!      next entry decodes them afresh and starts over at tier 1
+//!      the function itself freed or patched (its slot's version moved):
+//!      its record is retired, translation + clock dropped; if the words
+//!      are still (or again) live code, the next entry decodes them
+//!      afresh and starts over at tier 1
 //! ```
 //!
 //! There is no interpreter tier. The run loop single-steps the
@@ -65,20 +65,18 @@
 //!
 //! # Invalidation
 //!
-//! Tier state lives in the `TransCache`, each record owning the
-//! translation it justified, and is revalidated (`TransCache::sync_epoch`, shared with
-//! the fixed engines) against [`CodeSpace::live_epoch`] on every
-//! outer-loop iteration, hence after every host call. An invalidation
-//! costs what it invalidated: for each function the code space logged
-//! since the last look — one freed directly or by `tcc-cache`
-//! eviction, or the one around a patched live word — its tier record,
-//! found through its handle, is retired and its translation dropped
-//! with it (a lost tier 2 counted into `demotions`); every other
-//! function keeps its translation, tier and run count. Only a cache
-//! more than [`INVALIDATION_RING`](crate::code::INVALIDATION_RING)
-//! bumps behind drops everything. The run loop forgets its memoized
+//! Tier state lives in the `TransCache`, one record per code-space slot,
+//! each owning the translation it justified, and is revalidated
+//! (`TransCache::sync_epoch`, shared with the fixed engines) against
+//! [`CodeSpace::live_epoch`] on every outer-loop iteration, hence after
+//! every host call. When the epoch has moved, the cache sweeps its
+//! records: each whose slot version changed since it was made — the
+//! function freed directly or by `tcc-cache` eviction, or a live word of
+//! it patched — is retired and its translation dropped with it (a lost
+//! tier 2 counted into `demotions`); every other function keeps its
+//! translation, tier and run count. The run loop forgets its memoized
 //! functions on any epoch change and re-resolves the current pc — the
-//! owner index, then the handle's record slot, for a survivor — so
+//! owner index, then the record in that slot, for a survivor — so
 //! stale pcs fault [`VmError::StaleCode`] /
 //! [`VmError::BadPc`] from the exact same reference path as every
 //! other engine.
@@ -91,9 +89,8 @@
 //! first entry needs is still built inline: it is what the function
 //! runs from, and it is the cheaper build. A 1→2 promotion submits a
 //! translation request (the record's decoded array — an `Arc`, not a
-//! copy — the function's handle and the serial of the tier record
-//! asking) to the one
-//! background service there is, a [`TransHub`]: the hub the VM was
+//! copy — and the slot and version of the tier record asking) to the
+//! one background service there is, a [`TransHub`]: the hub the VM was
 //! subscribed to ([`Vm::set_translation_hub`](crate::interp::Vm), one
 //! thread for a whole pool), or failing that a private one, spawned
 //! lazily and owned by the translation cache. The hub adds the handler
@@ -101,17 +98,18 @@
 //! finished translations are drained at function-entry points and at
 //! the running function's clock ticks (so a loop granted tier 2 mid-run
 //! finishes the run on it) and swapped in — or **discarded** unless the
-//! record that requested the build is still its function's live
-//! record. That per-function check is sufficient: a record is
-//! retired by exactly the events that make its array wrong (the
-//! function freed or patched, or the whole cache cleared), serials are
-//! never reused, and a *new* function sealed into the same words has a
-//! new handle and gets a new record — so a translation of freed, patched
-//! or re-used words is never installed, while a free elsewhere in the
-//! session no longer discards every build in flight. Discarding rather
-//! than installing keeps free/patch/eviction semantics and `StaleCode`
-//! faulting bit-identical to the synchronous engines; the differential
-//! harness sweeps the background variants too.
+//! slot's record still stands for the version the request was made at
+//! and still holds the array the build extends. That per-function check
+//! is sufficient: a version changes on exactly the events that make the
+//! array wrong (the function freed or patched), a *new* function sealed
+//! into the same slot comes under the next generation and so another
+//! version, and a cache cleared under a new cost model rebuilds the
+//! record's array — so a translation of freed, patched or re-used code
+//! is never installed, while a free elsewhere in the session discards
+//! no build in flight. Discarding rather than installing keeps
+//! free/patch/eviction semantics and `StaleCode` faulting bit-identical
+//! to the synchronous engines; the differential harness sweeps the
+//! background variants too.
 //!
 //! [`ExecEngine::DecodePerStep`]: crate::predecode::ExecEngine::DecodePerStep
 //! [`ExecEngine::Adaptive`]: crate::predecode::ExecEngine::Adaptive
@@ -122,11 +120,12 @@ use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
-use crate::code::{FuncHandle, CODE_BASE};
+use crate::code::CODE_BASE;
 use crate::error::VmError;
 use crate::host::HostCall;
 use crate::interp::{ExitStatus, Step, Vm, RETURN_SENTINEL};
-use crate::predecode::{form_over, Decoded, Translation};
+use crate::predecode::{Decoded, Translation};
+use crate::threaded::{thread, ThreadedFn};
 
 /// Counters for the adaptive engine: where entries landed and where
 /// instructions ran, how functions moved between tiers, and what
@@ -148,12 +147,6 @@ pub enum Tier {
     Threaded = 2,
 }
 
-/// Sentinel in [`TransCache::tier_of`]: the function has no tier
-/// record yet.
-///
-/// [`TransCache::tier_of`]: crate::predecode::TransCache::tier_of
-pub(crate) const NO_TIER: u32 = u32::MAX;
-
 /// Backward transfers taken inside a function below the top tier that
 /// count as one extra completed run (`64`): a loop-heavy function
 /// proves its heat in loop iterations long before its entry count does,
@@ -165,16 +158,16 @@ pub(crate) const NO_TIER: u32 = u32::MAX;
 pub(crate) const BACKEDGES_PER_RUN_BITS: u32 = 6;
 
 /// Per-function state, found from any word of the function's live
-/// range through its handle: the translation the function currently
-/// dispatches through and, under the adaptive engine, the clock and
-/// tier that justified it. The fixed engines create records too (through
-/// the same `TransCache::track`) and use only `tr`.
+/// range through its code-space slot: the translation the function
+/// currently dispatches through and, under the adaptive engine, the
+/// clock and tier that justified it. The fixed engines create records
+/// too (through the same `TransCache::track`) and use only `tr`.
 pub(crate) struct FnTier<H> {
-    /// Identity of this record among every record the cache ever
-    /// created; `0` marks a retired slot awaiting reuse.
-    pub(crate) serial: u64,
-    /// The function this record stands for.
-    pub(crate) handle: FuncHandle,
+    /// The slot's version ([`CodeSpace::version`]) when the record was
+    /// made: the code it stands for. `0` marks a retired record.
+    ///
+    /// [`CodeSpace::version`]: crate::code::CodeSpace::version
+    pub(crate) version: u64,
     /// Start word of the function's live range.
     pub(crate) start: usize,
     /// Entries of control into this function's range. Monotone until
@@ -243,31 +236,25 @@ impl<H> FnTier<H> {
         CODE_BASE + (self.start as u64) * 4
     }
 
-    /// A fresh record for the live function `handle` at `[start, end)`:
-    /// tier 1, nothing translated yet.
-    pub(crate) fn new(serial: u64, handle: FuncHandle, start: usize, end: usize) -> FnTier<H> {
+    /// One past the function's last word.
+    #[inline]
+    pub(crate) fn end(&self) -> usize {
+        self.start + self.words as usize
+    }
+
+    /// A fresh record for code of `version` at `[start, start + words)`:
+    /// tier 1, nothing translated yet. Version 0 is a retired record.
+    pub(crate) fn new(version: u64, start: usize, words: usize) -> FnTier<H> {
         FnTier {
-            serial,
-            handle,
+            version,
             start,
             runs: 0,
             backedges: 0,
             tier: Tier::Fused,
-            words: (end - start) as u32,
+            words: words as u32,
             pending: false,
             tr: Translation::None,
         }
-    }
-
-    /// Marks the slot retired: it holds no levels and no translation,
-    /// its clock reads zero, and it matches no in-flight translation's
-    /// serial.
-    pub(crate) fn retire(&mut self) {
-        self.serial = 0;
-        self.tier = Tier::Fused;
-        self.runs = 0;
-        self.backedges = 0;
-        self.tr = Translation::None;
     }
 }
 
@@ -275,15 +262,14 @@ impl<H> FnTier<H> {
 /// needs, captured at enqueue time so the hub thread never touches VM
 /// state. Host-independent — only the response is typed over `H`.
 pub(crate) struct TransRequest {
-    /// The function: where the completion looks for the record that
-    /// asked.
-    handle: FuncHandle,
+    /// The requesting record's slot and [`FnTier::version`]: the
+    /// response is discarded unless the slot's record still stands for
+    /// that version.
+    slot: u32,
+    version: u64,
     /// The decoded array the record holds: the hub adds the handler
     /// column over the shared allocation.
     decoded: Arc<Decoded>,
-    /// [`FnTier::serial`] of the requesting record; the response is
-    /// discarded unless that record is still `handle`'s.
-    serial: u64,
     /// Enqueue timestamp, for [`AdaptiveStats::swap_latency_ns`].
     enqueued: Instant,
 }
@@ -291,30 +277,26 @@ pub(crate) struct TransRequest {
 /// A finished background translation, stamped with the validity context
 /// it was built under.
 pub(crate) struct TransDone<H> {
-    handle: FuncHandle,
-    serial: u64,
+    slot: u32,
+    version: u64,
     /// Wall-clock build time on the hub thread (goes into
     /// [`AdaptiveStats::translation_ns`] when installed).
     build_ns: u64,
     enqueued: Instant,
     /// The threaded form itself.
-    payload: Translation<H>,
-    /// Superinstruction groups the build compiled, for the install to
-    /// count.
-    groups: Vec<u32>,
+    payload: Arc<ThreadedFn<H>>,
 }
 
 /// Builds the threaded form a request asks for, timing the build.
 fn build_translation<H: HostCall>(req: TransRequest) -> TransDone<H> {
     let t0 = Instant::now();
-    let (payload, groups) = form_over(Some(req.decoded), Tier::Threaded);
+    let payload = Arc::new(thread(&req.decoded));
     TransDone {
-        handle: req.handle,
-        serial: req.serial,
+        slot: req.slot,
+        version: req.version,
         build_ns: t0.elapsed().as_nanos() as u64,
         enqueued: req.enqueued,
         payload,
-        groups,
     }
 }
 
@@ -716,9 +698,9 @@ impl<H: HostCall> Vm<H> {
     /// Submits the threaded build of tier record `fi` to the background
     /// service (spawning a private hub on first use when the VM was
     /// handed none), carrying the decoded array the record holds and
-    /// the record's serial, which must still be its function's for the
-    /// result to be installed. A build already in flight for
-    /// the record is not duplicated.
+    /// the record's slot and version, which the slot's record must
+    /// still stand for when the result comes back. A build already in
+    /// flight for the record is not duplicated.
     fn enqueue_translation(&mut self, fi: u32) {
         let entry = &mut self.trans.tier_fns[fi as usize];
         let Translation::Decoded(decoded) = &entry.tr else {
@@ -728,9 +710,9 @@ impl<H: HostCall> Vm<H> {
             return;
         }
         let req = TransRequest {
-            handle: entry.handle,
+            slot: fi,
+            version: entry.version,
             decoded: Arc::clone(decoded),
-            serial: entry.serial,
             enqueued: Instant::now(),
         };
         entry.pending = true;
@@ -754,7 +736,7 @@ impl<H: HostCall> Vm<H> {
     /// Subscribes this VM to a shared [`TransHub`]: every later
     /// background promotion is built on that hub's thread instead of a
     /// private one, and completions come back on a channel created
-    /// here. Install semantics (the per-function serial check,
+    /// here. Install semantics (the per-function version check,
     /// discard-on-stale) are unchanged.
     pub fn set_translation_hub(&mut self, hub: TransHub<H>) {
         self.trans.hub = Some(HubClient::new(hub));
@@ -801,16 +783,21 @@ impl<H: HostCall> Vm<H> {
 
     /// Swap-or-discard: the receive side of the async pipeline. A
     /// result is installed — exactly as an inline build would have been
-    /// — iff the tier record that requested it is still its function's
-    /// live record. Otherwise the function was freed or patched since
-    /// (or the cache was cleared) and the array no longer describes the
-    /// code the record stood for: discarded, the demotion-safe path.
+    /// — iff its slot's record still stands for the version the request
+    /// was made at and still holds the array the build extends.
+    /// Otherwise the function was freed or patched since, or its slot
+    /// reused, or the cache was cleared (under a new cost model, say):
+    /// discarded, the demotion-safe path.
     fn install_translation(&mut self, done: TransDone<H>) {
         debug_assert_eq!(self.trans.epoch, self.state.code.live_epoch());
+        let current = |record: &FnTier<H>| {
+            record.version == done.version
+                && matches!(&record.tr, Translation::Decoded(d) if Arc::ptr_eq(d, &done.payload.decoded))
+        };
         let Some(fi) = self
             .trans
-            .record_of(done.handle)
-            .filter(|&fi| self.trans.tier_fns[fi as usize].serial == done.serial)
+            .record_of(&self.state.code, done.slot as usize)
+            .filter(|&fi| current(&self.trans.tier_fns[fi as usize]))
         else {
             self.trans.astats.discarded_stale += 1;
             return;
@@ -818,7 +805,7 @@ impl<H: HostCall> Vm<H> {
         let entry = &mut self.trans.tier_fns[fi as usize];
         entry.pending = false;
         let words = u64::from(entry.words);
-        if !self.install(fi, done.payload, &done.groups) {
+        if !self.install(fi, Translation::Threaded(done.payload)) {
             return;
         }
         let astats = &mut self.trans.astats;
@@ -848,16 +835,9 @@ impl<H: HostCall> Vm<H> {
         }
         let code = &self.state.code;
         let handle = code.owner(((addr - CODE_BASE) / 4) as usize)?;
-        // Bumps the cache has not observed yet: a record of a function
-        // they invalidated is due for retirement — report untracked
-        // rather than stale state.
-        if code
-            .invalidated_since(self.trans.epoch)
-            .is_none_or(|mut dead| dead.any(|d| d == handle))
-        {
-            return None;
-        }
-        let fi = self.trans.record_of(handle)?;
+        // A record whose code was freed or patched since is due for
+        // retirement: `record_of` reports it untracked, not stale.
+        let fi = self.trans.record_of(code, handle.slot())?;
         // A record the fixed engines created has never been entered.
         let t = &self.trans.tier_fns[fi as usize];
         (t.runs > 0).then_some((t.tier, t.runs))
@@ -1171,7 +1151,8 @@ mod tests {
     /// Index of the tier record of the live function at `addr`.
     fn record_at(vm: &Vm<crate::host::NoHost>, addr: u64) -> usize {
         let handle = vm.state.code.owner(((addr - CODE_BASE) / 4) as usize);
-        vm.trans.record_of(handle.expect("live")).expect("tracked") as usize
+        let slot = handle.expect("live").slot();
+        vm.trans.record_of(&vm.state.code, slot).expect("tracked") as usize
     }
 
     fn engine_vm(cs: CodeSpace, engine: ExecEngine) -> Vm<crate::host::NoHost> {
@@ -1268,29 +1249,37 @@ mod tests {
 
     #[test]
     fn epoch_bump_churn_reuses_retired_tier_records() {
-        // Free-and-replace b a thousand times: one record slot serves
-        // every incarnation, each under a fresh serial.
+        // Free-and-replace b a thousand times: b's slot, and so one
+        // record, serves every incarnation, each under a new version.
         let (cs, (a, _), (b, mut fb)) = two_functions();
         let mut vm = engine_vm(cs, SYNC);
         vm.call(a, &[3]).unwrap();
+        let mut versions = Vec::new();
         for round in 0..1000 {
             assert_eq!(vm.call(b, &[3]).unwrap(), 7 + (round & 1));
+            versions.push(vm.trans.tier_fns[record_at(&vm, b)].version);
             let code = &mut vm.state_mut().code;
             code.free_function(fb).unwrap();
+            let slot = fb.slot();
             fb = code.begin_function("b");
+            assert_eq!(fb.slot(), slot, "the freed slot is reused");
             push_sum_plus(code, 2 - (round & 1) as i32);
             assert_eq!(code.finish_function(fb).unwrap(), b, "same words");
         }
         assert_eq!(vm.trans.tier_fns.len(), 2, "a's record and b's slot");
-        assert_eq!(vm.trans.next_serial, 1 + 1 + 1000);
+        assert!(
+            versions.windows(2).all(|w| w[0] < w[1]),
+            "a new version each"
+        );
     }
 
     #[test]
-    fn epoch_bump_storm_past_the_ring_falls_back_to_a_full_clear() {
-        use crate::code::INVALIDATION_RING;
+    fn epoch_bump_storm_keeps_the_survivors_tier() {
+        // 65 frees between two syncs: the sweep retires exactly the
+        // records of the freed functions, however many there are.
         let (mut cs, a, _) = loop_code();
         let mut small = Vec::new();
-        for i in 0..=INVALIDATION_RING {
+        for i in 0..65 {
             let f = cs.begin_function(&format!("s{i}"));
             cs.push(Insn::ret());
             small.push((cs.finish_function(f).unwrap(), f));
@@ -1300,41 +1289,17 @@ mod tests {
             vm.call(a, &[3]).unwrap();
         }
         vm.call(small[0].0, &[]).unwrap();
-        // One more free than the ring holds, all between two syncs.
         for &(_, f) in &small {
             vm.state_mut().code.free_function(f).unwrap();
         }
-        assert_eq!(vm.adaptive_tier(a), None, "too far behind to tell");
-        assert_eq!(vm.call(a, &[3]).unwrap(), 6, "still correct");
-        assert_eq!(
-            vm.adaptive_tier(a),
-            Some((Tier::Fused, 1)),
-            "the fallback demotes everything"
-        );
-        assert_eq!(vm.adaptive_stats().demotions, 1, "a's level");
+        assert_eq!(vm.adaptive_tier(a), Some((Tier::Threaded, 4)));
+        assert_eq!(vm.call(a, &[3]).unwrap(), 6);
+        assert_eq!(vm.adaptive_tier(a), Some((Tier::Threaded, 5)), "kept");
+        assert_eq!(vm.adaptive_stats().demotions, 0, "s0 was at tier 1");
         assert_eq!(vm.exec_stats().invalidations, 1);
         for &(addr, _) in &small {
             assert_eq!(vm.call(addr, &[]), Err(VmError::StaleCode(addr)));
         }
-        // Exactly a ring's worth is still scoped.
-        let (mut cs, a, _) = loop_code();
-        let fs: Vec<_> = (0..INVALIDATION_RING)
-            .map(|i| {
-                let f = cs.begin_function(&format!("s{i}"));
-                cs.push(Insn::ret());
-                cs.finish_function(f).unwrap();
-                f
-            })
-            .collect();
-        let mut vm = engine_vm(cs, SYNC);
-        for _ in 0..4 {
-            vm.call(a, &[3]).unwrap();
-        }
-        for f in fs {
-            vm.state_mut().code.free_function(f).unwrap();
-        }
-        assert_eq!(vm.call(a, &[3]).unwrap(), 6);
-        assert_eq!(vm.adaptive_tier(a), Some((Tier::Threaded, 5)));
     }
 
     #[test]
@@ -1393,7 +1358,7 @@ mod tests {
     }
 
     #[test]
-    fn background_build_of_reused_words_is_discarded() {
+    fn background_build_of_a_reused_slot_is_discarded() {
         let (cs, (a, _), (b, fb)) = two_functions();
         let mut vm = engine_vm(cs, ASYNC);
         assert_eq!(vm.call(a, &[3]).unwrap(), 6);
@@ -1402,21 +1367,22 @@ mod tests {
         assert_eq!(vm.trans.pending, 1, "b's tier-2 build is in flight");
         let start = ((b - CODE_BASE) / 4) as usize;
         let stale = TransRequest {
-            handle: fb,
+            slot: fb.slot() as u32,
+            version: vm.trans.tier_fns[record_at(&vm, b)].version,
             decoded: Arc::new(
                 decode(vm.state.code.word_slice(start, start + 7), &vm.cost).unwrap(),
             ),
-            serial: vm.trans.tier_fns[record_at(&vm, b)].serial,
             enqueued: Instant::now(),
         };
-        // Free b and seal a different function into the same words
-        // before the completion is received.
+        // Free b and seal a different function into the same slot and
+        // words before the completion is received.
         let code = &mut vm.state_mut().code;
         code.free_function(fb).unwrap();
         let fc = code.begin_function("c");
         push_sum_plus(code, 2);
         assert_eq!(code.finish_function(fc).unwrap(), b, "same words");
-        // c earns its own record (and its own build) at b's start word.
+        assert_eq!(fc.slot(), fb.slot(), "same slot");
+        // c earns its own record (and its own build) in b's slot.
         assert_eq!(vm.call(b, &[3]).unwrap(), 8);
         assert_eq!(vm.call(b, &[3]).unwrap(), 8);
         vm.drain_background_translations();
@@ -1425,12 +1391,37 @@ mod tests {
         assert_eq!(s.async_translations, 1, "c's build was installed");
         assert_eq!(vm.call(b, &[3]).unwrap(), 8, "c's code, not b's buffer");
         // Whenever b's completion turns up, c's record does not vouch
-        // for it: same start word, same epoch even, different function.
+        // for it: same slot, same start word, same epoch even, another
+        // version.
         let late = build_translation::<crate::host::NoHost>(stale);
         vm.install_translation(late);
         assert_eq!(vm.adaptive_stats().discarded_stale, 2);
         assert_eq!(vm.call(b, &[3]).unwrap(), 8);
         assert_eq!(vm.call(a, &[3]).unwrap(), 6);
+    }
+
+    #[test]
+    fn background_build_from_before_a_cost_model_change_is_discarded() {
+        // Same slot, same version, but the record was rebuilt under a
+        // new cost model: the build over the old array must not land.
+        let (mut vm, addr, _) = adaptive_vm(1, true);
+        vm.call(addr, &[3]).unwrap();
+        vm.call(addr, &[3]).unwrap();
+        assert_eq!(vm.trans.pending, 1, "the tier-2 build is in flight");
+        let mut cost = crate::cost::CostModel::default();
+        cost.branch_taken_extra += 1;
+        vm.set_cost_model(cost);
+        vm.call(addr, &[3]).unwrap();
+        vm.call(addr, &[3]).unwrap();
+        vm.drain_background_translations();
+        let s = vm.adaptive_stats();
+        assert_eq!((s.discarded_stale, s.async_translations), (1, 1), "{s:?}");
+        let fi = record_at(&vm, addr);
+        let Translation::Threaded(threaded) = &vm.trans.tier_fns[fi].tr else {
+            panic!("the second build landed");
+        };
+        let taken = u64::from(threaded.decoded.slots[1].taken_cost());
+        assert_eq!(taken, vm.cost_model().cost(Op::Beq) + 2, "the new model's");
     }
 
     #[test]

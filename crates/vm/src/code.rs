@@ -9,10 +9,18 @@
 //! the full *lifecycle* of dynamic code (the substrate of the `tcc-cache`
 //! subsystem):
 //!
-//! * every function is `Building` → `Sealed` → (optionally) `Freed`;
+//! * every function is `Building` → `Sealed` → (optionally) freed;
 //!   sealing twice, taking the address of an unsealed or freed function,
 //!   and freeing an unsealed function are [`VmError::CodeLifecycle`]
 //!   faults instead of silent stale-pointer sources;
+//! * a [`FuncHandle`] names a registry slot and the slot's generation.
+//!   Freeing a function (or abandoning an install) releases its slot
+//!   under the next generation, and a later
+//!   [`CodeSpace::begin_function`] reuses it, so the registry holds no
+//!   more slots than functions were ever alive at once. Every method
+//!   that takes a handle refuses one whose generation is not its
+//!   slot's with [`VmError::CodeLifecycle`], and never acts on the
+//!   slot's new occupant;
 //! * [`CodeSpace::free_function`] returns a sealed function's words to a
 //!   sorted, coalescing free list; a later [`CodeSpace::finish_function`]
 //!   relocates the just-emitted function into the first fitting hole
@@ -26,18 +34,18 @@
 //!   fragmentation ratio, which the cache layer mirrors into
 //!   `SessionMetrics`.
 //!
-//! # Invalidation log
+//! # Versions
 //!
 //! [`CodeSpace::live_epoch`] says *that* previously-live code stopped
-//! meaning what it did; the invalidation ring next to it says *what*.
-//! Every bump logs one [`FuncHandle`] — the freed function's, or the
-//! live function containing a patched word — into a ring of
-//! [`INVALIDATION_RING`] entries, and [`CodeSpace::invalidated_since`]
-//! replays the handles logged after a given epoch, so a consumer caching
-//! decoded forms of live code (the translation cache, which keys its
-//! records by handle) drops exactly the functions that died. A consumer
-//! more than `INVALIDATION_RING` bumps behind gets `None` and must
-//! drop everything, which is always safe.
+//! meaning what it did; each slot's version says *which*. A slot's
+//! version is its generation plus a count of live patches to its
+//! function, so freeing a function or patching one of its sealed words
+//! changes exactly that slot's version. A consumer caching decoded
+//! forms of live code (the translation cache, which keeps one record
+//! per slot) stamps each record with the version it was built from and,
+//! when the epoch moves, drops the records whose slot version changed.
+//! A patch leaves the handle valid: the function is still the one
+//! `tcc-cache` holds, only its words moved on.
 //!
 //! # The owner index
 //!
@@ -56,53 +64,46 @@ use crate::isa::{Insn, Op};
 /// Base address of the code space; all code addresses have this bit set.
 pub const CODE_BASE: u64 = 0x8000_0000;
 
-/// Entries in the invalidation ring: how many live-epoch bumps a
-/// consumer may fall behind and still learn exactly which ranges died
-/// ([`CodeSpace::invalidated_since`]). A constant, not a knob: a busy
-/// serve session sees a handful of frees between two executions, and
-/// falling further behind only costs the old whole-cache drop.
-pub const INVALIDATION_RING: usize = 64;
-
 /// Signed 24-bit jump displacement range (word offsets), the reach of a
 /// relocated `j`/`jal`.
 const IMM24_MIN: i64 = -(1 << 23);
 const IMM24_MAX: i64 = (1 << 23) - 1;
 
-/// Handle to a function under construction, returned by
-/// [`CodeSpace::begin_function`].
+/// Handle to a function, returned by [`CodeSpace::begin_function`]: its
+/// registry slot and the slot's generation when the function was begun.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct FuncHandle(usize);
+pub struct FuncHandle {
+    slot: u32,
+    gen: u32,
+}
 
 impl FuncHandle {
-    /// The function's index in its space's registry: dense from 0, never
-    /// reused for another sealed function (what per-function side
-    /// tables are indexed by).
+    /// The function's registry slot: dense from 0, reused once the
+    /// function is freed (what per-function side tables are indexed by).
     #[inline]
-    pub(crate) fn index(self) -> usize {
-        self.0
+    pub(crate) fn slot(self) -> usize {
+        self.slot as usize
     }
 }
 
 /// [`CodeSpace::owner`]'s entry for a word no live function covers.
 const NO_OWNER: u32 = u32::MAX;
 
-/// Where a function is in its lifecycle.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum FuncState {
-    /// Between `begin_function` and `finish_function`.
-    Building,
-    /// Sealed: callable, words are live.
-    Sealed,
-    /// Freed: words returned to the free list; the handle is dead.
-    Freed,
-}
-
+/// One registry slot: the function that holds it now. A released slot
+/// keeps its last occupant's fields until reused, but its generation has
+/// moved past every handle to it.
 #[derive(Clone, Debug)]
 struct FuncInfo {
     name: String,
     start_word: usize,
     end_word: usize,
-    state: FuncState,
+    /// Between `begin_function` and `finish_function` this is `false`.
+    sealed: bool,
+    /// The generation a current handle to this slot carries. Starts at
+    /// 1, so a version is never 0.
+    gen: u32,
+    /// Live patches to the occupant's sealed words (wrapping).
+    patches: u32,
 }
 
 /// Occupancy accounting for a [`CodeSpace`] (the raw material of the
@@ -138,12 +139,14 @@ impl CodeStats {
 #[derive(Clone, Debug, Default)]
 pub struct CodeSpace {
     words: Vec<u32>,
-    /// Parallel to `words`: the index into `funcs` of the live sealed
+    /// Parallel to `words`: the slot in `funcs` of the live sealed
     /// function covering the word, or [`NO_OWNER`]. The one index behind
     /// every address → live function query, checked on every executed
     /// fetch ([`CodeSpace::fetch_exec`]).
     owner: Vec<u32>,
     funcs: Vec<FuncInfo>,
+    /// Released slots of `funcs`, reused last-in first-out.
+    free_slots: Vec<u32>,
     /// Sorted, coalesced `(start_word, len)` ranges available for reuse.
     free: Vec<(usize, usize)>,
     live_words: usize,
@@ -153,10 +156,6 @@ pub struct CodeSpace {
     /// cache decoded forms of live code (the predecoded execution
     /// engine) revalidate against this before trusting their caches.
     live_epoch: u64,
-    /// The function each of the last [`INVALIDATION_RING`] bumps
-    /// invalidated, by handle index: the bump that moved the epoch from
-    /// `e` to `e + 1` sits at `e % INVALIDATION_RING`.
-    invalidated: Vec<u32>,
 }
 
 impl CodeSpace {
@@ -166,17 +165,72 @@ impl CodeSpace {
     }
 
     /// Starts a new function named `name` (for disassembly and
-    /// diagnostics) and returns its handle. Instructions pushed until the
-    /// matching [`CodeSpace::finish_function`] belong to it.
+    /// diagnostics) and returns its handle, in a released slot when
+    /// there is one. Instructions pushed until the matching
+    /// [`CodeSpace::finish_function`] belong to it.
     pub fn begin_function(&mut self, name: &str) -> FuncHandle {
-        let h = FuncHandle(self.funcs.len());
-        self.funcs.push(FuncInfo {
-            name: name.to_string(),
-            start_word: self.words.len(),
-            end_word: usize::MAX,
-            state: FuncState::Building,
-        });
-        h
+        let start_word = self.words.len();
+        let slot = match self.free_slots.pop() {
+            Some(slot) => {
+                let info = &mut self.funcs[slot as usize];
+                info.name.clear();
+                info.name.push_str(name);
+                (info.start_word, info.end_word) = (start_word, usize::MAX);
+                (info.sealed, info.patches) = (false, 0);
+                slot
+            }
+            None => {
+                self.funcs.push(FuncInfo {
+                    name: name.to_string(),
+                    start_word,
+                    end_word: usize::MAX,
+                    sealed: false,
+                    gen: 1,
+                    patches: 0,
+                });
+                u32::try_from(self.funcs.len() - 1).expect("fewer than 2^32 functions")
+            }
+        };
+        FuncHandle {
+            slot,
+            gen: self.funcs[slot as usize].gen,
+        }
+    }
+
+    /// The slot `handle` names, if its generation is still the slot's.
+    fn info(&self, handle: FuncHandle) -> Result<&FuncInfo, VmError> {
+        match self.funcs.get(handle.slot()) {
+            Some(info) if info.gen == handle.gen => Ok(info),
+            _ => Err(VmError::CodeLifecycle(format!(
+                "stale handle to slot {} (generation {}): its function was freed",
+                handle.slot, handle.gen
+            ))),
+        }
+    }
+
+    /// [`CodeSpace::info`] for a sealed function; `what` names the
+    /// refused request.
+    fn sealed(&self, handle: FuncHandle, what: &str) -> Result<&FuncInfo, VmError> {
+        let info = self.info(handle)?;
+        if !info.sealed {
+            return Err(VmError::CodeLifecycle(format!(
+                "{what} of unfinished function {}",
+                info.name
+            )));
+        }
+        Ok(info)
+    }
+
+    /// Returns `handle`'s slot to the free list under the next
+    /// generation, which kills every handle to it. No handle is given
+    /// out under the last generation: a slot that reaches it is never
+    /// reused, so a generation never wraps.
+    fn release(&mut self, handle: FuncHandle) {
+        let info = &mut self.funcs[handle.slot()];
+        info.gen += 1;
+        if info.gen < u32::MAX {
+            self.free_slots.push(handle.slot);
+        }
     }
 
     /// Seals the function begun with `handle` and returns its callable
@@ -189,8 +243,8 @@ impl CodeSpace {
     /// [`VmError::CodeLifecycle`] if the function was already sealed (or
     /// freed): a double-finish would silently re-seal a stale range.
     pub fn finish_function(&mut self, handle: FuncHandle) -> Result<u64, VmError> {
-        let info = &self.funcs[handle.0];
-        if info.state != FuncState::Building {
+        let info = self.info(handle)?;
+        if info.sealed {
             return Err(VmError::CodeLifecycle(format!(
                 "function {} sealed twice",
                 info.name
@@ -216,7 +270,7 @@ impl CodeSpace {
     /// relocated at that range's start: the range's prefix is taken and
     /// the tail rolls back past the function.
     fn seal(&mut self, handle: FuncHandle, hole: Option<usize>) -> u64 {
-        let tail = self.funcs[handle.0].start_word;
+        let tail = self.funcs[handle.slot()].start_word;
         let len = self.words.len() - tail;
         let start = match hole {
             Some(fit) => {
@@ -232,11 +286,11 @@ impl CodeSpace {
             None => tail,
         };
         // An empty function owns no word: nothing to find.
-        self.owner[start..start + len].fill(index_u32(handle.0));
-        let info = &mut self.funcs[handle.0];
+        self.owner[start..start + len].fill(handle.slot);
+        let info = &mut self.funcs[handle.slot()];
         info.start_word = start;
         info.end_word = start + len;
-        info.state = FuncState::Sealed;
+        info.sealed = true;
         self.live_words += len;
         CODE_BASE + (start as u64) * 4
     }
@@ -248,43 +302,26 @@ impl CodeSpace {
     }
 
     /// Returns a sealed function's words to the free list (coalescing
-    /// with adjacent free ranges) and kills its address: subsequent
-    /// execution in the range faults with [`VmError::StaleCode`] until
-    /// a later function reuses it.
+    /// with adjacent free ranges) and its slot to the slot free list, and
+    /// kills its address and handle: subsequent execution in the range
+    /// faults with [`VmError::StaleCode`] until a later function reuses
+    /// it.
     ///
     /// # Errors
     ///
     /// [`VmError::CodeLifecycle`] if the function is still being built,
     /// or was already freed.
     pub fn free_function(&mut self, handle: FuncHandle) -> Result<u64, VmError> {
-        let info = &self.funcs[handle.0];
-        if info.state != FuncState::Sealed {
-            return Err(VmError::CodeLifecycle(format!(
-                "cannot free function {} (not sealed)",
-                info.name
-            )));
-        }
+        let info = self.sealed(handle, "free")?;
         let (start, end) = (info.start_word, info.end_word);
         let len = end - start;
-        self.funcs[handle.0].state = FuncState::Freed;
-        self.log_invalidation(handle);
+        self.release(handle);
+        self.live_epoch += 1;
         self.owner[start..end].fill(NO_OWNER);
         self.live_words -= len;
         self.reclaimed_words += len;
         self.insert_free(start, len);
         Ok((len as u64) * 4)
-    }
-
-    /// Bumps the live epoch and logs the function the bump invalidated,
-    /// overwriting the ring's oldest entry once full.
-    fn log_invalidation(&mut self, handle: FuncHandle) {
-        let dead = index_u32(handle.0);
-        let slot = (self.live_epoch % INVALIDATION_RING as u64) as usize;
-        match self.invalidated.get_mut(slot) {
-            Some(entry) => *entry = dead,
-            None => self.invalidated.push(dead),
-        }
-        self.live_epoch += 1;
     }
 
     /// Inserts `(start, len)` into the sorted free list, merging with
@@ -326,18 +363,8 @@ impl CodeSpace {
     /// final placement is not yet known) or freed (the address would be
     /// stale).
     pub fn addr_of(&self, handle: FuncHandle) -> Result<u64, VmError> {
-        let info = &self.funcs[handle.0];
-        match info.state {
-            FuncState::Sealed => Ok(CODE_BASE + (info.start_word as u64) * 4),
-            FuncState::Building => Err(VmError::CodeLifecycle(format!(
-                "address of unfinished function {}",
-                info.name
-            ))),
-            FuncState::Freed => Err(VmError::CodeLifecycle(format!(
-                "address of freed function {}",
-                info.name
-            ))),
-        }
+        let info = self.sealed(handle, "address")?;
+        Ok(CODE_BASE + (info.start_word as u64) * 4)
     }
 
     /// Size in bytes of a sealed function's words.
@@ -346,13 +373,7 @@ impl CodeSpace {
     ///
     /// [`VmError::CodeLifecycle`] unless the function is sealed.
     pub fn size_of(&self, handle: FuncHandle) -> Result<u64, VmError> {
-        let info = &self.funcs[handle.0];
-        if info.state != FuncState::Sealed {
-            return Err(VmError::CodeLifecycle(format!(
-                "size of non-sealed function {}",
-                info.name
-            )));
-        }
+        let info = self.sealed(handle, "size")?;
         Ok(((info.end_word - info.start_word) as u64) * 4)
     }
 
@@ -395,7 +416,9 @@ impl CodeSpace {
         // cache; building-phase patches (forward branch resolution) hit
         // not-yet-live words and stay epoch-neutral.
         if let Some(handle) = self.owner(index) {
-            self.log_invalidation(handle);
+            let info = &mut self.funcs[handle.slot()];
+            info.patches = info.patches.wrapping_add(1);
+            self.live_epoch += 1;
         }
         self.words[index] = insn.encode();
     }
@@ -454,28 +477,26 @@ impl CodeSpace {
         self.live_epoch
     }
 
-    /// The functions invalidated since the epoch was `epoch` (a value
-    /// this space's [`CodeSpace::live_epoch`] returned earlier), oldest
-    /// first: one handle per bump — a freed function, or the live
-    /// function a patched word sits in. `None` when more than
-    /// [`INVALIDATION_RING`] bumps happened since: the ring has wrapped
-    /// and the caller must assume everything died.
-    pub fn invalidated_since(&self, epoch: u64) -> Option<impl Iterator<Item = FuncHandle> + '_> {
-        let behind = self.live_epoch.checked_sub(epoch)?;
-        if behind > INVALIDATION_RING as u64 {
-            return None;
-        }
-        Some((epoch..self.live_epoch).map(|e| {
-            FuncHandle(self.invalidated[(e % INVALIDATION_RING as u64) as usize] as usize)
-        }))
+    /// The version of the code in `slot`: its generation and the live
+    /// patches to its occupant. Changes exactly when the occupant is
+    /// freed or patched; never 0 (generations start at 1), and 0 for a
+    /// slot this space does not have.
+    #[inline]
+    pub(crate) fn version(&self, slot: usize) -> u64 {
+        self.funcs
+            .get(slot)
+            .map_or(0, |f| u64::from(f.gen) << 32 | u64::from(f.patches))
     }
 
     /// The live sealed function covering word index `idx`, if any: one
-    /// load of the owner index.
+    /// load of the owner index and one of the slot's generation.
     #[inline]
     pub(crate) fn owner(&self, idx: usize) -> Option<FuncHandle> {
         match self.owner.get(idx) {
-            Some(&fi) if fi != NO_OWNER => Some(FuncHandle(fi as usize)),
+            Some(&slot) if slot != NO_OWNER => Some(FuncHandle {
+                slot,
+                gen: self.funcs[slot as usize].gen,
+            }),
             _ => None,
         }
     }
@@ -488,17 +509,21 @@ impl CodeSpace {
 
     /// The `[start_word, end_word)` range of a function (its final one
     /// once sealed).
+    ///
+    /// # Errors
+    ///
+    /// [`VmError::CodeLifecycle`] for a stale handle.
     #[inline]
-    pub(crate) fn span(&self, handle: FuncHandle) -> (usize, usize) {
-        let f = &self.funcs[handle.0];
-        (f.start_word, f.end_word)
+    pub(crate) fn span(&self, handle: FuncHandle) -> Result<(usize, usize), VmError> {
+        let f = self.info(handle)?;
+        Ok((f.start_word, f.end_word))
     }
 
     /// The `[start_word, end_word)` range of the live sealed function
     /// containing word index `idx`, if any. Freed or still-building
     /// ranges have no containing function.
     pub fn live_range_containing(&self, idx: usize) -> Option<(usize, usize)> {
-        Some(self.span(self.owner(idx)?))
+        self.span(self.owner(idx)?).ok()
     }
 
     /// Raw encoded words of `[start, end)` (translation input).
@@ -509,13 +534,17 @@ impl CodeSpace {
 
     /// Name of the live function containing `addr`, if any (diagnostics).
     pub fn function_at(&self, addr: u64) -> Option<&str> {
-        Some(self.funcs[self.owner_at(addr)?.0].name.as_str())
+        Some(self.funcs[self.owner_at(addr)?.slot()].name.as_str())
     }
 
     /// Disassembles the function at `handle` into one line per
     /// instruction, annotated with word offsets.
-    pub fn disassemble(&self, handle: FuncHandle) -> String {
-        let info = &self.funcs[handle.0];
+    ///
+    /// # Errors
+    ///
+    /// [`VmError::CodeLifecycle`] for a stale handle.
+    pub fn disassemble(&self, handle: FuncHandle) -> Result<String, VmError> {
+        let info = self.info(handle)?;
         let end = info.end_word.min(self.words.len());
         let mut out = match info.name.as_str() {
             "" => format!("<{:#x}>:\n", CODE_BASE + 4 * info.start_word as u64),
@@ -527,21 +556,22 @@ impl CodeSpace {
                 Err(_) => out.push_str(&format!("  {i:4}: .word {w:#010x}\n")),
             }
         }
-        out
+        Ok(out)
     }
 
     /// Disassembles the live function containing `addr`, if any.
     pub fn disassemble_at(&self, addr: u64) -> Option<String> {
-        Some(self.disassemble(self.owner_at(addr)?))
+        self.disassemble(self.owner_at(addr)?).ok()
     }
 
     /// Decoded instructions of a finished function (testing/analysis).
     ///
     /// # Errors
     ///
-    /// Returns [`VmError::BadOpcode`] if a word does not decode.
+    /// [`VmError::CodeLifecycle`] for a stale handle;
+    /// [`VmError::BadOpcode`] if a word does not decode.
     pub fn instructions(&self, handle: FuncHandle) -> Result<Vec<Insn>, VmError> {
-        let info = &self.funcs[handle.0];
+        let info = self.info(handle)?;
         let end = info.end_word.min(self.words.len());
         self.words[info.start_word..end]
             .iter()
@@ -559,13 +589,7 @@ impl CodeSpace {
     ///
     /// [`VmError::CodeLifecycle`] unless the function is sealed.
     pub fn function_words(&self, handle: FuncHandle) -> Result<(usize, Vec<u32>), VmError> {
-        let info = &self.funcs[handle.0];
-        if info.state != FuncState::Sealed {
-            return Err(VmError::CodeLifecycle(format!(
-                "words of non-sealed function {}",
-                info.name
-            )));
-        }
+        let info = self.sealed(handle, "words")?;
         Ok((
             info.start_word,
             self.words[info.start_word..info.end_word].to_vec(),
@@ -605,7 +629,7 @@ impl CodeSpace {
             )));
         }
         let handle = self.begin_function(name);
-        let tail = self.funcs[handle.0].start_word;
+        let tail = self.funcs[handle.slot()].start_word;
         let len = words.len();
         // Placement first, so each word is relocated once, straight
         // from the source placement to its final one.
@@ -631,13 +655,12 @@ impl CodeSpace {
     }
 
     /// Rolls back a function begun by [`CodeSpace::install_function`]:
-    /// the emission tail is truncated and the registry entry removed.
-    /// Only valid while the function is the still-building last entry.
+    /// the emission tail is truncated and the slot released. Only valid
+    /// while the function is the one still being built.
     fn abort_install(&mut self, handle: FuncHandle) {
-        debug_assert_eq!(handle.0 + 1, self.funcs.len());
-        debug_assert_eq!(self.funcs[handle.0].state, FuncState::Building);
-        self.truncate(self.funcs[handle.0].start_word);
-        self.funcs.pop();
+        debug_assert!(!self.funcs[handle.slot()].sealed);
+        self.truncate(self.funcs[handle.slot()].start_word);
+        self.release(handle);
     }
 }
 
@@ -675,13 +698,6 @@ fn relocate_word(
         op if op.is_branch() => Err("cross-function branch"),
         _ => Ok(word),
     }
-}
-
-/// A function index as stored in the owner index and the invalidation
-/// ring. Every function is begun by emitting into a space whose code
-/// addresses are `CODE_BASE + 4 * word`, so it never nears 2^32.
-fn index_u32(i: usize) -> u32 {
-    u32::try_from(i).expect("function indices fit u32")
 }
 
 #[cfg(test)]
@@ -990,48 +1006,102 @@ mod tests {
     }
 
     #[test]
-    fn invalidation_ring_names_what_died_until_it_wraps() {
+    fn versions_change_exactly_where_code_died() {
         let mut cs = CodeSpace::new();
-        let mut fs = Vec::new();
-        for i in 0..INVALIDATION_RING + 3 {
-            let f = cs.begin_function(&format!("f{i}"));
-            cs.push(Insn::nop());
-            cs.push(Insn::ret());
-            cs.finish_function(f).unwrap();
-            fs.push(f);
-        }
-        let since = |cs: &CodeSpace, e| cs.invalidated_since(e).map(|r| r.collect::<Vec<_>>());
-        assert_eq!(since(&cs, 0), Some(vec![]), "nothing died yet");
-        // A live patch logs the containing function.
+        let fs: Vec<_> = (0..3)
+            .map(|i| {
+                let f = cs.begin_function(&format!("f{i}"));
+                cs.push(Insn::nop());
+                cs.push(Insn::ret());
+                cs.finish_function(f).unwrap();
+                f
+            })
+            .collect();
+        let versions = |cs: &CodeSpace| fs.iter().map(|f| cs.version(f.slot())).collect::<Vec<_>>();
+        let before = versions(&cs);
+        assert!(before.iter().all(|&v| v != 0), "no version is 0");
+        // A live patch moves the patched function's version only, and
+        // its handle stays good.
         cs.patch(3, Insn::ret());
+        let patched = versions(&cs);
+        assert_eq!((patched[0], patched[2]), (before[0], before[2]));
+        assert_ne!(patched[1], before[1]);
+        assert!(cs.addr_of(fs[1]).is_ok(), "a patch does not free");
+        // A free moves the freed function's version only.
         cs.free_function(fs[0]).unwrap();
-        assert_eq!(since(&cs, 0), Some(vec![fs[1], fs[0]]), "oldest first");
-        assert_eq!(since(&cs, 1), Some(vec![fs[0]]));
-        assert_eq!(since(&cs, 2), Some(vec![]));
-        assert!(since(&cs, 3).is_none(), "an epoch from the future");
-        // Exactly a ring's worth of bumps behind is still answerable;
-        // one more is not.
-        for &f in &fs[1..INVALIDATION_RING - 1] {
-            cs.free_function(f).unwrap();
+        let freed = versions(&cs);
+        assert_ne!(freed[0], patched[0]);
+        assert_eq!(&freed[1..], &patched[1..]);
+        assert_eq!(cs.live_epoch(), 2);
+        assert_eq!(cs.version(99), 0, "a slot the space does not have");
+    }
+
+    #[test]
+    fn a_stale_handle_is_refused_and_never_reaches_the_new_occupant() {
+        fn refused<T>(r: Result<T, VmError>) -> bool {
+            matches!(r, Err(VmError::CodeLifecycle(_)))
         }
-        assert_eq!(cs.live_epoch(), INVALIDATION_RING as u64);
-        let all = since(&cs, 0).expect("ring exactly full");
-        assert_eq!(all.len(), INVALIDATION_RING);
-        assert_eq!(all[0], fs[1]);
-        cs.free_function(fs[INVALIDATION_RING - 1]).unwrap();
-        assert!(since(&cs, 0).is_none(), "wrapped: assume everything died");
-        let recent = since(&cs, 1).expect("still covered");
-        assert_eq!(recent.len(), INVALIDATION_RING);
-        assert_eq!(recent[0], fs[0]);
+        let mut cs = CodeSpace::new();
+        let f = cs.begin_function("f");
+        cs.push(Insn::nop());
+        cs.push(Insn::ret());
+        let addr = seal(&mut cs, f);
+        cs.free_function(f).unwrap();
+        let g = cs.begin_function("g");
+        cs.push(Insn::i(Op::Addiw, A0, A0, 1));
+        cs.push(Insn::ret());
+        assert_eq!(g.slot(), f.slot(), "g takes f's slot");
+        assert_ne!(g, f, "under the next generation");
+        assert!(refused(cs.finish_function(f)), "cannot seal g for it");
+        assert_eq!(seal(&mut cs, g), addr, "g also takes f's words");
+        assert!(refused(cs.finish_function(f)));
+        assert!(refused(cs.free_function(f)));
+        assert!(refused(cs.addr_of(f)));
+        assert!(refused(cs.size_of(f)));
+        assert!(refused(cs.disassemble(f)));
+        assert!(refused(cs.instructions(f)));
+        assert!(refused(cs.function_words(f)));
+        assert!(refused(cs.span(f)));
+        // g is untouched by all of that.
+        assert_eq!(cs.live_epoch(), 1, "one free, nothing else");
+        assert_eq!(cs.addr_of(g).unwrap(), addr);
+        assert_eq!(cs.size_of(g).unwrap(), 8);
+        assert_eq!(cs.span(g).unwrap(), (0, 2));
+        assert!(cs.disassemble(g).unwrap().starts_with("g:"));
+        assert_eq!(
+            cs.instructions(g).unwrap()[0],
+            Insn::i(Op::Addiw, A0, A0, 1)
+        );
+        assert_eq!(cs.function_at(addr), Some("g"));
+        assert!(cs.fetch_exec(addr).is_ok());
+        assert!(cs.free_function(g).is_ok());
+    }
+
+    #[test]
+    fn a_slot_is_retired_before_its_generation_wraps() {
+        let mut cs = CodeSpace::new();
+        let f = cs.begin_function("f");
+        cs.push(Insn::ret());
+        seal(&mut cs, f);
+        cs.funcs[f.slot()].gen = u32::MAX - 1;
+        let f = FuncHandle {
+            gen: u32::MAX - 1,
+            ..f
+        };
+        cs.free_function(f).unwrap();
+        assert!(cs.addr_of(f).is_err(), "the handle died");
+        assert_ne!(cs.begin_function("g").slot(), f.slot(), "not reused");
     }
 
     #[test]
     fn owner_index_matches_a_scan_of_the_sealed_functions() {
         // A seeded walk of emits, frees, installs (into a hole or at the
-        // tail) and live patches. After every step each word's function,
-        // as the queries report it, is the one a scan of the sealed
-        // functions finds there, and the invalidation log names exactly
-        // the functions freed or patched.
+        // tail), aborted installs and live patches. After every step
+        // each word's function, as the queries report it, is the one a
+        // scan of the sealed functions finds there; each live function's
+        // version moved exactly when it was patched; every live handle
+        // is current, and the registry holds no more slots than
+        // functions were ever alive at once.
         let mut seed = 0x9E37_79B9_7F4A_7C15u64;
         let mut rand = |n: usize| {
             seed ^= seed << 13;
@@ -1045,49 +1115,77 @@ mod tests {
             words
         };
         let mut cs = CodeSpace::new();
-        let mut live: Vec<(FuncHandle, String)> = Vec::new();
-        let mut died = Vec::new();
+        // (handle, name, version)
+        let mut live: Vec<(FuncHandle, String, u64)> = Vec::new();
+        let mut freed = Vec::new();
+        let (mut died, mut aborted, mut peak) = (0, 0, 0);
         for step in 0..3000 {
             let name = format!("f{step}");
+            // The function begun this step is alive beside the others.
+            peak = peak.max(live.len() + 1);
             // Frees once 32 functions are live: holes of every size
             // open between live functions and the tail.
-            match rand(5) {
+            match rand(6) {
                 op if op == 0 || live.len() < 32 => {
                     let f = cs.begin_function(&name);
                     for word in body(1 + rand(12)) {
                         cs.push_word(word);
                     }
-                    let building = cs.span(f).0..cs.next_index();
+                    let building = cs.span(f).unwrap().0..cs.next_index();
                     assert!(building.clone().all(|w| cs.owner(w).is_none()));
                     cs.finish_function(f).unwrap();
-                    live.push((f, name));
+                    live.push((f, name, cs.version(f.slot())));
                 }
                 1 => {
                     let (_, f) = cs
                         .install_function(&name, &body(1 + rand(12)), rand(64))
                         .unwrap();
-                    live.push((f, name));
+                    live.push((f, name, cs.version(f.slot())));
                 }
                 2 => {
-                    let f = live[rand(live.len())].0;
-                    let (start, end) = cs.span(f);
+                    let mut words = body(1 + rand(12));
+                    let at = rand(words.len());
+                    words[at] = 0xFFFF_FFFF;
+                    let before = (cs.stats(), cs.live_epoch());
+                    assert!(cs.install_function(&name, &words, rand(64)).is_err());
+                    assert_eq!((cs.stats(), cs.live_epoch()), before, "rolled back");
+                    aborted += 1;
+                }
+                3 => {
+                    let n = live.len();
+                    let (f, _, version) = &mut live[rand(n)];
+                    let (start, end) = cs.span(*f).unwrap();
                     cs.patch(start + rand(end - start), Insn::nop());
-                    died.push(f);
+                    assert_ne!(cs.version(f.slot()), *version, "step {step}");
+                    *version = cs.version(f.slot());
+                    died += 1;
                 }
                 _ => {
-                    let (f, _) = live.swap_remove(rand(live.len()));
+                    let (f, _, version) = live.swap_remove(rand(live.len()));
                     cs.free_function(f).unwrap();
-                    died.push(f);
+                    assert_ne!(cs.version(f.slot()), version, "step {step}");
+                    freed.push(f);
+                    died += 1;
                 }
             }
+            assert!(cs.funcs.len() <= peak, "step {step}: slots past the peak");
             let mut scan = vec![None; cs.next_index() + 1];
-            for (f, name) in &live {
+            for (f, name, version) in &live {
+                assert_eq!(
+                    cs.funcs[f.slot()].gen,
+                    f.gen,
+                    "step {step}: stale live handle"
+                );
+                assert_eq!(cs.version(f.slot()), *version, "step {step}");
                 let start = ((cs.addr_of(*f).unwrap() - CODE_BASE) / 4) as usize;
                 let end = start + (cs.size_of(*f).unwrap() / 4) as usize;
                 for slot in &mut scan[start..end] {
                     assert!(slot.is_none(), "step {step}: live functions overlap");
                     *slot = Some(((start, end), name.as_str()));
                 }
+            }
+            if let Some(&f) = freed.last() {
+                assert!(cs.addr_of(f).is_err(), "step {step}: a freed handle");
             }
             for (w, found) in scan.iter().enumerate() {
                 let addr = CODE_BASE + 4 * w as u64;
@@ -1101,19 +1199,12 @@ mod tests {
                     assert_eq!(cs.fetch_exec(addr).is_ok(), found.is_some());
                 }
             }
-            let epoch = cs.live_epoch();
-            assert_eq!(epoch, died.len() as u64);
-            for back in [0, 1, 7, INVALIDATION_RING as u64] {
-                let since = epoch.saturating_sub(back);
-                let logged: Vec<_> = cs.invalidated_since(since).unwrap().collect();
-                assert_eq!(logged, died[since as usize..], "step {step}");
-            }
-            if let Some(since) = epoch.checked_sub(INVALIDATION_RING as u64 + 1) {
-                assert!(cs.invalidated_since(since).is_none());
-            }
+            assert_eq!(cs.live_epoch(), died, "step {step}");
         }
         let stats = cs.stats();
         assert!(stats.reclaimed_words > stats.total_words && stats.free_words > 0);
+        assert!(aborted > 100 && freed.len() > 100);
+        assert!(cs.funcs.len() < freed.len(), "slots were reused");
     }
 
     #[test]
@@ -1282,7 +1373,7 @@ mod tests {
         cs.push(Insn::i(Op::Addiw, A0, A0, 1));
         cs.push(Insn::ret());
         seal(&mut cs, f);
-        let d = cs.disassemble(f);
+        let d = cs.disassemble(f).unwrap();
         assert!(d.contains("addiw"));
         assert!(d.contains("jalr"));
     }

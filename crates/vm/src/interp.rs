@@ -276,8 +276,8 @@ impl<H: HostCall> Vm<H> {
         assert!(fargs.len() <= FARG_REGS.len(), "too many fp args");
         let word = addr.checked_sub(CODE_BASE).filter(|b| b.is_multiple_of(4));
         if let Some(idx) = word.map(|b| (b / 4) as usize) {
-            let code = &self.state.code;
-            if code.owner(idx).is_some_and(|f| code.span(f).0 != idx) {
+            let live = self.state.code.live_range_containing(idx);
+            if live.is_some_and(|(start, _)| start != idx) {
                 return Err(VmError::StaleCode(addr));
             }
         }

@@ -32,20 +32,16 @@
 //!
 //! # Invalidation
 //!
-//! The translation cache is validated against
-//! [`CodeSpace::live_epoch`](crate::code::CodeSpace::live_epoch), which bumps
-//! whenever previously-live code stops meaning what it did: a function
-//! is freed (directly or by `tcc-cache` eviction) or a live word is
-//! patched. Every engine revalidates through the one
-//! `TransCache::sync_epoch`, which asks the code space *which*
-//! functions died since the cache last looked
-//! ([`CodeSpace::invalidated_since`](crate::code::CodeSpace::invalidated_since))
-//! and drops exactly those functions' buffers and tier records — O(1)
-//! per function invalidated, and every other function keeps its
-//! translation, tier and run count. Only a cache
-//! more than
-//! [`INVALIDATION_RING`](crate::code::INVALIDATION_RING) bumps behind
-//! falls back to dropping everything. Stale pcs fall back to the
+//! The translation cache keeps one record per code-space slot, stamped
+//! with the slot's version when it was made, and is validated against
+//! [`CodeSpace::live_epoch`](crate::code::CodeSpace::live_epoch), which
+//! bumps whenever previously-live code stops meaning what it did: a
+//! function is freed (directly or by `tcc-cache` eviction) or a live
+//! word is patched. Every engine revalidates through the one
+//! `TransCache::sync_epoch`, which on a moved epoch sweeps the records
+//! and retires each whose slot version changed — the freed or patched
+//! functions, found with no log of them; every other function keeps its
+//! translation, tier and run count. Stale pcs fall back to the
 //! reference engine's single-step path, which raises
 //! [`VmError::StaleCode`] / [`VmError::BadPc`] exactly as today. Host
 //! calls can free or patch code mid-run (the compile runtime does), so
@@ -55,7 +51,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use crate::adaptive::{AdaptiveStats, FnTier, HubClient, Tier, DEFAULT_THREAD_AFTER, NO_TIER};
+use crate::adaptive::{AdaptiveStats, FnTier, HubClient, Tier, DEFAULT_THREAD_AFTER};
 use crate::code::{CodeSpace, FuncHandle, CODE_BASE};
 use crate::cost::CostModel;
 use crate::error::VmError;
@@ -145,6 +141,19 @@ impl<H> Clone for Translation<H> {
     }
 }
 
+impl<H: HostCall> Translation<H> {
+    /// Adds the superinstruction shapes of a threaded form to `shapes`:
+    /// what the cache does with a translation it drops, and with each
+    /// live one when the histogram is read.
+    pub(crate) fn fold_shapes(&self, shapes: &mut HashMap<u32, u64>) {
+        if let Translation::Threaded(threaded) = self {
+            for shape in threaded.shapes() {
+                *shapes.entry(shape).or_insert(0) += 1;
+            }
+        }
+    }
+}
+
 impl<H> Translation<H> {
     /// Whether this is what a function at `tier` dispatches through. A
     /// refusal serves every tier (by single-stepping), so it is never
@@ -163,33 +172,23 @@ impl<H> Translation<H> {
     }
 }
 
-/// Per-VM translation cache: one record per translated or entered
-/// function, each owning that function's translation, synchronized to
-/// one `CodeSpace::live_epoch` at a time by [`TransCache::sync_epoch`].
+/// Per-VM translation cache: one record per code-space slot, each
+/// owning its function's translation, synchronized to one
+/// `CodeSpace::live_epoch` at a time by [`TransCache::sync_epoch`].
 ///
 /// Generic over the host because the threaded handler columns store
 /// function pointers typed over `Vm<H>`.
 pub(crate) struct TransCache<H> {
     /// The `live_epoch` the cached translations were made under.
     pub(crate) epoch: u64,
-    /// Function handle index → index into [`TransCache::tier_fns`], or
-    /// [`NO_TIER`] when untracked: one slot per function, so a pc
-    /// resolves to its record (and so to its translation) through the
-    /// code space's owner index and one load here.
-    pub(crate) tier_of: Vec<u32>,
-    /// Per-function state: the translation, and under the adaptive
-    /// engine the clock and tier that justified it. Created on first
-    /// entry (or first translation) and retired when the function is
-    /// freed or patched. Retired slots (`serial == 0`) are listed in
-    /// [`TransCache::tier_free`] and reused, so the table is bounded
-    /// by the functions live at once, not by churn.
+    /// Per-function state, indexed by the function's code-space slot:
+    /// the translation, and under the adaptive engine the clock and tier
+    /// that justified it. A record is stamped with the version of the
+    /// code it was built from on first entry (or first translation) and
+    /// retired when that version moves on — the function freed or
+    /// patched. One record a slot, so the table is bounded by the
+    /// functions live at once, not by churn.
     pub(crate) tier_fns: Vec<FnTier<H>>,
-    /// Indices of retired [`TransCache::tier_fns`] slots.
-    pub(crate) tier_free: Vec<u32>,
-    /// Serial the next tier record is stamped with (never `0`, never
-    /// reused): what tells a background completion whether the record
-    /// that requested it is still its function's.
-    pub(crate) next_serial: u64,
     pub(crate) stats: ExecStats,
     /// Counters specific to the adaptive engine.
     pub(crate) astats: AdaptiveStats,
@@ -202,11 +201,15 @@ pub(crate) struct TransCache<H> {
     /// received yet (received responses count down even when the result
     /// is discarded).
     pub(crate) pending: u32,
-    /// Superinstruction shape frequencies from threaded translations,
-    /// keyed by packed opcodes ([`crate::threaded::pack_shape`]),
-    /// cumulative over translations like
-    /// [`ExecStats::superinstructions`]. Feeds the suite's
-    /// `pair_histogram` so future handler selection is data-driven.
+    /// Superinstruction shape frequencies of the threaded translations
+    /// this cache has dropped, keyed by packed opcodes
+    /// ([`crate::threaded::pack_shape`]). A threaded form is dropped only
+    /// by retiring its record or clearing the cache (no install replaces
+    /// one: it serves the top tier), and both fold it in here; the live
+    /// records' shapes are added when the histogram is read. So it counts
+    /// every translation ever installed, like
+    /// [`ExecStats::superinstructions`], without touching the
+    /// translation or run path.
     pub(crate) shapes: HashMap<u32, u64>,
 }
 
@@ -225,10 +228,7 @@ impl<H> Default for TransCache<H> {
     fn default() -> Self {
         TransCache {
             epoch: 0,
-            tier_of: Vec::new(),
             tier_fns: Vec::new(),
-            tier_free: Vec::new(),
-            next_serial: 1,
             stats: ExecStats::default(),
             astats: AdaptiveStats::default(),
             hub: None,
@@ -238,15 +238,16 @@ impl<H> Default for TransCache<H> {
     }
 }
 
-impl<H> TransCache<H> {
+impl<H: HostCall> TransCache<H> {
     /// Drops every cached translation and the adaptive tier state that
     /// justified it (counters are kept). In-flight background
-    /// translations find no record for their function any more and are
-    /// discarded on receipt instead of installed.
+    /// translations find no record holding the array they extend and
+    /// are discarded on receipt instead of installed.
     pub(crate) fn clear(&mut self) {
-        self.tier_of.clear();
+        for record in &self.tier_fns {
+            record.tr.fold_shapes(&mut self.shapes);
+        }
         self.tier_fns.clear();
-        self.tier_free.clear();
     }
 
     /// Revalidates the cache against `code`'s live epoch — the one
@@ -259,80 +260,55 @@ impl<H> TransCache<H> {
         if epoch == self.epoch {
             return false;
         }
-        self.invalidate_since(code, epoch);
+        self.sweep(code, epoch);
         true
     }
 
-    /// The epoch moved: drop what died. For each function logged since
-    /// this cache last looked, its tier record goes and its translation
-    /// with it — O(1) each; everything else keeps translation, tier and
-    /// run count. A cache too far behind
-    /// for the ring drops everything. Either way the tier levels
-    /// actually lost are counted into `demotions`.
+    /// The epoch moved: retire every record whose slot's version is not
+    /// the one it was built from, and its translation with it. Every
+    /// other function keeps translation, tier and run count. The tier
+    /// levels actually lost are counted into `demotions`.
     #[cold]
-    fn invalidate_since(&mut self, code: &CodeSpace, epoch: u64) {
-        match code.invalidated_since(self.epoch) {
-            Some(dead) => {
-                for handle in dead {
-                    self.retire(handle);
-                }
-            }
-            None => {
-                let lost: u64 = self.tier_fns.iter().map(FnTier::levels).sum();
-                self.astats.demotions += lost;
-                self.clear();
+    fn sweep(&mut self, code: &CodeSpace, epoch: u64) {
+        for slot in 0..self.tier_fns.len() {
+            let version = self.tier_fns[slot].version;
+            if version != 0 && version != code.version(slot) {
+                self.retire(slot);
             }
         }
         self.epoch = epoch;
         self.stats.invalidations += 1;
     }
 
-    /// Retires the tier record — and with it the translation — of the
-    /// function `handle`, freed or patched, if it has one.
-    fn retire(&mut self, handle: FuncHandle) {
-        let Some(slot) = self.tier_of.get_mut(handle.index()) else {
-            return;
-        };
-        let fi = std::mem::replace(slot, NO_TIER);
-        if fi != NO_TIER {
-            let record = &mut self.tier_fns[fi as usize];
-            self.astats.demotions += record.levels();
-            record.retire();
-            self.tier_free.push(fi);
-        }
+    /// Retires the record in `slot`: its levels are counted lost and its
+    /// translation's shapes folded into the histogram.
+    fn retire(&mut self, slot: usize) {
+        let record = &mut self.tier_fns[slot];
+        self.astats.demotions += record.levels();
+        record.tr.fold_shapes(&mut self.shapes);
+        *record = FnTier::new(0, 0, 0);
     }
 
-    /// The tier record of function `handle`, if it is tracked.
+    /// The tier record of the function in `slot`, if it has one built
+    /// from the code there now.
     #[inline]
-    pub(crate) fn record_of(&self, handle: FuncHandle) -> Option<u32> {
-        match self.tier_of.get(handle.index()) {
-            Some(&fi) if fi != NO_TIER => Some(fi),
-            _ => None,
-        }
+    pub(crate) fn record_of(&self, code: &CodeSpace, slot: usize) -> Option<u32> {
+        let record = self.tier_fns.get(slot)?;
+        (record.version == code.version(slot)).then_some(slot as u32)
     }
 
-    /// Starts tracking the live function `handle` at `[start, end)`: a
-    /// fresh record under a new serial, in a retired slot when there is
-    /// one. Returns its index.
-    pub(crate) fn track(&mut self, handle: FuncHandle, start: usize, end: usize) -> u32 {
-        let record = FnTier::new(self.next_serial, handle, start, end);
-        self.next_serial += 1;
-        let fi = match self.tier_free.pop() {
-            Some(fi) => {
-                self.tier_fns[fi as usize] = record;
-                fi
-            }
-            None => {
-                self.tier_fns.push(record);
-                u32::try_from(self.tier_fns.len() - 1).expect("fewer than 2^32 tracked functions")
-            }
-        };
-        let h = handle.index();
-        if self.tier_of.len() <= h {
-            self.tier_of.resize(h + 1, NO_TIER);
+    /// Starts tracking the live function `handle`: a fresh record in its
+    /// slot, which a synced cache holds retired, stamped with the slot's
+    /// version. Returns the record's index (the slot), or `None` for a
+    /// stale handle.
+    pub(crate) fn track(&mut self, code: &CodeSpace, handle: FuncHandle) -> Option<u32> {
+        let (start, end) = code.span(handle).ok()?;
+        let slot = handle.slot();
+        if self.tier_fns.len() <= slot {
+            self.tier_fns.resize_with(slot + 1, || FnTier::new(0, 0, 0));
         }
-        self.tier_of[h] = fi;
-        fi
+        self.tier_fns[slot] = FnTier::new(code.version(slot), start, end - start);
+        Some(slot as u32)
     }
 }
 
@@ -507,33 +483,12 @@ pub(crate) fn decode(words: &[u32], cost: &CostModel) -> Option<Decoded> {
     })
 }
 
-/// The form a function at `tier` dispatches through, over its decoded
-/// array: the array itself at tier 1, a handler column beside it at
-/// tier 2, a refusal when [`decode`] gave none. Also returns the
-/// superinstruction groups a tier-2 build compiled (one packed shape
-/// each), for [`Vm::install`] to count. The one build path shared by
-/// inline builds and the background service.
-pub(crate) fn form_over<H: HostCall>(
-    decoded: Option<Arc<Decoded>>,
-    tier: Tier,
-) -> (Translation<H>, Vec<u32>) {
-    match (decoded, tier) {
-        (None, _) => (Translation::Refused, Vec::new()),
-        (Some(decoded), Tier::Threaded) => {
-            let (tr, groups) = thread(&decoded);
-            (Translation::Threaded(Arc::new(tr)), groups)
-        }
-        (Some(decoded), _) => (Translation::Decoded(decoded), Vec::new()),
-    }
-}
-
 impl<H: HostCall> Vm<H> {
     /// Hands record `fi` its translation — releasing whatever it held —
-    /// and counts it; `groups` are the superinstruction shapes a
-    /// threaded build compiled. The one install site shared by inline
-    /// builds and background completions. A refusal is recorded and
-    /// counts as nothing: returns whether a form was installed.
-    pub(crate) fn install(&mut self, fi: u32, tr: Translation<H>, groups: &[u32]) -> bool {
+    /// and counts it. The one install site shared by inline builds and
+    /// background completions. A refusal is recorded and counts as
+    /// nothing: returns whether a form was installed.
+    pub(crate) fn install(&mut self, fi: u32, tr: Translation<H>) -> bool {
         let cache = &mut self.trans;
         let record = &mut cache.tier_fns[fi as usize];
         match &tr {
@@ -544,12 +499,9 @@ impl<H: HostCall> Vm<H> {
             // Only a fusing walk runs the pairs.
             Translation::Decoded(_) if self.engine == (ExecEngine::Predecoded { fuse: false }) => {}
             Translation::Decoded(decoded) => cache.stats.fused_pairs += decoded.fused_pairs,
-            Translation::Threaded(_) => {
+            Translation::Threaded(threaded) => {
                 cache.stats.handlers = HANDLER_TABLE_SIZE;
-                cache.stats.superinstructions += groups.len() as u64;
-                for &shape in groups {
-                    *cache.shapes.entry(shape).or_insert(0) += 1;
-                }
+                cache.stats.superinstructions += threaded.groups;
             }
         }
         cache.stats.translations += 1;
@@ -603,23 +555,20 @@ impl<H: HostCall> Vm<H> {
     }
 
     /// The tier record of the live function containing `pc`, tracking
-    /// the function on first sight: two loads ever after, the code
-    /// space's owner index and the record slot of the handle it names.
-    /// `None` when `pc` is not inside live code (the slow path then
-    /// raises the exact reference fault).
+    /// the function on first sight: ever after, the code space's owner
+    /// index and slot version, and the record in that slot. `None` when
+    /// `pc` is not inside live code (the slow path then raises the exact
+    /// reference fault).
     pub(crate) fn record_at(&mut self, pc: u64) -> Option<u32> {
         if pc < CODE_BASE || !pc.is_multiple_of(4) {
             return None;
         }
         let code = &self.state.code;
         let handle = code.owner(((pc - CODE_BASE) / 4) as usize)?;
-        Some(match self.trans.record_of(handle) {
-            Some(fi) => fi,
-            None => {
-                let (start, end) = code.span(handle);
-                self.trans.track(handle, start, end)
-            }
-        })
+        match self.trans.record_of(code, handle.slot()) {
+            Some(fi) => Some(fi),
+            None => self.trans.track(code, handle),
+        }
     }
 
     /// The form record `fi` dispatches through at `tier`: the record's
@@ -635,12 +584,16 @@ impl<H: HostCall> Vm<H> {
         let decoded = match &record.tr {
             Translation::Decoded(decoded) => Some(Arc::clone(decoded)),
             _ => {
-                let (start, end) = self.state.code.span(record.handle);
-                decode(self.state.code.word_slice(start, end), &self.cost).map(Arc::new)
+                let words = self.state.code.word_slice(record.start, record.end());
+                decode(words, &self.cost).map(Arc::new)
             }
         };
-        let (tr, groups) = form_over(decoded, tier);
-        self.install(fi, tr.clone(), &groups);
+        let tr = match (decoded, tier) {
+            (None, _) => Translation::Refused,
+            (Some(decoded), Tier::Threaded) => Translation::Threaded(Arc::new(thread(&decoded))),
+            (Some(decoded), Tier::Fused) => Translation::Decoded(decoded),
+        };
+        self.install(fi, tr.clone());
         tr
     }
 

@@ -146,6 +146,9 @@ struct Frame {
 pub(crate) struct ThreadedFn<H> {
     pub(crate) decoded: Arc<Decoded>,
     handlers: Box<[Handler<H>]>,
+    /// Superinstruction groups compiled ([`ThreadedFn::shapes`] names
+    /// them).
+    pub(crate) groups: u64,
 }
 
 impl<H> fmt::Debug for ThreadedFn<H> {
@@ -550,13 +553,13 @@ fn group_at<H: HostCall>(slots: &[Slot], i: usize) -> Option<(Handler<H>, u32)> 
 /// one pass that picks a handler per slot. Superinstruction selection
 /// is slot-preserving — only a group's first index gets the combined
 /// handler, so mid-group control transfers still dispatch the unfused
-/// ones. Also returns the packed shape of every group compiled.
+/// ones.
 ///
 /// Takes slots, not words: promoting a function that holds its decoded
 /// array decodes nothing, by type.
-pub(crate) fn thread<H: HostCall>(decoded: &Arc<Decoded>) -> (ThreadedFn<H>, Vec<u32>) {
+pub(crate) fn thread<H: HostCall>(decoded: &Arc<Decoded>) -> ThreadedFn<H> {
     let slots = &decoded.slots[..];
-    let mut groups = Vec::new();
+    let mut groups = 0;
     let handlers = slots
         .iter()
         .enumerate()
@@ -570,8 +573,8 @@ pub(crate) fn thread<H: HostCall>(decoded: &Arc<Decoded>) -> (ThreadedFn<H>, Vec
                 Kind::Jalr => h_jalr::<H>,
                 Kind::Branch => branch_fn::<H>(slot.op),
                 Kind::Scalar => match group_at::<H>(slots, i) {
-                    Some((handler, shape)) => {
-                        groups.push(shape);
+                    Some((handler, _)) => {
+                        groups += 1;
                         handler
                     }
                     None => h_run::<H>,
@@ -579,11 +582,22 @@ pub(crate) fn thread<H: HostCall>(decoded: &Arc<Decoded>) -> (ThreadedFn<H>, Vec
             }
         })
         .collect();
-    let tr = ThreadedFn {
+    ThreadedFn {
         decoded: Arc::clone(decoded),
         handlers,
-    };
-    (tr, groups)
+        groups,
+    }
+}
+
+impl<H: HostCall> ThreadedFn<H> {
+    /// The packed shape of each superinstruction group [`thread`]
+    /// compiled, found again the way it chose them.
+    pub(crate) fn shapes(&self) -> impl Iterator<Item = u32> + '_ {
+        let slots = &self.decoded.slots[..];
+        (0..slots.len())
+            .filter(|&i| slots[i].kind == Kind::Scalar)
+            .filter_map(|i| Some(group_at::<H>(slots, i)?.1))
+    }
 }
 
 impl<H: HostCall> Vm<H> {
@@ -619,9 +633,11 @@ impl<H: HostCall> Vm<H> {
     /// threaded translations, sorted by descending count (ties by
     /// name). Each entry is `("addw+beq", groups_compiled)`.
     pub fn fused_shape_histogram(&self) -> Vec<(String, u64)> {
-        let mut v: Vec<(String, u64)> = self
-            .trans
-            .shapes
+        let mut shapes = self.trans.shapes.clone();
+        for record in &self.trans.tier_fns {
+            record.tr.fold_shapes(&mut shapes);
+        }
+        let mut v: Vec<(String, u64)> = shapes
             .iter()
             .map(|(&key, &count)| {
                 let ops = key.to_be_bytes();
