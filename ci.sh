@@ -8,15 +8,16 @@
 # crate's test build with the AST walker — is 65 tests in 0.4 s, the
 # two allocation gates less). Debug builds poison released spec-time
 # memory, so that run also checks that no program reads a closure after
-# its call released it. Product code's only `unsafe` is the data
-# memory's mapping in crates/vm/src/mem.rs: every other library forbids
+# its call released it. Product code's only `unsafe` is the mapping
+# module crates/vm/src/map.rs, behind the data memory and the code
+# space's words and owner index: every other library forbids
 # `unsafe_code`, `tcc-vm` denies it outside that module, and its clippy
 # lint wants a `// SAFETY:` comment on every block. Step 8 runs the
-# mapping's tests again in release, where the optimiser would turn a
-# wrong assumption there into wrong code. Step 8, the release-only tests,
-# adds about 8 s for the soak, 2 s for the paper-size Blur, 1 s for the
-# pool's retire-vs-hit stress and under 1 s for the mapping once their
-# test binaries are built.
+# mapping's users' tests again in release, where the optimiser would
+# turn a wrong assumption there into wrong code. Step 8, the
+# release-only tests, adds about 8 s for the soak, 2 s for the
+# paper-size Blur, 1 s for the pool's retire-vs-hit stress and under
+# 1 s for the mapping once their test binaries are built.
 #
 #   1. cargo fmt --check
 #   2. only plan.rs reads a tick's AST: no other file in
@@ -42,8 +43,9 @@
 #      the §6.2 Blur at 640x480, every count pinned, and ten times the
 #      debug run of the pool's retire-vs-hit stress (one thread calls
 #      cells while another evicts, invalidates and re-publishes them:
-#      every answer right, or StaleCode and then right), and the data
-#      memory's mapping: `tcc-vm`'s `mem` unit tests and its RSS test
+#      every answer right, or StaleCode and then right), and the
+#      mapping: `tcc-vm`'s `map`, `mem` and `code` unit tests and its
+#      two RSS tests (a 1 GiB data memory, 2^21 code words)
 #   9. cargo doc, warnings are errors
 #  10. suite smoke: one benchmark through two static and three dynamic
 #      back ends, which must agree
@@ -142,7 +144,7 @@ if [ -n "$uncounted" ]; then
 fi
 
 echo "== panic sites in vcode, icode and tickc do not grow =="
-PANIC_SITES=37
+PANIC_SITES=35
 panic_sites=0
 panic_files=""
 for f in crates/vcode/src/*.rs crates/icode/src/*.rs crates/tickc/src/*.rs; do
@@ -176,8 +178,9 @@ echo "== release-only tests: spec-memory soak, paper-size Blur, retire-vs-hit, t
 cargo test --release -q -p tickc --test spec_memory -- --ignored
 cargo test --release -q -p tickc --test paper_golden -- --ignored
 cargo test --release -q -p tcc --test shared_serve -- --ignored
-cargo test --release -q -p tcc-vm --lib mem::
+cargo test --release -q -p tcc-vm --lib -- map:: mem:: code::
 cargo test --release -q -p tcc-vm --test memory_rss
+cargo test --release -q -p tcc-vm --test code_rss
 
 echo "== cargo doc (deny warnings) =="
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet

@@ -13,7 +13,7 @@
 
 use crate::alloc::{Assignment, Pools};
 use crate::color::{graph_color, ColorScratch};
-use crate::emit::{emit, EmitScratch, MissingTranslator};
+use crate::emit::{emit, EmitScratch};
 use crate::flow::FlowGraph;
 use crate::intervals::Intervals;
 use crate::ir::IcodeBuf;
@@ -23,7 +23,7 @@ use crate::peephole::Peephole;
 use crate::prune::TranslatorTable;
 use std::time::Instant;
 use tcc_vcode::FinishedFunc;
-use tcc_vm::CodeSpace;
+use tcc_vm::{CodeSpace, VmError};
 
 /// Register allocation strategy.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
@@ -126,15 +126,17 @@ impl IcodeCompiler {
     ///
     /// # Errors
     ///
-    /// [`MissingTranslator`] when [`IcodeCompiler::table`] lacks an
+    /// A [`MissingTranslator`](crate::MissingTranslator), as
+    /// [`VmError::Host`], when [`IcodeCompiler::table`] lacks an
     /// instruction `buf` needs: no word is emitted, and the compiler
-    /// stays usable.
+    /// stays usable. [`VmError::CodeBudget`] when the function crossed
+    /// the code space's budget, which rolled it back.
     pub fn compile(
         &mut self,
         code: &mut CodeSpace,
         name: &str,
         buf: &mut IcodeBuf,
-    ) -> Result<IcodeResult, MissingTranslator> {
+    ) -> Result<IcodeResult, VmError> {
         let mut phases = Phases::default();
         let mut lap = Instant::now();
         let mut split = |slot: &mut u64| {

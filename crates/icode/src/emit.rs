@@ -18,7 +18,7 @@ use tcc_rt::ValKind;
 use tcc_vcode::ops::UnOp;
 use tcc_vcode::{CallTarget, CodeSink, FinishedFunc, Label, Loc, Vcode, VcodeBufs};
 use tcc_vm::regs::{ARG_REGS, FARG_REGS};
-use tcc_vm::CodeSpace;
+use tcc_vm::{CodeSpace, VmError};
 
 /// The emitter's lookup tables, kept for the next compile.
 #[derive(Clone, Debug, Default)]
@@ -48,6 +48,14 @@ impl std::fmt::Display for MissingTranslator {
 
 impl std::error::Error for MissingTranslator {}
 
+/// The refusal as the machine reports it: a host-call failure of the
+/// `compile` that met it.
+impl From<MissingTranslator> for VmError {
+    fn from(e: MissingTranslator) -> VmError {
+        VmError::Host(e.to_string())
+    }
+}
+
 /// Translates a register-allocated ICODE buffer to binary. Returns the
 /// function and the translator keys it used (the pruning analysis's
 /// observation of this compile).
@@ -55,7 +63,10 @@ impl std::error::Error for MissingTranslator {}
 /// # Errors
 ///
 /// `table` does not support an instruction in `buf` (the
-/// pruned-translator contract); the code space is left untouched.
+/// pruned-translator contract; a [`MissingTranslator`] as
+/// [`VmError::Host`]); the code space is left untouched.
+/// [`VmError::CodeBudget`] when the function crossed the code space's
+/// budget, which rolled it back.
 ///
 /// # Panics
 ///
@@ -67,12 +78,12 @@ pub fn emit(
     asn: &Assignment,
     table: &TranslatorTable,
     scratch: &mut EmitScratch,
-) -> Result<(FinishedFunc, TranslatorTable), MissingTranslator> {
+) -> Result<(FinishedFunc, TranslatorTable), VmError> {
     let mut seen = TranslatorTable::empty();
     for insn in &buf.insns {
         let key = key_of(insn);
         if !table.contains(key) {
-            return Err(MissingTranslator(*insn));
+            return Err(MissingTranslator(*insn).into());
         }
         seen.insert(key);
     }
@@ -118,7 +129,7 @@ pub fn emit(
     }
     let (func, bufs) = vc.finish_with_bufs();
     *vcode = bufs;
-    Ok((func, seen))
+    Ok((func?, seen))
 }
 
 fn translate_one(

@@ -46,8 +46,7 @@
 //!
 //! let mut code = CodeSpace::new();
 //! let result = IcodeCompiler::new(Strategy::LinearScan)
-//!     .compile(&mut code, "triple", &mut buf)
-//!     .expect("the full translator table covers every instruction");
+//!     .compile(&mut code, "triple", &mut buf)?;
 //! let mut vm = Vm::new(code, 1 << 20);
 //! assert_eq!(vm.call(result.func.addr, &[14])?, 42);
 //! # Ok(())

@@ -124,7 +124,7 @@ fn run_vcode(steps: &[Step], p0: i32, p1: i32) -> i32 {
     let mut code = CodeSpace::new();
     let mut vc = Vcode::new(&mut code, "prog");
     build(&mut vc, steps);
-    let f = vc.finish();
+    let f = vc.finish().unwrap();
     let mut vm = Vm::new(code, 1 << 20);
     vm.call(f.addr, &[p0 as i64 as u64, p1 as i64 as u64])
         .expect("runs") as i32
@@ -212,7 +212,7 @@ fn loop_program_agrees_across_backends() {
     let mut code = CodeSpace::new();
     let mut vc = Vcode::new(&mut code, "loop");
     build_loop(&mut vc);
-    let f = vc.finish();
+    let f = vc.finish().unwrap();
     let mut vm = Vm::new(code, 1 << 20);
     assert_eq!(vm.call(f.addr, &[250, 3]).unwrap() as i64, expect);
 
@@ -247,7 +247,7 @@ fn icode_code_quality_beats_vcode_under_pressure() {
         let mut code = CodeSpace::new();
         let mut vc = Vcode::new(&mut code, "p");
         build(&mut vc, &steps);
-        let f = vc.finish();
+        let f = vc.finish().unwrap();
         (code, f.addr)
     });
     let icode_cycles = cycles(&|| {

@@ -107,10 +107,10 @@ fn binary_like() -> IcodeBuf {
 }
 
 /// What installing one function costs, whoever generates it — the
-/// allocator calls of a steady-state compile, all of them:
-///
-/// * 1: the function's name (`CodeSpace::begin_function` keeps a `String`
-///   for disassembly).
+/// allocator calls of a steady-state compile: none. The function's name
+/// (`CodeSpace::begin_function` keeps a `String` for disassembly) is
+/// written into the freed registry slot the function reuses, whose
+/// `String` already has the room.
 ///
 /// Sealing allocates nothing: the owner index is written in place, and a
 /// function relocated into a freed range is rewritten there directly.
@@ -122,7 +122,7 @@ fn binary_like() -> IcodeBuf {
 /// second compile of a shape on. The installed words themselves extend
 /// the code space's word array and its owner index in place; the test
 /// frees each function, so the next reuses its range and neither grows.
-const INSTALL_ALLOCATIONS: u64 = 1;
+const INSTALL_ALLOCATIONS: u64 = 0;
 
 /// On top of that, a compile may be the one that doubles a vector the
 /// *code space* keeps for its whole life: the function registry (one

@@ -662,6 +662,47 @@ impl AdaptiveMetrics {
     }
 }
 
+/// Host memory a session holds, in bytes, read off lengths and
+/// capacities when the metrics are taken — nothing on any run path
+/// counts it. So far the code space: its instruction words and, parallel
+/// to them, its owner index (one `u32` per word each), and its function
+/// registry.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct MemoryMetrics {
+    /// Code words emitted: the code space's tail, 4 bytes a word.
+    pub code_words_bytes: u64,
+    /// Of the word array, the bytes committed: made writable, and so
+    /// charged to the host, a 64 KiB step at a time. Only the pages
+    /// written are resident.
+    pub code_words_committed_bytes: u64,
+    /// The owner index's entries, one per word.
+    pub code_owner_bytes: u64,
+    /// Of the owner index, the bytes committed.
+    pub code_owner_committed_bytes: u64,
+    /// The function registry's capacity: one slot per function alive at
+    /// once, and the list of released slots.
+    pub code_registry_bytes: u64,
+}
+
+impl MemoryMetrics {
+    /// JSON object form.
+    pub fn to_json(&self) -> Json {
+        Json::obj(vec![
+            ("code_words_bytes", Json::from(self.code_words_bytes)),
+            (
+                "code_words_committed_bytes",
+                Json::from(self.code_words_committed_bytes),
+            ),
+            ("code_owner_bytes", Json::from(self.code_owner_bytes)),
+            (
+                "code_owner_committed_bytes",
+                Json::from(self.code_owner_committed_bytes),
+            ),
+            ("code_registry_bytes", Json::from(self.code_registry_bytes)),
+        ])
+    }
+}
+
 /// The unified per-phase breakdown for one session: everything from
 /// source text to retired instructions.
 #[derive(Clone, Debug, Default)]
@@ -683,6 +724,8 @@ pub struct SessionMetrics {
     pub cache: CacheMetrics,
     /// On-disk persistent artifact store (`tcc-cache` persist layer).
     pub persist: PersistMetrics,
+    /// Host memory the session holds.
+    pub memory: MemoryMetrics,
 }
 
 impl SessionMetrics {
@@ -698,6 +741,7 @@ impl SessionMetrics {
             ("adaptive", self.adaptive.to_json()),
             ("cache", self.cache.to_json()),
             ("persist", self.persist.to_json()),
+            ("memory", self.memory.to_json()),
         ])
     }
 }
@@ -790,6 +834,24 @@ mod tests {
         for key in ["hits", "evictions", "bytes_live", "ns_saved", "hit_ns"] {
             assert!(text.contains(&format!("\"{key}\"")), "missing {key}");
         }
+    }
+
+    #[test]
+    fn memory_metrics_name_every_field() {
+        let m = MemoryMetrics {
+            code_words_bytes: 1,
+            code_words_committed_bytes: 2,
+            code_owner_bytes: 3,
+            code_owner_committed_bytes: 4,
+            code_registry_bytes: 5,
+        };
+        assert_eq!(
+            m.to_json().to_string(),
+            "{\"code_words_bytes\":1,\"code_words_committed_bytes\":2,\"code_owner_bytes\":3,\
+             \"code_owner_committed_bytes\":4,\"code_registry_bytes\":5}"
+        );
+        let session = SessionMetrics::default().to_json().to_string();
+        assert!(session.contains("\"memory\":{\"code_words_bytes\":0,"));
     }
 
     #[test]

@@ -9,7 +9,7 @@ use std::time::Instant;
 use tcc_cache::{CodeCache, SharedArtifacts};
 use tcc_front::{FrontError, Program};
 use tcc_mir::{build_image_scheduled, Image, OptLevel};
-use tcc_obs::{FrontendMetrics, SessionMetrics, StaticMetrics, VmMetrics};
+use tcc_obs::{FrontendMetrics, MemoryMetrics, SessionMetrics, StaticMetrics, VmMetrics};
 use tcc_vm::{CodeSpace, CostModel, ExecEngine, TransHub, Vm, VmError};
 
 /// Any error from source to execution.
@@ -70,6 +70,17 @@ pub struct Config {
     /// make the session a one-session pool with a budget
     /// (`shared: Some(SharedArtifacts::with_budget(b))`), whose budget
     /// is the only eviction policy.
+    ///
+    /// With `cache` off nothing a session compiles is freed. Each
+    /// compile keeps its function's registry entry on the host heap
+    /// (56 bytes on a 64-bit host, in a vector that doubles) and 8
+    /// bytes per code word it emitted (the word and its owner-index
+    /// entry), committed 64 KiB at a time in the code space's
+    /// reservation and resident as written — nothing else
+    /// (`crates/tickc/tests/memo_off_soak.rs`). That ends at the code budget,
+    /// [`tcc_vm::CODE_BUDGET`] words: the `compile` that would cross it
+    /// fails with [`VmError::CodeBudget`], and the session keeps
+    /// running the code it has.
     pub cache: bool,
     /// The execution engine. `None` = adaptive per-function tiering
     /// ([`ExecEngine::Adaptive`] with the calibrated
@@ -447,8 +458,11 @@ impl Session {
     /// The unified per-phase metrics breakdown for this session:
     /// front-end parse/sema time, static lowering, accumulated dynamic
     /// compilation (walk time, per-phase codegen, instruction counts),
-    /// and VM execution counters since the last reset.
+    /// VM execution counters since the last reset, and the host memory
+    /// the code space holds.
     pub fn metrics(&self) -> SessionMetrics {
+        let code = self.vm.state().code.footprint();
+        let word = std::mem::size_of::<u32>() as u64;
         SessionMetrics {
             frontend: self.frontend,
             static_compile: self.static_compile,
@@ -471,6 +485,13 @@ impl Session {
                 .pool()
                 .and_then(|p| p.persist_metrics())
                 .unwrap_or_default(),
+            memory: MemoryMetrics {
+                code_words_bytes: code.words as u64 * word,
+                code_words_committed_bytes: code.committed_words as u64 * word,
+                code_owner_bytes: code.words as u64 * word,
+                code_owner_committed_bytes: code.committed_words as u64 * word,
+                code_registry_bytes: code.registry_bytes as u64,
+            },
         }
     }
 

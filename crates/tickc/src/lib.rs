@@ -66,8 +66,8 @@ pub use tcc_icode::Strategy;
 pub use tcc_mir::OptLevel;
 pub use tcc_obs::SharedCacheMetrics;
 pub use tcc_obs::{
-    CodegenPhases, DynMetrics, ExecMetrics, FrontendMetrics, PersistMetrics, SessionMetrics,
-    StaticMetrics, VmMetrics,
+    CodegenPhases, DynMetrics, ExecMetrics, FrontendMetrics, MemoryMetrics, PersistMetrics,
+    SessionMetrics, StaticMetrics, VmMetrics,
 };
 pub use tcc_vm::{
     AdaptiveStats, ExecEngine, ExecStats, Tier, TransHub, VmError, DEFAULT_THREAD_AFTER,

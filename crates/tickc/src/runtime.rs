@@ -274,6 +274,7 @@ impl TccRuntime {
                 }
                 let (f, bufs) = vc.finish_with_bufs();
                 b.vcode = bufs;
+                let f = f?;
                 // One pass: the walk is the emission, so this is the
                 // whole back end, frame patch-up and seal included.
                 (walk, t0.elapsed().as_nanos() as u64, f, None)
@@ -290,10 +291,7 @@ impl TccRuntime {
                 let walk = walk(input, mem, buf, sc, params, ret_kind, closure)?;
                 let walk_ns = t0.elapsed().as_nanos() as u64;
                 let ir_insns = buf.emitted();
-                let r = b
-                    .icode
-                    .compile(code, name, buf)
-                    .map_err(|e| VmError::Host(e.to_string()))?;
+                let r = b.icode.compile(code, name, buf)?;
                 (walk, walk_ns, r.func, Some((ir_insns, r)))
             }
         };
@@ -366,7 +364,9 @@ impl TccRuntime {
         // artifact this code space cannot take (undecodable word,
         // cross-function branch, rebased jump out of range) is
         // invalidated, so the next request misses — with the claim that
-        // makes other sessions wait for the compile below.
+        // makes other sessions wait for the compile below. One that
+        // would cross this space's code budget is sound: the refusal is
+        // this session's, and a compile would meet it too.
         let mut fetched = None;
         let mut claim = None;
         if let (Some(cache), Some(fp)) = (&self.cache, &fp) {
@@ -382,6 +382,7 @@ impl TccRuntime {
                         fetched = Some((addr, handle, artifact.compile_ns, Some(load_ns)));
                         break None;
                     }
+                    Err(full @ VmError::CodeBudget(_)) => return Err(full),
                     Err(_) => {
                         cache.pool().invalidate(fp);
                     }

@@ -72,12 +72,13 @@ const COMPILE_ALLOCATIONS: u64 = 0;
 /// the session's whole life (`Config { cache: false }` never frees, so
 /// every compile adds a function):
 ///
-/// * 2: the word array and its parallel owner index doubling together
-///   (`CodeSpace::push`);
-/// * 1: the function registry doubling (`CodeSpace::begin_function`).
+/// * 1: the function registry doubling (`CodeSpace::begin_function`),
+///   once per doubling, so the typical compile sees none.
 ///
-/// Each happens once per doubling, so the typical compile sees none.
-const CODE_SPACE_GROWTH: u64 = 3;
+/// The word array and its parallel owner index make no allocator call:
+/// they grow in place, committing pages of one reservation
+/// (`CodeSpace::push`).
+const CODE_SPACE_GROWTH: u64 = 1;
 
 /// A tick whose unrolled trip count (`n`) and whose body size (`big`)
 /// are the caller's; every iteration emits loads, stores and a call.

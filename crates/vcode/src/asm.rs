@@ -11,7 +11,7 @@
 use tcc_rt::ValKind;
 use tcc_vm::isa::{fits_imm14, IMM14_MAX, IMM14_MIN, IMM24_MAX, IMM24_MIN};
 use tcc_vm::regs::{AT0, AT1, RA, ZERO};
-use tcc_vm::{CodeSpace, FReg, FuncHandle, Insn, Op, Reg, CODE_BASE};
+use tcc_vm::{CodeSpace, FReg, FuncHandle, Insn, Op, Reg, VmError, CODE_BASE};
 
 /// A branch target within the function being emitted.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -110,30 +110,32 @@ impl<'a> Asm<'a> {
     /// Seals the function; returns its callable address. All labels must
     /// be bound.
     ///
+    /// # Errors
+    ///
+    /// [`VmError::CodeBudget`] when the function crossed its code
+    /// space's budget: the space has rolled it back.
+    ///
     /// # Panics
     ///
     /// Panics if a referenced label was never bound.
-    pub fn finish(self) -> u64 {
+    pub fn finish(self) -> Result<u64, VmError> {
         self.finish_with_bufs().0
     }
 
     /// [`Asm::finish`], also returning the label tables for the next
-    /// function's [`Asm::with_bufs`].
+    /// function's [`Asm::with_bufs`] (whether or not it sealed).
     ///
     /// # Panics
     ///
     /// As [`Asm::finish`].
-    pub fn finish_with_bufs(self) -> (u64, AsmBufs) {
+    pub fn finish_with_bufs(self) -> (Result<u64, VmError>, AsmBufs) {
         for (i, l) in self.labels.iter().enumerate() {
             assert!(
                 l.bound.is_some() || l.last_ref == NO_REF,
                 "label {i} referenced but never bound"
             );
         }
-        let addr = self
-            .code
-            .finish_function(self.func)
-            .expect("asm seals its function exactly once");
+        let addr = self.code.finish_function(self.func);
         let bufs = AsmBufs {
             labels: self.labels,
             refs: self.refs,
@@ -165,10 +167,12 @@ impl<'a> Asm<'a> {
         while pending != NO_REF {
             let (r, earlier) = self.refs[pending as usize];
             pending = earlier;
-            let word = self
-                .code
-                .fetch(CODE_BASE + (r as u64) * 4)
-                .expect("own code");
+            let Ok(word) = self.code.fetch(CODE_BASE + (r as u64) * 4) else {
+                // Dropped at the code budget: `finish` refuses the
+                // function, so there is nothing to resolve.
+                debug_assert!(self.code.exhausted(), "reference {r} not emitted");
+                continue;
+            };
             let mut insn = Insn::decode(word).expect("own code decodes");
             let off = at as i64 - (r as i64 + 1);
             if insn.op == Op::J || insn.op == Op::Jal {
@@ -533,7 +537,7 @@ mod tests {
         let mut asm = Asm::new(&mut code, "t");
         build(&mut asm);
         asm.emit(Insn::ret());
-        let addr = asm.finish();
+        let addr = asm.finish().unwrap();
         let mut vm = Vm::new(code, 1 << 20);
         vm.call(addr, args).unwrap()
     }
@@ -625,7 +629,7 @@ mod tests {
         let mut asm = Asm::new(&mut code, "t");
         let l = asm.new_label();
         asm.jmp(l);
-        asm.finish();
+        asm.finish().unwrap();
     }
 
     #[test]
@@ -653,7 +657,7 @@ mod tests {
         asm.mul_imm(ValKind::W, A0, A1, 16);
         let f = asm.func();
         asm.emit(Insn::ret());
-        asm.finish();
+        asm.finish().unwrap();
         let insns = code.instructions(f).unwrap();
         assert!(insns.iter().all(|i| i.op != Op::Mulw && i.op != Op::Muld));
     }
@@ -695,7 +699,7 @@ mod tests {
         asm.store(Op::Sw, A0, A1, 100_000);
         asm.load(Op::Lw, A0, A1, 100_000);
         asm.emit(Insn::ret());
-        let addr = asm.finish();
+        let addr = asm.finish().unwrap();
         let mut vm = Vm::new(code, 1 << 20);
         let region = vm.state_mut().mem.alloc(100_016, 8).unwrap();
         let got = vm.call(addr, &[77, region]).unwrap();
@@ -713,7 +717,7 @@ mod tests {
         let mut asm = Asm::new(&mut code, "callee");
         asm.emit(Insn::i(Op::Addiw, A0, A0, 5));
         asm.emit(Insn::ret());
-        let callee = asm.finish();
+        let callee = asm.finish().unwrap();
 
         let mut asm = Asm::new(&mut code, "caller");
         use tcc_vm::regs::SP;
@@ -723,7 +727,7 @@ mod tests {
         asm.emit(Insn::i(Op::Ld, RA, SP, 0));
         asm.emit(Insn::i(Op::Addid, SP, SP, 16));
         asm.emit(Insn::ret());
-        let caller = asm.finish();
+        let caller = asm.finish().unwrap();
 
         let mut vm = Vm::new(code, 1 << 20);
         assert_eq!(vm.call(caller, &[1]).unwrap(), 6);
@@ -736,7 +740,7 @@ mod tests {
         use tcc_vm::regs::FA0;
         asm.lif(FA0, 2.5);
         asm.emit(Insn::ret());
-        let addr = asm.finish();
+        let addr = asm.finish().unwrap();
         let mut vm = Vm::new(code, 1 << 20);
         assert_eq!(vm.call_f(addr, &[], &[]).unwrap(), 2.5);
     }

@@ -19,7 +19,7 @@
 
 use crate::asm::{Asm, AsmBufs, Label};
 use tcc_vm::regs::{FP, RA, SP};
-use tcc_vm::{CodeSpace, FReg, FuncHandle, Insn, Op, Reg};
+use tcc_vm::{CodeSpace, FReg, FuncHandle, Insn, Op, Reg, VmError};
 
 /// A completed function: address, handle, and emission statistics.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -177,13 +177,18 @@ impl<'a> FuncBuilder<'a> {
 
     /// Binds the epilogue, patches the frame size, and seals the
     /// function.
-    pub fn finish(self) -> FinishedFunc {
+    ///
+    /// # Errors
+    ///
+    /// As [`Asm::finish`]: [`VmError::CodeBudget`] when the function
+    /// crossed its code space's budget.
+    pub fn finish(self) -> Result<FinishedFunc, VmError> {
         self.finish_with_bufs().0
     }
 
     /// [`FuncBuilder::finish`], also returning the builder's vectors for
     /// the next function's [`FuncBuilder::with_bufs`].
-    pub fn finish_with_bufs(mut self) -> (FinishedFunc, FuncBufs) {
+    pub fn finish_with_bufs(mut self) -> (Result<FinishedFunc, VmError>, FuncBufs) {
         let epilogue = self.epilogue;
         self.asm.bind(epilogue);
         for &(r, off) in &self.saved {
@@ -204,11 +209,11 @@ impl<'a> FuncBuilder<'a> {
         let insns = self.asm.emitted();
         let handle = self.asm.func();
         let (addr, asm) = self.asm.finish_with_bufs();
-        let func = FinishedFunc {
+        let func = addr.map(|addr| FinishedFunc {
             addr,
             handle,
             insns,
-        };
+        });
         let bufs = FuncBufs {
             asm,
             saved: self.saved,
@@ -239,7 +244,7 @@ mod tests {
         fb.asm.li(S0, 999);
         fb.asm.mov(A0, S0);
         fb.ret();
-        let leaf = fb.finish();
+        let leaf = fb.finish().unwrap();
 
         // caller: puts a sentinel in s0, calls leaf, checks it survived.
         let mut fb = FuncBuilder::new(&mut code, "caller");
@@ -249,7 +254,7 @@ mod tests {
         // a0 = leaf() + s0  (999 + 123)
         fb.asm.emit(Insn::r(Op::Addw, A0, A0, S0));
         fb.ret();
-        let caller = fb.finish();
+        let caller = fb.finish().unwrap();
 
         let mut vm = Vm::new(code, 1 << 20);
         assert_eq!(vm.call(caller.addr, &[]).unwrap(), 1122);
@@ -260,7 +265,7 @@ mod tests {
         let mut code = CodeSpace::new();
         let mut fb = FuncBuilder::new(&mut code, "id");
         fb.ret();
-        let id = fb.finish();
+        let id = fb.finish().unwrap();
 
         let mut fb = FuncBuilder::new(&mut code, "f");
         let slot = fb.alloc_slot();
@@ -268,7 +273,7 @@ mod tests {
         fb.asm.call_addr(id.addr);
         fb.load_slot(A0, slot);
         fb.ret();
-        let f = fb.finish();
+        let f = fb.finish().unwrap();
 
         let mut vm = Vm::new(code, 1 << 20);
         assert_eq!(vm.call(f.addr, &[0, 4242]).unwrap(), 4242);
@@ -293,7 +298,7 @@ mod tests {
         fb.asm.bind(base);
         fb.asm.li(A0, 1);
         fb.ret();
-        let fact = fb.finish();
+        let fact = fb.finish().unwrap();
         assert_eq!(fact.addr, self_addr);
 
         let mut vm = Vm::new(code, 1 << 20);
@@ -315,7 +320,7 @@ mod tests {
         fb.asm.lif(fs0, 1.25);
         fb.asm.fmov(FA0, fs0);
         fb.ret();
-        let f = fb.finish();
+        let f = fb.finish().unwrap();
         let mut vm = Vm::new(code, 1 << 20);
         assert_eq!(vm.call_f(f.addr, &[], &[]).unwrap(), 1.25);
     }
@@ -326,7 +331,7 @@ mod tests {
         let mut fb = FuncBuilder::new(&mut code, "f");
         fb.asm.li(A0, 7);
         fb.ret();
-        let f = fb.finish();
+        let f = fb.finish().unwrap();
         // 5 prologue + li + jmp + epilogue(5) = 12
         assert_eq!(f.insns, 12);
     }

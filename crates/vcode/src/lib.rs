@@ -43,7 +43,7 @@
 //! vc.bin(BinOp::Mul, ValKind::W, t, t, x);
 //! vc.addi(ValKind::W, t, t, 1);
 //! vc.ret_val(ValKind::W, t);
-//! let f = vc.finish();
+//! let f = vc.finish()?;
 //!
 //! let mut vm = Vm::new(code, 1 << 20);
 //! assert_eq!(vm.call(f.addr, &[13])?, 40);

@@ -243,7 +243,7 @@ mod tests {
         let mut code = CodeSpace::new();
         let mut vc = Vcode::new(&mut code, "poly");
         build_poly(&mut vc);
-        let f = vc.finish();
+        let f = vc.finish().unwrap();
         let mut vm = Vm::new(code, 1 << 20);
         assert_eq!(vm.call(f.addr, &[5]).unwrap(), 105);
         assert_eq!(vm.call(f.addr, &[11]).unwrap(), 88);
@@ -258,7 +258,7 @@ mod tests {
         let r = vc.temp(ValKind::W);
         CodeSink::hcall(&mut vc, 40, &[(ValKind::W, x)], Some((ValKind::W, r)));
         vc.ret_val(ValKind::W, r);
-        let f = vc.finish();
+        let f = vc.finish().unwrap();
         let host = |num: u32, st: &mut MachineState| {
             let a = st.arg(0);
             st.set_ret(a + num as u64);

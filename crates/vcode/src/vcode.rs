@@ -14,7 +14,7 @@ use crate::ops::{int_binop_op, int_branch_op, BinOp, LoadKind, StoreKind, UnOp};
 use crate::regmgr::RegMgr;
 use tcc_rt::ValKind;
 use tcc_vm::regs::{ARG_REGS, AT0, AT1, FARG_REGS, FAT, RA, ZERO};
-use tcc_vm::{CodeSpace, FReg, Insn, Op, Reg};
+use tcc_vm::{CodeSpace, FReg, Insn, Op, Reg, VmError};
 
 /// A value location: a physical register or a spilled stack slot.
 ///
@@ -754,13 +754,18 @@ impl<'a> Vcode<'a> {
     }
 
     /// Seals the function.
-    pub fn finish(self) -> FinishedFunc {
+    ///
+    /// # Errors
+    ///
+    /// [`VmError::CodeBudget`] when the function crossed its code
+    /// space's budget: the space has rolled it back.
+    pub fn finish(self) -> Result<FinishedFunc, VmError> {
         self.finish_with_bufs().0
     }
 
     /// [`Vcode::finish`], also returning the generator's storage for the
-    /// next function's [`Vcode::with_bufs`].
-    pub fn finish_with_bufs(self) -> (FinishedFunc, VcodeBufs) {
+    /// next function's [`Vcode::with_bufs`] (whether or not it sealed).
+    pub fn finish_with_bufs(self) -> (Result<FinishedFunc, VmError>, VcodeBufs) {
         let (f, func) = self.fb.finish_with_bufs();
         let bufs = VcodeBufs {
             func,
@@ -781,7 +786,7 @@ mod tests {
         let mut code = CodeSpace::new();
         let mut vc = Vcode::new(&mut code, "t");
         build(&mut vc);
-        let f = vc.finish();
+        let f = vc.finish().unwrap();
         (Vm::new(code, 1 << 20), f.addr)
     }
 
@@ -911,7 +916,7 @@ mod tests {
         let (a, b) = (vc.arg_loc(0), vc.arg_loc(1));
         vc.bin(BinOp::Sub, ValKind::W, d, a, b);
         vc.ret_val(ValKind::W, d);
-        let callee = vc.finish();
+        let callee = vc.finish().unwrap();
 
         // caller(a, b) = callee(b, a)  — swap requires cycle breaking
         let mut vc = Vcode::new(&mut code, "caller");
@@ -923,7 +928,7 @@ mod tests {
             Some((ValKind::W, r)),
         );
         vc.ret_val(ValKind::W, r);
-        let caller = vc.finish();
+        let caller = vc.finish().unwrap();
 
         let mut vm = Vm::new(code, 1 << 20);
         assert_eq!(vm.call(caller.addr, &[10, 3]).unwrap() as i64, -7);
@@ -936,14 +941,14 @@ mod tests {
         let d = vc.getreg(ValKind::W);
         vc.li(d, 7);
         vc.ret_val(ValKind::W, d);
-        let seven = vc.finish();
+        let seven = vc.finish().unwrap();
 
         let mut vc = Vcode::new(&mut code, "caller");
         let t = vc.getreg(ValKind::P);
         vc.li(t, seven.addr as i64);
         vc.call(CallTarget::Ind(t), &[], Some((ValKind::W, t)));
         vc.ret_val(ValKind::W, t);
-        let caller = vc.finish();
+        let caller = vc.finish().unwrap();
 
         let mut vm = Vm::new(code, 1 << 20);
         assert_eq!(vm.call(caller.addr, &[]).unwrap(), 7);

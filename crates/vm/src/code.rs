@@ -57,12 +57,49 @@
 //! [`CodeSpace::live_range_containing`], [`CodeSpace::function_at`],
 //! [`CodeSpace::disassemble_at`], and the VM's translation cache, which
 //! goes word → handle → tier record) is one load of it.
+//!
+//! # Storage and the budget
+//!
+//! The words and the owner index are one reservation of address space
+//! (`map.rs`'s `Lanes`), reserved at the first push and made
+//! writable in [`COMMIT_BYTES`](crate::COMMIT_BYTES) steps as the tail grows: they grow in
+//! place, never copy, and hold no capacity beyond the committed step,
+//! which is not resident until written. So a code space costs the host
+//! 8 bytes per word emitted (word + owner), to page granularity, where
+//! two doubling vectors held up to twice that, part of it resident.
+//!
+//! The reservation's end is the space's code budget, [`CODE_BUDGET`]
+//! words. A push past it (or past a commit step the host refuses)
+//! stores nothing: it sets a sticky flag, as VCODE's register
+//! exhaustion does, so emission stays infallible, and the function's
+//! [`CodeSpace::finish_function`] — or an [`CodeSpace::install_function`]
+//! that meets the budget — refuses with [`VmError::CodeBudget`],
+//! rolling the function back so the space is as it was before it began.
+//! Code already sealed still runs; a later function that fits below the
+//! budget still seals. A function is emitted whole at the tail before it
+//! can move into a freed hole, so a tail at the budget refuses every
+//! compile until the space is dropped; an install, whose length is known
+//! up front, still goes straight into a hole that fits.
 
 use crate::error::VmError;
 use crate::isa::{Insn, Op};
+use crate::map::Lanes;
 
 /// Base address of the code space; all code addresses have this bit set.
 pub const CODE_BASE: u64 = 0x8000_0000;
+
+/// The most words a [`CodeSpace`] holds: its code budget, and the end
+/// of the address range reserved for its words (the owner index
+/// reserves as much again). 2²⁴ words — 64 MiB of code — is twice the
+/// 2²³-word reach of a `jal`, so a session still grows well past that
+/// reach: the emitter's far-call path, which `tests/far_calls.rs`
+/// drives by pushing 2²³ + 64 words before a compile, keeps room for
+/// the image and the closures beyond it. A larger budget would only
+/// reserve more address space per session (128 MiB each now, none of
+/// it charged until committed): at the ~113 words a `codegen_cold`
+/// compile emits, this one takes ~148,000 compiles that are never
+/// freed.
+pub const CODE_BUDGET: usize = 1 << 24;
 
 /// Signed 24-bit jump displacement range (word offsets), the reach of a
 /// relocated `j`/`jal`.
@@ -134,16 +171,33 @@ impl CodeStats {
     }
 }
 
+/// Host memory behind a [`CodeSpace`], read off lengths and capacities
+/// ([`CodeSpace::footprint`]).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct CodeFootprint {
+    /// Entries in the word array and, as many, in the owner index: the
+    /// tail ([`CodeStats::total_words`]).
+    pub words: usize,
+    /// Entries of each of the two arrays the host has committed.
+    pub committed_words: usize,
+    /// Bytes of function-registry capacity: the slots and the list of
+    /// released ones.
+    pub registry_bytes: usize,
+}
+
 /// A growable region of encoded instruction words plus a registry of the
 /// functions inside it.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug)]
 pub struct CodeSpace {
-    words: Vec<u32>,
-    /// Parallel to `words`: the slot in `funcs` of the live sealed
-    /// function covering the word, or [`NO_OWNER`]. The one index behind
-    /// every address → live function query, checked on every executed
-    /// fetch ([`CodeSpace::fetch_exec`]).
-    owner: Vec<u32>,
+    /// The words, and parallel to them the owner index: the slot in
+    /// `funcs` of the live sealed function covering each word, or
+    /// [`NO_OWNER`]. The one index behind every address → live function
+    /// query, checked on every executed fetch
+    /// ([`CodeSpace::fetch_exec`]).
+    lanes: Lanes,
+    /// A word was pushed past the budget and dropped since the last
+    /// function began: that function cannot seal.
+    exhausted: bool,
     funcs: Vec<FuncInfo>,
     /// Released slots of `funcs`, reused last-in first-out.
     free_slots: Vec<u32>,
@@ -158,10 +212,43 @@ pub struct CodeSpace {
     live_epoch: u64,
 }
 
+impl Default for CodeSpace {
+    fn default() -> CodeSpace {
+        CodeSpace::with_budget(CODE_BUDGET)
+    }
+}
+
 impl CodeSpace {
-    /// Creates an empty code space.
+    /// Creates an empty code space with a budget of [`CODE_BUDGET`]
+    /// words. Nothing is mapped until the first push.
     pub fn new() -> CodeSpace {
         CodeSpace::default()
+    }
+
+    /// An empty code space that holds at most `budget` words.
+    pub(crate) fn with_budget(budget: usize) -> CodeSpace {
+        CodeSpace {
+            lanes: Lanes::new(budget),
+            exhausted: false,
+            funcs: Vec::new(),
+            free_slots: Vec::new(),
+            free: Vec::new(),
+            live_words: 0,
+            reclaimed_words: 0,
+            live_epoch: 0,
+        }
+    }
+
+    /// The most words this space holds: [`CODE_BUDGET`].
+    pub fn budget(&self) -> usize {
+        self.lanes.limit()
+    }
+
+    /// Whether a word was dropped at the budget since the last
+    /// function began: the function being emitted will be refused.
+    #[inline]
+    pub fn exhausted(&self) -> bool {
+        self.exhausted
     }
 
     /// Starts a new function named `name` (for disassembly and
@@ -169,7 +256,8 @@ impl CodeSpace {
     /// there is one. Instructions pushed until the matching
     /// [`CodeSpace::finish_function`] belong to it.
     pub fn begin_function(&mut self, name: &str) -> FuncHandle {
-        let start_word = self.words.len();
+        self.exhausted = false;
+        let start_word = self.lanes.len();
         let slot = match self.free_slots.pop() {
             Some(slot) => {
                 let info = &mut self.funcs[slot as usize];
@@ -242,6 +330,9 @@ impl CodeSpace {
     ///
     /// [`VmError::CodeLifecycle`] if the function was already sealed (or
     /// freed): a double-finish would silently re-seal a stale range.
+    /// [`VmError::CodeBudget`] if a word of it was dropped at the
+    /// budget: the function is rolled back and its handle released, and
+    /// the space is as it was before the function began.
     pub fn finish_function(&mut self, handle: FuncHandle) -> Result<u64, VmError> {
         let info = self.info(handle)?;
         if info.sealed {
@@ -251,27 +342,32 @@ impl CodeSpace {
             )));
         }
         let start = info.start_word;
-        let len = self.words.len() - start;
+        if self.exhausted {
+            self.abort(handle);
+            return Err(VmError::CodeBudget(self.budget()));
+        }
+        let len = self.lanes.len() - start;
         // Into the first fitting hole, if every word can move there. The
         // hole's words are dead, so a refusal part-way leaves nothing
         // that can run: the function then stays at the tail.
         let hole = self.fit(start, len).filter(|&fit| {
             let to = self.free[fit].0;
+            let words = self.lanes.words_mut();
             (0..len).all(|i| {
-                let moved = relocate_word(self.words[start + i], i, start, len, to);
-                moved.map(|word| self.words[to + i] = word).is_ok()
+                let moved = relocate_word(words[start + i], i, start, len, to);
+                moved.map(|word| words[to + i] = word).is_ok()
             })
         });
-        Ok(self.seal(handle, hole))
+        Ok(self.seal(handle, len, hole))
     }
 
-    /// Seals the building function `handle`, whose words sit at the
-    /// emission tail — or, with `hole` naming a free range, already sit
-    /// relocated at that range's start: the range's prefix is taken and
-    /// the tail rolls back past the function.
-    fn seal(&mut self, handle: FuncHandle, hole: Option<usize>) -> u64 {
+    /// Seals the building function `handle`, `len` words long, whose
+    /// words sit at the emission tail — or, with `hole` naming a free
+    /// range, already sit relocated at that range's start: the range's
+    /// prefix is taken and the tail rolls back to where the function
+    /// began.
+    fn seal(&mut self, handle: FuncHandle, len: usize, hole: Option<usize>) -> u64 {
         let tail = self.funcs[handle.slot()].start_word;
-        let len = self.words.len() - tail;
         let start = match hole {
             Some(fit) => {
                 let (s, l) = self.free[fit];
@@ -286,7 +382,7 @@ impl CodeSpace {
             None => tail,
         };
         // An empty function owns no word: nothing to find.
-        self.owner[start..start + len].fill(handle.slot);
+        self.lanes.owners_mut()[start..start + len].fill(handle.slot);
         let info = &mut self.funcs[handle.slot()];
         info.start_word = start;
         info.end_word = start + len;
@@ -297,8 +393,7 @@ impl CodeSpace {
 
     /// Rolls the emission tail back to `len` words.
     fn truncate(&mut self, len: usize) {
-        self.words.truncate(len);
-        self.owner.truncate(len);
+        self.lanes.truncate(len);
     }
 
     /// Returns a sealed function's words to the free list (coalescing
@@ -317,7 +412,7 @@ impl CodeSpace {
         let len = end - start;
         self.release(handle);
         self.live_epoch += 1;
-        self.owner[start..end].fill(NO_OWNER);
+        self.lanes.owners_mut()[start..end].fill(NO_OWNER);
         self.live_words -= len;
         self.reclaimed_words += len;
         self.insert_free(start, len);
@@ -381,7 +476,7 @@ impl CodeSpace {
     /// free range.
     pub fn stats(&self) -> CodeStats {
         CodeStats {
-            total_words: self.words.len(),
+            total_words: self.lanes.len(),
             live_words: self.live_words,
             free_words: self.free.iter().map(|&(_, l)| l).sum(),
             reclaimed_words: self.reclaimed_words,
@@ -395,23 +490,34 @@ impl CodeSpace {
         self.push_word(insn.encode())
     }
 
-    /// Appends a raw already-encoded word; returns its word index.
+    /// Appends a raw already-encoded word; returns its word index. At
+    /// the budget the word is dropped, the index is the tail's, and
+    /// [`CodeSpace::exhausted`] turns true until the next function
+    /// begins: every later push of the function is dropped too, and its
+    /// finish is refused.
     #[inline]
     pub fn push_word(&mut self, word: u32) -> usize {
-        let idx = self.words.len();
-        self.words.push(word);
-        self.owner.push(NO_OWNER);
+        let idx = self.lanes.len();
+        if self.exhausted || !self.lanes.push(word, NO_OWNER) {
+            self.exhausted = true;
+        }
         idx
     }
 
     /// Overwrites the word at `index` (used to resolve forward branch
-    /// references).
+    /// references). A word dropped at the budget has nothing to
+    /// overwrite, and its function will be refused: that patch does
+    /// nothing.
     ///
     /// # Panics
     ///
     /// Panics if `index` has not been emitted yet.
     #[inline]
     pub fn patch(&mut self, index: usize, insn: Insn) {
+        if index >= self.lanes.len() {
+            assert!(self.exhausted, "patch of unemitted word {index}");
+            return;
+        }
         // Patching a *live* word rewrites sealed code under any decoded
         // cache; building-phase patches (forward branch resolution) hit
         // not-yet-live words and stay epoch-neutral.
@@ -420,14 +526,25 @@ impl CodeSpace {
             info.patches = info.patches.wrapping_add(1);
             self.live_epoch += 1;
         }
-        self.words[index] = insn.encode();
+        self.lanes.words_mut()[index] = insn.encode();
     }
 
     /// Number of instruction words emitted so far (also the index the next
     /// push will get).
     #[inline]
     pub fn next_index(&self) -> usize {
-        self.words.len()
+        self.lanes.len()
+    }
+
+    /// Host memory behind this space: its two arrays' used and
+    /// committed entries and its registry's capacity.
+    pub fn footprint(&self) -> CodeFootprint {
+        CodeFootprint {
+            words: self.lanes.len(),
+            committed_words: self.lanes.committed(),
+            registry_bytes: self.funcs.capacity() * std::mem::size_of::<FuncInfo>()
+                + self.free_slots.capacity() * std::mem::size_of::<u32>(),
+        }
     }
 
     /// Fetches the instruction word at a code address, without a
@@ -444,7 +561,11 @@ impl CodeSpace {
             return Err(VmError::BadPc(pc));
         }
         let idx = ((pc - CODE_BASE) / 4) as usize;
-        self.words.get(idx).copied().ok_or(VmError::BadPc(pc))
+        self.lanes
+            .words()
+            .get(idx)
+            .copied()
+            .ok_or(VmError::BadPc(pc))
     }
 
     /// Fetches the instruction word at `pc` for *execution*: the word
@@ -461,10 +582,10 @@ impl CodeSpace {
             return Err(VmError::BadPc(pc));
         }
         let idx = ((pc - CODE_BASE) / 4) as usize;
-        match self.owner.get(idx) {
+        match self.lanes.owners().get(idx) {
             None => Err(VmError::BadPc(pc)),
             Some(&NO_OWNER) => Err(VmError::StaleCode(pc)),
-            Some(_) => Ok(self.words[idx]),
+            Some(_) => Ok(self.lanes.words()[idx]),
         }
     }
 
@@ -492,7 +613,7 @@ impl CodeSpace {
     /// load of the owner index and one of the slot's generation.
     #[inline]
     pub(crate) fn owner(&self, idx: usize) -> Option<FuncHandle> {
-        match self.owner.get(idx) {
+        match self.lanes.owners().get(idx) {
             Some(&slot) if slot != NO_OWNER => Some(FuncHandle {
                 slot,
                 gen: self.funcs[slot as usize].gen,
@@ -529,7 +650,7 @@ impl CodeSpace {
     /// Raw encoded words of `[start, end)` (translation input).
     #[inline]
     pub(crate) fn word_slice(&self, start: usize, end: usize) -> &[u32] {
-        &self.words[start..end]
+        &self.lanes.words()[start..end]
     }
 
     /// Name of the live function containing `addr`, if any (diagnostics).
@@ -545,12 +666,13 @@ impl CodeSpace {
     /// [`VmError::CodeLifecycle`] for a stale handle.
     pub fn disassemble(&self, handle: FuncHandle) -> Result<String, VmError> {
         let info = self.info(handle)?;
-        let end = info.end_word.min(self.words.len());
+        let words = self.lanes.words();
+        let end = info.end_word.min(words.len());
         let mut out = match info.name.as_str() {
             "" => format!("<{:#x}>:\n", CODE_BASE + 4 * info.start_word as u64),
             name => format!("{name}:\n"),
         };
-        for (i, w) in self.words[info.start_word..end].iter().enumerate() {
+        for (i, w) in words[info.start_word..end].iter().enumerate() {
             match Insn::decode(*w) {
                 Ok(insn) => out.push_str(&format!("  {i:4}: {insn}\n")),
                 Err(_) => out.push_str(&format!("  {i:4}: .word {w:#010x}\n")),
@@ -572,8 +694,9 @@ impl CodeSpace {
     /// [`VmError::BadOpcode`] if a word does not decode.
     pub fn instructions(&self, handle: FuncHandle) -> Result<Vec<Insn>, VmError> {
         let info = self.info(handle)?;
-        let end = info.end_word.min(self.words.len());
-        self.words[info.start_word..end]
+        let words = self.lanes.words();
+        let end = info.end_word.min(words.len());
+        words[info.start_word..end]
             .iter()
             .map(|w| Insn::decode(*w))
             .collect()
@@ -592,7 +715,7 @@ impl CodeSpace {
         let info = self.sealed(handle, "words")?;
         Ok((
             info.start_word,
-            self.words[info.start_word..info.end_word].to_vec(),
+            self.lanes.words()[info.start_word..info.end_word].to_vec(),
         ))
     }
 
@@ -602,7 +725,8 @@ impl CodeSpace {
     /// were sealed at in the *source* space: external `j`/`jal`
     /// displacements are rebased by the one rule relocation uses, from
     /// `orig_start` straight to where the function lands — the first
-    /// fitting free-list hole, else the tail. Both spaces must lay out
+    /// fitting free-list hole, written in place, else the tail (which
+    /// needs room below the budget). Both spaces must lay out
     /// their statically compiled functions identically, or the rebased
     /// calls target the wrong code — the caller (the shared artifact
     /// cache) guarantees this by keying artifacts on a fingerprint that
@@ -613,8 +737,11 @@ impl CodeSpace {
     /// [`VmError::CodeLifecycle`] if there are no words, or a word
     /// cannot be proven installable (undecodable data word,
     /// cross-function branch, or a rebased displacement out of `j`/`jal`
-    /// range); the space is left exactly as it was, so the caller can
-    /// fall back to a fresh compile.
+    /// range); the space is left as it was — nothing live changes, and a
+    /// hole's dead words may have been overwritten — so the caller can
+    /// fall back to a fresh compile. [`VmError::CodeBudget`] if the
+    /// words go to the tail and would cross the budget, with the space
+    /// left the same way: a fresh compile would be refused too.
     pub fn install_function(
         &mut self,
         name: &str,
@@ -632,35 +759,39 @@ impl CodeSpace {
         let tail = self.funcs[handle.slot()].start_word;
         let len = words.len();
         // Placement first, so each word is relocated once, straight
-        // from the source placement to its final one.
+        // from the source placement to its final one: into the hole's
+        // dead words, or pushed at the tail.
         let hole = self.fit(tail, len);
         let to = hole.map_or(tail, |fit| self.free[fit].0);
         for (i, &word) in words.iter().enumerate() {
             match relocate_word(word, i, orig_start, len, to) {
+                Ok(word) if hole.is_some() => self.lanes.words_mut()[to + i] = word,
                 Ok(word) => {
                     self.push_word(word);
                 }
                 Err(why) => {
-                    self.abort_install(handle);
+                    self.abort(handle);
                     return Err(VmError::CodeLifecycle(format!(
                         "artifact {name} not installable: {why} at word {i}"
                     )));
                 }
             }
         }
-        if hole.is_some() {
-            self.words.copy_within(tail..tail + len, to);
+        if self.exhausted {
+            self.abort(handle);
+            return Err(VmError::CodeBudget(self.budget()));
         }
-        Ok((self.seal(handle, hole), handle))
+        Ok((self.seal(handle, len, hole), handle))
     }
 
-    /// Rolls back a function begun by [`CodeSpace::install_function`]:
-    /// the emission tail is truncated and the slot released. Only valid
-    /// while the function is the one still being built.
-    fn abort_install(&mut self, handle: FuncHandle) {
+    /// Rolls back the function still being built under `handle`: the
+    /// emission tail is truncated to its start, its slot released and
+    /// the budget flag cleared.
+    fn abort(&mut self, handle: FuncHandle) {
         debug_assert!(!self.funcs[handle.slot()].sealed);
         self.truncate(self.funcs[handle.slot()].start_word);
         self.release(handle);
+        self.exhausted = false;
     }
 }
 
@@ -1364,6 +1495,142 @@ mod tests {
             cs.function_words(f),
             Err(VmError::CodeLifecycle(_))
         ));
+    }
+
+    /// A function of `n` words (`n - 1` increments of `a0`, then `ret`).
+    fn counting(cs: &mut CodeSpace, name: &str, n: usize) -> FuncHandle {
+        let f = cs.begin_function(name);
+        for _ in 1..n {
+            cs.push(Insn::i(Op::Addiw, A0, A0, 1));
+        }
+        cs.push(Insn::ret());
+        f
+    }
+
+    #[test]
+    fn a_function_crossing_the_budget_is_refused_and_rolled_back() {
+        let mut cs = CodeSpace::with_budget(16);
+        let f = counting(&mut cs, "f", 6);
+        let addr_f = seal(&mut cs, f);
+        let g = counting(&mut cs, "g", 4);
+        seal(&mut cs, g);
+        let before = (cs.stats(), cs.live_epoch(), cs.next_index());
+        let before_words: Vec<u32> = cs.word_slice(0, 10).to_vec();
+
+        // Seven words from word 10: the seventh is dropped.
+        let h = cs.begin_function("h");
+        let first = cs.push(Insn::nop());
+        for _ in 0..5 {
+            cs.push(Insn::nop());
+        }
+        assert!(!cs.exhausted(), "the sixth word fills the budget");
+        let dropped = cs.push(Insn::ret());
+        assert!(cs.exhausted());
+        assert_eq!(dropped, 16, "a dropped word gets the tail's index");
+        cs.patch(dropped, Insn::nop());
+        cs.patch(first, Insn::i(Op::Addiw, A0, A0, 9));
+        assert_eq!(cs.finish_function(h), Err(VmError::CodeBudget(16)));
+
+        assert_eq!((cs.stats(), cs.live_epoch(), cs.next_index()), before);
+        assert_eq!(cs.word_slice(0, 10), &before_words[..]);
+        assert!(!cs.exhausted(), "the refusal clears the flag");
+        assert!(matches!(cs.addr_of(h), Err(VmError::CodeLifecycle(_))));
+        assert_eq!(cs.live_range_containing(10), None);
+
+        // Earlier functions still run.
+        let mut vm = crate::Vm::new(cs, 1 << 16);
+        assert_eq!(vm.call(addr_f, &[1]).unwrap(), 6);
+        let cs = &mut vm.state_mut().code;
+
+        // A smaller function still fits, up to the last word.
+        let k = counting(cs, "k", 6);
+        let addr_k = seal(cs, k);
+        assert_eq!(addr_k, CODE_BASE + 10 * 4);
+        assert_eq!(cs.next_index(), cs.budget());
+        assert_eq!(vm.call(addr_k, &[0]).unwrap(), 5);
+        assert_eq!(vm.call(addr_f, &[0]).unwrap(), 5);
+    }
+
+    #[test]
+    fn installs_meet_the_budget_at_the_tail_but_still_fill_holes() {
+        let mut src = CodeSpace::new();
+        let f = counting(&mut src, "f", 3);
+        src.finish_function(f).unwrap();
+        let (orig_start, words) = src.function_words(f).unwrap();
+
+        let mut cs = CodeSpace::with_budget(8);
+        let a = counting(&mut cs, "a", 4);
+        let addr_a = seal(&mut cs, a);
+        let b = counting(&mut cs, "b", 3);
+        seal(&mut cs, b);
+        let before = (cs.stats(), cs.live_epoch());
+        assert_eq!(
+            cs.install_function("f", &words, orig_start),
+            Err(VmError::CodeBudget(8)),
+            "7 + 3 words cross 8"
+        );
+        assert_eq!((cs.stats(), cs.live_epoch()), before, "rolled back");
+        assert!(!cs.exhausted());
+
+        // With a's words freed, the install goes straight into the hole.
+        cs.free_function(a).unwrap();
+        let (addr, h) = cs.install_function("f", &words, orig_start).unwrap();
+        assert_eq!(addr, addr_a);
+        assert_eq!(cs.next_index(), 7, "the tail did not move");
+        let mut vm = crate::Vm::new(cs, 1 << 16);
+        assert_eq!(vm.call(addr, &[40]).unwrap(), 42);
+        let cs = &mut vm.state_mut().code;
+        assert_eq!(cs.size_of(h).unwrap(), 12);
+
+        // A compile is emitted whole at the tail first: with one word
+        // left there, a two-word function is refused even though the
+        // hole's last word and the tail's would hold it.
+        let g = counting(cs, "g", 2);
+        assert_eq!(cs.finish_function(g), Err(VmError::CodeBudget(8)));
+        let one = counting(cs, "one", 1);
+        assert_eq!(
+            cs.finish_function(one).unwrap(),
+            CODE_BASE + 3 * 4,
+            "into the hole"
+        );
+    }
+
+    #[test]
+    fn raw_pushes_past_the_budget_are_dropped_until_a_function_begins() {
+        let mut cs = CodeSpace::with_budget(4);
+        for _ in 0..6 {
+            cs.push(Insn::nop());
+        }
+        assert_eq!((cs.next_index(), cs.exhausted()), (4, true));
+        let f = cs.begin_function("f");
+        assert!(!cs.exhausted(), "a new function starts clean");
+        cs.push(Insn::ret());
+        assert_eq!(cs.finish_function(f), Err(VmError::CodeBudget(4)));
+        assert_eq!(cs.next_index(), 4);
+    }
+
+    #[test]
+    fn a_registry_entry_is_56_bytes() {
+        // `Config::cache`'s doc states it as what a memo-off compile
+        // costs the host heap.
+        #[cfg(target_pointer_width = "64")]
+        assert_eq!(std::mem::size_of::<FuncInfo>(), 56);
+    }
+
+    #[test]
+    fn the_footprint_reads_the_arrays_and_the_registry() {
+        let mut cs = CodeSpace::new();
+        assert_eq!(cs.footprint(), CodeFootprint::default(), "nothing mapped");
+        assert_eq!(cs.budget(), CODE_BUDGET);
+        let f = counting(&mut cs, "f", 5);
+        seal(&mut cs, f);
+        let fp = cs.footprint();
+        assert_eq!(fp.words, cs.stats().total_words);
+        assert!(fp.committed_words >= fp.words);
+        assert!(fp.registry_bytes >= std::mem::size_of::<FuncInfo>());
+        let copy = cs.clone();
+        assert_eq!(copy.footprint().words, 5);
+        assert_eq!(copy.instructions(f).unwrap(), cs.instructions(f).unwrap());
     }
 
     #[test]

@@ -31,6 +31,10 @@ pub enum VmError {
     /// taking the address of an unfinished or freed function, or
     /// freeing a function that is not sealed.
     CodeLifecycle(String),
+    /// A function would not fit below the code space's budget (the
+    /// payload, in words), so it was refused and rolled back; code
+    /// already sealed is untouched.
+    CodeBudget(usize),
 }
 
 impl fmt::Display for VmError {
@@ -49,6 +53,9 @@ impl fmt::Display for VmError {
                 write!(f, "call into freed or unsealed code at {a:#x}")
             }
             VmError::CodeLifecycle(msg) => write!(f, "code lifecycle violation: {msg}"),
+            VmError::CodeBudget(words) => {
+                write!(f, "code budget of {words} words spent: function refused")
+            }
         }
     }
 }
@@ -73,6 +80,7 @@ mod tests {
             VmError::StackOverflow,
             VmError::StaleCode(0x8000_0000),
             VmError::CodeLifecycle("y".into()),
+            VmError::CodeBudget(64),
         ];
         for e in errors {
             let s = e.to_string();

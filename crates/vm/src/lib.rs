@@ -60,18 +60,20 @@ pub mod error;
 pub mod host;
 pub mod interp;
 pub mod isa;
+mod map;
 pub mod mem;
 pub mod predecode;
 pub mod regs;
 pub mod threaded;
 
 pub use adaptive::{AdaptiveStats, Tier, TransHub, DEFAULT_THREAD_AFTER};
-pub use code::{CodeSpace, CodeStats, FuncHandle, CODE_BASE};
+pub use code::{CodeFootprint, CodeSpace, CodeStats, FuncHandle, CODE_BASE, CODE_BUDGET};
 pub use cost::CostModel;
 pub use error::VmError;
 pub use host::{HostCall, NoHost};
 pub use interp::{ExitStatus, Vm};
 pub use isa::{FReg, Insn, Op, Reg};
+pub use map::COMMIT_BYTES;
 pub use mem::Memory;
 pub use predecode::{ExecEngine, ExecStats};
 pub use threaded::{handler_table_sizes, HANDLER_TABLE_SIZE, SUPER_HANDLERS};

@@ -8,17 +8,18 @@
 //!
 //! The size is address space, not resident memory. On Linux (x86-64,
 //! AArch64, RISC-V 64) the bytes are one private anonymous mapping per
-//! memory: the kernel backs a page on its first write, so the host pays
-//! only for the pages a program touches, however many memories a process
-//! has made and dropped before. A zeroed heap block would not promise
-//! that: once a block of a memory's size has been freed, glibc raises its
-//! mmap threshold past that size (up to 32 MiB) and serves the next
+//! memory (`map.rs`, which the code space's words share): the
+//! kernel backs a page on its first write, so the host pays only for the
+//! pages a program touches, however many memories a process has made and
+//! dropped before. A zeroed heap block would not promise that: once a
+//! block of a memory's size has been freed, glibc raises its mmap
+//! threshold past that size (up to 32 MiB) and serves the next
 //! `vec![0; size]` from freed heap chunks, which `calloc` zeroes byte by
 //! byte. Other targets keep the heap block.
 
 use crate::error::VmError;
 
-use pages::Pages;
+use crate::map::{zeroed, Pages};
 
 /// The machine's data memory plus a bump allocator for static data,
 /// closures and `malloc`-style host calls.
@@ -45,7 +46,7 @@ impl Memory {
         assert_eq!(size % 16, 0, "memory size must be 16-byte aligned");
         assert!((size as u64) < (1 << 31), "memory would overlap code space");
         Memory {
-            bytes: pages::zeroed(size),
+            bytes: zeroed(size),
             brk: Memory::FIRST_VALID,
         }
     }
@@ -281,149 +282,6 @@ impl Memory {
             a += 1;
         }
         Ok(String::from_utf8_lossy(&out).into_owned())
-    }
-}
-
-/// `Memory`'s bytes on Linux: one private anonymous mapping, unmapped on
-/// drop. This module is the crate's only `unsafe` code.
-#[cfg(all(
-    target_os = "linux",
-    any(
-        target_arch = "x86_64",
-        target_arch = "aarch64",
-        target_arch = "riscv64"
-    )
-))]
-#[allow(unsafe_code)]
-mod pages {
-    use std::ffi::{c_int, c_long, c_void};
-    use std::ops::{Deref, DerefMut};
-    use std::ptr::NonNull;
-
-    // The generic Linux ABI values, shared by the three architectures
-    // this module is built for.
-    const PROT_READ: c_int = 0x1;
-    const PROT_WRITE: c_int = 0x2;
-    const MAP_PRIVATE: c_int = 0x02;
-    const MAP_ANONYMOUS: c_int = 0x20;
-    const MAP_NORESERVE: c_int = 0x4000;
-
-    extern "C" {
-        // `off_t` is `long` on 64-bit Linux.
-        fn mmap(
-            addr: *mut c_void,
-            len: usize,
-            prot: c_int,
-            flags: c_int,
-            fd: c_int,
-            off: c_long,
-        ) -> *mut c_void;
-        fn munmap(addr: *mut c_void, len: usize) -> c_int;
-    }
-
-    /// `len` zeroed bytes that the kernel backs page by page on first
-    /// write.
-    pub(super) struct Pages {
-        ptr: NonNull<u8>,
-        len: usize,
-    }
-
-    // SAFETY: `Pages` owns its mapping exclusively, like a `Vec<u8>` owns
-    // its buffer: shared access is only through `&[u8]`, mutation only
-    // through `&mut self`.
-    unsafe impl Send for Pages {}
-    // SAFETY: as for `Send`; `&Pages` hands out nothing but `&[u8]`.
-    unsafe impl Sync for Pages {}
-
-    /// Maps `len` zeroed bytes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the kernel refuses the mapping (`len` of 0, or address
-    /// space exhausted), as an allocation failure aborts.
-    pub(super) fn zeroed(len: usize) -> Pages {
-        // SAFETY: a fresh anonymous mapping at an address the kernel
-        // picks aliases nothing; the arguments are plain values.
-        let addr = unsafe {
-            mmap(
-                std::ptr::null_mut(),
-                len,
-                PROT_READ | PROT_WRITE,
-                MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE,
-                -1,
-                0,
-            )
-        };
-        // `MAP_FAILED` is `(void *)-1`.
-        assert!(
-            addr as usize != usize::MAX,
-            "mmap of {len} bytes failed: {}",
-            std::io::Error::last_os_error()
-        );
-        Pages {
-            ptr: NonNull::new(addr.cast()).expect("mmap returned null"),
-            len,
-        }
-    }
-
-    impl Deref for Pages {
-        type Target = [u8];
-
-        #[inline]
-        fn deref(&self) -> &[u8] {
-            // SAFETY: `ptr..ptr + len` is one mapping, readable and
-            // writable until `drop`, zero-initialised by the kernel, no
-            // larger than the address space (so under `isize::MAX`), and
-            // only mutated through `&mut self`.
-            unsafe { std::slice::from_raw_parts(self.ptr.as_ptr(), self.len) }
-        }
-    }
-
-    impl DerefMut for Pages {
-        #[inline]
-        fn deref_mut(&mut self) -> &mut [u8] {
-            // SAFETY: as in `deref`, and `&mut self` is the only access.
-            unsafe { std::slice::from_raw_parts_mut(self.ptr.as_ptr(), self.len) }
-        }
-    }
-
-    impl Clone for Pages {
-        fn clone(&self) -> Pages {
-            let mut copy = zeroed(self.len);
-            copy.copy_from_slice(self);
-            copy
-        }
-    }
-
-    impl Drop for Pages {
-        fn drop(&mut self) {
-            // SAFETY: the mapping was made in `zeroed` with this length,
-            // and no borrow of it outlives `self`.
-            unsafe { munmap(self.ptr.as_ptr().cast(), self.len) };
-        }
-    }
-
-    impl std::fmt::Debug for Pages {
-        fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-            write!(f, "Pages({} bytes)", self.len)
-        }
-    }
-}
-
-/// Elsewhere the bytes are a zeroed heap block.
-#[cfg(not(all(
-    target_os = "linux",
-    any(
-        target_arch = "x86_64",
-        target_arch = "aarch64",
-        target_arch = "riscv64"
-    )
-)))]
-mod pages {
-    pub(super) type Pages = Vec<u8>;
-
-    pub(super) fn zeroed(len: usize) -> Pages {
-        vec![0; len]
     }
 }
 

@@ -81,7 +81,7 @@ proptest! {
         let mut asm = tcc_vcode::Asm::new(&mut cs, "t");
         asm.li(A0, v);
         asm.emit(Insn::ret());
-        let addr = asm.finish();
+        let addr = asm.finish().unwrap();
         let mut vm = Vm::new(cs, 1 << 20);
         prop_assert_eq!(vm.call(addr, &[]).expect("runs") as i64, v);
     }
@@ -106,7 +106,7 @@ proptest! {
         let mut asm = tcc_vcode::Asm::new(&mut cs, "t");
         asm.mul_imm(tcc_rt::ValKind::W, A0, A0, imm as i64);
         asm.emit(Insn::ret());
-        let addr = asm.finish();
+        let addr = asm.finish().unwrap();
         let mut vm = Vm::new(cs, 1 << 20);
         let got = vm.call(addr, &[x as i64 as u64]).expect("runs");
         prop_assert_eq!(got as i64, x.wrapping_mul(imm) as i64);

@@ -503,3 +503,33 @@ fn pool_bookkeeping_counters_are_bounded_by_what_changed() {
         assert!(text.contains(&format!("\"{key}\"")), "missing {key}");
     }
 }
+
+#[test]
+fn the_memory_block_is_the_code_spaces_stats_times_four_bytes() {
+    for backend in all_backends() {
+        let mut s = session(backend.clone());
+        let before = s.metrics().memory;
+        s.call("make", &[3]).unwrap();
+        let m = s.metrics().memory;
+        let code = &s.vm.state().code;
+        let (stats, footprint) = (code.stats(), code.footprint());
+        assert_eq!(
+            m.code_words_bytes,
+            stats.total_words as u64 * 4,
+            "{backend:?}"
+        );
+        assert_eq!(m.code_owner_bytes, m.code_words_bytes, "{backend:?}");
+        assert_eq!(
+            m.code_words_committed_bytes,
+            footprint.committed_words as u64 * 4,
+            "{backend:?}"
+        );
+        assert_eq!(m.code_owner_committed_bytes, m.code_words_committed_bytes);
+        assert_eq!(m.code_registry_bytes, footprint.registry_bytes as u64);
+        assert!(m.code_words_bytes > before.code_words_bytes, "{backend:?}");
+        assert!(m.code_words_committed_bytes >= m.code_words_bytes);
+        assert!(m.code_registry_bytes > 0);
+        let text = s.metrics().to_json().to_string();
+        assert!(text.contains("\"memory\":{\"code_words_bytes\":"), "{text}");
+    }
+}
