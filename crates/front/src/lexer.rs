@@ -10,22 +10,27 @@ use crate::token::{keyword, Spanned, Tok, P};
 /// Returns [`FrontError`] on malformed literals or stray characters.
 pub fn lex(src: &str) -> Result<Vec<Spanned>, FrontError> {
     Lexer {
+        src,
         b: src.as_bytes(),
         pos: 0,
         line: 1,
     }
-    .run()
+    .run(Vec::with_capacity(src.len() / BYTES_PER_TOKEN + 1))
 }
 
+/// Fewest source bytes per token in typical `C, for sizing the token
+/// vector once, up front (the suite's programs run 2.9 to 3.8).
+const BYTES_PER_TOKEN: usize = 2;
+
 struct Lexer<'a> {
+    src: &'a str,
     b: &'a [u8],
     pos: usize,
     line: u32,
 }
 
 impl<'a> Lexer<'a> {
-    fn run(mut self) -> Result<Vec<Spanned>, FrontError> {
-        let mut out = Vec::new();
+    fn run(mut self, mut out: Vec<Spanned>) -> Result<Vec<Spanned>, FrontError> {
         loop {
             self.skip_ws_and_comments()?;
             let line = self.line;
@@ -209,7 +214,7 @@ impl<'a> Lexer<'a> {
         while self.peek().is_ascii_alphanumeric() || self.peek() == b'_' {
             self.bump();
         }
-        let s = std::str::from_utf8(&self.b[start..self.pos]).expect("ascii");
+        let s = &self.src[start..self.pos];
         match keyword(s) {
             Some(k) => Tok::Kw(k),
             None => Tok::Ident(s.to_string()),
@@ -225,7 +230,7 @@ impl<'a> Lexer<'a> {
             while self.peek().is_ascii_hexdigit() {
                 self.bump();
             }
-            let s = std::str::from_utf8(&self.b[hs..self.pos]).expect("ascii");
+            let s = &self.src[hs..self.pos];
             let v = i64::from_str_radix(s, 16).map_err(|_| self.err("hex literal out of range"))?;
             let long = self.eat_long_suffix();
             return Ok(Tok::Int(v, long));
@@ -250,11 +255,11 @@ impl<'a> Lexer<'a> {
                     self.bump();
                 }
             }
-            let s = std::str::from_utf8(&self.b[start..self.pos]).expect("ascii");
+            let s = &self.src[start..self.pos];
             let v: f64 = s.parse().map_err(|_| self.err("bad float literal"))?;
             return Ok(Tok::Float(v));
         }
-        let s = std::str::from_utf8(&self.b[start..self.pos]).expect("ascii");
+        let s = &self.src[start..self.pos];
         // Octal per C if it starts with 0, otherwise decimal.
         let v = if s.len() > 1 && s.starts_with('0') {
             i64::from_str_radix(&s[1..], 8).map_err(|_| self.err("bad octal literal"))?

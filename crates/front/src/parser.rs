@@ -10,6 +10,7 @@ use crate::error::FrontError;
 use crate::lexer::lex;
 use crate::token::{Kw, Spanned, Tok, P};
 use crate::types::{FuncSig, StructDef, Type};
+use std::sync::Arc;
 
 /// A parsed translation unit (pre-sema).
 #[derive(Clone, Debug, Default)]
@@ -72,8 +73,15 @@ impl Parser {
         self.toks[self.pos].line
     }
 
+    /// Consumes the current token. An identifier's or a string's
+    /// payload moves out (into the AST), leaving [`Tok::Eof`] behind:
+    /// the parser backs up only over a `(`, never over a name.
     fn bump(&mut self) -> Tok {
-        let t = self.toks[self.pos].tok.clone();
+        let slot = &mut self.toks[self.pos].tok;
+        let t = match slot {
+            Tok::Ident(_) | Tok::Str(_) => std::mem::replace(slot, Tok::Eof),
+            t => t.clone(),
+        };
         if self.pos + 1 < self.toks.len() {
             self.pos += 1;
         }
@@ -235,12 +243,12 @@ impl Parser {
     fn declarator(&mut self, base: Type) -> Result<(String, Type), FrontError> {
         let mut ty = base;
         while self.eat_p(P::Star) {
-            ty = Type::Ptr(Box::new(ty));
+            ty = Type::Ptr(Arc::new(ty));
         }
         if self.eat_kw(Kw::Cspec) {
-            ty = Type::Cspec(Box::new(ty));
+            ty = Type::Cspec(Arc::new(ty));
         } else if self.eat_kw(Kw::Vspec) {
-            ty = Type::Vspec(Box::new(ty));
+            ty = Type::Vspec(Arc::new(ty));
         }
         // Function pointer: (*name)(params)
         if self.peek() == &Tok::P(P::LParen) && self.peek2() == &Tok::P(P::Star) {
@@ -250,7 +258,7 @@ impl Parser {
             self.expect_p(P::RParen)?;
             let params = self.param_types()?;
             let sig = FuncSig { ret: ty, params };
-            return Ok((name, Type::Ptr(Box::new(Type::Func(Box::new(sig))))));
+            return Ok((name, Type::Ptr(Arc::new(Type::Func(Arc::new(sig))))));
         }
         let name = self.expect_ident()?;
         let mut dims = Vec::new();
@@ -263,7 +271,7 @@ impl Parser {
             dims.push(n);
         }
         for &n in dims.iter().rev() {
-            ty = Type::Array(Box::new(ty), n);
+            ty = Type::Array(Arc::new(ty), n);
         }
         Ok((name, ty))
     }
@@ -302,12 +310,12 @@ impl Parser {
     fn param_declarator(&mut self, base: Type) -> Result<(String, Type), FrontError> {
         let mut ty = base;
         while self.eat_p(P::Star) {
-            ty = Type::Ptr(Box::new(ty));
+            ty = Type::Ptr(Arc::new(ty));
         }
         if self.eat_kw(Kw::Cspec) {
-            ty = Type::Cspec(Box::new(ty));
+            ty = Type::Cspec(Arc::new(ty));
         } else if self.eat_kw(Kw::Vspec) {
-            ty = Type::Vspec(Box::new(ty));
+            ty = Type::Vspec(Arc::new(ty));
         }
         if self.peek() == &Tok::P(P::LParen) {
             // (*name)(params) or (*)(params)
@@ -320,7 +328,7 @@ impl Parser {
             self.expect_p(P::RParen)?;
             let params = self.param_types()?;
             let sig = FuncSig { ret: ty, params };
-            return Ok((name, Type::Ptr(Box::new(Type::Func(Box::new(sig))))));
+            return Ok((name, Type::Ptr(Arc::new(Type::Func(Arc::new(sig))))));
         }
         let name = match self.peek() {
             Tok::Ident(_) => self.expect_ident()?,
@@ -335,7 +343,7 @@ impl Parser {
             dims += 1;
         }
         for _ in 0..dims {
-            ty = Type::Ptr(Box::new(ty));
+            ty = Type::Ptr(Arc::new(ty));
         }
         Ok((name, ty))
     }
@@ -346,19 +354,19 @@ impl Parser {
         let base = self.base_type()?;
         let mut ty = base;
         while self.eat_p(P::Star) {
-            ty = Type::Ptr(Box::new(ty));
+            ty = Type::Ptr(Arc::new(ty));
         }
         if self.eat_kw(Kw::Cspec) {
-            ty = Type::Cspec(Box::new(ty));
+            ty = Type::Cspec(Arc::new(ty));
         } else if self.eat_kw(Kw::Vspec) {
-            ty = Type::Vspec(Box::new(ty));
+            ty = Type::Vspec(Arc::new(ty));
         }
         if self.peek() == &Tok::P(P::LParen) && self.peek2() == &Tok::P(P::Star) {
             self.bump();
             self.bump();
             self.expect_p(P::RParen)?;
             let params = self.param_types()?;
-            ty = Type::Ptr(Box::new(Type::Func(Box::new(FuncSig { ret: ty, params }))));
+            ty = Type::Ptr(Arc::new(Type::Func(Arc::new(FuncSig { ret: ty, params }))));
         }
         Ok(ty)
     }
@@ -483,7 +491,7 @@ impl Parser {
         if self.starts_type() {
             return self.decl_stmt();
         }
-        match self.peek().clone() {
+        match self.peek() {
             Tok::P(P::LBrace) => Ok(Stmt::Block(self.block()?)),
             Tok::P(P::Semi) => {
                 self.bump();
@@ -602,8 +610,8 @@ impl Parser {
                 }
                 Ok(Stmt::Switch(scrut, items))
             }
-            Tok::Ident(name) if self.peek2() == &Tok::P(P::Colon) => {
-                self.bump();
+            Tok::Ident(_) if self.peek2() == &Tok::P(P::Colon) => {
+                let name = self.expect_ident()?;
                 self.bump();
                 Ok(Stmt::Labeled(name, Box::new(self.stmt()?)))
             }
@@ -707,7 +715,7 @@ impl Parser {
 
     fn unary_expr(&mut self) -> Result<Expr, FrontError> {
         let line = self.line();
-        match self.peek().clone() {
+        match self.peek() {
             Tok::P(P::Inc) => {
                 self.bump();
                 let e = self.unary_expr()?;

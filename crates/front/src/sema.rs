@@ -15,7 +15,8 @@ use crate::ast::*;
 use crate::error::FrontError;
 use crate::parser::{ParsedUnit, RawFunc};
 use crate::types::{FuncSig, Type};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
+use std::sync::Arc;
 
 /// Runs semantic analysis over a parsed unit.
 ///
@@ -35,6 +36,7 @@ pub fn analyze(unit: ParsedUnit) -> Result<Program, FrontError> {
         sigs: Vec::new(),
         ctx: None,
     };
+    let ParsedUnit { globals, funcs, .. } = unit;
     // The escape rule (DESIGN, "Spec-time memory") is decided by the
     // types the program uses: here its struct fields, then its globals
     // and signatures, then every declaration, cast and expression below.
@@ -44,19 +46,19 @@ pub fn analyze(unit: ParsedUnit) -> Result<Program, FrontError> {
         .flat_map(|s| &s.fields)
         .any(|f| f.ty.points_to_spec(structs));
     // Collect global names and function signatures first (forward refs).
-    for g in &unit.globals {
+    for g in globals {
         if g.ty == Type::Void {
             return Err(serr(0, format!("global {} has type void", g.name)));
         }
         sema.prog.spec_escapes |= g.ty.holds_spec(&sema.prog.structs);
         sema.note_type(&g.ty);
         sema.prog.globals.push(GlobalDef {
-            name: g.name.clone(),
-            ty: g.ty.clone(),
-            init: g.init.clone(),
+            name: g.name,
+            ty: g.ty,
+            init: g.init,
         });
     }
-    for f in &unit.funcs {
+    for f in &funcs {
         let sig = FuncSig {
             ret: f.ret.clone(),
             params: f.params.iter().map(|(_, t)| t.clone()).collect(),
@@ -67,15 +69,15 @@ pub fn analyze(unit: ParsedUnit) -> Result<Program, FrontError> {
         if sig.ret.holds_spec(&sema.prog.structs) {
             sema.prog.spec_returns.push(sema.sigs.len());
         }
-        sema.sigs.push((f.name.clone(), sig));
+        sema.sigs.push((f.name.clone(), Arc::new(sig)));
     }
-    for f in unit.funcs {
+    for f in funcs {
         let fd = sema.check_func(f)?;
         sema.prog.funcs.push(fd);
     }
     // Validate global initializers are constant.
     for g in 0..sema.prog.globals.len() {
-        if let Some(init) = sema.prog.globals[g].init.clone() {
+        if let Some(init) = sema.prog.globals[g].init.take() {
             let folded = sema.check_global_init(&sema.prog.globals[g].ty.clone(), init)?;
             sema.prog.globals[g].init = Some(folded);
         }
@@ -96,30 +98,79 @@ enum Binding {
     TickLocal(usize),
 }
 
-/// Key for deduplicating `$`-value captures.
-#[derive(Clone, Copy, PartialEq, Eq, Hash)]
-enum DollarKey {
-    Local(usize),
-    Global(usize),
+/// What a tick captures, for deduplicating its captures: one field per
+/// `$`-bound local or global, composed cspec/vspec variable, and free
+/// variable.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum CaptureKey {
+    DollarLocal(usize),
+    DollarGlobal(usize),
+    Spec(usize),
+    SpecGlobal(usize),
+    FreeVar(usize),
+}
+
+/// Nested block scopes as one stack: the ids of the variables declared,
+/// innermost last, and where each open block's declarations start. A
+/// name resolves to the latest declaration of it still on the stack.
+#[derive(Default)]
+struct Scopes {
+    ids: Vec<usize>,
+    marks: Vec<usize>,
+}
+
+impl Scopes {
+    fn push(&mut self) {
+        self.marks.push(self.ids.len());
+    }
+
+    fn pop(&mut self) {
+        let mark = self.marks.pop().expect("an open scope");
+        self.ids.truncate(mark);
+    }
+
+    fn declare(&mut self, id: usize) {
+        self.ids.push(id);
+    }
+
+    /// The innermost variable of `defs` named `name`.
+    fn find(&self, defs: &[LocalDef], name: &str) -> Option<usize> {
+        self.ids
+            .iter()
+            .rev()
+            .copied()
+            .find(|&i| defs[i].name == name)
+    }
 }
 
 struct TickCtx {
     captures: Vec<Capture>,
     dyn_locals: Vec<LocalDef>,
     str_lits: Vec<Vec<u8>>,
-    // Dedup maps: enclosing local id -> capture index.
-    fv_map: HashMap<usize, usize>,
-    spec_map: HashMap<usize, usize>,
-    spec_global_map: HashMap<usize, usize>,
-    dollar_map: HashMap<DollarKey, usize>,
-    scopes: Vec<HashMap<String, Binding>>,
+    /// Each capture made so far, and its index.
+    captured: Vec<(CaptureKey, usize)>,
+    scopes: Scopes,
     labels: HashSet<String>,
     gotos: Vec<(String, u32)>,
 }
 
+impl TickCtx {
+    /// The index of the capture `key` names, made by `make` the first
+    /// time.
+    fn capture(&mut self, key: CaptureKey, make: impl FnOnce() -> Capture) -> usize {
+        if let Some(&(_, idx)) = self.captured.iter().find(|(k, _)| *k == key) {
+            return idx;
+        }
+        self.captures.push(make());
+        let idx = self.captures.len() - 1;
+        self.captured.push((key, idx));
+        idx
+    }
+}
+
 struct FuncCtx {
     locals: Vec<LocalDef>,
-    scopes: Vec<HashMap<String, Binding>>,
+    scopes: Scopes,
     ret: Type,
     loop_depth: u32,
     switch_depth: u32,
@@ -131,7 +182,7 @@ struct FuncCtx {
 
 struct Sema {
     prog: Program,
-    sigs: Vec<(String, FuncSig)>,
+    sigs: Vec<(String, Arc<FuncSig>)>,
     ctx: Option<FuncCtx>,
 }
 
@@ -149,7 +200,7 @@ impl Sema {
     fn check_func(&mut self, f: RawFunc) -> Result<FuncDef, FrontError> {
         let mut ctx = FuncCtx {
             locals: Vec::new(),
-            scopes: vec![HashMap::new()],
+            scopes: Scopes::default(),
             ret: f.ret.clone(),
             loop_depth: 0,
             switch_depth: 0,
@@ -166,7 +217,7 @@ impl Sema {
                 ty: ty.clone(),
                 addr_taken: false,
             });
-            ctx.scopes[0].insert(name.clone(), Binding::Local(id));
+            ctx.scopes.declare(id);
         }
         self.ctx = Some(ctx);
         let mut body = f.body;
@@ -197,20 +248,16 @@ impl Sema {
     fn push_scope(&mut self) {
         let c = self.ctx();
         match &mut c.tick {
-            Some(t) => t.scopes.push(HashMap::new()),
-            None => c.scopes.push(HashMap::new()),
+            Some(t) => t.scopes.push(),
+            None => c.scopes.push(),
         }
     }
 
     fn pop_scope(&mut self) {
         let c = self.ctx();
         match &mut c.tick {
-            Some(t) => {
-                t.scopes.pop();
-            }
-            None => {
-                c.scopes.pop();
-            }
+            Some(t) => t.scopes.pop(),
+            None => c.scopes.pop(),
         }
     }
 
@@ -232,12 +279,8 @@ impl Sema {
                     ty,
                     addr_taken: addressy,
                 });
-                let b = Binding::TickLocal(id);
-                t.scopes
-                    .last_mut()
-                    .expect("scope")
-                    .insert(name.into(), b.clone());
-                Ok(b)
+                t.scopes.declare(id);
+                Ok(Binding::TickLocal(id))
             }
             None => {
                 let id = c.locals.len();
@@ -246,12 +289,8 @@ impl Sema {
                     ty,
                     addr_taken: addressy,
                 });
-                let b = Binding::Local(id);
-                c.scopes
-                    .last_mut()
-                    .expect("scope")
-                    .insert(name.into(), b.clone());
-                Ok(b)
+                c.scopes.declare(id);
+                Ok(Binding::Local(id))
             }
         }
     }
@@ -261,93 +300,56 @@ impl Sema {
     fn resolve(&mut self, name: &str, line: u32) -> Result<(VarRef, Type), FrontError> {
         let c = self.ctx();
         if let Some(t) = &mut c.tick {
-            for s in t.scopes.iter().rev() {
-                if let Some(Binding::TickLocal(i)) = s.get(name) {
-                    let ty = t.dyn_locals[*i].ty.clone();
-                    return Ok((VarRef::TickLocal(*i), ty));
-                }
+            if let Some(i) = t.scopes.find(&t.dyn_locals, name) {
+                return Ok((VarRef::TickLocal(i), t.dyn_locals[i].ty.clone()));
             }
             // Fall through to the enclosing function's locals: capture.
-            for s in c.scopes.iter().rev() {
-                if let Some(Binding::Local(i)) = s.get(name) {
-                    let i = *i;
-                    let ty = c.locals[i].ty.clone();
-                    if c.in_dollar {
-                        // Inside a `$` operand: capture the *value* at
-                        // specification time (not the address).
-                        if ty.is_spec() {
-                            return Err(serr(line, "$ cannot be applied to cspec/vspec values"));
-                        }
-                        let t = c.tick.as_mut().expect("in tick");
-                        let idx = *t.dollar_map.entry(DollarKey::Local(i)).or_insert_with(|| {
-                            t.captures.push(Capture {
-                                kind: CaptureKind::Dollar(Expr {
-                                    kind: ExprKind::Var(VarRef::Local(i)),
-                                    ty: ty.clone(),
-                                    line,
-                                }),
-                                ty: ty.clone(),
-                            });
-                            t.captures.len() - 1
+            if let Some(i) = c.scopes.find(&c.locals, name) {
+                let ty = c.locals[i].ty.clone();
+                let var = || Expr {
+                    kind: ExprKind::Var(VarRef::Local(i)),
+                    ty: ty.clone(),
+                    line,
+                };
+                if c.in_dollar {
+                    // Inside a `$` operand: capture the *value* at
+                    // specification time (not the address).
+                    if ty.is_spec() {
+                        return Err(serr(line, "$ cannot be applied to cspec/vspec values"));
+                    }
+                    let idx = t.capture(CaptureKey::DollarLocal(i), || Capture {
+                        kind: CaptureKind::Dollar(var()),
+                        ty: ty.clone(),
+                    });
+                    return Ok((VarRef::TickRtc(idx), ty));
+                }
+                return match &ty {
+                    Type::Cspec(ev) => {
+                        let idx = t.capture(CaptureKey::Spec(i), || Capture {
+                            kind: CaptureKind::Cspec(var()),
+                            ty: (**ev).clone(),
                         });
-                        return Ok((VarRef::TickRtc(idx), ty));
+                        Ok((VarRef::TickCspec(idx), (**ev).clone()))
                     }
-                    let t = c.tick.as_mut().expect("in tick");
-                    match &ty {
-                        Type::Cspec(ev) => {
-                            let idx = *t.spec_map.entry(i).or_insert_with(|| {
-                                t.captures.push(Capture {
-                                    kind: CaptureKind::Cspec(Expr {
-                                        kind: ExprKind::Var(VarRef::Local(i)),
-                                        ty: ty.clone(),
-                                        line,
-                                    }),
-                                    ty: (**ev).clone(),
-                                });
-                                t.captures.len() - 1
-                            });
-                            return Ok((VarRef::TickCspec(idx), (**ev).clone()));
-                        }
-                        Type::Vspec(ev) => {
-                            let idx = *t.spec_map.entry(i).or_insert_with(|| {
-                                t.captures.push(Capture {
-                                    kind: CaptureKind::Vspec(Expr {
-                                        kind: ExprKind::Var(VarRef::Local(i)),
-                                        ty: ty.clone(),
-                                        line,
-                                    }),
-                                    ty: (**ev).clone(),
-                                });
-                                t.captures.len() - 1
-                            });
-                            return Ok((VarRef::TickVspec(idx), (**ev).clone()));
-                        }
-                        _ => {
-                            c.locals[i].addr_taken = true;
-                            let t = c.tick.as_mut().expect("in tick");
-                            let idx = *t.fv_map.entry(i).or_insert_with(|| {
-                                t.captures.push(Capture {
-                                    kind: CaptureKind::FreeVar(i),
-                                    ty: ty.clone(),
-                                });
-                                t.captures.len() - 1
-                            });
-                            return Ok((VarRef::TickFv(idx), ty));
-                        }
+                    Type::Vspec(ev) => {
+                        let idx = t.capture(CaptureKey::Spec(i), || Capture {
+                            kind: CaptureKind::Vspec(var()),
+                            ty: (**ev).clone(),
+                        });
+                        Ok((VarRef::TickVspec(idx), (**ev).clone()))
                     }
-                }
+                    _ => {
+                        c.locals[i].addr_taken = true;
+                        let idx = t.capture(CaptureKey::FreeVar(i), || Capture {
+                            kind: CaptureKind::FreeVar(i),
+                            ty: ty.clone(),
+                        });
+                        Ok((VarRef::TickFv(idx), ty))
+                    }
+                };
             }
-        } else {
-            for s in c.scopes.iter().rev() {
-                match s.get(name) {
-                    Some(Binding::Local(i)) => {
-                        let ty = c.locals[*i].ty.clone();
-                        return Ok((VarRef::Local(*i), ty));
-                    }
-                    Some(Binding::TickLocal(_)) => unreachable!("tick locals outside tick"),
-                    None => {}
-                }
-            }
+        } else if let Some(i) = c.scopes.find(&c.locals, name) {
+            return Ok((VarRef::Local(i), c.locals[i].ty.clone()));
         }
         if let Some(gi) = self.prog.globals.iter().position(|g| g.name == name) {
             let ty = self.prog.globals[gi].ty.clone();
@@ -357,21 +359,20 @@ impl Sema {
             if let (Some(t), true) = (c.tick.as_mut(), ty.is_spec() && !c.in_dollar) {
                 let ev = ty.eval_ty().clone();
                 let is_cspec = matches!(ty, Type::Cspec(_));
-                let idx = *t.spec_global_map.entry(gi).or_insert_with(|| {
+                let idx = t.capture(CaptureKey::SpecGlobal(gi), || {
                     let var = Expr {
                         kind: ExprKind::Var(VarRef::Global(gi)),
                         ty: ty.clone(),
                         line,
                     };
-                    t.captures.push(Capture {
+                    Capture {
                         kind: if is_cspec {
                             CaptureKind::Cspec(var)
                         } else {
                             CaptureKind::Vspec(var)
                         },
                         ty: ev.clone(),
-                    });
-                    t.captures.len() - 1
+                    }
                 });
                 return Ok((
                     if is_cspec {
@@ -386,27 +387,21 @@ impl Sema {
             // the specification-time value is what gets hardwired.
             if c.in_dollar && !matches!(ty, Type::Array(..) | Type::Struct(_)) {
                 if let Some(t) = c.tick.as_mut() {
-                    let idx = *t
-                        .dollar_map
-                        .entry(DollarKey::Global(gi))
-                        .or_insert_with(|| {
-                            t.captures.push(Capture {
-                                kind: CaptureKind::Dollar(Expr {
-                                    kind: ExprKind::Var(VarRef::Global(gi)),
-                                    ty: ty.clone(),
-                                    line,
-                                }),
-                                ty: ty.clone(),
-                            });
-                            t.captures.len() - 1
-                        });
+                    let idx = t.capture(CaptureKey::DollarGlobal(gi), || Capture {
+                        kind: CaptureKind::Dollar(Expr {
+                            kind: ExprKind::Var(VarRef::Global(gi)),
+                            ty: ty.clone(),
+                            line,
+                        }),
+                        ty: ty.clone(),
+                    });
                     return Ok((VarRef::TickRtc(idx), ty));
                 }
             }
             return Ok((VarRef::Global(gi), ty));
         }
         if let Some(fi) = self.sigs.iter().position(|(n, _)| n == name) {
-            let ty = Type::Func(Box::new(self.sigs[fi].1.clone()));
+            let ty = Type::Func(self.sigs[fi].1.clone());
             return Ok((VarRef::Func(fi), ty));
         }
         if let Some(b) = Builtin::by_name(name) {
@@ -618,10 +613,10 @@ impl Sema {
                         t.str_lits.push(bytes.clone());
                     }
                 }
-                e.ty = Type::Ptr(Box::new(Type::Char));
+                e.ty = Type::Ptr(Arc::new(Type::Char));
             }
             ExprKind::Ident(name) => {
-                let name = name.clone();
+                let name = std::mem::take(name);
                 let (vr, ty) = self.resolve(&name, line)?;
                 e.kind = ExprKind::Var(vr);
                 e.ty = ty;
@@ -645,7 +640,7 @@ impl Sema {
                 let op = *op;
                 self.check_expr(a)?;
                 self.check_expr(b)?;
-                e.ty = self.check_binary(op, a, b, line)?;
+                e.ty = Self::check_binary(op, a, b, line)?;
             }
             ExprKind::Assign(op, lhs, rhs) => {
                 self.check_expr(lhs)?;
@@ -653,9 +648,7 @@ impl Sema {
                 self.check_expr(rhs)?;
                 if let Some(op) = op {
                     // Validate the implied binary operation.
-                    let mut l2 = lhs.clone();
-                    let mut r2 = rhs.clone();
-                    self.check_binary(*op, &mut l2, &mut r2, line)?;
+                    Self::check_binary(*op, lhs, rhs, line)?;
                 }
                 self.require_assignable(&lhs.ty, &rhs.ty, line)?;
                 e.ty = lhs.ty.clone();
@@ -796,7 +789,7 @@ impl Sema {
                 let body = std::mem::replace(&mut **body, TickBody::Block(Vec::new()));
                 let (tick_id, eval_ty) = self.check_tick(body, line)?;
                 e.kind = ExprKind::Tick(tick_id);
-                e.ty = Type::Cspec(Box::new(eval_ty));
+                e.ty = Type::Cspec(Arc::new(eval_ty));
             }
             ExprKind::Tick(_) => {}
             ExprKind::Dollar(inner) => {
@@ -838,7 +831,7 @@ impl Sema {
                     ret: ty.clone(),
                     params: vec![],
                 };
-                e.ty = Type::Ptr(Box::new(Type::Func(Box::new(sig))));
+                e.ty = Type::Ptr(Arc::new(Type::Func(Arc::new(sig))));
             }
             ExprKind::LocalForm(ty) => {
                 if self.ctx().tick.is_some() {
@@ -847,13 +840,13 @@ impl Sema {
                 if !is_scalar(ty) {
                     return Err(serr(line, "local() requires a scalar type"));
                 }
-                e.ty = Type::Vspec(Box::new(ty.clone()));
+                e.ty = Type::Vspec(Arc::new(ty.clone()));
             }
             ExprKind::LabelForm => {
                 if self.ctx().tick.is_some() {
                     return Err(serr(line, "label() must be used at specification time"));
                 }
-                e.ty = Type::Cspec(Box::new(Type::Void));
+                e.ty = Type::Cspec(Arc::new(Type::Void));
             }
             ExprKind::JumpForm(l) => {
                 if self.ctx().tick.is_none() {
@@ -869,7 +862,7 @@ impl Sema {
                 if self.ctx().tick.is_some() {
                     return Err(serr(line, "push_init() must be used at specification time"));
                 }
-                e.ty = Type::Cspec(Box::new(Type::Void));
+                e.ty = Type::Cspec(Arc::new(Type::Void));
             }
             ExprKind::ArglistPush(l, c) => {
                 if self.ctx().tick.is_some() {
@@ -912,7 +905,7 @@ impl Sema {
                 if !idx.ty.is_integer() {
                     return Err(serr(line, "param() index must be an integer"));
                 }
-                e.ty = Type::Vspec(Box::new(ty.clone()));
+                e.ty = Type::Vspec(Arc::new(ty.clone()));
             }
         }
         self.note_type(&e.ty);
@@ -924,11 +917,8 @@ impl Sema {
             captures: Vec::new(),
             dyn_locals: Vec::new(),
             str_lits: Vec::new(),
-            fv_map: HashMap::new(),
-            spec_map: HashMap::new(),
-            spec_global_map: HashMap::new(),
-            dollar_map: HashMap::new(),
-            scopes: vec![HashMap::new()],
+            captured: Vec::new(),
+            scopes: Scopes::default(),
             labels: HashSet::new(),
             gotos: Vec::new(),
         });
@@ -997,10 +987,7 @@ impl Sema {
                 Ok(Type::Int)
             }
             UnaryOp::Deref => match inner.ty.decay() {
-                Type::Ptr(t) => match *t {
-                    Type::Func(sig) => Ok(Type::Func(sig)),
-                    t => Ok(t),
-                },
+                Type::Ptr(t) => Ok((*t).clone()),
                 other => Err(serr(line, format!("cannot dereference {other}"))),
             },
             UnaryOp::Addr => {
@@ -1014,18 +1001,12 @@ impl Sema {
                         t.dyn_locals[i].addr_taken = true;
                     }
                 }
-                Ok(Type::Ptr(Box::new(inner.ty.clone())))
+                Ok(Type::Ptr(Arc::new(inner.ty.clone())))
             }
         }
     }
 
-    fn check_binary(
-        &mut self,
-        op: BinaryOp,
-        a: &mut Expr,
-        b: &mut Expr,
-        line: u32,
-    ) -> Result<Type, FrontError> {
+    fn check_binary(op: BinaryOp, a: &Expr, b: &Expr, line: u32) -> Result<Type, FrontError> {
         use BinaryOp::*;
         let ta = a.ty.decay();
         let tb = b.ty.decay();
@@ -1097,11 +1078,11 @@ impl Sema {
             return self.check_builtin_call(*b, args, line);
         }
         let sig = match callee.ty.decay() {
-            Type::Ptr(inner) => match *inner {
-                Type::Func(sig) => *sig,
+            Type::Ptr(inner) => match &*inner {
+                Type::Func(sig) => sig.clone(),
                 other => return Err(serr(line, format!("calling non-function {other}"))),
             },
-            Type::Func(sig) => *sig,
+            Type::Func(sig) => sig,
             other => return Err(serr(line, format!("calling non-function {other}"))),
         };
         // Pointers produced by compile() have unknown parameter lists
@@ -1128,7 +1109,7 @@ impl Sema {
                 "more than 6 arguments are not supported by this ABI",
             ));
         }
-        Ok(sig.ret)
+        Ok(sig.ret.clone())
     }
 
     fn check_builtin_call(
@@ -1185,7 +1166,7 @@ impl Sema {
                 if !args[0].ty.is_integer() {
                     return Err(serr(line, "malloc expects a size"));
                 }
-                Ok(Type::Ptr(Box::new(Type::Void)))
+                Ok(Type::Ptr(Arc::new(Type::Void)))
             }
             Builtin::Abort => {
                 require(0)?;
@@ -1299,7 +1280,7 @@ fn builtin_ty(b: Builtin) -> Type {
     let sig = match b {
         Builtin::Puts => FuncSig {
             ret: Type::Void,
-            params: vec![Type::Ptr(Box::new(Type::Char))],
+            params: vec![Type::Ptr(Arc::new(Type::Char))],
         },
         Builtin::Puti => FuncSig {
             ret: Type::Void,
@@ -1318,7 +1299,7 @@ fn builtin_ty(b: Builtin) -> Type {
             params: vec![],
         },
         Builtin::Malloc => FuncSig {
-            ret: Type::Ptr(Box::new(Type::Void)),
+            ret: Type::Ptr(Arc::new(Type::Void)),
             params: vec![Type::Long],
         },
         Builtin::Abort => FuncSig {
@@ -1326,5 +1307,5 @@ fn builtin_ty(b: Builtin) -> Type {
             params: vec![],
         },
     };
-    Type::Func(Box::new(sig))
+    Type::Func(Arc::new(sig))
 }

@@ -5,9 +5,14 @@
 //! selection at static compile time").
 
 use std::fmt;
+use std::sync::Arc;
 use tcc_rt::ValKind;
 
 /// A `C type.
+///
+/// The constructors share their parts (`Arc`), so a clone never
+/// allocates: the analyzer hands every expression its own type, and
+/// pointer and function types are most of them.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Type {
     /// `void`.
@@ -31,17 +36,17 @@ pub enum Type {
     /// `double` (also the representation of `float`).
     Double,
     /// Pointer.
-    Ptr(Box<Type>),
+    Ptr(Arc<Type>),
     /// Array with element type and length.
-    Array(Box<Type>, u64),
+    Array(Arc<Type>, u64),
     /// Struct, by index into the program's struct table.
     Struct(usize),
     /// Function type.
-    Func(Box<FuncSig>),
+    Func(Arc<FuncSig>),
     /// `T cspec` — a code specification with evaluation type `T`.
-    Cspec(Box<Type>),
+    Cspec(Arc<Type>),
     /// `T vspec` — a variable specification with evaluation type `T`.
-    Vspec(Box<Type>),
+    Vspec(Arc<Type>),
 }
 
 /// A function signature.
@@ -242,7 +247,7 @@ impl Type {
     pub fn decay(&self) -> Type {
         match self {
             Type::Array(t, _) => Type::Ptr(t.clone()),
-            Type::Func(sig) => Type::Ptr(Box::new(Type::Func(sig.clone()))),
+            Type::Func(sig) => Type::Ptr(Arc::new(Type::Func(sig.clone()))),
             t => t.clone(),
         }
     }
@@ -319,12 +324,12 @@ mod tests {
     fn sizes_and_kinds() {
         let s = &[];
         assert_eq!(Type::Int.size(s), 4);
-        assert_eq!(Type::Ptr(Box::new(Type::Char)).size(s), 8);
-        assert_eq!(Type::Array(Box::new(Type::Int), 10).size(s), 40);
+        assert_eq!(Type::Ptr(Arc::new(Type::Char)).size(s), 8);
+        assert_eq!(Type::Array(Arc::new(Type::Int), 10).size(s), 40);
         assert_eq!(Type::Int.kind(), ValKind::W);
         assert_eq!(Type::ULong.kind(), ValKind::D);
         assert_eq!(Type::Double.kind(), ValKind::F);
-        assert_eq!(Type::Cspec(Box::new(Type::Int)).kind(), ValKind::P);
+        assert_eq!(Type::Cspec(Arc::new(Type::Int)).kind(), ValKind::P);
     }
 
     #[test]
@@ -373,9 +378,9 @@ mod tests {
 
     #[test]
     fn decay_and_eval_types() {
-        let arr = Type::Array(Box::new(Type::Int), 4);
-        assert_eq!(arr.decay(), Type::Ptr(Box::new(Type::Int)));
-        let cs = Type::Cspec(Box::new(Type::Int));
+        let arr = Type::Array(Arc::new(Type::Int), 4);
+        assert_eq!(arr.decay(), Type::Ptr(Arc::new(Type::Int)));
+        let cs = Type::Cspec(Arc::new(Type::Int));
         assert_eq!(cs.eval_ty(), &Type::Int);
         assert!(cs.is_spec());
     }

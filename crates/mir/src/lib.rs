@@ -41,9 +41,9 @@ pub mod linker;
 pub mod lower;
 pub mod opt;
 
-pub use linker::{build_image, build_image_scheduled, Image};
-pub use lower::{lower_function, LinkEnv, OptLevel};
-pub use opt::optimize;
+pub use linker::{build_image, build_image_scheduled, BuildTimes, Image};
+pub use lower::{lower_function, lower_function_into, LinkEnv, LowerScratch, OptLevel};
+pub use opt::{optimize, Optimizer};
 
 #[cfg(test)]
 mod tests {

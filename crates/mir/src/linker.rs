@@ -5,12 +5,14 @@
 //! compilation order never matters (and so `&f` has a well-defined value
 //! before anything runs). The table is filled once all code is emitted.
 
-use crate::lower::{lower_function, LinkEnv, OptLevel};
-use crate::opt::optimize;
+use crate::lower::{lower_function_into, LinkEnv, LowerScratch, OptLevel};
+use crate::opt::Optimizer;
+use std::cell::Cell;
 use std::collections::HashMap;
+use std::time::Instant;
 use tcc_front::ast::{ExprKind, Init, Program};
 use tcc_front::types::Type;
-use tcc_icode::{IcodeBuf, IcodeCompiler, Strategy};
+use tcc_icode::{IcodeBuf, IcodeCompiler};
 use tcc_vm::{CodeSpace, Memory, VmError};
 
 /// A loaded program image: code, initialized data memory, and symbol
@@ -37,6 +39,21 @@ pub struct Image {
     pub tick_strs: Vec<Vec<u64>>,
     /// Total instructions emitted for static code.
     pub static_insns: u64,
+    /// Where the build's time went, stage by stage.
+    pub build_ns: BuildTimes,
+}
+
+/// Wall-clock nanoseconds of an image build's stages, summed over its
+/// functions. The rest of the build — laying out globals, strings and
+/// the function table — is what these leave of its whole.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct BuildTimes {
+    /// Lowering the AST to ICODE IR.
+    pub lower_ns: u64,
+    /// The mid-level optimizer (zero under [`OptLevel::Naive`]).
+    pub optimize_ns: u64,
+    /// ICODE's compile of the IR to machine code.
+    pub icode_ns: u64,
 }
 
 impl Image {
@@ -52,6 +69,26 @@ impl Image {
         let i = prog.globals.iter().position(|g| g.name == name)?;
         Some(self.global_addrs[i])
     }
+}
+
+/// The static compiler's working storage: the IR buffer, the
+/// lowering's tables, the optimizer's and every ICODE phase's. Every
+/// pass re-zeroes what it reads, so nothing one function — or one
+/// image — leaves behind reaches the next.
+#[derive(Default)]
+struct Workshop {
+    buf: IcodeBuf,
+    lower: LowerScratch,
+    optimizer: Optimizer,
+    compiler: IcodeCompiler,
+}
+
+thread_local! {
+    /// Each thread's [`Workshop`], kept between images: a build grows
+    /// its tables only past what an earlier build on the thread grew.
+    /// A build takes it for its duration (one that panics leaves none,
+    /// and the next starts afresh).
+    static WORKSHOP: Cell<Option<Box<Workshop>>> = const { Cell::new(None) };
 }
 
 struct Env {
@@ -140,32 +177,49 @@ pub fn build_image_scheduled(
     };
 
     // Write global initializers (after env so strings can intern).
-    for (g, addr) in prog.globals.iter().zip(env.global_addrs.clone()) {
+    for (gi, g) in prog.globals.iter().enumerate() {
         if let Some(init) = &g.init {
+            let addr = env.global_addrs[gi];
             write_init(&mut env, prog, &g.ty, addr, init)?;
         }
     }
 
-    // Compile every function.
+    // Compile every function, each through the same IR buffer, lowering
+    // tables, optimizer and ICODE compiler (linear scan, peephole on).
     let mut code = CodeSpace::new();
-    let mut compiler = IcodeCompiler::new(Strategy::LinearScan);
-    compiler.run_peephole = true;
+    let mut work = WORKSHOP.take().unwrap_or_default();
+    let Workshop {
+        buf,
+        lower,
+        optimizer,
+        compiler,
+    } = &mut *work;
     compiler.schedule_fusion = schedule;
-    let mut func_addrs = Vec::new();
-    let mut func_names = Vec::new();
+    let mut build_ns = BuildTimes::default();
+    let nfuncs = prog.funcs.len();
+    let mut func_addrs = Vec::with_capacity(nfuncs);
+    let mut func_names = Vec::with_capacity(nfuncs);
     let mut static_insns = 0;
-    for fi in 0..prog.funcs.len() {
-        let mut buf: IcodeBuf = lower_function(prog, fi, opt, &mut env);
+    for (fi, func) in prog.funcs.iter().enumerate() {
+        let t0 = Instant::now();
+        lower_function_into(prog, fi, opt, &mut env, lower, buf);
+        let mut t1 = Instant::now();
+        build_ns.lower_ns += (t1 - t0).as_nanos() as u64;
         if opt == OptLevel::Optimizing {
-            optimize(&mut buf);
+            optimizer.run(buf);
+            let t2 = Instant::now();
+            build_ns.optimize_ns += (t2 - t1).as_nanos() as u64;
+            t1 = t2;
         }
         let r = compiler
-            .compile(&mut code, &prog.funcs[fi].name, &mut buf)
+            .compile(&mut code, &func.name, buf)
             .expect("the full translator table covers every instruction");
+        build_ns.icode_ns += t1.elapsed().as_nanos() as u64;
         func_addrs.push(r.func.addr);
-        func_names.push(prog.funcs[fi].name.clone());
+        func_names.push(func.name.clone());
         static_insns += r.func.insns;
     }
+    WORKSHOP.set(Some(work));
     // Fill the function table.
     for (i, &a) in func_addrs.iter().enumerate() {
         env.mem.store_u64(fn_table + 8 * i as u64, a)?;
@@ -184,6 +238,7 @@ pub fn build_image_scheduled(
         fn_table,
         tick_strs,
         static_insns,
+        build_ns,
     })
 }
 

@@ -12,7 +12,6 @@
 //! constant values, free-variable addresses, nested cspec/vspec
 //! pointers — in capture order.
 
-use std::collections::HashMap;
 use tcc_front::ast::*;
 use tcc_front::types::Type;
 use tcc_icode::{IcodeBuf, LblId, VReg};
@@ -40,6 +39,10 @@ pub trait LinkEnv {
     fn fn_table_entry(&self, i: usize) -> u64;
 }
 
+/// The most arguments a call passes (sema refuses more).
+const MAX_ARGS: usize = 6;
+
+#[derive(Clone, Copy, Debug)]
 enum Slot {
     Reg(VReg),
     Mem(usize), // frame block index
@@ -52,20 +55,51 @@ enum Place {
 
 /// Lowers `func` (by index) of `prog` into an [`IcodeBuf`].
 pub fn lower_function(prog: &Program, fi: usize, opt: OptLevel, env: &mut dyn LinkEnv) -> IcodeBuf {
-    let func = &prog.funcs[fi];
-    let mut lw = Lower {
+    let mut buf = IcodeBuf::new();
+    lower_function_into(prog, fi, opt, env, &mut LowerScratch::default(), &mut buf);
+    buf
+}
+
+/// The lowering's working storage. A linker lowering many functions
+/// keeps one, and so allocates these tables once per image.
+#[derive(Clone, Debug, Default)]
+pub struct LowerScratch {
+    slots: Vec<Slot>,
+    break_stack: Vec<LblId>,
+    continue_stack: Vec<LblId>,
+}
+
+/// [`lower_function`] into `buf`, which it clears first, working in
+/// `scratch`.
+pub fn lower_function_into(
+    prog: &Program,
+    fi: usize,
+    opt: OptLevel,
+    env: &mut dyn LinkEnv,
+    scratch: &mut LowerScratch,
+    buf: &mut IcodeBuf,
+) {
+    buf.clear();
+    let LowerScratch {
+        slots,
+        break_stack,
+        continue_stack,
+    } = scratch;
+    slots.clear();
+    break_stack.clear();
+    continue_stack.clear();
+    Lower {
         prog,
-        func,
+        func: &prog.funcs[fi],
         opt,
         env,
-        buf: IcodeBuf::new(),
-        slots: Vec::new(),
-        break_stack: Vec::new(),
-        continue_stack: Vec::new(),
-        labels: HashMap::new(),
-    };
-    lw.run();
-    lw.buf
+        buf,
+        slots,
+        break_stack,
+        continue_stack,
+        labels: Vec::new(),
+    }
+    .run();
 }
 
 struct Lower<'a> {
@@ -73,11 +107,12 @@ struct Lower<'a> {
     func: &'a FuncDef,
     opt: OptLevel,
     env: &'a mut dyn LinkEnv,
-    buf: IcodeBuf,
-    slots: Vec<Slot>,
-    break_stack: Vec<LblId>,
-    continue_stack: Vec<LblId>,
-    labels: HashMap<String, LblId>,
+    buf: &'a mut IcodeBuf,
+    slots: &'a mut Vec<Slot>,
+    break_stack: &'a mut Vec<LblId>,
+    continue_stack: &'a mut Vec<LblId>,
+    /// `goto` labels met so far, by name.
+    labels: Vec<(&'a str, LblId)>,
 }
 
 fn load_kind(ty: &Type) -> LoadKind {
@@ -217,26 +252,26 @@ impl<'a> Lower<'a> {
                 }
             }
         }
-        let body = self.func.body.clone();
-        for s in &body {
+        let func = self.func;
+        for s in &func.body {
             self.stmt(s);
         }
         // Implicit return for void functions falling off the end.
         self.buf.ret_void();
     }
 
-    fn label_for(&mut self, name: &str) -> LblId {
-        if let Some(l) = self.labels.get(name) {
-            return *l;
+    fn label_for(&mut self, name: &'a str) -> LblId {
+        if let Some(&(_, l)) = self.labels.iter().find(|(n, _)| *n == name) {
+            return l;
         }
         let l = self.buf.label();
-        self.labels.insert(name.to_string(), l);
+        self.labels.push((name, l));
         l
     }
 
     // ---- statements ------------------------------------------------------
 
-    fn stmt(&mut self, s: &Stmt) {
+    fn stmt(&mut self, s: &'a Stmt) {
         match s {
             Stmt::Expr(e) => {
                 self.rvalue(e);
@@ -1119,22 +1154,24 @@ impl<'a> Lower<'a> {
             return self.builtin_call(*b, args, e);
         }
         // Evaluate arguments, coercing to parameter types when known.
-        let param_tys: Vec<Option<Type>> = match callee.ty.decay() {
-            Type::Ptr(inner) => match *inner {
-                Type::Func(sig) if sig.params.len() == args.len() => {
-                    sig.params.iter().cloned().map(Some).collect()
-                }
-                _ => vec![None; args.len()],
+        let sig = match callee.ty.decay() {
+            Type::Ptr(inner) => match &*inner {
+                Type::Func(sig) if sig.params.len() == args.len() => Some(sig.clone()),
+                _ => None,
             },
-            _ => vec![None; args.len()],
+            _ => None,
         };
-        let mut lowered = Vec::new();
-        for (a, pt) in args.iter().zip(&param_tys) {
+        let mut lowered = [(ValKind::W, VReg::NONE); MAX_ARGS];
+        for (j, a) in args.iter().enumerate() {
             let v = self.rvalue(a);
-            let ty = pt.clone().unwrap_or_else(|| a.ty.decay());
+            let ty = match &sig {
+                Some(sig) => sig.params[j].clone(),
+                None => a.ty.decay(),
+            };
             let v = self.coerce(v, &a.ty, &ty);
-            lowered.push((ty.kind(), v));
+            lowered[j] = (ty.kind(), v);
         }
+        let lowered = &lowered[..args.len()];
         let ret = if e.ty == Type::Void {
             None
         } else {
@@ -1153,24 +1190,24 @@ impl<'a> Lower<'a> {
             }
             _ => self.rvalue(callee),
         };
-        self.buf.call_ind(target, &lowered, ret);
+        self.buf.call_ind(target, lowered, ret);
         ret.map(|(_, d)| d).unwrap_or(VReg::NONE)
     }
 
     fn builtin_call(&mut self, b: Builtin, args: &[Expr], _e: &Expr) -> VReg {
-        let mut lowered = Vec::new();
-        for a in args {
+        let mut lowered = [(ValKind::W, VReg::NONE); MAX_ARGS];
+        for (j, a) in args.iter().enumerate() {
             let v = self.rvalue(a);
-            let ty = a.ty.decay();
-            lowered.push((ty.kind(), v));
+            lowered[j] = (a.ty.decay().kind(), v);
         }
+        let lowered = &lowered[..args.len()];
         match b {
-            Builtin::Puts => self.buf.hcall(hcalls::HC_PUTS, &lowered, None),
-            Builtin::Puti => self.buf.hcall(hcalls::HC_PUTINT, &lowered, None),
-            Builtin::Putd => self.buf.hcall(hcalls::HC_PUTF, &lowered, None),
-            Builtin::Putchar => self.buf.hcall(hcalls::HC_PUTCHAR, &lowered, None),
-            Builtin::Printf => self.buf.hcall(hcalls::HC_PRINTF, &lowered, None),
-            Builtin::Abort => self.buf.hcall(hcalls::HC_ABORT, &lowered, None),
+            Builtin::Puts => self.buf.hcall(hcalls::HC_PUTS, lowered, None),
+            Builtin::Puti => self.buf.hcall(hcalls::HC_PUTINT, lowered, None),
+            Builtin::Putd => self.buf.hcall(hcalls::HC_PUTF, lowered, None),
+            Builtin::Putchar => self.buf.hcall(hcalls::HC_PUTCHAR, lowered, None),
+            Builtin::Printf => self.buf.hcall(hcalls::HC_PRINTF, lowered, None),
+            Builtin::Abort => self.buf.hcall(hcalls::HC_ABORT, lowered, None),
             Builtin::Malloc => {
                 let d = self.buf.vreg(ValKind::P);
                 let (_, v) = lowered[0];
@@ -1189,6 +1226,7 @@ impl<'a> Lower<'a> {
     /// Lowers a tick expression to closure construction (paper §4.2).
     fn build_closure(&mut self, tid: usize) -> VReg {
         let tick = &self.prog.ticks[tid];
+        let func = self.func;
         let nfields = tick.captures.len();
         let size = 8 * (1 + nfields as i64);
         let sz = self.buf.vreg(ValKind::D);
@@ -1203,8 +1241,7 @@ impl<'a> Lower<'a> {
         let id = self.buf.vreg(ValKind::D);
         self.buf.li(id, tid as i64);
         self.buf.store(StoreKind::I64, id, clo, 0);
-        let captures = tick.captures.clone();
-        for (i, cap) in captures.iter().enumerate() {
+        for (i, cap) in tick.captures.iter().enumerate() {
             let off = 8 * (1 + i as i64);
             match &cap.kind {
                 CaptureKind::Dollar(expr) => {
@@ -1217,7 +1254,7 @@ impl<'a> Lower<'a> {
                     }
                 }
                 CaptureKind::FreeVar(local) => {
-                    let p = self.local_place(*local, &self.func.locals[*local].ty.clone());
+                    let p = self.local_place(*local, &func.locals[*local].ty);
                     let addr = match p {
                         Place::Mem { addr, off: 0, .. } => addr,
                         Place::Mem { addr, off: o, .. } => {

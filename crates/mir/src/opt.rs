@@ -13,117 +13,367 @@
 //! dominates every use the lowering can produce).
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
+use tcc_icode::peephole::Peephole;
 use tcc_icode::{IInsn, IOp, IcodeBuf, VReg};
-use tcc_vcode::ops::BinOp;
+use tcc_rt::ValKind;
+use tcc_vcode::ops::{BinOp, UnOp};
 
-/// Runs the full pipeline in place.
+/// Runs the full pipeline in place (with a scratch of its own; a caller
+/// optimizing many functions keeps an [`Optimizer`]).
 pub fn optimize(buf: &mut IcodeBuf) {
-    let mut peephole = tcc_icode::peephole::Peephole::default();
-    for _ in 0..3 {
-        let mut changed = false;
-        changed |= const_and_copy_prop(buf);
-        changed |= fold(buf);
-        changed |= cse_local(buf);
-        changed |= peephole.dead_code(buf) > 0;
-        if !changed {
-            break;
-        }
-    }
-    peephole.thread_jumps(buf);
+    Optimizer::default().run(buf);
 }
 
-fn def_counts(buf: &IcodeBuf) -> Vec<u32> {
-    let mut counts = vec![0u32; buf.num_vregs()];
-    for i in &buf.insns {
-        if let Some(d) = i.def() {
-            counts[d.0 as usize] += 1;
-        }
-    }
-    counts
+/// What a single-definition virtual register is known to hold.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Known {
+    Nothing,
+    Const(i64),
+    CopyOf(VReg),
 }
 
-/// Propagates constants (`Li` into single-def vregs) and copies
-/// (`Un(Mov)` of single-def sources into single-def dests).
-fn const_and_copy_prop(buf: &mut IcodeBuf) -> bool {
-    let counts = def_counts(buf);
-    let mut const_of: HashMap<VReg, i64> = HashMap::new();
-    let mut copy_of: HashMap<VReg, VReg> = HashMap::new();
-    for i in &buf.insns {
-        if let Some(d) = i.def() {
-            if counts[d.0 as usize] != 1 {
-                continue;
-            }
-            match i.op {
-                IOp::Li => {
-                    const_of.insert(d, i.imm);
-                }
-                IOp::Un(tcc_vcode::ops::UnOp::Mov)
-                    if i.a.is_some()
-                        && counts[i.a.0 as usize] == 1
-                        && buf.kind_of(i.a) == buf.kind_of(d) =>
-                {
-                    copy_of.insert(d, i.a);
-                }
-                _ => {}
-            }
+/// A pure computation, as [`Optimizer::cse_local`] numbers values.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+struct CseKey {
+    op: IOp,
+    k: ValKind,
+    a: VReg,
+    b: VReg,
+    imm: i64,
+}
+
+/// Where a computation's value lives, recorded in block `block` when
+/// its operands and value register had been defined `defs` times. It is
+/// available while the block and all three counts are unchanged: a
+/// redefinition kills it without a search.
+#[derive(Clone, Copy, Debug)]
+struct Avail {
+    val: VReg,
+    block: u32,
+    defs: [u32; 3],
+}
+
+/// FxHash's multiply-rotate mix: the CSE table's keys are a handful of
+/// small integers, and SipHash's flood resistance buys nothing here.
+#[derive(Default)]
+struct CseHasher(u64);
+
+impl Hasher for CseHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
         }
     }
-    // Resolve copy chains.
-    let resolve = |mut v: VReg, copies: &HashMap<VReg, VReg>| -> VReg {
-        let mut hops = 0;
-        while let Some(&s) = copies.get(&v) {
-            v = s;
-            hops += 1;
-            if hops > 64 {
+
+    fn write_u8(&mut self, v: u8) {
+        self.write_u64(u64::from(v));
+    }
+
+    fn write_u32(&mut self, v: u32) {
+        self.write_u64(u64::from(v));
+    }
+
+    fn write_u64(&mut self, v: u64) {
+        self.0 = (self.0.rotate_left(5) ^ v).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+
+    fn write_usize(&mut self, v: usize) {
+        self.write_u64(v as u64);
+    }
+
+    fn write_isize(&mut self, v: isize) {
+        self.write_u64(v as u64);
+    }
+
+    fn write_i64(&mut self, v: i64) {
+        self.write_u64(v as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// The optimization pipeline and every table its passes index by
+/// virtual register. Keep one across functions: each pass re-zeroes the
+/// tables it finds here instead of allocating its own.
+#[derive(Clone, Debug, Default)]
+pub struct Optimizer {
+    /// Definitions of each vreg.
+    counts: Vec<u32>,
+    /// What each single-definition vreg holds.
+    known: Vec<Known>,
+    /// Per vreg: definitions `cse_local` has passed.
+    defs_seen: Vec<u32>,
+    /// Each computation's latest recording.
+    avail: HashMap<CseKey, Avail, BuildHasherDefault<CseHasher>>,
+    peephole: Peephole,
+}
+
+impl Optimizer {
+    /// Runs the full pipeline on `buf` in place.
+    pub fn run(&mut self, buf: &mut IcodeBuf) {
+        for _ in 0..3 {
+            let mut changed = false;
+            changed |= self.const_and_copy_prop(buf);
+            changed |= self.fold(buf);
+            changed |= self.cse_local(buf);
+            changed |= self.peephole.dead_code(buf) > 0;
+            if !changed {
                 break;
             }
         }
-        v
-    };
-    let mut changed = false;
-    let copies = copy_of.clone();
-    for i in &mut buf.insns {
-        for field in [&mut i.a, &mut i.b] {
-            if field.is_some() {
-                let r = resolve(*field, &copies);
-                if r != *field {
-                    *field = r;
-                    changed = true;
+        self.peephole.thread_jumps(buf);
+    }
+
+    fn count_defs(&mut self, buf: &IcodeBuf) {
+        let counts = &mut self.counts;
+        counts.clear();
+        counts.resize(buf.num_vregs(), 0);
+        for i in &buf.insns {
+            if let Some(d) = i.def() {
+                counts[d.0 as usize] += 1;
+            }
+        }
+        self.known.clear();
+        self.known.resize(buf.num_vregs(), Known::Nothing);
+    }
+
+    /// Propagates constants (`Li` into single-def vregs) and copies
+    /// (`Un(Mov)` of single-def sources into single-def dests).
+    fn const_and_copy_prop(&mut self, buf: &mut IcodeBuf) -> bool {
+        self.count_defs(buf);
+        let (counts, known) = (&self.counts, &mut self.known);
+        for i in &buf.insns {
+            if let Some(d) = i.def() {
+                if counts[d.0 as usize] != 1 {
+                    continue;
+                }
+                match i.op {
+                    IOp::Li => known[d.0 as usize] = Known::Const(i.imm),
+                    IOp::Un(UnOp::Mov)
+                        if i.a.is_some()
+                            && counts[i.a.0 as usize] == 1
+                            && buf.kind_of(i.a) == buf.kind_of(d) =>
+                    {
+                        known[d.0 as usize] = Known::CopyOf(i.a);
+                    }
+                    _ => {}
                 }
             }
         }
-        // Turn register operands that are known constants into immediate
-        // forms where profitable.
-        if let IOp::Bin(op) = i.op {
-            if i.b.is_some() {
-                if let Some(&c) = const_of.get(&i.b) {
-                    if imm_form_ok(op) {
-                        i.op = IOp::BinImm(op);
-                        i.imm = c;
-                        i.b = VReg::NONE;
+        let known = &*known;
+        // Resolve copy chains.
+        let resolve = |mut v: VReg| -> VReg {
+            let mut hops = 0;
+            while let Known::CopyOf(s) = known[v.0 as usize] {
+                v = s;
+                hops += 1;
+                if hops > 64 {
+                    break;
+                }
+            }
+            v
+        };
+        let mut changed = false;
+        for i in &mut buf.insns {
+            for field in [&mut i.a, &mut i.b] {
+                if field.is_some() {
+                    let r = resolve(*field);
+                    if r != *field {
+                        *field = r;
                         changed = true;
                     }
-                } else if let Some(&c) = const_of.get(&i.a) {
-                    if let Some(sw) = op.swapped() {
-                        if imm_form_ok(sw) {
-                            i.op = IOp::BinImm(sw);
-                            i.a = i.b;
+                }
+            }
+            // Turn register operands that are known constants into
+            // immediate forms where profitable. (`BrCmp` keeps register
+            // form: the VM's branches are reg-reg.)
+            if let IOp::Bin(op) = i.op {
+                if i.b.is_some() {
+                    if let Some(c) = const_of(known, i.b) {
+                        if imm_form_ok(op) {
+                            i.op = IOp::BinImm(op);
                             i.imm = c;
                             i.b = VReg::NONE;
                             changed = true;
+                        }
+                    } else if let Some(c) = const_of(known, i.a) {
+                        if let Some(sw) = op.swapped() {
+                            if imm_form_ok(sw) {
+                                i.op = IOp::BinImm(sw);
+                                i.a = i.b;
+                                i.imm = c;
+                                i.b = VReg::NONE;
+                                changed = true;
+                            }
                         }
                     }
                 }
             }
         }
-        if let IOp::BrCmp(op) = i.op {
-            // Keep BrCmp in register form, but materialized constants are
-            // common on one side; nothing to do here (the VM branches are
-            // reg-reg).
-            let _ = op;
-        }
+        changed
     }
-    changed
+
+    /// Folds operations whose operands are all constants, and algebraic
+    /// identities (`x+0`, `x*1`, `x*0`). Runs right after
+    /// [`Optimizer::const_and_copy_prop`], which rewrites operands only:
+    /// the single-definition `Li`s it tabled are still every constant.
+    fn fold(&mut self, buf: &mut IcodeBuf) -> bool {
+        let known = &self.known;
+        let li = |i: &IInsn, imm: i64| IInsn {
+            op: IOp::Li,
+            k: i.k,
+            dst: i.dst,
+            a: VReg::NONE,
+            b: VReg::NONE,
+            imm,
+        };
+        let mut changed = false;
+        for i in &mut buf.insns {
+            match i.op {
+                IOp::BinImm(op) => {
+                    if let Some(a) = const_of(known, i.a) {
+                        if let Some(v) = op.eval_int(i.k, a, i.imm) {
+                            *i = li(i, v);
+                            changed = true;
+                            continue;
+                        }
+                    }
+                    // Identities.
+                    match (op, i.imm) {
+                        (BinOp::Add | BinOp::Sub | BinOp::Shl | BinOp::Shr | BinOp::ShrU, 0)
+                        | (BinOp::Mul | BinOp::Div | BinOp::DivU, 1) => {
+                            i.op = IOp::Un(UnOp::Mov);
+                            i.imm = 0;
+                            changed = true;
+                        }
+                        (BinOp::Mul | BinOp::And, 0) => {
+                            *i = li(i, 0);
+                            changed = true;
+                        }
+                        _ => {}
+                    }
+                }
+                IOp::Bin(op) => {
+                    if let (Some(a), Some(b)) = (const_of(known, i.a), const_of(known, i.b)) {
+                        if let Some(v) = op.eval_int(i.k, a, b) {
+                            *i = li(i, v);
+                            changed = true;
+                        }
+                    }
+                }
+                _ => {}
+            }
+        }
+        changed
+    }
+
+    /// Local (per-block) value-numbering CSE over pure operations.
+    fn cse_local(&mut self, buf: &mut IcodeBuf) -> bool {
+        let (defs_seen, avail) = (&mut self.defs_seen, &mut self.avail);
+        defs_seen.clear();
+        defs_seen.resize(buf.num_vregs(), 0);
+        avail.clear();
+        let mut block = 0;
+        let mut changed = false;
+        for idx in 0..buf.insns.len() {
+            let i = buf.insns[idx];
+            // Block boundaries invalidate everything (labels are join
+            // points), and so do calls.
+            if matches!(
+                i.op,
+                IOp::Label
+                    | IOp::Jmp
+                    | IOp::BrCmp(_)
+                    | IOp::BrTrue
+                    | IOp::BrFalse
+                    | IOp::Ret
+                    | IOp::CallAddr
+                    | IOp::CallInd
+                    | IOp::Hcall
+            ) {
+                block += 1;
+                continue;
+            }
+            let pure = matches!(
+                i.op,
+                IOp::Bin(_) | IOp::BinImm(_) | IOp::Un(_) | IOp::FrameAddr
+            );
+            let key = CseKey {
+                op: i.op,
+                k: i.k,
+                a: i.a,
+                b: i.b,
+                imm: i.imm,
+            };
+            let defs = |defs_seen: &[u32], v: VReg| {
+                if v.is_some() {
+                    defs_seen[v.0 as usize]
+                } else {
+                    0
+                }
+            };
+            let hit = if pure {
+                avail
+                    .get(&key)
+                    .filter(|e| {
+                        e.block == block
+                            && e.defs
+                                == [
+                                    defs(defs_seen, i.a),
+                                    defs(defs_seen, i.b),
+                                    defs(defs_seen, e.val),
+                                ]
+                    })
+                    .map(|e| e.val)
+            } else {
+                None
+            };
+            if let Some(prev) = hit {
+                // Replace with a move from the earlier value.
+                buf.insns[idx] = IInsn {
+                    op: IOp::Un(UnOp::Mov),
+                    k: i.k,
+                    dst: i.dst,
+                    a: prev,
+                    b: VReg::NONE,
+                    imm: 0,
+                };
+                changed = true;
+            }
+            // A (re)definition kills what was computed from the old
+            // value — before the new availability is recorded.
+            if let Some(d) = i.def() {
+                defs_seen[d.0 as usize] += 1;
+                if hit.is_none() && pure {
+                    let defs = [
+                        defs(defs_seen, i.a),
+                        defs(defs_seen, i.b),
+                        defs(defs_seen, d),
+                    ];
+                    avail.insert(
+                        key,
+                        Avail {
+                            val: d,
+                            block,
+                            defs,
+                        },
+                    );
+                }
+            }
+        }
+        changed
+    }
+}
+
+/// The constant a single-definition `v` is known to hold.
+fn const_of(known: &[Known], v: VReg) -> Option<i64> {
+    match known.get(v.0 as usize) {
+        Some(&Known::Const(c)) => Some(c),
+        _ => None,
+    }
 }
 
 fn imm_form_ok(op: BinOp) -> bool {
@@ -132,141 +382,6 @@ fn imm_form_ok(op: BinOp) -> bool {
         op,
         Add | Sub | Mul | Div | DivU | Rem | RemU | And | Or | Xor | Shl | Shr | ShrU
     )
-}
-
-/// Folds operations whose operands are all constants, and algebraic
-/// identities (`x+0`, `x*1`, `x*0`).
-fn fold(buf: &mut IcodeBuf) -> bool {
-    let counts = def_counts(buf);
-    let mut const_of: HashMap<VReg, i64> = HashMap::new();
-    for i in &buf.insns {
-        if let (IOp::Li, Some(d)) = (i.op, i.def()) {
-            if counts[d.0 as usize] == 1 {
-                const_of.insert(d, i.imm);
-            }
-        }
-    }
-    let mut changed = false;
-    for i in &mut buf.insns {
-        match i.op {
-            IOp::BinImm(op) => {
-                if let Some(&a) = const_of.get(&i.a) {
-                    if let Some(v) = op.eval_int(i.k, a, i.imm) {
-                        *i = IInsn {
-                            op: IOp::Li,
-                            k: i.k,
-                            dst: i.dst,
-                            a: VReg::NONE,
-                            b: VReg::NONE,
-                            imm: v,
-                        };
-                        changed = true;
-                        continue;
-                    }
-                }
-                // Identities.
-                match (op, i.imm) {
-                    (BinOp::Add | BinOp::Sub | BinOp::Shl | BinOp::Shr | BinOp::ShrU, 0)
-                    | (BinOp::Mul | BinOp::Div | BinOp::DivU, 1) => {
-                        i.op = IOp::Un(tcc_vcode::ops::UnOp::Mov);
-                        i.imm = 0;
-                        changed = true;
-                    }
-                    (BinOp::Mul | BinOp::And, 0) => {
-                        *i = IInsn {
-                            op: IOp::Li,
-                            k: i.k,
-                            dst: i.dst,
-                            a: VReg::NONE,
-                            b: VReg::NONE,
-                            imm: 0,
-                        };
-                        changed = true;
-                    }
-                    _ => {}
-                }
-            }
-            IOp::Bin(op) => {
-                if let (Some(&a), Some(&b)) = (const_of.get(&i.a), const_of.get(&i.b)) {
-                    if let Some(v) = op.eval_int(i.k, a, b) {
-                        *i = IInsn {
-                            op: IOp::Li,
-                            k: i.k,
-                            dst: i.dst,
-                            a: VReg::NONE,
-                            b: VReg::NONE,
-                            imm: v,
-                        };
-                        changed = true;
-                    }
-                }
-            }
-            _ => {}
-        }
-    }
-    changed
-}
-
-/// Local (per-block) value-numbering CSE over pure operations.
-fn cse_local(buf: &mut IcodeBuf) -> bool {
-    #[derive(Clone, PartialEq, Eq, Hash)]
-    struct Key {
-        op: IOp,
-        k: tcc_rt::ValKind,
-        a: VReg,
-        b: VReg,
-        imm: i64,
-    }
-    let mut changed = false;
-    let mut avail: HashMap<Key, VReg> = HashMap::new();
-    let n = buf.insns.len();
-    for idx in 0..n {
-        let i = buf.insns[idx];
-        // Block boundaries invalidate everything (labels are join points).
-        if matches!(
-            i.op,
-            IOp::Label | IOp::Jmp | IOp::BrCmp(_) | IOp::BrTrue | IOp::BrFalse | IOp::Ret
-        ) || matches!(i.op, IOp::CallAddr | IOp::CallInd | IOp::Hcall)
-        {
-            avail.clear();
-            continue;
-        }
-        let pure = matches!(
-            i.op,
-            IOp::Bin(_) | IOp::BinImm(_) | IOp::Un(_) | IOp::FrameAddr
-        );
-        let key = Key {
-            op: i.op,
-            k: i.k,
-            a: i.a,
-            b: i.b,
-            imm: i.imm,
-        };
-        let hit = pure.then(|| avail.get(&key).copied()).flatten();
-        if let Some(prev) = hit {
-            // Replace with a move from the earlier value.
-            buf.insns[idx] = IInsn {
-                op: IOp::Un(tcc_vcode::ops::UnOp::Mov),
-                k: i.k,
-                dst: i.dst,
-                a: prev,
-                b: VReg::NONE,
-                imm: 0,
-            };
-            changed = true;
-        }
-        // A (re)definition invalidates entries computed from the old
-        // value — before recording the new availability.
-        if let Some(d) = buf.insns[idx].def() {
-            avail.retain(|k, v| k.a != d && k.b != d && *v != d);
-        }
-        if hit.is_none() && pure {
-            if let Some(d) = i.def() {
-                avail.insert(key, d);
-            }
-        }
-    }
-    changed
 }
 
 #[cfg(test)]

@@ -190,6 +190,10 @@ impl DynMetrics {
 pub struct FrontendMetrics {
     /// Nanoseconds in parse + semantic analysis of the `C unit.
     pub parse_sema_ns: u64,
+    /// Of `parse_sema_ns`: lexing and parsing.
+    pub parse_ns: u64,
+    /// Of `parse_sema_ns`: semantic analysis.
+    pub sema_ns: u64,
     /// Source length, for normalization.
     pub source_bytes: u64,
 }
@@ -199,6 +203,8 @@ impl FrontendMetrics {
     pub fn to_json(&self) -> Json {
         Json::obj(vec![
             ("parse_sema_ns", Json::from(self.parse_sema_ns)),
+            ("parse_ns", Json::from(self.parse_ns)),
+            ("sema_ns", Json::from(self.sema_ns)),
             ("source_bytes", Json::from(self.source_bytes)),
         ])
     }
@@ -208,8 +214,16 @@ impl FrontendMetrics {
 /// into the executable image.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct StaticMetrics {
-    /// Nanoseconds lowering MIR and linking the image.
+    /// Nanoseconds lowering MIR and linking the image: the whole static
+    /// build.
     pub lower_ns: u64,
+    /// Of `lower_ns`: lowering every function's AST to ICODE IR.
+    pub ir_lower_ns: u64,
+    /// Of `lower_ns`: the mid-level optimizer (zero under the naive
+    /// static back end).
+    pub optimize_ns: u64,
+    /// Of `lower_ns`: ICODE's compile of every function to machine code.
+    pub icode_ns: u64,
     /// Machine instructions in the static image.
     pub static_insns: u64,
 }
@@ -219,6 +233,9 @@ impl StaticMetrics {
     pub fn to_json(&self) -> Json {
         Json::obj(vec![
             ("lower_ns", Json::from(self.lower_ns)),
+            ("ir_lower_ns", Json::from(self.ir_lower_ns)),
+            ("optimize_ns", Json::from(self.optimize_ns)),
+            ("icode_ns", Json::from(self.icode_ns)),
             ("static_insns", Json::from(self.static_insns)),
         ])
     }

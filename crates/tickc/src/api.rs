@@ -265,12 +265,16 @@ impl Session {
     /// Front-end or layout errors.
     pub fn new(src: &str, config: Config) -> Result<Session, Error> {
         let t0 = Instant::now();
-        let prog = Arc::new(tcc_front::compile_unit(src)?);
+        let unit = tcc_front::parser::parse(src)?;
+        let t1 = Instant::now();
+        let prog = Arc::new(tcc_front::sema::analyze(unit)?);
+        let t2 = Instant::now();
         let frontend = FrontendMetrics {
-            parse_sema_ns: t0.elapsed().as_nanos() as u64,
+            parse_sema_ns: (t2 - t0).as_nanos() as u64,
+            parse_ns: (t1 - t0).as_nanos() as u64,
+            sema_ns: (t2 - t1).as_nanos() as u64,
             source_bytes: src.len() as u64,
         };
-        let t1 = Instant::now();
         let Image {
             code,
             mem,
@@ -278,6 +282,7 @@ impl Session {
             func_names,
             global_addrs,
             tick_strs,
+            build_ns,
             ..
         } = build_image_scheduled(
             &prog,
@@ -286,7 +291,10 @@ impl Session {
             config.icode_schedule,
         )?;
         let static_compile = StaticMetrics {
-            lower_ns: t1.elapsed().as_nanos() as u64,
+            lower_ns: t2.elapsed().as_nanos() as u64,
+            ir_lower_ns: build_ns.lower_ns,
+            optimize_ns: build_ns.optimize_ns,
+            icode_ns: build_ns.icode_ns,
             static_insns: code.next_index() as u64,
         };
         let image = SessionImage {

@@ -23,6 +23,7 @@ use crate::dyncomp::{
 use crate::fingerprint;
 use std::cell::Cell;
 use std::collections::HashMap;
+use std::sync::Arc;
 use tcc_front::ast::*;
 use tcc_front::types::Type;
 use tcc_mir::lower::machine_binop;
@@ -336,7 +337,7 @@ impl<'a, 'p, S: CodeSink> AstCompiler<'a, 'p, S> {
                     return Ok(None);
                 };
                 let elem = match base.ty.decay() {
-                    Type::Ptr(t) => *t,
+                    Type::Ptr(t) => (*t).clone(),
                     _ => return Ok(None),
                 };
                 let size = elem.size(&self.input.prog.structs) as i64;
@@ -1213,7 +1214,7 @@ impl<'a, 'p, S: CodeSink> AstCompiler<'a, 'p, S> {
     ) -> Result<V<S>, VmError> {
         // Evaluate arguments.
         let param_tys: Vec<Option<Type>> = match callee.ty.decay() {
-            Type::Ptr(inner) => match *inner {
+            Type::Ptr(inner) => match &*inner {
                 Type::Func(sig) if sig.params.len() == args.len() => {
                     sig.params.iter().cloned().map(Some).collect()
                 }
@@ -1935,7 +1936,7 @@ fn kind_type(k: ValKind) -> Type {
     match k {
         ValKind::W => Type::Int,
         ValKind::D => Type::Long,
-        ValKind::P => Type::Ptr(Box::new(Type::Void)),
+        ValKind::P => Type::Ptr(Arc::new(Type::Void)),
         ValKind::F => Type::Double,
     }
 }

@@ -22,6 +22,7 @@
 //! memory. This module is the only one in the crate's product code that
 //! reads a tick's AST.
 
+use std::sync::Arc;
 use tcc_front::ast::*;
 use tcc_front::types::{StructDef, Type};
 use tcc_front::Program;
@@ -576,7 +577,7 @@ fn kind_type(k: ValKind) -> Type {
     match k {
         ValKind::W => Type::Int,
         ValKind::D => Type::Long,
-        ValKind::P => Type::Ptr(Box::new(Type::Void)),
+        ValKind::P => Type::Ptr(Arc::new(Type::Void)),
         ValKind::F => Type::Double,
     }
 }
@@ -961,9 +962,9 @@ impl<'a> Lower<'a> {
     }
 
     fn call(&mut self, callee: &'a Expr, args: &'a [Expr], e: &Expr) -> (Op, u8, bool) {
-        let params = match callee.ty.decay() {
-            Type::Ptr(inner) => match *inner {
-                Type::Func(sig) if sig.params.len() == args.len() => Some(sig.params),
+        let sig = match callee.ty.decay() {
+            Type::Ptr(inner) => match &*inner {
+                Type::Func(sig) if sig.params.len() == args.len() => Some(sig.clone()),
                 _ => None,
             },
             _ => None,
@@ -973,9 +974,9 @@ impl<'a> Lower<'a> {
         for (i, a) in args.iter().enumerate() {
             let node = self.expr(a);
             has |= self.flags(node);
-            let ty = params
+            let ty = sig
                 .as_ref()
-                .map_or_else(|| a.ty.decay(), |p| p[i].clone());
+                .map_or_else(|| a.ty.decay(), |sig| sig.params[i].clone());
             plans.push(ArgPlan {
                 node,
                 co: self.co(&a.ty, &ty),

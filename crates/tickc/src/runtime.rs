@@ -266,12 +266,26 @@ impl TccRuntime {
                 let mut vc = Vcode::with_bufs(code, name, std::mem::take(&mut b.vcode));
                 vc.set_unchecked(*unchecked);
                 let (sc, params) = (&mut b.vcode_walk, &b.params);
-                let walk = walk(input, mem, &mut vc, sc, params, ret_kind, closure)?;
-                if vc.exhausted() {
-                    // Left unfinished, like a walk that failed.
-                    let err = "register pool exhausted in unchecked mode";
-                    return Err(VmError::Host(err.into()));
-                }
+                let walked =
+                    walk(input, mem, &mut vc, sc, params, ret_kind, closure).and_then(|walk| {
+                        if vc.exhausted() {
+                            let err = "register pool exhausted in unchecked mode";
+                            return Err(VmError::Host(err.into()));
+                        }
+                        Ok(walk)
+                    });
+                let walk = match walked {
+                    Ok(walk) => walk,
+                    Err(err) => {
+                        // The walk emitted as it went: roll its function
+                        // back, so a failed compile leaves neither words
+                        // nor a registry slot behind.
+                        let (rolled_back, bufs) = vc.abort_with_bufs();
+                        b.vcode = bufs;
+                        rolled_back?;
+                        return Err(err);
+                    }
+                };
                 let (f, bufs) = vc.finish_with_bufs();
                 b.vcode = bufs;
                 let f = f?;

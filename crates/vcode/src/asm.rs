@@ -143,6 +143,18 @@ impl<'a> Asm<'a> {
         (addr, bufs)
     }
 
+    /// Abandons the function (see [`CodeSpace::abort_function`]) and
+    /// returns the label tables for the next function's
+    /// [`Asm::with_bufs`].
+    pub fn abort_with_bufs(self) -> (Result<(), VmError>, AsmBufs) {
+        let rolled_back = self.code.abort_function(self.func);
+        let bufs = AsmBufs {
+            labels: self.labels,
+            refs: self.refs,
+        };
+        (rolled_back, bufs)
+    }
+
     /// Creates a fresh unbound label.
     pub fn new_label(&mut self) -> Label {
         self.labels.push(LabelInfo {

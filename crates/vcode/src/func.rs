@@ -222,6 +222,19 @@ impl<'a> FuncBuilder<'a> {
         (func, bufs)
     }
 
+    /// Abandons the function, leaving its code space as it was before
+    /// [`FuncBuilder::with_bufs`] began it, and returns the builder's
+    /// vectors for the next function.
+    pub fn abort_with_bufs(self) -> (Result<(), VmError>, FuncBufs) {
+        let (rolled_back, asm) = self.asm.abort_with_bufs();
+        let bufs = FuncBufs {
+            asm,
+            saved: self.saved,
+            fsaved: self.fsaved,
+        };
+        (rolled_back, bufs)
+    }
+
     /// Moves a floating point return value into `fa0` and returns.
     pub fn ret_freg(&mut self, f: FReg) {
         self.asm.fmov(tcc_vm::regs::FA0, f);

@@ -775,6 +775,21 @@ impl<'a> Vcode<'a> {
         };
         (f, bufs)
     }
+
+    /// Abandons the function — the way out of a compile that failed
+    /// part-way — leaving the code space as it was before
+    /// [`Vcode::with_bufs`] began it, and returns the generator's
+    /// storage for the next function.
+    pub fn abort_with_bufs(self) -> (Result<(), VmError>, VcodeBufs) {
+        let (rolled_back, func) = self.fb.abort_with_bufs();
+        let bufs = VcodeBufs {
+            func,
+            regs: Some(self.regs),
+            free_slots: self.free_slots,
+            free_fslots: self.free_fslots,
+        };
+        (rolled_back, bufs)
+    }
 }
 
 #[cfg(test)]

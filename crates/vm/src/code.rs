@@ -784,6 +784,27 @@ impl CodeSpace {
         Ok((self.seal(handle, len, hole), handle))
     }
 
+    /// Abandons the function still being built under `handle`, as a
+    /// compile that failed part-way must: its words are dropped from the
+    /// emission tail and its registry slot is released for reuse, so the
+    /// space is as it was before [`CodeSpace::begin_function`].
+    ///
+    /// # Errors
+    ///
+    /// [`VmError::CodeLifecycle`] if `handle` is stale or its function
+    /// was already sealed: nothing is rolled back.
+    pub fn abort_function(&mut self, handle: FuncHandle) -> Result<(), VmError> {
+        let info = self.info(handle)?;
+        if info.sealed {
+            return Err(VmError::CodeLifecycle(format!(
+                "abort of sealed function {}",
+                info.name
+            )));
+        }
+        self.abort(handle);
+        Ok(())
+    }
+
     /// Rolls back the function still being built under `handle`: the
     /// emission tail is truncated to its start, its slot released and
     /// the budget flag cleared.

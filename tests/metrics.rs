@@ -3,7 +3,7 @@
 //! numbers for every phase of the pipeline, and the derived
 //! per-instruction codegen cost must land in a sane band.
 
-use tcc::{Backend, Config, Session, Strategy};
+use tcc::{Backend, Config, OptLevel, Session, Strategy};
 use tcc_suite::{benchmarks, BLUR_SMALL};
 
 /// A program with one dynamic compilation site.
@@ -54,6 +54,36 @@ fn static_phases_are_populated_at_construction() {
     assert_eq!(m.dynamic.compiles, 0);
     assert_eq!(m.vm.insns, 0);
     assert_eq!(m.vm.hcalls, 0);
+}
+
+#[test]
+fn session_new_layers_sum_to_at_most_their_whole() {
+    for opt in [OptLevel::Naive, OptLevel::Optimizing] {
+        let config = Config {
+            static_opt: opt,
+            ..Config::default()
+        };
+        let m = Session::new(SRC, config).expect("compiles").metrics();
+        let (f, st) = (m.frontend, m.static_compile);
+        assert!(f.parse_ns > 0 && f.sema_ns > 0, "{f:?}");
+        assert!(f.parse_ns + f.sema_ns <= f.parse_sema_ns, "{f:?}");
+        assert!(st.ir_lower_ns > 0 && st.icode_ns > 0, "{st:?}");
+        assert_eq!(st.optimize_ns > 0, opt == OptLevel::Optimizing, "{st:?}");
+        assert!(
+            st.ir_lower_ns + st.optimize_ns + st.icode_ns <= st.lower_ns,
+            "{st:?}"
+        );
+        let json = m.to_json().to_string();
+        for key in [
+            "\"parse_ns\"",
+            "\"sema_ns\"",
+            "\"ir_lower_ns\"",
+            "\"optimize_ns\"",
+            "\"icode_ns\"",
+        ] {
+            assert!(json.contains(key), "{key} missing from {json}");
+        }
+    }
 }
 
 #[test]
