@@ -45,7 +45,10 @@
 #      cells while another evicts, invalidates and re-publishes them:
 #      every answer right, or StaleCode and then right), and the
 #      mapping: `tcc-vm`'s `map`, `mem` and `code` unit tests and its
-#      two RSS tests (a 1 GiB data memory, 2^21 code words)
+#      two RSS tests (a 1 GiB data memory, 2^21 code words), and the
+#      allocation ratchet on Session::new (allocator calls over the 14
+#      suite programs at most the committed count) in the profile the
+#      benchmark builds
 #   9. cargo doc, warnings are errors
 #  10. suite smoke: one benchmark through two static and three dynamic
 #      back ends, which must agree
@@ -174,13 +177,14 @@ cargo build --release
 echo "== tier-1: cargo test =="
 cargo test -q --workspace
 
-echo "== release-only tests: spec-memory soak, paper-size Blur, retire-vs-hit, the mapping =="
+echo "== release-only tests: spec-memory soak, paper-size Blur, retire-vs-hit, the mapping, Session::new's allocations =="
 cargo test --release -q -p tickc --test spec_memory -- --ignored
 cargo test --release -q -p tickc --test paper_golden -- --ignored
 cargo test --release -q -p tcc --test shared_serve -- --ignored
 cargo test --release -q -p tcc-vm --lib -- map:: mem:: code::
 cargo test --release -q -p tcc-vm --test memory_rss
 cargo test --release -q -p tcc-vm --test code_rss
+cargo test --release -q -p tcc --test session_alloc
 
 echo "== cargo doc (deny warnings) =="
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet

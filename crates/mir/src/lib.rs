@@ -42,8 +42,8 @@ pub mod lower;
 pub mod opt;
 
 pub use linker::{build_image, build_image_scheduled, BuildTimes, Image};
-pub use lower::{lower_function, lower_function_into, LinkEnv, LowerScratch, OptLevel};
-pub use opt::{optimize, Optimizer};
+pub use lower::{lower_function, LinkEnv, LowerScratch, OptLevel};
+pub use opt::Optimizer;
 
 #[cfg(test)]
 mod tests {
@@ -223,6 +223,15 @@ mod tests {
         let x = 0x1234_89ABu32 as i32;
         let expect = (x as i8) as i32 + (x as u8) as i32 + (x as i16) as i32;
         assert_eq!(run_both(src, "f", &[x as i64 as u64]) as i64, expect as i64);
+    }
+
+    #[test]
+    fn narrowed_local_shifted_by_its_narrowing_amount() {
+        // Narrowing `c` to char ends in `c = c >> 24`; the `c >> 24`
+        // below is a new value, not that one.
+        let src = "int f(int x) { char c = x; return c >> 24; }";
+        assert_eq!(run_both(src, "f", &[0x80]) as i32, -1);
+        assert_eq!(run_both(src, "f", &[0x7f]) as i32, 0);
     }
 
     #[test]

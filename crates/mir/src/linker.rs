@@ -5,7 +5,7 @@
 //! compilation order never matters (and so `&f` has a well-defined value
 //! before anything runs). The table is filled once all code is emitted.
 
-use crate::lower::{lower_function_into, LinkEnv, LowerScratch, OptLevel};
+use crate::lower::{lower_function, LinkEnv, LowerScratch, OptLevel};
 use crate::opt::Optimizer;
 use std::cell::Cell;
 use std::collections::HashMap;
@@ -202,7 +202,7 @@ pub fn build_image_scheduled(
     let mut static_insns = 0;
     for (fi, func) in prog.funcs.iter().enumerate() {
         let t0 = Instant::now();
-        lower_function_into(prog, fi, opt, &mut env, lower, buf);
+        lower_function(prog, fi, opt, &mut env, lower, buf);
         let mut t1 = Instant::now();
         build_ns.lower_ns += (t1 - t0).as_nanos() as u64;
         if opt == OptLevel::Optimizing {

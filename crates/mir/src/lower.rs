@@ -53,15 +53,8 @@ enum Place {
     Mem { addr: VReg, off: i64, ty: Type },
 }
 
-/// Lowers `func` (by index) of `prog` into an [`IcodeBuf`].
-pub fn lower_function(prog: &Program, fi: usize, opt: OptLevel, env: &mut dyn LinkEnv) -> IcodeBuf {
-    let mut buf = IcodeBuf::new();
-    lower_function_into(prog, fi, opt, env, &mut LowerScratch::default(), &mut buf);
-    buf
-}
-
 /// The lowering's working storage. A linker lowering many functions
-/// keeps one, and so allocates these tables once per image.
+/// keeps one, and so allocates these tables once, not per function.
 #[derive(Clone, Debug, Default)]
 pub struct LowerScratch {
     slots: Vec<Slot>,
@@ -69,9 +62,9 @@ pub struct LowerScratch {
     continue_stack: Vec<LblId>,
 }
 
-/// [`lower_function`] into `buf`, which it clears first, working in
-/// `scratch`.
-pub fn lower_function_into(
+/// Lowers `func` (by index) of `prog` into `buf`, which it clears
+/// first, working in `scratch`.
+pub fn lower_function(
     prog: &Program,
     fi: usize,
     opt: OptLevel,

@@ -19,12 +19,6 @@ use tcc_icode::{IInsn, IOp, IcodeBuf, VReg};
 use tcc_rt::ValKind;
 use tcc_vcode::ops::{BinOp, UnOp};
 
-/// Runs the full pipeline in place (with a scratch of its own; a caller
-/// optimizing many functions keeps an [`Optimizer`]).
-pub fn optimize(buf: &mut IcodeBuf) {
-    Optimizer::default().run(buf);
-}
-
 /// What a single-definition virtual register is known to hold.
 #[derive(Clone, Copy, Debug, PartialEq)]
 enum Known {
@@ -344,10 +338,12 @@ impl Optimizer {
                 changed = true;
             }
             // A (re)definition kills what was computed from the old
-            // value — before the new availability is recorded.
+            // value — before the new availability is recorded. One that
+            // overwrites its own operand (`x = x >> 24`) records
+            // nothing: the key names the old `x`, the value is the new.
             if let Some(d) = i.def() {
                 defs_seen[d.0 as usize] += 1;
-                if hit.is_none() && pure {
+                if hit.is_none() && pure && i.a != d && i.b != d {
                     let defs = [
                         defs(defs_seen, i.a),
                         defs(defs_seen, i.b),
@@ -389,6 +385,10 @@ mod tests {
     use super::*;
     use tcc_rt::ValKind;
     use tcc_vcode::CodeSink;
+
+    fn optimize(buf: &mut IcodeBuf) {
+        Optimizer::default().run(buf);
+    }
 
     #[test]
     fn constants_fold_through_chains() {
@@ -471,6 +471,29 @@ mod tests {
             .filter(|i| matches!(i.op, IOp::Bin(BinOp::Add)))
             .count();
         assert_eq!(adds, 2, "before: {:?}\nafter: {:?}", before.insns, b.insns);
+    }
+
+    #[test]
+    fn cse_forgets_a_value_that_overwrote_its_operand() {
+        let mut b = IcodeBuf::new();
+        let p = b.param(0, ValKind::W);
+        let x = b.temp(ValKind::W); // multi-def: excluded from prop
+        let t = b.temp(ValKind::W);
+        b.un(tcc_vcode::ops::UnOp::Mov, ValKind::W, x, p);
+        b.bin_imm(BinOp::Shr, ValKind::W, x, x, 24); // x = x >> 24
+        b.bin_imm(BinOp::Shr, ValKind::W, t, x, 24); // (x >> 24) >> 24
+        b.ret_val(ValKind::W, t);
+        optimize(&mut b);
+        let shifts = b
+            .insns
+            .iter()
+            .filter(|i| matches!(i.op, IOp::BinImm(BinOp::Shr)))
+            .count();
+        assert_eq!(
+            shifts, 2,
+            "the second shift is not the first: {:?}",
+            b.insns
+        );
     }
 
     #[test]

@@ -56,9 +56,15 @@ fn a_failed_walk_leaves_no_words_and_no_registry_slot() {
         assert_eq!(before.0, fresh, "{backend:?}: the first failure left words");
         for _ in 0..5 {
             s.call("mk", &[8]).expect_err("the walk fails");
-            assert_eq!(code_state(&s), before, "{backend:?}: a failed compile leaked");
+            assert_eq!(
+                code_state(&s),
+                before,
+                "{backend:?}: a failed compile leaked"
+            );
         }
-        let fp = s.call("good", &[41]).expect("a good compile after the failures");
+        let fp = s
+            .call("good", &[41])
+            .expect("a good compile after the failures");
         assert_eq!(s.call_addr(fp, &[]).expect("runs"), 42, "{backend:?}");
     }
 }
