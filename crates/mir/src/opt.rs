@@ -27,7 +27,7 @@ enum Known {
     CopyOf(VReg),
 }
 
-/// A pure computation, as [`Optimizer::cse_local`] numbers values.
+/// A pure computation, as CSE numbers values.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 struct CseKey {
     op: IOp,
@@ -98,7 +98,7 @@ pub struct Optimizer {
     counts: Vec<u32>,
     /// What each single-definition vreg holds.
     known: Vec<Known>,
-    /// Per vreg: definitions `cse_local` has passed.
+    /// Per vreg: definitions CSE has passed.
     defs_seen: Vec<u32>,
     /// Each computation's latest recording.
     avail: HashMap<CseKey, Avail, BuildHasherDefault<CseHasher>>,
@@ -106,13 +106,11 @@ pub struct Optimizer {
 }
 
 impl Optimizer {
-    /// Runs the full pipeline on `buf` in place.
+    /// Runs the full pipeline on `buf` in place: up to three rounds of
+    /// the rewrites and dead code removal, then jump threading.
     pub fn run(&mut self, buf: &mut IcodeBuf) {
         for _ in 0..3 {
-            let mut changed = false;
-            changed |= self.const_and_copy_prop(buf);
-            changed |= self.fold(buf);
-            changed |= self.cse_local(buf);
+            let mut changed = self.rewrite(buf);
             changed |= self.peephole.dead_code(buf) > 0;
             if !changed {
                 break;
@@ -121,8 +119,10 @@ impl Optimizer {
         self.peephole.thread_jumps(buf);
     }
 
-    fn count_defs(&mut self, buf: &IcodeBuf) {
-        let counts = &mut self.counts;
+    /// Tables what each single-definition vreg holds: a constant (`Li`)
+    /// or a copy (`Un(Mov)` of a single-definition vreg of its kind).
+    fn table(&mut self, buf: &IcodeBuf) {
+        let (counts, known) = (&mut self.counts, &mut self.known);
         counts.clear();
         counts.resize(buf.num_vregs(), 0);
         for i in &buf.insns {
@@ -130,15 +130,8 @@ impl Optimizer {
                 counts[d.0 as usize] += 1;
             }
         }
-        self.known.clear();
-        self.known.resize(buf.num_vregs(), Known::Nothing);
-    }
-
-    /// Propagates constants (`Li` into single-def vregs) and copies
-    /// (`Un(Mov)` of single-def sources into single-def dests).
-    fn const_and_copy_prop(&mut self, buf: &mut IcodeBuf) -> bool {
-        self.count_defs(buf);
-        let (counts, known) = (&self.counts, &mut self.known);
+        known.clear();
+        known.resize(buf.num_vregs(), Known::Nothing);
         for i in &buf.insns {
             if let Some(d) = i.def() {
                 if counts[d.0 as usize] != 1 {
@@ -157,210 +150,230 @@ impl Optimizer {
                 }
             }
         }
-        let known = &*known;
-        // Resolve copy chains.
-        let resolve = |mut v: VReg| -> VReg {
-            let mut hops = 0;
-            while let Known::CopyOf(s) = known[v.0 as usize] {
-                v = s;
-                hops += 1;
-                if hops > 64 {
-                    break;
-                }
-            }
-            v
+    }
+
+    /// Constant and copy propagation, folding and local CSE, as one
+    /// pass over the buffer that applies all three to each instruction
+    /// in turn. That is the three passes run one after another:
+    /// propagation and folding read only the table, taken before the
+    /// pass (neither changes a definition, so it holds throughout), and
+    /// CSE reads only the instructions before the one it visits, which
+    /// are final by then.
+    fn rewrite(&mut self, buf: &mut IcodeBuf) -> bool {
+        self.table(buf);
+        let Optimizer {
+            known,
+            defs_seen,
+            avail,
+            ..
+        } = self;
+        defs_seen.clear();
+        defs_seen.resize(buf.num_vregs(), 0);
+        avail.clear();
+        let mut cse = Cse {
+            defs_seen,
+            avail,
+            block: 0,
         };
         let mut changed = false;
         for i in &mut buf.insns {
-            for field in [&mut i.a, &mut i.b] {
-                if field.is_some() {
-                    let r = resolve(*field);
-                    if r != *field {
-                        *field = r;
+            changed |= propagate(known, i);
+            changed |= fold(known, i);
+            changed |= cse.visit(i);
+        }
+        changed
+    }
+}
+
+/// Propagates constants and copies into `i`'s operands: a copy chain
+/// resolves to its source, and a known-constant operand of a binary
+/// operation becomes its immediate form where the machine has one.
+/// (`BrCmp` keeps register form: the VM's branches are reg-reg.)
+fn propagate(known: &[Known], i: &mut IInsn) -> bool {
+    let resolve = |mut v: VReg| -> VReg {
+        let mut hops = 0;
+        while let Known::CopyOf(s) = known[v.0 as usize] {
+            v = s;
+            hops += 1;
+            if hops > 64 {
+                break;
+            }
+        }
+        v
+    };
+    let mut changed = false;
+    for field in [&mut i.a, &mut i.b] {
+        if field.is_some() {
+            let r = resolve(*field);
+            if r != *field {
+                *field = r;
+                changed = true;
+            }
+        }
+    }
+    if let IOp::Bin(op) = i.op {
+        if i.b.is_some() {
+            if let Some(c) = const_of(known, i.b) {
+                if imm_form_ok(op) {
+                    i.op = IOp::BinImm(op);
+                    i.imm = c;
+                    i.b = VReg::NONE;
+                    changed = true;
+                }
+            } else if let Some(c) = const_of(known, i.a) {
+                if let Some(sw) = op.swapped() {
+                    if imm_form_ok(sw) {
+                        i.op = IOp::BinImm(sw);
+                        i.a = i.b;
+                        i.imm = c;
+                        i.b = VReg::NONE;
                         changed = true;
                     }
                 }
             }
-            // Turn register operands that are known constants into
-            // immediate forms where profitable. (`BrCmp` keeps register
-            // form: the VM's branches are reg-reg.)
-            if let IOp::Bin(op) = i.op {
-                if i.b.is_some() {
-                    if let Some(c) = const_of(known, i.b) {
-                        if imm_form_ok(op) {
-                            i.op = IOp::BinImm(op);
-                            i.imm = c;
-                            i.b = VReg::NONE;
-                            changed = true;
-                        }
-                    } else if let Some(c) = const_of(known, i.a) {
-                        if let Some(sw) = op.swapped() {
-                            if imm_form_ok(sw) {
-                                i.op = IOp::BinImm(sw);
-                                i.a = i.b;
-                                i.imm = c;
-                                i.b = VReg::NONE;
-                                changed = true;
-                            }
-                        }
-                    }
+        }
+    }
+    changed
+}
+
+/// Folds an operation whose operands are all constants, and the
+/// algebraic identities (`x+0`, `x*1`, `x*0`).
+fn fold(known: &[Known], i: &mut IInsn) -> bool {
+    let li = |i: &IInsn, imm: i64| IInsn {
+        op: IOp::Li,
+        k: i.k,
+        dst: i.dst,
+        a: VReg::NONE,
+        b: VReg::NONE,
+        imm,
+    };
+    match i.op {
+        IOp::BinImm(op) => {
+            if let Some(a) = const_of(known, i.a) {
+                if let Some(v) = op.eval_int(i.k, a, i.imm) {
+                    *i = li(i, v);
+                    return true;
                 }
             }
+            match (op, i.imm) {
+                (BinOp::Add | BinOp::Sub | BinOp::Shl | BinOp::Shr | BinOp::ShrU, 0)
+                | (BinOp::Mul | BinOp::Div | BinOp::DivU, 1) => {
+                    i.op = IOp::Un(UnOp::Mov);
+                    i.imm = 0;
+                    true
+                }
+                (BinOp::Mul | BinOp::And, 0) => {
+                    *i = li(i, 0);
+                    true
+                }
+                _ => false,
+            }
         }
-        changed
+        IOp::Bin(op) => {
+            if let (Some(a), Some(b)) = (const_of(known, i.a), const_of(known, i.b)) {
+                if let Some(v) = op.eval_int(i.k, a, b) {
+                    *i = li(i, v);
+                    return true;
+                }
+            }
+            false
+        }
+        _ => false,
+    }
+}
+
+/// Local (per-block) value-numbering CSE over pure operations, one
+/// instruction at a time.
+struct Cse<'a> {
+    defs_seen: &'a mut Vec<u32>,
+    avail: &'a mut HashMap<CseKey, Avail, BuildHasherDefault<CseHasher>>,
+    block: u32,
+}
+
+impl Cse<'_> {
+    /// Definitions of `v` visited so far (none for no register).
+    fn defs(&self, v: VReg) -> u32 {
+        if v.is_some() {
+            self.defs_seen[v.0 as usize]
+        } else {
+            0
+        }
     }
 
-    /// Folds operations whose operands are all constants, and algebraic
-    /// identities (`x+0`, `x*1`, `x*0`). Runs right after
-    /// [`Optimizer::const_and_copy_prop`], which rewrites operands only:
-    /// the single-definition `Li`s it tabled are still every constant.
-    fn fold(&mut self, buf: &mut IcodeBuf) -> bool {
-        let known = &self.known;
-        let li = |i: &IInsn, imm: i64| IInsn {
-            op: IOp::Li,
+    /// Replaces `i` by a move when an earlier instruction of its block
+    /// computed the same value and it is still available.
+    fn visit(&mut self, i: &mut IInsn) -> bool {
+        // Block boundaries invalidate everything (labels are join
+        // points), and so do calls.
+        if matches!(
+            i.op,
+            IOp::Label
+                | IOp::Jmp
+                | IOp::BrCmp(_)
+                | IOp::BrTrue
+                | IOp::BrFalse
+                | IOp::Ret
+                | IOp::CallAddr
+                | IOp::CallInd
+                | IOp::Hcall
+        ) {
+            self.block += 1;
+            return false;
+        }
+        let pure = matches!(
+            i.op,
+            IOp::Bin(_) | IOp::BinImm(_) | IOp::Un(_) | IOp::FrameAddr
+        );
+        let key = CseKey {
+            op: i.op,
             k: i.k,
-            dst: i.dst,
-            a: VReg::NONE,
-            b: VReg::NONE,
-            imm,
+            a: i.a,
+            b: i.b,
+            imm: i.imm,
         };
-        let mut changed = false;
-        for i in &mut buf.insns {
-            match i.op {
-                IOp::BinImm(op) => {
-                    if let Some(a) = const_of(known, i.a) {
-                        if let Some(v) = op.eval_int(i.k, a, i.imm) {
-                            *i = li(i, v);
-                            changed = true;
-                            continue;
-                        }
-                    }
-                    // Identities.
-                    match (op, i.imm) {
-                        (BinOp::Add | BinOp::Sub | BinOp::Shl | BinOp::Shr | BinOp::ShrU, 0)
-                        | (BinOp::Mul | BinOp::Div | BinOp::DivU, 1) => {
-                            i.op = IOp::Un(UnOp::Mov);
-                            i.imm = 0;
-                            changed = true;
-                        }
-                        (BinOp::Mul | BinOp::And, 0) => {
-                            *i = li(i, 0);
-                            changed = true;
-                        }
-                        _ => {}
-                    }
-                }
-                IOp::Bin(op) => {
-                    if let (Some(a), Some(b)) = (const_of(known, i.a), const_of(known, i.b)) {
-                        if let Some(v) = op.eval_int(i.k, a, b) {
-                            *i = li(i, v);
-                            changed = true;
-                        }
-                    }
-                }
-                _ => {}
-            }
-        }
-        changed
-    }
-
-    /// Local (per-block) value-numbering CSE over pure operations.
-    fn cse_local(&mut self, buf: &mut IcodeBuf) -> bool {
-        let (defs_seen, avail) = (&mut self.defs_seen, &mut self.avail);
-        defs_seen.clear();
-        defs_seen.resize(buf.num_vregs(), 0);
-        avail.clear();
-        let mut block = 0;
-        let mut changed = false;
-        for idx in 0..buf.insns.len() {
-            let i = buf.insns[idx];
-            // Block boundaries invalidate everything (labels are join
-            // points), and so do calls.
-            if matches!(
-                i.op,
-                IOp::Label
-                    | IOp::Jmp
-                    | IOp::BrCmp(_)
-                    | IOp::BrTrue
-                    | IOp::BrFalse
-                    | IOp::Ret
-                    | IOp::CallAddr
-                    | IOp::CallInd
-                    | IOp::Hcall
-            ) {
-                block += 1;
-                continue;
-            }
-            let pure = matches!(
-                i.op,
-                IOp::Bin(_) | IOp::BinImm(_) | IOp::Un(_) | IOp::FrameAddr
-            );
-            let key = CseKey {
-                op: i.op,
+        let hit = if pure {
+            self.avail
+                .get(&key)
+                .filter(|e| {
+                    e.block == self.block
+                        && e.defs == [self.defs(i.a), self.defs(i.b), self.defs(e.val)]
+                })
+                .map(|e| e.val)
+        } else {
+            None
+        };
+        let (a, b) = (i.a, i.b);
+        if let Some(prev) = hit {
+            // Replace with a move from the earlier value.
+            *i = IInsn {
+                op: IOp::Un(UnOp::Mov),
                 k: i.k,
-                a: i.a,
-                b: i.b,
-                imm: i.imm,
+                dst: i.dst,
+                a: prev,
+                b: VReg::NONE,
+                imm: 0,
             };
-            let defs = |defs_seen: &[u32], v: VReg| {
-                if v.is_some() {
-                    defs_seen[v.0 as usize]
-                } else {
-                    0
-                }
-            };
-            let hit = if pure {
-                avail
-                    .get(&key)
-                    .filter(|e| {
-                        e.block == block
-                            && e.defs
-                                == [
-                                    defs(defs_seen, i.a),
-                                    defs(defs_seen, i.b),
-                                    defs(defs_seen, e.val),
-                                ]
-                    })
-                    .map(|e| e.val)
-            } else {
-                None
-            };
-            if let Some(prev) = hit {
-                // Replace with a move from the earlier value.
-                buf.insns[idx] = IInsn {
-                    op: IOp::Un(UnOp::Mov),
-                    k: i.k,
-                    dst: i.dst,
-                    a: prev,
-                    b: VReg::NONE,
-                    imm: 0,
-                };
-                changed = true;
-            }
-            // A (re)definition kills what was computed from the old
-            // value — before the new availability is recorded. One that
-            // overwrites its own operand (`x = x >> 24`) records
-            // nothing: the key names the old `x`, the value is the new.
-            if let Some(d) = i.def() {
-                defs_seen[d.0 as usize] += 1;
-                if hit.is_none() && pure && i.a != d && i.b != d {
-                    let defs = [
-                        defs(defs_seen, i.a),
-                        defs(defs_seen, i.b),
-                        defs(defs_seen, d),
-                    ];
-                    avail.insert(
-                        key,
-                        Avail {
-                            val: d,
-                            block,
-                            defs,
-                        },
-                    );
-                }
+        }
+        // A (re)definition kills what was computed from the old value —
+        // before the new availability is recorded. One that overwrites
+        // its own operand (`x = x >> 24`) records nothing: the key names
+        // the old `x`, the value is the new.
+        if let Some(d) = i.def() {
+            self.defs_seen[d.0 as usize] += 1;
+            if hit.is_none() && pure && a != d && b != d {
+                let defs = [self.defs(a), self.defs(b), self.defs(d)];
+                let block = self.block;
+                self.avail.insert(
+                    key,
+                    Avail {
+                        val: d,
+                        block,
+                        defs,
+                    },
+                );
             }
         }
-        changed
+        hit.is_some()
     }
 }
 
